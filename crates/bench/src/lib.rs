@@ -31,13 +31,14 @@
 //!
 //! [`QueryStats`]: accordion_exec::metrics::QueryStats
 
-use accordion_cluster::{run_cell, MatrixCell};
 use accordion_common::config::ElasticityConfig;
 use accordion_common::{AccordionError, Json, Result};
 use accordion_tpch::{all_queries, generate, TpchOptions};
 
+pub mod matrix;
 pub mod workload;
 
+use matrix::{run_cell, MatrixCell};
 pub use workload::{compare_workload, run_workload, validate_workload, WorkloadOptions};
 
 /// Harness configuration: what to run and how often.

@@ -5,8 +5,8 @@
 //! run the *same* plan through the *same* machinery the engine's tests use:
 //! optimize at the cell's Source-stage parallelism, split into a
 //! [`StageTree`], execute on the multi-threaded [`QueryExecutor`], and
-//! time the whole thing. This module is that one cell, kept in the cluster
-//! crate so the harness has no planning/scheduling logic of its own.
+//! time the whole thing. This module is that one cell — the only place
+//! the harness touches planning or scheduling.
 //!
 //! Result rows are fingerprinted **order-insensitively** (sorted before
 //! hashing): parallel schedules deliver pages in nondeterministic order,
@@ -14,6 +14,7 @@
 
 use std::time::Instant;
 
+use accordion_cluster::QueryExecutor;
 use accordion_common::config::ElasticityConfig;
 use accordion_common::Result;
 use accordion_data::types::Value;
@@ -23,8 +24,6 @@ use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::LogicalPlanBuilder;
 use accordion_storage::catalog::Catalog;
-
-use crate::QueryExecutor;
 
 /// One configuration of the bench matrix.
 #[derive(Debug, Clone)]

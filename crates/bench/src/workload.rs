@@ -31,7 +31,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use accordion_cluster::matrix::result_checksum;
 use accordion_cluster::QueryExecutor;
 use accordion_common::config::{AdmissionConfig, ElasticityConfig};
 use accordion_common::{AccordionError, Json, Result};
@@ -39,6 +38,8 @@ use accordion_exec::ExecOptions;
 use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_tpch::{all_queries, generate, TpchOptions};
+
+use crate::matrix::result_checksum;
 
 /// Workload shape: who arrives, when, and with what SLO.
 #[derive(Debug, Clone)]

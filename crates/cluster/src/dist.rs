@@ -1,5 +1,5 @@
-//! Multi-node execution: placement, per-node wiring, and the shared
-//! split-claim service.
+//! Placement and the shared split-claim service — what the scheduler's one
+//! runner needs to know to execute a query as *node `n` of `N`*.
 //!
 //! A distributed query runs the **same [`StageTree`]** on every node — each
 //! node plans independently from its identical catalog copy and the
@@ -8,8 +8,12 @@
 //! agreed without communication: task `t` of every stage runs on node
 //! [`task_node`]`(t, nodes)`. Node 0 is the **coordinator**: it hosts task
 //! 0 of every stage (so it owns at least one local consumer slot of every
-//! edge, keeping its writer accounting authoritative), drains the root
-//! stage's result, and runs the elasticity controller.
+//! edge, keeping its writer accounting authoritative), passes the admission
+//! gate on the query's behalf, drains the root stage's result, and runs the
+//! elasticity controller. A single process is the fleet of one
+//! ([`DistRole::single`]): node 0, with no peers. The runner itself —
+//! `QueryExecutor::{wire, execute_tree}` and `NodeQuery::run` — lives in
+//! `crate::scheduler`; nothing here spawns a task.
 //!
 //! [`distributed_topology`] re-homes the all-local topology of
 //! `accordion_exec::exchange_topology` for one node: consumer slot `c`
@@ -36,7 +40,9 @@
 //! queue simply delays its claim replies, wherever the claimant runs.
 //! Grown tasks always spawn on the coordinator (producer growth is
 //! broadcast to every peer registry before they push); shrunk tasks
-//! observe retirement through their next claim reply.
+//! observe retirement through their next claim reply. [`ClaimWiring`] names
+//! which side of the service a node is on — or that it is alone and its
+//! queues need no service at all.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
@@ -45,18 +51,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use accordion_common::sync::{Mutex, Semaphore};
-use accordion_common::{AccordionError, NodeId, Result, StageId};
-use accordion_exec::executor::{drain_result, exchange_topology, ExecOptions, QueryResult};
-use accordion_exec::metrics::QueryMetrics;
-use accordion_exec::splits::{SplitFeed, SplitQueue, SplitSource};
-use accordion_net::{ConsumerLoc, ExchangeRegistry, ExchangeTopology, NodeNic};
+use accordion_common::{AccordionError, NodeId, Result};
+use accordion_exec::executor::exchange_topology;
+use accordion_exec::splits::{SplitQueue, SplitSource};
+use accordion_net::{ConsumerLoc, ExchangeTopology};
 use accordion_plan::fragment::StageTree;
-use accordion_plan::pipeline::{split_pipelines, PipelineSpec};
-use accordion_storage::catalog::Catalog;
 use accordion_storage::split::Split;
-
-use crate::elastic::{ElasticityController, StageControl};
-use crate::scheduler::{QueryRt, TaskSpec};
 
 /// The node that runs task `t` of any stage. Deterministic round-robin, so
 /// every node derives the same placement without communication.
@@ -77,6 +77,15 @@ pub struct DistRole {
 }
 
 impl DistRole {
+    /// Node 0 of 1: a single process, hosting every task.
+    pub fn single() -> DistRole {
+        DistRole {
+            node: 0,
+            nodes: 1,
+            peers: vec![String::new()],
+        }
+    }
+
     pub fn is_coordinator(&self) -> bool {
         self.node == 0
     }
@@ -407,293 +416,40 @@ impl SplitSource for RemoteSplitSource {
 
 /// How a node's elastic stages reach the query's shared split pools.
 pub enum ClaimWiring<'a> {
+    /// A fleet of one: the node owns the queues and nobody else claims.
+    Local,
     /// Coordinator: owns the queues and publishes them on its service.
     Serve(&'a SplitServer),
-    /// Worker: claims from the coordinator's service at this address.
+    /// Worker: claims from the coordinator's service at this address
+    /// (never dialled by a query that has no elastic stage).
     Connect(String),
-    /// Elasticity disabled for this query.
-    Disabled,
 }
 
-/// Where one elastic stage's tasks on this node claim splits from.
-enum SplitPool {
-    /// Coordinator: the owning queue itself.
-    Queue(Arc<SplitQueue>),
-    /// Worker: the claim-service proxy.
-    Remote(Arc<RemoteSplitSource>),
+/// One elastic stage's split pool as this node sees it.
+pub(crate) struct StagePool {
+    /// Where this node's tasks of the stage claim from.
+    pub(crate) source: Arc<dyn SplitSource>,
+    /// The queue itself, on the node that owns it — which is therefore the
+    /// node that runs the stage's controller.
+    pub(crate) queue: Option<Arc<SplitQueue>>,
 }
 
-impl SplitPool {
-    fn source(&self) -> Arc<dyn SplitSource> {
+impl ClaimWiring<'_> {
+    /// This node's pool for `stage`, whose splits are `splits` in catalog
+    /// order (the order claim ordinals refer to).
+    pub(crate) fn pool(&self, query: u64, stage: u32, splits: Vec<Split>) -> StagePool {
+        let owned = |queue: Arc<SplitQueue>| StagePool {
+            source: queue.clone(),
+            queue: Some(queue),
+        };
         match self {
-            SplitPool::Queue(q) => q.clone(),
-            SplitPool::Remote(r) => r.clone(),
+            ClaimWiring::Local => owned(Arc::new(SplitQueue::new(splits))),
+            ClaimWiring::Serve(server) => owned(server.register(query, stage, splits)),
+            ClaimWiring::Connect(addr) => StagePool {
+                source: RemoteSplitSource::new(addr.clone(), query, stage, splits),
+                queue: None,
+            },
         }
-    }
-}
-
-struct ElasticStage {
-    pool: SplitPool,
-    /// Filled while building task specs; the coordinator's grow path needs
-    /// it to spawn new tasks.
-    pipelines: Arc<Vec<PipelineSpec>>,
-    parallelism: u32,
-}
-
-/// One node's share of one distributed query: the per-node registry plus
-/// everything needed to run the tasks placed here.
-///
-/// Life cycle (two-phase, so no task runs before every node is wired):
-/// [`NodeQuery::wire`] builds the topology and registry — the caller
-/// registers the registry with its `PageServer` and acknowledges; once
-/// every node is wired, [`NodeQuery::run`] executes this node's tasks. On
-/// the coordinator `run` also drives the elasticity controller and drains
-/// the result (returned as `Some`); workers return `None`.
-pub struct NodeQuery {
-    catalog: Arc<Catalog>,
-    tree: Arc<StageTree>,
-    opts: ExecOptions,
-    role: DistRole,
-    query: u64,
-    registry: Arc<ExchangeRegistry>,
-    elastic: HashMap<u32, ElasticStage>,
-    remote_slots: usize,
-}
-
-impl NodeQuery {
-    pub fn wire(
-        catalog: Arc<Catalog>,
-        tree: Arc<StageTree>,
-        opts: &ExecOptions,
-        role: DistRole,
-        query: u64,
-        claim: ClaimWiring<'_>,
-    ) -> Result<NodeQuery> {
-        let mut elastic: HashMap<u32, ElasticStage> = HashMap::new();
-        if opts.elasticity.enabled() && !matches!(claim, ClaimWiring::Disabled) {
-            for f in tree.fragments() {
-                if f.elastic_bounds.is_none() {
-                    continue;
-                }
-                let tables = f.root.scan_tables();
-                let table = tables.first().ok_or_else(|| {
-                    AccordionError::Internal(format!("elastic stage {} has no scan", f.stage))
-                })?;
-                let splits = catalog.get(table)?.splits.splits().to_vec();
-                let pool = match &claim {
-                    ClaimWiring::Serve(server) => {
-                        SplitPool::Queue(server.register(query, f.stage.0, splits))
-                    }
-                    ClaimWiring::Connect(addr) => SplitPool::Remote(RemoteSplitSource::new(
-                        addr.clone(),
-                        query,
-                        f.stage.0,
-                        splits,
-                    )),
-                    ClaimWiring::Disabled => unreachable!("checked above"),
-                };
-                elastic.insert(
-                    f.stage.0,
-                    ElasticStage {
-                        pool,
-                        pipelines: Arc::new(Vec::new()),
-                        parallelism: f.parallelism.max(1),
-                    },
-                );
-            }
-        }
-        let leased: HashSet<u32> = elastic.keys().copied().collect();
-        let topology = distributed_topology(&tree, &leased, query, &role)?;
-        let remote_slots = topology
-            .edges
-            .iter()
-            .flat_map(|e| &e.consumers)
-            .filter(|c| matches!(c, ConsumerLoc::Remote(_)))
-            .count();
-        let registry = ExchangeRegistry::build(
-            &topology,
-            &opts.network,
-            NodeNic::new(&opts.network).for_query(&opts.network),
-        )?;
-        Ok(NodeQuery {
-            catalog,
-            tree,
-            opts: opts.clone(),
-            role,
-            query,
-            registry,
-            elastic,
-            remote_slots,
-        })
-    }
-
-    /// The per-node registry — register it with this node's `PageServer`
-    /// (under [`Self::query_id`]) before any node runs.
-    pub fn registry(&self) -> &Arc<ExchangeRegistry> {
-        &self.registry
-    }
-
-    pub fn query_id(&self) -> u64 {
-        self.query
-    }
-
-    /// Consumer slots this node reaches over TCP — at least one in any
-    /// genuinely multi-node plan.
-    pub fn remote_slots(&self) -> usize {
-        self.remote_slots
-    }
-
-    /// Executes this node's tasks to completion. Coordinator: also runs the
-    /// elasticity controller and drains the result. Any node's failure
-    /// poisons every registry in the query, so all nodes return the error.
-    pub fn run(mut self) -> Result<Option<QueryResult>> {
-        let gate = Arc::new(Semaphore::new(self.opts.worker_threads.max(1)));
-        let metrics = Arc::new(QueryMetrics::new());
-        let here = NodeId(self.role.node);
-        let mut specs = Vec::new();
-        for fragment in self.tree.fragments() {
-            let pipelines = Arc::new(split_pipelines(fragment)?);
-            if let Some(w) = self.elastic.get_mut(&fragment.stage.0) {
-                w.pipelines = pipelines.clone();
-            }
-            for task in 0..fragment.parallelism.max(1) {
-                if task_node(task, self.role.nodes) != self.role.node {
-                    continue;
-                }
-                let mut inputs = HashMap::new();
-                for child in &fragment.child_stages {
-                    inputs.insert(
-                        child.0,
-                        self.registry.reader(child.0, task, Some(gate.clone()))?,
-                    );
-                }
-                let output = self
-                    .registry
-                    .writer(fragment.stage.0, task, Some(gate.clone()))?;
-                let split_feed = self.elastic.get(&fragment.stage.0).map(|w| {
-                    SplitFeed::from_source(w.pool.source(), task, Some(gate.clone())).at_node(here)
-                });
-                specs.push(TaskSpec {
-                    stage: fragment.stage.0,
-                    task,
-                    parallelism: fragment.parallelism,
-                    pipelines: pipelines.clone(),
-                    inputs,
-                    output,
-                    split_feed,
-                });
-            }
-        }
-        let coordinator = self.role.is_coordinator();
-        let result_reader = if coordinator {
-            Some(self.registry.reader(0, 0, None)?)
-        } else {
-            None
-        };
-        // The controller runs on the coordinator only; producer growth is
-        // broadcast to every peer registry before grown tasks (always
-        // spawned here) push a page.
-        let controller = if coordinator && !self.elastic.is_empty() {
-            let mut controls = Vec::new();
-            for (&stage, w) in &self.elastic {
-                let SplitPool::Queue(queue) = &w.pool else {
-                    return Err(AccordionError::Internal(format!(
-                        "coordinator does not own the split queue of stage {stage}"
-                    )));
-                };
-                let lease = self.registry.writer(stage, u32::MAX, None)?;
-                let bounds = self
-                    .tree
-                    .fragment(StageId(stage))?
-                    .elastic_bounds
-                    .expect("elastic wiring only built for bounded stages");
-                controls.push(StageControl::new(
-                    stage,
-                    bounds,
-                    w.parallelism,
-                    queue.clone(),
-                    lease,
-                ));
-            }
-            Some(ElasticityController::new(
-                self.opts.elasticity,
-                metrics.clone(),
-                controls,
-            ))
-        } else {
-            None
-        };
-
-        let registry = self.registry.clone();
-        let rt = QueryRt {
-            catalog: &self.catalog,
-            page_rows: self.opts.page_rows,
-            registry: registry.clone(),
-            gate: gate.clone(),
-            metrics: metrics.clone(),
-            first_err: Mutex::new(None),
-        };
-        let elastic = &self.elastic;
-
-        let mut pages = Vec::new();
-        std::thread::scope(|scope| {
-            let rt = &rt;
-            for spec in specs {
-                scope.spawn(move || rt.run_task_spec(spec));
-            }
-            if let Some(controller) = controller {
-                let (registry, gate) = (registry.clone(), gate.clone());
-                scope.spawn(move || {
-                    let mut spawn = |stage: u32, slot: u32| -> Result<()> {
-                        let w = elastic.get(&stage).ok_or_else(|| {
-                            AccordionError::Internal(format!("stage {stage} is not elastic"))
-                        })?;
-                        let spec = TaskSpec {
-                            stage,
-                            task: slot,
-                            parallelism: w.parallelism,
-                            pipelines: w.pipelines.clone(),
-                            inputs: HashMap::new(),
-                            output: registry.writer(stage, slot, Some(gate.clone()))?,
-                            split_feed: Some(
-                                SplitFeed::from_source(w.pool.source(), slot, Some(gate.clone()))
-                                    .at_node(here),
-                            ),
-                        };
-                        scope.spawn(move || rt.run_task_spec(spec));
-                        Ok(())
-                    };
-                    controller.run(&registry, &mut spawn);
-                });
-            }
-            if let Some(reader) = result_reader {
-                match drain_result(reader) {
-                    Ok(p) => pages = p,
-                    Err(e) => {
-                        let mut first = rt.first_err.lock();
-                        if first.is_none() {
-                            *first = Some(e);
-                        }
-                    }
-                }
-            }
-        });
-        if let Some(e) = rt.first_err.into_inner() {
-            return Err(e);
-        }
-        if !coordinator {
-            // A remote failure can land after every local task finished
-            // cleanly — surface it rather than reporting success.
-            if let Some(e) = registry.poison_error() {
-                return Err(e);
-            }
-            return Ok(None);
-        }
-        Ok(Some(QueryResult::new(
-            self.tree.root().schema(),
-            pages,
-            metrics.snapshot(registry.stats()),
-        )))
     }
 }
 

@@ -8,6 +8,12 @@
 //! of `accordion-net`, and propagates the first task failure by poisoning
 //! every exchange so sibling tasks unwind.
 //!
+//! There is **one runner** ([`scheduler`]), parameterised by placement
+//! ([`dist`]): a query executes as node `n` of `N` — a single process is
+//! node 0 of 1 — and the runner starts only the tasks placed on its node.
+//! The scheduler's module docs say what node 0 does that the others do
+//! not, and what a process's one executor shares across its queries.
+//!
 //! The serial reference executor lives in `accordion_exec::executor`; both
 //! drive the identical [`TaskContext`]/driver machinery, so any query that
 //! runs on one produces the same result set on the other — the invariant
@@ -27,17 +33,15 @@
 pub mod dist;
 pub mod elastic;
 pub mod fleet;
-pub mod matrix;
 pub mod scheduler;
 
 pub use dist::{
-    distributed_topology, plan_fingerprint, task_node, ClaimWiring, DistRole, NodeQuery,
-    RemoteSplitSource, SplitServer,
+    distributed_topology, plan_fingerprint, task_node, ClaimWiring, DistRole, RemoteSplitSource,
+    SplitServer,
 };
 pub use elastic::{ElasticityController, StageControl, WhatIfChoice, WhatIfPredictor};
 pub use fleet::{
     AdmissionController, AdmissionPermit, AdmissionStats, FleetConfig, FleetController,
     FleetHandle, FleetRetuneEvent, FleetSnapshot, MemberSample,
 };
-pub use matrix::{run_cell, CellOutcome, MatrixCell};
-pub use scheduler::QueryExecutor;
+pub use scheduler::{NodeQuery, QueryExecutor};

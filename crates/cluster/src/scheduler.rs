@@ -1,9 +1,28 @@
-//! The multi-threaded query scheduler.
+//! The query scheduler: one concurrent runner, parameterised by placement.
 //!
 //! [`QueryExecutor`] launches **every stage's tasks as soon as their inputs
 //! exist** — with streaming exchanges, that is immediately: all tasks of
 //! all stages start together and pages flow between them page-by-page
 //! through the bounded elastic buffers of `accordion-net`.
+//!
+//! ## Placement
+//!
+//! Every query runs as *node `n` of `N`* ([`DistRole`]): the runner builds
+//! a task only when [`task_node`] places it here, and every edge of the
+//! node's registry knows which consumer slots are local and which sit
+//! behind a peer's page server. A single process is node 0 of 1 — it hosts
+//! every task and owns every queue — so [`QueryExecutor::execute_tree`] is
+//! "wire as node 0 of 1, run, unwrap the result", and a multi-node query
+//! is the same two steps taken on each node: [`QueryExecutor::wire`]
+//! (build the registry; the caller publishes it on its `PageServer`) and,
+//! once every node is wired, [`NodeQuery::run`]. What the role decides:
+//!
+//! | | node 0 (coordinator) | nodes 1.. (workers) |
+//! |---|---|---|
+//! | admission gate, fleet arbiter | passes / joins | — (node 0 answers for the query) |
+//! | elastic split pools | owns the [`SplitQueue`]s | claims through a [`ClaimWiring`] proxy |
+//! | elasticity controller | runs it, spawns grown tasks | — |
+//! | stage 0's result | drains it (`Some(result)`) | `None`, or the query's poison |
 //!
 //! ## The worker pool
 //!
@@ -17,7 +36,10 @@
 //! This is what makes the pool deadlock-free for any combination of
 //! `worker_threads ≥ 1` and buffer capacity, including one page. Tasks the
 //! elasticity controller spawns mid-query join the same pool: a grown
-//! stage competes for the same compute slots, it does not add any.
+//! stage competes for the same compute slots, it does not add any. The
+//! pool — slots and NIC budget — belongs to the executor, not the query:
+//! everything a process runs, whole queries or one node's share of them,
+//! draws on it.
 //!
 //! ## Runtime elasticity
 //!
@@ -32,116 +54,52 @@
 //! ## Error propagation
 //!
 //! The first task failure (operator error or panic) poisons every
-//! registered exchange: all sibling tasks unwind with the original error
+//! registered exchange — on this node and, through the registry's peer
+//! links, on every other: all sibling tasks unwind with the original error
 //! the next time they touch an endpoint, the coordinator's result drain
-//! fails fast, and `execute_tree` returns that first error. The controller
-//! observes the poison, releases its split queues and leases, and exits —
-//! no claimant stays parked at a decision boundary.
+//! fails fast, and every node's run returns that first error. The
+//! controller observes the poison, releases its split queues and leases,
+//! and exits — no claimant stays parked at a decision boundary.
 //!
 //! [`SplitQueue`]: accordion_exec::splits::SplitQueue
 //! [`ElasticityController`]: crate::elastic::ElasticityController
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use accordion_common::config::ElasticityMode;
 use accordion_common::sync::{Mutex, Semaphore};
-use accordion_common::{AccordionError, Result};
+use accordion_common::{AccordionError, NodeId, Result, StageId};
 use accordion_exec::driver::{run_task, TaskContext};
-use accordion_exec::executor::{drain_result, exchange_topology, ExecOptions, QueryResult};
+use accordion_exec::executor::{drain_result, ExecOptions, QueryResult};
 use accordion_exec::metrics::QueryMetrics;
-use accordion_exec::splits::{SplitFeed, SplitQueue};
-use accordion_net::{ExchangeReader, ExchangeRegistry, ExchangeWriter, NodeNic};
+use accordion_exec::splits::SplitFeed;
+use accordion_net::{ConsumerLoc, ExchangeReader, ExchangeRegistry, ExchangeWriter, NodeNic};
 use accordion_plan::fragment::{DopBounds, StageTree};
 use accordion_plan::logical::LogicalPlan;
 use accordion_plan::optimizer::Optimizer;
 use accordion_plan::pipeline::{split_pipelines, PipelineSpec};
 use accordion_storage::catalog::Catalog;
 
+use crate::dist::{distributed_topology, task_node, ClaimWiring, DistRole, StagePool};
 use crate::elastic::{ElasticityController, StageControl};
-use crate::fleet::{AdmissionController, FleetConfig, FleetController, FleetHandle};
+use crate::fleet::{
+    AdmissionController, AdmissionPermit, FleetConfig, FleetController, FleetHandle,
+};
 
 /// Everything one task thread needs, assembled before spawning.
-pub(crate) struct TaskSpec {
-    pub(crate) stage: u32,
-    pub(crate) task: u32,
-    pub(crate) parallelism: u32,
-    pub(crate) pipelines: Arc<Vec<PipelineSpec>>,
-    pub(crate) inputs: HashMap<u32, Box<dyn ExchangeReader>>,
-    pub(crate) output: Box<dyn ExchangeWriter>,
-    /// Elastic stages claim splits from the stage's shared queue.
-    pub(crate) split_feed: Option<SplitFeed>,
-}
-
-/// Per-stage wiring of one elastic Source stage, shared between the task
-/// builder and the controller's grow path.
-struct ElasticWiring {
-    queue: Arc<SplitQueue>,
-    pipelines: Arc<Vec<PipelineSpec>>,
+struct TaskSpec {
+    stage: u32,
+    task: u32,
     parallelism: u32,
-}
-
-/// Shared runtime of one query execution, borrowed by every task thread.
-pub(crate) struct QueryRt<'env> {
-    pub(crate) catalog: &'env Catalog,
-    pub(crate) page_rows: usize,
-    pub(crate) registry: Arc<ExchangeRegistry>,
-    pub(crate) gate: Arc<Semaphore>,
-    pub(crate) metrics: Arc<QueryMetrics>,
-    pub(crate) first_err: Mutex<Option<AccordionError>>,
-}
-
-impl QueryRt<'_> {
-    /// Runs one task to completion on the current thread, recording the
-    /// first failure and poisoning the exchanges on error or panic.
-    pub(crate) fn run_task_spec(&self, spec: TaskSpec) {
-        self.gate.acquire();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let TaskSpec {
-                stage,
-                task,
-                parallelism,
-                pipelines,
-                inputs,
-                output,
-                split_feed,
-            } = spec;
-            let mut ctx = TaskContext::new(
-                self.catalog,
-                stage,
-                task,
-                parallelism,
-                self.page_rows,
-                inputs,
-                output,
-                &pipelines,
-                self.metrics.clone(),
-            );
-            if let Some(feed) = split_feed {
-                ctx.set_split_feed(feed);
-            }
-            run_task(&pipelines, &mut ctx)
-        }));
-        self.gate.release();
-        let err = match outcome {
-            Ok(Ok(())) => None,
-            Ok(Err(e)) => Some(e),
-            Err(panic) => Some(AccordionError::Internal(format!(
-                "task panicked: {}",
-                panic_message(&panic)
-            ))),
-        };
-        if let Some(e) = err {
-            {
-                let mut first = self.first_err.lock();
-                if first.is_none() {
-                    *first = Some(e.clone());
-                }
-            }
-            self.registry.poison(e);
-        }
-    }
+    pipelines: Arc<Vec<PipelineSpec>>,
+    inputs: HashMap<u32, Box<dyn ExchangeReader>>,
+    output: Box<dyn ExchangeWriter>,
+    /// Elastic stages claim splits from the stage's shared pool.
+    split_feed: Option<SplitFeed>,
 }
 
 /// Multi-threaded executor: concurrent stages, elastic exchanges, simulated
@@ -164,9 +122,9 @@ pub struct QueryExecutor {
     opts: ExecOptions,
     /// Shared compute-slot gate — the worker pool.
     gate: Arc<Semaphore>,
-    /// Exchange registries of in-flight queries, keyed by a local id.
+    /// Exchange registries of wired and running queries, keyed by a local id.
     active: Arc<Mutex<HashMap<u64, Arc<ExchangeRegistry>>>>,
-    next_query_id: Arc<std::sync::atomic::AtomicU64>,
+    next_query_id: Arc<AtomicU64>,
     /// Gates query starts against the pool (`ExecOptions::admission`,
     /// fixed at construction — per-call options cannot widen the limit).
     admission: Arc<AdmissionController>,
@@ -192,8 +150,8 @@ impl Default for QueryExecutor {
     }
 }
 
-/// Removes a query's registry from the active map when execution leaves
-/// scope, error or not.
+/// Removes a query's registry from the active map when the wired query
+/// leaves scope — run to completion, failed, or dropped unrun.
 struct ActiveGuard {
     active: Arc<Mutex<HashMap<u64, Arc<ExchangeRegistry>>>>,
     id: u64,
@@ -203,6 +161,34 @@ impl Drop for ActiveGuard {
     fn drop(&mut self) {
         self.active.lock().remove(&self.id);
     }
+}
+
+/// One node's share of one query, wired and ready to run.
+///
+/// Life cycle (two-phase, so no task runs before every node is wired):
+/// [`QueryExecutor::wire`] builds the topology and registry — the caller
+/// registers the registry with its `PageServer` and acknowledges; once
+/// every node is wired, [`NodeQuery::run`] executes this node's tasks.
+/// Dropping an unrun `NodeQuery` releases everything `wire` took.
+///
+/// `C` and `T` are how the catalog and the stage tree are held: `Arc`s for
+/// a query that waits, wired, for its peers (and then runs on a thread of
+/// its own); plain borrows for one that runs where it was wired.
+pub struct NodeQuery<C = Arc<Catalog>, T = Arc<StageTree>> {
+    catalog: C,
+    tree: T,
+    opts: ExecOptions,
+    role: DistRole,
+    registry: Arc<ExchangeRegistry>,
+    /// Split pools of the elastic stages, by stage id.
+    pools: HashMap<u32, StagePool>,
+    remote_slots: usize,
+    /// The executor's slot pool and arbiter, which the run draws on.
+    gate: Arc<Semaphore>,
+    fleet: Arc<FleetController>,
+    active: ActiveGuard,
+    /// Held from wiring to the end of the run; node 0 only.
+    _permit: Option<AdmissionPermit>,
 }
 
 impl QueryExecutor {
@@ -218,7 +204,7 @@ impl QueryExecutor {
             opts,
             gate,
             active: Arc::new(Mutex::new(HashMap::new())),
-            next_query_id: Arc::new(std::sync::atomic::AtomicU64::new(0)),
+            next_query_id: Arc::new(AtomicU64::new(0)),
             admission,
             fleet,
             node_nic,
@@ -239,15 +225,16 @@ impl QueryExecutor {
         &self.fleet
     }
 
-    /// Number of queries currently executing on this pool.
+    /// Number of queries currently wired or executing on this pool.
     pub fn active_queries(&self) -> usize {
         self.active.lock().len()
     }
 
     /// Poisons every in-flight query's exchanges with `err`: all their
-    /// tasks unwind the next time they touch an endpoint and each query
-    /// returns the error. New queries are unaffected — this is a kill
-    /// switch for what is running *now* (server shutdown, admin abort).
+    /// tasks — on every node of a distributed query — unwind the next time
+    /// they touch an endpoint and each query returns the error. New queries
+    /// are unaffected — this is a kill switch for what is running *now*
+    /// (server shutdown, admin abort).
     pub fn poison_active(&self, err: AccordionError) {
         let registries: Vec<Arc<ExchangeRegistry>> = self.active.lock().values().cloned().collect();
         for registry in registries {
@@ -276,21 +263,50 @@ impl QueryExecutor {
         tree: &StageTree,
         opts: &ExecOptions,
     ) -> Result<QueryResult> {
-        // Admission first: under the `Queue` policy this blocks until the
-        // pool has room; the permit is held for the whole execution.
-        let _permit = self.admission.admit()?;
-        let gate = self.gate.clone();
-        let metrics = Arc::new(QueryMetrics::new());
-        let query_id = self
-            .next_query_id
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        // A query id is only ever spoken to peers; node 0 of 1 has none.
+        self.wire(
+            catalog,
+            tree,
+            opts,
+            DistRole::single(),
+            0,
+            ClaimWiring::Local,
+        )?
+        .run()?
+        .ok_or_else(|| AccordionError::Internal("node 0 returned no result".into()))
+    }
 
-        // Elastic Source stages scan through a shared split queue so their
+    /// Wires this node's share of query `query` (an id every node of the
+    /// fleet agrees on) — phase one of an execution; see [`NodeQuery`].
+    /// `opts` follows [`Self::execute_tree_opts`]: the pool, the NIC budget
+    /// and the admission limit stay the executor's.
+    pub fn wire<C, T>(
+        &self,
+        catalog: C,
+        tree: T,
+        opts: &ExecOptions,
+        role: DistRole,
+        query: u64,
+        claim: ClaimWiring<'_>,
+    ) -> Result<NodeQuery<C, T>>
+    where
+        C: Deref<Target = Catalog>,
+        T: Deref<Target = StageTree>,
+    {
+        // Admission first, on the node that answers for the query: under
+        // the `Queue` policy this blocks until the pool has room; the
+        // permit is held until the run ends.
+        let permit = if role.is_coordinator() {
+            Some(self.admission.admit()?)
+        } else {
+            None
+        };
+
+        // Elastic Source stages scan through a shared split pool so their
         // task set can change between splits; their edges get the
         // controller's writer lease slot.
-        let elastic_cfg = opts.elasticity;
-        let mut elastic: HashMap<u32, ElasticWiring> = HashMap::new();
-        if elastic_cfg.enabled() {
+        let mut pools: HashMap<u32, StagePool> = HashMap::new();
+        if opts.elasticity.enabled() {
             for f in tree.fragments() {
                 if f.elastic_bounds.is_none() {
                     continue;
@@ -300,176 +316,53 @@ impl QueryExecutor {
                     AccordionError::Internal(format!("elastic stage {} has no scan", f.stage))
                 })?;
                 let splits = catalog.get(table)?.splits.splits().to_vec();
-                elastic.insert(
-                    f.stage.0,
-                    ElasticWiring {
-                        queue: Arc::new(SplitQueue::new(splits)),
-                        pipelines: Arc::new(Vec::new()), // filled below
-                        parallelism: f.parallelism.max(1),
-                    },
-                );
+                pools.insert(f.stage.0, claim.pool(query, f.stage.0, splits));
             }
         }
-        let leased: HashSet<u32> = elastic.keys().copied().collect();
+        // The lease on every elastic edge is held by the controller, which
+        // runs where the queues are — a worker that owned one, or a
+        // coordinator that did not, would leave the edge open forever.
+        if pools
+            .values()
+            .any(|p| p.queue.is_some() != role.is_coordinator())
+        {
+            return Err(AccordionError::Internal(
+                "a query's split queues are owned by node 0 and no other".into(),
+            ));
+        }
+        let leased: HashSet<u32> = pools.keys().copied().collect();
+        let topology = distributed_topology(&tree, &leased, query, &role)?;
+        let remote_slots = topology
+            .edges
+            .iter()
+            .flat_map(|e| &e.consumers)
+            .filter(|c| matches!(c, ConsumerLoc::Remote(_)))
+            .count();
         // Each query's exchange traffic runs through its own NIC carve-out
-        // backed by the executor-wide node bucket. The topology is all-local
-        // here; the distributed front-end re-homes consumer slots onto
-        // worker nodes before building per-node registries.
-        let mut topology = exchange_topology(tree, &leased)?;
-        topology.query = query_id;
+        // backed by the executor-wide node bucket.
         let registry = ExchangeRegistry::build(
             &topology,
             &opts.network,
             self.node_nic.for_query(&opts.network),
         )?;
-        self.active.lock().insert(query_id, registry.clone());
-        let _active_guard = ActiveGuard {
-            active: self.active.clone(),
-            id: query_id,
-        };
-
-        // Claim every endpoint up front so wiring errors surface before any
-        // thread spawns.
-        let mut specs = Vec::new();
-        for fragment in tree.fragments() {
-            let pipelines = Arc::new(split_pipelines(fragment)?);
-            if let Some(w) = elastic.get_mut(&fragment.stage.0) {
-                w.pipelines = pipelines.clone();
-            }
-            for task in 0..fragment.parallelism.max(1) {
-                let mut inputs = HashMap::new();
-                for child in &fragment.child_stages {
-                    inputs.insert(child.0, registry.reader(child.0, task, Some(gate.clone()))?);
-                }
-                let output = registry.writer(fragment.stage.0, task, Some(gate.clone()))?;
-                let split_feed = elastic
-                    .get(&fragment.stage.0)
-                    .map(|w| SplitFeed::new(w.queue.clone(), task, Some(gate.clone())));
-                specs.push(TaskSpec {
-                    stage: fragment.stage.0,
-                    task,
-                    parallelism: fragment.parallelism,
-                    pipelines: pipelines.clone(),
-                    inputs,
-                    output,
-                    split_feed,
-                });
-            }
-        }
-        // The coordinator's reader is not gated: the calling thread is not a
-        // worker and only ever waits.
-        let result_reader = registry.reader(0, 0, None)?;
-
-        // The controller takes the writer lease on every elastic edge and
-        // arms the first decision boundary — before any task runs.
-        let controller = if elastic.is_empty() {
-            None
-        } else {
-            let mut controls = Vec::new();
-            for (&stage, w) in &elastic {
-                let lease = registry.writer(stage, u32::MAX, None)?;
-                let bounds = tree
-                    .fragment(accordion_common::StageId(stage))?
-                    .elastic_bounds
-                    .expect("elastic wiring only built for bounded stages");
-                controls.push(StageControl::new(
-                    stage,
-                    bounds,
-                    w.parallelism,
-                    w.queue.clone(),
-                    lease,
-                ));
-            }
-            let mut ctrl = ElasticityController::new(elastic_cfg, metrics.clone(), controls);
-            // Deadline-driven queries join the fleet: their budgets are
-            // arbitrated against every other live Auto query on this pool.
-            if let ElasticityMode::Auto { deadline_ms } = elastic_cfg.mode {
-                let mut union: Option<DopBounds> = None;
-                for f in tree.fragments() {
-                    if let Some(b) = f.elastic_bounds {
-                        union = Some(match union {
-                            None => b,
-                            Some(u) => DopBounds::new(u.min.min(b.min), u.max.max(b.max)),
-                        });
-                    }
-                }
-                if let Some(bounds) = union {
-                    ctrl.attach_fleet(FleetHandle::register(
-                        self.fleet.clone(),
-                        query_id,
-                        deadline_ms,
-                        bounds,
-                    ));
-                }
-            }
-            Some(ctrl)
-        };
-
-        let rt = QueryRt {
+        let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
+        self.active.lock().insert(id, registry.clone());
+        Ok(NodeQuery {
             catalog,
-            page_rows: opts.page_rows,
-            registry: registry.clone(),
-            gate: gate.clone(),
-            metrics: metrics.clone(),
-            first_err: Mutex::new(None),
-        };
-        let elastic = &elastic;
-
-        let mut pages = Vec::new();
-        std::thread::scope(|scope| {
-            let rt = &rt;
-            for spec in specs {
-                scope.spawn(move || rt.run_task_spec(spec));
-            }
-            if let Some(controller) = controller {
-                let (registry, gate) = (registry.clone(), gate.clone());
-                scope.spawn(move || {
-                    // Grown tasks join the same scope and slot pool. The
-                    // edge was re-registered at the larger DOP before this
-                    // callback runs (see ElasticityController::decide).
-                    let mut spawn = |stage: u32, slot: u32| -> Result<()> {
-                        let w = elastic.get(&stage).ok_or_else(|| {
-                            AccordionError::Internal(format!("stage {stage} is not elastic"))
-                        })?;
-                        let spec = TaskSpec {
-                            stage,
-                            task: slot,
-                            parallelism: w.parallelism,
-                            pipelines: w.pipelines.clone(),
-                            inputs: HashMap::new(),
-                            output: registry.writer(stage, slot, Some(gate.clone()))?,
-                            split_feed: Some(SplitFeed::new(
-                                w.queue.clone(),
-                                slot,
-                                Some(gate.clone()),
-                            )),
-                        };
-                        scope.spawn(move || rt.run_task_spec(spec));
-                        Ok(())
-                    };
-                    controller.run(&registry, &mut spawn);
-                });
-            }
-            // Drain the root stage's stream while tasks run; on poison the
-            // drain errors out and the scope joins the unwinding tasks.
-            match drain_result(result_reader) {
-                Ok(p) => pages = p,
-                Err(e) => {
-                    let mut first = rt.first_err.lock();
-                    if first.is_none() {
-                        *first = Some(e);
-                    }
-                }
-            }
-        });
-        if let Some(e) = rt.first_err.into_inner() {
-            return Err(e);
-        }
-        Ok(QueryResult::new(
-            tree.root().schema(),
-            pages,
-            metrics.snapshot(registry.stats()),
-        ))
+            tree,
+            opts: opts.clone(),
+            role,
+            registry,
+            pools,
+            remote_slots,
+            gate: self.gate.clone(),
+            fleet: self.fleet.clone(),
+            active: ActiveGuard {
+                active: self.active.clone(),
+                id,
+            },
+            _permit: permit,
+        })
     }
 
     /// Convenience entry point: `LogicalPlan → Optimizer → StageTree →
@@ -498,7 +391,226 @@ impl QueryExecutor {
     }
 }
 
-pub(crate) fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
+impl<C, T> NodeQuery<C, T>
+where
+    C: Deref<Target = Catalog> + Sync,
+    T: Deref<Target = StageTree> + Sync,
+{
+    /// The per-node registry — register it with this node's `PageServer`
+    /// (under the query's id) before any node runs.
+    pub fn registry(&self) -> &Arc<ExchangeRegistry> {
+        &self.registry
+    }
+
+    /// Consumer slots this node reaches over TCP — at least one in any
+    /// genuinely multi-node plan.
+    pub fn remote_slots(&self) -> usize {
+        self.remote_slots
+    }
+
+    /// Runs one task to completion on the current thread, recording the
+    /// first failure and poisoning the exchanges on error or panic.
+    fn run_task(
+        &self,
+        spec: TaskSpec,
+        metrics: &Arc<QueryMetrics>,
+        first_err: &Mutex<Option<AccordionError>>,
+    ) {
+        self.gate.acquire();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut ctx = TaskContext::new(
+                &self.catalog,
+                spec.stage,
+                spec.task,
+                spec.parallelism,
+                self.opts.page_rows,
+                spec.inputs,
+                spec.output,
+                &spec.pipelines,
+                metrics.clone(),
+            );
+            if let Some(feed) = spec.split_feed {
+                ctx.set_split_feed(feed);
+            }
+            run_task(&spec.pipelines, &mut ctx)
+        }));
+        self.gate.release();
+        let err = match outcome {
+            Ok(Ok(())) => None,
+            Ok(Err(e)) => Some(e),
+            Err(panic) => Some(AccordionError::Internal(format!(
+                "task panicked: {}",
+                panic_message(&panic)
+            ))),
+        };
+        if let Some(e) = err {
+            first_err.lock().get_or_insert(e.clone());
+            self.registry.poison(e);
+        }
+    }
+
+    /// The one runner: executes, on the executor's pool, the tasks
+    /// [`task_node`] places on this node. The coordinator returns the
+    /// drained result, workers `None`. Any node's failure poisons every
+    /// registry in the query, so all nodes return the error.
+    pub fn run(self) -> Result<Option<QueryResult>> {
+        let tree: &StageTree = &self.tree;
+        let (opts, role, registry, gate) = (&self.opts, &self.role, &self.registry, &self.gate);
+        let metrics = Arc::new(QueryMetrics::new());
+        // Claims prefer splits stored on the claimant's node; in a fleet of
+        // one there is no other node to leave them to, so the order stays
+        // plain FIFO.
+        let here = (role.nodes > 1).then_some(NodeId(role.node));
+        let feed = |stage: u32, slot: u32| {
+            let pool = self.pools.get(&stage)?;
+            let feed = SplitFeed::from_source(pool.source.clone(), slot, Some(gate.clone()));
+            Some(match here {
+                Some(node) => feed.at_node(node),
+                None => feed,
+            })
+        };
+
+        // Claim every endpoint up front so wiring errors surface before any
+        // thread spawns.
+        let mut pipelines: HashMap<u32, Arc<Vec<PipelineSpec>>> = HashMap::new();
+        let mut specs = Vec::new();
+        for fragment in tree.fragments() {
+            let stage = fragment.stage.0;
+            let stage_pipelines = Arc::new(split_pipelines(fragment)?);
+            pipelines.insert(stage, stage_pipelines.clone());
+            for task in 0..fragment.parallelism.max(1) {
+                if task_node(task, role.nodes) != role.node {
+                    continue;
+                }
+                let mut inputs = HashMap::new();
+                for child in &fragment.child_stages {
+                    inputs.insert(child.0, registry.reader(child.0, task, Some(gate.clone()))?);
+                }
+                specs.push(TaskSpec {
+                    stage,
+                    task,
+                    parallelism: fragment.parallelism,
+                    pipelines: stage_pipelines.clone(),
+                    inputs,
+                    output: registry.writer(stage, task, Some(gate.clone()))?,
+                    split_feed: feed(stage, task),
+                });
+            }
+        }
+        // The coordinator's reader is not gated: the calling thread is not a
+        // worker and only ever waits.
+        let result_reader = if role.is_coordinator() {
+            Some(registry.reader(0, 0, None)?)
+        } else {
+            None
+        };
+
+        // The controller runs where the queues are (node 0): it takes the
+        // writer lease on every elastic edge and arms the first decision
+        // boundary — before any task runs. Producer growth is broadcast to
+        // every peer registry before grown tasks (always spawned here) push
+        // a page.
+        let mut controls = Vec::new();
+        for (&stage, pool) in &self.pools {
+            let Some(queue) = &pool.queue else { continue };
+            let fragment = tree.fragment(StageId(stage))?;
+            controls.push(StageControl::new(
+                stage,
+                fragment
+                    .elastic_bounds
+                    .expect("split pools are only built for bounded stages"),
+                fragment.parallelism.max(1),
+                queue.clone(),
+                registry.writer(stage, u32::MAX, None)?,
+            ));
+        }
+        let controller = if controls.is_empty() {
+            None
+        } else {
+            let mut ctrl = ElasticityController::new(opts.elasticity, metrics.clone(), controls);
+            // Deadline-driven queries join the fleet: their budgets are
+            // arbitrated against every other live Auto query on this pool.
+            if let ElasticityMode::Auto { deadline_ms } = opts.elasticity.mode {
+                let union = tree
+                    .fragments()
+                    .iter()
+                    .filter_map(|f| f.elastic_bounds)
+                    .reduce(|u, b| DopBounds::new(u.min.min(b.min), u.max.max(b.max)));
+                if let Some(bounds) = union {
+                    ctrl.attach_fleet(FleetHandle::register(
+                        self.fleet.clone(),
+                        self.active.id,
+                        deadline_ms,
+                        bounds,
+                    ));
+                }
+            }
+            Some(ctrl)
+        };
+
+        let first_err = Mutex::new(None);
+        let (this, metrics, first_err) = (&self, &metrics, &first_err);
+        let (pipelines, feed) = (&pipelines, &feed);
+
+        let mut pages = Vec::new();
+        std::thread::scope(|scope| {
+            for spec in specs {
+                scope.spawn(move || this.run_task(spec, metrics, first_err));
+            }
+            if let Some(controller) = controller {
+                scope.spawn(move || {
+                    // Grown tasks join the same scope and slot pool. The
+                    // edge was re-registered at the larger DOP before this
+                    // callback runs (see ElasticityController::decide).
+                    let mut spawn = |stage: u32, slot: u32| -> Result<()> {
+                        let not_elastic =
+                            || AccordionError::Internal(format!("stage {stage} is not elastic"));
+                        let spec = TaskSpec {
+                            stage,
+                            task: slot,
+                            parallelism: tree.fragment(StageId(stage))?.parallelism.max(1),
+                            pipelines: pipelines.get(&stage).ok_or_else(not_elastic)?.clone(),
+                            inputs: HashMap::new(),
+                            output: registry.writer(stage, slot, Some(gate.clone()))?,
+                            split_feed: Some(feed(stage, slot).ok_or_else(not_elastic)?),
+                        };
+                        scope.spawn(move || this.run_task(spec, metrics, first_err));
+                        Ok(())
+                    };
+                    controller.run(registry, &mut spawn);
+                });
+            }
+            // Drain the root stage's stream while tasks run; on poison the
+            // drain errors out and the scope joins the unwinding tasks.
+            if let Some(reader) = result_reader {
+                match drain_result(reader) {
+                    Ok(p) => pages = p,
+                    Err(e) => {
+                        first_err.lock().get_or_insert(e);
+                    }
+                }
+            }
+        });
+        if let Some(e) = first_err.lock().take() {
+            return Err(e);
+        }
+        if !role.is_coordinator() {
+            // A remote failure can land after every local task finished
+            // cleanly — surface it rather than reporting success.
+            return match registry.poison_error() {
+                Some(e) => Err(e),
+                None => Ok(None),
+            };
+        }
+        Ok(Some(QueryResult::new(
+            tree.root().schema(),
+            pages,
+            metrics.snapshot(registry.stats()),
+        )))
+    }
+}
+
+fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {

@@ -1,16 +1,19 @@
-//! Two-node distributed execution, in-process: each "node" is a
-//! [`NodeQuery`] fronted by its own `PageServer`, exchanging pages over
+//! Multi-node distributed execution, in-process: each "node" is a
+//! [`QueryExecutor`] fronted by its own `PageServer`, exchanging pages over
 //! real TCP. The golden suite must produce results identical to the serial
 //! reference, with at least one cross-node exchange edge in every
 //! multi-task plan — and mid-query forced grow/shrink must stay lossless
 //! when the elastic stage's tasks are spread across nodes claiming from
-//! the coordinator's split service.
+//! the coordinator's split service. Because every node runs on the one
+//! scheduler, what holds for a single process holds here: node 0 passes the
+//! admission gate, `poison_active` reaches every node, and a node's queries
+//! share its executor's compute slots.
 
 use std::sync::Arc;
 
-use accordion_cluster::{ClaimWiring, DistRole, NodeQuery, SplitServer};
-use accordion_common::config::{ElasticityConfig, NetworkConfig};
-use accordion_common::ElasticityMode;
+use accordion_cluster::{ClaimWiring, DistRole, NodeQuery, QueryExecutor, SplitServer};
+use accordion_common::config::{AdmissionConfig, ElasticityConfig, NetworkConfig};
+use accordion_common::{AccordionError, ElasticityMode, Result};
 use accordion_data::schema::{Field, Schema};
 use accordion_data::types::{DataType, Value};
 use accordion_exec::{execute_tree, ExecOptions, QueryResult};
@@ -109,6 +112,58 @@ fn sorted_rows(result: &QueryResult) -> Vec<Vec<Value>> {
     rows
 }
 
+/// An in-process fleet: one page server per node, and the coordinator's
+/// claim service — elasticity (when enabled) claims through it exactly as
+/// separate processes would.
+struct TestFleet {
+    pages: Vec<Arc<PageServer>>,
+    claim: Arc<SplitServer>,
+}
+
+impl TestFleet {
+    fn new(nodes: usize) -> TestFleet {
+        TestFleet {
+            pages: (0..nodes)
+                .map(|_| PageServer::bind("127.0.0.1:0").unwrap())
+                .collect(),
+            claim: SplitServer::bind("127.0.0.1:0").unwrap(),
+        }
+    }
+
+    /// Wires `node`'s share of `query` on `executor` and publishes its
+    /// registry on the node's page server.
+    fn wire(
+        &self,
+        node: u32,
+        executor: &QueryExecutor,
+        catalog: &Arc<Catalog>,
+        tree: &Arc<StageTree>,
+        opts: &ExecOptions,
+        query: u64,
+    ) -> Result<NodeQuery> {
+        let role = DistRole {
+            node,
+            nodes: self.pages.len() as u32,
+            peers: self.pages.iter().map(|p| p.local_addr()).collect(),
+        };
+        let claim = if node == 0 {
+            ClaimWiring::Serve(&self.claim)
+        } else {
+            ClaimWiring::Connect(self.claim.local_addr())
+        };
+        let nq = executor.wire(catalog.clone(), tree.clone(), opts, role, query, claim)?;
+        self.pages[node as usize].register(query, nq.registry().clone());
+        Ok(nq)
+    }
+
+    fn shutdown(self) {
+        self.claim.shutdown();
+        for p in &self.pages {
+            p.shutdown();
+        }
+    }
+}
+
 /// Runs `tree` on a two-node in-process fleet and returns the
 /// coordinator's result plus the number of cross-node consumer slots.
 fn run_two_nodes(
@@ -117,46 +172,18 @@ fn run_two_nodes(
     opts: &ExecOptions,
     query: u64,
 ) -> (QueryResult, usize) {
-    let ps0 = PageServer::bind("127.0.0.1:0").unwrap();
-    let ps1 = PageServer::bind("127.0.0.1:0").unwrap();
-    let peers = vec![ps0.local_addr(), ps1.local_addr()];
-    let role = |node| DistRole {
-        node,
-        nodes: 2,
-        peers: peers.clone(),
-    };
-    // Elasticity (when enabled) claims through the coordinator's service,
-    // exactly as separate processes would.
-    let claim = SplitServer::bind("127.0.0.1:0").unwrap();
-    let nq0 = NodeQuery::wire(
-        catalog.clone(),
-        tree.clone(),
-        opts,
-        role(0),
-        query,
-        ClaimWiring::Serve(&claim),
-    )
-    .unwrap();
-    let nq1 = NodeQuery::wire(
-        catalog.clone(),
-        tree.clone(),
-        opts,
-        role(1),
-        query,
-        ClaimWiring::Connect(claim.local_addr()),
-    )
-    .unwrap();
-    ps0.register(query, nq0.registry().clone());
-    ps1.register(query, nq1.registry().clone());
+    let fleet = TestFleet::new(2);
+    let (e0, e1) = (
+        QueryExecutor::new(opts.clone()),
+        QueryExecutor::new(opts.clone()),
+    );
+    let nq0 = fleet.wire(0, &e0, catalog, tree, opts, query).unwrap();
+    let nq1 = fleet.wire(1, &e1, catalog, tree, opts, query).unwrap();
     let remote_slots = nq0.remote_slots() + nq1.remote_slots();
     let worker = std::thread::spawn(move || nq1.run());
     let result = nq0.run().unwrap().expect("coordinator returns the result");
     assert!(worker.join().unwrap().unwrap().is_none());
-    ps0.unregister(query);
-    ps1.unregister(query);
-    claim.shutdown();
-    ps0.shutdown();
-    ps1.shutdown();
+    fleet.shutdown();
     (result, remote_slots)
 }
 
@@ -273,4 +300,148 @@ fn forced_grow_and_shrink_stay_lossless_across_nodes() {
             result.stats().retunes
         );
     }
+}
+
+/// The group-by of the golden suite planned at `dop`, plus its serial
+/// reference rows.
+fn group_by_at(c: &Arc<Catalog>, dop: u32) -> (Arc<StageTree>, Vec<Vec<Value>>) {
+    let (_, builder) = golden_suite(c).swap_remove(2);
+    let plan = builder.build();
+    let tree_at = |dop| {
+        let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(dop));
+        StageTree::build(optimizer.optimize(&plan).unwrap()).unwrap()
+    };
+    let plain = opts(NetworkConfig::builder().unbounded_buffers().build());
+    let reference = sorted_rows(&execute_tree(c, &tree_at(1), &plain).unwrap());
+    (Arc::new(tree_at(dop)), reference)
+}
+
+#[test]
+fn coordinator_admission_gates_distributed_queries() {
+    let c = catalog();
+    let (tree, reference) = group_by_at(&c, 2);
+    let limited = opts(NetworkConfig::builder().unbounded_buffers().build())
+        .admission(AdmissionConfig::rejecting(1));
+    let coordinator = QueryExecutor::new(limited.clone());
+    let worker = QueryExecutor::new(limited.clone());
+    let fleet = TestFleet::new(2);
+
+    let nq0 = fleet
+        .wire(0, &coordinator, &c, &tree, &limited, 401)
+        .unwrap();
+    let nq1 = fleet.wire(1, &worker, &c, &tree, &limited, 401).unwrap();
+    // Node 0 runs but cannot finish — node 1's share has not started — so
+    // query 401 holds the coordinator's only admission slot.
+    let running = std::thread::spawn(move || nq0.run());
+    let rejected = fleet
+        .wire(0, &coordinator, &c, &tree, &limited, 402)
+        .err()
+        .expect("a second query on a full coordinator is turned away");
+    assert!(
+        rejected.to_string().contains("admission rejected"),
+        "{rejected}"
+    );
+    assert_eq!(coordinator.admission().stats().rejected, 1);
+    // Workers never gate: node 0 answered for the whole query.
+    drop(fleet.wire(1, &worker, &c, &tree, &limited, 402).unwrap());
+    assert_eq!(worker.admission().stats().admitted, 0);
+
+    assert!(nq1.run().unwrap().is_none());
+    let result = running.join().unwrap().unwrap().expect("node 0 drains");
+    assert_eq!(sorted_rows(&result), reference);
+    // The finished query gave its slot back.
+    assert_eq!(coordinator.admission().stats().running, 0);
+    drop(
+        fleet
+            .wire(0, &coordinator, &c, &tree, &limited, 403)
+            .unwrap(),
+    );
+    fleet.shutdown();
+}
+
+#[test]
+fn poison_active_reaches_every_node_of_an_in_flight_query() {
+    let c = catalog();
+    let (tree, _) = group_by_at(&c, 3);
+    // Capacity-one buffers: nodes 0 and 1 run and park on backpressure,
+    // because node 2 — wired, so its page server accepts frames — is held
+    // back. The query is in flight on every node and can finish on none.
+    let tight = opts(NetworkConfig::builder().fixed_buffers(1).build());
+    let executors: Vec<QueryExecutor> = (0..3).map(|_| QueryExecutor::new(tight.clone())).collect();
+    let fleet = TestFleet::new(3);
+    let mut nodes: Vec<NodeQuery> = (0..3u32)
+        .map(|n| {
+            fleet
+                .wire(n, &executors[n as usize], &c, &tree, &tight, 501)
+                .unwrap()
+        })
+        .collect();
+    let held = nodes.pop().unwrap();
+    let running: Vec<_> = nodes
+        .into_iter()
+        .map(|nq| std::thread::spawn(move || nq.run()))
+        .collect();
+    assert_eq!(executors[0].active_queries(), 1);
+
+    let err = AccordionError::Execution("server shutting down".into());
+    executors[0].poison_active(err.clone());
+    let mut outcomes: Vec<AccordionError> = running
+        .into_iter()
+        .map(|t| t.join().unwrap().expect_err("a poisoned node fails"))
+        .collect();
+    assert_eq!(outcomes[0], err, "node 0 returns the poison itself");
+    outcomes.push(
+        held.run()
+            .expect_err("a node started after the poison fails too"),
+    );
+    for (node, e) in outcomes.iter().enumerate() {
+        assert!(
+            e.to_string().contains("server shutting down"),
+            "node {node}: {e}"
+        );
+    }
+    assert_eq!(executors[0].active_queries(), 0);
+    fleet.shutdown();
+}
+
+#[test]
+fn one_compute_slot_serves_concurrent_queries_across_nodes() {
+    // Two two-node queries at once, every node share of both on a
+    // one-slot executor, over capacity-one buffers: progress depends on
+    // each parked task handing the node's only slot to whichever query can
+    // use it — across queries and across the node boundary.
+    let c = catalog();
+    let (tree, reference) = group_by_at(&c, 4);
+    let tight = opts(NetworkConfig::builder().fixed_buffers(1).build()).worker_threads(1);
+    let coordinator = QueryExecutor::new(tight.clone());
+    let worker = QueryExecutor::new(tight.clone());
+    let fleet = TestFleet::new(2);
+    let wired: Vec<(NodeQuery, NodeQuery)> = [601u64, 602]
+        .into_iter()
+        .map(|query| {
+            (
+                fleet
+                    .wire(0, &coordinator, &c, &tree, &tight, query)
+                    .unwrap(),
+                fleet.wire(1, &worker, &c, &tree, &tight, query).unwrap(),
+            )
+        })
+        .collect();
+    assert_eq!(worker.active_queries(), 2);
+    let runs: Vec<_> = wired
+        .into_iter()
+        .map(|(nq0, nq1)| {
+            (
+                std::thread::spawn(move || nq0.run()),
+                std::thread::spawn(move || nq1.run()),
+            )
+        })
+        .collect();
+    for (node0, node1) in runs {
+        assert!(node1.join().unwrap().unwrap().is_none());
+        let result = node0.join().unwrap().unwrap().expect("node 0 drains");
+        assert_eq!(sorted_rows(&result), reference);
+    }
+    assert_eq!(worker.active_queries(), 0);
+    fleet.shutdown();
 }

@@ -545,9 +545,35 @@ impl AdmissionConfig {
     }
 }
 
+/// Reads `ACCORDION_WORKER_THREADS`: the default size of the cluster
+/// scheduler's compute-slot pool (see [`parse_worker_threads`]).
+pub fn worker_threads_from_env() -> usize {
+    parse_worker_threads(std::env::var("ACCORDION_WORKER_THREADS").ok().as_deref())
+}
+
+/// Parses one `ACCORDION_WORKER_THREADS` value. Lenient like the other
+/// `ACCORDION_*` readers: anything but a positive integer — unset,
+/// unparsable, zero (a pool that could run nothing) — is the default 4.
+pub fn parse_worker_threads(value: Option<&str>) -> usize {
+    value
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(4)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn worker_threads_ignore_unparsable_and_zero() {
+        assert_eq!(parse_worker_threads(None), 4);
+        assert_eq!(parse_worker_threads(Some("1")), 1);
+        assert_eq!(parse_worker_threads(Some("16")), 16);
+        for bad in ["0", "", "-2", "four", "2.5", " 3"] {
+            assert_eq!(parse_worker_threads(Some(bad)), 4, "{bad:?}");
+        }
+    }
 
     #[test]
     fn defaults_are_sane() {

@@ -1,10 +1,14 @@
 //! Process-per-node execution: worker control protocol and the fleet
 //! coordinator.
 //!
-//! The library stack already executes one query across N in-process
-//! "nodes" ([`accordion_cluster::NodeQuery`]); this module puts each node
-//! in its **own OS process**. A fleet is one coordinator plus any number
-//! of `accordion-core worker` processes. Every process generates the same
+//! `accordion-cluster` runs a query as node `n` of `N` on a process's one
+//! [`QueryExecutor`]; this module gives each node its **own OS process**
+//! and carries the wire/run hand-shake between them. A fleet is one
+//! coordinator plus any number of `accordion-core worker` processes. Each
+//! process — worker or coordinator — builds a single executor from the
+//! `ExecOptions` it was started with, so its compute slots, NIC budget,
+//! admission gate and kill switch span every query and every control
+//! connection it serves. Every process generates the same
 //! deterministic TPC-H catalog (same scale factor and seed) and plans
 //! every query independently; the coordinator cross-checks a
 //! [`plan_fingerprint`] so a divergent plan fails fast instead of
@@ -33,23 +37,29 @@
 //! as the query-server protocol). The two-phase WIRE/GO split matters: a
 //! worker's page server must know the query's registry before **any**
 //! process starts tasks, or an early page from a fast peer would be
-//! rejected. `GO` is only sent once every node acknowledged `WIRE`.
+//! rejected. `GO` is only sent once every node acknowledged `WIRE`. A
+//! wired query never outlives its control session: the coordinator sends
+//! `JOIN` to every worker however the query ended, and a worker whose
+//! connection closes poisons and forgets whatever it left behind.
 //!
 //! Elastic queries name the coordinator's [`SplitServer`] in the WIRE
 //! line; worker tasks then claim splits from the coordinator's shared
 //! queues, which is what keeps mid-query grow/shrink lossless across
 //! process boundaries.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use accordion_cluster::{plan_fingerprint, ClaimWiring, DistRole, NodeQuery, SplitServer};
+use accordion_cluster::{
+    plan_fingerprint, ClaimWiring, DistRole, NodeQuery, QueryExecutor, SplitServer,
+};
 use accordion_common::config::ElasticityConfig;
 use accordion_common::{AccordionError, Result};
 use accordion_exec::executor::{ExecOptions, QueryResult};
-use accordion_net::PageServer;
+use accordion_net::{ExchangeRegistry, PageServer};
 use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_sql::plan_select;
@@ -100,11 +110,14 @@ pub fn plan_tree(catalog: &Catalog, sql: &str, dop: u32) -> Result<Arc<StageTree
 pub struct Worker {
     ctrl_addr: String,
     page_addr: String,
+    executor: QueryExecutor,
 }
 
 struct WorkerState {
     catalog: Arc<Catalog>,
-    exec: ExecOptions,
+    /// The process's one pool: every query on every control connection
+    /// runs its share here.
+    executor: QueryExecutor,
     pages: Arc<PageServer>,
 }
 
@@ -113,6 +126,8 @@ enum WiredQuery {
     Ready(Box<NodeQuery>),
     Running {
         handle: std::thread::JoinHandle<Result<Option<QueryResult>>>,
+        /// Kept to poison the run if the session ends before JOIN.
+        registry: Arc<ExchangeRegistry>,
         started: Instant,
     },
 }
@@ -129,9 +144,10 @@ impl Worker {
             .map_err(|e| io_err("worker addr", e))?
             .to_string();
         let page_addr = pages.local_addr();
+        let executor = QueryExecutor::new(exec);
         let state = Arc::new(WorkerState {
             catalog,
-            exec,
+            executor: executor.clone(),
             pages,
         });
         std::thread::Builder::new()
@@ -151,7 +167,13 @@ impl Worker {
         Ok(Worker {
             ctrl_addr,
             page_addr,
+            executor,
         })
+    }
+
+    /// The worker's executor (read-only use: `active_queries`, stats).
+    pub fn executor(&self) -> &QueryExecutor {
+        &self.executor
     }
 
     /// The control address — what the coordinator's `--workers` list names.
@@ -166,14 +188,39 @@ impl Worker {
     }
 }
 
-/// Runs one coordinator control connection to completion.
+/// Runs one coordinator control connection to completion, then unwinds
+/// whatever the session left wired: a query must not outlive the only
+/// connection that could ever JOIN it.
 fn serve_ctrl(state: &WorkerState, conn: TcpStream) -> std::io::Result<()> {
+    let mut wired = HashMap::new();
+    let outcome = ctrl_session(state, conn, &mut wired);
+    for (query, orphan) in wired {
+        // Dropping a `Ready` query releases its wiring; a running one is
+        // poisoned so its parked tasks unwind, then joined.
+        if let WiredQuery::Running {
+            handle, registry, ..
+        } = orphan
+        {
+            registry.poison(AccordionError::Execution(format!(
+                "coordinator session ended before query {query} was joined"
+            )));
+            let _ = handle.join();
+        }
+        state.pages.unregister(query);
+    }
+    outcome
+}
+
+fn ctrl_session(
+    state: &WorkerState,
+    conn: TcpStream,
+    wired: &mut HashMap<u64, WiredQuery>,
+) -> std::io::Result<()> {
     conn.set_nodelay(true).ok();
     let mut reader = BufReader::new(conn.try_clone()?);
     let mut writer = conn;
     writeln!(writer, "WORKER {}", state.pages.local_addr())?;
     writer.flush()?;
-    let mut wired: std::collections::HashMap<u64, WiredQuery> = std::collections::HashMap::new();
     let mut line = String::new();
     loop {
         line.clear();
@@ -195,26 +242,34 @@ fn serve_ctrl(state: &WorkerState, conn: TcpStream) -> std::io::Result<()> {
                 }
                 Err(e) => format!("ERR {}", escape_message(&e.to_string())),
             },
-            ["GO", q] => match q.parse::<u64>().ok().and_then(|q| wired.remove(&q)) {
-                Some(WiredQuery::Ready(nq)) => {
-                    let query = nq.query_id();
+            ["GO", q] => match q.parse().ok().and_then(|q| Some((q, wired.remove(&q)?))) {
+                Some((query, WiredQuery::Ready(nq))) => {
+                    let registry = nq.registry().clone();
                     let started = Instant::now();
                     let handle = std::thread::Builder::new()
                         .name(format!("worker-query-{query}"))
                         .spawn(move || nq.run())?;
-                    wired.insert(query, WiredQuery::Running { handle, started });
+                    wired.insert(
+                        query,
+                        WiredQuery::Running {
+                            handle,
+                            registry,
+                            started,
+                        },
+                    );
                     "OK".to_string()
                 }
-                Some(running) => {
-                    let q: u64 = q.parse().expect("matched above");
-                    wired.insert(q, running);
-                    format!("ERR query {q} is already running")
+                Some((query, running)) => {
+                    wired.insert(query, running);
+                    format!("ERR query {query} is already running")
                 }
                 None => format!("ERR query {q} is not wired"),
             },
             ["JOIN", q] => {
                 let reply = match q.parse::<u64>().ok().and_then(|q| wired.remove(&q)) {
-                    Some(WiredQuery::Running { handle, started }) => match handle.join() {
+                    Some(WiredQuery::Running {
+                        handle, started, ..
+                    }) => match handle.join() {
                         Ok(Ok(_)) => format!("OK {}", started.elapsed().as_millis()),
                         Ok(Err(e)) => format!("ERR {}", escape_message(&e.to_string())),
                         Err(_) => "ERR worker query thread panicked".to_string(),
@@ -256,7 +311,7 @@ fn handle_wire(state: &WorkerState, fields: &[&str]) -> Result<(u64, NodeQuery)>
     let sql = String::from_utf8(from_hex(hexsql)?)
         .map_err(|_| AccordionError::Parse("WIRE sql is not UTF-8".into()))?;
     let peers: Vec<String> = peers.split(',').map(str::to_string).collect();
-    let mut exec = state.exec.clone();
+    let mut exec = state.executor.options().clone();
     exec.elasticity = ElasticityConfig {
         mode: ElasticityConfig::try_parse_mode(elastic)?,
         ..ElasticityConfig::default()
@@ -270,12 +325,11 @@ fn handle_wire(state: &WorkerState, fields: &[&str]) -> Result<(u64, NodeQuery)>
         )));
     }
     let role = DistRole { node, nodes, peers };
-    let wiring = if *claim == "-" {
-        ClaimWiring::Disabled
-    } else {
-        ClaimWiring::Connect(claim.to_string())
-    };
-    let nq = NodeQuery::wire(state.catalog.clone(), tree, &exec, role, query, wiring)?;
+    // `-` (no elastic stage anywhere in the fleet) is never dialled.
+    let wiring = ClaimWiring::Connect(claim.to_string());
+    let nq = state
+        .executor
+        .wire(state.catalog.clone(), tree, &exec, role, query, wiring)?;
     state.pages.register(query, nq.registry().clone());
     Ok((query, nq))
 }
@@ -357,7 +411,9 @@ pub struct Fleet {
     splits: Arc<SplitServer>,
     peers: Vec<String>,
     catalog: Arc<Catalog>,
-    exec: ExecOptions,
+    /// Node 0's pool; its admission gate and fleet arbiter speak for the
+    /// whole distributed query.
+    executor: QueryExecutor,
     elastic_arg: String,
     dop: u32,
     next_query: u64,
@@ -392,7 +448,7 @@ impl Fleet {
             splits,
             peers,
             catalog,
-            exec,
+            executor: QueryExecutor::new(exec),
             elastic_arg: elasticity.to_string(),
             dop,
             next_query: 1,
@@ -419,51 +475,64 @@ impl Fleet {
         let started = Instant::now();
         let tree = plan_tree(&self.catalog, sql, self.dop)?;
         let fp = plan_fingerprint(&tree);
-        let claim = if self.exec.elasticity.enabled() {
+        let exec = self.executor.options();
+        let claim = if exec.elasticity.enabled() {
             self.splits.local_addr()
         } else {
             "-".to_string()
         };
         let nodes = self.nodes();
-        let peers = self.peers.join(",");
-        let hexsql = to_hex(sql.as_bytes());
-        let mut remote_slots = 0usize;
-        for (i, link) in self.links.iter_mut().enumerate() {
-            let node = i as u32 + 1;
-            let reply = link.expect_ok(&format!(
-                "WIRE {query} {node} {nodes} {fp:016x} {claim} {} {} {peers} {hexsql}",
-                self.elastic_arg, self.dop
-            ))?;
-            match reply.strip_prefix("WIRED ").map(str::parse::<usize>) {
-                Some(Ok(slots)) => remote_slots += slots,
-                _ => {
-                    return Err(AccordionError::Io(format!(
-                        "worker {node} answered WIRE with: {reply}"
-                    )))
-                }
-            }
-        }
-        let role = DistRole {
-            node: 0,
-            nodes,
-            peers: self.peers.clone(),
-        };
-        let nq = NodeQuery::wire(
+        // Node 0 wires first: a query the admission gate turns away never
+        // reaches a worker.
+        let nq = self.executor.wire(
             self.catalog.clone(),
             tree,
-            &self.exec,
-            role,
+            exec,
+            DistRole {
+                node: 0,
+                nodes,
+                peers: self.peers.clone(),
+            },
             query,
             ClaimWiring::Serve(&self.splits),
         )?;
-        self.pages.register(query, nq.registry().clone());
-        remote_slots += nq.remote_slots();
-        for link in self.links.iter_mut() {
-            link.expect_ok(&format!("GO {query}"))?;
+        let registry = nq.registry().clone();
+        self.pages.register(query, registry.clone());
+        let mut remote_slots = nq.remote_slots();
+        let wire_tail = format!(
+            "{nodes} {fp:016x} {claim} {} {} {} {}",
+            self.elastic_arg,
+            self.dop,
+            self.peers.join(","),
+            to_hex(sql.as_bytes())
+        );
+        let run = (|| {
+            for (i, link) in self.links.iter_mut().enumerate() {
+                let node = i + 1;
+                let reply = link.expect_ok(&format!("WIRE {query} {node} {wire_tail}"))?;
+                match reply.strip_prefix("WIRED ").map(str::parse::<usize>) {
+                    Some(Ok(slots)) => remote_slots += slots,
+                    _ => {
+                        return Err(AccordionError::Io(format!(
+                            "worker {node} answered WIRE with: {reply}"
+                        )))
+                    }
+                }
+            }
+            for link in self.links.iter_mut() {
+                link.expect_ok(&format!("GO {query}"))?;
+            }
+            nq.run()
+        })();
+        if let Err(e) = &run {
+            // Workers already told to GO are parked on pages this node will
+            // never send; the poison reaches them through the page servers.
+            registry.poison(e.clone());
         }
-        let run = nq.run();
-        // Reap the workers regardless of the local outcome — their error is
-        // the root cause when the coordinator only saw the poison.
+        // Reap every worker however the query ended — one that answered
+        // WIRED holds the query until it is JOINed (one that never did just
+        // says so), and a worker's error is the root cause when the
+        // coordinator only saw the poison.
         let mut worker_err = None;
         for link in self.links.iter_mut() {
             if let Err(e) = link.expect_ok(&format!("JOIN {query}")) {

@@ -149,37 +149,7 @@ fn run_server(args: &[String]) -> Result<(), String> {
 
 fn run_client(args: &[String]) -> Result<(), String> {
     let addr = flag_value(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:4433".to_string());
-    let expect_rows: Option<u64> = match flag_value(args, "--expect-rows")? {
-        None => None,
-        Some(s) => Some(
-            s.parse()
-                .map_err(|_| format!("invalid --expect-rows: '{s}'"))?,
-        ),
-    };
-
-    // Collect statements: every `-e SQL` plus the contents of every
-    // positional .sql file, in command-line order.
-    let mut statements: Vec<String> = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-e" => {
-                let sql = it.next().ok_or("-e needs a SQL string")?;
-                collect_statements(sql, &mut statements)?;
-            }
-            "--addr" | "--expect-rows" => {
-                it.next();
-            }
-            path => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
-                collect_statements(&text, &mut statements)?;
-            }
-        }
-    }
-    if statements.is_empty() {
-        return Err("no statements: pass -e SQL or a .sql file".to_string());
-    }
+    let (statements, expect_rows) = collect_script(args, &["--addr", "--expect-rows"])?;
 
     let mut client = Client::connect(addr.as_str()).map_err(|e| e.to_string())?;
     eprintln!("connected: {}", client.greeting);
@@ -198,18 +168,7 @@ fn run_client(args: &[String]) -> Result<(), String> {
         }
     }
     let _ = client.exit();
-    if let Some(expected) = expect_rows {
-        match last_rows {
-            Some(actual) if actual == expected => {}
-            Some(actual) => {
-                return Err(format!(
-                    "row-count check failed: expected {expected}, got {actual}"
-                ))
-            }
-            None => return Err("row-count check failed: no result set".to_string()),
-        }
-    }
-    Ok(())
+    check_rows(expect_rows, last_rows)
 }
 
 fn run_worker(args: &[String]) -> Result<(), String> {
@@ -254,37 +213,15 @@ fn run_coord(args: &[String]) -> Result<(), String> {
     let workers: usize = parse_or(flag_value(args, "--workers")?, 4, "--workers")?;
     let dop: u32 = parse_or(flag_value(args, "--dop")?, 4, "--dop")?;
     let elasticity = flag_value(args, "--elasticity")?.unwrap_or_else(|| "off".to_string());
-    let expect_rows: Option<u64> = match flag_value(args, "--expect-rows")? {
-        None => None,
-        Some(s) => Some(
-            s.parse()
-                .map_err(|_| format!("invalid --expect-rows: '{s}'"))?,
-        ),
-    };
-
-    // Statements: every `-e SQL` plus positional .sql files, in order —
-    // the same surface as the client subcommand.
-    let mut statements: Vec<String> = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-e" => {
-                let sql = it.next().ok_or("-e needs a SQL string")?;
-                collect_statements(sql, &mut statements)?;
-            }
-            "--worker" | "--sf" | "--workers" | "--dop" | "--elasticity" | "--expect-rows" => {
-                it.next();
-            }
-            path => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
-                collect_statements(&text, &mut statements)?;
-            }
-        }
-    }
-    if statements.is_empty() {
-        return Err("no statements: pass -e SQL or a .sql file".to_string());
-    }
+    const VALUE_FLAGS: [&str; 6] = [
+        "--worker",
+        "--sf",
+        "--workers",
+        "--dop",
+        "--elasticity",
+        "--expect-rows",
+    ];
+    let (statements, expect_rows) = collect_script(args, &VALUE_FLAGS)?;
 
     eprintln!("generating TPC-H data at sf {sf} ...");
     let data = generate(&TpchOptions {
@@ -334,18 +271,57 @@ fn run_coord(args: &[String]) -> Result<(), String> {
     if let Some(f) = failure {
         return Err(f);
     }
-    if let Some(expected) = expect_rows {
-        match last_rows {
-            Some(actual) if actual == expected => {}
-            Some(actual) => {
-                return Err(format!(
-                    "row-count check failed: expected {expected}, got {actual}"
-                ))
+    check_rows(expect_rows, last_rows)
+}
+
+/// What `client` and `coord` run — every `-e SQL` plus the contents of
+/// every positional .sql file, in command-line order — and the
+/// `--expect-rows` value. `value_flags` are the subcommand's flags that
+/// take a value: theirs is not a file name.
+fn collect_script(
+    args: &[String],
+    value_flags: &[&str],
+) -> Result<(Vec<String>, Option<u64>), String> {
+    let expect_rows = flag_value(args, "--expect-rows")?
+        .map(|s| {
+            s.parse()
+                .map_err(|_| format!("invalid --expect-rows: '{s}'"))
+        })
+        .transpose()?;
+    let mut statements = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "-e" => {
+                let sql = it.next().ok_or("-e needs a SQL string")?;
+                collect_statements(sql, &mut statements)?;
             }
-            None => return Err("row-count check failed: no result set".to_string()),
+            flag if value_flags.contains(&flag) => {
+                it.next();
+            }
+            path => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read {path}: {e}"))?;
+                collect_statements(&text, &mut statements)?;
+            }
         }
     }
-    Ok(())
+    if statements.is_empty() {
+        return Err("no statements: pass -e SQL or a .sql file".to_string());
+    }
+    Ok((statements, expect_rows))
+}
+
+/// The `--expect-rows` check against the last result set's row count.
+fn check_rows(expect_rows: Option<u64>, last_rows: Option<u64>) -> Result<(), String> {
+    match (expect_rows, last_rows) {
+        (None, _) => Ok(()),
+        (Some(expected), Some(actual)) if actual == expected => Ok(()),
+        (Some(expected), Some(actual)) => Err(format!(
+            "row-count check failed: expected {expected}, got {actual}"
+        )),
+        (Some(_), None) => Err("row-count check failed: no result set".to_string()),
+    }
 }
 
 /// Splits a script into statements (validated client-side so one bad file

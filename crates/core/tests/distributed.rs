@@ -3,16 +3,24 @@
 //! result must be row-identical (modulo float summation order) to the
 //! serial in-process executor over the same generated data, with at least
 //! one cross-process exchange edge — and mid-query forced grow/shrink must
-//! stay lossless across process boundaries.
+//! stay lossless across process boundaries. The last two cases run a
+//! [`Worker`] inside the test process to watch its executor: no wired
+//! query may outlive the control session that wired it.
 
-use std::io::BufRead;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use accordion_core::dist::plan_tree;
-use accordion_core::Fleet;
+use accordion_cluster::{plan_fingerprint, ClaimWiring, DistRole, QueryExecutor};
+use accordion_common::config::{ElasticityConfig, NetworkConfig};
+use accordion_core::dist::{plan_tree, to_hex};
+use accordion_core::{Fleet, Worker};
 use accordion_data::types::Value;
 use accordion_exec::{execute_tree, ExecOptions};
+use accordion_net::PageServer;
+use accordion_storage::catalog::Catalog;
 use accordion_tpch::gen::{generate, TpchOptions};
 
 const SF: &str = "0.02";
@@ -138,12 +146,16 @@ fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     rows
 }
 
-fn tpch_catalog() -> Arc<accordion_storage::catalog::Catalog> {
+fn tpch_catalog_at(scale_factor: f64) -> Arc<Catalog> {
     let data = generate(&TpchOptions {
-        scale_factor: SF.parse().unwrap(),
+        scale_factor,
         ..TpchOptions::default()
     });
     Arc::new(data.catalog)
+}
+
+fn tpch_catalog() -> Arc<Catalog> {
+    tpch_catalog_at(SF.parse().unwrap())
 }
 
 #[test]
@@ -272,4 +284,158 @@ fn coord_subcommand_runs_a_fleet_end_to_end() {
         stdout.contains("remote slots)"),
         "coord printed no trailer: {stdout}"
     );
+}
+
+const GROUP_SQL: &str = "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag";
+
+/// Options for the in-process session-lifetime cases: static DOP (they
+/// hand-write WIRE lines) and capacity-one buffers, so a worker whose
+/// coordinator never runs parks instead of finishing.
+fn tight_static_opts() -> ExecOptions {
+    ExecOptions {
+        worker_threads: 2,
+        elasticity: ElasticityConfig::off(),
+        network: NetworkConfig::builder().fixed_buffers(1).build(),
+        ..ExecOptions::default()
+    }
+}
+
+/// Waits (bounded) until the worker's executor holds no query.
+fn await_idle(worker: &Worker) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while worker.executor().active_queries() != 0 {
+        assert!(
+            Instant::now() < deadline,
+            "worker still holds {} queries",
+            worker.executor().active_queries()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A fresh coordinator gets the right answer out of `worker`.
+fn assert_serves_a_fresh_fleet(worker: &Worker, catalog: &Arc<Catalog>, exec: &ExecOptions) {
+    let reference = execute_tree(catalog, &plan_tree(catalog, GROUP_SQL, 1).unwrap(), exec);
+    let mut fleet = Fleet::connect(
+        &[worker.ctrl_addr()],
+        catalog.clone(),
+        exec.clone(),
+        "off",
+        2,
+    )
+    .expect("fresh fleet connects");
+    let run = fleet.run_sql(GROUP_SQL).expect("fresh fleet's query runs");
+    assert_rows_close(
+        "fresh fleet",
+        &sorted(run.result.rows()),
+        &sorted(reference.unwrap().rows()),
+    );
+    assert!(run.remote_slots >= 1);
+    fleet.shutdown();
+    await_idle(worker);
+}
+
+#[test]
+fn failed_wiring_reaps_the_workers_already_wired() {
+    let catalog = tpch_catalog_at(0.002);
+    let exec = tight_static_opts();
+    let real = Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap();
+    // A second "worker" that greets like one (with a page address nobody
+    // listens on) and refuses everything it is asked.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let stub_addr = listener.local_addr().unwrap().to_string();
+    let stub = std::thread::spawn(move || {
+        let (conn, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let mut writer = conn;
+        writeln!(writer, "WORKER 127.0.0.1:1").unwrap();
+        let mut line = String::new();
+        while reader.read_line(&mut line).unwrap_or(0) > 0 {
+            if writeln!(writer, "ERR nope").is_err() {
+                break;
+            }
+            line.clear();
+        }
+    });
+
+    let mut fleet = Fleet::connect(
+        &[real.ctrl_addr(), stub_addr],
+        catalog.clone(),
+        exec.clone(),
+        "off",
+        3,
+    )
+    .unwrap();
+    let err = fleet
+        .run_sql(GROUP_SQL)
+        .err()
+        .expect("the stub refuses to wire");
+    assert!(err.to_string().contains("nope"), "{err}");
+    // The real worker answered WIRED before the stub refused: it must have
+    // been reaped, not left holding the query until the session dies.
+    await_idle(&real);
+    fleet.shutdown();
+    stub.join().unwrap();
+
+    assert_serves_a_fresh_fleet(&real, &catalog, &exec);
+}
+
+#[test]
+fn worker_unwinds_queries_orphaned_by_their_session() {
+    let catalog = tpch_catalog_at(0.002);
+    let exec = tight_static_opts();
+    let real = Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap();
+
+    // A hand-rolled coordinator: wires its own share (so the worker's pages
+    // have somewhere to go), tells the worker to WIRE and GO, then vanishes
+    // without ever running or joining.
+    let mut ctrl = TcpStream::connect(real.ctrl_addr()).unwrap();
+    let mut replies = BufReader::new(ctrl.try_clone().unwrap());
+    let reply = |replies: &mut BufReader<TcpStream>| {
+        let mut line = String::new();
+        replies.read_line(&mut line).unwrap();
+        line.trim().to_string()
+    };
+    let greeting = reply(&mut replies);
+    let worker_pages = greeting.strip_prefix("WORKER ").unwrap().to_string();
+    let pages = PageServer::bind("127.0.0.1:0").unwrap();
+    let peers = vec![pages.local_addr(), worker_pages];
+    let tree = plan_tree(&catalog, GROUP_SQL, 2).unwrap();
+    let coordinator = QueryExecutor::new(exec.clone())
+        .wire(
+            catalog.clone(),
+            tree.clone(),
+            &exec,
+            DistRole {
+                node: 0,
+                nodes: 2,
+                peers: peers.clone(),
+            },
+            7,
+            ClaimWiring::Local,
+        )
+        .unwrap();
+    pages.register(7, coordinator.registry().clone());
+    writeln!(
+        ctrl,
+        "WIRE 7 1 2 {:016x} - off 2 {} {}",
+        plan_fingerprint(&tree),
+        peers.join(","),
+        to_hex(GROUP_SQL.as_bytes())
+    )
+    .unwrap();
+    assert!(reply(&mut replies).starts_with("WIRED "));
+    writeln!(ctrl, "GO 7").unwrap();
+    assert_eq!(reply(&mut replies), "OK");
+    // Node 1's final-stage task waits on node 0's producers, which never
+    // start: the query is parked on the worker.
+    assert_eq!(real.executor().active_queries(), 1);
+
+    drop(replies);
+    drop(ctrl);
+    await_idle(&real);
+    drop(coordinator);
+    pages.shutdown();
+
+    assert_serves_a_fresh_fleet(&real, &catalog, &exec);
 }

@@ -20,7 +20,9 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use accordion_common::config::{AdmissionConfig, ElasticityConfig, NetworkConfig};
+use accordion_common::config::{
+    worker_threads_from_env, AdmissionConfig, ElasticityConfig, NetworkConfig,
+};
 use accordion_common::{AccordionError, Result};
 use accordion_data::page::{DataPage, Page, PageBuilder};
 use accordion_data::schema::{Schema, SchemaRef};
@@ -64,14 +66,9 @@ pub struct ExecOptions {
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        let worker_threads = std::env::var("ACCORDION_WORKER_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(4);
         ExecOptions {
             page_rows: 1024,
-            worker_threads,
+            worker_threads: worker_threads_from_env(),
             network: NetworkConfig::default(),
             elasticity: ElasticityConfig::from_env(),
             admission: AdmissionConfig::from_env(),

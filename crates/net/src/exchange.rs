@@ -612,15 +612,16 @@ impl EdgeWriter {
             .collect();
         let mut result = Ok(());
         for host in hosts {
+            let gate = self.gate.as_deref();
             let outcome = match self.sinks.get_mut(host) {
-                Some(sink) => sink.finish(reason),
+                Some(sink) => sink.finish(reason, gate),
                 None => PageSink::connect(
                     host,
                     self.registry.query(),
                     self.stage,
                     &self.registry.network,
                 )
-                .and_then(|mut sink| sink.finish(reason)),
+                .and_then(|mut sink| sink.finish(reason, gate)),
             };
             if let Err(e) = outcome {
                 result = Err(e);

@@ -190,30 +190,44 @@ impl PageSink {
     /// surplus CREDIT frames still in flight — closing a socket with unread
     /// data would RST the connection and could discard the FINISH frame on
     /// the server side, leaving the edge's consumers waiting forever.
-    pub fn finish(&mut self, reason: EndReason) -> Result<()> {
+    ///
+    /// The ACK queues behind every DATA frame this sink sent, and the
+    /// server accepts those only as the remote consumer drains its queue —
+    /// so, like a credit wait, the wait yields the compute-slot `gate`:
+    /// two nodes' one-slot pools each parked here on the other's consumer
+    /// would otherwise never run either consumer.
+    pub fn finish(&mut self, reason: EndReason, gate: Option<&Semaphore>) -> Result<()> {
         if self.finished {
             return Ok(());
         }
         self.finished = true;
         write_frame(&mut self.stream, KIND_FINISH, &Page::end(reason).encode())?;
         self.stream.flush()?;
-        loop {
-            match read_frame(&mut self.stream)? {
-                Some((KIND_ACK, _)) => return Ok(()),
+        if let Some(g) = gate {
+            g.release();
+        }
+        let outcome = loop {
+            match read_frame(&mut self.stream) {
+                Ok(Some((KIND_ACK, _))) => break Ok(()),
                 // Stale grants from pages the server pushed after our last
                 // credit wait: consume and discard.
-                Some((KIND_CREDIT, _)) => {}
-                Some((KIND_ERR, p)) => {
-                    return Err(AccordionError::Execution(
+                Ok(Some((KIND_CREDIT, _))) => {}
+                Ok(Some((KIND_ERR, p))) => {
+                    break Err(AccordionError::Execution(
                         String::from_utf8_lossy(&p).into_owned(),
                     ))
                 }
-                Some((kind, _)) => {
-                    return Err(net_err(format!("unexpected frame kind {kind} in finish")))
+                Ok(Some((kind, _))) => {
+                    break Err(net_err(format!("unexpected frame kind {kind} in finish")))
                 }
-                None => return Err(net_err("exchange peer closed before acknowledging finish")),
+                Ok(None) => break Err(net_err("exchange peer closed before acknowledging finish")),
+                Err(e) => break Err(e),
             }
+        };
+        if let Some(g) = gate {
+            g.acquire();
         }
+        outcome
     }
 
     /// Blocks until the server grants credit, failing on an ERR frame. The
@@ -535,7 +549,7 @@ impl TcpExchangeWriter {
 impl ExchangeWriter for TcpExchangeWriter {
     fn push(&mut self, page: Page) -> Result<()> {
         let page = match page {
-            Page::End(e) => return self.sink.finish(e.reason),
+            Page::End(e) => return self.sink.finish(e.reason, self.gate.as_deref()),
             Page::Data(p) => p,
         };
         let TcpExchangeWriter {
