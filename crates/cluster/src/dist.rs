@@ -27,12 +27,13 @@
 //!
 //! The shared split pool is what makes mid-query DOP changes lossless, so
 //! it is **never sharded**: the coordinator owns one [`SplitQueue`] per
-//! elastic stage and serves it over a [`SplitServer`] (a line protocol:
-//! `CLAIM <query> <stage> <slot> <node|->` → `SPLIT <ordinal>` / `NONE` /
-//! `RETIRED`). Claims name splits by their **ordinal** in the stage's split
-//! list — a position both sides derive from the same catalog order — never
-//! by raw split id, which comes from a process-local counter and does not
-//! agree across processes. Worker tasks claim through a
+//! elastic stage and serves it over a [`SplitServer`]: one [`ClaimMsg`]
+//! round trip per claim — a CLAIM frame answered by SPLIT, NONE or RETIRED
+//! — on the node-to-node framing of `accordion_net::frame`, whose kind
+//! table has the layouts. Claims name splits by their **ordinal** in the
+//! stage's split list — a position both sides derive from the same catalog
+//! order — never by raw split id, which comes from a process-local counter
+//! and does not agree across processes. Worker tasks claim through a
 //! [`RemoteSplitSource`] proxy, resolving ordinals against their local
 //! catalog copy; claims carry the
 //! claimant's node id so the queue can prefer node-local splits
@@ -45,15 +46,15 @@
 //! queues need no service at all.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
+use accordion_common::config::NetworkConfig;
 use accordion_common::sync::{Mutex, Semaphore};
 use accordion_common::{AccordionError, NodeId, Result};
 use accordion_exec::executor::exchange_topology;
 use accordion_exec::splits::{SplitQueue, SplitSource};
+use accordion_net::frame::{kind, listen, Cursor, Frame, FrameConn, Listener, Payload};
 use accordion_net::{ConsumerLoc, ExchangeTopology};
 use accordion_plan::fragment::StageTree;
 use accordion_storage::split::Split;
@@ -148,8 +149,77 @@ pub fn distributed_topology(
     Ok(topology)
 }
 
-fn io_err(what: &str, e: std::io::Error) -> AccordionError {
-    AccordionError::Io(format!("{what}: {e}"))
+/// The split-claim conversation — kinds 15–18 of the node-to-node kind
+/// table (`accordion_net::frame`). A worker task sends `Claim`; the
+/// coordinator answers with one of the other three, or with an ERR frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ClaimMsg {
+    /// `slot` of `(query, stage)` wants a split, preferably one local to
+    /// `node`.
+    Claim {
+        query: u64,
+        stage: u32,
+        slot: u32,
+        node: Option<NodeId>,
+    },
+    /// The split at this position of the stage's split list.
+    Split { ordinal: u64 },
+    /// The stage's splits are exhausted.
+    None,
+    /// The claiming slot was retired by a shrink.
+    Retired,
+}
+
+impl ClaimMsg {
+    /// This message as a frame.
+    pub fn encode(&self) -> Frame {
+        let p = Payload::default();
+        match *self {
+            ClaimMsg::Claim {
+                query,
+                stage,
+                slot,
+                node,
+            } => {
+                let p = p.u64(query).u32(stage).u32(slot);
+                let p = match node {
+                    Some(n) => p.u8(1).u32(n.0),
+                    None => p.u8(0),
+                };
+                (kind::CLAIM, p.0)
+            }
+            ClaimMsg::Split { ordinal } => (kind::SPLIT, p.u64(ordinal).0),
+            ClaimMsg::None => (kind::NONE, p.0),
+            ClaimMsg::Retired => (kind::RETIRED, p.0),
+        }
+    }
+
+    /// Inverse of [`encode`](Self::encode); anything else is a typed error.
+    pub fn decode(kind: u8, payload: &[u8]) -> Result<ClaimMsg> {
+        let mut c = Cursor::new(payload);
+        let msg = match kind {
+            kind::CLAIM => ClaimMsg::Claim {
+                query: c.u64()?,
+                stage: c.u32()?,
+                slot: c.u32()?,
+                node: if c.bool()? {
+                    Some(NodeId(c.u32()?))
+                } else {
+                    None
+                },
+            },
+            kind::SPLIT => ClaimMsg::Split { ordinal: c.u64()? },
+            kind::NONE => ClaimMsg::None,
+            kind::RETIRED => ClaimMsg::Retired,
+            other => {
+                return Err(AccordionError::Wire(format!(
+                    "frame kind {other} is not a claim message"
+                )))
+            }
+        };
+        c.finish()?;
+        Ok(msg)
+    }
 }
 
 /// One registered elastic stage: its shared queue plus the split-id →
@@ -159,37 +229,35 @@ struct ServedQueue {
     ordinals: HashMap<u64, u64>,
 }
 
+type ServedQueues = Mutex<HashMap<(u64, u32), Arc<ServedQueue>>>;
+
 /// The coordinator's split-claim service: serves the shared [`SplitQueue`]s
-/// of elastic stages to worker nodes over a line protocol, one blocking
-/// request per line. A claim that is paused at a decision boundary simply
-/// delays its reply — remote claimants park at the same boundary local
-/// ones do.
+/// of elastic stages to worker nodes, one blocking [`ClaimMsg`] round trip
+/// per claim. A claim that is paused at a decision boundary simply delays
+/// its reply — remote claimants park at the same boundary local ones do.
+/// Dropping the server releases its port.
 pub struct SplitServer {
-    addr: String,
-    queues: Mutex<HashMap<(u64, u32), ServedQueue>>,
-    shutdown: AtomicBool,
+    listener: Listener,
+    queues: Arc<ServedQueues>,
 }
 
 impl SplitServer {
     /// Binds (use port 0 for an ephemeral port) and starts accepting.
     pub fn bind(addr: &str) -> Result<Arc<SplitServer>> {
-        let listener = TcpListener::bind(addr).map_err(|e| io_err("split server bind", e))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| io_err("split server addr", e))?
-            .to_string();
-        let server = Arc::new(SplitServer {
-            addr,
-            queues: Mutex::new(HashMap::new()),
-            shutdown: AtomicBool::new(false),
-        });
-        let accept = server.clone();
-        std::thread::spawn(move || accept.accept_loop(listener));
-        Ok(server)
+        let queues = Arc::new(ServedQueues::default());
+        let served = queues.clone();
+        let listener = listen(addr, "split-server", move |conn| {
+            while let Some((kind, payload)) = conn.recv()? {
+                let claim = ClaimMsg::decode(kind, &payload);
+                conn.respond(claim.and_then(|c| answer(&served, c)).map(|m| m.encode()))?;
+            }
+            Ok(())
+        })?;
+        Ok(Arc::new(SplitServer { listener, queues }))
     }
 
     pub fn local_addr(&self) -> String {
-        self.addr.clone()
+        self.listener.local_addr()
     }
 
     /// Builds the stage's shared queue from `splits` and exposes it to
@@ -203,13 +271,11 @@ impl SplitServer {
             .map(|(i, s)| (s.id.0, i as u64))
             .collect();
         let queue = Arc::new(SplitQueue::new(splits));
-        self.queues.lock().insert(
-            (query, stage),
-            ServedQueue {
-                queue: queue.clone(),
-                ordinals,
-            },
-        );
+        let served = ServedQueue {
+            queue: queue.clone(),
+            ordinals,
+        };
+        self.queues.lock().insert((query, stage), Arc::new(served));
         queue
     }
 
@@ -220,84 +286,38 @@ impl SplitServer {
 
     /// Stops accepting. Live connections drain on their own.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(&self.addr);
+        self.listener.shutdown();
     }
+}
 
-    fn accept_loop(self: Arc<Self>, listener: TcpListener) {
-        for conn in listener.incoming() {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let Ok(conn) = conn else { continue };
-            let server = self.clone();
-            std::thread::spawn(move || {
-                let _ = server.serve(conn);
-            });
-        }
-    }
-
-    fn serve(&self, conn: TcpStream) -> std::io::Result<()> {
-        conn.set_nodelay(true).ok();
-        let mut reader = BufReader::new(conn.try_clone()?);
-        let mut writer = conn;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                return Ok(());
-            }
-            let reply = self.handle(line.trim());
-            writer.write_all(reply.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
-        }
-    }
-
-    /// `CLAIM <query> <stage> <slot> <node|->` → `SPLIT <ordinal>` | `NONE`
-    /// | `RETIRED` | `ERR <msg>`.
-    fn handle(&self, line: &str) -> String {
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let parsed = match fields.as_slice() {
-            ["CLAIM", query, stage, slot, node] => {
-                let node = if *node == "-" {
-                    Ok(None)
-                } else {
-                    node.parse::<u32>().map(|n| Some(NodeId(n)))
-                };
-                match (
-                    query.parse::<u64>(),
-                    stage.parse::<u32>(),
-                    slot.parse::<u32>(),
-                    node,
-                ) {
-                    (Ok(q), Ok(st), Ok(sl), Ok(n)) => Some((q, st, sl, n)),
-                    _ => None,
-                }
-            }
-            _ => None,
-        };
-        let Some((query, stage, slot, node)) = parsed else {
-            return format!("ERR malformed claim request: {line}");
-        };
-        let served = {
-            let queues = self.queues.lock();
-            let Some(s) = queues.get(&(query, stage)) else {
-                return format!("ERR no split queue for query {query} stage {stage}");
-            };
-            (s.queue.clone(), s.ordinals.clone())
-        };
-        let (queue, ordinals) = served;
-        // Block right here — the connection thread is the remote claimant's
-        // proxy, and a pause boundary is supposed to park it.
-        match queue.claim_at(slot, node, None) {
-            Some(split) => match ordinals.get(&split.id.0) {
-                Some(ordinal) => format!("SPLIT {ordinal}"),
-                None => format!("ERR split id {} missing from ordinal map", split.id.0),
-            },
-            None if queue.is_retired(slot) => "RETIRED".to_string(),
-            None => "NONE".to_string(),
-        }
+/// Answers one claim from the registered queues.
+fn answer(queues: &ServedQueues, claim: ClaimMsg) -> Result<ClaimMsg> {
+    let ClaimMsg::Claim {
+        query,
+        stage,
+        slot,
+        node,
+    } = claim
+    else {
+        return Err(AccordionError::Wire(format!(
+            "expected a claim, got {claim:?}"
+        )));
+    };
+    let served = queues.lock().get(&(query, stage)).cloned().ok_or_else(|| {
+        AccordionError::Execution(format!("no split queue for query {query} stage {stage}"))
+    })?;
+    // Block right here — the connection thread is the remote claimant's
+    // proxy, and a pause boundary is supposed to park it.
+    match served.queue.claim_at(slot, node, None) {
+        Some(split) => match served.ordinals.get(&split.id.0) {
+            Some(&ordinal) => Ok(ClaimMsg::Split { ordinal }),
+            None => Err(AccordionError::Internal(format!(
+                "split id {} missing from ordinal map",
+                split.id.0
+            ))),
+        },
+        None if served.queue.is_retired(slot) => Ok(ClaimMsg::Retired),
+        None => Ok(ClaimMsg::None),
     }
 }
 
@@ -317,7 +337,7 @@ pub struct RemoteSplitSource {
     query: u64,
     stage: u32,
     by_ordinal: Vec<Split>,
-    conn: Mutex<Option<(BufReader<TcpStream>, TcpStream)>>,
+    conn: Mutex<Option<FrameConn>>,
     retired: Mutex<HashSet<u32>>,
 }
 
@@ -335,77 +355,59 @@ impl RemoteSplitSource {
         })
     }
 
-    /// Sends one request line and reads one reply line over the (lazily
-    /// opened) connection. Drops the connection on any transport error.
-    fn exchange(&self, request: &str) -> Result<String> {
+    /// One round trip over the (lazily opened) connection, which any
+    /// failure drops.
+    fn call(&self, request: &ClaimMsg) -> Result<ClaimMsg> {
         let mut guard = self.conn.lock();
-        if guard.is_none() {
-            let stream =
-                TcpStream::connect(&self.addr).map_err(|e| io_err("split claim connect", e))?;
-            stream.set_nodelay(true).ok();
-            let reader = BufReader::new(
-                stream
-                    .try_clone()
-                    .map_err(|e| io_err("split claim clone", e))?,
-            );
-            *guard = Some((reader, stream));
-        }
-        let (reader, writer) = guard.as_mut().expect("connected above");
-        let round_trip = (|| -> std::io::Result<String> {
-            writer.write_all(request.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
-            let mut line = String::new();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "split server closed the connection",
-                ));
+        let conn = match &mut *guard {
+            Some(conn) => conn,
+            None => {
+                let timeout = Duration::from_millis(NetworkConfig::default().connect_timeout_ms);
+                guard.insert(FrameConn::connect(&self.addr, timeout)?)
             }
-            Ok(line.trim().to_string())
-        })();
-        match round_trip {
-            Ok(line) => Ok(line),
-            Err(e) => {
-                *guard = None;
-                Err(io_err("split claim", e))
-            }
+        };
+        let reply = conn
+            .call(request.encode())
+            .and_then(|(kind, payload)| ClaimMsg::decode(kind, &payload));
+        if reply.is_err() {
+            *guard = None;
         }
+        reply
     }
 }
 
 impl SplitSource for RemoteSplitSource {
     fn claim(&self, slot: u32, node: Option<NodeId>, gate: Option<&Semaphore>) -> Option<Split> {
-        let node = node.map_or_else(|| "-".to_string(), |n| n.0.to_string());
-        let request = format!("CLAIM {} {} {slot} {node}", self.query, self.stage);
+        let request = ClaimMsg::Claim {
+            query: self.query,
+            stage: self.stage,
+            slot,
+            node,
+        };
         // The round trip can park at a remote decision boundary — yield the
         // compute slot for its whole duration.
         if let Some(g) = gate {
             g.release();
         }
-        let reply = self.exchange(&request);
+        let reply = self.call(&request);
         if let Some(g) = gate {
             g.acquire();
         }
-        let reply = match reply {
-            Ok(r) => r,
-            Err(e) => panic!("split claim failed: {e}"),
-        };
-        if reply == "NONE" {
-            return None;
-        }
-        if reply == "RETIRED" {
-            self.retired.lock().insert(slot);
-            return None;
-        }
-        match reply.strip_prefix("SPLIT ").map(str::parse::<usize>) {
-            Some(Ok(ordinal)) => Some(
-                self.by_ordinal
-                    .get(ordinal)
+        match reply {
+            Ok(ClaimMsg::Split { ordinal }) => Some(
+                usize::try_from(ordinal)
+                    .ok()
+                    .and_then(|o| self.by_ordinal.get(o))
                     .unwrap_or_else(|| panic!("claim returned unknown split ordinal {ordinal}"))
                     .clone(),
             ),
-            _ => panic!("split claim protocol error: {reply}"),
+            Ok(ClaimMsg::None) => None,
+            Ok(ClaimMsg::Retired) => {
+                self.retired.lock().insert(slot);
+                None
+            }
+            Ok(other) => panic!("split claim protocol error: {other:?}"),
+            Err(e) => panic!("split claim failed: {e}"),
         }
     }
 
@@ -515,14 +517,24 @@ mod tests {
         server.shutdown();
     }
 
+    fn claim(query: u64, node: Option<NodeId>) -> ClaimMsg {
+        ClaimMsg::Claim {
+            query,
+            stage: 1,
+            slot: 0,
+            node,
+        }
+    }
+
     #[test]
     fn claim_service_rejects_unknown_edges() {
         let server = SplitServer::bind("127.0.0.1:0").unwrap();
         let source = RemoteSplitSource::new(server.local_addr(), 1, 1, vec![]);
-        let err = source.exchange("CLAIM 1 1 0 -").unwrap();
-        assert!(err.starts_with("ERR "), "{err}");
-        let err = source.exchange("NOT A CLAIM").unwrap();
-        assert!(err.starts_with("ERR "), "{err}");
+        let err = source.call(&claim(1, None)).unwrap_err();
+        assert!(err.to_string().contains("no split queue"), "{err}");
+        // A reply kind sent as a request is refused, not obeyed.
+        let err = source.call(&ClaimMsg::Retired).unwrap_err();
+        assert!(err.to_string().contains("expected a claim"), "{err}");
         server.shutdown();
     }
 
@@ -533,12 +545,38 @@ mod tests {
         server.register(2, 1, vec![split_on(0, 0)]);
         server.unregister_query(1);
         let source1 = RemoteSplitSource::new(server.local_addr(), 1, 1, vec![]);
-        assert!(source1
-            .exchange("CLAIM 1 1 0 -")
-            .unwrap()
-            .starts_with("ERR"));
+        assert!(source1.call(&claim(1, None)).is_err());
         let source2 = RemoteSplitSource::new(server.local_addr(), 2, 1, vec![split_on(0, 0)]);
         assert_eq!(source2.claim(0, None, None).unwrap().id.0, 0);
         server.shutdown();
+    }
+
+    #[test]
+    fn claim_messages_round_trip_and_every_prefix_is_a_typed_error() {
+        let messages = [
+            claim(u64::MAX, None),
+            claim(7, Some(NodeId(3))),
+            ClaimMsg::Split { ordinal: 1 << 40 },
+            ClaimMsg::None,
+            ClaimMsg::Retired,
+        ];
+        for msg in messages {
+            let (kind, payload) = msg.encode();
+            assert_eq!(ClaimMsg::decode(kind, &payload).unwrap(), msg);
+            for cut in 0..payload.len() {
+                let err = ClaimMsg::decode(kind, &payload[..cut]).unwrap_err();
+                assert!(
+                    matches!(err, AccordionError::Wire(_)),
+                    "{msg:?}@{cut}: {err}"
+                );
+            }
+            let mut long = payload.clone();
+            long.push(0);
+            assert!(
+                ClaimMsg::decode(kind, &long).is_err(),
+                "{msg:?}: trailing byte"
+            );
+        }
+        assert!(ClaimMsg::decode(kind::HELLO, &[]).is_err(), "foreign kind");
     }
 }

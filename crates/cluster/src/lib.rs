@@ -36,8 +36,8 @@ pub mod fleet;
 pub mod scheduler;
 
 pub use dist::{
-    distributed_topology, plan_fingerprint, task_node, ClaimWiring, DistRole, RemoteSplitSource,
-    SplitServer,
+    distributed_topology, plan_fingerprint, task_node, ClaimMsg, ClaimWiring, DistRole,
+    RemoteSplitSource, SplitServer,
 };
 pub use elastic::{ElasticityController, StageControl, WhatIfChoice, WhatIfPredictor};
 pub use fleet::{

@@ -1,103 +1,9 @@
-//! Engine and cluster configuration.
+//! Network, elasticity and admission configuration.
 //!
 //! The defaults model the paper's testbed shrunk to a single process: the
 //! paper used 1 coordinator + 10 compute + 10 storage nodes (c5.2xlarge,
 //! 8 vCPU, 10 Gbps NIC). Here each "node" is a driver thread pool and the
 //! NIC is a token bucket (see `accordion-net`).
-
-/// Top-level engine configuration.
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    pub cluster: ClusterConfig,
-    pub network: NetworkConfig,
-    /// Target rows per page produced by scans and operators.
-    pub page_rows: usize,
-    /// Period of the coordinator's runtime-information collection
-    /// (task-info fetchers, Fig 18), milliseconds.
-    pub info_collection_period_ms: u64,
-    /// Quantum: max pages a driver processes before yielding its thread.
-    pub driver_quantum_pages: usize,
-    /// Default stage DOP (tasks per stage) for newly scheduled queries.
-    pub default_stage_dop: u32,
-    /// Default task DOP (drivers per pipeline).
-    pub default_task_dop: u32,
-    /// Simulated cost of one control-plane request, milliseconds. The paper
-    /// reports each RESTful request costs 1–10 ms; we charge a deterministic
-    /// midpoint so scheduling overheads are reportable (§6.2). Set to 0 to
-    /// disable control-plane cost simulation.
-    pub control_request_cost_ms: u64,
-    /// Enable the intermediate-data cache on join build inputs (Fig 17).
-    pub intermediate_cache_enabled: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            cluster: ClusterConfig::default(),
-            network: NetworkConfig::default(),
-            page_rows: 4096,
-            info_collection_period_ms: 100,
-            driver_quantum_pages: 8,
-            default_stage_dop: 1,
-            default_task_dop: 1,
-            control_request_cost_ms: 0,
-            intermediate_cache_enabled: true,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// A small configuration for unit/integration tests: 2 workers × 2
-    /// threads, small pages, fast collection periods.
-    pub fn for_tests() -> Self {
-        EngineConfig {
-            cluster: ClusterConfig {
-                compute_nodes: 2,
-                threads_per_worker: 2,
-                storage_nodes: 2,
-            },
-            network: NetworkConfig {
-                max_buffer_pages: Some(64),
-                ..NetworkConfig::unlimited()
-            },
-            page_rows: 256,
-            info_collection_period_ms: 20,
-            driver_quantum_pages: 4,
-            default_stage_dop: 1,
-            default_task_dop: 1,
-            control_request_cost_ms: 0,
-            intermediate_cache_enabled: true,
-        }
-    }
-}
-
-/// Shape of the simulated cluster.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Number of compute (worker) nodes.
-    pub compute_nodes: u32,
-    /// Driver threads per worker node (paper nodes have 8 vCPUs).
-    pub threads_per_worker: usize,
-    /// Number of storage nodes holding table splits.
-    pub storage_nodes: u32,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            compute_nodes: 4,
-            threads_per_worker: 4,
-            storage_nodes: 4,
-        }
-    }
-}
-
-impl ClusterConfig {
-    /// Total driver threads across the cluster — the ceiling for useful DOP.
-    pub fn total_threads(&self) -> usize {
-        self.compute_nodes as usize * self.threads_per_worker
-    }
-}
 
 /// Parameters of the simulated data-plane network, including the limits of
 /// the elastic exchange buffers that ride on it (`accordion-net`).
@@ -577,11 +483,9 @@ mod tests {
 
     #[test]
     fn defaults_are_sane() {
-        let c = EngineConfig::default();
-        assert!(c.page_rows > 0);
-        assert!(c.cluster.total_threads() > 0);
         assert_eq!(
-            c.network.initial_buffer_pages, 1,
+            NetworkConfig::default().initial_buffer_pages,
+            1,
             "paper: buffers start at 1 page"
         );
     }
@@ -748,12 +652,5 @@ mod tests {
             .build();
         assert_eq!(n.nic_bandwidth_bytes_per_sec, Some(10_000_000));
         assert_eq!(n.nic_per_query_bytes_per_sec, Some(1_000_000));
-    }
-
-    #[test]
-    fn test_config_is_small() {
-        let c = EngineConfig::for_tests();
-        assert!(c.cluster.total_threads() <= 8);
-        assert!(c.page_rows <= 1024);
     }
 }

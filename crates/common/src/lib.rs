@@ -7,8 +7,8 @@
 //!   textual forms follow the paper's conventions (e.g. task `3_0` is task 0
 //!   of stage 3).
 //! * [`error`] — the engine-wide error enum and `Result` alias.
-//! * [`config`] — engine/cluster configuration: node counts, driver thread
-//!   pools, page sizing, buffer and network simulation parameters.
+//! * [`config`] — the configuration every layer reads: network and
+//!   exchange-buffer parameters, elasticity and admission settings.
 //! * [`clock`] — a clock abstraction so that time-dependent logic (rate
 //!   meters, the what-if predictor, the auto-tuner) can be unit-tested with a
 //!   manual clock and run in production against the wall clock.
@@ -30,8 +30,7 @@ pub mod sync;
 
 pub use clock::{Clock, ManualClock, SharedClock, SystemClock};
 pub use config::{
-    AdmissionConfig, AdmissionPolicy, ClusterConfig, ElasticityConfig, ElasticityMode,
-    EngineConfig, NetworkConfig,
+    AdmissionConfig, AdmissionPolicy, ElasticityConfig, ElasticityMode, NetworkConfig,
 };
 pub use error::{AccordionError, Result};
 pub use id::{

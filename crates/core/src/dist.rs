@@ -16,40 +16,39 @@
 //!
 //! ## Control protocol
 //!
-//! Line-oriented text over TCP, one connection per (coordinator, worker)
-//! pair, serving any number of queries sequentially:
+//! [`CtrlMsg`] frames on the node-to-node framing of `accordion_net::frame`
+//! (kinds 8–14 plus the shared ACK and ERR; the kind table there has the
+//! layouts), one connection per (coordinator, worker) pair, serving any
+//! number of queries sequentially:
 //!
 //! ```text
-//! worker → WORKER <page-server-addr>                       greeting
-//! coord  → WIRE <q> <node> <nodes> <fp> <claim|-> <elastic> <dop>
-//!               <peer0,peer1,...> <hex-sql>
-//! worker → WIRED <remote-slots> | ERR <msg>                plan + wire
-//! coord  → GO <q>
-//! worker → OK                                              tasks started
-//! coord  → JOIN <q>
-//! worker → OK <ms> | ERR <msg>                             tasks done
+//! worker → WORKER page-server address                      greeting
+//! coord  → WIRE   query, node, nodes, fingerprint, dop, claim address,
+//!                 elasticity mode, peers, sql
+//! worker → WIRED  remote slots | ERR message               plan + wire
+//! coord  → GO     query
+//! worker → ACK                                             tasks started
+//! coord  → JOIN   query
+//! worker → DONE   elapsed ms | ERR message                 tasks done
 //! coord  → BYE
-//! worker → OK bye                                          connection ends
+//! worker → ACK                                             connection ends
 //! ```
 //!
-//! The SQL travels hex-encoded so statements with spaces and newlines stay
-//! one token; error payloads are escaped to a single line (same escaping
-//! as the query-server protocol). The two-phase WIRE/GO split matters: a
-//! worker's page server must know the query's registry before **any**
-//! process starts tasks, or an early page from a fast peer would be
-//! rejected. `GO` is only sent once every node acknowledged `WIRE`. A
-//! wired query never outlives its control session: the coordinator sends
-//! `JOIN` to every worker however the query ended, and a worker whose
-//! connection closes poisons and forgets whatever it left behind.
+//! Strings travel length-prefixed, so SQL and error text need no escaping.
+//! The two-phase WIRE/GO split matters: a worker's page server must know
+//! the query's registry before **any** process starts tasks, or an early
+//! page from a fast peer would be rejected. `GO` is only sent once every
+//! node acknowledged `WIRE`. A wired query never outlives its control
+//! session: the coordinator sends `JOIN` to every worker however the query
+//! ended, and a worker whose connection closes poisons and forgets whatever
+//! it left behind.
 //!
 //! Elastic queries name the coordinator's [`SplitServer`] in the WIRE
-//! line; worker tasks then claim splits from the coordinator's shared
+//! message; worker tasks then claim splits from the coordinator's shared
 //! queues, which is what keeps mid-query grow/shrink lossless across
 //! process boundaries.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -59,40 +58,129 @@ use accordion_cluster::{
 use accordion_common::config::ElasticityConfig;
 use accordion_common::{AccordionError, Result};
 use accordion_exec::executor::{ExecOptions, QueryResult};
+use accordion_net::frame::{kind, listen, Cursor, Frame, FrameConn, Listener, Payload};
 use accordion_net::{ExchangeRegistry, PageServer};
 use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_sql::plan_select;
 use accordion_storage::catalog::Catalog;
 
-use crate::protocol::{escape_message, unescape_message};
-
-fn io_err(what: &str, e: std::io::Error) -> AccordionError {
-    AccordionError::Io(format!("{what}: {e}"))
+/// The coordinator ↔ worker control conversation — kinds 8–14 of the
+/// node-to-node kind table (`accordion_net::frame`) plus the shared ACK. A
+/// request that fails is answered with an ERR frame instead.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CtrlMsg {
+    /// The worker's greeting: where its page server listens.
+    Worker { page_addr: String },
+    /// Plan `sql` at `dop`, check it against `fingerprint`, and wire this
+    /// node's share as node `node` of `nodes`.
+    Wire {
+        query: u64,
+        node: u32,
+        nodes: u32,
+        fingerprint: u64,
+        dop: u32,
+        /// The coordinator's split-claim service; empty (and never
+        /// dialled) when no stage of the query is elastic.
+        claim: String,
+        /// The elasticity mode string every node parses identically.
+        elasticity: String,
+        /// Page-server address of every node, indexed by node id.
+        peers: Vec<String>,
+        sql: String,
+    },
+    /// WIRE succeeded; this node reaches `remote_slots` cross-process slots.
+    Wired { remote_slots: u32 },
+    /// Start the wired query's tasks.
+    Go { query: u64 },
+    /// Wait for the query's tasks and forget it.
+    Join { query: u64 },
+    /// JOIN succeeded after this long.
+    Done { elapsed_ms: u64 },
+    /// End the session.
+    Bye,
+    /// GO and BYE succeeded.
+    Ack,
 }
 
-/// Lowercase hex of `bytes` — how SQL text survives the one-token-per-field
-/// control lines.
-pub fn to_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+impl CtrlMsg {
+    /// This message as a frame.
+    pub fn encode(&self) -> Frame {
+        let p = Payload::default();
+        match self {
+            CtrlMsg::Worker { page_addr } => (kind::WORKER, p.str(page_addr).0),
+            CtrlMsg::Wire {
+                query,
+                node,
+                nodes,
+                fingerprint,
+                dop,
+                claim,
+                elasticity,
+                peers,
+                sql,
+            } => {
+                let p = p.u64(*query).u32(*node).u32(*nodes).u64(*fingerprint);
+                let p = p.u32(*dop).str(claim).str(elasticity);
+                let p = peers
+                    .iter()
+                    .fold(p.u32(peers.len() as u32), |p, a| p.str(a));
+                (kind::WIRE, p.str(sql).0)
+            }
+            CtrlMsg::Wired { remote_slots } => (kind::WIRED, p.u32(*remote_slots).0),
+            CtrlMsg::Go { query } => (kind::GO, p.u64(*query).0),
+            CtrlMsg::Join { query } => (kind::JOIN, p.u64(*query).0),
+            CtrlMsg::Done { elapsed_ms } => (kind::DONE, p.u64(*elapsed_ms).0),
+            CtrlMsg::Bye => (kind::BYE, p.0),
+            CtrlMsg::Ack => (kind::ACK, p.0),
+        }
     }
-    out
-}
 
-/// Inverse of [`to_hex`].
-pub fn from_hex(s: &str) -> Result<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return Err(AccordionError::Parse("odd-length hex payload".into()));
+    /// Inverse of [`encode`](Self::encode); anything else is a typed error.
+    pub fn decode(kind: u8, payload: &[u8]) -> Result<CtrlMsg> {
+        let mut c = Cursor::new(payload);
+        let msg = match kind {
+            kind::WORKER => CtrlMsg::Worker {
+                page_addr: c.str()?.to_string(),
+            },
+            kind::WIRE => CtrlMsg::Wire {
+                query: c.u64()?,
+                node: c.u32()?,
+                nodes: c.u32()?,
+                fingerprint: c.u64()?,
+                dop: c.u32()?,
+                claim: c.str()?.to_string(),
+                elasticity: c.str()?.to_string(),
+                peers: {
+                    // Grown one by one: the count is only the sender's
+                    // word, the payload running out is the bound.
+                    let mut peers = Vec::new();
+                    for _ in 0..c.u32()? {
+                        peers.push(c.str()?.to_string());
+                    }
+                    peers
+                },
+                sql: c.str()?.to_string(),
+            },
+            kind::WIRED => CtrlMsg::Wired {
+                remote_slots: c.u32()?,
+            },
+            kind::GO => CtrlMsg::Go { query: c.u64()? },
+            kind::JOIN => CtrlMsg::Join { query: c.u64()? },
+            kind::DONE => CtrlMsg::Done {
+                elapsed_ms: c.u64()?,
+            },
+            kind::BYE => CtrlMsg::Bye,
+            kind::ACK => CtrlMsg::Ack,
+            other => {
+                return Err(AccordionError::Wire(format!(
+                    "frame kind {other} is not a control message"
+                )))
+            }
+        };
+        c.finish()?;
+        Ok(msg)
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&s[i..i + 2], 16)
-                .map_err(|_| AccordionError::Parse(format!("invalid hex byte at {i}")))
-        })
-        .collect()
 }
 
 /// Plans `sql` exactly as every other node of the fleet does: the SQL
@@ -106,9 +194,10 @@ pub fn plan_tree(catalog: &Catalog, sql: &str, dop: u32) -> Result<Arc<StageTree
 }
 
 /// One worker process: a page server for incoming exchange frames plus a
-/// control listener speaking the WIRE/GO/JOIN protocol.
+/// control listener speaking the WIRE/GO/JOIN protocol. Dropping it
+/// releases both ports.
 pub struct Worker {
-    ctrl_addr: String,
+    ctrl: Listener,
     page_addr: String,
     executor: QueryExecutor,
 }
@@ -135,37 +224,19 @@ enum WiredQuery {
 impl Worker {
     /// Binds the control listener on `listen` (port 0 for ephemeral) and
     /// the page server on an ephemeral port, then serves control
-    /// connections on background threads for the life of the process.
-    pub fn start(listen: &str, catalog: Arc<Catalog>, exec: ExecOptions) -> Result<Worker> {
+    /// connections on background threads for the life of the `Worker`.
+    pub fn start(addr: &str, catalog: Arc<Catalog>, exec: ExecOptions) -> Result<Worker> {
         let pages = PageServer::bind("127.0.0.1:0")?;
-        let listener = TcpListener::bind(listen).map_err(|e| io_err("worker bind", e))?;
-        let ctrl_addr = listener
-            .local_addr()
-            .map_err(|e| io_err("worker addr", e))?
-            .to_string();
         let page_addr = pages.local_addr();
         let executor = QueryExecutor::new(exec);
-        let state = Arc::new(WorkerState {
+        let state = WorkerState {
             catalog,
             executor: executor.clone(),
             pages,
-        });
-        std::thread::Builder::new()
-            .name("worker-ctrl-accept".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    let Ok(conn) = conn else { continue };
-                    let state = state.clone();
-                    let _ = std::thread::Builder::new()
-                        .name("worker-ctrl".into())
-                        .spawn(move || {
-                            let _ = serve_ctrl(&state, conn);
-                        });
-                }
-            })
-            .map_err(|e| io_err("worker accept thread", e))?;
+        };
+        let ctrl = listen(addr, "worker-ctrl", move |conn| serve_ctrl(&state, conn))?;
         Ok(Worker {
-            ctrl_addr,
+            ctrl,
             page_addr,
             executor,
         })
@@ -178,7 +249,7 @@ impl Worker {
 
     /// The control address — what the coordinator's `--workers` list names.
     pub fn ctrl_addr(&self) -> String {
-        self.ctrl_addr.clone()
+        self.ctrl.local_addr()
     }
 
     /// The page-server address (informational; the coordinator learns it
@@ -191,7 +262,7 @@ impl Worker {
 /// Runs one coordinator control connection to completion, then unwinds
 /// whatever the session left wired: a query must not outlive the only
 /// connection that could ever JOIN it.
-fn serve_ctrl(state: &WorkerState, conn: TcpStream) -> std::io::Result<()> {
+fn serve_ctrl(state: &WorkerState, conn: &mut FrameConn) -> Result<()> {
     let mut wired = HashMap::new();
     let outcome = ctrl_session(state, conn, &mut wired);
     for (query, orphan) in wired {
@@ -213,125 +284,110 @@ fn serve_ctrl(state: &WorkerState, conn: TcpStream) -> std::io::Result<()> {
 
 fn ctrl_session(
     state: &WorkerState,
-    conn: TcpStream,
+    conn: &mut FrameConn,
     wired: &mut HashMap<u64, WiredQuery>,
-) -> std::io::Result<()> {
-    conn.set_nodelay(true).ok();
-    let mut reader = BufReader::new(conn.try_clone()?);
-    let mut writer = conn;
-    writeln!(writer, "WORKER {}", state.pages.local_addr())?;
-    writer.flush()?;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(());
+) -> Result<()> {
+    let page_addr = state.pages.local_addr();
+    conn.send(CtrlMsg::Worker { page_addr }.encode())?;
+    while let Some((kind, payload)) = conn.recv()? {
+        let request = CtrlMsg::decode(kind, &payload);
+        let bye = matches!(request, Ok(CtrlMsg::Bye));
+        let reply = request.and_then(|msg| handle_ctrl(state, wired, msg));
+        conn.respond(reply.map(|msg| msg.encode()))?;
+        if bye {
+            break;
         }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let reply = match fields.as_slice() {
-            ["BYE"] => {
-                writeln!(writer, "OK bye")?;
-                writer.flush()?;
-                return Ok(());
-            }
-            ["WIRE", rest @ ..] => match handle_wire(state, rest) {
-                Ok((query, nq)) => {
-                    let slots = nq.remote_slots();
-                    wired.insert(query, WiredQuery::Ready(Box::new(nq)));
-                    format!("WIRED {slots}")
-                }
-                Err(e) => format!("ERR {}", escape_message(&e.to_string())),
-            },
-            ["GO", q] => match q.parse().ok().and_then(|q| Some((q, wired.remove(&q)?))) {
-                Some((query, WiredQuery::Ready(nq))) => {
-                    let registry = nq.registry().clone();
-                    let started = Instant::now();
-                    let handle = std::thread::Builder::new()
-                        .name(format!("worker-query-{query}"))
-                        .spawn(move || nq.run())?;
-                    wired.insert(
-                        query,
-                        WiredQuery::Running {
-                            handle,
-                            registry,
-                            started,
-                        },
-                    );
-                    "OK".to_string()
-                }
-                Some((query, running)) => {
-                    wired.insert(query, running);
-                    format!("ERR query {query} is already running")
-                }
-                None => format!("ERR query {q} is not wired"),
-            },
-            ["JOIN", q] => {
-                let reply = match q.parse::<u64>().ok().and_then(|q| wired.remove(&q)) {
-                    Some(WiredQuery::Running {
-                        handle, started, ..
-                    }) => match handle.join() {
-                        Ok(Ok(_)) => format!("OK {}", started.elapsed().as_millis()),
-                        Ok(Err(e)) => format!("ERR {}", escape_message(&e.to_string())),
-                        Err(_) => "ERR worker query thread panicked".to_string(),
-                    },
-                    Some(WiredQuery::Ready(_)) => format!("ERR query {q} was never started"),
-                    None => format!("ERR query {q} is not running"),
-                };
-                if let Ok(q) = q.parse::<u64>() {
-                    state.pages.unregister(q);
-                }
-                reply
-            }
-            _ => format!("ERR unknown control command: {}", line.trim()),
-        };
-        writeln!(writer, "{reply}")?;
-        writer.flush()?;
     }
+    Ok(())
 }
 
-/// Parses one WIRE line (sans the `WIRE` token), plans the query, checks
-/// the fingerprint, and wires this node's share.
-fn handle_wire(state: &WorkerState, fields: &[&str]) -> Result<(u64, NodeQuery)> {
-    let [query, node, nodes, fp, claim, elastic, dop, peers, hexsql] = fields else {
-        return Err(AccordionError::Parse(format!(
-            "malformed WIRE line: expected 9 fields, got {}",
-            fields.len()
-        )));
-    };
-    let parse_u64 = |s: &str, what: &str| {
-        s.parse::<u64>()
-            .map_err(|_| AccordionError::Parse(format!("invalid {what}: '{s}'")))
-    };
-    let query = parse_u64(query, "query id")?;
-    let node = parse_u64(node, "node id")? as u32;
-    let nodes = parse_u64(nodes, "node count")? as u32;
-    let fp = u64::from_str_radix(fp, 16)
-        .map_err(|_| AccordionError::Parse(format!("invalid fingerprint: '{fp}'")))?;
-    let dop = parse_u64(dop, "dop")? as u32;
-    let sql = String::from_utf8(from_hex(hexsql)?)
-        .map_err(|_| AccordionError::Parse("WIRE sql is not UTF-8".into()))?;
-    let peers: Vec<String> = peers.split(',').map(str::to_string).collect();
-    let mut exec = state.executor.options().clone();
-    exec.elasticity = ElasticityConfig {
-        mode: ElasticityConfig::try_parse_mode(elastic)?,
-        ..ElasticityConfig::default()
-    };
-    let tree = plan_tree(&state.catalog, &sql, dop)?;
-    let local_fp = plan_fingerprint(&tree);
-    if local_fp != fp {
-        return Err(AccordionError::Execution(format!(
-            "plan fingerprint mismatch for query {query}: coordinator {fp:016x}, \
-             this node {local_fp:016x} — catalogs or planner versions diverge"
-        )));
+/// Answers one control request; an `Err` travels back as an ERR frame and
+/// the session goes on.
+fn handle_ctrl(
+    state: &WorkerState,
+    wired: &mut HashMap<u64, WiredQuery>,
+    request: CtrlMsg,
+) -> Result<CtrlMsg> {
+    let refuse = |msg: String| Err(AccordionError::Execution(msg));
+    match request {
+        CtrlMsg::Bye => Ok(CtrlMsg::Ack),
+        CtrlMsg::Wire {
+            query,
+            node,
+            nodes,
+            fingerprint,
+            dop,
+            claim,
+            elasticity,
+            peers,
+            sql,
+        } => {
+            let mut exec = state.executor.options().clone();
+            exec.elasticity = ElasticityConfig {
+                mode: ElasticityConfig::try_parse_mode(&elasticity)?,
+                ..ElasticityConfig::default()
+            };
+            let tree = plan_tree(&state.catalog, &sql, dop)?;
+            let local = plan_fingerprint(&tree);
+            if local != fingerprint {
+                return refuse(format!(
+                    "plan fingerprint mismatch for query {query}: coordinator \
+                     {fingerprint:016x}, this node {local:016x} — catalogs or planner \
+                     versions diverge"
+                ));
+            }
+            let role = DistRole { node, nodes, peers };
+            let wiring = ClaimWiring::Connect(claim);
+            let nq =
+                state
+                    .executor
+                    .wire(state.catalog.clone(), tree, &exec, role, query, wiring)?;
+            state.pages.register(query, nq.registry().clone());
+            let remote_slots = nq.remote_slots() as u32;
+            wired.insert(query, WiredQuery::Ready(Box::new(nq)));
+            Ok(CtrlMsg::Wired { remote_slots })
+        }
+        CtrlMsg::Go { query } => match wired.remove(&query) {
+            Some(WiredQuery::Ready(nq)) => {
+                let registry = nq.registry().clone();
+                let started = Instant::now();
+                let handle = std::thread::Builder::new()
+                    .name(format!("worker-query-{query}"))
+                    .spawn(move || nq.run())?;
+                wired.insert(
+                    query,
+                    WiredQuery::Running {
+                        handle,
+                        registry,
+                        started,
+                    },
+                );
+                Ok(CtrlMsg::Ack)
+            }
+            Some(running) => {
+                wired.insert(query, running);
+                refuse(format!("query {query} is already running"))
+            }
+            None => refuse(format!("query {query} is not wired")),
+        },
+        CtrlMsg::Join { query } => {
+            let reply = match wired.remove(&query) {
+                Some(WiredQuery::Running {
+                    handle, started, ..
+                }) => match handle.join() {
+                    Ok(run) => run.map(|_| CtrlMsg::Done {
+                        elapsed_ms: started.elapsed().as_millis() as u64,
+                    }),
+                    Err(_) => refuse("worker query thread panicked".into()),
+                },
+                Some(WiredQuery::Ready(_)) => refuse(format!("query {query} was never started")),
+                None => refuse(format!("query {query} is not running")),
+            };
+            state.pages.unregister(query);
+            reply
+        }
+        other => refuse(format!("unexpected control message: {other:?}")),
     }
-    let role = DistRole { node, nodes, peers };
-    // `-` (no elastic stage anywhere in the fleet) is never dialled.
-    let wiring = ClaimWiring::Connect(claim.to_string());
-    let nq = state
-        .executor
-        .wire(state.catalog.clone(), tree, &exec, role, query, wiring)?;
-    state.pages.register(query, nq.registry().clone());
-    Ok((query, nq))
 }
 
 /// One distributed query's outcome on the coordinator.
@@ -345,61 +401,26 @@ pub struct DistributedRun {
 
 /// One control connection to a worker process.
 struct Link {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    conn: FrameConn,
     page_addr: String,
 }
 
 impl Link {
     fn connect(addr: &str, timeout_ms: u64) -> Result<Link> {
-        let sock: std::net::SocketAddr = addr
-            .parse()
-            .map_err(|e| AccordionError::Parse(format!("bad worker address {addr:?}: {e}")))?;
-        let stream = TcpStream::connect_timeout(&sock, Duration::from_millis(timeout_ms.max(1)))
-            .map_err(|e| io_err(&format!("connect to worker {addr}"), e))?;
-        stream.set_nodelay(true).ok();
-        let mut link = Link {
-            reader: BufReader::new(stream.try_clone().map_err(|e| io_err("clone", e))?),
-            writer: stream,
-            page_addr: String::new(),
-        };
-        let greeting = link.read_reply()?;
-        match greeting.strip_prefix("WORKER ") {
-            Some(addr) => link.page_addr = addr.trim().to_string(),
-            None => {
-                return Err(AccordionError::Io(format!(
-                    "worker {addr} sent an unexpected greeting: {greeting}"
-                )))
-            }
+        let mut conn = FrameConn::connect(addr, Duration::from_millis(timeout_ms))?;
+        let (kind, payload) = conn.reply()?;
+        match CtrlMsg::decode(kind, &payload)? {
+            CtrlMsg::Worker { page_addr } => Ok(Link { conn, page_addr }),
+            other => Err(AccordionError::Io(format!(
+                "worker {addr} sent an unexpected greeting: {other:?}"
+            ))),
         }
-        Ok(link)
     }
 
-    fn request(&mut self, line: &str) -> Result<String> {
-        writeln!(self.writer, "{line}").map_err(|e| io_err("worker send", e))?;
-        self.writer.flush().map_err(|e| io_err("worker flush", e))?;
-        self.read_reply()
-    }
-
-    fn read_reply(&mut self) -> Result<String> {
-        let mut line = String::new();
-        let n = self
-            .reader
-            .read_line(&mut line)
-            .map_err(|e| io_err("worker read", e))?;
-        if n == 0 {
-            return Err(AccordionError::Io("worker closed the connection".into()));
-        }
-        Ok(line.trim_end().to_string())
-    }
-
-    /// Sends a request whose reply must not be `ERR`; unescapes errors.
-    fn expect_ok(&mut self, line: &str) -> Result<String> {
-        let reply = self.request(line)?;
-        match reply.strip_prefix("ERR ") {
-            Some(msg) => Err(AccordionError::Execution(unescape_message(msg))),
-            None => Ok(reply),
-        }
+    /// One request, one reply; the worker's ERR is the returned error.
+    fn call(&mut self, request: &CtrlMsg) -> Result<CtrlMsg> {
+        let (kind, payload) = self.conn.call(request.encode())?;
+        CtrlMsg::decode(kind, &payload)
     }
 }
 
@@ -420,8 +441,9 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Connects to every worker's control address and binds this node's
-    /// page and split-claim servers. `elasticity` is the mode string every
+    /// Binds this node's page and split-claim servers and connects to every
+    /// worker's control address; a worker that cannot be reached fails the
+    /// whole call and leaves nothing bound behind. `elasticity` is the mode string every
     /// node parses identically (e.g. `off`, `forced-grow`, `auto:2000`).
     pub fn connect(
         workers: &[String],
@@ -479,7 +501,7 @@ impl Fleet {
         let claim = if exec.elasticity.enabled() {
             self.splits.local_addr()
         } else {
-            "-".to_string()
+            String::new()
         };
         let nodes = self.nodes();
         // Node 0 wires first: a query the admission gate turns away never
@@ -499,28 +521,33 @@ impl Fleet {
         let registry = nq.registry().clone();
         self.pages.register(query, registry.clone());
         let mut remote_slots = nq.remote_slots();
-        let wire_tail = format!(
-            "{nodes} {fp:016x} {claim} {} {} {} {}",
-            self.elastic_arg,
-            self.dop,
-            self.peers.join(","),
-            to_hex(sql.as_bytes())
-        );
         let run = (|| {
             for (i, link) in self.links.iter_mut().enumerate() {
-                let node = i + 1;
-                let reply = link.expect_ok(&format!("WIRE {query} {node} {wire_tail}"))?;
-                match reply.strip_prefix("WIRED ").map(str::parse::<usize>) {
-                    Some(Ok(slots)) => remote_slots += slots,
-                    _ => {
+                let node = i as u32 + 1;
+                let wire = CtrlMsg::Wire {
+                    query,
+                    node,
+                    nodes,
+                    fingerprint: fp,
+                    dop: self.dop,
+                    claim: claim.clone(),
+                    elasticity: self.elastic_arg.clone(),
+                    peers: self.peers.clone(),
+                    sql: sql.to_string(),
+                };
+                match link.call(&wire)? {
+                    CtrlMsg::Wired {
+                        remote_slots: slots,
+                    } => remote_slots += slots as usize,
+                    other => {
                         return Err(AccordionError::Io(format!(
-                            "worker {node} answered WIRE with: {reply}"
+                            "worker {node} answered WIRE with: {other:?}"
                         )))
                     }
                 }
             }
             for link in self.links.iter_mut() {
-                link.expect_ok(&format!("GO {query}"))?;
+                link.call(&CtrlMsg::Go { query })?;
             }
             nq.run()
         })();
@@ -535,7 +562,7 @@ impl Fleet {
         // coordinator only saw the poison.
         let mut worker_err = None;
         for link in self.links.iter_mut() {
-            if let Err(e) = link.expect_ok(&format!("JOIN {query}")) {
+            if let Err(e) = link.call(&CtrlMsg::Join { query }) {
                 worker_err.get_or_insert(e);
             }
         }
@@ -551,14 +578,13 @@ impl Fleet {
         })
     }
 
-    /// Politely ends every control session and stops the local servers.
-    /// Worker processes stay alive for the next coordinator.
+    /// Politely ends every control session; dropping `self` then releases
+    /// the local servers' ports. Worker processes stay alive for the next
+    /// coordinator.
     pub fn shutdown(mut self) {
         for link in self.links.iter_mut() {
-            let _ = link.request("BYE");
+            let _ = link.call(&CtrlMsg::Bye);
         }
-        self.pages.shutdown();
-        self.splits.shutdown();
     }
 }
 
@@ -566,13 +592,64 @@ impl Fleet {
 mod tests {
     use super::*;
 
+    fn wire(claim: &str, peers: &[&str], sql: &str) -> CtrlMsg {
+        CtrlMsg::Wire {
+            query: 7,
+            node: 1,
+            nodes: 2,
+            fingerprint: 0xdead_beef_0123_4567,
+            dop: 4,
+            claim: claim.into(),
+            elasticity: "auto:2000".into(),
+            peers: peers.iter().map(|p| p.to_string()).collect(),
+            sql: sql.into(),
+        }
+    }
+
     #[test]
-    fn hex_round_trips() {
-        let sql = "SELECT * FROM t WHERE a = 'x y';\n-- comment";
-        let hex = to_hex(sql.as_bytes());
-        assert!(hex.chars().all(|c| c.is_ascii_hexdigit()));
-        assert_eq!(from_hex(&hex).unwrap(), sql.as_bytes());
-        assert!(from_hex("abc").is_err(), "odd length rejected");
-        assert!(from_hex("zz").is_err(), "non-hex rejected");
+    fn control_messages_round_trip_and_every_prefix_is_a_typed_error() {
+        let messages = [
+            CtrlMsg::Worker {
+                page_addr: "127.0.0.1:4000".into(),
+            },
+            wire(
+                "127.0.0.1:9",
+                &["127.0.0.1:1", "127.0.0.1:2"],
+                "SELECT * FROM t WHERE a = 'x y' AND b = \"q\";\n-- naïve ✓ comment",
+            ),
+            wire("", &[], ""),
+            CtrlMsg::Wired { remote_slots: 3 },
+            CtrlMsg::Go { query: u64::MAX },
+            CtrlMsg::Join { query: 0 },
+            CtrlMsg::Done { elapsed_ms: 12 },
+            CtrlMsg::Bye,
+            CtrlMsg::Ack,
+        ];
+        for msg in messages {
+            let (kind, payload) = msg.encode();
+            assert_eq!(CtrlMsg::decode(kind, &payload).unwrap(), msg);
+            for cut in 0..payload.len() {
+                let err = CtrlMsg::decode(kind, &payload[..cut]).unwrap_err();
+                assert!(
+                    matches!(err, AccordionError::Wire(_)),
+                    "{msg:?}@{cut}: {err}"
+                );
+            }
+            let mut long = payload.clone();
+            long.push(0);
+            assert!(CtrlMsg::decode(kind, &long).is_err(), "{msg:?}: trailing");
+        }
+        assert!(CtrlMsg::decode(kind::CLAIM, &[]).is_err(), "foreign kind");
+    }
+
+    #[test]
+    fn a_peer_count_is_not_an_allocation_size() {
+        // WIRE claiming four billion peers in a 41-byte payload: the decoder
+        // runs out of bytes, not out of memory.
+        let (kind, mut payload) = wire("", &[], "").encode();
+        let count_at = 8 + 4 + 4 + 8 + 4 + 4 + 4 + "auto:2000".len();
+        payload[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = CtrlMsg::decode(kind, &payload).unwrap_err();
+        assert!(matches!(err, AccordionError::Wire(_)), "{err}");
     }
 }

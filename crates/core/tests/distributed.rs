@@ -3,22 +3,23 @@
 //! result must be row-identical (modulo float summation order) to the
 //! serial in-process executor over the same generated data, with at least
 //! one cross-process exchange edge — and mid-query forced grow/shrink must
-//! stay lossless across process boundaries. The last two cases run a
+//! stay lossless across process boundaries. The last three cases run a
 //! [`Worker`] inside the test process to watch its executor: no wired
-//! query may outlive the control session that wired it.
+//! query may outlive the control session that wired it, and a fleet that
+//! fails to assemble leaves the workers it reached free for the next one.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use accordion_cluster::{plan_fingerprint, ClaimWiring, DistRole, QueryExecutor};
 use accordion_common::config::{ElasticityConfig, NetworkConfig};
-use accordion_core::dist::{plan_tree, to_hex};
+use accordion_core::dist::{plan_tree, CtrlMsg};
 use accordion_core::{Fleet, Worker};
 use accordion_data::types::Value;
 use accordion_exec::{execute_tree, ExecOptions};
+use accordion_net::frame::{kind, listen, FrameConn};
 use accordion_net::PageServer;
 use accordion_storage::catalog::Catalog;
 use accordion_tpch::gen::{generate, TpchOptions};
@@ -289,7 +290,7 @@ fn coord_subcommand_runs_a_fleet_end_to_end() {
 const GROUP_SQL: &str = "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag";
 
 /// Options for the in-process session-lifetime cases: static DOP (they
-/// hand-write WIRE lines) and capacity-one buffers, so a worker whose
+/// hand-write WIRE messages) and capacity-one buffers, so a worker whose
 /// coordinator never runs parks instead of finishing.
 fn tight_static_opts() -> ExecOptions {
     ExecOptions {
@@ -342,21 +343,16 @@ fn failed_wiring_reaps_the_workers_already_wired() {
     let real = Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap();
     // A second "worker" that greets like one (with a page address nobody
     // listens on) and refuses everything it is asked.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let stub_addr = listener.local_addr().unwrap().to_string();
-    let stub = std::thread::spawn(move || {
-        let (conn, _) = listener.accept().unwrap();
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        let mut writer = conn;
-        writeln!(writer, "WORKER 127.0.0.1:1").unwrap();
-        let mut line = String::new();
-        while reader.read_line(&mut line).unwrap_or(0) > 0 {
-            if writeln!(writer, "ERR nope").is_err() {
-                break;
-            }
-            line.clear();
+    let stub = listen("127.0.0.1:0", "stub-worker", |conn| {
+        let page_addr = "127.0.0.1:1".into();
+        conn.send(CtrlMsg::Worker { page_addr }.encode())?;
+        while conn.recv()?.is_some() {
+            conn.send((kind::ERR, b"nope".into()))?;
         }
-    });
+        Ok(())
+    })
+    .unwrap();
+    let stub_addr = stub.local_addr();
 
     let mut fleet = Fleet::connect(
         &[real.ctrl_addr(), stub_addr],
@@ -375,7 +371,7 @@ fn failed_wiring_reaps_the_workers_already_wired() {
     // been reaped, not left holding the query until the session dies.
     await_idle(&real);
     fleet.shutdown();
-    stub.join().unwrap();
+    drop(stub);
 
     assert_serves_a_fresh_fleet(&real, &catalog, &exec);
 }
@@ -389,15 +385,18 @@ fn worker_unwinds_queries_orphaned_by_their_session() {
     // A hand-rolled coordinator: wires its own share (so the worker's pages
     // have somewhere to go), tells the worker to WIRE and GO, then vanishes
     // without ever running or joining.
-    let mut ctrl = TcpStream::connect(real.ctrl_addr()).unwrap();
-    let mut replies = BufReader::new(ctrl.try_clone().unwrap());
-    let reply = |replies: &mut BufReader<TcpStream>| {
-        let mut line = String::new();
-        replies.read_line(&mut line).unwrap();
-        line.trim().to_string()
+    let mut ctrl = FrameConn::connect(&real.ctrl_addr(), Duration::from_secs(5)).unwrap();
+    let (kind, greeting) = ctrl.reply().unwrap();
+    let CtrlMsg::Worker {
+        page_addr: worker_pages,
+    } = CtrlMsg::decode(kind, &greeting).unwrap()
+    else {
+        panic!("the worker did not greet");
     };
-    let greeting = reply(&mut replies);
-    let worker_pages = greeting.strip_prefix("WORKER ").unwrap().to_string();
+    let mut call = |request: CtrlMsg| {
+        let (kind, payload) = ctrl.call(request.encode()).unwrap();
+        CtrlMsg::decode(kind, &payload).unwrap()
+    };
     let pages = PageServer::bind("127.0.0.1:0").unwrap();
     let peers = vec![pages.local_addr(), worker_pages];
     let tree = plan_tree(&catalog, GROUP_SQL, 2).unwrap();
@@ -416,26 +415,61 @@ fn worker_unwinds_queries_orphaned_by_their_session() {
         )
         .unwrap();
     pages.register(7, coordinator.registry().clone());
-    writeln!(
-        ctrl,
-        "WIRE 7 1 2 {:016x} - off 2 {} {}",
-        plan_fingerprint(&tree),
-        peers.join(","),
-        to_hex(GROUP_SQL.as_bytes())
-    )
-    .unwrap();
-    assert!(reply(&mut replies).starts_with("WIRED "));
-    writeln!(ctrl, "GO 7").unwrap();
-    assert_eq!(reply(&mut replies), "OK");
+    let wired = call(CtrlMsg::Wire {
+        query: 7,
+        node: 1,
+        nodes: 2,
+        fingerprint: plan_fingerprint(&tree),
+        dop: 2,
+        claim: String::new(),
+        elasticity: "off".into(),
+        peers,
+        sql: GROUP_SQL.into(),
+    });
+    assert!(matches!(wired, CtrlMsg::Wired { .. }), "{wired:?}");
+    assert_eq!(call(CtrlMsg::Go { query: 7 }), CtrlMsg::Ack);
     // Node 1's final-stage task waits on node 0's producers, which never
     // start: the query is parked on the worker.
     assert_eq!(real.executor().active_queries(), 1);
 
-    drop(replies);
     drop(ctrl);
     await_idle(&real);
     drop(coordinator);
     pages.shutdown();
 
+    assert_serves_a_fresh_fleet(&real, &catalog, &exec);
+}
+
+#[test]
+fn a_fleet_that_fails_to_assemble_leaves_its_workers_free() {
+    let catalog = tpch_catalog_at(0.002);
+    let exec = ExecOptions {
+        network: NetworkConfig::builder()
+            .fixed_buffers(1)
+            .connect_timeout_ms(2_000)
+            .build(),
+        ..tight_static_opts()
+    };
+    let real = Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap();
+    // An address nothing listens on: bound, read back, released.
+    let dead = listen("127.0.0.1:0", "dead", |_| Ok(()))
+        .unwrap()
+        .local_addr();
+
+    let started = Instant::now();
+    let err = Fleet::connect(
+        &[real.ctrl_addr(), dead.clone()],
+        catalog.clone(),
+        exec.clone(),
+        "off",
+        2,
+    )
+    .err()
+    .expect("one worker address is dead");
+    assert!(err.to_string().contains(&dead), "{err}");
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "dial unbounded"
+    );
     assert_serves_a_fresh_fleet(&real, &catalog, &exec);
 }

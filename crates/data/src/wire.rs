@@ -202,14 +202,21 @@ fn encode_data_page(page: &DataPage) -> Vec<u8> {
     buf
 }
 
-/// Bounds-checked little-endian reader over a frame body.
-struct Cursor<'a> {
+/// Bounds-checked little-endian reader over bytes that came off a socket:
+/// the page codec's frame bodies here, and the payload fields of every
+/// node-to-node frame (`accordion_net::frame`). Reading past the end is a
+/// typed [`AccordionError::Wire`] — never a panic or a slice index.
+pub struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    pub fn new(buf: &'a [u8]) -> Cursor<'a> {
+        Cursor { buf, pos: 0 }
+    }
+
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.buf.len() - self.pos < n {
             return Err(err(format!(
                 "truncated frame: wanted {n} bytes at offset {}, {} remain",
@@ -222,21 +229,80 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8> {
+    pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32> {
+    pub fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64> {
+    pub fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// A presence flag: one byte, `0` or `1`.
+    pub fn bool(&mut self) -> Result<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(err(format!("invalid flag byte {other}"))),
+        }
+    }
+
+    /// A `u32`-length-prefixed UTF-8 string, as [`Payload::str`] wrote it. The
+    /// length is checked against the bytes present before anything is
+    /// copied, so it is never an allocation size.
+    pub fn str(&mut self) -> Result<&'a str> {
+        let n = self.u32()? as usize;
+        std::str::from_utf8(self.take(n)?).map_err(|e| err(format!("string field: {e}")))
+    }
+
+    /// Everything not yet read — a payload's variable-length tail.
+    pub fn rest(self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
+    /// Ends the read: bytes nobody asked for are as malformed as missing
+    /// ones.
+    pub fn finish(self) -> Result<()> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            n => Err(err(format!("trailing bytes: {n} unread"))),
+        }
+    }
+}
+
+/// Builds what [`Cursor`] reads: a payload of little-endian fields.
+#[derive(Default)]
+pub struct Payload(pub Vec<u8>);
+
+impl Payload {
+    pub fn u8(mut self, v: u8) -> Payload {
+        self.0.push(v);
+        self
+    }
+
+    pub fn u32(mut self, v: u32) -> Payload {
+        self.0.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    pub fn u64(mut self, v: u64) -> Payload {
+        self.0.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    /// A `u32`-length-prefixed UTF-8 string ([`Cursor::str`]).
+    pub fn str(self, s: &str) -> Payload {
+        let mut p = self.u32(s.len() as u32);
+        p.0.extend_from_slice(s.as_bytes());
+        p
     }
 }
 
 pub(crate) fn decode_page(bytes: &[u8], expected_schema: Option<u64>) -> Result<Page> {
-    let mut c = Cursor { buf: bytes, pos: 0 };
+    let mut c = Cursor::new(bytes);
     let version = c.u8()?;
     if version != WIRE_VERSION {
         return Err(err(format!(
@@ -246,9 +312,7 @@ pub(crate) fn decode_page(bytes: &[u8], expected_schema: Option<u64>) -> Result<
     match c.u8()? {
         KIND_END => {
             let reason = tag_end_reason(c.u8()?)?;
-            if c.pos != bytes.len() {
-                return Err(err("trailing bytes after end frame"));
-            }
+            c.finish()?;
             Ok(Page::End(EndPage { reason }))
         }
         KIND_DATA => decode_data_page(bytes, expected_schema),
@@ -293,17 +357,15 @@ fn decode_data_page(bytes: &[u8], expected_schema: Option<u64>) -> Result<Page> 
     for _ in 0..ncols {
         let dt = tag_type(c.u8()?)?;
         types.push(dt);
-        let validity = match c.u8()? {
-            0 => None,
-            1 => {
-                let words = c
-                    .take(rows.div_ceil(64) * 8)?
-                    .chunks_exact(8)
-                    .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
-                    .collect();
-                Some(Arc::new(Validity::from_words(words, rows).map_err(err)?))
-            }
-            other => return Err(err(format!("invalid validity flag {other}"))),
+        let validity = if c.bool()? {
+            let words = c
+                .take(rows.div_ceil(64) * 8)?
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+                .collect();
+            Some(Arc::new(Validity::from_words(words, rows).map_err(err)?))
+        } else {
+            None
         };
         let column = match dt {
             DataType::Int64 => Column::Int64(
@@ -353,12 +415,7 @@ fn decode_data_page(bytes: &[u8], expected_schema: Option<u64>) -> Result<Page> 
         };
         columns.push(column);
     }
-    if c.pos != body_end {
-        return Err(err(format!(
-            "trailing bytes: {} unread before the checksum",
-            body_end - c.pos
-        )));
-    }
+    c.finish()?;
     if schema_hash(&types) != frame_schema {
         return Err(err("schema hash does not match the frame's own columns"));
     }

@@ -17,11 +17,16 @@
 //!   semaphore, keeping bounded buffers deadlock-free on a fixed pool.
 //! * [`nic`] — the token-bucket [`NicModel`] charging every page transfer
 //!   against `NetworkConfig`'s bandwidth cap and link latency.
-//! * [`tcp`] — the real multi-node transport: a per-node
-//!   [`PageServer`] ingesting length-prefixed binary page frames (the
-//!   `accordion_data::wire` codec) into the local queues, and the
-//!   [`PageSink`]s writers open toward remote consumer slots, with a
-//!   credit window mirroring the elastic-buffer backpressure.
+//! * [`frame`] — the one framing of node-to-node traffic,
+//!   `[len][kind][payload]`: the only frame reader and writer, the only
+//!   dialer ([`FrameConn`](frame::FrameConn)) and accept loop
+//!   ([`listen`](frame::listen)), and the kind table shared by exchange
+//!   pages, worker control and split claims.
+//! * [`tcp`] — the real multi-node transport on that framing: a per-node
+//!   [`PageServer`] ingesting page frames (the `accordion_data::wire`
+//!   codec) into the local queues, and the [`PageSink`]s writers open
+//!   toward remote consumer slots, with a credit window mirroring the
+//!   elastic-buffer backpressure.
 //!
 //! The wiring of a query is declared as an [`ExchangeTopology`]: one
 //! [`EdgeSpec`] per stage output naming where every consumer slot lives
@@ -48,6 +53,7 @@
 
 pub mod buffer;
 pub mod exchange;
+pub mod frame;
 pub mod nic;
 pub mod tcp;
 
@@ -57,4 +63,4 @@ pub use exchange::{
     ExchangeTopology, ExchangeWriter, RoutePolicy,
 };
 pub use nic::{NicModel, NodeNic, TokenBucket};
-pub use tcp::{PageServer, PageSink, TcpExchangeReader, TcpExchangeWriter};
+pub use tcp::{PageServer, PageSink};

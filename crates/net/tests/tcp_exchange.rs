@@ -1,22 +1,31 @@
 //! Cross-node exchange over the real TCP transport: two registries in one
 //! process, each fronted by its own `PageServer`, simulating a two-node
 //! fleet. Exercises hybrid local/remote routing, writer accounting via
-//! FINISH frames, credit backpressure, growth broadcasts and poison
-//! propagation.
+//! FINISH frames, credit backpressure, growth broadcasts, poison
+//! propagation, and what a page server does with peers that do not speak
+//! the framing.
 
+use std::io::Write;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use accordion_common::config::NetworkConfig;
 use accordion_common::AccordionError;
 use accordion_data::column::Column;
 use accordion_data::page::{DataPage, EndReason, Page};
+use accordion_net::frame::{kind, read_frame, FrameConn, MAX_DATA, PREALLOC};
 use accordion_net::{
-    ConsumerLoc, EdgeSpec, ExchangeRegistry, ExchangeTopology, ExchangeWriter, NicModel,
-    PageServer, RoutePolicy, TcpExchangeWriter,
+    ConsumerLoc, EdgeSpec, ExchangeRegistry, ExchangeTopology, NicModel, PageServer, PageSink,
+    RoutePolicy,
 };
 
+fn data_page(keys: Vec<i64>) -> Arc<DataPage> {
+    Arc::new(DataPage::new(vec![Column::from_i64(keys)]))
+}
+
 fn page(keys: Vec<i64>) -> Page {
-    Page::data(DataPage::new(vec![Column::from_i64(keys)]))
+    Page::Data(data_page(keys))
 }
 
 /// Roomy buffers for the single-threaded tests: writers run to completion
@@ -250,57 +259,119 @@ fn poison_propagates_across_nodes() {
 }
 
 #[test]
-fn standalone_tcp_writer_feeds_a_remote_edge() {
-    // The named transport endpoint: a TcpExchangeWriter with no local
-    // registry at all, pushing into node A's edge from outside.
+fn unknown_query_is_rejected_with_an_error_frame() {
+    let network = NetworkConfig::builder().connect_timeout_ms(2_000).build();
+    let server = PageServer::bind("127.0.0.1:0").unwrap();
+    // No registry registered for query 99: a send must surface an error,
+    // not hang. The HELLO itself succeeds (the server replies
+    // asynchronously), so push until the ERR lands.
+    let mut sink = PageSink::connect(&server.local_addr(), 99, 1, &network).unwrap();
+    let failed = (0..10_000).any(|i| sink.send_data(0, &data_page(vec![i]), None).is_err());
+    assert!(failed, "unregistered query must fail the producer");
+    server.shutdown();
+}
+
+/// xorshift64*, as in the CSV suite: the hostile schedule is reproducible.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+}
+
+fn frame_header(len: u32, kind: u8) -> Vec<u8> {
+    let mut bytes = len.to_le_bytes().to_vec();
+    bytes.push(kind);
+    bytes
+}
+
+#[test]
+fn hostile_peers_cost_a_small_buffer_and_a_closed_connection() {
+    // A length is not an allocation size: the largest frame the reader
+    // admits, announced and never sent, reserves no more than PREALLOC.
+    let mut payload = Vec::new();
+    let announced = frame_header(MAX_DATA as u32, kind::DATA);
+    assert!(read_frame(&mut announced.as_slice(), &mut payload).is_err());
+    assert!(payload.capacity() <= PREALLOC, "{}", payload.capacity());
+
     let network = roomy();
     let server = PageServer::bind("127.0.0.1:0").unwrap();
-    let topo = ExchangeTopology::new(13).edge(EdgeSpec::local(1, 1, RoutePolicy::Single, 1));
+    let topo = ExchangeTopology::new(60).edge(EdgeSpec::local(1, 1, RoutePolicy::Single, 1));
     let registry = ExchangeRegistry::build(&topo, &network, NicModel::unlimited()).unwrap();
-    server.register(13, registry.clone());
-    let mut w = TcpExchangeWriter::connect(
-        &server.local_addr(),
-        13,
-        1,
-        RoutePolicy::Single,
-        1,
-        &network,
-        None,
-    )
-    .unwrap();
-    w.push(page(vec![9, 8, 7])).unwrap();
-    w.push(Page::end(EndReason::ScanExhausted)).unwrap();
-    let mut r = registry.reader(1, 0, None).unwrap();
-    assert_eq!(drain(r.as_mut()), vec![9, 8, 7]);
+    server.register(60, registry.clone());
+    let mut hello = frame_header(13, kind::HELLO);
+    hello.extend_from_slice(&60u64.to_le_bytes());
+    hello.extend_from_slice(&1u32.to_le_bytes());
+
+    let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+    for round in 0..48 {
+        let bytes = match rng.next() % 7 {
+            // A frame that stops short of its announced length, on the
+            // query's own edge.
+            0 => {
+                let mut b = hello.clone();
+                b.extend_from_slice(&frame_header(100, kind::DATA));
+                b.extend(std::iter::repeat_n(7u8, (rng.next() % 99) as usize));
+                b
+            }
+            1 => frame_header(0, kind::HELLO),
+            2 => frame_header(u32::MAX, kind::DATA),
+            3 => frame_header(MAX_DATA as u32, kind::DATA),
+            // A kind nobody defined, and defined kinds a page server
+            // does not serve (before and after a greeting).
+            4 => frame_header(1, 19 + (rng.next() % 237) as u8),
+            5 => {
+                let mut b = if rng.next().is_multiple_of(2) {
+                    hello.clone()
+                } else {
+                    Vec::new()
+                };
+                b.extend_from_slice(&frame_header(1, kind::WORKER + (rng.next() % 11) as u8));
+                b
+            }
+            _ => (0..rng.next() % 64).map(|_| rng.next() as u8).collect(),
+        };
+        let mut peer = TcpStream::connect(server.local_addr()).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let started = Instant::now();
+        // The server may already have hung up on an earlier byte.
+        let _ = peer.write_all(&bytes);
+        let _ = peer.shutdown(Shutdown::Write);
+        // Whatever comes back is ERR, and then the connection ends — by
+        // EOF or by reset, but not by our read timing out.
+        while let Ok(Some(kind)) = read_frame(&mut peer, &mut payload) {
+            assert_eq!(kind, kind::ERR, "round {round}: {bytes:?}");
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "round {round}: connection outlived its garbage: {bytes:?}"
+        );
+    }
+
+    // The edge the hostile peers kept greeting still works.
+    let mut sink = PageSink::connect(&server.local_addr(), 60, 1, &network).unwrap();
+    sink.send_data(0, &data_page(vec![4, 5, 6]), None).unwrap();
+    sink.finish(EndReason::ScanExhausted, None).unwrap();
+    let mut reader = registry.reader(1, 0, None).unwrap();
+    assert_eq!(drain(reader.as_mut()), vec![4, 5, 6]);
     server.shutdown();
 }
 
 #[test]
-fn unknown_query_is_rejected_with_an_error_frame() {
-    let network = NetworkConfig::builder().connect_timeout_ms(2_000).build();
+fn a_dropped_server_releases_its_port() {
+    let timeout = Duration::from_secs(2);
     let server = PageServer::bind("127.0.0.1:0").unwrap();
-    // No registry registered for query 99: the first send (or the finish)
-    // must surface an error, not hang. The HELLO itself succeeds (the
-    // server replies asynchronously), so push until the ERR lands.
-    let mut w = TcpExchangeWriter::connect(
-        &server.local_addr(),
-        99,
-        1,
-        RoutePolicy::Single,
-        1,
-        &network,
-        None,
-    )
-    .unwrap();
-    let mut failed = false;
-    for i in 0..10_000 {
-        if w.push(page(vec![i])).is_err() {
-            failed = true;
-            break;
-        }
-    }
-    assert!(failed, "unregistered query must fail the producer");
-    server.shutdown();
+    let addr = server.local_addr();
+    FrameConn::connect(&addr, timeout).expect("a live server accepts");
+    drop(server);
+    let started = Instant::now();
+    assert!(FrameConn::connect(&addr, timeout).is_err(), "still bound");
+    assert!(started.elapsed() <= timeout + Duration::from_millis(500));
 }
 
 #[test]
