@@ -146,7 +146,6 @@ pub fn run(opts: &BenchOptions) -> Result<Json> {
                 for mode in &opts.modes {
                     let elasticity = ElasticityConfig {
                         mode: ElasticityConfig::parse_mode(Some(mode)),
-                        ..ElasticityConfig::off()
                     };
                     let cell = MatrixCell {
                         dop,

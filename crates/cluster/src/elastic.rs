@@ -5,22 +5,60 @@
 //! degree of parallelism is retuned **between splits** instead of
 //! restarting the query. Three pieces cooperate:
 //!
-//! 1. **Runtime info collection** — the controller polls a
-//!    [`RuntimeCollector`], which samples each elastic stage's live scan
-//!    throughput into a per-stage `TimeSeries` (paper Fig 18) while the
-//!    query runs.
+//! 1. **Runtime info collection** — a [`RuntimeCollector`] measures each
+//!    elastic stage's scan throughput per *measurement era* (from the
+//!    stage's first scanned page, then from each retune) and keeps the
+//!    per-stage `TimeSeries` of paper Fig 18. The controller samples it when
+//!    something wakes it, never on a timer of its own.
 //! 2. **The what-if predictor** ([`WhatIfPredictor`], §5.2) — estimates the
 //!    remaining completion time under a candidate DOP as
-//!    `T_remain(d) = V_remain / (R_consume / d_now · d)`: the unclaimed
-//!    split volume over the measured per-task consume rate scaled to `d`
-//!    tasks. [`WhatIfPredictor::choose_dop`] picks the **smallest** DOP
-//!    within the stage's [`DopBounds`] whose prediction meets the deadline
-//!    (don't pay for parallelism the deadline doesn't need), or the largest
-//!    when none does.
+//!    `T_remain(d) = V_remain / (R_per_task · d)`. `V_remain` is every row
+//!    not scanned yet — the stage's total minus its scan counters, so a
+//!    split that is claimed but still being read counts — and `R_per_task`
+//!    is the era's rate over the tasks that can actually run at once.
+//!    [`WhatIfPredictor::evaluate`] turns that into a decision: the
+//!    **smallest** DOP whose prediction meets what is left of the deadline
+//!    (don't pay for parallelism the deadline doesn't need), never more
+//!    tasks than the query can occupy compute slots, and no shrink that
+//!    merely spends the head start a higher DOP has earned.
 //! 3. **The re-parallelization mechanism** — each elastic stage's scan
 //!    tasks claim splits from a shared [`SplitQueue`] whose pause threshold
 //!    makes claims block at the controller's decision boundary, so a retune
 //!    always lands between splits, never mid-split.
+//!
+//! ## Nothing here waits for a timer
+//!
+//! The controller sleeps on one [`Signal`] per query. The split queues
+//! raise it when a claim reaches the decision boundary, when a claimant
+//! parks there, when the last split is taken and when a slot is retired
+//! (remote claims come through the coordinator's claim service into the
+//! same queues); a scan task raises it once, when it has scanned enough
+//! pages for a usable sample — so the first decision of a query, and the
+//! first after a grow, comes a fraction of a millisecond into the task's
+//! first split rather than at the end of it; the scheduler raises it when
+//! a task exits, which covers stages that end early (LIMIT satisfied) and
+//! tasks unwinding from a poisoned query. Every claimed split is a boundary, and the claim that
+//! reaches it raises the signal while its task goes on to scan the split —
+//! so by the time the next claim arrives the decision has normally been
+//! taken and nobody parks at all. The single timed wait is the tick
+//! ([`SAMPLE_MIN_INTERVAL_NANOS`]): it paces the Fig-18 series and the
+//! fleet publication, and bounds the damage of an event nobody raised (a
+//! poison arriving from a peer, say).
+//!
+//! An `auto` decision wants a **usable sample** — [`MIN_SAMPLE_PAGES`]
+//! pages in the current era — and is postponed to the next event without
+//! one. But the controller **never holds a parked claimant while it waits
+//! to know more**: with someone at the boundary the stage runs below its
+//! DOP, no rows flow from that task, and the sample being waited for may
+//! never come; it decides on what it has (which, with nothing measured,
+//! is "carry on"). Every evaluation, acted on or not, is a `DecisionRecord`
+//! in the query's stats.
+//!
+//! The era's average is all the predictor has. A scan thread that loses its
+//! core for a few milliseconds early in an era reads as a scan that got
+//! slower: the stage grows, and shrinks back (where the deadline lets it)
+//! once the average has recovered. That is deliberate — a grow that turns
+//! out unnecessary costs a thread start, a late one costs the deadline.
 //!
 //! ## The EndSignal handshake (Fig 13)
 //!
@@ -56,19 +94,24 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use accordion_common::config::{ElasticityConfig, ElasticityMode};
-use accordion_common::{Result, SharedClock};
+use accordion_common::sync::Signal;
+use accordion_common::Result;
 use accordion_data::page::{EndReason, Page};
-use accordion_exec::metrics::{QueryMetrics, RetuneEvent, RuntimeCollector};
+use accordion_exec::metrics::{
+    DecisionRecord, EraSample, QueryMetrics, RetuneEvent, RuntimeCollector,
+    SAMPLE_MIN_INTERVAL_NANOS,
+};
 use accordion_exec::splits::SplitQueue;
 use accordion_net::{ExchangeRegistry, ExchangeWriter};
 use accordion_plan::fragment::DopBounds;
 
 use crate::fleet::{FleetHandle, MemberSample};
 
-/// Polls to wait for a first usable rate sample before an `Auto` decision
-/// falls back to assuming zero throughput (which predicts infinite
-/// remaining time and therefore the maximum DOP).
-const MAX_RATE_DEFERS: u32 = 256;
+/// Pages a measurement era must hold before `auto` acts on its rate: the
+/// first few pages of a task are read cache-cold between two clock reads
+/// microseconds apart, eight average that out, and a scan produces them in
+/// well under a millisecond.
+pub const MIN_SAMPLE_PAGES: u64 = 8;
 
 /// The §5.2 what-if predictor: completion-time estimates under candidate
 /// DOPs, from live runtime info.
@@ -85,9 +128,9 @@ pub struct WhatIfChoice {
 }
 
 impl WhatIfPredictor {
-    /// `T_remain = V_remain / (R_per_task · dop)`: `remaining_rows` of
-    /// unclaimed split volume consumed by `dop` tasks each sustaining
-    /// `per_task_rate` rows/second.
+    /// `T_remain = V_remain / (R_per_task · dop)`: `remaining_rows` still to
+    /// scan, consumed by `dop` tasks each sustaining `per_task_rate`
+    /// rows/second.
     pub fn predict_secs(remaining_rows: u64, per_task_rate: f64, dop: u32) -> f64 {
         if remaining_rows == 0 {
             return 0.0;
@@ -153,6 +196,114 @@ impl WhatIfPredictor {
     }
 }
 
+/// What one `auto` evaluation knows about its stage, read at one instant.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StageView {
+    /// Tasks scanning the stage now.
+    pub dop: u32,
+    pub bounds: DopBounds,
+    /// Compute slots the query's tasks can occupy at once.
+    pub slots: u32,
+    /// The fleet's DOP budget for the query, when it has company.
+    pub fleet_budget: Option<u32>,
+    /// Rows in all of the stage's splits.
+    pub total_rows: u64,
+    /// `V_remain`: `total_rows` minus what has been scanned.
+    pub unscanned_rows: u64,
+    /// The current measurement era.
+    pub sample: EraSample,
+    /// Claimants waiting at the decision boundary.
+    pub parked: u32,
+    /// The whole deadline, and what is left of it.
+    pub deadline: Duration,
+    pub budget: Duration,
+}
+
+/// What [`WhatIfPredictor::evaluate`] makes of a [`StageView`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Evaluation {
+    pub per_task_rate: f64,
+    /// The DOP that meets `budget` from here, within bounds — before the
+    /// cap and the shrink rules.
+    pub required_dop: u32,
+    /// Slots or fleet budget, whichever is smaller.
+    pub cap: u32,
+    /// The DOP to continue at.
+    pub chosen_dop: u32,
+    /// Predicted remaining time at `chosen_dop`, seconds.
+    pub predicted_secs: f64,
+    /// Too little measured and nobody waiting: ask again at the next event.
+    pub postponed: bool,
+}
+
+impl WhatIfPredictor {
+    /// One `auto` decision (see the module docs for the rules' reasons).
+    ///
+    /// * No usable sample ([`MIN_SAMPLE_PAGES`]) and nobody parked:
+    ///   postponed. Somebody parked: decide on what there is — and with
+    ///   nothing measured at all, that is "carry on", unless the deadline
+    ///   has already passed.
+    /// * Otherwise the smallest DOP that scans `unscanned_rows` within
+    ///   `budget`, at the per-task rate of the tasks that really run
+    ///   concurrently (`min(dop, slots)` — a task without a slot adds no
+    ///   throughput, so dividing by all of them would understate the rate).
+    /// * A **shrink** goes no lower than the DOP that would have met the
+    ///   whole deadline had the stage run at it from the start: a stage
+    ///   ahead of schedule got there by running wider, and dropping below
+    ///   that width just spends the head start down to a prediction that
+    ///   equals the budget — one slow split from a miss. For the same
+    ///   reason a shrink needs a prediction strictly inside the budget.
+    /// * Never above the cap: tasks beyond the query's slots (or the
+    ///   fleet's budget) queue for a slot instead of scanning.
+    pub fn evaluate(view: &StageView) -> Evaluation {
+        let occupied = view.dop.min(view.slots).max(1);
+        let rate = view.sample.rate();
+        let per_task_rate = rate / f64::from(occupied);
+        let cap = view.fleet_budget.map_or(view.slots, |b| b.min(view.slots));
+        let predict = |dop: u32| Self::predict_secs(view.unscanned_rows, per_task_rate, dop);
+        let stay = |postponed: bool| Evaluation {
+            per_task_rate,
+            required_dop: view.dop,
+            cap,
+            chosen_dop: view.dop,
+            predicted_secs: predict(view.dop),
+            postponed,
+        };
+        if view.sample.pages < MIN_SAMPLE_PAGES && view.parked == 0 {
+            return stay(true);
+        }
+        if view.sample.rows == 0 && !view.budget.is_zero() {
+            return stay(false);
+        }
+        let required = Self::choose_dop(
+            view.unscanned_rows,
+            rate,
+            occupied,
+            view.bounds,
+            view.budget,
+        )
+        .dop;
+        let mut chosen = required;
+        if chosen < view.dop {
+            let steady =
+                Self::choose_dop(view.total_rows, rate, occupied, view.bounds, view.deadline).dop;
+            chosen = chosen.max(steady.min(view.dop));
+            if predict(chosen) >= view.budget.as_secs_f64() {
+                chosen = view.dop;
+            }
+        }
+        let chosen_dop = view.bounds.clamp(chosen.min(cap));
+        Evaluation {
+            per_task_rate,
+            required_dop: required,
+            cap,
+            chosen_dop,
+            predicted_secs: predict(chosen_dop),
+            postponed: false,
+        }
+    }
+}
+
 /// One elastic Source stage under controller management.
 pub struct StageControl {
     pub stage: u32,
@@ -167,7 +318,6 @@ pub struct StageControl {
     /// docs). `None` once released.
     lease: Option<Box<dyn ExchangeWriter>>,
     done: bool,
-    defers: u32,
 }
 
 impl StageControl {
@@ -187,7 +337,6 @@ impl StageControl {
             next_slot: initial_dop,
             lease: Some(lease),
             done: false,
-            defers: 0,
         }
     }
 
@@ -223,66 +372,87 @@ impl Drop for StageControl {
 /// and applies DOP retunes at between-splits decision boundaries.
 pub struct ElasticityController {
     config: ElasticityConfig,
+    /// Also the deadline's anchor: every `Auto` decision budgets against
+    /// the deadline **minus [`QueryMetrics::elapsed`]** — handing the
+    /// predictor the full deadline at every boundary would let a query
+    /// halfway through its budget keep planning as if untouched. (Its clock
+    /// is injectable via `QueryMetrics::with_clock` for deterministic
+    /// tests.)
     metrics: Arc<QueryMetrics>,
     collector: RuntimeCollector,
     stages: Vec<StageControl>,
-    /// The query-start anchor for deadline accounting, on the metrics
-    /// clock (injectable via `QueryMetrics::with_clock` for deterministic
-    /// tests). Every `Auto` decision budgets against the deadline **minus
-    /// elapsed time since this instant** — handing the predictor the full
-    /// deadline at every boundary would let a query halfway through its
-    /// budget keep planning as if untouched.
-    clock: SharedClock,
-    start_nanos: u64,
+    /// Compute slots the query's tasks can occupy at once — the pool's
+    /// `worker_threads`, times the nodes of a distributed query. `Auto`
+    /// never asks for more tasks than this.
+    slots: u32,
+    /// Where [`Self::run`] sleeps; raised by the stages' split queues and,
+    /// through [`Self::signal`], by the scheduler when a task exits.
+    signal: Arc<Signal>,
     /// Fleet membership, when this query participates in cross-query DOP
     /// arbitration (see [`crate::fleet`]). `None` = solo behavior.
     fleet: Option<FleetHandle>,
 }
 
 impl ElasticityController {
-    /// Builds the controller and arms every stage's first decision
-    /// boundary (`decide_every_splits` claims in). Call before any task
-    /// starts claiming.
+    /// Builds the controller, has every stage's queue raise its signal and
+    /// arms the first decision boundary (one claim in). Call before any
+    /// task starts claiming.
     pub fn new(
         config: ElasticityConfig,
         metrics: Arc<QueryMetrics>,
         stages: Vec<StageControl>,
+        slots: u32,
     ) -> Self {
         let ids: Vec<u32> = stages.iter().map(|s| s.stage).collect();
         let collector = RuntimeCollector::new(metrics.clone(), &ids);
-        let first_boundary = config.decide_every_splits.max(1);
+        let signal = Arc::new(Signal::new());
         for st in &stages {
-            st.queue.set_pause_after(Some(first_boundary));
+            st.queue.watch(signal.clone());
+            st.queue.set_pause_after(Some(1));
         }
-        let clock = metrics.clock();
-        let start_nanos = clock.now_nanos();
+        // A task's first page opens its era and is not part of it.
+        metrics.watch_scans(MIN_SAMPLE_PAGES + 1, signal.clone());
         ElasticityController {
             config,
             metrics,
             collector,
             stages,
-            clock,
-            start_nanos,
+            slots: slots.max(1),
+            signal,
             fleet: None,
         }
     }
 
-    /// Joins this query to a fleet: its controller publishes live samples
-    /// each poll and clamps `Auto` decisions to the budget the fleet
-    /// grants. The handle's drop (with the controller) deregisters the
-    /// query.
+    /// The controller's wake-up signal, for events its split queues cannot
+    /// see: the scheduler raises it whenever one of the query's tasks exits.
+    pub fn signal(&self) -> Arc<Signal> {
+        self.signal.clone()
+    }
+
+    /// Joins this query to a fleet: its controller publishes a live sample
+    /// whenever it wakes and clamps `Auto` decisions to the budget the
+    /// fleet grants. The handle's drop (with the controller) deregisters
+    /// the query.
     pub fn attach_fleet(&mut self, fleet: FleetHandle) {
         self.fleet = Some(fleet);
     }
 
     /// Deadline budget still available at this instant: the configured
-    /// deadline minus time elapsed since the controller was built
-    /// (query start). Saturates at zero — an exhausted budget flows into
-    /// [`WhatIfPredictor::choose_dop`]'s unmeetable-deadline path, which
-    /// takes the maximum DOP in bounds.
+    /// deadline minus time elapsed since query start. Saturates at zero —
+    /// an exhausted budget flows into [`WhatIfPredictor::choose_dop`]'s
+    /// unmeetable-deadline path, which takes the maximum DOP in bounds.
     fn remaining_budget(&self, deadline_ms: u64) -> Duration {
-        let elapsed = Duration::from_nanos(self.clock.now_nanos().saturating_sub(self.start_nanos));
-        Duration::from_millis(deadline_ms).saturating_sub(elapsed)
+        Duration::from_millis(deadline_ms).saturating_sub(self.metrics.elapsed())
+    }
+
+    /// `V_remain` of one stage: every row not scanned yet. Counting only
+    /// the *unclaimed* splits would leave out the ones being read right
+    /// now — up to a split per task, which late in a stage is most of what
+    /// remains.
+    fn unscanned_rows(&self, st: &StageControl) -> u64 {
+        st.queue
+            .total_rows()
+            .saturating_sub(self.metrics.operator_rows(st.stage, "TableScan"))
     }
 
     /// Publishes this query's aggregate live state to the fleet and gives
@@ -298,7 +468,7 @@ impl ElasticityController {
             if st.done {
                 continue;
             }
-            remaining_rows += st.queue.remaining_rows();
+            remaining_rows += self.unscanned_rows(st);
             let rate = self.collector.last_rate(st.stage);
             if rate.is_finite() && rate > 0.0 {
                 measured_rate += rate;
@@ -314,9 +484,13 @@ impl ElasticityController {
     }
 
     /// Runs the control loop until every elastic stage's split queue is
-    /// exhausted (or the registry is poisoned): samples runtime info each
-    /// poll, and at each due decision boundary consults the schedule or the
-    /// what-if predictor and applies the retune. `spawn` launches one new
+    /// exhausted (or the registry is poisoned). One pass: sample the
+    /// runtime info (the series keeps at most one point per tick), publish
+    /// to the fleet, retire finished stages, and for each stage whose
+    /// decision is due consult the schedule or the what-if predictor and
+    /// apply the retune. Then sleep until the next event — a claim at a
+    /// boundary, a parked claimant, the last split, a retirement, a task
+    /// exit — or the tick, whichever is first. `spawn` launches one new
     /// task `(stage, slot)` on the scheduler's pool — it is only called
     /// after the stage's edge has been re-registered at the larger DOP.
     pub fn run(
@@ -328,6 +502,7 @@ impl ElasticityController {
             if registry.poison_error().is_some() {
                 break;
             }
+            self.metrics.record_controller_wakeup();
             self.collector.sample();
             self.publish_to_fleet();
             let mut pending = false;
@@ -359,23 +534,57 @@ impl ElasticityController {
             if !pending {
                 break;
             }
-            std::thread::sleep(Duration::from_micros(self.config.poll_interval_us.max(1)));
+            self.signal
+                .wait_timeout(Duration::from_nanos(SAMPLE_MIN_INTERVAL_NANOS));
         }
         for st in &mut self.stages {
             st.finish();
         }
     }
 
-    /// One decision for stage `i`, applied at its paused split boundary.
+    /// One `Auto` evaluation of stage `i`, recorded whatever comes of it.
+    fn evaluate(&self, i: usize, deadline_ms: u64) -> Evaluation {
+        let st = &self.stages[i];
+        let view = StageView {
+            dop: st.dop(),
+            bounds: st.bounds,
+            slots: self.slots,
+            fleet_budget: self.fleet.as_ref().and_then(FleetHandle::budget),
+            total_rows: st.queue.total_rows(),
+            unscanned_rows: self.unscanned_rows(st),
+            // Fresh, and a point of the series whatever the tick says.
+            sample: self.collector.sample_stage(st.stage),
+            parked: st.queue.parked(),
+            deadline: Duration::from_millis(deadline_ms),
+            budget: self.remaining_budget(deadline_ms),
+        };
+        let eval = WhatIfPredictor::evaluate(&view);
+        self.metrics.record_decision(DecisionRecord {
+            at_ms: self.metrics.elapsed().as_secs_f64() * 1e3,
+            stage: st.stage,
+            dop: view.dop,
+            unscanned_rows: view.unscanned_rows,
+            per_task_rate: eval.per_task_rate,
+            budget_ms: view.budget.as_secs_f64() * 1e3,
+            required_dop: eval.required_dop,
+            cap: eval.cap,
+            chosen_dop: eval.chosen_dop,
+            parked: view.parked,
+            postponed: eval.postponed,
+        });
+        eval
+    }
+
+    /// One decision for stage `i`, whose boundary has been reached.
     fn decide(
         &mut self,
         i: usize,
         registry: &ExchangeRegistry,
         spawn: &mut dyn FnMut(u32, u32) -> Result<()>,
     ) -> Result<()> {
-        let (stage, bounds, dop) = {
+        let (bounds, dop) = {
             let st = &self.stages[i];
-            (st.stage, st.bounds, st.dop())
+            (st.bounds, st.dop())
         };
         let (target, predicted_secs) = match self.config.mode {
             ElasticityMode::Off => return Ok(()),
@@ -391,31 +600,14 @@ impl ElasticityController {
                 (bounds.clamp(next), 0.0)
             }
             ElasticityMode::Auto { deadline_ms } => {
-                // The predictor reads a fresh live sample taken at the
-                // decision boundary. Before any rows have flowed there is
-                // nothing to extrapolate from: defer the decision a bounded
-                // number of polls (the already-claimed splits keep scanning
-                // meanwhile, so a sample appears quickly on any non-empty
-                // table).
-                let rate = self.collector.sample_stage(stage);
-                if rate <= 0.0 && self.stages[i].defers < MAX_RATE_DEFERS {
-                    self.stages[i].defers += 1;
+                let eval = self.evaluate(i, deadline_ms);
+                if eval.postponed {
+                    // The boundary stays where it is: whoever claims next
+                    // parks at it and raises the signal, and then the
+                    // decision is taken on whatever has been measured.
                     return Ok(());
                 }
-                let choice = WhatIfPredictor::choose_dop(
-                    self.stages[i].queue.remaining_rows(),
-                    rate,
-                    dop,
-                    bounds,
-                    self.remaining_budget(deadline_ms),
-                );
-                // A fleet budget caps what this query may take from the
-                // shared pool; the stage still keeps its own minimum.
-                let target = match self.fleet.as_ref().and_then(FleetHandle::budget) {
-                    Some(cap) => bounds.clamp(choice.dop.min(cap)),
-                    None => choice.dop,
-                };
-                (target, choice.predicted_secs)
+                (eval.chosen_dop, eval.predicted_secs)
             }
         };
 
@@ -424,22 +616,13 @@ impl ElasticityController {
         // Arm the next boundary — or, for one-shot forced schedules, go
         // passive: release the queue so claims never block again.
         match self.config.mode {
-            ElasticityMode::Auto { .. } => {
-                // Exponential cadence: boundaries at ~1, 2, 4, 8… claimed
-                // splits (never closer than `decide_every_splits`). Early
-                // decisions stay early, but total controller overhead is
-                // O(log splits) — pausing the stage at every single claim
-                // would serialize the scan through the poll loop.
+            // Every claimed split is a boundary. That costs one wake-up of
+            // this thread per split and, as a rule, no waiting: the claim
+            // that reaches the boundary raises the signal and goes off to
+            // scan, and the boundary has moved on before the next claim.
+            ElasticityMode::Auto { .. } | ElasticityMode::Cycle { .. } => {
                 let claimed = self.stages[i].queue.claimed();
-                let step = self.config.decide_every_splits.max(1).max(claimed);
-                self.stages[i].queue.set_pause_after(Some(claimed + step));
-            }
-            ElasticityMode::Cycle { .. } => {
-                // Fixed cadence: the cycle schedule wants *many* retunes per
-                // query, so every `decide_every_splits` claims is a boundary.
-                let claimed = self.stages[i].queue.claimed();
-                let step = self.config.decide_every_splits.max(1);
-                self.stages[i].queue.set_pause_after(Some(claimed + step));
+                self.stages[i].queue.set_pause_after(Some(claimed + 1));
             }
             // One-shot forced schedules go passive after their decision.
             _ => self.stages[i].queue.release(),
@@ -468,6 +651,10 @@ impl ElasticityController {
         if target == dop {
             return Ok(());
         }
+        // Before the first thread is spawned: `first_page_ms` counts from
+        // here.
+        let at_ms = self.metrics.elapsed().as_secs_f64() * 1e3;
+        let mut spawned = Vec::new();
         if target > dop {
             // Grow: extend the edge's producer set first, then spawn — a
             // new task must never push into an edge that does not yet
@@ -479,6 +666,7 @@ impl ElasticityController {
                 self.stages[i].next_slot += 1;
                 self.stages[i].active.push(slot);
                 spawn(stage, slot)?;
+                spawned.push(slot);
             }
         } else {
             // Shrink: retire the most recently added slots; each retired
@@ -489,13 +677,20 @@ impl ElasticityController {
                 }
             }
         }
-        self.metrics.record_retune(RetuneEvent {
-            stage,
-            from_dop: dop,
-            to_dop: target,
-            splits_claimed: self.stages[i].queue.claimed(),
-            predicted_secs,
-        });
+        self.metrics.record_retune(
+            RetuneEvent {
+                stage,
+                from_dop: dop,
+                to_dop: target,
+                splits_claimed: self.stages[i].queue.claimed(),
+                predicted_secs,
+                at_ms,
+                // Known once a spawned task has scanned a page: the
+                // snapshot fills it in.
+                first_page_ms: None,
+            },
+            spawned,
+        );
         self.collector.reset_baseline(stage);
         Ok(())
     }
@@ -596,7 +791,8 @@ mod tests {
         // full-deadline bug, both decisions below were identical.
         let clock = ManualClock::shared();
         let metrics = Arc::new(QueryMetrics::with_clock(clock.clone()));
-        let ctrl = ElasticityController::new(ElasticityConfig::auto(10_000), metrics, Vec::new());
+        let ctrl =
+            ElasticityController::new(ElasticityConfig::auto(10_000), metrics, Vec::new(), 4);
 
         // 1000 rows left, 100 rows/s measured at 2 tasks → 50 rows/s/task.
         let decide = |budget: Duration| {
@@ -624,6 +820,258 @@ mod tests {
         clock.advance_millis(60_000);
         assert_eq!(ctrl.remaining_budget(10_000), Duration::ZERO);
         assert_eq!(decide(ctrl.remaining_budget(10_000)), 8);
+    }
+
+    /// A stage a fifth of the way through a million rows at dop 1, scanning
+    /// a million rows a second, with a second's deadline and 0.9 s of it
+    /// left: on schedule, exactly.
+    fn view() -> StageView {
+        StageView {
+            dop: 1,
+            bounds: bounds(1, 8),
+            slots: 4,
+            fleet_budget: None,
+            total_rows: 1_000_000,
+            unscanned_rows: 900_000,
+            sample: EraSample {
+                rows: 100_000,
+                pages: 100,
+                secs: 0.1,
+            },
+            parked: 0,
+            deadline: Duration::from_secs(1),
+            budget: Duration::from_millis(900),
+        }
+    }
+
+    #[test]
+    fn a_thin_sample_is_not_acted_on_unless_a_claimant_is_parked() {
+        // Three pages at a rate that, believed, calls for dop 2.
+        let thin = StageView {
+            sample: EraSample {
+                rows: 1_500,
+                pages: MIN_SAMPLE_PAGES - 1,
+                secs: 0.003,
+            },
+            ..view()
+        };
+        let e = WhatIfPredictor::evaluate(&thin);
+        assert!(e.postponed);
+        assert_eq!(e.chosen_dop, 1);
+        // With a claimant at the boundary there is no waiting to know more.
+        let e = WhatIfPredictor::evaluate(&StageView { parked: 1, ..thin });
+        assert!(!e.postponed);
+        assert_eq!((e.required_dop, e.chosen_dop), (2, 2));
+        // The same sample one page later is usable with nobody parked.
+        let mut usable = thin;
+        usable.sample.pages = MIN_SAMPLE_PAGES;
+        assert!(!WhatIfPredictor::evaluate(&usable).postponed);
+    }
+
+    #[test]
+    fn with_nothing_measured_a_parked_claimant_is_sent_on_at_the_same_dop() {
+        // Every task parks before a row has flowed (single-page splits):
+        // waiting for a sample would wait forever, and "no throughput →
+        // infinite time → maximum DOP" would grow on no evidence at all.
+        let blind = StageView {
+            sample: EraSample::default(),
+            parked: 1,
+            ..view()
+        };
+        let e = WhatIfPredictor::evaluate(&blind);
+        assert!(!e.postponed);
+        assert_eq!(e.chosen_dop, 1);
+        // A deadline already missed needs no rate to call for everything.
+        let e = WhatIfPredictor::evaluate(&StageView {
+            budget: Duration::ZERO,
+            ..blind
+        });
+        assert_eq!((e.required_dop, e.cap, e.chosen_dop), (8, 4, 4));
+    }
+
+    #[test]
+    fn auto_never_targets_more_tasks_than_the_query_has_slots_or_budget() {
+        let hopeless = StageView {
+            budget: Duration::from_millis(1),
+            ..view()
+        };
+        let e = WhatIfPredictor::evaluate(&hopeless);
+        assert_eq!((e.required_dop, e.cap, e.chosen_dop), (8, 4, 4));
+        let e = WhatIfPredictor::evaluate(&StageView {
+            slots: 2,
+            ..hopeless
+        });
+        assert_eq!((e.cap, e.chosen_dop), (2, 2));
+        // A fleet budget below the slots caps further, and shrinks a stage
+        // that is already above it whatever its own deadline says.
+        let e = WhatIfPredictor::evaluate(&StageView {
+            dop: 3,
+            fleet_budget: Some(1),
+            ..hopeless
+        });
+        assert_eq!((e.cap, e.chosen_dop), (1, 1));
+        // Four tasks on two slots scan at the rate of two: the per-task
+        // rate divides by the slots they can occupy, not by their number.
+        let e = WhatIfPredictor::evaluate(&StageView {
+            dop: 4,
+            slots: 2,
+            ..view()
+        });
+        assert!((e.per_task_rate - 500_000.0).abs() < 1e-6);
+    }
+
+    /// `view()` later on at dop 2: two million rows a second.
+    fn ahead(unscanned_rows: u64, budget_ms: u64) -> StageView {
+        StageView {
+            dop: 2,
+            unscanned_rows,
+            sample: EraSample {
+                rows: 200_000,
+                pages: 200,
+                secs: 0.1,
+            },
+            budget: Duration::from_millis(budget_ms),
+            // Loose enough that dop 1 would have done from the start.
+            deadline: Duration::from_secs(10),
+            ..view()
+        }
+    }
+
+    #[test]
+    fn a_prediction_equal_to_the_budget_does_not_shrink() {
+        // 500k rows at a million a second per task: dop 1 predicts 0.5 s.
+        let e = WhatIfPredictor::evaluate(&ahead(500_000, 500));
+        assert_eq!(e.required_dop, 1, "dop 1 meets the budget to the µs");
+        assert_eq!(e.chosen_dop, 2, "which leaves nothing for a slow split");
+        assert_eq!(
+            WhatIfPredictor::evaluate(&ahead(500_000, 501)).chosen_dop,
+            1
+        );
+    }
+
+    #[test]
+    fn a_shrink_does_not_spend_the_head_start_of_the_dop_that_earned_it() {
+        // A million rows in 0.7 s needs dop 2 from the start. 0.35 s in,
+        // dop 2 has scanned 700k; the other 300k would fit the remaining
+        // 0.35 s at dop 1 — only because dop 2 ran so far. Keep it.
+        let tight = StageView {
+            deadline: Duration::from_millis(700),
+            ..ahead(300_000, 350)
+        };
+        let e = WhatIfPredictor::evaluate(&tight);
+        assert_eq!((e.required_dop, e.chosen_dop), (1, 2));
+        // Under a deadline dop 1 could have met alone, the same position
+        // does shrink.
+        assert_eq!(
+            WhatIfPredictor::evaluate(&ahead(300_000, 350)).chosen_dop,
+            1
+        );
+    }
+
+    /// A one-stage registry and a controller over `splits` for stage 1,
+    /// whose metrics run on a manual clock.
+    fn controlled(
+        config: ElasticityConfig,
+        splits: Vec<accordion_storage::split::Split>,
+    ) -> (
+        Arc<ExchangeRegistry>,
+        Arc<QueryMetrics>,
+        Arc<SplitQueue>,
+        ElasticityController,
+    ) {
+        use accordion_net::{EdgeSpec, ExchangeTopology, RoutePolicy};
+
+        let topology =
+            ExchangeTopology::new(0).edge(EdgeSpec::local(1, 1, RoutePolicy::Single, 1).leased());
+        let registry = ExchangeRegistry::build_in_process(&topology).unwrap();
+        let metrics = Arc::new(QueryMetrics::with_clock(
+            accordion_common::ManualClock::shared(),
+        ));
+        let queue = Arc::new(SplitQueue::new(splits));
+        let lease = registry.writer(1, u32::MAX, None).unwrap();
+        let stage = StageControl::new(1, bounds(1, 8), 1, queue.clone(), lease);
+        let ctrl = ElasticityController::new(config, metrics.clone(), vec![stage], 2);
+        (registry, metrics, queue, ctrl)
+    }
+
+    fn split(id: u64, rows: i64) -> accordion_storage::split::Split {
+        use accordion_data::column::Column;
+        use accordion_data::page::DataPage;
+        use accordion_storage::split::{Split, SplitData};
+
+        let page = DataPage::new(vec![Column::from_i64((0..rows).collect())]);
+        Split {
+            id: accordion_common::SplitId(id),
+            node: accordion_common::NodeId(0),
+            table: "t".into(),
+            rows: page.row_count() as u64,
+            bytes: page.byte_size() as u64,
+            data: SplitData::Memory(Arc::new(vec![page])),
+        }
+    }
+
+    #[test]
+    fn v_remain_includes_a_split_that_is_claimed_but_not_scanned() {
+        let (_registry, metrics, queue, ctrl) = controlled(
+            ElasticityConfig::auto(1_000),
+            vec![split(0, 10), split(1, 10)],
+        );
+        let scan = metrics.register(1, 0, 0, "TableScan");
+        assert!(queue.claim(0, None).is_some());
+        assert_eq!(queue.remaining_rows(), 10, "what the unclaimed splits hold");
+        assert_eq!(
+            ctrl.unscanned_rows(&ctrl.stages[0]),
+            20,
+            "what is left to do"
+        );
+        scan.record_page(4, 32);
+        assert_eq!(ctrl.unscanned_rows(&ctrl.stages[0]), 16);
+    }
+
+    #[test]
+    fn a_poison_nobody_signals_ends_the_controller_within_a_tick() {
+        use std::sync::mpsc;
+
+        // `Off` makes no decision, so the claimant below stays parked and,
+        // once it has, nothing raises the signal again — the state of a
+        // query whose only scan task waits at the boundary while the
+        // failure happens somewhere that cannot wake the controller.
+        let (registry, _metrics, queue, ctrl) = controlled(
+            ElasticityConfig::off(),
+            vec![split(0, 1), split(1, 1), split(2, 1)],
+        );
+        let signal = ctrl.signal();
+        // A producer that never finishes keeps the stage pending.
+        let _task_writer = registry.writer(1, 0, None).unwrap();
+        let claimant = {
+            let queue = queue.clone();
+            std::thread::spawn(move || {
+                assert!(queue.claim(0, None).is_some());
+                queue.claim(0, None)
+            })
+        };
+        while queue.parked() == 0 {
+            signal.wait_timeout(Duration::from_secs(30));
+        }
+        let (done, finished) = mpsc::channel();
+        let controller = {
+            let registry = registry.clone();
+            std::thread::spawn(move || {
+                ctrl.run(&registry, &mut |_, _| Ok(()));
+                done.send(()).unwrap();
+            })
+        };
+        assert!(
+            finished.recv_timeout(Duration::from_millis(100)).is_err(),
+            "nothing is wrong yet: the controller waits"
+        );
+        registry.poison(accordion_common::AccordionError::Execution("boom".into()));
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the tick must have shown the controller the poison");
+        controller.join().unwrap();
+        // Leaving, it released the queue: the claimant is not stranded.
+        assert!(claimant.join().unwrap().is_some());
     }
 
     #[test]

@@ -22,11 +22,15 @@
 //!   executor-centric reallocation shape on our slot economy.
 //!
 //! The per-query [`crate::elastic::ElasticityController`] holds a
-//! [`FleetHandle`]: it publishes its live sample every poll, gives the
+//! [`FleetHandle`]: whenever it wakes — at a split-queue event, or at the
+//! 10 ms tick when there is none — it publishes its live sample, gives the
 //! arbiter a chance to run, and clamps its own what-if choice to the
-//! budget the fleet granted. Budgets are *targets handed to the existing
-//! per-stage retune path*, not preemption — a shrunk query retires task
-//! slots at its next split boundary exactly like any other shrink.
+//! budget the fleet granted. A query with no company has no budget
+//! (`None`) and is capped by the pool itself: its controller never asks
+//! for more tasks than the executor has compute slots. Budgets are
+//! *targets handed to the existing per-stage retune path*, not preemption
+//! — a shrunk query retires task slots at its next split boundary exactly
+//! like any other shrink.
 //!
 //! Everything here is clock-driven through `accordion_common::clock`, so
 //! fleet arbitration is deterministic under a [`ManualClock`] in tests.
@@ -189,8 +193,9 @@ pub struct FleetConfig {
     /// `worker_threads`.
     pub total_slots: u32,
     /// Minimum interval between arbitration rounds, milliseconds. Every
-    /// member's controller poll offers to arbitrate; the interval keeps the
-    /// fleet from re-deciding on every 200 µs poll.
+    /// member's controller offers to arbitrate each time it wakes, which
+    /// with short splits and several members is far more often than
+    /// budgets are worth re-deciding.
     pub arbitrate_every_ms: u64,
 }
 
@@ -204,10 +209,12 @@ impl Default for FleetConfig {
 }
 
 /// One query's live runtime sample, as published by its elasticity
-/// controller each poll — the fleet-level mirror of the §5.2 inputs.
+/// controller each time it wakes — the fleet-level mirror of the §5.2
+/// inputs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemberSample {
-    /// Unclaimed split volume across the query's elastic stages, rows.
+    /// Rows not scanned yet across the query's elastic stages, in claimed
+    /// and unclaimed splits alike.
     pub remaining_rows: u64,
     /// Measured scan throughput at the current DOP, rows/second.
     pub measured_rate: f64,
@@ -322,16 +329,16 @@ impl FleetController {
         self.state.lock().members.remove(&query_id);
     }
 
-    /// Publishes a query's live sample (called from its controller poll).
+    /// Publishes a query's live sample (called by its controller).
     pub fn publish(&self, query_id: u64, sample: MemberSample) {
         if let Some(m) = self.state.lock().members.get_mut(&query_id) {
             m.sample = Some(sample);
         }
     }
 
-    /// The DOP budget most recently granted to `query_id` (`None` =
-    /// uncapped: unknown query, no round yet, or fewer than two live
-    /// members — a lone query owns the pool).
+    /// The DOP budget most recently granted to `query_id` (`None` = no
+    /// budget: unknown query, no round yet, or fewer than two live members
+    /// — a lone query owns the pool, and the pool's slots are its cap).
     pub fn budget(&self, query_id: u64) -> Option<u32> {
         self.state
             .lock()
@@ -535,7 +542,8 @@ impl FleetHandle {
         self.fleet.maybe_arbitrate();
     }
 
-    /// This query's current DOP budget (`None` = uncapped).
+    /// This query's current DOP budget (`None` = alone: the pool is the
+    /// cap).
     pub fn budget(&self) -> Option<u32> {
         self.fleet.budget(self.query_id)
     }

@@ -50,6 +50,9 @@
 //! output edge carries the controller's writer lease, and an
 //! [`ElasticityController`] thread retunes the stage's DOP between splits
 //! — see `crate::elastic` for the mechanism and the EndSignal handshake.
+//! That thread sleeps until something happens: the split queues wake it at
+//! their decision boundaries, and every task of the query wakes it when it
+//! exits.
 //!
 //! ## Error propagation
 //!
@@ -58,8 +61,10 @@
 //! links, on every other: all sibling tasks unwind with the original error
 //! the next time they touch an endpoint, the coordinator's result drain
 //! fails fast, and every node's run returns that first error. The
-//! controller observes the poison, releases its split queues and leases,
-//! and exits — no claimant stays parked at a decision boundary.
+//! controller observes the poison — woken by the first task that unwinds,
+//! or within one tick if the only claimant is parked and nothing else
+//! runs — releases its split queues and leases, and exits: no claimant
+//! stays parked at a decision boundary.
 //!
 //! [`SplitQueue`]: accordion_exec::splits::SplitQueue
 //! [`ElasticityController`]: crate::elastic::ElasticityController
@@ -71,7 +76,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use accordion_common::config::ElasticityMode;
-use accordion_common::sync::{Mutex, Semaphore};
+use accordion_common::sync::{Mutex, Semaphore, Signal};
 use accordion_common::{AccordionError, NodeId, Result, StageId};
 use accordion_exec::driver::{run_task, TaskContext};
 use accordion_exec::executor::{drain_result, ExecOptions, QueryResult};
@@ -409,12 +414,15 @@ where
     }
 
     /// Runs one task to completion on the current thread, recording the
-    /// first failure and poisoning the exchanges on error or panic.
+    /// first failure and poisoning the exchanges on error or panic. Its
+    /// exit — clean, failed or unwinding from someone else's poison — is an
+    /// event for the elasticity controller, whose signal `exited` is.
     fn run_task(
         &self,
         spec: TaskSpec,
         metrics: &Arc<QueryMetrics>,
         first_err: &Mutex<Option<AccordionError>>,
+        exited: Option<&Signal>,
     ) {
         self.gate.acquire();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -446,6 +454,9 @@ where
         if let Some(e) = err {
             first_err.lock().get_or_insert(e.clone());
             self.registry.poison(e);
+        }
+        if let Some(signal) = exited {
+            signal.raise();
         }
     }
 
@@ -527,7 +538,11 @@ where
         let controller = if controls.is_empty() {
             None
         } else {
-            let mut ctrl = ElasticityController::new(opts.elasticity, metrics.clone(), controls);
+            // The query's tasks can occupy this node's slots and, spread
+            // over a fleet, as many again on every other node.
+            let slots = self.fleet.config().total_slots.saturating_mul(role.nodes);
+            let mut ctrl =
+                ElasticityController::new(opts.elasticity, metrics.clone(), controls, slots);
             // Deadline-driven queries join the fleet: their budgets are
             // arbitrated against every other live Auto query on this pool.
             if let ElasticityMode::Auto { deadline_ms } = opts.elasticity.mode {
@@ -549,14 +564,17 @@ where
         };
 
         let first_err = Mutex::new(None);
+        let exited = controller.as_ref().map(ElasticityController::signal);
         let (this, metrics, first_err) = (&self, &metrics, &first_err);
-        let (pipelines, feed) = (&pipelines, &feed);
+        let (pipelines, feed, exited) = (&pipelines, &feed, exited.as_deref());
 
         let mut pages = Vec::new();
         std::thread::scope(|scope| {
-            for spec in specs {
-                scope.spawn(move || this.run_task(spec, metrics, first_err));
-            }
+            // The controller first: a thread spawned while a scan task
+            // already has a core can sit behind it in the run queue for a
+            // scheduler slice — milliseconds in which the first decision
+            // of the query is not taken. Started first, it is asleep on
+            // its signal by then, and a wake-up does not queue.
             if let Some(controller) = controller {
                 scope.spawn(move || {
                     // Grown tasks join the same scope and slot pool. The
@@ -574,11 +592,14 @@ where
                             output: registry.writer(stage, slot, Some(gate.clone()))?,
                             split_feed: Some(feed(stage, slot).ok_or_else(not_elastic)?),
                         };
-                        scope.spawn(move || this.run_task(spec, metrics, first_err));
+                        scope.spawn(move || this.run_task(spec, metrics, first_err, exited));
                         Ok(())
                     };
                     controller.run(registry, &mut spawn);
                 });
+            }
+            for spec in specs {
+                scope.spawn(move || this.run_task(spec, metrics, first_err, exited));
             }
             // Drain the root stage's stream while tasks run; on poison the
             // drain errors out and the scope joins the unwinding tasks.

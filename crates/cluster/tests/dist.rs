@@ -276,10 +276,7 @@ fn forced_grow_and_shrink_stay_lossless_across_nodes() {
         let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(start_dop));
         let tree = Arc::new(StageTree::build(optimizer.optimize(&group_by).unwrap()).unwrap());
         let elastic_opts = ExecOptions {
-            elasticity: ElasticityConfig {
-                mode,
-                ..ElasticityConfig::default()
-            },
+            elasticity: ElasticityConfig { mode },
             ..plain.clone()
         };
         let (result, remote_slots) = run_two_nodes(&c, &tree, &elastic_opts, query);

@@ -9,6 +9,8 @@
 //! collector; a third pins down the collector output itself (monotone
 //! samples) and the retune log.
 
+mod common;
+
 use accordion_cluster::QueryExecutor;
 use accordion_common::config::{ElasticityConfig, NetworkConfig};
 use accordion_common::ElasticityMode;
@@ -17,11 +19,10 @@ use accordion_data::types::{DataType, Value};
 use accordion_exec::{execute_tree, ExecOptions, QueryResult};
 use accordion_expr::agg::AggKind;
 use accordion_expr::scalar::Expr;
-use accordion_plan::fragment::StageTree;
-use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::LogicalPlanBuilder;
 use accordion_storage::catalog::Catalog;
 use accordion_storage::table::{PartitioningScheme, TableBuilder};
+use common::{split_catalog, tree_at, wide_opts, wide_sum};
 
 fn i(v: i64) -> Value {
     Value::Int64(v)
@@ -135,11 +136,6 @@ fn opts(worker_threads: usize, elasticity: ElasticityConfig) -> ExecOptions {
         .elasticity(elasticity)
 }
 
-fn tree_at(builder: &LogicalPlanBuilder, dop: u32) -> StageTree {
-    let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(dop));
-    StageTree::build(optimizer.optimize(&builder.clone().build()).unwrap()).unwrap()
-}
-
 /// Static reference result: the serial in-process executor at DOP 1.
 fn reference(c: &Catalog, builder: &LogicalPlanBuilder) -> (Vec<Vec<Value>>, u64) {
     let tree = tree_at(builder, 1);
@@ -224,10 +220,11 @@ fn forced_shrink_4_to_1_matches_static_results_across_golden_suite() {
 }
 
 #[test]
-fn auto_mode_grows_to_bounds_max_under_impossible_deadline() {
-    // Deadline 0: no DOP can meet it, so the what-if predictor — reading
-    // the live TimeSeries sample taken at the decision boundary — picks the
-    // largest DOP in bounds (default 1..=8).
+fn auto_mode_grows_to_the_pool_under_an_impossible_deadline() {
+    // Deadline 0: no DOP can meet it, so the what-if predictor asks for the
+    // largest DOP in bounds (default 1..=8) — and gets the four tasks the
+    // executor has compute slots for. A fifth would only queue for a slot
+    // one of the four holds: more threads, no more parallelism.
     let c = catalog();
     let builder = {
         let b = LogicalPlanBuilder::scan(&c, "sales").unwrap();
@@ -238,23 +235,34 @@ fn auto_mode_grows_to_bounds_max_under_impossible_deadline() {
     let tree = tree_at(&builder, 1);
     let executor = QueryExecutor::new(opts(4, ElasticityConfig::auto(0)));
     let result = executor.execute_tree(&c, &tree).unwrap();
-    assert_elastic_run("auto-grow", &result, &ref_rows, ref_scans, 1, 8);
+    assert_elastic_run("auto-grow", &result, &ref_rows, ref_scans, 1, 4);
     // The predictor-driven decision carries its remaining-time estimate.
     let retune = result
         .stats()
         .retunes
         .iter()
-        .find(|r| r.to_dop == 8)
+        .find(|r| r.to_dop == 4)
         .unwrap();
     assert!(retune.predicted_secs > 0.0);
     // The decision consumed a live sample: the stage's series has one, and
-    // scanning had begun by then (the controller defers until it has a
-    // usable rate).
+    // scanning had begun by then.
     let series = result.stats().series_for(retune.stage).unwrap();
     assert!(
         series.points.iter().any(|p| p.value > 0.0),
         "predictor decided without a live throughput sample"
     );
+    // And it is on record with what it was based on.
+    let decision = result
+        .stats()
+        .decisions
+        .iter()
+        .find(|d| d.chosen_dop == 4)
+        .expect("the grow is in the decision log");
+    assert_eq!(
+        (decision.dop, decision.required_dop, decision.cap),
+        (1, 8, 4)
+    );
+    assert_eq!(decision.budget_ms, 0.0);
 }
 
 #[test]
@@ -312,6 +320,12 @@ fn env_schedule_injector_parses_the_matrix_values() {
     assert_eq!(
         ElasticityConfig::parse_mode(Some("forced-shrink")),
         ElasticityMode::ForcedShrink
+    );
+    assert_eq!(
+        ElasticityConfig::parse_mode(Some("auto")),
+        ElasticityMode::Auto {
+            deadline_ms: ElasticityConfig::DEFAULT_AUTO_DEADLINE_MS
+        }
     );
 }
 
@@ -414,6 +428,68 @@ fn repeated_grow_shrink_cycles_stay_correct() {
                 sorted_rows(&result),
                 ref_rows,
                 "round {round}: {start_dop}→{target} diverged"
+            );
+        }
+    }
+}
+
+#[test]
+fn auto_never_grows_past_the_slots_of_its_pool() {
+    // A 1 ms deadline on two compute slots: the predictor wants 8, and the
+    // stage must not be given more tasks than can run.
+    let c = split_catalog(8, 256, 64);
+    let builder = wide_sum(&c);
+    let (ref_rows, ref_scans) = reference(&c, &builder);
+    let tree = tree_at(&builder, 1);
+    let executor = QueryExecutor::new(wide_opts(2, ElasticityConfig::auto(1)));
+    let result = executor.execute_tree(&c, &tree).unwrap();
+    assert_eq!(sorted_rows(&result), ref_rows);
+    let stats = result.stats();
+    assert_eq!(stats.rows_produced("TableScan"), ref_scans);
+    assert!(
+        stats.retunes.iter().all(|r| r.to_dop <= 2),
+        "grew past the pool: {:?}",
+        stats.retunes
+    );
+    assert!(
+        stats
+            .retunes
+            .iter()
+            .any(|r| (r.from_dop, r.to_dop) == (1, 2)),
+        "never grew at all: {:?}",
+        stats.decisions
+    );
+    assert!(stats.decisions.iter().all(|d| d.cap == 2));
+}
+
+#[test]
+fn single_page_splits_never_wait_for_a_sample_that_cannot_come() {
+    // 64 splits of one page each: a task is back at the queue after every
+    // page, so under per-split boundaries every task is parked before a
+    // usable sample exists. A controller that postponed its decision while
+    // somebody was parked would stop the scan it is waiting to measure.
+    let c = split_catalog(8, 4, 4);
+    let builder = wide_sum(&c);
+    let (ref_rows, ref_scans) = reference(&c, &builder);
+    for elasticity in [ElasticityConfig::auto(1), ElasticityConfig::cycle(4, 1)] {
+        for planned_dop in [1, 4] {
+            let tree = tree_at(&builder, planned_dop);
+            let executor = QueryExecutor::new(wide_opts(2, elasticity));
+            let result = executor.execute_tree(&c, &tree).unwrap();
+            assert_eq!(sorted_rows(&result), ref_rows, "{elasticity:?}");
+            let stats = result.stats();
+            assert_eq!(
+                stats.rows_produced("TableScan"),
+                ref_scans,
+                "{elasticity:?}: splits not scanned exactly once"
+            );
+            assert!(
+                stats
+                    .decisions
+                    .iter()
+                    .all(|d| !(d.postponed && d.parked > 0)),
+                "postponed with a claimant parked: {:?}",
+                stats.decisions
             );
         }
     }

@@ -179,25 +179,20 @@ pub enum ElasticityMode {
     Cycle { high: u32, low: u32 },
 }
 
-/// Configuration of the intra-query re-parallelization controller.
+/// Configuration of the intra-query re-parallelization controller. The
+/// mode is all there is to configure: *when* the controller looks is not a
+/// setting — it wakes on the split queue's events (see
+/// `accordion_cluster::elastic`), and every claimed split is a decision
+/// boundary, so re-parallelization always happens **between splits**.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElasticityConfig {
     pub mode: ElasticityMode,
-    /// Decision cadence: the controller pauses each elastic stage's split
-    /// queue after every `decide_every_splits` claims and retunes at that
-    /// boundary — re-parallelization always happens **between splits**.
-    pub decide_every_splits: u64,
-    /// Controller poll period between checks for due decisions and runtime
-    /// info samples, microseconds.
-    pub poll_interval_us: u64,
 }
 
 impl Default for ElasticityConfig {
     fn default() -> Self {
         ElasticityConfig {
             mode: ElasticityMode::Off,
-            decide_every_splits: 1,
-            poll_interval_us: 200,
         }
     }
 }
@@ -212,7 +207,6 @@ impl ElasticityConfig {
     pub fn forced(target_dop: u32) -> Self {
         ElasticityConfig {
             mode: ElasticityMode::Forced { target_dop },
-            ..ElasticityConfig::default()
         }
     }
 
@@ -220,7 +214,6 @@ impl ElasticityConfig {
     pub fn auto(deadline_ms: u64) -> Self {
         ElasticityConfig {
             mode: ElasticityMode::Auto { deadline_ms },
-            ..ElasticityConfig::default()
         }
     }
 
@@ -229,7 +222,6 @@ impl ElasticityConfig {
     pub fn cycle(high: u32, low: u32) -> Self {
         ElasticityConfig {
             mode: ElasticityMode::Cycle { high, low },
-            ..ElasticityConfig::default()
         }
     }
 
@@ -244,7 +236,6 @@ impl ElasticityConfig {
     pub fn from_env() -> Self {
         ElasticityConfig {
             mode: Self::parse_mode(std::env::var("ACCORDION_ELASTICITY").ok().as_deref()),
-            ..ElasticityConfig::default()
         }
     }
 

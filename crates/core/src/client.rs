@@ -4,6 +4,12 @@
 //! statement and parses one response frame; [`Client::query`] is the
 //! SELECT-shaped convenience that insists on a result set.
 //!
+//! A statement leaves in **one write** on a `TCP_NODELAY` socket. Built up
+//! from several small writes it would leave as several segments, and the
+//! second of them would sit in the kernel until the server's delayed ACK
+//! for the first came back — some 40 ms in which nothing at all happens,
+//! paid by every statement and charged against every deadline.
+//!
 //! Connection establishment is bounded: each attempt uses the
 //! [`NetworkConfig`] connect timeout, failed attempts retry with a short
 //! exponential backoff (a server still binding its listener is given a
@@ -62,6 +68,9 @@ impl Client {
     /// timeout and post-greeting read timeout both come from `network`.
     pub fn connect_with(addr: impl ToSocketAddrs, network: &NetworkConfig) -> Result<Client> {
         let stream = connect_with_backoff(addr, network)?;
+        stream
+            .set_nodelay(true)
+            .map_err(|e| AccordionError::Io(format!("set nodelay failed: {e}")))?;
         // Cap the greeting read: a server that accepts but never speaks
         // (wedged, or not actually our protocol) must fail, not hang.
         let greeting_timeout = Duration::from_millis(network.connect_timeout_ms.max(1));
@@ -103,9 +112,15 @@ impl Client {
     pub fn send(&mut self, statement: &str) -> Result<Response> {
         let statement = statement.trim();
         let terminator = if statement.ends_with(';') { "" } else { ";" };
-        writeln!(self.writer, "{statement}{terminator}")
-            .map_err(|e| AccordionError::Io(format!("send failed: {e}")))?;
+        self.write_line(&format!("{statement}{terminator}\n"))?;
         self.read_response()
+    }
+
+    /// One line, one write (see the module docs).
+    fn write_line(&mut self, line: &str) -> Result<()> {
+        self.writer
+            .write_all(line.as_bytes())
+            .map_err(|e| AccordionError::Io(format!("send failed: {e}")))
     }
 
     /// [`Self::send`] for statements that must produce rows.
@@ -171,8 +186,7 @@ impl Client {
 
     /// Ends the session politely.
     pub fn exit(mut self) -> Result<()> {
-        writeln!(self.writer, "EXIT;")
-            .map_err(|e| AccordionError::Io(format!("send failed: {e}")))?;
+        self.write_line("EXIT;\n")?;
         let _ = self.read_line(); // OK bye (or EOF — either is fine)
         let _ = self.writer.shutdown(Shutdown::Both);
         Ok(())

@@ -325,7 +325,6 @@ fn handle_ctrl(
             let mut exec = state.executor.options().clone();
             exec.elasticity = ElasticityConfig {
                 mode: ElasticityConfig::try_parse_mode(&elasticity)?,
-                ..ElasticityConfig::default()
             };
             let tree = plan_tree(&state.catalog, &sql, dop)?;
             let local = plan_fingerprint(&tree);
@@ -454,7 +453,6 @@ impl Fleet {
     ) -> Result<Fleet> {
         exec.elasticity = ElasticityConfig {
             mode: ElasticityConfig::try_parse_mode(elasticity)?,
-            ..ElasticityConfig::default()
         };
         let pages = PageServer::bind("127.0.0.1:0")?;
         let splits = SplitServer::bind("127.0.0.1:0")?;

@@ -94,7 +94,6 @@ fn run_server(args: &[String]) -> Result<(), String> {
         None => ElasticityConfig::off(),
         Some(mode) => ElasticityConfig {
             mode: ElasticityConfig::try_parse_mode(&mode).map_err(|e| e.to_string())?,
-            ..ElasticityConfig::default()
         },
     };
     // Admission gate: `--max-queries` limits concurrent queries on the

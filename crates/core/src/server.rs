@@ -23,6 +23,26 @@
 //! Errors (lex/parse/analysis/execution) become `ERR` frames; the session
 //! survives and the next statement runs normally.
 //!
+//! ## One flush per response
+//!
+//! Every accepted socket is `TCP_NODELAY` and written through one
+//! [`BufWriter`] of 64 KiB (`RESPONSE_BUFFER_BYTES`) that is flushed when a
+//! response is complete and otherwise only when it is full. A small result
+//! — `RESULT`, header, rows, `END` — therefore leaves as one segment; sent
+//! as a page and then a trailer, the trailer would wait in the kernel for
+//! the client's delayed ACK of the page, some 40 ms, on every statement. A
+//! large result still streams: the buffer fills and empties as rows are
+//! encoded and never holds more than its capacity.
+//!
+//! ## Sessions come and go
+//!
+//! The server keeps one `try_clone` of each live connection (so that
+//! shutdown can unblock a session parked in `read_line`) and one thread
+//! handle per session. Both are given up when the session ends — the clone
+//! by the session itself, the handle by the accept loop the next time it
+//! accepts — so a server that has seen a million short sessions holds what
+//! a server with the currently open ones would.
+//!
 //! ## Graceful shutdown
 //!
 //! [`QueryServer::shutdown`] (also invoked on drop) flips the shutdown
@@ -31,6 +51,7 @@
 //! sessions emit a final `ERR` — shuts down all client sockets, wakes the
 //! accept loop with a self-connection, and joins every thread.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,6 +68,11 @@ use accordion_storage::catalog::Catalog;
 
 use crate::protocol::{encode_header, encode_row, escape_message, greeting};
 use crate::session::SessionVars;
+
+/// Capacity of a session's response buffer: a whole small result fits and
+/// leaves as one segment, a large one goes out in writes of 64 KiB — the
+/// most one TCP segment-offload unit carries — instead of a page at a time.
+const RESPONSE_BUFFER_BYTES: usize = 64 * 1024;
 
 /// Server-side knobs.
 #[derive(Debug, Clone)]
@@ -75,9 +101,10 @@ struct Shared {
     executor: QueryExecutor,
     config: ServerConfig,
     shutting_down: AtomicBool,
-    /// One `try_clone` handle per live connection, so shutdown can unblock
-    /// sessions parked in `read_line`.
-    conns: Mutex<Vec<TcpStream>>,
+    /// One `try_clone` handle per live connection, by session number, so
+    /// shutdown can unblock sessions parked in `read_line`. A session
+    /// removes its own entry when it ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 /// A running query server. Dropping it shuts it down.
@@ -107,7 +134,7 @@ impl QueryServer {
             executor,
             config,
             shutting_down: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
         });
         let accept_shared = shared.clone();
         let accept_thread = std::thread::spawn(move || accept_loop(listener, accept_shared));
@@ -139,7 +166,7 @@ impl QueryServer {
         self.shared
             .executor
             .poison_active(AccordionError::Execution("server shutting down".into()));
-        for conn in self.shared.conns.lock().drain(..) {
+        for (_, conn) in self.shared.conns.lock().drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         // Unblock the accept loop; it re-checks the flag per connection.
@@ -158,18 +185,31 @@ impl Drop for QueryServer {
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         if shared.shutting_down.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Reap the sessions that have ended since the last accept.
+        let (ended, live): (Vec<_>, Vec<_>) =
+            sessions.into_iter().partition(JoinHandle::is_finished);
+        sessions = live;
+        for handle in ended {
+            let _ = handle.join();
+        }
         if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().push(clone);
+            shared.conns.lock().insert(id, clone);
+        }
+        // A shutdown that drained `conns` before this insert has already
+        // set the flag: unblock the session ourselves.
+        if shared.shutting_down.load(Ordering::SeqCst) {
+            let _ = stream.shutdown(Shutdown::Both);
         }
         let session_shared = shared.clone();
         sessions.push(std::thread::spawn(move || {
             // Socket errors mean the client vanished — nothing to report.
             let _ = serve_session(stream, &session_shared);
+            session_shared.conns.lock().remove(&id);
         }));
     }
     for handle in sessions {
@@ -179,8 +219,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 
 /// Runs one connection to completion.
 fn serve_session(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = BufWriter::with_capacity(RESPONSE_BUFFER_BYTES, stream);
     writeln!(writer, "{}", greeting())?;
     writer.flush()?;
 
@@ -320,14 +361,14 @@ fn run_select(
             writeln!(writer, "RESULT {}", result.schema.len())?;
             writeln!(writer, "{}", encode_header(&result.schema))?;
             let mut nrows: u64 = 0;
-            // Stream page by page — large results never materialize as one
-            // string.
+            // Row by row into the session's buffer — large results never
+            // materialize as one string, and nothing is flushed here (see
+            // the module docs): the caller does that once per response.
             for page in &result.pages {
                 for row in page.rows() {
                     writeln!(writer, "{}", encode_row(&row))?;
                     nrows += 1;
                 }
-                writer.flush()?;
             }
             let elapsed_ms = started.elapsed().as_millis() as u64;
             writeln!(writer, "END {nrows} {elapsed_ms}")?;

@@ -8,7 +8,7 @@
 //! |---------------|-------------------------------------------------------|
 //! | `deadline_ms` | target completion deadline for `auto` elasticity      |
 //! | `elasticity`  | controller mode (`off`, `auto[:ms]`, `forced:<dop>`, `forced-grow`, `forced-shrink`, `cycle[:h:l]`) |
-//! | `dop`         | planned Source-stage parallelism (the optimizer knob) |
+//! | `dop`         | planned Source-stage parallelism (the optimizer knob), 1..=[`MAX_SESSION_DOP`] |
 //!
 //! `SET elasticity = auto` (no suffix) adopts the session's current
 //! `deadline_ms`; `SET elasticity = auto:2500` pins both. Malformed values
@@ -19,6 +19,11 @@ use accordion_common::config::{ElasticityConfig, ElasticityMode};
 use accordion_common::{AccordionError, Result};
 use accordion_exec::ExecOptions;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
+
+/// Largest `dop` a session may plan at. The next SELECT asks the scheduler
+/// for that many task threads, so the value is hostile input until it is
+/// bounded; 1024 is far beyond any pool this engine runs on.
+pub const MAX_SESSION_DOP: u32 = 1024;
 
 /// Per-connection tunables. Fresh sessions start from the server's base
 /// [`ExecOptions`] and default DOP.
@@ -92,6 +97,11 @@ impl SessionVars {
                     .map_err(|_| AccordionError::Parse(format!("invalid dop value '{value}'")))?;
                 if dop == 0 {
                     return Err(AccordionError::Parse("dop must be positive".to_string()));
+                }
+                if dop > MAX_SESSION_DOP {
+                    return Err(AccordionError::Parse(format!(
+                        "dop must be at most {MAX_SESSION_DOP}"
+                    )));
                 }
                 self.dop = dop;
                 Ok(format!("dop = {dop}"))
@@ -193,7 +203,11 @@ mod tests {
         assert_eq!(v.elasticity.mode, before);
         assert!(v.set("dop", "0").is_err());
         assert!(v.set("dop", "-3").is_err());
+        assert!(v.set("dop", "1025").is_err());
+        assert!(v.set("dop", "4000000000").is_err());
         assert_eq!(v.dop, 4);
+        assert_eq!(v.set("dop", "1024").unwrap(), "dop = 1024");
+        v.set("dop", "4").unwrap();
         assert!(v.set("deadline_ms", "soon").is_err());
         assert!(v.set("page_rows", "9").is_err());
         assert!(v.show("page_rows").is_err());

@@ -137,6 +137,16 @@ fn set_variables_are_session_scoped_and_validated() {
     assert!(err.to_string().contains("unknown elasticity mode"), "{err}");
     let err = a.send("SET dop = 0").unwrap_err();
     assert!(err.to_string().contains("dop must be positive"), "{err}");
+    // One line of hostile input must not become four billion task threads.
+    let err = a.send("SET dop = 4000000000").unwrap_err();
+    assert!(
+        err.to_string().contains("dop must be at most 1024"),
+        "{err}"
+    );
+    assert_eq!(
+        a.send("SHOW dop").unwrap(),
+        Response::Ok("dop = 2".to_string())
+    );
     assert_eq!(
         a.send("SHOW elasticity").unwrap(),
         Response::Ok("elasticity = auto:2500".to_string())
@@ -339,4 +349,108 @@ fn shutdown_disconnects_sessions_and_poisons_in_flight_queries() {
     if let Ok(mut client) = Client::connect(addr) {
         assert!(client.send("SHOW dop").is_err());
     }
+}
+
+#[test]
+fn no_statement_waits_out_a_delayed_ack() {
+    use std::time::{Duration, Instant};
+
+    let server = start_server(2);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // A statement written in two segments, or a response flushed in two,
+    // idles for one delayed-ACK timer (~40 ms) per exchange: 2 s for these.
+    let started = Instant::now();
+    for _ in 0..50 {
+        let Response::Ok(shown) = client.send("SHOW dop").unwrap() else {
+            panic!("SHOW returns OK");
+        };
+        assert_eq!(shown, "dop = 2");
+    }
+    let shows = started.elapsed();
+    assert!(
+        shows < Duration::from_millis(500),
+        "50 SHOWs took {shows:?}"
+    );
+
+    // A one-row result is a page and a trailer: they must leave together.
+    let started = Instant::now();
+    for _ in 0..20 {
+        let rs = client
+            .query("SELECT region FROM sales WHERE qty > 19")
+            .unwrap();
+        assert_eq!(rs.rows, vec![vec!["west".to_string()]]);
+    }
+    let selects = started.elapsed();
+    assert!(
+        selects < Duration::from_millis(500),
+        "20 one-row SELECTs took {selects:?}"
+    );
+    client.exit().unwrap();
+}
+
+#[test]
+fn a_large_result_streams_through_the_response_buffer_intact() {
+    // Far more than the 64 KiB the response buffer holds: it fills and
+    // empties many times within one response, and the client must still
+    // see every row once, in order, before the trailer.
+    let c = Catalog::new();
+    let schema = Schema::shared(vec![
+        Field::new("n", DataType::Int64),
+        Field::new("label", DataType::Utf8),
+    ]);
+    let mut b = TableBuilder::new("big", schema, 512);
+    for n in 0..20_000i64 {
+        b.push_row(vec![Value::Int64(n), Value::Utf8(format!("row-{n:08}"))]);
+    }
+    b.register(&c, PartitioningScheme::new(1, 1), 0);
+    let exec = ExecOptions {
+        worker_threads: 2,
+        elasticity: ElasticityConfig::off(),
+        ..ExecOptions::with_page_rows(512)
+    };
+    let config = ServerConfig {
+        default_dop: 1,
+        exec: exec.clone(),
+    };
+    let server =
+        QueryServer::start(Arc::new(c), QueryExecutor::new(exec), config, "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let rs = client.query("SELECT n, label FROM big ORDER BY n").unwrap();
+    assert_eq!(rs.rows.len(), 20_000);
+    for (n, row) in rs.rows.iter().enumerate() {
+        assert_eq!(row, &vec![n.to_string(), format!("row-{n:08}")]);
+    }
+    client.exit().unwrap();
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_finished_session_leaves_no_descriptor_behind() {
+    fn open_fds() -> usize {
+        std::fs::read_dir("/proc/self/fd").unwrap().count()
+    }
+
+    let server = start_server(1);
+    let addr = server.local_addr();
+    // One session first, so that whatever is allocated once is counted.
+    Client::connect(addr).unwrap().exit().unwrap();
+    let before = open_fds();
+    for _ in 0..200 {
+        let mut client = Client::connect(addr).unwrap();
+        client.send("SHOW dop").unwrap();
+        client.exit().unwrap();
+    }
+    // The last sessions may still be on their way out, and sibling tests
+    // open sockets of their own — a few, not hundreds.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut after = open_fds();
+    while after > before + 40 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        after = open_fds();
+    }
+    assert!(
+        after <= before + 40,
+        "{before} descriptors before 200 sessions, {after} after"
+    );
 }

@@ -43,7 +43,8 @@ pub use executor::{
     QueryResult,
 };
 pub use metrics::{
-    OperatorStats, QueryMetrics, QueryStats, RetuneEvent, RuntimeCollector, StageSeries,
+    DecisionRecord, EraSample, OperatorStats, QueryMetrics, QueryStats, RetuneEvent,
+    RuntimeCollector, StageSeries,
 };
 pub use operators::{JoinTable, PageStream};
 pub use splits::{FeedScanSource, SplitFeed, SplitQueue, SplitSource};

@@ -8,18 +8,23 @@
 //! [`QueryMetrics::snapshot`] becomes the [`QueryStats`] exposed through
 //! `QueryResult::stats()`.
 //!
-//! While a query runs, a [`RuntimeCollector`] periodically samples the live
-//! meters into per-stage [`TimeSeries`] (paper Fig 18) instead of only
-//! snapshotting at the end — the elasticity controller in
-//! `accordion_cluster::elastic` polls it between splits and feeds the latest
-//! sample to the what-if predictor. DOP retunes the controller applies are
-//! recorded as [`RetuneEvent`]s and surface in [`QueryStats::retunes`].
+//! While a query runs, a [`RuntimeCollector`] samples the live meters into
+//! per-stage [`TimeSeries`] (paper Fig 18) instead of only snapshotting at
+//! the end — the elasticity controller in `accordion_cluster::elastic` takes
+//! an [`EraSample`] from it whenever an event wakes it and feeds that to the
+//! what-if predictor. What the controller then does is part of the stats:
+//! every `auto` evaluation is a [`DecisionRecord`] in
+//! [`QueryStats::decisions`], every DOP change a [`RetuneEvent`] in
+//! [`QueryStats::retunes`] (with the time a grown task took to scan its
+//! first page), and [`QueryStats::controller_wakeups`] counts how often the
+//! controller looked at all.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use accordion_common::clock::{SharedClock, SystemClock};
 use accordion_common::metrics::{Counter, RateMeter, TimePoint, TimeSeries};
-use accordion_common::sync::Mutex;
+use accordion_common::sync::{Mutex, Signal};
 use accordion_common::{Json, Result};
 use accordion_data::page::Page;
 use accordion_net::ExchangeStats;
@@ -35,18 +40,74 @@ pub struct OperatorMetrics {
     pub operator: &'static str,
     pub rows: Counter,
     pub bytes: Counter,
+    pub pages: Counter,
     pub rate: RateMeter,
+    /// When this instance produced its first data page, and how many rows
+    /// that page held. For a scan this is where measuring it can begin:
+    /// everything before is thread start-up and waiting for a slot.
+    pub first_page: OnceLock<FirstPage>,
+    clock: SharedClock,
+    /// Raised once, when this instance has produced that many pages (see
+    /// [`QueryMetrics::watch_scans`]).
+    alarm: Option<(u64, Arc<Signal>)>,
+}
+
+impl OperatorMetrics {
+    /// Counts one data page of `rows` rows and `bytes` bytes leaving the
+    /// operator.
+    pub fn record_page(&self, rows: u64, bytes: u64) {
+        self.rows.add(rows);
+        self.bytes.add(bytes);
+        self.pages.inc();
+        self.rate.record(rows);
+        self.first_page.get_or_init(|| FirstPage {
+            nanos: self.clock.now_nanos(),
+            rows,
+        });
+        // One task writes these counters, so `get` is this page's number.
+        if let Some((at, signal)) = &self.alarm {
+            if self.pages.get() == *at {
+                signal.raise();
+            }
+        }
+    }
+}
+
+/// See [`OperatorMetrics::first_page`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FirstPage {
+    /// On the query's metrics clock.
+    pub nanos: u64,
+    pub rows: u64,
+}
+
+/// What a stage's scans have produced so far, over all its tasks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ScanTotals {
+    rows: u64,
+    pages: u64,
+    /// The earliest first page of any task.
+    first_page: Option<FirstPage>,
 }
 
 /// Collector shared by every task of one query execution.
 #[derive(Debug)]
 pub struct QueryMetrics {
     clock: SharedClock,
+    /// Query start on `clock`: what every `at_ms` in the stats and the
+    /// controller's deadline budget count from.
+    start_nanos: u64,
     operators: Mutex<Vec<Arc<OperatorMetrics>>>,
     /// Per-stage runtime time series attached by a [`RuntimeCollector`].
     series: Mutex<Vec<(u32, Arc<TimeSeries>)>>,
-    /// DOP retunes applied by the elasticity controller, in order.
-    retunes: Mutex<Vec<RetuneEvent>>,
+    /// DOP retunes applied by the elasticity controller, in order, each
+    /// with the task slots it spawned (empty for a shrink).
+    retunes: Mutex<Vec<(RetuneEvent, Vec<u32>)>>,
+    /// `auto` evaluations of the elasticity controller, in order.
+    decisions: Mutex<Vec<DecisionRecord>>,
+    controller_wakeups: Counter,
+    /// See [`Self::watch_scans`].
+    scan_alarm: Mutex<Option<(u64, Arc<Signal>)>>,
 }
 
 impl QueryMetrics {
@@ -58,16 +119,34 @@ impl QueryMetrics {
     /// `ManualClock`; the engine uses the system clock).
     pub fn with_clock(clock: SharedClock) -> Self {
         QueryMetrics {
+            start_nanos: clock.now_nanos(),
             clock,
             operators: Mutex::new(Vec::new()),
             series: Mutex::new(Vec::new()),
             retunes: Mutex::new(Vec::new()),
+            decisions: Mutex::new(Vec::new()),
+            controller_wakeups: Counter::new(),
+            scan_alarm: Mutex::new(None),
         }
     }
 
     /// The clock every meter of this query reads.
     pub fn clock(&self) -> SharedClock {
         self.clock.clone()
+    }
+
+    /// Time since the query started (since this collector was built).
+    pub fn elapsed(&self) -> Duration {
+        Duration::from_nanos(self.clock.now_nanos().saturating_sub(self.start_nanos))
+    }
+
+    /// Has every scan registered from now on raise `signal` once, when it
+    /// has produced `pages` pages: the moment a task that has just started
+    /// — with the query, or in a grow — has scanned enough for its rate to
+    /// be worth reading, which is long before it is back for its next
+    /// split.
+    pub fn watch_scans(&self, pages: u64, signal: Arc<Signal>) {
+        *self.scan_alarm.lock() = Some((pages, signal));
     }
 
     /// Registers one operator instance and returns its counters.
@@ -85,7 +164,13 @@ impl QueryMetrics {
             operator,
             rows: Counter::new(),
             bytes: Counter::new(),
+            pages: Counter::new(),
             rate: RateMeter::new(self.clock.clone()),
+            first_page: OnceLock::new(),
+            clock: self.clock.clone(),
+            alarm: (operator == "TableScan")
+                .then(|| self.scan_alarm.lock().clone())
+                .flatten(),
         });
         self.operators.lock().push(m.clone());
         m
@@ -101,15 +186,61 @@ impl QueryMetrics {
             .sum()
     }
 
+    fn scan_totals(&self, stage: u32) -> ScanTotals {
+        let mut totals = ScanTotals::default();
+        for m in self.operators.lock().iter() {
+            if m.stage != stage || m.operator != "TableScan" {
+                continue;
+            }
+            totals.rows += m.rows.get();
+            totals.pages += m.pages.get();
+            if let Some(first) = m.first_page.get() {
+                match totals.first_page {
+                    Some(earliest) if earliest.nanos <= first.nanos => {}
+                    _ => totals.first_page = Some(*first),
+                }
+            }
+        }
+        totals
+    }
+
     /// Attaches a per-stage runtime time series so the final snapshot
     /// carries it (done by [`RuntimeCollector::new`]).
     pub fn attach_series(&self, stage: u32, series: Arc<TimeSeries>) {
         self.series.lock().push((stage, series));
     }
 
-    /// Records one DOP retune applied by the elasticity controller.
-    pub fn record_retune(&self, event: RetuneEvent) {
-        self.retunes.lock().push(event);
+    /// Records one DOP retune applied by the elasticity controller,
+    /// together with the task slots it `spawned`: the snapshot fills in
+    /// `first_page_ms` from their scans.
+    pub fn record_retune(&self, event: RetuneEvent, spawned: Vec<u32>) {
+        self.retunes.lock().push((event, spawned));
+    }
+
+    /// Records one `auto` evaluation of the elasticity controller.
+    pub fn record_decision(&self, decision: DecisionRecord) {
+        self.decisions.lock().push(decision);
+    }
+
+    /// Counts one pass of the elasticity controller over its stages.
+    pub fn record_controller_wakeup(&self) {
+        self.controller_wakeups.inc();
+    }
+
+    /// Decision → first page scanned by any of the `spawned` tasks of
+    /// `event`, milliseconds.
+    fn first_page_ms(&self, event: &RetuneEvent, spawned: &[u32]) -> Option<f64> {
+        let first = self
+            .operators
+            .lock()
+            .iter()
+            .filter(|m| {
+                m.stage == event.stage && m.operator == "TableScan" && spawned.contains(&m.task)
+            })
+            .filter_map(|m| m.first_page.get().map(|f| f.nanos))
+            .min()?;
+        let since_start = first.saturating_sub(self.start_nanos) as f64 / 1e6;
+        Some((since_start - event.at_ms).max(0.0))
     }
 
     /// Final snapshot: samples every rate meter and freezes the counters,
@@ -138,11 +269,22 @@ impl QueryMetrics {
                 points: ts.points(),
             })
             .collect();
+        let retunes = self
+            .retunes
+            .lock()
+            .iter()
+            .map(|(event, spawned)| RetuneEvent {
+                first_page_ms: self.first_page_ms(event, spawned),
+                ..*event
+            })
+            .collect();
         QueryStats {
             operators,
             exchange,
             series,
-            retunes: self.retunes.lock().clone(),
+            retunes,
+            decisions: self.decisions.lock().clone(),
+            controller_wakeups: self.controller_wakeups.get(),
         }
     }
 }
@@ -195,6 +337,14 @@ pub struct RetuneEvent {
     /// decision time, seconds (`f64::INFINITY` with no rate sample yet,
     /// `0.0` for forced test schedules, which bypass the predictor).
     pub predicted_secs: f64,
+    /// When the retune was decided, milliseconds since query start
+    /// ([`QueryMetrics::elapsed`]).
+    pub at_ms: f64,
+    /// Retune latency, grows only: milliseconds from `at_ms` to the first
+    /// page scanned by a task the retune spawned — thread start, slot
+    /// hand-off, first claim and first page read. `None` for a shrink, and
+    /// for a grow whose tasks found nothing left to scan.
+    pub first_page_ms: Option<f64>,
 }
 
 impl RetuneEvent {
@@ -208,6 +358,61 @@ impl RetuneEvent {
             .with("to_dop", Json::u64(self.to_dop as u64))
             .with("splits_claimed", Json::u64(self.splits_claimed))
             .with("predicted_secs", Json::f64(self.predicted_secs))
+            .with("at_ms", Json::f64(self.at_ms))
+            .with(
+                "first_page_ms",
+                self.first_page_ms.map_or(Json::Null, Json::f64),
+            )
+    }
+}
+
+/// One evaluation of the what-if predictor by the elasticity controller in
+/// `auto` mode — what it knew and what it made of it, whether or not the
+/// DOP changed. Recorded every time the controller looks at a stage whose
+/// decision is due, so "why did it (not) retune then" has an answer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DecisionRecord {
+    /// Milliseconds since query start.
+    pub at_ms: f64,
+    pub stage: u32,
+    /// Tasks scanning the stage at the time.
+    pub dop: u32,
+    /// `V_remain`: rows of the stage not scanned yet, in claimed and
+    /// unclaimed splits alike.
+    pub unscanned_rows: u64,
+    /// Rows/second one task sustains in the current measurement era
+    /// (`0.0` with nothing measured yet).
+    pub per_task_rate: f64,
+    /// Deadline minus elapsed time, milliseconds.
+    pub budget_ms: f64,
+    /// The DOP the predictor asks for, within the stage's bounds.
+    pub required_dop: u32,
+    /// The most tasks the query may run: the pool's slots, or the fleet's
+    /// budget when that is smaller.
+    pub cap: u32,
+    /// The DOP the stage continues at.
+    pub chosen_dop: u32,
+    /// Claimants waiting at the decision boundary for this evaluation.
+    pub parked: u32,
+    /// True when the sample was too thin to act on and nobody was waiting:
+    /// the evaluation is repeated at the next event.
+    pub postponed: bool,
+}
+
+impl DecisionRecord {
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .with("at_ms", Json::f64(self.at_ms))
+            .with("stage", Json::u64(self.stage as u64))
+            .with("dop", Json::u64(self.dop as u64))
+            .with("unscanned_rows", Json::u64(self.unscanned_rows))
+            .with("per_task_rate", Json::f64(self.per_task_rate))
+            .with("budget_ms", Json::f64(self.budget_ms))
+            .with("required_dop", Json::u64(self.required_dop as u64))
+            .with("cap", Json::u64(self.cap as u64))
+            .with("chosen_dop", Json::u64(self.chosen_dop as u64))
+            .with("parked", Json::u64(self.parked as u64))
+            .with("postponed", Json::Bool(self.postponed))
     }
 }
 
@@ -250,10 +455,15 @@ pub struct QueryStats {
     /// Aggregate shuffle-exchange transfer counters.
     pub exchange: ExchangeStats,
     /// Per-stage runtime info samples collected while the query ran (empty
-    /// unless a [`RuntimeCollector`] was polling).
+    /// unless a [`RuntimeCollector`] was sampling).
     pub series: Vec<StageSeries>,
     /// DOP retunes the elasticity controller applied, in order.
     pub retunes: Vec<RetuneEvent>,
+    /// Every `auto` evaluation of the elasticity controller, in order.
+    pub decisions: Vec<DecisionRecord>,
+    /// Passes of the elasticity controller over its stages: one per event
+    /// that woke it plus one per tick it slept through.
+    pub controller_wakeups: u64,
 }
 
 impl QueryStats {
@@ -287,8 +497,8 @@ impl QueryStats {
 
     /// Serializes the full stats record for the bench harness's
     /// `BENCH_*.json`: per-operator counters, exchange aggregates, the
-    /// per-stage throughput series and the retune log. Field order is
-    /// fixed, so identical runs serialize byte-identically.
+    /// per-stage throughput series, the retune and decision logs. Field
+    /// order is fixed, so identical runs serialize byte-identically.
     pub fn to_json(&self) -> Json {
         Json::obj()
             .with(
@@ -311,15 +521,21 @@ impl QueryStats {
                 "retunes",
                 Json::Arr(self.retunes.iter().map(|r| r.to_json()).collect()),
             )
+            .with(
+                "decisions",
+                Json::Arr(self.decisions.iter().map(|d| d.to_json()).collect()),
+            )
+            .with("controller_wakeups", Json::u64(self.controller_wakeups))
     }
 }
 
-/// Minimum spacing of periodic runtime-info samples. The controller polls
-/// far more often than a sample is worth recording; without a floor the
-/// append-only series would grow with query *duration* instead of with
-/// information (decision-boundary samples bypass the throttle — there are
-/// only O(log splits) of those).
-const SAMPLE_MIN_INTERVAL_NANOS: u64 = 10_000_000; // 10 ms
+/// The tick: minimum spacing of the periodic runtime-info samples, and the
+/// longest the elasticity controller sleeps when no event wakes it — 10 ms
+/// resolves the Fig-18 throughput curve of any query worth plotting, and
+/// without a floor the append-only series would grow with how often the
+/// controller wakes instead of with information (decision samples bypass
+/// it; there is at most one per claimed split).
+pub const SAMPLE_MIN_INTERVAL_NANOS: u64 = 10_000_000;
 
 #[derive(Debug)]
 struct StageTrack {
@@ -330,27 +546,56 @@ struct StageTrack {
 
 #[derive(Debug, Clone, Copy)]
 struct TrackState {
-    /// Scan rows / clock at the start of the current measurement era. An
-    /// era begins at query start and is reset at every DOP retune, so the
-    /// measured rate always reflects the *current* task set — dividing a
-    /// whole-query average by the post-retune DOP would systematically
-    /// mispredict.
-    base_rows: u64,
-    base_nanos: u64,
+    /// Where the current measurement era began; `None` while the first era
+    /// waits for the stage's first page.
+    era: Option<EraStart>,
     /// Timestamp of the last recorded sample (`None` before the first).
     last_push_nanos: Option<u64>,
 }
 
-/// The runtime info collector (paper §5.1, Fig 18): periodically samples the
-/// live per-operator meters of selected stages into per-stage
-/// [`TimeSeries`] **while the query runs**. Each sample is the stage's scan
-/// throughput over the current measurement era (rows scanned since the era
-/// began over elapsed era time); eras restart at every DOP retune via
-/// [`RuntimeCollector::reset_baseline`]. The elasticity controller owns one
-/// collector per query, polls [`RuntimeCollector::sample`] on its decision
-/// loop, and reads a fresh [`RuntimeCollector::sample_stage`] at each
-/// decision boundary; the collected series end up in
-/// [`QueryStats::series`].
+/// Scan totals and clock at the start of a measurement era.
+#[derive(Debug, Clone, Copy)]
+struct EraStart {
+    rows: u64,
+    pages: u64,
+    nanos: u64,
+}
+
+/// What a stage's scans produced in the current measurement era.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct EraSample {
+    pub rows: u64,
+    /// Pages behind `rows` — how much the rate can be trusted.
+    pub pages: u64,
+    /// Era length so far, seconds.
+    pub secs: f64,
+}
+
+impl EraSample {
+    /// Stage scan throughput over the era, rows/second (`0.0` before
+    /// anything was measured).
+    pub fn rate(&self) -> f64 {
+        if self.secs <= 0.0 {
+            return 0.0;
+        }
+        self.rows as f64 / self.secs
+    }
+}
+
+/// The runtime info collector (paper §5.1, Fig 18): samples the live
+/// per-operator meters of selected stages into per-stage [`TimeSeries`]
+/// **while the query runs**. Each sample is the stage's scan throughput
+/// over the current **measurement era**. The first era starts when the
+/// stage's first page has been scanned — not when the query starts: thread
+/// start-up and the wait for a compute slot are not scan time, and billing
+/// them to the scan makes a 25 ms query look three times slower than it is.
+/// Every DOP retune starts a new era ([`RuntimeCollector::reset_baseline`]),
+/// so the measured rate always reflects the *current* task set — dividing a
+/// whole-query average by the post-retune DOP would systematically
+/// mispredict. The elasticity controller owns one collector per query,
+/// calls [`RuntimeCollector::sample`] whenever it wakes, and takes a fresh
+/// [`RuntimeCollector::sample_stage`] for each decision; the collected
+/// series end up in [`QueryStats::series`].
 #[derive(Debug)]
 pub struct RuntimeCollector {
     metrics: Arc<QueryMetrics>,
@@ -361,7 +606,6 @@ impl RuntimeCollector {
     /// A collector sampling `stages`, attaching one fresh series per stage
     /// to `metrics` so the final snapshot carries them.
     pub fn new(metrics: Arc<QueryMetrics>, stages: &[u32]) -> Self {
-        let now = metrics.clock().now_nanos();
         let stages: Vec<StageTrack> = stages
             .iter()
             .map(|&stage| {
@@ -371,8 +615,7 @@ impl RuntimeCollector {
                     stage,
                     series: ts,
                     state: Mutex::new(TrackState {
-                        base_rows: 0,
-                        base_nanos: now,
+                        era: None,
                         last_push_nanos: None,
                     }),
                 }
@@ -385,23 +628,24 @@ impl RuntimeCollector {
         self.stages.iter().find(|t| t.stage == stage)
     }
 
-    /// Current-era scan rate of one track, rows/second.
-    fn era_rate(&self, track: &StageTrack, now: u64) -> f64 {
-        let st = *track.state.lock();
-        let rows = self
-            .metrics
-            .operator_rows(track.stage, "TableScan")
-            .saturating_sub(st.base_rows);
-        let elapsed_sec = now.saturating_sub(st.base_nanos) as f64 / 1_000_000_000.0;
-        if elapsed_sec <= 0.0 {
-            return 0.0;
-        }
-        rows as f64 / elapsed_sec
-    }
-
-    fn push_sample(&self, track: &StageTrack, now: u64, force: bool) -> f64 {
-        let rate = self.era_rate(track, now);
+    /// Samples one track's current era and records the rate in its series
+    /// if a point is due (or `force`d).
+    fn push_sample(&self, track: &StageTrack, now: u64, force: bool) -> EraSample {
+        let totals = self.metrics.scan_totals(track.stage);
         let mut st = track.state.lock();
+        // The first era begins with the first page, which is itself
+        // outside it: it was scanned before the era's clock started.
+        let era = st.era.or(totals.first_page.map(|first| EraStart {
+            rows: first.rows,
+            pages: 1,
+            nanos: first.nanos,
+        }));
+        st.era = era;
+        let sample = era.map_or(EraSample::default(), |era| EraSample {
+            rows: totals.rows.saturating_sub(era.rows),
+            pages: totals.pages.saturating_sub(era.pages),
+            secs: now.saturating_sub(era.nanos) as f64 / 1e9,
+        });
         let due = match st.last_push_nanos {
             None => true,
             Some(last) => force || now.saturating_sub(last) >= SAMPLE_MIN_INTERVAL_NANOS,
@@ -409,9 +653,9 @@ impl RuntimeCollector {
         if due {
             st.last_push_nanos = Some(now);
             drop(st);
-            track.series.push(rate);
+            track.series.push(sample.rate());
         }
-        rate
+        sample
     }
 
     /// Takes one (rate-limited) periodic sample of every tracked stage.
@@ -423,13 +667,13 @@ impl RuntimeCollector {
     }
 
     /// Takes and returns a fresh sample of one stage, bypassing the
-    /// periodic rate limit — the decision-boundary read of the what-if
-    /// predictor's `R_consume`.
-    pub fn sample_stage(&self, stage: u32) -> f64 {
+    /// periodic rate limit — the what-if predictor's `R_consume` at a
+    /// decision.
+    pub fn sample_stage(&self, stage: u32) -> EraSample {
         let now = self.metrics.clock().now_nanos();
         self.track(stage)
             .map(|t| self.push_sample(t, now, true))
-            .unwrap_or(0.0)
+            .unwrap_or_default()
     }
 
     /// Starts a new measurement era for `stage` — called by the controller
@@ -437,9 +681,12 @@ impl RuntimeCollector {
     /// new task set only.
     pub fn reset_baseline(&self, stage: u32) {
         if let Some(track) = self.track(stage) {
-            let mut st = track.state.lock();
-            st.base_rows = self.metrics.operator_rows(stage, "TableScan");
-            st.base_nanos = self.metrics.clock().now_nanos();
+            let totals = self.metrics.scan_totals(stage);
+            track.state.lock().era = Some(EraStart {
+                rows: totals.rows,
+                pages: totals.pages,
+                nanos: self.metrics.clock().now_nanos(),
+            });
         }
     }
 
@@ -474,10 +721,8 @@ impl PageStream for MeteredStream {
     fn next_page(&mut self) -> Result<Page> {
         let page = self.inner.next_page()?;
         if let Page::Data(p) = &page {
-            let rows = p.row_count() as u64;
-            self.metrics.rows.add(rows);
-            self.metrics.bytes.add(p.byte_size() as u64);
-            self.metrics.rate.record(rows);
+            self.metrics
+                .record_page(p.row_count() as u64, p.byte_size() as u64);
         }
         Ok(page)
     }
@@ -520,8 +765,10 @@ mod tests {
         let m = metrics.register(2, 0, 0, "TableScan");
         let collector = RuntimeCollector::new(metrics.clone(), &[2]);
 
+        // The first page opens the first era and is not part of it. Then
         // 100 rows over the first second: era rate 100 rows/s.
-        m.rows.add(100);
+        m.record_page(7, 56);
+        m.record_page(100, 800);
         clock.advance_millis(1000);
         collector.sample();
         assert!((collector.last_rate(2) - 100.0).abs() < 1e-9);
@@ -531,7 +778,7 @@ mod tests {
         assert_eq!(collector.series(2).unwrap().len(), 1);
 
         // 100 more rows over another second: 100 rows/s over the era.
-        m.rows.add(100);
+        m.record_page(100, 800);
         clock.advance_millis(1000);
         collector.sample();
         assert!((collector.last_rate(2) - 100.0).abs() < 1e-9);
@@ -540,18 +787,13 @@ mod tests {
         // A retune starts a new measurement era: only post-reset rows count,
         // so the rate reflects the new task set instead of a stale average.
         collector.reset_baseline(2);
-        m.rows.add(50);
+        m.record_page(50, 400);
         clock.advance_millis(1000);
         let fresh = collector.sample_stage(2);
-        assert!((fresh - 50.0).abs() < 1e-9, "era rate was {fresh}");
+        assert!((fresh.rate() - 50.0).abs() < 1e-9, "era rate was {fresh:?}");
+        assert_eq!((fresh.rows, fresh.pages), (50, 1));
 
-        metrics.record_retune(RetuneEvent {
-            stage: 2,
-            from_dop: 1,
-            to_dop: 4,
-            splits_claimed: 1,
-            predicted_secs: 0.5,
-        });
+        metrics.record_retune(retune(2, 1, 4), vec![1, 2, 3]);
         let stats = metrics.snapshot(ExchangeStats::default());
         let series = stats.series_for(2).expect("series attached");
         assert_eq!(series.points.len(), 3);
@@ -559,6 +801,102 @@ mod tests {
         assert!(series.points.windows(2).all(|w| w[0].at <= w[1].at));
         assert_eq!(stats.retunes_for(2).len(), 1);
         assert_eq!(stats.retunes[0].to_dop, 4);
+        assert_eq!(stats.retunes[0].first_page_ms, None, "tasks 1-3 never ran");
+    }
+
+    fn retune(stage: u32, from_dop: u32, to_dop: u32) -> RetuneEvent {
+        RetuneEvent {
+            stage,
+            from_dop,
+            to_dop,
+            splits_claimed: 1,
+            predicted_secs: 0.5,
+            at_ms: 0.0,
+            first_page_ms: None,
+        }
+    }
+
+    #[test]
+    fn the_first_era_starts_at_the_first_page_not_at_query_start() {
+        use accordion_common::clock::ManualClock;
+
+        let clock = ManualClock::shared();
+        let metrics = Arc::new(QueryMetrics::with_clock(clock.clone()));
+        let collector = RuntimeCollector::new(metrics.clone(), &[1]);
+        // 5 ms pass before the scan task runs at all: nothing to sample.
+        clock.advance_millis(5);
+        let m = metrics.register(1, 0, 0, "TableScan");
+        assert_eq!(collector.sample_stage(1), EraSample::default());
+        // It scans 1000 rows a millisecond. Billing the gap to the scan
+        // would read 6000 rows / 10 ms = 600k rows/s instead of a million.
+        m.record_page(1000, 8000);
+        for _ in 0..5 {
+            clock.advance_millis(1);
+            m.record_page(1000, 8000);
+        }
+        let sample = collector.sample_stage(1);
+        assert_eq!((sample.rows, sample.pages), (5000, 5));
+        assert!((sample.rate() - 1e6).abs() < 1e-3, "rate {}", sample.rate());
+        assert_eq!(
+            metrics.operator_rows(1, "TableScan"),
+            6000,
+            "progress counts them all"
+        );
+    }
+
+    #[test]
+    fn a_watched_scan_raises_the_signal_at_its_nth_page_and_only_then() {
+        let metrics = QueryMetrics::new();
+        let before = metrics.register(1, 0, 0, "TableScan");
+        let signal = Arc::new(Signal::new());
+        metrics.watch_scans(3, signal.clone());
+        let scan = metrics.register(1, 1, 0, "TableScan");
+        let filter = metrics.register(1, 1, 0, "Filter");
+        let raised = || signal.wait_timeout(Duration::ZERO);
+        for _ in 0..5 {
+            before.record_page(1, 8);
+            filter.record_page(1, 8);
+        }
+        assert!(!raised(), "registered before the watch, or not a scan");
+        scan.record_page(1, 8);
+        scan.record_page(1, 8);
+        assert!(!raised());
+        scan.record_page(1, 8);
+        assert!(raised(), "the third page");
+        scan.record_page(1, 8);
+        assert!(!raised(), "once");
+    }
+
+    #[test]
+    fn grow_latency_is_the_first_page_of_a_spawned_task() {
+        use accordion_common::clock::ManualClock;
+
+        let clock = ManualClock::shared();
+        let metrics = Arc::new(QueryMetrics::with_clock(clock.clone()));
+        let old = metrics.register(1, 0, 0, "TableScan");
+        old.record_page(10, 80);
+        clock.advance_millis(4);
+        let at_ms = metrics.elapsed().as_secs_f64() * 1e3;
+        metrics.record_retune(
+            RetuneEvent {
+                at_ms,
+                ..retune(1, 1, 3)
+            },
+            vec![1, 2],
+        );
+        metrics.record_retune(retune(1, 3, 1), Vec::new());
+        // Task 0 keeps scanning; of the spawned ones task 2 is first, 3 ms
+        // after the retune. A filter of task 2 is not its scan.
+        old.record_page(10, 80);
+        clock.advance_millis(3);
+        metrics.register(1, 2, 0, "Filter").record_page(1, 8);
+        metrics.register(1, 2, 0, "TableScan").record_page(10, 80);
+        clock.advance_millis(2);
+        metrics.register(1, 1, 0, "TableScan").record_page(10, 80);
+        let stats = metrics.snapshot(ExchangeStats::default());
+        assert_eq!(stats.retunes[0].at_ms, 4.0);
+        assert_eq!(stats.retunes[0].first_page_ms, Some(3.0));
+        assert_eq!(stats.retunes[1].first_page_ms, None, "a shrink spawns none");
     }
 
     #[test]
@@ -576,10 +914,11 @@ mod tests {
         let collector = RuntimeCollector::new(metrics.clone(), &[1]);
 
         let eras: [(u64, f64); 3] = [(100, 100.0), (10, 10.0), (400, 400.0)];
+        m.record_page(1, 8); // opens the first era
         for (rows, want) in eras {
-            m.rows.add(rows);
+            m.record_page(rows, 8 * rows);
             clock.advance_millis(1000);
-            let got = collector.sample_stage(1);
+            let got = collector.sample_stage(1).rate();
             assert!(
                 (got - want).abs() < 1e-9,
                 "era rate {got} rows/s, wanted {want}"
@@ -590,7 +929,7 @@ mod tests {
         }
 
         // Immediately after a reset, nothing has flowed in the new era.
-        assert_eq!(collector.sample_stage(1), 0.0);
+        assert_eq!(collector.sample_stage(1).rate(), 0.0);
     }
 
     #[test]
@@ -599,13 +938,27 @@ mod tests {
         let m = metrics.register(0, 1, 2, "TableScan");
         m.rows.add(42);
         m.bytes.add(336);
-        metrics.record_retune(RetuneEvent {
+        metrics.record_retune(
+            RetuneEvent {
+                predicted_secs: f64::INFINITY,
+                ..retune(0, 2, 4)
+            },
+            vec![2, 3],
+        );
+        metrics.record_decision(DecisionRecord {
+            at_ms: 1.5,
             stage: 0,
-            from_dop: 2,
-            to_dop: 4,
-            splits_claimed: 8,
-            predicted_secs: f64::INFINITY,
+            dop: 2,
+            unscanned_rows: 1000,
+            per_task_rate: 2e6,
+            budget_ms: 0.25,
+            required_dop: 2,
+            cap: 4,
+            chosen_dop: 4,
+            parked: 1,
+            postponed: false,
         });
+        metrics.record_controller_wakeup();
         let stats = metrics.snapshot(ExchangeStats {
             pages: 3,
             bytes: 1024,
@@ -630,5 +983,12 @@ mod tests {
         // Infinity is not representable in JSON: the writer emits null.
         let retune = &parsed.get("retunes").unwrap().as_arr().unwrap()[0];
         assert!(retune.get("predicted_secs").unwrap().is_null());
+        // So does a grow none of whose tasks scanned a page.
+        assert!(retune.get("first_page_ms").unwrap().is_null());
+        assert!(retune.get("at_ms").unwrap().as_f64().is_some());
+        let decision = &parsed.get("decisions").unwrap().as_arr().unwrap()[0];
+        assert_eq!(decision.get("chosen_dop").unwrap().as_u64(), Some(4));
+        assert_eq!(decision.get("postponed").unwrap().as_bool(), Some(false));
+        assert_eq!(parsed.get("controller_wakeups").unwrap().as_u64(), Some(1));
     }
 }

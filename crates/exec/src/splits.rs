@@ -8,13 +8,21 @@
 //! drain. Each split is handed out exactly once, which is what makes
 //! re-parallelization lossless and duplication-free by construction.
 //!
-//! The queue doubles as the controller's **decision boundary**: with a
-//! pause threshold set, claims beyond it block (yielding the scheduler's
-//! compute slot) until the controller has sampled the runtime info,
-//! consulted the what-if predictor and applied any DOP change — so retunes
-//! always happen *between splits*, never mid-split (paper Fig 13). Retired
-//! tasks observe their retirement at the same boundary: their next claim
-//! returns `None` and the scan emits `Page::End(EndSignal)`.
+//! The queue doubles as the controller's **decision boundary** and as its
+//! **event source**. With a pause threshold set, claims beyond it block
+//! (yielding the scheduler's compute slot) until the controller has
+//! consulted its schedule or the what-if predictor and applied any DOP
+//! change — so retunes always happen *between splits*, never mid-split
+//! (paper Fig 13). The controller does not poll for that moment: it sleeps
+//! on a [`Signal`] it hands to [`SplitQueue::watch`], and the queue raises
+//! it when there is something to look at — a claim **reaches** the
+//! threshold (a decision is due, though nobody waits for it yet), a
+//! claimant **parks** at it (now somebody does: [`SplitQueue::parked`]),
+//! a claim takes the **last split** (nothing is left to decide), or a slot
+//! is retired. Remote claims arrive through the coordinator's claim service
+//! into this same method, so they raise it too. Retired tasks observe their
+//! retirement at the same boundary: their next claim returns `None` and the
+//! scan emits `Page::End(EndSignal)`.
 //!
 //! Claiming is **locality-aware**: a claimant that names its node
 //! ([`SplitFeed::at_node`]) is preferentially handed splits whose
@@ -33,7 +41,7 @@ use std::collections::HashSet;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use accordion_common::sync::{condvar_wait, Condvar, Mutex, Semaphore};
+use accordion_common::sync::{condvar_wait, Condvar, Mutex, Semaphore, Signal};
 use accordion_common::{NodeId, Result};
 use accordion_data::page::{EndReason, Page};
 use accordion_storage::split::{Split, SplitPages};
@@ -66,11 +74,30 @@ struct QueueState {
     pause_after: Option<u64>,
     /// Controller detached: never block a claim again.
     released: bool,
+    /// Claimants blocked at the pause threshold right now.
+    parked: u32,
+    /// Where the controller sleeps (see [`SplitQueue::watch`]).
+    signal: Option<Arc<Signal>>,
+}
+
+impl QueueState {
+    /// True while the pause threshold holds claims back.
+    fn paused(&self) -> bool {
+        !self.released && matches!(self.pause_after, Some(n) if self.claimed >= n)
+    }
+
+    fn raise(&self) {
+        if let Some(signal) = &self.signal {
+            signal.raise();
+        }
+    }
 }
 
 /// Multi-task split pool of one elastic Source stage.
 #[derive(Debug)]
 pub struct SplitQueue {
+    /// Rows in every split the queue started with, claimed or not.
+    total_rows: u64,
     state: Mutex<QueueState>,
     /// Wakes claimants blocked on the pause threshold or retirement.
     cv: Condvar,
@@ -81,6 +108,7 @@ impl SplitQueue {
         let remaining_rows = splits.iter().map(|s| s.rows).sum();
         let remaining_bytes = splits.iter().map(|s| s.bytes).sum();
         SplitQueue {
+            total_rows: remaining_rows,
             state: Mutex::new(QueueState {
                 splits: splits.into(),
                 claimed: 0,
@@ -89,6 +117,8 @@ impl SplitQueue {
                 retired: HashSet::new(),
                 pause_after: None,
                 released: false,
+                parked: 0,
+                signal: None,
             }),
             cv: Condvar::new(),
         }
@@ -121,8 +151,7 @@ impl SplitQueue {
             if st.splits.is_empty() {
                 return None;
             }
-            let paused = !st.released && matches!(st.pause_after, Some(n) if st.claimed >= n);
-            if !paused {
+            if !st.paused() {
                 let pick = node
                     .and_then(|n| st.splits.iter().position(|s| s.node == n))
                     .unwrap_or(0);
@@ -130,18 +159,23 @@ impl SplitQueue {
                 st.claimed += 1;
                 st.remaining_rows = st.remaining_rows.saturating_sub(split.rows);
                 st.remaining_bytes = st.remaining_bytes.saturating_sub(split.bytes);
+                // This claim brought the stage to its decision boundary, or
+                // left nothing to decide about: either way the controller
+                // has something to look at.
+                if st.paused() || st.splits.is_empty() {
+                    st.raise();
+                }
                 return Some(split);
             }
             if let Some(g) = gate {
                 g.release();
             }
-            while !st.released
-                && matches!(st.pause_after, Some(n) if st.claimed >= n)
-                && !st.retired.contains(&slot)
-                && !st.splits.is_empty()
-            {
+            st.parked += 1;
+            st.raise();
+            while st.paused() && !st.retired.contains(&slot) && !st.splits.is_empty() {
                 st = condvar_wait(&self.cv, st);
             }
+            st.parked -= 1;
             drop(st);
             if let Some(g) = gate {
                 g.acquire();
@@ -152,7 +186,10 @@ impl SplitQueue {
     /// Retires a task slot: its next claim returns `None`, making it finish
     /// its current split, emit `Page::End(EndSignal)` and exit.
     pub fn retire(&self, slot: u32) {
-        self.state.lock().retired.insert(slot);
+        let mut st = self.state.lock();
+        st.retired.insert(slot);
+        st.raise();
+        drop(st);
         self.cv.notify_all();
     }
 
@@ -172,10 +209,17 @@ impl SplitQueue {
         self.state.lock().splits.len()
     }
 
-    /// Rows in the unclaimed splits — the `V_remain` input of the what-if
-    /// predictor (paper §5.2).
+    /// Rows in the unclaimed splits. Not the what-if predictor's
+    /// `V_remain`: a claimed split still has to be scanned, so the
+    /// controller counts [`Self::total_rows`] minus the rows actually
+    /// scanned.
     pub fn remaining_rows(&self) -> u64 {
         self.state.lock().remaining_rows
+    }
+
+    /// Rows in every split the queue was built with, claimed or not.
+    pub fn total_rows(&self) -> u64 {
+        self.total_rows
     }
 
     /// Bytes in the unclaimed splits.
@@ -194,9 +238,22 @@ impl SplitQueue {
     /// threshold was reached and unclaimed splits remain.
     pub fn decision_due(&self) -> bool {
         let st = self.state.lock();
-        !st.released
-            && !st.splits.is_empty()
-            && matches!(st.pause_after, Some(n) if st.claimed >= n)
+        st.paused() && !st.splits.is_empty()
+    }
+
+    /// Claimants blocked at the pause threshold right now. While this is
+    /// non-zero the stage is running below its DOP, so the controller
+    /// decides on what it knows instead of waiting to know more.
+    pub fn parked(&self) -> u32 {
+        self.state.lock().parked
+    }
+
+    /// Names the signal this queue raises for its controller: when a claim
+    /// reaches the pause threshold, when a claimant parks at it, when a
+    /// claim takes the last split, and when a slot is retired. A queue
+    /// nobody watches raises nothing.
+    pub fn watch(&self, signal: Arc<Signal>) {
+        self.state.lock().signal = Some(signal);
     }
 
     /// Detaches the controller: clears any pause and guarantees no claim
@@ -501,6 +558,60 @@ mod tests {
         gate.release();
         q.release();
         assert!(claimer.join().unwrap().is_some());
+    }
+
+    #[test]
+    fn the_signal_is_raised_by_every_event_the_controller_waits_for() {
+        let q = Arc::new(SplitQueue::new(vec![
+            split(0, vec![1]),
+            split(1, vec![2]),
+            split(2, vec![3]),
+        ]));
+        let signal = Arc::new(Signal::new());
+        q.watch(signal.clone());
+        let raised = || signal.wait_timeout(Duration::ZERO);
+
+        q.set_pause_after(Some(2));
+        assert!(q.claim(0, None).is_some());
+        assert!(!raised(), "a claim below the threshold is no event");
+        assert!(q.claim(0, None).is_some());
+        assert!(raised(), "the claim that reaches the threshold");
+        assert_eq!(q.parked(), 0, "due, but nobody waits for it yet");
+
+        // A claimant that parks says so; no sleep needed to see it park.
+        let claimant = {
+            let q = q.clone();
+            std::thread::spawn(move || q.claim(1, None))
+        };
+        assert!(signal.wait_timeout(Duration::from_secs(30)), "parking");
+        assert_eq!(q.parked(), 1);
+
+        q.retire(7);
+        assert!(raised(), "a retirement");
+
+        // Released, the parked claimant takes the third and last split.
+        q.release();
+        assert!(claimant.join().unwrap().is_some());
+        assert_eq!(q.parked(), 0);
+        assert!(raised(), "the claim that empties the queue");
+
+        // With nothing raised a waiter comes back at the tick, not before.
+        let tick = Duration::from_nanos(crate::metrics::SAMPLE_MIN_INTERVAL_NANOS);
+        let started = std::time::Instant::now();
+        assert!(!signal.wait_timeout(tick));
+        assert!(started.elapsed() >= tick);
+    }
+
+    #[test]
+    fn an_unwatched_queue_counts_its_rows_and_raises_nothing() {
+        let q = SplitQueue::new(vec![split(0, vec![1, 2]), split(1, vec![3])]);
+        assert_eq!(q.total_rows(), 3);
+        q.set_pause_after(Some(1));
+        assert!(q.claim(0, None).is_some());
+        assert!(q.decision_due());
+        // A claimed split is no longer "remaining" but still part of the
+        // total the controller subtracts scanned rows from.
+        assert_eq!((q.remaining_rows(), q.total_rows()), (1, 3));
     }
 
     #[test]

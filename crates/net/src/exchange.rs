@@ -426,8 +426,9 @@ impl ExchangeRegistry {
     }
 
     /// Producer slots of `stage`'s output edge that have not finished yet
-    /// (including a held writer lease). The elasticity controller polls
-    /// this to detect a stage whose tasks all ended early — e.g. every
+    /// (including a held writer lease). The elasticity controller reads
+    /// this each time it wakes (a task's exit wakes it) to detect a stage
+    /// whose tasks all ended early — e.g. every
     /// task's LIMIT was satisfied mid-scan — with splits still unclaimed:
     /// once only the lease remains, nothing will ever claim again and the
     /// stage must be finished.
