@@ -233,8 +233,8 @@ struct Member {
     budget: Option<u32>,
 }
 
-/// One budget change applied by an arbitration round — the fleet retune
-/// log surfaced in `BENCH_workload_*.json`.
+/// One budget change applied by an arbitration round — an entry of the
+/// fleet retune log ([`FleetSnapshot::events`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetRetuneEvent {
     /// Arbitration round counter (1-based).

@@ -5,8 +5,9 @@
 //! these tests drive N queries at it concurrently and pin down the
 //! fleet-level contracts: admission limits hold (queue waits, reject
 //! fails fast, the queue bound rejects overflow), one failing query never
-//! poisons a sibling, queued arrivals die with `poison_active`, and
-//! deadline-driven queries join and leave the fleet cleanly.
+//! poisons a sibling, queued arrivals die with `poison_active`,
+//! deadline-driven queries join and leave the fleet cleanly, and the
+//! arbiter moves slots from an ahead query to a behind one while both run.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -299,6 +300,42 @@ fn concurrent_auto_queries_join_and_leave_the_fleet() {
     });
     // Every membership was dropped with its controller.
     assert_eq!(executor.fleet().snapshot().live_members, 0);
+}
+
+#[test]
+fn the_fleet_feeds_a_behind_query_from_an_ahead_one_mid_flight() {
+    let c = catalog();
+    let scan = LogicalPlanBuilder::scan(&c, "sales").unwrap().build();
+    let wide = Optimizer::new(OptimizerConfig::default().with_parallelism(4));
+    let narrow = Optimizer::new(OptimizerConfig::default().with_parallelism(1));
+    let executor = QueryExecutor::new(slow_opts().worker_threads(4));
+    let reference = sorted_rows(&executor.execute_logical(&c, &scan, &narrow).unwrap());
+
+    // Both queries sleep out a link latency per one-row page, so they are
+    // long whatever the machine: the loose one cruises far ahead of its
+    // minute, the tight one is behind its 10 ms from its first sample on.
+    let loose = slow_opts().elasticity(ElasticityConfig::auto(60_000));
+    let tight = slow_opts().elasticity(ElasticityConfig::auto(10));
+    std::thread::scope(|scope| {
+        let (ex, c2, scan2) = (&executor, &c, &scan);
+        let ahead = scope.spawn(move || ex.execute_logical_opts(c2, scan2, &wide, &loose));
+        assert!(
+            eventually(|| executor.fleet().snapshot().live_members >= 1),
+            "the loose query never joined the fleet"
+        );
+        let behind = executor.execute_logical_opts(&c, &scan, &narrow, &tight);
+        for r in [behind, ahead.join().unwrap()] {
+            assert_eq!(sorted_rows(&r.expect("auto query failed")), reference);
+        }
+    });
+
+    let fleet = executor.fleet().snapshot();
+    assert!(
+        fleet.cross_query_rounds >= 1,
+        "no round fed the behind query while the other was ahead: {fleet:?}"
+    );
+    assert!(fleet.events.iter().any(|e| e.behind), "{:?}", fleet.events);
+    assert_eq!(fleet.live_members, 0);
 }
 
 #[test]

@@ -86,11 +86,6 @@ impl ManualClock {
     pub fn advance_millis(&self, ms: u64) {
         self.advance(Duration::from_millis(ms));
     }
-
-    /// Sets the absolute time in nanoseconds.
-    pub fn set_nanos(&self, nanos: u64) {
-        self.nanos.store(nanos, Ordering::SeqCst);
-    }
 }
 
 impl Clock for ManualClock {
@@ -119,8 +114,6 @@ mod tests {
         assert_eq!(c.now_millis(), 5);
         c.advance(Duration::from_micros(1500));
         assert_eq!(c.now_nanos(), 5_000_000 + 1_500_000);
-        c.set_nanos(42);
-        assert_eq!(c.now_nanos(), 42);
     }
 
     #[test]

@@ -230,50 +230,30 @@ impl ElasticityConfig {
     /// so the predictor would pin every stage at its maximum DOP.
     pub const DEFAULT_AUTO_DEADLINE_MS: u64 = 1_000;
 
-    /// Reads `ACCORDION_ELASTICITY` (`off`, `forced-grow`, `forced-shrink`,
-    /// `cycle[:high:low]`, `auto[:deadline_ms]`); anything else — including
-    /// unset — is `Off`. This is what the CI elasticity matrix toggles.
+    /// Reads `ACCORDION_ELASTICITY` (the [`Self::try_parse_mode`] grammar);
+    /// anything else — including unset — is `Off`. This is what the CI
+    /// elasticity matrix toggles.
     pub fn from_env() -> Self {
         ElasticityConfig {
             mode: Self::parse_mode(std::env::var("ACCORDION_ELASTICITY").ok().as_deref()),
         }
     }
 
-    /// Parses one `ACCORDION_ELASTICITY` value (see [`Self::from_env`]).
-    /// Bare `auto` — or an unparsable deadline suffix — falls back to
-    /// [`Self::DEFAULT_AUTO_DEADLINE_MS`].
+    /// Parses one `ACCORDION_ELASTICITY` value: [`Self::try_parse_mode`]
+    /// with every error — and unset — read as `Off`.
     pub fn parse_mode(value: Option<&str>) -> ElasticityMode {
-        match value {
-            Some("forced-grow") => ElasticityMode::ForcedGrow,
-            Some("forced-shrink") => ElasticityMode::ForcedShrink,
-            Some(v) if v == "cycle" || v.starts_with("cycle:") => {
-                let (high, low) = v
-                    .strip_prefix("cycle:")
-                    .and_then(|spec| {
-                        let (h, l) = spec.split_once(':')?;
-                        Some((h.parse::<u32>().ok()?, l.parse::<u32>().ok()?))
-                    })
-                    .unwrap_or((4, 1));
-                ElasticityMode::Cycle { high, low }
-            }
-            Some(v) if v == "auto" || v.starts_with("auto:") => {
-                let deadline_ms = v
-                    .strip_prefix("auto:")
-                    .and_then(|d| d.parse::<u64>().ok())
-                    .unwrap_or(Self::DEFAULT_AUTO_DEADLINE_MS);
-                ElasticityMode::Auto { deadline_ms }
-            }
-            _ => ElasticityMode::Off,
-        }
+        value
+            .and_then(|v| Self::try_parse_mode(v).ok())
+            .unwrap_or(ElasticityMode::Off)
     }
 
-    /// Strict programmatic parsing of an elasticity mode — the API behind
-    /// the query server's `SET elasticity`. Accepts the same grammar as
-    /// [`Self::parse_mode`] plus `off` and `forced:<dop>`, but malformed
-    /// values are **errors** instead of silently falling back to defaults:
-    /// an interactive session should hear about its typo, while the env-var
-    /// path ([`Self::from_env`]) stays lenient so a bad CI matrix entry
-    /// degrades to `Off` rather than failing every test.
+    /// Strict parsing of an elasticity mode — the one grammar, behind the
+    /// query server's `SET elasticity`, `--elasticity` and the env var:
+    /// `off`, `forced-grow`, `forced-shrink`, `forced:<dop>`,
+    /// `cycle[:high:low]`, `auto[:deadline_ms]`. Malformed values are
+    /// **errors**: an interactive session should hear about its typo, while
+    /// the env-var path ([`Self::from_env`]) turns them into `Off` so a bad
+    /// CI matrix entry does not fail every test.
     pub fn try_parse_mode(value: &str) -> crate::error::Result<ElasticityMode> {
         use crate::error::AccordionError;
         let bad = |msg: String| Err(AccordionError::Parse(msg));
@@ -538,38 +518,32 @@ mod tests {
             ElasticityConfig::parse_mode(Some("cycle:6:2")),
             ElasticityMode::Cycle { high: 6, low: 2 }
         );
-        // Bare `cycle` and malformed specs get the default 4:1 schedule.
+        // Bare `cycle` gets the default 4:1 schedule.
         assert_eq!(
             ElasticityConfig::parse_mode(Some("cycle")),
-            ElasticityMode::Cycle { high: 4, low: 1 }
-        );
-        assert_eq!(
-            ElasticityConfig::parse_mode(Some("cycle:x:y")),
             ElasticityMode::Cycle { high: 4, low: 1 }
         );
         assert_eq!(
             ElasticityConfig::cycle(8, 2).mode,
             ElasticityMode::Cycle { high: 8, low: 2 }
         );
-        // Bare `auto` and malformed suffixes get the non-degenerate default
-        // deadline instead of an unmeetable 0 ms.
+        // Bare `auto` gets the non-degenerate default deadline instead of
+        // an unmeetable 0 ms.
         assert_eq!(
             ElasticityConfig::parse_mode(Some("auto")),
             ElasticityMode::Auto {
                 deadline_ms: ElasticityConfig::DEFAULT_AUTO_DEADLINE_MS
             }
         );
+        // The env path speaks the strict grammar, `forced:<dop>` included,
+        // and everything that grammar rejects is `Off` — never a guess.
         assert_eq!(
-            ElasticityConfig::parse_mode(Some("auto:5OO")),
-            ElasticityMode::Auto {
-                deadline_ms: ElasticityConfig::DEFAULT_AUTO_DEADLINE_MS
-            }
+            ElasticityConfig::parse_mode(Some("forced:3")),
+            ElasticityMode::Forced { target_dop: 3 }
         );
-        assert_eq!(ElasticityConfig::parse_mode(None), ElasticityMode::Off);
-        assert_eq!(
-            ElasticityConfig::parse_mode(Some("bogus")),
-            ElasticityMode::Off
-        );
+        for off in [None, Some("bogus"), Some("auto:5OO"), Some("cycle:x:y")] {
+            assert_eq!(ElasticityConfig::parse_mode(off), ElasticityMode::Off);
+        }
     }
 
     #[test]

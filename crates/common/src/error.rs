@@ -2,17 +2,10 @@
 
 use std::fmt;
 
-use crate::id::{QueryId, StageId, TaskId};
-
 /// Engine-wide result alias.
 pub type Result<T, E = AccordionError> = std::result::Result<T, E>;
 
 /// All errors surfaced by the Accordion engine.
-///
-/// The tuning-related variants mirror the paper's DOP tuning request filter
-/// (§5.2): requests can be rejected because the target already finished, or
-/// because rebuilding join state would cost more than just letting the stage
-/// run to completion.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AccordionError {
     /// SQL text could not be tokenized/parsed.
@@ -27,73 +20,12 @@ pub enum AccordionError {
     Storage(String),
     /// I/O error (file read/write), stringified to keep the enum `Clone`.
     Io(String),
-    /// Scheduling failure (no nodes, unknown stage...).
-    Schedule(String),
     /// Wire-codec failure: a page frame was truncated, corrupted, version
     /// mismatched, or carried an unexpected schema hash. Never a panic —
     /// every malformed byte stream decodes to this.
     Wire(String),
-    /// A DOP tuning request was rejected by the request filter.
-    TuningRejected(TuningRejection),
-    /// Referenced query does not exist (or was garbage collected).
-    UnknownQuery(QueryId),
-    /// Referenced stage does not exist in the query.
-    UnknownStage(QueryId, StageId),
-    /// Referenced task does not exist.
-    UnknownTask(TaskId),
     /// Internal invariant violation — a bug in the engine.
     Internal(String),
-}
-
-/// Why the tuning request filter (paper §5.2) rejected a request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TuningRejection {
-    /// The query already finished.
-    QueryFinished,
-    /// The targeted stage already finished.
-    StageFinished(StageId),
-    /// Estimated remaining time is below the state-transfer (hash table
-    /// rebuild) time, so the adjustment would waste resources.
-    NotWorthRebuild {
-        stage: StageId,
-        /// Estimated remaining execution time, milliseconds.
-        remaining_ms: u64,
-        /// Estimated hash-table rebuild / state transfer time, milliseconds.
-        rebuild_ms: u64,
-    },
-    /// The request does not change the DOP (a == b) or asks for DOP 0 on a
-    /// stage that cannot be fully drained.
-    NoOp,
-    /// The stage's parallelism is fixed (e.g. final aggregation, output).
-    FixedParallelism(StageId),
-    /// The requested DOP exceeds cluster capacity.
-    ExceedsCapacity { requested: u32, capacity: u32 },
-}
-
-impl fmt::Display for TuningRejection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TuningRejection::QueryFinished => write!(f, "query already finished"),
-            TuningRejection::StageFinished(s) => write!(f, "stage {s} already finished"),
-            TuningRejection::NotWorthRebuild {
-                stage,
-                remaining_ms,
-                rebuild_ms,
-            } => write!(
-                f,
-                "stage {stage}: remaining {remaining_ms}ms < rebuild {rebuild_ms}ms, \
-                 tuning would waste resources"
-            ),
-            TuningRejection::NoOp => write!(f, "request does not change the DOP"),
-            TuningRejection::FixedParallelism(s) => {
-                write!(f, "stage {s} has fixed parallelism")
-            }
-            TuningRejection::ExceedsCapacity {
-                requested,
-                capacity,
-            } => write!(f, "requested DOP {requested} exceeds capacity {capacity}"),
-        }
-    }
 }
 
 impl fmt::Display for AccordionError {
@@ -105,12 +37,7 @@ impl fmt::Display for AccordionError {
             AccordionError::Execution(m) => write!(f, "execution error: {m}"),
             AccordionError::Storage(m) => write!(f, "storage error: {m}"),
             AccordionError::Io(m) => write!(f, "io error: {m}"),
-            AccordionError::Schedule(m) => write!(f, "scheduling error: {m}"),
             AccordionError::Wire(m) => write!(f, "wire error: {m}"),
-            AccordionError::TuningRejected(r) => write!(f, "tuning request rejected: {r}"),
-            AccordionError::UnknownQuery(q) => write!(f, "unknown query {q}"),
-            AccordionError::UnknownStage(q, s) => write!(f, "unknown stage {s} of {q}"),
-            AccordionError::UnknownTask(t) => write!(f, "unknown task {t}"),
             AccordionError::Internal(m) => write!(f, "internal error: {m}"),
         }
     }
@@ -124,41 +51,14 @@ impl From<std::io::Error> for AccordionError {
     }
 }
 
-impl AccordionError {
-    /// True when the error is a tuning-filter rejection (expected, non-fatal).
-    pub fn is_tuning_rejection(&self) -> bool {
-        matches!(self, AccordionError::TuningRejected(_))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::id::StageId;
-
-    #[test]
-    fn display_rejections() {
-        let r = TuningRejection::NotWorthRebuild {
-            stage: StageId(1),
-            remaining_ms: 1200,
-            rebuild_ms: 3000,
-        };
-        let msg = AccordionError::TuningRejected(r).to_string();
-        assert!(msg.contains("remaining 1200ms"));
-        assert!(msg.contains("rebuild 3000ms"));
-    }
 
     #[test]
     fn io_error_converts() {
         let io = std::io::Error::new(std::io::ErrorKind::NotFound, "nope");
         let e: AccordionError = io.into();
         assert!(matches!(e, AccordionError::Io(_)));
-        assert!(!e.is_tuning_rejection());
-    }
-
-    #[test]
-    fn tuning_rejection_predicate() {
-        let e = AccordionError::TuningRejected(TuningRejection::QueryFinished);
-        assert!(e.is_tuning_rejection());
     }
 }

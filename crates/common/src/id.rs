@@ -1,35 +1,10 @@
 //! Strongly-typed identifiers.
 //!
-//! The distributed execution plan is addressed exactly as in the paper:
-//! a query contains stages, a stage contains tasks (`TaskId` = stage number +
-//! task sequence number, printed `3_0` like Presto/Accordion), a task runs
-//! pipelines, and each pipeline spawns drivers. Task output buffers are
-//! addressed by `BufferId`, which equals the *downstream* task's sequence
-//! number (paper §2, Fig 5).
+//! Stages are numbered as in the paper (0 is the output stage, Fig 4); a
+//! stage's tasks run pipelines; splits live on nodes.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Globally unique query identifier.
-///
-/// Monotonic within a process; the display form mimics the UI naming in the
-/// paper (`#QUERY-...`) without the timestamp component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct QueryId(pub u64);
-
-impl QueryId {
-    /// Allocates the next process-wide query id.
-    pub fn next() -> Self {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        QueryId(NEXT.fetch_add(1, Ordering::Relaxed))
-    }
-}
-
-impl fmt::Display for QueryId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "query-{}", self.0)
-    }
-}
 
 /// Stage number inside a query (0 is the output/root stage, as in Fig 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -41,26 +16,6 @@ impl fmt::Display for StageId {
     }
 }
 
-/// A task: the smallest unit of distributed execution. `TaskId { stage: 3,
-/// seq: 0 }` prints as `3_0`, matching the paper's Figure 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TaskId {
-    pub stage: StageId,
-    pub seq: u32,
-}
-
-impl TaskId {
-    pub fn new(stage: StageId, seq: u32) -> Self {
-        TaskId { stage, seq }
-    }
-}
-
-impl fmt::Display for TaskId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}_{}", self.stage.0, self.seq)
-    }
-}
-
 /// Pipeline index inside a task (assigned by the pipeline splitter, Fig 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PipelineId(pub u32);
@@ -68,33 +23,6 @@ pub struct PipelineId(pub u32);
 impl fmt::Display for PipelineId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "P{}", self.0)
-    }
-}
-
-/// A driver instance: `(pipeline, instance)` inside one task. Drivers are the
-/// smallest unit of scheduling and execution (paper §2 "Driver Execution").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DriverId {
-    pub pipeline: PipelineId,
-    pub instance: u32,
-}
-
-impl fmt::Display for DriverId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/d{}", self.pipeline, self.instance)
-    }
-}
-
-/// Output buffer id. Downstream task `n_k` pulls pages from buffer id `k` of
-/// each upstream task (paper §2 "Task Execution"). The buffer-id array of a
-/// task output buffer grows/shrinks as the downstream stage's DOP changes
-/// (paper §4.2.1, Fig 10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BufferId(pub u32);
-
-impl fmt::Display for BufferId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "b{}", self.0)
     }
 }
 
@@ -118,24 +46,8 @@ impl fmt::Display for SplitId {
     }
 }
 
-/// Identifier of a node in a logical or physical query plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PlanNodeId(pub u32);
-
-impl PlanNodeId {
-    pub fn new(v: u32) -> Self {
-        PlanNodeId(v)
-    }
-}
-
-impl fmt::Display for PlanNodeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "n{}", self.0)
-    }
-}
-
 /// Simple process-wide monotonic id generator, used wherever a fresh
-/// `PlanNodeId`/`SplitId` sequence is needed without threading state.
+/// `SplitId` sequence is needed without threading state.
 #[derive(Debug, Default)]
 pub struct IdGen {
     next: AtomicU64,
@@ -151,30 +63,11 @@ impl IdGen {
     pub fn next_u64(&self) -> u64 {
         self.next.fetch_add(1, Ordering::Relaxed)
     }
-
-    pub fn next_u32(&self) -> u32 {
-        self.next_u64() as u32
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn task_id_display_matches_paper_convention() {
-        let t = TaskId::new(StageId(3), 0);
-        assert_eq!(t.to_string(), "3_0");
-        let t = TaskId::new(StageId(4), 1);
-        assert_eq!(t.to_string(), "4_1");
-    }
-
-    #[test]
-    fn query_ids_are_unique_and_monotonic() {
-        let a = QueryId::next();
-        let b = QueryId::next();
-        assert!(b.0 > a.0);
-    }
 
     #[test]
     fn id_gen_is_monotonic() {
@@ -186,26 +79,16 @@ mod tests {
     }
 
     #[test]
-    fn ids_order_by_components() {
-        assert!(TaskId::new(StageId(1), 5) < TaskId::new(StageId(2), 0));
-        assert!(TaskId::new(StageId(1), 0) < TaskId::new(StageId(1), 1));
-        assert!(StageId(0) < StageId(1));
-        assert!(BufferId(0) < BufferId(7));
+    fn display_forms() {
+        assert_eq!(StageId(2).to_string(), "S2");
+        assert_eq!(NodeId(1).to_string(), "node-1");
+        assert_eq!(PipelineId(2).to_string(), "P2");
+        assert_eq!(SplitId(9).to_string(), "split-9");
     }
 
     #[test]
-    fn display_forms() {
-        assert_eq!(StageId(2).to_string(), "S2");
-        assert_eq!(BufferId(3).to_string(), "b3");
-        assert_eq!(NodeId(1).to_string(), "node-1");
-        assert_eq!(PipelineId(2).to_string(), "P2");
-        assert_eq!(
-            DriverId {
-                pipeline: PipelineId(1),
-                instance: 4
-            }
-            .to_string(),
-            "P1/d4"
-        );
+    fn ids_order_by_components() {
+        assert!(StageId(0) < StageId(1));
+        assert!(SplitId(3) < SplitId(10));
     }
 }

@@ -1,10 +1,9 @@
 //! Zero-dependency JSON value model, writer and parser.
 //!
-//! The bench harness (`accordion-bench`) persists every run as a
-//! `BENCH_<name>.json` file so speedups and regressions stay visible across
-//! the repo's history, and the CI regression gate reads those files back.
-//! The workspace is dependency-free by design, so this module implements the
-//! small JSON subset the harness needs from scratch:
+//! `QueryStats::to_json` and the repo benchmark (`suite/`) write their
+//! traces and reports as JSON, and the benchmark reads them back. The
+//! workspace is dependency-free by design, so this module implements the
+//! small JSON subset they need from scratch:
 //!
 //! * [`Json`] — a value tree. Objects keep **insertion order** (a
 //!   `Vec<(String, Json)>`, not a map), which is what makes the emitted
@@ -136,7 +135,7 @@ impl Json {
     }
 
     /// Pretty serialization with two-space indentation and a trailing
-    /// newline — the format of the committed `BENCH_*.json` baselines.
+    /// newline — the format of the repo benchmark's reports.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);

@@ -5,7 +5,7 @@
 //! period. These primitives are designed to be updated from driver threads
 //! with `Relaxed` atomics and read from the collector without locking.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -33,31 +33,6 @@ impl Counter {
 
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Instantaneous signed gauge.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    pub fn new() -> Self {
-        Gauge(AtomicI64::new(0))
-    }
-
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, v: i64) {
-        self.0.fetch_add(v, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -94,11 +69,6 @@ impl RateMeter {
         self.total.add(n);
     }
 
-    /// Lifetime total of recorded events.
-    pub fn total(&self) -> u64 {
-        self.total.get()
-    }
-
     /// Recomputes and returns the rate (events/second) since the previous
     /// sample. Returns the last known rate when called again within < 1 µs.
     pub fn sample(&self) -> f64 {
@@ -118,11 +88,6 @@ impl RateMeter {
         self.last_rate_micro
             .store((rate * 1e6) as u64, Ordering::Relaxed);
         rate
-    }
-
-    /// Rate computed at the most recent [`RateMeter::sample`] call.
-    pub fn last_rate(&self) -> f64 {
-        self.last_rate_micro.load(Ordering::Relaxed) as f64 / 1e6
     }
 }
 
@@ -181,15 +146,6 @@ impl TimeSeries {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Maximum recorded value (0.0 when empty).
-    pub fn max_value(&self) -> f64 {
-        self.points
-            .lock()
-            .iter()
-            .map(|p| p.value)
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -199,15 +155,11 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn counter_and_gauge() {
+    fn counter_counts() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        g.set(7);
-        g.add(-3);
-        assert_eq!(g.get(), 4);
     }
 
     #[test]
@@ -223,8 +175,6 @@ mod tests {
         clock.advance(Duration::from_secs(2));
         let r = m.sample();
         assert!((r - 25.0).abs() < 1e-9, "rate was {r}");
-        assert_eq!(m.total(), 150);
-        assert!((m.last_rate() - 25.0).abs() < 1e-3);
     }
 
     #[test]
@@ -251,7 +201,6 @@ mod tests {
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].at, Duration::ZERO);
         assert_eq!(pts[1].at, Duration::from_millis(100));
-        assert_eq!(ts.max_value(), 2.0);
         assert!(!ts.is_empty());
         assert_eq!(ts.last(), Some(pts[1]));
     }

@@ -78,6 +78,19 @@ fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
     Ok(None)
 }
 
+/// `server` and `worker` take `--flag value` pairs only, so anything else in
+/// a flag position is a typo — an error, not a default.
+fn reject_unknown_flags(args: &[String], known: &[&str]) -> Result<(), String> {
+    match args
+        .iter()
+        .step_by(2)
+        .find(|a| !known.contains(&a.as_str()))
+    {
+        Some(a) => Err(format!("unknown flag '{a}'")),
+        None => Ok(()),
+    }
+}
+
 fn parse_or<T: std::str::FromStr>(v: Option<String>, default: T, what: &str) -> Result<T, String> {
     match v {
         None => Ok(default),
@@ -86,6 +99,16 @@ fn parse_or<T: std::str::FromStr>(v: Option<String>, default: T, what: &str) -> 
 }
 
 fn run_server(args: &[String]) -> Result<(), String> {
+    const FLAGS: [&str; 7] = [
+        "--addr",
+        "--sf",
+        "--workers",
+        "--dop",
+        "--elasticity",
+        "--max-queries",
+        "--admission",
+    ];
+    reject_unknown_flags(args, &FLAGS)?;
     let addr = flag_value(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:4433".to_string());
     let sf: f64 = parse_or(flag_value(args, "--sf")?, 0.02, "--sf")?;
     let workers: usize = parse_or(flag_value(args, "--workers")?, 4, "--workers")?;
@@ -171,6 +194,7 @@ fn run_client(args: &[String]) -> Result<(), String> {
 }
 
 fn run_worker(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(args, &["--listen", "--sf", "--workers"])?;
     let listen = flag_value(args, "--listen")?.unwrap_or_else(|| "127.0.0.1:0".to_string());
     let sf: f64 = parse_or(flag_value(args, "--sf")?, 0.02, "--sf")?;
     let workers: usize = parse_or(flag_value(args, "--workers")?, 4, "--workers")?;

@@ -26,34 +26,6 @@ use accordion_tpch::gen::{generate, TpchOptions};
 
 const SF: &str = "0.02";
 
-const Q1_SQL: &str = "\
-SELECT l_returnflag, l_linestatus, sum(l_quantity) AS sum_qty, \
-       sum(l_extendedprice) AS sum_base_price, \
-       sum(l_extendedprice * (1.0 - l_discount)) AS sum_disc_price, \
-       avg(l_discount) AS avg_disc, count(*) AS count_order \
-FROM lineitem \
-WHERE l_shipdate <= DATE '1998-09-02' \
-GROUP BY l_returnflag, l_linestatus";
-
-const Q3_SQL: &str = "\
-SELECT l_orderkey, o_orderdate, \
-       sum(l_extendedprice * (1.0 - l_discount)) AS revenue \
-FROM lineitem \
-  INNER JOIN orders ON l_orderkey = o_orderkey \
-  INNER JOIN customer ON o_custkey = c_custkey \
-WHERE l_shipdate > DATE '1995-03-15' \
-  AND o_orderdate < DATE '1995-03-15' \
-  AND c_mktsegment = 'BUILDING' \
-GROUP BY l_orderkey, o_orderdate \
-ORDER BY revenue DESC, l_orderkey \
-LIMIT 10";
-
-const Q6_SQL: &str = "\
-SELECT sum(l_extendedprice * l_discount) AS revenue \
-FROM lineitem \
-WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01' \
-  AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24.0";
-
 /// A spawned worker process, killed on drop so a failing test cannot leak
 /// children.
 struct WorkerProc {
@@ -191,9 +163,9 @@ fn fleet_of_three_processes_matches_in_process_execution() {
             "top_orders",
             "SELECT * FROM orders ORDER BY o_totalprice DESC, o_orderkey LIMIT 20",
         ),
-        ("q1", Q1_SQL),
-        ("q3", Q3_SQL),
-        ("q6", Q6_SQL),
+        ("q1", include_str!("../../../benchmarks/sql/q1.sql")),
+        ("q3", include_str!("../../../benchmarks/sql/q3.sql")),
+        ("q6", include_str!("../../../benchmarks/sql/q6.sql")),
     ];
     for (name, sql) in cases {
         // Serial in-process reference over the identical catalog.
@@ -285,6 +257,45 @@ fn coord_subcommand_runs_a_fleet_end_to_end() {
         stdout.contains("remote slots)"),
         "coord printed no trailer: {stdout}"
     );
+}
+
+#[test]
+fn server_and_worker_reject_unknown_flags() {
+    // A typo must not start a node on defaults: `--worker` for `--workers`,
+    // a flag of another subcommand, a stray positional.
+    for (args, bad) in [
+        (&["server", "--worker", "8"][..], "--worker"),
+        (&["worker", "--dop", "4"][..], "--dop"),
+        (&["worker", "--sf", SF, "stray"][..], "stray"),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_accordion-core"))
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn accordion-core");
+        // A node that does start runs until killed: bound the wait.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while child.try_wait().unwrap().is_none() {
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{args:?} started a node");
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} exited zero");
+        assert!(
+            stderr.contains(&format!("unknown flag '{bad}'")),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("generating"),
+            "{args:?} generated data before failing: {stderr}"
+        );
+    }
 }
 
 const GROUP_SQL: &str = "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag";

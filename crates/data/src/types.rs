@@ -38,11 +38,6 @@ impl DataType {
     pub fn is_numeric(&self) -> bool {
         matches!(self, DataType::Int64 | DataType::Float64)
     }
-
-    /// True when values of this type admit a total order usable in ORDER BY.
-    pub fn is_orderable(&self) -> bool {
-        true
-    }
 }
 
 impl fmt::Display for DataType {

@@ -311,7 +311,7 @@ pub struct OperatorStats {
 }
 
 impl OperatorStats {
-    /// Serializes into the bench harness's `BENCH_*.json` operator record.
+    /// The operator record of [`QueryStats::to_json`].
     pub fn to_json(&self) -> Json {
         Json::obj()
             .with("stage", Json::u64(self.stage as u64))
@@ -348,7 +348,7 @@ pub struct RetuneEvent {
 }
 
 impl RetuneEvent {
-    /// Serializes into the bench harness's `BENCH_*.json` retune record.
+    /// The retune record of [`QueryStats::to_json`].
     /// A `predicted_secs` of infinity (no rate sample yet) maps to JSON
     /// `null` — JSON has no literal for it.
     pub fn to_json(&self) -> Json {
@@ -495,9 +495,9 @@ impl QueryStats {
         self.series.iter().find(|s| s.stage == stage)
     }
 
-    /// Serializes the full stats record for the bench harness's
-    /// `BENCH_*.json`: per-operator counters, exchange aggregates, the
-    /// per-stage throughput series, the retune and decision logs. Field
+    /// Serializes the full stats record (the repo benchmark's `trace_*.json`
+    /// carries one per statement): per-operator counters, exchange aggregates,
+    /// the per-stage throughput series, the retune and decision logs. Field
     /// order is fixed, so identical runs serialize byte-identically.
     pub fn to_json(&self) -> Json {
         Json::obj()

@@ -45,13 +45,6 @@ impl BinaryOp {
         )
     }
 
-    pub fn is_arithmetic(&self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div
-        )
-    }
-
     pub fn is_logical(&self) -> bool {
         matches!(self, BinaryOp::And | BinaryOp::Or)
     }

@@ -109,16 +109,6 @@ impl OperatorSpec {
         }
     }
 
-    /// True for the operators that begin a pipeline.
-    pub fn is_source(&self) -> bool {
-        matches!(
-            self,
-            OperatorSpec::TableScan { .. }
-                | OperatorSpec::ExchangeSource { .. }
-                | OperatorSpec::LocalSource { .. }
-        )
-    }
-
     /// True for the operators that terminate a pipeline.
     pub fn is_sink(&self) -> bool {
         matches!(

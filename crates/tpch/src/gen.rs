@@ -5,8 +5,8 @@
 //! `seed ^ fnv(table_name)`), so a table's content depends only on
 //! `(scale_factor, seed)` — never on generation order. The golden tests
 //! below pin per-table row counts and content checksums for a fixed seed,
-//! which is what lets the bench harness compare counters across machines
-//! byte-for-byte.
+//! which is what lets tests and the repo benchmark pin row counts and
+//! results across machines.
 //!
 //! Row counts follow the TPC-H scaling rules (`SF=1`: 150 k customers,
 //! 1.5 M orders, 1–7 lineitems per order, …); the physical layout follows
@@ -392,11 +392,12 @@ mod tests {
         }
     }
 
-    /// Golden fingerprint: pins the exact output of the default bench
+    /// Golden fingerprint: pins the exact output of the default
     /// configuration. If generator logic changes, this test must be
-    /// updated *consciously* — committed `BENCH_*.json` baselines record
-    /// these checksums and silently regenerating different data would
-    /// invalidate every cross-run comparison.
+    /// updated *consciously* — `tests/tpch_matrix.rs` and the repo
+    /// benchmark's oracles pin results over this data, and silently
+    /// regenerating different data would invalidate every cross-run
+    /// comparison.
     #[test]
     fn golden_fingerprint_sf_0_001_seed_42() {
         let d = generate(&TpchOptions {

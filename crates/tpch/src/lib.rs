@@ -1,4 +1,4 @@
-//! TPC-H data generation and evaluation query definitions.
+//! Deterministic TPC-H data generation.
 //!
 //! The paper's experiments (§7) run TPC-H-shaped analytical queries over
 //! tables laid out across storage nodes per its Table 1. This crate
@@ -9,18 +9,12 @@
 //!   pair always produces byte-identical tables (pinned by per-table row
 //!   counts and content checksums), so benchmark runs are reproducible
 //!   across machines and sessions.
-//! * [`queries`] — [`LogicalPlanBuilder`] definitions of the evaluation
-//!   queries: the Q1-shaped scan→filter→aggregate, the Q3-shaped
-//!   three-table join, the Q6-shaped selective filter→aggregate, and a
-//!   Top-N over orders. These are the workloads the bench harness
-//!   (`accordion-bench`) runs through the engine.
+//! * [`schemas`] — the Table 1 column lists the generator builds from.
 //!
-//! [`LogicalPlanBuilder`]: accordion_plan::LogicalPlanBuilder
+//! The evaluation queries themselves are SQL text: `benchmarks/sql/q1.sql`,
+//! `q3.sql` and `q6.sql`.
 
 pub mod gen;
-pub mod queries;
 pub mod schemas;
 
 pub use gen::{generate, TableSummary, TpchData, TpchOptions};
-pub use queries::{all_queries, q1, q3, q6, top_orders};
-pub use schemas::TpchSchemas;

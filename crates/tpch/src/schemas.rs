@@ -1,16 +1,8 @@
-//! The paper's Table 1 schemas, defined once.
-//!
-//! Both the data generator ([`crate::gen`]) and the schema-only
-//! [`TpchSchemas`] catalog build from these definitions, so the SQL
-//! analyzer, the planner and the generated tables can never drift apart.
-//! [`TpchSchemas`] implements [`accordion_plan::catalog::Catalog`], which
-//! makes it enough to parse, analyze and plan any TPC-H query without
-//! generating a single row.
+//! The paper's Table 1 schemas, defined once: the column lists the data
+//! generator ([`crate::gen`]) builds its tables from.
 
-use accordion_common::Result;
-use accordion_data::schema::{Field, Schema, SchemaRef};
+use accordion_data::schema::Field;
 use accordion_data::types::DataType;
-use accordion_plan::catalog::{unknown_table, Catalog, TableRef};
 
 use DataType::{Date32, Float64, Int64, Utf8};
 
@@ -90,84 +82,4 @@ pub fn lineitem() -> Vec<Field> {
         field("l_linestatus", Utf8),
         field("l_shipdate", Date32),
     ]
-}
-
-/// `(name, schema)` for every TPC-H table, in generation order.
-pub fn all_tables() -> Vec<(&'static str, Vec<Field>)> {
-    vec![
-        ("region", region()),
-        ("nation", nation()),
-        ("supplier", supplier()),
-        ("part", part()),
-        ("customer", customer()),
-        ("orders", orders()),
-        ("lineitem", lineitem()),
-    ]
-}
-
-/// Schema-only TPC-H catalog: resolves the seven table names to their
-/// schemas without holding any data.
-#[derive(Debug, Clone)]
-pub struct TpchSchemas {
-    tables: Vec<(&'static str, SchemaRef)>,
-}
-
-impl Default for TpchSchemas {
-    fn default() -> Self {
-        TpchSchemas {
-            tables: all_tables()
-                .into_iter()
-                .map(|(name, fields)| (name, Schema::shared(fields)))
-                .collect(),
-        }
-    }
-}
-
-impl TpchSchemas {
-    pub fn new() -> Self {
-        TpchSchemas::default()
-    }
-}
-
-impl Catalog for TpchSchemas {
-    fn table(&self, name: &str) -> Result<TableRef> {
-        let lower = name.to_ascii_lowercase();
-        self.tables
-            .iter()
-            .find(|(n, _)| *n == lower)
-            .map(|(n, schema)| TableRef {
-                name: (*n).to_string(),
-                schema: schema.clone(),
-            })
-            .ok_or_else(|| unknown_table(name))
-    }
-
-    fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.iter().map(|(n, _)| (*n).to_string()).collect();
-        names.sort();
-        names
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn resolves_all_seven_tables() {
-        let c = TpchSchemas::new();
-        assert_eq!(c.table_names().len(), 7);
-        let t = c.table("LINEITEM").unwrap();
-        assert_eq!(t.name, "lineitem");
-        assert_eq!(t.schema.len(), 11);
-        assert!(c.table("parts").is_err());
-    }
-
-    #[test]
-    fn lineitem_types_match_expr_surface() {
-        let c = TpchSchemas::new();
-        let t = c.table("lineitem").unwrap();
-        assert_eq!(t.schema.field(10).data_type, Date32, "l_shipdate is a date");
-        assert_eq!(t.schema.index_of("l_discount"), Some(6));
-    }
 }

@@ -9,7 +9,6 @@
 //! let _ = (Catalog::new(), LogicalPlanBuilder::from_plan);
 //! ```
 
-pub use accordion_bench as bench;
 pub use accordion_cluster as cluster;
 pub use accordion_common as common;
 pub use accordion_core as server;
