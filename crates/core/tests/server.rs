@@ -180,6 +180,44 @@ fn error_frames_carry_diagnostics_and_do_not_kill_the_session() {
 }
 
 #[test]
+fn mixed_type_expressions_answer_or_fail_analysis_but_never_panic_a_worker() {
+    let server = start_server(2);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // INT64 and FLOAT64 branches: the CASE is FLOAT64 (it used to answer
+    // `ERR … task panicked: type mismatch pushing Float64(0.5) into Int64
+    // builder`). Three prices are above 2.0.
+    let rs = client
+        .query("SELECT sum(CASE WHEN price > 2.0 THEN 1 ELSE 0.5 END) AS s FROM sales")
+        .unwrap();
+    assert_eq!(rs.rows, vec![vec!["5.5".to_string()]]);
+    // Branches that do not unify are refused with the CASE underlined.
+    let err = client
+        .send("SELECT CASE WHEN qty > 5 THEN 'a' ELSE 1 END FROM sales")
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.contains("CASE branches have incompatible types") && err.contains('^'),
+        "{err}"
+    );
+    // `float_col IN (int)` compares like `float_col = int` (it selected
+    // nothing), and a NULL element makes NOT IN keep no row.
+    let by_in = client
+        .query("SELECT qty FROM sales WHERE price IN (1, 4) ORDER BY qty")
+        .unwrap();
+    let by_eq = client
+        .query("SELECT qty FROM sales WHERE price = 1 OR price = 4 ORDER BY qty")
+        .unwrap();
+    assert_eq!(by_in.rows, by_eq.rows);
+    assert_eq!(by_in.rows.len(), 3);
+    let none = client
+        .query("SELECT qty FROM sales WHERE qty NOT IN (5, NULL)")
+        .unwrap();
+    assert!(none.rows.is_empty(), "{:?}", none.rows);
+    client.exit().unwrap();
+}
+
+#[test]
 fn batches_return_one_frame_per_statement() {
     let server = start_server(2);
     let mut client = Client::connect(server.local_addr()).unwrap();

@@ -3,7 +3,13 @@
 //! A [`Column`] stores one attribute of a page in a dense, type-specialized
 //! vector plus an optional validity bitmap (absent bitmap = all valid).
 //! Columns are immutable once built; operators create new columns via
-//! [`ColumnBuilder`] or the vectorized `gather`/`slice` kernels.
+//! [`ColumnBuilder`] or the vectorized `gather`/`slice`/`interleave` kernels.
+//!
+//! Kernels read the typed vectors and combine validity word-wise
+//! ([`Validity::and`]); a null row's data slot is a don't-care. A
+//! [`Utf8Column`] keeps its arena as a `String`: UTF-8 is checked once, where
+//! bytes enter (a `&str` push, or `Utf8Column::from_raw` for bytes off the
+//! wire), so reading a value is a slice, never a re-validation.
 
 use std::sync::Arc;
 
@@ -28,6 +34,32 @@ impl Validity {
         Validity {
             bits: vec![0; len.div_ceil(64)],
             len,
+        }
+    }
+
+    /// Bitmap of `len` rows with row `i` valid iff `valid(i)`, built a word
+    /// at a time.
+    pub fn from_fn(len: usize, mut valid: impl FnMut(usize) -> bool) -> Self {
+        let bits = (0..len.div_ceil(64))
+            .map(|w| {
+                let base = w * 64;
+                (base..len.min(base + 64))
+                    .fold(0u64, |word, i| word | (valid(i) as u64) << (i - base))
+            })
+            .collect();
+        Validity { bits, len }
+    }
+
+    /// Rows valid in both operands — the null rule of every binary kernel.
+    /// An absent bitmap is all-valid, so the other side's is shared as is.
+    pub fn and(a: Option<&Arc<Validity>>, b: Option<&Arc<Validity>>) -> Option<Arc<Validity>> {
+        match (a, b) {
+            (None, v) | (v, None) => v.cloned(),
+            (Some(a), Some(b)) => {
+                debug_assert_eq!(a.len, b.len);
+                let bits = a.bits.iter().zip(&b.bits).map(|(x, y)| x & y).collect();
+                Some(Arc::new(Validity { bits, len: a.len }))
+            }
         }
     }
 
@@ -105,26 +137,36 @@ pub enum Column {
     Utf8(Arc<Utf8Column>, Option<Arc<Validity>>),
 }
 
-/// Variable-width UTF-8 column stored as a contiguous byte buffer plus
-/// offsets (the classic Arrow layout, rebuilt from scratch here).
+/// Variable-width UTF-8 column stored as one contiguous arena plus offsets
+/// (the classic Arrow layout, rebuilt from scratch here).
+///
+/// Invariant: `data` is valid UTF-8 as a whole (it is a `String`) and every
+/// offset lies on a char boundary, so each value is a `str` slice of the
+/// arena. Both ways in keep it: [`push`](Utf8Column::push) appends a `&str`,
+/// the crate-private `from_raw` checks bytes that crossed a network.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Utf8Column {
-    data: Vec<u8>,
+    data: String,
     /// `offsets.len() == row_count + 1`; row `i` spans
     /// `data[offsets[i]..offsets[i+1]]`.
     offsets: Vec<u32>,
 }
 
 impl Utf8Column {
+    /// An empty column with room for the offsets of `rows` values.
+    fn with_capacity(rows: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Utf8Column {
+            data: String::new(),
+            offsets,
+        }
+    }
+
     pub fn from_strings<S: AsRef<str>>(vals: &[S]) -> Self {
-        let mut c = Utf8Column {
-            data: Vec::new(),
-            offsets: Vec::with_capacity(vals.len() + 1),
-        };
-        c.offsets.push(0);
+        let mut c = Utf8Column::with_capacity(vals.len());
         for v in vals {
-            c.data.extend_from_slice(v.as_ref().as_bytes());
-            c.offsets.push(c.data.len() as u32);
+            c.push(v.as_ref());
         }
         c
     }
@@ -133,16 +175,34 @@ impl Utf8Column {
         if self.offsets.is_empty() {
             self.offsets.push(0);
         }
-        self.data.extend_from_slice(s.as_bytes());
+        self.data.push_str(s);
         self.offsets.push(self.data.len() as u32);
     }
 
     #[inline]
     pub fn value(&self, i: usize) -> &str {
-        let start = self.offsets[i] as usize;
-        let end = self.offsets[i + 1] as usize;
-        // SAFETY-free: data was built from &str pushes, always valid UTF-8.
-        std::str::from_utf8(&self.data[start..end]).expect("utf8 column corrupted")
+        &self.data[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The bytes of row `i` — what hashing, key encoding and equality read.
+    #[inline]
+    pub fn bytes(&self, i: usize) -> &[u8] {
+        &self.data.as_bytes()[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Every value's bytes in row order.
+    pub fn iter_bytes(&self) -> impl ExactSizeIterator<Item = &[u8]> {
+        let data = self.data.as_bytes();
+        self.offsets
+            .windows(2)
+            .map(move |w| &data[w[0] as usize..w[1] as usize])
+    }
+
+    /// Every value in row order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.data[w[0] as usize..w[1] as usize])
     }
 
     pub fn len(&self) -> usize {
@@ -159,7 +219,7 @@ impl Utf8Column {
 
     /// Raw byte arena (wire-codec encode path).
     pub(crate) fn data_bytes(&self) -> &[u8] {
-        &self.data
+        self.data.as_bytes()
     }
 
     /// Raw offsets; `offsets[rows]` is the arena length. May be empty for a
@@ -168,9 +228,10 @@ impl Utf8Column {
         &self.offsets
     }
 
-    /// Rebuilds a column from a raw arena + offsets, validating every
-    /// invariant `value()` later relies on (wire-codec decode path: the
-    /// input crossed a network and cannot be trusted).
+    /// Rebuilds a column from a raw arena + offsets, validating the type's
+    /// invariant (wire-codec decode path: the input crossed a network and
+    /// cannot be trusted). A valid arena cut on char boundaries is exactly
+    /// an arena whose every value is valid UTF-8.
     pub(crate) fn from_raw(data: Vec<u8>, offsets: Vec<u32>) -> Result<Utf8Column, String> {
         if offsets.first() != Some(&0) {
             return Err("utf8 offsets must start at 0".to_string());
@@ -188,10 +249,10 @@ impl Utf8Column {
                 data.len()
             ));
         }
-        for w in offsets.windows(2) {
-            if std::str::from_utf8(&data[w[0] as usize..w[1] as usize]).is_err() {
-                return Err("utf8 value is not valid UTF-8".to_string());
-            }
+        let data =
+            String::from_utf8(data).map_err(|_| "utf8 value is not valid UTF-8".to_string())?;
+        if !offsets.iter().all(|&o| data.is_char_boundary(o as usize)) {
+            return Err("utf8 value is not valid UTF-8".to_string());
         }
         Ok(Utf8Column { data, offsets })
     }
@@ -200,16 +261,9 @@ impl Utf8Column {
 /// Builds a validity bitmap from a nulls mask — `None` when fully valid
 /// (the all-valid fast path skips the bitmap entirely).
 fn validity_from_nulls(nulls: &[bool]) -> Option<Arc<Validity>> {
-    if !nulls.iter().any(|&n| n) {
-        return None;
-    }
-    let mut v = Validity::new_all_valid(nulls.len());
-    for (i, &n) in nulls.iter().enumerate() {
-        if n {
-            v.set(i, false);
-        }
-    }
-    Some(Arc::new(v))
+    nulls
+        .contains(&true)
+        .then(|| Arc::new(Validity::from_fn(nulls.len(), |i| !nulls[i])))
 }
 
 impl Column {
@@ -291,14 +345,39 @@ impl Column {
         self.len() == 0
     }
 
-    pub fn validity(&self) -> Option<&Validity> {
+    pub fn validity(&self) -> Option<&Arc<Validity>> {
         match self {
             Column::Int64(_, v)
             | Column::Float64(_, v)
             | Column::Bool(_, v)
             | Column::Date32(_, v)
-            | Column::Utf8(_, v) => v.as_deref(),
+            | Column::Utf8(_, v) => v.as_ref(),
         }
+    }
+
+    /// The same data under another bitmap: kernels compute over every data
+    /// slot, then attach the validity their operands combine to.
+    pub fn with_validity(self, validity: Option<Arc<Validity>>) -> Column {
+        debug_assert!(validity.as_ref().is_none_or(|v| v.len() == self.len()));
+        match self {
+            Column::Int64(d, _) => Column::Int64(d, validity),
+            Column::Float64(d, _) => Column::Float64(d, validity),
+            Column::Bool(d, _) => Column::Bool(d, validity),
+            Column::Date32(d, _) => Column::Date32(d, validity),
+            Column::Utf8(d, _) => Column::Utf8(d, validity),
+        }
+    }
+
+    /// `len` NULLs of type `dt`.
+    pub fn nulls(dt: DataType, len: usize) -> Column {
+        let data = match dt {
+            DataType::Int64 => Column::from_i64(vec![0; len]),
+            DataType::Float64 => Column::from_f64(vec![0.0; len]),
+            DataType::Bool => Column::from_bool(vec![false; len]),
+            DataType::Date32 => Column::from_date32(vec![0; len]),
+            DataType::Utf8 => Column::from_strings(&vec![""; len]),
+        };
+        data.with_validity(Some(Arc::new(Validity::new_all_null(len))))
     }
 
     #[inline]
@@ -377,11 +456,9 @@ impl Column {
     /// behind filters, joins and sorts).
     pub fn gather(&self, indices: &[u32]) -> Column {
         let validity = self.validity().map(|v| {
-            let mut nv = Validity::new_all_valid(indices.len());
-            for (out, &src) in indices.iter().enumerate() {
-                nv.set(out, v.is_valid(src as usize));
-            }
-            Arc::new(nv)
+            Arc::new(Validity::from_fn(indices.len(), |out| {
+                v.is_valid(indices[out] as usize)
+            }))
         });
         match self {
             Column::Int64(v, _) => Column::Int64(
@@ -401,10 +478,73 @@ impl Column {
                 validity,
             ),
             Column::Utf8(v, _) => {
-                let mut out = Utf8Column::default();
-                out.offsets.push(0);
+                let mut out = Utf8Column::with_capacity(indices.len());
                 for &i in indices {
                     out.push(v.value(i as usize));
+                }
+                Column::Utf8(Arc::new(out), validity)
+            }
+        }
+    }
+
+    /// Row `i` of the result is row `i` of `sources[pick[i]]`, value and
+    /// validity — the typed select behind `CASE`. Panics unless every source
+    /// has this column type and `pick.len()` rows and every pick is in range
+    /// (callers check; a planner-built `CASE` cannot get here otherwise).
+    pub fn interleave(sources: &[&Column], pick: &[u32]) -> Column {
+        fn select<T: Copy>(slices: Vec<&[T]>, pick: &[u32]) -> Arc<Vec<T>> {
+            Arc::new(
+                pick.iter()
+                    .enumerate()
+                    .map(|(i, &p)| slices[p as usize][i])
+                    .collect(),
+            )
+        }
+        const MIXED: &str = "interleave over mixed column types";
+        let first = sources.first().expect("interleave of zero sources");
+        let validity = sources.iter().any(|c| c.validity().is_some()).then(|| {
+            Arc::new(Validity::from_fn(pick.len(), |i| {
+                sources[pick[i] as usize].is_valid(i)
+            }))
+        });
+        match first {
+            Column::Int64(..) => Column::Int64(
+                select(
+                    sources.iter().map(|c| c.as_i64().expect(MIXED)).collect(),
+                    pick,
+                ),
+                validity,
+            ),
+            Column::Float64(..) => Column::Float64(
+                select(
+                    sources.iter().map(|c| c.as_f64().expect(MIXED)).collect(),
+                    pick,
+                ),
+                validity,
+            ),
+            Column::Bool(..) => Column::Bool(
+                select(
+                    sources.iter().map(|c| c.as_bool().expect(MIXED)).collect(),
+                    pick,
+                ),
+                validity,
+            ),
+            Column::Date32(..) => Column::Date32(
+                select(
+                    sources
+                        .iter()
+                        .map(|c| c.as_date32().expect(MIXED))
+                        .collect(),
+                    pick,
+                ),
+                validity,
+            ),
+            Column::Utf8(..) => {
+                let strs: Vec<&Utf8Column> =
+                    sources.iter().map(|c| c.as_utf8().expect(MIXED)).collect();
+                let mut out = Utf8Column::with_capacity(pick.len());
+                for (i, &p) in pick.iter().enumerate() {
+                    out.push(strs[p as usize].value(i));
                 }
                 Column::Utf8(Arc::new(out), validity)
             }
@@ -541,38 +681,25 @@ impl ColumnBuilder {
     }
 
     pub fn finish(self) -> Column {
-        fn validity(nulls: &[bool]) -> Option<Arc<Validity>> {
-            if nulls.iter().any(|&n| n) {
-                let mut v = Validity::new_all_valid(nulls.len());
-                for (i, &n) in nulls.iter().enumerate() {
-                    if n {
-                        v.set(i, false);
-                    }
-                }
-                Some(Arc::new(v))
-            } else {
-                None
-            }
-        }
         match self {
             ColumnBuilder::Int64(d, n) => {
-                let v = validity(&n);
+                let v = validity_from_nulls(&n);
                 Column::Int64(Arc::new(d), v)
             }
             ColumnBuilder::Float64(d, n) => {
-                let v = validity(&n);
+                let v = validity_from_nulls(&n);
                 Column::Float64(Arc::new(d), v)
             }
             ColumnBuilder::Bool(d, n) => {
-                let v = validity(&n);
+                let v = validity_from_nulls(&n);
                 Column::Bool(Arc::new(d), v)
             }
             ColumnBuilder::Date32(d, n) => {
-                let v = validity(&n);
+                let v = validity_from_nulls(&n);
                 Column::Date32(Arc::new(d), v)
             }
             ColumnBuilder::Utf8(d, n) => {
-                let v = validity(&n);
+                let v = validity_from_nulls(&n);
                 Column::Utf8(Arc::new(d), v)
             }
         }
@@ -604,6 +731,75 @@ mod tests {
         assert_eq!(c.value(0), "hello");
         assert_eq!(c.value(1), "");
         assert_eq!(c.value(2), "world");
+    }
+
+    #[test]
+    fn validity_from_fn_and_word_wise_and() {
+        for len in [0usize, 1, 63, 64, 65, 200] {
+            let a = Arc::new(Validity::from_fn(len, |i| i % 3 != 0));
+            let b = Arc::new(Validity::from_fn(len, |i| i % 2 == 0));
+            assert_eq!(a.len(), len);
+            assert_eq!(a.null_count(), len.div_ceil(3));
+            let both = Validity::and(Some(&a), Some(&b)).unwrap();
+            for i in 0..len {
+                assert_eq!(a.is_valid(i), i % 3 != 0, "len {len} row {i}");
+                assert_eq!(both.is_valid(i), a.is_valid(i) && b.is_valid(i));
+            }
+            // An absent bitmap is all-valid: the other side's is shared.
+            assert!(Arc::ptr_eq(&Validity::and(Some(&a), None).unwrap(), &a));
+            assert!(Arc::ptr_eq(&Validity::and(None, Some(&b)).unwrap(), &b));
+        }
+        assert!(Validity::and(None, None).is_none());
+    }
+
+    #[test]
+    fn utf8_from_raw_checks_the_arena_once_and_every_cut() {
+        let ok = Utf8Column::from_raw("aé日".as_bytes().to_vec(), vec![0, 1, 3, 6]).unwrap();
+        assert_eq!(ok.iter().collect::<Vec<_>>(), vec!["a", "é", "日"]);
+        assert_eq!(ok.bytes(1), "é".as_bytes());
+        assert_eq!(
+            ok.iter_bytes().map(<[u8]>::len).collect::<Vec<_>>(),
+            [1, 2, 3]
+        );
+        // A cut inside a character: every value would be invalid UTF-8.
+        assert!(Utf8Column::from_raw("aé".as_bytes().to_vec(), vec![0, 2, 3]).is_err());
+        // Invalid bytes, bad offsets.
+        assert!(Utf8Column::from_raw(vec![0xff, 0xfe], vec![0, 2]).is_err());
+        assert!(Utf8Column::from_raw(b"ab".to_vec(), vec![1, 2]).is_err());
+        assert!(Utf8Column::from_raw(b"ab".to_vec(), vec![0, 2, 1]).is_err());
+        assert!(Utf8Column::from_raw(b"ab".to_vec(), vec![0, 1]).is_err());
+    }
+
+    #[test]
+    fn interleave_selects_value_and_validity_per_row() {
+        let a = Column::from_i64(vec![1, 2, 3, 4]);
+        let b = Column::from_i64_nullable(vec![10, 20, 30, 40], &[false, true, false, true]);
+        let nulls = Column::nulls(DataType::Int64, 4);
+        let got = Column::interleave(&[&a, &b, &nulls], &[0, 1, 1, 2]);
+        assert_eq!(
+            (0..4).map(|i| got.value(i)).collect::<Vec<_>>(),
+            vec![Value::Int64(1), Value::Null, Value::Int64(30), Value::Null]
+        );
+        // No source has a bitmap ⇒ neither has the result.
+        assert!(Column::interleave(&[&a, &a], &[1, 0, 1, 0])
+            .validity()
+            .is_none());
+        let s = Column::from_strings(&["x", "yy", "", "zzz"]);
+        let t = Column::from_strings(&["p", "q", "r", "s"]);
+        let got = Column::interleave(&[&s, &t], &[1, 0, 0, 1]);
+        let strs = got.as_utf8().unwrap();
+        assert_eq!(strs.iter().collect::<Vec<_>>(), vec!["p", "yy", "", "s"]);
+        // `nulls` of every type is all NULL and of that type.
+        for dt in [
+            DataType::Int64,
+            DataType::Float64,
+            DataType::Bool,
+            DataType::Date32,
+            DataType::Utf8,
+        ] {
+            let c = Column::nulls(dt, 3);
+            assert_eq!((c.data_type(), c.len(), c.null_count()), (dt, 3, 3));
+        }
     }
 
     #[test]

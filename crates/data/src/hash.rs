@@ -40,17 +40,24 @@ fn hash_cell(col: &Column, row: usize, acc: u64) -> u64 {
         Column::Date32(v, _) => mix(acc, v[row] as u64),
         Column::Bool(v, _) => mix(acc, v[row] as u64 + 1),
         Column::Float64(v, _) => mix(acc, v[row].to_bits()),
-        Column::Utf8(v, _) => {
-            let s = v.value(row).as_bytes();
-            let mut h = mix(acc, s.len() as u64);
-            for chunk in s.chunks(8) {
-                let mut word = [0u8; 8];
-                word[..chunk.len()].copy_from_slice(chunk);
-                h = mix(h, u64::from_le_bytes(word));
-            }
-            h
-        }
+        Column::Utf8(v, _) => hash_bytes(acc, v.bytes(row)),
     }
+}
+
+/// Hashes a string cell: its length, then its bytes as little-endian words,
+/// the last one zero-padded.
+#[inline]
+fn hash_bytes(acc: u64, s: &[u8]) -> u64 {
+    let mut h = mix(acc, s.len() as u64);
+    let mut words = s.chunks_exact(8);
+    for word in &mut words {
+        h = mix(h, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        h = mix(h, tail.iter().rev().fold(0, |w, &b| w << 8 | b as u64));
+    }
+    h
 }
 
 /// Scalar reference: hashes the key cells of one row. Kept as the
@@ -69,7 +76,7 @@ pub fn hash_row(page: &DataPage, key_indices: &[usize], row: usize) -> u64 {
 /// The fixed-width types run a branch-light inner loop: with no validity
 /// bitmap it is a straight `mix` over the typed vector; with one, the null
 /// sentinel is selected per row without branching on the data path. Utf8
-/// stays per-row (variable width is not a kernel target).
+/// walks the arena value by value.
 fn hash_column_into(col: &Column, hashes: &mut [u64]) {
     match (col, col.validity()) {
         (Column::Int64(v, _), None) => {
@@ -132,9 +139,18 @@ fn hash_column_into(col: &Column, hashes: &mut [u64]) {
                 *h = mix(*h, word);
             }
         }
-        (Column::Utf8(..), _) => {
-            for (row, h) in hashes.iter_mut().enumerate() {
-                *h = hash_cell(col, row, *h);
+        (Column::Utf8(v, _), None) => {
+            for (h, s) in hashes.iter_mut().zip(v.iter_bytes()) {
+                *h = hash_bytes(*h, s);
+            }
+        }
+        (Column::Utf8(v, _), Some(valid)) => {
+            for (i, (h, s)) in hashes.iter_mut().zip(v.iter_bytes()).enumerate() {
+                *h = if valid.is_valid(i) {
+                    hash_bytes(*h, s)
+                } else {
+                    mix(*h, NULL_SENTINEL)
+                };
             }
         }
     }

@@ -28,12 +28,35 @@ pub fn encode_key_into(page: &DataPage, key_indices: &[usize], row: usize, out: 
             Column::Bool(v, _) => out.push(v[row] as u8),
             Column::Date32(v, _) => out.extend_from_slice(&v[row].to_le_bytes()),
             Column::Utf8(v, _) => {
-                let s = v.value(row).as_bytes();
+                let s = v.bytes(row);
                 out.extend_from_slice(&(s.len() as u32).to_le_bytes());
                 out.extend_from_slice(s);
             }
         }
     }
+}
+
+/// Whether rows `a` and `b` of `page` hold the same key — exactly when
+/// [`encode_key_into`] would give both the same bytes — decided from the
+/// typed cells, column by column, without encoding either: two NULLs are
+/// the same cell, a NULL and a value are not, floats compare by bit pattern.
+pub fn key_cells_equal(page: &DataPage, key_indices: &[usize], a: usize, b: usize) -> bool {
+    key_indices.iter().all(|&ki| {
+        let col = page.column(ki);
+        if let Some(v) = col.validity() {
+            let (va, vb) = (v.is_valid(a), v.is_valid(b));
+            if !(va && vb) {
+                return va == vb;
+            }
+        }
+        match col {
+            Column::Int64(v, _) => v[a] == v[b],
+            Column::Float64(v, _) => v[a].to_bits() == v[b].to_bits(),
+            Column::Bool(v, _) => v[a] == v[b],
+            Column::Date32(v, _) => v[a] == v[b],
+            Column::Utf8(v, _) => v.bytes(a) == v.bytes(b),
+        }
+    })
 }
 
 /// Encodes the key cells of `row` as an owned byte vector.

@@ -46,5 +46,5 @@ pub use metrics::{
     DecisionRecord, EraSample, OperatorStats, QueryMetrics, QueryStats, RetuneEvent,
     RuntimeCollector, StageSeries,
 };
-pub use operators::{JoinTable, PageStream};
+pub use operators::{JoinTable, PageStream, Selection};
 pub use splits::{FeedScanSource, SplitFeed, SplitQueue, SplitSource};

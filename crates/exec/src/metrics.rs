@@ -29,7 +29,7 @@ use accordion_common::{Json, Result};
 use accordion_data::page::Page;
 use accordion_net::ExchangeStats;
 
-use crate::operators::{BoxedStream, PageStream};
+use crate::operators::{BoxedStream, PageStream, Selection};
 
 /// Live counters of one operator instance inside one driver.
 #[derive(Debug)]
@@ -725,6 +725,18 @@ impl PageStream for MeteredStream {
                 .record_page(p.row_count() as u64, p.byte_size() as u64);
         }
         Ok(page)
+    }
+
+    /// A handed-over page counts as what the operator produced: the
+    /// selected rows, and their share of the page's bytes.
+    fn next_selected(&mut self) -> Result<(Page, Option<Selection>)> {
+        let (page, selection) = self.inner.next_selected()?;
+        if let Page::Data(p) = &page {
+            let rows = selection.as_ref().map_or(p.row_count(), Selection::len);
+            let bytes = p.byte_size() * rows / p.row_count().max(1);
+            self.metrics.record_page(rows as u64, bytes as u64);
+        }
+        Ok((page, selection))
     }
 }
 

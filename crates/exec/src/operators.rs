@@ -7,15 +7,27 @@
 //! operators (aggregates, sort, top-N) drain their child on the first pull
 //! and then emit their buffered result.
 //!
+//! **Filter hand-over.** [`FilterOp`] does not have to copy the rows it
+//! keeps: through [`PageStream::next_selected`] it hands on its *input* page
+//! plus a [`Selection`] naming the survivors. Only [`ProjectOp`] and
+//! [`PartialHashAggOp`] ask that way; `next_page` — what every other
+//! operator, sink, exchange writer and test calls — still returns dense
+//! pages, so an operator that does not ask for a selection can never see
+//! one. A consumer works over the whole page and skips the unselected rows
+//! when the selection is dense ([`Selection::is_dense`]), and copies the few
+//! survivors out first when it is sparse.
+//!
 //! Aggregation follows the paper's two-phase model exactly: the partial
 //! operator serializes aggregate state into ordinary page columns, the
 //! final operator merges them (possibly from many upstream tasks) and emits
 //! the finished values. Both phases run on the vectorized hash engine:
 //! pages are hashed column-at-a-time ([`accordion_data::hash::hash_columns`]),
 //! rows are mapped to dense group ids by an open-addressing
-//! [`GroupTable`], and typed [`AggAccumulator`] vectors are updated with
-//! per-column kernels — no per-row `Value` materialization on the hot
-//! path. Groups are emitted sorted by their encoded key bytes (the
+//! [`GroupTable`] — behind a small per-page memo of recently seen keys, so
+//! a run of equal keys costs one typed cell compare per row instead of a
+//! key encode and a table probe — and typed [`AggAccumulator`] vectors are
+//! updated with per-column kernels — no per-row `Value` materialization on
+//! the hot path. Groups are emitted sorted by their encoded key bytes (the
 //! iteration order of the `BTreeMap` this engine replaced), so output is
 //! deterministic for a given input set regardless of page arrival order.
 
@@ -27,7 +39,7 @@ use accordion_data::column::Column;
 use accordion_data::grouptable::GroupTable;
 use accordion_data::hash::{hash_columns, hash_rows};
 use accordion_data::page::{DataPage, EndReason, Page, PageBuilder};
-use accordion_data::rowkey::{decode_keys_to_columns, encode_key_into};
+use accordion_data::rowkey::{decode_keys_to_columns, encode_key_into, key_cells_equal};
 use accordion_data::schema::{Schema, SchemaRef};
 use accordion_data::sort::{sort_page, SortKey, TopNAccumulator};
 use accordion_data::types::{DataType, Value};
@@ -39,6 +51,70 @@ use accordion_storage::split::{Split, SplitPages};
 /// callers must stop pulling.
 pub trait PageStream {
     fn next_page(&mut self) -> Result<Page>;
+
+    /// [`next_page`](PageStream::next_page) for a consumer that can work on
+    /// part of a page: a filter may answer with its input page and the
+    /// [`Selection`] of rows that passed, instead of a copy of those rows.
+    /// The rows the stream produced are the selected ones (all of them
+    /// without a selection), in page order. Streams that have nothing to
+    /// hand over keep this default.
+    fn next_selected(&mut self) -> Result<(Page, Option<Selection>)> {
+        Ok((self.next_page()?, None))
+    }
+}
+
+/// The rows of a page that passed a filter: ascending row ids, at least one
+/// and not all of them (an untouched page travels without a selection, a
+/// page with no survivor not at all).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Selection(Vec<u32>);
+
+impl Selection {
+    /// A consumer works on the whole page and skips the unselected rows
+    /// when at least one row in this many survived, and copies the
+    /// survivors out first otherwise: past that point, evaluating
+    /// arguments for rows nobody wants costs more than the copy saves.
+    const DENSE_ONE_IN: usize = 2;
+
+    pub fn rows(&self) -> &[u32] {
+        &self.0
+    }
+
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Whether this selection keeps enough of a `page_rows`-row page to be
+    /// consumed in place rather than copied out.
+    pub fn is_dense(&self, page_rows: usize) -> bool {
+        self.len() * Self::DENSE_ONE_IN >= page_rows
+    }
+}
+
+/// The dense page a selection stands for: the page itself without one, a
+/// copy of the selected rows with one.
+fn materialize(page: Arc<DataPage>, selection: Option<&Selection>) -> Arc<DataPage> {
+    match selection {
+        None => page,
+        Some(sel) => Arc::new(page.gather(sel.rows())),
+    }
+}
+
+/// How a consumer takes a handed-over page: as it is under a dense
+/// selection (which it must then honour), as a dense copy of the survivors
+/// under a sparse one.
+fn dense_or_copied(
+    page: Arc<DataPage>,
+    selection: Option<Selection>,
+) -> (Arc<DataPage>, Option<Selection>) {
+    match selection {
+        Some(sel) if sel.is_dense(page.row_count()) => (page, Some(sel)),
+        sel => (materialize(page, sel.as_ref()), None),
+    }
 }
 
 /// Boxed stream alias used to chain operators.
@@ -127,7 +203,10 @@ impl PageStream for QueueSource {
 // Streaming operators
 // ---------------------------------------------------------------------------
 
-/// Row filter: evaluates the predicate per page and gathers selected rows.
+/// Row filter: evaluates the predicate per page. Asked through
+/// [`next_selected`](PageStream::next_selected) it hands on the input page
+/// and the surviving row ids; asked through `next_page` it copies the
+/// survivors into a dense page.
 pub struct FilterOp {
     input: BoxedStream,
     predicate: Expr,
@@ -141,25 +220,33 @@ impl FilterOp {
 
 impl PageStream for FilterOp {
     fn next_page(&mut self) -> Result<Page> {
+        Ok(match self.next_selected()? {
+            (Page::Data(page), selection) => Page::Data(materialize(page, selection.as_ref())),
+            (end, _) => end,
+        })
+    }
+
+    fn next_selected(&mut self) -> Result<(Page, Option<Selection>)> {
         loop {
             match self.input.next_page()? {
-                Page::End(e) => return Ok(Page::End(e)),
+                Page::End(e) => return Ok((Page::End(e), None)),
                 Page::Data(page) => {
                     let indices = self.predicate.filter_indices(&page)?;
                     if indices.is_empty() {
                         continue;
                     }
-                    if indices.len() == page.row_count() {
-                        return Ok(Page::Data(page));
-                    }
-                    return Ok(Page::data(page.gather(&indices)));
+                    let all = indices.len() == page.row_count();
+                    return Ok((Page::Data(page), (!all).then_some(Selection(indices))));
                 }
             }
         }
     }
 }
 
-/// Column computation: evaluates each projected expression vectorized.
+/// Column computation: evaluates each projected expression vectorized. Under
+/// a dense selection the expressions run over the whole input page and only
+/// the output columns' survivors are copied; under a sparse one the
+/// survivors are copied first.
 pub struct ProjectOp {
     input: BoxedStream,
     exprs: Vec<Expr>,
@@ -173,20 +260,27 @@ impl ProjectOp {
 
 impl PageStream for ProjectOp {
     fn next_page(&mut self) -> Result<Page> {
-        match self.input.next_page()? {
-            Page::End(e) => Ok(Page::End(e)),
-            Page::Data(page) => {
-                if self.exprs.is_empty() {
-                    return Ok(Page::data(DataPage::row_count_only(page.row_count())));
-                }
-                let cols = self
-                    .exprs
-                    .iter()
-                    .map(|e| e.evaluate(&page))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Page::data(DataPage::new(cols)))
-            }
+        let (page, selection) = match self.input.next_selected()? {
+            (Page::End(e), _) => return Ok(Page::End(e)),
+            (Page::Data(page), selection) => (page, selection),
+        };
+        if self.exprs.is_empty() {
+            let rows = selection.map_or(page.row_count(), |s| s.len());
+            return Ok(Page::data(DataPage::row_count_only(rows)));
         }
+        let (page, selection) = dense_or_copied(page, selection);
+        let cols = self
+            .exprs
+            .iter()
+            .map(|e| {
+                let col = e.evaluate(&page)?;
+                Ok(match &selection {
+                    Some(sel) => col.gather(sel.rows()),
+                    None => col,
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Page::data(DataPage::new(cols)))
     }
 }
 
@@ -232,35 +326,106 @@ impl PageStream for LimitOp {
 // ---------------------------------------------------------------------------
 
 /// Maps each row of a page to a dense group id: hash every key column at
-/// once with the vectorized kernels, then encode each row's key into one
-/// amortized scratch buffer and probe the open-addressing table.
+/// once with the vectorized kernels, then — for a key the page's memo has
+/// not just seen — encode the row's key into one amortized scratch buffer
+/// and probe the open-addressing table.
+///
+/// The memo is what makes a run of equal keys (q1's six groups, an order's
+/// lineitems) cheap: per page it remembers, for a few recent hashes, a row
+/// that had that hash and the group it got. A later row with the same hash
+/// **and** the same key cells as that row (typed, column-wise, validity
+/// included — [`key_cells_equal`]) is the same key, so it takes the same id
+/// with no encode and no probe. The table sees every distinct key in the
+/// order it would have without the memo, so group ids, `sorted_ids` and the
+/// key arena are unchanged.
 struct GroupIndex {
     table: GroupTable,
     key_scratch: Vec<u8>,
+    memo: [Seen; MEMO_SLOTS],
     /// Per-row group ids of the page most recently passed to [`assign`].
     gids: Vec<u32>,
 }
+
+/// One memo entry: a row of the current page, its key hash and its group.
+#[derive(Clone, Copy)]
+struct Seen {
+    hash: u64,
+    row: u32,
+    gid: u32,
+}
+
+const MEMO_SLOTS: usize = 64;
+/// `Seen::row` of an empty memo slot; also the id of a row [`assign`] has
+/// not reached yet.
+const NONE: u32 = u32::MAX;
 
 impl GroupIndex {
     fn new() -> Self {
         GroupIndex {
             table: GroupTable::new(),
             key_scratch: Vec::new(),
+            memo: [Seen {
+                hash: 0,
+                row: NONE,
+                gid: NONE,
+            }; MEMO_SLOTS],
             gids: Vec::new(),
         }
     }
 
-    /// Assigns every row of `page` a group id (inserting unseen keys),
-    /// leaving the per-row ids in `self.gids`.
-    fn assign(&mut self, page: &DataPage, key_cols: &[usize]) {
+    /// Assigns every selected row of `page` (every row without a selection)
+    /// a group id, inserting unseen keys, and leaves one id per page row in
+    /// `self.gids`. An unselected row gets the id one past the last group:
+    /// a spare accumulator slot the caller adds for the fold and drops
+    /// after it, so the accumulator kernels need no notion of a selection.
+    fn assign(&mut self, page: &DataPage, key_cols: &[usize], selection: Option<&Selection>) {
         let hashes = hash_rows(page, key_cols);
-        self.gids.clear();
-        self.gids.reserve(page.row_count());
-        for (row, &hash) in hashes.iter().enumerate() {
-            self.key_scratch.clear();
-            encode_key_into(page, key_cols, row, &mut self.key_scratch);
-            self.gids.push(self.table.insert(hash, &self.key_scratch));
+        for seen in self.memo.iter_mut() {
+            seen.row = NONE;
         }
+        self.gids.clear();
+        match selection {
+            None => {
+                self.gids.reserve(hashes.len());
+                for (row, &hash) in hashes.iter().enumerate() {
+                    let gid = self.group_of(page, key_cols, row, hash);
+                    self.gids.push(gid);
+                }
+            }
+            Some(selection) => {
+                self.gids.resize(hashes.len(), NONE);
+                for &row in selection.rows() {
+                    let row = row as usize;
+                    self.gids[row] = self.group_of(page, key_cols, row, hashes[row]);
+                }
+                let spare = self.table.len() as u32;
+                for gid in self.gids.iter_mut() {
+                    *gid = if *gid == NONE { spare } else { *gid };
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn group_of(&mut self, page: &DataPage, key_cols: &[usize], row: usize, hash: u64) -> u32 {
+        // Bits the table (low) and the hash exchange (high) do not index by.
+        let slot = (hash >> 24) as usize % MEMO_SLOTS;
+        let seen = self.memo[slot];
+        if seen.row != NONE
+            && seen.hash == hash
+            && key_cells_equal(page, key_cols, row, seen.row as usize)
+        {
+            return seen.gid;
+        }
+        self.key_scratch.clear();
+        encode_key_into(page, key_cols, row, &mut self.key_scratch);
+        let gid = self.table.insert(hash, &self.key_scratch);
+        self.memo[slot] = Seen {
+            hash,
+            row: row as u32,
+            gid,
+        };
+        gid
     }
 
     /// Inserts the single empty-key group a global aggregate over zero
@@ -380,22 +545,26 @@ impl PartialHashAggOp {
         let mut accs: Vec<AggAccumulator> =
             self.aggs.iter().map(AggAccumulator::for_spec).collect();
         loop {
-            let page = match self.input.next_page()? {
-                Page::End(_) => break,
-                Page::Data(p) => p,
+            let (page, selection) = match self.input.next_selected()? {
+                (Page::End(_), _) => break,
+                (Page::Data(page), selection) => dense_or_copied(page, selection),
             };
             // Evaluate each aggregate's argument once per page, then fold
-            // whole argument columns into the typed accumulators.
+            // whole argument columns into the typed accumulators. Under a
+            // (dense) selection the unselected rows fold into one spare
+            // slot past the groups, which is dropped again: every group
+            // still sees exactly its rows, in page order.
             let arg_cols = self
                 .aggs
                 .iter()
                 .map(|a| a.input.as_ref().map(|e| e.evaluate(&page)).transpose())
                 .collect::<Result<Vec<_>>>()?;
-            index.assign(&page, &self.group_by);
+            index.assign(&page, &self.group_by, selection.as_ref());
             let group_count = index.table.len();
             for (acc, col) in accs.iter_mut().zip(&arg_cols) {
-                acc.resize(group_count);
+                acc.resize(group_count + selection.is_some() as usize);
                 acc.update(col.as_ref(), &index.gids)?;
+                acc.resize(group_count);
             }
         }
         // A global aggregate over zero rows still produces one row of
@@ -484,7 +653,7 @@ impl FinalHashAggOp {
                     page.num_columns()
                 )));
             }
-            index.assign(&page, &group_cols);
+            index.assign(&page, &group_cols, None);
             let group_count = index.table.len();
             for (acc, range) in accs.iter_mut().zip(&ranges) {
                 acc.resize(group_count);
@@ -933,6 +1102,37 @@ mod tests {
         let out = drain(fin);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rows(), vec![vec![Value::Int64(0)]]);
+    }
+
+    #[test]
+    fn group_memo_never_trusts_a_hash_alone() {
+        use accordion_data::column::ColumnBuilder;
+        // Rows 0/2 and 1/3 hold equal keys; row 4 is NULL, row 5 an empty
+        // string. Every row is given the same (fake) hash, so all of them
+        // meet in one memo slot: only the typed cell compare tells them
+        // apart.
+        let mut keys = ColumnBuilder::new(DataType::Utf8, 6);
+        for v in ["a", "b", "a", "b"] {
+            keys.push(Value::Utf8(v.into()));
+        }
+        keys.push(Value::Null);
+        keys.push(Value::Utf8(String::new()));
+        let page = DataPage::new(vec![keys.finish()]);
+        let mut index = GroupIndex::new();
+        let gids: Vec<u32> = (0..6)
+            .map(|row| index.group_of(&page, &[0], row, 42))
+            .collect();
+        assert_eq!(gids, vec![0, 1, 0, 1, 2, 3]);
+        assert_eq!(index.table.len(), 4);
+        // And through `assign`, with real hashes, the ids are first-seen
+        // order whether or not the memo is hit.
+        index = GroupIndex::new();
+        index.assign(&page, &[0], None);
+        assert_eq!(index.gids, vec![0, 1, 0, 1, 2, 3]);
+        // Unselected rows get the spare id one past the last group.
+        index = GroupIndex::new();
+        index.assign(&page, &[0], Some(&Selection(vec![1, 3, 4])));
+        assert_eq!(index.gids, vec![2, 0, 2, 0, 1, 2]);
     }
 
     #[test]

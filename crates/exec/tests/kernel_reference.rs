@@ -7,22 +7,41 @@
 //! from the retained row-at-a-time pieces ([`AggState`], `encode_key`,
 //! nested-loop join). Any divergence in results, null handling, or output
 //! order is a bug in the kernels.
+//!
+//! The last section pins the filter hand-over: consumers that take a
+//! filter's input page plus a [`Selection`] produce exactly what they
+//! produce from a copy of the survivors, and everything that does not ask
+//! for a selection keeps receiving dense pages.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
+use accordion_common::id::PipelineId;
+use accordion_common::Result;
 use accordion_data::column::ColumnBuilder;
 use accordion_data::hash::{hash_row, hash_rows};
 use accordion_data::page::{DataPage, EndReason, Page};
-use accordion_data::rowkey::encode_key;
+use accordion_data::rowkey::{encode_key, key_cells_equal};
 use accordion_data::schema::{Field, Schema};
+use accordion_data::sort::SortKey;
 use accordion_data::types::{DataType, Value};
 use accordion_exec::operators::{
-    FinalHashAggOp, HashJoinProbeOp, PageStream, PartialHashAggOp, QueueSource,
+    FilterOp, FinalHashAggOp, HashJoinProbeOp, LimitOp, PageStream, PartialHashAggOp, ProjectOp,
+    QueueSource, Selection, SortOp, TopNOp,
 };
-use accordion_exec::JoinTable;
+use accordion_exec::{
+    execute_logical, run_task, ExecOptions, JoinTable, QueryMetrics, TaskContext,
+};
 use accordion_expr::agg::{AggAccumulator, AggKind, AggSpec, AggState};
-use accordion_expr::scalar::Expr;
+use accordion_expr::scalar::{BinaryOp, Expr};
+use accordion_net::ExchangeWriter;
+use accordion_plan::fragment::StageTree;
+use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
+use accordion_plan::pipeline::{split_pipelines, OperatorSpec, PipelineSpec};
+use accordion_plan::LogicalPlanBuilder;
+use accordion_storage::catalog::Catalog;
+use accordion_storage::table::{PartitioningScheme, TableBuilder};
 
 // ---------------------------------------------------------------------------
 // Deterministic generator
@@ -192,6 +211,41 @@ fn hash_columns_bit_identical_to_scalar_and_split_invariant() {
             chunked.extend(hash_rows(&chunk, &keys));
         }
         assert_eq!(vectorized, chunked, "seed {seed}: split changed hashes");
+    }
+}
+
+#[test]
+fn key_cells_equal_is_encoded_key_equality() {
+    // The group-id memo trusts the typed compare in place of the byte
+    // compare of two encoded keys; they must agree on every row pair.
+    let all = [
+        DataType::Int64,
+        DataType::Float64,
+        DataType::Bool,
+        DataType::Date32,
+        DataType::Utf8,
+    ];
+    for seed in 0..20 {
+        let mut rng = XorShift::new(300 + seed);
+        let rows = 1 + rng.below(40) as usize;
+        let null_pct = [0, 30, 100][seed as usize % 3];
+        let cols: Vec<_> = all
+            .iter()
+            .map(|&dt| random_column(&mut rng, dt, rows, null_pct, true))
+            .collect();
+        let page = DataPage::new(cols);
+        let keys: Vec<usize> = (0..all.len()).filter(|_| rng.chance(50)).collect();
+        for a in 0..rows {
+            for b in 0..rows {
+                assert_eq!(
+                    key_cells_equal(&page, &keys, a, b),
+                    encode_key(&page, &keys, a) == encode_key(&page, &keys, b),
+                    "seed {seed} keys {keys:?}: rows {:?} and {:?}",
+                    page.row(a),
+                    page.row(b)
+                );
+            }
+        }
     }
 }
 
@@ -472,4 +526,474 @@ fn cross_join_on_no_keys_matches_reference() {
     ]);
     let op = HashJoinProbeOp::new(source(vec![probe]), table, vec![], schema, 32);
     assert_eq!(drain(op), expected);
+}
+
+// ---------------------------------------------------------------------------
+// Filter hand-over
+// ---------------------------------------------------------------------------
+
+/// Hides `next_selected`: whatever is behind it is pulled through
+/// `next_page`, the copy-the-survivors path (gather, then run).
+struct CopiesSurvivors(Box<dyn PageStream>);
+
+impl PageStream for CopiesSurvivors {
+    fn next_page(&mut self) -> Result<Page> {
+        self.0.next_page()
+    }
+}
+
+/// Counts how the stream behind it is pulled.
+struct Spy {
+    inner: Box<dyn PageStream>,
+    dense_pulls: Arc<AtomicUsize>,
+    selected_pulls: Arc<AtomicUsize>,
+}
+
+impl PageStream for Spy {
+    fn next_page(&mut self) -> Result<Page> {
+        self.dense_pulls.fetch_add(1, Ordering::Relaxed);
+        self.inner.next_page()
+    }
+
+    fn next_selected(&mut self) -> Result<(Page, Option<Selection>)> {
+        self.selected_pulls.fetch_add(1, Ordering::Relaxed);
+        self.inner.next_selected()
+    }
+}
+
+/// Column layout of the hand-over pages.
+const ID: usize = 0; // unique row number
+const PCT: usize = 1; // 0..100 uniformly, some NULL: what the predicates cut on
+const K_STR: usize = 2;
+const K_DATE: usize = 3;
+const V_F64: usize = 4;
+const V_I64: usize = 5;
+
+fn handover_schema() -> Schema {
+    Schema::new(vec![
+        Field::new("id", DataType::Int64),
+        Field::new("pct", DataType::Int64),
+        Field::new("k_str", DataType::Utf8),
+        Field::new("k_date", DataType::Date32),
+        Field::new("v_f64", DataType::Float64),
+        Field::new("v_i64", DataType::Int64),
+    ])
+}
+
+/// Pages of 1..=1024 rows, `null_pct` % NULLs in every column but `id`.
+fn handover_pages(rng: &mut XorShift, null_pct: u64) -> Vec<DataPage> {
+    let mut next_id = 0i64;
+    [1usize, 64, 1024, 7, 65, 300]
+        .into_iter()
+        .map(|rows| {
+            let mut ids = ColumnBuilder::new(DataType::Int64, rows);
+            let mut pct = ColumnBuilder::new(DataType::Int64, rows);
+            for _ in 0..rows {
+                ids.push(Value::Int64(next_id));
+                next_id += 1;
+                pct.push(if rng.chance(null_pct) {
+                    Value::Null
+                } else {
+                    Value::Int64(rng.below(100) as i64)
+                });
+            }
+            DataPage::new(vec![
+                ids.finish(),
+                pct.finish(),
+                random_column(rng, DataType::Utf8, rows, null_pct, true),
+                random_column(rng, DataType::Date32, rows, null_pct, true),
+                random_column(rng, DataType::Float64, rows, null_pct, false),
+                random_column(rng, DataType::Int64, rows, null_pct, false),
+            ])
+        })
+        .collect()
+}
+
+/// Predicates keeping no row, one row, ~10 %, ~98 % and every row.
+fn selectivities() -> Vec<(&'static str, Expr)> {
+    let pct_below = |n| Expr::lt(Expr::col(PCT), Expr::lit_i64(n));
+    vec![
+        ("none", pct_below(0)),
+        ("one row", Expr::eq(Expr::col(ID), Expr::lit_i64(500))),
+        ("10 %", pct_below(10)),
+        ("98 %", pct_below(98)),
+        (
+            "all",
+            Expr::binary(
+                pct_below(100),
+                BinaryOp::Or,
+                Expr::IsNull(Arc::new(Expr::col(PCT))),
+            ),
+        ),
+    ]
+}
+
+fn filtered(pages: &[DataPage], predicate: &Expr) -> Box<dyn PageStream> {
+    Box::new(FilterOp::new(source(pages.to_vec()), predicate.clone()))
+}
+
+#[test]
+fn consumers_of_a_selection_equal_gather_then_run() {
+    let arg = |c| Expr::col(c);
+    let aggs = vec![
+        AggSpec::count_star("cnt"),
+        AggSpec::new(AggKind::Count, arg(V_I64), DataType::Int64, "c"),
+        AggSpec::new(AggKind::Sum, arg(V_I64), DataType::Int64, "si"),
+        AggSpec::new(AggKind::Sum, arg(V_F64), DataType::Float64, "sf"),
+        AggSpec::new(
+            AggKind::Sum,
+            Expr::mul(arg(V_F64), Expr::lit_f64(0.1)),
+            DataType::Float64,
+            "sx",
+        ),
+        AggSpec::new(AggKind::Avg, arg(V_F64), DataType::Float64, "a"),
+        AggSpec::new(AggKind::Min, arg(V_F64), DataType::Float64, "mn"),
+        AggSpec::new(AggKind::Max, arg(K_DATE), DataType::Date32, "mx"),
+        // Utf8 min runs on the per-group `AggState` fallback.
+        AggSpec::new(AggKind::Min, arg(K_STR), DataType::Utf8, "ms"),
+    ];
+    let mut partial_fields = vec![
+        Field::new("k_str", DataType::Utf8),
+        Field::new("k_date", DataType::Date32),
+    ];
+    for spec in &aggs {
+        for (i, dt) in spec.partial_state_types().into_iter().enumerate() {
+            partial_fields.push(Field::new(format!("{}#p{i}", spec.name), dt));
+        }
+    }
+    let partial = |input: Box<dyn PageStream>, group_by: &[usize]| {
+        PartialHashAggOp::new(
+            input,
+            group_by.to_vec(),
+            aggs.clone(),
+            Schema::new(partial_fields[2 - group_by.len()..].to_vec()),
+            50,
+        )
+    };
+    let project = |input: Box<dyn PageStream>| {
+        ProjectOp::new(
+            input,
+            vec![
+                Expr::col(ID),
+                Expr::col(K_STR),
+                Expr::mul(Expr::col(V_F64), Expr::col(V_I64)),
+                Expr::Case {
+                    branches: vec![(
+                        Expr::gt(Expr::col(V_I64), Expr::lit_i64(0)),
+                        Expr::col(V_F64),
+                    )],
+                    otherwise: None,
+                },
+            ],
+        )
+    };
+    for seed in [21u64, 22, 23] {
+        for null_pct in [0, 20] {
+            let mut rng = XorShift::new(seed);
+            let pages = handover_pages(&mut rng, null_pct);
+            for (name, predicate) in selectivities() {
+                let context = format!("seed {seed}, {null_pct} % nulls, selectivity {name}");
+                for group_by in [&[K_STR, K_DATE][..], &[K_DATE], &[]] {
+                    // Value equality is bit equality for floats: every sum
+                    // saw its rows in the same order on both paths.
+                    assert_eq!(
+                        drain(partial(filtered(&pages, &predicate), group_by)),
+                        drain(partial(
+                            Box::new(CopiesSurvivors(filtered(&pages, &predicate))),
+                            group_by
+                        )),
+                        "{context}: partial aggregate by {group_by:?}"
+                    );
+                }
+                assert_eq!(
+                    drain(project(filtered(&pages, &predicate))),
+                    drain(project(Box::new(CopiesSurvivors(filtered(
+                        &pages, &predicate
+                    ))))),
+                    "{context}: project"
+                );
+                let no_columns = |input| drain(ProjectOp::new(input, vec![])).len();
+                assert_eq!(
+                    no_columns(filtered(&pages, &predicate)),
+                    no_columns(Box::new(CopiesSurvivors(filtered(&pages, &predicate)))),
+                    "{context}: zero-column project"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_filter_hands_over_its_input_page_and_the_surviving_row_ids() {
+    let mut rng = XorShift::new(31);
+    let pages = handover_pages(&mut rng, 20);
+    for (name, predicate) in selectivities() {
+        let mut handed = filtered(&pages, &predicate);
+        let mut copied = filtered(&pages, &predicate);
+        loop {
+            let (page, selection) = handed.next_selected().unwrap();
+            let dense = copied.next_page().unwrap();
+            let (Page::Data(page), Page::Data(dense)) = (&page, &dense) else {
+                assert!(
+                    page.is_end() && dense.is_end(),
+                    "{name}: streams end together"
+                );
+                break;
+            };
+            match &selection {
+                // (rows, not pages: a NaN cell makes a page unequal to itself)
+                None => assert_eq!(page.rows(), dense.rows(), "{name}: passed on untouched"),
+                Some(sel) => {
+                    assert!(
+                        pages.iter().any(|p| p.rows() == page.rows()),
+                        "{name}: the input page itself"
+                    );
+                    assert!(!sel.is_empty() && sel.len() < page.row_count(), "{name}");
+                    assert!(sel.rows().windows(2).all(|w| w[0] < w[1]), "{name}");
+                    assert_eq!(page.gather(sel.rows()).rows(), dense.rows(), "{name}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn operators_that_do_not_ask_for_a_selection_receive_dense_pages() {
+    let mut rng = XorShift::new(41);
+    let pages = handover_pages(&mut rng, 20);
+    let build = Arc::new(JoinTable::build(
+        vec![Arc::new(DataPage::new(vec![random_column(
+            &mut rng,
+            DataType::Date32,
+            20,
+            10,
+            true,
+        )]))],
+        &[0],
+    ));
+    let mut joined_fields = handover_schema().fields().to_vec();
+    joined_fields.push(Field::new("b", DataType::Date32));
+    type Wrap = Box<dyn Fn(Box<dyn PageStream>) -> Box<dyn PageStream>>;
+    let consumers: Vec<(&str, Wrap)> = vec![
+        (
+            "TopN",
+            Box::new(|input| {
+                Box::new(TopNOp::new(
+                    input,
+                    vec![SortKey::desc(V_I64), SortKey::asc(ID)],
+                    40,
+                    handover_schema(),
+                    16,
+                ))
+            }),
+        ),
+        (
+            "Limit",
+            Box::new(|input| Box::new(LimitOp::new(input, 333))),
+        ),
+        (
+            "Sort",
+            Box::new(|input| Box::new(SortOp::new(input, vec![SortKey::asc(ID)], 100))),
+        ),
+        (
+            "HashJoinProbe",
+            Box::new(move |input| {
+                Box::new(HashJoinProbeOp::new(
+                    input,
+                    build.clone(),
+                    vec![K_DATE],
+                    Schema::new(joined_fields.clone()),
+                    64,
+                ))
+            }),
+        ),
+        (
+            "Filter",
+            Box::new(|input| {
+                Box::new(FilterOp::new(
+                    input,
+                    Expr::gt(Expr::col(V_I64), Expr::lit_i64(0)),
+                ))
+            }),
+        ),
+    ];
+    for (name, predicate) in selectivities() {
+        for (consumer, wrap) in &consumers {
+            let (dense_pulls, selected_pulls) =
+                (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+            let spied = wrap(Box::new(Spy {
+                inner: filtered(&pages, &predicate),
+                dense_pulls: dense_pulls.clone(),
+                selected_pulls: selected_pulls.clone(),
+            }));
+            let plain = wrap(Box::new(CopiesSurvivors(filtered(&pages, &predicate))));
+            assert_eq!(
+                drain(CopiesSurvivors(spied)),
+                drain(CopiesSurvivors(plain)),
+                "{consumer} over {name}"
+            );
+            assert_eq!(selected_pulls.load(Ordering::Relaxed), 0, "{consumer}");
+            assert!(dense_pulls.load(Ordering::Relaxed) > 0, "{consumer}");
+        }
+    }
+}
+
+#[test]
+fn sinks_behind_a_filter_receive_dense_pages() {
+    // Filter → exchange writer and Filter → join build, through the real
+    // driver: a sink that mistook a handed-over page for a dense one would
+    // ship or build every row of it.
+    let mut rng = XorShift::new(51);
+    let pages = handover_pages(&mut rng, 20);
+    let catalog = Catalog::new();
+    let mut table = TableBuilder::new("t", Arc::new(handover_schema()), 128);
+    for page in &pages {
+        for row in page.rows() {
+            table.push_row(row);
+        }
+    }
+    table.register(&catalog, PartitioningScheme::new(2, 2), 0);
+    let mut dates = TableBuilder::new(
+        "dates",
+        Schema::shared(vec![Field::new("d", DataType::Date32)]),
+        8,
+    );
+    for d in 0..5 {
+        dates.push_row(vec![Value::Date32(d)]);
+    }
+    dates.register(&catalog, PartitioningScheme::new(1, 1), 0);
+
+    let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(2));
+    let sorted = |mut rows: Vec<Vec<Value>>| {
+        rows.sort_by(|a, b| {
+            a.iter()
+                .zip(b)
+                .map(|(x, y)| x.total_cmp(y))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        rows
+    };
+    let pipeline_shapes = |plan: &Arc<accordion_plan::LogicalPlan>| {
+        let tree = StageTree::build(optimizer.optimize(plan).unwrap()).unwrap();
+        let mut shapes = Vec::new();
+        for fragment in tree.fragments() {
+            for pipeline in split_pipelines(fragment).unwrap() {
+                let names: Vec<_> = pipeline.operators.iter().map(|o| o.name()).collect();
+                shapes.push(names.join(" → "));
+            }
+        }
+        shapes
+    };
+    for (name, predicate) in selectivities() {
+        let survivors: Vec<Vec<Value>> = drain(CopiesSurvivors(filtered(&pages, &predicate)));
+
+        let plan = LogicalPlanBuilder::scan(&catalog, "t")
+            .unwrap()
+            .filter(predicate.clone())
+            .unwrap()
+            .build();
+        assert!(
+            pipeline_shapes(&plan).contains(&"TableScan → Filter → Output".to_string()),
+            "{:?}",
+            pipeline_shapes(&plan)
+        );
+        let result = execute_logical(
+            &catalog,
+            &plan,
+            &optimizer,
+            &ExecOptions::with_page_rows(100),
+        )
+        .unwrap();
+        assert_eq!(
+            sorted(result.rows()),
+            sorted(survivors.clone()),
+            "{name}: filter → exchange writer"
+        );
+
+        // The planner puts an exchange between a filtered scan and a join
+        // build, so that pipeline is written out by hand: one task, build
+        // pipeline first.
+        let mut joined_fields = vec![Field::new("d", DataType::Date32)];
+        joined_fields.extend(handover_schema().fields().iter().cloned());
+        let pipelines = vec![
+            PipelineSpec {
+                id: PipelineId(0),
+                operators: vec![
+                    OperatorSpec::TableScan {
+                        table: "t".into(),
+                        projection: (0..handover_schema().len()).collect(),
+                    },
+                    OperatorSpec::Filter {
+                        predicate: predicate.clone(),
+                    },
+                    OperatorSpec::HashJoinBuild {
+                        join: 0,
+                        keys: vec![K_DATE],
+                    },
+                ],
+            },
+            PipelineSpec {
+                id: PipelineId(1),
+                operators: vec![
+                    OperatorSpec::TableScan {
+                        table: "dates".into(),
+                        projection: vec![0],
+                    },
+                    OperatorSpec::HashJoinProbe {
+                        join: 0,
+                        keys: vec![0],
+                        output_schema: Schema::new(joined_fields),
+                    },
+                    OperatorSpec::Output,
+                ],
+            },
+        ];
+        let delivered = Arc::new(Mutex::new(Vec::new()));
+        let mut task = TaskContext::new(
+            &catalog,
+            0,
+            0,
+            1,
+            100,
+            HashMap::new(),
+            Box::new(Collect(delivered.clone())),
+            &pipelines,
+            Arc::new(QueryMetrics::new()),
+        );
+        run_task(&pipelines, &mut task).unwrap();
+        let joined: Vec<Vec<Value>> = delivered
+            .lock()
+            .unwrap()
+            .iter()
+            .filter_map(|page| page.as_data().map(|p| p.rows()))
+            .flatten()
+            .collect();
+        let expected: Vec<Vec<Value>> = survivors
+            .iter()
+            .filter_map(|row| match &row[K_DATE] {
+                Value::Date32(d) if (0..5).contains(d) => {
+                    let mut joined = vec![Value::Date32(*d)];
+                    joined.extend(row.iter().cloned());
+                    Some(joined)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            sorted(joined),
+            sorted(expected),
+            "{name}: filter → join build"
+        );
+    }
+}
+
+/// An exchange writer that keeps what it is given.
+struct Collect(Arc<Mutex<Vec<Page>>>);
+
+impl ExchangeWriter for Collect {
+    fn push(&mut self, page: Page) -> Result<()> {
+        self.0.lock().unwrap().push(page);
+        Ok(())
+    }
 }

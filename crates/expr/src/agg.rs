@@ -406,7 +406,9 @@ impl AggAccumulator {
         self.len() == 0
     }
 
-    /// Grows to `n` groups, initializing the new tail.
+    /// Sets the number of groups to `n`: new ones start empty, groups past
+    /// `n` are dropped (the partial aggregate adds one spare slot for the
+    /// unselected rows of a handed-over page and drops it after the fold).
     pub fn resize(&mut self, n: usize) {
         match self {
             AggAccumulator::Count { counts } => counts.resize(n, 0),

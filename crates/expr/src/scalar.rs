@@ -1,16 +1,30 @@
 //! Scalar expression tree and vectorized evaluator.
 //!
 //! Expressions are evaluated page-at-a-time: `Expr::evaluate(&DataPage)`
-//! returns a whole output [`Column`]. Hot numeric comparisons and arithmetic
-//! use type-specialized loops; everything else goes through a scalar
-//! fallback. SQL three-valued logic is honoured: any null operand makes an
-//! arithmetic/comparison result null; AND/OR use Kleene semantics.
+//! returns a whole output [`Column`], and every variant is a **kernel**: a
+//! loop over the operands' typed vectors (`&[i64]`, `&[f64]`, the string
+//! arena …) that never builds a per-row `Value`. A kernel computes its data
+//! over every slot — a NULL row's slot is a don't-care — and attaches the
+//! validity separately, so one loop serves pages with and without NULLs and
+//! a row's answer cannot depend on its neighbours.
+//!
+//! SQL three-valued logic: the result of arithmetic, a comparison, `NOT`,
+//! `LIKE`, `EXTRACT` is NULL exactly where an operand is ([`Validity::and`],
+//! word-wise); `AND`/`OR` are Kleene; `x IN (a, b, …)` is `x = a OR x = b OR
+//! …`; `CASE` takes value and validity of the first branch whose condition
+//! is TRUE. Comparisons are `PartialOrd` of the operand type — IEEE for
+//! floats — with an `Int64` side cast once per column against a `Float64`
+//! one.
+//!
+//! The row-at-a-time evaluator these kernels replaced survives as the
+//! reference the property suite compares them to (`reference.rs`, compiled
+//! for tests only); nothing here calls it.
 
 use std::fmt;
 use std::sync::Arc;
 
 use accordion_common::{AccordionError, Result};
-use accordion_data::column::{Column, ColumnBuilder};
+use accordion_data::column::{Column, Validity};
 use accordion_data::page::DataPage;
 use accordion_data::schema::Schema;
 use accordion_data::types::{DataType, Value};
@@ -47,6 +61,17 @@ impl BinaryOp {
 
     pub fn is_logical(&self) -> bool {
         matches!(self, BinaryOp::And | BinaryOp::Or)
+    }
+
+    /// The operator with its operands swapped: `a < b` is `b > a`.
+    fn mirrored(self) -> BinaryOp {
+        match self {
+            BinaryOp::Lt => BinaryOp::Gt,
+            BinaryOp::LtEq => BinaryOp::GtEq,
+            BinaryOp::Gt => BinaryOp::Lt,
+            BinaryOp::GtEq => BinaryOp::LtEq,
+            other => other,
+        }
     }
 }
 
@@ -304,15 +329,15 @@ impl Expr {
                 let lt = left.data_type(input)?;
                 let rt = right.data_type(input)?;
                 match (lt, rt) {
-                    (DataType::Float64, _) | (_, DataType::Float64) => Ok(DataType::Float64),
-                    (DataType::Int64, DataType::Int64) => {
-                        if *op == BinaryOp::Div {
-                            Ok(DataType::Float64)
-                        } else {
-                            Ok(DataType::Int64)
-                        }
+                    (DataType::Int64, DataType::Int64) if *op != BinaryOp::Div => {
+                        Ok(DataType::Int64)
                     }
-                    (DataType::Date32, DataType::Int64) => Ok(DataType::Date32),
+                    (a, b) if a.is_numeric() && b.is_numeric() => Ok(DataType::Float64),
+                    (DataType::Date32, DataType::Int64)
+                        if matches!(op, BinaryOp::Add | BinaryOp::Sub) =>
+                    {
+                        Ok(DataType::Date32)
+                    }
                     other => Err(AccordionError::Analysis(format!(
                         "invalid operand types {other:?} for {op}"
                     ))),
@@ -372,13 +397,22 @@ impl Expr {
                 branches,
                 otherwise,
             } => {
-                if let Some((_, v)) = branches.first() {
-                    v.data_type(input)
-                } else if let Some(e) = otherwise {
-                    e.data_type(input)
-                } else {
-                    Err(AccordionError::Analysis("empty CASE".into()))
+                for (cond, _) in branches {
+                    if let Some(t) = cond.operand_type(input)? {
+                        if t != DataType::Bool {
+                            return Err(AccordionError::Analysis(format!(
+                                "CASE WHEN requires a boolean condition, got {t}"
+                            )));
+                        }
+                    }
                 }
+                let mut typed = Vec::new();
+                for v in case_values(branches, otherwise) {
+                    typed.extend(v.operand_type(input)?);
+                }
+                unify_all(typed)
+                    .map_err(AccordionError::Analysis)?
+                    .ok_or_else(|| AccordionError::Analysis("CASE has no typed branch".into()))
             }
         }
     }
@@ -398,25 +432,40 @@ impl Expr {
             }
             Expr::Literal(v) => Ok(broadcast_literal(v, n)),
             Expr::Binary { left, op, right } => {
-                let l = left.evaluate(page)?;
-                let r = right.evaluate(page)?;
+                if op.is_comparison() {
+                    // A string literal is compared as a scalar, not
+                    // broadcast into an n-string column per page.
+                    if let Expr::Literal(Value::Utf8(s)) = &**right {
+                        let l = left.evaluate_as(page, DataType::Utf8)?;
+                        return compare_utf8_scalar(&l, *op, s);
+                    }
+                    if let Expr::Literal(Value::Utf8(s)) = &**left {
+                        let r = right.evaluate_as(page, DataType::Utf8)?;
+                        return compare_utf8_scalar(&r, op.mirrored(), s);
+                    }
+                }
+                // An untyped NULL takes the type its context gives it: BOOL
+                // under AND/OR, its sibling's otherwise.
+                let (l, r) = if op.is_logical() {
+                    (
+                        left.evaluate_as(page, DataType::Bool)?,
+                        right.evaluate_as(page, DataType::Bool)?,
+                    )
+                } else if left.is_null_literal() {
+                    let r = right.evaluate(page)?;
+                    (Column::nulls(r.data_type(), n), r)
+                } else {
+                    let l = left.evaluate(page)?;
+                    let r = right.evaluate_as(page, l.data_type())?;
+                    (l, r)
+                };
                 eval_binary(&l, *op, &r)
             }
             Expr::Not(e) => {
-                let c = e.evaluate(page)?;
-                let mut b = ColumnBuilder::new(DataType::Bool, n);
-                for i in 0..n {
-                    match c.value(i) {
-                        Value::Bool(v) => b.push(Value::Bool(!v)),
-                        Value::Null => b.push(Value::Null),
-                        other => {
-                            return Err(AccordionError::Execution(format!(
-                                "NOT over non-boolean {other:?}"
-                            )))
-                        }
-                    }
-                }
-                Ok(b.finish())
+                let c = e.evaluate_as(page, DataType::Bool)?;
+                let bools = expect_type(c.as_bool(), "NOT over non-boolean", &c)?;
+                Ok(Column::from_bool(bools.iter().map(|b| !b).collect())
+                    .with_validity(c.validity().cloned()))
             }
             Expr::Between { expr, low, high } => {
                 // expr >= low AND expr <= high — desugared at eval time.
@@ -433,97 +482,98 @@ impl Expr {
                 Expr::binary(ge, BinaryOp::And, le).evaluate(page)
             }
             Expr::InList { expr, list } => {
-                let c = expr.evaluate(page)?;
-                let mut b = ColumnBuilder::new(DataType::Bool, n);
-                for i in 0..n {
-                    let v = c.value(i);
-                    if v.is_null() {
-                        b.push(Value::Null);
-                    } else {
-                        b.push(Value::Bool(list.contains(&v)));
-                    }
-                }
-                Ok(b.finish())
+                let null_as = list.iter().find_map(Value::data_type);
+                in_list(
+                    &expr.evaluate_as(page, null_as.unwrap_or(DataType::Bool))?,
+                    list,
+                )
             }
             Expr::Like { expr, pattern } => {
-                let c = expr.evaluate(page)?;
-                let mut b = ColumnBuilder::new(DataType::Bool, n);
-                for i in 0..n {
-                    match c.value(i) {
-                        Value::Utf8(s) => b.push(Value::Bool(like_match(pattern, &s))),
-                        Value::Null => b.push(Value::Null),
-                        other => {
-                            return Err(AccordionError::Execution(format!(
-                                "LIKE over non-string {other:?}"
-                            )))
-                        }
-                    }
-                }
-                Ok(b.finish())
+                let c = expr.evaluate_as(page, DataType::Utf8)?;
+                let strs = expect_type(c.as_utf8(), "LIKE over non-string", &c)?;
+                let pattern = LikePattern::compile(pattern);
+                Ok(
+                    Column::from_bool(strs.iter().map(|s| pattern.matches(s)).collect())
+                        .with_validity(c.validity().cloned()),
+                )
             }
             Expr::Case {
                 branches,
                 otherwise,
             } => {
-                let conds: Vec<Column> = branches
-                    .iter()
-                    .map(|(c, _)| c.evaluate(page))
-                    .collect::<Result<_>>()?;
-                let vals: Vec<Column> = branches
-                    .iter()
-                    .map(|(_, v)| v.evaluate(page))
-                    .collect::<Result<_>>()?;
-                let default = otherwise.as_ref().map(|e| e.evaluate(page)).transpose()?;
-                let out_type = vals
-                    .first()
-                    .map(|c| c.data_type())
-                    .or(default.as_ref().map(|c| c.data_type()))
-                    .ok_or_else(|| AccordionError::Execution("empty CASE".into()))?;
-                let mut b = ColumnBuilder::new(out_type, n);
-                'rows: for i in 0..n {
-                    for (cond, val) in conds.iter().zip(&vals) {
-                        if cond.value(i) == Value::Bool(true) {
-                            b.push(val.value(i));
-                            continue 'rows;
+                // Which source each row reads: the first WHEN that is TRUE,
+                // else the ELSE slot. Walking the conditions last to first
+                // lets an earlier one simply overwrite.
+                let mut pick = vec![branches.len() as u32; n];
+                for (j, (cond, _)) in branches.iter().enumerate().rev() {
+                    let c = cond.evaluate_as(page, DataType::Bool)?;
+                    let bools = expect_type(c.as_bool(), "CASE WHEN over non-boolean", &c)?;
+                    match c.validity() {
+                        None => {
+                            for (p, &t) in pick.iter_mut().zip(bools) {
+                                *p = if t { j as u32 } else { *p };
+                            }
+                        }
+                        Some(v) => {
+                            for (i, (p, &t)) in pick.iter_mut().zip(bools).enumerate() {
+                                *p = if t && v.is_valid(i) { j as u32 } else { *p };
+                            }
                         }
                     }
-                    match &default {
-                        Some(d) => b.push(d.value(i)),
-                        None => b.push(Value::Null),
-                    }
                 }
-                Ok(b.finish())
+                // The sources, THEN values first: an untyped NULL (or no
+                // ELSE) is a NULL of the type the others unify to.
+                let values = case_values(branches, otherwise)
+                    .map(|v| (!v.is_null_literal()).then(|| v.evaluate(page)).transpose())
+                    .collect::<Result<Vec<Option<Column>>>>()?;
+                let out_type = unify_all(values.iter().flatten().map(Column::data_type))
+                    .map_err(AccordionError::Execution)?
+                    .unwrap_or(DataType::Int64);
+                let mut sources: Vec<Column> = values
+                    .into_iter()
+                    .map(|v| match v {
+                        Some(Column::Int64(d, v)) if out_type == DataType::Float64 => {
+                            Column::Float64(Arc::new(to_f64(&d)), v)
+                        }
+                        Some(c) => c,
+                        None => Column::nulls(out_type, n),
+                    })
+                    .collect();
+                if otherwise.is_none() {
+                    sources.push(Column::nulls(out_type, n));
+                }
+                Ok(Column::interleave(
+                    &sources.iter().collect::<Vec<_>>(),
+                    &pick,
+                ))
             }
             Expr::ExtractYear(e) => {
-                let c = e.evaluate(page)?;
-                let mut b = ColumnBuilder::new(DataType::Int64, n);
-                for i in 0..n {
-                    match c.value(i) {
-                        Value::Date32(d) => {
-                            let y = accordion_data::types::format_date32(d)[..4]
-                                .parse::<i64>()
-                                .expect("year digits");
-                            b.push(Value::Int64(y));
-                        }
-                        Value::Null => b.push(Value::Null),
-                        other => {
-                            return Err(AccordionError::Execution(format!(
-                                "EXTRACT YEAR over non-date {other:?}"
-                            )))
-                        }
-                    }
-                }
-                Ok(b.finish())
+                let c = e.evaluate_as(page, DataType::Date32)?;
+                let days = expect_type(c.as_date32(), "EXTRACT YEAR over non-date", &c)?;
+                Ok(Column::from_i64(days.iter().map(|&d| year_of(d)).collect())
+                    .with_validity(c.validity().cloned()))
             }
             Expr::IsNull(e) => {
                 let c = e.evaluate(page)?;
-                let mut b = ColumnBuilder::new(DataType::Bool, n);
-                for i in 0..n {
-                    b.push(Value::Bool(!c.is_valid(i)));
-                }
-                Ok(b.finish())
+                Ok(Column::from_bool(match c.validity() {
+                    None => vec![false; n],
+                    Some(v) => (0..n).map(|i| !v.is_valid(i)).collect(),
+                }))
             }
         }
+    }
+
+    fn is_null_literal(&self) -> bool {
+        matches!(self, Expr::Literal(Value::Null))
+    }
+
+    /// [`evaluate`](Expr::evaluate), with an untyped `NULL` literal taking
+    /// the type its context expects.
+    fn evaluate_as(&self, page: &DataPage, null_as: DataType) -> Result<Column> {
+        if self.is_null_literal() {
+            return Ok(Column::nulls(null_as, page.row_count()));
+        }
+        self.evaluate(page)
     }
 
     /// Evaluates a predicate and returns the selected row indices.
@@ -535,20 +585,69 @@ impl Expr {
                 mask.data_type()
             ))
         })?;
-        let mut out = Vec::new();
-        for (i, &keep) in bools.iter().enumerate() {
-            if keep && mask.is_valid(i) {
-                out.push(i as u32);
+        // Write every row id, advance only past the kept ones: no branch to
+        // mispredict at any selectivity.
+        let mut out = vec![0u32; bools.len()];
+        let mut kept = 0;
+        match mask.validity() {
+            None => {
+                for (i, &keep) in bools.iter().enumerate() {
+                    out[kept] = i as u32;
+                    kept += keep as usize;
+                }
+            }
+            Some(v) => {
+                for (i, &keep) in bools.iter().enumerate() {
+                    out[kept] = i as u32;
+                    kept += (keep && v.is_valid(i)) as usize;
+                }
             }
         }
+        out.truncate(kept);
         Ok(out)
     }
+}
+
+/// The value expressions of a `CASE`: every THEN in order, then the ELSE.
+fn case_values<'a>(
+    branches: &'a [(Expr, Expr)],
+    otherwise: &'a Option<Arc<Expr>>,
+) -> impl Iterator<Item = &'a Expr> {
+    branches.iter().map(|(_, v)| v).chain(otherwise.as_deref())
+}
+
+/// The type two `CASE` branches share: their own when equal, `Float64` for a
+/// numeric pair (the `Int64` side is cast), none otherwise.
+fn unify_types(a: DataType, b: DataType) -> Option<DataType> {
+    if a == b {
+        Some(a)
+    } else if a.is_numeric() && b.is_numeric() {
+        Some(DataType::Float64)
+    } else {
+        None
+    }
+}
+
+/// The type all the typed branches of a `CASE` unify to (none when there is
+/// no typed branch), or what to tell the user about the pair that does not.
+fn unify_all(
+    types: impl IntoIterator<Item = DataType>,
+) -> std::result::Result<Option<DataType>, String> {
+    let mut out = None;
+    for t in types {
+        out = Some(match out {
+            None => t,
+            Some(o) => unify_types(o, t)
+                .ok_or_else(|| format!("CASE branches have incompatible types {o} and {t}"))?,
+        });
+    }
+    Ok(out)
 }
 
 /// True when values of the two types can be meaningfully ordered against
 /// each other: identical types, or any numeric pair (Int64/Float64 promote).
 fn comparable_types(a: DataType, b: DataType) -> bool {
-    a == b || (a.is_numeric() && b.is_numeric())
+    unify_types(a, b).is_some()
 }
 
 /// Rejects comparisons whose operand types could never match at runtime.
@@ -571,241 +670,324 @@ fn broadcast_literal(v: &Value, n: usize) -> Column {
         Value::Float64(x) => Column::from_f64(vec![*x; n]),
         Value::Bool(x) => Column::from_bool(vec![*x; n]),
         Value::Date32(x) => Column::from_date32(vec![*x; n]),
-        Value::Utf8(x) => {
-            let vals: Vec<&str> = (0..n).map(|_| x.as_str()).collect();
-            Column::from_strings(&vals)
-        }
-        Value::Null => {
-            // Typeless null literal: represent as all-null Int64.
-            let mut b = ColumnBuilder::new(DataType::Int64, n);
-            for _ in 0..n {
-                b.push(Value::Null);
-            }
-            b.finish()
-        }
+        Value::Utf8(x) => Column::from_strings(&vec![x.as_str(); n]),
+        // Typeless null literal: represent as all-null Int64.
+        Value::Null => Column::nulls(DataType::Int64, n),
     }
 }
 
-/// Specialized vectorized kernels for the hot numeric paths, with a scalar
-/// fallback for everything else.
+/// The typed view a kernel needs of its operand, or the error a mistyped
+/// expression (one that skipped analysis) ends in.
+fn expect_type<T>(view: Option<T>, kernel: &str, col: &Column) -> Result<T> {
+    view.ok_or_else(|| AccordionError::Execution(format!("{kernel} {}", col.data_type())))
+}
+
+fn to_f64(v: &[i64]) -> Vec<f64> {
+    v.iter().map(|&x| x as f64).collect()
+}
+
+/// One comparison operator over operand pairs. `PartialOrd` of the operand
+/// type is the only comparison semantics there is: IEEE for floats (`NaN`
+/// equals and orders with nothing, `-0.0 = 0.0`), bytes for strings.
+fn compare<T: PartialOrd>(pairs: impl Iterator<Item = (T, T)>, op: BinaryOp) -> Column {
+    Column::from_bool(match op {
+        BinaryOp::Eq => pairs.map(|(a, b)| a == b).collect(),
+        BinaryOp::NotEq => pairs.map(|(a, b)| a != b).collect(),
+        BinaryOp::Lt => pairs.map(|(a, b)| a < b).collect(),
+        BinaryOp::LtEq => pairs.map(|(a, b)| a <= b).collect(),
+        BinaryOp::Gt => pairs.map(|(a, b)| a > b).collect(),
+        BinaryOp::GtEq => pairs.map(|(a, b)| a >= b).collect(),
+        _ => unreachable!("compare is only called with a comparison operator"),
+    })
+}
+
+/// `col <op> 'literal'`, NULL where `col` is.
+fn compare_utf8_scalar(col: &Column, op: BinaryOp, literal: &str) -> Result<Column> {
+    let strs = col
+        .as_utf8()
+        .ok_or_else(|| unsupported(col, op, "VARCHAR"))?;
+    Ok(compare(strs.iter().map(|s| (s, literal)), op).with_validity(col.validity().cloned()))
+}
+
+fn unsupported(l: &Column, op: BinaryOp, r: impl fmt::Display) -> AccordionError {
+    AccordionError::Execution(format!(
+        "unsupported operand types {} {op} {r}",
+        l.data_type()
+    ))
+}
+
+/// Binary kernels: one loop per operand type pair over the data vectors,
+/// result validity = the operands' validity ANDed (Kleene for AND/OR).
 fn eval_binary(l: &Column, op: BinaryOp, r: &Column) -> Result<Column> {
     use BinaryOp::*;
-    let n = l.len();
-    if n != r.len() {
+    use Column::{Bool, Date32, Float64, Int64, Utf8};
+    if l.len() != r.len() {
         return Err(AccordionError::Execution(format!(
             "binary operand length mismatch: {} vs {}",
-            n,
+            l.len(),
             r.len()
         )));
     }
-    let no_nulls = l.null_count() == 0 && r.null_count() == 0;
-
-    // Fast paths: non-null i64 and f64 vectors.
-    if no_nulls {
-        if let (Some(a), Some(b)) = (l.as_i64(), r.as_i64()) {
-            return Ok(match op {
-                // Wrapping arithmetic: i64 overflow must produce the same
-                // result in debug and release builds and on every eval path
-                // (this kernel, the scalar fallback, the SUM accumulator).
-                Add => Column::from_i64(a.iter().zip(b).map(|(x, y)| x.wrapping_add(*y)).collect()),
-                Sub => Column::from_i64(a.iter().zip(b).map(|(x, y)| x.wrapping_sub(*y)).collect()),
-                Mul => Column::from_i64(a.iter().zip(b).map(|(x, y)| x.wrapping_mul(*y)).collect()),
-                Div => Column::from_f64(
-                    a.iter()
-                        .zip(b)
-                        .map(|(x, y)| *x as f64 / *y as f64)
-                        .collect(),
-                ),
-                Eq => Column::from_bool(a.iter().zip(b).map(|(x, y)| x == y).collect()),
-                NotEq => Column::from_bool(a.iter().zip(b).map(|(x, y)| x != y).collect()),
-                Lt => Column::from_bool(a.iter().zip(b).map(|(x, y)| x < y).collect()),
-                LtEq => Column::from_bool(a.iter().zip(b).map(|(x, y)| x <= y).collect()),
-                Gt => Column::from_bool(a.iter().zip(b).map(|(x, y)| x > y).collect()),
-                GtEq => Column::from_bool(a.iter().zip(b).map(|(x, y)| x >= y).collect()),
-                And | Or => {
-                    return Err(AccordionError::Execution(
-                        "AND/OR over integer columns".into(),
-                    ))
-                }
-            });
-        }
-        if let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) {
-            return Ok(match op {
-                Add => Column::from_f64(a.iter().zip(b).map(|(x, y)| x + y).collect()),
-                Sub => Column::from_f64(a.iter().zip(b).map(|(x, y)| x - y).collect()),
-                Mul => Column::from_f64(a.iter().zip(b).map(|(x, y)| x * y).collect()),
-                Div => Column::from_f64(a.iter().zip(b).map(|(x, y)| x / y).collect()),
-                Eq => Column::from_bool(a.iter().zip(b).map(|(x, y)| x == y).collect()),
-                NotEq => Column::from_bool(a.iter().zip(b).map(|(x, y)| x != y).collect()),
-                Lt => Column::from_bool(a.iter().zip(b).map(|(x, y)| x < y).collect()),
-                LtEq => Column::from_bool(a.iter().zip(b).map(|(x, y)| x <= y).collect()),
-                Gt => Column::from_bool(a.iter().zip(b).map(|(x, y)| x > y).collect()),
-                GtEq => Column::from_bool(a.iter().zip(b).map(|(x, y)| x >= y).collect()),
-                And | Or => {
-                    return Err(AccordionError::Execution(
-                        "AND/OR over float columns".into(),
-                    ))
-                }
-            });
-        }
-        if let (Some(a), Some(b)) = (l.as_date32(), r.as_date32()) {
-            if op.is_comparison() {
-                return Ok(match op {
-                    Eq => Column::from_bool(a.iter().zip(b).map(|(x, y)| x == y).collect()),
-                    NotEq => Column::from_bool(a.iter().zip(b).map(|(x, y)| x != y).collect()),
-                    Lt => Column::from_bool(a.iter().zip(b).map(|(x, y)| x < y).collect()),
-                    LtEq => Column::from_bool(a.iter().zip(b).map(|(x, y)| x <= y).collect()),
-                    Gt => Column::from_bool(a.iter().zip(b).map(|(x, y)| x > y).collect()),
-                    GtEq => Column::from_bool(a.iter().zip(b).map(|(x, y)| x >= y).collect()),
-                    _ => unreachable!(),
-                });
-            }
-        }
-        // Date ± days arithmetic (e.g. `l_shipdate + 30`).
-        if let (Some(a), Some(b)) = (l.as_date32(), r.as_i64()) {
-            if matches!(op, Add | Sub) {
-                return Ok(match op {
-                    Add => Column::from_date32(
-                        a.iter()
-                            .zip(b)
-                            .map(|(x, y)| x.wrapping_add(*y as i32))
-                            .collect(),
-                    ),
-                    Sub => Column::from_date32(
-                        a.iter()
-                            .zip(b)
-                            .map(|(x, y)| x.wrapping_sub(*y as i32))
-                            .collect(),
-                    ),
-                    _ => unreachable!(),
-                });
-            }
-        }
-        if let (Some(a), Some(b)) = (l.as_bool(), r.as_bool()) {
-            if op.is_logical() {
-                return Ok(match op {
-                    And => Column::from_bool(a.iter().zip(b).map(|(x, y)| *x && *y).collect()),
-                    Or => Column::from_bool(a.iter().zip(b).map(|(x, y)| *x || *y).collect()),
-                    _ => unreachable!(),
-                });
-            }
-        }
-    }
-
-    // Generic scalar fallback with SQL null semantics.
-    let out_type = match op {
-        op if op.is_comparison() || op.is_logical() => DataType::Bool,
-        _ => match (l.data_type(), r.data_type()) {
-            (DataType::Float64, _) | (_, DataType::Float64) => DataType::Float64,
-            (DataType::Int64, DataType::Int64) => {
-                if op == Div {
-                    DataType::Float64
-                } else {
-                    DataType::Int64
-                }
-            }
-            (DataType::Date32, DataType::Int64) => DataType::Date32,
-            (a, b) => {
-                return Err(AccordionError::Execution(format!(
-                    "unsupported operand types {a} {op} {b}"
-                )))
-            }
-        },
-    };
-    let mut out = ColumnBuilder::new(out_type, n);
-    for i in 0..n {
-        let a = l.value(i);
-        let b = r.value(i);
-        out.push(eval_binary_scalar(&a, op, &b)?);
-    }
-    Ok(out.finish())
-}
-
-/// Scalar semantics, including Kleene AND/OR with nulls.
-fn eval_binary_scalar(a: &Value, op: BinaryOp, b: &Value) -> Result<Value> {
-    use BinaryOp::*;
     if op.is_logical() {
-        let av = a.as_bool();
-        let bv = b.as_bool();
-        return Ok(match (op, av, bv) {
-            (And, Some(false), _) | (And, _, Some(false)) => Value::Bool(false),
-            (And, Some(true), Some(true)) => Value::Bool(true),
-            (Or, Some(true), _) | (Or, _, Some(true)) => Value::Bool(true),
-            (Or, Some(false), Some(false)) => Value::Bool(false),
-            _ => Value::Null,
-        });
+        return kleene(l, op, r);
     }
-    if a.is_null() || b.is_null() {
-        return Ok(Value::Null);
+    let cmp = op.is_comparison();
+    let data = match (l, r) {
+        (Int64(a, _), Int64(b, _)) if cmp => compare(a.iter().zip(b.iter()), op),
+        // Wrapping arithmetic: i64 overflow must produce the same result
+        // in debug and release builds and in the SUM accumulator.
+        (Int64(a, _), Int64(b, _)) => match op {
+            Add => Column::from_i64(zip_map(a, b, i64::wrapping_add)),
+            Sub => Column::from_i64(zip_map(a, b, i64::wrapping_sub)),
+            Mul => Column::from_i64(zip_map(a, b, i64::wrapping_mul)),
+            _ => Column::from_f64(zip_map(a, b, |x, y| x as f64 / y as f64)),
+        },
+        (Float64(a, _), Float64(b, _)) => numeric_f64(a, op, b),
+        (Int64(a, _), Float64(b, _)) => numeric_f64(&to_f64(a), op, b),
+        (Float64(a, _), Int64(b, _)) => numeric_f64(a, op, &to_f64(b)),
+        (Date32(a, _), Date32(b, _)) if cmp => compare(a.iter().zip(b.iter()), op),
+        (Bool(a, _), Bool(b, _)) if cmp => compare(a.iter().zip(b.iter()), op),
+        (Utf8(a, _), Utf8(b, _)) if cmp => compare(a.iter().zip(b.iter()), op),
+        // Date ± days arithmetic (e.g. `l_shipdate + 30`).
+        (Date32(a, _), Int64(b, _)) if op == Add => {
+            Column::from_date32(zip_map(a, b, |x, y| x.wrapping_add(y as i32)))
+        }
+        (Date32(a, _), Int64(b, _)) if op == Sub => {
+            Column::from_date32(zip_map(a, b, |x, y| x.wrapping_sub(y as i32)))
+        }
+        _ => return Err(unsupported(l, op, r.data_type())),
+    };
+    Ok(data.with_validity(Validity::and(l.validity(), r.validity())))
+}
+
+/// Comparison or arithmetic over two `f64` vectors.
+fn numeric_f64(a: &[f64], op: BinaryOp, b: &[f64]) -> Column {
+    match op {
+        BinaryOp::Add => Column::from_f64(zip_map(a, b, |x, y| x + y)),
+        BinaryOp::Sub => Column::from_f64(zip_map(a, b, |x, y| x - y)),
+        BinaryOp::Mul => Column::from_f64(zip_map(a, b, |x, y| x * y)),
+        BinaryOp::Div => Column::from_f64(zip_map(a, b, |x, y| x / y)),
+        _ => compare(a.iter().zip(b), op),
     }
-    if op.is_comparison() {
-        let ord = a.total_cmp(b);
-        return Ok(Value::Bool(match op {
-            Eq => ord == std::cmp::Ordering::Equal,
-            NotEq => ord != std::cmp::Ordering::Equal,
-            Lt => ord == std::cmp::Ordering::Less,
-            LtEq => ord != std::cmp::Ordering::Greater,
-            Gt => ord == std::cmp::Ordering::Greater,
-            GtEq => ord != std::cmp::Ordering::Less,
-            _ => unreachable!(),
-        }));
+}
+
+/// `f` over the operand pairs: the loop every arithmetic kernel is.
+fn zip_map<A: Copy, B: Copy, T>(a: &[A], b: &[B], f: impl Fn(A, B) -> T) -> Vec<T> {
+    a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
+}
+
+/// Kleene AND/OR. The data is the plain `&&`/`||` of the data vectors — a
+/// NULL operand's slot only reaches a valid result when the other operand
+/// decides it (`FALSE AND _`, `TRUE OR _`), where its value does not matter.
+fn kleene(l: &Column, op: BinaryOp, r: &Column) -> Result<Column> {
+    let (Some(a), Some(b)) = (l.as_bool(), r.as_bool()) else {
+        return Err(unsupported(l, op, r.data_type()));
+    };
+    // The value that decides the result alone: FALSE for AND, TRUE for OR.
+    let decides = op == BinaryOp::Or;
+    let pairs = a.iter().zip(b);
+    let data = if decides {
+        pairs.map(|(x, y)| *x || *y).collect()
+    } else {
+        pairs.map(|(x, y)| *x && *y).collect()
+    };
+    let validity = match (l.validity(), r.validity()) {
+        (None, None) => None,
+        (va, vb) => Some(Arc::new(Validity::from_fn(a.len(), |i| {
+            let (va, vb) = (
+                va.is_none_or(|v| v.is_valid(i)),
+                vb.is_none_or(|v| v.is_valid(i)),
+            );
+            let decided_by = |valid: bool, value: bool| valid && value == decides;
+            (va && vb) || decided_by(va, a[i]) || decided_by(vb, b[i])
+        }))),
+    };
+    Ok(Column::from_bool(data).with_validity(validity))
+}
+
+/// `x IN (a, b, …)` is `x = a OR x = b OR …`, element by element with the
+/// semantics of `=` for that type pair: a row is TRUE on a hit, else NULL
+/// if `x` or any element is NULL, else FALSE.
+fn in_list(col: &Column, list: &[Value]) -> Result<Column> {
+    /// The non-NULL elements as the column kernel's needle type.
+    fn needles<'a, T>(
+        list: &'a [Value],
+        col: &Column,
+        needle: impl Fn(&'a Value) -> Option<T>,
+    ) -> Result<Vec<T>> {
+        list.iter()
+            .filter(|v| !v.is_null())
+            .map(|v| {
+                needle(v).ok_or_else(|| {
+                    AccordionError::Execution(format!(
+                        "IN list value {v} is not comparable to {}",
+                        col.data_type()
+                    ))
+                })
+            })
+            .collect()
     }
-    // Arithmetic.
-    match (a, b) {
-        // Wrapping, matching the vectorized fast paths exactly.
-        (Value::Int64(x), Value::Int64(y)) => Ok(match op {
-            Add => Value::Int64(x.wrapping_add(*y)),
-            Sub => Value::Int64(x.wrapping_sub(*y)),
-            Mul => Value::Int64(x.wrapping_mul(*y)),
-            Div => Value::Float64(*x as f64 / *y as f64),
-            _ => unreachable!(),
-        }),
-        (Value::Date32(x), Value::Int64(y)) => Ok(match op {
-            Add => Value::Date32(x.wrapping_add(*y as i32)),
-            Sub => Value::Date32(x.wrapping_sub(*y as i32)),
-            _ => {
-                return Err(AccordionError::Execution(
-                    "only +/- defined on dates".into(),
-                ))
+    let hits: Vec<bool> = match col {
+        Column::Int64(data, _) => {
+            // An integer element compares as an integer, a float one against
+            // the column cast to float — what `=` does for each.
+            let numbers = needles(list, col, |v| v.as_f64().map(|_| v))?;
+            let ints: Vec<i64> = numbers.iter().filter_map(|v| v.as_i64()).collect();
+            let floats: Vec<f64> = numbers
+                .iter()
+                .filter(|v| v.as_i64().is_none())
+                .filter_map(|v| v.as_f64())
+                .collect();
+            data.iter()
+                .map(|x| ints.contains(x) || floats.contains(&(*x as f64)))
+                .collect()
+        }
+        Column::Float64(data, _) => {
+            let floats = needles(list, col, Value::as_f64)?;
+            data.iter().map(|x| floats.iter().any(|f| x == f)).collect()
+        }
+        Column::Date32(data, _) => {
+            let days = needles(list, col, |v| match v {
+                Value::Date32(d) => Some(*d),
+                _ => None,
+            })?;
+            data.iter().map(|x| days.contains(x)).collect()
+        }
+        Column::Bool(data, _) => {
+            let bools = needles(list, col, Value::as_bool)?;
+            data.iter().map(|x| bools.contains(x)).collect()
+        }
+        Column::Utf8(data, _) => {
+            let strs = needles(list, col, |v| v.as_str().map(str::as_bytes))?;
+            // A byte loop, not `==`: the values are short (flags, codes),
+            // where the call into memcmp costs more than the compare.
+            data.iter_bytes()
+                .map(|s| {
+                    strs.iter()
+                        .any(|n| n.len() == s.len() && n.iter().zip(s).all(|(a, b)| a == b))
+                })
+                .collect()
+        }
+    };
+    let validity = if list.is_empty() {
+        None // the empty disjunction is FALSE, whatever x is
+    } else if list.iter().any(Value::is_null) {
+        let hit = Arc::new(Validity::from_fn(hits.len(), |i| hits[i]));
+        Validity::and(col.validity(), Some(&hit))
+    } else {
+        col.validity().cloned()
+    };
+    Ok(Column::from_bool(hits).with_validity(validity))
+}
+
+/// Year of a day count since 1970-01-01 in the proleptic Gregorian calendar
+/// (civil-from-days over 400-year eras; the year starts in March inside an
+/// era, so January and February belong to the next one).
+fn year_of(days: i32) -> i64 {
+    let z = days as i64 + 719_468;
+    let era = z.div_euclid(146_097);
+    let doe = z.rem_euclid(146_097);
+    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    era * 400 + yoe + (doy >= 306) as i64
+}
+
+/// A `LIKE` pattern compiled once per kernel call: `%` matches any run of
+/// characters, `_` exactly one character (not one byte).
+enum LikePattern<'a> {
+    Exact(&'a str),
+    Prefix(&'a str),
+    Suffix(&'a str),
+    Contains(&'a str),
+    General(Vec<LikeToken>),
+}
+
+#[derive(PartialEq)]
+enum LikeToken {
+    AnyRun,
+    AnyChar,
+    Char(char),
+}
+
+impl<'a> LikePattern<'a> {
+    fn compile(pattern: &'a str) -> Self {
+        let body = pattern.trim_matches('%');
+        if body.contains(['%', '_']) {
+            let mut tokens = Vec::new();
+            for c in pattern.chars() {
+                match c {
+                    '%' if tokens.last() == Some(&LikeToken::AnyRun) => {}
+                    '%' => tokens.push(LikeToken::AnyRun),
+                    '_' => tokens.push(LikeToken::AnyChar),
+                    c => tokens.push(LikeToken::Char(c)),
+                }
             }
-        }),
-        _ => {
-            let x = a.as_f64();
-            let y = b.as_f64();
-            match (x, y) {
-                (Some(x), Some(y)) => Ok(match op {
-                    Add => Value::Float64(x + y),
-                    Sub => Value::Float64(x - y),
-                    Mul => Value::Float64(x * y),
-                    Div => Value::Float64(x / y),
-                    _ => unreachable!(),
-                }),
-                _ => Err(AccordionError::Execution(format!(
-                    "unsupported scalar operands {a:?} {op} {b:?}"
-                ))),
-            }
+            return LikePattern::General(tokens);
+        }
+        match (pattern.starts_with('%'), pattern.ends_with('%')) {
+            (false, false) => LikePattern::Exact(body),
+            (false, true) => LikePattern::Prefix(body),
+            (true, false) => LikePattern::Suffix(body),
+            (true, true) => LikePattern::Contains(body),
+        }
+    }
+
+    fn matches(&self, s: &str) -> bool {
+        match self {
+            LikePattern::Exact(p) => s == *p,
+            LikePattern::Prefix(p) => s.starts_with(p),
+            LikePattern::Suffix(p) => s.ends_with(p),
+            LikePattern::Contains(p) => s.contains(p),
+            LikePattern::General(tokens) => like_general(tokens, s),
         }
     }
 }
 
-/// SQL LIKE matcher supporting `%` and `_`.
-pub fn like_match(pattern: &str, s: &str) -> bool {
-    fn rec(p: &[char], s: &[char]) -> bool {
-        match p.split_first() {
-            None => s.is_empty(),
-            Some(('%', rest)) => (0..=s.len()).any(|k| rec(rest, &s[k..])),
-            Some(('_', rest)) => !s.is_empty() && rec(rest, &s[1..]),
-            Some((c, rest)) => s.first() == Some(c) && rec(rest, &s[1..]),
+/// Greedy wildcard match without recursion: on a mismatch, fall back to the
+/// last `%` and let it swallow one more character.
+fn like_general(tokens: &[LikeToken], s: &str) -> bool {
+    let (mut at, mut tok) = (0, 0);
+    // (token after the last `%`, text position it was tried from)
+    let mut retry: Option<(usize, usize)> = None;
+    loop {
+        let c = s[at..].chars().next();
+        match (tokens.get(tok), c) {
+            (Some(LikeToken::AnyRun), _) => {
+                tok += 1;
+                if tok == tokens.len() {
+                    return true;
+                }
+                retry = Some((tok, at));
+            }
+            (Some(LikeToken::AnyChar), Some(c)) => {
+                tok += 1;
+                at += c.len_utf8();
+            }
+            (Some(LikeToken::Char(p)), Some(c)) if *p == c => {
+                tok += 1;
+                at += c.len_utf8();
+            }
+            (None, None) => return true,
+            _ => {
+                let Some((after_run, from)) = retry else {
+                    return false;
+                };
+                let Some(skipped) = s[from..].chars().next() else {
+                    return false;
+                };
+                at = from + skipped.len_utf8();
+                tok = after_run;
+                retry = Some((after_run, at));
+            }
         }
     }
-    let p: Vec<char> = pattern.chars().collect();
-    let sc: Vec<char> = s.chars().collect();
-    rec(&p, &sc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{eval_binary_scalar, like_match};
+    use accordion_data::column::ColumnBuilder;
     use accordion_data::schema::Field;
 
     fn num_page() -> DataPage {
@@ -1112,23 +1294,23 @@ mod tests {
 
     #[test]
     fn int_overflow_wraps_on_every_path() {
-        // The vectorized no-null fast path, the null-handling fallback, and
-        // the scalar evaluator must all wrap identically at i64::MAX.
+        // The kernel, with and without NULLs in the page, and the reference
+        // evaluator must all wrap identically at i64::MAX.
         let a = Column::from_i64(vec![i64::MAX, i64::MIN, i64::MAX]);
         let b = Column::from_i64(vec![1, -1, 2]);
         let fast = eval_binary(&a, BinaryOp::Add, &b).unwrap();
         assert_eq!(
             fast.as_i64().unwrap(),
             &[i64::MIN, i64::MAX, i64::MIN + 1],
-            "no-null fast path wraps"
+            "the kernel wraps"
         );
         let mul = eval_binary(&a, BinaryOp::Mul, &b).unwrap();
         assert_eq!(mul.as_i64().unwrap()[2], i64::MAX.wrapping_mul(2));
         let sub = eval_binary(&b, BinaryOp::Sub, &a).unwrap();
         assert_eq!(sub.as_i64().unwrap()[0], 1i64.wrapping_sub(i64::MAX));
 
-        // Same inputs with a null in the page take the scalar fallback; the
-        // non-null rows must produce the identical wrapped values.
+        // Same inputs with a null in the page: the non-null rows must
+        // produce the identical wrapped values.
         let mut nb = ColumnBuilder::new(DataType::Int64, 3);
         nb.push(Value::Int64(1));
         nb.push(Value::Null);
@@ -1156,7 +1338,7 @@ mod tests {
             .evaluate(&p)
             .unwrap();
         assert_eq!(minus.as_date32().unwrap(), &[50, 150, 250, 350]);
-        // With a null present the fallback runs; results must agree.
+        // With a null present the results must agree.
         let mut nb = ColumnBuilder::new(DataType::Int64, 4);
         for v in [
             Value::Int64(30),

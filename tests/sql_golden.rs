@@ -405,3 +405,131 @@ fn sql_predicate_surface() {
         vec![vec![s("cherry"), i(0)], vec![s("apple"), i(2)]]
     );
 }
+
+// -- IN is a disjunction of equalities, for every type pair `=` accepts -----
+
+#[test]
+fn sql_in_list_compares_like_equals() {
+    let c = catalog();
+    let ids = |sql: &str| -> Vec<Value> {
+        run_sql(&c, sql, 2)
+            .rows()
+            .into_iter()
+            .map(|mut r| r.remove(0))
+            .collect()
+    };
+    // A FLOAT64 column against INT64 elements, and the other way round:
+    // used to select nothing (structural `Value` equality).
+    let by_eq = ids("SELECT qty FROM sales WHERE price = 1 OR price = 4 ORDER BY qty");
+    assert_eq!(by_eq, vec![i(1), i(2), i(10)]);
+    assert_eq!(
+        ids("SELECT qty FROM sales WHERE price IN (1, 4) ORDER BY qty"),
+        by_eq
+    );
+    assert_eq!(
+        ids("SELECT qty FROM sales WHERE qty IN (5.0, 7, 2.5) ORDER BY qty"),
+        vec![i(5), i(7)]
+    );
+    // A NULL element: no match ⇒ NULL, so NOT IN (…, NULL) keeps no row,
+    // while IN (…, NULL) still keeps the matches.
+    assert_eq!(
+        ids("SELECT qty FROM sales WHERE qty IN (5, NULL) ORDER BY qty"),
+        vec![i(5)]
+    );
+    assert_eq!(
+        ids("SELECT qty FROM sales WHERE qty NOT IN (5, NULL)"),
+        Vec::<Value>::new()
+    );
+    assert_eq!(
+        ids("SELECT qty FROM sales WHERE qty NOT IN (5, 7, 10, 20) ORDER BY qty"),
+        vec![i(1), i(2)],
+        "NULL qty rows are neither IN nor NOT IN"
+    );
+}
+
+// -- CASE takes the type its branches unify to -------------------------------
+
+#[test]
+fn sql_case_unifies_its_branch_types() {
+    let c = catalog();
+    // INT64 and FLOAT64 branches: used to panic a worker thread pushing
+    // 0.5 into an Int64 builder.
+    let result = run_sql(
+        &c,
+        "SELECT sum(CASE WHEN price > 2.0 THEN 1 ELSE 0.5 END) AS s, \
+                sum(CASE WHEN qty > 5 THEN qty END) AS big FROM sales",
+        2,
+    );
+    assert_eq!(result.rows(), vec![vec![f(3.0 + 5.0 * 0.5), i(37)]]);
+    let typed = run_sql(
+        &c,
+        "SELECT CASE WHEN qty > 5 THEN qty WHEN qty IS NULL THEN NULL ELSE price END AS v \
+         FROM sales1 WHERE region = 'east'",
+        1,
+    );
+    assert_eq!(typed.schema.fields()[0].data_type, DataType::Float64);
+    assert_eq!(
+        typed.rows(),
+        vec![vec![f(10.0)], vec![f(2.0)], vec![Value::Null]]
+    );
+    // Anything else is an analysis error with the CASE's span, not a panic.
+    for sql in [
+        "SELECT CASE WHEN qty > 5 THEN 'a' ELSE 1 END FROM sales",
+        "SELECT CASE WHEN qty > 5 THEN region ELSE price END FROM sales",
+        "SELECT CASE WHEN qty THEN 1 ELSE 0 END FROM sales",
+        "SELECT CASE WHEN qty > 5 THEN NULL END FROM sales",
+    ] {
+        let err = plan_select(&c, sql).expect_err(sql).to_string();
+        assert!(err.contains("CASE"), "{sql}: {err}");
+    }
+    // Arithmetic is typed the same way: what no kernel computes is refused
+    // at analysis instead of failing at run time.
+    for sql in [
+        "SELECT region + 1.5 FROM sales",
+        "SELECT qty * (price > 1.0) FROM sales",
+    ] {
+        assert!(plan_select(&c, sql).is_err(), "{sql}");
+    }
+}
+
+// -- a comparison's answer for a row does not depend on the page around it --
+
+#[test]
+fn sql_float_comparisons_are_ieee_with_and_without_nulls_in_the_page() {
+    let c = Catalog::new();
+    let schema = Schema::shared(vec![
+        Field::new("id", DataType::Int64),
+        Field::new("x", DataType::Float64),
+    ]);
+    // Two copies of the same four specials; `gaps` also has a NULL row,
+    // which used to switch the whole page from IEEE to total order.
+    let specials = [f64::NAN, -0.0, 0.0, f64::INFINITY];
+    for (name, with_null) in [("solid", false), ("gaps", true)] {
+        let mut b = TableBuilder::new(name, schema.clone(), 16);
+        for (id, x) in specials.iter().enumerate() {
+            b.push_row(vec![i(id as i64), f(*x)]);
+        }
+        if with_null {
+            b.push_row(vec![i(9), Value::Null]);
+        }
+        b.register(&c, PartitioningScheme::new(1, 1), 0);
+    }
+    for (predicate, want) in [
+        ("x = 0.0", vec![i(1), i(2)]),     // -0.0 = 0.0
+        ("x = x", vec![i(1), i(2), i(3)]), // NaN = NaN is false
+        ("x <> x", vec![i(0)]),
+        ("x < 1.0", vec![i(1), i(2)]),
+        ("x >= 0", vec![i(1), i(2), i(3)]), // NaN orders with nothing
+        ("x IN (0)", vec![i(1), i(2)]),
+    ] {
+        for table in ["solid", "gaps"] {
+            let sql = format!("SELECT id FROM {table} WHERE {predicate} ORDER BY id");
+            let got: Vec<Value> = run_sql(&c, &sql, 1)
+                .rows()
+                .into_iter()
+                .map(|mut r| r.remove(0))
+                .collect();
+            assert_eq!(got, want, "{sql}");
+        }
+    }
+}

@@ -1,5 +1,6 @@
 //! Exactly-once execution of the benchmark statements under every schedule:
-//! `benchmarks/sql/q{1,3,6}.sql` and a Top-N over `orders`, each run on the
+//! `benchmarks/sql/q{1,3,6}.sql`, the suite's `q_expr.sql` (and a variant of
+//! it whose `LIKE` selects something) and a Top-N over `orders`, each run on the
 //! concurrent [`QueryExecutor`] at DOP {1, 4} × worker threads {1, 4} ×
 //! elasticity {off, forced-grow, forced-shrink, auto, cycle}. Every cell must
 //! return the rows of the serial oracle ([`execute_logical`]), the known
@@ -29,7 +30,7 @@ const PAGE_ROWS: usize = 256;
 const MODES: [&str; 5] = ["off", "forced-grow", "forced-shrink", "auto", "cycle"];
 
 /// TPC-H at sf 0.01, seed 42: 59,799 lineitem, 15,000 orders and 1,500
-/// customer rows. Generated once for the four tests.
+/// customer rows. Generated once for all the tests.
 fn catalog() -> &'static Catalog {
     static DATA: OnceLock<Catalog> = OnceLock::new();
     DATA.get_or_init(|| {
@@ -153,6 +154,55 @@ fn q6_is_exactly_once_across_the_matrix() {
         close(&rows[0][0], &Value::Float64(776_548.606_4)),
         "q6 revenue is {:?}",
         rows[0][0]
+    );
+}
+
+/// `suite/sql/q_expr.sql`: IN + EXTRACT in the predicate, CASE over LIKE and
+/// CASE over a float compare in the arguments. The suite checks it against
+/// an oracle that shares every expression kernel, so the values are pinned
+/// here, brute-forced from the raw generated rows (string compares on
+/// `format_date32` text, no engine expression involved): per `l_returnflag`
+/// in ('A', 'R') shipped in 1994, (`open_price`, `deep_discounts`, `lines`).
+const Q_EXPR: &str = include_str!("../suite/sql/q_expr.sql");
+
+fn assert_q_expr_rows(rows: &[Vec<Value>], expected: [(&str, f64, i64, i64); 2]) {
+    for (row, (flag, price, deep_discounts, lines)) in rows.iter().zip(expected) {
+        assert_eq!(row[0], Value::Utf8(flag.into()));
+        assert!(
+            close(&row[1], &Value::Float64(price)),
+            "{flag}: the CASE-over-LIKE sum is {:?}, not {price}",
+            row[1]
+        );
+        assert_eq!(
+            row[2],
+            Value::Int64(deep_discounts),
+            "{flag}: deep_discounts"
+        );
+        assert_eq!(row[3], Value::Int64(lines), "{flag}: lines");
+    }
+}
+
+#[test]
+fn q_expr_is_exactly_once_across_the_matrix() {
+    let rows = run_matrix("q_expr", Q_EXPR, 2, 59_799);
+    // Everything shipped in 1994 has l_linestatus 'F': nothing is open.
+    assert_q_expr_rows(&rows, [("A", 0.0, 1_334, 2_976), ("R", 0.0, 1_336, 2_998)]);
+}
+
+#[test]
+fn q_expr_with_a_like_that_matches_is_exactly_once_across_the_matrix() {
+    let sql = Q_EXPR.replace("LIKE 'O%'", "LIKE 'F%'");
+    assert_ne!(
+        sql, Q_EXPR,
+        "q_expr.sql no longer has the LIKE this test flips"
+    );
+    let rows = run_matrix("q_expr/F%", &sql, 2, 59_799);
+    assert_q_expr_rows(
+        &rows,
+        [
+            ("A", 76_201_704.43, 1_334, 2_976),
+            ("R", 78_906_725.02, 1_336, 2_998),
+        ],
     );
 }
 
