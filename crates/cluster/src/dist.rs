@@ -18,8 +18,7 @@
 //! [`distributed_topology`] re-homes the all-local topology of
 //! `accordion_exec::exchange_topology` for one node: consumer slot `c`
 //! stays [`ConsumerLoc::Local`] when `task_node(c) == node` and becomes
-//! [`ConsumerLoc::Remote`] (that node's page-server address) everywhere
-//! else. Every node therefore registers the same *global* edge — identical
+//! [`ConsumerLoc::Remote`] (that node's address) everywhere else. Every node therefore registers the same *global* edge — identical
 //! slot indices, producer counts and hash partitions — and the
 //! transport-agnostic registry of `accordion-net` does the rest.
 //!
@@ -27,7 +26,8 @@
 //!
 //! The shared split pool is what makes mid-query DOP changes lossless, so
 //! it is **never sharded**: the coordinator owns one [`SplitQueue`] per
-//! elastic stage and serves it over a [`SplitServer`]: one [`ClaimMsg`]
+//! elastic stage and serves its [`SplitQueues`] at its node address
+//! (`peers[0]`, the same listener its pages arrive on): one [`ClaimMsg`]
 //! round trip per claim — a CLAIM frame answered by SPLIT, NONE or RETIRED
 //! — on the node-to-node framing of `accordion_net::frame`, whose kind
 //! table has the layouts. Claims name splits by their **ordinal** in the
@@ -54,7 +54,7 @@ use accordion_common::sync::{Mutex, Semaphore};
 use accordion_common::{AccordionError, NodeId, Result};
 use accordion_exec::executor::exchange_topology;
 use accordion_exec::splits::{SplitQueue, SplitSource};
-use accordion_net::frame::{kind, listen, Cursor, Frame, FrameConn, Listener, Payload};
+use accordion_net::frame::{kind, Conversation, Cursor, Frame, FrameConn, Payload, Route, Served};
 use accordion_net::{ConsumerLoc, ExchangeTopology};
 use accordion_plan::fragment::StageTree;
 use accordion_storage::split::Split;
@@ -72,8 +72,9 @@ pub struct DistRole {
     pub node: u32,
     /// Fleet size.
     pub nodes: u32,
-    /// Page-server address of every node, indexed by node id (this node's
-    /// own entry is present but unused).
+    /// The address of every node, indexed by node id (this node's own
+    /// entry is present but unused). `peers[0]` is where workers claim
+    /// splits as well as where they send pages.
     pub peers: Vec<String>,
 }
 
@@ -114,7 +115,7 @@ pub fn plan_fingerprint(tree: &StageTree) -> u64 {
 
 /// The global exchange topology of `tree` as seen from one node: consumer
 /// slots placed on this node stay local, all others point at their owner's
-/// page server. `leased` marks the elastic edges (as in
+/// address. `leased` marks the elastic edges (as in
 /// `accordion_exec::exchange_topology`).
 pub fn distributed_topology(
     tree: &StageTree,
@@ -229,37 +230,16 @@ struct ServedQueue {
     ordinals: HashMap<u64, u64>,
 }
 
-type ServedQueues = Mutex<HashMap<(u64, u32), Arc<ServedQueue>>>;
+/// The coordinator's split-claim service: the shared [`SplitQueue`]s of its
+/// queries' elastic stages, served to worker nodes one blocking [`ClaimMsg`]
+/// round trip per claim. A claim that is paused at a decision boundary
+/// simply delays its reply — remote claimants park at the same boundary
+/// local ones do. It serves whatever listener its [`route`](Self::route) is
+/// given to — the node's one listener, or a [`SplitServer`]'s own.
+#[derive(Default)]
+pub struct SplitQueues(Mutex<HashMap<(u64, u32), Arc<ServedQueue>>>);
 
-/// The coordinator's split-claim service: serves the shared [`SplitQueue`]s
-/// of elastic stages to worker nodes, one blocking [`ClaimMsg`] round trip
-/// per claim. A claim that is paused at a decision boundary simply delays
-/// its reply — remote claimants park at the same boundary local ones do.
-/// Dropping the server releases its port.
-pub struct SplitServer {
-    listener: Listener,
-    queues: Arc<ServedQueues>,
-}
-
-impl SplitServer {
-    /// Binds (use port 0 for an ephemeral port) and starts accepting.
-    pub fn bind(addr: &str) -> Result<Arc<SplitServer>> {
-        let queues = Arc::new(ServedQueues::default());
-        let served = queues.clone();
-        let listener = listen(addr, "split-server", move |conn| {
-            while let Some((kind, payload)) = conn.recv()? {
-                let claim = ClaimMsg::decode(kind, &payload);
-                conn.respond(claim.and_then(|c| answer(&served, c)).map(|m| m.encode()))?;
-            }
-            Ok(())
-        })?;
-        Ok(Arc::new(SplitServer { listener, queues }))
-    }
-
-    pub fn local_addr(&self) -> String {
-        self.listener.local_addr()
-    }
-
+impl SplitQueues {
     /// Builds the stage's shared queue from `splits` and exposes it to
     /// remote claimants. Replies name splits by their ordinal in `splits`,
     /// so remote resolution works even when split ids differ per process.
@@ -275,54 +255,71 @@ impl SplitServer {
             queue: queue.clone(),
             ordinals,
         };
-        self.queues.lock().insert((query, stage), Arc::new(served));
+        self.0.lock().insert((query, stage), Arc::new(served));
         queue
     }
 
     /// Drops every queue of `query`.
     pub fn unregister_query(&self, query: u64) {
-        self.queues.lock().retain(|(q, _), _| *q != query);
+        self.0.lock().retain(|(q, _), _| *q != query);
     }
 
-    /// Stops accepting. Live connections drain on their own.
-    pub fn shutdown(&self) {
-        self.listener.shutdown();
+    /// Answers one claim from the registered queues.
+    fn answer(&self, claim: ClaimMsg) -> Result<ClaimMsg> {
+        let ClaimMsg::Claim {
+            query,
+            stage,
+            slot,
+            node,
+        } = claim
+        else {
+            return Err(AccordionError::Wire(format!(
+                "expected a claim, got {claim:?}"
+            )));
+        };
+        let served = self.0.lock().get(&(query, stage)).cloned().ok_or_else(|| {
+            AccordionError::Execution(format!("no split queue for query {query} stage {stage}"))
+        })?;
+        // Block right here — the connection thread is the remote claimant's
+        // proxy, and a pause boundary is supposed to park it.
+        match served.queue.claim_at(slot, node, None) {
+            Some(split) => match served.ordinals.get(&split.id.0) {
+                Some(&ordinal) => Ok(ClaimMsg::Split { ordinal }),
+                None => Err(AccordionError::Internal(format!(
+                    "split id {} missing from ordinal map",
+                    split.id.0
+                ))),
+            },
+            None if served.queue.is_retired(slot) => Ok(ClaimMsg::Retired),
+            None => Ok(ClaimMsg::None),
+        }
     }
 }
 
-/// Answers one claim from the registered queues.
-fn answer(queues: &ServedQueues, claim: ClaimMsg) -> Result<ClaimMsg> {
-    let ClaimMsg::Claim {
-        query,
-        stage,
-        slot,
-        node,
-    } = claim
-    else {
-        return Err(AccordionError::Wire(format!(
-            "expected a claim, got {claim:?}"
-        )));
-    };
-    let served = queues.lock().get(&(query, stage)).cloned().ok_or_else(|| {
-        AccordionError::Execution(format!("no split queue for query {query} stage {stage}"))
-    })?;
-    // Block right here — the connection thread is the remote claimant's
-    // proxy, and a pause boundary is supposed to park it.
-    match served.queue.claim_at(slot, node, None) {
-        Some(split) => match served.ordinals.get(&split.id.0) {
-            Some(&ordinal) => Ok(ClaimMsg::Split { ordinal }),
-            None => Err(AccordionError::Internal(format!(
-                "split id {} missing from ordinal map",
-                split.id.0
-            ))),
-        },
-        None if served.queue.is_retired(slot) => Ok(ClaimMsg::Retired),
-        None => Ok(ClaimMsg::None),
+/// The claim conversation: connections that open with CLAIM, each answered
+/// request by request until the claimant closes.
+impl Conversation for SplitQueues {
+    fn route(self: &Arc<Self>) -> Route {
+        let queues = self.clone();
+        let serve = move |conn: &mut FrameConn, first: Vec<u8>| {
+            let mut next = Some((kind::CLAIM, first));
+            while let Some((kind, payload)) = next {
+                let claim = ClaimMsg::decode(kind, &payload);
+                conn.respond(claim.and_then(|c| queues.answer(c)).map(|m| m.encode()))?;
+                next = conn.recv()?;
+            }
+            Ok(())
+        };
+        (kind::CLAIM, Box::new(serve))
     }
 }
+
+/// [`SplitQueues`] behind a listener of their own, for a claim service that
+/// has no node around it.
+pub type SplitServer = Served<SplitQueues>;
 
 /// A worker-side [`SplitSource`] that claims from the coordinator's
-/// [`SplitServer`] and resolves the returned split **ordinals** against
+/// [`SplitQueues`] and resolves the returned split **ordinals** against
 /// this node's own catalog copy. Both sides list the stage's splits in the
 /// same catalog order, so positions agree even though raw split ids (a
 /// process-local counter) do not.
@@ -337,6 +334,9 @@ pub struct RemoteSplitSource {
     query: u64,
     stage: u32,
     by_ordinal: Vec<Split>,
+    /// Bounds the dial only: a claim parked at a decision boundary is
+    /// supposed to wait.
+    connect_timeout: Duration,
     conn: Mutex<Option<FrameConn>>,
     retired: Mutex<HashSet<u32>>,
 }
@@ -345,11 +345,23 @@ impl RemoteSplitSource {
     /// `splits` must list the stage's splits in the same order the
     /// coordinator registered them (catalog order does this naturally).
     pub fn new(addr: String, query: u64, stage: u32, splits: Vec<Split>) -> Arc<RemoteSplitSource> {
+        Self::with_network(addr, query, stage, splits, &NetworkConfig::default())
+    }
+
+    /// [`new`](Self::new), dialling with `network`'s `connect_timeout_ms`.
+    pub(crate) fn with_network(
+        addr: String,
+        query: u64,
+        stage: u32,
+        splits: Vec<Split>,
+        network: &NetworkConfig,
+    ) -> Arc<RemoteSplitSource> {
         Arc::new(RemoteSplitSource {
             addr,
             query,
             stage,
             by_ordinal: splits,
+            connect_timeout: Duration::from_millis(network.connect_timeout_ms),
             conn: Mutex::new(None),
             retired: Mutex::new(HashSet::new()),
         })
@@ -361,10 +373,7 @@ impl RemoteSplitSource {
         let mut guard = self.conn.lock();
         let conn = match &mut *guard {
             Some(conn) => conn,
-            None => {
-                let timeout = Duration::from_millis(NetworkConfig::default().connect_timeout_ms);
-                guard.insert(FrameConn::connect(&self.addr, timeout)?)
-            }
+            None => guard.insert(FrameConn::connect(&self.addr, self.connect_timeout)?),
         };
         let reply = conn
             .call(request.encode())
@@ -421,10 +430,10 @@ pub enum ClaimWiring<'a> {
     /// A fleet of one: the node owns the queues and nobody else claims.
     Local,
     /// Coordinator: owns the queues and publishes them on its service.
-    Serve(&'a SplitServer),
-    /// Worker: claims from the coordinator's service at this address
-    /// (never dialled by a query that has no elastic stage).
-    Connect(String),
+    Serve(&'a SplitQueues),
+    /// Worker: claims from the coordinator's service, at the coordinator's
+    /// node address (never dialled by a query that has no elastic stage).
+    Connect,
 }
 
 /// One elastic stage's split pool as this node sees it.
@@ -438,8 +447,16 @@ pub(crate) struct StagePool {
 
 impl ClaimWiring<'_> {
     /// This node's pool for `stage`, whose splits are `splits` in catalog
-    /// order (the order claim ordinals refer to).
-    pub(crate) fn pool(&self, query: u64, stage: u32, splits: Vec<Split>) -> StagePool {
+    /// order (the order claim ordinals refer to). A worker dials
+    /// `coordinator` under the query's `network` settings.
+    pub(crate) fn pool(
+        &self,
+        query: u64,
+        stage: u32,
+        splits: Vec<Split>,
+        coordinator: &str,
+        network: &NetworkConfig,
+    ) -> StagePool {
         let owned = |queue: Arc<SplitQueue>| StagePool {
             source: queue.clone(),
             queue: Some(queue),
@@ -447,8 +464,14 @@ impl ClaimWiring<'_> {
         match self {
             ClaimWiring::Local => owned(Arc::new(SplitQueue::new(splits))),
             ClaimWiring::Serve(server) => owned(server.register(query, stage, splits)),
-            ClaimWiring::Connect(addr) => StagePool {
-                source: RemoteSplitSource::new(addr.clone(), query, stage, splits),
+            ClaimWiring::Connect => StagePool {
+                source: RemoteSplitSource::with_network(
+                    coordinator.to_string(),
+                    query,
+                    stage,
+                    splits,
+                    network,
+                ),
                 queue: None,
             },
         }
@@ -532,9 +555,20 @@ mod tests {
         let source = RemoteSplitSource::new(server.local_addr(), 1, 1, vec![]);
         let err = source.call(&claim(1, None)).unwrap_err();
         assert!(err.to_string().contains("no split queue"), "{err}");
-        // A reply kind sent as a request is refused, not obeyed.
+        // A reply kind sent as a request is refused, not obeyed: mid-
+        // conversation by the claim loop, as a first frame by the listener.
+        server.register(1, 1, vec![]);
+        assert_eq!(source.call(&claim(1, None)).unwrap(), ClaimMsg::None);
         let err = source.call(&ClaimMsg::Retired).unwrap_err();
         assert!(err.to_string().contains("expected a claim"), "{err}");
+        let err = source.call(&ClaimMsg::Retired).unwrap_err();
+        assert!(err.to_string().contains("opens no conversation"), "{err}");
+        // So is a page stream: a bare claim service serves no HELLO.
+        let mut pages = FrameConn::connect(&server.local_addr(), Duration::from_secs(5)).unwrap();
+        let hello = Payload::default().u64(1).u32(1);
+        let err = pages.call((kind::HELLO, hello.0)).unwrap_err();
+        assert!(err.to_string().contains("kind 0 opens no"), "{err}");
+        assert!(pages.recv().unwrap().is_none(), "and the connection ends");
         server.shutdown();
     }
 

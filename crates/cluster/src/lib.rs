@@ -37,7 +37,7 @@ pub mod scheduler;
 
 pub use dist::{
     distributed_topology, plan_fingerprint, task_node, ClaimMsg, ClaimWiring, DistRole,
-    RemoteSplitSource, SplitServer,
+    RemoteSplitSource, SplitQueues, SplitServer,
 };
 pub use elastic::{ElasticityController, StageControl, WhatIfChoice, WhatIfPredictor};
 pub use fleet::{

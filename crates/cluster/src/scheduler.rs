@@ -10,11 +10,11 @@
 //! Every query runs as *node `n` of `N`* ([`DistRole`]): the runner builds
 //! a task only when [`task_node`] places it here, and every edge of the
 //! node's registry knows which consumer slots are local and which sit
-//! behind a peer's page server. A single process is node 0 of 1 — it hosts
+//! behind a peer's address. A single process is node 0 of 1 — it hosts
 //! every task and owns every queue — so [`QueryExecutor::execute_tree`] is
 //! "wire as node 0 of 1, run, unwrap the result", and a multi-node query
 //! is the same two steps taken on each node: [`QueryExecutor::wire`]
-//! (build the registry; the caller publishes it on its `PageServer`) and,
+//! (build the registry; the caller publishes it on its `PageRegistries`) and,
 //! once every node is wired, [`NodeQuery::run`]. What the role decides:
 //!
 //! | | node 0 (coordinator) | nodes 1.. (workers) |
@@ -172,7 +172,7 @@ impl Drop for ActiveGuard {
 ///
 /// Life cycle (two-phase, so no task runs before every node is wired):
 /// [`QueryExecutor::wire`] builds the topology and registry — the caller
-/// registers the registry with its `PageServer` and acknowledges; once
+/// registers the registry with its `PageRegistries` and acknowledges; once
 /// every node is wired, [`NodeQuery::run`] executes this node's tasks.
 /// Dropping an unrun `NodeQuery` releases everything `wire` took.
 ///
@@ -321,7 +321,9 @@ impl QueryExecutor {
                     AccordionError::Internal(format!("elastic stage {} has no scan", f.stage))
                 })?;
                 let splits = catalog.get(table)?.splits.splits().to_vec();
-                pools.insert(f.stage.0, claim.pool(query, f.stage.0, splits));
+                let coordinator = role.peers.first().map_or("", String::as_str);
+                let pool = claim.pool(query, f.stage.0, splits, coordinator, &opts.network);
+                pools.insert(f.stage.0, pool);
             }
         }
         // The lease on every elastic edge is held by the controller, which
@@ -401,8 +403,8 @@ where
     C: Deref<Target = Catalog> + Sync,
     T: Deref<Target = StageTree> + Sync,
 {
-    /// The per-node registry — register it with this node's `PageServer`
-    /// (under the query's id) before any node runs.
+    /// The per-node registry — register it with this node's
+    /// `PageRegistries` (under the query's id) before any node runs.
     pub fn registry(&self) -> &Arc<ExchangeRegistry> {
         &self.registry
     }

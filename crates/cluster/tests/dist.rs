@@ -1,6 +1,6 @@
 //! Multi-node distributed execution, in-process: each "node" is a
-//! [`QueryExecutor`] fronted by its own `PageServer`, exchanging pages over
-//! real TCP. The golden suite must produce results identical to the serial
+//! [`QueryExecutor`] fronted by its own one-address listener, exchanging
+//! pages over real TCP. The golden suite must produce results identical to the serial
 //! reference, with at least one cross-node exchange edge in every
 //! multi-task plan — and mid-query forced grow/shrink must stay lossless
 //! when the elastic stage's tasks are spread across nodes claiming from
@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use accordion_cluster::{ClaimWiring, DistRole, NodeQuery, QueryExecutor, SplitServer};
+use accordion_cluster::{ClaimWiring, DistRole, NodeQuery, QueryExecutor, SplitQueues};
 use accordion_common::config::{AdmissionConfig, ElasticityConfig, NetworkConfig};
 use accordion_common::{AccordionError, ElasticityMode, Result};
 use accordion_data::schema::{Field, Schema};
@@ -19,7 +19,8 @@ use accordion_data::types::{DataType, Value};
 use accordion_exec::{execute_tree, ExecOptions, QueryResult};
 use accordion_expr::agg::AggKind;
 use accordion_expr::scalar::Expr;
-use accordion_net::PageServer;
+use accordion_net::frame::{listen, Conversation, Listener};
+use accordion_net::PageRegistries;
 use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::LogicalPlanBuilder;
@@ -112,26 +113,33 @@ fn sorted_rows(result: &QueryResult) -> Vec<Vec<Value>> {
     rows
 }
 
-/// An in-process fleet: one page server per node, and the coordinator's
-/// claim service — elasticity (when enabled) claims through it exactly as
-/// separate processes would.
+/// An in-process fleet: one listener per node, serving the node's pages
+/// and — on node 0 — the coordinator's claim service, so elasticity (when
+/// enabled) claims at `peers[0]` exactly as separate processes would.
 struct TestFleet {
-    pages: Vec<Arc<PageServer>>,
-    claim: Arc<SplitServer>,
+    nodes: Vec<(Listener, Arc<PageRegistries>)>,
+    claims: Arc<SplitQueues>,
 }
 
 impl TestFleet {
     fn new(nodes: usize) -> TestFleet {
+        let claims = Arc::<SplitQueues>::default();
+        let node = |n| {
+            let pages = Arc::<PageRegistries>::default();
+            let mut routes = vec![pages.route()];
+            if n == 0 {
+                routes.push(claims.route());
+            }
+            (listen("127.0.0.1:0", "test-node", routes).unwrap(), pages)
+        };
         TestFleet {
-            pages: (0..nodes)
-                .map(|_| PageServer::bind("127.0.0.1:0").unwrap())
-                .collect(),
-            claim: SplitServer::bind("127.0.0.1:0").unwrap(),
+            nodes: (0..nodes).map(node).collect(),
+            claims,
         }
     }
 
     /// Wires `node`'s share of `query` on `executor` and publishes its
-    /// registry on the node's page server.
+    /// registry on the node's listener.
     fn wire(
         &self,
         node: u32,
@@ -143,23 +151,24 @@ impl TestFleet {
     ) -> Result<NodeQuery> {
         let role = DistRole {
             node,
-            nodes: self.pages.len() as u32,
-            peers: self.pages.iter().map(|p| p.local_addr()).collect(),
+            nodes: self.nodes.len() as u32,
+            peers: self.nodes.iter().map(|(l, _)| l.local_addr()).collect(),
         };
         let claim = if node == 0 {
-            ClaimWiring::Serve(&self.claim)
+            ClaimWiring::Serve(&self.claims)
         } else {
-            ClaimWiring::Connect(self.claim.local_addr())
+            ClaimWiring::Connect
         };
         let nq = executor.wire(catalog.clone(), tree.clone(), opts, role, query, claim)?;
-        self.pages[node as usize].register(query, nq.registry().clone());
+        self.nodes[node as usize]
+            .1
+            .register(query, nq.registry().clone());
         Ok(nq)
     }
 
     fn shutdown(self) {
-        self.claim.shutdown();
-        for p in &self.pages {
-            p.shutdown();
+        for (listener, _) in &self.nodes {
+            listener.shutdown();
         }
     }
 }
@@ -361,7 +370,7 @@ fn poison_active_reaches_every_node_of_an_in_flight_query() {
     let c = catalog();
     let (tree, _) = group_by_at(&c, 3);
     // Capacity-one buffers: nodes 0 and 1 run and park on backpressure,
-    // because node 2 — wired, so its page server accepts frames — is held
+    // because node 2 — wired, so its listener accepts frames — is held
     // back. The query is in flight on every node and can finish on none.
     let tight = opts(NetworkConfig::builder().fixed_buffers(1).build());
     let executors: Vec<QueryExecutor> = (0..3).map(|_| QueryExecutor::new(tight.clone())).collect();

@@ -1,77 +1,77 @@
-//! Process-per-node execution: worker control protocol and the fleet
-//! coordinator.
+//! Process-per-node execution: the node, its control protocol and the
+//! fleet coordinator.
 //!
 //! `accordion-cluster` runs a query as node `n` of `N` on a process's one
 //! [`QueryExecutor`]; this module gives each node its **own OS process**
-//! and carries the wire/run hand-shake between them. A fleet is one
-//! coordinator plus any number of `accordion-core worker` processes. Each
-//! process — worker or coordinator — builds a single executor from the
-//! `ExecOptions` it was started with, so its compute slots, NIC budget,
-//! admission gate and kill switch span every query and every control
-//! connection it serves. Every process generates the same
-//! deterministic TPC-H catalog (same scale factor and seed) and plans
-//! every query independently; the coordinator cross-checks a
-//! [`plan_fingerprint`] so a divergent plan fails fast instead of
+//! and carries the wire/run hand-shake between them. A node is a
+//! [`Worker`]: **one address** — one listener serving exchange pages, split
+//! claims and control sessions, told apart by the first frame of each
+//! connection — in front of one executor, so the process's compute slots,
+//! NIC budget, admission gate and kill switch span every query and every
+//! connection it serves. The coordinator is a node too, the one nobody has
+//! wired, driving the others through a [`Fleet`]: a query-server session
+//! with `SET nodes` does that on the server's own executor. Every process
+//! generates the same deterministic TPC-H catalog (same scale factor and
+//! seed) and plans every query independently; the coordinator cross-checks
+//! a [`plan_fingerprint`] so a divergent plan fails fast instead of
 //! mis-routing pages.
 //!
 //! ## Control protocol
 //!
 //! [`CtrlMsg`] frames on the node-to-node framing of `accordion_net::frame`
-//! (kinds 8–14 plus the shared ACK and ERR; the kind table there has the
-//! layouts), one connection per (coordinator, worker) pair, serving any
-//! number of queries sequentially:
+//! (kinds 8–12 plus the shared ACK and ERR; the kind table there has the
+//! layouts), one connection per (coordinator, worker) pair, opened by its
+//! first WIRE and serving any number of queries sequentially:
 //!
 //! ```text
-//! worker → WORKER page-server address                      greeting
-//! coord  → WIRE   query, node, nodes, fingerprint, dop, claim address,
-//!                 elasticity mode, peers, sql
+//! coord  → WIRE   query, node, nodes, fingerprint, dop, elasticity mode,
+//!                 peers, sql
 //! worker → WIRED  remote slots | ERR message               plan + wire
 //! coord  → GO     query
 //! worker → ACK                                             tasks started
 //! coord  → JOIN   query
 //! worker → DONE   elapsed ms | ERR message                 tasks done
-//! coord  → BYE
-//! worker → ACK                                             connection ends
 //! ```
 //!
 //! Strings travel length-prefixed, so SQL and error text need no escaping.
-//! The two-phase WIRE/GO split matters: a worker's page server must know
-//! the query's registry before **any** process starts tasks, or an early
-//! page from a fast peer would be rejected. `GO` is only sent once every
-//! node acknowledged `WIRE`. A wired query never outlives its control
-//! session: the coordinator sends `JOIN` to every worker however the query
-//! ended, and a worker whose connection closes poisons and forgets whatever
-//! it left behind.
-//!
-//! Elastic queries name the coordinator's [`SplitServer`] in the WIRE
-//! message; worker tasks then claim splits from the coordinator's shared
-//! queues, which is what keeps mid-query grow/shrink lossless across
-//! process boundaries.
+//! `peers` is `[coordinator] + workers`, every node's one address. The
+//! two-phase WIRE/GO split matters: a worker must know the query's registry
+//! before **any** process starts tasks, or an early page from a fast peer
+//! would be rejected. `GO` is only sent once every node acknowledged
+//! `WIRE`. A wired query never outlives its control session: the
+//! coordinator sends `JOIN` to every worker however the query ended, and a
+//! worker whose connection closes — which is how a session ends — poisons
+//! and forgets whatever it left behind. Worker tasks of an elastic stage
+//! claim splits from the coordinator's shared queues at `peers[0]`, which
+//! keeps mid-query grow/shrink lossless across process boundaries.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use accordion_cluster::{
-    plan_fingerprint, ClaimWiring, DistRole, NodeQuery, QueryExecutor, SplitServer,
+    plan_fingerprint, ClaimWiring, DistRole, NodeQuery, QueryExecutor, SplitQueues,
 };
 use accordion_common::config::ElasticityConfig;
 use accordion_common::{AccordionError, Result};
 use accordion_exec::executor::{ExecOptions, QueryResult};
-use accordion_net::frame::{kind, listen, Cursor, Frame, FrameConn, Listener, Payload};
-use accordion_net::{ExchangeRegistry, PageServer};
+use accordion_net::frame::{
+    kind, listen, Conversation, Cursor, Frame, FrameConn, Listener, Payload,
+};
+use accordion_net::{ExchangeRegistry, PageRegistries};
 use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_sql::plan_select;
 use accordion_storage::catalog::Catalog;
 
-/// The coordinator ↔ worker control conversation — kinds 8–14 of the
+use crate::session::mode_name;
+
+/// The coordinator ↔ worker control conversation — kinds 8–12 of the
 /// node-to-node kind table (`accordion_net::frame`) plus the shared ACK. A
 /// request that fails is answered with an ERR frame instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CtrlMsg {
-    /// The worker's greeting: where its page server listens.
-    Worker { page_addr: String },
     /// Plan `sql` at `dop`, check it against `fingerprint`, and wire this
     /// node's share as node `node` of `nodes`.
     Wire {
@@ -80,12 +80,10 @@ pub enum CtrlMsg {
         nodes: u32,
         fingerprint: u64,
         dop: u32,
-        /// The coordinator's split-claim service; empty (and never
-        /// dialled) when no stage of the query is elastic.
-        claim: String,
         /// The elasticity mode string every node parses identically.
         elasticity: String,
-        /// Page-server address of every node, indexed by node id.
+        /// The address of every node, indexed by node id; `peers[0]`
+        /// serves the query's split claims.
         peers: Vec<String>,
         sql: String,
     },
@@ -97,9 +95,7 @@ pub enum CtrlMsg {
     Join { query: u64 },
     /// JOIN succeeded after this long.
     Done { elapsed_ms: u64 },
-    /// End the session.
-    Bye,
-    /// GO and BYE succeeded.
+    /// GO succeeded.
     Ack,
 }
 
@@ -108,20 +104,18 @@ impl CtrlMsg {
     pub fn encode(&self) -> Frame {
         let p = Payload::default();
         match self {
-            CtrlMsg::Worker { page_addr } => (kind::WORKER, p.str(page_addr).0),
             CtrlMsg::Wire {
                 query,
                 node,
                 nodes,
                 fingerprint,
                 dop,
-                claim,
                 elasticity,
                 peers,
                 sql,
             } => {
                 let p = p.u64(*query).u32(*node).u32(*nodes).u64(*fingerprint);
-                let p = p.u32(*dop).str(claim).str(elasticity);
+                let p = p.u32(*dop).str(elasticity);
                 let p = peers
                     .iter()
                     .fold(p.u32(peers.len() as u32), |p, a| p.str(a));
@@ -131,7 +125,6 @@ impl CtrlMsg {
             CtrlMsg::Go { query } => (kind::GO, p.u64(*query).0),
             CtrlMsg::Join { query } => (kind::JOIN, p.u64(*query).0),
             CtrlMsg::Done { elapsed_ms } => (kind::DONE, p.u64(*elapsed_ms).0),
-            CtrlMsg::Bye => (kind::BYE, p.0),
             CtrlMsg::Ack => (kind::ACK, p.0),
         }
     }
@@ -140,16 +133,12 @@ impl CtrlMsg {
     pub fn decode(kind: u8, payload: &[u8]) -> Result<CtrlMsg> {
         let mut c = Cursor::new(payload);
         let msg = match kind {
-            kind::WORKER => CtrlMsg::Worker {
-                page_addr: c.str()?.to_string(),
-            },
             kind::WIRE => CtrlMsg::Wire {
                 query: c.u64()?,
                 node: c.u32()?,
                 nodes: c.u32()?,
                 fingerprint: c.u64()?,
                 dop: c.u32()?,
-                claim: c.str()?.to_string(),
                 elasticity: c.str()?.to_string(),
                 peers: {
                     // Grown one by one: the count is only the sender's
@@ -170,7 +159,6 @@ impl CtrlMsg {
             kind::DONE => CtrlMsg::Done {
                 elapsed_ms: c.u64()?,
             },
-            kind::BYE => CtrlMsg::Bye,
             kind::ACK => CtrlMsg::Ack,
             other => {
                 return Err(AccordionError::Wire(format!(
@@ -193,21 +181,24 @@ pub fn plan_tree(catalog: &Catalog, sql: &str, dop: u32) -> Result<Arc<StageTree
     Ok(Arc::new(StageTree::build(optimizer.optimize(&logical)?)?))
 }
 
-/// One worker process: a page server for incoming exchange frames plus a
-/// control listener speaking the WIRE/GO/JOIN protocol. Dropping it
-/// releases both ports.
+/// One node: a single listener serving page streams, split claims and
+/// WIRE/GO/JOIN control sessions in front of one executor. A node somebody
+/// wires is a worker; one that wires others (through a [`Fleet`]) is their
+/// coordinator, and the same node may be both at once. Dropping it releases
+/// its port.
 pub struct Worker {
-    ctrl: Listener,
-    page_addr: String,
-    executor: QueryExecutor,
+    listener: Listener,
+    state: Arc<NodeState>,
 }
 
-struct WorkerState {
+/// What a node's three conversations share.
+struct NodeState {
     catalog: Arc<Catalog>,
-    /// The process's one pool: every query on every control connection
-    /// runs its share here.
+    /// The process's one pool: every query on every connection runs its
+    /// share here.
     executor: QueryExecutor,
-    pages: Arc<PageServer>,
+    pages: Arc<PageRegistries>,
+    splits: Arc<SplitQueues>,
 }
 
 /// A query between WIRE and JOIN on one control connection.
@@ -221,50 +212,82 @@ enum WiredQuery {
     },
 }
 
+/// Low half of every query id this process hands out.
+static NEXT_QUERY: AtomicU64 = AtomicU64::new(1);
+
 impl Worker {
-    /// Binds the control listener on `listen` (port 0 for ephemeral) and
-    /// the page server on an ephemeral port, then serves control
-    /// connections on background threads for the life of the `Worker`.
+    /// Binds `addr` (port 0 for ephemeral) and serves it on background
+    /// threads, on an executor of the node's own, for the life of the
+    /// `Worker`.
     pub fn start(addr: &str, catalog: Arc<Catalog>, exec: ExecOptions) -> Result<Worker> {
-        let pages = PageServer::bind("127.0.0.1:0")?;
-        let page_addr = pages.local_addr();
-        let executor = QueryExecutor::new(exec);
-        let state = WorkerState {
+        Worker::with_executor(addr, catalog, QueryExecutor::new(exec))
+    }
+
+    /// [`start`](Self::start) on an executor the process already has — a
+    /// query server's, whose sessions then coordinate on the pool, gate and
+    /// kill switch their local queries use.
+    pub fn with_executor(
+        addr: &str,
+        catalog: Arc<Catalog>,
+        executor: QueryExecutor,
+    ) -> Result<Worker> {
+        let state = Arc::new(NodeState {
             catalog,
-            executor: executor.clone(),
-            pages,
-        };
-        let ctrl = listen(addr, "worker-ctrl", move |conn| serve_ctrl(&state, conn))?;
-        Ok(Worker {
-            ctrl,
-            page_addr,
             executor,
-        })
+            pages: Arc::default(),
+            splits: Arc::default(),
+        });
+        let ctrl = state.clone();
+        let routes = vec![
+            state.pages.route(),
+            state.splits.route(),
+            (
+                kind::WIRE,
+                Box::new(move |conn, wire| serve_ctrl(&ctrl, conn, wire)),
+            ),
+        ];
+        let listener = listen(addr, "node", routes)?;
+        Ok(Worker { listener, state })
     }
 
-    /// The worker's executor (read-only use: `active_queries`, stats).
+    /// The node's executor (read-only use: `active_queries`, stats).
     pub fn executor(&self) -> &QueryExecutor {
-        &self.executor
+        &self.state.executor
     }
 
-    /// The control address — what the coordinator's `--workers` list names.
+    /// The node's one address: what a coordinator's worker list, `SET
+    /// nodes` and every `peers` entry name.
     pub fn ctrl_addr(&self) -> String {
-        self.ctrl.local_addr()
+        self.listener.local_addr()
     }
 
-    /// The page-server address (informational; the coordinator learns it
-    /// from the control greeting).
-    pub fn page_addr(&self) -> String {
-        self.page_addr.clone()
+    /// An id for a query this node coordinates. Workers key what they wire
+    /// by id alone, whoever wired it, so no two coordinators may hand out
+    /// the same one: this node's address hashed (FNV-1a) into the high
+    /// half, a process-wide counter in the low half.
+    fn next_query(&self) -> u64 {
+        let node = self.ctrl_addr().bytes().fold(0x811c_9dc5u32, |h, b| {
+            (h ^ u32::from(b)).wrapping_mul(0x0100_0193)
+        });
+        (u64::from(node) << 32) | (NEXT_QUERY.fetch_add(1, Ordering::Relaxed) & 0xffff_ffff)
     }
 }
 
-/// Runs one coordinator control connection to completion, then unwinds
-/// whatever the session left wired: a query must not outlive the only
-/// connection that could ever JOIN it.
-fn serve_ctrl(state: &WorkerState, conn: &mut FrameConn) -> Result<()> {
+/// Runs one coordinator control connection, opened by the WIRE in `first`,
+/// to completion, then unwinds whatever the session left wired: a query
+/// must not outlive the only connection that could ever JOIN it.
+fn serve_ctrl(state: &NodeState, conn: &mut FrameConn, first: Vec<u8>) -> Result<()> {
     let mut wired = HashMap::new();
-    let outcome = ctrl_session(state, conn, &mut wired);
+    let outcome = (|| {
+        let mut next = Some((kind::WIRE, first));
+        while let Some((kind, payload)) = next {
+            let request = CtrlMsg::decode(kind, &payload);
+            let reply = request.and_then(|msg| handle_ctrl(state, &mut wired, msg));
+            conn.respond(reply.map(|msg| msg.encode()))?;
+            next = conn.recv()?;
+        }
+        Ok(())
+    })();
     for (query, orphan) in wired {
         // Dropping a `Ready` query releases its wiring; a running one is
         // poisoned so its parked tasks unwind, then joined.
@@ -282,42 +305,21 @@ fn serve_ctrl(state: &WorkerState, conn: &mut FrameConn) -> Result<()> {
     outcome
 }
 
-fn ctrl_session(
-    state: &WorkerState,
-    conn: &mut FrameConn,
-    wired: &mut HashMap<u64, WiredQuery>,
-) -> Result<()> {
-    let page_addr = state.pages.local_addr();
-    conn.send(CtrlMsg::Worker { page_addr }.encode())?;
-    while let Some((kind, payload)) = conn.recv()? {
-        let request = CtrlMsg::decode(kind, &payload);
-        let bye = matches!(request, Ok(CtrlMsg::Bye));
-        let reply = request.and_then(|msg| handle_ctrl(state, wired, msg));
-        conn.respond(reply.map(|msg| msg.encode()))?;
-        if bye {
-            break;
-        }
-    }
-    Ok(())
-}
-
 /// Answers one control request; an `Err` travels back as an ERR frame and
 /// the session goes on.
 fn handle_ctrl(
-    state: &WorkerState,
+    state: &NodeState,
     wired: &mut HashMap<u64, WiredQuery>,
     request: CtrlMsg,
 ) -> Result<CtrlMsg> {
     let refuse = |msg: String| Err(AccordionError::Execution(msg));
     match request {
-        CtrlMsg::Bye => Ok(CtrlMsg::Ack),
         CtrlMsg::Wire {
             query,
             node,
             nodes,
             fingerprint,
             dop,
-            claim,
             elasticity,
             peers,
             sql,
@@ -335,12 +337,11 @@ fn handle_ctrl(
                      versions diverge"
                 ));
             }
-            let role = DistRole { node, nodes, peers };
-            let wiring = ClaimWiring::Connect(claim);
+            let (catalog, role) = (state.catalog.clone(), DistRole { node, nodes, peers });
             let nq =
                 state
                     .executor
-                    .wire(state.catalog.clone(), tree, &exec, role, query, wiring)?;
+                    .wire(catalog, tree, &exec, role, query, ClaimWiring::Connect)?;
             state.pages.register(query, nq.registry().clone());
             let remote_slots = nq.remote_slots() as u32;
             wired.insert(query, WiredQuery::Ready(Box::new(nq)));
@@ -398,52 +399,33 @@ pub struct DistributedRun {
     pub elapsed_ms: u64,
 }
 
-/// One control connection to a worker process.
-struct Link {
-    conn: FrameConn,
-    page_addr: String,
+/// One request on a control connection, one reply; the worker's ERR is the
+/// returned error.
+fn call(link: &mut FrameConn, request: &CtrlMsg) -> Result<CtrlMsg> {
+    let (kind, payload) = link.call(request.encode())?;
+    CtrlMsg::decode(kind, &payload)
 }
 
-impl Link {
-    fn connect(addr: &str, timeout_ms: u64) -> Result<Link> {
-        let mut conn = FrameConn::connect(addr, Duration::from_millis(timeout_ms))?;
-        let (kind, payload) = conn.reply()?;
-        match CtrlMsg::decode(kind, &payload)? {
-            CtrlMsg::Worker { page_addr } => Ok(Link { conn, page_addr }),
-            other => Err(AccordionError::Io(format!(
-                "worker {addr} sent an unexpected greeting: {other:?}"
-            ))),
-        }
-    }
-
-    /// One request, one reply; the worker's ERR is the returned error.
-    fn call(&mut self, request: &CtrlMsg) -> Result<CtrlMsg> {
-        let (kind, payload) = self.conn.call(request.encode())?;
-        CtrlMsg::decode(kind, &payload)
-    }
-}
-
-/// The coordinator's handle on a fleet of worker processes. Node 0 runs in
-/// this process; each worker is one more node, in `--workers` order.
+/// A coordinating node's handle on a fleet of workers: node 0 is `node`,
+/// in this process; each worker is one more node, in list order, behind
+/// one control connection.
 pub struct Fleet {
-    links: Vec<Link>,
-    pages: Arc<PageServer>,
-    splits: Arc<SplitServer>,
+    /// Node 0. Its executor's admission gate and fleet arbiter speak for
+    /// the whole distributed query.
+    node: Arc<Worker>,
+    links: Vec<FrameConn>,
     peers: Vec<String>,
-    catalog: Arc<Catalog>,
-    /// Node 0's pool; its admission gate and fleet arbiter speak for the
-    /// whole distributed query.
-    executor: QueryExecutor,
-    elastic_arg: String,
+    /// Per-query options on every node's executor: page size, network
+    /// shape and the elasticity mode WIRE carries.
+    exec: ExecOptions,
     dop: u32,
-    next_query: u64,
 }
 
 impl Fleet {
-    /// Binds this node's page and split-claim servers and connects to every
-    /// worker's control address; a worker that cannot be reached fails the
-    /// whole call and leaves nothing bound behind. `elasticity` is the mode string every
-    /// node parses identically (e.g. `off`, `forced-grow`, `auto:2000`).
+    /// A fleet coordinated by a node of its own — bound on an ephemeral
+    /// port, with an executor built from `exec` — over `workers`;
+    /// `elasticity` is a mode string (e.g. `off`, `forced-grow`,
+    /// `auto:2000`).
     pub fn connect(
         workers: &[String],
         catalog: Arc<Catalog>,
@@ -454,70 +436,79 @@ impl Fleet {
         exec.elasticity = ElasticityConfig {
             mode: ElasticityConfig::try_parse_mode(elasticity)?,
         };
-        let pages = PageServer::bind("127.0.0.1:0")?;
-        let splits = SplitServer::bind("127.0.0.1:0")?;
-        let mut links = Vec::with_capacity(workers.len());
-        for addr in workers {
-            links.push(Link::connect(addr, exec.network.connect_timeout_ms)?);
+        let node = Arc::new(Worker::start("127.0.0.1:0", catalog, exec.clone())?);
+        Fleet::over(node, workers, exec, dop)
+    }
+
+    /// A fleet coordinated by `node` over the nodes at `workers`, planning
+    /// at `dop` and running under `exec`. A worker that cannot be reached
+    /// within `connect_timeout_ms` fails the whole call, naming it.
+    pub fn over(
+        node: Arc<Worker>,
+        workers: &[String],
+        exec: ExecOptions,
+        dop: u32,
+    ) -> Result<Fleet> {
+        let mut peers = vec![node.ctrl_addr()];
+        peers.extend_from_slice(workers);
+        // A node keys a query's registry by its id: it can hold one share.
+        if let Some(twice) = (1..peers.len()).find(|&i| peers[..i].contains(&peers[i])) {
+            return Err(AccordionError::Execution(format!(
+                "node {} is in the fleet twice",
+                peers[twice]
+            )));
         }
-        let mut peers = vec![pages.local_addr()];
-        peers.extend(links.iter().map(|l| l.page_addr.clone()));
+        let timeout = Duration::from_millis(exec.network.connect_timeout_ms);
+        let links = workers
+            .iter()
+            .map(|addr| FrameConn::connect(addr, timeout))
+            .collect::<Result<_>>()?;
         Ok(Fleet {
+            node,
             links,
-            pages,
-            splits,
             peers,
-            catalog,
-            executor: QueryExecutor::new(exec),
-            elastic_arg: elasticity.to_string(),
+            exec,
             dop,
-            next_query: 1,
         })
     }
 
     /// Fleet size, coordinator included.
     pub fn nodes(&self) -> u32 {
-        self.links.len() as u32 + 1
+        self.peers.len() as u32
     }
 
     /// Plans, wires, and runs one SELECT across every node of the fleet,
     /// returning the coordinator-side result.
     pub fn run_sql(&mut self, sql: &str) -> Result<DistributedRun> {
-        let query = self.next_query;
-        self.next_query += 1;
+        let query = self.node.next_query();
         let outcome = self.run_query(query, sql);
-        self.pages.unregister(query);
-        self.splits.unregister_query(query);
+        self.node.state.pages.unregister(query);
+        self.node.state.splits.unregister_query(query);
         outcome
     }
 
     fn run_query(&mut self, query: u64, sql: &str) -> Result<DistributedRun> {
         let started = Instant::now();
-        let tree = plan_tree(&self.catalog, sql, self.dop)?;
+        let state = &self.node.state;
+        let tree = plan_tree(&state.catalog, sql, self.dop)?;
         let fp = plan_fingerprint(&tree);
-        let exec = self.executor.options();
-        let claim = if exec.elasticity.enabled() {
-            self.splits.local_addr()
-        } else {
-            String::new()
-        };
         let nodes = self.nodes();
         // Node 0 wires first: a query the admission gate turns away never
         // reaches a worker.
-        let nq = self.executor.wire(
-            self.catalog.clone(),
+        let nq = state.executor.wire(
+            state.catalog.clone(),
             tree,
-            exec,
+            &self.exec,
             DistRole {
                 node: 0,
                 nodes,
                 peers: self.peers.clone(),
             },
             query,
-            ClaimWiring::Serve(&self.splits),
+            ClaimWiring::Serve(&state.splits),
         )?;
         let registry = nq.registry().clone();
-        self.pages.register(query, registry.clone());
+        state.pages.register(query, registry.clone());
         let mut remote_slots = nq.remote_slots();
         let run = (|| {
             for (i, link) in self.links.iter_mut().enumerate() {
@@ -528,12 +519,11 @@ impl Fleet {
                     nodes,
                     fingerprint: fp,
                     dop: self.dop,
-                    claim: claim.clone(),
-                    elasticity: self.elastic_arg.clone(),
+                    elasticity: mode_name(&self.exec.elasticity.mode),
                     peers: self.peers.clone(),
                     sql: sql.to_string(),
                 };
-                match link.call(&wire)? {
+                match call(link, &wire)? {
                     CtrlMsg::Wired {
                         remote_slots: slots,
                     } => remote_slots += slots as usize,
@@ -545,13 +535,13 @@ impl Fleet {
                 }
             }
             for link in self.links.iter_mut() {
-                link.call(&CtrlMsg::Go { query })?;
+                call(link, &CtrlMsg::Go { query })?;
             }
             nq.run()
         })();
         if let Err(e) = &run {
             // Workers already told to GO are parked on pages this node will
-            // never send; the poison reaches them through the page servers.
+            // never send; the poison reaches them through their listeners.
             registry.poison(e.clone());
         }
         // Reap every worker however the query ended — one that answered
@@ -560,7 +550,7 @@ impl Fleet {
         // coordinator only saw the poison.
         let mut worker_err = None;
         for link in self.links.iter_mut() {
-            if let Err(e) = link.call(&CtrlMsg::Join { query }) {
+            if let Err(e) = call(link, &CtrlMsg::Join { query }) {
                 worker_err.get_or_insert(e);
             }
         }
@@ -576,28 +566,23 @@ impl Fleet {
         })
     }
 
-    /// Politely ends every control session; dropping `self` then releases
-    /// the local servers' ports. Worker processes stay alive for the next
-    /// coordinator.
-    pub fn shutdown(mut self) {
-        for link in self.links.iter_mut() {
-            let _ = link.call(&CtrlMsg::Bye);
-        }
-    }
+    /// Ends the fleet: closing the control connections is what ends the
+    /// sessions, and the last handle on the coordinating node releases its
+    /// port. Workers stay alive for the next coordinator.
+    pub fn shutdown(self) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn wire(claim: &str, peers: &[&str], sql: &str) -> CtrlMsg {
+    fn wire(peers: &[&str], sql: &str) -> CtrlMsg {
         CtrlMsg::Wire {
             query: 7,
             node: 1,
             nodes: 2,
             fingerprint: 0xdead_beef_0123_4567,
             dop: 4,
-            claim: claim.into(),
             elasticity: "auto:2000".into(),
             peers: peers.iter().map(|p| p.to_string()).collect(),
             sql: sql.into(),
@@ -607,20 +592,15 @@ mod tests {
     #[test]
     fn control_messages_round_trip_and_every_prefix_is_a_typed_error() {
         let messages = [
-            CtrlMsg::Worker {
-                page_addr: "127.0.0.1:4000".into(),
-            },
             wire(
-                "127.0.0.1:9",
                 &["127.0.0.1:1", "127.0.0.1:2"],
                 "SELECT * FROM t WHERE a = 'x y' AND b = \"q\";\n-- naïve ✓ comment",
             ),
-            wire("", &[], ""),
+            wire(&[], ""),
             CtrlMsg::Wired { remote_slots: 3 },
             CtrlMsg::Go { query: u64::MAX },
             CtrlMsg::Join { query: 0 },
             CtrlMsg::Done { elapsed_ms: 12 },
-            CtrlMsg::Bye,
             CtrlMsg::Ack,
         ];
         for msg in messages {
@@ -642,10 +622,10 @@ mod tests {
 
     #[test]
     fn a_peer_count_is_not_an_allocation_size() {
-        // WIRE claiming four billion peers in a 41-byte payload: the decoder
+        // WIRE claiming four billion peers in a 49-byte payload: the decoder
         // runs out of bytes, not out of memory.
-        let (kind, mut payload) = wire("", &[], "").encode();
-        let count_at = 8 + 4 + 4 + 8 + 4 + 4 + 4 + "auto:2000".len();
+        let (kind, mut payload) = wire(&[], "").encode();
+        let count_at = 8 + 4 + 4 + 8 + 4 + 4 + "auto:2000".len();
         payload[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = CtrlMsg::decode(kind, &payload).unwrap_err();
         assert!(matches!(err, AccordionError::Wire(_)), "{err}");

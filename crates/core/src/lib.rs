@@ -6,19 +6,20 @@
 //! - [`protocol`] — the line-oriented text protocol (greeting, `OK` /
 //!   `RESULT`+CSV+`END` / `ERR` frames).
 //! - [`session`] — per-connection `SET` variables (`deadline_ms`,
-//!   `elasticity`, `dop`) and how they become per-query [`ExecOptions`].
+//!   `elasticity`, `dop`, `nodes`) and how they become per-query
+//!   [`ExecOptions`].
 //! - [`server`] — [`QueryServer`]: thread-per-connection sessions
 //!   multiplexed over **one shared** [`QueryExecutor`] worker pool, with
 //!   graceful shutdown that poisons in-flight queries.
 //! - [`client`] — a small blocking [`Client`] for tests, the CLI, and
 //!   examples.
-//! - [`dist`] — process-per-node execution: the `worker` control protocol
-//!   (WIRE/GO/JOIN) and the [`Fleet`] coordinator that drives a set of
-//!   worker processes through one distributed query at a time.
+//! - [`dist`] — process-per-node execution: the [`Worker`] node (one
+//!   address serving pages, split claims and WIRE/GO/JOIN control) and the
+//!   [`Fleet`] through which a coordinating node — a server session with
+//!   `SET nodes` — drives worker processes through a distributed query.
 //!
-//! The `accordion-core` binary wraps this into `server`, `client`,
-//! `worker`, and `coord` subcommands (TPC-H data baked in at a chosen
-//! scale factor).
+//! The `accordion-core` binary wraps this into `server`, `client` and
+//! `worker` subcommands (TPC-H data baked in at a chosen scale factor).
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -16,25 +16,21 @@
 //!
 //! accordion-core worker [--listen 127.0.0.1:0] [--sf 0.02] [--workers N]
 //!     One node of a process-per-node fleet: generate the TPC-H catalog,
-//!     start the page server and the WIRE/GO/JOIN control listener, and
-//!     run until killed. Prints
-//!     `accordion-core worker listening on <ctrl> pages <pages>` when
-//!     ready.
-//!
-//! accordion-core coord --worker ADDR [--worker ADDR]... [--sf 0.02]
-//!                      [--workers N] [--dop N] [--elasticity MODE]
-//!                      [--expect-rows N] [-e SQL]... [FILE.sql]...
-//!     Drive a distributed query across this process (node 0) and every
-//!     worker, printing each result set as CSV. All processes must use the
-//!     same --sf.
+//!     serve pages, split claims and WIRE/GO/JOIN control sessions on the
+//!     one `--listen` address, and run until killed. Prints
+//!     `accordion-core worker listening on <addr>` when ready.
 //! ```
+//!
+//! A distributed query is a session setting, not a subcommand: `client -e
+//! "SET nodes = '<worker>,<worker>'" FILE.sql` makes the server run that
+//! session's SELECTs across itself and those workers. All processes must
+//! use the same --sf.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use accordion_cluster::QueryExecutor;
 use accordion_common::config::{AdmissionConfig, AdmissionPolicy, ElasticityConfig};
-use accordion_core::protocol::{encode_header, encode_row};
 use accordion_core::{Client, QueryServer, Response, ServerConfig};
 use accordion_exec::ExecOptions;
 use accordion_sql::parse_statements;
@@ -46,10 +42,9 @@ fn main() -> ExitCode {
         Some("server") => run_server(&args[1..]),
         Some("client") => run_client(&args[1..]),
         Some("worker") => run_worker(&args[1..]),
-        Some("coord") => run_coord(&args[1..]),
         _ => {
             eprintln!(
-                "usage: accordion-core <server|client|worker|coord> [options]  \
+                "usage: accordion-core <server|client|worker> [options]  \
                  (see --help in source)"
             );
             return ExitCode::FAILURE;
@@ -171,7 +166,7 @@ fn run_server(args: &[String]) -> Result<(), String> {
 
 fn run_client(args: &[String]) -> Result<(), String> {
     let addr = flag_value(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:4433".to_string());
-    let (statements, expect_rows) = collect_script(args, &["--addr", "--expect-rows"])?;
+    let (statements, expect_rows) = collect_script(args)?;
 
     let mut client = Client::connect(addr.as_str()).map_err(|e| e.to_string())?;
     eprintln!("connected: {}", client.greeting);
@@ -190,7 +185,14 @@ fn run_client(args: &[String]) -> Result<(), String> {
         }
     }
     let _ = client.exit();
-    check_rows(expect_rows, last_rows)
+    match (expect_rows, last_rows) {
+        (None, _) => Ok(()),
+        (Some(expected), Some(actual)) if actual == expected => Ok(()),
+        (Some(expected), Some(actual)) => Err(format!(
+            "row-count check failed: expected {expected}, got {actual}"
+        )),
+        (Some(_), None) => Err("row-count check failed: no result set".to_string()),
+    }
 }
 
 fn run_worker(args: &[String]) -> Result<(), String> {
@@ -211,100 +213,16 @@ fn run_worker(args: &[String]) -> Result<(), String> {
     let worker = accordion_core::Worker::start(&listen, Arc::new(data.catalog), exec)
         .map_err(|e| e.to_string())?;
     // Harnesses wait for this exact line on stdout.
-    println!(
-        "accordion-core worker listening on {} pages {}",
-        worker.ctrl_addr(),
-        worker.page_addr()
-    );
+    println!("accordion-core worker listening on {}", worker.ctrl_addr());
     loop {
         std::thread::park();
     }
 }
 
-fn run_coord(args: &[String]) -> Result<(), String> {
-    let mut worker_addrs = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--worker" {
-            worker_addrs.push(it.next().ok_or("--worker needs an address")?.clone());
-        }
-    }
-    if worker_addrs.is_empty() {
-        return Err("coord needs at least one --worker ADDR".to_string());
-    }
-    let sf: f64 = parse_or(flag_value(args, "--sf")?, 0.02, "--sf")?;
-    let workers: usize = parse_or(flag_value(args, "--workers")?, 4, "--workers")?;
-    let dop: u32 = parse_or(flag_value(args, "--dop")?, 4, "--dop")?;
-    let elasticity = flag_value(args, "--elasticity")?.unwrap_or_else(|| "off".to_string());
-    const VALUE_FLAGS: [&str; 6] = [
-        "--worker",
-        "--sf",
-        "--workers",
-        "--dop",
-        "--elasticity",
-        "--expect-rows",
-    ];
-    let (statements, expect_rows) = collect_script(args, &VALUE_FLAGS)?;
-
-    eprintln!("generating TPC-H data at sf {sf} ...");
-    let data = generate(&TpchOptions {
-        scale_factor: sf,
-        ..TpchOptions::default()
-    });
-    let exec = ExecOptions {
-        worker_threads: workers,
-        ..ExecOptions::default()
-    };
-    let mut fleet = accordion_core::Fleet::connect(
-        &worker_addrs,
-        Arc::new(data.catalog),
-        exec,
-        &elasticity,
-        dop,
-    )
-    .map_err(|e| e.to_string())?;
-    eprintln!("fleet of {} nodes ready", fleet.nodes());
-
-    let mut last_rows: Option<u64> = None;
-    let mut failure = None;
-    for sql in &statements {
-        match fleet.run_sql(sql) {
-            Ok(run) => {
-                println!("{}", encode_header(&run.result.schema));
-                let mut nrows: u64 = 0;
-                for page in &run.result.pages {
-                    for row in page.rows() {
-                        println!("{}", encode_row(&row));
-                        nrows += 1;
-                    }
-                }
-                println!(
-                    "({nrows} rows, {} ms, {} remote slots)",
-                    run.elapsed_ms, run.remote_slots
-                );
-                last_rows = Some(nrows);
-            }
-            Err(e) => {
-                failure = Some(format!("distributed query failed: {e}"));
-                break;
-            }
-        }
-    }
-    fleet.shutdown();
-    if let Some(f) = failure {
-        return Err(f);
-    }
-    check_rows(expect_rows, last_rows)
-}
-
-/// What `client` and `coord` run — every `-e SQL` plus the contents of
-/// every positional .sql file, in command-line order — and the
-/// `--expect-rows` value. `value_flags` are the subcommand's flags that
-/// take a value: theirs is not a file name.
-fn collect_script(
-    args: &[String],
-    value_flags: &[&str],
-) -> Result<(Vec<String>, Option<u64>), String> {
+/// What `client` runs — every `-e SQL` plus the contents of every
+/// positional .sql file, in command-line order — and the `--expect-rows`
+/// value.
+fn collect_script(args: &[String]) -> Result<(Vec<String>, Option<u64>), String> {
     let expect_rows = flag_value(args, "--expect-rows")?
         .map(|s| {
             s.parse()
@@ -319,7 +237,7 @@ fn collect_script(
                 let sql = it.next().ok_or("-e needs a SQL string")?;
                 collect_statements(sql, &mut statements)?;
             }
-            flag if value_flags.contains(&flag) => {
+            "--addr" | "--expect-rows" => {
                 it.next();
             }
             path => {
@@ -333,18 +251,6 @@ fn collect_script(
         return Err("no statements: pass -e SQL or a .sql file".to_string());
     }
     Ok((statements, expect_rows))
-}
-
-/// The `--expect-rows` check against the last result set's row count.
-fn check_rows(expect_rows: Option<u64>, last_rows: Option<u64>) -> Result<(), String> {
-    match (expect_rows, last_rows) {
-        (None, _) => Ok(()),
-        (Some(expected), Some(actual)) if actual == expected => Ok(()),
-        (Some(expected), Some(actual)) => Err(format!(
-            "row-count check failed: expected {expected}, got {actual}"
-        )),
-        (Some(_), None) => Err("row-count check failed: no result set".to_string()),
-    }
 }
 
 /// Splits a script into statements (validated client-side so one bad file

@@ -10,14 +10,19 @@
 //!
 //! Statement handling per session:
 //!
-//! - `SET deadline_ms | elasticity | dop` — session-scoped tunables
-//!   ([`SessionVars`]); they shape the per-query [`ExecOptions`] and the
-//!   optimizer's planned DOP without touching other sessions.
+//! - `SET deadline_ms | elasticity | dop | nodes` — session-scoped tunables
+//!   ([`SessionVars`]); they shape the per-query [`ExecOptions`], the
+//!   optimizer's planned DOP and where the query runs without touching
+//!   other sessions.
 //! - `SHOW <var> | ALL | TABLES | ADMISSION` — introspection
 //!   (`ADMISSION` reports the shared executor's admission-gate counters).
 //! - `SELECT ...` — parsed and analyzed by `accordion-sql` against the
 //!   server catalog, executed on the shared pool, streamed back as CSV
-//!   page by page.
+//!   page by page. A session with `nodes` set is a **coordinator**: the
+//!   statement runs across the server (node 0) and the listed workers
+//!   through a [`Fleet`] on the same executor — same admission gate, same
+//!   `poison_active`, same framing. The server's node listener, its second
+//!   port, is bound the first time a session needs it.
 //! - `EXIT;` / `QUIT;` — end the session.
 //!
 //! Errors (lex/parse/analysis/execution) become `ERR` frames; the session
@@ -53,7 +58,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -62,10 +67,11 @@ use std::time::Instant;
 use accordion_cluster::QueryExecutor;
 use accordion_common::sync::Mutex;
 use accordion_common::{AccordionError, Result};
-use accordion_exec::ExecOptions;
+use accordion_exec::{ExecOptions, QueryResult};
 use accordion_sql::{parse_statements, Analyzer, Statement};
 use accordion_storage::catalog::Catalog;
 
+use crate::dist::{Fleet, Worker};
 use crate::protocol::{encode_header, encode_row, escape_message, greeting};
 use crate::session::SessionVars;
 
@@ -105,6 +111,29 @@ struct Shared {
     /// shutdown can unblock sessions parked in `read_line`. A session
     /// removes its own entry when it ends.
     conns: Mutex<HashMap<u64, TcpStream>>,
+    /// The interface the text listener is bound on.
+    ip: IpAddr,
+    /// The server as node 0 of the fleets its sessions coordinate.
+    node: Mutex<Option<Arc<Worker>>>,
+}
+
+impl Shared {
+    /// Runs `sql` across this server (node 0) and the session's `nodes`.
+    /// The server's node is bound on first use: an ephemeral port of the
+    /// text listener's interface, in front of the shared executor.
+    fn run_across(&self, sql: &str, vars: &SessionVars) -> Result<QueryResult> {
+        let node = match &mut *self.node.lock() {
+            Some(node) => node.clone(),
+            unbound => {
+                let addr = SocketAddr::new(self.ip, 0).to_string();
+                let (catalog, executor) = (self.catalog.clone(), self.executor.clone());
+                let node = Worker::with_executor(&addr, catalog, executor)?;
+                unbound.insert(Arc::new(node)).clone()
+            }
+        };
+        let mut fleet = Fleet::over(node, &vars.nodes, vars.exec_options(), vars.dop)?;
+        Ok(fleet.run_sql(sql)?.result)
+    }
 }
 
 /// A running query server. Dropping it shuts it down.
@@ -135,6 +164,8 @@ impl QueryServer {
             config,
             shutting_down: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
+            ip: local_addr.ip(),
+            node: Mutex::new(None),
         });
         let accept_shared = shared.clone();
         let accept_thread = std::thread::spawn(move || accept_loop(listener, accept_shared));
@@ -174,6 +205,7 @@ impl QueryServer {
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
+        self.shared.node.lock().take();
     }
 }
 
@@ -350,12 +382,17 @@ fn run_select(
             return Ok(());
         }
     };
-    let result = shared.executor.execute_logical_opts(
-        &shared.catalog,
-        &plan,
-        &vars.optimizer(),
-        &vars.exec_options(),
-    );
+    let result = if vars.nodes.is_empty() {
+        shared.executor.execute_logical_opts(
+            &shared.catalog,
+            &plan,
+            &vars.optimizer(),
+            &vars.exec_options(),
+        )
+    } else {
+        // Every node plans from the text; ours above was for the caret.
+        shared.run_across(&src[select.span.start..select.span.end], vars)
+    };
     match result {
         Ok(result) => {
             writeln!(writer, "RESULT {}", result.schema.len())?;

@@ -1,7 +1,7 @@
 //! Session state: the variables a client tunes with `SET`, and how they
 //! become per-query [`ExecOptions`] / [`Optimizer`] settings.
 //!
-//! Three variables exist, all session-scoped (never shared across
+//! Four variables exist, all session-scoped (never shared across
 //! connections):
 //!
 //! | variable      | meaning                                               |
@@ -9,11 +9,14 @@
 //! | `deadline_ms` | target completion deadline for `auto` elasticity      |
 //! | `elasticity`  | controller mode (`off`, `auto[:ms]`, `forced:<dop>`, `forced-grow`, `forced-shrink`, `cycle[:h:l]`) |
 //! | `dop`         | planned Source-stage parallelism (the optimizer knob), 1..=[`MAX_SESSION_DOP`] |
+//! | `nodes`       | worker nodes this session's SELECTs run across, a quoted comma-separated address list; `''` (the default) runs them in the server alone |
 //!
 //! `SET elasticity = auto` (no suffix) adopts the session's current
 //! `deadline_ms`; `SET elasticity = auto:2500` pins both. Malformed values
 //! are rejected via [`ElasticityConfig::try_parse_mode`] and leave the
 //! session unchanged.
+
+use std::net::SocketAddr;
 
 use accordion_common::config::{ElasticityConfig, ElasticityMode};
 use accordion_common::{AccordionError, Result};
@@ -35,6 +38,8 @@ pub struct SessionVars {
     pub elasticity: ElasticityConfig,
     /// Planned Source-stage parallelism.
     pub dop: u32,
+    /// Worker nodes SELECTs are distributed over; none runs them locally.
+    pub nodes: Vec<String>,
     /// The server-wide option template (page size, network shape); the
     /// session overlays its own elasticity on top.
     base: ExecOptions,
@@ -50,6 +55,7 @@ impl SessionVars {
             deadline_ms,
             elasticity: base.elasticity,
             dop: default_dop.max(1),
+            nodes: Vec::new(),
             base: base.clone(),
         }
     }
@@ -106,8 +112,22 @@ impl SessionVars {
                 self.dop = dop;
                 Ok(format!("dop = {dop}"))
             }
+            "nodes" => {
+                let nodes: Vec<String> = value
+                    .split(',')
+                    .map(|a| a.trim().to_string())
+                    .filter(|a| !a.is_empty())
+                    .collect();
+                if let Some(bad) = nodes.iter().find(|a| a.parse::<SocketAddr>().is_err()) {
+                    return Err(AccordionError::Parse(format!(
+                        "invalid node address '{bad}' (expected ip:port)"
+                    )));
+                }
+                self.nodes = nodes;
+                self.show("nodes")
+            }
             other => Err(AccordionError::Parse(format!(
-                "unknown session variable '{other}' (expected deadline_ms, elasticity, or dop)"
+                "unknown session variable '{other}' (expected deadline_ms, elasticity, dop, or nodes)"
             ))),
         }
     }
@@ -118,14 +138,16 @@ impl SessionVars {
             "deadline_ms" => Ok(format!("deadline_ms = {}", self.deadline_ms)),
             "elasticity" => Ok(format!("elasticity = {}", mode_name(&self.elasticity.mode))),
             "dop" => Ok(format!("dop = {}", self.dop)),
+            "nodes" => Ok(format!("nodes = {}", self.nodes.join(","))),
             "all" => Ok(format!(
-                "deadline_ms = {}, elasticity = {}, dop = {}",
+                "deadline_ms = {}, elasticity = {}, dop = {}, nodes = {}",
                 self.deadline_ms,
                 mode_name(&self.elasticity.mode),
-                self.dop
+                self.dop,
+                self.nodes.join(",")
             )),
             other => Err(AccordionError::Parse(format!(
-                "unknown session variable '{other}' (expected deadline_ms, elasticity, dop, or ALL)"
+                "unknown session variable '{other}' (expected deadline_ms, elasticity, dop, nodes, or ALL)"
             ))),
         }
     }
@@ -211,6 +233,20 @@ mod tests {
         assert!(v.set("deadline_ms", "soon").is_err());
         assert!(v.set("page_rows", "9").is_err());
         assert!(v.show("page_rows").is_err());
+    }
+
+    #[test]
+    fn nodes_is_an_address_list_and_empty_means_local() {
+        let mut v = vars();
+        assert_eq!(v.show("nodes").unwrap(), "nodes = ");
+        let ack = v.set("nodes", "127.0.0.1:5001, 127.0.0.1:5002").unwrap();
+        assert_eq!(ack, "nodes = 127.0.0.1:5001,127.0.0.1:5002");
+        assert!(v.show("all").unwrap().ends_with(&ack));
+        // A name is not an address; a rejected list leaves the old one.
+        assert!(v.set("nodes", "127.0.0.1:5001,worker-2").is_err());
+        assert_eq!(v.nodes, ["127.0.0.1:5001", "127.0.0.1:5002"]);
+        assert_eq!(v.set("nodes", "").unwrap(), "nodes = ");
+        assert!(v.nodes.is_empty());
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Process-per-node distributed execution: real `accordion-core worker`
-//! processes driven by an in-test [`Fleet`] coordinator. Every query's
+//! processes driven by an in-test [`Fleet`] coordinator, and by the front
+//! door — a `server` process whose sessions `SET nodes`. Every query's
 //! result must be row-identical (modulo float summation order) to the
 //! serial in-process executor over the same generated data, with at least
 //! one cross-process exchange edge — and mid-query forced grow/shrink must
-//! stay lossless across process boundaries. The last three cases run a
-//! [`Worker`] inside the test process to watch its executor: no wired
-//! query may outlive the control session that wired it, and a fleet that
-//! fails to assemble leaves the workers it reached free for the next one.
+//! stay lossless across process boundaries. The later cases run [`Worker`]s
+//! inside the test process to watch their executors: no wired query may
+//! outlive the control session that wired it, a fleet that fails to
+//! assemble leaves the workers it reached free for the next one, two
+//! coordinators share a worker without seeing each other, and one address
+//! serves all three conversations at once.
 
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
@@ -16,48 +19,52 @@ use std::time::{Duration, Instant};
 use accordion_cluster::{plan_fingerprint, ClaimWiring, DistRole, QueryExecutor};
 use accordion_common::config::{ElasticityConfig, NetworkConfig};
 use accordion_core::dist::{plan_tree, CtrlMsg};
-use accordion_core::{Fleet, Worker};
+use accordion_core::{Client, Fleet, QueryServer, Response, ServerConfig, Worker};
 use accordion_data::types::Value;
 use accordion_exec::{execute_tree, ExecOptions};
-use accordion_net::frame::{kind, listen, FrameConn};
+use accordion_net::frame::{kind, listen, FrameConn, Route};
 use accordion_net::PageServer;
 use accordion_storage::catalog::Catalog;
 use accordion_tpch::gen::{generate, TpchOptions};
 
 const SF: &str = "0.02";
 
-/// A spawned worker process, killed on drop so a failing test cannot leak
-/// children.
-struct WorkerProc {
+/// A spawned `worker` or `server` process, killed on drop so a failing test
+/// cannot leak children.
+struct NodeProc {
     child: Child,
+    /// The address on its banner: a worker's node address, a server's
+    /// client address.
     ctrl: String,
 }
 
-impl Drop for WorkerProc {
+impl Drop for NodeProc {
     fn drop(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
 }
 
-fn spawn_worker() -> WorkerProc {
+fn spawn_worker() -> NodeProc {
+    spawn_node(
+        &["worker", "--listen", "127.0.0.1:0"],
+        " worker listening on ",
+    )
+}
+
+/// Starts `accordion-core <args> --sf SF --workers 2` and waits for the
+/// banner line containing `banner`, whose next word is the address.
+fn spawn_node(args: &[&str], banner: &str) -> NodeProc {
     let child = Command::new(env!("CARGO_BIN_EXE_accordion-core"))
-        .args([
-            "worker",
-            "--listen",
-            "127.0.0.1:0",
-            "--sf",
-            SF,
-            "--workers",
-            "2",
-        ])
+        .args(args)
+        .args(["--sf", SF, "--workers", "2"])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
-        .expect("spawn accordion-core worker");
+        .expect("spawn accordion-core");
     // Wrap immediately: any panic below (including the announce loop) now
     // reaps the child through Drop instead of leaking it.
-    let mut proc = WorkerProc {
+    let mut proc = NodeProc {
         child,
         ctrl: String::new(),
     };
@@ -66,17 +73,14 @@ fn spawn_worker() -> WorkerProc {
     let mut line = String::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line).expect("worker stdout") == 0 {
-            panic!("worker process exited before announcing its address");
+        if reader.read_line(&mut line).expect("node stdout") == 0 {
+            panic!("{args:?} exited before announcing its address");
         }
-        if let Some(rest) = line
-            .trim()
-            .strip_prefix("accordion-core worker listening on ")
-        {
+        if let Some((_, rest)) = line.split_once(banner) {
             proc.ctrl = rest
                 .split_whitespace()
                 .next()
-                .expect("control address")
+                .expect("an address")
                 .to_string();
             return proc;
         }
@@ -228,34 +232,146 @@ fn forced_retunes_stay_lossless_across_processes() {
     }
 }
 
+/// CSV cells of two result sets, equal up to float summation order.
+fn assert_cells_close(name: &str, left: &[Vec<String>], right: &[Vec<String>]) {
+    let value = |cell: &String| match cell.parse::<f64>() {
+        Ok(x) => Value::Float64(x),
+        Err(_) => Value::Utf8(cell.clone()),
+    };
+    let values = |rows: &[Vec<String>]| -> Vec<Vec<Value>> {
+        rows.iter().map(|r| r.iter().map(value).collect()).collect()
+    };
+    assert_rows_close(name, &values(left), &values(right));
+}
+
+fn ok_line(client: &mut Client, statement: &str) -> String {
+    match client.send(statement) {
+        Ok(Response::Ok(line)) => line,
+        other => panic!("{statement}: expected OK, got {other:?}"),
+    }
+}
+
+/// The `admitted` counter of `SHOW admission`.
+fn admitted(client: &mut Client) -> u64 {
+    let shown = ok_line(client, "SHOW admission");
+    let (_, rest) = shown.split_once("admitted=").expect("an admitted counter");
+    rest.split_whitespace().next().unwrap().parse().unwrap()
+}
+
 #[test]
-fn coord_subcommand_runs_a_fleet_end_to_end() {
-    let w1 = spawn_worker();
+fn a_server_session_with_nodes_set_coordinates_worker_processes() {
+    let (w1, w2) = (spawn_worker(), spawn_worker());
+    let server = spawn_node(&["server", "--addr", "127.0.0.1:0"], " listening on ");
+    let set_nodes = format!("SET nodes = '{},{}'", w1.ctrl, w2.ctrl);
+    let mut client = Client::connect(server.ctrl.as_str()).unwrap();
+    let queries = [
+        ("q1", include_str!("../../../benchmarks/sql/q1.sql"), 6),
+        ("q3", include_str!("../../../benchmarks/sql/q3.sql"), 10),
+        ("q6", include_str!("../../../benchmarks/sql/q6.sql"), 1),
+    ];
+
+    // Distributed first, then the same session back on the local path.
+    assert_eq!(
+        ok_line(&mut client, &set_nodes),
+        format!("nodes = {},{}", w1.ctrl, w2.ctrl)
+    );
+    assert_eq!(
+        ok_line(&mut client, "SHOW nodes"),
+        ok_line(&mut client, &set_nodes)
+    );
+    let before = admitted(&mut client);
+    let across: Vec<_> = queries
+        .iter()
+        .map(|(name, sql, _)| client.query(sql).unwrap_or_else(|e| panic!("{name}: {e}")))
+        .collect();
+    assert_eq!(
+        admitted(&mut client),
+        before + 3,
+        "a distributed statement passes the server's admission gate"
+    );
+    assert_eq!(ok_line(&mut client, "SET nodes = ''"), "nodes = ");
+    for ((name, sql, rows), across) in queries.iter().zip(&across) {
+        let local = client.query(sql).unwrap();
+        assert_eq!(local.rows.len(), *rows, "{name}");
+        assert_eq!(across.columns, local.columns, "{name}");
+        assert_cells_close(name, &across.rows, &local.rows);
+    }
+
+    // The session's other variables reach every node of the fleet.
+    let (_, q1, _) = queries[0];
+    let q1_local = client.query(q1).unwrap();
+    client.send(&set_nodes).unwrap();
+    for settings in [
+        &["SET dop = 2", "SET elasticity = forced-grow"][..],
+        &["SET dop = 4", "SET elasticity = forced-shrink"],
+        &["SET deadline_ms = 50", "SET elasticity = auto"],
+    ] {
+        for set in settings {
+            ok_line(&mut client, set);
+        }
+        let rs = client
+            .query(q1)
+            .unwrap_or_else(|e| panic!("{settings:?}: {e}"));
+        assert_cells_close(&format!("{settings:?}"), &rs.rows, &q1_local.rows);
+    }
+    client.send("SET elasticity = off").unwrap();
+
+    // A bad statement is diagnosed before anything is wired, identically.
+    let bad = "SELECT l_nope FROM lineitem";
+    let distributed_err = client.query(bad).unwrap_err().to_string();
+    assert!(distributed_err.contains('^'), "{distributed_err}");
+    client.send("SET nodes = ''").unwrap();
+    assert_eq!(client.query(bad).unwrap_err().to_string(), distributed_err);
+
+    // A dead node is an error naming it, promptly, and only for statements
+    // that need it.
+    let dead = listen("127.0.0.1:0", "dead", Vec::new())
+        .unwrap()
+        .local_addr();
+    client
+        .send(&format!("SET nodes = '{},{dead}'", w1.ctrl))
+        .unwrap();
+    let started = Instant::now();
+    let err = client.query(q1).unwrap_err().to_string();
+    assert!(err.contains(&dead), "{err}");
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "dial unbounded"
+    );
+    client.send("SET nodes = ''").unwrap();
+    assert_cells_close(
+        "after a dead node",
+        &client.query(q1).unwrap().rows,
+        &q1_local.rows,
+    );
+
+    // Two sessions coordinating over the same workers at the same time.
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                let mut client = Client::connect(server.ctrl.as_str()).unwrap();
+                client.send(&set_nodes).unwrap();
+                start.wait();
+                for _ in 0..3 {
+                    let rs = client.query(q1).unwrap();
+                    assert_cells_close("concurrent session", &rs.rows, &q1_local.rows);
+                }
+            });
+        }
+    });
+
+    // And the same through the `client` subcommand, as CI drives it.
     let out = Command::new(env!("CARGO_BIN_EXE_accordion-core"))
-        .args([
-            "coord",
-            "--worker",
-            &w1.ctrl,
-            "--sf",
-            SF,
-            "--dop",
-            "4",
-            "--expect-rows",
-            "3",
-            "-e",
-            "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag",
-        ])
+        .args(["client", "--addr", &server.ctrl, "--expect-rows", "3"])
+        .args(["-e", &set_nodes, "-e", GROUP_SQL])
         .output()
-        .expect("run accordion-core coord");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
+        .expect("run accordion-core client");
     assert!(
         out.status.success(),
-        "coord failed\nstdout:\n{stdout}\nstderr:\n{stderr}"
-    );
-    assert!(
-        stdout.contains("remote slots)"),
-        "coord printed no trailer: {stdout}"
+        "client failed\nstdout:\n{}\nstderr:\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
     );
 }
 
@@ -352,17 +468,19 @@ fn failed_wiring_reaps_the_workers_already_wired() {
     let catalog = tpch_catalog_at(0.002);
     let exec = tight_static_opts();
     let real = Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap();
-    // A second "worker" that greets like one (with a page address nobody
-    // listens on) and refuses everything it is asked.
-    let stub = listen("127.0.0.1:0", "stub-worker", |conn| {
-        let page_addr = "127.0.0.1:1".into();
-        conn.send(CtrlMsg::Worker { page_addr }.encode())?;
-        while conn.recv()?.is_some() {
+    // A second "worker" that takes a control session like one and refuses
+    // everything it is asked.
+    let refuse: Route = (
+        kind::WIRE,
+        Box::new(|conn, _wire| {
             conn.send((kind::ERR, b"nope".into()))?;
-        }
-        Ok(())
-    })
-    .unwrap();
+            while conn.recv()?.is_some() {
+                conn.send((kind::ERR, b"nope".into()))?;
+            }
+            Ok(())
+        }),
+    );
+    let stub = listen("127.0.0.1:0", "stub-worker", vec![refuse]).unwrap();
     let stub_addr = stub.local_addr();
 
     let mut fleet = Fleet::connect(
@@ -397,19 +515,12 @@ fn worker_unwinds_queries_orphaned_by_their_session() {
     // have somewhere to go), tells the worker to WIRE and GO, then vanishes
     // without ever running or joining.
     let mut ctrl = FrameConn::connect(&real.ctrl_addr(), Duration::from_secs(5)).unwrap();
-    let (kind, greeting) = ctrl.reply().unwrap();
-    let CtrlMsg::Worker {
-        page_addr: worker_pages,
-    } = CtrlMsg::decode(kind, &greeting).unwrap()
-    else {
-        panic!("the worker did not greet");
-    };
     let mut call = |request: CtrlMsg| {
         let (kind, payload) = ctrl.call(request.encode()).unwrap();
         CtrlMsg::decode(kind, &payload).unwrap()
     };
     let pages = PageServer::bind("127.0.0.1:0").unwrap();
-    let peers = vec![pages.local_addr(), worker_pages];
+    let peers = vec![pages.local_addr(), real.ctrl_addr()];
     let tree = plan_tree(&catalog, GROUP_SQL, 2).unwrap();
     let coordinator = QueryExecutor::new(exec.clone())
         .wire(
@@ -432,7 +543,6 @@ fn worker_unwinds_queries_orphaned_by_their_session() {
         nodes: 2,
         fingerprint: plan_fingerprint(&tree),
         dop: 2,
-        claim: String::new(),
         elasticity: "off".into(),
         peers,
         sql: GROUP_SQL.into(),
@@ -463,7 +573,7 @@ fn a_fleet_that_fails_to_assemble_leaves_its_workers_free() {
     };
     let real = Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap();
     // An address nothing listens on: bound, read back, released.
-    let dead = listen("127.0.0.1:0", "dead", |_| Ok(()))
+    let dead = listen("127.0.0.1:0", "dead", Vec::new())
         .unwrap()
         .local_addr();
 
@@ -483,4 +593,197 @@ fn a_fleet_that_fails_to_assemble_leaves_its_workers_free() {
         "dial unbounded"
     );
     assert_serves_a_fresh_fleet(&real, &catalog, &exec);
+}
+
+#[test]
+fn two_coordinators_share_a_worker_without_colliding() {
+    // Both fleets' first query used to be "query 1", and the worker keys
+    // its page registries by query id alone: the second WIRE replaced the
+    // first's registry and either JOIN unregistered both.
+    let catalog = tpch_catalog_at(0.002);
+    let exec = ExecOptions {
+        worker_threads: 2,
+        ..ExecOptions::default()
+    };
+    let worker = Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap();
+    let reference = execute_tree(&catalog, &plan_tree(&catalog, GROUP_SQL, 1).unwrap(), &exec);
+    let reference = sorted(reference.unwrap().rows());
+
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                let workers = [worker.ctrl_addr()];
+                let mut fleet =
+                    Fleet::connect(&workers, catalog.clone(), exec.clone(), "off", 2).unwrap();
+                start.wait();
+                for round in 0..20 {
+                    let run = fleet
+                        .run_sql(GROUP_SQL)
+                        .unwrap_or_else(|e| panic!("round {round}: {e}"));
+                    assert_rows_close("shared worker", &sorted(run.result.rows()), &reference);
+                }
+                fleet.shutdown();
+            });
+        }
+    });
+    await_idle(&worker);
+}
+
+#[test]
+fn one_address_serves_pages_claims_and_control_at_once() {
+    let catalog = tpch_catalog_at(0.002);
+    let exec = tight_static_opts();
+    let node = Arc::new(Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap());
+    let other = Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap();
+    let reference = execute_tree(&catalog, &plan_tree(&catalog, GROUP_SQL, 1).unwrap(), &exec);
+    let reference = sorted(reference.unwrap().rows());
+
+    // Conversation one, control: a hand-rolled coordinator wires `node` as
+    // its worker and starts it, then holds the session open — the query is
+    // parked on `node`, waiting for this coordinator's share to run.
+    let mut ctrl = FrameConn::connect(&node.ctrl_addr(), Duration::from_secs(5)).unwrap();
+    let mut call = |request: CtrlMsg| {
+        let (kind, payload) = ctrl.call(request.encode()).unwrap();
+        CtrlMsg::decode(kind, &payload).unwrap()
+    };
+    let pages = PageServer::bind("127.0.0.1:0").unwrap();
+    let peers = vec![pages.local_addr(), node.ctrl_addr()];
+    let tree = plan_tree(&catalog, GROUP_SQL, 2).unwrap();
+    let role = DistRole {
+        node: 0,
+        nodes: 2,
+        peers: peers.clone(),
+    };
+    let coordinator = QueryExecutor::new(exec.clone())
+        .wire(
+            catalog.clone(),
+            tree.clone(),
+            &exec,
+            role,
+            7,
+            ClaimWiring::Local,
+        )
+        .unwrap();
+    pages.register(7, coordinator.registry().clone());
+    let wired = call(CtrlMsg::Wire {
+        query: 7,
+        node: 1,
+        nodes: 2,
+        fingerprint: plan_fingerprint(&tree),
+        dop: 2,
+        elasticity: "off".into(),
+        peers,
+        sql: GROUP_SQL.into(),
+    });
+    assert!(matches!(wired, CtrlMsg::Wired { .. }), "{wired:?}");
+    assert_eq!(call(CtrlMsg::Go { query: 7 }), CtrlMsg::Ack);
+    assert_eq!(node.executor().active_queries(), 1);
+
+    // Conversations two and three, meanwhile: `node` coordinates a growing
+    // query over `other`, whose tasks claim their splits from `node`'s
+    // address and send their pages to it.
+    let growing = ExecOptions {
+        elasticity: ElasticityConfig {
+            mode: ElasticityConfig::try_parse_mode("forced-grow").unwrap(),
+        },
+        network: NetworkConfig::default(),
+        ..exec.clone()
+    };
+    let mut fleet = Fleet::over(node.clone(), &[other.ctrl_addr()], growing, 2).unwrap();
+    let run = fleet.run_sql(GROUP_SQL).expect("the coordinated query");
+    assert_rows_close("coordinated", &sorted(run.result.rows()), &reference);
+    assert!(run.remote_slots >= 1);
+    let retunes = &run.result.stats().retunes;
+    assert!(retunes.iter().any(|r| r.to_dop > r.from_dop), "{retunes:?}");
+    fleet.shutdown();
+    assert_eq!(node.executor().active_queries(), 1, "the parked query");
+
+    // The held session was served all along: its query finishes the moment
+    // the coordinator's share runs, with pages crossing both ways.
+    let result = coordinator.run().unwrap().expect("node 0 drains");
+    assert_rows_close("hand-rolled", &sorted(result.rows()), &reference);
+    let done = call(CtrlMsg::Join { query: 7 });
+    assert!(matches!(done, CtrlMsg::Done { .. }), "{done:?}");
+    await_idle(&node);
+    await_idle(&other);
+}
+
+#[test]
+fn coordinating_sessions_leave_every_node_idle() {
+    let catalog = tpch_catalog_at(0.002);
+    let exec = ExecOptions {
+        worker_threads: 2,
+        elasticity: ElasticityConfig::off(),
+        ..ExecOptions::default()
+    };
+    let workers = [
+        Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap(),
+        Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap(),
+    ];
+    let executor = QueryExecutor::new(exec.clone());
+    let config = ServerConfig {
+        default_dop: 4,
+        exec,
+    };
+    let mut server = QueryServer::start(catalog.clone(), executor, config, "127.0.0.1:0").unwrap();
+    let set_nodes = format!(
+        "SET nodes = '{},{}'",
+        workers[0].ctrl_addr(),
+        workers[1].ctrl_addr()
+    );
+    let local = Client::connect(server.local_addr())
+        .unwrap()
+        .query(GROUP_SQL)
+        .unwrap();
+
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for mode in ["forced-grow", "forced-shrink"] {
+            let (start, set_nodes, local) = (&start, &set_nodes, &local);
+            let addr = server.local_addr();
+            s.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                client.send(set_nodes).unwrap();
+                client.send(&format!("SET elasticity = {mode}")).unwrap();
+                start.wait();
+                for _ in 0..5 {
+                    let mut rs = client.query(GROUP_SQL).unwrap();
+                    rs.rows.sort();
+                    assert_eq!(rs.rows, sorted_cells(&local.rows), "{mode}");
+                }
+                // A statement that fails to assemble its fleet leaves the
+                // worker it did reach free.
+                let dead = listen("127.0.0.1:0", "dead", Vec::new())
+                    .unwrap()
+                    .local_addr();
+                let (_, live) = set_nodes.split_once('\'').unwrap();
+                let live = live.split(',').next().unwrap();
+                client
+                    .send(&format!("SET nodes = '{live},{dead}'"))
+                    .unwrap();
+                let err = client.query(GROUP_SQL).unwrap_err().to_string();
+                assert!(err.contains(&dead), "{err}");
+                // So does one that lists a node twice: a node holds one
+                // share of a query.
+                client
+                    .send(&format!("SET nodes = '{live},{live}'"))
+                    .unwrap();
+                let err = client.query(GROUP_SQL).unwrap_err().to_string();
+                assert!(err.contains("twice"), "{err}");
+                client.exit().unwrap();
+            });
+        }
+    });
+    for worker in &workers {
+        await_idle(worker);
+    }
+    assert_eq!(server.active_queries(), 0);
+    server.shutdown();
+}
+
+fn sorted_cells(rows: &[Vec<String>]) -> Vec<Vec<String>> {
+    let mut rows = rows.to_vec();
+    rows.sort();
+    rows
 }

@@ -21,7 +21,7 @@
 //! [`ConsumerLoc::Local`] is reached through its shared-memory queue, a
 //! [`ConsumerLoc::Remote`] slot through a lazily-opened TCP
 //! [`PageSink`] toward that node's
-//! [`PageServer`](crate::tcp::PageServer), which feeds the page into the
+//! [`PageRegistries`](crate::tcp::PageRegistries), which feed the page into the
 //! *same* queue type on the remote side. Producers and consumers cannot
 //! tell which transport an edge uses. Every node of a distributed query
 //! builds the **same global topology** (slots it does not own marked
@@ -114,8 +114,8 @@ pub enum ConsumerLoc {
     /// The slot's task runs in this process; delivery is the shared-memory
     /// queue.
     Local,
-    /// The slot's task runs on the node whose page server listens at this
-    /// `host:port`; delivery is a TCP page sink.
+    /// The slot's task runs on the node that listens at this `host:port`;
+    /// delivery is a TCP page sink.
     Remote(String),
 }
 

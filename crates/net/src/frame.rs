@@ -6,9 +6,14 @@
 //! plus the payload. This module owns what that looks like and nothing
 //! else does: [`write_frame`] / [`read_frame`] are the only functions that
 //! put a frame on a socket or take one off, [`FrameConn`] is the only
-//! dialer, and [`listen`] the only accept loop of the node-to-node servers
-//! (`PageServer`, `SplitServer`, the worker's control listener). Text stays
-//! at the human edge, the query server's client protocol.
+//! dialer, and [`listen`] the only accept loop. Text stays at the human
+//! edge, the query server's client protocol.
+//!
+//! A node listens on **one** port; the kind of a connection's **first
+//! frame** says what it is for — HELLO a page stream, CLAIM a split-claim
+//! loop, WIRE a control session — and [`listen`] hands it to the [`Route`]
+//! of that kind. Any other first frame is answered with one ERR naming the
+//! kind, and the connection is closed.
 //!
 //! ## Kind table
 //!
@@ -27,21 +32,20 @@
 //! | 5    | ADDPROD | stage `u32`, producers `u32` (ACK)             | registry → pages     |
 //! | 6    | POISON  | `text`                                         | registry → pages     |
 //! | 7    | ACK     | (empty)                                        | server → client      |
-//! | 8    | WORKER  | page-server address `str`; the greeting        | worker → coordinator |
-//! | 9    | WIRE    | query `u64`, node `u32`, nodes `u32`, fingerprint `u64`, dop `u32`, claim address `str` (empty: none), elasticity `str`, peer count `u32` × `str`, sql `str` (WIRED) | coordinator → worker |
-//! | 10   | WIRED   | remote slots `u32`                             | worker → coordinator |
-//! | 11   | GO      | query `u64` (ACK)                              | coordinator → worker |
-//! | 12   | JOIN    | query `u64` (DONE)                             | coordinator → worker |
-//! | 13   | DONE    | elapsed ms `u64`                               | worker → coordinator |
-//! | 14   | BYE     | (empty) (ACK)                                  | coordinator → worker |
-//! | 15   | CLAIM   | query `u64`, stage `u32`, slot `u32`, has-node `u8` [node `u32`] (SPLIT, NONE or RETIRED) | worker → claims |
-//! | 16   | SPLIT   | ordinal `u64`                                  | claims → worker      |
-//! | 17   | NONE    | (empty)                                        | claims → worker      |
-//! | 18   | RETIRED | (empty)                                        | claims → worker      |
+//! | 8    | WIRE    | query `u64`, node `u32`, nodes `u32`, fingerprint `u64`, dop `u32`, elasticity `str`, peer count `u32` × `str`, sql `str` (WIRED) | coordinator → worker |
+//! | 9    | WIRED   | remote slots `u32`                             | worker → coordinator |
+//! | 10   | GO      | query `u64` (ACK)                              | coordinator → worker |
+//! | 11   | JOIN    | query `u64` (DONE)                             | coordinator → worker |
+//! | 12   | DONE    | elapsed ms `u64`                               | worker → coordinator |
+//! | 13   | CLAIM   | query `u64`, stage `u32`, slot `u32`, has-node `u8` [node `u32`] (SPLIT, NONE or RETIRED) | worker → claims |
+//! | 14   | SPLIT   | ordinal `u64`                                  | claims → worker      |
+//! | 15   | NONE    | (empty)                                        | claims → worker      |
+//! | 16   | RETIRED | (empty)                                        | claims → worker      |
 //!
-//! Kinds 0–7 are the page path (`crate::tcp`); 8–14 are encoded and decoded
-//! by `accordion_core::dist::CtrlMsg`, 15–18 by
-//! `accordion_cluster::dist::ClaimMsg`.
+//! Kinds 0–7 are the page path (`crate::tcp`); 8–12 are encoded and decoded
+//! by `accordion_core::dist::CtrlMsg`, 13–16 by
+//! `accordion_cluster::dist::ClaimMsg`. A peer address — in WIRE, in a
+//! claim, in a page sink — is always the node's one address.
 //!
 //! ## A length is not an allocation size
 //!
@@ -74,17 +78,15 @@ pub mod kind {
     pub const ADDPROD: u8 = 5;
     pub const POISON: u8 = 6;
     pub const ACK: u8 = 7;
-    pub const WORKER: u8 = 8;
-    pub const WIRE: u8 = 9;
-    pub const WIRED: u8 = 10;
-    pub const GO: u8 = 11;
-    pub const JOIN: u8 = 12;
-    pub const DONE: u8 = 13;
-    pub const BYE: u8 = 14;
-    pub const CLAIM: u8 = 15;
-    pub const SPLIT: u8 = 16;
-    pub const NONE: u8 = 17;
-    pub const RETIRED: u8 = 18;
+    pub const WIRE: u8 = 8;
+    pub const WIRED: u8 = 9;
+    pub const GO: u8 = 10;
+    pub const JOIN: u8 = 11;
+    pub const DONE: u8 = 12;
+    pub const CLAIM: u8 = 13;
+    pub const SPLIT: u8 = 14;
+    pub const NONE: u8 = 15;
+    pub const RETIRED: u8 = 16;
 }
 
 /// Payload guard of DATA frames: pages are bounded by `page_rows`, so this
@@ -218,7 +220,7 @@ impl FrameConn {
 }
 
 /// A bound node-to-node server: an accept thread handing every connection
-/// to the handler on a thread of its own. Dropping the handle (or
+/// to its [`Route`] on a thread of its own. Dropping the handle (or
 /// [`shutdown`](Listener::shutdown)) stops the accept thread and releases
 /// the port, so a listener never outlives its owner; connections already
 /// open run out when their peers close them.
@@ -228,21 +230,38 @@ pub struct Listener {
     accept: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// Binds `addr` (port 0 for an ephemeral port) and runs `handler` over each
-/// accepted connection on a thread named after `name`. A handler that
+/// One conversation a listener serves: a connection whose first frame is
+/// of this kind is run by this handler, which gets that frame's payload and
+/// the connection to carry on with.
+pub type Route = (u8, Box<Serve>);
+
+type Serve = dyn Fn(&mut FrameConn, Vec<u8>) -> Result<()> + Send + Sync;
+
+/// Runs one accepted connection: its first frame picks the route.
+fn serve_conn(routes: &[Route], conn: &mut FrameConn) -> Result<()> {
+    let Some((kind, payload)) = conn.recv()? else {
+        return Ok(());
+    };
+    match routes.iter().find(|(opens, _)| *opens == kind) {
+        Some((_, serve)) => serve(conn, payload),
+        None => Err(net_err(format!(
+            "frame kind {kind} opens no conversation served at this address"
+        ))),
+    }
+}
+
+/// Binds `addr` (port 0 for an ephemeral port) and serves `routes` over
+/// each accepted connection on a thread named after `name`. A route that
 /// returns an error ends its connection with that error as an ERR frame;
-/// the listener keeps serving the others. The handler must not own the
+/// the listener keeps serving the others. A route must not own the
 /// returned [`Listener`], or neither is ever dropped: give it the state it
 /// serves, not the server.
-pub fn listen<H>(addr: &str, name: &str, handler: H) -> Result<Listener>
-where
-    H: Fn(&mut FrameConn) -> Result<()> + Send + Sync + 'static,
-{
+pub fn listen(addr: &str, name: &str, routes: Vec<Route>) -> Result<Listener> {
     let listener =
         TcpListener::bind(addr).map_err(|e| net_err(format!("{name}: bind {addr}: {e}")))?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let (stopped, handler, conn_name) = (stop.clone(), Arc::new(handler), format!("{name}-conn"));
+    let (stopped, routes, conn_name) = (stop.clone(), Arc::new(routes), format!("{name}-conn"));
     let accept = std::thread::Builder::new()
         .name(format!("{name}-accept"))
         .spawn(move || {
@@ -252,14 +271,14 @@ where
                 }
                 let Ok(stream) = stream else { continue };
                 let _ = stream.set_nodelay(true);
-                let handler = handler.clone();
+                let routes = routes.clone();
                 // Detached on purpose: a connection lives as long as its
                 // peer keeps it open, which no join here could bound.
                 let _ = std::thread::Builder::new()
                     .name(conn_name.clone())
                     .spawn(move || {
                         let mut conn = FrameConn { stream };
-                        if let Err(e) = handler(&mut conn) {
+                        if let Err(e) = serve_conn(&routes, &mut conn) {
                             let _ = conn.respond(Err(e));
                         }
                     });
@@ -296,5 +315,48 @@ impl Listener {
 impl Drop for Listener {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// State that one kind of connection is run against — a node's page
+/// registries, its split queues.
+pub trait Conversation {
+    /// The route that runs this state's connections.
+    fn route(self: &Arc<Self>) -> Route;
+}
+
+/// One [`Conversation`] behind a listener of its own, for when there is no
+/// node around it; dereferences to the conversation's state. Dropping it
+/// releases its port.
+pub struct Served<S> {
+    listener: Listener,
+    state: Arc<S>,
+}
+
+impl<S: Conversation + Default> Served<S> {
+    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and starts
+    /// accepting.
+    pub fn bind(addr: &str) -> Result<Arc<Self>> {
+        let state = Arc::<S>::default();
+        let listener = listen(addr, "served", vec![state.route()])?;
+        Ok(Arc::new(Served { listener, state }))
+    }
+
+    /// The bound address, in `host:port` form — what peers connect to.
+    pub fn local_addr(&self) -> String {
+        self.listener.local_addr()
+    }
+
+    /// Stops accepting new connections (existing ones run out on EOF).
+    pub fn shutdown(&self) {
+        self.listener.shutdown();
+    }
+}
+
+impl<S> std::ops::Deref for Served<S> {
+    type Target = S;
+
+    fn deref(&self) -> &S {
+        &self.state
     }
 }

@@ -20,10 +20,11 @@
 //! * [`frame`] — the one framing of node-to-node traffic,
 //!   `[len][kind][payload]`: the only frame reader and writer, the only
 //!   dialer ([`FrameConn`](frame::FrameConn)) and accept loop
-//!   ([`listen`](frame::listen)), and the kind table shared by exchange
-//!   pages, worker control and split claims.
-//! * [`tcp`] — the real multi-node transport on that framing: a per-node
-//!   [`PageServer`] ingesting page frames (the `accordion_data::wire`
+//!   ([`listen`](frame::listen), which tells a node's conversations apart
+//!   by the first frame of each connection), and the kind table shared by
+//!   exchange pages, worker control and split claims.
+//! * [`tcp`] — the real multi-node transport on that framing: a node's
+//!   [`PageRegistries`] ingesting page frames (the `accordion_data::wire`
 //!   codec) into the local queues, and the [`PageSink`]s writers open
 //!   toward remote consumer slots, with a credit window mirroring the
 //!   elastic-buffer backpressure.
@@ -48,7 +49,7 @@
 //! [`RoutePolicy`]: exchange::RoutePolicy
 //! [`ElasticQueue`]: buffer::ElasticQueue
 //! [`NicModel`]: nic::NicModel
-//! [`PageServer`]: tcp::PageServer
+//! [`PageRegistries`]: tcp::PageRegistries
 //! [`PageSink`]: tcp::PageSink
 
 pub mod buffer;
@@ -63,4 +64,4 @@ pub use exchange::{
     ExchangeTopology, ExchangeWriter, RoutePolicy,
 };
 pub use nic::{NicModel, NodeNic, TokenBucket};
-pub use tcp::{PageServer, PageSink};
+pub use tcp::{PageRegistries, PageServer, PageSink};

@@ -2,20 +2,22 @@
 //!
 //! The in-process exchange moves `Arc<DataPage>`s between threads; this
 //! module moves the same pages between **processes**, using the versioned
-//! binary codec behind [`Page::encode`] / [`Page::decode`]. One
-//! [`PageServer`] per node accepts connections and feeds incoming pages
-//! into the node's local [`ExchangeRegistry`] queues; a [`PageSink`] is the
-//! producer-side connection a writer opens toward one remote node for one
-//! exchange edge.
+//! binary codec behind [`Page::encode`] / [`Page::decode`]. A node's
+//! [`PageRegistries`] feed incoming pages into its local
+//! [`ExchangeRegistry`] queues — served on the node's one listener next to
+//! its other conversations, or alone behind a [`PageServer`]; a
+//! [`PageSink`] is the producer-side connection a writer opens toward one
+//! remote node for one exchange edge.
 //!
 //! ## Framing
 //!
 //! The page path speaks kinds 0–7 of the one node-to-node framing — HELLO,
 //! DATA, FINISH, CREDIT, ERR, ADDPROD, POISON, ACK; layouts and directions
-//! are in the kind table of [`crate::frame`]. A connection greets with
-//! HELLO; `stage == u32::MAX` marks it a **control channel**
-//! (ADDPROD/POISON broadcasts between registries), anything else binds the
-//! connection to that exchange edge for DATA and FINISH frames.
+//! are in the kind table of [`crate::frame`]. A connection opens with
+//! HELLO, which is also what routes it here; `stage == u32::MAX` marks it a
+//! **control channel** (ADDPROD/POISON broadcasts between registries),
+//! anything else binds the connection to that exchange edge for DATA and
+//! FINISH frames.
 //!
 //! ## Backpressure: credits mirroring the elastic buffers
 //!
@@ -48,12 +50,12 @@ use accordion_common::{AccordionError, Result};
 use accordion_data::page::{DataPage, EndReason, Page};
 
 use crate::exchange::ExchangeRegistry;
-use crate::frame::{kind, listen, net_err, Cursor, FrameConn, Listener, Payload};
+use crate::frame::{kind, net_err, Conversation, Cursor, FrameConn, Payload, Route, Served};
 
 /// HELLO stage id marking a control channel.
 pub const CONTROL_STAGE: u32 = u32::MAX;
 
-/// Dials the [`PageServer`] at `addr` and greets it for `(query, stage)`.
+/// Dials the node at `addr` and greets its page ingress for `(query, stage)`.
 fn greet(addr: &str, query: u64, stage: u32, network: &NetworkConfig) -> Result<FrameConn> {
     let timeout = Duration::from_millis(network.connect_timeout_ms);
     let mut conn = FrameConn::connect(addr, timeout)?;
@@ -74,7 +76,7 @@ pub struct PageSink {
 }
 
 impl PageSink {
-    /// Connects to the [`PageServer`] at `addr` and binds the connection to
+    /// Connects to the node at `addr` and binds the connection to
     /// `(query, stage)`.
     pub fn connect(
         addr: &str,
@@ -196,72 +198,60 @@ impl ControlLink {
     }
 }
 
-type Registries = Mutex<HashMap<u64, Arc<ExchangeRegistry>>>;
+/// A node's exchange ingress: the registries of the queries wired on it,
+/// which the frames of incoming [`PageSink`] and control connections are fed
+/// into. It serves whatever listener its [`route`](Self::route) is given to
+/// — the node's one listener, or a [`PageServer`]'s own.
+#[derive(Default)]
+pub struct PageRegistries(Mutex<HashMap<u64, Arc<ExchangeRegistry>>>);
 
-/// Per-node exchange ingress: accepts [`PageSink`] and control
-/// connections and feeds their frames into the registries of the queries
-/// registered on this node. Dropping the server releases its port.
-pub struct PageServer {
-    listener: Listener,
-    registries: Arc<Registries>,
-}
-
-impl PageServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and starts
-    /// accepting.
-    pub fn bind(addr: &str) -> Result<Arc<PageServer>> {
-        let registries = Arc::new(Registries::default());
-        let served = registries.clone();
-        let listener = listen(addr, "page-server", move |conn| serve_conn(&served, conn))?;
-        Ok(Arc::new(PageServer {
-            listener,
-            registries,
-        }))
-    }
-
-    /// The bound address, in `host:port` form — what peers connect to.
-    pub fn local_addr(&self) -> String {
-        self.listener.local_addr()
-    }
-
+impl PageRegistries {
     /// Makes `query`'s registry reachable for incoming frames. Must happen
     /// on every node **before any node's tasks start** (the two-phase
     /// wire/start handshake of the distributed scheduler guarantees it).
     pub fn register(&self, query: u64, registry: Arc<ExchangeRegistry>) {
-        self.registries.lock().insert(query, registry);
+        self.0.lock().insert(query, registry);
     }
 
     /// Drops `query`'s registry; later frames for it are answered with ERR.
     pub fn unregister(&self, query: u64) {
-        self.registries.lock().remove(&query);
+        self.0.lock().remove(&query);
     }
 
-    /// Stops accepting new connections (existing ones run out on EOF).
-    pub fn shutdown(&self) {
-        self.listener.shutdown();
+    /// One greeted connection, from its HELLO to its close. An error ends
+    /// the connection and reaches the peer as an ERR frame.
+    fn serve(&self, conn: &mut FrameConn, hello: Vec<u8>) -> Result<()> {
+        let mut hello = Cursor::new(&hello);
+        let (query, stage) = (hello.u64()?, hello.u32()?);
+        hello.finish()?;
+        let registry = self
+            .0
+            .lock()
+            .get(&query)
+            .cloned()
+            .ok_or_else(|| net_err(format!("query {query} is not registered on this node")))?;
+        if stage == CONTROL_STAGE {
+            serve_control(conn, &registry)
+        } else {
+            serve_data(conn, &registry, stage)
+        }
     }
 }
 
-/// One accepted connection, from its HELLO to its close. An error ends the
-/// connection and reaches the peer as an ERR frame ([`listen`]).
-fn serve_conn(registries: &Registries, conn: &mut FrameConn) -> Result<()> {
-    let Some((kind::HELLO, p)) = conn.recv()? else {
-        return Err(net_err("exchange connection did not greet"));
-    };
-    let mut hello = Cursor::new(&p);
-    let (query, stage) = (hello.u64()?, hello.u32()?);
-    hello.finish()?;
-    let registry = registries
-        .lock()
-        .get(&query)
-        .cloned()
-        .ok_or_else(|| net_err(format!("query {query} is not registered on this node")))?;
-    if stage == CONTROL_STAGE {
-        serve_control(conn, &registry)
-    } else {
-        serve_data(conn, &registry, stage)
+/// The page conversation: connections that open with HELLO.
+impl Conversation for PageRegistries {
+    fn route(self: &Arc<Self>) -> Route {
+        let pages = self.clone();
+        (
+            kind::HELLO,
+            Box::new(move |conn, hello| pages.serve(conn, hello)),
+        )
     }
 }
+
+/// [`PageRegistries`] behind a listener of their own, for an exchange that
+/// has no node around it.
+pub type PageServer = Served<PageRegistries>;
 
 /// Ingress loop of one producer connection bound to `stage`'s edge.
 fn serve_data(conn: &mut FrameConn, registry: &Arc<ExchangeRegistry>, stage: u32) -> Result<()> {

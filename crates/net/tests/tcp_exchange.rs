@@ -2,8 +2,8 @@
 //! process, each fronted by its own `PageServer`, simulating a two-node
 //! fleet. Exercises hybrid local/remote routing, writer accounting via
 //! FINISH frames, credit backpressure, growth broadcasts, poison
-//! propagation, and what a page server does with peers that do not speak
-//! the framing.
+//! propagation, and what a listener does with peers that do not speak the
+//! framing or open with a frame that starts no conversation it serves.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -14,7 +14,7 @@ use accordion_common::config::NetworkConfig;
 use accordion_common::AccordionError;
 use accordion_data::column::Column;
 use accordion_data::page::{DataPage, EndReason, Page};
-use accordion_net::frame::{kind, read_frame, FrameConn, MAX_DATA, PREALLOC};
+use accordion_net::frame::{kind, listen, read_frame, FrameConn, Route, MAX_DATA, PREALLOC};
 use accordion_net::{
     ConsumerLoc, EdgeSpec, ExchangeRegistry, ExchangeTopology, NicModel, PageServer, PageSink,
     RoutePolicy,
@@ -300,9 +300,12 @@ fn hostile_peers_cost_a_small_buffer_and_a_closed_connection() {
 
     let network = roomy();
     let server = PageServer::bind("127.0.0.1:0").unwrap();
-    let topo = ExchangeTopology::new(60).edge(EdgeSpec::local(1, 1, RoutePolicy::Single, 1));
+    let topo = ExchangeTopology::new(60).edge(EdgeSpec::local(1, 2, RoutePolicy::Single, 1));
     let registry = ExchangeRegistry::build(&topo, &network, NicModel::unlimited()).unwrap();
     server.register(60, registry.clone());
+    // A well-behaved stream, open for as long as the hostile ones come.
+    let mut early = PageSink::connect(&server.local_addr(), 60, 1, &network).unwrap();
+    early.send_data(0, &data_page(vec![1, 2, 3]), None).unwrap();
     let mut hello = frame_header(13, kind::HELLO);
     hello.extend_from_slice(&60u64.to_le_bytes());
     hello.extend_from_slice(&1u32.to_le_bytes());
@@ -323,14 +326,14 @@ fn hostile_peers_cost_a_small_buffer_and_a_closed_connection() {
             3 => frame_header(MAX_DATA as u32, kind::DATA),
             // A kind nobody defined, and defined kinds a page server
             // does not serve (before and after a greeting).
-            4 => frame_header(1, 19 + (rng.next() % 237) as u8),
+            4 => frame_header(1, 17 + (rng.next() % 239) as u8),
             5 => {
                 let mut b = if rng.next().is_multiple_of(2) {
                     hello.clone()
                 } else {
                     Vec::new()
                 };
-                b.extend_from_slice(&frame_header(1, kind::WORKER + (rng.next() % 11) as u8));
+                b.extend_from_slice(&frame_header(1, kind::WIRE + (rng.next() % 9) as u8));
                 b
             }
             _ => (0..rng.next() % 64).map(|_| rng.next() as u8).collect(),
@@ -353,13 +356,66 @@ fn hostile_peers_cost_a_small_buffer_and_a_closed_connection() {
         );
     }
 
-    // The edge the hostile peers kept greeting still works.
-    let mut sink = PageSink::connect(&server.local_addr(), 60, 1, &network).unwrap();
-    sink.send_data(0, &data_page(vec![4, 5, 6]), None).unwrap();
-    sink.finish(EndReason::ScanExhausted, None).unwrap();
+    // The first frame says what a connection is for. A reply kind says
+    // nothing, and a conversation this listener does not serve is not
+    // served: one ERR naming the kind, then the connection is closed.
+    let claims = listen("127.0.0.1:0", "claims", vec![claim_route()]).unwrap();
+    for (addr, first) in [
+        (server.local_addr(), kind::CREDIT),
+        (server.local_addr(), kind::ACK),
+        (server.local_addr(), kind::WIRED),
+        (server.local_addr(), kind::SPLIT),
+        (server.local_addr(), kind::CLAIM),
+        (claims.local_addr(), kind::HELLO),
+    ] {
+        let mut peer = TcpStream::connect(&addr).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        peer.write_all(&frame_header(1, first)).unwrap();
+        // The write side stays open: the server hangs up by itself.
+        assert_eq!(
+            read_frame(&mut peer, &mut payload).unwrap(),
+            Some(kind::ERR),
+            "first frame {first}"
+        );
+        let text = String::from_utf8_lossy(&payload).into_owned();
+        assert!(text.contains(&format!("kind {first} ")), "{first}: {text}");
+        assert!(payload.capacity() <= PREALLOC);
+        assert!(
+            !matches!(read_frame(&mut peer, &mut payload), Ok(Some(_))),
+            "first frame {first}: a second reply"
+        );
+    }
+    // ... while a listener that does serve the kind takes it up.
+    let mut claimant = FrameConn::connect(&claims.local_addr(), Duration::from_secs(5)).unwrap();
+    assert_eq!(
+        claimant.call((kind::CLAIM, Vec::new())).unwrap().0,
+        kind::NONE
+    );
+
+    // The stream opened before all of that, and one opened after it, are
+    // both served.
+    early.send_data(0, &data_page(vec![4]), None).unwrap();
+    early.finish(EndReason::ScanExhausted, None).unwrap();
+    let mut late = PageSink::connect(&server.local_addr(), 60, 1, &network).unwrap();
+    late.send_data(0, &data_page(vec![5, 6]), None).unwrap();
+    late.finish(EndReason::ScanExhausted, None).unwrap();
     let mut reader = registry.reader(1, 0, None).unwrap();
-    assert_eq!(drain(reader.as_mut()), vec![4, 5, 6]);
+    assert_eq!(drain(reader.as_mut()), vec![1, 2, 3, 4, 5, 6]);
     server.shutdown();
+}
+
+/// A stand-in for the claim service (which lives a crate up): the route a
+/// CLAIM-first connection takes, answering every claim with NONE.
+fn claim_route() -> Route {
+    let serve = |conn: &mut FrameConn, _first| {
+        conn.send((kind::NONE, Vec::new()))?;
+        while conn.recv()?.is_some() {
+            conn.send((kind::NONE, Vec::new()))?;
+        }
+        Ok(())
+    };
+    (kind::CLAIM, Box::new(serve))
 }
 
 #[test]
