@@ -72,7 +72,7 @@ use accordion_sql::{parse_statements, Analyzer, Statement};
 use accordion_storage::catalog::Catalog;
 
 use crate::dist::{Fleet, Worker};
-use crate::protocol::{encode_header, encode_row, escape_message, greeting};
+use crate::protocol::{encode_header, escape_message, greeting, write_rows};
 use crate::session::SessionVars;
 
 /// Capacity of a session's response buffer: a whole small result fits and
@@ -401,11 +401,10 @@ fn run_select(
             // Row by row into the session's buffer — large results never
             // materialize as one string, and nothing is flushed here (see
             // the module docs): the caller does that once per response.
+            let mut line = String::new();
             for page in &result.pages {
-                for row in page.rows() {
-                    writeln!(writer, "{}", encode_row(&row))?;
-                    nrows += 1;
-                }
+                write_rows(writer, page, &mut line)?;
+                nrows += page.row_count() as u64;
             }
             let elapsed_ms = started.elapsed().as_millis() as u64;
             writeln!(writer, "END {nrows} {elapsed_ms}")?;

@@ -159,7 +159,7 @@ impl fmt::Display for Value {
             Value::Int64(v) => write!(f, "{v}"),
             Value::Float64(v) => write!(f, "{v}"),
             Value::Bool(v) => write!(f, "{v}"),
-            Value::Date32(v) => write!(f, "{}", format_date32(*v)),
+            Value::Date32(v) => write_date32(f, *v),
             Value::Utf8(v) => write!(f, "{v}"),
         }
     }
@@ -215,6 +215,13 @@ pub fn parse_date32(s: &str) -> Option<i32> {
 
 /// Formats days-since-epoch as `YYYY-MM-DD`.
 pub fn format_date32(days: i32) -> String {
+    let mut text = String::with_capacity(10);
+    write_date32(&mut text, days).expect("writing to a String cannot fail");
+    text
+}
+
+/// [`format_date32`] into an existing buffer or formatter.
+pub fn write_date32(out: &mut impl fmt::Write, days: i32) -> fmt::Result {
     let mut remaining = days as i64;
     let mut year = 1970i64;
     loop {
@@ -242,7 +249,7 @@ pub fn format_date32(days: i32) -> String {
             break;
         }
     }
-    format!("{:04}-{:02}-{:02}", year, month + 1, remaining + 1)
+    write!(out, "{:04}-{:02}-{:02}", year, month + 1, remaining + 1)
 }
 
 #[cfg(test)]

@@ -825,27 +825,28 @@ pub struct JoinTable {
 
 impl JoinTable {
     pub fn build(pages: Vec<Arc<DataPage>>, keys: &[usize]) -> JoinTable {
-        let mut table = GroupTable::new();
         if pages.is_empty() {
             return JoinTable {
                 build: None,
-                table,
+                table: GroupTable::new(),
                 starts: vec![0],
                 row_ids: Vec::new(),
             };
         }
         let refs: Vec<&DataPage> = pages.iter().map(|p| p.as_ref()).collect();
         let build = DataPage::concat(&refs);
+        // Sized for a key per row up front: a table that starts at 16
+        // slots rehashes everything it holds at every doubling on the way.
+        let mut table = GroupTable::with_capacity(build.row_count());
         // Pass 1: vectorized hash, then assign each row its group id.
         let hashes = hash_rows(&build, keys);
+        let nullable = nullable_keys(&build, keys);
         let mut scratch = Vec::new();
         let mut gid_of_row: Vec<u32> = Vec::with_capacity(build.row_count());
-        'rows: for (row, &hash) in hashes.iter().enumerate() {
-            for &k in keys {
-                if !build.column(k).is_valid(row) {
-                    gid_of_row.push(NO_GROUP);
-                    continue 'rows;
-                }
+        for (row, &hash) in hashes.iter().enumerate() {
+            if has_null_key(&build, &nullable, row) {
+                gid_of_row.push(NO_GROUP);
+                continue;
             }
             scratch.clear();
             encode_key_into(&build, keys, row, &mut scratch);
@@ -905,23 +906,47 @@ impl JoinTable {
     }
 }
 
+/// The key columns of `page` that have a validity mask — the only ones a
+/// row's NULL check has to look at.
+fn nullable_keys(page: &DataPage, keys: &[usize]) -> Vec<usize> {
+    keys.iter()
+        .copied()
+        .filter(|&k| page.column(k).validity().is_some())
+        .collect()
+}
+
+/// Whether `row` holds a NULL in one of the `nullable` key columns (NULL
+/// never equi-joins, on either side).
+#[inline]
+fn has_null_key(page: &DataPage, nullable: &[usize], row: usize) -> bool {
+    nullable.iter().any(|&k| !page.column(k).is_valid(row))
+}
+
 /// Streams probe pages against a [`JoinTable`], emitting probe ++ build
 /// columns. Matches are collected as a pair of selection-index vectors
 /// (probe row ids, build row ids) and the output page is assembled with the
 /// column `gather` kernels — no per-row `Vec<Value>` assembly.
+///
+/// A probe row with the hash **and** the key cells ([`key_cells_equal`]) of
+/// the row last looked up is the same key, so it takes that row's matches
+/// with no encode and no table lookup: the grouped aggregate's per-page
+/// memo, one entry deep — all a probe side clustered on its key (an order's
+/// lineitems) needs.
 pub struct HashJoinProbeOp {
     input: BoxedStream,
     table: Arc<JoinTable>,
     keys: Vec<usize>,
     output_schema: SchemaRef,
-    /// Capacity hint for the selection vectors (output batches may exceed
-    /// it: like the row-at-a-time predecessor, the probe emits one output
-    /// page per probe page).
-    page_rows: usize,
     key_scratch: Vec<u8>,
+    /// Matching (probe row, build row) pairs of the page in hand; kept
+    /// across pages for their capacity.
+    probe_sel: Vec<u32>,
+    build_sel: Vec<u32>,
 }
 
 impl HashJoinProbeOp {
+    /// `page_rows` sizes the selection vectors (output batches may exceed
+    /// it: the probe emits one output page per probe page).
     pub fn new(
         input: BoxedStream,
         table: Arc<JoinTable>,
@@ -934,8 +959,41 @@ impl HashJoinProbeOp {
             table,
             keys,
             output_schema: Arc::new(output_schema),
-            page_rows,
             key_scratch: Vec::new(),
+            probe_sel: Vec::with_capacity(page_rows),
+            build_sel: Vec::with_capacity(page_rows),
+        }
+    }
+
+    /// Fills the selection vectors with the matches of `page`'s rows.
+    fn probe(&mut self, page: &DataPage) {
+        self.probe_sel.clear();
+        self.build_sel.clear();
+        let hashes = hash_rows(page, &self.keys);
+        let nullable = nullable_keys(page, &self.keys);
+        // The last row looked up in the table, and the build rows it found.
+        let mut last: Option<(usize, &[u32])> = None;
+        for (row, &hash) in hashes.iter().enumerate() {
+            if has_null_key(page, &nullable, row) {
+                continue;
+            }
+            let matches = match last {
+                Some((seen, matches))
+                    if hashes[seen] == hash && key_cells_equal(page, &self.keys, row, seen) =>
+                {
+                    matches
+                }
+                _ => {
+                    self.key_scratch.clear();
+                    encode_key_into(page, &self.keys, row, &mut self.key_scratch);
+                    let matches = self.table.matches(hash, &self.key_scratch);
+                    last = Some((row, matches));
+                    matches
+                }
+            };
+            self.probe_sel
+                .resize(self.probe_sel.len() + matches.len(), row as u32);
+            self.build_sel.extend_from_slice(matches);
         }
     }
 }
@@ -950,23 +1008,8 @@ impl PageStream for HashJoinProbeOp {
             if self.table.is_empty() {
                 continue;
             }
-            let hashes = hash_rows(&page, &self.keys);
-            let mut probe_sel: Vec<u32> = Vec::with_capacity(self.page_rows);
-            let mut build_sel: Vec<u32> = Vec::with_capacity(self.page_rows);
-            'rows: for (row, &hash) in hashes.iter().enumerate() {
-                for &k in &self.keys {
-                    if !page.column(k).is_valid(row) {
-                        continue 'rows;
-                    }
-                }
-                self.key_scratch.clear();
-                encode_key_into(&page, &self.keys, row, &mut self.key_scratch);
-                for &b in self.table.matches(hash, &self.key_scratch) {
-                    probe_sel.push(row as u32);
-                    build_sel.push(b);
-                }
-            }
-            if probe_sel.is_empty() {
+            self.probe(&page);
+            if self.probe_sel.is_empty() {
                 continue;
             }
             let build = self
@@ -976,12 +1019,12 @@ impl PageStream for HashJoinProbeOp {
             let mut cols: Vec<Column> = page
                 .columns()
                 .iter()
-                .map(|c| c.gather(&probe_sel))
+                .map(|c| c.gather(&self.probe_sel))
                 .collect();
-            cols.extend(build.columns().iter().map(|c| c.gather(&build_sel)));
+            cols.extend(build.columns().iter().map(|c| c.gather(&self.build_sel)));
             debug_assert_eq!(cols.len(), self.output_schema.len());
             let out = if cols.is_empty() {
-                DataPage::row_count_only(probe_sel.len())
+                DataPage::row_count_only(self.probe_sel.len())
             } else {
                 DataPage::new(cols)
             };

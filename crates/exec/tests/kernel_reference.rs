@@ -471,40 +471,128 @@ fn reference_join(
     out
 }
 
+/// Joins `build` to `probe` on their leading `key_types.len()` columns with
+/// the engine's table and probe operator, both sides cut into random pages,
+/// and requires the nested-loop reference's rows in the reference's order.
+fn assert_join_matches_reference(
+    rng: &mut XorShift,
+    key_types: &[DataType],
+    build: &DataPage,
+    probe: &DataPage,
+    case: &str,
+) {
+    let keys: Vec<usize> = (0..key_types.len()).collect();
+    let build_chunks = random_split(rng, build);
+    let probe_chunks = random_split(rng, probe);
+    let expected = reference_join(&build_chunks, &probe_chunks, &keys, &keys);
+    let table = Arc::new(JoinTable::build(
+        build_chunks.iter().cloned().map(Arc::new).collect(),
+        &keys,
+    ));
+    let side = |prefix: &str, payload: DataType| {
+        let mut fields: Vec<Field> = key_types
+            .iter()
+            .enumerate()
+            .map(|(i, &kt)| Field::new(format!("{prefix}k{i}"), kt))
+            .collect();
+        fields.push(Field::new(format!("{prefix}v"), payload));
+        fields
+    };
+    let mut fields = side("p", DataType::Float64);
+    fields.extend(side("b", DataType::Int64));
+    let op = HashJoinProbeOp::new(source(probe_chunks), table, keys, Schema::new(fields), 32);
+    assert_eq!(drain(op), expected, "{case}: join diverged");
+}
+
+/// `page` with its rows reordered so that equal keys (NULL keys among them)
+/// are neighbours — a probe side clustered on its join key.
+fn clustered_on(page: &DataPage, keys: &[usize]) -> DataPage {
+    let mut order: Vec<u32> = (0..page.row_count() as u32).collect();
+    order.sort_by_key(|&row| encode_key(page, keys, row as usize));
+    page.gather(&order)
+}
+
 #[test]
 fn hash_join_matches_nested_loop_reference() {
-    let key_types = [DataType::Int64, DataType::Date32, DataType::Utf8];
-    for seed in 0..40 {
+    // Single keys of every type that hashes, and compound keys; small value
+    // domains so keys repeat on both sides, 15 % NULLs in every key column.
+    let key_shapes: [&[DataType]; 7] = [
+        &[DataType::Int64],
+        &[DataType::Date32],
+        &[DataType::Utf8],
+        &[DataType::Float64],
+        &[DataType::Bool],
+        &[DataType::Int64, DataType::Utf8],
+        &[DataType::Utf8, DataType::Date32, DataType::Int64],
+    ];
+    for seed in 0..140 {
         let mut rng = XorShift::new(5000 + seed);
-        let kt = key_types[rng.below(key_types.len() as u64) as usize];
-        let build_rows = rng.below(60) as usize;
+        let key_types = key_shapes[seed as usize % key_shapes.len()];
+        let keys: Vec<usize> = (0..key_types.len()).collect();
+        // Every fifth build side is empty.
+        let build_rows = if seed % 5 == 4 {
+            0
+        } else {
+            rng.below(60) as usize
+        };
         let probe_rows = rng.below(120) as usize;
-        let build = DataPage::new(vec![
-            random_column(&mut rng, kt, build_rows, 15, true),
-            random_column(&mut rng, DataType::Int64, build_rows, 10, false),
-        ]);
-        let probe = DataPage::new(vec![
-            random_column(&mut rng, kt, probe_rows, 15, true),
-            random_column(&mut rng, DataType::Float64, probe_rows, 10, false),
-        ]);
-        let build_chunks = random_split(&mut rng, &build);
-        let probe_chunks = random_split(&mut rng, &probe);
-
-        let expected = reference_join(&build_chunks, &probe_chunks, &[0], &[0]);
-
-        let table = Arc::new(JoinTable::build(
-            build_chunks.iter().cloned().map(Arc::new).collect(),
-            &[0],
-        ));
-        let schema = Schema::new(vec![
-            Field::new("pk", kt),
-            Field::new("pv", DataType::Float64),
-            Field::new("bk", kt),
-            Field::new("bv", DataType::Int64),
-        ]);
-        let op = HashJoinProbeOp::new(source(probe_chunks), table, vec![0], schema, 32);
-        assert_eq!(drain(op), expected, "seed {seed}: join diverged");
+        let side = |rng: &mut XorShift, rows: usize, payload: DataType| {
+            let mut cols: Vec<_> = key_types
+                .iter()
+                .map(|&kt| random_column(rng, kt, rows, 15, true))
+                .collect();
+            cols.push(random_column(rng, payload, rows, 10, false));
+            DataPage::new(cols)
+        };
+        let build = side(&mut rng, build_rows, DataType::Int64);
+        let probe = side(&mut rng, probe_rows, DataType::Float64);
+        assert_join_matches_reference(
+            &mut rng,
+            key_types,
+            &build,
+            &probe,
+            &format!("seed {seed} as generated"),
+        );
+        // The same rows with equal probe keys adjacent: every run after its
+        // first row takes the remembered match range instead of a lookup,
+        // which must not change one output row or its place.
+        let clustered = clustered_on(&probe, &keys);
+        assert_join_matches_reference(
+            &mut rng,
+            key_types,
+            &build,
+            &clustered,
+            &format!("seed {seed} clustered"),
+        );
     }
+}
+
+#[test]
+fn hash_join_over_a_build_side_of_thousands_of_keys() {
+    // 3 000 distinct keys, each on two build rows: far past the 16 slots a
+    // table starts with when it is not sized from its input. The probe side
+    // holds every second key four times over — once clustered, once dealt
+    // round — and keys the build side never had.
+    let mut rng = XorShift::new(9);
+    let build_keys: Vec<i64> = (0..6_000).map(|i| (i % 3_000) * 7).collect();
+    let build = DataPage::new(vec![
+        accordion_data::Column::from_i64(build_keys),
+        accordion_data::Column::from_i64((0..6_000).collect()),
+    ]);
+    let probe_keys: Vec<i64> = (0..6_000).map(|i| (i % 1_500) * 14 + (i % 2)).collect();
+    let probe = DataPage::new(vec![
+        accordion_data::Column::from_i64(probe_keys),
+        accordion_data::Column::from_f64((0..6_000).map(|i| i as f64).collect()),
+    ]);
+    let key_types = [DataType::Int64];
+    assert_join_matches_reference(&mut rng, &key_types, &build, &probe, "dealt round");
+    assert_join_matches_reference(
+        &mut rng,
+        &key_types,
+        &build,
+        &clustered_on(&probe, &[0]),
+        "clustered",
+    );
 }
 
 #[test]

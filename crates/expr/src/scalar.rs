@@ -247,28 +247,35 @@ impl Expr {
 
     /// Rewrites column references through `mapping[old] = new`.
     pub fn remap_columns(&self, mapping: &dyn Fn(usize) -> usize) -> Expr {
+        self.substitute_columns(&|i| Expr::Column(mapping(i)))
+    }
+
+    /// Replaces every `Column(i)` with `binding(i)` — inlining projected
+    /// expressions into a predicate that moves below the projection.
+    pub fn substitute_columns(&self, binding: &dyn Fn(usize) -> Expr) -> Expr {
+        let sub = |e: &Expr| Arc::new(e.substitute_columns(binding));
         match self {
-            Expr::Column(i) => Expr::Column(mapping(*i)),
+            Expr::Column(i) => binding(*i),
             Expr::Literal(v) => Expr::Literal(v.clone()),
             Expr::Binary { left, op, right } => Expr::Binary {
-                left: Arc::new(left.remap_columns(mapping)),
+                left: sub(left),
                 op: *op,
-                right: Arc::new(right.remap_columns(mapping)),
+                right: sub(right),
             },
-            Expr::Not(e) => Expr::Not(Arc::new(e.remap_columns(mapping))),
-            Expr::ExtractYear(e) => Expr::ExtractYear(Arc::new(e.remap_columns(mapping))),
-            Expr::IsNull(e) => Expr::IsNull(Arc::new(e.remap_columns(mapping))),
+            Expr::Not(e) => Expr::Not(sub(e)),
+            Expr::ExtractYear(e) => Expr::ExtractYear(sub(e)),
+            Expr::IsNull(e) => Expr::IsNull(sub(e)),
             Expr::Between { expr, low, high } => Expr::Between {
-                expr: Arc::new(expr.remap_columns(mapping)),
-                low: Arc::new(low.remap_columns(mapping)),
-                high: Arc::new(high.remap_columns(mapping)),
+                expr: sub(expr),
+                low: sub(low),
+                high: sub(high),
             },
             Expr::InList { expr, list } => Expr::InList {
-                expr: Arc::new(expr.remap_columns(mapping)),
+                expr: sub(expr),
                 list: list.clone(),
             },
             Expr::Like { expr, pattern } => Expr::Like {
-                expr: Arc::new(expr.remap_columns(mapping)),
+                expr: sub(expr),
                 pattern: pattern.clone(),
             },
             Expr::Case {
@@ -277,11 +284,9 @@ impl Expr {
             } => Expr::Case {
                 branches: branches
                     .iter()
-                    .map(|(c, v)| (c.remap_columns(mapping), v.remap_columns(mapping)))
+                    .map(|(c, v)| (c.substitute_columns(binding), v.substitute_columns(binding)))
                     .collect(),
-                otherwise: otherwise
-                    .as_ref()
-                    .map(|e| Arc::new(e.remap_columns(mapping))),
+                otherwise: otherwise.as_deref().map(sub),
             },
         }
     }

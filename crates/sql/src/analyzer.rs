@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use accordion_data::schema::Schema;
+use accordion_data::schema::{Field, Schema};
 use accordion_data::sort::SortKey;
 use accordion_data::types::{parse_date32, Value};
 use accordion_expr::agg::{AggKind, AggSpec};
@@ -184,8 +184,13 @@ impl<'a> Analyzer<'a> {
             };
 
             // Split the ON condition into equi pairs and a residual filter.
+            // An equality between columns of different types is residual:
+            // the join kernels hash and compare a key's bytes, so an INT64
+            // 3 and a FLOAT64 3.0 would never meet there, while the
+            // expression kernels compare them as numbers.
             let mut equi: Vec<(usize, usize)> = Vec::new();
             let mut residual: Option<Expr> = None;
+            let mut mixed: Option<(Span, String)> = None;
             for conjunct in split_conjuncts(&join.on) {
                 let lowered = self.lower(conjunct, &combined)?;
                 if let Expr::Binary { left, op, right } = &lowered {
@@ -193,17 +198,24 @@ impl<'a> Analyzer<'a> {
                         if let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref())
                         {
                             let (l, r) = if *a < left_width && *b >= left_width {
-                                (*a, *b - left_width)
+                                (*a, *b)
                             } else if *b < left_width && *a >= left_width {
-                                (*b, *a - left_width)
+                                (*b, *a)
                             } else {
                                 return Err(SqlError::analysis(
                                     "join equality must compare a column from each side",
                                     conjunct.span,
                                 ));
                             };
-                            equi.push((l, r));
-                            continue;
+                            let (lf, rf) = (combined.schema.field(l), combined.schema.field(r));
+                            if lf.data_type == rf.data_type {
+                                equi.push((l, r - left_width));
+                                continue;
+                            }
+                            mixed.get_or_insert_with(|| {
+                                let typed = |f: &Field| format!("{} ({})", f.name, f.data_type);
+                                (conjunct.span, format!("{} = {}", typed(lf), typed(rf)))
+                            });
                         }
                     }
                 }
@@ -214,10 +226,20 @@ impl<'a> Analyzer<'a> {
                 });
             }
             if equi.is_empty() {
-                return Err(SqlError::analysis(
-                    "join condition must contain at least one equality between the joined tables",
-                    join.on.span,
-                ));
+                return Err(match mixed {
+                    Some((span, columns)) => SqlError::analysis(
+                        format!(
+                            "join condition needs an equality between columns of the same \
+                             type: {columns} can filter joined rows, not match them"
+                        ),
+                        span,
+                    ),
+                    None => SqlError::analysis(
+                        "join condition must contain at least one equality between the joined \
+                         tables",
+                        join.on.span,
+                    ),
+                });
             }
 
             let joined = Arc::new(LogicalPlan::Join {
@@ -852,7 +874,6 @@ fn error_text(e: accordion_common::AccordionError) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accordion_data::schema::Field;
     use accordion_data::types::DataType;
     use accordion_plan::catalog::MemoryCatalog;
 
@@ -969,6 +990,35 @@ mod tests {
     fn join_without_equality_is_rejected() {
         let e = try_plan("SELECT qty FROM sales s JOIN items i ON s.qty > i.item_id").unwrap_err();
         assert!(e.message.contains("at least one equality"), "{e:?}");
+    }
+
+    #[test]
+    fn join_equality_across_types_is_residual_and_never_the_only_key() {
+        // price is FLOAT64, item_id INT64: `=` unifies them, a hash key
+        // would not.
+        let p = plan(
+            "SELECT name FROM sales s JOIN items i \
+             ON s.item_id = i.item_id AND s.price = i.item_id",
+        );
+        let LogicalPlan::Project { input, .. } = p.as_ref() else {
+            panic!("Project on top")
+        };
+        let LogicalPlan::Filter { input, predicate } = input.as_ref() else {
+            panic!("residual Filter, got {input:?}")
+        };
+        assert_eq!(predicate.referenced_columns(), vec![3, 5]);
+        let LogicalPlan::Join { on, .. } = input.as_ref() else {
+            panic!("Join under Filter")
+        };
+        assert_eq!(on, &vec![(1usize, 0usize)]);
+
+        let sql = "SELECT name FROM sales s JOIN items i ON s.price = i.item_id";
+        let e = try_plan(sql).unwrap_err();
+        assert_eq!(&sql[e.span.start..e.span.end], "s.price = i.item_id");
+        assert!(
+            e.message.contains("price (FLOAT64) = item_id (INT64)"),
+            "{e:?}"
+        );
     }
 
     #[test]

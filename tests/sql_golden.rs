@@ -533,3 +533,99 @@ fn sql_float_comparisons_are_ieee_with_and_without_nulls_in_the_page() {
         }
     }
 }
+
+// -- a HAVING without columns decides for the whole result -------------------
+
+#[test]
+fn sql_column_free_having_keeps_or_drops_every_row() {
+    let c = catalog();
+    // Pushed below a *global* aggregate, `1 = 0` used to turn "drop the one
+    // result row" into "aggregate zero rows" — which answers one row, 0.
+    for dop in [1, 3] {
+        let global = |having: &str| {
+            run_sql(
+                &c,
+                &format!("SELECT count(*) AS c FROM sales HAVING {having}"),
+                dop,
+            )
+            .rows()
+        };
+        assert_eq!(global("1 = 0"), Vec::<Vec<Value>>::new(), "dop {dop}");
+        assert_eq!(global("1 = 1"), vec![vec![i(8)]], "dop {dop}");
+        let grouped = |having: &str| {
+            let sql = format!(
+                "SELECT region, count(*) AS c FROM sales GROUP BY region \
+                 HAVING {having} ORDER BY region"
+            );
+            run_sql(&c, &sql, dop).rows()
+        };
+        assert_eq!(grouped("1 = 0"), Vec::<Vec<Value>>::new(), "dop {dop}");
+        assert_eq!(
+            grouped("1 = 1"),
+            vec![
+                vec![s("east"), i(3)],
+                vec![s("north"), i(2)],
+                vec![s("west"), i(3)]
+            ],
+            "dop {dop}"
+        );
+    }
+}
+
+// -- join keys of different types are compared, not hashed -------------------
+
+#[test]
+fn sql_join_equality_across_numeric_types_is_a_residual_filter() {
+    let c = catalog();
+    // FLOAT64 price against INT64 tariff: as a hash-join key the pair used
+    // to match nothing (an INT64 1 and a FLOAT64 1.0 hash and encode
+    // differently); as a filter over the joined rows it compares like `=`.
+    let joined = run_sql(
+        &c,
+        "SELECT product, qty, tariff FROM sales1 \
+         INNER JOIN tariffs ON product = name AND price = tariff ORDER BY qty",
+        2,
+    );
+    assert_eq!(
+        joined.rows(),
+        vec![
+            vec![s("apple"), i(2), i(1)],
+            vec![s("banana"), i(5), i(2)],
+            vec![s("apple"), i(10), i(1)],
+        ]
+    );
+    let filtered = run_sql(
+        &c,
+        "SELECT product, qty, tariff FROM sales1 \
+         INNER JOIN tariffs ON product = name WHERE price = tariff ORDER BY qty",
+        2,
+    );
+    assert_eq!(joined.rows(), filtered.rows());
+
+    // Alone, the pair leaves the join without a key: a caret diagnostic
+    // naming both columns and their types.
+    let sql = "SELECT qty FROM sales1 INNER JOIN tariffs ON price = tariff";
+    let message = plan_select(&c, sql).expect_err(sql).to_string();
+    let carets = format!(
+        "\n  {}{}",
+        " ".repeat(sql.find("price =").unwrap()),
+        "^".repeat(14)
+    );
+    for part in ["price (FLOAT64)", "tariff (INT64)", "same type", &carets] {
+        assert!(message.contains(part), "{message}");
+    }
+    assert!(message.ends_with(&carets), "{message}");
+    // A condition with no equality at all keeps its own message.
+    let err = plan_select(
+        &c,
+        "SELECT qty FROM sales1 INNER JOIN tariffs ON price > tariff",
+    )
+    .unwrap_err();
+    assert!(err.to_string().contains("at least one equality"), "{err}");
+
+    // The builder cannot reach the join kernels with such a pair either.
+    let sales = LogicalPlanBuilder::scan(&c, "sales1").unwrap();
+    let tariffs = LogicalPlanBuilder::scan(&c, "tariffs").unwrap();
+    let err = sales.join(tariffs, &[("price", "tariff")]).unwrap_err();
+    assert!(err.to_string().contains("FLOAT64 vs INT64"), "{err}");
+}
