@@ -2,10 +2,18 @@
 //!
 //! Used by the ORDER BY / TopN operators (e.g. TPC-H Q3's
 //! `ORDER BY revenue DESC, o_orderdate LIMIT 10`).
+//!
+//! Every ordering decision is one of two typed comparators, each exactly
+//! [`Value::total_cmp`] of the cells it reads, without building a `Value`:
+//! [`cmp_cells`] (cell against cell — full sorts) and [`cmp_cell_value`]
+//! (cell against an owned value — a Top-N candidate against the worst row
+//! kept so far). Only a row that enters the Top-N heap is materialised.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
+use crate::column::Column;
 use crate::page::DataPage;
 use crate::types::Value;
 
@@ -32,6 +40,55 @@ impl SortKey {
     }
 }
 
+/// [`Value::total_cmp`] of cell `ra` of `a` and cell `rb` of `b`, read from
+/// the typed vectors: NULL sorts first, floats by `f64::total_cmp`, Int64
+/// against Float64 as f64, strings by bytes, and any other pair of types is
+/// `Equal`.
+pub fn cmp_cells(a: &Column, ra: usize, b: &Column, rb: usize) -> Ordering {
+    match (a.is_valid(ra), b.is_valid(rb)) {
+        (true, true) => {}
+        (va, vb) => return va.cmp(&vb),
+    }
+    match (a, b) {
+        (Column::Int64(x, _), Column::Int64(y, _)) => x[ra].cmp(&y[rb]),
+        (Column::Date32(x, _), Column::Date32(y, _)) => x[ra].cmp(&y[rb]),
+        (Column::Float64(x, _), Column::Float64(y, _)) => x[ra].total_cmp(&y[rb]),
+        (Column::Bool(x, _), Column::Bool(y, _)) => x[ra].cmp(&y[rb]),
+        (Column::Utf8(x, _), Column::Utf8(y, _)) => x.bytes(ra).cmp(y.bytes(rb)),
+        (Column::Int64(x, _), Column::Float64(y, _)) => (x[ra] as f64).total_cmp(&y[rb]),
+        (Column::Float64(x, _), Column::Int64(y, _)) => x[ra].total_cmp(&(y[rb] as f64)),
+        _ => Ordering::Equal,
+    }
+}
+
+/// [`Value::total_cmp`] of cell `row` of `col` and `v`, read from the typed
+/// vector — the same rules as [`cmp_cells`], against an owned value.
+pub fn cmp_cell_value(col: &Column, row: usize, v: &Value) -> Ordering {
+    match (col.is_valid(row), v.is_null()) {
+        (true, false) => {}
+        (valid, null) => return valid.cmp(&!null),
+    }
+    match (col, v) {
+        (Column::Int64(x, _), Value::Int64(y)) => x[row].cmp(y),
+        (Column::Date32(x, _), Value::Date32(y)) => x[row].cmp(y),
+        (Column::Float64(x, _), Value::Float64(y)) => x[row].total_cmp(y),
+        (Column::Bool(x, _), Value::Bool(y)) => x[row].cmp(y),
+        (Column::Utf8(x, _), Value::Utf8(y)) => x.bytes(row).cmp(y.as_bytes()),
+        (Column::Int64(x, _), Value::Float64(y)) => (x[row] as f64).total_cmp(y),
+        (Column::Float64(x, _), Value::Int64(y)) => x[row].total_cmp(&(*y as f64)),
+        _ => Ordering::Equal,
+    }
+}
+
+/// A key comparison turned the way the key sorts.
+fn directed(descending: bool, ord: Ordering) -> Ordering {
+    if descending {
+        ord.reverse()
+    } else {
+        ord
+    }
+}
+
 /// Compares row `a` of `pa` with row `b` of `pb` under `keys`.
 pub fn compare_rows(
     pa: &DataPage,
@@ -40,16 +97,13 @@ pub fn compare_rows(
     b: usize,
     keys: &[SortKey],
 ) -> Ordering {
-    for k in keys {
-        let va = pa.column(k.column).value(a);
-        let vb = pb.column(k.column).value(b);
-        let ord = va.total_cmp(&vb);
-        let ord = if k.descending { ord.reverse() } else { ord };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
+    keys.iter()
+        .map(|k| {
+            let ord = cmp_cells(pa.column(k.column), a, pb.column(k.column), b);
+            directed(k.descending, ord)
+        })
+        .find(|ord| ord.is_ne())
+        .unwrap_or(Ordering::Equal)
 }
 
 /// Fully sorts a page by `keys`, returning a new page.
@@ -62,9 +116,18 @@ pub fn sort_page(page: &DataPage, keys: &[SortKey]) -> DataPage {
 /// Streaming Top-N accumulator: feeds pages in, keeps the N smallest rows
 /// under `keys` (i.e. the first N of the total order — for DESC keys this is
 /// the "largest" in user terms).
+///
+/// Once the heap holds `n` rows, a candidate's key cells are compared in
+/// place against the heap root's key values ([`cmp_cell_value`]); a row
+/// that is not strictly better than the root is skipped without building
+/// anything. That is the same test the heap itself would make, so the heap
+/// sees the same pushes and pops as if every row were materialised — the
+/// rows kept, ties at the cut included, do not change.
 #[derive(Debug)]
 pub struct TopNAccumulator {
     keys: Vec<SortKey>,
+    /// `keys`' directions, shared by every heap row.
+    descending: Arc<[bool]>,
     n: usize,
     /// Max-heap of (row values snapshot). The heap root is the *worst* of
     /// the current top-N, evicted when a better row arrives.
@@ -75,24 +138,18 @@ pub struct TopNAccumulator {
 struct HeapRow {
     sort_values: Vec<Value>,
     full_row: Vec<Value>,
-    descending: Vec<bool>,
+    descending: Arc<[bool]>,
 }
 
 impl HeapRow {
     fn cmp_keys(&self, other: &Self) -> Ordering {
-        for ((a, b), desc) in self
-            .sort_values
+        self.sort_values
             .iter()
             .zip(&other.sort_values)
-            .zip(&self.descending)
-        {
-            let ord = a.total_cmp(b);
-            let ord = if *desc { ord.reverse() } else { ord };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        Ordering::Equal
+            .zip(self.descending.iter())
+            .map(|((a, b), &desc)| directed(desc, a.total_cmp(b)))
+            .find(|ord| ord.is_ne())
+            .unwrap_or(Ordering::Equal)
     }
 }
 
@@ -116,6 +173,7 @@ impl Ord for HeapRow {
 impl TopNAccumulator {
     pub fn new(keys: Vec<SortKey>, n: usize) -> Self {
         TopNAccumulator {
+            descending: keys.iter().map(|k| k.descending).collect(),
             keys,
             n,
             heap: BinaryHeap::new(),
@@ -136,26 +194,39 @@ impl TopNAccumulator {
         if self.n == 0 {
             return;
         }
-        let descending: Vec<bool> = self.keys.iter().map(|k| k.descending).collect();
+        let key_cols: Vec<(&Column, bool)> = self
+            .keys
+            .iter()
+            .map(|k| (page.column(k.column), k.descending))
+            .collect();
         for row in 0..page.row_count() {
-            let sort_values: Vec<Value> = self
+            if self.heap.len() == self.n {
+                let worst = self
+                    .heap
+                    .peek()
+                    .expect("a full heap of n > 0 rows has a root");
+                let beats_worst = key_cols
+                    .iter()
+                    .zip(&worst.sort_values)
+                    .map(|(&(col, desc), v)| directed(desc, cmp_cell_value(col, row, v)))
+                    .find(|ord| ord.is_ne())
+                    == Some(Ordering::Less);
+                if !beats_worst {
+                    continue;
+                }
+                self.heap.pop();
+            }
+            let full_row = page.row(row);
+            let sort_values = self
                 .keys
                 .iter()
-                .map(|k| page.column(k.column).value(row))
+                .map(|k| full_row[k.column].clone())
                 .collect();
-            let candidate = HeapRow {
+            self.heap.push(HeapRow {
                 sort_values,
-                full_row: page.row(row),
-                descending: descending.clone(),
-            };
-            if self.heap.len() < self.n {
-                self.heap.push(candidate);
-            } else if let Some(worst) = self.heap.peek() {
-                if candidate.cmp_keys(worst) == Ordering::Less {
-                    self.heap.pop();
-                    self.heap.push(candidate);
-                }
-            }
+                full_row,
+                descending: self.descending.clone(),
+            });
         }
     }
 
@@ -170,7 +241,6 @@ impl TopNAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::Column;
 
     fn page(keys: Vec<i64>, payload: Vec<i64>) -> DataPage {
         DataPage::new(vec![Column::from_i64(keys), Column::from_i64(payload)])

@@ -1,13 +1,120 @@
 //! Property-style ordering tests: `sort_page` and `TopNAccumulator` are
 //! cross-checked against a naive row-materializing reference sort on
-//! randomized-but-seeded inputs (nulls included).
+//! randomized-but-seeded inputs (nulls included); the typed comparators
+//! against `Value::total_cmp` on every pair of cells; and the Top-N
+//! accumulator against [`reference::TopN`] — the accumulator as it was
+//! before it compared typed cells, which must keep exactly the same rows.
 
 use std::cmp::Ordering;
 
-use accordion_data::column::ColumnBuilder;
+use accordion_data::column::{Column, ColumnBuilder};
 use accordion_data::page::DataPage;
-use accordion_data::sort::{compare_rows, sort_page, SortKey, TopNAccumulator};
+use accordion_data::sort::{
+    cmp_cell_value, cmp_cells, compare_rows, sort_page, SortKey, TopNAccumulator,
+};
 use accordion_data::types::{DataType, Value};
+
+/// The Top-N accumulator before typed rejection: it materialised every
+/// input row (key values and the whole row) and let the heap compare. Kept
+/// verbatim as the oracle: same heap, same comparator, same push/pop rule.
+mod reference {
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    use accordion_data::page::DataPage;
+    use accordion_data::sort::SortKey;
+    use accordion_data::types::Value;
+
+    pub struct TopN {
+        keys: Vec<SortKey>,
+        n: usize,
+        heap: BinaryHeap<HeapRow>,
+    }
+
+    struct HeapRow {
+        sort_values: Vec<Value>,
+        full_row: Vec<Value>,
+        descending: Vec<bool>,
+    }
+
+    impl HeapRow {
+        fn cmp_keys(&self, other: &Self) -> Ordering {
+            for ((a, b), desc) in self
+                .sort_values
+                .iter()
+                .zip(&other.sort_values)
+                .zip(&self.descending)
+            {
+                let ord = a.total_cmp(b);
+                let ord = if *desc { ord.reverse() } else { ord };
+                if ord != Ordering::Equal {
+                    return ord;
+                }
+            }
+            Ordering::Equal
+        }
+    }
+
+    impl PartialEq for HeapRow {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp_keys(other) == Ordering::Equal
+        }
+    }
+    impl Eq for HeapRow {}
+    impl PartialOrd for HeapRow {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for HeapRow {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.cmp_keys(other)
+        }
+    }
+
+    impl TopN {
+        pub fn new(keys: Vec<SortKey>, n: usize) -> Self {
+            TopN {
+                keys,
+                n,
+                heap: BinaryHeap::new(),
+            }
+        }
+
+        pub fn push_page(&mut self, page: &DataPage) {
+            if self.n == 0 {
+                return;
+            }
+            let descending: Vec<bool> = self.keys.iter().map(|k| k.descending).collect();
+            for row in 0..page.row_count() {
+                let sort_values: Vec<Value> = self
+                    .keys
+                    .iter()
+                    .map(|k| page.column(k.column).value(row))
+                    .collect();
+                let candidate = HeapRow {
+                    sort_values,
+                    full_row: page.row(row),
+                    descending: descending.clone(),
+                };
+                if self.heap.len() < self.n {
+                    self.heap.push(candidate);
+                } else if let Some(worst) = self.heap.peek() {
+                    if candidate.cmp_keys(worst) == Ordering::Less {
+                        self.heap.pop();
+                        self.heap.push(candidate);
+                    }
+                }
+            }
+        }
+
+        pub fn finish_rows(self) -> Vec<Vec<Value>> {
+            let mut rows: Vec<HeapRow> = self.heap.into_vec();
+            rows.sort_by(|a, b| a.cmp_keys(b));
+            rows.into_iter().map(|r| r.full_row).collect()
+        }
+    }
+}
 
 /// Deterministic xorshift64* generator (no external rand crate).
 struct Rng(u64);
@@ -184,4 +291,166 @@ fn nulls_sort_first_ascending_last_descending() {
             vec![Value::Null],
         ]
     );
+}
+
+const ALL_TYPES: [DataType; 5] = [
+    DataType::Int64,
+    DataType::Float64,
+    DataType::Bool,
+    DataType::Date32,
+    DataType::Utf8,
+];
+
+/// A non-NULL value of `dt` from a small domain (ties are the point), with
+/// the floats total order treats specially and integers at the extremes.
+fn edge_value(rng: &mut Rng, dt: DataType) -> Value {
+    match dt {
+        DataType::Int64 => match rng.below(12) {
+            0 => Value::Int64(i64::MIN),
+            1 => Value::Int64(i64::MAX),
+            k => Value::Int64(k as i64 % 5 - 2),
+        },
+        DataType::Float64 => {
+            let specials = [
+                f64::NAN,
+                -f64::NAN,
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1.5,
+                -2.0,
+                2.0,
+            ];
+            Value::Float64(specials[rng.below(specials.len() as u64) as usize])
+        }
+        DataType::Bool => Value::Bool(rng.below(2) == 0),
+        DataType::Date32 => Value::Date32(rng.below(4) as i32 - 1),
+        DataType::Utf8 => {
+            let words = ["", "a", "a\u{0}", "ab", "b", "ünï", "zz"];
+            Value::Utf8(words[rng.below(words.len() as u64) as usize].to_string())
+        }
+    }
+}
+
+/// One row per type in `ALL_TYPES` order, each cell NULL with chance 1/6.
+fn edge_row(rng: &mut Rng) -> Vec<Value> {
+    ALL_TYPES
+        .iter()
+        .map(|&dt| {
+            if rng.below(6) == 0 {
+                Value::Null
+            } else {
+                edge_value(rng, dt)
+            }
+        })
+        .collect()
+}
+
+fn page_of(rows: &[Vec<Value>]) -> DataPage {
+    let mut builders: Vec<ColumnBuilder> = ALL_TYPES
+        .iter()
+        .map(|&dt| ColumnBuilder::new(dt, rows.len()))
+        .collect();
+    for row in rows {
+        for (b, v) in builders.iter_mut().zip(row) {
+            b.push(v.clone());
+        }
+    }
+    DataPage::new(builders.into_iter().map(ColumnBuilder::finish).collect())
+}
+
+#[test]
+fn topn_keeps_exactly_the_rows_of_the_materialising_reference() {
+    let key_sets: Vec<Vec<SortKey>> = vec![
+        vec![SortKey::asc(0)],
+        vec![SortKey::desc(1)],
+        vec![SortKey::asc(2), SortKey::desc(4)],
+        vec![SortKey::desc(3), SortKey::asc(1)],
+        vec![SortKey::asc(4)],
+        vec![
+            SortKey::desc(4),
+            SortKey::asc(2),
+            SortKey::desc(3),
+            SortKey::asc(0),
+            SortKey::desc(1),
+        ],
+    ];
+    for seed in 1..=36u64 {
+        let mut rng = Rng::new(seed * 15_485_863);
+        let keys = &key_sets[seed as usize % key_sets.len()];
+        let mut rows: Vec<Vec<Value>> = (0..rng.below(400)).map(|_| edge_row(&mut rng)).collect();
+        // Input ascending, descending or shuffled relative to the keys: a
+        // sorted input refills the heap on every row, a reversed one
+        // rejects nearly every row once full.
+        let order = match seed % 3 {
+            0 => "shuffled",
+            1 => {
+                rows.sort_by(|a, b| cmp_value_rows(a, b, keys));
+                "ascending"
+            }
+            _ => {
+                rows.sort_by(|a, b| cmp_value_rows(b, a, keys));
+                "descending"
+            }
+        };
+        let mut pages = Vec::new();
+        let mut at = 0;
+        while at < rows.len() {
+            let take = (1 + rng.below(40) as usize).min(rows.len() - at);
+            pages.push(page_of(&rows[at..at + take]));
+            at += take;
+        }
+        for n in [0usize, 1, 3, 10, 1000] {
+            let mut acc = TopNAccumulator::new(keys.clone(), n);
+            let mut oracle = reference::TopN::new(keys.clone(), n);
+            for p in &pages {
+                acc.push_page(p);
+                oracle.push_page(p);
+            }
+            assert_eq!(acc.len(), n.min(rows.len()));
+            // Whole rows, payload columns included: ties at the cut must
+            // resolve exactly as the reference's heap resolves them.
+            assert_eq!(
+                acc.finish_rows(),
+                oracle.finish_rows(),
+                "seed {seed}, {order} input of {} rows in {} pages, keys {keys:?}, n {n}",
+                rows.len(),
+                pages.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn typed_comparators_equal_value_total_cmp_on_every_pair_of_cells() {
+    // Every type against every type (mismatched pairs compare Equal, Int64
+    // against Float64 as f64), NULL on either side, every edge value.
+    let mut rng = Rng::new(77);
+    let rows: Vec<Vec<Value>> = (0..48).map(|_| edge_row(&mut rng)).collect();
+    let page = page_of(&rows);
+    let mut nulls = 0;
+    for ca in 0..ALL_TYPES.len() {
+        for cb in 0..ALL_TYPES.len() {
+            let (a, b): (&Column, &Column) = (page.column(ca), page.column(cb));
+            for ra in 0..page.row_count() {
+                for rb in 0..page.row_count() {
+                    let (va, vb) = (&rows[ra][ca], &rows[rb][cb]);
+                    let expected = va.total_cmp(vb);
+                    assert_eq!(
+                        cmp_cells(a, ra, b, rb),
+                        expected,
+                        "cmp_cells({va:?}, {vb:?})"
+                    );
+                    assert_eq!(
+                        cmp_cell_value(a, ra, vb),
+                        expected,
+                        "cmp_cell_value({va:?}, {vb:?})"
+                    );
+                    nulls += (va.is_null() || vb.is_null()) as usize;
+                }
+            }
+        }
+    }
+    assert!(nulls > 0, "NULL was on one side of some pairs");
 }

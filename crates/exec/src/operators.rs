@@ -771,16 +771,16 @@ impl SortOp {
 impl PageStream for SortOp {
     fn next_page(&mut self) -> Result<Page> {
         if self.out.is_none() {
-            let mut pages: Vec<DataPage> = Vec::new();
+            let mut pages: Vec<Arc<DataPage>> = Vec::new();
             loop {
                 match self.input.next_page()? {
                     Page::End(_) => break,
-                    Page::Data(p) => pages.push(p.as_ref().clone()),
+                    Page::Data(p) => pages.push(p),
                 }
             }
             let mut out = VecDeque::new();
             if !pages.is_empty() {
-                let whole = DataPage::concat(&pages.iter().collect::<Vec<_>>());
+                let whole = DataPage::concat(&pages.iter().map(Arc::as_ref).collect::<Vec<_>>());
                 let sorted = sort_page(&whole, &self.keys);
                 let mut offset = 0;
                 while offset < sorted.row_count() {

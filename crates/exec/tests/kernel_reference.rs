@@ -617,6 +617,82 @@ fn cross_join_on_no_keys_matches_reference() {
 }
 
 // ---------------------------------------------------------------------------
+// Ordering
+// ---------------------------------------------------------------------------
+
+#[test]
+fn topn_equals_sort_then_limit_on_the_key_columns() {
+    // TopN skips a row that cannot beat its current worst by comparing
+    // typed cells; a full sort compares every pair. Over the same
+    // multi-page input both must put the same key tuples first. (Rows tied
+    // on every key may carry different payloads, so only keys compare.)
+    let types = [
+        DataType::Int64,
+        DataType::Float64,
+        DataType::Bool,
+        DataType::Date32,
+        DataType::Utf8,
+    ];
+    let schema = Schema::new(
+        types
+            .iter()
+            .enumerate()
+            .map(|(i, &dt)| Field::new(format!("c{i}"), dt))
+            .collect(),
+    );
+    for seed in 0..40 {
+        let mut rng = XorShift::new(4100 + seed);
+        let small = rng.chance(70);
+        let pages: Vec<DataPage> = (0..1 + rng.below(6))
+            .map(|_| {
+                let rows = 1 + rng.below(40) as usize;
+                DataPage::new(
+                    types
+                        .iter()
+                        .map(|&dt| random_column(&mut rng, dt, rows, 17, small))
+                        .collect(),
+                )
+            })
+            .collect();
+        let keys: Vec<SortKey> = (0..1 + rng.below(3))
+            .map(|_| {
+                let column = rng.below(types.len() as u64) as usize;
+                if rng.chance(50) {
+                    SortKey::desc(column)
+                } else {
+                    SortKey::asc(column)
+                }
+            })
+            .collect();
+        let key_tuples = |rows: Vec<Vec<Value>>| -> Vec<Vec<Value>> {
+            rows.iter()
+                .map(|r| keys.iter().map(|k| r[k.column].clone()).collect())
+                .collect()
+        };
+        for n in [0usize, 1, 3, 10, 500] {
+            for page_rows in 1..=3 {
+                let topn = drain(TopNOp::new(
+                    source(pages.clone()),
+                    keys.clone(),
+                    n,
+                    schema.clone(),
+                    page_rows,
+                ));
+                let sorted = drain(LimitOp::new(
+                    Box::new(SortOp::new(source(pages.clone()), keys.clone(), page_rows)),
+                    n,
+                ));
+                assert_eq!(
+                    key_tuples(topn),
+                    key_tuples(sorted),
+                    "seed {seed}, keys {keys:?}, n {n}, page_rows {page_rows}"
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Filter hand-over
 // ---------------------------------------------------------------------------
 
