@@ -51,7 +51,7 @@ use std::time::Duration;
 
 use accordion_common::config::NetworkConfig;
 use accordion_common::sync::{Mutex, Semaphore};
-use accordion_common::{AccordionError, NodeId, Result};
+use accordion_common::{fnv1a, AccordionError, NodeId, Result};
 use accordion_exec::executor::exchange_topology;
 use accordion_exec::splits::{SplitQueue, SplitSource};
 use accordion_net::frame::{kind, Conversation, Cursor, Frame, FrameConn, Payload, Route, Served};
@@ -98,19 +98,13 @@ impl DistRole {
 /// the wiring request and workers refuse to execute a plan that differs —
 /// the distributed topology only agrees when the plans do.
 pub fn plan_fingerprint(tree: &StageTree) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    };
-    eat(tree.display().as_bytes());
+    let mut bytes = tree.display().into_bytes();
     for f in tree.fragments() {
-        eat(&f.stage.0.to_le_bytes());
-        eat(&f.parallelism.to_le_bytes());
-        eat(&[u8::from(f.elastic_bounds.is_some())]);
+        bytes.extend(f.stage.0.to_le_bytes());
+        bytes.extend(f.parallelism.to_le_bytes());
+        bytes.push(u8::from(f.elastic_bounds.is_some()));
     }
-    h
+    fnv1a(&bytes)
 }
 
 /// The global exchange topology of `tree` as seen from one node: consumer
@@ -484,7 +478,6 @@ mod tests {
     use accordion_common::SplitId;
     use accordion_data::column::Column;
     use accordion_data::page::DataPage;
-    use accordion_storage::split::SplitData;
 
     fn split_on(id: u64, node: u32) -> Split {
         let page = DataPage::new(vec![Column::from_i64(vec![id as i64])]);
@@ -492,7 +485,7 @@ mod tests {
             id: SplitId(id),
             node: NodeId(node),
             table: "t".into(),
-            data: SplitData::Memory(Arc::new(vec![page])),
+            pages: Arc::new(vec![page]),
             rows: 1,
             bytes: 8,
         }

@@ -997,7 +997,7 @@ mod tests {
     fn split(id: u64, rows: i64) -> accordion_storage::split::Split {
         use accordion_data::column::Column;
         use accordion_data::page::DataPage;
-        use accordion_storage::split::{Split, SplitData};
+        use accordion_storage::split::Split;
 
         let page = DataPage::new(vec![Column::from_i64((0..rows).collect())]);
         Split {
@@ -1006,7 +1006,7 @@ mod tests {
             table: "t".into(),
             rows: page.row_count() as u64,
             bytes: page.byte_size() as u64,
-            data: SplitData::Memory(Arc::new(vec![page])),
+            pages: Arc::new(vec![page]),
         }
     }
 

@@ -3,7 +3,7 @@
 //! This crate holds the vocabulary shared by every layer of the engine:
 //!
 //! * [`id`] — strongly-typed identifiers for stages, pipelines, cluster
-//!   nodes and splits.
+//!   nodes and splits, and the FNV-1a fingerprint ([`fnv1a`]).
 //! * [`error`] — the engine-wide error enum and `Result` alias.
 //! * [`config`] — the configuration every layer reads: network and
 //!   exchange-buffer parameters, elasticity and admission settings.
@@ -32,5 +32,5 @@ pub use config::{
     AdmissionConfig, AdmissionPolicy, ElasticityConfig, ElasticityMode, NetworkConfig,
 };
 pub use error::{AccordionError, Result};
-pub use id::{NodeId, PipelineId, SplitId, StageId};
+pub use id::{fnv1a, NodeId, PipelineId, SplitId, StageId};
 pub use json::Json;

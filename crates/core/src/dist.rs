@@ -54,7 +54,7 @@ use accordion_cluster::{
     plan_fingerprint, ClaimWiring, DistRole, NodeQuery, QueryExecutor, SplitQueues,
 };
 use accordion_common::config::ElasticityConfig;
-use accordion_common::{AccordionError, Result};
+use accordion_common::{fnv1a, AccordionError, Result};
 use accordion_exec::executor::{ExecOptions, QueryResult};
 use accordion_net::frame::{
     kind, listen, Conversation, Cursor, Frame, FrameConn, Listener, Payload,
@@ -263,13 +263,11 @@ impl Worker {
 
     /// An id for a query this node coordinates. Workers key what they wire
     /// by id alone, whoever wired it, so no two coordinators may hand out
-    /// the same one: this node's address hashed (FNV-1a) into the high
-    /// half, a process-wide counter in the low half.
+    /// the same one: the high half of this node's address hashed (FNV-1a),
+    /// a process-wide counter in the low half.
     fn next_query(&self) -> u64 {
-        let node = self.ctrl_addr().bytes().fold(0x811c_9dc5u32, |h, b| {
-            (h ^ u32::from(b)).wrapping_mul(0x0100_0193)
-        });
-        (u64::from(node) << 32) | (NEXT_QUERY.fetch_add(1, Ordering::Relaxed) & 0xffff_ffff)
+        let node = fnv1a(self.ctrl_addr().as_bytes()) & !0xffff_ffff;
+        node | (NEXT_QUERY.fetch_add(1, Ordering::Relaxed) & 0xffff_ffff)
     }
 }
 

@@ -104,7 +104,8 @@ pub fn csv_value(v: &Value) -> String {
     }
 }
 
-/// Encodes one result row as a CSV line (without the newline).
+/// Encodes one result row as a CSV line (without the newline). `Value`
+/// stays here: the frozen suite times it, and `write_rows` is held to it.
 pub fn encode_row(row: &[Value]) -> String {
     let fields: Vec<String> = row.iter().map(csv_value).collect();
     fields.join(",")

@@ -2,8 +2,10 @@
 //!
 //! A [`Column`] stores one attribute of a page in a dense, type-specialized
 //! vector plus an optional validity bitmap (absent bitmap = all valid).
-//! Columns are immutable once built; operators create new columns via
-//! [`ColumnBuilder`] or the vectorized `gather`/`slice`/`interleave` kernels.
+//! Columns are immutable once built; operators create new columns with the
+//! typed `gather`/`slice`/`concat`/`interleave` kernels (`slice` and
+//! `concat` share one typed range copy). [`ColumnBuilder`] is the row-in
+//! entry for pages built from `Value`s.
 //!
 //! Kernels read the typed vectors and combine validity word-wise
 //! ([`Validity::and`]); a null row's data slot is a don't-care. A
@@ -11,6 +13,7 @@
 //! bytes enter (a `&str` push, or `Utf8Column::from_raw` for bytes off the
 //! wire), so reading a value is a slice, never a re-validation.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::types::{DataType, Value};
@@ -177,6 +180,24 @@ impl Utf8Column {
         }
         self.data.push_str(s);
         self.offsets.push(self.data.len() as u32);
+    }
+
+    /// Appends rows `rows` of `src`: its arena bytes in one copy, its
+    /// offsets shifted onto the end of this arena.
+    fn extend_from(&mut self, src: &Utf8Column, rows: Range<usize>) {
+        if rows.is_empty() {
+            return;
+        }
+        let (lo, hi) = (src.offsets[rows.start], src.offsets[rows.end]);
+        let base = u32::try_from(self.data.len() + (hi - lo) as usize)
+            .map(|end| end - (hi - lo))
+            .expect("utf8 column arena over u32::MAX bytes");
+        self.data.push_str(&src.data[lo as usize..hi as usize]);
+        self.offsets.extend(
+            src.offsets[rows.start + 1..=rows.end]
+                .iter()
+                .map(|&o| base + (o - lo)),
+        );
     }
 
     #[inline]
@@ -368,7 +389,8 @@ impl Column {
         }
     }
 
-    /// `len` NULLs of type `dt`.
+    /// `len` NULLs of type `dt` (no bitmap at `len == 0`: an empty column of
+    /// that type).
     pub fn nulls(dt: DataType, len: usize) -> Column {
         let data = match dt {
             DataType::Int64 => Column::from_i64(vec![0; len]),
@@ -377,7 +399,7 @@ impl Column {
             DataType::Date32 => Column::from_date32(vec![0; len]),
             DataType::Utf8 => Column::from_strings(&vec![""; len]),
         };
-        data.with_validity(Some(Arc::new(Validity::new_all_null(len))))
+        data.with_validity((len > 0).then(|| Arc::new(Validity::new_all_null(len))))
     }
 
     #[inline]
@@ -553,25 +575,74 @@ impl Column {
 
     /// Contiguous slice `self[range]` as a new column.
     pub fn slice(&self, offset: usize, len: usize) -> Column {
-        let indices: Vec<u32> = (offset..offset + len).map(|i| i as u32).collect();
-        self.gather(&indices)
+        Column::copy_ranges(&[(self, offset..offset + len)])
     }
 
-    /// Vertically concatenates columns of identical type.
+    /// Vertically concatenates columns of identical type; panics, naming
+    /// both, on a column of another type.
     pub fn concat(cols: &[&Column]) -> Column {
-        assert!(!cols.is_empty(), "concat of zero columns");
-        let total: usize = cols.iter().map(|c| c.len()).sum();
-        let mut b = ColumnBuilder::new(cols[0].data_type(), total);
-        for c in cols {
-            for i in 0..c.len() {
-                b.push(c.value(i));
+        let parts: Vec<_> = cols.iter().map(|&c| (c, 0..c.len())).collect();
+        Column::copy_ranges(&parts)
+    }
+
+    /// Rows `range` of every part, in order, as one new column: the typed
+    /// copy behind [`slice`](Column::slice) and [`concat`](Column::concat).
+    /// The result carries a bitmap only if one of its rows is NULL, and no
+    /// padding bit of an input bitmap reaches it.
+    fn copy_ranges(parts: &[(&Column, Range<usize>)]) -> Column {
+        fn fixed<T: Copy>(
+            parts: &[(&Column, Range<usize>)],
+            total: usize,
+            typed: fn(&Column) -> Option<&[T]>,
+        ) -> Arc<Vec<T>> {
+            let mut out = Vec::with_capacity(total);
+            for (c, rows) in parts {
+                out.extend_from_slice(&typed(c).expect("checked type")[rows.clone()]);
+            }
+            Arc::new(out)
+        }
+        let (first, _) = parts.first().expect("concat of zero columns");
+        let dt = first.data_type();
+        if let Some((other, _)) = parts.iter().find(|(c, _)| c.data_type() != dt) {
+            panic!(
+                "concat of mixed column types: {dt} then {}",
+                other.data_type()
+            );
+        }
+        let total = parts.iter().map(|(_, rows)| rows.len()).sum();
+        let validity = parts
+            .iter()
+            .any(|(c, _)| c.validity().is_some())
+            .then(|| {
+                let mut bits = Validity::new_all_null(total);
+                let cells = parts
+                    .iter()
+                    .flat_map(|(c, rows)| rows.clone().map(|r| (*c, r)));
+                for (out, (c, row)) in cells.enumerate() {
+                    bits.set(out, c.is_valid(row));
+                }
+                bits
+            })
+            .filter(|bits| bits.null_count() > 0)
+            .map(Arc::new);
+        match first {
+            Column::Int64(..) => Column::Int64(fixed(parts, total, Column::as_i64), validity),
+            Column::Float64(..) => Column::Float64(fixed(parts, total, Column::as_f64), validity),
+            Column::Bool(..) => Column::Bool(fixed(parts, total, Column::as_bool), validity),
+            Column::Date32(..) => Column::Date32(fixed(parts, total, Column::as_date32), validity),
+            Column::Utf8(..) => {
+                let mut out = Utf8Column::with_capacity(total);
+                for (c, rows) in parts {
+                    out.extend_from(c.as_utf8().expect("checked type"), rows.clone());
+                }
+                Column::Utf8(Arc::new(out), validity)
             }
         }
-        b.finish()
     }
 }
 
-/// Incremental column builder.
+/// Incremental column builder: the `Value`-in boundary behind
+/// [`PageBuilder`](crate::page::PageBuilder), not a kernel path.
 #[derive(Debug)]
 pub enum ColumnBuilder {
     Int64(Vec<i64>, Vec<bool>),

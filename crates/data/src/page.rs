@@ -81,6 +81,7 @@ impl DataPage {
     }
 
     /// All rows as owned scalars — convenient for assertions in tests.
+    /// `Value` stays here: the frozen suite's oracle compares these rows.
     pub fn rows(&self) -> Vec<Vec<Value>> {
         (0..self.row_count).map(|i| self.row(i)).collect()
     }
@@ -226,7 +227,8 @@ impl fmt::Display for Page {
 }
 
 /// Row-at-a-time page builder bound to a schema. Flushes into a [`DataPage`]
-/// when `target_rows` is reached.
+/// when `target_rows` is reached. `Value` stays here: it is the row-in
+/// entry for the TPC-H generator, Top-N's heap rows and test fixtures.
 #[derive(Debug)]
 pub struct PageBuilder {
     schema: SchemaRef,

@@ -24,8 +24,9 @@ use accordion_common::config::{
     worker_threads_from_env, AdmissionConfig, ElasticityConfig, NetworkConfig,
 };
 use accordion_common::{AccordionError, Result};
-use accordion_data::page::{DataPage, Page, PageBuilder};
-use accordion_data::schema::{Schema, SchemaRef};
+use accordion_data::column::Column;
+use accordion_data::page::{DataPage, Page};
+use accordion_data::schema::Schema;
 use accordion_data::types::Value;
 use accordion_net::{EdgeSpec, ExchangeReader, ExchangeRegistry, ExchangeTopology, RoutePolicy};
 use accordion_plan::fragment::StageTree;
@@ -146,9 +147,8 @@ impl QueryResult {
     /// the query produced no rows).
     pub fn concat(&self) -> DataPage {
         if self.pages.is_empty() {
-            let schema: SchemaRef = Arc::new(self.schema.clone());
-            let mut b = PageBuilder::new(schema, 1);
-            return b.finish();
+            let fields = self.schema.fields().iter();
+            return DataPage::new(fields.map(|f| Column::nulls(f.data_type, 0)).collect());
         }
         DataPage::concat(&self.pages.iter().map(|p| p.as_ref()).collect::<Vec<_>>())
     }

@@ -451,7 +451,6 @@ enum AggOutput {
 fn emit_group_pages(
     index: &GroupIndex,
     accs: &[AggAccumulator],
-    aggs: &[AggSpec],
     output: AggOutput,
     schema: &SchemaRef,
     key_count: usize,
@@ -471,10 +470,10 @@ fn emit_group_pages(
         &key_types,
         order.len(),
     );
-    for (acc, spec) in accs.iter().zip(aggs) {
+    for acc in accs {
         match output {
-            AggOutput::Partial => cols.extend(acc.partial_columns(&order, spec)),
-            AggOutput::Final => cols.push(acc.finish_column(&order, spec)),
+            AggOutput::Partial => cols.extend(acc.partial_columns(&order)),
+            AggOutput::Final => cols.push(acc.finish_column(&order)),
         }
     }
     let whole = if cols.is_empty() {
@@ -492,6 +491,8 @@ fn emit_group_pages(
     out
 }
 
+/// Re-chunks Top-N's result rows. `Value` rows stay here: only the ≤ n
+/// rows that entered the heap are ever materialized.
 fn chunk_rows_into_pages(
     rows: impl Iterator<Item = Vec<Value>>,
     schema: SchemaRef,
@@ -578,7 +579,6 @@ impl PartialHashAggOp {
         Ok(emit_group_pages(
             &index,
             &accs,
-            &self.aggs,
             AggOutput::Partial,
             &self.output_schema,
             self.group_by.len(),
@@ -670,7 +670,6 @@ impl FinalHashAggOp {
         Ok(emit_group_pages(
             &index,
             &accs,
-            &self.aggs,
             AggOutput::Final,
             &self.output_schema,
             self.group_count,
@@ -1072,6 +1071,28 @@ mod tests {
         let out = drain(doubled);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].column(0).as_i64().unwrap(), &[6, 8]);
+    }
+
+    #[test]
+    fn scan_source_at_zero_page_rows_terminates() {
+        // `ScanSource::new` and `ExecOptions::page_rows` take any value; a
+        // 0 used to make the split yield empty pages forever, which the
+        // scan skipped forever.
+        let page = DataPage::new(vec![Column::from_i64(vec![1, 2, 3])]);
+        let split = Split {
+            id: accordion_common::SplitId(0),
+            node: accordion_common::NodeId(0),
+            table: "t".into(),
+            pages: Arc::new(vec![page]),
+            rows: 3,
+            bytes: 24,
+        };
+        let out = drain(ScanSource::new(vec![split], vec![0], 0));
+        let rows: Vec<i64> = out
+            .iter()
+            .flat_map(|p| p.column(0).as_i64().unwrap().to_vec())
+            .collect();
+        assert_eq!(rows, vec![1, 2, 3]);
     }
 
     #[test]

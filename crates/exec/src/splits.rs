@@ -393,7 +393,6 @@ mod tests {
     use accordion_common::{NodeId, SplitId};
     use accordion_data::column::Column;
     use accordion_data::page::DataPage;
-    use accordion_storage::split::SplitData;
     use std::time::Duration;
 
     fn split(id: u64, vals: Vec<i64>) -> Split {
@@ -404,7 +403,7 @@ mod tests {
             id: SplitId(id),
             node: NodeId(0),
             table: "t".into(),
-            data: SplitData::Memory(Arc::new(vec![page])),
+            pages: Arc::new(vec![page]),
             rows,
             bytes,
         }

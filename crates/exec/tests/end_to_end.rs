@@ -292,7 +292,11 @@ fn golden_empty_input() {
     let scan = run(&c, LogicalPlanBuilder::scan(&c, "empty").unwrap(), 2);
     assert_eq!(scan.row_count(), 0);
     assert_eq!(scan.schema.len(), 2);
-    assert_eq!(scan.concat().row_count(), 0);
+    let empty = scan.concat();
+    assert_eq!(empty.row_count(), 0);
+    let types: Vec<_> = empty.columns().iter().map(|c| c.data_type()).collect();
+    let want: Vec<_> = scan.schema.fields().iter().map(|f| f.data_type).collect();
+    assert_eq!(types, want, "typed empty columns, one per field");
 
     // Grouped aggregate over empty input: zero groups.
     let b = LogicalPlanBuilder::scan(&c, "empty").unwrap();

@@ -4,9 +4,9 @@
 //! vectorized paths — column-at-a-time hashing, grouped aggregation on the
 //! open-addressing table with typed accumulators, and selection-vector hash
 //! join — and cross-checked against scalar reference implementations built
-//! from the retained row-at-a-time pieces ([`AggState`], `encode_key`,
-//! nested-loop join). Any divergence in results, null handling, or output
-//! order is a bug in the kernels.
+//! from row-at-a-time pieces ([`AggState`] below, the engine's former
+//! per-group accumulator; `encode_key`; a nested-loop join). Any divergence
+//! in results, null handling, or output order is a bug in the kernels.
 //!
 //! The last section pins the filter hand-over: consumers that take a
 //! filter's input page plus a [`Selection`] produce exactly what they
@@ -33,7 +33,7 @@ use accordion_exec::operators::{
 use accordion_exec::{
     execute_logical, run_task, ExecOptions, JoinTable, QueryMetrics, TaskContext,
 };
-use accordion_expr::agg::{AggAccumulator, AggKind, AggSpec, AggState};
+use accordion_expr::agg::{AggKind, AggSpec};
 use accordion_expr::scalar::{BinaryOp, Expr};
 use accordion_net::ExchangeWriter;
 use accordion_plan::fragment::StageTree;
@@ -253,13 +253,92 @@ fn key_cells_equal_is_encoded_key_equality() {
 // Grouped aggregation
 // ---------------------------------------------------------------------------
 
-/// Scalar reference: BTreeMap over encoded keys + one [`AggState`] per agg,
-/// exactly the engine this PR replaced. Emits key values ++ finished values
-/// in encoded-key order.
+/// The row-at-a-time accumulator for one aggregate over one group: one
+/// `Value` per row, compared with `Value::total_cmp`. The engine ran it for
+/// MIN/MAX over text and booleans until every type got a typed
+/// accumulator; here it is the oracle those accumulators are held to.
+#[derive(Debug, Clone)]
+enum AggState {
+    Count(i64),
+    /// (sum, saw_any) — SQL SUM over zero rows is NULL.
+    SumInt(i64, bool),
+    SumFloat(f64, bool),
+    Avg {
+        sum: f64,
+        count: i64,
+    },
+    Min(Option<Value>),
+    Max(Option<Value>),
+}
+
+impl AggState {
+    fn new(spec: &AggSpec) -> AggState {
+        match spec.kind {
+            AggKind::Count => AggState::Count(0),
+            AggKind::Sum if spec.input_type == DataType::Int64 => AggState::SumInt(0, false),
+            AggKind::Sum => AggState::SumFloat(0.0, false),
+            AggKind::Avg => AggState::Avg { sum: 0.0, count: 0 },
+            AggKind::Min => AggState::Min(None),
+            AggKind::Max => AggState::Max(None),
+        }
+    }
+
+    /// Feeds one input value; NULLs are ignored (COUNT(*) is fed 1s).
+    fn update(&mut self, v: &Value) {
+        if v.is_null() {
+            return;
+        }
+        match self {
+            AggState::Count(c) => *c += 1,
+            AggState::SumInt(s, any) => {
+                if let Some(x) = v.as_i64() {
+                    *s = s.wrapping_add(x);
+                    *any = true;
+                }
+            }
+            AggState::SumFloat(s, any) => {
+                if let Some(x) = v.as_f64() {
+                    *s += x;
+                    *any = true;
+                }
+            }
+            AggState::Avg { sum, count } => {
+                if let Some(x) = v.as_f64() {
+                    *sum += x;
+                    *count += 1;
+                }
+            }
+            AggState::Min(cur) => {
+                if cur.as_ref().is_none_or(|c| v.total_cmp(c).is_lt()) {
+                    *cur = Some(v.clone());
+                }
+            }
+            AggState::Max(cur) => {
+                if cur.as_ref().is_none_or(|c| v.total_cmp(c).is_gt()) {
+                    *cur = Some(v.clone());
+                }
+            }
+        }
+    }
+
+    fn finish(&self) -> Value {
+        match self {
+            AggState::Count(c) => Value::Int64(*c),
+            AggState::SumInt(s, true) => Value::Int64(*s),
+            AggState::SumFloat(s, true) => Value::Float64(*s),
+            AggState::Avg { sum, count } if *count > 0 => Value::Float64(*sum / *count as f64),
+            AggState::Min(v) | AggState::Max(v) => v.clone().unwrap_or(Value::Null),
+            _ => Value::Null,
+        }
+    }
+}
+
+/// Scalar reference: BTreeMap over encoded keys + one [`AggState`] per agg
+/// (fed its argument column's cell, or 1 for COUNT(*)). Emits key values ++
+/// finished values in encoded-key order.
 fn reference_grouped_agg(
     pages: &[DataPage],
     key_cols: &[usize],
-    value_col: usize,
     aggs: &[AggSpec],
 ) -> Vec<Vec<Value>> {
     let mut groups: BTreeMap<Vec<u8>, (Vec<Value>, Vec<AggState>)> = BTreeMap::new();
@@ -272,13 +351,14 @@ fn reference_grouped_agg(
                         .iter()
                         .map(|&k| page.column(k).value(row))
                         .collect(),
-                    aggs.iter().map(|a| a.new_state()).collect(),
+                    aggs.iter().map(AggState::new).collect(),
                 )
             });
             for (state, spec) in entry.1.iter_mut().zip(aggs) {
                 match &spec.input {
-                    Some(_) => state.update(&page.column(value_col).value(row)),
+                    Some(Expr::Column(c)) => state.update(&page.column(*c).value(row)),
                     None => state.update(&Value::Int64(1)),
+                    Some(other) => panic!("the reference reads columns, not {other:?}"),
                 }
             }
         }
@@ -313,16 +393,22 @@ fn grouped_agg_matches_scalar_reference() {
         } else {
             DataType::Float64
         };
+        // MIN/MAX read a second argument of any type, sometimes from a
+        // small domain so groups hold ties.
+        let minmax_type = key_types[rng.below(key_types.len() as u64) as usize];
         let mut cols: Vec<_> = kts
             .iter()
             .map(|&dt| random_column(&mut rng, dt, rows, 20, true))
             .collect();
         cols.push(random_column(&mut rng, value_type, rows, 20, false));
-        let value_col = n_keys;
+        let small = rng.chance(50);
+        cols.push(random_column(&mut rng, minmax_type, rows, 20, small));
+        let (value_col, minmax_col) = (n_keys, n_keys + 1);
         let page = DataPage::new(cols);
         let key_cols: Vec<usize> = (0..n_keys).collect();
 
         let arg = Expr::col(value_col);
+        let minmax = Expr::col(minmax_col);
         let aggs = vec![
             AggSpec::count_star("cnt"),
             AggSpec::new(AggKind::Count, arg.clone(), value_type, "c"),
@@ -330,19 +416,9 @@ fn grouped_agg_matches_scalar_reference() {
             AggSpec::new(AggKind::Avg, arg.clone(), value_type, "a"),
             AggSpec::new(AggKind::Min, arg.clone(), value_type, "mn"),
             AggSpec::new(AggKind::Max, arg.clone(), value_type, "mx"),
+            AggSpec::new(AggKind::Min, minmax.clone(), minmax_type, "mn2"),
+            AggSpec::new(AggKind::Max, minmax, minmax_type, "mx2"),
         ];
-        // The acceptance contract: numeric aggregates run on typed
-        // accumulator vectors, never the per-row Value fallback.
-        for spec in &aggs {
-            assert!(
-                !matches!(
-                    AggAccumulator::for_spec(spec),
-                    AggAccumulator::Scalar { .. }
-                ),
-                "numeric agg {} fell back to scalar states",
-                spec.name
-            );
-        }
 
         let mut partial_fields: Vec<Field> = kts
             .iter()
@@ -358,7 +434,7 @@ fn grouped_agg_matches_scalar_reference() {
         }
 
         let chunks = random_split(&mut rng, &page);
-        let expected = reference_grouped_agg(&chunks, &key_cols, value_col, &aggs);
+        let expected = reference_grouped_agg(&chunks, &key_cols, &aggs);
 
         let page_rows = 1 + rng.below(64) as usize;
         let partial = PartialHashAggOp::new(
@@ -393,7 +469,7 @@ fn global_agg_matches_scalar_reference_including_empty_input() {
         ];
         let chunks = random_split(&mut rng, &page);
         // Reference: global agg always yields exactly one row.
-        let mut states: Vec<AggState> = aggs.iter().map(|a| a.new_state()).collect();
+        let mut states: Vec<AggState> = aggs.iter().map(AggState::new).collect();
         for chunk in &chunks {
             for row in 0..chunk.row_count() {
                 states[0].update(&Value::Int64(1));
@@ -813,8 +889,13 @@ fn consumers_of_a_selection_equal_gather_then_run() {
         AggSpec::new(AggKind::Avg, arg(V_F64), DataType::Float64, "a"),
         AggSpec::new(AggKind::Min, arg(V_F64), DataType::Float64, "mn"),
         AggSpec::new(AggKind::Max, arg(K_DATE), DataType::Date32, "mx"),
-        // Utf8 min runs on the per-group `AggState` fallback.
         AggSpec::new(AggKind::Min, arg(K_STR), DataType::Utf8, "ms"),
+        AggSpec::new(
+            AggKind::Max,
+            Expr::gt(arg(V_I64), Expr::lit_i64(0)),
+            DataType::Bool,
+            "mb",
+        ),
     ];
     let mut partial_fields = vec![
         Field::new("k_str", DataType::Utf8),

@@ -18,7 +18,7 @@ use accordion_common::{NodeId, SplitId};
 use accordion_data::column::Column;
 use accordion_data::page::DataPage;
 use accordion_exec::SplitQueue;
-use accordion_storage::split::{Split, SplitData};
+use accordion_storage::split::Split;
 
 struct Rng(u64);
 
@@ -47,7 +47,7 @@ fn split(id: u64) -> Split {
         id: SplitId(id),
         node: NodeId(0),
         table: "race".into(),
-        data: SplitData::Memory(Arc::new(vec![page])),
+        pages: Arc::new(vec![page]),
         rows,
         bytes,
     }

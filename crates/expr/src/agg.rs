@@ -5,16 +5,18 @@
 //! per-task state is reconstructible, so tasks/drivers can come and go), and
 //! the **final** phase merges all partial states at parallelism 1.
 //!
-//! An [`AggSpec`] describes one aggregate call; [`AggState`] is the
-//! accumulator. Partial states serialize into ordinary page columns
-//! ([`AggState::partial_values`] / [`AggSpec::partial_state_types`]), so the
-//! exchange between partial and final stages is plain page flow.
+//! An [`AggSpec`] describes one aggregate call; [`AggAccumulator`] holds its
+//! state for every group of one operator. Partial states serialize into
+//! ordinary page columns ([`AggAccumulator::partial_columns`] /
+//! [`AggSpec::partial_state_types`]), so the exchange between partial and
+//! final stages is plain page flow.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use accordion_common::{AccordionError, Result};
-use accordion_data::column::{Column, ColumnBuilder};
-use accordion_data::types::{DataType, Value};
+use accordion_data::column::{Column, Utf8Column, Validity};
+use accordion_data::types::DataType;
 
 use crate::scalar::Expr;
 
@@ -97,218 +99,24 @@ impl AggSpec {
             AggKind::Min | AggKind::Max => vec![self.input_type],
         }
     }
-
-    pub fn new_state(&self) -> AggState {
-        match self.kind {
-            AggKind::Count => AggState::Count(0),
-            AggKind::Sum => match self.input_type {
-                DataType::Int64 => AggState::SumInt(0, false),
-                _ => AggState::SumFloat(0.0, false),
-            },
-            AggKind::Avg => AggState::Avg { sum: 0.0, count: 0 },
-            AggKind::Min => AggState::Min(None),
-            AggKind::Max => AggState::Max(None),
-        }
-    }
 }
-
-/// Accumulator for one aggregate over one group.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AggState {
-    Count(i64),
-    /// (sum, saw_any) — SQL SUM over zero rows is NULL.
-    SumInt(i64, bool),
-    SumFloat(f64, bool),
-    Avg {
-        sum: f64,
-        count: i64,
-    },
-    Min(Option<Value>),
-    Max(Option<Value>),
-}
-
-impl AggState {
-    /// Feeds one raw input value (partial phase). NULL inputs are ignored
-    /// per SQL semantics, except COUNT(*) which is fed `Value::Int64(1)` by
-    /// the operator.
-    pub fn update(&mut self, v: &Value) {
-        if v.is_null() {
-            return;
-        }
-        match self {
-            AggState::Count(c) => *c += 1,
-            AggState::SumInt(s, any) => {
-                if let Some(x) = v.as_i64() {
-                    // Wrapping, matching the vectorized kernel and the
-                    // eval_binary i64 fast path: overflow must not change
-                    // behavior between debug and release profiles.
-                    *s = s.wrapping_add(x);
-                    *any = true;
-                }
-            }
-            AggState::SumFloat(s, any) => {
-                if let Some(x) = v.as_f64() {
-                    *s += x;
-                    *any = true;
-                }
-            }
-            AggState::Avg { sum, count } => {
-                if let Some(x) = v.as_f64() {
-                    *sum += x;
-                    *count += 1;
-                }
-            }
-            AggState::Min(cur) => {
-                let replace = match cur {
-                    None => true,
-                    Some(c) => v.total_cmp(c) == std::cmp::Ordering::Less,
-                };
-                if replace {
-                    *cur = Some(v.clone());
-                }
-            }
-            AggState::Max(cur) => {
-                let replace = match cur {
-                    None => true,
-                    Some(c) => v.total_cmp(c) == std::cmp::Ordering::Greater,
-                };
-                if replace {
-                    *cur = Some(v.clone());
-                }
-            }
-        }
-    }
-
-    /// Serializes this state into partial columns (see
-    /// [`AggSpec::partial_state_types`]).
-    pub fn partial_values(&self) -> Vec<Value> {
-        match self {
-            AggState::Count(c) => vec![Value::Int64(*c)],
-            AggState::SumInt(s, any) => vec![if *any { Value::Int64(*s) } else { Value::Null }],
-            AggState::SumFloat(s, any) => {
-                vec![if *any {
-                    Value::Float64(*s)
-                } else {
-                    Value::Null
-                }]
-            }
-            AggState::Avg { sum, count } => vec![Value::Float64(*sum), Value::Int64(*count)],
-            AggState::Min(v) | AggState::Max(v) => {
-                vec![v.clone().unwrap_or(Value::Null)]
-            }
-        }
-    }
-
-    /// Merges a serialized partial state (final phase).
-    pub fn merge_partial(&mut self, partial: &[Value]) -> Result<()> {
-        match self {
-            AggState::Count(c) => {
-                let v = partial_scalar(partial, 0)?;
-                if let Some(x) = v.as_i64() {
-                    *c += x;
-                }
-            }
-            AggState::SumInt(s, any) => {
-                let v = partial_scalar(partial, 0)?;
-                if let Some(x) = v.as_i64() {
-                    *s = s.wrapping_add(x);
-                    *any = true;
-                }
-            }
-            AggState::SumFloat(s, any) => {
-                let v = partial_scalar(partial, 0)?;
-                if let Some(x) = v.as_f64() {
-                    *s += x;
-                    *any = true;
-                }
-            }
-            AggState::Avg { sum, count } => {
-                let sv = partial_scalar(partial, 0)?;
-                let cv = partial_scalar(partial, 1)?;
-                if let (Some(s2), Some(c2)) = (sv.as_f64(), cv.as_i64()) {
-                    *sum += s2;
-                    *count += c2;
-                }
-            }
-            AggState::Min(cur) => {
-                let v = partial_scalar(partial, 0)?;
-                if !v.is_null() {
-                    let replace = match cur {
-                        None => true,
-                        Some(c) => v.total_cmp(c) == std::cmp::Ordering::Less,
-                    };
-                    if replace {
-                        *cur = Some(v.clone());
-                    }
-                }
-            }
-            AggState::Max(cur) => {
-                let v = partial_scalar(partial, 0)?;
-                if !v.is_null() {
-                    let replace = match cur {
-                        None => true,
-                        Some(c) => v.total_cmp(c) == std::cmp::Ordering::Greater,
-                    };
-                    if replace {
-                        *cur = Some(v.clone());
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Produces the final output value.
-    pub fn finish(&self) -> Value {
-        match self {
-            AggState::Count(c) => Value::Int64(*c),
-            AggState::SumInt(s, any) => {
-                if *any {
-                    Value::Int64(*s)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::SumFloat(s, any) => {
-                if *any {
-                    Value::Float64(*s)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::Avg { sum, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64(*sum / *count as f64)
-                }
-            }
-            AggState::Min(v) | AggState::Max(v) => v.clone().unwrap_or(Value::Null),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Columnar accumulators
-// ---------------------------------------------------------------------------
 
 /// Columnar accumulator: one typed vector (or pair) indexed by dense group
-/// id, updated with per-column kernels instead of one
-/// [`AggState::update`] call per row.
+/// id, updated with per-column kernels.
 ///
 /// This is the aggregation half of the vectorized hash engine: the group
 /// table assigns every input row a `group_id`, then each aggregate walks
-/// the argument column once in a branch-light loop. i64/f64/date inputs
-/// never materialize a [`Value`]; types without a kernel (Utf8/Bool
-/// min-max) fall back to a vector of the scalar [`AggState`]s, which also
-/// remains the reference implementation the property suite checks against.
+/// the argument column once in a branch-light loop. No input type
+/// materializes a per-row `Value`; the row-at-a-time reference these
+/// kernels are held to lives in `crates/exec/tests/kernel_reference.rs`.
 #[derive(Debug)]
 pub enum AggAccumulator {
     /// COUNT(*) and COUNT(expr).
     Count {
         counts: Vec<i64>,
     },
-    /// SUM over Int64, wrapping on overflow (see [`AggState::SumInt`]).
+    /// SUM over Int64, wrapping on overflow (identically in debug and
+    /// release profiles, like the `i64` arithmetic kernels).
     SumInt {
         sums: Vec<i64>,
         seen: Vec<bool>,
@@ -322,26 +130,24 @@ pub enum AggAccumulator {
         sums: Vec<f64>,
         counts: Vec<i64>,
     },
-    MinMaxI64 {
-        vals: Vec<i64>,
+    /// MIN or MAX over any type; a group's value is a don't-care until
+    /// `seen`.
+    MinMax {
+        vals: MinMaxValues,
         seen: Vec<bool>,
         is_min: bool,
     },
-    MinMaxF64 {
-        vals: Vec<f64>,
-        seen: Vec<bool>,
-        is_min: bool,
-    },
-    MinMaxDate {
-        vals: Vec<i32>,
-        seen: Vec<bool>,
-        is_min: bool,
-    },
-    /// Scalar fallback for kernel-less types; `template` seeds new groups.
-    Scalar {
-        template: AggState,
-        states: Vec<AggState>,
-    },
+}
+
+/// Per-group MIN/MAX values, one vector of the argument's type.
+#[derive(Debug)]
+pub enum MinMaxValues {
+    Int64(Vec<i64>),
+    Float64(Vec<f64>),
+    Bool(Vec<bool>),
+    Date32(Vec<i32>),
+    /// One owned string per group, overwritten in place when beaten.
+    Utf8(Vec<String>),
 }
 
 impl AggAccumulator {
@@ -361,30 +167,17 @@ impl AggAccumulator {
                 sums: Vec::new(),
                 counts: Vec::new(),
             },
-            (kind @ (AggKind::Min | AggKind::Max), dt) => {
-                let is_min = kind == AggKind::Min;
-                match dt {
-                    DataType::Int64 => AggAccumulator::MinMaxI64 {
-                        vals: Vec::new(),
-                        seen: Vec::new(),
-                        is_min,
-                    },
-                    DataType::Float64 => AggAccumulator::MinMaxF64 {
-                        vals: Vec::new(),
-                        seen: Vec::new(),
-                        is_min,
-                    },
-                    DataType::Date32 => AggAccumulator::MinMaxDate {
-                        vals: Vec::new(),
-                        seen: Vec::new(),
-                        is_min,
-                    },
-                    _ => AggAccumulator::Scalar {
-                        template: spec.new_state(),
-                        states: Vec::new(),
-                    },
-                }
-            }
+            (kind @ (AggKind::Min | AggKind::Max), dt) => AggAccumulator::MinMax {
+                vals: match dt {
+                    DataType::Int64 => MinMaxValues::Int64(Vec::new()),
+                    DataType::Float64 => MinMaxValues::Float64(Vec::new()),
+                    DataType::Bool => MinMaxValues::Bool(Vec::new()),
+                    DataType::Date32 => MinMaxValues::Date32(Vec::new()),
+                    DataType::Utf8 => MinMaxValues::Utf8(Vec::new()),
+                },
+                seen: Vec::new(),
+                is_min: kind == AggKind::Min,
+            },
         }
     }
 
@@ -395,10 +188,7 @@ impl AggAccumulator {
             AggAccumulator::SumInt { sums, .. } => sums.len(),
             AggAccumulator::SumFloat { sums, .. } => sums.len(),
             AggAccumulator::Avg { sums, .. } => sums.len(),
-            AggAccumulator::MinMaxI64 { vals, .. } => vals.len(),
-            AggAccumulator::MinMaxF64 { vals, .. } => vals.len(),
-            AggAccumulator::MinMaxDate { vals, .. } => vals.len(),
-            AggAccumulator::Scalar { states, .. } => states.len(),
+            AggAccumulator::MinMax { seen, .. } => seen.len(),
         }
     }
 
@@ -424,20 +214,15 @@ impl AggAccumulator {
                 sums.resize(n, 0.0);
                 counts.resize(n, 0);
             }
-            AggAccumulator::MinMaxI64 { vals, seen, .. } => {
-                vals.resize(n, 0);
+            AggAccumulator::MinMax { vals, seen, .. } => {
                 seen.resize(n, false);
-            }
-            AggAccumulator::MinMaxF64 { vals, seen, .. } => {
-                vals.resize(n, 0.0);
-                seen.resize(n, false);
-            }
-            AggAccumulator::MinMaxDate { vals, seen, .. } => {
-                vals.resize(n, 0);
-                seen.resize(n, false);
-            }
-            AggAccumulator::Scalar { template, states } => {
-                states.resize(n, template.clone());
+                match vals {
+                    MinMaxValues::Int64(v) => v.resize(n, 0),
+                    MinMaxValues::Float64(v) => v.resize(n, 0.0),
+                    MinMaxValues::Bool(v) => v.resize(n, false),
+                    MinMaxValues::Date32(v) => v.resize(n, 0),
+                    MinMaxValues::Utf8(v) => v.resize(n, String::new()),
+                }
             }
         }
     }
@@ -472,11 +257,7 @@ impl AggAccumulator {
             },
             AggAccumulator::SumInt { sums, seen } => {
                 let Some(data) = col.as_i64() else {
-                    return update_via_values(
-                        &mut AggStatesView::SumInt(sums, seen),
-                        col,
-                        group_ids,
-                    );
+                    return Err(kernel_type_error("sum<i64>", col));
                 };
                 match col.validity() {
                     None => {
@@ -502,51 +283,42 @@ impl AggAccumulator {
             AggAccumulator::Avg { sums, counts } => {
                 avg_f64_kernel(sums, counts, col, group_ids)?;
             }
-            AggAccumulator::MinMaxI64 { vals, seen, is_min } => {
-                let Some(data) = col.as_i64() else {
-                    return Err(kernel_type_error("min/max<i64>", col));
-                };
-                let is_min = *is_min;
-                for_each_valid(col, group_ids, |i, g| {
-                    if !seen[g] || (data[i] < vals[g]) == is_min {
-                        vals[g] = data[i];
-                    }
-                    seen[g] = true;
-                });
-            }
-            AggAccumulator::MinMaxF64 { vals, seen, is_min } => {
-                let Some(data) = col.as_f64() else {
-                    return Err(kernel_type_error("min/max<f64>", col));
-                };
-                let is_min = *is_min;
-                for_each_valid(col, group_ids, |i, g| {
-                    use std::cmp::Ordering;
-                    let want = if is_min {
+            AggAccumulator::MinMax { vals, seen, is_min } => {
+                let fold = MinMaxFold {
+                    seen,
+                    want: if *is_min {
                         Ordering::Less
                     } else {
                         Ordering::Greater
-                    };
-                    if !seen[g] || data[i].total_cmp(&vals[g]) == want {
-                        vals[g] = data[i];
-                    }
-                    seen[g] = true;
-                });
-            }
-            AggAccumulator::MinMaxDate { vals, seen, is_min } => {
-                let Some(data) = col.as_date32() else {
-                    return Err(kernel_type_error("min/max<date32>", col));
+                    },
+                    validity: col.validity().map(|v| &**v),
+                    group_ids,
                 };
-                let is_min = *is_min;
-                for_each_valid(col, group_ids, |i, g| {
-                    if !seen[g] || (data[i] < vals[g]) == is_min {
-                        vals[g] = data[i];
+                match (vals, col) {
+                    (MinMaxValues::Int64(vals), Column::Int64(data, _)) => {
+                        fold.run(vals, data.iter().copied(), i64::cmp, |v, c| *v = c)
                     }
-                    seen[g] = true;
-                });
-            }
-            AggAccumulator::Scalar { states, .. } => {
-                for (i, &g) in group_ids.iter().enumerate() {
-                    states[g as usize].update(&col.value(i));
+                    (MinMaxValues::Float64(vals), Column::Float64(data, _)) => {
+                        fold.run(vals, data.iter().copied(), f64::total_cmp, |v, c| *v = c)
+                    }
+                    (MinMaxValues::Bool(vals), Column::Bool(data, _)) => {
+                        fold.run(vals, data.iter().copied(), bool::cmp, |v, c| *v = c)
+                    }
+                    (MinMaxValues::Date32(vals), Column::Date32(data, _)) => {
+                        fold.run(vals, data.iter().copied(), i32::cmp, |v, c| *v = c)
+                    }
+                    // Compared in place; a group's string is rewritten (its
+                    // buffer reused) only when the row beats it.
+                    (MinMaxValues::Utf8(vals), Column::Utf8(data, _)) => fold.run(
+                        vals,
+                        data.iter(),
+                        |c, v| c.as_bytes().cmp(v.as_bytes()),
+                        |v, c| {
+                            v.clear();
+                            v.push_str(c);
+                        },
+                    ),
+                    _ => return Err(kernel_type_error("min/max", col)),
                 }
             }
         }
@@ -601,78 +373,34 @@ impl AggAccumulator {
             }
             // Min/max partial state is one column of the input type; merging
             // it is the same kernel as the partial update.
-            AggAccumulator::MinMaxI64 { .. }
-            | AggAccumulator::MinMaxF64 { .. }
-            | AggAccumulator::MinMaxDate { .. } => {
-                return self.update(Some(state_col(0)?), group_ids);
-            }
-            AggAccumulator::Scalar { states, .. } => {
-                for (i, &g) in group_ids.iter().enumerate() {
-                    let partial: Vec<Value> = cols.iter().map(|c| c.value(i)).collect();
-                    states[g as usize].merge_partial(&partial)?;
-                }
-            }
+            AggAccumulator::MinMax { .. } => return self.update(Some(state_col(0)?), group_ids),
         }
         Ok(())
     }
 
     /// Serializes the partial state as columns in `order` (layout per
     /// [`AggSpec::partial_state_types`]), built straight from the
-    /// accumulator vectors.
-    pub fn partial_columns(&self, order: &[u32], spec: &AggSpec) -> Vec<Column> {
+    /// accumulator vectors. Every state but AVG's is its finished column.
+    pub fn partial_columns(&self, order: &[u32]) -> Vec<Column> {
         match self {
-            AggAccumulator::Count { counts } => {
-                vec![Column::from_i64(
-                    order.iter().map(|&g| counts[g as usize]).collect(),
-                )]
-            }
-            AggAccumulator::SumInt { sums, seen } => {
-                vec![gather_i64_nullable(sums, seen, order)]
-            }
-            AggAccumulator::SumFloat { sums, seen } => {
-                vec![gather_f64_nullable(sums, seen, order)]
-            }
             AggAccumulator::Avg { sums, counts } => vec![
-                Column::from_f64(order.iter().map(|&g| sums[g as usize]).collect()),
-                Column::from_i64(order.iter().map(|&g| counts[g as usize]).collect()),
+                Column::from_f64(gather(sums, order)),
+                Column::from_i64(gather(counts, order)),
             ],
-            AggAccumulator::MinMaxI64 { vals, seen, .. } => {
-                vec![gather_i64_nullable(vals, seen, order)]
-            }
-            AggAccumulator::MinMaxF64 { vals, seen, .. } => {
-                vec![gather_f64_nullable(vals, seen, order)]
-            }
-            AggAccumulator::MinMaxDate { vals, seen, .. } => {
-                let nulls: Vec<bool> = order.iter().map(|&g| !seen[g as usize]).collect();
-                vec![Column::from_date32_nullable(
-                    order.iter().map(|&g| vals[g as usize]).collect(),
-                    &nulls,
-                )]
-            }
-            AggAccumulator::Scalar { states, .. } => {
-                let types = spec.partial_state_types();
-                let mut builders: Vec<ColumnBuilder> = types
-                    .iter()
-                    .map(|&dt| ColumnBuilder::new(dt, order.len()))
-                    .collect();
-                for &g in order {
-                    for (b, v) in builders.iter_mut().zip(states[g as usize].partial_values()) {
-                        b.push(v);
-                    }
-                }
-                builders.into_iter().map(ColumnBuilder::finish).collect()
-            }
+            _ => vec![self.finish_column(order)],
         }
     }
 
     /// Produces the final output column in `order`.
-    pub fn finish_column(&self, order: &[u32], spec: &AggSpec) -> Column {
+    pub fn finish_column(&self, order: &[u32]) -> Column {
         match self {
-            AggAccumulator::Count { counts } => {
-                Column::from_i64(order.iter().map(|&g| counts[g as usize]).collect())
+            AggAccumulator::Count { counts } => Column::from_i64(gather(counts, order)),
+            AggAccumulator::SumInt { sums, seen } => {
+                Column::from_i64_nullable(gather(sums, order), &unseen(seen, order))
             }
-            AggAccumulator::SumInt { sums, seen } => gather_i64_nullable(sums, seen, order),
-            AggAccumulator::SumFloat { sums, seen } => gather_f64_nullable(sums, seen, order),
+            AggAccumulator::SumFloat { sums, seen } => {
+                Column::from_f64_nullable(gather(sums, order), &unseen(seen, order))
+            }
             AggAccumulator::Avg { sums, counts } => {
                 let mut out = Vec::with_capacity(order.len());
                 let mut nulls = Vec::with_capacity(order.len());
@@ -688,22 +416,54 @@ impl AggAccumulator {
                 }
                 Column::from_f64_nullable(out, &nulls)
             }
-            AggAccumulator::MinMaxI64 { vals, seen, .. } => gather_i64_nullable(vals, seen, order),
-            AggAccumulator::MinMaxF64 { vals, seen, .. } => gather_f64_nullable(vals, seen, order),
-            AggAccumulator::MinMaxDate { vals, seen, .. } => {
-                let nulls: Vec<bool> = order.iter().map(|&g| !seen[g as usize]).collect();
-                Column::from_date32_nullable(
-                    order.iter().map(|&g| vals[g as usize]).collect(),
-                    &nulls,
-                )
-            }
-            AggAccumulator::Scalar { states, .. } => {
-                let mut b = ColumnBuilder::new(spec.output_type(), order.len());
-                for &g in order {
-                    b.push(states[g as usize].finish());
+            AggAccumulator::MinMax { vals, seen, .. } => {
+                let nulls = unseen(seen, order);
+                match vals {
+                    MinMaxValues::Int64(v) => Column::from_i64_nullable(gather(v, order), &nulls),
+                    MinMaxValues::Float64(v) => Column::from_f64_nullable(gather(v, order), &nulls),
+                    MinMaxValues::Bool(v) => Column::from_bool_nullable(gather(v, order), &nulls),
+                    MinMaxValues::Date32(v) => {
+                        Column::from_date32_nullable(gather(v, order), &nulls)
+                    }
+                    MinMaxValues::Utf8(v) => {
+                        let strs: Vec<&str> =
+                            order.iter().map(|&g| v[g as usize].as_str()).collect();
+                        Column::from_utf8_nullable(Utf8Column::from_strings(&strs), &nulls)
+                    }
                 }
-                b.finish()
             }
+        }
+    }
+}
+
+/// The one MIN/MAX fold every argument type runs: a row's cell replaces its
+/// group's value when the group has none yet or the cell compares `want`
+/// (strictly `Less` for MIN, `Greater` for MAX) against it. NULL cells are
+/// skipped.
+struct MinMaxFold<'a> {
+    seen: &'a mut [bool],
+    want: Ordering,
+    validity: Option<&'a Validity>,
+    group_ids: &'a [u32],
+}
+
+impl MinMaxFold<'_> {
+    fn run<T, C>(
+        self,
+        vals: &mut [T],
+        cells: impl Iterator<Item = C>,
+        cmp: impl Fn(&C, &T) -> Ordering,
+        store: impl Fn(&mut T, C),
+    ) {
+        for (i, (cell, &g)) in cells.zip(self.group_ids).enumerate() {
+            if self.validity.is_some_and(|v| !v.is_valid(i)) {
+                continue;
+            }
+            let g = g as usize;
+            if !self.seen[g] || cmp(&cell, &vals[g]) == self.want {
+                store(&mut vals[g], cell);
+            }
+            self.seen[g] = true;
         }
     }
 }
@@ -789,132 +549,155 @@ fn avg_f64_kernel(
     Err(kernel_type_error("avg", col))
 }
 
-fn gather_i64_nullable(vals: &[i64], seen: &[bool], order: &[u32]) -> Column {
-    let nulls: Vec<bool> = order.iter().map(|&g| !seen[g as usize]).collect();
-    Column::from_i64_nullable(order.iter().map(|&g| vals[g as usize]).collect(), &nulls)
+/// `vals` of each group in `order`.
+fn gather<T: Copy>(vals: &[T], order: &[u32]) -> Vec<T> {
+    order.iter().map(|&g| vals[g as usize]).collect()
 }
 
-fn gather_f64_nullable(vals: &[f64], seen: &[bool], order: &[u32]) -> Column {
-    let nulls: Vec<bool> = order.iter().map(|&g| !seen[g as usize]).collect();
-    Column::from_f64_nullable(order.iter().map(|&g| vals[g as usize]).collect(), &nulls)
+/// The NULL mask of groups in `order` that saw no value.
+fn unseen(seen: &[bool], order: &[u32]) -> Vec<bool> {
+    order.iter().map(|&g| !seen[g as usize]).collect()
 }
 
 fn kernel_type_error(kernel: &str, col: &Column) -> AccordionError {
     AccordionError::Internal(format!("{kernel} kernel fed a {} column", col.data_type()))
 }
 
-/// Last-resort scalar path when a typed kernel receives a mismatched column
-/// (unreachable through the planner, kept for defense in depth).
-enum AggStatesView<'a> {
-    SumInt(&'a mut [i64], &'a mut [bool]),
-}
-
-fn update_via_values(view: &mut AggStatesView<'_>, col: &Column, group_ids: &[u32]) -> Result<()> {
-    match view {
-        AggStatesView::SumInt(sums, seen) => {
-            for (i, &g) in group_ids.iter().enumerate() {
-                if let Some(x) = col.value(i).as_i64() {
-                    let g = g as usize;
-                    sums[g] = sums[g].wrapping_add(x);
-                    seen[g] = true;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn partial_scalar(partial: &[Value], i: usize) -> Result<&Value> {
-    partial.get(i).ok_or_else(|| {
-        AccordionError::Internal(format!(
-            "partial state arity mismatch: wanted index {i}, got {} values",
-            partial.len()
-        ))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accordion_data::column::ColumnBuilder;
+    use accordion_data::types::Value;
 
-    fn feed(spec: &AggSpec, values: &[Value]) -> AggState {
-        let mut s = spec.new_state();
-        for v in values {
-            s.update(v);
+    /// Equality that also holds between two NaNs of any payload.
+    fn same(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Float64(x), Value::Float64(y)) if x.is_nan() && y.is_nan() => true,
+            _ => a == b,
         }
-        s
+    }
+
+    /// Folds `col` (`None`: COUNT(*)) into `want.len()` groups in one
+    /// accumulator, and again in three partial accumulators over thirds of
+    /// the rows whose partial columns one final accumulator merges — the
+    /// elastic split. Both must finish to `want`.
+    fn check(spec: &AggSpec, col: Option<&Column>, gids: &[u32], want: &[Value]) {
+        let order: Vec<u32> = (0..want.len() as u32).collect();
+        let assert_finishes = |acc: &AggAccumulator, path: &str| {
+            let out = acc.finish_column(&order);
+            assert_eq!(out.data_type(), spec.output_type(), "{} {path}", spec.kind);
+            for (g, want) in want.iter().enumerate() {
+                let got = out.value(g);
+                assert!(
+                    same(&got, want),
+                    "{} {path} group {g}: {got:?}, want {want:?}",
+                    spec.kind
+                );
+            }
+        };
+        let mut direct = AggAccumulator::for_spec(spec);
+        direct.resize(want.len());
+        direct.update(col, gids).unwrap();
+        assert_finishes(&direct, "direct");
+
+        let mut merged = AggAccumulator::for_spec(spec);
+        merged.resize(want.len());
+        let n = gids.len();
+        for rows in [0..n / 3, n / 3..n / 2, n / 2..n] {
+            let part = col.map(|c| c.slice(rows.start, rows.len()));
+            let mut partial = AggAccumulator::for_spec(spec);
+            partial.resize(want.len());
+            partial.update(part.as_ref(), &gids[rows]).unwrap();
+            let state = partial.partial_columns(&order);
+            let types: Vec<DataType> = state.iter().map(Column::data_type).collect();
+            assert_eq!(types, spec.partial_state_types(), "{}", spec.kind);
+            merged
+                .merge(&state.iter().collect::<Vec<_>>(), &order)
+                .unwrap();
+        }
+        assert_finishes(&merged, "partial → final");
+    }
+
+    fn column(dt: DataType, values: Vec<Value>) -> Column {
+        let mut b = ColumnBuilder::new(dt, values.len());
+        values.into_iter().for_each(|v| b.push(v));
+        b.finish()
+    }
+
+    fn spec(kind: AggKind, dt: DataType) -> AggSpec {
+        AggSpec::new(kind, Expr::col(0), dt, "x")
     }
 
     #[test]
     fn count_ignores_nulls() {
-        let spec = AggSpec::new(AggKind::Count, Expr::col(0), DataType::Int64, "c");
-        let s = feed(&spec, &[Value::Int64(1), Value::Null, Value::Int64(3)]);
-        assert_eq!(s.finish(), Value::Int64(2));
+        let col = column(
+            DataType::Int64,
+            vec![Value::Int64(1), Value::Null, Value::Int64(3)],
+        );
+        let count = spec(AggKind::Count, DataType::Int64);
+        check(&count, Some(&col), &[0, 0, 0], &[Value::Int64(2)]);
     }
 
     #[test]
     fn sum_int_and_float() {
-        let spec = AggSpec::new(AggKind::Sum, Expr::col(0), DataType::Int64, "s");
-        let s = feed(&spec, &[Value::Int64(1), Value::Int64(2)]);
-        assert_eq!(s.finish(), Value::Int64(3));
-        let fspec = AggSpec::new(AggKind::Sum, Expr::col(0), DataType::Float64, "s");
-        let s = feed(&fspec, &[Value::Float64(0.5), Value::Float64(1.5)]);
-        assert_eq!(s.finish(), Value::Float64(2.0));
+        let ints = Column::from_i64(vec![1, 2]);
+        let sum = spec(AggKind::Sum, DataType::Int64);
+        check(&sum, Some(&ints), &[0, 0], &[Value::Int64(3)]);
+        let floats = Column::from_f64(vec![0.5, 1.5]);
+        let sum = spec(AggKind::Sum, DataType::Float64);
+        check(&sum, Some(&floats), &[0, 0], &[Value::Float64(2.0)]);
     }
 
     #[test]
     fn sum_of_no_rows_is_null() {
-        let spec = AggSpec::new(AggKind::Sum, Expr::col(0), DataType::Int64, "s");
-        assert_eq!(spec.new_state().finish(), Value::Null);
-        let s = feed(&spec, &[Value::Null]);
-        assert_eq!(s.finish(), Value::Null);
+        let sum = spec(AggKind::Sum, DataType::Int64);
+        check(&sum, Some(&Column::from_i64(vec![])), &[], &[Value::Null]);
+        let null = Column::nulls(DataType::Int64, 1);
+        check(&sum, Some(&null), &[0], &[Value::Null]);
     }
 
     #[test]
     fn avg_merges_correctly() {
-        let spec = AggSpec::new(AggKind::Avg, Expr::col(0), DataType::Float64, "a");
-        let s1 = feed(&spec, &[Value::Float64(1.0), Value::Float64(2.0)]);
-        let s2 = feed(&spec, &[Value::Float64(6.0)]);
-        let mut merged = spec.new_state();
-        merged.merge_partial(&s1.partial_values()).unwrap();
-        merged.merge_partial(&s2.partial_values()).unwrap();
-        assert_eq!(merged.finish(), Value::Float64(3.0));
+        let avg = spec(AggKind::Avg, DataType::Float64);
+        let mut merged = AggAccumulator::for_spec(&avg);
+        merged.resize(1);
+        for rows in [vec![1.0, 2.0], vec![6.0]] {
+            let mut partial = AggAccumulator::for_spec(&avg);
+            partial.resize(1);
+            let gids = vec![0; rows.len()];
+            partial
+                .update(Some(&Column::from_f64(rows)), &gids)
+                .unwrap();
+            let state = partial.partial_columns(&[0]);
+            merged.merge(&[&state[0], &state[1]], &[0]).unwrap();
+        }
+        assert_eq!(merged.finish_column(&[0]).value(0), Value::Float64(3.0));
     }
 
     #[test]
     fn min_max_over_strings_and_dates() {
-        let spec = AggSpec::new(AggKind::Min, Expr::col(0), DataType::Utf8, "m");
-        let s = feed(&spec, &[Value::Utf8("b".into()), Value::Utf8("a".into())]);
-        assert_eq!(s.finish(), Value::Utf8("a".into()));
-        let spec = AggSpec::new(AggKind::Max, Expr::col(0), DataType::Date32, "m");
-        let s = feed(&spec, &[Value::Date32(5), Value::Date32(9)]);
-        assert_eq!(s.finish(), Value::Date32(9));
+        let strs = Column::from_strings(&["b", "a"]);
+        let min = spec(AggKind::Min, DataType::Utf8);
+        check(&min, Some(&strs), &[0, 0], &[Value::Utf8("a".into())]);
+        let dates = Column::from_date32(vec![5, 9]);
+        let max = spec(AggKind::Max, DataType::Date32);
+        check(&max, Some(&dates), &[0, 0], &[Value::Date32(9)]);
     }
 
     #[test]
     fn partial_final_equals_direct_for_all_kinds() {
         // The elasticity-critical invariant: splitting the input stream in
         // any way and merging partials gives the same answer as one pass.
-        let data: Vec<Value> = (1..=10).map(Value::Int64).collect();
-        for kind in [
-            AggKind::Count,
-            AggKind::Sum,
-            AggKind::Avg,
-            AggKind::Min,
-            AggKind::Max,
+        let col = Column::from_i64((1..=10).collect());
+        let gids = [0u32; 10];
+        for (kind, want) in [
+            (AggKind::Count, Value::Int64(10)),
+            (AggKind::Sum, Value::Int64(55)),
+            (AggKind::Avg, Value::Float64(5.5)),
+            (AggKind::Min, Value::Int64(1)),
+            (AggKind::Max, Value::Int64(10)),
         ] {
-            let spec = AggSpec::new(kind, Expr::col(0), DataType::Int64, "x");
-            let direct = feed(&spec, &data);
-            // Split into 3 uneven chunks.
-            let mut merged = spec.new_state();
-            for chunk in [&data[0..2], &data[2..7], &data[7..10]] {
-                let mut partial = spec.new_state();
-                for v in chunk {
-                    partial.update(v);
-                }
-                merged.merge_partial(&partial.partial_values()).unwrap();
-            }
-            assert_eq!(merged.finish(), direct.finish(), "kind {kind}");
+            check(&spec(kind, DataType::Int64), Some(&col), &gids, &[want]);
         }
     }
 
@@ -923,10 +706,7 @@ mod tests {
         let spec = AggSpec::count_star("cnt");
         assert_eq!(spec.output_type(), DataType::Int64);
         assert!(spec.input.is_none());
-        let mut s = spec.new_state();
-        s.update(&Value::Int64(1));
-        s.update(&Value::Int64(1));
-        assert_eq!(s.finish(), Value::Int64(2));
+        check(&spec, None, &[0, 0], &[Value::Int64(2)]);
     }
 
     #[test]
@@ -946,126 +726,143 @@ mod tests {
 
     #[test]
     fn merge_arity_mismatch_errors() {
-        let spec = AggSpec::new(AggKind::Avg, Expr::col(0), DataType::Float64, "a");
-        let mut s = spec.new_state();
-        assert!(s.merge_partial(&[Value::Float64(1.0)]).is_err());
-    }
-
-    /// Runs one spec through both paths over the same column/group layout
-    /// and asserts identical final values per group.
-    fn check_accumulator_matches_scalar(spec: &AggSpec, col: &Column, gids: &[u32], groups: usize) {
-        // Scalar reference.
-        let mut states: Vec<AggState> = (0..groups).map(|_| spec.new_state()).collect();
-        for (i, &g) in gids.iter().enumerate() {
-            states[g as usize].update(&col.value(i));
-        }
-        // Vectorized.
-        let mut acc = AggAccumulator::for_spec(spec);
-        acc.resize(groups);
-        acc.update(Some(col), gids).unwrap();
-        let order: Vec<u32> = (0..groups as u32).collect();
-        let out = acc.finish_column(&order, spec);
-        for (g, state) in states.iter().enumerate() {
-            assert_eq!(
-                out.value(g),
-                state.finish(),
-                "{} group {g} diverged",
-                spec.kind
-            );
-        }
-        // And through serialize → merge (the partial/final split).
-        let partial_cols = acc.partial_columns(&order, spec);
-        let refs: Vec<&Column> = partial_cols.iter().collect();
-        let ids: Vec<u32> = (0..groups as u32).collect();
-        let mut merged = AggAccumulator::for_spec(spec);
-        merged.resize(groups);
-        merged.merge(&refs, &ids).unwrap();
-        let merged_out = merged.finish_column(&order, spec);
-        for (g, state) in states.iter().enumerate() {
-            assert_eq!(
-                merged_out.value(g),
-                state.finish(),
-                "{} group {g} diverged after merge",
-                spec.kind
-            );
-        }
+        let mut acc = AggAccumulator::for_spec(&spec(AggKind::Avg, DataType::Float64));
+        acc.resize(1);
+        let sums = Column::from_f64(vec![1.0]);
+        assert!(acc.merge(&[&sums], &[0]).is_err());
     }
 
     #[test]
     fn accumulator_matches_scalar_states_i64() {
-        let mut b = ColumnBuilder::new(DataType::Int64, 8);
-        for v in [
-            Value::Int64(3),
-            Value::Null,
-            Value::Int64(-7),
-            Value::Int64(i64::MAX),
-            Value::Int64(1),
-            Value::Int64(0),
-            Value::Null,
-            Value::Int64(42),
-        ] {
-            b.push(v);
-        }
-        let col = b.finish();
+        let col = column(
+            DataType::Int64,
+            [3, 0, -7, i64::MAX, 1, 0, 0, 42]
+                .into_iter()
+                .enumerate()
+                .map(|(i, x)| match i {
+                    1 | 6 => Value::Null,
+                    _ => Value::Int64(x),
+                })
+                .collect(),
+        );
+        // Groups: {3, -7, 42}, {NULL, 1}, {MAX, 0, NULL}.
         let gids = [0u32, 1, 0, 2, 1, 2, 2, 0];
-        for kind in [
-            AggKind::Count,
-            AggKind::Sum,
-            AggKind::Avg,
-            AggKind::Min,
-            AggKind::Max,
-        ] {
-            let spec = AggSpec::new(kind, Expr::col(0), DataType::Int64, "x");
-            check_accumulator_matches_scalar(&spec, &col, &gids, 3);
+        let ints = |v: [i64; 3]| v.map(Value::Int64);
+        let cases = [
+            (AggKind::Count, ints([3, 1, 2])),
+            (AggKind::Sum, ints([38, 1, i64::MAX])),
+            (
+                AggKind::Avg,
+                [38.0 / 3.0, 1.0, i64::MAX as f64 / 2.0].map(Value::Float64),
+            ),
+            (AggKind::Min, ints([-7, 1, 0])),
+            (AggKind::Max, ints([42, 1, i64::MAX])),
+        ];
+        for (kind, want) in cases {
+            check(&spec(kind, DataType::Int64), Some(&col), &gids, &want);
         }
     }
 
     #[test]
     fn accumulator_matches_scalar_states_f64() {
-        let mut b = ColumnBuilder::new(DataType::Float64, 8);
-        for v in [
-            Value::Float64(0.5),
-            Value::Float64(-0.0),
-            Value::Null,
-            Value::Float64(f64::NAN),
-            Value::Float64(1e300),
-            Value::Float64(-3.25),
-            Value::Float64(0.0),
-            Value::Null,
-        ] {
-            b.push(v);
-        }
-        let col = b.finish();
+        let col = column(
+            DataType::Float64,
+            [0.5, -0.0, 0.0, f64::NAN, 1e300, -3.25, 0.0, 0.0]
+                .into_iter()
+                .enumerate()
+                .map(|(i, x)| match i {
+                    2 | 7 => Value::Null,
+                    _ => Value::Float64(x),
+                })
+                .collect(),
+        );
+        // Groups: {0.5, -0.0, 0.0}, {NULL, NaN, NULL}, {1e300, -3.25}.
         let gids = [0u32, 0, 1, 1, 2, 2, 0, 1];
-        for kind in [AggKind::Count, AggKind::Sum, AggKind::Avg] {
-            let spec = AggSpec::new(kind, Expr::col(0), DataType::Float64, "x");
-            check_accumulator_matches_scalar(&spec, &col, &gids, 3);
-        }
-        // Min/max use f64::total_cmp — NaN ordering must match Value::total_cmp.
-        for kind in [AggKind::Min, AggKind::Max] {
-            let spec = AggSpec::new(kind, Expr::col(0), DataType::Float64, "x");
-            check_accumulator_matches_scalar(&spec, &col, &gids, 3);
+        let floats = |v: [f64; 3]| v.map(Value::Float64);
+        let cases = [
+            (AggKind::Count, [3, 1, 2].map(Value::Int64)),
+            (AggKind::Sum, floats([0.5, f64::NAN, 1e300])),
+            (AggKind::Avg, floats([0.5 / 3.0, f64::NAN, 5e299])),
+            // `f64::total_cmp`: -0.0 sorts before 0.0, NaN after everything.
+            (AggKind::Min, floats([-0.0, f64::NAN, -3.25])),
+            (AggKind::Max, floats([0.5, f64::NAN, 1e300])),
+        ];
+        for (kind, want) in cases {
+            check(&spec(kind, DataType::Float64), Some(&col), &gids, &want);
         }
     }
 
     #[test]
-    fn accumulator_scalar_fallback_for_utf8_minmax() {
-        let mut b = ColumnBuilder::new(DataType::Utf8, 4);
-        for v in [
-            Value::Utf8("pear".into()),
-            Value::Null,
-            Value::Utf8("apple".into()),
-            Value::Utf8("zed".into()),
-        ] {
-            b.push(v);
-        }
-        let col = b.finish();
+    fn accumulator_minmax_for_utf8_and_bool() {
+        let strs = column(
+            DataType::Utf8,
+            vec![
+                Value::Utf8("pear".into()),
+                Value::Null,
+                Value::Utf8("apple".into()),
+                Value::Utf8("zed".into()),
+                Value::Null,
+                Value::Utf8("é".into()),
+            ],
+        );
+        // Groups: {pear, NULL, apple}, {zed, é}, {NULL}; "é" is 0xC3 0xA9,
+        // after "zed" byte-wise.
+        let gids = [0u32, 0, 0, 1, 2, 1];
+        let text = |s: &str| Value::Utf8(s.into());
+        let min = spec(AggKind::Min, DataType::Utf8);
+        check(
+            &min,
+            Some(&strs),
+            &gids,
+            &[text("apple"), text("zed"), Value::Null],
+        );
+        let max = spec(AggKind::Max, DataType::Utf8);
+        check(
+            &max,
+            Some(&strs),
+            &gids,
+            &[text("pear"), text("é"), Value::Null],
+        );
+
+        let bools = column(
+            DataType::Bool,
+            vec![
+                Value::Bool(true),
+                Value::Null,
+                Value::Bool(false),
+                Value::Bool(true),
+            ],
+        );
         let gids = [0u32, 0, 0, 1];
-        for kind in [AggKind::Min, AggKind::Max] {
-            let spec = AggSpec::new(kind, Expr::col(0), DataType::Utf8, "x");
-            let acc = AggAccumulator::for_spec(&spec);
-            assert!(matches!(acc, AggAccumulator::Scalar { .. }));
-            check_accumulator_matches_scalar(&spec, &col, &gids, 2);
+        let min = spec(AggKind::Min, DataType::Bool);
+        check(&min, Some(&bools), &gids, &[false, true].map(Value::Bool));
+        let max = spec(AggKind::Max, DataType::Bool);
+        check(&max, Some(&bools), &gids, &[true, true].map(Value::Bool));
+
+        // The hand-over's spare slot: a value folded into group 1 of a
+        // one-group accumulator is gone once the slot is dropped.
+        let mut acc = AggAccumulator::for_spec(&spec(AggKind::Max, DataType::Utf8));
+        acc.resize(2);
+        acc.update(Some(&Column::from_strings(&["a", "zzz"])), &[0, 1])
+            .unwrap();
+        acc.resize(1);
+        acc.resize(2);
+        let out = acc.finish_column(&[0, 1]);
+        assert_eq!((out.value(0), out.value(1)), (text("a"), Value::Null));
+    }
+
+    #[test]
+    fn kernels_reject_a_column_of_another_type() {
+        let strs = Column::from_strings(&["x"]);
+        for spec in [
+            spec(AggKind::Sum, DataType::Int64),
+            spec(AggKind::Sum, DataType::Float64),
+            spec(AggKind::Min, DataType::Int64),
+            spec(AggKind::Max, DataType::Bool),
+        ] {
+            let mut acc = AggAccumulator::for_spec(&spec);
+            acc.resize(1);
+            assert!(acc.update(Some(&strs), &[0]).is_err(), "{}", spec.kind);
         }
     }
 
@@ -1075,7 +872,7 @@ mod tests {
         let mut acc = AggAccumulator::for_spec(&spec);
         acc.resize(2);
         acc.update(None, &[0, 1, 1, 1]).unwrap();
-        let out = acc.finish_column(&[0, 1], &spec);
+        let out = acc.finish_column(&[0, 1]);
         assert_eq!(out.value(0), Value::Int64(1));
         assert_eq!(out.value(1), Value::Int64(3));
     }
@@ -1083,24 +880,15 @@ mod tests {
     #[test]
     fn accumulator_sum_int_wraps_like_scalar() {
         let col = Column::from_i64(vec![i64::MAX, 1]);
-        let gids = [0u32, 0];
-        let spec = AggSpec::new(AggKind::Sum, Expr::col(0), DataType::Int64, "s");
-        check_accumulator_matches_scalar(&spec, &col, &gids, 1);
-        let mut acc = AggAccumulator::for_spec(&spec);
-        acc.resize(1);
-        acc.update(Some(&col), &gids).unwrap();
-        assert_eq!(
-            acc.finish_column(&[0], &spec).value(0),
-            Value::Int64(i64::MIN)
-        );
+        let sum = spec(AggKind::Sum, DataType::Int64);
+        check(&sum, Some(&col), &[0, 0], &[Value::Int64(i64::MIN)]);
     }
 
     #[test]
     fn accumulator_empty_groups_finish_null_sum() {
-        let spec = AggSpec::new(AggKind::Sum, Expr::col(0), DataType::Int64, "s");
-        let mut acc = AggAccumulator::for_spec(&spec);
+        let mut acc = AggAccumulator::for_spec(&spec(AggKind::Sum, DataType::Int64));
         acc.resize(1);
         // No rows fed: SUM over the empty group is NULL.
-        assert_eq!(acc.finish_column(&[0], &spec).value(0), Value::Null);
+        assert_eq!(acc.finish_column(&[0]).value(0), Value::Null);
     }
 }

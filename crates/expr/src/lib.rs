@@ -16,5 +16,5 @@ pub mod agg;
 mod reference;
 pub mod scalar;
 
-pub use agg::{AggKind, AggSpec, AggState};
+pub use agg::{AggKind, AggSpec};
 pub use scalar::{BinaryOp, Expr};

@@ -100,7 +100,8 @@ impl fmt::Display for BinaryOp {
 pub enum Expr {
     /// Input column by position.
     Column(usize),
-    /// Constant.
+    /// Constant. `Value` stays here: one literal per expression, broadcast
+    /// into a typed column before any kernel sees it.
     Literal(Value),
     /// Binary operation.
     Binary {

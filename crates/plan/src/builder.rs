@@ -146,17 +146,6 @@ impl LogicalPlanBuilder {
         ))
     }
 
-    /// Convenience: `kind(expr)` with an explicit input type.
-    pub fn agg_expr(
-        &self,
-        kind: AggKind,
-        expr: Expr,
-        input_type: DataType,
-        out_name: &str,
-    ) -> AggSpec {
-        AggSpec::new(kind, expr, input_type, out_name)
-    }
-
     /// ORDER BY (named columns) + LIMIT.
     pub fn top_n(self, keys: &[(&str, bool)], n: usize) -> Result<Self> {
         let sort_keys: Vec<SortKey> = keys

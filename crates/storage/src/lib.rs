@@ -1,8 +1,9 @@
-//! Storage layer: catalog, table splits and CSV I/O.
+//! Storage layer: catalog and in-memory table splits.
 //!
 //! The paper stores TPC-H tables as CSV files manually divided into splits
-//! across 10 storage nodes (Table 1), read through the Arrow CSV reader.
-//! This crate reproduces that model:
+//! across 10 storage nodes (Table 1). This crate keeps that split layout but
+//! holds every split's pages in memory (tables are generated, not read
+//! from files):
 //!
 //! * [`catalog`] — table metadata registry shared by the analyzer, planner
 //!   and scheduler.
@@ -10,17 +11,14 @@
 //!   a split is a chunk of a base table living on a storage node; scan tasks
 //!   fetch and process splits. Splits carry byte/row sizes so the progress
 //!   monitor can compute `V_remain` for the what-if predictor (§5.2).
-//! * [`csv`] — a from-scratch RFC-4180-ish CSV codec (the Arrow CSV reader
-//!   substitute).
 //! * [`table`] — helpers to build in-memory tables, partition them into
 //!   splits over storage nodes (Table 1 partitioning schemes) and to
 //!   register them in the catalog.
 
 pub mod catalog;
-pub mod csv;
 pub mod split;
 pub mod table;
 
 pub use catalog::{Catalog, TableMeta};
-pub use split::{Split, SplitData, SplitSet};
+pub use split::{Split, SplitSet};
 pub use table::{partition_rows, TableBuilder};

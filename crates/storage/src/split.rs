@@ -9,23 +9,10 @@
 //! monitor sums outstanding split volume to get `V_remain` for the
 //! remaining-time predictor (paper §5.2).
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use accordion_common::{AccordionError, NodeId, Result, SplitId};
 use accordion_data::page::DataPage;
-use accordion_data::schema::SchemaRef;
-
-use crate::csv::CsvReader;
-
-/// Where a split's bytes live.
-#[derive(Debug, Clone)]
-pub enum SplitData {
-    /// Pages resident in memory on the storage node (pre-chunked).
-    Memory(Arc<Vec<DataPage>>),
-    /// A CSV file (or a byte range of one) on disk.
-    Csv { path: PathBuf, schema: SchemaRef },
-}
 
 /// One chunk of a base table.
 #[derive(Debug, Clone)]
@@ -34,7 +21,8 @@ pub struct Split {
     /// Storage node holding the data (drives NIC accounting for scans).
     pub node: NodeId,
     pub table: String,
-    pub data: SplitData,
+    /// The split's pages, resident in memory on the storage node.
+    pub pages: Arc<Vec<DataPage>>,
     /// Total rows in this split.
     pub rows: u64,
     /// Approximate bytes in this split.
@@ -43,68 +31,49 @@ pub struct Split {
 
 impl Split {
     /// Opens the split as a page iterator producing pages of at most
-    /// `page_rows` rows.
+    /// `page_rows` rows (at least one: a zero would re-chunk forever).
     pub fn open(&self, page_rows: usize) -> Result<SplitPages> {
-        match &self.data {
-            SplitData::Memory(pages) => Ok(SplitPages::Memory {
-                pages: pages.clone(),
-                next: 0,
-                page_rows,
-                pending: None,
-            }),
-            SplitData::Csv { path, schema } => {
-                let reader = CsvReader::open(path, schema.clone(), page_rows)?;
-                Ok(SplitPages::Csv(reader))
-            }
-        }
+        Ok(SplitPages {
+            pages: self.pages.clone(),
+            next: 0,
+            page_rows: page_rows.max(1),
+            pending: None,
+        })
     }
 }
 
 /// Streaming page iterator over one split.
-pub enum SplitPages {
-    Memory {
-        pages: Arc<Vec<DataPage>>,
-        next: usize,
-        page_rows: usize,
-        /// Remainder of a stored page larger than `page_rows`.
-        pending: Option<(DataPage, usize)>,
-    },
-    Csv(CsvReader),
+pub struct SplitPages {
+    pages: Arc<Vec<DataPage>>,
+    next: usize,
+    page_rows: usize,
+    /// Remainder of a stored page larger than `page_rows`.
+    pending: Option<(DataPage, usize)>,
 }
 
 impl SplitPages {
     /// Next page, or `None` when the split is exhausted.
     pub fn next_page(&mut self) -> Result<Option<DataPage>> {
-        match self {
-            SplitPages::Memory {
-                pages,
-                next,
-                page_rows,
-                pending,
-            } => loop {
-                if let Some((page, offset)) = pending.take() {
-                    let remaining = page.row_count() - offset;
-                    let take = remaining.min(*page_rows);
-                    let out = page.slice(offset, take);
-                    if offset + take < page.row_count() {
-                        *pending = Some((page, offset + take));
-                    }
-                    return Ok(Some(out));
+        loop {
+            if let Some((page, offset)) = self.pending.take() {
+                let take = (page.row_count() - offset).min(self.page_rows);
+                let out = page.slice(offset, take);
+                if offset + take < page.row_count() {
+                    self.pending = Some((page, offset + take));
                 }
-                if *next >= pages.len() {
-                    return Ok(None);
-                }
-                let page = pages[*next].clone();
-                *next += 1;
-                if page.row_count() == 0 {
-                    continue;
-                }
-                if page.row_count() <= *page_rows {
-                    return Ok(Some(page));
-                }
-                *pending = Some((page, 0));
-            },
-            SplitPages::Csv(reader) => reader.next_page(),
+                return Ok(Some(out));
+            }
+            let Some(page) = self.pages.get(self.next).cloned() else {
+                return Ok(None);
+            };
+            self.next += 1;
+            if page.row_count() == 0 {
+                continue;
+            }
+            if page.row_count() <= self.page_rows {
+                return Ok(Some(page));
+            }
+            self.pending = Some((page, 0));
         }
     }
 }
@@ -170,7 +139,7 @@ mod tests {
             id: SplitId(id),
             node: NodeId(0),
             table: "t".into(),
-            data: SplitData::Memory(Arc::new(pages)),
+            pages: Arc::new(pages),
             rows,
             bytes,
         }
@@ -178,6 +147,21 @@ mod tests {
 
     fn page(vals: Vec<i64>) -> DataPage {
         DataPage::new(vec![Column::from_i64(vals)])
+    }
+
+    #[test]
+    fn zero_page_rows_yields_every_row_once_then_ends() {
+        // `page_rows` 0 used to re-chunk a remainder into empty pages
+        // forever; it now means one row per page.
+        let s = mem_split(0, vec![page(vec![1, 2, 3]), page(vec![4])]);
+        let mut it = s.open(0).unwrap();
+        let mut all = Vec::new();
+        for _ in 0..4 {
+            let p = it.next_page().unwrap().expect("a page per row");
+            all.extend_from_slice(p.column(0).as_i64().unwrap());
+        }
+        assert_eq!(all, vec![1, 2, 3, 4]);
+        assert!(it.next_page().unwrap().is_none());
     }
 
     #[test]

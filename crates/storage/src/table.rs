@@ -14,7 +14,7 @@ use accordion_data::schema::SchemaRef;
 use accordion_data::types::Value;
 
 use crate::catalog::{Catalog, TableMeta};
-use crate::split::{Split, SplitData, SplitSet};
+use crate::split::{Split, SplitSet};
 
 /// Process-wide split id allocator (splits must be unique across tables).
 static SPLIT_IDS: IdGen = IdGen::new();
@@ -84,7 +84,7 @@ pub fn partition_rows(
             id: SplitId(SPLIT_IDS.next_u64()),
             node,
             table: table.to_string(),
-            data: SplitData::Memory(Arc::new(group)),
+            pages: Arc::new(group),
             rows,
             bytes,
         });

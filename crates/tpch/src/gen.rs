@@ -2,7 +2,7 @@
 //!
 //! Every table is derived from a single user-supplied seed through an
 //! xorshift64* stream, with one independent substream per table (seeded
-//! `seed ^ fnv(table_name)`), so a table's content depends only on
+//! `seed ^ fnv1a(table_name)`), so a table's content depends only on
 //! `(scale_factor, seed)` — never on generation order. The golden tests
 //! below pin per-table row counts and content checksums for a fixed seed,
 //! which is what lets tests and the repo benchmark pin row counts and
@@ -14,6 +14,7 @@
 //! the big fact tables spread over more splits per node so elastic scans
 //! have plenty of between-splits decision boundaries.
 
+use accordion_common::fnv1a;
 use accordion_data::schema::{Field, Schema};
 use accordion_data::types::{date32_from_ymd, Value};
 use accordion_storage::catalog::Catalog;
@@ -49,16 +50,6 @@ impl Rng {
     }
 }
 
-/// FNV-1a over a table name: the per-table seed perturbation.
-fn fnv(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Folds one value into a table content checksum (order-sensitive).
 fn mix_value(mut h: u64, v: &Value) -> u64 {
     let word = match v {
@@ -67,7 +58,7 @@ fn mix_value(mut h: u64, v: &Value) -> u64 {
         Value::Date32(x) => 0x4441_5445_0000_0000 ^ (*x as u32 as u64),
         Value::Bool(x) => 2 + *x as u64,
         Value::Float64(x) => x.to_bits(),
-        Value::Utf8(s) => fnv(s),
+        Value::Utf8(s) => fnv1a(s.as_bytes()),
     };
     h ^= word.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h = h.rotate_left(31);
@@ -137,8 +128,8 @@ impl Gen {
         Gen {
             name,
             builder: TableBuilder::new(name, Schema::shared(fields), opts.page_rows.max(1)),
-            rng: Rng::new(opts.seed ^ fnv(name)),
-            checksum: fnv(name),
+            rng: Rng::new(opts.seed ^ fnv1a(name.as_bytes())),
+            checksum: fnv1a(name.as_bytes()),
             rows: 0,
         }
     }
