@@ -41,9 +41,9 @@
 //! reaches it raises the signal while its task goes on to scan the split —
 //! so by the time the next claim arrives the decision has normally been
 //! taken and nobody parks at all. The single timed wait is the tick
-//! ([`SAMPLE_MIN_INTERVAL_NANOS`]): it paces the Fig-18 series and the
-//! fleet publication, and bounds the damage of an event nobody raised (a
-//! poison arriving from a peer, say).
+//! ([`SAMPLE_MIN_INTERVAL_NANOS`]): it paces the Fig-18 series and bounds
+//! the damage of an event nobody raised (a poison arriving from a peer,
+//! say).
 //!
 //! An `auto` decision wants a **usable sample** — [`MIN_SAMPLE_PAGES`]
 //! pages in the current era — and is postponed to the next event without
@@ -104,8 +104,6 @@ use accordion_exec::metrics::{
 use accordion_exec::splits::SplitQueue;
 use accordion_net::{ExchangeRegistry, ExchangeWriter};
 use accordion_plan::fragment::DopBounds;
-
-use crate::fleet::{FleetHandle, MemberSample};
 
 /// Pages a measurement era must hold before `auto` acts on its rate: the
 /// first few pages of a task are read cache-cold between two clock reads
@@ -202,10 +200,8 @@ pub struct StageView {
     /// Tasks scanning the stage now.
     pub dop: u32,
     pub bounds: DopBounds,
-    /// Compute slots the query's tasks can occupy at once.
+    /// Compute slots the query's tasks can occupy at once — the cap.
     pub slots: u32,
-    /// The fleet's DOP budget for the query, when it has company.
-    pub fleet_budget: Option<u32>,
     /// Rows in all of the stage's splits.
     pub total_rows: u64,
     /// `V_remain`: `total_rows` minus what has been scanned.
@@ -226,7 +222,8 @@ pub struct Evaluation {
     /// The DOP that meets `budget` from here, within bounds — before the
     /// cap and the shrink rules.
     pub required_dop: u32,
-    /// Slots or fleet budget, whichever is smaller.
+    /// The pool's slots (`StageView::slots`): `auto` never chooses more
+    /// tasks.
     pub cap: u32,
     /// The DOP to continue at.
     pub chosen_dop: u32,
@@ -253,18 +250,17 @@ impl WhatIfPredictor {
     ///   that width just spends the head start down to a prediction that
     ///   equals the budget — one slow split from a miss. For the same
     ///   reason a shrink needs a prediction strictly inside the budget.
-    /// * Never above the cap: tasks beyond the query's slots (or the
-    ///   fleet's budget) queue for a slot instead of scanning.
+    /// * Never above the cap: tasks beyond the query's slots queue for a
+    ///   slot instead of scanning.
     pub fn evaluate(view: &StageView) -> Evaluation {
         let occupied = view.dop.min(view.slots).max(1);
         let rate = view.sample.rate();
         let per_task_rate = rate / f64::from(occupied);
-        let cap = view.fleet_budget.map_or(view.slots, |b| b.min(view.slots));
         let predict = |dop: u32| Self::predict_secs(view.unscanned_rows, per_task_rate, dop);
         let stay = |postponed: bool| Evaluation {
             per_task_rate,
             required_dop: view.dop,
-            cap,
+            cap: view.slots,
             chosen_dop: view.dop,
             predicted_secs: predict(view.dop),
             postponed,
@@ -292,11 +288,11 @@ impl WhatIfPredictor {
                 chosen = view.dop;
             }
         }
-        let chosen_dop = view.bounds.clamp(chosen.min(cap));
+        let chosen_dop = view.bounds.clamp(chosen.min(view.slots));
         Evaluation {
             per_task_rate,
             required_dop: required,
-            cap,
+            cap: view.slots,
             chosen_dop,
             predicted_secs: predict(chosen_dop),
             postponed: false,
@@ -388,9 +384,6 @@ pub struct ElasticityController {
     /// Where [`Self::run`] sleeps; raised by the stages' split queues and,
     /// through [`Self::signal`], by the scheduler when a task exits.
     signal: Arc<Signal>,
-    /// Fleet membership, when this query participates in cross-query DOP
-    /// arbitration (see [`crate::fleet`]). `None` = solo behavior.
-    fleet: Option<FleetHandle>,
 }
 
 impl ElasticityController {
@@ -419,7 +412,6 @@ impl ElasticityController {
             stages,
             slots: slots.max(1),
             signal,
-            fleet: None,
         }
     }
 
@@ -427,14 +419,6 @@ impl ElasticityController {
     /// see: the scheduler raises it whenever one of the query's tasks exits.
     pub fn signal(&self) -> Arc<Signal> {
         self.signal.clone()
-    }
-
-    /// Joins this query to a fleet: its controller publishes a live sample
-    /// whenever it wakes and clamps `Auto` decisions to the budget the
-    /// fleet grants. The handle's drop (with the controller) deregisters
-    /// the query.
-    pub fn attach_fleet(&mut self, fleet: FleetHandle) {
-        self.fleet = Some(fleet);
     }
 
     /// Deadline budget still available at this instant: the configured
@@ -455,40 +439,11 @@ impl ElasticityController {
             .saturating_sub(self.metrics.operator_rows(st.stage, "TableScan"))
     }
 
-    /// Publishes this query's aggregate live state to the fleet and gives
-    /// the arbiter a chance to run. Aggregation over non-done stages keeps
-    /// the common one-elastic-stage case exact and degrades gracefully for
-    /// multi-stage queries (total volume, summed rate, widest DOP).
-    fn publish_to_fleet(&self) {
-        let Some(fleet) = &self.fleet else { return };
-        let mut remaining_rows = 0u64;
-        let mut measured_rate = 0.0f64;
-        let mut current_dop = 0u32;
-        for st in &self.stages {
-            if st.done {
-                continue;
-            }
-            remaining_rows += self.unscanned_rows(st);
-            let rate = self.collector.last_rate(st.stage);
-            if rate.is_finite() && rate > 0.0 {
-                measured_rate += rate;
-            }
-            current_dop = current_dop.max(st.dop());
-        }
-        fleet.publish(MemberSample {
-            remaining_rows,
-            measured_rate,
-            current_dop: current_dop.max(1),
-        });
-        fleet.offer_arbitration();
-    }
-
     /// Runs the control loop until every elastic stage's split queue is
     /// exhausted (or the registry is poisoned). One pass: sample the
-    /// runtime info (the series keeps at most one point per tick), publish
-    /// to the fleet, retire finished stages, and for each stage whose
-    /// decision is due consult the schedule or the what-if predictor and
-    /// apply the retune. Then sleep until the next event — a claim at a
+    /// runtime info (the series keeps at most one point per tick), retire
+    /// finished stages, and for each stage whose decision is due consult
+    /// the schedule or the what-if predictor and apply the retune. Then sleep until the next event — a claim at a
     /// boundary, a parked claimant, the last split, a retirement, a task
     /// exit — or the tick, whichever is first. `spawn` launches one new
     /// task `(stage, slot)` on the scheduler's pool — it is only called
@@ -504,7 +459,6 @@ impl ElasticityController {
             }
             self.metrics.record_controller_wakeup();
             self.collector.sample();
-            self.publish_to_fleet();
             let mut pending = false;
             for i in 0..self.stages.len() {
                 if self.stages[i].done {
@@ -549,7 +503,6 @@ impl ElasticityController {
             dop: st.dop(),
             bounds: st.bounds,
             slots: self.slots,
-            fleet_budget: self.fleet.as_ref().and_then(FleetHandle::budget),
             total_rows: st.queue.total_rows(),
             unscanned_rows: self.unscanned_rows(st),
             // Fresh, and a point of the series whatever the tick says.
@@ -830,7 +783,6 @@ mod tests {
             dop: 1,
             bounds: bounds(1, 8),
             slots: 4,
-            fleet_budget: None,
             total_rows: 1_000_000,
             unscanned_rows: 900_000,
             sample: EraSample {
@@ -902,14 +854,6 @@ mod tests {
             ..hopeless
         });
         assert_eq!((e.cap, e.chosen_dop), (2, 2));
-        // A fleet budget below the slots caps further, and shrinks a stage
-        // that is already above it whatever its own deadline says.
-        let e = WhatIfPredictor::evaluate(&StageView {
-            dop: 3,
-            fleet_budget: Some(1),
-            ..hopeless
-        });
-        assert_eq!((e.cap, e.chosen_dop), (1, 1));
         // Four tasks on two slots scan at the rate of two: the per-task
         // rate divides by the slots they can occupy, not by their number.
         let e = WhatIfPredictor::evaluate(&StageView {

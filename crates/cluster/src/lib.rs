@@ -30,18 +30,15 @@
 //! [`TaskContext`]: accordion_exec::driver::TaskContext
 //! [`ExecOptions::elasticity`]: accordion_exec::executor::ExecOptions
 
+pub mod admission;
 pub mod dist;
 pub mod elastic;
-pub mod fleet;
 pub mod scheduler;
 
+pub use admission::{AdmissionController, AdmissionPermit, AdmissionStats};
 pub use dist::{
     distributed_topology, plan_fingerprint, task_node, ClaimMsg, ClaimWiring, DistRole,
     RemoteSplitSource, SplitQueues, SplitServer,
 };
 pub use elastic::{ElasticityController, StageControl, WhatIfChoice, WhatIfPredictor};
-pub use fleet::{
-    AdmissionController, AdmissionPermit, AdmissionStats, FleetConfig, FleetController,
-    FleetHandle, FleetRetuneEvent, FleetSnapshot, MemberSample,
-};
 pub use scheduler::{NodeQuery, QueryExecutor};

@@ -19,7 +19,7 @@
 //!
 //! | | node 0 (coordinator) | nodes 1.. (workers) |
 //! |---|---|---|
-//! | admission gate, fleet arbiter | passes / joins | — (node 0 answers for the query) |
+//! | admission gate | passes it | — (node 0 answers for the query) |
 //! | elastic split pools | owns the [`SplitQueue`]s | claims through a [`ClaimWiring`] proxy |
 //! | elasticity controller | runs it, spawns grown tasks | — |
 //! | stage 0's result | drains it (`Some(result)`) | `None`, or the query's poison |
@@ -39,7 +39,8 @@
 //! stage competes for the same compute slots, it does not add any. The
 //! pool — slots and NIC budget — belongs to the executor, not the query:
 //! everything a process runs, whole queries or one node's share of them,
-//! draws on it.
+//! draws on it. Concurrent queries meet only there and at the admission
+//! gate.
 //!
 //! ## Runtime elasticity
 //!
@@ -75,7 +76,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use accordion_common::config::ElasticityMode;
 use accordion_common::sync::{Mutex, Semaphore, Signal};
 use accordion_common::{AccordionError, NodeId, Result, StageId};
 use accordion_exec::driver::{run_task, TaskContext};
@@ -83,17 +83,15 @@ use accordion_exec::executor::{drain_result, ExecOptions, QueryResult};
 use accordion_exec::metrics::QueryMetrics;
 use accordion_exec::splits::SplitFeed;
 use accordion_net::{ConsumerLoc, ExchangeReader, ExchangeRegistry, ExchangeWriter, NodeNic};
-use accordion_plan::fragment::{DopBounds, StageTree};
+use accordion_plan::fragment::StageTree;
 use accordion_plan::logical::LogicalPlan;
 use accordion_plan::optimizer::Optimizer;
 use accordion_plan::pipeline::{split_pipelines, PipelineSpec};
 use accordion_storage::catalog::Catalog;
 
+use crate::admission::{AdmissionController, AdmissionPermit};
 use crate::dist::{distributed_topology, task_node, ClaimWiring, DistRole, StagePool};
 use crate::elastic::{ElasticityController, StageControl};
-use crate::fleet::{
-    AdmissionController, AdmissionPermit, FleetConfig, FleetController, FleetHandle,
-};
 
 /// Everything one task thread needs, assembled before spawning.
 struct TaskSpec {
@@ -133,9 +131,6 @@ pub struct QueryExecutor {
     /// Gates query starts against the pool (`ExecOptions::admission`,
     /// fixed at construction — per-call options cannot widen the limit).
     admission: Arc<AdmissionController>,
-    /// Cross-query DOP arbitration over this pool's slots; elastic `Auto`
-    /// queries join it for their lifetime.
-    fleet: Arc<FleetController>,
     /// The node-level NIC budget every query's exchange traffic shares.
     node_nic: Arc<NodeNic>,
 }
@@ -188,10 +183,11 @@ pub struct NodeQuery<C = Arc<Catalog>, T = Arc<StageTree>> {
     /// Split pools of the elastic stages, by stage id.
     pools: HashMap<u32, StagePool>,
     remote_slots: usize,
-    /// The executor's slot pool and arbiter, which the run draws on.
+    /// The executor's slot pool, which the run draws on, and its size.
     gate: Arc<Semaphore>,
-    fleet: Arc<FleetController>,
-    active: ActiveGuard,
+    slots: u32,
+    /// Held from wiring until dropped: keeps the registry in the active map.
+    _active: ActiveGuard,
     /// Held from wiring to the end of the run; node 0 only.
     _permit: Option<AdmissionPermit>,
 }
@@ -200,10 +196,6 @@ impl QueryExecutor {
     pub fn new(opts: ExecOptions) -> Self {
         let gate = Arc::new(Semaphore::new(opts.worker_threads.max(1)));
         let admission = Arc::new(AdmissionController::new(opts.admission));
-        let fleet = Arc::new(FleetController::new(FleetConfig {
-            total_slots: opts.worker_threads.max(1) as u32,
-            ..FleetConfig::default()
-        }));
         let node_nic = Arc::new(NodeNic::new(&opts.network));
         QueryExecutor {
             opts,
@@ -211,7 +203,6 @@ impl QueryExecutor {
             active: Arc::new(Mutex::new(HashMap::new())),
             next_query_id: Arc::new(AtomicU64::new(0)),
             admission,
-            fleet,
             node_nic,
         }
     }
@@ -223,11 +214,6 @@ impl QueryExecutor {
     /// The admission gate shared by every query on this pool.
     pub fn admission(&self) -> &Arc<AdmissionController> {
         &self.admission
-    }
-
-    /// The fleet arbiter shared by every elastic `Auto` query on this pool.
-    pub fn fleet(&self) -> &Arc<FleetController> {
-        &self.fleet
     }
 
     /// Number of queries currently wired or executing on this pool.
@@ -345,8 +331,8 @@ impl QueryExecutor {
             .flat_map(|e| &e.consumers)
             .filter(|c| matches!(c, ConsumerLoc::Remote(_)))
             .count();
-        // Each query's exchange traffic runs through its own NIC carve-out
-        // backed by the executor-wide node bucket.
+        // Every query's exchange traffic draws on the executor-wide node
+        // bucket.
         let registry = ExchangeRegistry::build(
             &topology,
             &opts.network,
@@ -363,8 +349,8 @@ impl QueryExecutor {
             pools,
             remote_slots,
             gate: self.gate.clone(),
-            fleet: self.fleet.clone(),
-            active: ActiveGuard {
+            slots: self.opts.worker_threads.max(1) as u32,
+            _active: ActiveGuard {
                 active: self.active.clone(),
                 id,
             },
@@ -541,28 +527,14 @@ where
             None
         } else {
             // The query's tasks can occupy this node's slots and, spread
-            // over a fleet, as many again on every other node.
-            let slots = self.fleet.config().total_slots.saturating_mul(role.nodes);
-            let mut ctrl =
-                ElasticityController::new(opts.elasticity, metrics.clone(), controls, slots);
-            // Deadline-driven queries join the fleet: their budgets are
-            // arbitrated against every other live Auto query on this pool.
-            if let ElasticityMode::Auto { deadline_ms } = opts.elasticity.mode {
-                let union = tree
-                    .fragments()
-                    .iter()
-                    .filter_map(|f| f.elastic_bounds)
-                    .reduce(|u, b| DopBounds::new(u.min.min(b.min), u.max.max(b.max)));
-                if let Some(bounds) = union {
-                    ctrl.attach_fleet(FleetHandle::register(
-                        self.fleet.clone(),
-                        self.active.id,
-                        deadline_ms,
-                        bounds,
-                    ));
-                }
-            }
-            Some(ctrl)
+            // over several nodes, as many again on every other node.
+            let slots = self.slots.saturating_mul(role.nodes);
+            Some(ElasticityController::new(
+                opts.elasticity,
+                metrics.clone(),
+                controls,
+                slots,
+            ))
         };
 
         let first_err = Mutex::new(None);

@@ -1,13 +1,12 @@
-//! Multi-query concurrency: admission policies over the shared gate,
-//! per-query poisoning isolation, and fleet wiring end to end.
+//! Multi-query concurrency: admission policies over the shared gate and
+//! per-query poisoning isolation, end to end.
 //!
 //! One `QueryExecutor` is a worker pool shared by every query it runs;
 //! these tests drive N queries at it concurrently and pin down the
-//! fleet-level contracts: admission limits hold (queue waits, reject
+//! pool-level contracts: admission limits hold (queue waits, reject
 //! fails fast, the queue bound rejects overflow), one failing query never
-//! poisons a sibling, queued arrivals die with `poison_active`,
-//! deadline-driven queries join and leave the fleet cleanly, and the
-//! arbiter moves slots from an ahead query to a behind one while both run.
+//! poisons a sibling, queued arrivals die with `poison_active`, and
+//! concurrent deadline-driven queries each cap their DOP at the pool.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -268,7 +267,7 @@ fn poison_active_aborts_queued_arrivals_but_not_future_ones() {
 }
 
 #[test]
-fn concurrent_auto_queries_join_and_leave_the_fleet() {
+fn concurrent_auto_queries_return_the_serial_rows() {
     let c = catalog();
     let plan = group_by_plan(&c);
     let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(2));
@@ -281,8 +280,8 @@ fn concurrent_auto_queries_join_and_leave_the_fleet() {
     );
 
     // Two deadline-driven queries race on the shared pool: a tight one and
-    // a loose one. Whatever the fleet decides, both must finish with
-    // exactly the right rows — budgets retune DOP, never correctness.
+    // a loose one. Whatever their controllers decide, both must finish with
+    // exactly the right rows — retunes change DOP, never correctness.
     let auto_tight = ExecOptions::with_page_rows(3).elasticity(ElasticityConfig::auto(5));
     let auto_loose = ExecOptions::with_page_rows(3).elasticity(ElasticityConfig::auto(60_000));
     std::thread::scope(|scope| {
@@ -295,47 +294,14 @@ fn concurrent_auto_queries_join_and_leave_the_fleet() {
             .collect();
         for h in handles {
             let r = h.join().unwrap().expect("auto query failed");
-            assert_eq!(sorted_rows(&r), reference, "fleet retuning changed rows");
+            assert_eq!(sorted_rows(&r), reference, "retuning changed rows");
+            // Company does not shrink a query's cap: it is the pool.
+            for d in &r.stats().decisions {
+                assert_eq!(d.cap, 4, "{d:?}");
+                assert!(d.chosen_dop <= 4, "{d:?}");
+            }
         }
     });
-    // Every membership was dropped with its controller.
-    assert_eq!(executor.fleet().snapshot().live_members, 0);
-}
-
-#[test]
-fn the_fleet_feeds_a_behind_query_from_an_ahead_one_mid_flight() {
-    let c = catalog();
-    let scan = LogicalPlanBuilder::scan(&c, "sales").unwrap().build();
-    let wide = Optimizer::new(OptimizerConfig::default().with_parallelism(4));
-    let narrow = Optimizer::new(OptimizerConfig::default().with_parallelism(1));
-    let executor = QueryExecutor::new(slow_opts().worker_threads(4));
-    let reference = sorted_rows(&executor.execute_logical(&c, &scan, &narrow).unwrap());
-
-    // Both queries sleep out a link latency per one-row page, so they are
-    // long whatever the machine: the loose one cruises far ahead of its
-    // minute, the tight one is behind its 10 ms from its first sample on.
-    let loose = slow_opts().elasticity(ElasticityConfig::auto(60_000));
-    let tight = slow_opts().elasticity(ElasticityConfig::auto(10));
-    std::thread::scope(|scope| {
-        let (ex, c2, scan2) = (&executor, &c, &scan);
-        let ahead = scope.spawn(move || ex.execute_logical_opts(c2, scan2, &wide, &loose));
-        assert!(
-            eventually(|| executor.fleet().snapshot().live_members >= 1),
-            "the loose query never joined the fleet"
-        );
-        let behind = executor.execute_logical_opts(&c, &scan, &narrow, &tight);
-        for r in [behind, ahead.join().unwrap()] {
-            assert_eq!(sorted_rows(&r.expect("auto query failed")), reference);
-        }
-    });
-
-    let fleet = executor.fleet().snapshot();
-    assert!(
-        fleet.cross_query_rounds >= 1,
-        "no round fed the behind query while the other was ahead: {fleet:?}"
-    );
-    assert!(fleet.events.iter().any(|e| e.behind), "{:?}", fleet.events);
-    assert_eq!(fleet.live_members, 0);
 }
 
 #[test]
@@ -367,36 +333,4 @@ fn bandwidth_capped_query_completes_on_a_one_slot_pool() {
     );
     let throttled = capped.execute_logical(&c, &plan, &optimizer).unwrap();
     assert_eq!(sorted_rows(&throttled), reference);
-}
-
-#[test]
-fn per_query_nic_carveout_preserves_results() {
-    // Node budget + per-query carve-outs: two queries through the same
-    // executor, each charged against its own bucket and the node's.
-    let c = catalog();
-    let plan = group_by_plan(&c);
-    let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(2));
-    let executor = QueryExecutor::new(
-        ExecOptions::with_page_rows(3)
-            .worker_threads(2)
-            .elasticity(ElasticityConfig::off())
-            .network(
-                NetworkConfig::builder()
-                    .nic_mbps(50)
-                    .per_query_nic_mbps(10)
-                    .build(),
-            ),
-    );
-    let reference = sorted_rows(&executor.execute_logical(&c, &plan, &optimizer).unwrap());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let (ex, c2, plan2, opt2) = (&executor, &c, &plan, &optimizer);
-                scope.spawn(move || ex.execute_logical(c2, plan2, opt2))
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(sorted_rows(&h.join().unwrap().unwrap()), reference);
-        }
-    });
 }

@@ -13,12 +13,6 @@ pub struct NetworkConfig {
     /// Shared by every query running on the node; the paper's nodes have
     /// 10 Gbps NICs.
     pub nic_bandwidth_bytes_per_sec: Option<u64>,
-    /// Per-query carve-out of the node NIC in bytes/second (`None` = a
-    /// query may use the whole node budget). With both set, a transfer is
-    /// charged against its query's bucket first and the node bucket
-    /// second, so one heavy shuffle cannot starve the fabric for every
-    /// other query on the node.
-    pub nic_per_query_bytes_per_sec: Option<u64>,
     /// One-way latency added to each page transfer, microseconds.
     pub link_latency_us: u64,
     /// Maximum bytes returned by one simulated exchange RPC response.
@@ -45,7 +39,6 @@ impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
             nic_bandwidth_bytes_per_sec: None,
-            nic_per_query_bytes_per_sec: None,
             link_latency_us: 0,
             max_response_bytes: 4 << 20,
             initial_buffer_pages: 1,
@@ -79,7 +72,6 @@ impl NetworkConfig {
 /// use accordion_common::config::NetworkConfig;
 /// let net = NetworkConfig::builder()
 ///     .nic_mbps(50)
-///     .per_query_nic_mbps(10)
 ///     .fixed_buffers(2)
 ///     .connect_timeout_ms(500)
 ///     .build();
@@ -95,14 +87,6 @@ impl NetworkConfigBuilder {
     /// Cap each node's NIC at `mbps` megabits/second.
     pub fn nic_mbps(mut self, mbps: u64) -> Self {
         self.config.nic_bandwidth_bytes_per_sec = Some(mbps * 1_000_000 / 8);
-        self
-    }
-
-    /// Cap each **query's** share of the node NIC at `mbps`
-    /// megabits/second (see
-    /// [`NetworkConfig::nic_per_query_bytes_per_sec`]).
-    pub fn per_query_nic_mbps(mut self, mbps: u64) -> Self {
-        self.config.nic_per_query_bytes_per_sec = Some(mbps * 1_000_000 / 8);
         self
     }
 
@@ -250,14 +234,14 @@ impl ElasticityConfig {
     /// Strict parsing of an elasticity mode — the one grammar, behind the
     /// query server's `SET elasticity`, `--elasticity` and the env var:
     /// `off`, `forced-grow`, `forced-shrink`, `forced:<dop>`,
-    /// `cycle[:high:low]`, `auto[:deadline_ms]`. Malformed values are
-    /// **errors**: an interactive session should hear about its typo, while
-    /// the env-var path ([`Self::from_env`]) turns them into `Off` so a bad
-    /// CI matrix entry does not fail every test.
+    /// `cycle[:high:low]`, `auto[:deadline_ms]`, in any ASCII case.
+    /// Malformed values are **errors**: an interactive session should hear
+    /// about its typo, while the env-var path ([`Self::from_env`]) turns
+    /// them into `Off` so a bad CI matrix entry does not fail every test.
     pub fn try_parse_mode(value: &str) -> crate::error::Result<ElasticityMode> {
         use crate::error::AccordionError;
         let bad = |msg: String| Err(AccordionError::Parse(msg));
-        match value {
+        match value.to_ascii_lowercase().as_str() {
             "off" => Ok(ElasticityMode::Off),
             "forced-grow" => Ok(ElasticityMode::ForcedGrow),
             "forced-shrink" => Ok(ElasticityMode::ForcedShrink),
@@ -607,15 +591,5 @@ mod tests {
         );
         assert!(AdmissionPolicy::try_parse("drop").is_err());
         assert_eq!(AdmissionPolicy::Queue.to_string(), "queue");
-    }
-
-    #[test]
-    fn per_query_nic_conversion() {
-        let n = NetworkConfig::builder()
-            .nic_mbps(80)
-            .per_query_nic_mbps(8)
-            .build();
-        assert_eq!(n.nic_bandwidth_bytes_per_sec, Some(10_000_000));
-        assert_eq!(n.nic_per_query_bytes_per_sec, Some(1_000_000));
     }
 }

@@ -408,8 +408,8 @@ fn call(link: &mut FrameConn, request: &CtrlMsg) -> Result<CtrlMsg> {
 /// in this process; each worker is one more node, in list order, behind
 /// one control connection.
 pub struct Fleet {
-    /// Node 0. Its executor's admission gate and fleet arbiter speak for
-    /// the whole distributed query.
+    /// Node 0. Its executor's admission gate speaks for the whole
+    /// distributed query.
     node: Arc<Worker>,
     links: Vec<FrameConn>,
     peers: Vec<String>,

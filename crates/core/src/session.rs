@@ -81,17 +81,15 @@ impl SessionVars {
             }
             "elasticity" => {
                 let value = value.trim();
-                let mode = if value.eq_ignore_ascii_case("auto") {
+                let mut mode = ElasticityConfig::try_parse_mode(value)?;
+                if let ElasticityMode::Auto { deadline_ms } = &mut mode {
                     // Bare `auto` adopts the session deadline instead of the
-                    // global default.
-                    ElasticityMode::Auto {
-                        deadline_ms: self.deadline_ms,
+                    // global default; `auto:<ms>` re-pins the session's.
+                    if value.contains(':') {
+                        self.deadline_ms = *deadline_ms;
+                    } else {
+                        *deadline_ms = self.deadline_ms;
                     }
-                } else {
-                    ElasticityConfig::try_parse_mode(value)?
-                };
-                if let ElasticityMode::Auto { deadline_ms } = mode {
-                    self.deadline_ms = deadline_ms;
                 }
                 self.elasticity.mode = mode;
                 Ok(format!("elasticity = {}", mode_name(&mode)))
@@ -213,6 +211,26 @@ mod tests {
         // Re-targeting the deadline updates the active auto mode.
         v.set("deadline_ms", "900").unwrap();
         assert_eq!(v.elasticity.mode, ElasticityMode::Auto { deadline_ms: 900 });
+    }
+
+    #[test]
+    fn every_mode_is_accepted_in_any_case_and_shown_in_lowercase() {
+        let mut v = vars();
+        v.set("deadline_ms", "750").unwrap();
+        for (value, shown) in [
+            ("OFF", "off"),
+            ("Forced-Grow", "forced-grow"),
+            ("FORCED-SHRINK", "forced-shrink"),
+            ("Forced:3", "forced:3"),
+            ("CYCLE", "cycle:4:1"),
+            ("Cycle:5:2", "cycle:5:2"),
+            ("AUTO", "auto:750"),
+            ("Auto:500", "auto:500"),
+        ] {
+            let ack = format!("elasticity = {shown}");
+            assert_eq!(v.set("elasticity", value).unwrap(), ack, "{value}");
+            assert_eq!(v.show("elasticity").unwrap(), ack, "{value}");
+        }
     }
 
     #[test]

@@ -387,8 +387,8 @@ pub struct DecisionRecord {
     pub budget_ms: f64,
     /// The DOP the predictor asks for, within the stage's bounds.
     pub required_dop: u32,
-    /// The most tasks the query may run: the pool's slots, or the fleet's
-    /// budget when that is smaller.
+    /// The most tasks the query may run: the pool's slots (times the nodes
+    /// of a distributed query).
     pub cap: u32,
     /// The DOP the stage continues at.
     pub chosen_dop: u32,
@@ -694,15 +694,6 @@ impl RuntimeCollector {
     pub fn series(&self, stage: u32) -> Option<Arc<TimeSeries>> {
         self.track(stage).map(|t| t.series.clone())
     }
-
-    /// Most recent sampled rate of `stage` (rows/second; `0.0` before the
-    /// first sample).
-    pub fn last_rate(&self, stage: u32) -> f64 {
-        self.series(stage)
-            .and_then(|ts| ts.last())
-            .map(|p| p.value)
-            .unwrap_or(0.0)
-    }
 }
 
 /// Wraps an operator stream, recording every page it produces.
@@ -776,6 +767,7 @@ mod tests {
         let metrics = Arc::new(QueryMetrics::with_clock(clock.clone()));
         let m = metrics.register(2, 0, 0, "TableScan");
         let collector = RuntimeCollector::new(metrics.clone(), &[2]);
+        let last_rate = || collector.series(2).unwrap().last().unwrap().value;
 
         // The first page opens the first era and is not part of it. Then
         // 100 rows over the first second: era rate 100 rows/s.
@@ -783,7 +775,7 @@ mod tests {
         m.record_page(100, 800);
         clock.advance_millis(1000);
         collector.sample();
-        assert!((collector.last_rate(2) - 100.0).abs() < 1e-9);
+        assert!((last_rate() - 100.0).abs() < 1e-9);
 
         // Sampling again without time passing is throttled: no new point.
         collector.sample();
@@ -793,8 +785,8 @@ mod tests {
         m.record_page(100, 800);
         clock.advance_millis(1000);
         collector.sample();
-        assert!((collector.last_rate(2) - 100.0).abs() < 1e-9);
-        assert_eq!(collector.last_rate(7), 0.0, "untracked stage");
+        assert!((last_rate() - 100.0).abs() < 1e-9);
+        assert!(collector.series(7).is_none(), "untracked stage");
 
         // A retune starts a new measurement era: only post-reset rows count,
         // so the rate reflects the new task set instead of a stale average.

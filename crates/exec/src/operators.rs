@@ -883,11 +883,6 @@ impl JoinTable {
         self.table.is_empty()
     }
 
-    /// Number of distinct (non-NULL) join keys on the build side.
-    pub fn distinct_keys(&self) -> usize {
-        self.table.len()
-    }
-
     fn build_page(&self) -> Option<&DataPage> {
         self.build.as_ref()
     }
@@ -1209,7 +1204,7 @@ mod tests {
         let build_page = DataPage::new(vec![b.finish()]);
         let build_page = Arc::new(build_page);
         let t = JoinTable::build(vec![build_page.clone()], &[0]);
-        assert_eq!(t.distinct_keys(), 2, "null key row excluded");
+        assert_eq!(t.table.len(), 2, "null key row excluded");
         let cross = JoinTable::build(vec![build_page], &[]);
         let empty_key_hash = hash_columns(&[], 1)[0];
         assert_eq!(

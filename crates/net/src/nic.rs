@@ -8,14 +8,9 @@
 //! is unlimited, in which case every charge is free and the model adds no
 //! overhead.
 //!
-//! Two levels of budget exist:
-//!
-//! * [`NodeNic`] owns the **node-level** bucket shared by every query the
-//!   executor runs (`nic_bandwidth_bytes_per_sec`).
-//! * [`NodeNic::for_query`] mints a per-query [`NicModel`] that optionally
-//!   carves a private bucket out of the node budget
-//!   (`nic_per_query_bytes_per_sec`), so one heavy shuffle saturates its
-//!   own carve-out before it can drain the shared fabric.
+//! [`NodeNic`] owns the **node-level** bucket shared by every query the
+//! executor runs; [`NodeNic::for_query`] hands each query a [`NicModel`]
+//! charging that bucket plus the configured link latency.
 //!
 //! A charge that has to sleep (bandwidth debt or link latency) **yields the
 //! caller's compute slot** for the duration — the same discipline exchange
@@ -83,48 +78,29 @@ impl TokenBucket {
     }
 }
 
-/// The per-query network model: an optional private bandwidth bucket (the
-/// query's carve-out), an optional reference to the node-level bucket every
-/// query shares, and a per-page one-way latency.
+/// The per-query network model: an optional reference to the node-level
+/// bucket every query shares, and a per-page one-way latency.
 #[derive(Debug, Default)]
 pub struct NicModel {
-    bucket: Option<TokenBucket>,
     node: Option<Arc<TokenBucket>>,
     latency: Duration,
 }
 
 impl NicModel {
-    /// Single-query model straight from config — the node budget becomes
-    /// this query's private bucket. Equivalent to
-    /// `NodeNic::new(config).for_query(config)` when only one query runs.
-    pub fn new(config: &NetworkConfig) -> Self {
-        NicModel {
-            bucket: config
-                .nic_bandwidth_bytes_per_sec
-                .map(|rate| TokenBucket::new(rate, config.max_response_bytes)),
-            node: None,
-            latency: Duration::from_micros(config.link_latency_us),
-        }
-    }
-
     /// A model that charges nothing (shared-memory exchange).
     pub fn unlimited() -> Self {
         NicModel::default()
     }
 
-    /// Charges the transfer of one `bytes`-sized page: per-query bandwidth
-    /// tokens, then the node-level bucket, then link latency. Any wait is
+    /// Charges the transfer of one `bytes`-sized page: node-level bandwidth
+    /// tokens, then link latency. Any wait is
     /// slept with the compute slot in `gate` released, so simulated wire
     /// time never pins a worker thread the way real send syscalls don't.
     pub fn charge(&self, bytes: usize, gate: Option<&Semaphore>) {
-        let mut wait = Duration::ZERO;
-        if let Some(bucket) = &self.bucket {
-            wait += bucket.debit(bytes);
-        }
+        let mut wait = self.latency;
         if let Some(node) = &self.node {
             wait += node.debit(bytes);
         }
-        wait += self.latency;
         if wait.is_zero() {
             return;
         }
@@ -155,14 +131,10 @@ impl NodeNic {
         }
     }
 
-    /// Mints the per-query model: a private carve-out bucket when
-    /// `nic_per_query_bytes_per_sec` is set, always backed by the shared
-    /// node bucket (when one exists) and the configured link latency.
+    /// Mints the per-query model: the shared node bucket (when one exists)
+    /// and the configured link latency.
     pub fn for_query(&self, config: &NetworkConfig) -> NicModel {
         NicModel {
-            bucket: config
-                .nic_per_query_bytes_per_sec
-                .map(|rate| TokenBucket::new(rate, config.max_response_bytes)),
             node: self.node_bucket.clone(),
             latency: Duration::from_micros(config.link_latency_us),
         }
@@ -199,12 +171,17 @@ mod tests {
         );
     }
 
+    fn latency_only(link_latency_us: u64) -> NicModel {
+        let config = NetworkConfig {
+            link_latency_us,
+            ..NetworkConfig::unlimited()
+        };
+        NodeNic::new(&config).for_query(&config)
+    }
+
     #[test]
     fn latency_applies_per_page() {
-        let nic = NicModel::new(&NetworkConfig {
-            link_latency_us: 2_000,
-            ..NetworkConfig::unlimited()
-        });
+        let nic = latency_only(2_000);
         let start = Instant::now();
         nic.charge(1, None);
         nic.charge(1, None);
@@ -215,10 +192,7 @@ mod tests {
     fn charge_yields_the_compute_slot_while_sleeping() {
         // One slot, a charge that must sleep ~20 ms: a second thread must
         // be able to grab the slot *during* the sleep, not after it.
-        let nic = Arc::new(NicModel::new(&NetworkConfig {
-            link_latency_us: 20_000,
-            ..NetworkConfig::unlimited()
-        }));
+        let nic = Arc::new(latency_only(20_000));
         let gate = Arc::new(Semaphore::new(1));
         gate.acquire();
         let (nic2, gate2) = (nic.clone(), gate.clone());
@@ -231,29 +205,6 @@ mod tests {
         assert!(
             got_slot_after < Duration::from_millis(15),
             "slot was held through the NIC sleep ({got_slot_after:?})"
-        );
-    }
-
-    #[test]
-    fn per_query_carveout_charges_both_buckets() {
-        let config = NetworkConfig {
-            nic_bandwidth_bytes_per_sec: Some(1_000_000),
-            nic_per_query_bytes_per_sec: Some(100_000),
-            max_response_bytes: 1_000,
-            ..NetworkConfig::unlimited()
-        };
-        let node = NodeNic::new(&config);
-        let nic = node.for_query(&config);
-        // 3 KB past a 1 KB burst at 100 KB/s ≈ ≥20 ms from the carve-out
-        // alone (the node bucket at 1 MB/s adds a little more).
-        let start = Instant::now();
-        for _ in 0..3 {
-            nic.charge(1_000, None);
-        }
-        assert!(
-            start.elapsed() >= Duration::from_millis(15),
-            "carve-out did not throttle ({:?})",
-            start.elapsed()
         );
     }
 

@@ -37,11 +37,6 @@ impl LogicalPlanBuilder {
         })
     }
 
-    /// Starts from an existing plan.
-    pub fn from_plan(plan: Arc<LogicalPlan>) -> Self {
-        LogicalPlanBuilder { plan }
-    }
-
     /// Current output schema.
     pub fn schema(&self) -> Schema {
         self.plan.schema()

@@ -122,18 +122,6 @@ impl LogicalPlan {
         }
     }
 
-    /// Names of all base tables scanned by the plan (with duplicates for
-    /// self-joins), in scan order.
-    pub fn scanned_tables(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.visit(&mut |n| {
-            if let LogicalPlan::TableScan { table, .. } = n {
-                out.push(table.clone());
-            }
-        });
-        out
-    }
-
     /// Pre-order traversal.
     pub fn visit(&self, f: &mut dyn FnMut(&LogicalPlan)) {
         f(self);
@@ -415,7 +403,6 @@ mod tests {
             n: 10,
         };
         assert_eq!(plan.node_count(), 3);
-        assert_eq!(plan.scanned_tables(), vec!["t"]);
         let text = plan.display();
         assert!(text.contains("TopN"));
         assert!(text.contains("TableScan"));

@@ -6,7 +6,7 @@
 //! ```
 //! use accordion::plan::LogicalPlanBuilder;
 //! use accordion::storage::Catalog;
-//! let _ = (Catalog::new(), LogicalPlanBuilder::from_plan);
+//! let _ = (Catalog::new(), LogicalPlanBuilder::scan);
 //! ```
 
 pub use accordion_cluster as cluster;
