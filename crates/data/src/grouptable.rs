@@ -16,13 +16,17 @@
 //! arena. The full hashes live in a per-group side vector, in id order:
 //! growing walks it to re-place every group, and never re-hashes a key.
 //!
-//! The table does not order its groups; [`GroupTable::sorted_ids`] returns
-//! group ids sorted by their encoded key bytes, which is exactly the
-//! iteration order of the `BTreeMap<Vec<u8>, _>` it replaced — operators
-//! that emit groups in this order keep deterministic, history-independent
-//! output. It sorts `(prefix, id)` pairs, the prefix being a key's first 8
-//! bytes read big-endian and zero-padded, and compares whole keys only
-//! between equal prefixes. Padding cannot reorder two keys: where one is
+//! Group ids are dense and in insertion (first-seen) order, `0..len()`:
+//! table order, which is how a partial aggregate emits its groups, and a
+//! final aggregate whose rows a covering sort reorders anyway. Where the
+//! order is observable, [`GroupTable::sorted_ids`] returns group ids
+//! sorted by their encoded key bytes, which is exactly the iteration order
+//! of the `BTreeMap<Vec<u8>, _>` it replaced — deterministic,
+//! history-independent output, at the price of a sort over every group
+//! (q_shuffle's ~375 k per task). It sorts `(prefix, id)` pairs, the
+//! prefix being a key's first 8 bytes read big-endian and zero-padded, and
+//! compares whole keys only between equal prefixes. Padding cannot reorder
+//! two keys: where one is
 //! shorter than 8 bytes and their padded prefixes tie, the full compare
 //! decides, and where they differ in a padded byte the shorter key is a
 //! prefix of the other, which sorts first either way.
@@ -201,7 +205,8 @@ impl GroupTable {
     }
 
     /// Group ids sorted by encoded key bytes — the deterministic emission
-    /// order (identical to iterating the replaced `BTreeMap<Vec<u8>, _>`).
+    /// order where group order is observable (identical to iterating the
+    /// replaced `BTreeMap<Vec<u8>, _>`).
     pub fn sorted_ids(&self) -> Vec<u32> {
         let mut pairs: Vec<(u64, u32)> = (0..self.len() as u32)
             .map(|g| (key_prefix(self.arena.key(g)), g))

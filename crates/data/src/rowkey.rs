@@ -66,14 +66,6 @@ pub fn encode_key(page: &DataPage, key_indices: &[usize], row: usize) -> Vec<u8>
     out
 }
 
-/// Encodes every row's key; returns one byte key per row. Reuses a scratch
-/// buffer to keep allocation per row to exactly one `Vec`.
-pub fn encode_keys(page: &DataPage, key_indices: &[usize]) -> Vec<Vec<u8>> {
-    (0..page.row_count())
-        .map(|row| encode_key(page, key_indices, row))
-        .collect()
-}
-
 /// Mutable typed decode buffers, one per key column.
 enum KeyDecoder {
     Int64(Vec<i64>, Vec<bool>),
@@ -193,6 +185,13 @@ mod tests {
     use super::*;
     use crate::column::{Column, ColumnBuilder};
     use crate::types::{DataType, Value};
+
+    /// Every row's encoded key, one owned byte vector per row.
+    fn encode_keys(page: &DataPage, key_indices: &[usize]) -> Vec<Vec<u8>> {
+        (0..page.row_count())
+            .map(|row| encode_key(page, key_indices, row))
+            .collect()
+    }
 
     #[test]
     fn equal_keys_encode_equal() {

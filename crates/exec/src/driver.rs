@@ -7,7 +7,7 @@
 //! pulls pages through it into the pipeline's sink: the task's output
 //! writer, a local exchange partition, or a hash-join build table. Every
 //! operator in the chain is wrapped in a [`MeteredStream`] recording
-//! rows/bytes produced into the query's [`QueryMetrics`].
+//! rows/bytes produced and time spent into the query's [`QueryMetrics`].
 //!
 //! Pipelines still run producer-first inside a task (the order
 //! [`accordion_plan::pipeline::split_pipelines`] guarantees), so local
@@ -34,7 +34,7 @@ use accordion_plan::pipeline::{OperatorSpec, PipelineSpec};
 use accordion_storage::catalog::Catalog;
 
 use crate::executor::route_policy;
-use crate::metrics::{MeteredStream, QueryMetrics};
+use crate::metrics::{MeteredStream, OperatorMetrics, QueryMetrics};
 use crate::operators::{
     BoxedStream, FilterOp, FinalHashAggOp, HashJoinProbeOp, JoinTable, LimitOp, PartialHashAggOp,
     ProjectOp, QueueSource, ScanSource, SortOp, TopNOp,
@@ -312,22 +312,31 @@ fn build_chain(
     let (source, rest) = specs
         .split_first()
         .ok_or_else(|| AccordionError::Execution("pipeline has a sink but no source".into()))?;
-    let mut chain = meter(build_source(source, driver, ctx)?, source, pipeline, ctx);
+    let mut upstream = None;
+    let stream = build_source(source, driver, ctx)?;
+    let mut chain = meter(stream, source, pipeline, ctx, &mut upstream);
     for spec in rest {
-        chain = meter(wrap_operator(spec, chain, ctx)?, spec, pipeline, ctx);
+        let stream = wrap_operator(spec, chain, ctx)?;
+        chain = meter(stream, spec, pipeline, ctx, &mut upstream);
     }
     Ok(chain)
 }
 
+/// Wraps `stream` in a [`MeteredStream`] whose meter knows the operator
+/// feeding it (`upstream`, which becomes this one for the next operator).
 fn meter(
     stream: BoxedStream,
     spec: &OperatorSpec,
     pipeline: &PipelineSpec,
     ctx: &TaskContext<'_>,
+    upstream: &mut Option<Arc<OperatorMetrics>>,
 ) -> BoxedStream {
     let m = ctx
         .metrics
         .register(ctx.stage, ctx.task_index, pipeline.id.0, spec.name());
+    if let Some(input) = upstream.replace(m.clone()) {
+        m.set_input(input);
+    }
     Box::new(MeteredStream::new(stream, m))
 }
 
@@ -426,13 +435,17 @@ fn wrap_operator(
             group_count,
             aggs,
             output_schema,
-        } => Box::new(FinalHashAggOp::new(
-            input,
-            *group_count,
-            aggs.clone(),
-            output_schema.clone(),
-            ctx.page_rows,
-        )),
+            table_order,
+        } => Box::new(
+            FinalHashAggOp::new(
+                input,
+                *group_count,
+                aggs.clone(),
+                output_schema.clone(),
+                ctx.page_rows,
+            )
+            .with_table_order(*table_order),
+        ),
         OperatorSpec::TopN { keys, n, schema } => Box::new(TopNOp::new(
             input,
             keys.clone(),

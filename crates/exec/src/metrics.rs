@@ -1,7 +1,9 @@
 //! Per-query runtime metrics and the runtime info collector (paper §5.1).
 //!
 //! Every driver chain wires a [`MeteredStream`] around each operator it
-//! instantiates, counting rows and bytes produced and feeding a windowed
+//! instantiates, counting rows and bytes produced, timing every pull
+//! ([`OperatorStats::busy_ns`], and [`OperatorStats::self_ns`] net of the
+//! operator feeding it) and feeding a windowed
 //! [`RateMeter`] — the `R_consume` side of the §5.2 what-if predictor
 //! (`T_remain = V_remain / R_consume`). [`QueryMetrics`] collects the
 //! per-(stage, task, pipeline, operator) registrations; a final
@@ -20,7 +22,7 @@
 //! controller looked at all.
 
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use accordion_common::clock::{SharedClock, SystemClock};
 use accordion_common::metrics::{Counter, RateMeter, TimePoint, TimeSeries};
@@ -42,6 +44,12 @@ pub struct OperatorMetrics {
     pub bytes: Counter,
     pub pages: Counter,
     pub rate: RateMeter,
+    /// Nanoseconds spent inside this operator's pulls, the pulls it made
+    /// from upstream included (see [`OperatorStats::busy_ns`]).
+    pub(crate) busy_ns: Counter,
+    /// The operator feeding this one in its driver chain, if any: what
+    /// [`OperatorStats::self_ns`] subtracts.
+    input: OnceLock<Arc<OperatorMetrics>>,
     /// When this instance produced its first data page, and how many rows
     /// that page held. For a scan this is where measuring it can begin:
     /// everything before is thread start-up and waiting for a slot.
@@ -70,6 +78,18 @@ impl OperatorMetrics {
                 signal.raise();
             }
         }
+    }
+
+    /// Records that `input` feeds this operator in its driver chain (its
+    /// pulls are nested in this one's, so its busy time is part of ours).
+    pub(crate) fn set_input(&self, input: Arc<OperatorMetrics>) {
+        let _ = self.input.set(input);
+    }
+
+    /// Busy time minus the busy time of the operator feeding this one.
+    fn self_ns(&self) -> u64 {
+        let upstream = self.input.get().map_or(0, |i| i.busy_ns.get());
+        self.busy_ns.get().saturating_sub(upstream)
     }
 }
 
@@ -166,6 +186,8 @@ impl QueryMetrics {
             bytes: Counter::new(),
             pages: Counter::new(),
             rate: RateMeter::new(self.clock.clone()),
+            busy_ns: Counter::new(),
+            input: OnceLock::new(),
             first_page: OnceLock::new(),
             clock: self.clock.clone(),
             alarm: (operator == "TableScan")
@@ -258,6 +280,8 @@ impl QueryMetrics {
                 rows: m.rows.get(),
                 bytes: m.bytes.get(),
                 rows_per_sec: m.rate.sample(),
+                busy_ns: m.busy_ns.get(),
+                self_ns: m.self_ns(),
             })
             .collect();
         let series = self
@@ -308,6 +332,17 @@ pub struct OperatorStats {
     pub bytes: u64,
     /// Output rate over the operator's lifetime, rows/second.
     pub rows_per_sec: f64,
+    /// Wall-clock nanoseconds spent inside this operator's pulls, the
+    /// pulls it made from the operator feeding it included: one `Instant`
+    /// pair per page it was asked for.
+    pub busy_ns: u64,
+    /// `busy_ns` minus the `busy_ns` of the operator feeding this one in
+    /// the same driver chain: the time spent in this operator itself. A
+    /// source has no feeder, so its self time includes any wait for input
+    /// — an exchange reader blocked on its producers, a scan waiting for a
+    /// split claim. The self times of a chain sum to its last operator's
+    /// `busy_ns`.
+    pub self_ns: u64,
 }
 
 impl OperatorStats {
@@ -321,6 +356,8 @@ impl OperatorStats {
             .with("rows", Json::u64(self.rows))
             .with("bytes", Json::u64(self.bytes))
             .with("rows_per_sec", Json::f64(self.rows_per_sec))
+            .with("busy_ns", Json::u64(self.busy_ns))
+            .with("self_ns", Json::u64(self.self_ns))
     }
 }
 
@@ -696,7 +733,8 @@ impl RuntimeCollector {
     }
 }
 
-/// Wraps an operator stream, recording every page it produces.
+/// Wraps an operator stream, recording every page it produces and the time
+/// each pull took.
 pub struct MeteredStream {
     inner: BoxedStream,
     metrics: Arc<OperatorMetrics>,
@@ -706,11 +744,20 @@ impl MeteredStream {
     pub fn new(inner: BoxedStream, metrics: Arc<OperatorMetrics>) -> Self {
         MeteredStream { inner, metrics }
     }
+
+    /// Runs one pull of the inner stream, adding its duration to the
+    /// operator's busy time.
+    fn timed<T>(&mut self, pull: impl FnOnce(&mut BoxedStream) -> T) -> T {
+        let start = Instant::now();
+        let out = pull(&mut self.inner);
+        self.metrics.busy_ns.add(start.elapsed().as_nanos() as u64);
+        out
+    }
 }
 
 impl PageStream for MeteredStream {
     fn next_page(&mut self) -> Result<Page> {
-        let page = self.inner.next_page()?;
+        let page = self.timed(|s| s.next_page())?;
         if let Page::Data(p) = &page {
             self.metrics
                 .record_page(p.row_count() as u64, p.byte_size() as u64);
@@ -721,7 +768,7 @@ impl PageStream for MeteredStream {
     /// A handed-over page counts as what the operator produced: the
     /// selected rows, and their share of the page's bytes.
     fn next_selected(&mut self) -> Result<(Page, Option<Selection>)> {
-        let (page, selection) = self.inner.next_selected()?;
+        let (page, selection) = self.timed(|s| s.next_selected())?;
         if let Page::Data(p) = &page {
             let rows = selection.as_ref().map_or(p.row_count(), Selection::len);
             let bytes = p.byte_size() * rows / p.row_count().max(1);

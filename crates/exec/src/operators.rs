@@ -27,9 +27,15 @@
 //! a run of equal keys costs one typed cell compare per row instead of a
 //! key encode and a table probe — and typed [`AggAccumulator`] vectors are
 //! updated with per-column kernels — no per-row `Value` materialization on
-//! the hot path. Groups are emitted sorted by their encoded key bytes (the
-//! iteration order of the `BTreeMap` this engine replaced), so output is
+//! the hot path. Groups leave in the order somebody reads: a partial
+//! aggregate emits them in table (first-seen) order, because its rows only
+//! ever feed a final aggregate that merges each group whatever its arrival
+//! order; a final aggregate does too when a sort covering every group
+//! column follows it (see `OperatorSpec::FinalAggregate::table_order`), and
+//! otherwise emits them sorted by their encoded key bytes (the iteration
+//! order of the `BTreeMap` this engine replaced), so output is
 //! deterministic for a given input set regardless of page arrival order.
+//! Each output page is built from its own chunk of group ids.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -336,8 +342,8 @@ impl PageStream for LimitOp {
 /// **and** the same key cells as that row (typed, column-wise, validity
 /// included — [`key_cells_equal`]) is the same key, so it takes the same id
 /// with no encode and no probe. The table sees every distinct key in the
-/// order it would have without the memo, so group ids, `sorted_ids` and the
-/// key arena are unchanged.
+/// order it would have without the memo, so group ids, their key order and
+/// the key arena are unchanged.
 struct GroupIndex {
     table: GroupTable,
     key_scratch: Vec<u8>,
@@ -437,17 +443,20 @@ impl GroupIndex {
 
 /// Which side of the two-phase split a grouped operator emits.
 enum AggOutput {
-    /// Serialized partial state columns ([`AggAccumulator::partial_columns`]).
+    /// Serialized partial state columns ([`AggAccumulator::partial_columns`]),
+    /// groups in table order: only a final aggregate reads them, and it
+    /// merges every group whatever order its rows arrive in.
     Partial,
-    /// Finished values ([`AggAccumulator::finish_column`]).
-    Final,
+    /// Finished values ([`AggAccumulator::finish_column`]), groups in
+    /// table order when `table_order`, in encoded-key byte order otherwise.
+    Final { table_order: bool },
 }
 
-/// Builds grouped-aggregation output pages column-wise: group-key columns
-/// decoded straight from the table's key arena, aggregate columns gathered
-/// from the accumulator vectors — no intermediate `Vec<Value>` rows.
-/// Groups are emitted sorted by encoded key bytes so output order is
-/// deterministic and identical to the replaced `BTreeMap` iteration.
+/// Builds grouped-aggregation output pages column-wise, one page per
+/// `page_rows` chunk of group ids: group-key columns decoded straight from
+/// the table's key arena, aggregate columns gathered from the accumulator
+/// vectors — no intermediate `Vec<Value>` rows, and no page built whole
+/// and then copied again in slices.
 fn emit_group_pages(
     index: &GroupIndex,
     accs: &[AggAccumulator],
@@ -456,39 +465,35 @@ fn emit_group_pages(
     key_count: usize,
     page_rows: usize,
 ) -> VecDeque<DataPage> {
-    let order = index.table.sorted_ids();
-    let mut out = VecDeque::new();
-    if order.is_empty() {
-        return out;
-    }
+    let order: Vec<u32> = match output {
+        AggOutput::Final { table_order: false } => index.table.sorted_ids(),
+        _ => (0..index.table.len() as u32).collect(),
+    };
     let key_types: Vec<DataType> = schema.fields()[..key_count]
         .iter()
         .map(|f| f.data_type)
         .collect();
-    let mut cols = decode_keys_to_columns(
-        order.iter().map(|&g| index.table.key(g)),
-        &key_types,
-        order.len(),
-    );
-    for acc in accs {
-        match output {
-            AggOutput::Partial => cols.extend(acc.partial_columns(&order)),
-            AggOutput::Final => cols.push(acc.finish_column(&order)),
-        }
-    }
-    let whole = if cols.is_empty() {
-        DataPage::row_count_only(order.len())
-    } else {
-        DataPage::new(cols)
-    };
-    let page_rows = page_rows.max(1);
-    let mut offset = 0;
-    while offset < whole.row_count() {
-        let take = page_rows.min(whole.row_count() - offset);
-        out.push_back(whole.slice(offset, take));
-        offset += take;
-    }
-    out
+    order
+        .chunks(page_rows.max(1))
+        .map(|ids| {
+            let mut cols = decode_keys_to_columns(
+                ids.iter().map(|&g| index.table.key(g)),
+                &key_types,
+                ids.len(),
+            );
+            for acc in accs {
+                match output {
+                    AggOutput::Partial => cols.extend(acc.partial_columns(ids)),
+                    AggOutput::Final { .. } => cols.push(acc.finish_column(ids)),
+                }
+            }
+            if cols.is_empty() {
+                DataPage::row_count_only(ids.len())
+            } else {
+                DataPage::new(cols)
+            }
+        })
+        .collect()
 }
 
 /// Re-chunks Top-N's result rows. `Value` rows stay here: only the ≤ n
@@ -513,7 +518,8 @@ fn chunk_rows_into_pages(
 }
 
 /// Partial (scan-side) phase of two-phase aggregation. Emits one row per
-/// group: group values followed by each aggregate's serialized state.
+/// group, in table (first-seen) order: group values followed by each
+/// aggregate's serialized state.
 pub struct PartialHashAggOp {
     input: BoxedStream,
     group_by: Vec<usize>,
@@ -601,13 +607,16 @@ impl PageStream for PartialHashAggOp {
 }
 
 /// Final (merge) phase: consumes the partial layout — group columns first,
-/// then each aggregate's serialized state columns — and emits final values.
+/// then each aggregate's serialized state columns — and emits final values,
+/// groups in encoded-key byte order unless
+/// [`with_table_order`](Self::with_table_order) says nobody reads it.
 pub struct FinalHashAggOp {
     input: BoxedStream,
     group_count: usize,
     aggs: Vec<AggSpec>,
     output_schema: SchemaRef,
     page_rows: usize,
+    table_order: bool,
     out: Option<VecDeque<DataPage>>,
 }
 
@@ -625,8 +634,18 @@ impl FinalHashAggOp {
             aggs,
             output_schema: Arc::new(output_schema),
             page_rows,
+            table_order: false,
             out: None,
         }
+    }
+
+    /// With `table_order`, emits groups in table (first-seen) order and
+    /// skips the sort by key bytes: for a final whose rows a sort covering
+    /// every group column reorders anyway, so arrival order cannot show
+    /// (`OperatorSpec::FinalAggregate::table_order`).
+    pub fn with_table_order(mut self, table_order: bool) -> Self {
+        self.table_order = table_order;
+        self
     }
 
     fn consume_input(&mut self) -> Result<VecDeque<DataPage>> {
@@ -670,7 +689,9 @@ impl FinalHashAggOp {
         Ok(emit_group_pages(
             &index,
             &accs,
-            AggOutput::Final,
+            AggOutput::Final {
+                table_order: self.table_order,
+            },
             &self.output_schema,
             self.group_count,
             self.page_rows,

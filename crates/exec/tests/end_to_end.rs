@@ -6,14 +6,24 @@
 //! multi-task scans) and `sales1` as a single split (for order-sensitive
 //! golden results without a final sort).
 
+use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Duration;
+
+use accordion_common::{PipelineId, Result, StageId};
+use accordion_data::column::Column;
+use accordion_data::page::{DataPage, EndReason, Page};
 use accordion_data::schema::{Field, Schema};
 use accordion_data::types::{DataType, Value};
-use accordion_exec::{execute_logical, execute_tree, ExecOptions, QueryResult};
+use accordion_exec::{
+    execute_logical, execute_tree, run_task, ExecOptions, QueryMetrics, QueryResult, TaskContext,
+};
 use accordion_expr::agg::AggKind;
 use accordion_expr::scalar::Expr;
+use accordion_net::{ExchangeReader, ExchangeStats, ExchangeWriter};
 use accordion_plan::fragment::{StageKind, StageTree};
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
-use accordion_plan::pipeline::split_pipelines;
+use accordion_plan::pipeline::{split_pipelines, OperatorSpec, PipelineSpec};
 use accordion_plan::LogicalPlanBuilder;
 use accordion_storage::catalog::Catalog;
 use accordion_storage::table::{PartitioningScheme, TableBuilder};
@@ -480,4 +490,91 @@ fn results_invariant_under_parallelism() {
         7,
         "7 distinct (region, product) pairs"
     );
+}
+
+/// A child-stage input that sleeps before handing out each page.
+struct SleepyInput {
+    pages: Vec<Arc<DataPage>>,
+    nap: Duration,
+}
+
+impl ExchangeReader for SleepyInput {
+    fn pull(&mut self) -> Result<Page> {
+        std::thread::sleep(self.nap);
+        Ok(match self.pages.pop() {
+            Some(p) => Page::Data(p),
+            None => Page::end(EndReason::UpstreamFinished),
+        })
+    }
+}
+
+struct Discard;
+
+impl ExchangeWriter for Discard {
+    fn push(&mut self, _: Page) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// Every operator of a driver chain reports the time spent in its pulls,
+/// upstream included (`busy_ns`), and net of the operator feeding it
+/// (`self_ns`): a chain's self times add up to its last operator's busy
+/// time, and a source's self time is its wait on input.
+#[test]
+fn operators_report_busy_and_self_time() {
+    let pipelines = vec![PipelineSpec {
+        id: PipelineId(0),
+        operators: vec![
+            OperatorSpec::ExchangeSource {
+                child_stage: StageId(1),
+            },
+            OperatorSpec::Filter {
+                predicate: Expr::gt(Expr::col(0), Expr::lit_i64(1)),
+            },
+            OperatorSpec::Project {
+                exprs: vec![(Expr::col(0), "a".into())],
+            },
+            OperatorSpec::Output,
+        ],
+    }];
+    let page = Arc::new(DataPage::new(vec![Column::from_i64(vec![1, 2, 3, 4])]));
+    let nap = Duration::from_millis(3);
+    let mut inputs: HashMap<u32, Box<dyn ExchangeReader>> = HashMap::new();
+    inputs.insert(
+        1,
+        Box::new(SleepyInput {
+            pages: vec![page.clone(), page],
+            nap,
+        }),
+    );
+    let metrics = Arc::new(QueryMetrics::new());
+    let catalog = Catalog::new();
+    let mut task = TaskContext::new(
+        &catalog,
+        0,
+        0,
+        1,
+        64,
+        inputs,
+        Box::new(Discard),
+        &pipelines,
+        metrics.clone(),
+    );
+    run_task(&pipelines, &mut task).unwrap();
+    let stats = metrics.snapshot(ExchangeStats::default());
+    let names: Vec<_> = stats.operators.iter().map(|o| o.operator).collect();
+    assert_eq!(names, ["ExchangeSource", "Filter", "Project"]);
+    let [source, filter, project] = [0, 1, 2].map(|i| &stats.operators[i]);
+    // Three pulls of the input (two pages, then the end), each asleep.
+    assert!(source.busy_ns >= 3 * nap.as_nanos() as u64, "{source:?}");
+    assert_eq!(source.self_ns, source.busy_ns, "a source has no feeder");
+    assert_eq!(filter.self_ns, filter.busy_ns - source.busy_ns);
+    assert_eq!(project.self_ns, project.busy_ns - filter.busy_ns);
+    assert_eq!(
+        source.self_ns + filter.self_ns + project.self_ns,
+        project.busy_ns
+    );
+    let json = project.to_json();
+    assert_eq!(json.get("busy_ns").unwrap().as_u64(), Some(project.busy_ns));
+    assert_eq!(json.get("self_ns").unwrap().as_u64(), Some(project.self_ns));
 }

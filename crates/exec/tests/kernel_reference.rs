@@ -331,6 +331,15 @@ impl AggState {
             _ => Value::Null,
         }
     }
+
+    /// The serialized state a partial aggregate emits: AVG's running sum
+    /// and count, every other aggregate's finished value.
+    fn partial(&self) -> Vec<Value> {
+        match self {
+            AggState::Avg { sum, count } => vec![Value::Float64(*sum), Value::Int64(*count)],
+            other => vec![other.finish()],
+        }
+    }
 }
 
 /// Scalar reference: BTreeMap over encoded keys + one [`AggState`] per agg
@@ -340,6 +349,25 @@ fn reference_grouped_agg(
     pages: &[DataPage],
     key_cols: &[usize],
     aggs: &[AggSpec],
+) -> Vec<Vec<Value>> {
+    reference_groups(pages, key_cols, aggs, |s| [s.finish()])
+}
+
+/// The same reference, emitting each aggregate's partial state: the rows a
+/// partial aggregate used to emit in encoded-key order.
+fn reference_partial_agg(
+    pages: &[DataPage],
+    key_cols: &[usize],
+    aggs: &[AggSpec],
+) -> Vec<Vec<Value>> {
+    reference_groups(pages, key_cols, aggs, AggState::partial)
+}
+
+fn reference_groups<T: IntoIterator<Item = Value>>(
+    pages: &[DataPage],
+    key_cols: &[usize],
+    aggs: &[AggSpec],
+    emit: fn(&AggState) -> T,
 ) -> Vec<Vec<Value>> {
     let mut groups: BTreeMap<Vec<u8>, (Vec<Value>, Vec<AggState>)> = BTreeMap::new();
     for page in pages {
@@ -366,7 +394,7 @@ fn reference_grouped_agg(
     groups
         .into_values()
         .map(|(mut key_vals, states)| {
-            key_vals.extend(states.iter().map(|s| s.finish()));
+            key_vals.extend(states.iter().flat_map(emit));
             key_vals
         })
         .collect()
@@ -499,6 +527,211 @@ fn global_agg_matches_scalar_reference_including_empty_input() {
             8,
         );
         assert_eq!(drain(fin), expected, "seed {seed}: global agg diverged");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Group emission order
+// ---------------------------------------------------------------------------
+
+const ALL_TYPES: [DataType; 5] = [
+    DataType::Int64,
+    DataType::Float64,
+    DataType::Bool,
+    DataType::Date32,
+    DataType::Utf8,
+];
+
+/// A key column drawn from small domains that hold every cell the key
+/// encoding and the sort comparators must keep apart: NULL, -0.0 beside
+/// 0.0, NaNs of different payloads and signs, empty and multi-byte strings.
+fn edge_key_column(rng: &mut XorShift, dt: DataType, rows: usize) -> accordion_data::Column {
+    let floats = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7FF8_0000_0000_0001),
+        f64::from_bits(0x7FF0_0000_0000_0002),
+        1.5,
+        f64::NEG_INFINITY,
+    ];
+    let words = ["", "a", "ab", "ünïcodé", "日本", "a\u{0}"];
+    let mut b = ColumnBuilder::new(dt, rows);
+    for _ in 0..rows {
+        let pick = |rng: &mut XorShift, n: usize| rng.below(n as u64) as usize;
+        b.push(if rng.chance(12) {
+            Value::Null
+        } else {
+            match dt {
+                DataType::Int64 => Value::Int64([i64::MIN, -1, 0, 1, 7, i64::MAX][pick(rng, 6)]),
+                DataType::Float64 => Value::Float64(floats[pick(rng, floats.len())]),
+                DataType::Bool => Value::Bool(rng.chance(50)),
+                DataType::Date32 => Value::Date32([-1, 0, 1, 10_957][pick(rng, 4)]),
+                DataType::Utf8 => Value::Utf8(words[pick(rng, words.len())].to_string()),
+            }
+        });
+    }
+    b.finish()
+}
+
+/// `rows` in one canonical order (lexicographic `Value::total_cmp`, under
+/// which only equal rows tie): equal after this ⇔ equal as multisets.
+fn canonical(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    rows.sort_by(|a, b| {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    rows
+}
+
+#[test]
+fn partial_aggregate_rows_are_the_key_ordered_rows_as_a_multiset() {
+    // A partial aggregate's rows only feed a final one, which merges each
+    // group whatever order they arrive in: the partial may emit in any
+    // order, but exactly the rows the key-ordered reference emits, cut
+    // into full pages of `page_rows`.
+    for seed in 0..60 {
+        let mut rng = XorShift::new(7100 + seed);
+        let rows = rng.below(200) as usize;
+        let n_keys = 1 + rng.below(3) as usize;
+        let kts: Vec<DataType> = (0..n_keys)
+            .map(|_| ALL_TYPES[rng.below(5) as usize])
+            .collect();
+        let mut cols: Vec<_> = kts
+            .iter()
+            .map(|&dt| edge_key_column(&mut rng, dt, rows))
+            .collect();
+        cols.push(random_column(&mut rng, DataType::Float64, rows, 20, false));
+        let page = DataPage::new(cols);
+        let key_cols: Vec<usize> = (0..n_keys).collect();
+        let v = Expr::col(n_keys);
+        let aggs = vec![
+            AggSpec::count_star("cnt"),
+            AggSpec::new(AggKind::Sum, v.clone(), DataType::Float64, "s"),
+            AggSpec::new(AggKind::Avg, v.clone(), DataType::Float64, "a"),
+            AggSpec::new(AggKind::Min, v, DataType::Float64, "mn"),
+        ];
+        let mut fields: Vec<Field> = kts
+            .iter()
+            .enumerate()
+            .map(|(i, &dt)| Field::new(format!("k{i}"), dt))
+            .collect();
+        for spec in &aggs {
+            for (i, dt) in spec.partial_state_types().into_iter().enumerate() {
+                fields.push(Field::new(format!("{}#p{i}", spec.name), dt));
+            }
+        }
+        let chunks = random_split(&mut rng, &page);
+        let expected = reference_partial_agg(&chunks, &key_cols, &aggs);
+        let page_rows = 1 + rng.below(64) as usize;
+        let mut partial = PartialHashAggOp::new(
+            source(chunks),
+            key_cols,
+            aggs,
+            Schema::new(fields),
+            page_rows,
+        );
+        let mut sizes = Vec::new();
+        let mut got = Vec::new();
+        while let Page::Data(p) = partial.next_page().unwrap() {
+            sizes.push(p.row_count());
+            got.extend(p.rows());
+        }
+        let context = format!("seed {seed}, keys {kts:?}, page_rows {page_rows}");
+        assert_eq!(canonical(got), canonical(expected.clone()), "{context}");
+        assert_eq!(sizes.iter().sum::<usize>(), expected.len(), "{context}");
+        assert!(
+            sizes.iter().rev().skip(1).all(|&n| n == page_rows),
+            "{context}: pages {sizes:?}"
+        );
+    }
+}
+
+#[test]
+fn a_final_under_a_covering_sort_returns_its_key_ordered_twin_row_for_row() {
+    // With Top-N pushdown the merge stage's final aggregate feeds a per-task
+    // TopN inside its own pipeline — through a HAVING-shaped filter and a
+    // projection that reorders plain columns — whose keys cover every group
+    // column, so it may emit groups in table order. Without pushdown the
+    // same final feeds the gather exchange and must keep key order; with
+    // single-stage aggregation partial and final share that pipeline. All
+    // three plans must return the same rows in the same order.
+    for seed in 0..30 {
+        let mut rng = XorShift::new(7300 + seed);
+        let rows = rng.below(300) as usize;
+        let n_keys = 1 + rng.below(2) as usize;
+        let kts: Vec<DataType> = (0..n_keys)
+            .map(|_| ALL_TYPES[rng.below(5) as usize])
+            .collect();
+        let mut fields: Vec<Field> = kts
+            .iter()
+            .enumerate()
+            .map(|(i, &dt)| Field::new(format!("k{i}"), dt))
+            .collect();
+        fields.push(Field::new("v", DataType::Float64));
+        let mut cols: Vec<_> = kts
+            .iter()
+            .map(|&dt| edge_key_column(&mut rng, dt, rows))
+            .collect();
+        cols.push(random_column(&mut rng, DataType::Float64, rows, 20, true));
+        let page = DataPage::new(cols);
+        let catalog = Catalog::new();
+        let mut table = TableBuilder::new("t", Schema::shared(fields), 1 + rng.below(40) as usize);
+        for row in page.rows() {
+            table.push_row(row);
+        }
+        table.register(&catalog, PartitioningScheme::new(2, 2), 0);
+
+        let keys: Vec<String> = (0..n_keys).map(|i| format!("k{i}")).collect();
+        let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
+        let b = LogicalPlanBuilder::scan(&catalog, "t").unwrap();
+        let aggs = vec![
+            b.agg(AggKind::Sum, "v", "s").unwrap(),
+            AggSpec::count_star("c"),
+        ];
+        let mut b = b.aggregate(&key_refs, aggs).unwrap();
+        if rng.chance(50) {
+            let c = b.col("c").unwrap();
+            b = b.filter(Expr::gt(c, Expr::lit_i64(1))).unwrap();
+        }
+        // Aggregates first, groups after them in reverse: every column a
+        // plain reference.
+        let mut projection = vec![(b.col("c").unwrap(), "c"), (b.col("s").unwrap(), "s")];
+        for k in key_refs.iter().rev() {
+            projection.push((b.col(k).unwrap(), *k));
+        }
+        let b = b.project(projection).unwrap();
+        let mut order = vec![("s", rng.chance(50))];
+        order.extend(key_refs.iter().map(|k| (*k, rng.chance(50))));
+        let n = [1, 5, usize::MAX][rng.below(3) as usize];
+        let plan = b.top_n(&order, n).unwrap().build();
+
+        let dop = 1 + rng.below(3) as u32;
+        let opts = ExecOptions::with_page_rows(1 + rng.below(20) as usize);
+        let run = |config: OptimizerConfig| {
+            execute_logical(&catalog, &plan, &Optimizer::new(config), &opts)
+                .unwrap()
+                .rows()
+        };
+        let pushed = OptimizerConfig::default().with_parallelism(dop);
+        let twin = run(OptimizerConfig {
+            topn_pushdown: false,
+            ..pushed.clone()
+        });
+        let context = format!("seed {seed}, keys {kts:?}, order {order:?}, n {n}, dop {dop}");
+        assert_eq!(run(pushed.clone()), twin, "{context}: pushed-down TopN");
+        assert_eq!(
+            run(OptimizerConfig {
+                two_stage_aggregation: false,
+                ..pushed
+            }),
+            twin,
+            "{context}: single-stage aggregation"
+        );
     }
 }
 

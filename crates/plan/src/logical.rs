@@ -274,6 +274,7 @@ impl LogicalPlan {
             }
             LogicalPlan::TopN { input, keys, n } => {
                 let cols: Vec<usize> = keys.iter().map(|k| k.column).collect();
+                let n = top_n_display(*n);
                 out.push_str(&format!("{pad}TopN: n={n} keys={cols:?}\n"));
                 input.fmt_indent(out, indent + 1);
             }
@@ -282,6 +283,16 @@ impl LogicalPlan {
                 input.fmt_indent(out, indent + 1);
             }
         }
+    }
+}
+
+/// A Top-N's row count as plan displays print it: ORDER BY without LIMIT
+/// is a Top-N over every row, `n=all`.
+pub(crate) fn top_n_display(n: usize) -> String {
+    if n == usize::MAX {
+        "all".to_string()
+    } else {
+        n.to_string()
     }
 }
 

@@ -382,6 +382,7 @@ impl PhysicalNode {
             }
             PhysicalNode::TopN { input, keys, n } => {
                 let cols: Vec<usize> = keys.iter().map(|k| k.column).collect();
+                let n = crate::logical::top_n_display(*n);
                 out.push_str(&format!("{pad}TopN: n={n} keys={cols:?}\n"));
                 input.fmt_indent(out, indent + 1);
             }

@@ -57,6 +57,12 @@ pub enum OperatorSpec {
         group_count: usize,
         aggs: Vec<AggSpec>,
         output_schema: Schema,
+        /// Groups may leave in table (first-seen) order instead of sorted
+        /// by key bytes: this pipeline carries them, through Filters and
+        /// Projects of plain column references, into a TopN or Sort whose
+        /// keys include every group column, so nobody can see their order.
+        /// Set by [`split_pipelines`].
+        table_order: bool,
     },
     /// Sink: consumes the build side of hash join `join` into a hash table.
     HashJoinBuild {
@@ -165,11 +171,65 @@ pub fn split_pipelines(fragment: &PlanFragment) -> Result<Vec<PipelineSpec>> {
         .pipelines
         .into_iter()
         .enumerate()
-        .map(|(i, operators)| PipelineSpec {
-            id: PipelineId(i as u32),
-            operators,
+        .map(|(i, mut operators)| {
+            mark_unread_group_order(&mut operators);
+            PipelineSpec {
+                id: PipelineId(i as u32),
+                operators,
+            }
         })
         .collect())
+}
+
+/// Sets `table_order` on every final aggregate of a finished pipeline whose
+/// group order nobody reads ([`sort_covers_groups`]).
+fn mark_unread_group_order(operators: &mut [OperatorSpec]) {
+    for i in 0..operators.len() {
+        let (head, downstream) = operators.split_at_mut(i + 1);
+        if let OperatorSpec::FinalAggregate {
+            group_count,
+            output_schema,
+            table_order,
+            ..
+        } = &mut head[i]
+        {
+            *table_order = sort_covers_groups(downstream, *group_count, output_schema.len());
+        }
+    }
+}
+
+/// Whether the operators after a final aggregate (of `width` output
+/// columns, the first `group_count` of them its group columns) carry its
+/// rows, through Filters and Projects of plain column references, into a
+/// TopN or Sort whose keys include every group column. Two groups then
+/// differ in a sort key, and keys compare by `Value::total_cmp` — under
+/// which a NULL and a value, and any two distinct float bit patterns, are
+/// unequal — so the sort leaves no tie for arrival order to break.
+fn sort_covers_groups(downstream: &[OperatorSpec], group_count: usize, width: usize) -> bool {
+    // For each column of the stream, the aggregate column it copies.
+    let mut origin: Vec<Option<usize>> = (0..width).map(Some).collect();
+    for op in downstream {
+        match op {
+            OperatorSpec::Filter { .. } => {}
+            OperatorSpec::Project { exprs } => {
+                origin = exprs
+                    .iter()
+                    .map(|(e, _)| match e {
+                        Expr::Column(c) => origin.get(*c).copied().flatten(),
+                        _ => None,
+                    })
+                    .collect();
+            }
+            OperatorSpec::TopN { keys, .. } | OperatorSpec::Sort { keys } => {
+                return (0..group_count).all(|g| {
+                    keys.iter()
+                        .any(|k| origin.get(k.column).copied().flatten() == Some(g))
+                });
+            }
+            _ => return false,
+        }
+    }
+    false
 }
 
 struct Splitter {
@@ -267,6 +327,7 @@ impl Splitter {
                     group_count: *group_count,
                     aggs: aggs.clone(),
                     output_schema,
+                    table_order: false,
                 });
                 Ok(ops)
             }

@@ -1,6 +1,7 @@
 //! Structural planner tests: two-stage aggregation shape, fragment cutting,
-//! and pipeline splitting, driven through the public
-//! `LogicalPlanBuilder → Optimizer → StageTree → split_pipelines` API.
+//! pipeline splitting and which final aggregates may skip their key sort,
+//! driven through the public
+//! `LogicalPlanBuilder`/SQL `→ Optimizer → StageTree → split_pipelines` API.
 
 use std::sync::Arc;
 
@@ -9,11 +10,13 @@ use accordion_data::schema::{Field, Schema};
 use accordion_data::types::{DataType, Value};
 use accordion_expr::agg::AggKind;
 use accordion_expr::scalar::Expr;
+use accordion_plan::catalog::MemoryCatalog;
 use accordion_plan::fragment::{DopBounds, StageKind, StageTree};
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::physical::{Partitioning, PhysicalNode, SourceRole};
-use accordion_plan::pipeline::split_pipelines;
+use accordion_plan::pipeline::{split_pipelines, OperatorSpec};
 use accordion_plan::LogicalPlanBuilder;
+use accordion_sql::plan_select;
 use accordion_storage::catalog::Catalog;
 use accordion_storage::table::{PartitioningScheme, TableBuilder};
 
@@ -313,6 +316,140 @@ fn pushdown_moves_filter_into_scan_stage() {
     );
     // And the physical plan still validates schema-wise end to end.
     assert_eq!(tree.root().schema().field(1).name, "v2");
+}
+
+/// The benchmark's tables, schemas only.
+fn tpch_catalog() -> MemoryCatalog {
+    let table = |fields: &[(&str, DataType)]| {
+        Schema::shared(
+            fields
+                .iter()
+                .map(|&(name, dt)| Field::new(name, dt))
+                .collect(),
+        )
+    };
+    use DataType::*;
+    let mut c = MemoryCatalog::new();
+    c.register(
+        "lineitem",
+        table(&[
+            ("l_orderkey", Int64),
+            ("l_linenumber", Int64),
+            ("l_partkey", Int64),
+            ("l_suppkey", Int64),
+            ("l_quantity", Float64),
+            ("l_extendedprice", Float64),
+            ("l_discount", Float64),
+            ("l_tax", Float64),
+            ("l_returnflag", Utf8),
+            ("l_linestatus", Utf8),
+            ("l_shipdate", Date32),
+        ]),
+    );
+    c.register(
+        "orders",
+        table(&[
+            ("o_orderkey", Int64),
+            ("o_custkey", Int64),
+            ("o_orderstatus", Utf8),
+            ("o_totalprice", Float64),
+            ("o_orderdate", Date32),
+        ]),
+    );
+    c.register(
+        "customer",
+        table(&[
+            ("c_custkey", Int64),
+            ("c_name", Utf8),
+            ("c_nationkey", Int64),
+            ("c_mktsegment", Utf8),
+            ("c_acctbal", Float64),
+        ]),
+    );
+    c
+}
+
+/// `sql` planned the way the benchmark runs it (scan DOP 2).
+fn tpch_tree(sql: &str) -> StageTree {
+    let plan = plan_select(&tpch_catalog(), sql).unwrap();
+    let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(2));
+    StageTree::build(optimizer.optimize(&plan).unwrap()).unwrap()
+}
+
+/// `table_order` of every final aggregate in `sql`'s pipelines.
+fn final_table_order(sql: &str) -> Vec<bool> {
+    let tree = tpch_tree(sql);
+    let mut out = Vec::new();
+    for fragment in tree.fragments() {
+        for pipeline in split_pipelines(fragment).unwrap() {
+            for op in pipeline.operators {
+                if let OperatorSpec::FinalAggregate { table_order, .. } = op {
+                    out.push(table_order);
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn a_final_skips_the_key_sort_only_under_a_sort_covering_its_groups() {
+    let cases: [(&str, &str, bool); 8] = [
+        (
+            "q_shuffle: TopN [qty DESC, l_orderkey] covers l_orderkey",
+            include_str!("../../../suite/sql/q_shuffle.sql"),
+            true,
+        ),
+        (
+            "q1: TopN [0, 1] is the group",
+            include_str!("../../../suite/sql/q1.sql"),
+            true,
+        ),
+        (
+            "q_expr: TopN [0] is the group",
+            include_str!("../../../suite/sql/q_expr.sql"),
+            true,
+        ),
+        (
+            "q3: TopN [revenue, l_orderkey] leaves o_orderdate out",
+            include_str!("../../../suite/sql/q3.sql"),
+            false,
+        ),
+        (
+            "q6: a global aggregate nobody sorts",
+            include_str!("../../../suite/sql/q6.sql"),
+            false,
+        ),
+        (
+            "LIMIT without ORDER BY keeps the first groups in key order",
+            "SELECT l_orderkey, sum(l_quantity) AS qty FROM lineitem \
+             GROUP BY l_orderkey LIMIT 5",
+            false,
+        ),
+        (
+            "a covering ORDER BY above a HAVING filter",
+            "SELECT l_returnflag, l_linestatus, count(*) AS n FROM lineitem \
+             GROUP BY l_returnflag, l_linestatus HAVING count(*) > 1 \
+             ORDER BY n DESC, l_linestatus, l_returnflag",
+            true,
+        ),
+        (
+            "a sort on an expression over the group column covers nothing",
+            "SELECT l_orderkey + 1 AS k1, count(*) AS n FROM lineitem \
+             GROUP BY l_orderkey ORDER BY k1",
+            false,
+        ),
+    ];
+    for (case, sql, table_order) in cases {
+        assert_eq!(final_table_order(sql), vec![table_order], "{case}");
+    }
+}
+
+#[test]
+fn order_by_without_limit_displays_as_a_top_n_over_all_rows() {
+    let text = tpch_tree(include_str!("../../../suite/sql/q1.sql")).display();
+    assert!(text.contains("TopN: n=all keys=[0, 1]"), "{text}");
+    assert!(!text.contains(&usize::MAX.to_string()), "{text}");
 }
 
 #[test]

@@ -32,7 +32,7 @@ use crate::lexer::{tokenize, Token, TokenKind};
 const RESERVED: &[&str] = &[
     "select", "from", "where", "group", "by", "having", "order", "limit", "join", "inner", "on",
     "as", "and", "or", "not", "between", "in", "like", "is", "null", "true", "false", "case",
-    "when", "then", "else", "end", "extract", "date", "set", "show", "asc", "desc",
+    "when", "then", "else", "end", "extract", "date", "set", "show", "asc", "desc", "distinct",
 ];
 
 /// Parses a batch of `;`-separated statements. On syntax errors, recovers at
@@ -175,6 +175,15 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Fails with `message`, pointing at the token, when it is `DISTINCT`:
+    /// a keyword the grammar reserves but does not implement.
+    fn reject_distinct(&self, message: &str) -> Result<(), SqlError> {
+        if self.at_kw("distinct") {
+            return Err(SqlError::parse(message, self.peek().span));
+        }
+        Ok(())
+    }
+
     fn recover_to_semicolon(&mut self) {
         while !self.at(&TokenKind::Semicolon) && !self.at(&TokenKind::Eof) {
             self.next();
@@ -247,6 +256,7 @@ impl<'a> Parser<'a> {
 
     fn parse_select(&mut self) -> Result<Select, SqlError> {
         let kw = self.expect_kw("select")?;
+        self.reject_distinct("SELECT DISTINCT is not supported; use GROUP BY")?;
         let mut items = vec![self.parse_select_item()?];
         while self.eat(&TokenKind::Comma) {
             items.push(self.parse_select_item()?);
@@ -700,6 +710,10 @@ impl<'a> Parser<'a> {
                     span,
                 ));
             }
+            self.reject_distinct(&format!(
+                "{}(DISTINCT ...) is not supported; GROUP BY the argument first",
+                name.value
+            ))?;
             let mut args = Vec::new();
             if !self.at(&TokenKind::RParen) {
                 args.push(self.parse_expr()?);
@@ -928,6 +942,31 @@ mod tests {
         assert!(parse_one("SELECT a FROM t WHERE").is_err());
         assert!(parse_one("SELECT CASE WHEN a THEN").is_err());
         assert!(parse_one("").is_err());
+    }
+
+    #[test]
+    fn distinct_is_a_keyword_not_a_column() {
+        // Not a column named DISTINCT aliased by the next word: against a
+        // table with a `distinct` column that reads the wrong column.
+        let sql = "SELECT DISTINCT l_returnflag FROM lineitem";
+        let err = parse_one(sql).unwrap_err();
+        assert!(
+            err.message.contains("SELECT DISTINCT is not supported"),
+            "{err:?}"
+        );
+        assert_eq!(&sql[err.span.start..err.span.end], "DISTINCT");
+
+        let sql = "SELECT count(distinct x) FROM t";
+        let err = parse_one(sql).unwrap_err();
+        assert!(
+            err.message.contains("count(DISTINCT ...) is not supported"),
+            "{err:?}"
+        );
+        assert_eq!(&sql[err.span.start..err.span.end], "distinct");
+
+        // Nor is it an alias or a bare column anywhere else.
+        assert!(parse_one("SELECT a distinct FROM t").is_err());
+        assert!(parse_one("SELECT a FROM t WHERE distinct = 1").is_err());
     }
 
     #[test]
