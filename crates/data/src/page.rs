@@ -228,7 +228,7 @@ impl fmt::Display for Page {
 
 /// Row-at-a-time page builder bound to a schema. Flushes into a [`DataPage`]
 /// when `target_rows` is reached. `Value` stays here: it is the row-in
-/// entry for the TPC-H generator, Top-N's heap rows and test fixtures.
+/// entry for the TPC-H generator and test fixtures.
 #[derive(Debug)]
 pub struct PageBuilder {
     schema: SchemaRef,

@@ -3,19 +3,16 @@
 //! Used by the ORDER BY / TopN operators (e.g. TPC-H Q3's
 //! `ORDER BY revenue DESC, o_orderdate LIMIT 10`).
 //!
-//! Every ordering decision is one of two typed comparators, each exactly
-//! [`Value::total_cmp`] of the cells it reads, without building a `Value`:
-//! [`cmp_cells`] (cell against cell — full sorts) and [`cmp_cell_value`]
-//! (cell against an owned value — a Top-N candidate against the worst row
-//! kept so far). Only a row that enters the Top-N heap is materialised.
+//! Every ordering decision is [`cmp_cells`], which orders two cells read
+//! from their typed vectors exactly as the scalar type's `total_cmp` would
+//! order them, without building a scalar. Rows stay in typed pages: a full
+//! sort gathers its input once in sorted order, and a Top-N keeps its
+//! candidates as pages and sorts them the same way.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use crate::column::Column;
 use crate::page::DataPage;
-use crate::types::Value;
 
 /// One ORDER BY term: a column index plus direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +37,7 @@ impl SortKey {
     }
 }
 
-/// [`Value::total_cmp`] of cell `ra` of `a` and cell `rb` of `b`, read from
+/// The scalar `total_cmp` of cell `ra` of `a` and cell `rb` of `b`, read from
 /// the typed vectors: NULL sorts first, floats by `f64::total_cmp`, Int64
 /// against Float64 as f64, strings by bytes, and any other pair of types is
 /// `Equal`.
@@ -57,25 +54,6 @@ pub fn cmp_cells(a: &Column, ra: usize, b: &Column, rb: usize) -> Ordering {
         (Column::Utf8(x, _), Column::Utf8(y, _)) => x.bytes(ra).cmp(y.bytes(rb)),
         (Column::Int64(x, _), Column::Float64(y, _)) => (x[ra] as f64).total_cmp(&y[rb]),
         (Column::Float64(x, _), Column::Int64(y, _)) => x[ra].total_cmp(&(y[rb] as f64)),
-        _ => Ordering::Equal,
-    }
-}
-
-/// [`Value::total_cmp`] of cell `row` of `col` and `v`, read from the typed
-/// vector — the same rules as [`cmp_cells`], against an owned value.
-pub fn cmp_cell_value(col: &Column, row: usize, v: &Value) -> Ordering {
-    match (col.is_valid(row), v.is_null()) {
-        (true, false) => {}
-        (valid, null) => return valid.cmp(&!null),
-    }
-    match (col, v) {
-        (Column::Int64(x, _), Value::Int64(y)) => x[row].cmp(y),
-        (Column::Date32(x, _), Value::Date32(y)) => x[row].cmp(y),
-        (Column::Float64(x, _), Value::Float64(y)) => x[row].total_cmp(y),
-        (Column::Bool(x, _), Value::Bool(y)) => x[row].cmp(y),
-        (Column::Utf8(x, _), Value::Utf8(y)) => x.bytes(row).cmp(y.as_bytes()),
-        (Column::Int64(x, _), Value::Float64(y)) => (x[row] as f64).total_cmp(y),
-        (Column::Float64(x, _), Value::Int64(y)) => x[row].total_cmp(&(*y as f64)),
         _ => Ordering::Equal,
     }
 }
@@ -113,134 +91,102 @@ pub fn sort_page(page: &DataPage, keys: &[SortKey]) -> DataPage {
     page.gather(&indices)
 }
 
-/// Streaming Top-N accumulator: feeds pages in, keeps the N smallest rows
-/// under `keys` (i.e. the first N of the total order — for DESC keys this is
-/// the "largest" in user terms).
+/// Streaming Top-N accumulator: a stable sort of every row fed in, cut
+/// after the first `n` — whole rows, ties at the cut going to the earliest
+/// arrival — that keeps at most `2n` candidate rows.
 ///
-/// Once the heap holds `n` rows, a candidate's key cells are compared in
-/// place against the heap root's key values ([`cmp_cell_value`]); a row
-/// that is not strictly better than the root is skipped without building
-/// anything. That is the same test the heap itself would make, so the heap
-/// sees the same pushes and pops as if every row were materialised — the
-/// rows kept, ties at the cut included, do not change.
+/// Candidates are typed pages in arrival order. Once more than `2n` rows
+/// are held they are sorted (stably) and cut back to `n`, into one page
+/// that goes first: its rows arrived before any later candidate, and ties
+/// among them are in arrival order. From then on a row is a candidate only
+/// if it sorts strictly before that page's last row, the current `n`-th:
+/// a row that ties with it arrived later and can never make the cut. With
+/// `n = usize::MAX` nothing is ever cut, and this is one typed sort.
 #[derive(Debug)]
 pub struct TopNAccumulator {
     keys: Vec<SortKey>,
-    /// `keys`' directions, shared by every heap row.
-    descending: Arc<[bool]>,
     n: usize,
-    /// Max-heap of (row values snapshot). The heap root is the *worst* of
-    /// the current top-N, evicted when a better row arrives.
-    heap: BinaryHeap<HeapRow>,
-}
-
-#[derive(Debug)]
-struct HeapRow {
-    sort_values: Vec<Value>,
-    full_row: Vec<Value>,
-    descending: Arc<[bool]>,
-}
-
-impl HeapRow {
-    fn cmp_keys(&self, other: &Self) -> Ordering {
-        self.sort_values
-            .iter()
-            .zip(&other.sort_values)
-            .zip(self.descending.iter())
-            .map(|((a, b), &desc)| directed(desc, a.total_cmp(b)))
-            .find(|ord| ord.is_ne())
-            .unwrap_or(Ordering::Equal)
-    }
-}
-
-impl PartialEq for HeapRow {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp_keys(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapRow {}
-impl PartialOrd for HeapRow {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapRow {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.cmp_keys(other)
-    }
+    /// Candidate rows in arrival order; after a cut, `pages[0]` holds the
+    /// `n` best rows so far, sorted.
+    pages: Vec<DataPage>,
+    rows: usize,
+    cut: bool,
 }
 
 impl TopNAccumulator {
     pub fn new(keys: Vec<SortKey>, n: usize) -> Self {
         TopNAccumulator {
-            descending: keys.iter().map(|k| k.descending).collect(),
             keys,
             n,
-            heap: BinaryHeap::new(),
+            pages: Vec::new(),
+            rows: 0,
+            cut: false,
         }
     }
 
-    /// Number of rows currently retained (≤ n).
+    /// Number of rows [`finish`](Self::finish) returns.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.rows.min(self.n)
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Feeds a page of candidate rows.
     pub fn push_page(&mut self, page: &DataPage) {
-        if self.n == 0 {
+        if self.n == 0 || page.is_empty() {
             return;
         }
-        let key_cols: Vec<(&Column, bool)> = self
-            .keys
-            .iter()
-            .map(|k| (page.column(k.column), k.descending))
-            .collect();
-        for row in 0..page.row_count() {
-            if self.heap.len() == self.n {
-                let worst = self
-                    .heap
-                    .peek()
-                    .expect("a full heap of n > 0 rows has a root");
-                let beats_worst = key_cols
-                    .iter()
-                    .zip(&worst.sort_values)
-                    .map(|(&(col, desc), v)| directed(desc, cmp_cell_value(col, row, v)))
-                    .find(|ord| ord.is_ne())
-                    == Some(Ordering::Less);
-                if !beats_worst {
-                    continue;
+        let page = match self.pages.first().filter(|_| self.cut) {
+            None => page.clone(),
+            Some(best) => {
+                let nth = best.row_count() - 1;
+                let better: Vec<u32> = (0..page.row_count() as u32)
+                    .filter(|&row| compare_rows(page, row as usize, best, nth, &self.keys).is_lt())
+                    .collect();
+                match better.len() {
+                    0 => return,
+                    all if all == page.row_count() => page.clone(),
+                    _ => page.gather(&better),
                 }
-                self.heap.pop();
             }
-            let full_row = page.row(row);
-            let sort_values = self
-                .keys
-                .iter()
-                .map(|k| full_row[k.column].clone())
-                .collect();
-            self.heap.push(HeapRow {
-                sort_values,
-                full_row,
-                descending: self.descending.clone(),
-            });
+        };
+        self.rows += page.row_count();
+        self.pages.push(page);
+        if self.rows > self.n.saturating_mul(2) {
+            let best = self.sorted().slice(0, self.n);
+            self.pages = vec![best];
+            self.rows = self.n;
+            self.cut = true;
         }
     }
 
-    /// Extracts the retained rows in sorted order.
-    pub fn finish_rows(self) -> Vec<Vec<Value>> {
-        let mut rows: Vec<HeapRow> = self.heap.into_vec();
-        rows.sort_by(|a, b| a.cmp_keys(b));
-        rows.into_iter().map(|r| r.full_row).collect()
+    /// Every candidate row in one page, stably sorted.
+    fn sorted(&self) -> DataPage {
+        let pages: Vec<&DataPage> = self.pages.iter().collect();
+        sort_page(&DataPage::concat(&pages), &self.keys)
+    }
+
+    /// The first `n` rows in order, in pages of `page_rows` rows.
+    pub fn finish(self, page_rows: usize) -> Vec<DataPage> {
+        if self.pages.is_empty() {
+            return Vec::new();
+        }
+        let sorted = self.sorted();
+        let len = self.len();
+        let page_rows = page_rows.max(1);
+        (0..len)
+            .step_by(page_rows)
+            .map(|at| sorted.slice(at, page_rows.min(len - at)))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Value;
 
     fn page(keys: Vec<i64>, payload: Vec<i64>) -> DataPage {
         DataPage::new(vec![Column::from_i64(keys), Column::from_i64(payload)])
@@ -271,6 +217,14 @@ mod tests {
         assert_eq!(sorted.column(1).value(2), Value::Utf8("b".into()));
     }
 
+    /// Column `col` of the pages `finish` returned, as one vector.
+    fn ints(pages: &[DataPage], col: usize) -> Vec<i64> {
+        pages
+            .iter()
+            .flat_map(|p| p.column(col).as_i64().unwrap().to_vec())
+            .collect()
+    }
+
     #[test]
     fn topn_matches_full_sort() {
         let keys = vec![SortKey::desc(0)];
@@ -279,9 +233,13 @@ mod tests {
         let mut acc = TopNAccumulator::new(keys.clone(), 3);
         acc.push_page(&p1);
         acc.push_page(&p2);
-        let rows = acc.finish_rows();
-        let got: Vec<i64> = rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
-        assert_eq!(got, vec![9, 8, 7]);
+        let pages = acc.finish(2);
+        assert_eq!(
+            pages.iter().map(DataPage::row_count).collect::<Vec<_>>(),
+            vec![2, 1]
+        );
+        assert_eq!(ints(&pages, 0), vec![9, 8, 7]);
+        assert_eq!(ints(&pages, 1), vec![90, 80, 70]);
     }
 
     #[test]
@@ -289,9 +247,8 @@ mod tests {
         let mut acc = TopNAccumulator::new(vec![SortKey::asc(0)], 10);
         acc.push_page(&page(vec![2, 1], vec![0, 0]));
         assert_eq!(acc.len(), 2);
-        let rows = acc.finish_rows();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0][0], Value::Int64(1));
+        let pages = acc.finish(8);
+        assert_eq!(ints(&pages, 0), vec![1, 2]);
     }
 
     #[test]
@@ -299,7 +256,7 @@ mod tests {
         let mut acc = TopNAccumulator::new(vec![SortKey::asc(0)], 0);
         acc.push_page(&page(vec![1, 2, 3], vec![0, 0, 0]));
         assert!(acc.is_empty());
-        assert!(acc.finish_rows().is_empty());
+        assert!(acc.finish(8).is_empty());
     }
 
     #[test]

@@ -1,120 +1,16 @@
 //! Property-style ordering tests: `sort_page` and `TopNAccumulator` are
 //! cross-checked against a naive row-materializing reference sort on
-//! randomized-but-seeded inputs (nulls included); the typed comparators
-//! against `Value::total_cmp` on every pair of cells; and the Top-N
-//! accumulator against [`reference::TopN`] — the accumulator as it was
-//! before it compared typed cells, which must keep exactly the same rows.
+//! randomized-but-seeded inputs (nulls included), and the typed comparators
+//! against `Value::total_cmp` on every pair of cells. The Top-N reference
+//! is a stable sort of every row, truncated after `n`: whole rows, ties at
+//! the cut going to the earliest arrival.
 
 use std::cmp::Ordering;
 
 use accordion_data::column::{Column, ColumnBuilder};
 use accordion_data::page::DataPage;
-use accordion_data::sort::{
-    cmp_cell_value, cmp_cells, compare_rows, sort_page, SortKey, TopNAccumulator,
-};
+use accordion_data::sort::{cmp_cells, compare_rows, sort_page, SortKey, TopNAccumulator};
 use accordion_data::types::{DataType, Value};
-
-/// The Top-N accumulator before typed rejection: it materialised every
-/// input row (key values and the whole row) and let the heap compare. Kept
-/// verbatim as the oracle: same heap, same comparator, same push/pop rule.
-mod reference {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    use accordion_data::page::DataPage;
-    use accordion_data::sort::SortKey;
-    use accordion_data::types::Value;
-
-    pub struct TopN {
-        keys: Vec<SortKey>,
-        n: usize,
-        heap: BinaryHeap<HeapRow>,
-    }
-
-    struct HeapRow {
-        sort_values: Vec<Value>,
-        full_row: Vec<Value>,
-        descending: Vec<bool>,
-    }
-
-    impl HeapRow {
-        fn cmp_keys(&self, other: &Self) -> Ordering {
-            for ((a, b), desc) in self
-                .sort_values
-                .iter()
-                .zip(&other.sort_values)
-                .zip(&self.descending)
-            {
-                let ord = a.total_cmp(b);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
-        }
-    }
-
-    impl PartialEq for HeapRow {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp_keys(other) == Ordering::Equal
-        }
-    }
-    impl Eq for HeapRow {}
-    impl PartialOrd for HeapRow {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for HeapRow {
-        fn cmp(&self, other: &Self) -> Ordering {
-            self.cmp_keys(other)
-        }
-    }
-
-    impl TopN {
-        pub fn new(keys: Vec<SortKey>, n: usize) -> Self {
-            TopN {
-                keys,
-                n,
-                heap: BinaryHeap::new(),
-            }
-        }
-
-        pub fn push_page(&mut self, page: &DataPage) {
-            if self.n == 0 {
-                return;
-            }
-            let descending: Vec<bool> = self.keys.iter().map(|k| k.descending).collect();
-            for row in 0..page.row_count() {
-                let sort_values: Vec<Value> = self
-                    .keys
-                    .iter()
-                    .map(|k| page.column(k.column).value(row))
-                    .collect();
-                let candidate = HeapRow {
-                    sort_values,
-                    full_row: page.row(row),
-                    descending: descending.clone(),
-                };
-                if self.heap.len() < self.n {
-                    self.heap.push(candidate);
-                } else if let Some(worst) = self.heap.peek() {
-                    if candidate.cmp_keys(worst) == Ordering::Less {
-                        self.heap.pop();
-                        self.heap.push(candidate);
-                    }
-                }
-            }
-        }
-
-        pub fn finish_rows(self) -> Vec<Vec<Value>> {
-            let mut rows: Vec<HeapRow> = self.heap.into_vec();
-            rows.sort_by(|a, b| a.cmp_keys(b));
-            rows.into_iter().map(|r| r.full_row).collect()
-        }
-    }
-}
 
 /// Deterministic xorshift64* generator (no external rand crate).
 struct Rng(u64);
@@ -182,10 +78,22 @@ fn reference_sort(page: &DataPage, keys: &[SortKey]) -> Vec<Vec<Value>> {
     rows
 }
 
-fn key_tuples(rows: &[Vec<Value>], keys: &[SortKey]) -> Vec<Vec<Value>> {
-    rows.iter()
-        .map(|r| keys.iter().map(|k| r[k.column].clone()).collect())
-        .collect()
+/// Feeds `pages` to a Top-N of `n` and returns its rows, checking that
+/// every page but the last holds `page_rows` rows.
+fn top_n(pages: &[DataPage], keys: &[SortKey], n: usize, page_rows: usize) -> Vec<Vec<Value>> {
+    let mut acc = TopNAccumulator::new(keys.to_vec(), n);
+    for p in pages {
+        acc.push_page(p);
+    }
+    let len = acc.len();
+    let out = acc.finish(page_rows);
+    let sizes: Vec<usize> = out.iter().map(DataPage::row_count).collect();
+    assert_eq!(sizes.iter().sum::<usize>(), len);
+    assert!(
+        sizes.iter().rev().skip(1).all(|&s| s == page_rows),
+        "{sizes:?}"
+    );
+    out.iter().flat_map(DataPage::rows).collect()
 }
 
 #[test]
@@ -227,19 +135,14 @@ fn topn_matches_reference_prefix_across_seeds() {
             pages.push(random_page(&mut rng, rows));
         }
         let whole = DataPage::concat(&pages.iter().collect::<Vec<_>>());
-        for n in [0usize, 1, 3, 10, 1000] {
-            let mut acc = TopNAccumulator::new(keys.clone(), n);
-            for p in &pages {
-                acc.push_page(p);
-            }
-            let got = acc.finish_rows();
+        for n in [0usize, 1, 3, 10, 1000, usize::MAX] {
             let expected = reference_sort(&whole, &keys);
             let expected_prefix = &expected[..n.min(expected.len())];
-            // Ties at the cut line make retained payloads ambiguous, so
-            // compare the sort-key tuples, which the heap must get right.
+            // Whole rows, payload columns included: ties at the cut go to
+            // the row that arrived first, as in the stable sort.
             assert_eq!(
-                key_tuples(&got, &keys),
-                key_tuples(expected_prefix, &keys),
+                top_n(&pages, &keys, n, 4),
+                expected_prefix,
                 "seed {seed}, n {n} diverged"
             );
         }
@@ -361,7 +264,7 @@ fn page_of(rows: &[Vec<Value>]) -> DataPage {
 }
 
 #[test]
-fn topn_keeps_exactly_the_rows_of_the_materialising_reference() {
+fn topn_keeps_exactly_the_rows_of_a_stable_sort_then_truncate() {
     let key_sets: Vec<Vec<SortKey>> = vec![
         vec![SortKey::asc(0)],
         vec![SortKey::desc(1)],
@@ -375,14 +278,15 @@ fn topn_keeps_exactly_the_rows_of_the_materialising_reference() {
             SortKey::asc(0),
             SortKey::desc(1),
         ],
+        vec![],
     ];
-    for seed in 1..=36u64 {
+    for seed in 1..=42u64 {
         let mut rng = Rng::new(seed * 15_485_863);
         let keys = &key_sets[seed as usize % key_sets.len()];
         let mut rows: Vec<Vec<Value>> = (0..rng.below(400)).map(|_| edge_row(&mut rng)).collect();
         // Input ascending, descending or shuffled relative to the keys: a
-        // sorted input refills the heap on every row, a reversed one
-        // rejects nearly every row once full.
+        // sorted input makes every row a candidate, a reversed one rejects
+        // nearly every row after the first cut.
         let order = match seed % 3 {
             0 => "shuffled",
             1 => {
@@ -401,19 +305,13 @@ fn topn_keeps_exactly_the_rows_of_the_materialising_reference() {
             pages.push(page_of(&rows[at..at + take]));
             at += take;
         }
-        for n in [0usize, 1, 3, 10, 1000] {
-            let mut acc = TopNAccumulator::new(keys.clone(), n);
-            let mut oracle = reference::TopN::new(keys.clone(), n);
-            for p in &pages {
-                acc.push_page(p);
-                oracle.push_page(p);
-            }
-            assert_eq!(acc.len(), n.min(rows.len()));
-            // Whole rows, payload columns included: ties at the cut must
-            // resolve exactly as the reference's heap resolves them.
+        let mut expected = rows.clone();
+        expected.sort_by(|a, b| cmp_value_rows(a, b, keys));
+        for n in [0usize, 1, 3, 10, 1000, usize::MAX] {
+            let page_rows = 1 + rng.below(16) as usize;
             assert_eq!(
-                acc.finish_rows(),
-                oracle.finish_rows(),
+                top_n(&pages, keys, n, page_rows),
+                expected[..n.min(rows.len())],
                 "seed {seed}, {order} input of {} rows in {} pages, keys {keys:?}, n {n}",
                 rows.len(),
                 pages.len()
@@ -441,11 +339,6 @@ fn typed_comparators_equal_value_total_cmp_on_every_pair_of_cells() {
                         cmp_cells(a, ra, b, rb),
                         expected,
                         "cmp_cells({va:?}, {vb:?})"
-                    );
-                    assert_eq!(
-                        cmp_cell_value(a, ra, vb),
-                        expected,
-                        "cmp_cell_value({va:?}, {vb:?})"
                     );
                     nulls += (va.is_null() || vb.is_null()) as usize;
                 }

@@ -29,6 +29,7 @@ use std::sync::Arc;
 
 use accordion_common::{AccordionError, Result};
 use accordion_data::page::{DataPage, EndReason, Page};
+use accordion_data::schema::Schema;
 use accordion_net::{route_page, ExchangeReader, ExchangeWriter, RoutePolicy};
 use accordion_plan::pipeline::{OperatorSpec, PipelineSpec};
 use accordion_storage::catalog::Catalog;
@@ -446,11 +447,11 @@ fn wrap_operator(
             )
             .with_table_order(*table_order),
         ),
-        OperatorSpec::TopN { keys, n, schema } => Box::new(TopNOp::new(
+        OperatorSpec::TopN { keys, n } => Box::new(TopNOp::new(
             input,
             keys.clone(),
             *n,
-            schema.clone(),
+            Schema::default(),
             ctx.page_rows,
         )),
         OperatorSpec::Sort { keys } => Box::new(SortOp::new(input, keys.clone(), ctx.page_rows)),

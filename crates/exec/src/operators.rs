@@ -18,16 +18,16 @@
 //! survivors out first when it is sparse.
 //!
 //! Aggregation follows the paper's two-phase model exactly: the partial
-//! operator serializes aggregate state into ordinary page columns, the
-//! final operator merges them (possibly from many upstream tasks) and emits
-//! the finished values. Both phases run on the vectorized hash engine:
-//! pages are hashed column-at-a-time ([`accordion_data::hash::hash_columns`]),
-//! rows are mapped to dense group ids by an open-addressing
-//! [`GroupTable`] — behind a small per-page memo of recently seen keys, so
-//! a run of equal keys costs one typed cell compare per row instead of a
-//! key encode and a table probe — and typed [`AggAccumulator`] vectors are
-//! updated with per-column kernels — no per-row `Value` materialization on
-//! the hot path. Groups leave in the order somebody reads: a partial
+//! operator emits each aggregate's state as one ordinary page column — the
+//! column it would finish to — and the final operator merges them (possibly
+//! from many upstream tasks) and emits the finished values. Both phases run
+//! on the vectorized hash engine: pages are hashed column-at-a-time
+//! ([`accordion_data::hash::hash_columns`]), rows are mapped to dense group
+//! ids by an open-addressing [`GroupTable`] — behind a small per-page memo
+//! of recently seen keys, so a run of equal keys costs one typed cell
+//! compare per row instead of a key encode and a table probe — and typed
+//! [`AggAccumulator`] vectors are updated with per-column kernels — no
+//! per-row `Value` materialization on the hot path. Groups leave in the order somebody reads: a partial
 //! aggregate emits them in table (first-seen) order, because its rows only
 //! ever feed a final aggregate that merges each group whatever its arrival
 //! order; a final aggregate does too when a sort covering every group
@@ -44,11 +44,11 @@ use accordion_common::{AccordionError, Result};
 use accordion_data::column::Column;
 use accordion_data::grouptable::GroupTable;
 use accordion_data::hash::{hash_columns, hash_rows};
-use accordion_data::page::{DataPage, EndReason, Page, PageBuilder};
+use accordion_data::page::{DataPage, EndReason, Page};
 use accordion_data::rowkey::{decode_keys_to_columns, encode_key_into, key_cells_equal};
 use accordion_data::schema::{Schema, SchemaRef};
 use accordion_data::sort::{sort_page, SortKey, TopNAccumulator};
-use accordion_data::types::{DataType, Value};
+use accordion_data::types::DataType;
 use accordion_expr::agg::{AggAccumulator, AggSpec};
 use accordion_expr::scalar::Expr;
 use accordion_storage::split::{Split, SplitPages};
@@ -441,33 +441,25 @@ impl GroupIndex {
     }
 }
 
-/// Which side of the two-phase split a grouped operator emits.
-enum AggOutput {
-    /// Serialized partial state columns ([`AggAccumulator::partial_columns`]),
-    /// groups in table order: only a final aggregate reads them, and it
-    /// merges every group whatever order its rows arrive in.
-    Partial,
-    /// Finished values ([`AggAccumulator::finish_column`]), groups in
-    /// table order when `table_order`, in encoded-key byte order otherwise.
-    Final { table_order: bool },
-}
-
 /// Builds grouped-aggregation output pages column-wise, one page per
 /// `page_rows` chunk of group ids: group-key columns decoded straight from
-/// the table's key arena, aggregate columns gathered from the accumulator
-/// vectors — no intermediate `Vec<Value>` rows, and no page built whole
-/// and then copied again in slices.
+/// the table's key arena, then each aggregate's finished column gathered
+/// from its accumulator vectors — a partial's state and a final's result
+/// alike — with no intermediate `Vec<Value>` rows, and no page built whole
+/// and then copied again in slices. Groups leave in table (first-seen)
+/// order when `table_order`, in encoded-key byte order otherwise.
 fn emit_group_pages(
     index: &GroupIndex,
     accs: &[AggAccumulator],
-    output: AggOutput,
+    table_order: bool,
     schema: &SchemaRef,
     key_count: usize,
     page_rows: usize,
 ) -> VecDeque<DataPage> {
-    let order: Vec<u32> = match output {
-        AggOutput::Final { table_order: false } => index.table.sorted_ids(),
-        _ => (0..index.table.len() as u32).collect(),
+    let order: Vec<u32> = if table_order {
+        (0..index.table.len() as u32).collect()
+    } else {
+        index.table.sorted_ids()
     };
     let key_types: Vec<DataType> = schema.fields()[..key_count]
         .iter()
@@ -481,12 +473,7 @@ fn emit_group_pages(
                 &key_types,
                 ids.len(),
             );
-            for acc in accs {
-                match output {
-                    AggOutput::Partial => cols.extend(acc.partial_columns(ids)),
-                    AggOutput::Final { .. } => cols.push(acc.finish_column(ids)),
-                }
-            }
+            cols.extend(accs.iter().map(|acc| acc.finish_column(ids)));
             if cols.is_empty() {
                 DataPage::row_count_only(ids.len())
             } else {
@@ -496,30 +483,10 @@ fn emit_group_pages(
         .collect()
 }
 
-/// Re-chunks Top-N's result rows. `Value` rows stay here: only the ≤ n
-/// rows that entered the heap are ever materialized.
-fn chunk_rows_into_pages(
-    rows: impl Iterator<Item = Vec<Value>>,
-    schema: SchemaRef,
-    page_rows: usize,
-) -> Vec<DataPage> {
-    let mut out = Vec::new();
-    let mut builder = PageBuilder::new(schema, page_rows.max(1));
-    for row in rows {
-        builder.push_row(row);
-        if builder.is_full() {
-            out.push(builder.finish());
-        }
-    }
-    if !builder.is_empty() {
-        out.push(builder.finish());
-    }
-    out
-}
-
 /// Partial (scan-side) phase of two-phase aggregation. Emits one row per
 /// group, in table (first-seen) order: group values followed by each
-/// aggregate's serialized state.
+/// aggregate's one-column state. Only a final aggregate reads them, and it
+/// merges every group whatever order its rows arrive in.
 pub struct PartialHashAggOp {
     input: BoxedStream,
     group_by: Vec<usize>,
@@ -549,8 +516,7 @@ impl PartialHashAggOp {
 
     fn consume_input(&mut self) -> Result<VecDeque<DataPage>> {
         let mut index = GroupIndex::new();
-        let mut accs: Vec<AggAccumulator> =
-            self.aggs.iter().map(AggAccumulator::for_spec).collect();
+        let mut accs = AggAccumulator::for_specs(&self.aggs)?;
         loop {
             let (page, selection) = match self.input.next_selected()? {
                 (Page::End(_), _) => break,
@@ -585,7 +551,7 @@ impl PartialHashAggOp {
         Ok(emit_group_pages(
             &index,
             &accs,
-            AggOutput::Partial,
+            true,
             &self.output_schema,
             self.group_by.len(),
             self.page_rows,
@@ -607,7 +573,7 @@ impl PageStream for PartialHashAggOp {
 }
 
 /// Final (merge) phase: consumes the partial layout — group columns first,
-/// then each aggregate's serialized state columns — and emits final values,
+/// then one state column per aggregate — and emits final values,
 /// groups in encoded-key byte order unless
 /// [`with_table_order`](Self::with_table_order) says nobody reads it.
 pub struct FinalHashAggOp {
@@ -650,34 +616,25 @@ impl FinalHashAggOp {
 
     fn consume_input(&mut self) -> Result<VecDeque<DataPage>> {
         let group_cols: Vec<usize> = (0..self.group_count).collect();
-        // Column ranges of each aggregate's partial state in the input.
-        let mut ranges = Vec::with_capacity(self.aggs.len());
-        let mut at = self.group_count;
-        for a in &self.aggs {
-            let arity = a.partial_state_types().len();
-            ranges.push(at..at + arity);
-            at += arity;
-        }
+        let width = self.group_count + self.aggs.len();
         let mut index = GroupIndex::new();
-        let mut accs: Vec<AggAccumulator> =
-            self.aggs.iter().map(AggAccumulator::for_spec).collect();
+        let mut accs = AggAccumulator::for_specs(&self.aggs)?;
         loop {
             let page = match self.input.next_page()? {
                 Page::End(_) => break,
                 Page::Data(p) => p,
             };
-            if page.num_columns() < at {
+            if page.num_columns() < width {
                 return Err(AccordionError::Execution(format!(
-                    "final aggregate expected ≥{at} partial columns, got {}",
+                    "final aggregate expected ≥{width} partial columns, got {}",
                     page.num_columns()
                 )));
             }
             index.assign(&page, &group_cols, None);
             let group_count = index.table.len();
-            for (acc, range) in accs.iter_mut().zip(&ranges) {
+            for (i, acc) in accs.iter_mut().enumerate() {
                 acc.resize(group_count);
-                let state_cols: Vec<&Column> = range.clone().map(|ci| page.column(ci)).collect();
-                acc.merge(&state_cols, &index.gids)?;
+                acc.merge(page.column(self.group_count + i), &index.gids)?;
             }
         }
         if self.group_count == 0 && index.table.is_empty() {
@@ -689,9 +646,7 @@ impl FinalHashAggOp {
         Ok(emit_group_pages(
             &index,
             &accs,
-            AggOutput::Final {
-                table_order: self.table_order,
-            },
+            self.table_order,
             &self.output_schema,
             self.group_count,
             self.page_rows,
@@ -716,29 +671,30 @@ impl PageStream for FinalHashAggOp {
 // Ordering
 // ---------------------------------------------------------------------------
 
-/// Bounded ORDER BY + LIMIT via the shared [`TopNAccumulator`].
+/// ORDER BY + LIMIT via the shared [`TopNAccumulator`]: exactly a
+/// [`LimitOp`] over a [`SortOp`], ties at the cut going to the earliest
+/// arrival, without holding more than `2n` candidate rows.
 pub struct TopNOp {
     input: BoxedStream,
     keys: Vec<SortKey>,
     n: usize,
-    schema: SchemaRef,
     page_rows: usize,
     out: Option<VecDeque<DataPage>>,
 }
 
 impl TopNOp {
+    /// `_schema` is the input's: output pages carry the input's columns.
     pub fn new(
         input: BoxedStream,
         keys: Vec<SortKey>,
         n: usize,
-        schema: Schema,
+        _schema: Schema,
         page_rows: usize,
     ) -> Self {
         TopNOp {
             input,
             keys,
             n,
-            schema: Arc::new(schema),
             page_rows,
             out: None,
         }
@@ -755,12 +711,7 @@ impl PageStream for TopNOp {
                     Page::Data(p) => acc.push_page(&p),
                 }
             }
-            let pages = chunk_rows_into_pages(
-                acc.finish_rows().into_iter(),
-                self.schema.clone(),
-                self.page_rows,
-            );
-            self.out = Some(pages.into());
+            self.out = Some(acc.finish(self.page_rows).into());
         }
         match self.out.as_mut().unwrap().pop_front() {
             Some(p) => Ok(Page::data(p)),
@@ -1053,7 +1004,7 @@ mod tests {
     use super::*;
     use accordion_data::column::Column;
     use accordion_data::schema::Field;
-    use accordion_data::types::DataType;
+    use accordion_data::types::{DataType, Value};
     use accordion_expr::agg::AggKind;
 
     fn pages_source(pages: Vec<DataPage>) -> BoxedStream {
@@ -1122,26 +1073,17 @@ mod tests {
 
     #[test]
     fn partial_then_final_agg_round_trip() {
+        // AVG(v) in the form the optimizer plans it: a FLOAT64 SUM and a
+        // COUNT, one state column each.
+        let aggs = vec![
+            AggSpec::new(AggKind::Sum, Expr::col(1), DataType::Float64, "a#sum"),
+            AggSpec::new(AggKind::Count, Expr::col(1), DataType::Int64, "a#count"),
+        ];
         let schema = Schema::new(vec![
             Field::new("k", DataType::Int64),
-            Field::new("v", DataType::Int64),
+            Field::new("a#sum", DataType::Float64),
+            Field::new("a#count", DataType::Int64),
         ]);
-        let aggs = vec![AggSpec::new(
-            AggKind::Avg,
-            Expr::col(1),
-            DataType::Int64,
-            "a",
-        )];
-        let partial_schema = Schema::new(vec![
-            Field::new("k", DataType::Int64),
-            Field::new("a#p0", DataType::Float64),
-            Field::new("a#p1", DataType::Int64),
-        ]);
-        let final_schema = Schema::new(vec![
-            Field::new("k", DataType::Int64),
-            Field::new("a", DataType::Float64),
-        ]);
-        let _ = schema;
         let page = DataPage::new(vec![
             Column::from_i64(vec![1, 2, 1, 2]),
             Column::from_i64(vec![10, 20, 30, 40]),
@@ -1150,20 +1092,30 @@ mod tests {
             pages_source(vec![page]),
             vec![0],
             aggs.clone(),
-            partial_schema,
+            schema.clone(),
             8,
         );
-        let fin = FinalHashAggOp::new(Box::new(partial), 1, aggs, final_schema, 8);
+        let fin = FinalHashAggOp::new(Box::new(partial), 1, aggs, schema, 8);
         let out = drain(fin);
         assert_eq!(out.len(), 1);
         let rows = out[0].rows();
         assert_eq!(
             rows,
             vec![
-                vec![Value::Int64(1), Value::Float64(20.0)],
-                vec![Value::Int64(2), Value::Float64(30.0)],
+                vec![Value::Int64(1), Value::Float64(40.0), Value::Int64(2)],
+                vec![Value::Int64(2), Value::Float64(60.0), Value::Int64(2)],
             ]
         );
+        // An AVG handed to an operator is refused, never computed.
+        let avg = vec![AggSpec::new(
+            AggKind::Avg,
+            Expr::col(1),
+            DataType::Int64,
+            "a",
+        )];
+        let schema = Schema::new(vec![Field::new("a", DataType::Float64)]);
+        let mut op = PartialHashAggOp::new(pages_source(vec![]), vec![], avg, schema, 8);
+        assert!(matches!(op.next_page(), Err(AccordionError::Plan(_))));
     }
 
     #[test]

@@ -67,7 +67,6 @@ struct QueueState {
     splits: VecDeque<Split>,
     claimed: u64,
     remaining_rows: u64,
-    remaining_bytes: u64,
     retired: HashSet<u32>,
     /// Claims at or beyond this count block until the controller advances
     /// the threshold (or releases the queue).
@@ -106,14 +105,12 @@ pub struct SplitQueue {
 impl SplitQueue {
     pub fn new(splits: Vec<Split>) -> Self {
         let remaining_rows = splits.iter().map(|s| s.rows).sum();
-        let remaining_bytes = splits.iter().map(|s| s.bytes).sum();
         SplitQueue {
             total_rows: remaining_rows,
             state: Mutex::new(QueueState {
                 splits: splits.into(),
                 claimed: 0,
                 remaining_rows,
-                remaining_bytes,
                 retired: HashSet::new(),
                 pause_after: None,
                 released: false,
@@ -158,7 +155,6 @@ impl SplitQueue {
                 let split = st.splits.remove(pick).expect("non-empty checked above");
                 st.claimed += 1;
                 st.remaining_rows = st.remaining_rows.saturating_sub(split.rows);
-                st.remaining_bytes = st.remaining_bytes.saturating_sub(split.bytes);
                 // This claim brought the stage to its decision boundary, or
                 // left nothing to decide about: either way the controller
                 // has something to look at.
@@ -220,11 +216,6 @@ impl SplitQueue {
     /// Rows in every split the queue was built with, claimed or not.
     pub fn total_rows(&self) -> u64 {
         self.total_rows
-    }
-
-    /// Bytes in the unclaimed splits.
-    pub fn remaining_bytes(&self) -> u64 {
-        self.state.lock().remaining_bytes
     }
 
     /// Sets the pause threshold: claims once `claimed >= threshold` block

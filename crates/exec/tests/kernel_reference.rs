@@ -256,7 +256,8 @@ fn key_cells_equal_is_encoded_key_equality() {
 /// The row-at-a-time accumulator for one aggregate over one group: one
 /// `Value` per row, compared with `Value::total_cmp`. The engine ran it for
 /// MIN/MAX over text and booleans until every type got a typed
-/// accumulator; here it is the oracle those accumulators are held to.
+/// accumulator; here it is the oracle those accumulators are held to, and
+/// the AVG the planner's SUM / COUNT split is held to.
 #[derive(Debug, Clone)]
 enum AggState {
     Count(i64),
@@ -331,43 +332,16 @@ impl AggState {
             _ => Value::Null,
         }
     }
-
-    /// The serialized state a partial aggregate emits: AVG's running sum
-    /// and count, every other aggregate's finished value.
-    fn partial(&self) -> Vec<Value> {
-        match self {
-            AggState::Avg { sum, count } => vec![Value::Float64(*sum), Value::Int64(*count)],
-            other => vec![other.finish()],
-        }
-    }
 }
 
 /// Scalar reference: BTreeMap over encoded keys + one [`AggState`] per agg
 /// (fed its argument column's cell, or 1 for COUNT(*)). Emits key values ++
-/// finished values in encoded-key order.
+/// finished values in encoded-key order. Every aggregate's partial state is
+/// its finished value, so these are a partial aggregate's rows too.
 fn reference_grouped_agg(
     pages: &[DataPage],
     key_cols: &[usize],
     aggs: &[AggSpec],
-) -> Vec<Vec<Value>> {
-    reference_groups(pages, key_cols, aggs, |s| [s.finish()])
-}
-
-/// The same reference, emitting each aggregate's partial state: the rows a
-/// partial aggregate used to emit in encoded-key order.
-fn reference_partial_agg(
-    pages: &[DataPage],
-    key_cols: &[usize],
-    aggs: &[AggSpec],
-) -> Vec<Vec<Value>> {
-    reference_groups(pages, key_cols, aggs, AggState::partial)
-}
-
-fn reference_groups<T: IntoIterator<Item = Value>>(
-    pages: &[DataPage],
-    key_cols: &[usize],
-    aggs: &[AggSpec],
-    emit: fn(&AggState) -> T,
 ) -> Vec<Vec<Value>> {
     let mut groups: BTreeMap<Vec<u8>, (Vec<Value>, Vec<AggState>)> = BTreeMap::new();
     for page in pages {
@@ -394,10 +368,23 @@ fn reference_groups<T: IntoIterator<Item = Value>>(
     groups
         .into_values()
         .map(|(mut key_vals, states)| {
-            key_vals.extend(states.iter().flat_map(emit));
+            key_vals.extend(states.iter().map(AggState::finish));
             key_vals
         })
         .collect()
+}
+
+/// Group key fields `k0..`, then one field per aggregate: the layout of a
+/// partial aggregate's state and of a final's result alike.
+fn aggregate_fields(key_types: &[DataType], aggs: &[AggSpec]) -> Vec<Field> {
+    let keys = key_types
+        .iter()
+        .enumerate()
+        .map(|(i, &dt)| Field::new(format!("k{i}"), dt));
+    let aggs = aggs
+        .iter()
+        .map(|a| Field::new(a.name.clone(), a.output_type()));
+    keys.chain(aggs).collect()
 }
 
 #[test]
@@ -441,25 +428,15 @@ fn grouped_agg_matches_scalar_reference() {
             AggSpec::count_star("cnt"),
             AggSpec::new(AggKind::Count, arg.clone(), value_type, "c"),
             AggSpec::new(AggKind::Sum, arg.clone(), value_type, "s"),
-            AggSpec::new(AggKind::Avg, arg.clone(), value_type, "a"),
+            // AVG's sum half: INT64 input summed as FLOAT64.
+            AggSpec::new(AggKind::Sum, arg.clone(), DataType::Float64, "sf"),
             AggSpec::new(AggKind::Min, arg.clone(), value_type, "mn"),
             AggSpec::new(AggKind::Max, arg.clone(), value_type, "mx"),
             AggSpec::new(AggKind::Min, minmax.clone(), minmax_type, "mn2"),
             AggSpec::new(AggKind::Max, minmax, minmax_type, "mx2"),
         ];
 
-        let mut partial_fields: Vec<Field> = kts
-            .iter()
-            .enumerate()
-            .map(|(i, &dt)| Field::new(format!("k{i}"), dt))
-            .collect();
-        let mut final_fields = partial_fields.clone();
-        for spec in &aggs {
-            for (i, dt) in spec.partial_state_types().into_iter().enumerate() {
-                partial_fields.push(Field::new(format!("{}#p{i}", spec.name), dt));
-            }
-            final_fields.push(Field::new(spec.name.clone(), spec.output_type()));
-        }
+        let fields = aggregate_fields(&kts, &aggs);
 
         let chunks = random_split(&mut rng, &page);
         let expected = reference_grouped_agg(&chunks, &key_cols, &aggs);
@@ -469,14 +446,14 @@ fn grouped_agg_matches_scalar_reference() {
             source(chunks),
             key_cols.clone(),
             aggs.clone(),
-            Schema::new(partial_fields),
+            Schema::new(fields.clone()),
             page_rows,
         );
         let fin = FinalHashAggOp::new(
             Box::new(partial),
             n_keys,
             aggs,
-            Schema::new(final_fields),
+            Schema::new(fields),
             page_rows,
         );
         let got = drain(fin);
@@ -527,6 +504,129 @@ fn global_agg_matches_scalar_reference_including_empty_input() {
             8,
         );
         assert_eq!(drain(fin), expected, "seed {seed}: global agg diverged");
+    }
+}
+
+#[test]
+fn avg_through_the_planner_matches_the_row_at_a_time_reference() {
+    // The optimizer runs AVG as a FLOAT64 SUM and a COUNT, divided above
+    // the final aggregate. At dop 1 every sum sees its rows in table order,
+    // as the reference does, so the two agree bit for bit; at dop > 1
+    // partial sums meet in another order, and agree within rounding.
+    let mut rng = XorShift::new(4242);
+    let above_2_53 = |rng: &mut XorShift| (1i64 << 53) + 1 + 2 * rng.below(1 << 20) as i64;
+    let mut table = TableBuilder::new(
+        "t",
+        Schema::shared(vec![
+            Field::new("k", DataType::Int64),
+            Field::new("vi", DataType::Int64),
+            Field::new("vf", DataType::Float64),
+        ]),
+        7,
+    );
+    let mut rows = Vec::new();
+    for _ in 0..400 {
+        // Group 5 only ever holds NULLs.
+        let k = rng.below(6) as i64;
+        let vi = match rng.below(10) {
+            _ if k == 5 || rng.chance(15) => Value::Null,
+            0 => Value::Int64(i64::MAX),
+            1 => Value::Int64(-above_2_53(&mut rng)),
+            2..=5 => Value::Int64(above_2_53(&mut rng)),
+            _ => Value::Int64(rng.below(1000) as i64 - 500),
+        };
+        let vf = match rng.below(40) {
+            _ if k == 5 || rng.chance(15) => Value::Null,
+            // Infinities and NaN in groups 0 and 1 only: the others keep
+            // finite sums a reordering can move.
+            0 if k == 0 => Value::Float64(f64::INFINITY),
+            1 if k == 1 => Value::Float64(f64::NEG_INFINITY),
+            2 if k == 1 => Value::Float64(f64::NAN),
+            3 => Value::Float64(-0.0),
+            _ => Value::Float64((rng.next() as i64 >> 20) as f64 / 64.0),
+        };
+        rows.push(vec![Value::Int64(k), vi, vf]);
+    }
+    for row in &rows {
+        table.push_row(row.clone());
+    }
+    let catalog = Catalog::new();
+    table.register(&catalog, PartitioningScheme::new(2, 3), 0);
+
+    // Reference: per group, the AVG state fed in table order.
+    let avg = AggSpec::new(AggKind::Avg, Expr::col(0), DataType::Float64, "a");
+    let mut groups: BTreeMap<i64, [AggState; 2]> = BTreeMap::new();
+    for row in &rows {
+        let k = row[0].as_i64().unwrap();
+        let states = groups
+            .entry(k)
+            .or_insert_with(|| [AggState::new(&avg), AggState::new(&avg)]);
+        states[0].update(&row[1]);
+        states[1].update(&row[2]);
+    }
+    assert!(
+        matches!(groups[&5][0].finish(), Value::Null),
+        "an all-NULL group"
+    );
+
+    let b = LogicalPlanBuilder::scan(&catalog, "t").unwrap();
+    let aggs = vec![
+        b.agg(AggKind::Avg, "vi", "ai").unwrap(),
+        b.agg(AggKind::Avg, "vf", "af").unwrap(),
+    ];
+    let grouped = b.aggregate(&["k"], aggs).unwrap().build();
+    let b = LogicalPlanBuilder::scan(&catalog, "t").unwrap();
+    let none = Expr::lt(b.col("k").unwrap(), Expr::lit_i64(0));
+    let aggs = vec![b.agg(AggKind::Avg, "vi", "ai").unwrap()];
+    let global_over_nothing = b
+        .filter(none)
+        .unwrap()
+        .aggregate(&[], aggs)
+        .unwrap()
+        .build();
+
+    let same_bits = |got: &Value, want: &Value| got == want;
+    let within_rounding = |got: &Value, want: &Value| match (got, want) {
+        (Value::Float64(g), Value::Float64(w)) if w.is_finite() => {
+            (g - w).abs() <= 1e-9 * w.abs().max(1.0)
+        }
+        (Value::Float64(g), Value::Float64(w)) if w.is_nan() => g.is_nan(),
+        _ => got == want,
+    };
+    for (dop, agree) in [
+        (1, &same_bits as &dyn Fn(&Value, &Value) -> bool),
+        (3, &within_rounding),
+    ] {
+        for page_rows in [1, 5, 1024] {
+            let config = OptimizerConfig::serial()
+                .with_parallelism(dop)
+                .with_merge_parallelism(dop);
+            let run = |plan| {
+                execute_logical(
+                    &catalog,
+                    plan,
+                    &Optimizer::new(config.clone()),
+                    &ExecOptions::with_page_rows(page_rows),
+                )
+                .unwrap()
+                .rows()
+            };
+            let got = run(&grouped);
+            assert_eq!(got.len(), groups.len(), "dop {dop}");
+            for row in got {
+                let want = &groups[&row[0].as_i64().unwrap()];
+                for (col, state) in [(1, &want[0]), (2, &want[1])] {
+                    let want = state.finish();
+                    assert!(
+                        agree(&row[col], &want),
+                        "dop {dop}, page_rows {page_rows}, group {:?}, column {col}: {:?} ≠ {want:?}",
+                        row[0],
+                        row[col]
+                    );
+                }
+            }
+            assert_eq!(run(&global_over_nothing), vec![vec![Value::Null]]);
+        }
     }
 }
 
@@ -612,21 +712,12 @@ fn partial_aggregate_rows_are_the_key_ordered_rows_as_a_multiset() {
         let aggs = vec![
             AggSpec::count_star("cnt"),
             AggSpec::new(AggKind::Sum, v.clone(), DataType::Float64, "s"),
-            AggSpec::new(AggKind::Avg, v.clone(), DataType::Float64, "a"),
+            AggSpec::new(AggKind::Count, v.clone(), DataType::Float64, "c"),
             AggSpec::new(AggKind::Min, v, DataType::Float64, "mn"),
         ];
-        let mut fields: Vec<Field> = kts
-            .iter()
-            .enumerate()
-            .map(|(i, &dt)| Field::new(format!("k{i}"), dt))
-            .collect();
-        for spec in &aggs {
-            for (i, dt) in spec.partial_state_types().into_iter().enumerate() {
-                fields.push(Field::new(format!("{}#p{i}", spec.name), dt));
-            }
-        }
+        let fields = aggregate_fields(&kts, &aggs);
         let chunks = random_split(&mut rng, &page);
-        let expected = reference_partial_agg(&chunks, &key_cols, &aggs);
+        let expected = reference_grouped_agg(&chunks, &key_cols, &aggs);
         let page_rows = 1 + rng.below(64) as usize;
         let mut partial = PartialHashAggOp::new(
             source(chunks),
@@ -930,11 +1021,12 @@ fn cross_join_on_no_keys_matches_reference() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn topn_equals_sort_then_limit_on_the_key_columns() {
-    // TopN skips a row that cannot beat its current worst by comparing
-    // typed cells; a full sort compares every pair. Over the same
-    // multi-page input both must put the same key tuples first. (Rows tied
-    // on every key may carry different payloads, so only keys compare.)
+fn topn_equals_sort_then_limit_row_for_row() {
+    // TopN keeps at most 2n candidates and skips a row that cannot beat
+    // its current n-th; a full sort keeps everything. Over the same
+    // multi-page input both must return the same rows in the same order,
+    // payloads included: among rows tied on every key, the earliest
+    // arrivals make the cut.
     let types = [
         DataType::Int64,
         DataType::Float64,
@@ -973,12 +1065,7 @@ fn topn_equals_sort_then_limit_on_the_key_columns() {
                 }
             })
             .collect();
-        let key_tuples = |rows: Vec<Vec<Value>>| -> Vec<Vec<Value>> {
-            rows.iter()
-                .map(|r| keys.iter().map(|k| r[k.column].clone()).collect())
-                .collect()
-        };
-        for n in [0usize, 1, 3, 10, 500] {
+        for n in [0usize, 1, 3, 10, 500, usize::MAX] {
             for page_rows in 1..=3 {
                 let topn = drain(TopNOp::new(
                     source(pages.clone()),
@@ -992,8 +1079,7 @@ fn topn_equals_sort_then_limit_on_the_key_columns() {
                     n,
                 ));
                 assert_eq!(
-                    key_tuples(topn),
-                    key_tuples(sorted),
+                    topn, sorted,
                     "seed {seed}, keys {keys:?}, n {n}, page_rows {page_rows}"
                 );
             }
@@ -1119,7 +1205,7 @@ fn consumers_of_a_selection_equal_gather_then_run() {
             DataType::Float64,
             "sx",
         ),
-        AggSpec::new(AggKind::Avg, arg(V_F64), DataType::Float64, "a"),
+        AggSpec::new(AggKind::Count, arg(V_F64), DataType::Float64, "cf"),
         AggSpec::new(AggKind::Min, arg(V_F64), DataType::Float64, "mn"),
         AggSpec::new(AggKind::Max, arg(K_DATE), DataType::Date32, "mx"),
         AggSpec::new(AggKind::Min, arg(K_STR), DataType::Utf8, "ms"),
@@ -1134,11 +1220,7 @@ fn consumers_of_a_selection_equal_gather_then_run() {
         Field::new("k_str", DataType::Utf8),
         Field::new("k_date", DataType::Date32),
     ];
-    for spec in &aggs {
-        for (i, dt) in spec.partial_state_types().into_iter().enumerate() {
-            partial_fields.push(Field::new(format!("{}#p{i}", spec.name), dt));
-        }
-    }
+    partial_fields.extend(aggregate_fields(&[], &aggs));
     let partial = |input: Box<dyn PageStream>, group_by: &[usize]| {
         PartialHashAggOp::new(
             input,

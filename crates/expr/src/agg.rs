@@ -6,10 +6,13 @@
 //! the **final** phase merges all partial states at parallelism 1.
 //!
 //! An [`AggSpec`] describes one aggregate call; [`AggAccumulator`] holds its
-//! state for every group of one operator. Partial states serialize into
-//! ordinary page columns ([`AggAccumulator::partial_columns`] /
-//! [`AggSpec::partial_state_types`]), so the exchange between partial and
-//! final stages is plain page flow.
+//! state for every group of one operator. Every partial state is one typed
+//! column, the same column the aggregate finishes to
+//! ([`AggAccumulator::finish_column`]), so the exchange between partial and
+//! final stages is plain page flow and a final merges a partial's column
+//! with the same kernel it folds input with. AVG is the one aggregate that
+//! would need two: it has no accumulator, and the optimizer lowers it to a
+//! SUM and a COUNT divided above the final aggregate.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -29,6 +32,21 @@ pub enum AggKind {
     Avg,
     Min,
     Max,
+}
+
+impl AggKind {
+    /// Refuses an argument type the aggregate cannot fold: SUM and AVG add
+    /// numbers, so they take INT64 or FLOAT64 only.
+    pub fn check_argument(self, dt: DataType) -> Result<()> {
+        match (self, dt) {
+            (AggKind::Sum | AggKind::Avg, DataType::Bool | DataType::Date32 | DataType::Utf8) => {
+                Err(AccordionError::Analysis(format!(
+                    "{self}() takes a numeric argument, got {dt}"
+                )))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 impl fmt::Display for AggKind {
@@ -88,21 +106,10 @@ impl AggSpec {
             AggKind::Min | AggKind::Max => self.input_type,
         }
     }
-
-    /// Column types of the serialized partial state (what flows between the
-    /// partial-agg stage and the final-agg stage).
-    pub fn partial_state_types(&self) -> Vec<DataType> {
-        match self.kind {
-            AggKind::Count => vec![DataType::Int64],
-            AggKind::Sum => vec![self.output_type()],
-            AggKind::Avg => vec![DataType::Float64, DataType::Int64],
-            AggKind::Min | AggKind::Max => vec![self.input_type],
-        }
-    }
 }
 
-/// Columnar accumulator: one typed vector (or pair) indexed by dense group
-/// id, updated with per-column kernels.
+/// Columnar accumulator: typed vectors indexed by dense group id, updated
+/// with per-column kernels.
 ///
 /// This is the aggregation half of the vectorized hash engine: the group
 /// table assigns every input row a `group_id`, then each aggregate walks
@@ -112,24 +119,12 @@ impl AggSpec {
 #[derive(Debug)]
 pub enum AggAccumulator {
     /// COUNT(*) and COUNT(expr).
-    Count {
-        counts: Vec<i64>,
-    },
+    Count { counts: Vec<i64> },
     /// SUM over Int64, wrapping on overflow (identically in debug and
     /// release profiles, like the `i64` arithmetic kernels).
-    SumInt {
-        sums: Vec<i64>,
-        seen: Vec<bool>,
-    },
+    SumInt { sums: Vec<i64>, seen: Vec<bool> },
     /// SUM over Float64 (and Int64-coerced) inputs.
-    SumFloat {
-        sums: Vec<f64>,
-        seen: Vec<bool>,
-    },
-    Avg {
-        sums: Vec<f64>,
-        counts: Vec<i64>,
-    },
+    SumFloat { sums: Vec<f64>, seen: Vec<bool> },
     /// MIN or MAX over any type; a group's value is a don't-care until
     /// `seen`.
     MinMax {
@@ -151,7 +146,22 @@ pub enum MinMaxValues {
 }
 
 impl AggAccumulator {
-    /// Picks the accumulator representation for a spec.
+    /// One accumulator per spec of `aggs`. An AVG is refused with a typed
+    /// error: it has no accumulator, and a plan that reaches an operator
+    /// with one skipped the optimizer's lowering.
+    pub fn for_specs(aggs: &[AggSpec]) -> Result<Vec<AggAccumulator>> {
+        if let Some(avg) = aggs.iter().find(|a| a.kind == AggKind::Avg) {
+            return Err(AccordionError::Plan(format!(
+                "aggregate '{}' is an AVG, which runs as a SUM and a COUNT: lower the plan \
+                 with the optimizer",
+                avg.name
+            )));
+        }
+        Ok(aggs.iter().map(AggAccumulator::for_spec).collect())
+    }
+
+    /// Picks the accumulator representation for a spec. Panics on AVG,
+    /// which has none ([`for_specs`](Self::for_specs) refuses it instead).
     pub fn for_spec(spec: &AggSpec) -> AggAccumulator {
         match (spec.kind, spec.input_type) {
             (AggKind::Count, _) => AggAccumulator::Count { counts: Vec::new() },
@@ -163,10 +173,7 @@ impl AggAccumulator {
                 sums: Vec::new(),
                 seen: Vec::new(),
             },
-            (AggKind::Avg, _) => AggAccumulator::Avg {
-                sums: Vec::new(),
-                counts: Vec::new(),
-            },
+            (AggKind::Avg, _) => panic!("AVG has no accumulator: it runs as a SUM and a COUNT"),
             (kind @ (AggKind::Min | AggKind::Max), dt) => AggAccumulator::MinMax {
                 vals: match dt {
                     DataType::Int64 => MinMaxValues::Int64(Vec::new()),
@@ -187,7 +194,6 @@ impl AggAccumulator {
             AggAccumulator::Count { counts } => counts.len(),
             AggAccumulator::SumInt { sums, .. } => sums.len(),
             AggAccumulator::SumFloat { sums, .. } => sums.len(),
-            AggAccumulator::Avg { sums, .. } => sums.len(),
             AggAccumulator::MinMax { seen, .. } => seen.len(),
         }
     }
@@ -209,10 +215,6 @@ impl AggAccumulator {
             AggAccumulator::SumFloat { sums, seen } => {
                 sums.resize(n, 0.0);
                 seen.resize(n, false);
-            }
-            AggAccumulator::Avg { sums, counts } => {
-                sums.resize(n, 0.0);
-                counts.resize(n, 0);
             }
             AggAccumulator::MinMax { vals, seen, .. } => {
                 seen.resize(n, false);
@@ -280,9 +282,6 @@ impl AggAccumulator {
             AggAccumulator::SumFloat { sums, seen } => {
                 sum_f64_kernel(sums, seen, col, group_ids)?;
             }
-            AggAccumulator::Avg { sums, counts } => {
-                avg_f64_kernel(sums, counts, col, group_ids)?;
-            }
             AggAccumulator::MinMax { vals, seen, is_min } => {
                 let fold = MinMaxFold {
                     seen,
@@ -325,27 +324,18 @@ impl AggAccumulator {
         Ok(())
     }
 
-    /// Final-phase merge: folds serialized partial-state columns (layout per
-    /// [`AggSpec::partial_state_types`]) into the accumulators.
-    pub fn merge(&mut self, cols: &[&Column], group_ids: &[u32]) -> Result<()> {
-        let state_col = |i: usize| -> Result<&Column> {
-            cols.get(i).copied().ok_or_else(|| {
-                AccordionError::Internal(format!(
-                    "partial state arity mismatch: wanted column {i}, got {}",
-                    cols.len()
-                ))
-            })
-        };
+    /// Final-phase merge: folds a partial aggregate's state column — the
+    /// column a partial [`finish_column`](Self::finish_column) emitted —
+    /// into the accumulators.
+    pub fn merge(&mut self, col: &Column, group_ids: &[u32]) -> Result<()> {
         match self {
             AggAccumulator::Count { counts } => {
-                let col = state_col(0)?;
                 let Some(data) = col.as_i64() else {
                     return Err(kernel_type_error("count-merge", col));
                 };
                 for_each_valid(col, group_ids, |i, g| counts[g] += data[i]);
             }
             AggAccumulator::SumInt { sums, seen } => {
-                let col = state_col(0)?;
                 let Some(data) = col.as_i64() else {
                     return Err(kernel_type_error("sum<i64>-merge", col));
                 };
@@ -354,41 +344,13 @@ impl AggAccumulator {
                     seen[g] = true;
                 });
             }
-            AggAccumulator::SumFloat { sums, seen } => {
-                sum_f64_kernel(sums, seen, state_col(0)?, group_ids)?;
+            // A float sum and a min/max merge their states with the same
+            // kernel that folds their input.
+            AggAccumulator::SumFloat { .. } | AggAccumulator::MinMax { .. } => {
+                return self.update(Some(col), group_ids)
             }
-            AggAccumulator::Avg { sums, counts } => {
-                let scol = state_col(0)?;
-                let ccol = state_col(1)?;
-                let (Some(s), Some(c)) = (scol.as_f64(), ccol.as_i64()) else {
-                    return Err(kernel_type_error("avg-merge", scol));
-                };
-                for (i, &g) in group_ids.iter().enumerate() {
-                    let g = g as usize;
-                    if scol.is_valid(i) && ccol.is_valid(i) {
-                        sums[g] += s[i];
-                        counts[g] += c[i];
-                    }
-                }
-            }
-            // Min/max partial state is one column of the input type; merging
-            // it is the same kernel as the partial update.
-            AggAccumulator::MinMax { .. } => return self.update(Some(state_col(0)?), group_ids),
         }
         Ok(())
-    }
-
-    /// Serializes the partial state as columns in `order` (layout per
-    /// [`AggSpec::partial_state_types`]), built straight from the
-    /// accumulator vectors. Every state but AVG's is its finished column.
-    pub fn partial_columns(&self, order: &[u32]) -> Vec<Column> {
-        match self {
-            AggAccumulator::Avg { sums, counts } => vec![
-                Column::from_f64(gather(sums, order)),
-                Column::from_i64(gather(counts, order)),
-            ],
-            _ => vec![self.finish_column(order)],
-        }
     }
 
     /// Produces the final output column in `order`.
@@ -400,21 +362,6 @@ impl AggAccumulator {
             }
             AggAccumulator::SumFloat { sums, seen } => {
                 Column::from_f64_nullable(gather(sums, order), &unseen(seen, order))
-            }
-            AggAccumulator::Avg { sums, counts } => {
-                let mut out = Vec::with_capacity(order.len());
-                let mut nulls = Vec::with_capacity(order.len());
-                for &g in order {
-                    let g = g as usize;
-                    let empty = counts[g] == 0;
-                    out.push(if empty {
-                        0.0
-                    } else {
-                        sums[g] / counts[g] as f64
-                    });
-                    nulls.push(empty);
-                }
-                Column::from_f64_nullable(out, &nulls)
             }
             AggAccumulator::MinMax { vals, seen, .. } => {
                 let nulls = unseen(seen, order);
@@ -525,30 +472,6 @@ fn sum_f64_kernel(
     Err(kernel_type_error("sum<f64>", col))
 }
 
-/// Avg partial kernel over Float64 or Int64 input.
-fn avg_f64_kernel(
-    sums: &mut [f64],
-    counts: &mut [i64],
-    col: &Column,
-    group_ids: &[u32],
-) -> Result<()> {
-    if let Some(data) = col.as_f64() {
-        for_each_valid(col, group_ids, |i, g| {
-            sums[g] += data[i];
-            counts[g] += 1;
-        });
-        return Ok(());
-    }
-    if let Some(data) = col.as_i64() {
-        for_each_valid(col, group_ids, |i, g| {
-            sums[g] += data[i] as f64;
-            counts[g] += 1;
-        });
-        return Ok(());
-    }
-    Err(kernel_type_error("avg", col))
-}
-
 /// `vals` of each group in `order`.
 fn gather<T: Copy>(vals: &[T], order: &[u32]) -> Vec<T> {
     order.iter().map(|&g| vals[g as usize]).collect()
@@ -579,7 +502,7 @@ mod tests {
 
     /// Folds `col` (`None`: COUNT(*)) into `want.len()` groups in one
     /// accumulator, and again in three partial accumulators over thirds of
-    /// the rows whose partial columns one final accumulator merges — the
+    /// the rows whose finished columns one final accumulator merges — the
     /// elastic split. Both must finish to `want`.
     fn check(spec: &AggSpec, col: Option<&Column>, gids: &[u32], want: &[Value]) {
         let order: Vec<u32> = (0..want.len() as u32).collect();
@@ -608,11 +531,8 @@ mod tests {
             let mut partial = AggAccumulator::for_spec(spec);
             partial.resize(want.len());
             partial.update(part.as_ref(), &gids[rows]).unwrap();
-            let state = partial.partial_columns(&order);
-            let types: Vec<DataType> = state.iter().map(Column::data_type).collect();
-            assert_eq!(types, spec.partial_state_types(), "{}", spec.kind);
             merged
-                .merge(&state.iter().collect::<Vec<_>>(), &order)
+                .merge(&partial.finish_column(&order), &order)
                 .unwrap();
         }
         assert_finishes(&merged, "partial → final");
@@ -657,24 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn avg_merges_correctly() {
-        let avg = spec(AggKind::Avg, DataType::Float64);
-        let mut merged = AggAccumulator::for_spec(&avg);
-        merged.resize(1);
-        for rows in [vec![1.0, 2.0], vec![6.0]] {
-            let mut partial = AggAccumulator::for_spec(&avg);
-            partial.resize(1);
-            let gids = vec![0; rows.len()];
-            partial
-                .update(Some(&Column::from_f64(rows)), &gids)
-                .unwrap();
-            let state = partial.partial_columns(&[0]);
-            merged.merge(&[&state[0], &state[1]], &[0]).unwrap();
-        }
-        assert_eq!(merged.finish_column(&[0]).value(0), Value::Float64(3.0));
-    }
-
-    #[test]
     fn min_max_over_strings_and_dates() {
         let strs = Column::from_strings(&["b", "a"]);
         let min = spec(AggKind::Min, DataType::Utf8);
@@ -693,7 +595,6 @@ mod tests {
         for (kind, want) in [
             (AggKind::Count, Value::Int64(10)),
             (AggKind::Sum, Value::Int64(55)),
-            (AggKind::Avg, Value::Float64(5.5)),
             (AggKind::Min, Value::Int64(1)),
             (AggKind::Max, Value::Int64(10)),
         ] {
@@ -713,23 +614,34 @@ mod tests {
     fn output_and_partial_types() {
         let avg = AggSpec::new(AggKind::Avg, Expr::col(0), DataType::Int64, "a");
         assert_eq!(avg.output_type(), DataType::Float64);
-        assert_eq!(
-            avg.partial_state_types(),
-            vec![DataType::Float64, DataType::Int64]
-        );
-        let sum_f = AggSpec::new(AggKind::Sum, Expr::col(0), DataType::Float64, "s");
-        assert_eq!(sum_f.output_type(), DataType::Float64);
-        let min_s = AggSpec::new(AggKind::Min, Expr::col(0), DataType::Utf8, "m");
-        assert_eq!(min_s.output_type(), DataType::Utf8);
-        assert_eq!(min_s.partial_state_types(), vec![DataType::Utf8]);
+        // A partial state is the finished column, so its type is the
+        // output type.
+        for (kind, input, output) in [
+            (AggKind::Sum, DataType::Int64, DataType::Int64),
+            (AggKind::Sum, DataType::Float64, DataType::Float64),
+            (AggKind::Min, DataType::Utf8, DataType::Utf8),
+            (AggKind::Count, DataType::Bool, DataType::Int64),
+        ] {
+            let spec = spec(kind, input);
+            assert_eq!(spec.output_type(), output);
+            let mut acc = AggAccumulator::for_spec(&spec);
+            acc.resize(1);
+            assert_eq!(acc.finish_column(&[0]).data_type(), output, "{kind}");
+        }
     }
 
     #[test]
-    fn merge_arity_mismatch_errors() {
-        let mut acc = AggAccumulator::for_spec(&spec(AggKind::Avg, DataType::Float64));
-        acc.resize(1);
-        let sums = Column::from_f64(vec![1.0]);
-        assert!(acc.merge(&[&sums], &[0]).is_err());
+    fn an_avg_spec_is_refused_with_a_typed_error() {
+        let sum = spec(AggKind::Sum, DataType::Float64);
+        let avg = spec(AggKind::Avg, DataType::Float64);
+        assert_eq!(
+            AggAccumulator::for_specs(std::slice::from_ref(&sum))
+                .unwrap()
+                .len(),
+            1
+        );
+        let err = AggAccumulator::for_specs(&[sum, avg]).unwrap_err();
+        assert!(matches!(err, AccordionError::Plan(_)), "{err}");
     }
 
     #[test]
@@ -751,10 +663,6 @@ mod tests {
         let cases = [
             (AggKind::Count, ints([3, 1, 2])),
             (AggKind::Sum, ints([38, 1, i64::MAX])),
-            (
-                AggKind::Avg,
-                [38.0 / 3.0, 1.0, i64::MAX as f64 / 2.0].map(Value::Float64),
-            ),
             (AggKind::Min, ints([-7, 1, 0])),
             (AggKind::Max, ints([42, 1, i64::MAX])),
         ];
@@ -782,7 +690,6 @@ mod tests {
         let cases = [
             (AggKind::Count, [3, 1, 2].map(Value::Int64)),
             (AggKind::Sum, floats([0.5, f64::NAN, 1e300])),
-            (AggKind::Avg, floats([0.5 / 3.0, f64::NAN, 5e299])),
             // `f64::total_cmp`: -0.0 sorts before 0.0, NaN after everything.
             (AggKind::Min, floats([-0.0, f64::NAN, -3.25])),
             (AggKind::Max, floats([0.5, f64::NAN, 1e300])),

@@ -184,6 +184,7 @@ impl LogicalPlan {
                 for a in aggs {
                     if let Some(e) = &a.input {
                         check_refs(e, &schema)?;
+                        a.kind.check_argument(e.data_type(&schema)?)?;
                     }
                 }
             }

@@ -36,7 +36,10 @@
 //!   [`PhysicalNode::LocalExchange`] and a [`PhysicalNode::FinalAggregate`]
 //!   (paper §4.1: partial-aggregate state is reconstructible, so the
 //!   scan-side stage can grow/shrink mid-query while the final stages stay
-//!   fixed).
+//!   fixed). Every aggregate's partial state is one column: an AVG is
+//!   lowered to a SUM over FLOAT64 and a COUNT of its argument, and a
+//!   [`PhysicalNode::Project`] above the final aggregate divides them
+//!   (`split_avg`).
 //! * **TopN / Limit splitting** — each distributed task keeps its local
 //!   top-N (or first-N) rows, and a single final task merges them.
 //! * **Physical lowering** with explicit exchanges: the plan that leaves
@@ -48,7 +51,8 @@ use std::sync::Arc;
 
 use accordion_common::Result;
 use accordion_data::sort::SortKey;
-use accordion_expr::agg::AggSpec;
+use accordion_data::types::DataType;
+use accordion_expr::agg::{AggKind, AggSpec};
 use accordion_expr::scalar::{BinaryOp, Expr};
 
 use crate::logical::{JoinType, LogicalPlan};
@@ -207,7 +211,8 @@ impl Optimizer {
                 aggs,
             } => {
                 let (child, dist) = self.lower(input)?;
-                if self.config.two_stage_aggregation {
+                let (aggs, divide) = split_avg(plan, group_by.len(), aggs);
+                let (node, dist) = if self.config.two_stage_aggregation {
                     // partial (parallel) → partitioned exchange → local
                     // exchange → final. With group keys and
                     // `merge_parallelism > 1` the exchange hash-partitions
@@ -263,6 +268,10 @@ impl Optimizer {
                         aggs: aggs.clone(),
                     });
                     (node, 1)
+                };
+                match divide {
+                    Some(exprs) => (Arc::new(PhysicalNode::Project { input: node, exprs }), dist),
+                    None => (node, dist),
                 }
             }
             LogicalPlan::Join {
@@ -348,6 +357,55 @@ impl Optimizer {
             }
         })
     }
+}
+
+/// Lowers every AVG of `aggregate` (a `LogicalPlan::Aggregate` over
+/// `group_count` group columns with `aggs`) to two one-column aggregates:
+/// in its place a SUM with a FLOAT64 input type, and after all of `aggs` a
+/// COUNT of the same argument. Returns the aggregates to plan, and — when
+/// there was an AVG — the projection that restores the aggregate's output:
+/// group columns and the other aggregates pass through as plain column
+/// references (a covering sort above still covers the groups), and each
+/// AVG becomes `sum / count` under its own name.
+///
+/// That is bit for bit the arithmetic of an AVG accumulator: the FLOAT64 SUM
+/// adds INT64 input as `x as f64` in row order, FLOAT64 ÷ INT64 is
+/// `x / (y as f64)`, and a group without a non-NULL input has a NULL sum,
+/// hence a NULL quotient.
+fn split_avg(
+    aggregate: &LogicalPlan,
+    group_count: usize,
+    aggs: &[AggSpec],
+) -> (Vec<AggSpec>, Option<Vec<(Expr, String)>>) {
+    if aggs.iter().all(|a| a.kind != AggKind::Avg) {
+        return (aggs.to_vec(), None);
+    }
+    let names = aggregate.schema();
+    let mut split = aggs.to_vec();
+    let mut exprs: Vec<(Expr, String)> = (0..group_count + aggs.len())
+        .map(|c| (Expr::Column(c), names.field(c).name.clone()))
+        .collect();
+    for (i, avg) in aggs
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| a.kind == AggKind::Avg)
+    {
+        let count = Expr::Column(group_count + split.len());
+        split[i] = AggSpec {
+            kind: AggKind::Sum,
+            input_type: DataType::Float64,
+            name: format!("{}#sum", avg.name),
+            ..avg.clone()
+        };
+        split.push(AggSpec {
+            kind: AggKind::Count,
+            name: format!("{}#count", avg.name),
+            ..avg.clone()
+        });
+        let sum = Expr::Column(group_count + i);
+        exprs[group_count + i].0 = Expr::binary(sum, BinaryOp::Div, count);
+    }
+    (split, Some(exprs))
 }
 
 /// True when the root-stage slice of `node` (the subtree above any

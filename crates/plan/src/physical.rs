@@ -10,7 +10,9 @@
 //! Aggregation is always represented in the paper's two-phase form
 //! ([`PhysicalNode::PartialAggregate`] / [`PhysicalNode::FinalAggregate`]):
 //! the partial phase runs in the scan-side stage at elastic parallelism, the
-//! final phase merges serialized partial states at parallelism 1 (§4.1).
+//! final phase merges partial states (§4.1). Every aggregate here has a
+//! one-column state; AVG never appears, the optimizer lowers it to a SUM
+//! and a COUNT.
 //!
 //! [`Exchange`]: PhysicalNode::Exchange
 //! [`LocalExchange`]: PhysicalNode::LocalExchange
@@ -97,8 +99,8 @@ pub enum PhysicalNode {
         exprs: Vec<(Expr, String)>,
     },
     /// Partial (scan-side) phase of a two-phase aggregation. Output layout:
-    /// group columns first, then the flattened serialized partial state of
-    /// each aggregate (see [`AggSpec::partial_state_types`]).
+    /// group columns first, then one state column per aggregate, typed and
+    /// named as the aggregate's finished column.
     PartialAggregate {
         input: Arc<PhysicalNode>,
         group_by: Vec<usize>,
@@ -147,7 +149,9 @@ pub enum PhysicalNode {
         input: Arc<PhysicalNode>,
         keys: Vec<SortKey>,
     },
-    /// ORDER BY + LIMIT, kept as a bounded heap at execution time.
+    /// ORDER BY + LIMIT: a stable sort cut after `n` rows, which holds at
+    /// most `2n` candidate rows at execution time (`n` is `usize::MAX` for
+    /// ORDER BY without LIMIT).
     TopN {
         input: Arc<PhysicalNode>,
         keys: Vec<SortKey>,
@@ -185,32 +189,13 @@ impl PhysicalNode {
                 aggs,
             } => {
                 let in_schema = input.schema();
-                let mut fields: Vec<Field> = group_by
-                    .iter()
-                    .map(|&i| in_schema.field(i).clone())
-                    .collect();
-                for a in aggs {
-                    for (i, dt) in a.partial_state_types().into_iter().enumerate() {
-                        fields.push(Field::new(format!("{}#p{i}", a.name), dt));
-                    }
-                }
-                Schema::new(fields)
+                aggregate_schema(group_by.iter().map(|&i| in_schema.field(i)), aggs)
             }
             PhysicalNode::FinalAggregate {
                 input,
                 group_count,
                 aggs,
-            } => {
-                let in_schema = input.schema();
-                let mut fields: Vec<Field> = (0..*group_count)
-                    .map(|i| in_schema.field(i).clone())
-                    .collect();
-                fields.extend(
-                    aggs.iter()
-                        .map(|a| Field::new(a.name.clone(), a.output_type())),
-                );
-                Schema::new(fields)
-            }
+            } => aggregate_schema(input.schema().fields()[..*group_count].iter(), aggs),
             PhysicalNode::HashJoin { probe, build, .. } => probe.schema().join(&build.schema()),
             PhysicalNode::Exchange { input, .. }
             | PhysicalNode::LocalExchange { input, .. }
@@ -394,6 +379,15 @@ impl PhysicalNode {
     }
 }
 
+/// The group columns, then one column per aggregate: a partial aggregate's
+/// state and a final one's result have the same layout.
+fn aggregate_schema<'a>(groups: impl Iterator<Item = &'a Field>, aggs: &[AggSpec]) -> Schema {
+    let aggs = aggs
+        .iter()
+        .map(|a| Field::new(a.name.clone(), a.output_type()));
+    Schema::new(groups.cloned().chain(aggs).collect())
+}
+
 impl fmt::Display for PhysicalNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.display())
@@ -416,20 +410,23 @@ mod tests {
         })
     }
 
+    /// AVG(v) as the optimizer lowers it: a Float64 SUM and a COUNT.
+    fn split_avg() -> Vec<AggSpec> {
+        vec![
+            AggSpec::new(AggKind::Sum, Expr::col(1), DataType::Float64, "a#sum"),
+            AggSpec::new(AggKind::Count, Expr::col(1), DataType::Int64, "a#count"),
+        ]
+    }
+
     #[test]
-    fn partial_schema_flattens_avg_state() {
+    fn partial_schema_is_one_column_per_aggregate() {
         let p = PhysicalNode::PartialAggregate {
             input: scan(),
             group_by: vec![0],
-            aggs: vec![AggSpec::new(
-                AggKind::Avg,
-                Expr::col(1),
-                DataType::Int64,
-                "a",
-            )],
+            aggs: split_avg(),
         };
         let s = p.schema();
-        // group key + (sum, count) partial columns.
+        // group key + one state column per aggregate.
         assert_eq!(s.len(), 3);
         assert_eq!(s.field(0).name, "k");
         assert_eq!(s.field(1).data_type, DataType::Float64);
@@ -441,28 +438,19 @@ mod tests {
         let partial = Arc::new(PhysicalNode::PartialAggregate {
             input: scan(),
             group_by: vec![0],
-            aggs: vec![AggSpec::new(
-                AggKind::Avg,
-                Expr::col(1),
-                DataType::Int64,
-                "a",
-            )],
+            aggs: split_avg(),
         });
         let fin = PhysicalNode::FinalAggregate {
             input: partial,
             group_count: 1,
-            aggs: vec![AggSpec::new(
-                AggKind::Avg,
-                Expr::col(1),
-                DataType::Int64,
-                "a",
-            )],
+            aggs: split_avg(),
         };
         let s = fin.schema();
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.len(), 3);
         assert_eq!(s.field(0).name, "k");
-        assert_eq!(s.field(1).name, "a");
+        assert_eq!(s.field(1).name, "a#sum");
         assert_eq!(s.field(1).data_type, DataType::Float64);
+        assert_eq!(s.field(2).name, "a#count");
     }
 
     #[test]

@@ -78,7 +78,6 @@ pub enum OperatorSpec {
     TopN {
         keys: Vec<SortKey>,
         n: usize,
-        schema: Schema,
     },
     Sort {
         keys: Vec<SortKey>,
@@ -337,12 +336,10 @@ impl Splitter {
                 Ok(ops)
             }
             PhysicalNode::TopN { input, keys, n } => {
-                let schema = node.schema();
                 let mut ops = self.build(input)?;
                 ops.push(OperatorSpec::TopN {
                     keys: keys.clone(),
                     n: *n,
-                    schema,
                 });
                 Ok(ops)
             }

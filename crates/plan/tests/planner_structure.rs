@@ -8,8 +8,8 @@ use std::sync::Arc;
 use accordion_common::StageId;
 use accordion_data::schema::{Field, Schema};
 use accordion_data::types::{DataType, Value};
-use accordion_expr::agg::AggKind;
-use accordion_expr::scalar::Expr;
+use accordion_expr::agg::{AggKind, AggSpec};
+use accordion_expr::scalar::{BinaryOp, Expr};
 use accordion_plan::catalog::MemoryCatalog;
 use accordion_plan::fragment::{DopBounds, StageKind, StageTree};
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
@@ -443,6 +443,86 @@ fn a_final_skips_the_key_sort_only_under_a_sort_covering_its_groups() {
     for (case, sql, table_order) in cases {
         assert_eq!(final_table_order(sql), vec![table_order], "{case}");
     }
+}
+
+#[test]
+fn avg_lowers_to_sum_and_count_under_a_dividing_project() {
+    let c = catalog();
+    let b = LogicalPlanBuilder::scan(&c, "t").unwrap();
+    let avg = b.agg(AggKind::Avg, "v", "mean").unwrap();
+    let aggs = vec![avg.clone(), AggSpec::count_star("n")];
+    let logical = b.aggregate(&["k"], aggs).unwrap().build();
+    let physical = Optimizer::new(OptimizerConfig::serial())
+        .optimize(&logical)
+        .unwrap();
+    let PhysicalNode::Project { input, exprs } = physical.as_ref() else {
+        panic!("the division above the final: {physical}")
+    };
+    let PhysicalNode::FinalAggregate { aggs, .. } = input.as_ref() else {
+        panic!("the final under the division: {physical}")
+    };
+    // The SUM takes the AVG's place and sums as FLOAT64; the COUNT of the
+    // same argument comes after every other aggregate.
+    let kinds: Vec<_> = aggs.iter().map(|a| (a.kind, a.input_type)).collect();
+    assert_eq!(
+        kinds,
+        [
+            (AggKind::Sum, DataType::Float64),
+            (AggKind::Count, DataType::Int64),
+            (AggKind::Count, DataType::Int64),
+        ]
+    );
+    assert_eq!((&aggs[0].input, &aggs[2].input), (&avg.input, &avg.input));
+    let mean = Expr::binary(Expr::col(1), BinaryOp::Div, Expr::col(3));
+    let expected = [(Expr::col(0), "k"), (mean, "mean"), (Expr::col(2), "n")];
+    let expected: Vec<(Expr, String)> = expected
+        .into_iter()
+        .map(|(e, n)| (e, n.to_string()))
+        .collect();
+    assert_eq!(exprs, &expected);
+    assert_eq!(physical.schema(), logical.schema());
+}
+
+#[test]
+fn every_partial_aggregate_state_is_one_column_per_aggregate() {
+    let statements = [
+        include_str!("../../../suite/sql/q1.sql"),
+        include_str!("../../../suite/sql/q3.sql"),
+        include_str!("../../../suite/sql/q6.sql"),
+        include_str!("../../../suite/sql/q_expr.sql"),
+        include_str!("../../../suite/sql/q_shuffle.sql"),
+        "SELECT l_returnflag, avg(l_quantity) AS q, count(*) AS n, avg(l_orderkey) AS k \
+         FROM lineitem GROUP BY l_returnflag",
+        "SELECT avg(l_discount) FROM lineitem",
+    ];
+    for sql in statements {
+        let plan = plan_select(&tpch_catalog(), sql).unwrap();
+        for two_stage_aggregation in [true, false] {
+            let config = OptimizerConfig {
+                two_stage_aggregation,
+                ..OptimizerConfig::default().with_parallelism(2)
+            };
+            let physical = Optimizer::new(config).optimize(&plan).unwrap();
+            let mut partials = 0;
+            physical.visit(&mut |node| {
+                if let PhysicalNode::PartialAggregate { group_by, aggs, .. } = node {
+                    partials += 1;
+                    assert!(aggs.iter().all(|a| a.kind != AggKind::Avg), "{sql}");
+                    assert_eq!(node.schema().len(), group_by.len() + aggs.len(), "{sql}");
+                }
+            });
+            assert_eq!(partials, 1, "{sql}");
+            // Every AVG is a division above the final; the statement's
+            // output is the analyzer's.
+            assert_eq!(physical.schema(), plan.schema(), "{sql}");
+        }
+    }
+    // q1's AVG splits, and its final still leaves groups in table order:
+    // the division's projection passes the group columns through.
+    assert_eq!(
+        final_table_order(include_str!("../../../suite/sql/q1.sql")),
+        vec![true]
+    );
 }
 
 #[test]

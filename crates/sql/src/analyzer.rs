@@ -465,6 +465,7 @@ impl<'a> Analyzer<'a> {
                     Some((expr, span)) => {
                         let dt = expr
                             .data_type(&scope.schema)
+                            .and_then(|dt| kind.check_argument(dt).map(|()| dt))
                             .map_err(|err| SqlError::analysis(error_text(err), *span))?;
                         AggSpec::new(kind, expr.clone(), dt, internal)
                     }
@@ -556,8 +557,8 @@ impl<'a> Analyzer<'a> {
                 descending: item.descending,
             });
         }
-        // ORDER BY without LIMIT: a Top-N over every row. The accumulator
-        // heap grows lazily, so an unbounded N costs nothing extra.
+        // ORDER BY without LIMIT: a Top-N over every row, which never cuts
+        // its candidates and so is one typed sort.
         let n = select.limit.map(|l| l.n as usize).unwrap_or(usize::MAX);
         Ok(Arc::new(LogicalPlan::TopN {
             input: plan,

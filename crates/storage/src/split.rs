@@ -109,11 +109,6 @@ impl SplitSet {
         self.splits.iter().map(|s| s.bytes).sum()
     }
 
-    /// Splits resident on `node`.
-    pub fn on_node(&self, node: NodeId) -> Vec<&Split> {
-        self.splits.iter().filter(|s| s.node == node).collect()
-    }
-
     pub fn push(&mut self, split: Split) {
         self.splits.push(split);
     }
@@ -208,7 +203,5 @@ mod tests {
         assert!(set.total_bytes() > 0);
         assert!(set.get(SplitId(2)).is_ok());
         assert!(set.get(SplitId(9)).is_err());
-        assert_eq!(set.on_node(NodeId(0)).len(), 2);
-        assert_eq!(set.on_node(NodeId(1)).len(), 0);
     }
 }

@@ -170,7 +170,8 @@ mod tests {
         assert_eq!(set.total_rows(), 500);
         // Every node got two splits.
         for node in 0..3 {
-            assert_eq!(set.on_node(NodeId(node)).len(), 2);
+            let on_node = set.splits().iter().filter(|s| s.node == NodeId(node));
+            assert_eq!(on_node.count(), 2);
         }
     }
 

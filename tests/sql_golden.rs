@@ -492,6 +492,45 @@ fn sql_case_unifies_its_branch_types() {
     }
 }
 
+#[test]
+fn sql_sum_and_avg_of_a_non_number_are_refused_at_the_argument() {
+    // These used to pass analysis and fail inside an accumulator kernel at
+    // run time, as internal errors.
+    let c = catalog();
+    for (sql, argument) in [
+        ("SELECT sum(region) FROM sales", "region"),
+        (
+            "SELECT avg(product) AS a FROM sales GROUP BY region",
+            "product",
+        ),
+        (
+            "SELECT region, avg(qty > 1) FROM sales GROUP BY region",
+            "qty > 1",
+        ),
+    ] {
+        let err = plan_select(&c, sql).expect_err(sql).to_string();
+        assert!(err.contains("takes a numeric argument"), "{sql}: {err}");
+        let column = sql.find(argument).unwrap() + 1;
+        assert!(
+            err.contains(&format!("line 1, column {column}")),
+            "{sql}: {err}"
+        );
+        assert!(err.contains(&"^".repeat(argument.len())), "{sql}: {err}");
+    }
+    // A builder plan is refused the same way, by `LogicalPlan::validate`.
+    let b = LogicalPlanBuilder::scan(&c, "sales").unwrap();
+    for kind in [AggKind::Sum, AggKind::Avg] {
+        let agg = b.agg(kind, "region", "x").unwrap();
+        let err = b.clone().aggregate(&[], vec![agg]).unwrap_err().to_string();
+        assert!(
+            err.contains("takes a numeric argument, got VARCHAR"),
+            "{err}"
+        );
+    }
+    let fine = "SELECT avg(qty), sum(price), min(region), max(product), count(region) FROM sales";
+    assert_eq!(run_sql(&c, fine, 2).row_count(), 1);
+}
+
 // -- a comparison's answer for a row does not depend on the page around it --
 
 #[test]
