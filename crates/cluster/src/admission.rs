@@ -4,7 +4,7 @@
 //! `max_concurrent_queries`; beyond it, arrivals either wait
 //! ([`AdmissionPolicy::Queue`], bounded by `queue_limit`) or fail fast
 //! ([`AdmissionPolicy::Reject`]). The default is unlimited. Admitted queries
-//! share the executor's compute slots and node NIC bucket: each query's
+//! share the executor's compute slots: each query's
 //! elasticity controller caps its DOP at the pool's slots, and the slot
 //! semaphore decides which task runs.
 

@@ -37,7 +37,7 @@
 //! `worker_threads ≥ 1` and buffer capacity, including one page. Tasks the
 //! elasticity controller spawns mid-query join the same pool: a grown
 //! stage competes for the same compute slots, it does not add any. The
-//! pool — slots and NIC budget — belongs to the executor, not the query:
+//! pool belongs to the executor, not the query:
 //! everything a process runs, whole queries or one node's share of them,
 //! draws on it. Concurrent queries meet only there and at the admission
 //! gate.
@@ -82,7 +82,7 @@ use accordion_exec::driver::{run_task, TaskContext};
 use accordion_exec::executor::{drain_result, ExecOptions, QueryResult};
 use accordion_exec::metrics::QueryMetrics;
 use accordion_exec::splits::SplitFeed;
-use accordion_net::{ConsumerLoc, ExchangeReader, ExchangeRegistry, ExchangeWriter, NodeNic};
+use accordion_net::{ConsumerLoc, ExchangeReader, ExchangeRegistry, ExchangeWriter, NicModel};
 use accordion_plan::fragment::StageTree;
 use accordion_plan::logical::LogicalPlan;
 use accordion_plan::optimizer::Optimizer;
@@ -105,8 +105,8 @@ struct TaskSpec {
     split_feed: Option<SplitFeed>,
 }
 
-/// Multi-threaded executor: concurrent stages, elastic exchanges, simulated
-/// network, and (when enabled) the intra-query re-parallelization
+/// Multi-threaded executor: concurrent stages, elastic exchanges, and
+/// (when enabled) the intra-query re-parallelization
 /// controller. The streaming counterpart of `accordion_exec::execute_tree`.
 ///
 /// One executor is a **worker pool**: its compute-slot gate is created once
@@ -131,8 +131,6 @@ pub struct QueryExecutor {
     /// Gates query starts against the pool (`ExecOptions::admission`,
     /// fixed at construction — per-call options cannot widen the limit).
     admission: Arc<AdmissionController>,
-    /// The node-level NIC budget every query's exchange traffic shares.
-    node_nic: Arc<NodeNic>,
 }
 
 impl std::fmt::Debug for QueryExecutor {
@@ -196,14 +194,12 @@ impl QueryExecutor {
     pub fn new(opts: ExecOptions) -> Self {
         let gate = Arc::new(Semaphore::new(opts.worker_threads.max(1)));
         let admission = Arc::new(AdmissionController::new(opts.admission));
-        let node_nic = Arc::new(NodeNic::new(&opts.network));
         QueryExecutor {
             opts,
             gate,
             active: Arc::new(Mutex::new(HashMap::new())),
             next_query_id: Arc::new(AtomicU64::new(0)),
             admission,
-            node_nic,
         }
     }
 
@@ -269,8 +265,8 @@ impl QueryExecutor {
 
     /// Wires this node's share of query `query` (an id every node of the
     /// fleet agrees on) — phase one of an execution; see [`NodeQuery`].
-    /// `opts` follows [`Self::execute_tree_opts`]: the pool, the NIC budget
-    /// and the admission limit stay the executor's.
+    /// `opts` follows [`Self::execute_tree_opts`]: the pool and the
+    /// admission limit stay the executor's.
     pub fn wire<C, T>(
         &self,
         catalog: C,
@@ -331,13 +327,7 @@ impl QueryExecutor {
             .flat_map(|e| &e.consumers)
             .filter(|c| matches!(c, ConsumerLoc::Remote(_)))
             .count();
-        // Every query's exchange traffic draws on the executor-wide node
-        // bucket.
-        let registry = ExchangeRegistry::build(
-            &topology,
-            &opts.network,
-            self.node_nic.for_query(&opts.network),
-        )?;
+        let registry = ExchangeRegistry::build(&topology, &opts.network, NicModel)?;
         let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
         self.active.lock().insert(id, registry.clone());
         Ok(NodeQuery {

@@ -9,10 +9,10 @@
 //! concurrent deadline-driven queries each cap their DOP at the pool.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use accordion_cluster::QueryExecutor;
-use accordion_common::config::{AdmissionConfig, ElasticityConfig, NetworkConfig};
+use accordion_cluster::{ClaimWiring, DistRole, NodeQuery, QueryExecutor};
+use accordion_common::config::{AdmissionConfig, ElasticityConfig};
 use accordion_common::AccordionError;
 use accordion_data::schema::{Field, Schema};
 use accordion_data::types::{DataType, Value};
@@ -70,26 +70,36 @@ fn sorted_rows(result: &QueryResult) -> Vec<Vec<Value>> {
     rows
 }
 
-/// Options whose per-page link latency stretches a 64-row scan long enough
-/// to observe it mid-flight.
-fn slow_opts() -> ExecOptions {
-    ExecOptions::with_page_rows(1)
-        .elasticity(ElasticityConfig::off())
-        .network(NetworkConfig {
-            link_latency_us: 2_000,
-            ..NetworkConfig::unlimited()
-        })
+fn scan_tree(c: &Catalog) -> StageTree {
+    let scan = LogicalPlanBuilder::scan(c, "sales").unwrap().build();
+    let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(1));
+    StageTree::build(optimizer.optimize(&scan).unwrap()).unwrap()
 }
 
-/// Polls `cond` for up to ~2 s.
+/// Wires `tree` as a whole query without running it: the unrun query holds
+/// its admission permit and sits in the executor's active map until it is
+/// dropped or run — a query in flight for exactly as long as the test says.
+fn hold<'a>(
+    executor: &QueryExecutor,
+    c: &'a Catalog,
+    tree: &'a StageTree,
+) -> NodeQuery<&'a Catalog, &'a StageTree> {
+    let opts = ExecOptions::with_page_rows(1).elasticity(ElasticityConfig::off());
+    executor
+        .wire(c, tree, &opts, DistRole::single(), 0, ClaimWiring::Local)
+        .unwrap()
+}
+
+/// Spins (yielding the CPU) until `cond` holds, for up to 10 s.
 fn eventually(mut cond: impl FnMut() -> bool) -> bool {
-    for _ in 0..2_000 {
-        if cond() {
-            return true;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        if Instant::now() >= deadline {
+            return false;
         }
-        std::thread::sleep(Duration::from_millis(1));
+        std::thread::yield_now();
     }
-    false
+    true
 }
 
 #[test]
@@ -139,29 +149,26 @@ fn reject_policy_fails_fast_while_the_pool_is_busy() {
     let scan = LogicalPlanBuilder::scan(&c, "sales").unwrap().build();
     let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(1));
     let executor = QueryExecutor::new(
-        slow_opts()
+        ExecOptions::with_page_rows(1)
+            .elasticity(ElasticityConfig::off())
             .worker_threads(2)
             .admission(AdmissionConfig::rejecting(1)),
     );
 
-    std::thread::scope(|scope| {
-        let (ex, c2, scan2, opt2) = (&executor, &c, &scan, &optimizer);
-        let slow = scope.spawn(move || ex.execute_logical(c2, scan2, opt2));
-        assert!(
-            eventually(|| executor.admission().stats().running == 1),
-            "slow query never admitted"
-        );
-        match executor.execute_logical(&c, &scan, &optimizer) {
-            Err(AccordionError::Execution(msg)) => {
-                assert!(
-                    msg.contains("admission rejected"),
-                    "unexpected error: {msg}"
-                )
-            }
-            other => panic!("expected an admission rejection, got {other:?}"),
+    let tree = scan_tree(&c);
+    let held = hold(&executor, &c, &tree);
+    assert_eq!(executor.admission().stats().running, 1);
+    match executor.execute_logical(&c, &scan, &optimizer) {
+        Err(AccordionError::Execution(msg)) => {
+            assert!(
+                msg.contains("admission rejected"),
+                "unexpected error: {msg}"
+            )
         }
-        slow.join().unwrap().unwrap();
-    });
+        other => panic!("expected an admission rejection, got {other:?}"),
+    }
+    let rows = held.run().unwrap().expect("node 0 drains the result");
+    assert_eq!(rows.row_count(), 64);
     // The pool drained: the same arrival now admits.
     executor.execute_logical(&c, &scan, &optimizer).unwrap();
     assert_eq!(executor.admission().stats().rejected, 1);
@@ -233,18 +240,15 @@ fn poison_active_aborts_queued_arrivals_but_not_future_ones() {
     let scan = LogicalPlanBuilder::scan(&c, "sales").unwrap().build();
     let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(1));
     let executor = QueryExecutor::new(
-        slow_opts()
+        ExecOptions::with_page_rows(1)
+            .elasticity(ElasticityConfig::off())
             .worker_threads(2)
             .admission(AdmissionConfig::queued(1)),
     );
 
+    let tree = scan_tree(&c);
+    let held = hold(&executor, &c, &tree);
     std::thread::scope(|scope| {
-        let (ex, c2, scan2, opt2) = (&executor, &c, &scan, &optimizer);
-        let running = scope.spawn(move || ex.execute_logical(c2, scan2, opt2));
-        assert!(
-            eventually(|| executor.admission().stats().running == 1),
-            "first query never admitted"
-        );
         let (ex, c3, scan3, opt3) = (&executor, &c, &scan, &optimizer);
         let queued = scope.spawn(move || ex.execute_logical(c3, scan3, opt3));
         assert!(
@@ -255,7 +259,7 @@ fn poison_active_aborts_queued_arrivals_but_not_future_ones() {
         executor.poison_active(AccordionError::Execution("admin abort".into()));
 
         // Both the in-flight query and the queued one fail with the abort.
-        for outcome in [running.join().unwrap(), queued.join().unwrap()] {
+        for outcome in [queued.join().unwrap().map(|_| ()), held.run().map(|_| ())] {
             match outcome {
                 Err(e) => assert!(e.to_string().contains("admin abort"), "got {e}"),
                 Ok(_) => panic!("query survived poison_active"),
@@ -302,35 +306,4 @@ fn concurrent_auto_queries_return_the_serial_rows() {
             }
         }
     });
-}
-
-#[test]
-fn bandwidth_capped_query_completes_on_a_one_slot_pool() {
-    // The NIC-sleep regression: charges used to sleep while holding the
-    // compute slot. With the slot yielded around the sleep, a tightly
-    // capped + high-latency shuffle still completes on worker_threads = 1
-    // (and produces exactly the right rows).
-    let c = catalog();
-    let plan = group_by_plan(&c);
-    let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(2));
-    let free = QueryExecutor::new(
-        ExecOptions::with_page_rows(3)
-            .worker_threads(1)
-            .elasticity(ElasticityConfig::off()),
-    );
-    let reference = sorted_rows(&free.execute_logical(&c, &plan, &optimizer).unwrap());
-
-    let capped = QueryExecutor::new(
-        ExecOptions::with_page_rows(3)
-            .worker_threads(1)
-            .elasticity(ElasticityConfig::off())
-            .network(
-                NetworkConfig::builder()
-                    .link_latency_us(500)
-                    .nic_mbps(1)
-                    .build(),
-            ),
-    );
-    let throttled = capped.execute_logical(&c, &plan, &optimizer).unwrap();
-    assert_eq!(sorted_rows(&throttled), reference);
 }

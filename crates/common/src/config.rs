@@ -2,21 +2,13 @@
 //!
 //! The defaults model the paper's testbed shrunk to a single process: the
 //! paper used 1 coordinator + 10 compute + 10 storage nodes (c5.2xlarge,
-//! 8 vCPU, 10 Gbps NIC). Here each "node" is a driver thread pool and the
-//! NIC is a token bucket (see `accordion-net`).
+//! 8 vCPU, 10 Gbps NIC). Here each "node" is a driver thread pool, and
+//! node-to-node pages travel over real TCP (see `accordion-net`).
 
-/// Parameters of the simulated data-plane network, including the limits of
-/// the elastic exchange buffers that ride on it (`accordion-net`).
+/// The data-plane network: the limits of the elastic exchange buffers
+/// (`accordion-net`) and the timeouts of the TCP transports.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
-    /// **Node-level** NIC bandwidth in bytes/second (`None` = unlimited).
-    /// Shared by every query running on the node; the paper's nodes have
-    /// 10 Gbps NICs.
-    pub nic_bandwidth_bytes_per_sec: Option<u64>,
-    /// One-way latency added to each page transfer, microseconds.
-    pub link_latency_us: u64,
-    /// Maximum bytes returned by one simulated exchange RPC response.
-    pub max_response_bytes: usize,
     /// Initial capacity (in pages) of every elastic exchange buffer. The
     /// paper starts all buffers at the size of one page (§4.2.2).
     pub initial_buffer_pages: usize,
@@ -38,9 +30,6 @@ pub struct NetworkConfig {
 impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
-            nic_bandwidth_bytes_per_sec: None,
-            link_latency_us: 0,
-            max_response_bytes: 4 << 20,
             initial_buffer_pages: 1,
             max_buffer_pages: Some(256),
             connect_timeout_ms: 5_000,
@@ -50,14 +39,9 @@ impl Default for NetworkConfig {
 }
 
 impl NetworkConfig {
-    /// No bandwidth cap, no latency — pure shared-memory exchange.
-    pub fn unlimited() -> Self {
-        NetworkConfig::default()
-    }
-
-    /// Starts a [`NetworkConfigBuilder`] from the default (unlimited)
-    /// configuration — the one way to shape the network: NIC caps, buffer
-    /// limits and transport timeouts all hang off the builder.
+    /// Starts a [`NetworkConfigBuilder`] from the default configuration —
+    /// the one way to shape the network: buffer limits and transport
+    /// timeouts both hang off the builder.
     pub fn builder() -> NetworkConfigBuilder {
         NetworkConfigBuilder {
             config: NetworkConfig::default(),
@@ -71,11 +55,9 @@ impl NetworkConfig {
 /// ```
 /// use accordion_common::config::NetworkConfig;
 /// let net = NetworkConfig::builder()
-///     .nic_mbps(50)
 ///     .fixed_buffers(2)
 ///     .connect_timeout_ms(500)
 ///     .build();
-/// assert_eq!(net.nic_bandwidth_bytes_per_sec, Some(50 * 1_000_000 / 8));
 /// assert_eq!(net.max_buffer_pages, Some(2));
 /// ```
 #[derive(Debug, Clone)]
@@ -84,18 +66,6 @@ pub struct NetworkConfigBuilder {
 }
 
 impl NetworkConfigBuilder {
-    /// Cap each node's NIC at `mbps` megabits/second.
-    pub fn nic_mbps(mut self, mbps: u64) -> Self {
-        self.config.nic_bandwidth_bytes_per_sec = Some(mbps * 1_000_000 / 8);
-        self
-    }
-
-    /// One-way latency added to each page transfer, microseconds.
-    pub fn link_latency_us(mut self, us: u64) -> Self {
-        self.config.link_latency_us = us;
-        self
-    }
-
     /// Shape the elastic buffers: start at `initial` pages, grow up to
     /// `max` (`None` = unbounded).
     pub fn buffer_pages(mut self, initial: usize, max: Option<usize>) -> Self {
@@ -279,10 +249,15 @@ impl ElasticityConfig {
                     let parsed = spec
                         .split_once(':')
                         .and_then(|(h, l)| Some((h.parse::<u32>().ok()?, l.parse::<u32>().ok()?)));
+                    // A schedule whose high is not above its low would grow
+                    // once, or not at all, and never shrink.
                     return match parsed {
-                        Some((high, low)) if high > 0 && low > 0 => {
+                        Some((high, low)) if high > low && low > 0 => {
                             Ok(ElasticityMode::Cycle { high, low })
                         }
+                        Some((high, low)) if low > 0 => bad(format!(
+                            "invalid cycle spec '{spec}' (high {high} must be above low {low})"
+                        )),
                         _ => bad(format!(
                             "invalid cycle spec '{spec}' (expected cycle:<high>:<low>)"
                         )),
@@ -315,7 +290,7 @@ pub enum AdmissionPolicy {
 }
 
 impl AdmissionPolicy {
-    /// Strict parsing — the API behind `SET`/CLI/`ACCORDION_ADMISSION`.
+    /// Strict parsing — the API behind `SET` and the server's `--admission`.
     pub fn try_parse(value: &str) -> crate::error::Result<Self> {
         match value {
             "queue" => Ok(AdmissionPolicy::Queue),
@@ -379,27 +354,6 @@ impl AdmissionConfig {
         }
     }
 
-    /// Reads `ACCORDION_MAX_QUERIES` (a positive integer; anything else —
-    /// including unset — means unlimited) and `ACCORDION_ADMISSION`
-    /// (`queue`/`reject`; lenient like [`ElasticityConfig::from_env`], so
-    /// a bad value degrades to the default `queue` rather than failing
-    /// every run).
-    pub fn from_env() -> Self {
-        let max_concurrent_queries = std::env::var("ACCORDION_MAX_QUERIES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0);
-        let policy = std::env::var("ACCORDION_ADMISSION")
-            .ok()
-            .and_then(|v| AdmissionPolicy::try_parse(&v).ok())
-            .unwrap_or_default();
-        AdmissionConfig {
-            max_concurrent_queries,
-            policy,
-            ..AdmissionConfig::default()
-        }
-    }
-
     /// True when a concurrency limit is actually enforced.
     pub fn limited(&self) -> bool {
         self.max_concurrent_queries.is_some()
@@ -446,12 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn nic_mbps_conversion() {
-        let n = NetworkConfig::builder().nic_mbps(80).build();
-        assert_eq!(n.nic_bandwidth_bytes_per_sec, Some(10_000_000));
-    }
-
-    #[test]
     fn buffer_shaping_builder() {
         let fixed = NetworkConfig::builder().fixed_buffers(1).build();
         assert_eq!(fixed.initial_buffer_pages, 1);
@@ -471,11 +419,9 @@ mod tests {
         let n = NetworkConfig::builder()
             .connect_timeout_ms(250)
             .read_timeout_ms(Some(1_000))
-            .link_latency_us(50)
             .build();
         assert_eq!(n.connect_timeout_ms, 250);
         assert_eq!(n.read_timeout_ms, Some(1_000));
-        assert_eq!(n.link_latency_us, 50);
     }
 
     #[test]
@@ -565,6 +511,10 @@ mod tests {
         assert!(err("cycle:x:y").contains("invalid cycle spec"));
         assert!(err("cycle:4").contains("invalid cycle spec"));
         assert!(err("cycle:0:1").contains("invalid cycle spec"));
+        // A high not above the low never cycles; the error names both.
+        for (spec, high, low) in [("cycle:1:4", 1, 4), ("cycle:3:3", 3, 3)] {
+            assert!(err(spec).contains(&format!("high {high} must be above low {low}")));
+        }
         assert!(err("").contains("unknown elasticity mode"));
         // The lenient env-var path still falls back instead of failing.
         assert_eq!(

@@ -7,7 +7,7 @@
 //! [`Worker`]: **one address** — one listener serving exchange pages, split
 //! claims and control sessions, told apart by the first frame of each
 //! connection — in front of one executor, so the process's compute slots,
-//! NIC budget, admission gate and kill switch span every query and every
+//! admission gate and kill switch span every query and every
 //! connection it serves. The coordinator is a node too, the one nobody has
 //! wired, driving the others through a [`Fleet`]: a query-server session
 //! with `SET nodes` does that on the server's own executor. Every process

@@ -6,9 +6,8 @@
 //! `accordion-cluster` uses — there is no materialized stage-output map
 //! anywhere. Because a whole stage completes before its consumer starts,
 //! the serial path uses [`ExchangeRegistry::build_in_process`] (unbounded
-//! buffers, free network); bounded elastic buffers, the worker pool and the
-//! NIC model only make sense with concurrent tasks and live in
-//! `accordion-cluster`.
+//! buffers); bounded elastic buffers and the worker pool only make sense
+//! with concurrent tasks and live in `accordion-cluster`.
 //!
 //! [`exchange_topology`] — shared with the cluster scheduler — derives the
 //! query's [`ExchangeTopology`] from the stage tree: one edge per stage,
@@ -48,8 +47,8 @@ pub struct ExecOptions {
     /// `accordion-cluster`; the serial executor ignores it). Defaults to
     /// the `ACCORDION_WORKER_THREADS` environment variable, else 4.
     pub worker_threads: usize,
-    /// Simulated network shaping: elastic exchange buffer limits plus the
-    /// token-bucket NIC model (used by the cluster scheduler).
+    /// Elastic exchange buffer limits and TCP transport timeouts (used by
+    /// the cluster scheduler).
     pub network: NetworkConfig,
     /// Intra-query re-parallelization controller (used by the cluster
     /// scheduler; the serial executor pins planned DOPs). Defaults to the
@@ -60,8 +59,8 @@ pub struct ExecOptions {
     /// Multi-query admission control (used by the cluster scheduler, which
     /// reads it from the options its executor was **constructed** with —
     /// per-query option overrides cannot change the shared limit).
-    /// Defaults to `ACCORDION_MAX_QUERIES`/`ACCORDION_ADMISSION`, else
-    /// unlimited.
+    /// Defaults to unlimited; the query server sets it from `--max-queries`
+    /// and `--admission`.
     pub admission: AdmissionConfig,
 }
 
@@ -72,7 +71,7 @@ impl Default for ExecOptions {
             worker_threads: worker_threads_from_env(),
             network: NetworkConfig::default(),
             elasticity: ElasticityConfig::from_env(),
-            admission: AdmissionConfig::from_env(),
+            admission: AdmissionConfig::default(),
         }
     }
 }

@@ -25,7 +25,7 @@
 //!   (paper Fig 13; driven by `accordion_cluster::elastic`).
 //!
 //! For concurrent stage execution on a worker pool with bounded elastic
-//! buffers and the simulated NIC, use `accordion_cluster::QueryExecutor`.
+//! buffers, use `accordion_cluster::QueryExecutor`.
 //!
 //! [`StageTree`]: accordion_plan::fragment::StageTree
 //! [`Page`]: accordion_data::page::Page

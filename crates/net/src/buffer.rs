@@ -230,8 +230,8 @@ impl ElasticQueue {
     }
 
     /// True once the consumer side has gone away (see
-    /// [`ElasticQueue::close_consumer`]). Writers use this to skip
-    /// simulated-network charges for pages that would be dropped anyway.
+    /// [`ElasticQueue::close_consumer`]). Writers use this to skip pages
+    /// that would be dropped anyway.
     pub fn is_closed(&self) -> bool {
         self.state.lock().closed
     }

@@ -15,7 +15,8 @@
 //! [`ExchangeRegistry::build`] consumes the descriptor and materializes one
 //! [`ElasticQueue`] per consumer slot; writers route data pages by the
 //! edge's [`RoutePolicy`] — gather/broadcast (`Single`), hash partitioning,
-//! or round-robin — charging each transfer against the shared [`NicModel`].
+//! or round-robin. A transfer costs what the queue or the socket charges:
+//! there is no simulated link.
 //!
 //! The registry is **transport-agnostic**: a slot marked
 //! [`ConsumerLoc::Local`] is reached through its shared-memory queue, a
@@ -61,7 +62,6 @@ use accordion_data::hash::hash_partition;
 use accordion_data::page::{DataPage, EndReason, Page};
 
 use crate::buffer::{ElasticQueue, ExchangeLimits};
-use crate::nic::NicModel;
 use crate::tcp::{ControlLink, PageSink};
 
 /// Producer side of one exchange edge, held by a running task.
@@ -217,12 +217,23 @@ struct Edge {
     consumers: Vec<ConsumerLoc>,
 }
 
+/// The third argument of [`ExchangeRegistry::build`]. It carries nothing:
+/// it exists only so that signature, which benchmark code calls, stays as
+/// it is.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct NicModel;
+
+impl NicModel {
+    pub fn unlimited() -> Self {
+        NicModel
+    }
+}
+
 /// Wires stage output buffers to consumer-task inputs for one query, local
 /// and remote. Built from an [`ExchangeTopology`] — see the module docs.
 pub struct ExchangeRegistry {
     query: u64,
     limits: ExchangeLimits,
-    nic: Arc<NicModel>,
     network: NetworkConfig,
     peers: Vec<String>,
     edges: Mutex<HashMap<u32, Arc<Edge>>>,
@@ -232,13 +243,12 @@ pub struct ExchangeRegistry {
 }
 
 impl ExchangeRegistry {
-    /// Materializes `topology` with the given buffer limits / NIC model —
-    /// how the scheduler hands each query a [`NicModel`] carved out of the
-    /// shared node-level budget (see `accordion_net::nic::NodeNic`).
+    /// Materializes `topology` with the buffer limits and transport
+    /// timeouts of `network`.
     pub fn build(
         topology: &ExchangeTopology,
         network: &NetworkConfig,
-        nic: NicModel,
+        _nic: NicModel,
     ) -> Result<Arc<ExchangeRegistry>> {
         let registry = ExchangeRegistry {
             query: topology.query,
@@ -246,7 +256,6 @@ impl ExchangeRegistry {
                 initial_pages: network.initial_buffer_pages.max(1),
                 max_pages: network.max_buffer_pages,
             },
-            nic: Arc::new(nic),
             network: network.clone(),
             peers: topology.peers.clone(),
             edges: Mutex::new(HashMap::new()),
@@ -261,13 +270,12 @@ impl ExchangeRegistry {
 
     /// Materializes `topology` for serial in-process execution: unbounded
     /// buffers (a whole stage completes before its consumer starts, so
-    /// bounded pushes would self-deadlock) and a free network.
+    /// bounded pushes would self-deadlock).
     pub fn build_in_process(topology: &ExchangeTopology) -> Result<Arc<ExchangeRegistry>> {
         let registry = ExchangeRegistry {
             query: topology.query,
             limits: ExchangeLimits::unbounded(),
-            nic: Arc::new(NicModel::unlimited()),
-            network: NetworkConfig::unlimited(),
+            network: NetworkConfig::default(),
             peers: topology.peers.clone(),
             edges: Mutex::new(HashMap::new()),
             poison: Mutex::new(None),
@@ -365,7 +373,6 @@ impl ExchangeRegistry {
             // combined output spreads across consumers even when every task
             // emits few pages.
             rr_next: task as usize,
-            nic: self.nic.clone(),
             gate,
             finished: false,
             sinks: HashMap::new(),
@@ -582,7 +589,6 @@ struct EdgeWriter {
     consumers: Vec<ConsumerLoc>,
     policy: RoutePolicy,
     rr_next: usize,
-    nic: Arc<NicModel>,
     gate: Option<Arc<Semaphore>>,
     finished: bool,
     /// One page sink per remote node this writer has delivered to.
@@ -650,16 +656,13 @@ impl ExchangeWriter for EdgeWriter {
             consumers,
             policy,
             rr_next,
-            nic,
             gate,
             sinks,
             ..
         } = self;
         let gate = gate.as_deref();
-        // The NIC is charged per delivered copy — a broadcast to N consumers
-        // puts N pages on the simulated fabric, matching ExchangeStats — but
-        // only for live destinations: a closed local queue (its consumer
-        // stopped pulling) costs nothing and the copy is simply not sent.
+        // A closed local queue (its consumer stopped pulling) is skipped:
+        // the copy is simply not sent.
         route_page(
             &page,
             policy,
@@ -671,11 +674,9 @@ impl ExchangeWriter for EdgeWriter {
                     if q.is_closed() {
                         return Ok(());
                     }
-                    nic.charge(piece.byte_size(), gate);
                     q.push(piece, gate)
                 }
                 ConsumerLoc::Remote(host) => {
-                    nic.charge(piece.byte_size(), gate);
                     if !sinks.contains_key(host) {
                         let sink =
                             PageSink::connect(host, registry.query(), *stage, &registry.network)?;

@@ -1,4 +1,4 @@
-//! Simulated data-plane network: the streaming shuffle exchange.
+//! Data-plane network: the streaming shuffle exchange.
 //!
 //! This crate is the push/pull boundary between concurrently running tasks
 //! — the decoupling the paper's intra-query elasticity is built on. Stages
@@ -15,8 +15,6 @@
 //!   consumer-side demand up to the `NetworkConfig` limit, blocking
 //!   producers for backpressure. Waits yield the scheduler's compute-slot
 //!   semaphore, keeping bounded buffers deadlock-free on a fixed pool.
-//! * [`nic`] — the token-bucket [`NicModel`] charging every page transfer
-//!   against `NetworkConfig`'s bandwidth cap and link latency.
 //! * [`frame`] — the one framing of node-to-node traffic,
 //!   `[len][kind][payload]`: the only frame reader and writer, the only
 //!   dialer ([`FrameConn`](frame::FrameConn)) and accept loop
@@ -48,20 +46,17 @@
 //! [`ConsumerLoc`]: exchange::ConsumerLoc
 //! [`RoutePolicy`]: exchange::RoutePolicy
 //! [`ElasticQueue`]: buffer::ElasticQueue
-//! [`NicModel`]: nic::NicModel
 //! [`PageRegistries`]: tcp::PageRegistries
 //! [`PageSink`]: tcp::PageSink
 
 pub mod buffer;
 pub mod exchange;
 pub mod frame;
-pub mod nic;
 pub mod tcp;
 
 pub use buffer::{ElasticQueue, ExchangeLimits};
 pub use exchange::{
     route_page, ConsumerLoc, EdgeSpec, ExchangeReader, ExchangeRegistry, ExchangeStats,
-    ExchangeTopology, ExchangeWriter, RoutePolicy,
+    ExchangeTopology, ExchangeWriter, NicModel, RoutePolicy,
 };
-pub use nic::{NicModel, NodeNic, TokenBucket};
 pub use tcp::{PageRegistries, PageServer, PageSink};

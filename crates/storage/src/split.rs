@@ -18,7 +18,8 @@ use accordion_data::page::DataPage;
 #[derive(Debug, Clone)]
 pub struct Split {
     pub id: SplitId,
-    /// Storage node holding the data (drives NIC accounting for scans).
+    /// Storage node holding the data (claims prefer splits stored on the
+    /// claimant's node).
     pub node: NodeId,
     pub table: String,
     /// The split's pages, resident in memory on the storage node.
