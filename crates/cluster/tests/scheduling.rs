@@ -99,12 +99,25 @@ fn golden_suite(c: &Catalog) -> Vec<(&'static str, LogicalPlanBuilder)> {
             .unwrap()
     };
 
+    // One group per row of `sales`: at page_rows 3 the final pulls about 22
+    // pages of partial rows off the exchange, not five groups' worth.
+    let group_every_row = || {
+        let b = LogicalPlanBuilder::scan(c, "sales").unwrap();
+        let aggs = vec![b.agg(AggKind::Count, "qty", "cnt").unwrap()];
+        b.aggregate(&["region", "qty", "price"], aggs).unwrap()
+    };
+    let group_every_row_sorted = group_every_row()
+        .top_n(&[("price", true), ("qty", false), ("region", false)], 100)
+        .unwrap();
+
     vec![
         ("scan", scan),
         ("filter", filter),
         ("group_by", group_by),
         ("top_n", top_n),
         ("join", join),
+        ("group_every_row", group_every_row()),
+        ("group_every_row_sorted", group_every_row_sorted),
     ]
 }
 
@@ -142,8 +155,15 @@ fn golden_suite_is_invariant_across_the_scheduling_matrix() {
         let reference = sorted_rows(&execute_tree(&c, &tree, &opts(1, false)).unwrap());
         assert!(!reference.is_empty(), "{name}: empty reference result");
 
-        for dop in [1u32, 2, 4] {
-            let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(dop));
+        for (dop, merge) in [1u32, 2, 4]
+            .into_iter()
+            .flat_map(|d| [(d, 1u32), (d, 2), (d, 3)])
+        {
+            let optimizer = Optimizer::new(
+                OptimizerConfig::default()
+                    .with_parallelism(dop)
+                    .with_merge_parallelism(merge),
+            );
             let tree =
                 StageTree::build(optimizer.optimize(&builder.clone().build()).unwrap()).unwrap();
             for worker_threads in [1usize, 4] {
@@ -151,15 +171,15 @@ fn golden_suite_is_invariant_across_the_scheduling_matrix() {
                     let executor = QueryExecutor::new(opts(worker_threads, capacity_one));
                     let result = executor.execute_tree(&c, &tree).unwrap_or_else(|e| {
                         panic!(
-                            "{name} failed at dop={dop} workers={worker_threads} \
-                             capacity_one={capacity_one}: {e}"
+                            "{name} failed at dop={dop} merge={merge} \
+                             workers={worker_threads} capacity_one={capacity_one}: {e}"
                         )
                     });
                     assert_eq!(
                         sorted_rows(&result),
                         reference,
-                        "{name} diverged at dop={dop} workers={worker_threads} \
-                         capacity_one={capacity_one}"
+                        "{name} diverged at dop={dop} merge={merge} \
+                         workers={worker_threads} capacity_one={capacity_one}"
                     );
                 }
             }

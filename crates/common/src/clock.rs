@@ -1,6 +1,6 @@
 //! Clock abstraction.
 //!
-//! All time-dependent engine logic (rate meters, elastic-buffer resize
+//! All time-dependent engine logic (operator rates, elastic-buffer resize
 //! periods, the what-if predictor's `T_remain = V_remain / R_consume`, the
 //! auto-tuner's deadlines) reads time through [`Clock`] so that unit tests can
 //! drive a [`ManualClock`] deterministically while the engine runs on

@@ -133,6 +133,22 @@ pub enum ElasticityMode {
     Cycle { high: u32, low: u32 },
 }
 
+/// The canonical spelling of a mode, in the grammar
+/// [`ElasticityConfig::try_parse_mode`] reads: what `SET` / `SHOW` echo and
+/// what a coordinator sends its workers.
+impl std::fmt::Display for ElasticityMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ElasticityMode::Off => write!(f, "off"),
+            ElasticityMode::Auto { deadline_ms } => write!(f, "auto:{deadline_ms}"),
+            ElasticityMode::Forced { target_dop } => write!(f, "forced:{target_dop}"),
+            ElasticityMode::ForcedGrow => write!(f, "forced-grow"),
+            ElasticityMode::ForcedShrink => write!(f, "forced-shrink"),
+            ElasticityMode::Cycle { high, low } => write!(f, "cycle:{high}:{low}"),
+        }
+    }
+}
+
 /// Configuration of the intra-query re-parallelization controller. The
 /// mode is all there is to configure: *when* the controller looks is not a
 /// setting — it wakes on the split queue's events (see
@@ -493,6 +509,26 @@ mod tests {
             }
         );
         assert_eq!(ok("auto:2500"), Auto { deadline_ms: 2500 });
+    }
+
+    #[test]
+    fn every_mode_round_trips_through_its_display_in_any_case() {
+        use ElasticityMode::*;
+        for (value, shown, mode) in [
+            ("OFF", "off", Off),
+            ("Forced-Grow", "forced-grow", ForcedGrow),
+            ("FORCED-SHRINK", "forced-shrink", ForcedShrink),
+            ("Forced:3", "forced:3", Forced { target_dop: 3 }),
+            ("CYCLE", "cycle:4:1", Cycle { high: 4, low: 1 }),
+            ("Cycle:5:2", "cycle:5:2", Cycle { high: 5, low: 2 }),
+            ("AUTO", "auto:1000", Auto { deadline_ms: 1000 }),
+            ("Auto:500", "auto:500", Auto { deadline_ms: 500 }),
+        ] {
+            let parsed = ElasticityConfig::try_parse_mode(value).unwrap();
+            assert_eq!(parsed, mode, "{value}");
+            assert_eq!(parsed.to_string(), shown, "{value}");
+            assert_eq!(ElasticityConfig::try_parse_mode(shown).unwrap(), mode);
+        }
     }
 
     #[test]

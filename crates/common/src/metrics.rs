@@ -37,60 +37,6 @@ impl Counter {
     }
 }
 
-/// Windowed rate meter: computes events/second over the interval between the
-/// last two `sample()` calls. Writers call [`RateMeter::record`]; one reader
-/// (the info collector) periodically calls [`RateMeter::sample`].
-#[derive(Debug)]
-pub struct RateMeter {
-    clock: SharedClock,
-    total: Counter,
-    last_total: AtomicU64,
-    last_nanos: AtomicU64,
-    /// Rate computed at the previous sample, microunits/second
-    /// (events·1e-6/s) to keep fractional rates in an atomic.
-    last_rate_micro: AtomicU64,
-}
-
-impl RateMeter {
-    pub fn new(clock: SharedClock) -> Self {
-        let now = clock.now_nanos();
-        RateMeter {
-            clock,
-            total: Counter::new(),
-            last_total: AtomicU64::new(0),
-            last_nanos: AtomicU64::new(now),
-            last_rate_micro: AtomicU64::new(0),
-        }
-    }
-
-    /// Records `n` events (e.g. rows or bytes produced).
-    #[inline]
-    pub fn record(&self, n: u64) {
-        self.total.add(n);
-    }
-
-    /// Recomputes and returns the rate (events/second) since the previous
-    /// sample. Returns the last known rate when called again within < 1 µs.
-    pub fn sample(&self) -> f64 {
-        let now = self.clock.now_nanos();
-        let prev_ns = self.last_nanos.swap(now, Ordering::Relaxed);
-        if now <= prev_ns + 1_000 {
-            // Too close to the previous sample to measure; keep the old rate
-            // and restore the previous timestamp so the next interval is not
-            // truncated.
-            self.last_nanos.store(prev_ns, Ordering::Relaxed);
-            return self.last_rate_micro.load(Ordering::Relaxed) as f64 / 1e6;
-        }
-        let cur_total = self.total.get();
-        let prev_total = self.last_total.swap(cur_total, Ordering::Relaxed);
-        let dt_sec = (now - prev_ns) as f64 / 1e9;
-        let rate = (cur_total.saturating_sub(prev_total)) as f64 / dt_sec;
-        self.last_rate_micro
-            .store((rate * 1e6) as u64, Ordering::Relaxed);
-        rate
-    }
-}
-
 /// One point of a recorded time series.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimePoint {
@@ -133,8 +79,7 @@ impl TimeSeries {
         self.points.lock().clone()
     }
 
-    /// Most recent point, if any — what the elasticity controller's what-if
-    /// predictor reads as the live sample.
+    /// Most recent point, if any.
     pub fn last(&self) -> Option<TimePoint> {
         self.points.lock().last().copied()
     }
@@ -160,33 +105,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn rate_meter_measures_window_rate() {
-        let clock = ManualClock::shared();
-        let m = RateMeter::new(clock.clone());
-        m.record(100);
-        clock.advance(Duration::from_secs(1));
-        let r = m.sample();
-        assert!((r - 100.0).abs() < 1e-9, "rate was {r}");
-        // Second window: 50 events over 2 seconds = 25/s.
-        m.record(50);
-        clock.advance(Duration::from_secs(2));
-        let r = m.sample();
-        assert!((r - 25.0).abs() < 1e-9, "rate was {r}");
-    }
-
-    #[test]
-    fn rate_meter_survives_zero_interval() {
-        let clock = ManualClock::shared();
-        let m = RateMeter::new(clock.clone());
-        m.record(10);
-        clock.advance(Duration::from_secs(1));
-        let r1 = m.sample();
-        // No time passes; sample again must not divide by zero and keeps rate.
-        let r2 = m.sample();
-        assert_eq!(r1, r2);
     }
 
     #[test]

@@ -65,8 +65,6 @@ use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_sql::plan_select;
 use accordion_storage::catalog::Catalog;
 
-use crate::session::mode_name;
-
 /// The coordinator ↔ worker control conversation — kinds 8–12 of the
 /// node-to-node kind table (`accordion_net::frame`) plus the shared ACK. A
 /// request that fails is answered with an ERR frame instead.
@@ -517,7 +515,7 @@ impl Fleet {
                     nodes,
                     fingerprint: fp,
                     dop: self.dop,
-                    elasticity: mode_name(&self.exec.elasticity.mode),
+                    elasticity: self.exec.elasticity.mode.to_string(),
                     peers: self.peers.clone(),
                     sql: sql.to_string(),
                 };

@@ -1,11 +1,11 @@
 //! Pages — the unit of data flow.
 //!
 //! In the paper's execution model (§2), table-scan data chunks are divided
-//! into pages which travel between physical operators, between drivers
-//! (through the local exchange structure) and between tasks (through task
-//! output buffers and exchange operators). Accordion additionally uses
-//! special **end pages** to close drivers and tasks gracefully at runtime
-//! (§4.3, Fig 13) — that is what makes mid-query DOP reduction safe.
+//! into pages which travel between physical operators and between tasks
+//! (through task output buffers and exchange operators). Accordion
+//! additionally uses special **end pages** to close drivers and tasks
+//! gracefully at runtime (§4.3, Fig 13) — that is what makes mid-query DOP
+//! reduction safe.
 //!
 //! [`Page`] is therefore an enum: a data batch, or an end marker. Data pages
 //! are `Arc`-shared so broadcast replication and the intermediate-data cache
@@ -141,7 +141,8 @@ pub enum EndReason {
     UpstreamFinished,
     /// The engine asked this driver to shut down (DOP decrease).
     EndSignal,
-    /// Local exchange structure drained after all sinks finished.
+    /// Produced by nothing; it holds wire tag 3 of the page codec, so
+    /// removing it would change the wire format.
     LocalExchangeDrained,
 }
 

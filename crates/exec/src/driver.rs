@@ -2,19 +2,18 @@
 //!
 //! A task holds **exchange endpoints**, not materialized page maps: one
 //! [`ExchangeReader`] per child stage and one [`ExchangeWriter`] toward its
-//! parent, both streaming page-by-page. A driver instantiates one
-//! pipeline's [`OperatorSpec`] list into a chain of [`PageStream`]s and
-//! pulls pages through it into the pipeline's sink: the task's output
-//! writer, a local exchange partition, or a hash-join build table. Every
-//! operator in the chain is wrapped in a [`MeteredStream`] recording
-//! rows/bytes produced and time spent into the query's [`QueryMetrics`].
+//! parent, both streaming page-by-page. Every pipeline has one driver: it
+//! instantiates the pipeline's [`OperatorSpec`] list into a chain of
+//! [`PageStream`]s and pulls pages through it into the pipeline's sink, the
+//! task's output writer or a hash-join build table. Every operator in the
+//! chain is wrapped in a [`MeteredStream`] recording rows/bytes produced
+//! and time spent into the query's [`QueryMetrics`].
 //!
-//! Pipelines still run producer-first inside a task (the order
-//! [`accordion_plan::pipeline::split_pipelines`] guarantees), so local
-//! exchanges and join tables are materialized before their intra-task
-//! consumers start. A **multi-partition** local exchange runs its consumer
-//! pipeline once per partition — one driver per partition — which is what
-//! lets hash-partitioned merge stages execute inside a single task.
+//! Pipelines run producer-first inside a task (the order
+//! [`accordion_plan::pipeline::split_pipelines`] guarantees), so a join
+//! table is built before the probe pipeline that reads it starts. A merge
+//! stage is one pipeline whose final aggregate consumes pages as they
+//! arrive off the exchange.
 //!
 //! When every pipeline has finished, [`run_task`] pushes the in-band end
 //! page through the output writer, closing this task's contribution to the
@@ -28,27 +27,18 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use accordion_common::{AccordionError, Result};
-use accordion_data::page::{DataPage, EndReason, Page};
+use accordion_data::page::{EndReason, Page};
 use accordion_data::schema::Schema;
-use accordion_net::{route_page, ExchangeReader, ExchangeWriter, RoutePolicy};
+use accordion_net::{ExchangeReader, ExchangeWriter};
 use accordion_plan::pipeline::{OperatorSpec, PipelineSpec};
 use accordion_storage::catalog::Catalog;
 
-use crate::executor::route_policy;
 use crate::metrics::{MeteredStream, OperatorMetrics, QueryMetrics};
 use crate::operators::{
     BoxedStream, FilterOp, FinalHashAggOp, HashJoinProbeOp, JoinTable, LimitOp, PartialHashAggOp,
-    ProjectOp, QueueSource, ScanSource, SortOp, TopNOp,
+    ProjectOp, ScanSource, SortOp, TopNOp,
 };
 use crate::splits::{FeedScanSource, SplitFeed};
-
-/// Buffered partitions of one intra-task local exchange, routed by the same
-/// [`route_page`] helper the network writers use.
-struct LocalExchange {
-    partitions: Vec<Vec<Arc<DataPage>>>,
-    policy: RoutePolicy,
-    rr_next: usize,
-}
 
 /// Mutable state of one running task.
 pub struct TaskContext<'a> {
@@ -65,8 +55,6 @@ pub struct TaskContext<'a> {
     inputs: HashMap<u32, Box<dyn ExchangeReader>>,
     /// Streaming output toward the parent stage (or the coordinator).
     output: Box<dyn ExchangeWriter>,
-    /// Local exchange buffers, indexed by the splitter's exchange ids.
-    local_exchanges: Vec<LocalExchange>,
     /// Hash-join build tables, indexed by the splitter's join ids.
     join_tables: Vec<Option<Arc<JoinTable>>>,
     metrics: Arc<QueryMetrics>,
@@ -92,29 +80,14 @@ impl<'a> TaskContext<'a> {
         pipelines: &[PipelineSpec],
         metrics: Arc<QueryMetrics>,
     ) -> Self {
-        let mut policies: Vec<RoutePolicy> = Vec::new();
-        let mut joins = 0usize;
-        for p in pipelines {
-            for op in &p.operators {
-                match op {
-                    OperatorSpec::LocalSink {
-                        exchange,
-                        partitioning,
-                    } => {
-                        if policies.len() <= *exchange {
-                            policies.resize(exchange + 1, RoutePolicy::Single);
-                        }
-                        policies[*exchange] = route_policy(partitioning);
-                    }
-                    OperatorSpec::LocalSource { exchange } if policies.len() <= *exchange => {
-                        policies.resize(exchange + 1, RoutePolicy::Single);
-                    }
-                    OperatorSpec::HashJoinBuild { join, .. }
-                    | OperatorSpec::HashJoinProbe { join, .. } => joins = joins.max(join + 1),
-                    _ => {}
-                }
-            }
-        }
+        let joins = pipelines
+            .iter()
+            .filter_map(|p| match p.operators.last() {
+                Some(OperatorSpec::HashJoinBuild { join, .. }) => Some(join + 1),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
         TaskContext {
             catalog,
             stage,
@@ -123,14 +96,6 @@ impl<'a> TaskContext<'a> {
             page_rows,
             inputs,
             output,
-            local_exchanges: policies
-                .into_iter()
-                .map(|policy| LocalExchange {
-                    partitions: vec![Vec::new(); (policy.partition_count() as usize).max(1)],
-                    policy,
-                    rr_next: 0,
-                })
-                .collect(),
             join_tables: vec![None; joins],
             metrics,
             split_feed: None,
@@ -146,18 +111,6 @@ impl<'a> TaskContext<'a> {
     pub fn set_split_feed(&mut self, feed: SplitFeed) {
         self.split_feed = Some(feed);
     }
-
-    /// Number of drivers the pipeline needs: one per local-exchange
-    /// partition when it sources from a local exchange, otherwise one.
-    fn driver_count(&self, pipeline: &PipelineSpec) -> usize {
-        match pipeline.operators.first() {
-            Some(OperatorSpec::LocalSource { exchange }) => self
-                .local_exchanges
-                .get(*exchange)
-                .map_or(1, |e| e.partitions.len()),
-            _ => 1,
-        }
-    }
 }
 
 /// Runs every pipeline of the task, then closes its output with the in-band
@@ -170,66 +123,34 @@ pub fn run_task(pipelines: &[PipelineSpec], ctx: &mut TaskContext<'_>) -> Result
     ctx.output.push(Page::end(reason))
 }
 
-/// Runs one pipeline to completion inside `ctx` — one driver per
-/// local-exchange partition it consumes, a single driver otherwise.
+/// Runs one pipeline to completion inside `ctx` with its one driver.
 pub fn run_pipeline(pipeline: &PipelineSpec, ctx: &mut TaskContext<'_>) -> Result<()> {
     let (sink, upstream) = pipeline
         .operators
         .split_last()
         .ok_or_else(|| AccordionError::Execution("empty pipeline".into()))?;
-    if !sink.is_sink() {
-        return Err(AccordionError::Execution(format!(
-            "pipeline {} does not end in a sink: {}",
-            pipeline.id,
-            sink.name()
-        )));
-    }
-    let drivers = ctx.driver_count(pipeline);
-    if drivers > 1 {
-        check_partition_safety(pipeline, upstream, drivers, ctx)?;
-    }
+    let mut chain = build_chain(upstream, pipeline, ctx)?;
     match sink {
-        OperatorSpec::Output => {
-            for driver in 0..drivers {
-                let mut chain = build_chain(upstream, pipeline, driver, ctx)?;
-                loop {
-                    match chain.next_page()? {
-                        Page::End(e) => {
-                            ctx.end_reason = e.reason;
-                            break;
-                        }
-                        page @ Page::Data(_) => ctx.output.push(page)?,
-                    }
+        OperatorSpec::Output => loop {
+            match chain.next_page()? {
+                Page::End(e) => {
+                    ctx.end_reason = e.reason;
+                    break;
                 }
+                page @ Page::Data(_) => ctx.output.push(page)?,
             }
-        }
-        OperatorSpec::LocalSink { exchange, .. } => {
-            for driver in 0..drivers {
-                let mut chain = build_chain(upstream, pipeline, driver, ctx)?;
-                loop {
-                    match chain.next_page()? {
-                        Page::End(_) => break,
-                        Page::Data(p) => route_local(p, *exchange, ctx)?,
-                    }
-                }
-            }
-        }
+        },
         OperatorSpec::HashJoinBuild { join, keys } => {
             let mut pages = Vec::new();
-            for driver in 0..drivers {
-                let mut chain = build_chain(upstream, pipeline, driver, ctx)?;
-                loop {
-                    match chain.next_page()? {
-                        Page::End(_) => break,
-                        Page::Data(p) => pages.push(p),
-                    }
-                }
+            while let Page::Data(p) = chain.next_page()? {
+                pages.push(p);
             }
             ctx.join_tables[*join] = Some(Arc::new(JoinTable::build(pages, keys)));
         }
         other => {
-            return Err(AccordionError::Internal(format!(
-                "unhandled sink {}",
+            return Err(AccordionError::Execution(format!(
+                "pipeline {} does not end in a sink: {}",
+                pipeline.id,
                 other.name()
             )))
         }
@@ -237,84 +158,18 @@ pub fn run_pipeline(pipeline: &PipelineSpec, ctx: &mut TaskContext<'_>) -> Resul
     Ok(())
 }
 
-/// Per-partition drivers each run their own instance of every operator in
-/// the chain, which is only correct for operators whose result is a union
-/// of per-partition results. A global Limit, Sort or TopN would silently
-/// over-count or mis-order; a FinalAggregate is union-correct only when the
-/// local exchange hash-partitions on its group-key columns (the layout the
-/// hash-partitioned merge plan produces — every row of one group lands in
-/// the same partition).
-fn check_partition_safety(
-    pipeline: &PipelineSpec,
-    upstream: &[OperatorSpec],
-    drivers: usize,
-    ctx: &TaskContext<'_>,
-) -> Result<()> {
-    let policy = match pipeline.operators.first() {
-        Some(OperatorSpec::LocalSource { exchange }) => &ctx.local_exchanges[*exchange].policy,
-        _ => &RoutePolicy::Single,
-    };
-    for op in upstream {
-        match op {
-            OperatorSpec::Limit { .. } | OperatorSpec::Sort { .. } | OperatorSpec::TopN { .. } => {
-                return Err(AccordionError::Execution(format!(
-                    "{} above a {drivers}-partition local exchange needs a merge step \
-                     (per-driver instances would not be globally correct)",
-                    op.name()
-                )));
-            }
-            OperatorSpec::FinalAggregate { group_count, .. } => {
-                let grouped_by_key = matches!(
-                    policy,
-                    RoutePolicy::Hash { keys, .. }
-                        if !keys.is_empty() && keys.iter().all(|&k| k < *group_count)
-                );
-                if !grouped_by_key {
-                    return Err(AccordionError::Execution(format!(
-                        "FinalAggregate above a {drivers}-partition local exchange requires \
-                         hash partitioning on its group keys (got {policy:?}); other routings \
-                         would split a group's partial states across drivers"
-                    )));
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-/// Routes one page into the partitions of a local exchange (same routing
-/// rules as the network writers — see [`route_page`]).
-fn route_local(page: Arc<DataPage>, exchange: usize, ctx: &mut TaskContext<'_>) -> Result<()> {
-    let ex = ctx
-        .local_exchanges
-        .get_mut(exchange)
-        .ok_or_else(|| AccordionError::Execution(format!("unknown local exchange {exchange}")))?;
-    let LocalExchange {
-        partitions,
-        policy,
-        rr_next,
-    } = ex;
-    route_page(&page, policy, rr_next, partitions.len(), &mut |sink, p| {
-        partitions[sink].push(p);
-        Ok(())
-    })
-}
-
 /// Instantiates `specs` (a source followed by streaming operators) into a
-/// metered pull chain. `driver` selects the local-exchange partition when
-/// the pipeline sources from one.
+/// metered pull chain.
 fn build_chain(
     specs: &[OperatorSpec],
     pipeline: &PipelineSpec,
-    driver: usize,
     ctx: &mut TaskContext<'_>,
 ) -> Result<BoxedStream> {
     let (source, rest) = specs
         .split_first()
         .ok_or_else(|| AccordionError::Execution("pipeline has a sink but no source".into()))?;
     let mut upstream = None;
-    let stream = build_source(source, driver, ctx)?;
+    let stream = build_source(source, ctx)?;
     let mut chain = meter(stream, source, pipeline, ctx, &mut upstream);
     for spec in rest {
         let stream = wrap_operator(spec, chain, ctx)?;
@@ -341,11 +196,7 @@ fn meter(
     Box::new(MeteredStream::new(stream, m))
 }
 
-fn build_source(
-    spec: &OperatorSpec,
-    driver: usize,
-    ctx: &mut TaskContext<'_>,
-) -> Result<BoxedStream> {
+fn build_source(spec: &OperatorSpec, ctx: &mut TaskContext<'_>) -> Result<BoxedStream> {
     match spec {
         OperatorSpec::TableScan { table, projection } => {
             if let Some(feed) = ctx.split_feed.clone() {
@@ -381,16 +232,6 @@ fn build_source(
                 ))
             })?;
             Ok(Box::new(ReaderSource { reader }))
-        }
-        OperatorSpec::LocalSource { exchange } => {
-            let ex = ctx.local_exchanges.get_mut(*exchange).ok_or_else(|| {
-                AccordionError::Execution(format!("unknown local exchange {exchange}"))
-            })?;
-            let pages = std::mem::take(&mut ex.partitions[driver]);
-            Ok(Box::new(QueueSource::new(
-                pages,
-                EndReason::LocalExchangeDrained,
-            )))
         }
         other => Err(AccordionError::Execution(format!(
             "pipeline must start with a source, found {}",

@@ -10,16 +10,17 @@
 //! * [`driver`] — instantiates one pipeline into a metered operator chain
 //!   and pulls it to completion into the pipeline's sink (paper §2 "Driver
 //!   Execution"). A task holds an `ExchangeWriter` toward its parent stage
-//!   and one `ExchangeReader` per child stage; multi-partition local
-//!   exchanges run one driver per partition.
+//!   and one `ExchangeReader` per child stage; every pipeline has one
+//!   driver.
 //! * [`executor`] — the serial in-process reference executor (stages run
 //!   bottom-up in one thread, streaming through unbounded in-process
 //!   exchanges) plus the exchange-wiring helpers shared with the
 //!   multi-threaded scheduler in `accordion-cluster`.
-//! * [`metrics`] — per-operator row/byte counters and rate meters exposed
+//! * [`metrics`] — per-operator row/byte counters and times exposed
 //!   through [`QueryResult::stats`], plus the [`RuntimeCollector`] that
-//!   periodically samples them into per-stage `TimeSeries` (paper Fig 18)
-//!   while a query runs.
+//!   samples the scan counters into per-stage `TimeSeries` (paper Fig 18)
+//!   while a query runs and hands the elasticity controller an
+//!   [`EraSample`] at each decision.
 //! * [`splits`] — the shared [`SplitQueue`] elastic Source stages claim
 //!   their splits from, making scans resumable across mid-query DOP changes
 //!   (paper Fig 13; driven by `accordion_cluster::elastic`).

@@ -1,11 +1,9 @@
 //! Per-query runtime metrics and the runtime info collector (paper §5.1).
 //!
 //! Every driver chain wires a [`MeteredStream`] around each operator it
-//! instantiates, counting rows and bytes produced, timing every pull
+//! instantiates, counting rows and bytes produced and timing every pull
 //! ([`OperatorStats::busy_ns`], and [`OperatorStats::self_ns`] net of the
-//! operator feeding it) and feeding a windowed
-//! [`RateMeter`] — the `R_consume` side of the §5.2 what-if predictor
-//! (`T_remain = V_remain / R_consume`). [`QueryMetrics`] collects the
+//! operator feeding it). [`QueryMetrics`] collects the
 //! per-(stage, task, pipeline, operator) registrations; a final
 //! [`QueryMetrics::snapshot`] becomes the [`QueryStats`] exposed through
 //! `QueryResult::stats()`.
@@ -14,7 +12,8 @@
 //! per-stage [`TimeSeries`] (paper Fig 18) instead of only snapshotting at
 //! the end — the elasticity controller in `accordion_cluster::elastic` takes
 //! an [`EraSample`] from it whenever an event wakes it and feeds that to the
-//! what-if predictor. What the controller then does is part of the stats:
+//! what-if predictor as `R_consume` (§5.2: `T_remain = V_remain /
+//! R_consume`). What the controller then does is part of the stats:
 //! every `auto` evaluation is a [`DecisionRecord`] in
 //! [`QueryStats::decisions`], every DOP change a [`RetuneEvent`] in
 //! [`QueryStats::retunes`] (with the time a grown task took to scan its
@@ -25,7 +24,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use accordion_common::clock::{SharedClock, SystemClock};
-use accordion_common::metrics::{Counter, RateMeter, TimePoint, TimeSeries};
+use accordion_common::metrics::{Counter, TimePoint, TimeSeries};
 use accordion_common::sync::{Mutex, Signal};
 use accordion_common::{Json, Result};
 use accordion_data::page::Page;
@@ -43,7 +42,9 @@ pub struct OperatorMetrics {
     pub rows: Counter,
     pub bytes: Counter,
     pub pages: Counter,
-    pub rate: RateMeter,
+    /// When this instance registered, on `clock`: where
+    /// [`OperatorStats::rows_per_sec`] starts counting.
+    registered_nanos: u64,
     /// Nanoseconds spent inside this operator's pulls, the pulls it made
     /// from upstream included (see [`OperatorStats::busy_ns`]).
     pub(crate) busy_ns: Counter,
@@ -67,7 +68,6 @@ impl OperatorMetrics {
         self.rows.add(rows);
         self.bytes.add(bytes);
         self.pages.inc();
-        self.rate.record(rows);
         self.first_page.get_or_init(|| FirstPage {
             nanos: self.clock.now_nanos(),
             rows,
@@ -90,6 +90,16 @@ impl OperatorMetrics {
     fn self_ns(&self) -> u64 {
         let upstream = self.input.get().map_or(0, |i| i.busy_ns.get());
         self.busy_ns.get().saturating_sub(upstream)
+    }
+
+    /// Rows produced per second since registration; `0.0` within the first
+    /// microsecond, too short to measure.
+    fn rows_per_sec(&self) -> f64 {
+        let nanos = self.clock.now_nanos().saturating_sub(self.registered_nanos);
+        if nanos <= 1_000 {
+            return 0.0;
+        }
+        self.rows.get() as f64 / (nanos as f64 / 1e9)
     }
 }
 
@@ -185,7 +195,7 @@ impl QueryMetrics {
             rows: Counter::new(),
             bytes: Counter::new(),
             pages: Counter::new(),
-            rate: RateMeter::new(self.clock.clone()),
+            registered_nanos: self.clock.now_nanos(),
             busy_ns: Counter::new(),
             input: OnceLock::new(),
             first_page: OnceLock::new(),
@@ -265,7 +275,7 @@ impl QueryMetrics {
         Some((since_start - event.at_ms).max(0.0))
     }
 
-    /// Final snapshot: samples every rate meter and freezes the counters,
+    /// Final snapshot: freezes the counters and every operator's rate,
     /// the collected per-stage time series, and the retune log.
     pub fn snapshot(&self, exchange: ExchangeStats) -> QueryStats {
         let operators = self
@@ -279,7 +289,7 @@ impl QueryMetrics {
                 operator: m.operator,
                 rows: m.rows.get(),
                 bytes: m.bytes.get(),
-                rows_per_sec: m.rate.sample(),
+                rows_per_sec: m.rows_per_sec(),
                 busy_ns: m.busy_ns.get(),
                 self_ns: m.self_ns(),
             })
@@ -330,7 +340,8 @@ pub struct OperatorStats {
     pub rows: u64,
     /// Bytes this operator produced.
     pub bytes: u64,
-    /// Output rate over the operator's lifetime, rows/second.
+    /// `rows` over the seconds from the operator's registration to the
+    /// snapshot (`0.0` when that is under a microsecond).
     pub rows_per_sec: f64,
     /// Wall-clock nanoseconds spent inside this operator's pulls, the
     /// pulls it made from the operator feeding it included: one `Instant`
@@ -804,6 +815,27 @@ mod tests {
         assert_eq!(stats.operators.len(), 1);
         assert!(stats.series.is_empty());
         assert!(stats.retunes.is_empty());
+    }
+
+    #[test]
+    fn rows_per_sec_is_rows_since_registration_over_seconds() {
+        use accordion_common::clock::ManualClock;
+
+        let clock = ManualClock::shared();
+        clock.advance_millis(300); // query start is not registration
+        let metrics = QueryMetrics::with_clock(clock.clone());
+        clock.advance_millis(200);
+        let m = metrics.register(0, 0, 0, "Filter");
+        m.record_page(100, 800);
+        let rate = || metrics.snapshot(ExchangeStats::default()).operators[0].rows_per_sec;
+        // Under a microsecond since registration: too short to measure.
+        assert_eq!(rate(), 0.0);
+        clock.advance_millis(500);
+        m.record_page(150, 1200);
+        assert!((rate() - 500.0).abs() < 1e-9, "rate {}", rate());
+        // Read again later: the same rows over a longer lifetime.
+        clock.advance_millis(500);
+        assert!((rate() - 250.0).abs() < 1e-9, "rate {}", rate());
     }
 
     #[test]

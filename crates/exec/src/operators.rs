@@ -175,10 +175,9 @@ impl PageStream for ScanSource {
     }
 }
 
-/// Replays a pre-materialized list of pages (remote-exchange and
-/// local-exchange consumers in the single-node executor). Pages are
-/// `Arc`-shared, so replaying the same buffer to many consumers (broadcast)
-/// never deep-copies.
+/// Replays a pre-materialized list of pages, then ends with `end_reason`:
+/// how operator tests and probes feed an operator. Pages are `Arc`-shared,
+/// so replaying the same buffer to many consumers never deep-copies.
 pub struct QueueSource {
     pages: VecDeque<Arc<DataPage>>,
     end_reason: EndReason,

@@ -423,17 +423,13 @@ fn acceptance_full_stack_scan_filter_groupby_sort() {
     let output = tree.root();
     assert_eq!(output.parallelism, 1, "root merge runs at parallelism 1");
 
-    // The merge stage splits at the local exchange into the two pipelines
-    // of paper Fig 6; the output stage merges the per-task TopNs.
+    // The merge stage is one pipeline that merges partial states as they
+    // arrive; the output stage merges the per-task TopNs.
     let pipelines = split_pipelines(merge).unwrap();
-    assert_eq!(pipelines.len(), 2);
+    assert_eq!(pipelines.len(), 1);
     assert_eq!(
         pipelines[0].operator_names(),
-        vec!["ExchangeSource", "LocalSink"]
-    );
-    assert_eq!(
-        pipelines[1].operator_names(),
-        vec!["LocalSource", "FinalAggregate", "TopN", "Output"]
+        vec!["ExchangeSource", "FinalAggregate", "TopN", "Output"]
     );
     assert_eq!(
         split_pipelines(output).unwrap()[0].operator_names(),

@@ -1,9 +1,8 @@
-//! Multi-partition local exchanges: the PR-1 executor rejected any local
-//! exchange with more than one partition ("needs multi-driver tasks"); the
-//! driver now runs one driver per partition. These tests hand-build the
-//! physical shape the optimizer will emit for hash-partitioned final
-//! aggregation — partial aggregate → gather exchange → hash local exchange
-//! → final aggregate — and check exact results and the per-operator stats.
+//! Hand-built `LocalExchange` nodes. The optimizer no longer emits one, and
+//! pipeline splitting streams through it: the pipeline's one driver sees
+//! every row whatever the partitioning, so a global operator above the node
+//! answers as if the node were not there. These tests check exactly that,
+//! plus the per-operator stats of a merge plan.
 
 use std::sync::Arc;
 
@@ -52,8 +51,8 @@ fn sum_agg() -> Vec<AggSpec> {
     )]
 }
 
-/// partial agg (DOP 3) → gather → hash local exchange (2 partitions) →
-/// final agg, sorted for a deterministic assertion.
+/// partial agg (DOP 3) → gather → hash local exchange → final agg, sorted
+/// for a deterministic assertion.
 fn hash_merge_plan(local_partitions: u32) -> Arc<PhysicalNode> {
     let partial = Arc::new(PhysicalNode::PartialAggregate {
         input: scan(),
@@ -104,22 +103,20 @@ fn hash_partitioned_local_exchange_executes() {
             expected_groups(),
             "{partitions}-partition local exchange"
         );
-        // One FinalAggregate driver ran per partition of the local exchange.
+        // One driver ran the final, whatever the partitioning.
         let final_drivers = result
             .stats()
             .operators
             .iter()
             .filter(|o| o.operator == "FinalAggregate")
             .count();
-        assert_eq!(final_drivers, partitions as usize);
+        assert_eq!(final_drivers, 1);
     }
 }
 
 #[test]
 fn round_robin_local_exchange_executes() {
-    // Round-robin deals pages across drivers; a per-driver Filter (a
-    // partition-safe operator) then feeds the output. Row membership of the
-    // union must be preserved.
+    // A Filter over a round-robin local exchange keeps every row it passes.
     let c = catalog();
     let local = Arc::new(PhysicalNode::LocalExchange {
         input: scan(),
@@ -145,72 +142,71 @@ fn round_robin_local_exchange_executes() {
 }
 
 #[test]
-fn global_operators_above_multi_partition_local_exchange_are_rejected() {
-    // A global Sort/Limit/TopN instantiated once per partition driver would
-    // silently mis-order or over-count — the executor must error loudly.
+fn a_local_exchange_of_any_partitioning_returns_the_rows_of_the_plan_without_it() {
     let c = catalog();
-    for node in [
-        Arc::new(PhysicalNode::Sort {
-            input: Arc::new(PhysicalNode::LocalExchange {
-                input: scan(),
-                partitioning: Partitioning::RoundRobin { partitions: 2 },
-            }),
-            keys: vec![SortKey::asc(1)],
-        }),
-        Arc::new(PhysicalNode::Limit {
-            input: Arc::new(PhysicalNode::LocalExchange {
-                input: scan(),
-                partitioning: Partitioning::Hash {
-                    keys: vec![0],
-                    partitions: 2,
-                },
-            }),
-            n: 10,
-        }),
-    ] {
-        let tree = StageTree::build(node).unwrap();
-        let err = execute_tree(&c, &tree, &ExecOptions::with_page_rows(4)).unwrap_err();
-        assert!(
-            err.to_string().contains("needs a merge step"),
-            "unexpected error: {err}"
-        );
-    }
-}
-
-#[test]
-fn final_aggregate_requires_group_key_hash_partitioning() {
-    // A FinalAggregate is only union-correct across partition drivers when
-    // every row of a group lands in one partition. Round-robin (splits a
-    // group's partial states) and hash on a non-group column must error.
-    let c = catalog();
-    for partitioning in [
-        Partitioning::RoundRobin { partitions: 2 },
-        // Key 1 is the first aggregate-state column, not a group column.
-        Partitioning::Hash {
-            keys: vec![1],
-            partitions: 2,
-        },
-    ] {
-        let partial = Arc::new(PhysicalNode::PartialAggregate {
+    let partial = || {
+        Arc::new(PhysicalNode::PartialAggregate {
             input: scan(),
             group_by: vec![0],
             aggs: sum_agg(),
-        });
-        let node = Arc::new(PhysicalNode::FinalAggregate {
-            input: Arc::new(PhysicalNode::LocalExchange {
-                input: partial,
+        })
+    };
+    type Above = fn(Arc<PhysicalNode>) -> Arc<PhysicalNode>;
+    let above: [(&str, Above); 4] = [
+        ("FinalAggregate", |input| {
+            Arc::new(PhysicalNode::FinalAggregate {
+                input,
+                group_count: 1,
+                aggs: sum_agg(),
+            })
+        }),
+        ("TopN", |input| {
+            Arc::new(PhysicalNode::TopN {
+                input,
+                keys: vec![SortKey::desc(1)],
+                n: 7,
+            })
+        }),
+        ("Sort", |input| {
+            Arc::new(PhysicalNode::Sort {
+                input,
+                keys: vec![SortKey::asc(1)],
+            })
+        }),
+        ("Limit", |input| {
+            Arc::new(PhysicalNode::Limit { input, n: 7 })
+        }),
+    ];
+    let rows = |root: Arc<PhysicalNode>| {
+        let tree = StageTree::build(root).unwrap();
+        execute_tree(&c, &tree, &ExecOptions::with_page_rows(4))
+            .unwrap()
+            .rows()
+    };
+    for partitioning in [
+        Partitioning::Single,
+        Partitioning::Hash {
+            keys: vec![0],
+            partitions: 2,
+        },
+        Partitioning::RoundRobin { partitions: 3 },
+    ] {
+        for (name, op) in above {
+            let input = || {
+                if name == "FinalAggregate" {
+                    partial()
+                } else {
+                    scan()
+                }
+            };
+            let expected = rows(op(input()));
+            assert!(!expected.is_empty(), "{name}");
+            let local = Arc::new(PhysicalNode::LocalExchange {
+                input: input(),
                 partitioning: partitioning.clone(),
-            }),
-            group_count: 1,
-            aggs: sum_agg(),
-        });
-        let tree = StageTree::build(node).unwrap();
-        let err = execute_tree(&c, &tree, &ExecOptions::with_page_rows(4)).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("hash partitioning on its group keys"),
-            "{partitioning}: unexpected error: {err}"
-        );
+            });
+            assert_eq!(rows(op(local)), expected, "{name} over {partitioning}");
+        }
     }
 }
 

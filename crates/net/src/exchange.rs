@@ -541,9 +541,8 @@ impl ExchangeRegistry {
 /// Routes one data page across `sinks` delivery targets according to
 /// `policy`: gather/broadcast clones the (`Arc`-shared) page to every sink,
 /// hash splits rows by key, round-robin deals whole pages advancing
-/// `rr_next`. Empty pages and empty hash pieces are skipped. Shared by the
-/// network writers and the executor's intra-task local exchanges so the two
-/// routing paths cannot diverge.
+/// `rr_next`. Empty pages and empty hash pieces are skipped. Every exchange
+/// writer, local or remote, routes through it.
 pub fn route_page(
     page: &Arc<DataPage>,
     policy: &RoutePolicy,

@@ -7,12 +7,12 @@
 //! 2. The [`optimizer`] applies rewrite rules (predicate pushdown, two-stage
 //!    aggregation, broadcast-vs-partitioned join selection, optional elastic
 //!    shuffle-stage insertion §4.6) and lowers to a [`physical::PhysicalNode`]
-//!    tree containing explicit **Exchange** and **LocalExchange** nodes.
+//!    tree containing explicit **Exchange** nodes.
 //! 3. The [`fragment`] module cuts the physical plan at Exchange nodes into a
 //!    stage tree ([`fragment::StageTree`], paper Fig 4) of plan fragments.
 //! 4. The [`pipeline`] module rewrites each fragment into pipelines (paper
-//!    Fig 6) by splitting at the pipeline breakers — local exchanges and the
-//!    hash-join build side.
+//!    Fig 6) by splitting at the one pipeline breaker, the hash-join build
+//!    side.
 //!
 //! The output of this crate is *descriptive*: operator **specs** that the
 //! `accordion-exec` crate instantiates into running operators/drivers.

@@ -32,8 +32,8 @@
 //!   [`PhysicalNode::PartialAggregate`] at the scan stage's parallelism, a
 //!   [`PhysicalNode::Exchange`] hash-partitioned on the group keys across
 //!   `merge_parallelism` merge tasks (gathering instead for global
-//!   aggregates or `merge_parallelism == 1`), a
-//!   [`PhysicalNode::LocalExchange`] and a [`PhysicalNode::FinalAggregate`]
+//!   aggregates or `merge_parallelism == 1`) and a
+//!   [`PhysicalNode::FinalAggregate`] that reads the exchange directly
 //!   (paper §4.1: partial-aggregate state is reconstructible, so the
 //!   scan-side stage can grow/shrink mid-query while the final stages stay
 //!   fixed). Every aggregate's partial state is one column: an AVG is
@@ -213,8 +213,8 @@ impl Optimizer {
                 let (child, dist) = self.lower(input)?;
                 let (aggs, divide) = split_avg(plan, group_by.len(), aggs);
                 let (node, dist) = if self.config.two_stage_aggregation {
-                    // partial (parallel) → partitioned exchange → local
-                    // exchange → final. With group keys and
+                    // partial (parallel) → partitioned exchange → final,
+                    // which merges pages as they arrive. With group keys and
                     // `merge_parallelism > 1` the exchange hash-partitions
                     // the partial states on the group-key columns (the first
                     // `group_by.len()` columns of the partial output), so
@@ -244,12 +244,8 @@ impl Optimizer {
                         partitioning,
                         input_parallelism: dist,
                     });
-                    let local = Arc::new(PhysicalNode::LocalExchange {
-                        input: exchange,
-                        partitioning: Partitioning::Single,
-                    });
                     let node = Arc::new(PhysicalNode::FinalAggregate {
-                        input: local,
+                        input: exchange,
                         group_count: group_by.len(),
                         aggs: aggs.clone(),
                     });
@@ -1060,7 +1056,7 @@ mod tests {
         };
         let phys = opt.optimize(&agg).unwrap();
         // Final directly over Partial — exactly one Exchange (the gather
-        // below the partial phase), no LocalExchange.
+        // below the partial phase).
         let mut names = Vec::new();
         phys.visit(&mut |n| names.push(n.name()));
         assert_eq!(

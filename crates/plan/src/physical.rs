@@ -3,9 +3,9 @@
 //! The optimizer lowers a [`crate::logical::LogicalPlan`] into a
 //! [`PhysicalNode`] tree with **explicit data movement**: [`Exchange`] nodes
 //! mark task-to-task (network) shuffles and are the cut points for stage
-//! fragmentation (paper Fig 4); [`LocalExchange`] nodes mark driver-to-driver
-//! redistribution inside one task and are the cut points for pipeline
-//! splitting (paper Fig 6).
+//! fragmentation (paper Fig 4). Inside a task nothing is redistributed:
+//! every pipeline has one driver, and pipelines break only at hash-join
+//! builds (paper Fig 6).
 //!
 //! Aggregation is always represented in the paper's two-phase form
 //! ([`PhysicalNode::PartialAggregate`] / [`PhysicalNode::FinalAggregate`]):
@@ -15,7 +15,6 @@
 //! and a COUNT.
 //!
 //! [`Exchange`]: PhysicalNode::Exchange
-//! [`LocalExchange`]: PhysicalNode::LocalExchange
 
 use std::fmt;
 use std::sync::Arc;
@@ -30,7 +29,7 @@ use accordion_expr::scalar::Expr;
 use crate::logical::JoinType;
 
 /// How the producing side of an exchange partitions its output pages across
-/// the consuming side's tasks (or drivers, for a local exchange).
+/// the consuming side's tasks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Partitioning {
     /// All pages flow to a single consumer (gather).
@@ -74,8 +73,6 @@ pub enum SourceRole {
     TableScan,
     /// Pulls pages produced by an upstream stage (remote exchange client).
     RemoteExchange,
-    /// Pulls pages from a local exchange inside the same task.
-    LocalExchange,
 }
 
 /// A physical plan node. Children are `Arc`-shared, like logical plans.
@@ -130,8 +127,9 @@ pub enum PhysicalNode {
         partitioning: Partitioning,
         input_parallelism: u32,
     },
-    /// Driver-to-driver redistribution inside one task. Pipeline splitting
-    /// cuts here.
+    /// Redistribution inside one task. The optimizer no longer emits it:
+    /// pipeline splitting streams through it, and the pipeline's one driver
+    /// sees every row whatever the partitioning.
     LocalExchange {
         input: Arc<PhysicalNode>,
         partitioning: Partitioning,

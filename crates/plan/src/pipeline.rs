@@ -1,15 +1,13 @@
 //! Pipeline splitting (paper Fig 6).
 //!
 //! Each task executes its fragment as a set of **pipelines**: maximal runs
-//! of operators that stream pages without buffering between them. A
-//! fragment is split at its *pipeline breakers*:
-//!
-//! * every [`PhysicalNode::LocalExchange`] — the producing side becomes its
-//!   own pipeline terminated by an [`OperatorSpec::LocalSink`], and the
-//!   consuming pipeline starts with an [`OperatorSpec::LocalSource`];
-//! * every hash-join build side — it becomes a pipeline terminated by
-//!   [`OperatorSpec::HashJoinBuild`], which materializes the hash table the
-//!   probe pipeline's [`OperatorSpec::HashJoinProbe`] reads.
+//! of operators that stream pages without buffering between them, each run
+//! by one driver. A fragment is split only where a hash-join build side must
+//! finish first: the build becomes a pipeline terminated by
+//! [`OperatorSpec::HashJoinBuild`], which materializes the hash table the
+//! probe pipeline's [`OperatorSpec::HashJoinProbe`] reads. A merge stage is
+//! one pipeline, `ExchangeSource → FinalAggregate → … → Output`, that
+//! merges pages as they arrive.
 //!
 //! Pipelines are emitted producers-first, so executing them in order always
 //! satisfies intra-task data dependencies. The last pipeline ends with
@@ -22,7 +20,7 @@ use accordion_expr::agg::AggSpec;
 use accordion_expr::scalar::Expr;
 
 use crate::fragment::PlanFragment;
-use crate::physical::{Partitioning, PhysicalNode, SourceRole};
+use crate::physical::{PhysicalNode, SourceRole};
 
 /// One operator slot of a pipeline, fully describing what the executor
 /// instantiates. Specs carry the output schemas the operators cannot infer
@@ -37,10 +35,6 @@ pub enum OperatorSpec {
     /// Source: streams pages produced by a child stage.
     ExchangeSource {
         child_stage: StageId,
-    },
-    /// Source: drains partition pages of an intra-task local exchange.
-    LocalSource {
-        exchange: usize,
     },
     Filter {
         predicate: Expr,
@@ -85,11 +79,6 @@ pub enum OperatorSpec {
     Limit {
         n: usize,
     },
-    /// Sink: pushes pages into local exchange `exchange`.
-    LocalSink {
-        exchange: usize,
-        partitioning: Partitioning,
-    },
     /// Sink: pushes pages into the task's output buffer.
     Output,
 }
@@ -99,7 +88,6 @@ impl OperatorSpec {
         match self {
             OperatorSpec::TableScan { .. } => "TableScan",
             OperatorSpec::ExchangeSource { .. } => "ExchangeSource",
-            OperatorSpec::LocalSource { .. } => "LocalSource",
             OperatorSpec::Filter { .. } => "Filter",
             OperatorSpec::Project { .. } => "Project",
             OperatorSpec::PartialAggregate { .. } => "PartialAggregate",
@@ -109,19 +97,8 @@ impl OperatorSpec {
             OperatorSpec::TopN { .. } => "TopN",
             OperatorSpec::Sort { .. } => "Sort",
             OperatorSpec::Limit { .. } => "Limit",
-            OperatorSpec::LocalSink { .. } => "LocalSink",
             OperatorSpec::Output => "Output",
         }
-    }
-
-    /// True for the operators that terminate a pipeline.
-    pub fn is_sink(&self) -> bool {
-        matches!(
-            self,
-            OperatorSpec::HashJoinBuild { .. }
-                | OperatorSpec::LocalSink { .. }
-                | OperatorSpec::Output
-        )
     }
 }
 
@@ -138,7 +115,6 @@ impl PipelineSpec {
     pub fn source_role(&self) -> SourceRole {
         match self.operators.first() {
             Some(OperatorSpec::TableScan { .. }) => SourceRole::TableScan,
-            Some(OperatorSpec::LocalSource { .. }) => SourceRole::LocalExchange,
             _ => SourceRole::RemoteExchange,
         }
     }
@@ -154,13 +130,12 @@ impl PipelineSpec {
     }
 }
 
-/// Splits a fragment into its pipelines at local exchanges and hash-join
-/// build sides. Producer pipelines precede their consumers; the final
-/// pipeline carries [`OperatorSpec::Output`].
+/// Splits a fragment into its pipelines at hash-join build sides. Producer
+/// pipelines precede their consumers; the final pipeline carries
+/// [`OperatorSpec::Output`].
 pub fn split_pipelines(fragment: &PlanFragment) -> Result<Vec<PipelineSpec>> {
     let mut splitter = Splitter {
         pipelines: Vec::new(),
-        exchanges: 0,
         joins: 0,
     };
     let mut ops = splitter.build(&fragment.root)?;
@@ -234,7 +209,6 @@ fn sort_covers_groups(downstream: &[OperatorSpec], group_count: usize, width: us
 struct Splitter {
     /// Completed producer pipelines, in execution order.
     pipelines: Vec<Vec<OperatorSpec>>,
-    exchanges: usize,
     joins: usize,
 }
 
@@ -254,20 +228,9 @@ impl Splitter {
                     child_stage: *child_stage,
                 }])
             }
-            PhysicalNode::LocalExchange {
-                input,
-                partitioning,
-            } => {
-                let exchange = self.exchanges;
-                self.exchanges += 1;
-                let mut producer = self.build(input)?;
-                producer.push(OperatorSpec::LocalSink {
-                    exchange,
-                    partitioning: partitioning.clone(),
-                });
-                self.pipelines.push(producer);
-                Ok(vec![OperatorSpec::LocalSource { exchange }])
-            }
+            // One driver sees every row whatever the partitioning, so the
+            // operators above stay globally correct.
+            PhysicalNode::LocalExchange { input, .. } => self.build(input),
             PhysicalNode::HashJoin {
                 probe, build, on, ..
             } => {
@@ -360,6 +323,7 @@ mod tests {
     use super::*;
     use crate::fragment::{StageKind, StageTree};
     use crate::logical::JoinType;
+    use crate::physical::Partitioning;
     use accordion_data::schema::{Field, Schema};
     use accordion_data::types::DataType;
     use std::sync::Arc;
@@ -401,26 +365,25 @@ mod tests {
     }
 
     #[test]
-    fn local_exchange_breaks_pipeline() {
-        let root = Arc::new(PhysicalNode::Sort {
-            input: Arc::new(PhysicalNode::LocalExchange {
-                input: scan("t"),
-                partitioning: Partitioning::Single,
-            }),
-            keys: vec![SortKey::asc(0)],
-        });
-        let pipelines = split_pipelines(&fragment_of(root)).unwrap();
-        assert_eq!(pipelines.len(), 2);
-        assert_eq!(
-            pipelines[0].operator_names(),
-            vec!["TableScan", "LocalSink"]
-        );
-        assert_eq!(
-            pipelines[1].operator_names(),
-            vec!["LocalSource", "Sort", "Output"]
-        );
-        assert_eq!(pipelines[1].source_role(), SourceRole::LocalExchange);
-        assert!(!pipelines[0].is_output());
+    fn local_exchange_does_not_break_pipeline() {
+        for partitioning in [
+            Partitioning::Single,
+            Partitioning::RoundRobin { partitions: 2 },
+        ] {
+            let root = Arc::new(PhysicalNode::Sort {
+                input: Arc::new(PhysicalNode::LocalExchange {
+                    input: scan("t"),
+                    partitioning,
+                }),
+                keys: vec![SortKey::asc(0)],
+            });
+            let pipelines = split_pipelines(&fragment_of(root)).unwrap();
+            assert_eq!(pipelines.len(), 1);
+            assert_eq!(
+                pipelines[0].operator_names(),
+                vec!["TableScan", "Sort", "Output"]
+            );
+        }
     }
 
     #[test]
@@ -456,45 +419,37 @@ mod tests {
     #[test]
     fn agg_stage_splits_like_fig6() {
         // Build the final-agg fragment the optimizer produces, via the real
-        // fragmenter, and check it splits into the two pipelines of Fig 6.
+        // fragmenter: the merge stage is one pipeline that merges partial
+        // states as they arrive off the exchange.
         use accordion_expr::agg::{AggKind, AggSpec};
+        let count = || {
+            vec![AggSpec::new(
+                AggKind::Count,
+                Expr::col(0),
+                DataType::Int64,
+                "c",
+            )]
+        };
         let partial = Arc::new(PhysicalNode::PartialAggregate {
             input: scan("t"),
             group_by: vec![0],
-            aggs: vec![AggSpec::new(
-                AggKind::Count,
-                Expr::col(0),
-                DataType::Int64,
-                "c",
-            )],
+            aggs: count(),
         });
         let root = Arc::new(PhysicalNode::FinalAggregate {
-            input: Arc::new(PhysicalNode::LocalExchange {
-                input: Arc::new(PhysicalNode::Exchange {
-                    input: partial,
-                    partitioning: Partitioning::Single,
-                    input_parallelism: 2,
-                }),
+            input: Arc::new(PhysicalNode::Exchange {
+                input: partial,
                 partitioning: Partitioning::Single,
+                input_parallelism: 2,
             }),
             group_count: 1,
-            aggs: vec![AggSpec::new(
-                AggKind::Count,
-                Expr::col(0),
-                DataType::Int64,
-                "c",
-            )],
+            aggs: count(),
         });
         let tree = StageTree::build(root).unwrap();
         let pipelines = split_pipelines(tree.root()).unwrap();
-        assert_eq!(pipelines.len(), 2);
+        assert_eq!(pipelines.len(), 1);
         assert_eq!(
             pipelines[0].operator_names(),
-            vec!["ExchangeSource", "LocalSink"]
-        );
-        assert_eq!(
-            pipelines[1].operator_names(),
-            vec!["LocalSource", "FinalAggregate", "Output"]
+            vec!["ExchangeSource", "FinalAggregate", "Output"]
         );
         assert_eq!(pipelines[0].source_role(), SourceRole::RemoteExchange);
     }

@@ -86,7 +86,7 @@ fn two_stage_agg_has_parallel_partial_and_hash_partitioned_final() {
     merge.root.visit(&mut |n| names.push(n.name()));
     assert_eq!(
         names,
-        vec!["TopN", "FinalAggregate", "LocalExchange", "RemoteSource"],
+        vec!["TopN", "FinalAggregate", "RemoteSource"],
         "per-task TopN pushed into the merge stage"
     );
 
@@ -126,26 +126,19 @@ fn fragment_cutting_yields_expected_stage_tree_shape() {
 }
 
 #[test]
-fn pipeline_splitting_breaks_at_local_exchange() {
+fn pipeline_splitting_breaks_only_at_join_builds() {
     let tree = agg_sort_tree(4);
 
-    // Merge stage: the local exchange splits it into the two pipelines of
-    // paper Fig 6 — exchange client feeding the local exchange, and the
-    // final-aggregation pipeline draining it.
+    // Merge stage: one pipeline whose final aggregate merges partial states
+    // as they arrive off the exchange.
     let merge_pipelines = split_pipelines(tree.fragment(StageId(1)).unwrap()).unwrap();
-    assert_eq!(merge_pipelines.len(), 2);
+    assert_eq!(merge_pipelines.len(), 1);
     assert_eq!(
         merge_pipelines[0].operator_names(),
-        vec!["ExchangeSource", "LocalSink"]
-    );
-    assert_eq!(
-        merge_pipelines[1].operator_names(),
-        vec!["LocalSource", "FinalAggregate", "TopN", "Output"]
+        vec!["ExchangeSource", "FinalAggregate", "TopN", "Output"]
     );
     assert_eq!(merge_pipelines[0].source_role(), SourceRole::RemoteExchange);
-    assert_eq!(merge_pipelines[1].source_role(), SourceRole::LocalExchange);
-    assert!(merge_pipelines[1].is_output());
-    assert!(!merge_pipelines[0].is_output());
+    assert!(merge_pipelines[0].is_output());
 
     // Output stage: one streaming pipeline merging the distributed TopNs.
     let output_pipelines = split_pipelines(tree.root()).unwrap();
@@ -442,6 +435,36 @@ fn a_final_skips_the_key_sort_only_under_a_sort_covering_its_groups() {
     ];
     for (case, sql, table_order) in cases {
         assert_eq!(final_table_order(sql), vec![table_order], "{case}");
+    }
+}
+
+#[test]
+fn every_benchmark_stage_is_one_pipeline_plus_one_per_join_build() {
+    let statements = [
+        include_str!("../../../suite/sql/q1.sql"),
+        include_str!("../../../suite/sql/q3.sql"),
+        include_str!("../../../suite/sql/q6.sql"),
+        include_str!("../../../suite/sql/q_expr.sql"),
+        include_str!("../../../suite/sql/q_shuffle.sql"),
+        include_str!("../../../suite/sql/q_top.sql"),
+        include_str!("../../../suite/sql/q_wide.sql"),
+    ];
+    for sql in statements {
+        for fragment in tpch_tree(sql).fragments() {
+            let mut joins = 0;
+            fragment.root.visit(&mut |n| {
+                if matches!(n, PhysicalNode::HashJoin { .. }) {
+                    joins += 1;
+                }
+            });
+            let pipelines = split_pipelines(fragment).unwrap();
+            assert_eq!(pipelines.len(), 1 + joins, "{sql}");
+            let builds = pipelines
+                .iter()
+                .filter(|p| p.operator_names().last() == Some(&"HashJoinBuild"))
+                .count();
+            assert_eq!(builds, joins, "{sql}");
+        }
     }
 }
 
