@@ -22,13 +22,13 @@
 //! slot indices, producer counts and hash partitions — and the
 //! transport-agnostic registry of `accordion-net` does the rest.
 //!
-//! ## Elasticity across nodes
+//! ## One split pool across nodes
 //!
 //! The shared split pool is what makes mid-query DOP changes lossless, so
 //! it is **never sharded**: the coordinator owns one [`SplitQueue`] per
-//! elastic stage and serves its [`SplitQueues`] at its node address
-//! (`peers[0]`, the same listener its pages arrive on): one [`ClaimMsg`]
-//! round trip per claim — a CLAIM frame answered by SPLIT, NONE or RETIRED
+//! scanning stage, in every elasticity mode, and serves its [`SplitQueues`]
+//! at its node address (`peers[0]`, the same listener its pages arrive
+//! on): one [`ClaimMsg`] round trip per claim — a CLAIM frame answered by SPLIT, NONE or RETIRED
 //! — on the node-to-node framing of `accordion_net::frame`, whose kind
 //! table has the layouts. Claims name splits by their **ordinal** in the
 //! stage's split list — a position both sides derive from the same catalog
@@ -144,7 +144,7 @@ pub fn distributed_topology(
     Ok(topology)
 }
 
-/// The split-claim conversation — kinds 15–18 of the node-to-node kind
+/// The split-claim conversation — kinds 13–16 of the node-to-node kind
 /// table (`accordion_net::frame`). A worker task sends `Claim`; the
 /// coordinator answers with one of the other three, or with an ERR frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -217,7 +217,7 @@ impl ClaimMsg {
     }
 }
 
-/// One registered elastic stage: its shared queue plus the split-id →
+/// One registered scanning stage: its shared queue plus the split-id →
 /// ordinal mapping claim replies are phrased in.
 struct ServedQueue {
     queue: Arc<SplitQueue>,
@@ -225,7 +225,7 @@ struct ServedQueue {
 }
 
 /// The coordinator's split-claim service: the shared [`SplitQueue`]s of its
-/// queries' elastic stages, served to worker nodes one blocking [`ClaimMsg`]
+/// queries' scanning stages, served to worker nodes one blocking [`ClaimMsg`]
 /// round trip per claim. A claim that is paused at a decision boundary
 /// simply delays its reply — remote claimants park at the same boundary
 /// local ones do. It serves whatever listener its [`route`](Self::route) is
@@ -419,23 +419,23 @@ impl SplitSource for RemoteSplitSource {
     }
 }
 
-/// How a node's elastic stages reach the query's shared split pools.
+/// How a node's scanning stages reach the query's shared split pools.
 pub enum ClaimWiring<'a> {
     /// A fleet of one: the node owns the queues and nobody else claims.
     Local,
     /// Coordinator: owns the queues and publishes them on its service.
     Serve(&'a SplitQueues),
     /// Worker: claims from the coordinator's service, at the coordinator's
-    /// node address (never dialled by a query that has no elastic stage).
+    /// node address, dialled on the first claim of any task that scans.
     Connect,
 }
 
-/// One elastic stage's split pool as this node sees it.
+/// One scanning stage's split pool as this node sees it.
 pub(crate) struct StagePool {
     /// Where this node's tasks of the stage claim from.
     pub(crate) source: Arc<dyn SplitSource>,
     /// The queue itself, on the node that owns it — which is therefore the
-    /// node that runs the stage's controller.
+    /// node that runs the stage's controller, when one drives it.
     pub(crate) queue: Option<Arc<SplitQueue>>,
 }
 
@@ -522,7 +522,7 @@ mod tests {
         assert_eq!(source.claim(0, Some(NodeId(1)), None).unwrap().id.0, 21);
         assert_eq!(source.claim(0, Some(NodeId(1)), None).unwrap().id.0, 20);
         // Retire a different slot mid-stream: its claim reports RETIRED and
-        // the source remembers (FeedScanSource's EndSignal path).
+        // the source remembers (ScanSource's EndSignal path).
         queue.retire(5);
         assert!(source.claim(5, None, None).is_none());
         assert!(source.is_retired(5));

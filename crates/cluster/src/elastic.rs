@@ -21,10 +21,10 @@
 //!    (don't pay for parallelism the deadline doesn't need), never more
 //!    tasks than the query can occupy compute slots, and no shrink that
 //!    merely spends the head start a higher DOP has earned.
-//! 3. **The re-parallelization mechanism** — each elastic stage's scan
-//!    tasks claim splits from a shared [`SplitQueue`] whose pause threshold
-//!    makes claims block at the controller's decision boundary, so a retune
-//!    always lands between splits, never mid-split.
+//! 3. **The re-parallelization mechanism** — each stage's scan tasks
+//!    claim splits from a shared [`SplitQueue`], in every mode; under the
+//!    controller its pause threshold makes claims block at the decision
+//!    boundary, so a retune always lands between splits, never mid-split.
 //!
 //! ## Nothing here waits for a timer
 //!

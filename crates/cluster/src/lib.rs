@@ -19,11 +19,11 @@
 //! runs on one produces the same result set on the other — the invariant
 //! the scheduling-determinism test suite pins down.
 //!
-//! When [`ExecOptions::elasticity`] enables the controller, the [`elastic`]
-//! module adds the paper's headline mechanism on top: eligible Source
-//! stages claim splits from a shared queue, and the
-//! [`ElasticityController`] retunes their degree of parallelism **between
-//! splits** — growing or shrinking the live task set over the streaming
+//! Every scanning stage's tasks claim their splits from one shared queue,
+//! in every mode. When [`ExecOptions::elasticity`] enables the controller,
+//! the [`elastic`] module adds the paper's headline mechanism on top: the
+//! [`ElasticityController`] retunes eligible Source stages' degree of
+//! parallelism **between splits** — growing or shrinking the live task set over the streaming
 //! exchange endpoints without losing or duplicating a page.
 //!
 //! [`StageTree`]: accordion_plan::fragment::StageTree

@@ -20,7 +20,7 @@
 //! | | node 0 (coordinator) | nodes 1.. (workers) |
 //! |---|---|---|
 //! | admission gate | passes it | — (node 0 answers for the query) |
-//! | elastic split pools | owns the [`SplitQueue`]s | claims through a [`ClaimWiring`] proxy |
+//! | split pools | owns the [`SplitQueue`]s | claims through a [`ClaimWiring`] proxy |
 //! | elasticity controller | runs it, spawns grown tasks | — |
 //! | stage 0's result | drains it (`Some(result)`) | `None`, or the query's poison |
 //!
@@ -44,11 +44,12 @@
 //!
 //! ## Runtime elasticity
 //!
-//! When `ExecOptions::elasticity` enables the controller, every
-//! elastic-eligible Source stage (see
-//! `accordion_plan::fragment::PlanFragment::elastic_bounds`) scans through
-//! a shared [`SplitQueue`] instead of a static split assignment, its
-//! output edge carries the controller's writer lease, and an
+//! Every stage that scans a table scans through its one [`SplitQueue`], in
+//! every mode: its tasks claim splits one at a time, so its DOP can change
+//! between any two claims. When `ExecOptions::elasticity` enables the
+//! controller, every elastic-eligible Source stage (see
+//! `accordion_plan::fragment::PlanFragment::elastic_bounds`) also gets the
+//! controller's writer lease on its output edge, and an
 //! [`ElasticityController`] thread retunes the stage's DOP between splits
 //! — see `crate::elastic` for the mechanism and the EndSignal handshake.
 //! That thread sleeps until something happens: the split queues wake it at
@@ -97,11 +98,10 @@ use crate::elastic::{ElasticityController, StageControl};
 struct TaskSpec {
     stage: u32,
     task: u32,
-    parallelism: u32,
     pipelines: Arc<Vec<PipelineSpec>>,
     inputs: HashMap<u32, Box<dyn ExchangeReader>>,
     output: Box<dyn ExchangeWriter>,
-    /// Elastic stages claim splits from the stage's shared pool.
+    /// Scanning stages claim splits from the stage's shared pool.
     split_feed: Option<SplitFeed>,
 }
 
@@ -169,17 +169,19 @@ impl Drop for ActiveGuard {
 /// every node is wired, [`NodeQuery::run`] executes this node's tasks.
 /// Dropping an unrun `NodeQuery` releases everything `wire` took.
 ///
-/// `C` and `T` are how the catalog and the stage tree are held: `Arc`s for
-/// a query that waits, wired, for its peers (and then runs on a thread of
-/// its own); plain borrows for one that runs where it was wired.
-pub struct NodeQuery<C = Arc<Catalog>, T = Arc<StageTree>> {
-    catalog: C,
+/// `T` is how the stage tree is held: an `Arc` for a query that waits,
+/// wired, for its peers (and then runs on a thread of its own); a plain
+/// borrow for one that runs where it was wired. The catalog is read only
+/// while wiring, where the split pools are built.
+pub struct NodeQuery<T = Arc<StageTree>> {
     tree: T,
     opts: ExecOptions,
     role: DistRole,
     registry: Arc<ExchangeRegistry>,
-    /// Split pools of the elastic stages, by stage id.
+    /// Split pools of the stages that scan a table, by stage id.
     pools: HashMap<u32, StagePool>,
+    /// The stages the controller drives: elastic, under an enabled mode.
+    leased: HashSet<u32>,
     remote_slots: usize,
     /// The executor's slot pool, which the run draws on, and its size.
     gate: Arc<Semaphore>,
@@ -267,17 +269,16 @@ impl QueryExecutor {
     /// fleet agrees on) — phase one of an execution; see [`NodeQuery`].
     /// `opts` follows [`Self::execute_tree_opts`]: the pool and the
     /// admission limit stay the executor's.
-    pub fn wire<C, T>(
+    pub fn wire<T>(
         &self,
-        catalog: C,
+        catalog: &Catalog,
         tree: T,
         opts: &ExecOptions,
         role: DistRole,
         query: u64,
         claim: ClaimWiring<'_>,
-    ) -> Result<NodeQuery<C, T>>
+    ) -> Result<NodeQuery<T>>
     where
-        C: Deref<Target = Catalog>,
         T: Deref<Target = StageTree>,
     {
         // Admission first, on the node that answers for the query: under
@@ -289,21 +290,14 @@ impl QueryExecutor {
             None
         };
 
-        // Elastic Source stages scan through a shared split pool so their
-        // task set can change between splits; their edges get the
-        // controller's writer lease slot.
+        // Every scanning stage scans through one shared split pool, so its
+        // task set can change between splits; the edges of the stages a
+        // controller drives get its writer lease slot.
         let mut pools: HashMap<u32, StagePool> = HashMap::new();
-        if opts.elasticity.enabled() {
-            for f in tree.fragments() {
-                if f.elastic_bounds.is_none() {
-                    continue;
-                }
-                let tables = f.root.scan_tables();
-                let table = tables.first().ok_or_else(|| {
-                    AccordionError::Internal(format!("elastic stage {} has no scan", f.stage))
-                })?;
-                let splits = catalog.get(table)?.splits.splits().to_vec();
-                let coordinator = role.peers.first().map_or("", String::as_str);
+        let coordinator = role.peers.first().map_or("", String::as_str);
+        for f in tree.fragments() {
+            if let Some(table) = f.scan_table() {
+                let splits = catalog.get(&table)?.splits.splits().to_vec();
                 let pool = claim.pool(query, f.stage.0, splits, coordinator, &opts.network);
                 pools.insert(f.stage.0, pool);
             }
@@ -319,7 +313,12 @@ impl QueryExecutor {
                 "a query's split queues are owned by node 0 and no other".into(),
             ));
         }
-        let leased: HashSet<u32> = pools.keys().copied().collect();
+        let leased: HashSet<u32> = tree
+            .fragments()
+            .iter()
+            .filter(|f| opts.elasticity.enabled() && f.elastic_bounds.is_some())
+            .map(|f| f.stage.0)
+            .collect();
         let topology = distributed_topology(&tree, &leased, query, &role)?;
         let remote_slots = topology
             .edges
@@ -331,12 +330,12 @@ impl QueryExecutor {
         let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
         self.active.lock().insert(id, registry.clone());
         Ok(NodeQuery {
-            catalog,
             tree,
             opts: opts.clone(),
             role,
             registry,
             pools,
+            leased,
             remote_slots,
             gate: self.gate.clone(),
             slots: self.opts.worker_threads.max(1) as u32,
@@ -374,9 +373,8 @@ impl QueryExecutor {
     }
 }
 
-impl<C, T> NodeQuery<C, T>
+impl<T> NodeQuery<T>
 where
-    C: Deref<Target = Catalog> + Sync,
     T: Deref<Target = StageTree> + Sync,
 {
     /// The per-node registry — register it with this node's
@@ -405,19 +403,15 @@ where
         self.gate.acquire();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut ctx = TaskContext::new(
-                &self.catalog,
                 spec.stage,
                 spec.task,
-                spec.parallelism,
                 self.opts.page_rows,
                 spec.inputs,
                 spec.output,
+                spec.split_feed,
                 &spec.pipelines,
                 metrics.clone(),
             );
-            if let Some(feed) = spec.split_feed {
-                ctx.set_split_feed(feed);
-            }
             run_task(&spec.pipelines, &mut ctx)
         }));
         self.gate.release();
@@ -478,7 +472,6 @@ where
                 specs.push(TaskSpec {
                     stage,
                     task,
-                    parallelism: fragment.parallelism,
                     pipelines: stage_pipelines.clone(),
                     inputs,
                     output: registry.writer(stage, task, Some(gate.clone()))?,
@@ -500,14 +493,16 @@ where
         // every peer registry before grown tasks (always spawned here) push
         // a page.
         let mut controls = Vec::new();
-        for (&stage, pool) in &self.pools {
-            let Some(queue) = &pool.queue else { continue };
+        for &stage in &self.leased {
+            let Some(queue) = self.pools.get(&stage).and_then(|p| p.queue.as_ref()) else {
+                continue;
+            };
             let fragment = tree.fragment(StageId(stage))?;
             controls.push(StageControl::new(
                 stage,
                 fragment
                     .elastic_bounds
-                    .expect("split pools are only built for bounded stages"),
+                    .expect("only bounded stages are leased"),
                 fragment.parallelism.max(1),
                 queue.clone(),
                 registry.writer(stage, u32::MAX, None)?,
@@ -550,7 +545,6 @@ where
                         let spec = TaskSpec {
                             stage,
                             task: slot,
-                            parallelism: tree.fragment(StageId(stage))?.parallelism.max(1),
                             pipelines: pipelines.get(&stage).ok_or_else(not_elastic)?.clone(),
                             inputs: HashMap::new(),
                             output: registry.writer(stage, slot, Some(gate.clone()))?,

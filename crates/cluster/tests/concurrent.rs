@@ -83,7 +83,7 @@ fn hold<'a>(
     executor: &QueryExecutor,
     c: &'a Catalog,
     tree: &'a StageTree,
-) -> NodeQuery<&'a Catalog, &'a StageTree> {
+) -> NodeQuery<&'a StageTree> {
     let opts = ExecOptions::with_page_rows(1).elasticity(ElasticityConfig::off());
     executor
         .wire(c, tree, &opts, DistRole::single(), 0, ClaimWiring::Local)

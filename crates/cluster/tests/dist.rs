@@ -159,7 +159,7 @@ impl TestFleet {
         } else {
             ClaimWiring::Connect
         };
-        let nq = executor.wire(catalog.clone(), tree.clone(), opts, role, query, claim)?;
+        let nq = executor.wire(catalog, tree.clone(), opts, role, query, claim)?;
         self.nodes[node as usize]
             .1
             .register(query, nq.registry().clone());

@@ -41,9 +41,10 @@
 //! `WIRE`. A wired query never outlives its control session: the
 //! coordinator sends `JOIN` to every worker however the query ended, and a
 //! worker whose connection closes — which is how a session ends — poisons
-//! and forgets whatever it left behind. Worker tasks of an elastic stage
-//! claim splits from the coordinator's shared queues at `peers[0]`, which
-//! keeps mid-query grow/shrink lossless across process boundaries.
+//! and forgets whatever it left behind. Every worker task that scans claims
+//! its splits from the coordinator's shared queues at `peers[0]`, in every
+//! elasticity mode, which keeps mid-query grow/shrink lossless across
+//! process boundaries.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -333,7 +334,7 @@ fn handle_ctrl(
                      versions diverge"
                 ));
             }
-            let (catalog, role) = (state.catalog.clone(), DistRole { node, nodes, peers });
+            let (catalog, role) = (&state.catalog, DistRole { node, nodes, peers });
             let nq =
                 state
                     .executor
@@ -492,7 +493,7 @@ impl Fleet {
         // Node 0 wires first: a query the admission gate turns away never
         // reaches a worker.
         let nq = state.executor.wire(
-            state.catalog.clone(),
+            &state.catalog,
             tree,
             &self.exec,
             DistRole {

@@ -16,14 +16,14 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use accordion_cluster::{plan_fingerprint, ClaimWiring, DistRole, QueryExecutor};
+use accordion_cluster::{plan_fingerprint, ClaimWiring, DistRole, QueryExecutor, SplitQueues};
 use accordion_common::config::{ElasticityConfig, NetworkConfig};
 use accordion_core::dist::{plan_tree, CtrlMsg};
 use accordion_core::{Client, Fleet, QueryServer, Response, ServerConfig, Worker};
 use accordion_data::types::Value;
 use accordion_exec::{execute_tree, ExecOptions};
-use accordion_net::frame::{kind, listen, FrameConn, Route};
-use accordion_net::PageServer;
+use accordion_net::frame::{kind, listen, Conversation, FrameConn, Listener, Route};
+use accordion_net::PageRegistries;
 use accordion_storage::catalog::Catalog;
 use accordion_tpch::gen::{generate, TpchOptions};
 
@@ -428,6 +428,19 @@ fn tight_static_opts() -> ExecOptions {
     }
 }
 
+/// The node address of a hand-rolled coordinator: its workers send their
+/// pages here and, since every worker scan claims its splits from node 0,
+/// their claims too.
+fn coordinator_address() -> (Listener, Arc<PageRegistries>, Arc<SplitQueues>) {
+    let (pages, claims) = (
+        Arc::<PageRegistries>::default(),
+        Arc::<SplitQueues>::default(),
+    );
+    let routes = vec![pages.route(), claims.route()];
+    let listener = listen("127.0.0.1:0", "coordinator", routes).unwrap();
+    (listener, pages, claims)
+}
+
 /// Waits (bounded) until the worker's executor holds no query.
 fn await_idle(worker: &Worker) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -519,12 +532,12 @@ fn worker_unwinds_queries_orphaned_by_their_session() {
         let (kind, payload) = ctrl.call(request.encode()).unwrap();
         CtrlMsg::decode(kind, &payload).unwrap()
     };
-    let pages = PageServer::bind("127.0.0.1:0").unwrap();
-    let peers = vec![pages.local_addr(), real.ctrl_addr()];
+    let (address, pages, claims) = coordinator_address();
+    let peers = vec![address.local_addr(), real.ctrl_addr()];
     let tree = plan_tree(&catalog, GROUP_SQL, 2).unwrap();
     let coordinator = QueryExecutor::new(exec.clone())
         .wire(
-            catalog.clone(),
+            &catalog,
             tree.clone(),
             &exec,
             DistRole {
@@ -533,7 +546,7 @@ fn worker_unwinds_queries_orphaned_by_their_session() {
                 peers: peers.clone(),
             },
             7,
-            ClaimWiring::Local,
+            ClaimWiring::Serve(&claims),
         )
         .unwrap();
     pages.register(7, coordinator.registry().clone());
@@ -556,7 +569,7 @@ fn worker_unwinds_queries_orphaned_by_their_session() {
     drop(ctrl);
     await_idle(&real);
     drop(coordinator);
-    pages.shutdown();
+    address.shutdown();
 
     assert_serves_a_fresh_fleet(&real, &catalog, &exec);
 }
@@ -647,8 +660,8 @@ fn one_address_serves_pages_claims_and_control_at_once() {
         let (kind, payload) = ctrl.call(request.encode()).unwrap();
         CtrlMsg::decode(kind, &payload).unwrap()
     };
-    let pages = PageServer::bind("127.0.0.1:0").unwrap();
-    let peers = vec![pages.local_addr(), node.ctrl_addr()];
+    let (address, pages, claims) = coordinator_address();
+    let peers = vec![address.local_addr(), node.ctrl_addr()];
     let tree = plan_tree(&catalog, GROUP_SQL, 2).unwrap();
     let role = DistRole {
         node: 0,
@@ -657,12 +670,12 @@ fn one_address_serves_pages_claims_and_control_at_once() {
     };
     let coordinator = QueryExecutor::new(exec.clone())
         .wire(
-            catalog.clone(),
+            &catalog,
             tree.clone(),
             &exec,
             role,
             7,
-            ClaimWiring::Local,
+            ClaimWiring::Serve(&claims),
         )
         .unwrap();
     pages.register(7, coordinator.registry().clone());

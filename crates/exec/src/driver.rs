@@ -2,7 +2,9 @@
 //!
 //! A task holds **exchange endpoints**, not materialized page maps: one
 //! [`ExchangeReader`] per child stage and one [`ExchangeWriter`] toward its
-//! parent, both streaming page-by-page. Every pipeline has one driver: it
+//! parent, both streaming page-by-page, and — when its stage scans a table
+//! — a [`SplitFeed`] on a split queue, the only place a scan gets splits
+//! from. Every pipeline has one driver: it
 //! instantiates the pipeline's [`OperatorSpec`] list into a chain of
 //! [`PageStream`]s and pulls pages through it into the pipeline's sink, the
 //! task's output writer or a hash-join build table. Every operator in the
@@ -31,24 +33,20 @@ use accordion_data::page::{EndReason, Page};
 use accordion_data::schema::Schema;
 use accordion_net::{ExchangeReader, ExchangeWriter};
 use accordion_plan::pipeline::{OperatorSpec, PipelineSpec};
-use accordion_storage::catalog::Catalog;
 
 use crate::metrics::{MeteredStream, OperatorMetrics, QueryMetrics};
 use crate::operators::{
     BoxedStream, FilterOp, FinalHashAggOp, HashJoinProbeOp, JoinTable, LimitOp, PartialHashAggOp,
     ProjectOp, ScanSource, SortOp, TopNOp,
 };
-use crate::splits::{FeedScanSource, SplitFeed};
+use crate::splits::SplitFeed;
 
 /// Mutable state of one running task.
-pub struct TaskContext<'a> {
-    pub catalog: &'a Catalog,
+pub struct TaskContext {
     /// The stage this task belongs to.
     pub stage: u32,
     /// This task's sequence number within its stage.
     pub task_index: u32,
-    /// Stage parallelism (used to pick this task's splits).
-    pub parallelism: u32,
     pub page_rows: usize,
     /// Streaming inputs, one reader per child stage id. A reader is consumed
     /// (moved into the chain) by the pipeline that sources from it.
@@ -58,25 +56,23 @@ pub struct TaskContext<'a> {
     /// Hash-join build tables, indexed by the splitter's join ids.
     join_tables: Vec<Option<Arc<JoinTable>>>,
     metrics: Arc<QueryMetrics>,
-    /// Elastic-stage scans claim splits from the stage's shared queue via
-    /// this feed instead of the static `split_index % parallelism`
-    /// assignment — what makes the task set grow/shrinkable between splits.
+    /// The task's claim on a split queue (its stage's, or in the serial
+    /// executor its own); `None` when the stage scans no table.
     split_feed: Option<SplitFeed>,
     /// End reason of the last output pipeline's chain, forwarded by
     /// [`run_task`] as the task's own end page.
     end_reason: EndReason,
 }
 
-impl<'a> TaskContext<'a> {
+impl TaskContext {
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        catalog: &'a Catalog,
         stage: u32,
         task_index: u32,
-        parallelism: u32,
         page_rows: usize,
         inputs: HashMap<u32, Box<dyn ExchangeReader>>,
         output: Box<dyn ExchangeWriter>,
+        split_feed: Option<SplitFeed>,
         pipelines: &[PipelineSpec],
         metrics: Arc<QueryMetrics>,
     ) -> Self {
@@ -89,33 +85,22 @@ impl<'a> TaskContext<'a> {
             .max()
             .unwrap_or(0);
         TaskContext {
-            catalog,
             stage,
             task_index,
-            parallelism: parallelism.max(1),
             page_rows,
             inputs,
             output,
             join_tables: vec![None; joins],
             metrics,
-            split_feed: None,
+            split_feed,
             end_reason: EndReason::UpstreamFinished,
         }
-    }
-
-    /// Makes this task's table scan claim splits from its stage's shared
-    /// [`SplitQueue`] (one split at a time) instead of the static
-    /// assignment. Set by the cluster scheduler for elastic Source stages.
-    ///
-    /// [`SplitQueue`]: crate::splits::SplitQueue
-    pub fn set_split_feed(&mut self, feed: SplitFeed) {
-        self.split_feed = Some(feed);
     }
 }
 
 /// Runs every pipeline of the task, then closes its output with the in-band
 /// end page.
-pub fn run_task(pipelines: &[PipelineSpec], ctx: &mut TaskContext<'_>) -> Result<()> {
+pub fn run_task(pipelines: &[PipelineSpec], ctx: &mut TaskContext) -> Result<()> {
     for pipeline in pipelines {
         run_pipeline(pipeline, ctx)?;
     }
@@ -124,7 +109,7 @@ pub fn run_task(pipelines: &[PipelineSpec], ctx: &mut TaskContext<'_>) -> Result
 }
 
 /// Runs one pipeline to completion inside `ctx` with its one driver.
-pub fn run_pipeline(pipeline: &PipelineSpec, ctx: &mut TaskContext<'_>) -> Result<()> {
+pub fn run_pipeline(pipeline: &PipelineSpec, ctx: &mut TaskContext) -> Result<()> {
     let (sink, upstream) = pipeline
         .operators
         .split_last()
@@ -163,7 +148,7 @@ pub fn run_pipeline(pipeline: &PipelineSpec, ctx: &mut TaskContext<'_>) -> Resul
 fn build_chain(
     specs: &[OperatorSpec],
     pipeline: &PipelineSpec,
-    ctx: &mut TaskContext<'_>,
+    ctx: &mut TaskContext,
 ) -> Result<BoxedStream> {
     let (source, rest) = specs
         .split_first()
@@ -184,7 +169,7 @@ fn meter(
     stream: BoxedStream,
     spec: &OperatorSpec,
     pipeline: &PipelineSpec,
-    ctx: &TaskContext<'_>,
+    ctx: &TaskContext,
     upstream: &mut Option<Arc<OperatorMetrics>>,
 ) -> BoxedStream {
     let m = ctx
@@ -196,31 +181,14 @@ fn meter(
     Box::new(MeteredStream::new(stream, m))
 }
 
-fn build_source(spec: &OperatorSpec, ctx: &mut TaskContext<'_>) -> Result<BoxedStream> {
+fn build_source(spec: &OperatorSpec, ctx: &mut TaskContext) -> Result<BoxedStream> {
     match spec {
         OperatorSpec::TableScan { table, projection } => {
-            if let Some(feed) = ctx.split_feed.clone() {
-                // Elastic stage: claim splits from the shared queue so the
-                // task set can change between splits (paper Fig 13).
-                return Ok(Box::new(FeedScanSource::new(
-                    feed,
-                    projection.clone(),
-                    ctx.page_rows,
-                )));
-            }
-            let meta = ctx.catalog.get(table)?;
-            // Static assignment: splits are dealt round-robin across the
-            // stage's tasks.
-            let splits = meta
-                .splits
-                .splits()
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i as u32 % ctx.parallelism == ctx.task_index)
-                .map(|(_, s)| s.clone())
-                .collect();
-            Ok(Box::new(ScanSource::new(
-                splits,
+            let feed = ctx.split_feed.take().ok_or_else(|| {
+                AccordionError::Execution(format!("scan of table {table} has no split feed"))
+            })?;
+            Ok(Box::new(ScanSource::claiming(
+                feed,
                 projection.clone(),
                 ctx.page_rows,
             )))
@@ -254,7 +222,7 @@ impl crate::operators::PageStream for ReaderSource {
 fn wrap_operator(
     spec: &OperatorSpec,
     input: BoxedStream,
-    ctx: &mut TaskContext<'_>,
+    ctx: &mut TaskContext,
 ) -> Result<BoxedStream> {
     Ok(match spec {
         OperatorSpec::Filter { predicate } => Box::new(FilterOp::new(input, predicate.clone())),

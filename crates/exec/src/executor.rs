@@ -7,7 +7,13 @@
 //! anywhere. Because a whole stage completes before its consumer starts,
 //! the serial path uses [`ExchangeRegistry::build_in_process`] (unbounded
 //! buffers); bounded elastic buffers and the worker pool only make sense
-//! with concurrent tasks and live in `accordion-cluster`.
+//! with concurrent tasks and live in `accordion-cluster`. Scans claim
+//! their splits through the same [`ScanSource`](crate::operators::ScanSource)
+//! as there, but not from one pool per stage: tasks here run one after
+//! another, each to completion, so a shared pool would hand every split to
+//! task 0. Each task instead drains a [`SplitQueue`] of its own over every
+//! `parallelism`-th split from its index on, and the merge stage above
+//! still combines non-empty partial states from several scanning tasks.
 //!
 //! [`exchange_topology`] — shared with the cluster scheduler — derives the
 //! query's [`ExchangeTopology`] from the stage tree: one edge per stage,
@@ -37,6 +43,7 @@ use accordion_storage::catalog::Catalog;
 
 use crate::driver::{run_task, TaskContext};
 use crate::metrics::{QueryMetrics, QueryStats};
+use crate::splits::{SplitFeed, SplitQueue};
 
 /// Executor tuning.
 #[derive(Debug, Clone)]
@@ -51,7 +58,7 @@ pub struct ExecOptions {
     /// the cluster scheduler).
     pub network: NetworkConfig,
     /// Intra-query re-parallelization controller (used by the cluster
-    /// scheduler; the serial executor pins planned DOPs). Defaults to the
+    /// scheduler; the serial executor runs no controller). Defaults to the
     /// `ACCORDION_ELASTICITY` environment variable (`off`, `forced-grow`,
     /// `forced-shrink`, `auto[:deadline_ms]`), else off — what the CI
     /// elasticity matrix toggles.
@@ -234,20 +241,25 @@ pub fn execute_tree(
     for stage_id in tree.execution_order() {
         let fragment = tree.fragment(stage_id)?;
         let pipelines = split_pipelines(fragment)?;
-        for task in 0..fragment.parallelism.max(1) {
+        let table = fragment.scan_table().map(|t| catalog.get(&t)).transpose()?;
+        let tasks = fragment.parallelism.max(1);
+        for task in 0..tasks {
             let mut inputs = HashMap::new();
             for child in &fragment.child_stages {
                 inputs.insert(child.0, registry.reader(child.0, task, None)?);
             }
             let writer = registry.writer(fragment.stage.0, task, None)?;
             let mut ctx = TaskContext::new(
-                catalog,
                 fragment.stage.0,
                 task,
-                fragment.parallelism,
                 opts.page_rows,
                 inputs,
                 writer,
+                table.as_ref().map(|table| {
+                    let share = table.splits.splits().iter();
+                    let share = share.skip(task as usize).step_by(tasks as usize);
+                    SplitFeed::new(Arc::new(SplitQueue::new(share.cloned().collect())), 0, None)
+                }),
                 &pipelines,
                 metrics.clone(),
             );

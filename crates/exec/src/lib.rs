@@ -21,9 +21,10 @@
 //!   samples the scan counters into per-stage `TimeSeries` (paper Fig 18)
 //!   while a query runs and hands the elasticity controller an
 //!   [`EraSample`] at each decision.
-//! * [`splits`] — the shared [`SplitQueue`] elastic Source stages claim
-//!   their splits from, making scans resumable across mid-query DOP changes
-//!   (paper Fig 13; driven by `accordion_cluster::elastic`).
+//! * [`splits`] — the [`SplitQueue`] every scanning stage's tasks claim
+//!   their splits from, in every elasticity mode, making scans resumable
+//!   across mid-query DOP changes (paper Fig 13; driven by
+//!   `accordion_cluster::elastic` when a controller runs).
 //!
 //! For concurrent stage execution on a worker pool with bounded elastic
 //! buffers, use `accordion_cluster::QueryExecutor`.
@@ -48,4 +49,4 @@ pub use metrics::{
     RuntimeCollector, StageSeries,
 };
 pub use operators::{JoinTable, PageStream, Selection};
-pub use splits::{FeedScanSource, SplitFeed, SplitQueue, SplitSource};
+pub use splits::{SplitFeed, SplitQueue, SplitSource};

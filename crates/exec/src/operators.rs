@@ -53,6 +53,8 @@ use accordion_expr::agg::{AggAccumulator, AggSpec};
 use accordion_expr::scalar::Expr;
 use accordion_storage::split::{Split, SplitPages};
 
+use crate::splits::{SplitFeed, SplitQueue};
+
 /// Pull-based page iterator; yields `Page::End` exactly once, after which
 /// callers must stop pulling.
 pub trait PageStream {
@@ -130,23 +132,30 @@ pub type BoxedStream = Box<dyn PageStream>;
 // Sources
 // ---------------------------------------------------------------------------
 
-/// Streams the pages of a task's assigned splits, applying the scan's
-/// column projection.
+/// The one scan operator: streams the pages of splits claimed one at a
+/// time from a [`SplitFeed`], applying the scan's column projection. A
+/// retired claimant ends with the engine's `EndSignal` (paper §4.3), an
+/// exhausted pool with the ordinary scan end.
 pub struct ScanSource {
-    splits: Vec<Split>,
+    feed: SplitFeed,
     projection: Vec<usize>,
     page_rows: usize,
-    next_split: usize,
     current: Option<SplitPages>,
 }
 
 impl ScanSource {
+    /// A scan of `splits` as the only claimant of a pool of its own.
     pub fn new(splits: Vec<Split>, projection: Vec<usize>, page_rows: usize) -> Self {
+        let feed = SplitFeed::new(Arc::new(SplitQueue::new(splits)), 0, None);
+        ScanSource::claiming(feed, projection, page_rows)
+    }
+
+    /// A scan claiming from its stage's split pool through `feed`.
+    pub fn claiming(feed: SplitFeed, projection: Vec<usize>, page_rows: usize) -> Self {
         ScanSource {
-            splits,
+            feed,
             projection,
             page_rows,
-            next_split: 0,
             current: None,
         }
     }
@@ -155,20 +164,23 @@ impl ScanSource {
 impl PageStream for ScanSource {
     fn next_page(&mut self) -> Result<Page> {
         loop {
-            if self.current.is_none() {
-                if self.next_split >= self.splits.len() {
-                    return Ok(Page::end(EndReason::ScanExhausted));
-                }
-                self.current = Some(self.splits[self.next_split].open(self.page_rows)?);
-                self.next_split += 1;
-            }
-            match self.current.as_mut().unwrap().next_page()? {
-                Some(page) => {
-                    if page.is_empty() {
-                        continue;
+            let current = match &mut self.current {
+                Some(current) => current,
+                None => match self.feed.claim() {
+                    Some(split) => self.current.insert(split.open(self.page_rows)?),
+                    None => {
+                        let reason = if self.feed.retired() {
+                            EndReason::EndSignal
+                        } else {
+                            EndReason::ScanExhausted
+                        };
+                        return Ok(Page::end(reason));
                     }
-                    return Ok(Page::data(page.project(&self.projection)));
-                }
+                },
+            };
+            match current.next_page()? {
+                Some(page) if page.is_empty() => {}
+                Some(page) => return Ok(Page::data(page.project(&self.projection))),
                 None => self.current = None,
             }
         }

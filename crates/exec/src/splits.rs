@@ -1,12 +1,18 @@
-//! The shared split queue: resumable scans for intra-query elasticity.
+//! The split queue: the one way a stage scans.
 //!
-//! Static split assignment (`split_index % parallelism == task_index`) pins
-//! a stage's DOP for the lifetime of the query. A [`SplitQueue`] removes
-//! that coupling: every task of an elastic Source stage **claims** its next
-//! split from one shared queue, so the unconsumed `SplitSet` remainder is a
-//! single pool any task set — including one grown or shrunk mid-query — can
-//! drain. Each split is handed out exactly once, which is what makes
-//! re-parallelization lossless and duplication-free by construction.
+//! Every task of a stage that scans a table **claims** its next split from
+//! the stage's one [`SplitQueue`], in every elasticity mode and on every
+//! node; no task owns a fixed share. The unconsumed remainder of the
+//! table's `SplitSet` is therefore a single pool any task set, including
+//! one grown or shrunk mid-query, can drain. Each split is handed out
+//! exactly once, which is what makes re-parallelization lossless and
+//! duplication-free by construction. A mode only decides whether a
+//! controller drives the queue. A task's scan,
+//! [`ScanSource`](crate::operators::ScanSource), claims through a
+//! [`SplitFeed`], the task's handle on the pool. The one exception is the
+//! serial reference executor ([`crate::execute_tree`]): its tasks run one
+//! after another, each to completion, so each drains a queue of its own
+//! over a share of the splits instead, through the same scan.
 //!
 //! The queue doubles as the controller's **decision boundary** and as its
 //! **event source**. With a pause threshold set, claims beyond it block
@@ -42,11 +48,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use accordion_common::sync::{condvar_wait, Condvar, Mutex, Semaphore, Signal};
-use accordion_common::{NodeId, Result};
-use accordion_data::page::{EndReason, Page};
-use accordion_storage::split::{Split, SplitPages};
-
-use crate::operators::PageStream;
+use accordion_common::NodeId;
+use accordion_storage::split::Split;
 
 /// A pool of splits that tasks claim from, one at a time. Implemented by
 /// the in-process [`SplitQueue`] and by the distributed worker's proxy to
@@ -92,7 +95,7 @@ impl QueueState {
     }
 }
 
-/// Multi-task split pool of one elastic Source stage.
+/// Multi-task split pool of one stage's table.
 #[derive(Debug)]
 pub struct SplitQueue {
     /// Rows in every split the queue started with, claimed or not.
@@ -325,65 +328,13 @@ impl SplitFeed {
     }
 }
 
-/// Scan source of an elastic Source stage: streams pages of splits claimed
-/// one at a time from the shared queue, applying the scan's projection. The
-/// queue-claim counterpart of [`crate::operators::ScanSource`].
-pub struct FeedScanSource {
-    feed: SplitFeed,
-    projection: Vec<usize>,
-    page_rows: usize,
-    current: Option<SplitPages>,
-}
-
-impl FeedScanSource {
-    pub fn new(feed: SplitFeed, projection: Vec<usize>, page_rows: usize) -> Self {
-        FeedScanSource {
-            feed,
-            projection,
-            page_rows,
-            current: None,
-        }
-    }
-}
-
-impl PageStream for FeedScanSource {
-    fn next_page(&mut self) -> Result<Page> {
-        loop {
-            if self.current.is_none() {
-                match self.feed.claim() {
-                    Some(split) => self.current = Some(split.open(self.page_rows)?),
-                    None => {
-                        // Between-splits shutdown: a retired task ends with
-                        // the engine's EndSignal (paper §4.3), an exhausted
-                        // queue with the ordinary scan end.
-                        let reason = if self.feed.retired() {
-                            EndReason::EndSignal
-                        } else {
-                            EndReason::ScanExhausted
-                        };
-                        return Ok(Page::end(reason));
-                    }
-                }
-            }
-            match self.current.as_mut().unwrap().next_page()? {
-                Some(page) => {
-                    if page.is_empty() {
-                        continue;
-                    }
-                    return Ok(Page::data(page.project(&self.projection)));
-                }
-                None => self.current = None,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operators::{PageStream, ScanSource};
     use accordion_common::{NodeId, SplitId};
     use accordion_data::column::Column;
-    use accordion_data::page::DataPage;
+    use accordion_data::page::{DataPage, EndReason, Page};
     use std::time::Duration;
 
     fn split(id: u64, vals: Vec<i64>) -> Split {
@@ -610,7 +561,7 @@ mod tests {
             split(0, vec![1, 2]),
             split(1, vec![3]),
         ]));
-        let mut src = FeedScanSource::new(SplitFeed::new(q.clone(), 0, None), vec![0], 10);
+        let mut src = ScanSource::claiming(SplitFeed::new(q.clone(), 0, None), vec![0], 10);
         let mut rows = 0;
         let reason = loop {
             match src.next_page().unwrap() {
@@ -624,7 +575,7 @@ mod tests {
         // A retired feed ends with the engine's EndSignal instead.
         let q = Arc::new(SplitQueue::new(vec![split(0, vec![1])]));
         q.retire(0);
-        let mut src = FeedScanSource::new(SplitFeed::new(q, 0, None), vec![0], 10);
+        let mut src = ScanSource::claiming(SplitFeed::new(q, 0, None), vec![0], 10);
         match src.next_page().unwrap() {
             Page::End(e) => assert_eq!(e.reason, EndReason::EndSignal),
             other => panic!("expected end page, got {other}"),

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use accordion_common::{PipelineId, Result, StageId};
+use accordion_common::{AccordionError, PipelineId, Result, StageId};
 use accordion_data::column::Column;
 use accordion_data::page::{DataPage, EndReason, Page};
 use accordion_data::schema::{Field, Schema};
@@ -488,6 +488,30 @@ fn results_invariant_under_parallelism() {
     );
 }
 
+/// The serial executor runs a stage's tasks one after another, each to
+/// completion, yet every scanning task still reads a share of the table:
+/// the merge above it combines partial states from several tasks, as it
+/// does on the concurrent scheduler, instead of one full and the rest empty.
+#[test]
+fn serial_scan_tasks_each_read_a_share_of_the_splits() {
+    let c = catalog();
+    for dop in [2, 4] {
+        let b = LogicalPlanBuilder::scan(&c, "sales").unwrap();
+        let aggs = vec![b.agg(AggKind::Sum, "qty", "total").unwrap()];
+        let result = run(&c, b.aggregate(&["region"], aggs).unwrap(), dop);
+        let scans: Vec<u64> = result
+            .stats()
+            .operators
+            .iter()
+            .filter(|o| o.operator == "TableScan")
+            .map(|o| o.rows)
+            .collect();
+        assert_eq!(scans.len(), dop as usize, "one scan per task at dop {dop}");
+        assert!(scans.iter().all(|&rows| rows > 0), "dop {dop}: {scans:?}");
+        assert_eq!(scans.iter().sum::<u64>(), 8, "dop {dop}: {scans:?}");
+    }
+}
+
 /// A child-stage input that sleeps before handing out each page.
 struct SleepyInput {
     pages: Vec<Arc<DataPage>>,
@@ -544,15 +568,13 @@ fn operators_report_busy_and_self_time() {
         }),
     );
     let metrics = Arc::new(QueryMetrics::new());
-    let catalog = Catalog::new();
     let mut task = TaskContext::new(
-        &catalog,
         0,
         0,
-        1,
         64,
         inputs,
         Box::new(Discard),
+        None,
         &pipelines,
         metrics.clone(),
     );
@@ -573,4 +595,36 @@ fn operators_report_busy_and_self_time() {
     let json = project.to_json();
     assert_eq!(json.get("busy_ns").unwrap().as_u64(), Some(project.busy_ns));
     assert_eq!(json.get("self_ns").unwrap().as_u64(), Some(project.self_ns));
+}
+
+/// A scan gets its splits from its stage's split queue and nowhere else: a
+/// task given no feed fails, naming the table, instead of scanning a share
+/// of it.
+#[test]
+fn a_scan_without_a_split_feed_is_an_execution_error() {
+    let pipelines = vec![PipelineSpec {
+        id: PipelineId(0),
+        operators: vec![
+            OperatorSpec::TableScan {
+                table: "sales".into(),
+                projection: vec![0],
+            },
+            OperatorSpec::Output,
+        ],
+    }];
+    let metrics = Arc::new(QueryMetrics::new());
+    let mut task = TaskContext::new(
+        0,
+        0,
+        64,
+        HashMap::new(),
+        Box::new(Discard),
+        None,
+        &pipelines,
+        metrics,
+    );
+    match run_task(&pipelines, &mut task) {
+        Err(AccordionError::Execution(msg)) => assert!(msg.contains("sales"), "{msg}"),
+        other => panic!("expected an execution error, got {other:?}"),
+    }
 }

@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use accordion_common::id::PipelineId;
+use accordion_common::id::{PipelineId, StageId};
 use accordion_common::Result;
 use accordion_data::column::ColumnBuilder;
 use accordion_data::hash::{hash_row, hash_rows};
@@ -31,11 +31,12 @@ use accordion_exec::operators::{
     QueueSource, Selection, SortOp, TopNOp,
 };
 use accordion_exec::{
-    execute_logical, run_task, ExecOptions, JoinTable, QueryMetrics, TaskContext,
+    execute_logical, run_task, ExecOptions, JoinTable, QueryMetrics, SplitFeed, SplitQueue,
+    TaskContext,
 };
 use accordion_expr::agg::{AggKind, AggSpec};
 use accordion_expr::scalar::{BinaryOp, Expr};
-use accordion_net::ExchangeWriter;
+use accordion_net::{ExchangeReader, ExchangeWriter};
 use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::pipeline::{split_pipelines, OperatorSpec, PipelineSpec};
@@ -1473,16 +1474,16 @@ fn sinks_behind_a_filter_receive_dense_pages() {
 
         // The planner puts an exchange between a filtered scan and a join
         // build, so that pipeline is written out by hand: one task, build
-        // pipeline first.
+        // pipeline first, its rows arriving through an input reader as they
+        // would off that exchange; the probe side scans `dates`.
         let mut joined_fields = vec![Field::new("d", DataType::Date32)];
         joined_fields.extend(handover_schema().fields().iter().cloned());
         let pipelines = vec![
             PipelineSpec {
                 id: PipelineId(0),
                 operators: vec![
-                    OperatorSpec::TableScan {
-                        table: "t".into(),
-                        projection: (0..handover_schema().len()).collect(),
+                    OperatorSpec::ExchangeSource {
+                        child_stage: StageId(1),
                     },
                     OperatorSpec::Filter {
                         predicate: predicate.clone(),
@@ -1510,14 +1511,27 @@ fn sinks_behind_a_filter_receive_dense_pages() {
             },
         ];
         let delivered = Arc::new(Mutex::new(Vec::new()));
-        let mut task = TaskContext::new(
-            &catalog,
-            0,
-            0,
+        let build_side = pages.iter().cloned().map(Arc::new).collect();
+        let mut inputs: HashMap<u32, Box<dyn ExchangeReader>> = HashMap::new();
+        inputs.insert(
             1,
+            Box::new(Input(QueueSource::new(
+                build_side,
+                EndReason::UpstreamFinished,
+            ))),
+        );
+        let date_splits = catalog.get("dates").unwrap().splits.splits().to_vec();
+        let mut task = TaskContext::new(
+            0,
+            0,
             100,
-            HashMap::new(),
+            inputs,
             Box::new(Collect(delivered.clone())),
+            Some(SplitFeed::new(
+                Arc::new(SplitQueue::new(date_splits)),
+                0,
+                None,
+            )),
             &pipelines,
             Arc::new(QueryMetrics::new()),
         );
@@ -1545,6 +1559,15 @@ fn sinks_behind_a_filter_receive_dense_pages() {
             sorted(expected),
             "{name}: filter → join build"
         );
+    }
+}
+
+/// An exchange reader replaying fixed pages.
+struct Input(QueueSource);
+
+impl ExchangeReader for Input {
+    fn pull(&mut self) -> Result<Page> {
+        self.0.next_page()
     }
 }
 

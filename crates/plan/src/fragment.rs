@@ -23,8 +23,8 @@ use crate::physical::{Partitioning, PhysicalNode};
 pub enum StageKind {
     /// The root stage: produces the query result at parallelism 1.
     Output,
-    /// A leaf-side stage containing at least one table scan; the elastic
-    /// stages whose DOP the paper tunes at runtime.
+    /// A leaf-side stage scanning one table; the elastic stages whose DOP
+    /// the paper tunes at runtime.
     Source,
     /// An interior stage fed only by remote exchanges.
     Intermediate,
@@ -74,9 +74,9 @@ pub struct PlanFragment {
     /// (`Single` for the root: the coordinator reads one result stream).
     pub output_partitioning: Partitioning,
     /// Runtime DOP bounds when this stage is eligible for intra-query
-    /// re-parallelization: a Source stage scanning exactly one table with no
-    /// child exchanges (so a task set can grow or shrink between splits
-    /// without replaying remote inputs). `None` pins the planned DOP.
+    /// re-parallelization: a Source stage with no child exchanges (so a
+    /// task set can grow or shrink between splits without replaying remote
+    /// inputs). `None` pins the planned DOP.
     pub elastic_bounds: Option<DopBounds>,
 }
 
@@ -89,6 +89,13 @@ impl PlanFragment {
     pub fn is_output(&self) -> bool {
         self.kind == StageKind::Output
     }
+
+    /// The table this stage scans, if any. [`StageTree::build`] refuses a
+    /// stage that scans more than one, so every task of the stage claims
+    /// from one split queue: this table's.
+    pub fn scan_table(&self) -> Option<String> {
+        self.root.scan_tables().pop()
+    }
 }
 
 /// The fragmented plan: stage 0 is the output stage.
@@ -99,7 +106,11 @@ pub struct StageTree {
 
 impl StageTree {
     /// Cuts `root` at its exchanges. The root fragment always runs at
-    /// parallelism 1 (the optimizer gathers distributed plans first).
+    /// parallelism 1 (the optimizer gathers distributed plans first). A
+    /// stage that would scan more than one table is a [`Plan`] error: the
+    /// optimizer never emits one, and a stage's tasks claim from one pool.
+    ///
+    /// [`Plan`]: AccordionError::Plan
     pub fn build(root: Arc<PhysicalNode>) -> Result<StageTree> {
         let mut cutter = Cutter {
             next_id: 1,
@@ -213,22 +224,28 @@ impl Cutter {
     ) -> Result<()> {
         let mut child_stages = Vec::new();
         let stripped = self.strip(root, &mut child_stages)?;
+        let scans = stripped.scan_tables();
+        if scans.len() > 1 {
+            return Err(AccordionError::Plan(format!(
+                "stage {stage} scans {} tables ({}); a stage claims its splits from one pool",
+                scans.len(),
+                scans.join(", ")
+            )));
+        }
         let kind = if stage.0 == 0 {
             StageKind::Output
-        } else if stripped.contains_scan() {
-            StageKind::Source
-        } else {
+        } else if scans.is_empty() {
             StageKind::Intermediate
+        } else {
+            StageKind::Source
         };
         // A stage is runtime-elastic when growing/shrinking its task set
-        // between splits cannot lose or duplicate work: it scans exactly one
-        // table (so the unconsumed SplitSet remainder is a single queue) and
-        // has no child exchanges (whose buffers a late-spawned task could
-        // not replay).
+        // between splits cannot lose or duplicate work: its one table's
+        // unconsumed splits are a single queue, and it has no child
+        // exchanges (whose buffers a late-spawned task could not replay).
         let parallelism = parallelism.max(1);
-        let elastic_bounds =
-            (kind == StageKind::Source && child_stages.is_empty() && stripped.scan_count() == 1)
-                .then(|| DopBounds::new(1, parallelism.max(DEFAULT_MAX_ELASTIC_DOP)));
+        let elastic_bounds = (kind == StageKind::Source && child_stages.is_empty())
+            .then(|| DopBounds::new(1, parallelism.max(DEFAULT_MAX_ELASTIC_DOP)));
         self.fragments.push(PlanFragment {
             stage,
             root: stripped,
@@ -332,6 +349,7 @@ impl Cutter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logical::JoinType;
     use accordion_data::schema::{Field, Schema};
     use accordion_data::types::DataType;
 
@@ -400,6 +418,31 @@ mod tests {
             tree.execution_order(),
             vec![StageId(2), StageId(1), StageId(0)]
         );
+    }
+
+    #[test]
+    fn a_stage_scanning_two_tables_is_a_plan_error() {
+        let join = Arc::new(PhysicalNode::HashJoin {
+            probe: scan(),
+            build: Arc::new(PhysicalNode::TableScan {
+                table: "u".into(),
+                table_schema: Schema::shared(vec![Field::new("b", DataType::Int64)]),
+                projection: vec![0],
+            }),
+            on: vec![(0, 0)],
+            join_type: JoinType::Inner,
+        });
+        let plan = Arc::new(PhysicalNode::Exchange {
+            input: join,
+            partitioning: Partitioning::Single,
+            input_parallelism: 2,
+        });
+        match StageTree::build(plan) {
+            Err(AccordionError::Plan(msg)) => {
+                assert!(msg.contains("stage S1") && msg.contains("t, u"), "{msg}")
+            }
+            other => panic!("expected a plan error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -30,5 +30,5 @@ pub use catalog::{Catalog, MemoryCatalog, TableRef};
 pub use fragment::{PlanFragment, StageKind, StageTree};
 pub use logical::{JoinType, LogicalPlan};
 pub use optimizer::{Optimizer, OptimizerConfig};
-pub use physical::{Partitioning, PhysicalNode, SourceRole};
+pub use physical::{Partitioning, PhysicalNode};
 pub use pipeline::{split_pipelines, OperatorSpec, PipelineSpec};

@@ -64,22 +64,12 @@ impl fmt::Display for Partitioning {
     }
 }
 
-/// How a pipeline's source operator obtains its pages. Determines whether a
-/// driver of that pipeline holds splits (scan pipelines are the elastic ones
-/// in the paper — their drivers can be added/removed between splits).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SourceRole {
-    /// Reads base-table splits.
-    TableScan,
-    /// Pulls pages produced by an upstream stage (remote exchange client).
-    RemoteExchange,
-}
-
 /// A physical plan node. Children are `Arc`-shared, like logical plans.
 #[derive(Debug, Clone)]
 pub enum PhysicalNode {
     /// Scan of a catalog table with column projection. The leaf of every
-    /// source stage; its splits are assigned to tasks by the scheduler.
+    /// source stage, which scans at most one table: its tasks claim the
+    /// table's splits one at a time from the stage's one split queue.
     TableScan {
         table: String,
         table_schema: SchemaRef,
@@ -236,26 +226,9 @@ impl PhysicalNode {
         n
     }
 
-    /// True if the subtree contains a [`PhysicalNode::TableScan`].
-    pub fn contains_scan(&self) -> bool {
-        self.scan_count() > 0
-    }
-
-    /// Number of [`PhysicalNode::TableScan`] leaves in the subtree (elastic
-    /// eligibility: a stage feeding from one split queue has exactly one).
-    pub fn scan_count(&self) -> usize {
-        let mut n = 0;
-        self.visit(&mut |node| {
-            if matches!(node, PhysicalNode::TableScan { .. }) {
-                n += 1;
-            }
-        });
-        n
-    }
-
-    /// Names of the tables scanned in the subtree, in visit order. An
-    /// elastic Source stage has exactly one — the table whose `SplitSet`
-    /// backs the stage's shared split queue.
+    /// Names of the tables scanned in the subtree, in visit order. A stage
+    /// has at most one: the table whose `SplitSet` backs the stage's split
+    /// queue.
     pub fn scan_tables(&self) -> Vec<String> {
         let mut tables = Vec::new();
         self.visit(&mut |node| {
@@ -479,7 +452,7 @@ mod tests {
             input_parallelism: 4,
         };
         assert_eq!(plan.node_count(), 3);
-        assert!(plan.contains_scan());
+        assert_eq!(plan.scan_tables(), ["t"]);
         let text = plan.display();
         assert!(text.contains("Exchange[single] from x4"));
         assert!(text.contains("TableScan"));

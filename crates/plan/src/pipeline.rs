@@ -20,14 +20,15 @@ use accordion_expr::agg::AggSpec;
 use accordion_expr::scalar::Expr;
 
 use crate::fragment::PlanFragment;
-use crate::physical::{PhysicalNode, SourceRole};
+use crate::physical::PhysicalNode;
 
 /// One operator slot of a pipeline, fully describing what the executor
 /// instantiates. Specs carry the output schemas the operators cannot infer
 /// from input pages alone (needed e.g. when the input is empty).
 #[derive(Debug, Clone)]
 pub enum OperatorSpec {
-    /// Source: streams the task's assigned splits of a base table.
+    /// Source: streams the splits of a base table the task claims from its
+    /// stage's split queue.
     TableScan {
         table: String,
         projection: Vec<usize>,
@@ -111,14 +112,6 @@ pub struct PipelineSpec {
 }
 
 impl PipelineSpec {
-    /// Where this pipeline's pages come from.
-    pub fn source_role(&self) -> SourceRole {
-        match self.operators.first() {
-            Some(OperatorSpec::TableScan { .. }) => SourceRole::TableScan,
-            _ => SourceRole::RemoteExchange,
-        }
-    }
-
     /// True when this pipeline feeds the task output buffer.
     pub fn is_output(&self) -> bool {
         matches!(self.operators.last(), Some(OperatorSpec::Output))
@@ -360,7 +353,6 @@ mod tests {
             pipelines[0].operator_names(),
             vec!["TableScan", "Filter", "Output"]
         );
-        assert_eq!(pipelines[0].source_role(), SourceRole::TableScan);
         assert!(pipelines[0].is_output());
     }
 
@@ -451,6 +443,5 @@ mod tests {
             pipelines[0].operator_names(),
             vec!["ExchangeSource", "FinalAggregate", "Output"]
         );
-        assert_eq!(pipelines[0].source_role(), SourceRole::RemoteExchange);
     }
 }
