@@ -28,17 +28,15 @@
 //! it is **never sharded**: the coordinator owns one [`SplitQueue`] per
 //! scanning stage, in every elasticity mode, and serves its [`SplitQueues`]
 //! at its node address (`peers[0]`, the same listener its pages arrive
-//! on): one [`ClaimMsg`] round trip per claim — a CLAIM frame answered by SPLIT, NONE or RETIRED
-//! — on the node-to-node framing of `accordion_net::frame`, whose kind
-//! table has the layouts. Claims name splits by their **ordinal** in the
-//! stage's split list — a position both sides derive from the same catalog
-//! order — never by raw split id, which comes from a process-local counter
-//! and does not agree across processes. Worker tasks claim through a
-//! [`RemoteSplitSource`] proxy, resolving ordinals against their local
-//! catalog copy; claims carry the
-//! claimant's node id so the queue can prefer node-local splits
-//! (`SplitQueue::claim_at`). Decision boundaries work unchanged: a paused
-//! queue simply delays its claim replies, wherever the claimant runs.
+//! on): one [`ClaimMsg`] round trip per claim — a CLAIM frame answered by
+//! SPLIT, NONE or RETIRED — on the node-to-node framing of
+//! `accordion_net::frame`, whose kind table has the layouts. A SPLIT reply
+//! carries the split's id, which is its position in its table and so the
+//! same in every process. Worker tasks claim through a
+//! [`RemoteSplitSource`] proxy, which looks the id up in its own catalog
+//! copy. Every claim, local or remote, takes the front of the queue.
+//! Decision boundaries work unchanged: a paused queue simply delays its
+//! claim replies, wherever the claimant runs.
 //! Grown tasks always spawn on the coordinator (producer growth is
 //! broadcast to every peer registry before they push); shrunk tasks
 //! observe retirement through their next claim reply. [`ClaimWiring`] names
@@ -149,16 +147,10 @@ pub fn distributed_topology(
 /// coordinator answers with one of the other three, or with an ERR frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClaimMsg {
-    /// `slot` of `(query, stage)` wants a split, preferably one local to
-    /// `node`.
-    Claim {
-        query: u64,
-        stage: u32,
-        slot: u32,
-        node: Option<NodeId>,
-    },
-    /// The split at this position of the stage's split list.
-    Split { ordinal: u64 },
+    /// `slot` of `(query, stage)` wants a split.
+    Claim { query: u64, stage: u32, slot: u32 },
+    /// The split with this id.
+    Split { id: u64 },
     /// The stage's splits are exhausted.
     None,
     /// The claiming slot was retired by a shrink.
@@ -170,20 +162,10 @@ impl ClaimMsg {
     pub fn encode(&self) -> Frame {
         let p = Payload::default();
         match *self {
-            ClaimMsg::Claim {
-                query,
-                stage,
-                slot,
-                node,
-            } => {
-                let p = p.u64(query).u32(stage).u32(slot);
-                let p = match node {
-                    Some(n) => p.u8(1).u32(n.0),
-                    None => p.u8(0),
-                };
-                (kind::CLAIM, p.0)
+            ClaimMsg::Claim { query, stage, slot } => {
+                (kind::CLAIM, p.u64(query).u32(stage).u32(slot).0)
             }
-            ClaimMsg::Split { ordinal } => (kind::SPLIT, p.u64(ordinal).0),
+            ClaimMsg::Split { id } => (kind::SPLIT, p.u64(id).0),
             ClaimMsg::None => (kind::NONE, p.0),
             ClaimMsg::Retired => (kind::RETIRED, p.0),
         }
@@ -197,13 +179,8 @@ impl ClaimMsg {
                 query: c.u64()?,
                 stage: c.u32()?,
                 slot: c.u32()?,
-                node: if c.bool()? {
-                    Some(NodeId(c.u32()?))
-                } else {
-                    None
-                },
             },
-            kind::SPLIT => ClaimMsg::Split { ordinal: c.u64()? },
+            kind::SPLIT => ClaimMsg::Split { id: c.u64()? },
             kind::NONE => ClaimMsg::None,
             kind::RETIRED => ClaimMsg::Retired,
             other => {
@@ -217,13 +194,6 @@ impl ClaimMsg {
     }
 }
 
-/// One registered scanning stage: its shared queue plus the split-id →
-/// ordinal mapping claim replies are phrased in.
-struct ServedQueue {
-    queue: Arc<SplitQueue>,
-    ordinals: HashMap<u64, u64>,
-}
-
 /// The coordinator's split-claim service: the shared [`SplitQueue`]s of its
 /// queries' scanning stages, served to worker nodes one blocking [`ClaimMsg`]
 /// round trip per claim. A claim that is paused at a decision boundary
@@ -231,25 +201,15 @@ struct ServedQueue {
 /// local ones do. It serves whatever listener its [`route`](Self::route) is
 /// given to — the node's one listener, or a [`SplitServer`]'s own.
 #[derive(Default)]
-pub struct SplitQueues(Mutex<HashMap<(u64, u32), Arc<ServedQueue>>>);
+pub struct SplitQueues(Mutex<HashMap<(u64, u32), Arc<SplitQueue>>>);
 
 impl SplitQueues {
     /// Builds the stage's shared queue from `splits` and exposes it to
-    /// remote claimants. Replies name splits by their ordinal in `splits`,
-    /// so remote resolution works even when split ids differ per process.
-    /// Returns the queue for the coordinator's own local claims.
+    /// remote claimants. Returns the queue for the coordinator's own local
+    /// claims.
     pub fn register(&self, query: u64, stage: u32, splits: Vec<Split>) -> Arc<SplitQueue> {
-        let ordinals = splits
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.id.0, i as u64))
-            .collect();
         let queue = Arc::new(SplitQueue::new(splits));
-        let served = ServedQueue {
-            queue: queue.clone(),
-            ordinals,
-        };
-        self.0.lock().insert((query, stage), Arc::new(served));
+        self.0.lock().insert((query, stage), queue.clone());
         queue
     }
 
@@ -260,31 +220,19 @@ impl SplitQueues {
 
     /// Answers one claim from the registered queues.
     fn answer(&self, claim: ClaimMsg) -> Result<ClaimMsg> {
-        let ClaimMsg::Claim {
-            query,
-            stage,
-            slot,
-            node,
-        } = claim
-        else {
+        let ClaimMsg::Claim { query, stage, slot } = claim else {
             return Err(AccordionError::Wire(format!(
                 "expected a claim, got {claim:?}"
             )));
         };
-        let served = self.0.lock().get(&(query, stage)).cloned().ok_or_else(|| {
+        let queue = self.0.lock().get(&(query, stage)).cloned().ok_or_else(|| {
             AccordionError::Execution(format!("no split queue for query {query} stage {stage}"))
         })?;
         // Block right here — the connection thread is the remote claimant's
         // proxy, and a pause boundary is supposed to park it.
-        match served.queue.claim_at(slot, node, None) {
-            Some(split) => match served.ordinals.get(&split.id.0) {
-                Some(&ordinal) => Ok(ClaimMsg::Split { ordinal }),
-                None => Err(AccordionError::Internal(format!(
-                    "split id {} missing from ordinal map",
-                    split.id.0
-                ))),
-            },
-            None if served.queue.is_retired(slot) => Ok(ClaimMsg::Retired),
+        match queue.claim(slot, None) {
+            Some(split) => Ok(ClaimMsg::Split { id: split.id.0 }),
+            None if queue.is_retired(slot) => Ok(ClaimMsg::Retired),
             None => Ok(ClaimMsg::None),
         }
     }
@@ -313,10 +261,8 @@ impl Conversation for SplitQueues {
 pub type SplitServer = Served<SplitQueues>;
 
 /// A worker-side [`SplitSource`] that claims from the coordinator's
-/// [`SplitQueues`] and resolves the returned split **ordinals** against
-/// this node's own catalog copy. Both sides list the stage's splits in the
-/// same catalog order, so positions agree even though raw split ids (a
-/// process-local counter) do not.
+/// [`SplitQueues`] and looks each returned split id up in this node's own
+/// copy of the table's splits, where a split's id is its position.
 ///
 /// One instance is shared by all of a worker's tasks of the stage; claims
 /// serialize on a single connection, which is harmless at split
@@ -327,7 +273,8 @@ pub struct RemoteSplitSource {
     addr: String,
     query: u64,
     stage: u32,
-    by_ordinal: Vec<Split>,
+    /// The table's splits, split `i` at position `i`.
+    splits: Vec<Split>,
     /// Bounds the dial only: a claim parked at a decision boundary is
     /// supposed to wait.
     connect_timeout: Duration,
@@ -336,8 +283,7 @@ pub struct RemoteSplitSource {
 }
 
 impl RemoteSplitSource {
-    /// `splits` must list the stage's splits in the same order the
-    /// coordinator registered them (catalog order does this naturally).
+    /// `splits` lists the table's splits by id, as the catalog does.
     pub fn new(addr: String, query: u64, stage: u32, splits: Vec<Split>) -> Arc<RemoteSplitSource> {
         Self::with_network(addr, query, stage, splits, &NetworkConfig::default())
     }
@@ -354,7 +300,7 @@ impl RemoteSplitSource {
             addr,
             query,
             stage,
-            by_ordinal: splits,
+            splits,
             connect_timeout: Duration::from_millis(network.connect_timeout_ms),
             conn: Mutex::new(None),
             retired: Mutex::new(HashSet::new()),
@@ -380,12 +326,11 @@ impl RemoteSplitSource {
 }
 
 impl SplitSource for RemoteSplitSource {
-    fn claim(&self, slot: u32, node: Option<NodeId>, gate: Option<&Semaphore>) -> Option<Split> {
+    fn claim(&self, slot: u32, _node: Option<NodeId>, gate: Option<&Semaphore>) -> Option<Split> {
         let request = ClaimMsg::Claim {
             query: self.query,
             stage: self.stage,
             slot,
-            node,
         };
         // The round trip can park at a remote decision boundary — yield the
         // compute slot for its whole duration.
@@ -397,11 +342,11 @@ impl SplitSource for RemoteSplitSource {
             g.acquire();
         }
         match reply {
-            Ok(ClaimMsg::Split { ordinal }) => Some(
-                usize::try_from(ordinal)
-                    .ok()
-                    .and_then(|o| self.by_ordinal.get(o))
-                    .unwrap_or_else(|| panic!("claim returned unknown split ordinal {ordinal}"))
+            Ok(ClaimMsg::Split { id }) => Some(
+                self.splits
+                    .get(id as usize)
+                    .filter(|s| s.id.0 == id)
+                    .unwrap_or_else(|| panic!("claim returned unknown split id {id}"))
                     .clone(),
             ),
             Ok(ClaimMsg::None) => None,
@@ -441,8 +386,8 @@ pub(crate) struct StagePool {
 
 impl ClaimWiring<'_> {
     /// This node's pool for `stage`, whose splits are `splits` in catalog
-    /// order (the order claim ordinals refer to). A worker dials
-    /// `coordinator` under the query's `network` settings.
+    /// order. A worker dials `coordinator` under the query's `network`
+    /// settings.
     pub(crate) fn pool(
         &self,
         query: u64,
@@ -479,16 +424,17 @@ mod tests {
     use accordion_data::column::Column;
     use accordion_data::page::DataPage;
 
-    fn split_on(id: u64, node: u32) -> Split {
-        let page = DataPage::new(vec![Column::from_i64(vec![id as i64])]);
-        Split {
-            id: SplitId(id),
-            node: NodeId(node),
-            table: "t".into(),
-            pages: Arc::new(vec![page]),
-            rows: 1,
-            bytes: 8,
-        }
+    /// A table of `n` one-row splits, built afresh on every call as each
+    /// process builds its own copy.
+    fn splits(n: u64) -> Vec<Split> {
+        (0..n)
+            .map(|id| Split {
+                id: SplitId(id),
+                table: "t".into(),
+                pages: Arc::new(vec![DataPage::new(vec![Column::from_i64(vec![id as i64])])]),
+                rows: 1,
+            })
+            .collect()
     }
 
     #[test]
@@ -502,43 +448,36 @@ mod tests {
     }
 
     #[test]
-    fn claim_service_round_trip_with_locality_and_retirement() {
+    fn claim_service_round_trip_with_retirement() {
         let server = SplitServer::bind("127.0.0.1:0").unwrap();
-        let queue = server.register(
-            77,
-            2,
-            vec![split_on(10, 0), split_on(11, 1), split_on(12, 0)],
-        );
-        // The claimant's catalog copy assigned *different* split ids (each
-        // process numbers splits with its own counter) — only the order
-        // matches. The ordinal protocol must still resolve correctly.
-        let source = RemoteSplitSource::new(
-            server.local_addr(),
-            77,
-            2,
-            vec![split_on(20, 0), split_on(21, 1), split_on(22, 0)],
-        );
-        // A node-1 claimant gets its local split first, then steals.
-        assert_eq!(source.claim(0, Some(NodeId(1)), None).unwrap().id.0, 21);
-        assert_eq!(source.claim(0, Some(NodeId(1)), None).unwrap().id.0, 20);
+        let served = splits(3);
+        let queue = server.register(77, 2, served.clone());
+        // The claimant holds a copy of its own, built separately: a reply
+        // names a split by id and the claimant hands out its own split.
+        let copy = splits(3);
+        let source = RemoteSplitSource::new(server.local_addr(), 77, 2, copy.clone());
+        let first = source.claim(0, Some(NodeId(1)), None).unwrap();
+        assert_eq!(first.id.0, 0, "the front of the queue, whatever node asks");
+        assert!(Arc::ptr_eq(&first.pages, &copy[0].pages));
+        assert!(!Arc::ptr_eq(&first.pages, &served[0].pages));
+        assert_eq!(source.claim(0, None, None).unwrap().id.0, 1);
         // Retire a different slot mid-stream: its claim reports RETIRED and
         // the source remembers (ScanSource's EndSignal path).
         queue.retire(5);
         assert!(source.claim(5, None, None).is_none());
         assert!(source.is_retired(5));
         // The last split drains, then exhaustion.
-        assert_eq!(source.claim(0, None, None).unwrap().id.0, 22);
+        assert_eq!(source.claim(0, None, None).unwrap().id.0, 2);
         assert!(source.claim(0, None, None).is_none());
         assert!(!source.is_retired(0), "exhaustion is not retirement");
         server.shutdown();
     }
 
-    fn claim(query: u64, node: Option<NodeId>) -> ClaimMsg {
+    fn claim(query: u64) -> ClaimMsg {
         ClaimMsg::Claim {
             query,
             stage: 1,
             slot: 0,
-            node,
         }
     }
 
@@ -546,12 +485,12 @@ mod tests {
     fn claim_service_rejects_unknown_edges() {
         let server = SplitServer::bind("127.0.0.1:0").unwrap();
         let source = RemoteSplitSource::new(server.local_addr(), 1, 1, vec![]);
-        let err = source.call(&claim(1, None)).unwrap_err();
+        let err = source.call(&claim(1)).unwrap_err();
         assert!(err.to_string().contains("no split queue"), "{err}");
         // A reply kind sent as a request is refused, not obeyed: mid-
         // conversation by the claim loop, as a first frame by the listener.
         server.register(1, 1, vec![]);
-        assert_eq!(source.call(&claim(1, None)).unwrap(), ClaimMsg::None);
+        assert_eq!(source.call(&claim(1)).unwrap(), ClaimMsg::None);
         let err = source.call(&ClaimMsg::Retired).unwrap_err();
         assert!(err.to_string().contains("expected a claim"), "{err}");
         let err = source.call(&ClaimMsg::Retired).unwrap_err();
@@ -568,12 +507,12 @@ mod tests {
     #[test]
     fn unregister_drops_a_query_but_not_its_neighbours() {
         let server = SplitServer::bind("127.0.0.1:0").unwrap();
-        server.register(1, 1, vec![split_on(0, 0)]);
-        server.register(2, 1, vec![split_on(0, 0)]);
+        server.register(1, 1, splits(1));
+        server.register(2, 1, splits(1));
         server.unregister_query(1);
         let source1 = RemoteSplitSource::new(server.local_addr(), 1, 1, vec![]);
-        assert!(source1.call(&claim(1, None)).is_err());
-        let source2 = RemoteSplitSource::new(server.local_addr(), 2, 1, vec![split_on(0, 0)]);
+        assert!(source1.call(&claim(1)).is_err());
+        let source2 = RemoteSplitSource::new(server.local_addr(), 2, 1, splits(1));
         assert_eq!(source2.claim(0, None, None).unwrap().id.0, 0);
         server.shutdown();
     }
@@ -581,9 +520,9 @@ mod tests {
     #[test]
     fn claim_messages_round_trip_and_every_prefix_is_a_typed_error() {
         let messages = [
-            claim(u64::MAX, None),
-            claim(7, Some(NodeId(3))),
-            ClaimMsg::Split { ordinal: 1 << 40 },
+            claim(u64::MAX),
+            claim(7),
+            ClaimMsg::Split { id: 1 << 40 },
             ClaimMsg::None,
             ClaimMsg::Retired,
         ];

@@ -946,10 +946,8 @@ mod tests {
         let page = DataPage::new(vec![Column::from_i64((0..rows).collect())]);
         Split {
             id: accordion_common::SplitId(id),
-            node: accordion_common::NodeId(0),
             table: "t".into(),
             rows: page.row_count() as u64,
-            bytes: page.byte_size() as u64,
             pages: Arc::new(vec![page]),
         }
     }

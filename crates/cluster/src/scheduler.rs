@@ -78,7 +78,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use accordion_common::sync::{Mutex, Semaphore, Signal};
-use accordion_common::{AccordionError, NodeId, Result, StageId};
+use accordion_common::{AccordionError, Result, StageId};
 use accordion_exec::driver::{run_task, TaskContext};
 use accordion_exec::executor::{drain_result, ExecOptions, QueryResult};
 use accordion_exec::metrics::QueryMetrics;
@@ -440,17 +440,9 @@ where
         let tree: &StageTree = &self.tree;
         let (opts, role, registry, gate) = (&self.opts, &self.role, &self.registry, &self.gate);
         let metrics = Arc::new(QueryMetrics::new());
-        // Claims prefer splits stored on the claimant's node; in a fleet of
-        // one there is no other node to leave them to, so the order stays
-        // plain FIFO.
-        let here = (role.nodes > 1).then_some(NodeId(role.node));
         let feed = |stage: u32, slot: u32| {
-            let pool = self.pools.get(&stage)?;
-            let feed = SplitFeed::from_source(pool.source.clone(), slot, Some(gate.clone()));
-            Some(match here {
-                Some(node) => feed.at_node(node),
-                None => feed,
-            })
+            let source = self.pools.get(&stage)?.source.clone();
+            Some(SplitFeed::from_source(source, slot, Some(gate.clone())))
         };
 
         // Claim every endpoint up front so wiring errors surface before any

@@ -12,7 +12,7 @@ use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::LogicalPlanBuilder;
 use accordion_storage::catalog::Catalog;
-use accordion_storage::table::{PartitioningScheme, TableBuilder};
+use accordion_storage::table::TableBuilder;
 
 pub fn tree_at(builder: &LogicalPlanBuilder, dop: u32) -> StageTree {
     let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(dop));
@@ -30,7 +30,7 @@ pub fn split_catalog(side: u32, rows_per_split: i64, page_rows: usize) -> Catalo
     for n in 0..i64::from(side * side) * rows_per_split {
         b.push_row(vec![Value::Int64(n % 7), Value::Int64(n % 1000)]);
     }
-    b.register(&c, PartitioningScheme::new(side, side), 0);
+    b.register(&c, side * side);
     c
 }
 

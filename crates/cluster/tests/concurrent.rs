@@ -23,7 +23,7 @@ use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::LogicalPlanBuilder;
 use accordion_storage::catalog::Catalog;
-use accordion_storage::table::{PartitioningScheme, TableBuilder};
+use accordion_storage::table::TableBuilder;
 
 fn i(v: i64) -> Value {
     Value::Int64(v)
@@ -45,7 +45,7 @@ fn catalog() -> Catalog {
             Value::Float64(0.5 * (n % 7) as f64),
         ]);
     }
-    b.register(&c, PartitioningScheme::new(4, 2), 0);
+    b.register(&c, 8);
     c
 }
 

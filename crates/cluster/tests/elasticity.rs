@@ -21,7 +21,7 @@ use accordion_expr::agg::AggKind;
 use accordion_expr::scalar::Expr;
 use accordion_plan::LogicalPlanBuilder;
 use accordion_storage::catalog::Catalog;
-use accordion_storage::table::{PartitioningScheme, TableBuilder};
+use accordion_storage::table::TableBuilder;
 use common::{split_catalog, tree_at, wide_opts, wide_sum};
 
 fn i(v: i64) -> Value {
@@ -48,7 +48,7 @@ fn catalog() -> Catalog {
             Value::Float64(0.5 * (n % 7) as f64),
         ]);
     }
-    b.register(&c, PartitioningScheme::new(4, 2), 0);
+    b.register(&c, 8);
 
     // 2 nodes × 2 splits: the join's build-side scan — the only elastic
     // stage of a broadcast join (the probe reads a child exchange) — needs
@@ -67,7 +67,7 @@ fn catalog() -> Catalog {
     ] {
         b.push_row(vec![s(name), i(bonus)]);
     }
-    b.register(&c, PartitioningScheme::new(2, 2), 0);
+    b.register(&c, 4);
     c
 }
 

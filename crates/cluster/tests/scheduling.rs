@@ -22,7 +22,7 @@ use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::LogicalPlanBuilder;
 use accordion_storage::catalog::Catalog;
-use accordion_storage::table::{PartitioningScheme, TableBuilder};
+use accordion_storage::table::TableBuilder;
 
 fn i(v: i64) -> Value {
     Value::Int64(v)
@@ -48,7 +48,7 @@ fn catalog() -> Catalog {
             Value::Float64(0.5 * (n % 7) as f64),
         ]);
     }
-    b.register(&c, PartitioningScheme::new(4, 2), 0);
+    b.register(&c, 8);
 
     let dim_schema = Schema::shared(vec![
         Field::new("name", DataType::Utf8),
@@ -58,7 +58,7 @@ fn catalog() -> Catalog {
     for (name, bonus) in [("region-0", 10i64), ("region-2", 20), ("region-4", 40)] {
         b.push_row(vec![s(name), i(bonus)]);
     }
-    b.register(&c, PartitioningScheme::new(1, 1), 0);
+    b.register(&c, 1);
     c
 }
 

@@ -1,10 +1,9 @@
 //! Strongly-typed identifiers.
 //!
 //! Stages are numbered as in the paper (0 is the output stage, Fig 4); a
-//! stage's tasks run pipelines; splits live on nodes.
+//! stage's tasks run pipelines; a split is named by its place in its table.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Stage number inside a query (0 is the output/root stage, as in Fig 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -26,42 +25,19 @@ impl fmt::Display for PipelineId {
     }
 }
 
-/// A compute or storage node of the (simulated) cluster.
+/// A node of a fleet. Only the ignored `node` parameter of
+/// `SplitSource::claim` still takes one; a fleet names its nodes by index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
-impl fmt::Display for NodeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "node-{}", self.0)
-    }
-}
-
-/// Identifier of a data split (a chunk of a base table on some node).
+/// Identifier of a data split: its position in its table's split list, the
+/// same in every process that builds the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SplitId(pub u64);
 
 impl fmt::Display for SplitId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "split-{}", self.0)
-    }
-}
-
-/// Simple process-wide monotonic id generator, used wherever a fresh
-/// `SplitId` sequence is needed without threading state.
-#[derive(Debug, Default)]
-pub struct IdGen {
-    next: AtomicU64,
-}
-
-impl IdGen {
-    pub const fn new() -> Self {
-        IdGen {
-            next: AtomicU64::new(0),
-        }
-    }
-
-    pub fn next_u64(&self) -> u64 {
-        self.next.fetch_add(1, Ordering::Relaxed)
     }
 }
 
@@ -85,18 +61,8 @@ mod tests {
     }
 
     #[test]
-    fn id_gen_is_monotonic() {
-        let g = IdGen::new();
-        let a = g.next_u64();
-        let b = g.next_u64();
-        let c = g.next_u64();
-        assert_eq!((b, c), (a + 1, a + 2));
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(StageId(2).to_string(), "S2");
-        assert_eq!(NodeId(1).to_string(), "node-1");
         assert_eq!(PipelineId(2).to_string(), "P2");
         assert_eq!(SplitId(9).to_string(), "split-9");
     }

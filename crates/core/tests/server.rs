@@ -11,7 +11,7 @@ use accordion_data::schema::{Field, Schema};
 use accordion_data::types::{DataType, Value};
 use accordion_exec::ExecOptions;
 use accordion_storage::catalog::Catalog;
-use accordion_storage::table::{PartitioningScheme, TableBuilder};
+use accordion_storage::table::TableBuilder;
 
 /// The sales fixture of the exec golden suite: 8 rows, NULLs in qty,
 /// spread over 2 nodes × 2 splits.
@@ -42,7 +42,7 @@ fn catalog() -> Arc<Catalog> {
             Value::Float64(price),
         ]);
     }
-    b.register(&c, PartitioningScheme::new(2, 2), 0);
+    b.register(&c, 4);
     Arc::new(c)
 }
 
@@ -441,7 +441,7 @@ fn a_large_result_streams_through_the_response_buffer_intact() {
     for n in 0..20_000i64 {
         b.push_row(vec![Value::Int64(n), Value::Utf8(format!("row-{n:08}"))]);
     }
-    b.register(&c, PartitioningScheme::new(1, 1), 0);
+    b.register(&c, 1);
     let exec = ExecOptions {
         worker_threads: 2,
         elasticity: ElasticityConfig::off(),

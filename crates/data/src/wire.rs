@@ -278,11 +278,6 @@ impl<'a> Cursor<'a> {
 pub struct Payload(pub Vec<u8>);
 
 impl Payload {
-    pub fn u8(mut self, v: u8) -> Payload {
-        self.0.push(v);
-        self
-    }
-
     pub fn u32(mut self, v: u32) -> Payload {
         self.0.extend_from_slice(&v.to_le_bytes());
         self

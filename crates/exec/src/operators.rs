@@ -1059,11 +1059,9 @@ mod tests {
         let page = DataPage::new(vec![Column::from_i64(vec![1, 2, 3])]);
         let split = Split {
             id: accordion_common::SplitId(0),
-            node: accordion_common::NodeId(0),
             table: "t".into(),
             pages: Arc::new(vec![page]),
             rows: 3,
-            bytes: 24,
         };
         let out = drain(ScanSource::new(vec![split], vec![0], 0));
         let rows: Vec<i64> = out

@@ -30,12 +30,8 @@
 //! retirement at the same boundary: their next claim returns `None` and the
 //! scan emits `Page::End(EndSignal)`.
 //!
-//! Claiming is **locality-aware**: a claimant that names its node
-//! ([`SplitFeed::at_node`]) is preferentially handed splits whose
-//! [`Split::node`] matches, falling back to stealing the oldest remaining
-//! split once its node-local pool is dry — work-stealing FIFO, so locality
-//! never costs progress. Claimants without a node (the single-process
-//! executor) keep the exact FIFO order.
+//! Every claim takes the front of the queue: splits are handed out in the
+//! order the queue was built with, whichever task or node asks.
 //!
 //! The [`SplitSource`] trait abstracts *where* the pool lives: in-process
 //! tasks claim straight from the shared [`SplitQueue`], while the tasks of
@@ -55,9 +51,9 @@ use accordion_storage::split::Split;
 /// the in-process [`SplitQueue`] and by the distributed worker's proxy to
 /// the coordinator's queue.
 pub trait SplitSource: Send + Sync {
-    /// Claims the next split for task `slot`, preferring splits local to
-    /// `node` when given. Returns `None` when the pool is exhausted or the
-    /// slot was retired. `gate` is yielded for the duration of any wait.
+    /// Claims the next split for task `slot`; `node` is ignored. Returns
+    /// `None` when the pool is exhausted or the slot was retired. `gate` is
+    /// yielded for the duration of any wait.
     fn claim(&self, slot: u32, node: Option<NodeId>, gate: Option<&Semaphore>) -> Option<Split>;
 
     /// True once `slot` was retired (distinguishes the EndSignal scan end
@@ -129,33 +125,13 @@ impl SplitQueue {
     /// is exhausted or the slot was retired. `gate` (the scheduler's
     /// compute-slot semaphore) is yielded for the duration of any wait.
     pub fn claim(&self, slot: u32, gate: Option<&Semaphore>) -> Option<Split> {
-        self.claim_at(slot, None, gate)
-    }
-
-    /// [`claim`](Self::claim) with a locality preference: when `node` is
-    /// given, the oldest split whose [`Split::node`] matches is handed out
-    /// first; once the claimant's node-local pool is dry it steals the
-    /// oldest remaining split instead. With `node == None` this is exactly
-    /// FIFO.
-    pub fn claim_at(
-        &self,
-        slot: u32,
-        node: Option<NodeId>,
-        gate: Option<&Semaphore>,
-    ) -> Option<Split> {
         loop {
             let mut st = self.state.lock();
-            if st.retired.contains(&slot) {
-                return None;
-            }
-            if st.splits.is_empty() {
+            if st.retired.contains(&slot) || st.splits.is_empty() {
                 return None;
             }
             if !st.paused() {
-                let pick = node
-                    .and_then(|n| st.splits.iter().position(|s| s.node == n))
-                    .unwrap_or(0);
-                let split = st.splits.remove(pick).expect("non-empty checked above");
+                let split = st.splits.pop_front().expect("non-empty checked above");
                 st.claimed += 1;
                 st.remaining_rows = st.remaining_rows.saturating_sub(split.rows);
                 // This claim brought the stage to its decision boundary, or
@@ -261,8 +237,8 @@ impl SplitQueue {
 }
 
 impl SplitSource for SplitQueue {
-    fn claim(&self, slot: u32, node: Option<NodeId>, gate: Option<&Semaphore>) -> Option<Split> {
-        self.claim_at(slot, node, gate)
+    fn claim(&self, slot: u32, _node: Option<NodeId>, gate: Option<&Semaphore>) -> Option<Split> {
+        SplitQueue::claim(self, slot, gate)
     }
 
     fn is_retired(&self, slot: u32) -> bool {
@@ -270,15 +246,12 @@ impl SplitSource for SplitQueue {
     }
 }
 
-/// One task's handle on its stage's split pool, optionally pinned to a
-/// node for locality-preferring claims.
+/// One task's handle on its stage's split pool.
 #[derive(Clone)]
 pub struct SplitFeed {
     source: Arc<dyn SplitSource>,
     /// This task's slot id (stable across the query; never reused).
     slot: u32,
-    /// Claim splits local to this node first, stealing when none remain.
-    node: Option<NodeId>,
     /// Compute-slot semaphore to yield while blocked at a pause boundary.
     gate: Option<Arc<Semaphore>>,
 }
@@ -287,7 +260,6 @@ impl std::fmt::Debug for SplitFeed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SplitFeed")
             .field("slot", &self.slot)
-            .field("node", &self.node)
             .finish()
     }
 }
@@ -304,23 +276,11 @@ impl SplitFeed {
         slot: u32,
         gate: Option<Arc<Semaphore>>,
     ) -> Self {
-        SplitFeed {
-            source,
-            slot,
-            node: None,
-            gate,
-        }
-    }
-
-    /// Pins the feed to a node: claims prefer splits local to it.
-    pub fn at_node(mut self, node: NodeId) -> Self {
-        self.node = Some(node);
-        self
+        SplitFeed { source, slot, gate }
     }
 
     pub fn claim(&self) -> Option<Split> {
-        self.source
-            .claim(self.slot, self.node, self.gate.as_deref())
+        self.source.claim(self.slot, None, self.gate.as_deref())
     }
 
     pub fn retired(&self) -> bool {
@@ -332,22 +292,18 @@ impl SplitFeed {
 mod tests {
     use super::*;
     use crate::operators::{PageStream, ScanSource};
-    use accordion_common::{NodeId, SplitId};
+    use accordion_common::SplitId;
     use accordion_data::column::Column;
     use accordion_data::page::{DataPage, EndReason, Page};
     use std::time::Duration;
 
     fn split(id: u64, vals: Vec<i64>) -> Split {
         let page = DataPage::new(vec![Column::from_i64(vals)]);
-        let rows = page.row_count() as u64;
-        let bytes = page.byte_size() as u64;
         Split {
             id: SplitId(id),
-            node: NodeId(0),
             table: "t".into(),
+            rows: page.row_count() as u64,
             pages: Arc::new(vec![page]),
-            rows,
-            bytes,
         }
     }
 
@@ -371,54 +327,25 @@ mod tests {
         assert!(q.claim(1, None).is_none(), "exhausted for every slot");
     }
 
-    /// `split` with an explicit home node.
-    fn split_on(id: u64, node: u32, vals: Vec<i64>) -> Split {
-        let mut s = split(id, vals);
-        s.node = NodeId(node);
-        s
-    }
-
-    #[test]
-    fn node_local_splits_are_claimed_first() {
-        let q = SplitQueue::new(vec![
-            split_on(0, 0, vec![1]),
-            split_on(1, 1, vec![2]),
-            split_on(2, 0, vec![3]),
-            split_on(3, 1, vec![4]),
-        ]);
-        // A node-1 claimant drains its local splits (FIFO among them)...
-        assert_eq!(q.claim_at(0, Some(NodeId(1)), None).unwrap().id.0, 1);
-        assert_eq!(q.claim_at(0, Some(NodeId(1)), None).unwrap().id.0, 3);
-        // ...then steals the oldest remaining split rather than starving.
-        assert_eq!(q.claim_at(0, Some(NodeId(1)), None).unwrap().id.0, 0);
-        assert_eq!(q.claim_at(0, Some(NodeId(1)), None).unwrap().id.0, 2);
-        assert!(q.claim_at(0, Some(NodeId(1)), None).is_none());
-        assert_eq!(q.claimed(), 4);
-        assert_eq!(q.remaining_rows(), 0);
-    }
-
     #[test]
     fn claim_without_node_stays_exact_fifo() {
-        let q = SplitQueue::new(vec![
-            split_on(0, 2, vec![1]),
-            split_on(1, 0, vec![2]),
-            split_on(2, 1, vec![3]),
-        ]);
-        for expect in 0..3 {
-            assert_eq!(q.claim(0, None).unwrap().id.0, expect);
-        }
-    }
-
-    #[test]
-    fn feed_pinned_to_node_prefers_local_splits() {
+        // Built out of id order: claims follow the queue's order, not the
+        // ids, across slots, through the trait (whose `node` is ignored)
+        // and through a feed.
         let q = Arc::new(SplitQueue::new(vec![
-            split_on(0, 0, vec![1]),
-            split_on(1, 1, vec![2]),
+            split(2, vec![1]),
+            split(0, vec![2]),
+            split(3, vec![3]),
+            split(1, vec![4]),
         ]));
-        let feed = SplitFeed::new(q.clone(), 0, None).at_node(NodeId(1));
-        assert_eq!(feed.claim().unwrap().id.0, 1, "local split first");
-        assert_eq!(feed.claim().unwrap().id.0, 0, "then steals");
+        assert_eq!(q.claim(0, None).unwrap().id.0, 2);
+        assert_eq!(q.claim(5, None).unwrap().id.0, 0);
+        let source: &dyn SplitSource = &*q;
+        assert_eq!(source.claim(1, Some(NodeId(1)), None).unwrap().id.0, 3);
+        let feed = SplitFeed::new(q.clone(), 3, None);
+        assert_eq!(feed.claim().unwrap().id.0, 1);
         assert!(feed.claim().is_none());
+        assert_eq!((q.claimed(), q.remaining_rows()), (4, 0));
     }
 
     #[test]

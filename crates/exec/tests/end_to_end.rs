@@ -26,7 +26,7 @@ use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::pipeline::{split_pipelines, OperatorSpec, PipelineSpec};
 use accordion_plan::LogicalPlanBuilder;
 use accordion_storage::catalog::Catalog;
-use accordion_storage::table::{PartitioningScheme, TableBuilder};
+use accordion_storage::table::TableBuilder;
 
 fn i(v: i64) -> Value {
     Value::Int64(v)
@@ -69,28 +69,24 @@ fn catalog() -> Catalog {
     for row in sales_rows() {
         b.push_row(row);
     }
-    b.register(&c, PartitioningScheme::new(2, 2), 0);
+    b.register(&c, 4);
     // Single-split copy preserving row order.
     let mut b = TableBuilder::new("sales1", std::sync::Arc::new(sales_schema()), 1024);
     for row in sales_rows() {
         b.push_row(row);
     }
-    b.register(&c, PartitioningScheme::new(1, 1), 0);
+    b.register(&c, 1);
     // Empty and all-null tables for the edge-case shapes.
     let empty_schema = Schema::shared(vec![
         Field::new("k", DataType::Int64),
         Field::new("v", DataType::Float64),
     ]);
-    TableBuilder::new("empty", empty_schema.clone(), 8).register(
-        &c,
-        PartitioningScheme::new(2, 1),
-        0,
-    );
+    TableBuilder::new("empty", empty_schema.clone(), 8).register(&c, 2);
     let mut b = TableBuilder::new("nulls", empty_schema, 2);
     for _ in 0..5 {
         b.push_row(vec![Value::Int64(1), Value::Null]);
     }
-    b.register(&c, PartitioningScheme::new(2, 1), 0);
+    b.register(&c, 2);
     c
 }
 
@@ -364,7 +360,7 @@ fn golden_join() {
     for (name, t) in [("apple", 1i64), ("banana", 2), ("durian", 9)] {
         b.push_row(vec![s(name), i(t)]);
     }
-    b.register(&c, PartitioningScheme::new(1, 1), 0);
+    b.register(&c, 1);
 
     let sales = LogicalPlanBuilder::scan(&c, "sales1").unwrap();
     let tariffs = LogicalPlanBuilder::scan(&c, "tariffs").unwrap();

@@ -42,7 +42,7 @@ use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::pipeline::{split_pipelines, OperatorSpec, PipelineSpec};
 use accordion_plan::LogicalPlanBuilder;
 use accordion_storage::catalog::Catalog;
-use accordion_storage::table::{PartitioningScheme, TableBuilder};
+use accordion_storage::table::TableBuilder;
 
 // ---------------------------------------------------------------------------
 // Deterministic generator
@@ -552,7 +552,7 @@ fn avg_through_the_planner_matches_the_row_at_a_time_reference() {
         table.push_row(row.clone());
     }
     let catalog = Catalog::new();
-    table.register(&catalog, PartitioningScheme::new(2, 3), 0);
+    table.register(&catalog, 6);
 
     // Reference: per group, the AVG state fed in table order.
     let avg = AggSpec::new(AggKind::Avg, Expr::col(0), DataType::Float64, "a");
@@ -776,7 +776,7 @@ fn a_final_under_a_covering_sort_returns_its_key_ordered_twin_row_for_row() {
         for row in page.rows() {
             table.push_row(row);
         }
-        table.register(&catalog, PartitioningScheme::new(2, 2), 0);
+        table.register(&catalog, 4);
 
         let keys: Vec<String> = (0..n_keys).map(|i| format!("k{i}")).collect();
         let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
@@ -1413,7 +1413,7 @@ fn sinks_behind_a_filter_receive_dense_pages() {
             table.push_row(row);
         }
     }
-    table.register(&catalog, PartitioningScheme::new(2, 2), 0);
+    table.register(&catalog, 4);
     let mut dates = TableBuilder::new(
         "dates",
         Schema::shared(vec![Field::new("d", DataType::Date32)]),
@@ -1422,7 +1422,7 @@ fn sinks_behind_a_filter_receive_dense_pages() {
     for d in 0..5 {
         dates.push_row(vec![Value::Date32(d)]);
     }
-    dates.register(&catalog, PartitioningScheme::new(1, 1), 0);
+    dates.register(&catalog, 1);
 
     let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(2));
     let sorted = |mut rows: Vec<Vec<Value>>| {

@@ -15,7 +15,7 @@ use accordion_expr::scalar::Expr;
 use accordion_plan::fragment::StageTree;
 use accordion_plan::physical::{Partitioning, PhysicalNode};
 use accordion_storage::catalog::Catalog;
-use accordion_storage::table::{PartitioningScheme, TableBuilder};
+use accordion_storage::table::TableBuilder;
 
 fn catalog() -> Catalog {
     let c = Catalog::new();
@@ -27,7 +27,7 @@ fn catalog() -> Catalog {
     for n in 0..30i64 {
         b.push_row(vec![Value::Int64(n % 6), Value::Int64(n)]);
     }
-    b.register(&c, PartitioningScheme::new(2, 2), 0);
+    b.register(&c, 4);
     c
 }
 

@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use accordion_common::{NodeId, SplitId};
+use accordion_common::SplitId;
 use accordion_data::column::Column;
 use accordion_data::page::DataPage;
 use accordion_exec::SplitQueue;
@@ -41,15 +41,11 @@ impl Rng {
 
 fn split(id: u64) -> Split {
     let page = DataPage::new(vec![Column::from_i64(vec![id as i64])]);
-    let rows = page.row_count() as u64;
-    let bytes = page.byte_size() as u64;
     Split {
         id: SplitId(id),
-        node: NodeId(0),
         table: "race".into(),
+        rows: page.row_count() as u64,
         pages: Arc::new(vec![page]),
-        rows,
-        bytes,
     }
 }
 

@@ -37,8 +37,8 @@
 //! | 10   | GO      | query `u64` (ACK)                              | coordinator → worker |
 //! | 11   | JOIN    | query `u64` (DONE)                             | coordinator → worker |
 //! | 12   | DONE    | elapsed ms `u64`                               | worker → coordinator |
-//! | 13   | CLAIM   | query `u64`, stage `u32`, slot `u32`, has-node `u8` [node `u32`] (SPLIT, NONE or RETIRED) | worker → claims |
-//! | 14   | SPLIT   | ordinal `u64`                                  | claims → worker      |
+//! | 13   | CLAIM   | query `u64`, stage `u32`, slot `u32` (SPLIT, NONE or RETIRED) | worker → claims |
+//! | 14   | SPLIT   | split id `u64` (its position in its table)     | claims → worker      |
 //! | 15   | NONE    | (empty)                                        | claims → worker      |
 //! | 16   | RETIRED | (empty)                                        | claims → worker      |
 //!

@@ -1,6 +1,6 @@
 //! Fluent logical plan builder with name-based column resolution.
 //!
-//! Used directly by the TPC-H query definitions and by the SQL analyzer.
+//! Used by tests and `examples/quickstart.rs` to build plans without SQL.
 //! Column references can be given by name (`col("l_orderkey")`); the builder
 //! resolves them against the current output schema.
 
@@ -184,7 +184,7 @@ mod tests {
     use accordion_data::schema::Field;
     use accordion_data::types::Value;
     use accordion_storage::catalog::Catalog as StorageCatalog;
-    use accordion_storage::table::{PartitioningScheme, TableBuilder};
+    use accordion_storage::table::TableBuilder;
 
     fn catalog() -> StorageCatalog {
         let c = StorageCatalog::new();
@@ -201,7 +201,7 @@ mod tests {
                 Value::Float64(i as f64),
             ]);
         }
-        b.register(&c, PartitioningScheme::new(1, 1), 0);
+        b.register(&c, 1);
 
         let schema = Schema::shared(vec![
             Field::new("item_id", DataType::Int64),
@@ -211,7 +211,7 @@ mod tests {
         for i in 0..10 {
             b.push_row(vec![Value::Int64(i % 5), Value::Int64(i)]);
         }
-        b.register(&c, PartitioningScheme::new(1, 1), 0);
+        b.register(&c, 1);
         c
     }
 

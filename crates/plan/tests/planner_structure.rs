@@ -18,7 +18,7 @@ use accordion_plan::pipeline::{split_pipelines, OperatorSpec};
 use accordion_plan::LogicalPlanBuilder;
 use accordion_sql::plan_select;
 use accordion_storage::catalog::Catalog;
-use accordion_storage::table::{PartitioningScheme, TableBuilder};
+use accordion_storage::table::TableBuilder;
 
 fn catalog() -> Catalog {
     let c = Catalog::new();
@@ -30,7 +30,7 @@ fn catalog() -> Catalog {
     for i in 0..20 {
         b.push_row(vec![Value::Utf8(format!("g{}", i % 4)), Value::Int64(i)]);
     }
-    b.register(&c, PartitioningScheme::new(2, 2), 0);
+    b.register(&c, 4);
     c
 }
 
@@ -203,7 +203,7 @@ fn broadcast_probe_stage_is_not_elastic_eligible() {
     ]);
     let mut b = TableBuilder::new("dim2", schema, 8);
     b.push_row(vec![Value::Utf8("g0".into()), Value::Int64(1)]);
-    b.register(&c, PartitioningScheme::new(2, 1), 0);
+    b.register(&c, 2);
 
     let fact = LogicalPlanBuilder::scan(&c, "t").unwrap();
     let dim = LogicalPlanBuilder::scan(&c, "dim2").unwrap();
@@ -255,7 +255,7 @@ fn join_build_side_becomes_child_stage_and_pipeline() {
     ]);
     let mut b = TableBuilder::new("dim", schema, 8);
     b.push_row(vec![Value::Utf8("g0".into()), Value::Int64(1)]);
-    b.register(&c, PartitioningScheme::new(2, 1), 0);
+    b.register(&c, 2);
 
     let fact = LogicalPlanBuilder::scan(&c, "t").unwrap();
     let dim = LogicalPlanBuilder::scan(&c, "dim").unwrap();

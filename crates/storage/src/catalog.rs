@@ -1,8 +1,8 @@
 //! Table catalog.
 //!
-//! The catalog is shared by the SQL analyzer (name → schema resolution),
-//! the planner (statistics for broadcast-vs-partitioned join decisions) and
-//! the scheduler (split enumeration for scan stages).
+//! The catalog is shared by the SQL analyzer and the planner, which read
+//! only table schemas (through `accordion_plan::Catalog`), and by the
+//! scheduler, which enumerates a scanning stage's splits.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -24,10 +24,6 @@ pub struct TableMeta {
 impl TableMeta {
     pub fn row_count(&self) -> u64 {
         self.splits.total_rows()
-    }
-
-    pub fn byte_size(&self) -> u64 {
-        self.splits.total_bytes()
     }
 }
 

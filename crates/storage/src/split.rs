@@ -1,33 +1,29 @@
 //! The split model.
 //!
 //! A [`Split`] is the unit of table-scan work distribution: a contiguous
-//! chunk of one base table, resident on a storage node. The coordinator
-//! hands splits to scan tasks ("system splits", paper Fig 5); a scan task
-//! opens the split and streams its pages.
+//! chunk of one base table. The coordinator hands splits to scan tasks
+//! ("system splits", paper Fig 5); a scan task opens the split and streams
+//! its pages.
 //!
-//! Splits know their byte and row sizes up front — the runtime progress
-//! monitor sums outstanding split volume to get `V_remain` for the
-//! remaining-time predictor (paper §5.2).
+//! A split's id is its position in its table's [`SplitSet`], the same in
+//! every process that builds the table. Its row count is known up front:
+//! the what-if predictor's `V_remain` (paper §5.2) starts from the sum.
 
 use std::sync::Arc;
 
-use accordion_common::{AccordionError, NodeId, Result, SplitId};
+use accordion_common::{AccordionError, Result, SplitId};
 use accordion_data::page::DataPage;
 
 /// One chunk of a base table.
 #[derive(Debug, Clone)]
 pub struct Split {
+    /// The split's position in its table's [`SplitSet`].
     pub id: SplitId,
-    /// Storage node holding the data (claims prefer splits stored on the
-    /// claimant's node).
-    pub node: NodeId,
     pub table: String,
-    /// The split's pages, resident in memory on the storage node.
+    /// The split's pages, held in memory.
     pub pages: Arc<Vec<DataPage>>,
     /// Total rows in this split.
     pub rows: u64,
-    /// Approximate bytes in this split.
-    pub bytes: u64,
 }
 
 impl Split {
@@ -79,7 +75,8 @@ impl SplitPages {
     }
 }
 
-/// An ordered collection of splits for one table, with totals.
+/// An ordered collection of splits for one table, with totals. Split `i`
+/// has id `SplitId(i)`.
 #[derive(Debug, Clone, Default)]
 pub struct SplitSet {
     splits: Vec<Split>,
@@ -106,18 +103,11 @@ impl SplitSet {
         self.splits.iter().map(|s| s.rows).sum()
     }
 
-    pub fn total_bytes(&self) -> u64 {
-        self.splits.iter().map(|s| s.bytes).sum()
-    }
-
-    pub fn push(&mut self, split: Split) {
-        self.splits.push(split);
-    }
-
+    /// The split with id `id`, which is its position in this set.
     pub fn get(&self, id: SplitId) -> Result<&Split> {
         self.splits
-            .iter()
-            .find(|s| s.id == id)
+            .get(id.0 as usize)
+            .filter(|s| s.id == id)
             .ok_or_else(|| AccordionError::Storage(format!("unknown split {id}")))
     }
 }
@@ -125,19 +115,16 @@ impl SplitSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accordion_common::{NodeId, SplitId};
+    use accordion_common::SplitId;
     use accordion_data::column::Column;
 
     fn mem_split(id: u64, pages: Vec<DataPage>) -> Split {
         let rows = pages.iter().map(|p| p.row_count() as u64).sum();
-        let bytes = pages.iter().map(|p| p.byte_size() as u64).sum();
         Split {
             id: SplitId(id),
-            node: NodeId(0),
             table: "t".into(),
             pages: Arc::new(pages),
             rows,
-            bytes,
         }
     }
 
@@ -196,13 +183,13 @@ mod tests {
 
     #[test]
     fn split_set_totals_and_lookup() {
-        let mut set = SplitSet::default();
-        set.push(mem_split(1, vec![page(vec![1, 2])]));
-        set.push(mem_split(2, vec![page(vec![3])]));
+        let set = SplitSet::new(vec![
+            mem_split(0, vec![page(vec![1, 2])]),
+            mem_split(1, vec![page(vec![3])]),
+        ]);
         assert_eq!(set.len(), 2);
         assert_eq!(set.total_rows(), 3);
-        assert!(set.total_bytes() > 0);
-        assert!(set.get(SplitId(2)).is_ok());
-        assert!(set.get(SplitId(9)).is_err());
+        assert_eq!(set.get(SplitId(1)).unwrap().rows, 1);
+        assert!(set.get(SplitId(2)).is_err());
     }
 }

@@ -1,14 +1,13 @@
 //! Table construction helpers.
 //!
 //! [`TableBuilder`] accumulates rows, chunks them into pages, partitions the
-//! pages into splits laid out across storage nodes (reproducing the paper's
-//! Table 1 schemes, e.g. "10 nodes, 7 splits/node" for lineitem) and
-//! registers the result in a [`Catalog`].
+//! pages into a fixed number of splits (the paper's Table 1 gives each
+//! table its split count, e.g. 70 for lineitem) and registers the result
+//! in a [`Catalog`].
 
 use std::sync::Arc;
 
-use accordion_common::id::IdGen;
-use accordion_common::{NodeId, SplitId};
+use accordion_common::SplitId;
 use accordion_data::page::{DataPage, PageBuilder};
 use accordion_data::schema::SchemaRef;
 use accordion_data::types::Value;
@@ -16,42 +15,13 @@ use accordion_data::types::Value;
 use crate::catalog::{Catalog, TableMeta};
 use crate::split::{Split, SplitSet};
 
-/// Process-wide split id allocator (splits must be unique across tables).
-static SPLIT_IDS: IdGen = IdGen::new();
-
-/// Describes how a table is spread over storage nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitioningScheme {
-    /// Number of storage nodes holding the table.
-    pub nodes: u32,
-    /// Splits per node.
-    pub splits_per_node: u32,
-}
-
-impl PartitioningScheme {
-    pub fn new(nodes: u32, splits_per_node: u32) -> Self {
-        assert!(nodes > 0 && splits_per_node > 0);
-        PartitioningScheme {
-            nodes,
-            splits_per_node,
-        }
-    }
-
-    pub fn total_splits(&self) -> u32 {
-        self.nodes * self.splits_per_node
-    }
-}
-
-/// Chunks `pages` into `scheme.total_splits()` splits, assigning them
-/// round-robin to nodes `0..scheme.nodes` (offset by `first_node`).
-pub fn partition_rows(
-    table: &str,
-    pages: Vec<DataPage>,
-    scheme: PartitioningScheme,
-    first_node: u32,
-) -> SplitSet {
+/// Chunks `pages` into `splits` splits of about equal row counts. Split
+/// `i` gets id `SplitId(i)`, so the same table built twice, in one process
+/// or in two, names its splits the same way.
+pub fn partition_rows(table: &str, pages: Vec<DataPage>, splits: u32) -> SplitSet {
+    assert!(splits > 0, "a table needs at least one split");
     let total_rows: usize = pages.iter().map(|p| p.row_count()).sum();
-    let total_splits = scheme.total_splits() as usize;
+    let total_splits = splits as usize;
     let rows_per_split = total_rows.div_ceil(total_splits).max(1);
 
     // Flatten into per-split page groups of ~rows_per_split rows.
@@ -73,23 +43,13 @@ pub fn partition_rows(
         }
     }
 
-    let mut set = SplitSet::default();
-    for (i, group) in groups.into_iter().enumerate() {
-        let rows: u64 = group.iter().map(|p| p.row_count() as u64).sum();
-        let bytes: u64 = group.iter().map(|p| p.byte_size() as u64).sum();
-        // Node assignment: split i lives on node (i % nodes); this spreads
-        // each table evenly, like the paper's "1 split/node" schemes.
-        let node = NodeId(first_node + (i as u32 % scheme.nodes));
-        set.push(Split {
-            id: SplitId(SPLIT_IDS.next_u64()),
-            node,
-            table: table.to_string(),
-            pages: Arc::new(group),
-            rows,
-            bytes,
-        });
-    }
-    set
+    let splits = groups.into_iter().enumerate().map(|(i, group)| Split {
+        id: SplitId(i as u64),
+        table: table.to_string(),
+        rows: group.iter().map(|p| p.row_count() as u64).sum(),
+        pages: Arc::new(group),
+    });
+    SplitSet::new(splits.collect())
 }
 
 /// Row-at-a-time table builder.
@@ -122,17 +82,13 @@ impl TableBuilder {
         self.pages.iter().map(|p| p.row_count()).sum::<usize>() + self.builder.row_count()
     }
 
-    /// Finishes the table, partitions it and registers it in `catalog`.
-    pub fn register(
-        mut self,
-        catalog: &Catalog,
-        scheme: PartitioningScheme,
-        first_node: u32,
-    ) -> Arc<TableMeta> {
+    /// Finishes the table, partitions it into `splits` splits and
+    /// registers it in `catalog`.
+    pub fn register(mut self, catalog: &Catalog, splits: u32) -> Arc<TableMeta> {
         if !self.builder.is_empty() {
             self.pages.push(self.builder.finish());
         }
-        let splits = partition_rows(&self.name, self.pages, scheme, first_node);
+        let splits = partition_rows(&self.name, self.pages, splits);
         let meta = TableMeta {
             name: self.name.clone(),
             schema: self.schema,
@@ -164,34 +120,23 @@ mod tests {
 
     #[test]
     fn partitioning_preserves_all_rows() {
-        let scheme = PartitioningScheme::new(3, 2);
-        let set = partition_rows("t", pages(5, 100), scheme, 0);
+        let set = partition_rows("t", pages(5, 100), 6);
         assert_eq!(set.len(), 6);
         assert_eq!(set.total_rows(), 500);
-        // Every node got two splits.
-        for node in 0..3 {
-            let on_node = set.splits().iter().filter(|s| s.node == NodeId(node));
-            assert_eq!(on_node.count(), 2);
+        // A split's id is its position.
+        for (i, split) in set.splits().iter().enumerate() {
+            assert_eq!(split.id, SplitId(i as u64));
         }
     }
 
     #[test]
     fn partitioning_balances_rows() {
-        let scheme = PartitioningScheme::new(2, 2);
-        let set = partition_rows("t", pages(4, 50), scheme, 0);
+        let set = partition_rows("t", pages(4, 50), 4);
         let sizes: Vec<u64> = set.splits().iter().map(|s| s.rows).collect();
         assert_eq!(sizes.iter().sum::<u64>(), 200);
         for s in &sizes {
             assert!(*s >= 40 && *s <= 60, "unbalanced split: {s} rows");
         }
-    }
-
-    #[test]
-    fn first_node_offsets_assignment() {
-        let scheme = PartitioningScheme::new(2, 1);
-        let set = partition_rows("t", pages(2, 10), scheme, 5);
-        let nodes: Vec<u32> = set.splits().iter().map(|s| s.node.0).collect();
-        assert!(nodes.iter().all(|&n| n == 5 || n == 6));
     }
 
     #[test]
@@ -203,7 +148,7 @@ mod tests {
             b.push_row(vec![Value::Int64(i)]);
         }
         assert_eq!(b.row_count(), 10);
-        let meta = b.register(&catalog, PartitioningScheme::new(1, 2), 0);
+        let meta = b.register(&catalog, 2);
         assert_eq!(meta.row_count(), 10);
         assert_eq!(meta.splits.len(), 2);
         assert!(catalog.contains("nums"));
@@ -224,12 +169,7 @@ mod tests {
         let catalog = Catalog::new();
         let schema = Schema::shared(vec![Field::new("x", DataType::Int64)]);
         let b = TableBuilder::new("empty", schema, 4);
-        let meta = b.register(&catalog, PartitioningScheme::new(2, 1), 0);
+        let meta = b.register(&catalog, 2);
         assert_eq!(meta.row_count(), 0);
-    }
-
-    #[test]
-    fn scheme_total() {
-        assert_eq!(PartitioningScheme::new(10, 7).total_splits(), 70);
     }
 }

@@ -9,16 +9,16 @@
 //! results across machines.
 //!
 //! Row counts follow the TPC-H scaling rules (`SF=1`: 150 k customers,
-//! 1.5 M orders, 1–7 lineitems per order, …); the physical layout follows
-//! the paper's Table 1 shape scaled to a 4-node simulated cluster, with
-//! the big fact tables spread over more splits per node so elastic scans
-//! have plenty of between-splits decision boundaries.
+//! 1.5 M orders, 1–7 lineitems per order, …); the split counts follow the
+//! paper's Table 1 shape at a smaller scale, with the big fact tables in
+//! the most splits (orders 16, lineitem 28) so elastic scans have plenty
+//! of between-splits decision boundaries.
 
 use accordion_common::fnv1a;
 use accordion_data::schema::{Field, Schema};
 use accordion_data::types::{date32_from_ymd, Value};
 use accordion_storage::catalog::Catalog;
-use accordion_storage::table::{PartitioningScheme, TableBuilder};
+use accordion_storage::table::TableBuilder;
 
 /// xorshift64* — the same generator the engine's property tests use; no
 /// external RNG dependency, identical streams on every platform.
@@ -142,8 +142,8 @@ impl Gen {
         self.builder.push_row(row);
     }
 
-    fn register(self, catalog: &Catalog, scheme: PartitioningScheme, out: &mut Vec<TableSummary>) {
-        self.builder.register(catalog, scheme, 0);
+    fn register(self, catalog: &Catalog, splits: u32, out: &mut Vec<TableSummary>) {
+        self.builder.register(catalog, splits);
         out.push(TableSummary {
             name: self.name,
             rows: self.rows,
@@ -226,14 +226,14 @@ pub fn generate(opts: &TpchOptions) -> TpchData {
     for (k, name) in REGIONS.iter().enumerate() {
         g.push(vec![i(k as i64), s(*name)]);
     }
-    g.register(&catalog, PartitioningScheme::new(1, 1), &mut tables);
+    g.register(&catalog, 1, &mut tables);
 
     // nation: 25 rows, fixed.
     let mut g = Gen::new("nation", crate::schemas::nation(), opts);
     for (k, (name, region)) in NATIONS.iter().enumerate() {
         g.push(vec![i(k as i64), s(*name), i(*region)]);
     }
-    g.register(&catalog, PartitioningScheme::new(1, 1), &mut tables);
+    g.register(&catalog, 1, &mut tables);
 
     // supplier: 10 000 × SF.
     let n_supplier = opts.scaled(10_000) as i64;
@@ -243,7 +243,7 @@ pub fn generate(opts: &TpchOptions) -> TpchData {
         let bal = cents(g.rng.range(0, 1_099_965) as f64 / 100.0 - 999.99);
         g.push(vec![i(k), s(format!("Supplier#{k:09}")), i(nation), f(bal)]);
     }
-    g.register(&catalog, PartitioningScheme::new(4, 1), &mut tables);
+    g.register(&catalog, 4, &mut tables);
 
     // part: 200 000 × SF.
     let n_part = opts.scaled(200_000) as i64;
@@ -259,7 +259,7 @@ pub fn generate(opts: &TpchOptions) -> TpchData {
             f(retail_price(k)),
         ]);
     }
-    g.register(&catalog, PartitioningScheme::new(4, 2), &mut tables);
+    g.register(&catalog, 8, &mut tables);
 
     // customer: 150 000 × SF.
     let n_customer = opts.scaled(150_000) as i64;
@@ -276,7 +276,7 @@ pub fn generate(opts: &TpchOptions) -> TpchData {
             f(bal),
         ]);
     }
-    g.register(&catalog, PartitioningScheme::new(4, 2), &mut tables);
+    g.register(&catalog, 8, &mut tables);
 
     // orders + lineitem: 1 500 000 × SF orders, 1–7 lineitems each. Both
     // derive from the *orders* substream so lineitem keys always join.
@@ -322,8 +322,8 @@ pub fn generate(opts: &TpchOptions) -> TpchData {
             Value::Date32(orderdate as i32),
         ]);
     }
-    go.register(&catalog, PartitioningScheme::new(4, 4), &mut tables);
-    gl.register(&catalog, PartitioningScheme::new(4, 7), &mut tables);
+    go.register(&catalog, 16, &mut tables);
+    gl.register(&catalog, 28, &mut tables);
 
     TpchData { catalog, tables }
 }
@@ -380,6 +380,22 @@ mod tests {
                 d.summary(name).unwrap().checksum,
                 "{name} did not vary with the seed"
             );
+        }
+    }
+
+    #[test]
+    fn split_ids_are_positions_in_every_generation() {
+        // Every process generates its own catalog and a claim reply names a
+        // split by id, so ids must not depend on what was generated before.
+        for _ in 0..2 {
+            let d = generate(&TpchOptions {
+                scale_factor: 0.001,
+                seed: 42,
+                page_rows: 64,
+            });
+            let lineitem = d.catalog.get("lineitem").unwrap();
+            let ids: Vec<u64> = lineitem.splits.splits().iter().map(|s| s.id.0).collect();
+            assert_eq!(ids, (0..28).collect::<Vec<u64>>());
         }
     }
 

@@ -18,7 +18,7 @@ use accordion::plan::fragment::StageTree;
 use accordion::plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion::plan::pipeline::split_pipelines;
 use accordion::plan::LogicalPlanBuilder;
-use accordion::storage::table::{PartitioningScheme, TableBuilder};
+use accordion::storage::table::TableBuilder;
 use accordion::storage::Catalog;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Value::Float64(1.5 * (i % 5) as f64),
         ]);
     }
-    b.register(&catalog, PartitioningScheme::new(2, 2), 0);
+    b.register(&catalog, 4);
 
     // SELECT region, sum(qty), avg(price) FROM sales
     // WHERE qty > 1 GROUP BY region ORDER BY sum(qty) DESC LIMIT 10

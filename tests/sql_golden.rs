@@ -13,7 +13,7 @@ use accordion::plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion::plan::LogicalPlanBuilder;
 use accordion::sql::plan_select;
 use accordion::storage::catalog::Catalog;
-use accordion::storage::table::{PartitioningScheme, TableBuilder};
+use accordion::storage::table::TableBuilder;
 
 fn i(v: i64) -> Value {
     Value::Int64(v)
@@ -55,26 +55,22 @@ fn catalog() -> Catalog {
     for row in sales_rows() {
         b.push_row(row);
     }
-    b.register(&c, PartitioningScheme::new(2, 2), 0);
+    b.register(&c, 4);
     let mut b = TableBuilder::new("sales1", std::sync::Arc::new(sales_schema()), 1024);
     for row in sales_rows() {
         b.push_row(row);
     }
-    b.register(&c, PartitioningScheme::new(1, 1), 0);
+    b.register(&c, 1);
     let empty_schema = Schema::shared(vec![
         Field::new("k", DataType::Int64),
         Field::new("v", DataType::Float64),
     ]);
-    TableBuilder::new("empty", empty_schema.clone(), 8).register(
-        &c,
-        PartitioningScheme::new(2, 1),
-        0,
-    );
+    TableBuilder::new("empty", empty_schema.clone(), 8).register(&c, 2);
     let mut b = TableBuilder::new("nulls", empty_schema, 2);
     for _ in 0..5 {
         b.push_row(vec![Value::Int64(1), Value::Null]);
     }
-    b.register(&c, PartitioningScheme::new(2, 1), 0);
+    b.register(&c, 2);
     let mut b = TableBuilder::new(
         "tariffs",
         Schema::shared(vec![
@@ -86,7 +82,7 @@ fn catalog() -> Catalog {
     for (name, t) in [("apple", 1i64), ("banana", 2), ("durian", 9)] {
         b.push_row(vec![s(name), i(t)]);
     }
-    b.register(&c, PartitioningScheme::new(1, 1), 0);
+    b.register(&c, 1);
     c
 }
 
@@ -551,7 +547,7 @@ fn sql_float_comparisons_are_ieee_with_and_without_nulls_in_the_page() {
         if with_null {
             b.push_row(vec![i(9), Value::Null]);
         }
-        b.register(&c, PartitioningScheme::new(1, 1), 0);
+        b.register(&c, 1);
     }
     for (predicate, want) in [
         ("x = 0.0", vec![i(1), i(2)]),     // -0.0 = 0.0
