@@ -15,6 +15,16 @@
 //! keys whose hashes differ anywhere in the high half never touch the
 //! arena. The full hashes live in a per-group side vector, in id order:
 //! growing walks it to re-place every group, and never re-hashes a key.
+//! A table past the cache costs one random slot miss per probed key, and a
+//! loop that probes key after key takes those misses one at a time. So
+//! the three loops that probe a whole page of hashes — the join build, the
+//! join probe and a grouped aggregate's row assignment — call
+//! [`GroupTable::warm`] on the next 32 hashes every 32 rows: one pass of
+//! plain loads whose misses overlap, before any of those keys is encoded
+//! or compared (group prefetching, Chen et al., ICDE 2004). At sf 0.5 on
+//! one thread, q_shuffle's partial and final and q3's orders build and
+//! lineitem probe took 725 → 590 ms together, warm off → on in one binary.
+//! Growth is not warmed: it read slower that way.
 //!
 //! Group ids are dense and in insertion (first-seen) order, `0..len()`:
 //! table order, which is how a partial aggregate emits its groups, and a
@@ -184,6 +194,19 @@ impl GroupTable {
             step += 1;
             idx = (idx + step) & self.mask;
         }
+    }
+
+    /// Reads the first slot each of `hashes` would probe, and nothing else:
+    /// the caller's next [`insert`](Self::insert)s or [`get`](Self::get)s
+    /// then find those slots in cache, and a batch's misses are in flight
+    /// together instead of one after another. Never writes.
+    #[inline]
+    pub fn warm(&self, hashes: &[u64]) {
+        let mut seen = 0u32;
+        for &hash in hashes {
+            seen ^= self.slots[hash as usize & self.mask].group;
+        }
+        std::hint::black_box(seen);
     }
 
     fn grow(&mut self) {

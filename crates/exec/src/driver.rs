@@ -9,7 +9,9 @@
 //! [`PageStream`]s and pulls pages through it into the pipeline's sink, the
 //! task's output writer or a hash-join build table. Every operator in the
 //! chain is wrapped in a [`MeteredStream`] recording rows/bytes produced
-//! and time spent into the query's [`QueryMetrics`].
+//! and time spent into the query's [`QueryMetrics`], and a join build sink
+//! is metered too (`HashJoinBuild`: the build side's rows and bytes, its
+//! self time the build).
 //!
 //! Pipelines run producer-first inside a task (the order
 //! [`accordion_plan::pipeline::split_pipelines`] guarantees), so a join
@@ -27,6 +29,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use accordion_common::{AccordionError, Result};
 use accordion_data::page::{EndReason, Page};
@@ -110,11 +113,11 @@ pub fn run_task(pipelines: &[PipelineSpec], ctx: &mut TaskContext) -> Result<()>
 
 /// Runs one pipeline to completion inside `ctx` with its one driver.
 pub fn run_pipeline(pipeline: &PipelineSpec, ctx: &mut TaskContext) -> Result<()> {
-    let (sink, upstream) = pipeline
+    let (sink, specs) = pipeline
         .operators
         .split_last()
         .ok_or_else(|| AccordionError::Execution("empty pipeline".into()))?;
-    let mut chain = build_chain(upstream, pipeline, ctx)?;
+    let (mut chain, mut last) = build_chain(specs, pipeline, ctx)?;
     match sink {
         OperatorSpec::Output => loop {
             match chain.next_page()? {
@@ -126,11 +129,19 @@ pub fn run_pipeline(pipeline: &PipelineSpec, ctx: &mut TaskContext) -> Result<()
             }
         },
         OperatorSpec::HashJoinBuild { join, keys } => {
+            // Metered like an operator: the build side's rows and bytes,
+            // and busy time over the drain and the build, so its self time
+            // is the build.
+            let m = register(sink, pipeline, ctx, &mut last);
+            let start = Instant::now();
             let mut pages = Vec::new();
             while let Page::Data(p) = chain.next_page()? {
+                m.record_page(p.row_count() as u64, p.byte_size() as u64);
                 pages.push(p);
             }
-            ctx.join_tables[*join] = Some(Arc::new(JoinTable::build(pages, keys)));
+            let table = JoinTable::build(pages, keys);
+            m.busy_ns.add(start.elapsed().as_nanos() as u64);
+            ctx.join_tables[*join] = Some(Arc::new(table));
         }
         other => {
             return Err(AccordionError::Execution(format!(
@@ -144,41 +155,46 @@ pub fn run_pipeline(pipeline: &PipelineSpec, ctx: &mut TaskContext) -> Result<()
 }
 
 /// Instantiates `specs` (a source followed by streaming operators) into a
-/// metered pull chain.
+/// metered pull chain, returned with the meter of its last operator.
 fn build_chain(
     specs: &[OperatorSpec],
     pipeline: &PipelineSpec,
     ctx: &mut TaskContext,
-) -> Result<BoxedStream> {
+) -> Result<(BoxedStream, Option<Arc<OperatorMetrics>>)> {
     let (source, rest) = specs
         .split_first()
         .ok_or_else(|| AccordionError::Execution("pipeline has a sink but no source".into()))?;
-    let mut upstream = None;
+    let mut last = None;
     let stream = build_source(source, ctx)?;
-    let mut chain = meter(stream, source, pipeline, ctx, &mut upstream);
+    let mut chain: BoxedStream = Box::new(MeteredStream::new(
+        stream,
+        register(source, pipeline, ctx, &mut last),
+    ));
     for spec in rest {
         let stream = wrap_operator(spec, chain, ctx)?;
-        chain = meter(stream, spec, pipeline, ctx, &mut upstream);
+        chain = Box::new(MeteredStream::new(
+            stream,
+            register(spec, pipeline, ctx, &mut last),
+        ));
     }
-    Ok(chain)
+    Ok((chain, last))
 }
 
-/// Wraps `stream` in a [`MeteredStream`] whose meter knows the operator
-/// feeding it (`upstream`, which becomes this one for the next operator).
-fn meter(
-    stream: BoxedStream,
+/// Registers the meter of `spec`, which knows the operator feeding it
+/// (`upstream`, which becomes this one for the next operator).
+fn register(
     spec: &OperatorSpec,
     pipeline: &PipelineSpec,
     ctx: &TaskContext,
     upstream: &mut Option<Arc<OperatorMetrics>>,
-) -> BoxedStream {
+) -> Arc<OperatorMetrics> {
     let m = ctx
         .metrics
         .register(ctx.stage, ctx.task_index, pipeline.id.0, spec.name());
     if let Some(input) = upstream.replace(m.clone()) {
         m.set_input(input);
     }
-    Box::new(MeteredStream::new(stream, m))
+    m
 }
 
 fn build_source(spec: &OperatorSpec, ctx: &mut TaskContext) -> Result<BoxedStream> {

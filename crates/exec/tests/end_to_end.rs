@@ -593,6 +593,105 @@ fn operators_report_busy_and_self_time() {
     assert_eq!(json.get("self_ns").unwrap().as_u64(), Some(project.self_ns));
 }
 
+/// A join build sink reports like an operator: a `HashJoinBuild` row fed
+/// by the build chain's last operator, with the build side's rows and
+/// bytes, whose busy time covers the drain and the table build, so its
+/// self time is the build.
+#[test]
+fn a_join_build_reports_its_rows_and_its_own_time() {
+    let build_key = Field::new("b", DataType::Int64);
+    let probe_key = Field::new("p", DataType::Int64);
+    let pipelines = vec![
+        PipelineSpec {
+            id: PipelineId(0),
+            operators: vec![
+                OperatorSpec::ExchangeSource {
+                    child_stage: StageId(1),
+                },
+                OperatorSpec::HashJoinBuild {
+                    join: 0,
+                    keys: vec![0],
+                },
+            ],
+        },
+        PipelineSpec {
+            id: PipelineId(1),
+            operators: vec![
+                OperatorSpec::ExchangeSource {
+                    child_stage: StageId(2),
+                },
+                OperatorSpec::HashJoinProbe {
+                    join: 0,
+                    keys: vec![0],
+                    output_schema: Schema::new(vec![probe_key, build_key]),
+                },
+                OperatorSpec::Output,
+            ],
+        },
+    ];
+    let build_pages = vec![
+        Arc::new(DataPage::new(vec![Column::from_i64(vec![1, 2, 3, 4])])),
+        Arc::new(DataPage::new(vec![Column::from_i64(vec![3, 4, 5])])),
+    ];
+    let build_bytes: usize = build_pages.iter().map(|p| p.byte_size()).sum();
+    let probe_page = Arc::new(DataPage::new(vec![Column::from_i64(vec![3, 9])]));
+    let nap = Duration::from_millis(3);
+    let mut inputs: HashMap<u32, Box<dyn ExchangeReader>> = HashMap::new();
+    inputs.insert(
+        1,
+        Box::new(SleepyInput {
+            pages: build_pages,
+            nap,
+        }),
+    );
+    inputs.insert(
+        2,
+        Box::new(SleepyInput {
+            pages: vec![probe_page],
+            nap,
+        }),
+    );
+    let metrics = Arc::new(QueryMetrics::new());
+    let mut task = TaskContext::new(
+        0,
+        0,
+        64,
+        inputs,
+        Box::new(Discard),
+        None,
+        &pipelines,
+        metrics.clone(),
+    );
+    run_task(&pipelines, &mut task).unwrap();
+    let stats = metrics.snapshot(ExchangeStats::default());
+    let names: Vec<_> = stats
+        .operators
+        .iter()
+        .map(|o| (o.pipeline, o.operator))
+        .collect();
+    assert_eq!(
+        names,
+        [
+            (0, "ExchangeSource"),
+            (0, "HashJoinBuild"),
+            (1, "ExchangeSource"),
+            (1, "HashJoinProbe")
+        ]
+    );
+    let [source, build] = [0, 1].map(|i| &stats.operators[i]);
+    assert_eq!(build.rows, 7, "{build:?}");
+    assert_eq!(build.bytes, build_bytes as u64);
+    assert!(source.busy_ns >= 3 * nap.as_nanos() as u64, "{source:?}");
+    assert!(build.busy_ns >= source.busy_ns, "{build:?}");
+    assert_eq!(build.self_ns, build.busy_ns - source.busy_ns);
+    assert!(
+        build.self_ns > 0,
+        "building the table takes time: {build:?}"
+    );
+    // Probe key 3 meets both build rows of key 3; 9 meets none.
+    assert_eq!(stats.rows_produced("HashJoinProbe"), 2);
+}
+
 /// A scan gets its splits from its stage's split queue and nowhere else: a
 /// task given no feed fails, naming the table, instead of scanning a share
 /// of it.

@@ -996,6 +996,187 @@ fn hash_join_over_a_build_side_of_thousands_of_keys() {
     );
 }
 
+// ---------------------------------------------------------------------------
+// Batch edges
+// ---------------------------------------------------------------------------
+//
+// The join build, the join probe and the grouped aggregates load the first
+// table slots of every 32 rows together before probing any of them
+// (`GroupTable::warm`). These cases put every page size around that batch
+// (1, 31, 32, 33) and past it (1000, 1025) over tables of at least 20,000
+// keys, NULL keys at rows 31, 32 and 33, and hold the results to the
+// row-at-a-time references.
+
+const EDGE_PAGE_ROWS: [usize; 6] = [1, 31, 32, 33, 1000, 1025];
+
+/// Rows whose key is NULL: the last row of the first batch and the first
+/// two of the second.
+const EDGE_NULL_ROWS: [usize; 3] = [31, 32, 33];
+
+/// `page` cut into consecutive pages of `rows` rows (the last one shorter).
+fn pages_of(page: &DataPage, rows: usize) -> Vec<DataPage> {
+    (0..page.row_count())
+        .step_by(rows)
+        .map(|start| page.slice(start, rows.min(page.row_count() - start)))
+        .collect()
+}
+
+/// A distinct key per `i`, spread over the whole `i64` range so that
+/// neighbouring rows land in far-apart slots. Every one is odd.
+fn spread_key(i: usize) -> i64 {
+    ((2 * i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)) as i64
+}
+
+#[test]
+fn grouped_aggregates_across_batch_edges_match_the_reference() {
+    // 30,000 rows over 22,000 distinct keys: most keys once, every row
+    // from 22,000 on a repeat of an earlier one. The partial and the final
+    // both start from an empty `GroupTable::new()` of 16 slots, so their
+    // tables grow inside a batch (at the 9th group, row 8 of the first).
+    let rows = 30_000;
+    let distinct = 22_000;
+    let mut rng = XorShift::new(3737);
+    let key_of: Vec<usize> = (0..rows)
+        .map(|r| {
+            if r < distinct {
+                r
+            } else {
+                rng.below(distinct as u64) as usize
+            }
+        })
+        .collect();
+    let nulls: Vec<bool> = (0..rows).map(|r| EDGE_NULL_ROWS.contains(&r)).collect();
+    let ints = accordion_data::Column::from_i64_nullable(
+        key_of.iter().map(|&k| spread_key(k)).collect(),
+        &nulls,
+    );
+    let words: Vec<String> = key_of.iter().map(|&k| format!("w{}", k % 97)).collect();
+    let strs = accordion_data::Column::from_strings(&words);
+    let values = random_column(&mut rng, DataType::Float64, rows, 10, false);
+    let key_shapes: [(&[DataType], accordion_data::Column); 2] = [
+        (&[DataType::Int64], ints.clone()),
+        (&[DataType::Utf8, DataType::Int64], strs),
+    ];
+    for (kts, first) in key_shapes {
+        let mut cols = vec![first];
+        if kts.len() == 2 {
+            cols.push(ints.clone());
+        }
+        cols.push(values.clone());
+        let page = DataPage::new(cols);
+        let n_keys = kts.len();
+        let key_cols: Vec<usize> = (0..n_keys).collect();
+        let v = Expr::col(n_keys);
+        let aggs = vec![
+            AggSpec::count_star("cnt"),
+            AggSpec::new(AggKind::Sum, v.clone(), DataType::Float64, "s"),
+            AggSpec::new(AggKind::Min, v.clone(), DataType::Float64, "mn"),
+            AggSpec::new(AggKind::Max, v, DataType::Float64, "mx"),
+        ];
+        let fields = aggregate_fields(kts, &aggs);
+        let expected = reference_grouped_agg(std::slice::from_ref(&page), &key_cols, &aggs);
+        assert!(expected.len() > 20_000, "{} groups", expected.len());
+        for page_rows in EDGE_PAGE_ROWS {
+            let partial = PartialHashAggOp::new(
+                source(pages_of(&page, page_rows)),
+                key_cols.clone(),
+                aggs.clone(),
+                Schema::new(fields.clone()),
+                page_rows,
+            );
+            let fin = FinalHashAggOp::new(
+                Box::new(partial),
+                n_keys,
+                aggs.clone(),
+                Schema::new(fields.clone()),
+                page_rows,
+            );
+            // Not `assert_eq!`: a dump of 22,000 rows on failure helps nobody.
+            assert!(
+                drain(fin) == expected,
+                "keys {kts:?}, page_rows {page_rows}: grouped aggregate diverged"
+            );
+        }
+    }
+}
+
+#[test]
+fn hash_join_across_batch_edges_matches_the_reference() {
+    // A build side of 24,010 rows over more than 23,000 keys, where every
+    // batch edge from row 64 on falls between two rows of one key, and a
+    // probe side of 3,010 rows: build keys (duplicated ones included),
+    // keys the build never had (even numbers), runs of one key across
+    // batch edges, and NULL keys at rows 31-33 on both sides. Neither side
+    // is a whole number of batches, so each ends in a short one.
+    let build_rows = 24_010;
+    let probe_rows = 3_010;
+    let mut rng = XorShift::new(4242);
+    let build_keys: Vec<i64> = (0..build_rows)
+        .scan(0, |key, r| {
+            if r < 64 || r % 32 != 0 {
+                *key = spread_key(r);
+            }
+            Some(*key)
+        })
+        .collect();
+    let null_rows =
+        |rows: usize| -> Vec<bool> { (0..rows).map(|r| EDGE_NULL_ROWS.contains(&r)).collect() };
+    let build = DataPage::new(vec![
+        accordion_data::Column::from_i64_nullable(build_keys.clone(), &null_rows(build_rows)),
+        accordion_data::Column::from_i64((0..build_rows as i64).collect()),
+    ]);
+    let mut probe_keys: Vec<i64> = Vec::with_capacity(probe_rows);
+    for r in 0..probe_rows {
+        let key = match rng.below(10) {
+            0..=2 if r > 0 => probe_keys[r - 1],
+            3..=4 => 2 * rng.below(1 << 40) as i64,
+            _ => build_keys[rng.below(build_rows as u64) as usize],
+        };
+        probe_keys.push(key);
+    }
+    let probe = DataPage::new(vec![
+        accordion_data::Column::from_i64_nullable(probe_keys, &null_rows(probe_rows)),
+        accordion_data::Column::from_f64((0..probe_rows).map(|r| r as f64).collect()),
+    ]);
+    let keys = [0usize];
+    let expected = reference_join(
+        std::slice::from_ref(&build),
+        std::slice::from_ref(&probe),
+        &keys,
+        &keys,
+    );
+    assert!(
+        expected.windows(2).any(|w| w[0][1] == w[1][1]),
+        "some probe row must match a duplicated build key"
+    );
+    let fields = vec![
+        Field::new("pk", DataType::Int64),
+        Field::new("pv", DataType::Float64),
+        Field::new("bk", DataType::Int64),
+        Field::new("bv", DataType::Int64),
+    ];
+    for page_rows in EDGE_PAGE_ROWS {
+        let table = Arc::new(JoinTable::build(
+            pages_of(&build, page_rows)
+                .into_iter()
+                .map(Arc::new)
+                .collect(),
+            &keys,
+        ));
+        let op = HashJoinProbeOp::new(
+            source(pages_of(&probe, page_rows)),
+            table,
+            keys.to_vec(),
+            Schema::new(fields.clone()),
+            page_rows,
+        );
+        assert!(
+            drain(op) == expected,
+            "page_rows {page_rows}: join diverged"
+        );
+    }
+}
+
 #[test]
 fn cross_join_on_no_keys_matches_reference() {
     let mut rng = XorShift::new(777);
