@@ -26,34 +26,37 @@
 //!
 //! The shared split pool is what makes mid-query DOP changes lossless, so
 //! it is **never sharded**: the coordinator owns one [`SplitQueue`] per
-//! scanning stage, in every elasticity mode, and serves its [`SplitQueues`]
-//! at its node address (`peers[0]`, the same listener its pages arrive
-//! on): one [`ClaimMsg`] round trip per claim — a CLAIM frame answered by
-//! SPLIT, NONE or RETIRED — on the node-to-node framing of
-//! `accordion_net::frame`, whose kind table has the layouts. A SPLIT reply
-//! carries the split's id, which is its position in its table and so the
-//! same in every process. Worker tasks claim through a
-//! [`RemoteSplitSource`] proxy, which looks the id up in its own catalog
-//! copy. Every claim, local or remote, takes the front of the queue.
-//! Decision boundaries work unchanged: a paused queue simply delays its
-//! claim replies, wherever the claimant runs.
-//! Grown tasks always spawn on the coordinator (producer growth is
-//! broadcast to every peer registry before they push); shrunk tasks
-//! observe retirement through their next claim reply. [`ClaimWiring`] names
-//! which side of the service a node is on — or that it is alone and its
-//! queues need no service at all.
+//! scanning stage, in every elasticity mode, and its [`SplitQueues`] answer
+//! the CLAIM frames of every session opened to its node address
+//! (`peers[0]`, where the worker's pages go too): one [`ClaimMsg`] round
+//! trip per claim — a CLAIM frame answered by SPLIT, NONE or RETIRED — on
+//! the node-to-node framing of `accordion_net::frame`, whose kind table has
+//! the layouts. A SPLIT reply carries the split's id, which is its position
+//! in its table and so the same in every process. Worker tasks claim
+//! through a [`RemoteSplitSource`] proxy on their registry's session to the
+//! coordinator, which looks the id up in its own catalog copy. Every claim,
+//! local or remote, takes the front of the queue. Decision boundaries work
+//! unchanged: a paused queue simply delays its claim replies, wherever the
+//! claimant runs — the claim service answers what it can at once and
+//! parks the rest on short-lived threads, so no claim holds up the pages
+//! sharing its session. Grown tasks always spawn on the coordinator (their
+//! producer growth travels ahead of their pages on the coordinator's
+//! sessions); shrunk tasks observe retirement through their next claim
+//! reply. [`ClaimWiring`] names which side of the service a node is on —
+//! or that it is alone and its queues need no service at all.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
 
 use accordion_common::config::NetworkConfig;
-use accordion_common::sync::{Mutex, Semaphore};
+use accordion_common::sync::{yield_slot, Mutex, Semaphore};
 use accordion_common::{fnv1a, AccordionError, NodeId, Result};
 use accordion_exec::executor::exchange_topology;
 use accordion_exec::splits::{SplitQueue, SplitSource};
-use accordion_net::frame::{kind, Conversation, Cursor, Frame, FrameConn, Payload, Route, Served};
-use accordion_net::{ConsumerLoc, ExchangeTopology};
+use accordion_net::frame::{kind, Conversation, Cursor, Frame, Payload, Route, Served};
+use accordion_net::{
+    session_route, Claims, ConsumerLoc, ExchangeRegistry, ExchangeTopology, NicModel,
+};
 use accordion_plan::fragment::StageTree;
 use accordion_storage::split::Split;
 
@@ -142,13 +145,12 @@ pub fn distributed_topology(
     Ok(topology)
 }
 
-/// The split-claim conversation — kinds 13–16 of the node-to-node kind
-/// table (`accordion_net::frame`). A worker task sends `Claim`; the
-/// coordinator answers with one of the other three, or with an ERR frame.
+/// The replies of the split-claim conversation — kinds 14–16 of the
+/// node-to-node kind table (`accordion_net::frame`) — without the (stage,
+/// slot) their session puts in front: a worker task's CLAIM is answered
+/// with one of these, or with an ERR frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClaimMsg {
-    /// `slot` of `(query, stage)` wants a split.
-    Claim { query: u64, stage: u32, slot: u32 },
     /// The split with this id.
     Split { id: u64 },
     /// The stage's splits are exhausted.
@@ -162,9 +164,6 @@ impl ClaimMsg {
     pub fn encode(&self) -> Frame {
         let p = Payload::default();
         match *self {
-            ClaimMsg::Claim { query, stage, slot } => {
-                (kind::CLAIM, p.u64(query).u32(stage).u32(slot).0)
-            }
             ClaimMsg::Split { id } => (kind::SPLIT, p.u64(id).0),
             ClaimMsg::None => (kind::NONE, p.0),
             ClaimMsg::Retired => (kind::RETIRED, p.0),
@@ -175,17 +174,12 @@ impl ClaimMsg {
     pub fn decode(kind: u8, payload: &[u8]) -> Result<ClaimMsg> {
         let mut c = Cursor::new(payload);
         let msg = match kind {
-            kind::CLAIM => ClaimMsg::Claim {
-                query: c.u64()?,
-                stage: c.u32()?,
-                slot: c.u32()?,
-            },
             kind::SPLIT => ClaimMsg::Split { id: c.u64()? },
             kind::NONE => ClaimMsg::None,
             kind::RETIRED => ClaimMsg::Retired,
             other => {
                 return Err(AccordionError::Wire(format!(
-                    "frame kind {other} is not a claim message"
+                    "frame kind {other} is not a claim reply"
                 )))
             }
         };
@@ -195,8 +189,8 @@ impl ClaimMsg {
 }
 
 /// The coordinator's split-claim service: the shared [`SplitQueue`]s of its
-/// queries' scanning stages, served to worker nodes one blocking [`ClaimMsg`]
-/// round trip per claim. A claim that is paused at a decision boundary
+/// queries' scanning stages, answering the CLAIM frames of the sessions
+/// opened to its node. A claim that is paused at a decision boundary
 /// simply delays its reply — remote claimants park at the same boundary
 /// local ones do. It serves whatever listener its [`route`](Self::route) is
 /// given to — the node's one listener, or a [`SplitServer`]'s own.
@@ -217,42 +211,33 @@ impl SplitQueues {
     pub fn unregister_query(&self, query: u64) {
         self.0.lock().retain(|(q, _), _| *q != query);
     }
+}
 
-    /// Answers one claim from the registered queues.
-    fn answer(&self, claim: ClaimMsg) -> Result<ClaimMsg> {
-        let ClaimMsg::Claim { query, stage, slot } = claim else {
-            return Err(AccordionError::Wire(format!(
-                "expected a claim, got {claim:?}"
-            )));
-        };
+impl Claims for SplitQueues {
+    fn answer(&self, query: u64, stage: u32, slot: u32, wait: bool) -> Result<Option<Frame>> {
         let queue = self.0.lock().get(&(query, stage)).cloned().ok_or_else(|| {
             AccordionError::Execution(format!("no split queue for query {query} stage {stage}"))
         })?;
-        // Block right here — the connection thread is the remote claimant's
-        // proxy, and a pause boundary is supposed to park it.
-        match queue.claim(slot, None) {
-            Some(split) => Ok(ClaimMsg::Split { id: split.id.0 }),
-            None if queue.is_retired(slot) => Ok(ClaimMsg::Retired),
-            None => Ok(ClaimMsg::None),
-        }
+        let claimed = if wait {
+            Some(queue.claim(slot, None))
+        } else {
+            queue.try_claim(slot)
+        };
+        Ok(claimed.map(|split| {
+            match split {
+                Some(split) => ClaimMsg::Split { id: split.id.0 },
+                None if queue.is_retired(slot) => ClaimMsg::Retired,
+                None => ClaimMsg::None,
+            }
+            .encode()
+        }))
     }
 }
 
-/// The claim conversation: connections that open with CLAIM, each answered
-/// request by request until the claimant closes.
+/// The claim side of a session: claims only.
 impl Conversation for SplitQueues {
     fn route(self: &Arc<Self>) -> Route {
-        let queues = self.clone();
-        let serve = move |conn: &mut FrameConn, first: Vec<u8>| {
-            let mut next = Some((kind::CLAIM, first));
-            while let Some((kind, payload)) = next {
-                let claim = ClaimMsg::decode(kind, &payload);
-                conn.respond(claim.and_then(|c| queues.answer(c)).map(|m| m.encode()))?;
-                next = conn.recv()?;
-            }
-            Ok(())
-        };
-        (kind::CLAIM, Box::new(serve))
+        session_route(None, Some(self.clone()))
     }
 }
 
@@ -264,83 +249,45 @@ pub type SplitServer = Served<SplitQueues>;
 /// [`SplitQueues`] and looks each returned split id up in this node's own
 /// copy of the table's splits, where a split's id is its position.
 ///
-/// One instance is shared by all of a worker's tasks of the stage; claims
-/// serialize on a single connection, which is harmless at split
-/// granularity. A transport failure panics the claiming task — the
+/// One instance is shared by all of a worker's tasks of the stage, and its
+/// claims travel on the query's session to the coordinator next to the
+/// node's pages. A transport failure panics the claiming task — the
 /// scheduler's panic path poisons the exchanges, which is exactly the
 /// contract for a mid-query node loss.
 pub struct RemoteSplitSource {
+    /// The registry whose session to `addr` carries the claims.
+    registry: Arc<ExchangeRegistry>,
     addr: String,
-    query: u64,
     stage: u32,
     /// The table's splits, split `i` at position `i`.
     splits: Vec<Split>,
-    /// Bounds the dial only: a claim parked at a decision boundary is
-    /// supposed to wait.
-    connect_timeout: Duration,
-    conn: Mutex<Option<FrameConn>>,
     retired: Mutex<HashSet<u32>>,
 }
 
 impl RemoteSplitSource {
-    /// `splits` lists the table's splits by id, as the catalog does.
+    /// A source on a session of its own to the claim service at `addr`,
+    /// opened on the first claim. `splits` lists the table's splits by id,
+    /// as the catalog does.
     pub fn new(addr: String, query: u64, stage: u32, splits: Vec<Split>) -> Arc<RemoteSplitSource> {
-        Self::with_network(addr, query, stage, splits, &NetworkConfig::default())
-    }
-
-    /// [`new`](Self::new), dialling with `network`'s `connect_timeout_ms`.
-    pub(crate) fn with_network(
-        addr: String,
-        query: u64,
-        stage: u32,
-        splits: Vec<Split>,
-        network: &NetworkConfig,
-    ) -> Arc<RemoteSplitSource> {
+        let own = ExchangeTopology::new(query);
         Arc::new(RemoteSplitSource {
+            registry: ExchangeRegistry::build(&own, &NetworkConfig::default(), NicModel)
+                .expect("a registry without edges always builds"),
             addr,
-            query,
             stage,
             splits,
-            connect_timeout: Duration::from_millis(network.connect_timeout_ms),
-            conn: Mutex::new(None),
-            retired: Mutex::new(HashSet::new()),
+            retired: Mutex::default(),
         })
-    }
-
-    /// One round trip over the (lazily opened) connection, which any
-    /// failure drops.
-    fn call(&self, request: &ClaimMsg) -> Result<ClaimMsg> {
-        let mut guard = self.conn.lock();
-        let conn = match &mut *guard {
-            Some(conn) => conn,
-            None => guard.insert(FrameConn::connect(&self.addr, self.connect_timeout)?),
-        };
-        let reply = conn
-            .call(request.encode())
-            .and_then(|(kind, payload)| ClaimMsg::decode(kind, &payload));
-        if reply.is_err() {
-            *guard = None;
-        }
-        reply
     }
 }
 
 impl SplitSource for RemoteSplitSource {
     fn claim(&self, slot: u32, _node: Option<NodeId>, gate: Option<&Semaphore>) -> Option<Split> {
-        let request = ClaimMsg::Claim {
-            query: self.query,
-            stage: self.stage,
-            slot,
-        };
-        // The round trip can park at a remote decision boundary — yield the
-        // compute slot for its whole duration.
-        if let Some(g) = gate {
-            g.release();
-        }
-        let reply = self.call(&request);
-        if let Some(g) = gate {
-            g.acquire();
-        }
+        // The round trip can park at a remote decision boundary.
+        let reply = yield_slot(gate, || {
+            let (kind, body) = self.registry.session(&self.addr)?.claim(self.stage, slot)?;
+            ClaimMsg::decode(kind, &body)
+        });
         match reply {
             Ok(ClaimMsg::Split { id }) => Some(
                 self.splits
@@ -354,7 +301,8 @@ impl SplitSource for RemoteSplitSource {
                 self.retired.lock().insert(slot);
                 None
             }
-            Ok(other) => panic!("split claim protocol error: {other:?}"),
+            // The task meets the query's poison at its next exchange call.
+            Err(_) if self.registry.poison_error().is_some() => None,
             Err(e) => panic!("split claim failed: {e}"),
         }
     }
@@ -371,7 +319,7 @@ pub enum ClaimWiring<'a> {
     /// Coordinator: owns the queues and publishes them on its service.
     Serve(&'a SplitQueues),
     /// Worker: claims from the coordinator's service, at the coordinator's
-    /// node address, dialled on the first claim of any task that scans.
+    /// node address, on the query's session to it.
     Connect,
 }
 
@@ -385,16 +333,16 @@ pub(crate) struct StagePool {
 }
 
 impl ClaimWiring<'_> {
-    /// This node's pool for `stage`, whose splits are `splits` in catalog
-    /// order. A worker dials `coordinator` under the query's `network`
-    /// settings.
+    /// This node's pool for `stage` of query `query`, whose splits are
+    /// `splits` in catalog order. A worker claims on `registry`'s session
+    /// to `coordinator`.
     pub(crate) fn pool(
         &self,
         query: u64,
         stage: u32,
         splits: Vec<Split>,
+        registry: &Arc<ExchangeRegistry>,
         coordinator: &str,
-        network: &NetworkConfig,
     ) -> StagePool {
         let owned = |queue: Arc<SplitQueue>| StagePool {
             source: queue.clone(),
@@ -404,13 +352,13 @@ impl ClaimWiring<'_> {
             ClaimWiring::Local => owned(Arc::new(SplitQueue::new(splits))),
             ClaimWiring::Serve(server) => owned(server.register(query, stage, splits)),
             ClaimWiring::Connect => StagePool {
-                source: RemoteSplitSource::with_network(
-                    coordinator.to_string(),
-                    query,
+                source: Arc::new(RemoteSplitSource {
+                    registry: registry.clone(),
+                    addr: coordinator.to_string(),
                     stage,
                     splits,
-                    network,
-                ),
+                    retired: Mutex::default(),
+                }),
                 queue: None,
             },
         }
@@ -423,6 +371,8 @@ mod tests {
     use accordion_common::SplitId;
     use accordion_data::column::Column;
     use accordion_data::page::DataPage;
+    use accordion_net::frame::FrameConn;
+    use std::time::Duration;
 
     /// A table of `n` one-row splits, built afresh on every call as each
     /// process builds its own copy.
@@ -473,34 +423,51 @@ mod tests {
         server.shutdown();
     }
 
-    fn claim(query: u64) -> ClaimMsg {
-        ClaimMsg::Claim {
-            query,
-            stage: 1,
-            slot: 0,
-        }
+    /// A session of `query` opened by hand, for the replies a
+    /// `RemoteSplitSource` would panic on.
+    fn session(addr: &str, query: u64) -> FrameConn {
+        let mut conn = FrameConn::connect(addr, Duration::from_secs(5)).unwrap();
+        conn.send((kind::HELLO, Payload::default().u64(query).0))
+            .unwrap();
+        conn
+    }
+
+    fn claim(stage: u32) -> Frame {
+        (kind::CLAIM, Payload::default().u32(stage).u32(0).0)
     }
 
     #[test]
     fn claim_service_rejects_unknown_edges() {
         let server = SplitServer::bind("127.0.0.1:0").unwrap();
-        let source = RemoteSplitSource::new(server.local_addr(), 1, 1, vec![]);
-        let err = source.call(&claim(1)).unwrap_err();
+        let addr = server.local_addr();
+        // A claim on a stage nobody registered fails its session: one ERR,
+        // then the service hangs up.
+        let mut unknown = session(&addr, 1);
+        let err = unknown.call(claim(1)).unwrap_err();
         assert!(err.to_string().contains("no split queue"), "{err}");
-        // A reply kind sent as a request is refused, not obeyed: mid-
-        // conversation by the claim loop, as a first frame by the listener.
+        assert!(unknown.recv().unwrap().is_none(), "and the session ends");
+        // Registered, the same claim is answered. A reply kind sent as a
+        // request is refused, not obeyed: inside a session by the session,
+        // as a first frame by the listener.
         server.register(1, 1, vec![]);
-        assert_eq!(source.call(&claim(1)).unwrap(), ClaimMsg::None);
-        let err = source.call(&ClaimMsg::Retired).unwrap_err();
-        assert!(err.to_string().contains("expected a claim"), "{err}");
-        let err = source.call(&ClaimMsg::Retired).unwrap_err();
+        let mut known = session(&addr, 1);
+        let none = (kind::NONE, Payload::default().u32(1).u32(0).0);
+        assert_eq!(known.call(claim(1)).unwrap(), none);
+        let err = known.call(none.clone()).unwrap_err();
+        assert!(err.to_string().contains("kind 15 is not served"), "{err}");
+        let mut bare = FrameConn::connect(&addr, Duration::from_secs(5)).unwrap();
+        let err = bare.call(none).unwrap_err();
         assert!(err.to_string().contains("opens no conversation"), "{err}");
-        // So is a page stream: a bare claim service serves no HELLO.
-        let mut pages = FrameConn::connect(&server.local_addr(), Duration::from_secs(5)).unwrap();
-        let hello = Payload::default().u64(1).u32(1);
-        let err = pages.call((kind::HELLO, hello.0)).unwrap_err();
-        assert!(err.to_string().contains("kind 0 opens no"), "{err}");
-        assert!(pages.recv().unwrap().is_none(), "and the connection ends");
+        // A claim travels on a session and opens no conversation itself.
+        let mut bare = FrameConn::connect(&addr, Duration::from_secs(5)).unwrap();
+        let err = bare.call(claim(1)).unwrap_err();
+        assert!(err.to_string().contains("kind 13 opens no"), "{err}");
+        // Nor does a bare claim service take pages.
+        let mut pages = session(&addr, 1);
+        let data = (kind::DATA, Payload::default().u32(1).u32(0).0);
+        let err = pages.call(data).unwrap_err();
+        assert!(err.to_string().contains("kind 1 is not served"), "{err}");
+        assert!(pages.recv().unwrap().is_none(), "and the session ends");
         server.shutdown();
     }
 
@@ -510,18 +477,52 @@ mod tests {
         server.register(1, 1, splits(1));
         server.register(2, 1, splits(1));
         server.unregister_query(1);
-        let source1 = RemoteSplitSource::new(server.local_addr(), 1, 1, vec![]);
-        assert!(source1.call(&claim(1)).is_err());
+        assert!(session(&server.local_addr(), 1).call(claim(1)).is_err());
         let source2 = RemoteSplitSource::new(server.local_addr(), 2, 1, splits(1));
         assert_eq!(source2.claim(0, None, None).unwrap().id.0, 0);
         server.shutdown();
     }
 
     #[test]
+    fn a_parked_claim_holds_up_no_other_claim_on_its_session() {
+        // Stage 1 is paused at its decision boundary, stage 2 is not: one
+        // session carries a claim on each, and the second is answered while
+        // the first waits for the boundary to lift.
+        let server = SplitServer::bind("127.0.0.1:0").unwrap();
+        let paused = server.register(5, 1, splits(2));
+        paused.set_pause_after(Some(0));
+        server.register(5, 2, splits(2));
+        let registry = ExchangeRegistry::build(
+            &ExchangeTopology::new(5),
+            &NetworkConfig::default(),
+            NicModel,
+        )
+        .unwrap();
+        let source = |stage| RemoteSplitSource {
+            registry: registry.clone(),
+            addr: server.local_addr(),
+            stage,
+            splits: splits(2),
+            retired: Mutex::default(),
+        };
+        let (parked, free) = (source(1), source(2));
+        let waiting = std::thread::spawn(move || parked.claim(0, None, None));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while paused.parked() == 0 {
+            assert!(std::time::Instant::now() < deadline, "claim never parked");
+            std::thread::yield_now();
+        }
+        assert_eq!(free.claim(0, None, None).unwrap().id.0, 0);
+        assert_eq!(free.claim(0, None, None).unwrap().id.0, 1);
+        assert!(!waiting.is_finished(), "the boundary still holds");
+        paused.set_pause_after(None);
+        assert_eq!(waiting.join().unwrap().unwrap().id.0, 0);
+        server.shutdown();
+    }
+
+    #[test]
     fn claim_messages_round_trip_and_every_prefix_is_a_typed_error() {
         let messages = [
-            claim(u64::MAX),
-            claim(7),
             ClaimMsg::Split { id: 1 << 40 },
             ClaimMsg::None,
             ClaimMsg::Retired,
@@ -543,6 +544,7 @@ mod tests {
                 "{msg:?}: trailing byte"
             );
         }
+        assert!(ClaimMsg::decode(kind::CLAIM, &[]).is_err(), "a request");
         assert!(ClaimMsg::decode(kind::HELLO, &[]).is_err(), "foreign kind");
     }
 }

@@ -59,8 +59,8 @@
 //! ## Error propagation
 //!
 //! The first task failure (operator error or panic) poisons every
-//! registered exchange — on this node and, through the registry's peer
-//! links, on every other: all sibling tasks unwind with the original error
+//! registered exchange — on this node and, through its sessions, on
+//! every other: all sibling tasks unwind with the original error
 //! the next time they touch an endpoint, the coordinator's result drain
 //! fails fast, and every node's run returns that first error. The
 //! controller observes the poison — woken by the first task that unwinds,
@@ -290,29 +290,6 @@ impl QueryExecutor {
             None
         };
 
-        // Every scanning stage scans through one shared split pool, so its
-        // task set can change between splits; the edges of the stages a
-        // controller drives get its writer lease slot.
-        let mut pools: HashMap<u32, StagePool> = HashMap::new();
-        let coordinator = role.peers.first().map_or("", String::as_str);
-        for f in tree.fragments() {
-            if let Some(table) = f.scan_table() {
-                let splits = catalog.get(&table)?.splits.splits().to_vec();
-                let pool = claim.pool(query, f.stage.0, splits, coordinator, &opts.network);
-                pools.insert(f.stage.0, pool);
-            }
-        }
-        // The lease on every elastic edge is held by the controller, which
-        // runs where the queues are — a worker that owned one, or a
-        // coordinator that did not, would leave the edge open forever.
-        if pools
-            .values()
-            .any(|p| p.queue.is_some() != role.is_coordinator())
-        {
-            return Err(AccordionError::Internal(
-                "a query's split queues are owned by node 0 and no other".into(),
-            ));
-        }
         let leased: HashSet<u32> = tree
             .fragments()
             .iter()
@@ -327,6 +304,29 @@ impl QueryExecutor {
             .filter(|c| matches!(c, ConsumerLoc::Remote(_)))
             .count();
         let registry = ExchangeRegistry::build(&topology, &opts.network, NicModel)?;
+        // Every scanning stage scans through one shared split pool, so its
+        // task set can change between splits; the edges of the stages a
+        // controller drives get its writer lease slot.
+        let mut pools: HashMap<u32, StagePool> = HashMap::new();
+        let coordinator = role.peers.first().map_or("", String::as_str);
+        for f in tree.fragments() {
+            if let Some(table) = f.scan_table() {
+                let splits = catalog.get(&table)?.splits.splits().to_vec();
+                let pool = claim.pool(query, f.stage.0, splits, &registry, coordinator);
+                pools.insert(f.stage.0, pool);
+            }
+        }
+        // The lease on every elastic edge is held by the controller, which
+        // runs where the queues are — a worker that owned one, or a
+        // coordinator that did not, would leave the edge open forever.
+        if pools
+            .values()
+            .any(|p| p.queue.is_some() != role.is_coordinator())
+        {
+            return Err(AccordionError::Internal(
+                "a query's split queues are owned by node 0 and no other".into(),
+            ));
+        }
         let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
         self.active.lock().insert(id, registry.clone());
         Ok(NodeQuery {
@@ -481,9 +481,9 @@ where
 
         // The controller runs where the queues are (node 0): it takes the
         // writer lease on every elastic edge and arms the first decision
-        // boundary — before any task runs. Producer growth is broadcast to
-        // every peer registry before grown tasks (always spawned here) push
-        // a page.
+        // boundary — before any task runs. Producer growth goes out on this
+        // node's sessions before grown tasks (always spawned here) push a
+        // page on them.
         let mut controls = Vec::new();
         for &stage in &self.leased {
             let Some(queue) = self.pools.get(&stage).and_then(|p| p.queue.as_ref()) else {

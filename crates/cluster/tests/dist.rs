@@ -7,20 +7,24 @@
 //! the coordinator's split service. Because every node runs on the one
 //! scheduler, what holds for a single process holds here: node 0 passes the
 //! admission gate, `poison_active` reaches every node, and a node's queries
-//! share its executor's compute slots.
+//! share its executor's compute slots. Every node opens at most one
+//! session per peer per query, which carries its pages, its claims and its
+//! producer growth alike.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use accordion_cluster::{ClaimWiring, DistRole, NodeQuery, QueryExecutor, SplitQueues};
 use accordion_common::config::{AdmissionConfig, ElasticityConfig, NetworkConfig};
+use accordion_common::sync::Mutex;
 use accordion_common::{AccordionError, ElasticityMode, Result};
 use accordion_data::schema::{Field, Schema};
 use accordion_data::types::{DataType, Value};
 use accordion_exec::{execute_tree, ExecOptions, QueryResult};
 use accordion_expr::agg::AggKind;
 use accordion_expr::scalar::Expr;
-use accordion_net::frame::{listen, Conversation, Listener};
-use accordion_net::PageRegistries;
+use accordion_net::frame::{kind, listen, Cursor, Listener, Route};
+use accordion_net::{session_route, PageRegistries};
 use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::LogicalPlanBuilder;
@@ -113,12 +117,42 @@ fn sorted_rows(result: &QueryResult) -> Vec<Vec<Value>> {
     rows
 }
 
+/// Connections a node accepted, by the kind of their first frame and, for
+/// a session, the query its HELLO names.
+type Counts = HashMap<(u8, Option<u64>), usize>;
+type Accepted = Arc<Mutex<Counts>>;
+
 /// An in-process fleet: one listener per node, serving the node's pages
 /// and — on node 0 — the coordinator's claim service, so elasticity (when
 /// enabled) claims at `peers[0]` exactly as separate processes would.
+/// Every listener counts the connections it accepts by their first frame.
 struct TestFleet {
-    nodes: Vec<(Listener, Arc<PageRegistries>)>,
+    nodes: Vec<(Listener, Arc<PageRegistries>, Accepted)>,
     claims: Arc<SplitQueues>,
+}
+
+/// `routes` with every connection counted in `accepted` first — and every
+/// first-frame kind counted, the ones no route serves included.
+fn counted(routes: Vec<Route>, accepted: &Accepted) -> Vec<Route> {
+    let mut routes: HashMap<u8, _> = routes.into_iter().collect();
+    (0..=kind::RETIRED)
+        .map(|opens| {
+            let (serve, accepted) = (routes.remove(&opens), accepted.clone());
+            let count = move |conn: &mut _, first: Vec<u8>| {
+                let query = (opens == kind::HELLO)
+                    .then(|| Cursor::new(&first).u64().ok())
+                    .flatten();
+                *accepted.lock().entry((opens, query)).or_default() += 1;
+                match &serve {
+                    Some(serve) => serve(conn, first),
+                    None => Err(AccordionError::Execution(format!(
+                        "kind {opens} opens nothing here"
+                    ))),
+                }
+            };
+            (opens, Box::new(count) as _)
+        })
+        .collect()
 }
 
 impl TestFleet {
@@ -126,16 +160,24 @@ impl TestFleet {
         let claims = Arc::<SplitQueues>::default();
         let node = |n| {
             let pages = Arc::<PageRegistries>::default();
-            let mut routes = vec![pages.route()];
-            if n == 0 {
-                routes.push(claims.route());
-            }
-            (listen("127.0.0.1:0", "test-node", routes).unwrap(), pages)
+            let served = (n == 0).then(|| claims.clone() as _);
+            let accepted = Accepted::default();
+            let routes = counted(vec![session_route(Some(pages.clone()), served)], &accepted);
+            let listener = listen("127.0.0.1:0", "test-node", routes).unwrap();
+            (listener, pages, accepted)
         };
         TestFleet {
             nodes: (0..nodes).map(node).collect(),
             claims,
         }
+    }
+
+    /// The connections each node accepted, by first-frame kind and query.
+    fn accepted(&self) -> Vec<Counts> {
+        self.nodes
+            .iter()
+            .map(|(_, _, accepted)| accepted.lock().clone())
+            .collect()
     }
 
     /// Wires `node`'s share of `query` on `executor` and publishes its
@@ -152,7 +194,7 @@ impl TestFleet {
         let role = DistRole {
             node,
             nodes: self.nodes.len() as u32,
-            peers: self.nodes.iter().map(|(l, _)| l.local_addr()).collect(),
+            peers: self.nodes.iter().map(|(l, ..)| l.local_addr()).collect(),
         };
         let claim = if node == 0 {
             ClaimWiring::Serve(&self.claims)
@@ -167,10 +209,49 @@ impl TestFleet {
     }
 
     fn shutdown(self) {
-        for (listener, _) in &self.nodes {
+        for (listener, ..) in &self.nodes {
             listener.shutdown();
         }
     }
+}
+
+/// Runs `tree` on an in-process fleet of `nodes` and returns the
+/// coordinator's result, the number of cross-node consumer slots, and the
+/// connections each node accepted.
+fn run_on(
+    nodes: usize,
+    catalog: &Arc<Catalog>,
+    tree: &Arc<StageTree>,
+    opts: &ExecOptions,
+    query: u64,
+) -> (QueryResult, usize, Vec<Counts>) {
+    let fleet = TestFleet::new(nodes);
+    let executors: Vec<_> = (0..nodes)
+        .map(|_| QueryExecutor::new(opts.clone()))
+        .collect();
+    let wired: Vec<NodeQuery> = (0..nodes)
+        .map(|n| {
+            fleet
+                .wire(n as u32, &executors[n], catalog, tree, opts, query)
+                .unwrap()
+        })
+        .collect();
+    let remote_slots = wired.iter().map(NodeQuery::remote_slots).sum();
+    let mut wired = wired.into_iter();
+    let coordinator = wired.next().unwrap();
+    let workers: Vec<_> = wired
+        .map(|nq| std::thread::spawn(move || nq.run()))
+        .collect();
+    let result = coordinator
+        .run()
+        .unwrap()
+        .expect("coordinator returns the result");
+    for worker in workers {
+        assert!(worker.join().unwrap().unwrap().is_none());
+    }
+    let accepted = fleet.accepted();
+    fleet.shutdown();
+    (result, remote_slots, accepted)
 }
 
 /// Runs `tree` on a two-node in-process fleet and returns the
@@ -181,18 +262,7 @@ fn run_two_nodes(
     opts: &ExecOptions,
     query: u64,
 ) -> (QueryResult, usize) {
-    let fleet = TestFleet::new(2);
-    let (e0, e1) = (
-        QueryExecutor::new(opts.clone()),
-        QueryExecutor::new(opts.clone()),
-    );
-    let nq0 = fleet.wire(0, &e0, catalog, tree, opts, query).unwrap();
-    let nq1 = fleet.wire(1, &e1, catalog, tree, opts, query).unwrap();
-    let remote_slots = nq0.remote_slots() + nq1.remote_slots();
-    let worker = std::thread::spawn(move || nq1.run());
-    let result = nq0.run().unwrap().expect("coordinator returns the result");
-    assert!(worker.join().unwrap().unwrap().is_none());
-    fleet.shutdown();
+    let (result, remote_slots, _) = run_on(2, catalog, tree, opts, query);
     (result, remote_slots)
 }
 
@@ -305,6 +375,58 @@ fn forced_grow_and_shrink_stay_lossless_across_nodes() {
             "{mode:?} never retuned: {:?}",
             result.stats().retunes
         );
+    }
+}
+
+#[test]
+fn one_session_per_peer_per_query_carries_pages_claims_and_growth() {
+    // A shuffled group-by and a join across three nodes at dop 4: every
+    // node sends pages to both others, and the workers claim splits from
+    // node 0. Whatever a node sends a peer for the query — DATA, FINISH,
+    // CLAIM, and under a forced grow ADDPROD — travels on one session.
+    let c = catalog();
+    let plain = opts(NetworkConfig::default());
+    let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(4));
+    let serial = Optimizer::new(OptimizerConfig::default().with_parallelism(1));
+    let mut query = 700;
+    for (name, builder) in golden_suite(&c) {
+        if !matches!(name, "group_by" | "join") {
+            continue;
+        }
+        let plan = builder.build();
+        let reference = {
+            let tree = StageTree::build(serial.optimize(&plan).unwrap()).unwrap();
+            sorted_rows(&execute_tree(&c, &tree, &plain).unwrap())
+        };
+        let tree = Arc::new(StageTree::build(optimizer.optimize(&plan).unwrap()).unwrap());
+        for mode in [ElasticityMode::Off, ElasticityMode::ForcedGrow] {
+            query += 1;
+            let elastic = ExecOptions {
+                elasticity: ElasticityConfig { mode },
+                ..plain.clone()
+            };
+            let (result, remote_slots, accepted) = run_on(3, &c, &tree, &elastic, query);
+            assert_eq!(sorted_rows(&result), reference, "{name} under {mode:?}");
+            assert!(remote_slots >= 1, "{name} never crossed a node");
+            for (node, by_first) in accepted.iter().enumerate() {
+                for (&(opens, q), &n) in by_first {
+                    assert_eq!(
+                        (opens, q),
+                        (kind::HELLO, Some(query)),
+                        "node {node} accepted {n} connections opening with kind {opens} \
+                         ({name} under {mode:?})"
+                    );
+                    assert!(
+                        n <= 2,
+                        "node {node} accepted {n} sessions from its 2 peers ({name} under {mode:?})"
+                    );
+                }
+            }
+            if mode == ElasticityMode::ForcedGrow && name == "group_by" {
+                let retunes = &result.stats().retunes;
+                assert!(retunes.iter().any(|r| r.to_dop > r.from_dop), "{retunes:?}");
+            }
+        }
     }
 }
 

@@ -19,11 +19,10 @@ pub struct NetworkConfig {
     /// the page exchange between worker processes and the query-server
     /// client — in milliseconds.
     pub connect_timeout_ms: u64,
-    /// Read timeout for real network transports, milliseconds. `None`
-    /// blocks indefinitely — the right default for the data plane, where an
-    /// idle stream just means upstream has nothing to send yet; clients and
-    /// control channels set a bound so a dead peer fails instead of
-    /// hanging.
+    /// Read timeout of the query-server client, milliseconds. `None`
+    /// blocks indefinitely. Node-to-node sessions never time out a read —
+    /// an idle session just means upstream has nothing to send yet — and
+    /// their waiters end on an ERR, an EOF or the query's poison instead.
     pub read_timeout_ms: Option<u64>,
 }
 

@@ -75,8 +75,8 @@ impl<T> RwLock<T> {
 /// Counting semaphore gating how many tasks may occupy a compute slot at
 /// once. The cluster scheduler runs one thread per task but hands out only
 /// `worker_threads` permits; a task blocked on exchange backpressure
-/// releases its permit while waiting (see `accordion-net`), which is what
-/// makes bounded exchange buffers deadlock-free on a fixed-size pool.
+/// releases its permit while waiting ([`yield_slot`]), which is what makes
+/// bounded exchange buffers deadlock-free on a fixed-size pool.
 #[derive(Debug)]
 pub struct Semaphore {
     permits: Mutex<usize>,
@@ -110,6 +110,16 @@ impl Semaphore {
     pub fn available(&self) -> usize {
         *self.permits.lock()
     }
+}
+
+/// Runs `wait` with the compute slot `gate` handed back: every blocking wait
+/// of a task goes through here. A lock guard the wait holds must be
+/// dropped inside it, before the slot is re-acquired.
+pub fn yield_slot<R>(gate: Option<&Semaphore>, wait: impl FnOnce() -> R) -> R {
+    gate.inspect(|g| g.release());
+    let outcome = wait();
+    gate.inspect(|g| g.acquire());
+    outcome
 }
 
 /// A wake-up flag for **one waiter**: any thread [`raise`](Signal::raise)s

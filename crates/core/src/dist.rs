@@ -4,8 +4,9 @@
 //! `accordion-cluster` runs a query as node `n` of `N` on a process's one
 //! [`QueryExecutor`]; this module gives each node its **own OS process**
 //! and carries the wire/run hand-shake between them. A node is a
-//! [`Worker`]: **one address** — one listener serving exchange pages, split
-//! claims and control sessions, told apart by the first frame of each
+//! [`Worker`]: **one address** — one listener serving query sessions
+//! (pages, split claims and registry control, one connection per peer and
+//! query) and control sessions, told apart by the first frame of each
 //! connection — in front of one executor, so the process's compute slots,
 //! admission gate and kill switch span every query and every
 //! connection it serves. The coordinator is a node too, the one nobody has
@@ -43,8 +44,8 @@
 //! worker whose connection closes — which is how a session ends — poisons
 //! and forgets whatever it left behind. Every worker task that scans claims
 //! its splits from the coordinator's shared queues at `peers[0]`, in every
-//! elasticity mode, which keeps mid-query grow/shrink lossless across
-//! process boundaries.
+//! elasticity mode, on the session that carries its pages there, which
+//! keeps mid-query grow/shrink lossless across process boundaries.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,10 +58,8 @@ use accordion_cluster::{
 use accordion_common::config::ElasticityConfig;
 use accordion_common::{fnv1a, AccordionError, Result};
 use accordion_exec::executor::{ExecOptions, QueryResult};
-use accordion_net::frame::{
-    kind, listen, Conversation, Cursor, Frame, FrameConn, Listener, Payload,
-};
-use accordion_net::{ExchangeRegistry, PageRegistries};
+use accordion_net::frame::{kind, listen, Cursor, Frame, FrameConn, Listener, Payload};
+use accordion_net::{session_route, ExchangeRegistry, PageRegistries};
 use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_sql::plan_select;
@@ -180,8 +179,8 @@ pub fn plan_tree(catalog: &Catalog, sql: &str, dop: u32) -> Result<Arc<StageTree
     Ok(Arc::new(StageTree::build(optimizer.optimize(&logical)?)?))
 }
 
-/// One node: a single listener serving page streams, split claims and
-/// WIRE/GO/JOIN control sessions in front of one executor. A node somebody
+/// One node: a single listener serving query sessions and WIRE/GO/JOIN
+/// control sessions in front of one executor. A node somebody
 /// wires is a worker; one that wires others (through a [`Fleet`]) is their
 /// coordinator, and the same node may be both at once. Dropping it releases
 /// its port.
@@ -190,7 +189,7 @@ pub struct Worker {
     state: Arc<NodeState>,
 }
 
-/// What a node's three conversations share.
+/// What a node's two kinds of session share.
 struct NodeState {
     catalog: Arc<Catalog>,
     /// The process's one pool: every query on every connection runs its
@@ -238,8 +237,7 @@ impl Worker {
         });
         let ctrl = state.clone();
         let routes = vec![
-            state.pages.route(),
-            state.splits.route(),
+            session_route(Some(state.pages.clone()), Some(state.splits.clone())),
             (
                 kind::WIRE,
                 Box::new(move |conn, wire| serve_ctrl(&ctrl, conn, wire)),

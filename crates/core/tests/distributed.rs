@@ -22,8 +22,8 @@ use accordion_core::dist::{plan_tree, CtrlMsg};
 use accordion_core::{Client, Fleet, QueryServer, Response, ServerConfig, Worker};
 use accordion_data::types::Value;
 use accordion_exec::{execute_tree, ExecOptions};
-use accordion_net::frame::{kind, listen, Conversation, FrameConn, Listener, Route};
-use accordion_net::PageRegistries;
+use accordion_net::frame::{kind, listen, FrameConn, Listener, Route};
+use accordion_net::{session_route, PageRegistries};
 use accordion_storage::catalog::Catalog;
 use accordion_tpch::gen::{generate, TpchOptions};
 
@@ -436,7 +436,7 @@ fn coordinator_address() -> (Listener, Arc<PageRegistries>, Arc<SplitQueues>) {
         Arc::<PageRegistries>::default(),
         Arc::<SplitQueues>::default(),
     );
-    let routes = vec![pages.route(), claims.route()];
+    let routes = vec![session_route(Some(pages.clone()), Some(claims.clone()))];
     let listener = listen("127.0.0.1:0", "coordinator", routes).unwrap();
     (listener, pages, claims)
 }

@@ -43,7 +43,7 @@ use std::collections::HashSet;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use accordion_common::sync::{condvar_wait, Condvar, Mutex, Semaphore, Signal};
+use accordion_common::sync::{condvar_wait, yield_slot, Condvar, Mutex, Semaphore, Signal};
 use accordion_common::NodeId;
 use accordion_storage::split::Split;
 
@@ -89,6 +89,27 @@ impl QueueState {
             signal.raise();
         }
     }
+
+    /// One claim attempt for `slot`: `None` if it must wait at the pause
+    /// boundary, `Some(None)` if the queue is exhausted or the slot retired.
+    fn take(&mut self, slot: u32) -> Option<Option<Split>> {
+        if self.retired.contains(&slot) || self.splits.is_empty() {
+            return Some(None);
+        }
+        if self.paused() {
+            return None;
+        }
+        let split = self.splits.pop_front().expect("non-empty checked above");
+        self.claimed += 1;
+        self.remaining_rows = self.remaining_rows.saturating_sub(split.rows);
+        // This claim brought the stage to its decision boundary, or left
+        // nothing to decide about: either way the controller has something
+        // to look at.
+        if self.paused() || self.splits.is_empty() {
+            self.raise();
+        }
+        Some(Some(split))
+    }
 }
 
 /// Multi-task split pool of one stage's table.
@@ -127,35 +148,25 @@ impl SplitQueue {
     pub fn claim(&self, slot: u32, gate: Option<&Semaphore>) -> Option<Split> {
         loop {
             let mut st = self.state.lock();
-            if st.retired.contains(&slot) || st.splits.is_empty() {
-                return None;
+            if let Some(claimed) = st.take(slot) {
+                return claimed;
             }
-            if !st.paused() {
-                let split = st.splits.pop_front().expect("non-empty checked above");
-                st.claimed += 1;
-                st.remaining_rows = st.remaining_rows.saturating_sub(split.rows);
-                // This claim brought the stage to its decision boundary, or
-                // left nothing to decide about: either way the controller
-                // has something to look at.
-                if st.paused() || st.splits.is_empty() {
-                    st.raise();
+            yield_slot(gate, || {
+                st.parked += 1;
+                st.raise();
+                while st.paused() && !st.retired.contains(&slot) && !st.splits.is_empty() {
+                    st = condvar_wait(&self.cv, st);
                 }
-                return Some(split);
-            }
-            if let Some(g) = gate {
-                g.release();
-            }
-            st.parked += 1;
-            st.raise();
-            while st.paused() && !st.retired.contains(&slot) && !st.splits.is_empty() {
-                st = condvar_wait(&self.cv, st);
-            }
-            st.parked -= 1;
-            drop(st);
-            if let Some(g) = gate {
-                g.acquire();
-            }
+                st.parked -= 1;
+                drop(st);
+            });
         }
+    }
+
+    /// [`claim`](Self::claim) without the wait: `None` when the claim would
+    /// park at a pause boundary.
+    pub fn try_claim(&self, slot: u32) -> Option<Option<Split>> {
+        self.state.lock().take(slot)
     }
 
     /// Retires a task slot: its next claim returns `None`, making it finish

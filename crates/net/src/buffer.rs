@@ -14,6 +14,10 @@
 //! is what makes capacity-1 buffers deadlock-free on a pool with fewer
 //! worker slots than tasks.
 //!
+//! A page from another node never waits for room — its sender's credit
+//! window bounds how many are in flight — and carries its credit back to
+//! the sender when it leaves the buffer (`crate::tcp`).
+//!
 //! Termination is in-band: each producer finishes the queue once (the
 //! [`crate::exchange::ExchangeWriter`] maps `Page::End` onto
 //! [`ElasticQueue::writer_finished`]); when the last producer has finished
@@ -25,9 +29,12 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use accordion_common::metrics::Counter;
-use accordion_common::sync::{condvar_wait, Condvar, Mutex, Semaphore};
+use accordion_common::sync::{condvar_wait, yield_slot, Condvar, Mutex, Semaphore};
 use accordion_common::{AccordionError, Result};
 use accordion_data::page::{DataPage, EndReason, Page};
+
+/// Returns a remote page's credit, plus any growth, to its sender.
+pub(crate) type Credit = Arc<dyn Fn(u32) + Send + Sync>;
 
 /// Capacity limits of every elastic buffer of an exchange.
 #[derive(Debug, Clone, Copy)]
@@ -38,29 +45,8 @@ pub struct ExchangeLimits {
     pub max_pages: Option<usize>,
 }
 
-impl ExchangeLimits {
-    /// The paper's default: start at one page, cap at `max_pages`.
-    pub fn elastic(max_pages: Option<usize>) -> Self {
-        ExchangeLimits {
-            initial_pages: 1,
-            max_pages,
-        }
-    }
-
-    /// Effectively infinite buffers — producers never block. The serial
-    /// in-process executor uses this: it runs a whole stage to completion
-    /// before its consumer starts, so bounded buffers would self-deadlock.
-    pub fn unbounded() -> Self {
-        ExchangeLimits {
-            initial_pages: usize::MAX,
-            max_pages: None,
-        }
-    }
-}
-
-#[derive(Debug)]
 struct QueueState {
-    pages: VecDeque<Arc<DataPage>>,
+    pages: VecDeque<(Arc<DataPage>, Option<Credit>)>,
     capacity: usize,
     max: Option<usize>,
     /// Producers that have not yet finished this queue.
@@ -73,7 +59,6 @@ struct QueueState {
 }
 
 /// One bounded, blocking, elastically-sized page buffer.
-#[derive(Debug)]
 pub struct ElasticQueue {
     state: Mutex<QueueState>,
     /// Signaled when a page or end-of-stream arrives.
@@ -109,6 +94,19 @@ impl ElasticQueue {
     /// scheduler's compute-slot semaphore, if any) is released for the
     /// duration of the wait and re-acquired before returning.
     pub fn push(&self, page: Arc<DataPage>, gate: Option<&Semaphore>) -> Result<()> {
+        self.push_credited(page, None, gate)
+    }
+
+    /// [`push`](Self::push) for a page that came with the `credit` its
+    /// sender gets back when the page is pulled or dropped. Such a page
+    /// never waits for room: the sender's window bounds how many are in
+    /// flight.
+    pub(crate) fn push_credited(
+        &self,
+        page: Arc<DataPage>,
+        credit: Option<Credit>,
+        gate: Option<&Semaphore>,
+    ) -> Result<()> {
         loop {
             let mut st = self.state.lock();
             if let Some(e) = &st.poison {
@@ -117,30 +115,27 @@ impl ElasticQueue {
             if st.closed {
                 // The consumer stopped pulling (end-signal direction of the
                 // paper's shutdown protocol): drop the page, never block.
+                drop(st);
+                credit.inspect(|credit| credit(1));
                 return Ok(());
             }
-            if st.pages.len() < st.capacity {
+            if credit.is_some() || st.pages.len() < st.capacity {
                 self.pages_in.inc();
                 self.bytes_in.add(page.byte_size() as u64);
-                st.pages.push_back(page);
+                st.pages.push_back((page, credit));
                 self.data.notify_all();
                 return Ok(());
             }
             // Full: park until the consumer makes room, yielding the
             // compute slot so a runnable task (the consumer, with luck)
-            // can take it.
-            if let Some(g) = gate {
-                g.release();
-            }
-            while st.pages.len() >= st.capacity && st.poison.is_none() && !st.closed {
-                st = condvar_wait(&self.space, st);
-            }
-            drop(st);
-            if let Some(g) = gate {
-                g.acquire();
-            }
-            // Re-check everything: capacity and poison may have changed
-            // while the slot was being re-acquired.
+            // can take it. Then re-check everything: capacity and poison
+            // may have changed while the slot was being re-acquired.
+            yield_slot(gate, || {
+                while st.pages.len() >= st.capacity && st.poison.is_none() && !st.closed {
+                    st = condvar_wait(&self.space, st);
+                }
+                drop(st);
+            });
         }
     }
 
@@ -153,9 +148,11 @@ impl ElasticQueue {
             if let Some(e) = &st.poison {
                 return Err(e.clone());
             }
-            if let Some(page) = st.pages.pop_front() {
+            if let Some((page, returned)) = st.pages.pop_front() {
                 // The consumer found the buffer full: the buffer was the
-                // bottleneck, so grow it (consumer-side demand, §4.2.2).
+                // bottleneck, so grow it (consumer-side demand, §4.2.2) —
+                // and hand the growth to a remote page's sender as credit.
+                let mut credit = 1;
                 if st.pages.len() + 1 >= st.capacity {
                     let grown = st.capacity.saturating_mul(2);
                     let grown = match st.max {
@@ -163,26 +160,25 @@ impl ElasticQueue {
                         None => grown,
                     };
                     if grown > st.capacity {
+                        credit += u32::try_from(grown - st.capacity).unwrap_or(u32::MAX - 1);
                         st.capacity = grown;
                         self.grow_events.inc();
                     }
                 }
                 self.space.notify_all();
+                drop(st);
+                returned.inspect(|returned| returned(credit));
                 return Ok(Page::Data(page));
             }
             if st.writers == 0 || st.closed {
                 return Ok(Page::end(st.end_reason));
             }
-            if let Some(g) = gate {
-                g.release();
-            }
-            while st.pages.is_empty() && st.writers > 0 && st.poison.is_none() && !st.closed {
-                st = condvar_wait(&self.data, st);
-            }
-            drop(st);
-            if let Some(g) = gate {
-                g.acquire();
-            }
+            yield_slot(gate, || {
+                while st.pages.is_empty() && st.writers > 0 && st.poison.is_none() && !st.closed {
+                    st = condvar_wait(&self.data, st);
+                }
+                drop(st);
+            });
         }
     }
 
@@ -217,16 +213,21 @@ impl ElasticQueue {
         self.data.notify_all();
     }
 
-    /// Closes the consumer side: buffered pages are discarded and every
-    /// current or future push is silently dropped. Called when a reader is
-    /// dropped before draining (e.g. LIMIT satisfied mid-stream), so
-    /// upstream tasks blocked on a full buffer unblock and run out.
+    /// Closes the consumer side: buffered pages are discarded (remote ones
+    /// credited) and every current or future push is silently dropped.
+    /// Called when a reader is dropped before draining (e.g. LIMIT
+    /// satisfied mid-stream), so upstream tasks blocked on a full buffer or
+    /// a credit window unblock and run out.
     pub fn close_consumer(&self) {
         let mut st = self.state.lock();
         st.closed = true;
-        st.pages.clear();
+        let dropped = std::mem::take(&mut st.pages);
         self.data.notify_all();
         self.space.notify_all();
+        drop(st);
+        for credit in dropped.into_iter().filter_map(|(_, credit)| credit) {
+            credit(1);
+        }
     }
 
     /// True once the consumer side has gone away (see
@@ -273,13 +274,20 @@ mod tests {
     use accordion_data::column::Column;
     use std::time::Duration;
 
+    fn limits(initial_pages: usize, max_pages: Option<usize>) -> ExchangeLimits {
+        ExchangeLimits {
+            initial_pages,
+            max_pages,
+        }
+    }
+
     fn page(n: i64) -> Arc<DataPage> {
         Arc::new(DataPage::new(vec![Column::from_i64(vec![n])]))
     }
 
     #[test]
     fn fifo_and_end_after_writers_finish() {
-        let q = ElasticQueue::new(ExchangeLimits::unbounded(), 2);
+        let q = ElasticQueue::new(limits(usize::MAX, None), 2);
         q.push(page(1), None).unwrap();
         q.push(page(2), None).unwrap();
         q.writer_finished(EndReason::ScanExhausted);
@@ -313,7 +321,7 @@ mod tests {
 
     #[test]
     fn consumer_demand_grows_capacity() {
-        let q = ElasticQueue::new(ExchangeLimits::elastic(Some(8)), 1);
+        let q = ElasticQueue::new(limits(1, Some(8)), 1);
         assert_eq!(q.capacity(), 1, "paper: buffers start at one page");
         q.push(page(1), None).unwrap();
         // Pulling from a full buffer doubles it: 1 → 2 → 4 → 8 (capped).
@@ -378,7 +386,7 @@ mod tests {
 
     #[test]
     fn blocked_pull_yields_gate_permit() {
-        let q = Arc::new(ElasticQueue::new(ExchangeLimits::elastic(None), 1));
+        let q = Arc::new(ElasticQueue::new(limits(1, None), 1));
         let gate = Arc::new(Semaphore::new(1));
         gate.acquire(); // the consumer "task" holds the only slot
         let consumer = {

@@ -20,20 +20,20 @@
 //!
 //! The registry is **transport-agnostic**: a slot marked
 //! [`ConsumerLoc::Local`] is reached through its shared-memory queue, a
-//! [`ConsumerLoc::Remote`] slot through a lazily-opened TCP
-//! [`PageSink`] toward that node's
-//! [`PageRegistries`](crate::tcp::PageRegistries), which feed the page into the
-//! *same* queue type on the remote side. Producers and consumers cannot
-//! tell which transport an edge uses. Every node of a distributed query
-//! builds the **same global topology** (slots it does not own marked
-//! remote), so consumer-slot indices, hash partitions, and writer
-//! accounting agree everywhere: a finishing producer decrements its slot on
-//! every local queue directly and on every remote node via a FINISH frame.
+//! [`ConsumerLoc::Remote`] slot through the registry's one [`Session`] to
+//! that node, whose [`PageRegistries`](crate::tcp::PageRegistries) feed the
+//! page into the *same* queue type on the remote side. Producers and
+//! consumers cannot tell which transport an edge uses. Every node of a
+//! distributed query builds the **same global topology** (slots it does not
+//! own marked remote), so consumer-slot indices, hash partitions, and
+//! writer accounting agree everywhere: a finishing producer decrements its
+//! slot on every local queue directly and on every remote node via a
+//! FINISH frame, which follows the writer's pages on the session.
 //!
 //! A failed task [`ExchangeRegistry::poison`]s the registry: every queue
-//! fails, which unwinds all blocked sibling tasks with the original error —
-//! and the poison is broadcast over the topology's control channels, so
-//! remote siblings unwind too.
+//! and every session wait fails, which unwinds all blocked sibling tasks
+//! with the original error — and the poison is broadcast as a POISON frame
+//! on every session and to every peer, so remote siblings unwind too.
 //!
 //! ## Re-parallelization and the EndSignal handshake (Fig 13)
 //!
@@ -42,9 +42,10 @@
 //! simply pushes `Page::End(EndSignal)` through its writer, closing its
 //! contribution. Growing re-registers the edge at the larger DOP with
 //! [`ExchangeRegistry::add_producers`] before the new tasks' writers push
-//! (remote peers acknowledge the growth before it returns, so a grown
-//! task's pages can never outrun its registration). The race between "last
-//! old producer finishes" and "new producers are added" is closed by a
+//! (the growth reaches a remote node as ADDPROD on the node's session, and
+//! the grown task's pages and end frame follow it there, so they can never
+//! outrun its registration). The race between "last old producer
+//! finishes" and "new producers are added" is closed by a
 //! **writer lease**: an [`EdgeSpec`] marked [`EdgeSpec::leased`] carries
 //! one extra producer slot that the controller holds itself, so the queues
 //! cannot deliver their end page — and consumers cannot conclude the stage
@@ -62,7 +63,8 @@ use accordion_data::hash::hash_partition;
 use accordion_data::page::{DataPage, EndReason, Page};
 
 use crate::buffer::{ElasticQueue, ExchangeLimits};
-use crate::tcp::{ControlLink, PageSink};
+use crate::frame::{kind, net_err, Payload};
+use crate::tcp::Session;
 
 /// Producer side of one exchange edge, held by a running task.
 pub trait ExchangeWriter: Send {
@@ -115,7 +117,7 @@ pub enum ConsumerLoc {
     /// queue.
     Local,
     /// The slot's task runs on the node that listens at this `host:port`;
-    /// delivery is a TCP page sink.
+    /// delivery is the registry's session to it.
     Remote(String),
 }
 
@@ -159,15 +161,15 @@ impl EdgeSpec {
 }
 
 /// The complete exchange wiring of one query on one node: every edge, plus
-/// the control-channel addresses of the other nodes participating in the
-/// query. [`ExchangeRegistry::build`] consumes this.
+/// the addresses of the other nodes participating in the query.
+/// [`ExchangeRegistry::build`] consumes this.
 #[derive(Debug, Clone, Default)]
 pub struct ExchangeTopology {
-    /// Query id; remote connections greet with it so the receiving page
-    /// server can find the right registry.
+    /// Query id; a session's HELLO carries it so the receiving node can
+    /// find the right registry.
     pub query: u64,
-    /// Page-server addresses of every *other* node in the query, for
-    /// control broadcasts (producer growth, poison).
+    /// Addresses of every *other* node in the query, which a poison
+    /// reaches whether or not a session to them is open yet.
     pub peers: Vec<String>,
     /// One spec per exchange edge.
     pub edges: Vec<EdgeSpec>,
@@ -238,8 +240,8 @@ pub struct ExchangeRegistry {
     peers: Vec<String>,
     edges: Mutex<HashMap<u32, Arc<Edge>>>,
     poison: Mutex<Option<AccordionError>>,
-    /// Lazily-opened control channels to `peers`.
-    links: Mutex<HashMap<String, ControlLink>>,
+    /// The query's sessions, one per peer address this node has sent to.
+    sessions: Mutex<HashMap<String, Arc<Session>>>,
 }
 
 impl ExchangeRegistry {
@@ -260,7 +262,7 @@ impl ExchangeRegistry {
             peers: topology.peers.clone(),
             edges: Mutex::new(HashMap::new()),
             poison: Mutex::new(None),
-            links: Mutex::new(HashMap::new()),
+            sessions: Mutex::new(HashMap::new()),
         };
         for spec in &topology.edges {
             registry.register(spec)?;
@@ -272,24 +274,8 @@ impl ExchangeRegistry {
     /// buffers (a whole stage completes before its consumer starts, so
     /// bounded pushes would self-deadlock).
     pub fn build_in_process(topology: &ExchangeTopology) -> Result<Arc<ExchangeRegistry>> {
-        let registry = ExchangeRegistry {
-            query: topology.query,
-            limits: ExchangeLimits::unbounded(),
-            network: NetworkConfig::default(),
-            peers: topology.peers.clone(),
-            edges: Mutex::new(HashMap::new()),
-            poison: Mutex::new(None),
-            links: Mutex::new(HashMap::new()),
-        };
-        for spec in &topology.edges {
-            registry.register(spec)?;
-        }
-        Ok(Arc::new(registry))
-    }
-
-    /// The query this registry belongs to (HELLO id of its remote frames).
-    pub fn query(&self) -> u64 {
-        self.query
+        let unbounded = NetworkConfig::builder().buffer_pages(usize::MAX, None);
+        Self::build(topology, &unbounded.build(), NicModel)
     }
 
     fn register(&self, spec: &EdgeSpec) -> Result<()> {
@@ -348,10 +334,39 @@ impl ExchangeRegistry {
         })
     }
 
-    /// The ingress queues of `stage`'s edge — how the node's page server
-    /// feeds remotely-produced pages into local consumers.
-    pub(crate) fn edge_queues(&self, stage: u32) -> Result<Vec<Arc<ElasticQueue>>> {
-        Ok(self.edge(stage)?.queues.clone())
+    /// The queue of `stage`'s consumer slot `consumer` on this node, where a
+    /// session feeds the pages addressed to it.
+    pub(crate) fn ingress_queue(&self, stage: u32, consumer: u32) -> Result<Arc<ElasticQueue>> {
+        let edge = self.edge(stage)?;
+        match edge.consumers.get(consumer as usize) {
+            Some(ConsumerLoc::Local) => Ok(edge.queues[consumer as usize].clone()),
+            _ => Err(net_err(format!(
+                "stage {stage} has no slot {consumer} here"
+            ))),
+        }
+    }
+
+    /// Applies a remote writer's end frame to every queue of `stage`'s
+    /// edge on this node.
+    pub(crate) fn finish_local(&self, stage: u32, reason: EndReason) -> Result<()> {
+        for q in &self.edge(stage)?.queues {
+            q.writer_finished(reason);
+        }
+        Ok(())
+    }
+
+    /// The query's session to the node at `addr`, opened on first use.
+    pub fn session(&self, addr: &str) -> Result<Arc<Session>> {
+        let mut sessions = self.sessions.lock();
+        if let Some(session) = sessions.get(addr) {
+            return Ok(session.clone());
+        }
+        let session = Session::open(addr, self.query, &self.network)?;
+        if let Some(e) = self.poison_error() {
+            session.fail(e);
+        }
+        sessions.insert(addr.to_string(), session.clone());
+        Ok(session)
     }
 
     /// Writer endpoint for producer task `task` of `stage`. `gate` is the
@@ -375,7 +390,6 @@ impl ExchangeRegistry {
             rr_next: task as usize,
             gate,
             finished: false,
-            sinks: HashMap::new(),
         }))
     }
 
@@ -403,27 +417,27 @@ impl ExchangeRegistry {
     }
 
     /// Re-registers the output edge of `stage` at a larger producer count —
-    /// on this node **and every peer**: remote registries must acknowledge
-    /// before this returns, so a grown task's pages (or its end frame,
-    /// racing ahead on a different connection) can never reach a node that
-    /// does not yet account for its writer. Routing is DOP-stable —
-    /// hash/round-robin partitioning depends only on the (unchanged)
-    /// consumer count — so grown producers need no repartitioning.
+    /// on this node and, as ADDPROD on the session to it, on every node
+    /// hosting a consumer slot of the edge. The grown tasks' frames follow
+    /// on the same session, so they never reach a node that does not yet
+    /// account for their writers. Routing is DOP-stable — hash/round-robin
+    /// partitioning depends only on the (unchanged) consumer count — so
+    /// grown producers need no repartitioning.
     ///
     /// The caller must hold an unfinished writer on the edge (the
     /// controller's lease): adding producers to an edge whose consumers
     /// already saw the end page would lose every page the new tasks push.
     pub fn add_producers(&self, stage: u32, n: u32) -> Result<()> {
         self.add_producers_local(stage, n)?;
-        let mut links = self.links.lock();
-        for peer in &self.peers {
-            self.link(&mut links, peer)?.add_producers(stage, n)?;
+        for host in remote_hosts(&self.edge(stage)?.consumers) {
+            let grow = Payload::default().u32(stage).u32(n);
+            self.session(host)?.send((kind::ADDPROD, grow.0))?;
         }
         Ok(())
     }
 
-    /// Applies a producer-count growth to this node's queues only — the
-    /// page server calls this when a peer's growth broadcast arrives.
+    /// Applies a producer-count growth to this node's queues only — a
+    /// session calls this when a peer's ADDPROD arrives.
     pub fn add_producers_local(&self, stage: u32, n: u32) -> Result<()> {
         let edge = self.edge(stage)?;
         for q in &edge.queues {
@@ -463,25 +477,27 @@ impl ExchangeRegistry {
 
     /// Fails every buffer of every edge with `err` (first poison wins),
     /// unwinding all tasks blocked on — or about to touch — an exchange.
-    /// The first poison is also broadcast (best-effort) to every peer node,
-    /// so remote tasks of the query unwind too.
+    /// The first poison is also broadcast (best-effort) as POISON on every
+    /// open session and to every peer, so remote tasks of the query unwind
+    /// too.
     pub fn poison(&self, err: AccordionError) {
-        let first = self.poison_local(err.clone());
-        if first && !self.peers.is_empty() {
-            let msg = err.to_string();
-            let mut links = self.links.lock();
-            for peer in &self.peers {
-                // Best-effort: an unreachable peer is already failing.
-                if let Ok(link) = self.link(&mut links, peer) {
-                    let _ = link.poison(&msg);
-                }
-            }
+        if !self.poison_local(err.clone()) {
+            return;
+        }
+        for peer in &self.peers {
+            // Best-effort: an unreachable peer is already failing.
+            let _ = self.session(peer);
+        }
+        let msg = err.to_string();
+        for session in self.sessions.lock().values() {
+            let _ = session.send((kind::POISON, msg.clone().into_bytes()));
         }
     }
 
-    /// Applies a poison to this node only (no re-broadcast — the page
-    /// server calls this when a peer's poison arrives, and echoing it back
-    /// would ping-pong forever). Returns whether this was the first poison.
+    /// Applies a poison to this node only (no re-broadcast — a session
+    /// calls this when a peer's poison arrives, and echoing it back would
+    /// ping-pong forever): every queue fails, and so does every wait on the
+    /// registry's sessions. Returns whether this was the first poison.
     pub fn poison_local(&self, err: AccordionError) -> bool {
         let first = {
             let mut p = self.poison.lock();
@@ -497,25 +513,15 @@ impl ExchangeRegistry {
                 q.poison(err.clone());
             }
         }
+        for session in self.sessions.lock().values() {
+            session.fail(err.clone());
+        }
         first
     }
 
     /// The first error this registry was poisoned with, if any.
     pub fn poison_error(&self) -> Option<AccordionError> {
         self.poison.lock().clone()
-    }
-
-    /// The lazily-connected control link to `peer` (caller holds the lock).
-    fn link<'a>(
-        &self,
-        links: &'a mut HashMap<String, ControlLink>,
-        peer: &str,
-    ) -> Result<&'a mut ControlLink> {
-        if !links.contains_key(peer) {
-            let link = ControlLink::connect(peer, self.query, &self.network)?;
-            links.insert(peer.to_string(), link);
-        }
-        Ok(links.get_mut(peer).expect("just inserted"))
     }
 
     /// Aggregate transfer statistics across all edges.
@@ -535,6 +541,15 @@ impl ExchangeRegistry {
             }
         }
         s
+    }
+}
+
+impl Drop for ExchangeRegistry {
+    /// A query's sessions end with its registry.
+    fn drop(&mut self) {
+        for session in self.sessions.get_mut().values() {
+            session.close();
+        }
     }
 }
 
@@ -578,9 +593,20 @@ pub fn route_page(
     Ok(())
 }
 
+/// The distinct addresses of an edge's remote consumer slots.
+fn remote_hosts(consumers: &[ConsumerLoc]) -> BTreeSet<&String> {
+    consumers
+        .iter()
+        .filter_map(|loc| match loc {
+            ConsumerLoc::Local => None,
+            ConsumerLoc::Remote(host) => Some(host),
+        })
+        .collect()
+}
+
 /// Routes one producer task's pages into the edge's consumer slots —
 /// local slots through their shared-memory queues, remote slots through
-/// lazily-opened per-node page sinks.
+/// the registry's session to their node.
 struct EdgeWriter {
     registry: Arc<ExchangeRegistry>,
     stage: u32,
@@ -590,16 +616,14 @@ struct EdgeWriter {
     rr_next: usize,
     gate: Option<Arc<Semaphore>>,
     finished: bool,
-    /// One page sink per remote node this writer has delivered to.
-    sinks: HashMap<String, PageSink>,
 }
 
 impl EdgeWriter {
     /// Closes this producer's contribution: decrements the writer count of
     /// every local queue directly, and of every remote node hosting a
-    /// consumer slot via a FINISH frame (connecting if this writer never
-    /// routed data there — the remote accounting needs the frame
-    /// regardless). Idempotent.
+    /// consumer slot via a FINISH frame (whether or not this writer routed
+    /// data there — the remote accounting needs the frame regardless).
+    /// Idempotent.
     fn finish(&mut self, reason: EndReason) -> Result<()> {
         if self.finished {
             return Ok(());
@@ -608,28 +632,12 @@ impl EdgeWriter {
         for q in &self.queues {
             q.writer_finished(reason);
         }
-        let hosts: BTreeSet<&String> = self
-            .consumers
-            .iter()
-            .filter_map(|loc| match loc {
-                ConsumerLoc::Local => None,
-                ConsumerLoc::Remote(host) => Some(host),
-            })
-            .collect();
         let mut result = Ok(());
-        for host in hosts {
-            let gate = self.gate.as_deref();
-            let outcome = match self.sinks.get_mut(host) {
-                Some(sink) => sink.finish(reason, gate),
-                None => PageSink::connect(
-                    host,
-                    self.registry.query(),
-                    self.stage,
-                    &self.registry.network,
-                )
-                .and_then(|mut sink| sink.finish(reason, gate)),
-            };
-            if let Err(e) = outcome {
+        for host in remote_hosts(&self.consumers) {
+            let mut end = Payload::default().u32(self.stage).0;
+            end.extend_from_slice(&Page::end(reason).encode());
+            let sent = self.registry.session(host);
+            if let Err(e) = sent.and_then(|s| s.send((kind::FINISH, end))) {
                 result = Err(e);
             }
         }
@@ -656,7 +664,6 @@ impl ExchangeWriter for EdgeWriter {
             policy,
             rr_next,
             gate,
-            sinks,
             ..
         } = self;
         let gate = gate.as_deref();
@@ -676,13 +683,9 @@ impl ExchangeWriter for EdgeWriter {
                     q.push(piece, gate)
                 }
                 ConsumerLoc::Remote(host) => {
-                    if !sinks.contains_key(host) {
-                        let sink =
-                            PageSink::connect(host, registry.query(), *stage, &registry.network)?;
-                        sinks.insert(host.clone(), sink);
-                    }
-                    let sink = sinks.get_mut(host).expect("just inserted");
-                    sink.send_data(slot as u32, &piece, gate)
+                    registry
+                        .session(host)?
+                        .send_data(*stage, slot as u32, &piece, gate)
                 }
             },
         )
@@ -980,10 +983,8 @@ mod tests {
         let r = registry_with(vec![spec]);
         assert_eq!(r.producers_remaining(1).unwrap(), 2);
         // Simulate a remote producer's FINISH frame: it decrements every
-        // queue on this node (what the page server does on receipt).
-        for q in r.edge_queues(1).unwrap() {
-            q.writer_finished(EndReason::ScanExhausted);
-        }
+        // queue on this node (what a session does on receipt).
+        r.finish_local(1, EndReason::ScanExhausted).unwrap();
         assert_eq!(r.producers_remaining(1).unwrap(), 1);
     }
 

@@ -10,9 +10,9 @@
 //! edge, the query server's client protocol.
 //!
 //! A node listens on **one** port; the kind of a connection's **first
-//! frame** says what it is for — HELLO a page stream, CLAIM a split-claim
-//! loop, WIRE a control session — and [`listen`] hands it to the [`Route`]
-//! of that kind. Any other first frame is answered with one ERR naming the
+//! frame** says what it is for — HELLO a query's session (`crate::tcp`),
+//! WIRE a control session — and [`listen`] hands it to the [`Route`] of
+//! that kind. Any other first frame is answered with one ERR naming the
 //! kind, and the connection is closed.
 //!
 //! ## Kind table
@@ -24,28 +24,29 @@
 //!
 //! | kind | name    | payload                                        | direction            |
 //! |------|---------|------------------------------------------------|----------------------|
-//! | 0    | HELLO   | query `u64`, stage `u32`                       | producer → pages     |
-//! | 1    | DATA    | consumer `u32`, encoded data page              | producer → pages     |
-//! | 2    | FINISH  | encoded end page (answered by ACK)             | producer → pages     |
-//! | 3    | CREDIT  | grant `u32`                                    | pages → producer     |
+//! | 0    | HELLO   | query `u64`; opens a session                   | dialer → acceptor    |
+//! | 1    | DATA    | stage `u32`, consumer `u32`, encoded data page | dialer → acceptor    |
+//! | 2    | FINISH  | stage `u32`, encoded end page                  | dialer → acceptor    |
+//! | 3    | CREDIT  | stage `u32`, consumer `u32`, grant `u32`       | acceptor → dialer    |
 //! | 4    | ERR     | `text`; the reply to any request that failed   | server → client      |
-//! | 5    | ADDPROD | stage `u32`, producers `u32` (ACK)             | registry → pages     |
-//! | 6    | POISON  | `text`                                         | registry → pages     |
+//! | 5    | ADDPROD | stage `u32`, producers `u32`                   | dialer → acceptor    |
+//! | 6    | POISON  | `text`                                         | dialer → acceptor    |
 //! | 7    | ACK     | (empty)                                        | server → client      |
 //! | 8    | WIRE    | query `u64`, node `u32`, nodes `u32`, fingerprint `u64`, dop `u32`, elasticity `str`, peer count `u32` × `str`, sql `str` (WIRED) | coordinator → worker |
 //! | 9    | WIRED   | remote slots `u32`                             | worker → coordinator |
 //! | 10   | GO      | query `u64` (ACK)                              | coordinator → worker |
 //! | 11   | JOIN    | query `u64` (DONE)                             | coordinator → worker |
 //! | 12   | DONE    | elapsed ms `u64`                               | worker → coordinator |
-//! | 13   | CLAIM   | query `u64`, stage `u32`, slot `u32` (SPLIT, NONE or RETIRED) | worker → claims |
-//! | 14   | SPLIT   | split id `u64` (its position in its table)     | claims → worker      |
-//! | 15   | NONE    | (empty)                                        | claims → worker      |
-//! | 16   | RETIRED | (empty)                                        | claims → worker      |
+//! | 13   | CLAIM   | stage `u32`, slot `u32` (SPLIT, NONE or RETIRED) | dialer → acceptor  |
+//! | 14   | SPLIT   | stage `u32`, slot `u32`, split id `u64` (its position in its table) | acceptor → dialer |
+//! | 15   | NONE    | stage `u32`, slot `u32`                        | acceptor → dialer    |
+//! | 16   | RETIRED | stage `u32`, slot `u32`                        | acceptor → dialer    |
 //!
-//! Kinds 0–7 are the page path (`crate::tcp`); 8–12 are encoded and decoded
-//! by `accordion_core::dist::CtrlMsg`, 13–16 by
-//! `accordion_cluster::dist::ClaimMsg`. A peer address — in WIRE, in a
-//! claim, in a page sink — is always the node's one address.
+//! Kinds 0–7 and 13–16 travel on a session, unacknowledged: frames of one
+//! sender arrive in order. 8–12 are encoded and decoded by
+//! `accordion_core::dist::CtrlMsg`, which answers GO with ACK; the bodies
+//! behind the (stage, slot) of 14–16 by `accordion_cluster::dist::ClaimMsg`. A peer address — in WIRE, in a
+//! consumer slot, in a claim — is always the node's one address.
 //!
 //! ## A length is not an allocation size
 //!
@@ -57,7 +58,7 @@
 //! buffer, not a gigabyte.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -164,9 +165,11 @@ fn dial(sock: SocketAddr, timeout: Duration) -> std::io::Result<TcpStream> {
 /// A frame off the wire or bound for it: its kind and its payload.
 pub type Frame = (u8, Vec<u8>);
 
-/// One framed connection between two nodes, on either side of it.
+/// One framed connection between two nodes, on either side of it. Clones
+/// share it: one thread can send while another receives.
+#[derive(Clone)]
 pub struct FrameConn {
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
 }
 
 impl FrameConn {
@@ -175,29 +178,30 @@ impl FrameConn {
         let sock: SocketAddr = addr
             .parse()
             .map_err(|e| net_err(format!("bad node address {addr:?}: {e}")))?;
-        let stream =
+        let s =
             dial(sock, timeout).map_err(|e| net_err(format!("connect to {addr} failed: {e}")))?;
-        Ok(FrameConn { stream })
-    }
-
-    /// Bounds every later [`recv`](Self::recv); `None` blocks forever.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<()> {
-        Ok(self.stream.set_read_timeout(timeout)?)
+        Ok(FrameConn { stream: s.into() })
     }
 
     pub fn send(&mut self, (kind, payload): Frame) -> Result<()> {
-        write_frame(&mut self.stream, kind, &payload)
+        write_frame(&mut &*self.stream, kind, &payload)
     }
 
     /// The next frame, or `None` once the peer closed at a frame boundary.
     pub fn recv(&mut self) -> Result<Option<Frame>> {
         let mut payload = Vec::new();
-        Ok(read_frame(&mut self.stream, &mut payload)?.map(|kind| (kind, payload)))
+        Ok(read_frame(&mut &*self.stream, &mut payload)?.map(|kind| (kind, payload)))
     }
 
-    /// The next frame where one is owed: a closed connection is an `Io`
-    /// error and an ERR frame is the `Execution` error it carries.
-    pub fn reply(&mut self) -> Result<Frame> {
+    /// Answers a request: the reply frame, or the error as an ERR frame.
+    pub fn respond(&mut self, reply: Result<Frame>) -> Result<()> {
+        self.send(reply.unwrap_or_else(|e| (kind::ERR, e.to_string().into_bytes())))
+    }
+
+    /// One request, one reply: a closed connection is an `Io` error and an
+    /// ERR frame is the `Execution` error it carries.
+    pub fn call(&mut self, request: Frame) -> Result<Frame> {
+        self.send(request)?;
         match self.recv()? {
             Some((kind::ERR, text)) => Err(AccordionError::Execution(
                 String::from_utf8_lossy(&text).into_owned(),
@@ -207,15 +211,10 @@ impl FrameConn {
         }
     }
 
-    /// Answers a request: the reply frame, or the error as an ERR frame.
-    pub fn respond(&mut self, reply: Result<Frame>) -> Result<()> {
-        self.send(reply.unwrap_or_else(|e| (kind::ERR, e.to_string().into_bytes())))
-    }
-
-    /// One request, one [`reply`](Self::reply).
-    pub fn call(&mut self, request: Frame) -> Result<Frame> {
-        self.send(request)?;
-        self.reply()
+    /// Ends the sending direction: the peer reads every frame sent so far,
+    /// then EOF.
+    pub fn close(&self) {
+        let _ = self.stream.shutdown(Shutdown::Write);
     }
 }
 
@@ -269,15 +268,15 @@ pub fn listen(addr: &str, name: &str, routes: Vec<Route>) -> Result<Listener> {
                 if stopped.load(Ordering::SeqCst) {
                     return;
                 }
-                let Ok(stream) = stream else { continue };
-                let _ = stream.set_nodelay(true);
+                let Ok(s) = stream else { continue };
+                let _ = s.set_nodelay(true);
                 let routes = routes.clone();
                 // Detached on purpose: a connection lives as long as its
                 // peer keeps it open, which no join here could bound.
                 let _ = std::thread::Builder::new()
                     .name(conn_name.clone())
                     .spawn(move || {
-                        let mut conn = FrameConn { stream };
+                        let mut conn = FrameConn { stream: s.into() };
                         if let Err(e) = serve_conn(&routes, &mut conn) {
                             let _ = conn.respond(Err(e));
                         }

@@ -21,11 +21,11 @@
 //!   ([`listen`](frame::listen), which tells a node's conversations apart
 //!   by the first frame of each connection), and the kind table shared by
 //!   exchange pages, worker control and split claims.
-//! * [`tcp`] — the real multi-node transport on that framing: a node's
-//!   [`PageRegistries`] ingesting page frames (the `accordion_data::wire`
-//!   codec) into the local queues, and the [`PageSink`]s writers open
-//!   toward remote consumer slots, with a credit window mirroring the
-//!   elastic-buffer backpressure.
+//! * [`tcp`] — the real multi-node transport on that framing: one
+//!   [`Session`] per (query, peer) carries a node's pages (the
+//!   `accordion_data::wire` codec) under a credit window mirroring the
+//!   elastic-buffer backpressure, its end frames, growth, poison and split
+//!   claims into the peer's [`PageRegistries`] and [`Claims`] service.
 //!
 //! The wiring of a query is declared as an [`ExchangeTopology`]: one
 //! [`EdgeSpec`] per stage output naming where every consumer slot lives
@@ -36,7 +36,7 @@
 //! Error handling is cooperative: the scheduler poisons the registry on the
 //! first task failure, which wakes and fails every endpoint so sibling
 //! tasks unwind with the original error; in a distributed run the poison is
-//! broadcast over control channels to every peer node.
+//! broadcast on the query's sessions to every peer node.
 //!
 //! [`ExchangeWriter`]: exchange::ExchangeWriter
 //! [`ExchangeReader`]: exchange::ExchangeReader
@@ -47,7 +47,8 @@
 //! [`RoutePolicy`]: exchange::RoutePolicy
 //! [`ElasticQueue`]: buffer::ElasticQueue
 //! [`PageRegistries`]: tcp::PageRegistries
-//! [`PageSink`]: tcp::PageSink
+//! [`Session`]: tcp::Session
+//! [`Claims`]: tcp::Claims
 
 pub mod buffer;
 pub mod exchange;
@@ -59,4 +60,4 @@ pub use exchange::{
     route_page, ConsumerLoc, EdgeSpec, ExchangeReader, ExchangeRegistry, ExchangeStats,
     ExchangeTopology, ExchangeWriter, NicModel, RoutePolicy,
 };
-pub use tcp::{PageRegistries, PageServer, PageSink};
+pub use tcp::{session_route, Claims, PageRegistries, PageServer, Session};

@@ -1,207 +1,228 @@
-//! Real TCP transport for the exchange: pages as frames between processes.
+//! Sessions: everything one node sends another for one query, on one
+//! connection.
 //!
-//! The in-process exchange moves `Arc<DataPage>`s between threads; this
-//! module moves the same pages between **processes**, using the versioned
-//! binary codec behind [`Page::encode`] / [`Page::decode`]. A node's
-//! [`PageRegistries`] feed incoming pages into its local
-//! [`ExchangeRegistry`] queues — served on the node's one listener next to
-//! its other conversations, or alone behind a [`PageServer`]; a
-//! [`PageSink`] is the producer-side connection a writer opens toward one
-//! remote node for one exchange edge.
+//! This module moves pages between **processes** ([`Page::encode`] /
+//! [`Page::decode`]) with the rest of a query's node-to-node traffic. A
+//! node's [`ExchangeRegistry`] opens at most one [`Session`] per peer it
+//! sends to, on first use, with HELLO(query); DATA and FINISH of every edge
+//! and writer, ADDPROD, POISON and CLAIM all travel on it. The peer's
+//! [`PageRegistries`] take the pages and its [`Claims`] service the claims
+//! — on the node's one listener, or behind a [`PageServer`] (pages only) or
+//! a `SplitServer` (claims only).
 //!
 //! ## Framing
 //!
-//! The page path speaks kinds 0–7 of the one node-to-node framing — HELLO,
-//! DATA, FINISH, CREDIT, ERR, ADDPROD, POISON, ACK; layouts and directions
-//! are in the kind table of [`crate::frame`]. A connection opens with
-//! HELLO, which is also what routes it here; `stage == u32::MAX` marks it a
-//! **control channel** (ADDPROD/POISON broadcasts between registries),
-//! anything else binds the connection to that exchange edge for DATA and
-//! FINISH frames.
+//! After HELLO every frame names its stream (layouts: [`crate::frame`]).
+//! Frames of one sender arrive in order, so a writer's FINISH follows its
+//! DATA and a grown task's frames follow the ADDPROD that counted it, with
+//! no acknowledgement. The dialer's reader thread routes CREDIT to its
+//! window and SPLIT, NONE or RETIRED to the waiting claim. The accepting
+//! thread never blocks (a join drains its build edge before it pulls its
+//! probe edge, and both may share a session), so a claim that must park
+//! at a decision boundary is answered from a short-lived thread.
 //!
 //! ## Backpressure: credits mirroring the elastic buffers
 //!
-//! A sink starts with `initial_buffer_pages` credits and spends one per
-//! DATA frame; the server grants credits back only after the frame's page
-//! has been **pushed into the destination queue** — a push blocked on a
-//! full [`ElasticQueue`](crate::buffer::ElasticQueue) delays the grant, so
-//! remote producers feel exactly the local backpressure. When a consumer
-//! pull doubles a queue's capacity, the next grant carries the growth as
-//! extra credits, so the sink's window tracks the §4.2.2 doubling
-//! discipline. A sink blocked waiting for credit yields the scheduler's
-//! compute-slot semaphore, like every other exchange wait.
+//! A window per (session, edge, consumer slot) starts at
+//! `initial_buffer_pages` credits; a DATA frame spends one. The peer queues
+//! the page without waiting for room and returns the credit when the
+//! consumer **pulls** it, plus the growth if that pull doubled the queue
+//! (§4.2.2), so remote producers feel the local backpressure. A page a
+//! closed queue drops is credited at once. A writer waiting for credit
+//! yields its compute slot, like every other exchange wait.
 //!
-//! ## Errors
+//! ## Errors and closing
 //!
-//! A poisoned queue makes the server answer ERR instead of a grant; the
-//! sink surfaces it on its next send, failing the producing task, which
-//! poisons its own registry — and poison broadcasts travel the control
-//! channels, so every node's tasks unwind with the original error. A
-//! connection that sends anything malformed is answered ERR and closed;
-//! every other connection keeps being served.
+//! An ERR frame or an unexpected EOF fails every waiter on the session; so
+//! does the query's poison, which the registry also sends as POISON on
+//! every session and to every peer. Malformed frames are answered ERR. A
+//! dropped registry ends its sessions: the dialer shuts down its write
+//! half, the acceptor reads to that EOF and shuts down its own, and the
+//! dialer's reader drains to EOF, so no side closes with unread bytes (a
+//! reset could discard frames not yet read).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use accordion_common::config::NetworkConfig;
-use accordion_common::sync::{Mutex, Semaphore};
+use accordion_common::sync::{condvar_wait, yield_slot, Condvar, Mutex, Semaphore};
 use accordion_common::{AccordionError, Result};
-use accordion_data::page::{DataPage, EndReason, Page};
+use accordion_data::page::{DataPage, Page};
 
+use crate::buffer::Credit;
 use crate::exchange::ExchangeRegistry;
-use crate::frame::{kind, net_err, Conversation, Cursor, FrameConn, Payload, Route, Served};
+use crate::frame::{kind, net_err, Conversation, Cursor, Frame, FrameConn, Payload, Route, Served};
 
-/// HELLO stage id marking a control channel.
-pub const CONTROL_STAGE: u32 = u32::MAX;
-
-/// Dials the node at `addr` and greets its page ingress for `(query, stage)`.
-fn greet(addr: &str, query: u64, stage: u32, network: &NetworkConfig) -> Result<FrameConn> {
-    let timeout = Duration::from_millis(network.connect_timeout_ms);
-    let mut conn = FrameConn::connect(addr, timeout)?;
-    conn.send((kind::HELLO, Payload::default().u64(query).u32(stage).0))?;
-    Ok(conn)
+/// The dialing side of one query's connection to one peer, shared by every
+/// writer, claimant and broadcast of the query on the node, and by the
+/// reader thread that routes what comes back.
+pub struct Session {
+    conn: Mutex<FrameConn>,
+    state: Mutex<SessionState>,
+    cv: Condvar,
+    initial_credit: usize,
 }
 
-/// Producer-side connection toward one remote node for one exchange edge.
-///
-/// Not `Sync`: each writer owns its sinks. Dropping the sink without
-/// [`PageSink::finish`] closes the stream; the remote side treats a missing
-/// FINISH as the connection's contribution simply never having existed
-/// (writer accounting travels via FINISH frames only).
-pub struct PageSink {
-    conn: FrameConn,
-    credit: usize,
-    finished: bool,
+#[derive(Default)]
+struct SessionState {
+    failed: Option<AccordionError>,
+    /// Credits left per (stage, consumer slot).
+    credit: HashMap<(u32, u32), usize>,
+    /// Claim replies not yet taken, per (stage, slot).
+    claims: HashMap<(u32, u32), Frame>,
 }
 
-impl PageSink {
-    /// Connects to the node at `addr` and binds the connection to
-    /// `(query, stage)`.
-    pub fn connect(
-        addr: &str,
-        query: u64,
-        stage: u32,
-        network: &NetworkConfig,
-    ) -> Result<PageSink> {
-        Ok(PageSink {
-            conn: greet(addr, query, stage, network)?,
-            credit: network.initial_buffer_pages.max(1),
-            finished: false,
-        })
+impl Session {
+    pub(crate) fn open(addr: &str, query: u64, network: &NetworkConfig) -> Result<Arc<Session>> {
+        let timeout = Duration::from_millis(network.connect_timeout_ms);
+        let mut conn = FrameConn::connect(addr, timeout)?;
+        conn.send((kind::HELLO, Payload::default().u64(query).0))?;
+        let incoming = conn.clone();
+        let session = Arc::new(Session {
+            conn: Mutex::new(conn),
+            state: Mutex::new(SessionState::default()),
+            cv: Condvar::new(),
+            initial_credit: network.initial_buffer_pages.max(1),
+        });
+        let reader = session.clone();
+        // Detached, like the listener's connection threads: it ends at the
+        // EOF the peer sends once this side has closed.
+        std::thread::Builder::new()
+            .name("session-reader".into())
+            .spawn(move || reader.read(incoming))?;
+        Ok(session)
     }
 
-    /// Sends one data page to consumer slot `consumer`, blocking (and
-    /// yielding `gate`) while the credit window is exhausted.
-    pub fn send_data(
-        &mut self,
+    /// Sends one frame that expects no reply (FINISH, ADDPROD, POISON).
+    pub fn send(&self, frame: Frame) -> Result<()> {
+        self.conn.lock().send(frame)
+    }
+
+    /// Sends a page to consumer slot `consumer` of `stage`'s edge, waiting
+    /// (and yielding `gate`) while the window is empty.
+    pub(crate) fn send_data(
+        &self,
+        stage: u32,
         consumer: u32,
         page: &Arc<DataPage>,
         gate: Option<&Semaphore>,
     ) -> Result<()> {
-        if self.finished {
-            return Err(AccordionError::Internal(
-                "page sink used after finish".into(),
-            ));
-        }
-        if self.credit == 0 {
-            self.await_reply(kind::CREDIT, gate)?;
-        }
-        self.credit -= 1;
-        let mut payload = consumer.to_le_bytes().to_vec();
-        payload.extend_from_slice(&Page::Data(page.clone()).encode());
-        self.conn.send((kind::DATA, payload))
-    }
-
-    /// Sends the end-of-producer frame: the server applies it to every
-    /// queue of the edge on its node and acknowledges. Idempotent.
-    ///
-    /// The round trip is load-bearing twice over: it guarantees the remote
-    /// writer accounting landed before the producer exits, and it drains any
-    /// surplus CREDIT frames still in flight — closing a socket with unread
-    /// data would RST the connection and could discard the FINISH frame on
-    /// the server side, leaving the edge's consumers waiting forever.
-    ///
-    /// The ACK queues behind every DATA frame this sink sent, and the
-    /// server accepts those only as the remote consumer drains its queue —
-    /// so, like a credit wait, the wait yields the compute-slot `gate`:
-    /// two nodes' one-slot pools each parked here on the other's consumer
-    /// would otherwise never run either consumer.
-    pub fn finish(&mut self, reason: EndReason, gate: Option<&Semaphore>) -> Result<()> {
-        if self.finished {
-            return Ok(());
-        }
-        self.finished = true;
-        self.conn.send((kind::FINISH, Page::end(reason).encode()))?;
-        self.await_reply(kind::ACK, gate)
-    }
-
-    /// Blocks until the server sends `awaited` — a CREDIT that leaves the
-    /// window open, or the ACK of a FINISH — failing on an ERR frame. Grants
-    /// met on the way to an ACK are stale (pages the server pushed after our
-    /// last credit wait) and harmless to add. The compute-slot `gate` is
-    /// yielded for the duration of the wait so a stalled remote consumer
-    /// cannot wedge a one-slot pool.
-    fn await_reply(&mut self, awaited: u8, gate: Option<&Semaphore>) -> Result<()> {
-        if let Some(g) = gate {
-            g.release();
-        }
-        let outcome = (|| loop {
-            match self.conn.reply()? {
-                (kind::CREDIT, p) => {
-                    self.credit += Cursor::new(&p).u32()? as usize;
-                    if awaited == kind::CREDIT && self.credit > 0 {
-                        return Ok(());
-                    }
-                }
-                (kind::ACK, _) if awaited == kind::ACK => return Ok(()),
-                (kind, _) => return Err(net_err(format!("unexpected frame kind {kind} on sink"))),
+        let key = (stage, consumer);
+        loop {
+            let mut st = self.state.lock();
+            if let Some(e) = &st.failed {
+                return Err(e.clone());
             }
-        })();
-        if let Some(g) = gate {
-            g.acquire();
+            let credit = st.credit.entry(key).or_insert(self.initial_credit);
+            if *credit > 0 {
+                *credit -= 1;
+                break;
+            }
+            yield_slot(gate, || {
+                while st.failed.is_none() && st.credit[&key] == 0 {
+                    st = condvar_wait(&self.cv, st);
+                }
+                drop(st);
+            });
         }
-        outcome
+        let mut payload = Payload::default().u32(stage).u32(consumer).0;
+        payload.extend_from_slice(&Page::Data(page.clone()).encode());
+        self.send((kind::DATA, payload))
+    }
+
+    /// Claims a split for `slot` of `stage` and returns the reply, without
+    /// its (stage, slot). A claim parked at a decision boundary is supposed
+    /// to wait, so there is no timeout; a failed session, or the query's
+    /// poison, ends the wait.
+    pub fn claim(&self, stage: u32, slot: u32) -> Result<Frame> {
+        let key = (stage, slot);
+        self.send((kind::CLAIM, Payload::default().u32(stage).u32(slot).0))?;
+        let mut st = self.state.lock();
+        loop {
+            if let Some(reply) = st.claims.remove(&key) {
+                return Ok(reply);
+            }
+            if let Some(e) = &st.failed {
+                return Err(e.clone());
+            }
+            st = condvar_wait(&self.cv, st);
+        }
+    }
+
+    /// Fails every current and future wait on this session with `err`.
+    pub(crate) fn fail(&self, err: AccordionError) {
+        self.state.lock().failed.get_or_insert(err);
+        self.cv.notify_all();
+    }
+
+    /// Ends the sending direction; the reader thread drains to EOF.
+    pub(crate) fn close(&self) {
+        self.conn.lock().close();
+    }
+
+    /// Routes every reply until EOF, reading on after a failure so the
+    /// connection still closes drained.
+    fn read(&self, mut conn: FrameConn) {
+        loop {
+            let routed = match conn.recv() {
+                Ok(Some(frame)) => self.route(frame),
+                Ok(None) => return self.fail(net_err("peer closed the session")),
+                Err(e) => return self.fail(e),
+            };
+            if let Err(e) = routed {
+                self.fail(e);
+            }
+        }
+    }
+
+    fn route(&self, (kind, payload): Frame) -> Result<()> {
+        match kind {
+            kind::CREDIT => {
+                let mut fields = Cursor::new(&payload);
+                let (key, grant) = ((fields.u32()?, fields.u32()?), fields.u32()?);
+                fields.finish()?;
+                let mut st = self.state.lock();
+                *st.credit.entry(key).or_insert(self.initial_credit) += grant as usize;
+            }
+            kind::SPLIT | kind::NONE | kind::RETIRED => {
+                let mut fields = Cursor::new(&payload);
+                let key = (fields.u32()?, fields.u32()?);
+                let body = fields.rest().to_vec();
+                self.state.lock().claims.insert(key, (kind, body));
+            }
+            kind::ERR => {
+                let text = String::from_utf8_lossy(&payload);
+                return Err(AccordionError::Execution(text.into_owned()));
+            }
+            other => return Err(net_err(format!("frame kind {other} on a session reply"))),
+        }
+        self.cv.notify_all();
+        Ok(())
     }
 }
 
-/// Control connection between two registries of one query: carries the
-/// producer-set growth and poison broadcasts of the elasticity protocol.
-pub(crate) struct ControlLink {
-    conn: FrameConn,
+/// How the accepting side returns credit to the (session, stage, consumer
+/// slot) window a page came from. A closed session has nobody to credit.
+fn credit_back(replies: &Arc<Mutex<FrameConn>>, stage: u32, consumer: u32) -> Credit {
+    let replies = replies.clone();
+    Arc::new(move |grant| {
+        let credit = Payload::default().u32(stage).u32(consumer).u32(grant);
+        let _ = replies.lock().send((kind::CREDIT, credit.0));
+    })
 }
 
-impl ControlLink {
-    pub(crate) fn connect(addr: &str, query: u64, network: &NetworkConfig) -> Result<ControlLink> {
-        let conn = greet(addr, query, CONTROL_STAGE, network)?;
-        // Control round-trips are tiny; a dead peer should fail the query,
-        // not hang the controller.
-        conn.set_read_timeout(Some(Duration::from_millis(network.connect_timeout_ms)))?;
-        Ok(ControlLink { conn })
-    }
-
-    /// Synchronously extends `stage`'s producer count by `n` on the peer:
-    /// returns only after the peer acknowledged, so a grown task's pages
-    /// can never reach a node that does not yet account for its writer.
-    pub(crate) fn add_producers(&mut self, stage: u32, n: u32) -> Result<()> {
-        let request = Payload::default().u32(stage).u32(n);
-        match self.conn.call((kind::ADDPROD, request.0))? {
-            (kind::ACK, _) => Ok(()),
-            (kind, _) => Err(net_err(format!("unexpected control reply kind {kind}"))),
-        }
-    }
-
-    /// Fire-and-forget poison broadcast (the peer has no useful reply: it
-    /// is failing the query either way).
-    pub(crate) fn poison(&mut self, message: &str) -> Result<()> {
-        self.conn.send((kind::POISON, message.into()))
-    }
+/// The split-claim service a session's accepting side hands CLAIM frames
+/// to: `accordion_cluster::SplitQueues`, a crate up.
+pub trait Claims: Send + Sync {
+    /// The reply to `slot`'s claim on `stage` of `query`, which the session
+    /// sends behind their (stage, slot); without `wait`, `Ok(None)` for a
+    /// claim that would park at a decision boundary.
+    fn answer(&self, query: u64, stage: u32, slot: u32, wait: bool) -> Result<Option<Frame>>;
 }
 
 /// A node's exchange ingress: the registries of the queries wired on it,
-/// which the frames of incoming [`PageSink`] and control connections are fed
-/// into. It serves whatever listener its [`route`](Self::route) is given to
-/// — the node's one listener, or a [`PageServer`]'s own.
+/// which incoming sessions feed their pages into.
 #[derive(Default)]
 pub struct PageRegistries(Mutex<HashMap<u64, Arc<ExchangeRegistry>>>);
 
@@ -213,39 +234,17 @@ impl PageRegistries {
         self.0.lock().insert(query, registry);
     }
 
-    /// Drops `query`'s registry; later frames for it are answered with ERR.
+    /// Drops `query`'s registry; a session opened for it later is answered
+    /// with ERR.
     pub fn unregister(&self, query: u64) {
         self.0.lock().remove(&query);
     }
-
-    /// One greeted connection, from its HELLO to its close. An error ends
-    /// the connection and reaches the peer as an ERR frame.
-    fn serve(&self, conn: &mut FrameConn, hello: Vec<u8>) -> Result<()> {
-        let mut hello = Cursor::new(&hello);
-        let (query, stage) = (hello.u64()?, hello.u32()?);
-        hello.finish()?;
-        let registry = self
-            .0
-            .lock()
-            .get(&query)
-            .cloned()
-            .ok_or_else(|| net_err(format!("query {query} is not registered on this node")))?;
-        if stage == CONTROL_STAGE {
-            serve_control(conn, &registry)
-        } else {
-            serve_data(conn, &registry, stage)
-        }
-    }
 }
 
-/// The page conversation: connections that open with HELLO.
+/// The page side of a session: pages only.
 impl Conversation for PageRegistries {
     fn route(self: &Arc<Self>) -> Route {
-        let pages = self.clone();
-        (
-            kind::HELLO,
-            Box::new(move |conn, hello| pages.serve(conn, hello)),
-        )
+        session_route(Some(self.clone()), None)
     }
 }
 
@@ -253,92 +252,109 @@ impl Conversation for PageRegistries {
 /// has no node around it.
 pub type PageServer = Served<PageRegistries>;
 
-/// Ingress loop of one producer connection bound to `stage`'s edge.
-fn serve_data(conn: &mut FrameConn, registry: &Arc<ExchangeRegistry>, stage: u32) -> Result<()> {
-    // Each ingress queue with its credit baseline: what the sink assumes
-    // its initial window is.
-    let mut queues: Vec<_> = registry
-        .edge_queues(stage)?
-        .into_iter()
-        .map(|q| (q.capacity(), q))
-        .collect();
-    let mut errored = false;
-    // A corrupt page is unrecoverable for the query: fail it everywhere,
-    // not just on this stream.
-    let decode = |bytes: &[u8]| Page::decode(bytes).inspect_err(|e| registry.poison(e.clone()));
+/// The route of a node's sessions: pages go into `pages`' registries and
+/// claims to `claims`. A frame whose side is absent is refused.
+pub fn session_route(pages: Option<Arc<PageRegistries>>, claims: Option<Arc<dyn Claims>>) -> Route {
+    let serve = move |conn: &mut FrameConn, hello: Vec<u8>| {
+        let replies = Arc::new(Mutex::new(conn.clone()));
+        let served = serve_session(conn, &hello, &replies, pages.as_deref(), claims.as_ref());
+        if let Err(e) = served {
+            let _ = replies.lock().respond(Err(e));
+        }
+        // Queued pages keep clones of the connection for their credits;
+        // the peer's reader must not wait for them.
+        replies.lock().close();
+        // Read what the peer still has in flight: closing with unread bytes
+        // would reset the connection and could discard an ERR with it.
+        while let Ok(Some(_)) = conn.recv() {}
+        Ok(())
+    };
+    (kind::HELLO, Box::new(serve))
+}
+
+/// One accepted session, from its HELLO to the peer's EOF.
+fn serve_session(
+    conn: &mut FrameConn,
+    hello: &[u8],
+    replies: &Arc<Mutex<FrameConn>>,
+    pages: Option<&PageRegistries>,
+    claims: Option<&Arc<dyn Claims>>,
+) -> Result<()> {
+    let mut fields = Cursor::new(hello);
+    let query = fields.u64()?;
+    fields.finish()?;
+    // Weak: a registry holds sessions to its peers, whose acceptors must
+    // not keep it alive in turn.
+    let registry = match pages.map(|pages| pages.0.lock().get(&query).map(Arc::downgrade)) {
+        Some(None) => return Err(net_err(format!("query {query} is not registered here"))),
+        registry => registry.flatten(),
+    };
     while let Some((kind, payload)) = conn.recv()? {
-        match kind {
-            kind::DATA => {
-                let mut fields = Cursor::new(&payload);
-                let consumer = fields.u32()? as usize;
-                let Page::Data(page) = decode(fields.rest())? else {
+        let mut fields = Cursor::new(&payload);
+        match (kind, registry.as_ref().map(Weak::upgrade), claims) {
+            (kind::CLAIM, _, Some(claims)) => {
+                let (stage, slot) = (fields.u32()?, fields.u32()?);
+                fields.finish()?;
+                let replies = replies.clone();
+                let reply = move |reply: Result<Frame>| {
+                    let keyed = reply.map(|(kind, body)| {
+                        let mut keyed = Payload::default().u32(stage).u32(slot).0;
+                        keyed.extend(body);
+                        (kind, keyed)
+                    });
+                    replies.lock().respond(keyed)
+                };
+                if let Some(answer) = claims.answer(query, stage, slot, false)? {
+                    reply(Ok(answer))?;
+                    continue;
+                }
+                let claims = claims.clone();
+                std::thread::Builder::new()
+                    .name("claim-park".into())
+                    .spawn(move || {
+                        let answer = claims.answer(query, stage, slot, true).and_then(|r| {
+                            r.ok_or_else(|| AccordionError::Internal("claim unanswered".into()))
+                        });
+                        let _ = reply(answer);
+                    })?;
+            }
+            // The registry is gone, and every queue with it: DATA is
+            // credited at once, and nothing else has anything to change.
+            (kind::DATA, Some(None), _) => credit_back(replies, fields.u32()?, fields.u32()?)(1),
+            (kind::FINISH | kind::ADDPROD | kind::POISON, Some(None), _) => {}
+            (kind::DATA, Some(Some(registry)), _) => {
+                let (stage, consumer) = (fields.u32()?, fields.u32()?);
+                let Page::Data(page) = decode(&registry, fields.rest())? else {
                     return Err(net_err("end page in DATA frame (FINISH expected)"));
                 };
-                let slots = queues.len();
-                let Some((last_cap, q)) = queues.get_mut(consumer) else {
-                    return Err(net_err(format!(
-                        "stage {stage} has {slots} queues, consumer {consumer} addressed"
-                    )));
-                };
-                // The push provides the backpressure: no credit is
-                // granted until the page is accepted. A closed queue
-                // (consumer satisfied a LIMIT) accepts-and-drops; a
-                // poisoned one reports the failure once.
-                if let Err(e) = q.push(page, None) {
-                    if !errored {
-                        errored = true;
-                        conn.respond(Err(e))?;
-                    }
-                }
-                // Grant the spent credit back, plus any capacity the
-                // consumer's pulls grew meanwhile (§4.2.2 doubling).
-                let cap = q.capacity();
-                let extra = if cap == usize::MAX {
-                    0
-                } else {
-                    cap.saturating_sub(*last_cap)
-                };
-                *last_cap = (*last_cap).max(cap);
-                let grant = 1u32.saturating_add(extra as u32);
-                conn.send((kind::CREDIT, grant.to_le_bytes().into()))?;
+                let credit = credit_back(replies, stage, consumer);
+                let queue = registry.ingress_queue(stage, consumer)?;
+                queue.push_credited(page, Some(credit), None)?;
             }
-            kind::FINISH => {
-                let Page::End(end) = decode(&payload)? else {
+            (kind::FINISH, Some(Some(registry)), _) => {
+                let stage = fields.u32()?;
+                let Page::End(end) = decode(&registry, fields.rest())? else {
                     return Err(net_err("data page in FINISH frame"));
                 };
-                for (_, q) in &queues {
-                    q.writer_finished(end.reason);
-                }
-                conn.send((kind::ACK, Vec::new()))?;
+                registry.finish_local(stage, end.reason)?;
             }
-            other => return Err(net_err(format!("unexpected frame kind {other} on edge"))),
+            (kind::ADDPROD, Some(Some(registry)), _) => {
+                let (stage, n) = (fields.u32()?, fields.u32()?);
+                fields.finish()?;
+                registry.add_producers_local(stage, n)?;
+            }
+            (kind::POISON, Some(Some(registry)), _) => {
+                let text = String::from_utf8_lossy(&payload).into_owned();
+                registry.poison_local(AccordionError::Execution(text));
+            }
+            _ => return Err(net_err(format!("frame kind {kind} is not served here"))),
         }
     }
     Ok(())
 }
 
-/// Ingress loop of one control connection.
-fn serve_control(conn: &mut FrameConn, registry: &Arc<ExchangeRegistry>) -> Result<()> {
-    while let Some((kind, payload)) = conn.recv()? {
-        match kind {
-            kind::ADDPROD => {
-                let mut fields = Cursor::new(&payload);
-                let (stage, n) = (fields.u32()?, fields.u32()?);
-                fields.finish()?;
-                let added = registry.add_producers_local(stage, n);
-                conn.respond(added.map(|()| (kind::ACK, Vec::new())))?;
-            }
-            kind::POISON => {
-                registry.poison_local(AccordionError::Execution(
-                    String::from_utf8_lossy(&payload).into_owned(),
-                ));
-            }
-            other => {
-                return Err(net_err(format!(
-                    "unexpected frame kind {other} on control channel"
-                )))
-            }
-        }
-    }
-    Ok(())
+/// A page off a session. A corrupt page is unrecoverable for the query:
+/// it fails everywhere, not just on this session.
+fn decode(registry: &ExchangeRegistry, bytes: &[u8]) -> Result<Page> {
+    Page::decode(bytes).inspect_err(|e| registry.poison(e.clone()))
 }

@@ -1,13 +1,15 @@
 //! Cross-node exchange over the real TCP transport: two registries in one
 //! process, each fronted by its own `PageServer`, simulating a two-node
 //! fleet. Exercises hybrid local/remote routing, writer accounting via
-//! FINISH frames, credit backpressure, growth broadcasts, poison
-//! propagation, and what a listener does with peers that do not speak the
-//! framing or open with a frame that starts no conversation it serves.
+//! FINISH frames, credit backpressure, producer growth, poison
+//! propagation, several edges sharing one session, and what a listener
+//! does with peers that do not speak the framing or open with a frame that
+//! starts no conversation it serves.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use accordion_common::config::NetworkConfig;
@@ -16,8 +18,8 @@ use accordion_data::column::Column;
 use accordion_data::page::{DataPage, EndReason, Page};
 use accordion_net::frame::{kind, listen, read_frame, FrameConn, Route, MAX_DATA, PREALLOC};
 use accordion_net::{
-    ConsumerLoc, EdgeSpec, ExchangeRegistry, ExchangeTopology, NicModel, PageServer, PageSink,
-    RoutePolicy,
+    session_route, ConsumerLoc, EdgeSpec, ExchangeReader, ExchangeRegistry, ExchangeTopology,
+    NicModel, PageRegistries, PageServer, RoutePolicy,
 };
 
 fn data_page(keys: Vec<i64>) -> Arc<DataPage> {
@@ -34,7 +36,7 @@ fn roomy() -> NetworkConfig {
     NetworkConfig::builder().buffer_pages(64, None).build()
 }
 
-fn drain(reader: &mut dyn accordion_net::ExchangeReader) -> Vec<i64> {
+fn drain(reader: &mut dyn ExchangeReader) -> Vec<i64> {
     let mut out = Vec::new();
     loop {
         match reader.pull().unwrap() {
@@ -210,22 +212,30 @@ fn add_producers_broadcast_reaches_the_peer() {
     let network = roomy();
     let f = fleet(11, 1, RoutePolicy::Single, &network);
     assert_eq!(f.registry_b.producers_remaining(1).unwrap(), 1);
-    // Growth initiated on node A must be acknowledged by node B before
-    // add_producers returns.
+    // Node A grows the edge by two producers and, without waiting for
+    // node B to hear of it, its original writer finishes and the two grown
+    // writers push a page each and finish. ADDPROD is not acknowledged:
+    // it reaches B ahead of the grown writers' frames because they all
+    // travel on A's one session to B. Had B counted the original FINISH
+    // first, its edge would have ended without the grown pages.
     f.registry_a.add_producers(1, 2).unwrap();
-    assert_eq!(f.registry_b.producers_remaining(1).unwrap(), 3);
     assert_eq!(f.registry_a.producers_remaining(1).unwrap(), 3);
-    // All three producers finish (two on A, one grown on B); both readers
-    // see a clean end.
-    for _ in 0..2 {
-        let mut w = f.registry_a.writer(1, 0, None).unwrap();
-        w.push(Page::end(EndReason::ScanExhausted)).unwrap();
+    let mut original = f.registry_a.writer(1, 0, None).unwrap();
+    original.push(Page::end(EndReason::EndSignal)).unwrap();
+    for (task, key) in [(1, 5), (2, 6)] {
+        let mut grown = f.registry_a.writer(1, task, None).unwrap();
+        grown.push(page(vec![key])).unwrap();
+        grown.push(Page::end(EndReason::ScanExhausted)).unwrap();
     }
-    let mut w = f.registry_b.writer(1, 2, None).unwrap();
-    w.push(page(vec![5])).unwrap();
-    w.push(Page::end(EndReason::ScanExhausted)).unwrap();
+    let mut r_b = f.registry_b.reader(1, 1, None).unwrap();
+    assert_eq!(
+        drain(r_b.as_mut()),
+        vec![5, 6],
+        "B counted all three writers"
+    );
+    assert_eq!(f.registry_b.producers_remaining(1).unwrap(), 0);
     let mut r_a = f.registry_a.reader(1, 0, None).unwrap();
-    assert_eq!(drain(r_a.as_mut()), vec![5]);
+    assert_eq!(drain(r_a.as_mut()), vec![5, 6]);
     f.server_a.shutdown();
     f.server_b.shutdown();
 }
@@ -236,10 +246,9 @@ fn poison_propagates_across_nodes() {
     let f = fleet(12, 2, RoutePolicy::Single, &network);
     f.registry_a
         .poison(AccordionError::Execution("node A task failed".into()));
-    // Node B's endpoints must observe the failure (the control broadcast is
-    // synchronous: poison() returns after the frame is written, and the
-    // server applies frames in order per connection — but a fresh
-    // connection races, so poll briefly).
+    // Node B's endpoints must observe the failure (poison() returns once
+    // the POISON frame is written to A's session; B applies it when its
+    // session thread reads it, so poll briefly).
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     loop {
         if f.registry_b.poison_error().is_some() {
@@ -258,16 +267,38 @@ fn poison_propagates_across_nodes() {
     f.server_b.shutdown();
 }
 
+/// A registry on the producing side of one edge, `producers` writers
+/// strong, whose one consumer slot lives at `addr`.
+fn remote_edge(
+    query: u64,
+    producers: u32,
+    addr: &str,
+    network: &NetworkConfig,
+) -> Arc<ExchangeRegistry> {
+    let topology = ExchangeTopology::new(query).edge(EdgeSpec {
+        stage: 1,
+        producers,
+        policy: RoutePolicy::Single,
+        consumers: vec![ConsumerLoc::Remote(addr.to_string())],
+        leased: false,
+    });
+    ExchangeRegistry::build(&topology, network, NicModel::unlimited()).unwrap()
+}
+
 #[test]
 fn unknown_query_is_rejected_with_an_error_frame() {
     let network = NetworkConfig::builder().connect_timeout_ms(2_000).build();
     let server = PageServer::bind("127.0.0.1:0").unwrap();
-    // No registry registered for query 99: a send must surface an error,
-    // not hang. The HELLO itself succeeds (the server replies
-    // asynchronously), so push until the ERR lands.
-    let mut sink = PageSink::connect(&server.local_addr(), 99, 1, &network).unwrap();
-    let failed = (0..10_000).any(|i| sink.send_data(0, &data_page(vec![i]), None).is_err());
-    assert!(failed, "unregistered query must fail the producer");
+    // No registry registered for query 99: a push must surface the
+    // server's error, not hang. HELLO has no reply, so the first page
+    // goes out on the window's credit; the ERR lands while the writer waits
+    // for more.
+    let registry = remote_edge(99, 1, &server.local_addr(), &network);
+    let mut w = registry.writer(1, 0, None).unwrap();
+    let err = (0..10_000)
+        .find_map(|i| w.push(page(vec![i])).err())
+        .expect("unregistered query must fail the producer");
+    assert!(err.to_string().contains("not registered"), "{err}");
     server.shutdown();
 }
 
@@ -303,18 +334,18 @@ fn hostile_peers_cost_a_small_buffer_and_a_closed_connection() {
     let topo = ExchangeTopology::new(60).edge(EdgeSpec::local(1, 2, RoutePolicy::Single, 1));
     let registry = ExchangeRegistry::build(&topo, &network, NicModel::unlimited()).unwrap();
     server.register(60, registry.clone());
-    // A well-behaved stream, open for as long as the hostile ones come.
-    let mut early = PageSink::connect(&server.local_addr(), 60, 1, &network).unwrap();
-    early.send_data(0, &data_page(vec![1, 2, 3]), None).unwrap();
-    let mut hello = frame_header(13, kind::HELLO);
+    // A well-behaved session, open for as long as the hostile ones come.
+    let early = remote_edge(60, 2, &server.local_addr(), &network);
+    let mut early_writer = early.writer(1, 0, None).unwrap();
+    early_writer.push(page(vec![1, 2, 3])).unwrap();
+    let mut hello = frame_header(9, kind::HELLO);
     hello.extend_from_slice(&60u64.to_le_bytes());
-    hello.extend_from_slice(&1u32.to_le_bytes());
 
     let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
     for round in 0..48 {
         let bytes = match rng.next() % 7 {
             // A frame that stops short of its announced length, on the
-            // query's own edge.
+            // query's own session.
             0 => {
                 let mut b = hello.clone();
                 b.extend_from_slice(&frame_header(100, kind::DATA));
@@ -325,7 +356,7 @@ fn hostile_peers_cost_a_small_buffer_and_a_closed_connection() {
             2 => frame_header(u32::MAX, kind::DATA),
             3 => frame_header(MAX_DATA as u32, kind::DATA),
             // A kind nobody defined, and defined kinds a page server
-            // does not serve (before and after a greeting).
+            // does not serve (as a first frame and inside a session).
             4 => frame_header(1, 17 + (rng.next() % 239) as u8),
             5 => {
                 let mut b = if rng.next().is_multiple_of(2) {
@@ -357,16 +388,17 @@ fn hostile_peers_cost_a_small_buffer_and_a_closed_connection() {
     }
 
     // The first frame says what a connection is for. A reply kind says
-    // nothing, and a conversation this listener does not serve is not
-    // served: one ERR naming the kind, then the connection is closed.
-    let claims = listen("127.0.0.1:0", "claims", vec![claim_route()]).unwrap();
+    // nothing, a claim travels inside a session and opens none, and a
+    // conversation this listener does not serve is not served: one ERR
+    // naming the kind, then the connection is closed.
+    let control = listen("127.0.0.1:0", "control", vec![wire_route()]).unwrap();
     for (addr, first) in [
         (server.local_addr(), kind::CREDIT),
         (server.local_addr(), kind::ACK),
         (server.local_addr(), kind::WIRED),
         (server.local_addr(), kind::SPLIT),
         (server.local_addr(), kind::CLAIM),
-        (claims.local_addr(), kind::HELLO),
+        (control.local_addr(), kind::HELLO),
     ] {
         let mut peer = TcpStream::connect(&addr).unwrap();
         peer.set_read_timeout(Some(Duration::from_secs(10)))
@@ -387,35 +419,44 @@ fn hostile_peers_cost_a_small_buffer_and_a_closed_connection() {
         );
     }
     // ... while a listener that does serve the kind takes it up.
-    let mut claimant = FrameConn::connect(&claims.local_addr(), Duration::from_secs(5)).unwrap();
+    let mut coordinator =
+        FrameConn::connect(&control.local_addr(), Duration::from_secs(5)).unwrap();
     assert_eq!(
-        claimant.call((kind::CLAIM, Vec::new())).unwrap().0,
-        kind::NONE
+        coordinator.call((kind::WIRE, Vec::new())).unwrap().0,
+        kind::ACK
     );
 
-    // The stream opened before all of that, and one opened after it, are
+    // The session opened before all of that, and one opened after it, are
     // both served.
-    early.send_data(0, &data_page(vec![4]), None).unwrap();
-    early.finish(EndReason::ScanExhausted, None).unwrap();
-    let mut late = PageSink::connect(&server.local_addr(), 60, 1, &network).unwrap();
-    late.send_data(0, &data_page(vec![5, 6]), None).unwrap();
-    late.finish(EndReason::ScanExhausted, None).unwrap();
+    early_writer.push(page(vec![4])).unwrap();
+    early_writer
+        .push(Page::end(EndReason::ScanExhausted))
+        .unwrap();
+    let late = remote_edge(60, 2, &server.local_addr(), &network);
+    let mut late_writer = late.writer(1, 1, None).unwrap();
+    late_writer.push(page(vec![5, 6])).unwrap();
+    late_writer
+        .push(Page::end(EndReason::ScanExhausted))
+        .unwrap();
     let mut reader = registry.reader(1, 0, None).unwrap();
-    assert_eq!(drain(reader.as_mut()), vec![1, 2, 3, 4, 5, 6]);
+    let mut got = drain(reader.as_mut());
+    got.sort_unstable();
+    assert_eq!(got, vec![1, 2, 3, 4, 5, 6]);
     server.shutdown();
 }
 
-/// A stand-in for the claim service (which lives a crate up): the route a
-/// CLAIM-first connection takes, answering every claim with NONE.
-fn claim_route() -> Route {
+/// A stand-in for a node's control service (which lives two crates up):
+/// the route a WIRE-first connection takes, answering every request with
+/// ACK.
+fn wire_route() -> Route {
     let serve = |conn: &mut FrameConn, _first| {
-        conn.send((kind::NONE, Vec::new()))?;
+        conn.send((kind::ACK, Vec::new()))?;
         while conn.recv()?.is_some() {
-            conn.send((kind::NONE, Vec::new()))?;
+            conn.send((kind::ACK, Vec::new()))?;
         }
         Ok(())
     };
-    (kind::CLAIM, Box::new(serve))
+    (kind::WIRE, Box::new(serve))
 }
 
 #[test]
@@ -433,10 +474,12 @@ fn a_dropped_server_releases_its_port() {
 #[test]
 fn surplus_credit_does_not_lose_the_finish_frame() {
     // Two local and two remote producers feed one tight consumer slot.
-    // Capacity doubling hands the sinks surplus credit, so they finish with
-    // CREDIT frames still unread on the wire — the FINISH round trip must
-    // drain them, or closing the socket would RST away the server's unread
-    // frames and the edge's writer accounting would never reach zero.
+    // Capacity doubling hands the remote window surplus credit, so the
+    // writers finish with CREDIT frames still unread on the wire, and no
+    // FINISH is acknowledged. The session's close must still deliver both
+    // FINISH frames — the dialer shuts down its write half and drains its
+    // reader, so no unread byte resets the connection — or the edge's
+    // writer accounting would never reach zero.
     let network = NetworkConfig::default();
     let server = PageServer::bind("127.0.0.1:0").unwrap();
     let topo_a = ExchangeTopology::new(50).edge(EdgeSpec::local(0, 4, RoutePolicy::Single, 1));
@@ -461,6 +504,9 @@ fn surplus_credit_does_not_lose_the_finish_frame() {
             w.push(Page::end(EndReason::ScanExhausted)).unwrap();
         }));
     }
+    // Node B's registry, and with it its session, goes away the moment its
+    // writers are done, credit in flight or not.
+    drop(reg_b);
     let mut reader = reg_a.reader(0, 0, None).unwrap();
     let mut rows = 0;
     loop {
@@ -473,5 +519,142 @@ fn surplus_credit_does_not_lose_the_finish_frame() {
     for h in handles {
         h.join().unwrap();
     }
+    server.shutdown();
+}
+
+/// A node listener serving pages only, which counts the connections it
+/// accepts.
+fn counting_node(
+    pages: &Arc<PageRegistries>,
+    accepted: &Arc<AtomicUsize>,
+) -> accordion_net::frame::Listener {
+    let (opens, serve) = session_route(Some(pages.clone()), None);
+    let accepted = accepted.clone();
+    let counted: Route = (
+        opens,
+        Box::new(move |conn, hello| {
+            accepted.fetch_add(1, Ordering::SeqCst);
+            serve(conn, hello)
+        }),
+    );
+    listen("127.0.0.1:0", "counting", vec![counted]).unwrap()
+}
+
+/// Drains `reader` on a thread of its own, so a test can bound the wait.
+fn drain_within(mut reader: Box<dyn ExchangeReader>, bound: Duration) -> Vec<i64> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(drain(reader.as_mut())));
+    rx.recv_timeout(bound).expect("the edge never ended")
+}
+
+#[test]
+fn a_full_edge_does_not_block_another_edge_on_its_session() {
+    // Node A feeds two edges into node B over one session, through
+    // one-page buffers. B's consumer of edge 1 does not pull, and a local
+    // writer on B has filled its queue already, so A's first page of edge 1
+    // lands in a full queue and A's window for it runs dry. Edge 2 must
+    // still flow: the session's reader on B never waits for room, and each
+    // window is its own.
+    let network = NetworkConfig::builder().fixed_buffers(1).build();
+    let (pages, accepted) = (
+        Arc::<PageRegistries>::default(),
+        Arc::new(AtomicUsize::new(0)),
+    );
+    let node_b = counting_node(&pages, &accepted);
+    let edge = |stage, loc: &ConsumerLoc| EdgeSpec {
+        stage,
+        producers: if stage == 1 { 2 } else { 1 },
+        policy: RoutePolicy::Single,
+        consumers: vec![loc.clone()],
+        leased: false,
+    };
+    let remote = ConsumerLoc::Remote(node_b.local_addr());
+    let topo_a = ExchangeTopology::new(70)
+        .edge(edge(1, &remote))
+        .edge(edge(2, &remote));
+    let topo_b = ExchangeTopology::new(70)
+        .edge(edge(1, &ConsumerLoc::Local))
+        .edge(edge(2, &ConsumerLoc::Local));
+    let registry_a = ExchangeRegistry::build(&topo_a, &network, NicModel::unlimited()).unwrap();
+    let registry_b = ExchangeRegistry::build(&topo_b, &network, NicModel::unlimited()).unwrap();
+    pages.register(70, registry_b.clone());
+    let mut local = registry_b.writer(1, 1, None).unwrap();
+    local.push(page(vec![1000])).unwrap();
+    local.push(Page::end(EndReason::ScanExhausted)).unwrap();
+
+    let producer = |stage: u32, pages: i64| {
+        let registry = registry_a.clone();
+        std::thread::spawn(move || {
+            let mut w = registry.writer(stage, 0, None).unwrap();
+            for i in 0..pages {
+                w.push(page(vec![i])).unwrap();
+            }
+            w.push(Page::end(EndReason::ScanExhausted)).unwrap();
+        })
+    };
+    let stalled = producer(1, 20);
+    let flowing = producer(2, 200);
+    let reader_2 = registry_b.reader(2, 0, None).unwrap();
+    let got = drain_within(reader_2, Duration::from_secs(10));
+    assert_eq!(
+        got,
+        (0..200).collect::<Vec<_>>(),
+        "edge 2 ordered and complete"
+    );
+    flowing.join().unwrap();
+    assert!(
+        !stalled.is_finished(),
+        "edge 1 is held back by its consumer"
+    );
+
+    let reader_1 = registry_b.reader(1, 0, None).unwrap();
+    let got = drain_within(reader_1, Duration::from_secs(10));
+    assert_eq!(got, [1000].into_iter().chain(0..20).collect::<Vec<_>>());
+    stalled.join().unwrap();
+    assert_eq!(
+        accepted.load(Ordering::SeqCst),
+        1,
+        "one session carried both edges"
+    );
+    node_b.shutdown();
+}
+
+#[test]
+fn a_closed_consumer_credits_what_it_drops() {
+    // Node A's window of four fills node B's queue, and B credits a page
+    // only when its consumer pulls it. B's reader takes one page (A sends
+    // one more on that credit) and goes away with four pages buffered and
+    // A's window empty. The pages it drops, and every page after, are
+    // credited at once: A's producer pushes the rest and finishes without
+    // waiting on a window nobody will ever reopen.
+    let network = NetworkConfig::builder().fixed_buffers(4).build();
+    let server = PageServer::bind("127.0.0.1:0").unwrap();
+    let topo_b = ExchangeTopology::new(80).edge(EdgeSpec::local(1, 1, RoutePolicy::Single, 1));
+    let registry_b = ExchangeRegistry::build(&topo_b, &network, NicModel::unlimited()).unwrap();
+    server.register(80, registry_b.clone());
+    let registry_a = remote_edge(80, 1, &server.local_addr(), &network);
+    let mut w = registry_a.writer(1, 0, None).unwrap();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let pushed = (0..105)
+            .try_for_each(|i| w.push(page(vec![i])))
+            .and_then(|()| w.push(Page::end(EndReason::ScanExhausted)));
+        tx.send(pushed)
+    });
+    let buffered = |pages| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while registry_b.stats().pages < pages {
+            assert!(Instant::now() < deadline, "{pages} pages never arrived");
+            std::thread::yield_now();
+        }
+    };
+    buffered(4);
+    let mut reader = registry_b.reader(1, 0, None).unwrap();
+    assert_eq!(reader.pull().unwrap().row_count(), 1);
+    buffered(5);
+    drop(reader);
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("the producer waited for credit a closed consumer never sends")
+        .unwrap();
     server.shutdown();
 }
