@@ -5,11 +5,17 @@
 //! degree of parallelism is retuned **between splits** instead of
 //! restarting the query. Three pieces cooperate:
 //!
-//! 1. **Runtime info collection** — a [`RuntimeCollector`] measures each
-//!    elastic stage's scan throughput per *measurement era* (from the
-//!    stage's first scanned page, then from each retune) and keeps the
-//!    per-stage `TimeSeries` of paper Fig 18. The controller samples it when
-//!    something wakes it, never on a timer of its own.
+//! 1. **Runtime info collection** — each [`StageControl`] measures its
+//!    stage's scan throughput per *measurement era* and keeps the stage's
+//!    series of paper Fig 18, from one read of the scan meters
+//!    ([`QueryMetrics::scan_totals`]) whenever something wakes the
+//!    controller, never on a timer of its own. The first era starts at the
+//!    stage's first scanned page, not at query start: thread start-up and
+//!    the wait for a compute slot are not scan time, and billing them to
+//!    the scan makes a 25 ms query look three times slower than it is.
+//!    Every retune starts a new era, so the rate always measures the
+//!    *current* task set. A stage's series ends with its scan, and goes to
+//!    the query's stats when the controller exits.
 //! 2. **The what-if predictor** ([`WhatIfPredictor`], §5.2) — estimates the
 //!    remaining completion time under a candidate DOP as
 //!    `T_remain(d) = V_remain / (R_per_task · d)`. `V_remain` is every row
@@ -52,7 +58,8 @@
 //! DOP, no rows flow from that task, and the sample being waited for may
 //! never come; it decides on what it has (which, with nothing measured,
 //! is "carry on"). Every evaluation, acted on or not, is a `DecisionRecord`
-//! in the query's stats.
+//! in the query's stats: the [`StageView`] the predictor was given and the
+//! [`Evaluation`] it returned, so re-evaluating the view replays it.
 //!
 //! The era's average is all the predictor has. A scan thread that loses its
 //! core for a few milliseconds early in an era reads as a scan that got
@@ -87,19 +94,19 @@
 //! [`StageControl`] releases its queue and lease on drop (no decision can
 //! strand a blocked claimant).
 //!
-//! [`RuntimeCollector`]: accordion_exec::metrics::RuntimeCollector
 //! [`SplitQueue`]: accordion_exec::splits::SplitQueue
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use accordion_common::config::{ElasticityConfig, ElasticityMode};
+use accordion_common::metrics::TimePoint;
 use accordion_common::sync::Signal;
 use accordion_common::Result;
 use accordion_data::page::{EndReason, Page};
 use accordion_exec::metrics::{
-    DecisionRecord, EraSample, QueryMetrics, RetuneEvent, RuntimeCollector,
-    SAMPLE_MIN_INTERVAL_NANOS,
+    DecisionRecord, EraSample, Evaluation, QueryMetrics, RetuneEvent, ScanTotals, StageSeries,
+    StageView, SAMPLE_MIN_INTERVAL_NANOS,
 };
 use accordion_exec::splits::SplitQueue;
 use accordion_net::{ExchangeRegistry, ExchangeWriter};
@@ -115,15 +122,6 @@ pub const MIN_SAMPLE_PAGES: u64 = 8;
 /// DOPs, from live runtime info.
 #[derive(Debug, Clone, Copy)]
 pub struct WhatIfPredictor;
-
-/// One candidate evaluation of the predictor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WhatIfChoice {
-    pub dop: u32,
-    /// Predicted remaining completion time at `dop`, seconds
-    /// (`f64::INFINITY` when no throughput has been observed yet).
-    pub predicted_secs: f64,
-}
 
 impl WhatIfPredictor {
     /// `T_remain = V_remain / (R_per_task · dop)`: `remaining_rows` still to
@@ -157,13 +155,10 @@ impl WhatIfPredictor {
         current_dop: u32,
         bounds: DopBounds,
         deadline: Duration,
-    ) -> WhatIfChoice {
+    ) -> u32 {
         let per_task = measured_rate / f64::from(current_dop.max(1));
         if remaining_rows == 0 {
-            return WhatIfChoice {
-                dop: bounds.min,
-                predicted_secs: 0.0,
-            };
+            return bounds.min;
         }
         let deadline_secs = deadline.as_secs_f64();
         // `per_task <= 0.0` is false for NaN, and `NaN as u32` is 0 — so an
@@ -176,61 +171,15 @@ impl WhatIfPredictor {
             || !deadline_secs.is_finite()
             || deadline_secs <= 0.0
         {
-            return WhatIfChoice {
-                dop: bounds.max,
-                predicted_secs: Self::predict_secs(remaining_rows, per_task, bounds.max),
-            };
+            return bounds.max;
         }
         let required = (remaining_rows as f64 / (per_task * deadline_secs)).ceil();
-        let dop = if !required.is_finite() || required >= f64::from(bounds.max) {
+        if !required.is_finite() || required >= f64::from(bounds.max) {
             bounds.max
         } else {
             bounds.clamp(required as u32)
-        };
-        WhatIfChoice {
-            dop,
-            predicted_secs: Self::predict_secs(remaining_rows, per_task, dop),
         }
     }
-}
-
-/// What one `auto` evaluation knows about its stage, read at one instant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageView {
-    /// Tasks scanning the stage now.
-    pub dop: u32,
-    pub bounds: DopBounds,
-    /// Compute slots the query's tasks can occupy at once — the cap.
-    pub slots: u32,
-    /// Rows in all of the stage's splits.
-    pub total_rows: u64,
-    /// `V_remain`: `total_rows` minus what has been scanned.
-    pub unscanned_rows: u64,
-    /// The current measurement era.
-    pub sample: EraSample,
-    /// Claimants waiting at the decision boundary.
-    pub parked: u32,
-    /// The whole deadline, and what is left of it.
-    pub deadline: Duration,
-    pub budget: Duration,
-}
-
-/// What [`WhatIfPredictor::evaluate`] makes of a [`StageView`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Evaluation {
-    pub per_task_rate: f64,
-    /// The DOP that meets `budget` from here, within bounds — before the
-    /// cap and the shrink rules.
-    pub required_dop: u32,
-    /// The pool's slots (`StageView::slots`): `auto` never chooses more
-    /// tasks.
-    pub cap: u32,
-    /// The DOP to continue at.
-    pub chosen_dop: u32,
-    /// Predicted remaining time at `chosen_dop`, seconds.
-    pub predicted_secs: f64,
-    /// Too little measured and nobody waiting: ask again at the next event.
-    pub postponed: bool,
 }
 
 impl WhatIfPredictor {
@@ -260,7 +209,6 @@ impl WhatIfPredictor {
         let stay = |postponed: bool| Evaluation {
             per_task_rate,
             required_dop: view.dop,
-            cap: view.slots,
             chosen_dop: view.dop,
             predicted_secs: predict(view.dop),
             postponed,
@@ -277,12 +225,11 @@ impl WhatIfPredictor {
             occupied,
             view.bounds,
             view.budget,
-        )
-        .dop;
+        );
         let mut chosen = required;
         if chosen < view.dop {
             let steady =
-                Self::choose_dop(view.total_rows, rate, occupied, view.bounds, view.deadline).dop;
+                Self::choose_dop(view.total_rows, rate, occupied, view.bounds, view.deadline);
             chosen = chosen.max(steady.min(view.dop));
             if predict(chosen) >= view.budget.as_secs_f64() {
                 chosen = view.dop;
@@ -292,7 +239,6 @@ impl WhatIfPredictor {
         Evaluation {
             per_task_rate,
             required_dop: required,
-            cap: view.slots,
             chosen_dop,
             predicted_secs: predict(chosen_dop),
             postponed: false,
@@ -314,6 +260,13 @@ pub struct StageControl {
     /// docs). `None` once released.
     lease: Option<Box<dyn ExchangeWriter>>,
     done: bool,
+    /// Where the current measurement era began: the stage's scan totals
+    /// and the clock then. `None` until the stage's first page, which opens
+    /// the first era and is not part of it.
+    era: Option<(ScanTotals, u64)>,
+    /// The stage's era rate over time (paper Fig 18): at most one point per
+    /// tick, plus one per decision.
+    series: Vec<TimePoint>,
 }
 
 impl StageControl {
@@ -333,6 +286,8 @@ impl StageControl {
             next_slot: initial_dop,
             lease: Some(lease),
             done: false,
+            era: None,
+            series: Vec::new(),
         }
     }
 
@@ -364,7 +319,7 @@ impl Drop for StageControl {
 }
 
 /// The runtime elasticity controller of one query execution: owns the
-/// elastic stages' split queues, writer leases and runtime info collector,
+/// elastic stages' split queues, writer leases and runtime information,
 /// and applies DOP retunes at between-splits decision boundaries.
 pub struct ElasticityController {
     config: ElasticityConfig,
@@ -375,7 +330,6 @@ pub struct ElasticityController {
     /// is injectable via `QueryMetrics::with_clock` for deterministic
     /// tests.)
     metrics: Arc<QueryMetrics>,
-    collector: RuntimeCollector,
     stages: Vec<StageControl>,
     /// Compute slots the query's tasks can occupy at once — the pool's
     /// `worker_threads`, times the nodes of a distributed query. `Auto`
@@ -396,8 +350,6 @@ impl ElasticityController {
         stages: Vec<StageControl>,
         slots: u32,
     ) -> Self {
-        let ids: Vec<u32> = stages.iter().map(|s| s.stage).collect();
-        let collector = RuntimeCollector::new(metrics.clone(), &ids);
         let signal = Arc::new(Signal::new());
         for st in &stages {
             st.queue.watch(signal.clone());
@@ -408,7 +360,6 @@ impl ElasticityController {
         ElasticityController {
             config,
             metrics,
-            collector,
             stages,
             slots: slots.max(1),
             signal,
@@ -429,25 +380,60 @@ impl ElasticityController {
         Duration::from_millis(deadline_ms).saturating_sub(self.metrics.elapsed())
     }
 
-    /// `V_remain` of one stage: every row not scanned yet. Counting only
-    /// the *unclaimed* splits would leave out the ones being read right
-    /// now — up to a split per task, which late in a stage is most of what
-    /// remains.
-    fn unscanned_rows(&self, st: &StageControl) -> u64 {
-        st.queue
-            .total_rows()
-            .saturating_sub(self.metrics.operator_rows(st.stage, "TableScan"))
+    /// Reads stage `i`'s scan meters once and returns them with its
+    /// current era. Adds the era's rate to the stage's series when a point
+    /// is due: its first, a tick after the last, or one a decision
+    /// `force`s.
+    fn sample(&mut self, i: usize, force: bool) -> (ScanTotals, EraSample) {
+        let totals = self.metrics.scan_totals(self.stages[i].stage);
+        let (now, at) = (self.metrics.clock().now_nanos(), self.metrics.elapsed());
+        let st = &mut self.stages[i];
+        // The first era begins with the first page, which is itself
+        // outside it: it was scanned before the era's clock started.
+        if let (None, Some(first)) = (st.era, totals.first_page) {
+            let opened = ScanTotals {
+                rows: first.rows,
+                pages: 1,
+                first_page: None,
+            };
+            st.era = Some((opened, first.nanos));
+        }
+        let sample = st
+            .era
+            .map_or(EraSample::default(), |(start, nanos)| EraSample {
+                rows: totals.rows.saturating_sub(start.rows),
+                pages: totals.pages.saturating_sub(start.pages),
+                secs: now.saturating_sub(nanos) as f64 / 1e9,
+            });
+        let tick = Duration::from_nanos(SAMPLE_MIN_INTERVAL_NANOS);
+        let due = |last: &TimePoint| at.saturating_sub(last.at) >= tick;
+        if force || st.series.last().is_none_or(due) {
+            st.series.push(TimePoint {
+                at,
+                value: sample.rate(),
+            });
+        }
+        (totals, sample)
+    }
+
+    /// Starts a new measurement era for stage `i`, so later rates measure
+    /// its new task set only.
+    fn restart_era(&mut self, i: usize) {
+        let totals = self.metrics.scan_totals(self.stages[i].stage);
+        self.stages[i].era = Some((totals, self.metrics.clock().now_nanos()));
     }
 
     /// Runs the control loop until every elastic stage's split queue is
-    /// exhausted (or the registry is poisoned). One pass: sample the
-    /// runtime info (the series keeps at most one point per tick), retire
-    /// finished stages, and for each stage whose decision is due consult
-    /// the schedule or the what-if predictor and apply the retune. Then sleep until the next event — a claim at a
-    /// boundary, a parked claimant, the last split, a retirement, a task
-    /// exit — or the tick, whichever is first. `spawn` launches one new
-    /// task `(stage, slot)` on the scheduler's pool — it is only called
-    /// after the stage's edge has been re-registered at the larger DOP.
+    /// exhausted (or the registry is poisoned). One pass, over each stage
+    /// still running: sample its runtime info (at most one point per
+    /// tick), retire it if it is finished, and if its decision is due
+    /// consult the schedule or the what-if predictor and apply the retune.
+    /// Then sleep until the next event — a claim at a boundary, a parked
+    /// claimant, the last split, a retirement, a task exit — or the tick,
+    /// whichever is first. On the way out every stage's series goes to the
+    /// query's stats. `spawn` launches one new task `(stage, slot)` on the
+    /// scheduler's pool — it is only called after the stage's edge has been
+    /// re-registered at the larger DOP.
     pub fn run(
         mut self,
         registry: &ExchangeRegistry,
@@ -458,12 +444,12 @@ impl ElasticityController {
                 break;
             }
             self.metrics.record_controller_wakeup();
-            self.collector.sample();
             let mut pending = false;
             for i in 0..self.stages.len() {
                 if self.stages[i].done {
                     continue;
                 }
+                self.sample(i, false);
                 // A stage is complete when its split queue is exhausted —
                 // or when every real producer already finished (e.g. each
                 // task's local LIMIT was satisfied mid-scan and the task
@@ -493,20 +479,29 @@ impl ElasticityController {
         }
         for st in &mut self.stages {
             st.finish();
+            self.metrics.record_series(StageSeries {
+                stage: st.stage,
+                points: std::mem::take(&mut st.series),
+            });
         }
     }
 
     /// One `Auto` evaluation of stage `i`, recorded whatever comes of it.
-    fn evaluate(&self, i: usize, deadline_ms: u64) -> Evaluation {
+    fn evaluate(&mut self, i: usize, deadline_ms: u64) -> Evaluation {
+        // Fresh, and a point of the series whatever the tick says.
+        let (totals, sample) = self.sample(i, true);
         let st = &self.stages[i];
         let view = StageView {
             dop: st.dop(),
             bounds: st.bounds,
             slots: self.slots,
             total_rows: st.queue.total_rows(),
-            unscanned_rows: self.unscanned_rows(st),
-            // Fresh, and a point of the series whatever the tick says.
-            sample: self.collector.sample_stage(st.stage),
+            // Every row not scanned yet. Counting only the *unclaimed*
+            // splits would leave out the ones being read right now — up to
+            // a split per task, which late in a stage is most of what
+            // remains.
+            unscanned_rows: st.queue.total_rows().saturating_sub(totals.rows),
+            sample,
             parked: st.queue.parked(),
             deadline: Duration::from_millis(deadline_ms),
             budget: self.remaining_budget(deadline_ms),
@@ -515,15 +510,8 @@ impl ElasticityController {
         self.metrics.record_decision(DecisionRecord {
             at_ms: self.metrics.elapsed().as_secs_f64() * 1e3,
             stage: st.stage,
-            dop: view.dop,
-            unscanned_rows: view.unscanned_rows,
-            per_task_rate: eval.per_task_rate,
-            budget_ms: view.budget.as_secs_f64() * 1e3,
-            required_dop: eval.required_dop,
-            cap: eval.cap,
-            chosen_dop: eval.chosen_dop,
-            parked: view.parked,
-            postponed: eval.postponed,
+            view,
+            eval,
         });
         eval
     }
@@ -584,8 +572,8 @@ impl ElasticityController {
     }
 
     /// Applies a DOP change for stage `i` and — inseparably — records the
-    /// retune event and resets the stage's rate baseline. This is the *only*
-    /// code path that changes a stage's task set, so a new measurement era
+    /// retune event and starts the stage's next measurement era. This is
+    /// the *only* code path that changes a stage's task set, so a new era
     /// begins on every DOP change: the next decision must not divide a rate
     /// observed at the old DOP by the new one (mixing eras skews the
     /// per-task rate by up to the grow/shrink ratio).
@@ -644,7 +632,7 @@ impl ElasticityController {
             },
             spawned,
         );
-        self.collector.reset_baseline(stage);
+        self.restart_era(i);
         Ok(())
     }
 }
@@ -652,6 +640,8 @@ impl ElasticityController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accordion_common::ManualClock;
+    use accordion_net::ExchangeStats;
 
     fn bounds(min: u32, max: u32) -> DopBounds {
         DopBounds::new(min, max)
@@ -670,26 +660,29 @@ mod tests {
     fn choose_dop_picks_smallest_meeting_deadline() {
         // 1000 rows remaining, measured 100 rows/s at 2 tasks → 50/s/task.
         // Deadline 10 s: dop 2 predicts 10 s — the smallest that fits.
-        let c = WhatIfPredictor::choose_dop(1000, 100.0, 2, bounds(1, 8), Duration::from_secs(10));
-        assert_eq!(c.dop, 2);
-        assert!((c.predicted_secs - 10.0).abs() < 1e-9);
+        let dop =
+            WhatIfPredictor::choose_dop(1000, 100.0, 2, bounds(1, 8), Duration::from_secs(10));
+        assert_eq!(dop, 2);
+        assert!((WhatIfPredictor::predict_secs(1000, 50.0, dop) - 10.0).abs() < 1e-9);
         // Tight deadline 3 s: needs ≥ 1000/(50·3) = 6.67 → dop 7.
-        let c = WhatIfPredictor::choose_dop(1000, 100.0, 2, bounds(1, 8), Duration::from_secs(3));
-        assert_eq!(c.dop, 7);
+        let dop = WhatIfPredictor::choose_dop(1000, 100.0, 2, bounds(1, 8), Duration::from_secs(3));
+        assert_eq!(dop, 7);
+        assert!(WhatIfPredictor::predict_secs(1000, 50.0, dop) <= 3.0);
         // Impossible deadline: the largest DOP in bounds.
-        let c = WhatIfPredictor::choose_dop(1000, 100.0, 2, bounds(1, 8), Duration::ZERO);
-        assert_eq!(c.dop, 8);
+        let dop = WhatIfPredictor::choose_dop(1000, 100.0, 2, bounds(1, 8), Duration::ZERO);
+        assert_eq!(dop, 8);
         // Generous deadline: the smallest.
-        let c = WhatIfPredictor::choose_dop(1000, 100.0, 2, bounds(2, 8), Duration::from_secs(60));
-        assert_eq!(c.dop, 2);
+        let dop =
+            WhatIfPredictor::choose_dop(1000, 100.0, 2, bounds(2, 8), Duration::from_secs(60));
+        assert_eq!(dop, 2);
     }
 
     #[test]
     fn choose_dop_without_measurements_maxes_out() {
         // No throughput observed → every prediction is infinite → largest.
-        let c = WhatIfPredictor::choose_dop(1000, 0.0, 1, bounds(1, 4), Duration::from_secs(60));
-        assert_eq!(c.dop, 4);
-        assert_eq!(c.predicted_secs, f64::INFINITY);
+        let dop = WhatIfPredictor::choose_dop(1000, 0.0, 1, bounds(1, 4), Duration::from_secs(60));
+        assert_eq!(dop, 4);
+        assert_eq!(WhatIfPredictor::predict_secs(1000, 0.0, dop), f64::INFINITY);
     }
 
     #[test]
@@ -697,48 +690,49 @@ mod tests {
         // NaN passes a `<= 0.0` test and casts to u32 as 0 — before the
         // guard, a NaN rate silently clamped to the *minimum* DOP. It must
         // take the maximum, the nothing-measured fallback.
-        let c =
+        let dop =
             WhatIfPredictor::choose_dop(1000, f64::NAN, 2, bounds(1, 8), Duration::from_secs(10));
-        assert_eq!(c.dop, 8);
-        assert_eq!(c.predicted_secs, f64::INFINITY);
+        assert_eq!(dop, 8);
+        assert_eq!(
+            WhatIfPredictor::predict_secs(1000, f64::NAN, dop),
+            f64::INFINITY
+        );
         // An infinite measured rate (meter sampled within one clock tick)
         // likewise has no extrapolation value.
-        let c = WhatIfPredictor::choose_dop(
+        let dop = WhatIfPredictor::choose_dop(
             1000,
             f64::INFINITY,
             2,
             bounds(1, 8),
             Duration::from_secs(10),
         );
-        assert_eq!(c.dop, 8);
+        assert_eq!(dop, 8);
         // Negative rates (a meter wrapped or was reset mid-window) too.
-        let c = WhatIfPredictor::choose_dop(1000, -50.0, 2, bounds(1, 8), Duration::from_secs(10));
-        assert_eq!(c.dop, 8);
+        let dop =
+            WhatIfPredictor::choose_dop(1000, -50.0, 2, bounds(1, 8), Duration::from_secs(10));
+        assert_eq!(dop, 8);
     }
 
     #[test]
     fn choose_dop_guards_degenerate_deadlines() {
         // Zero deadline: unmeetable by any finite rate → max DOP.
-        let c = WhatIfPredictor::choose_dop(1000, 100.0, 2, bounds(1, 8), Duration::ZERO);
-        assert_eq!(c.dop, 8);
+        let dop = WhatIfPredictor::choose_dop(1000, 100.0, 2, bounds(1, 8), Duration::ZERO);
+        assert_eq!(dop, 8);
         // Sub-sample-interval query: the whole scan finishes before the
-        // collector takes its first sample, so the rate reads 0.0 and
+        // controller takes its first sample, so the rate reads 0.0 and
         // remaining volume is tiny. Still deterministic: max DOP.
-        let c = WhatIfPredictor::choose_dop(3, 0.0, 1, bounds(1, 4), Duration::from_millis(1));
-        assert_eq!(c.dop, 4);
-        assert_eq!(c.predicted_secs, f64::INFINITY);
+        let dop = WhatIfPredictor::choose_dop(3, 0.0, 1, bounds(1, 4), Duration::from_millis(1));
+        assert_eq!(dop, 4);
+        assert_eq!(WhatIfPredictor::predict_secs(3, 0.0, dop), f64::INFINITY);
         // And when the queue is already empty, no work remains: min DOP,
         // zero predicted time, regardless of the rate's pathology.
-        let c = WhatIfPredictor::choose_dop(0, f64::NAN, 2, bounds(2, 8), Duration::ZERO);
-        assert_eq!(c.dop, 2);
-        assert_eq!(c.predicted_secs, 0.0);
+        let dop = WhatIfPredictor::choose_dop(0, f64::NAN, 2, bounds(2, 8), Duration::ZERO);
+        assert_eq!(dop, 2);
+        assert_eq!(WhatIfPredictor::predict_secs(0, f64::NAN, dop), 0.0);
     }
 
     #[test]
     fn half_spent_deadline_chooses_a_strictly_higher_dop() {
-        use accordion_common::config::ElasticityConfig;
-        use accordion_common::ManualClock;
-
         // The headline regression: the controller must budget each Auto
         // decision against the deadline MINUS elapsed query time. With the
         // full-deadline bug, both decisions below were identical.
@@ -748,9 +742,8 @@ mod tests {
             ElasticityController::new(ElasticityConfig::auto(10_000), metrics, Vec::new(), 4);
 
         // 1000 rows left, 100 rows/s measured at 2 tasks → 50 rows/s/task.
-        let decide = |budget: Duration| {
-            WhatIfPredictor::choose_dop(1000, 100.0, 2, bounds(1, 8), budget).dop
-        };
+        let decide =
+            |budget: Duration| WhatIfPredictor::choose_dop(1000, 100.0, 2, bounds(1, 8), budget);
 
         // Fresh query: the full 10 s remain; dop 2 meets it exactly.
         assert_eq!(ctrl.remaining_budget(10_000), Duration::from_secs(10));
@@ -838,7 +831,7 @@ mod tests {
             budget: Duration::ZERO,
             ..blind
         });
-        assert_eq!((e.required_dop, e.cap, e.chosen_dop), (8, 4, 4));
+        assert_eq!((e.required_dop, e.chosen_dop), (8, 4));
     }
 
     #[test]
@@ -848,12 +841,12 @@ mod tests {
             ..view()
         };
         let e = WhatIfPredictor::evaluate(&hopeless);
-        assert_eq!((e.required_dop, e.cap, e.chosen_dop), (8, 4, 4));
+        assert_eq!((e.required_dop, e.chosen_dop), (8, 4), "four slots");
         let e = WhatIfPredictor::evaluate(&StageView {
             slots: 2,
             ..hopeless
         });
-        assert_eq!((e.cap, e.chosen_dop), (2, 2));
+        assert_eq!(e.chosen_dop, 2);
         // Four tasks on two slots scan at the rate of two: the per-task
         // rate divides by the slots they can occupy, not by their number.
         let e = WhatIfPredictor::evaluate(&StageView {
@@ -913,10 +906,11 @@ mod tests {
     }
 
     /// A one-stage registry and a controller over `splits` for stage 1,
-    /// whose metrics run on a manual clock.
+    /// whose metrics run on `clock`.
     fn controlled(
         config: ElasticityConfig,
         splits: Vec<accordion_storage::split::Split>,
+        clock: accordion_common::SharedClock,
     ) -> (
         Arc<ExchangeRegistry>,
         Arc<QueryMetrics>,
@@ -928,9 +922,7 @@ mod tests {
         let topology =
             ExchangeTopology::new(0).edge(EdgeSpec::local(1, 1, RoutePolicy::Single, 1).leased());
         let registry = ExchangeRegistry::build_in_process(&topology).unwrap();
-        let metrics = Arc::new(QueryMetrics::with_clock(
-            accordion_common::ManualClock::shared(),
-        ));
+        let metrics = Arc::new(QueryMetrics::with_clock(clock));
         let queue = Arc::new(SplitQueue::new(splits));
         let lease = registry.writer(1, u32::MAX, None).unwrap();
         let stage = StageControl::new(1, bounds(1, 8), 1, queue.clone(), lease);
@@ -954,20 +946,22 @@ mod tests {
 
     #[test]
     fn v_remain_includes_a_split_that_is_claimed_but_not_scanned() {
-        let (_registry, metrics, queue, ctrl) = controlled(
+        let (_registry, metrics, queue, mut ctrl) = controlled(
             ElasticityConfig::auto(1_000),
             vec![split(0, 10), split(1, 10)],
+            ManualClock::shared(),
         );
         let scan = metrics.register(1, 0, 0, "TableScan");
         assert!(queue.claim(0, None).is_some());
         assert_eq!(queue.remaining_rows(), 10, "what the unclaimed splits hold");
-        assert_eq!(
-            ctrl.unscanned_rows(&ctrl.stages[0]),
-            20,
-            "what is left to do"
-        );
+        let unscanned = |ctrl: &mut ElasticityController| {
+            ctrl.evaluate(0, 1_000);
+            let decisions = metrics.snapshot(ExchangeStats::default()).decisions;
+            decisions.last().unwrap().view.unscanned_rows
+        };
+        assert_eq!(unscanned(&mut ctrl), 20, "what is left to do");
         scan.record_page(4, 32);
-        assert_eq!(ctrl.unscanned_rows(&ctrl.stages[0]), 16);
+        assert_eq!(unscanned(&mut ctrl), 16);
     }
 
     #[test]
@@ -981,6 +975,7 @@ mod tests {
         let (registry, _metrics, queue, ctrl) = controlled(
             ElasticityConfig::off(),
             vec![split(0, 1), split(1, 1), split(2, 1)],
+            ManualClock::shared(),
         );
         let signal = ctrl.signal();
         // A producer that never finishes keeps the stage pending.
@@ -1014,6 +1009,148 @@ mod tests {
         controller.join().unwrap();
         // Leaving, it released the queue: the claimant is not stranded.
         assert!(claimant.join().unwrap().is_some());
+    }
+
+    #[test]
+    fn the_controller_samples_the_live_scan_rate() {
+        let clock = ManualClock::shared();
+        let (registry, metrics, _, mut ctrl) =
+            controlled(ElasticityConfig::off(), vec![split(0, 1)], clock.clone());
+        let m = metrics.register(1, 0, 0, "TableScan");
+        let last_rate = |ctrl: &ElasticityController| ctrl.stages[0].series.last().unwrap().value;
+
+        // The first page opens the first era and is not part of it. Then
+        // 100 rows over the first second: era rate 100 rows/s.
+        m.record_page(7, 56);
+        m.record_page(100, 800);
+        clock.advance_millis(1000);
+        ctrl.sample(0, false);
+        assert!((last_rate(&ctrl) - 100.0).abs() < 1e-9);
+
+        // Sampling again without time passing is throttled: no new point.
+        ctrl.sample(0, false);
+        assert_eq!(ctrl.stages[0].series.len(), 1);
+
+        // 100 more rows over another second: 100 rows/s over the era.
+        m.record_page(100, 800);
+        clock.advance_millis(1000);
+        ctrl.sample(0, false);
+        assert!((last_rate(&ctrl) - 100.0).abs() < 1e-9);
+
+        // A retune starts a new measurement era: only rows since count,
+        // so the rate reflects the new task set instead of a stale average.
+        ctrl.restart_era(0);
+        m.record_page(50, 400);
+        clock.advance_millis(1000);
+        let (_, fresh) = ctrl.sample(0, true);
+        assert!((fresh.rate() - 50.0).abs() < 1e-9, "era rate was {fresh:?}");
+        assert_eq!((fresh.rows, fresh.pages), (50, 1));
+
+        // However it exits, the controller hands the series over, counted
+        // from query start.
+        registry.poison(accordion_common::AccordionError::Execution("boom".into()));
+        ctrl.run(&registry, &mut |_, _| Ok(()));
+        let stats = metrics.snapshot(ExchangeStats::default());
+        let series = stats.series_for(1).expect("series recorded");
+        let at: Vec<u128> = series.points.iter().map(|p| p.at.as_millis()).collect();
+        assert_eq!(at, [1000, 2000, 3000]);
+    }
+
+    #[test]
+    fn the_first_era_starts_at_the_first_page_not_at_query_start() {
+        let clock = ManualClock::shared();
+        let (_registry, metrics, _, mut ctrl) =
+            controlled(ElasticityConfig::off(), vec![split(0, 1)], clock.clone());
+        // 5 ms pass before the scan task runs at all: nothing to sample.
+        clock.advance_millis(5);
+        let m = metrics.register(1, 0, 0, "TableScan");
+        assert_eq!(ctrl.sample(0, true).1, EraSample::default());
+        // It scans 1000 rows a millisecond. Billing the gap to the scan
+        // would read 6000 rows / 10 ms = 600k rows/s instead of a million.
+        m.record_page(1000, 8000);
+        for _ in 0..5 {
+            clock.advance_millis(1);
+            m.record_page(1000, 8000);
+        }
+        let (totals, sample) = ctrl.sample(0, true);
+        assert_eq!((sample.rows, sample.pages), (5000, 5));
+        assert!((sample.rate() - 1e6).abs() < 1e-3, "rate {}", sample.rate());
+        assert_eq!(totals.rows, 6000, "progress counts them all");
+    }
+
+    #[test]
+    fn era_rates_never_mix_across_retunes() {
+        // A grow→shrink→grow schedule: each era's rate must reflect only
+        // that era's rows and elapsed time, never a whole-query average.
+        // Whole-query averaging would smear the 100 → 10 → 400 rows/s
+        // staircase into drifting blends (e.g. era 2 would read 55, era 3
+        // would read 170) and the predictor would mis-size every retune.
+        let clock = ManualClock::shared();
+        let (_registry, metrics, _, mut ctrl) =
+            controlled(ElasticityConfig::off(), vec![split(0, 1)], clock.clone());
+        let m = metrics.register(1, 0, 0, "TableScan");
+
+        let eras: [(u64, f64); 3] = [(100, 100.0), (10, 10.0), (400, 400.0)];
+        m.record_page(1, 8); // opens the first era
+        for (rows, want) in eras {
+            m.record_page(rows, 8 * rows);
+            clock.advance_millis(1000);
+            let got = ctrl.sample(0, true).1.rate();
+            assert!(
+                (got - want).abs() < 1e-9,
+                "era rate {got} rows/s, wanted {want}"
+            );
+            // What the controller's retune path does: a new task set
+            // starts a fresh measurement era.
+            ctrl.restart_era(0);
+        }
+
+        // Immediately after a restart, nothing has flowed in the new era.
+        assert_eq!(ctrl.sample(0, true).1.rate(), 0.0);
+    }
+
+    #[test]
+    fn a_finished_stage_adds_no_points_to_its_series() {
+        use accordion_net::{EdgeSpec, ExchangeTopology, RoutePolicy};
+
+        // Stage 1 has nothing to scan and finishes on the first pass;
+        // stage 2 is held pending by a producer that never finishes, so
+        // the controller goes on ticking until it is poisoned.
+        let topology = ExchangeTopology::new(0)
+            .edge(EdgeSpec::local(1, 1, RoutePolicy::Single, 1).leased())
+            .edge(EdgeSpec::local(2, 1, RoutePolicy::Single, 1).leased());
+        let registry = ExchangeRegistry::build_in_process(&topology).unwrap();
+        let metrics = Arc::new(QueryMetrics::new());
+        let stage = |id: u32, splits| {
+            let (queue, lease) = (SplitQueue::new(splits), registry.writer(id, u32::MAX, None));
+            StageControl::new(id, bounds(1, 8), 1, Arc::new(queue), lease.unwrap())
+        };
+        let stages = vec![stage(1, Vec::new()), stage(2, vec![split(0, 1)])];
+        let ctrl = ElasticityController::new(ElasticityConfig::off(), metrics.clone(), stages, 2);
+        let _task_writer = registry.writer(2, 0, None).unwrap();
+        let controller = {
+            let registry = registry.clone();
+            std::thread::spawn(move || ctrl.run(&registry, &mut |_, _| Ok(())))
+        };
+        // Nothing raises the signal, so passes come a tick apart: seven
+        // are 60 ms of sampling.
+        while metrics
+            .snapshot(ExchangeStats::default())
+            .controller_wakeups
+            < 7
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        registry.poison(accordion_common::AccordionError::Execution("boom".into()));
+        controller.join().unwrap();
+        let stats = metrics.snapshot(ExchangeStats::default());
+        let points = |stage| stats.series_for(stage).unwrap().points.len();
+        let (finished, running) = (points(1), points(2));
+        assert!(finished <= 1, "a finished stage kept sampling: {finished}");
+        assert!(
+            running >= 3,
+            "a running stage is sampled every tick: {running}"
+        );
     }
 
     #[test]

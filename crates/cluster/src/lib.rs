@@ -40,5 +40,5 @@ pub use dist::{
     distributed_topology, plan_fingerprint, task_node, ClaimMsg, ClaimWiring, DistRole,
     RemoteSplitSource, SplitQueues, SplitServer,
 };
-pub use elastic::{ElasticityController, StageControl, WhatIfChoice, WhatIfPredictor};
+pub use elastic::{ElasticityController, StageControl, WhatIfPredictor};
 pub use scheduler::{NodeQuery, QueryExecutor};

@@ -301,8 +301,8 @@ fn concurrent_auto_queries_return_the_serial_rows() {
             assert_eq!(sorted_rows(&r), reference, "retuning changed rows");
             // Company does not shrink a query's cap: it is the pool.
             for d in &r.stats().decisions {
-                assert_eq!(d.cap, 4, "{d:?}");
-                assert!(d.chosen_dop <= 4, "{d:?}");
+                assert_eq!(d.view.slots, 4, "{d:?}");
+                assert!(d.eval.chosen_dop <= 4, "{d:?}");
             }
         }
     });

@@ -5,13 +5,14 @@
 //! produce a result **identical** to the static-DOP run, with every split
 //! scanned exactly once (no page loss, no duplication). A second group
 //! exercises the `Auto` mode, where the decision is made by the what-if
-//! predictor reading live `TimeSeries` samples from the runtime info
-//! collector; a third pins down the collector output itself (monotone
-//! samples) and the retune log.
+//! predictor from the live era samples the elasticity controller takes of
+//! each stage's scans, and every decision replays from its record; a third
+//! pins down the runtime info itself (monotone per-stage series) and the
+//! retune log.
 
 mod common;
 
-use accordion_cluster::QueryExecutor;
+use accordion_cluster::{QueryExecutor, WhatIfPredictor};
 use accordion_common::config::{ElasticityConfig, NetworkConfig};
 use accordion_common::ElasticityMode;
 use accordion_data::schema::{Field, Schema};
@@ -256,13 +257,17 @@ fn auto_mode_grows_to_the_pool_under_an_impossible_deadline() {
         .stats()
         .decisions
         .iter()
-        .find(|d| d.chosen_dop == 4)
+        .find(|d| d.eval.chosen_dop == 4)
         .expect("the grow is in the decision log");
     assert_eq!(
-        (decision.dop, decision.required_dop, decision.cap),
+        (
+            decision.view.dop,
+            decision.eval.required_dop,
+            decision.view.slots
+        ),
         (1, 8, 4)
     );
-    assert_eq!(decision.budget_ms, 0.0);
+    assert!(decision.view.budget.is_zero());
 }
 
 #[test]
@@ -291,6 +296,36 @@ fn auto_mode_shrinks_to_bounds_min_under_generous_deadline() {
         "shrink decision must come from a finite prediction, got {}",
         retune.predicted_secs
     );
+}
+
+#[test]
+fn every_auto_decision_replays_from_its_record() {
+    // A decision record is the predictor's whole input and its output:
+    // evaluating the recorded view again must give the recorded
+    // evaluation, under deadlines that grow, stay and shrink.
+    let c = catalog();
+    for (name, builder) in golden_suite(&c) {
+        for planned_dop in [1, 4] {
+            let tree = tree_at(&builder, planned_dop);
+            for deadline_ms in [1, 20, 3_600_000] {
+                for worker_threads in [1usize, 4] {
+                    let elasticity = ElasticityConfig::auto(deadline_ms);
+                    let executor = QueryExecutor::new(opts(worker_threads, elasticity));
+                    let result = executor.execute_tree(&c, &tree).unwrap();
+                    let decisions = &result.stats().decisions;
+                    let run = format!(
+                        "{name} at dop {planned_dop}, {deadline_ms} ms, {worker_threads} threads"
+                    );
+                    assert!(!decisions.is_empty(), "{run}: no decision recorded");
+                    for d in decisions {
+                        assert_eq!(WhatIfPredictor::evaluate(&d.view), d.eval, "{run}: {d:?}");
+                        assert!(d.view.unscanned_rows <= d.view.total_rows, "{run}: {d:?}");
+                        assert!(d.view.budget <= d.view.deadline, "{run}: {d:?}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -459,7 +494,7 @@ fn auto_never_grows_past_the_slots_of_its_pool() {
         "never grew at all: {:?}",
         stats.decisions
     );
-    assert!(stats.decisions.iter().all(|d| d.cap == 2));
+    assert!(stats.decisions.iter().all(|d| d.view.slots == 2));
 }
 
 #[test]
@@ -487,7 +522,7 @@ fn single_page_splits_never_wait_for_a_sample_that_cannot_come() {
                 stats
                     .decisions
                     .iter()
-                    .all(|d| !(d.postponed && d.parked > 0)),
+                    .all(|d| !(d.eval.postponed && d.view.parked > 0)),
                 "postponed with a claimant parked: {:?}",
                 stats.decisions
             );

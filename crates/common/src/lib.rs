@@ -13,8 +13,8 @@
 //! * [`json`] — a zero-dependency JSON value model, deterministic writer
 //!   and strict parser, behind `QueryStats::to_json` and the repo
 //!   benchmark's reports.
-//! * [`metrics`] — lock-free counters and a time-series recorder used by
-//!   the runtime information collector (paper §5.1, Fig 18).
+//! * [`metrics`] — lock-free counters and the time-series point the
+//!   elasticity controller records its runtime info in (paper Fig 18).
 //! * [`sync`] — poison-ignoring `Mutex`/`RwLock` wrappers over `std::sync`
 //!   used throughout the engine (no external locking dependency).
 

@@ -17,10 +17,10 @@
 //!   exchanges) plus the exchange-wiring helpers shared with the
 //!   multi-threaded scheduler in `accordion-cluster`.
 //! * [`metrics`] — per-operator row/byte counters and times exposed
-//!   through [`QueryResult::stats`], plus the [`RuntimeCollector`] that
-//!   samples the scan counters into per-stage `TimeSeries` (paper Fig 18)
-//!   while a query runs and hands the elasticity controller an
-//!   [`EraSample`] at each decision.
+//!   through [`QueryResult::stats`], the per-stage scan totals the
+//!   elasticity controller samples into an [`EraSample`] while a query
+//!   runs, and the records it leaves: [`StageSeries`] (paper Fig 18) and
+//!   every decision's [`StageView`] and [`Evaluation`].
 //! * [`splits`] — the [`SplitQueue`] every scanning stage's tasks claim
 //!   their splits from, in every elasticity mode, making scans resumable
 //!   across mid-query DOP changes (paper Fig 13; driven by
@@ -45,8 +45,8 @@ pub use executor::{
     QueryResult,
 };
 pub use metrics::{
-    DecisionRecord, EraSample, OperatorStats, QueryMetrics, QueryStats, RetuneEvent,
-    RuntimeCollector, StageSeries,
+    DecisionRecord, EraSample, Evaluation, OperatorStats, QueryMetrics, QueryStats, RetuneEvent,
+    StageSeries, StageView,
 };
 pub use operators::{JoinTable, PageStream, Selection};
 pub use splits::{SplitFeed, SplitQueue, SplitSource};

@@ -1,4 +1,4 @@
-//! Per-query runtime metrics and the runtime info collector (paper §5.1).
+//! Per-query runtime metrics (paper §5.1).
 //!
 //! Every driver chain wires a [`MeteredStream`] around each operator it
 //! instantiates, counting rows and bytes produced and timing every pull
@@ -8,27 +8,29 @@
 //! [`QueryMetrics::snapshot`] becomes the [`QueryStats`] exposed through
 //! `QueryResult::stats()`.
 //!
-//! While a query runs, a [`RuntimeCollector`] samples the live meters into
-//! per-stage [`TimeSeries`] (paper Fig 18) instead of only snapshotting at
-//! the end — the elasticity controller in `accordion_cluster::elastic` takes
-//! an [`EraSample`] from it whenever an event wakes it and feeds that to the
-//! what-if predictor as `R_consume` (§5.2: `T_remain = V_remain /
-//! R_consume`). What the controller then does is part of the stats:
-//! every `auto` evaluation is a [`DecisionRecord`] in
-//! [`QueryStats::decisions`], every DOP change a [`RetuneEvent`] in
-//! [`QueryStats::retunes`] (with the time a grown task took to scan its
-//! first page), and [`QueryStats::controller_wakeups`] counts how often the
-//! controller looked at all.
+//! While a query runs, the elasticity controller in
+//! `accordion_cluster::elastic` reads a stage's live scan meters
+//! ([`QueryMetrics::scan_totals`]) whenever an event wakes it, turns them
+//! into an [`EraSample`] for the what-if predictor's `R_consume` (§5.2:
+//! `T_remain = V_remain / R_consume`) and keeps each stage's per-tick rate
+//! as a [`StageSeries`] (paper Fig 18), handed over when it exits. What the
+//! controller then does is part of the stats: every `auto` evaluation is a
+//! [`DecisionRecord`] in [`QueryStats::decisions`] — the predictor's whole
+//! input ([`StageView`]) and output ([`Evaluation`]) — every DOP change a
+//! [`RetuneEvent`] in [`QueryStats::retunes`] (with the time a grown task
+//! took to scan its first page), and [`QueryStats::controller_wakeups`]
+//! counts how often the controller looked at all.
 
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use accordion_common::clock::{SharedClock, SystemClock};
-use accordion_common::metrics::{Counter, TimePoint, TimeSeries};
+use accordion_common::metrics::{Counter, TimePoint};
 use accordion_common::sync::{Mutex, Signal};
 use accordion_common::{Json, Result};
 use accordion_data::page::Page;
 use accordion_net::ExchangeStats;
+use accordion_plan::fragment::DopBounds;
 
 use crate::operators::{BoxedStream, PageStream, Selection};
 
@@ -113,11 +115,11 @@ pub struct FirstPage {
 
 /// What a stage's scans have produced so far, over all its tasks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct ScanTotals {
-    rows: u64,
-    pages: u64,
+pub struct ScanTotals {
+    pub rows: u64,
+    pub pages: u64,
     /// The earliest first page of any task.
-    first_page: Option<FirstPage>,
+    pub first_page: Option<FirstPage>,
 }
 
 /// Collector shared by every task of one query execution.
@@ -128,8 +130,8 @@ pub struct QueryMetrics {
     /// controller's deadline budget count from.
     start_nanos: u64,
     operators: Mutex<Vec<Arc<OperatorMetrics>>>,
-    /// Per-stage runtime time series attached by a [`RuntimeCollector`].
-    series: Mutex<Vec<(u32, Arc<TimeSeries>)>>,
+    /// Per-stage runtime series handed over by the elasticity controller.
+    series: Mutex<Vec<StageSeries>>,
     /// DOP retunes applied by the elasticity controller, in order, each
     /// with the task slots it spawned (empty for a shrink).
     retunes: Mutex<Vec<(RetuneEvent, Vec<u32>)>>,
@@ -208,17 +210,9 @@ impl QueryMetrics {
         m
     }
 
-    /// Rows produced so far by every instance of `operator` within `stage`.
-    pub fn operator_rows(&self, stage: u32, operator: &str) -> u64 {
-        self.operators
-            .lock()
-            .iter()
-            .filter(|m| m.stage == stage && m.operator == operator)
-            .map(|m| m.rows.get())
-            .sum()
-    }
-
-    fn scan_totals(&self, stage: u32) -> ScanTotals {
+    /// What every scan of `stage` has produced so far, in one pass over
+    /// the meters.
+    pub fn scan_totals(&self, stage: u32) -> ScanTotals {
         let mut totals = ScanTotals::default();
         for m in self.operators.lock().iter() {
             if m.stage != stage || m.operator != "TableScan" {
@@ -236,10 +230,10 @@ impl QueryMetrics {
         totals
     }
 
-    /// Attaches a per-stage runtime time series so the final snapshot
-    /// carries it (done by [`RuntimeCollector::new`]).
-    pub fn attach_series(&self, stage: u32, series: Arc<TimeSeries>) {
-        self.series.lock().push((stage, series));
+    /// Records the runtime series of one stage, complete: the elasticity
+    /// controller hands each stage's over when it exits.
+    pub fn record_series(&self, series: StageSeries) {
+        self.series.lock().push(series);
     }
 
     /// Records one DOP retune applied by the elasticity controller,
@@ -294,15 +288,6 @@ impl QueryMetrics {
                 self_ns: m.self_ns(),
             })
             .collect();
-        let series = self
-            .series
-            .lock()
-            .iter()
-            .map(|(stage, ts)| StageSeries {
-                stage: *stage,
-                points: ts.points(),
-            })
-            .collect();
         let retunes = self
             .retunes
             .lock()
@@ -315,7 +300,7 @@ impl QueryMetrics {
         QueryStats {
             operators,
             exchange,
-            series,
+            series: self.series.lock().clone(),
             retunes,
             decisions: self.decisions.lock().clone(),
             controller_wakeups: self.controller_wakeups.get(),
@@ -414,53 +399,87 @@ impl RetuneEvent {
     }
 }
 
+/// What one `auto` evaluation knows about its stage, read at one instant:
+/// the what-if predictor's whole input.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StageView {
+    /// Tasks scanning the stage now.
+    pub dop: u32,
+    pub bounds: DopBounds,
+    /// Compute slots the query's tasks can occupy at once (the pool's, times
+    /// the nodes of a distributed query): `auto` never chooses more tasks.
+    pub slots: u32,
+    /// Rows in all of the stage's splits.
+    pub total_rows: u64,
+    /// `V_remain`: `total_rows` minus what has been scanned, so a split
+    /// that is claimed but still being read counts.
+    pub unscanned_rows: u64,
+    /// The current measurement era, from the same read of the scan meters
+    /// as `unscanned_rows`.
+    pub sample: EraSample,
+    /// Claimants waiting at the decision boundary.
+    pub parked: u32,
+    /// The whole deadline, and what is left of it.
+    pub deadline: Duration,
+    pub budget: Duration,
+}
+
+/// What the what-if predictor makes of a [`StageView`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Evaluation {
+    /// Rows/second one task sustains in the current era (`0.0` with
+    /// nothing measured yet).
+    pub per_task_rate: f64,
+    /// The DOP that meets `budget` from here, within bounds — before the
+    /// cap (`StageView::slots`) and the shrink rules.
+    pub required_dop: u32,
+    /// The DOP to continue at.
+    pub chosen_dop: u32,
+    /// Predicted remaining time at `chosen_dop`, seconds.
+    pub predicted_secs: f64,
+    /// Too little measured and nobody waiting: ask again at the next event.
+    pub postponed: bool,
+}
+
 /// One evaluation of the what-if predictor by the elasticity controller in
-/// `auto` mode — what it knew and what it made of it, whether or not the
-/// DOP changed. Recorded every time the controller looks at a stage whose
-/// decision is due, so "why did it (not) retune then" has an answer.
+/// `auto` mode, whether or not the DOP changed: exactly what the predictor
+/// saw and what it made of it, so evaluating `view` again gives `eval` —
+/// "why did it (not) retune then" has an answer that can be replayed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionRecord {
     /// Milliseconds since query start.
     pub at_ms: f64,
     pub stage: u32,
-    /// Tasks scanning the stage at the time.
-    pub dop: u32,
-    /// `V_remain`: rows of the stage not scanned yet, in claimed and
-    /// unclaimed splits alike.
-    pub unscanned_rows: u64,
-    /// Rows/second one task sustains in the current measurement era
-    /// (`0.0` with nothing measured yet).
-    pub per_task_rate: f64,
-    /// Deadline minus elapsed time, milliseconds.
-    pub budget_ms: f64,
-    /// The DOP the predictor asks for, within the stage's bounds.
-    pub required_dop: u32,
-    /// The most tasks the query may run: the pool's slots (times the nodes
-    /// of a distributed query).
-    pub cap: u32,
-    /// The DOP the stage continues at.
-    pub chosen_dop: u32,
-    /// Claimants waiting at the decision boundary for this evaluation.
-    pub parked: u32,
-    /// True when the sample was too thin to act on and nobody was waiting:
-    /// the evaluation is repeated at the next event.
-    pub postponed: bool,
+    pub view: StageView,
+    pub eval: Evaluation,
 }
 
 impl DecisionRecord {
+    /// The decision record of [`QueryStats::to_json`]: the view's fields,
+    /// then the evaluation's (an infinite `predicted_secs` is `null`).
     pub fn to_json(&self) -> Json {
+        let (view, eval) = (&self.view, &self.eval);
+        let ms = |d: Duration| Json::f64(d.as_secs_f64() * 1e3);
         Json::obj()
             .with("at_ms", Json::f64(self.at_ms))
             .with("stage", Json::u64(self.stage as u64))
-            .with("dop", Json::u64(self.dop as u64))
-            .with("unscanned_rows", Json::u64(self.unscanned_rows))
-            .with("per_task_rate", Json::f64(self.per_task_rate))
-            .with("budget_ms", Json::f64(self.budget_ms))
-            .with("required_dop", Json::u64(self.required_dop as u64))
-            .with("cap", Json::u64(self.cap as u64))
-            .with("chosen_dop", Json::u64(self.chosen_dop as u64))
-            .with("parked", Json::u64(self.parked as u64))
-            .with("postponed", Json::Bool(self.postponed))
+            .with("dop", Json::u64(view.dop as u64))
+            .with("min_dop", Json::u64(view.bounds.min as u64))
+            .with("max_dop", Json::u64(view.bounds.max as u64))
+            .with("cap", Json::u64(view.slots as u64))
+            .with("total_rows", Json::u64(view.total_rows))
+            .with("unscanned_rows", Json::u64(view.unscanned_rows))
+            .with("sample_rows", Json::u64(view.sample.rows))
+            .with("sample_pages", Json::u64(view.sample.pages))
+            .with("sample_secs", Json::f64(view.sample.secs))
+            .with("parked", Json::u64(view.parked as u64))
+            .with("deadline_ms", ms(view.deadline))
+            .with("budget_ms", ms(view.budget))
+            .with("per_task_rate", Json::f64(eval.per_task_rate))
+            .with("required_dop", Json::u64(eval.required_dop as u64))
+            .with("chosen_dop", Json::u64(eval.chosen_dop as u64))
+            .with("predicted_secs", Json::f64(eval.predicted_secs))
+            .with("postponed", Json::Bool(eval.postponed))
     }
 }
 
@@ -503,7 +522,7 @@ pub struct QueryStats {
     /// Aggregate shuffle-exchange transfer counters.
     pub exchange: ExchangeStats,
     /// Per-stage runtime info samples collected while the query ran (empty
-    /// unless a [`RuntimeCollector`] was sampling).
+    /// unless an elasticity controller ran).
     pub series: Vec<StageSeries>,
     /// DOP retunes the elasticity controller applied, in order.
     pub retunes: Vec<RetuneEvent>,
@@ -531,11 +550,6 @@ impl QueryStats {
             .filter(|o| o.operator == operator)
             .map(|o| o.bytes)
             .sum()
-    }
-
-    /// Retunes applied to one stage, in order.
-    pub fn retunes_for(&self, stage: u32) -> Vec<&RetuneEvent> {
-        self.retunes.iter().filter(|r| r.stage == stage).collect()
     }
 
     /// The runtime series collected for one stage, if any.
@@ -585,31 +599,8 @@ impl QueryStats {
 /// it; there is at most one per claimed split).
 pub const SAMPLE_MIN_INTERVAL_NANOS: u64 = 10_000_000;
 
-#[derive(Debug)]
-struct StageTrack {
-    stage: u32,
-    series: Arc<TimeSeries>,
-    state: Mutex<TrackState>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct TrackState {
-    /// Where the current measurement era began; `None` while the first era
-    /// waits for the stage's first page.
-    era: Option<EraStart>,
-    /// Timestamp of the last recorded sample (`None` before the first).
-    last_push_nanos: Option<u64>,
-}
-
-/// Scan totals and clock at the start of a measurement era.
-#[derive(Debug, Clone, Copy)]
-struct EraStart {
-    rows: u64,
-    pages: u64,
-    nanos: u64,
-}
-
-/// What a stage's scans produced in the current measurement era.
+/// What a stage's scans produced in the current measurement era: since the
+/// stage's first page, then since its last retune.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EraSample {
     pub rows: u64,
@@ -627,120 +618,6 @@ impl EraSample {
             return 0.0;
         }
         self.rows as f64 / self.secs
-    }
-}
-
-/// The runtime info collector (paper §5.1, Fig 18): samples the live
-/// per-operator meters of selected stages into per-stage [`TimeSeries`]
-/// **while the query runs**. Each sample is the stage's scan throughput
-/// over the current **measurement era**. The first era starts when the
-/// stage's first page has been scanned — not when the query starts: thread
-/// start-up and the wait for a compute slot are not scan time, and billing
-/// them to the scan makes a 25 ms query look three times slower than it is.
-/// Every DOP retune starts a new era ([`RuntimeCollector::reset_baseline`]),
-/// so the measured rate always reflects the *current* task set — dividing a
-/// whole-query average by the post-retune DOP would systematically
-/// mispredict. The elasticity controller owns one collector per query,
-/// calls [`RuntimeCollector::sample`] whenever it wakes, and takes a fresh
-/// [`RuntimeCollector::sample_stage`] for each decision; the collected
-/// series end up in [`QueryStats::series`].
-#[derive(Debug)]
-pub struct RuntimeCollector {
-    metrics: Arc<QueryMetrics>,
-    stages: Vec<StageTrack>,
-}
-
-impl RuntimeCollector {
-    /// A collector sampling `stages`, attaching one fresh series per stage
-    /// to `metrics` so the final snapshot carries them.
-    pub fn new(metrics: Arc<QueryMetrics>, stages: &[u32]) -> Self {
-        let stages: Vec<StageTrack> = stages
-            .iter()
-            .map(|&stage| {
-                let ts = TimeSeries::shared(metrics.clock());
-                metrics.attach_series(stage, ts.clone());
-                StageTrack {
-                    stage,
-                    series: ts,
-                    state: Mutex::new(TrackState {
-                        era: None,
-                        last_push_nanos: None,
-                    }),
-                }
-            })
-            .collect();
-        RuntimeCollector { metrics, stages }
-    }
-
-    fn track(&self, stage: u32) -> Option<&StageTrack> {
-        self.stages.iter().find(|t| t.stage == stage)
-    }
-
-    /// Samples one track's current era and records the rate in its series
-    /// if a point is due (or `force`d).
-    fn push_sample(&self, track: &StageTrack, now: u64, force: bool) -> EraSample {
-        let totals = self.metrics.scan_totals(track.stage);
-        let mut st = track.state.lock();
-        // The first era begins with the first page, which is itself
-        // outside it: it was scanned before the era's clock started.
-        let era = st.era.or(totals.first_page.map(|first| EraStart {
-            rows: first.rows,
-            pages: 1,
-            nanos: first.nanos,
-        }));
-        st.era = era;
-        let sample = era.map_or(EraSample::default(), |era| EraSample {
-            rows: totals.rows.saturating_sub(era.rows),
-            pages: totals.pages.saturating_sub(era.pages),
-            secs: now.saturating_sub(era.nanos) as f64 / 1e9,
-        });
-        let due = match st.last_push_nanos {
-            None => true,
-            Some(last) => force || now.saturating_sub(last) >= SAMPLE_MIN_INTERVAL_NANOS,
-        };
-        if due {
-            st.last_push_nanos = Some(now);
-            drop(st);
-            track.series.push(sample.rate());
-        }
-        sample
-    }
-
-    /// Takes one (rate-limited) periodic sample of every tracked stage.
-    pub fn sample(&self) {
-        let now = self.metrics.clock().now_nanos();
-        for track in &self.stages {
-            self.push_sample(track, now, false);
-        }
-    }
-
-    /// Takes and returns a fresh sample of one stage, bypassing the
-    /// periodic rate limit — the what-if predictor's `R_consume` at a
-    /// decision.
-    pub fn sample_stage(&self, stage: u32) -> EraSample {
-        let now = self.metrics.clock().now_nanos();
-        self.track(stage)
-            .map(|t| self.push_sample(t, now, true))
-            .unwrap_or_default()
-    }
-
-    /// Starts a new measurement era for `stage` — called by the controller
-    /// right after it applies a DOP retune, so subsequent rates measure the
-    /// new task set only.
-    pub fn reset_baseline(&self, stage: u32) {
-        if let Some(track) = self.track(stage) {
-            let totals = self.metrics.scan_totals(stage);
-            track.state.lock().era = Some(EraStart {
-                rows: totals.rows,
-                pages: totals.pages,
-                nanos: self.metrics.clock().now_nanos(),
-            });
-        }
-    }
-
-    /// The live series of one tracked stage.
-    pub fn series(&self, stage: u32) -> Option<Arc<TimeSeries>> {
-        self.track(stage).map(|t| t.series.clone())
     }
 }
 
@@ -838,55 +715,6 @@ mod tests {
         assert!((rate() - 250.0).abs() < 1e-9, "rate {}", rate());
     }
 
-    #[test]
-    fn runtime_collector_samples_live_scan_rate() {
-        use accordion_common::clock::ManualClock;
-
-        let clock = ManualClock::shared();
-        let metrics = Arc::new(QueryMetrics::with_clock(clock.clone()));
-        let m = metrics.register(2, 0, 0, "TableScan");
-        let collector = RuntimeCollector::new(metrics.clone(), &[2]);
-        let last_rate = || collector.series(2).unwrap().last().unwrap().value;
-
-        // The first page opens the first era and is not part of it. Then
-        // 100 rows over the first second: era rate 100 rows/s.
-        m.record_page(7, 56);
-        m.record_page(100, 800);
-        clock.advance_millis(1000);
-        collector.sample();
-        assert!((last_rate() - 100.0).abs() < 1e-9);
-
-        // Sampling again without time passing is throttled: no new point.
-        collector.sample();
-        assert_eq!(collector.series(2).unwrap().len(), 1);
-
-        // 100 more rows over another second: 100 rows/s over the era.
-        m.record_page(100, 800);
-        clock.advance_millis(1000);
-        collector.sample();
-        assert!((last_rate() - 100.0).abs() < 1e-9);
-        assert!(collector.series(7).is_none(), "untracked stage");
-
-        // A retune starts a new measurement era: only post-reset rows count,
-        // so the rate reflects the new task set instead of a stale average.
-        collector.reset_baseline(2);
-        m.record_page(50, 400);
-        clock.advance_millis(1000);
-        let fresh = collector.sample_stage(2);
-        assert!((fresh.rate() - 50.0).abs() < 1e-9, "era rate was {fresh:?}");
-        assert_eq!((fresh.rows, fresh.pages), (50, 1));
-
-        metrics.record_retune(retune(2, 1, 4), vec![1, 2, 3]);
-        let stats = metrics.snapshot(ExchangeStats::default());
-        let series = stats.series_for(2).expect("series attached");
-        assert_eq!(series.points.len(), 3);
-        // Samples are monotone in time.
-        assert!(series.points.windows(2).all(|w| w[0].at <= w[1].at));
-        assert_eq!(stats.retunes_for(2).len(), 1);
-        assert_eq!(stats.retunes[0].to_dop, 4);
-        assert_eq!(stats.retunes[0].first_page_ms, None, "tasks 1-3 never ran");
-    }
-
     fn retune(stage: u32, from_dop: u32, to_dop: u32) -> RetuneEvent {
         RetuneEvent {
             stage,
@@ -897,34 +725,6 @@ mod tests {
             at_ms: 0.0,
             first_page_ms: None,
         }
-    }
-
-    #[test]
-    fn the_first_era_starts_at_the_first_page_not_at_query_start() {
-        use accordion_common::clock::ManualClock;
-
-        let clock = ManualClock::shared();
-        let metrics = Arc::new(QueryMetrics::with_clock(clock.clone()));
-        let collector = RuntimeCollector::new(metrics.clone(), &[1]);
-        // 5 ms pass before the scan task runs at all: nothing to sample.
-        clock.advance_millis(5);
-        let m = metrics.register(1, 0, 0, "TableScan");
-        assert_eq!(collector.sample_stage(1), EraSample::default());
-        // It scans 1000 rows a millisecond. Billing the gap to the scan
-        // would read 6000 rows / 10 ms = 600k rows/s instead of a million.
-        m.record_page(1000, 8000);
-        for _ in 0..5 {
-            clock.advance_millis(1);
-            m.record_page(1000, 8000);
-        }
-        let sample = collector.sample_stage(1);
-        assert_eq!((sample.rows, sample.pages), (5000, 5));
-        assert!((sample.rate() - 1e6).abs() < 1e-3, "rate {}", sample.rate());
-        assert_eq!(
-            metrics.operator_rows(1, "TableScan"),
-            6000,
-            "progress counts them all"
-        );
     }
 
     #[test]
@@ -983,39 +783,6 @@ mod tests {
     }
 
     #[test]
-    fn era_rates_never_mix_across_retunes() {
-        use accordion_common::clock::ManualClock;
-
-        // A grow→shrink→grow schedule: each era's rate must reflect only
-        // that era's rows and elapsed time, never a whole-query average.
-        // Whole-query averaging would smear the 100 → 10 → 400 rows/s
-        // staircase into drifting blends (e.g. era 2 would read 55, era 3
-        // would read 170) and the predictor would mis-size every retune.
-        let clock = ManualClock::shared();
-        let metrics = Arc::new(QueryMetrics::with_clock(clock.clone()));
-        let m = metrics.register(1, 0, 0, "TableScan");
-        let collector = RuntimeCollector::new(metrics.clone(), &[1]);
-
-        let eras: [(u64, f64); 3] = [(100, 100.0), (10, 10.0), (400, 400.0)];
-        m.record_page(1, 8); // opens the first era
-        for (rows, want) in eras {
-            m.record_page(rows, 8 * rows);
-            clock.advance_millis(1000);
-            let got = collector.sample_stage(1).rate();
-            assert!(
-                (got - want).abs() < 1e-9,
-                "era rate {got} rows/s, wanted {want}"
-            );
-            // The controller's retune path resets the baseline — a new
-            // task set starts a fresh measurement era.
-            collector.reset_baseline(1);
-        }
-
-        // Immediately after a reset, nothing has flowed in the new era.
-        assert_eq!(collector.sample_stage(1).rate(), 0.0);
-    }
-
-    #[test]
     fn stats_serialize_to_stable_json() {
         let metrics = Arc::new(QueryMetrics::new());
         let m = metrics.register(0, 1, 2, "TableScan");
@@ -1031,15 +798,28 @@ mod tests {
         metrics.record_decision(DecisionRecord {
             at_ms: 1.5,
             stage: 0,
-            dop: 2,
-            unscanned_rows: 1000,
-            per_task_rate: 2e6,
-            budget_ms: 0.25,
-            required_dop: 2,
-            cap: 4,
-            chosen_dop: 4,
-            parked: 1,
-            postponed: false,
+            view: StageView {
+                dop: 2,
+                bounds: DopBounds::new(1, 8),
+                slots: 4,
+                total_rows: 4000,
+                unscanned_rows: 1000,
+                sample: EraSample {
+                    rows: 3000,
+                    pages: 30,
+                    secs: 0.75e-3,
+                },
+                parked: 1,
+                deadline: Duration::from_millis(2),
+                budget: Duration::from_micros(250),
+            },
+            eval: Evaluation {
+                per_task_rate: 2e6,
+                required_dop: 2,
+                chosen_dop: 4,
+                predicted_secs: 0.125e-3,
+                postponed: false,
+            },
         });
         metrics.record_controller_wakeup();
         let stats = metrics.snapshot(ExchangeStats {
@@ -1072,6 +852,10 @@ mod tests {
         let decision = &parsed.get("decisions").unwrap().as_arr().unwrap()[0];
         assert_eq!(decision.get("chosen_dop").unwrap().as_u64(), Some(4));
         assert_eq!(decision.get("postponed").unwrap().as_bool(), Some(false));
+        // The cap is the view's slots; the view's other inputs are there too.
+        assert_eq!(decision.get("cap").unwrap().as_u64(), Some(4));
+        assert_eq!(decision.get("max_dop").unwrap().as_u64(), Some(8));
+        assert_eq!(decision.get("sample_pages").unwrap().as_u64(), Some(30));
         assert_eq!(parsed.get("controller_wakeups").unwrap().as_u64(), Some(1));
     }
 }
