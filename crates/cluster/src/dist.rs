@@ -125,7 +125,7 @@ pub fn distributed_topology(
             role.nodes
         )));
     }
-    let mut topology = exchange_topology(tree, leased)?;
+    let mut topology = exchange_topology(tree, leased, role.nodes)?;
     topology.query = query;
     for (id, addr) in role.peers.iter().enumerate() {
         if id as u32 != role.node {

@@ -48,8 +48,9 @@
 //! every mode: its tasks claim splits one at a time, so its DOP can change
 //! between any two claims. When `ExecOptions::elasticity` enables the
 //! controller, every elastic-eligible Source stage (see
-//! `accordion_plan::fragment::PlanFragment::elastic_bounds`) also gets the
-//! controller's writer lease on its output edge, and an
+//! `accordion_plan::fragment::PlanFragment::elastic_bounds`: its child
+//! exchanges, if any, all feed join builds) also gets the controller's
+//! writer lease on its output edge, and an
 //! [`ElasticityController`] thread retunes the stage's DOP between splits
 //! — see `crate::elastic` for the mechanism and the EndSignal handshake.
 //! That thread sleeps until something happens: the split queues wake it at
@@ -79,7 +80,7 @@ use std::sync::Arc;
 
 use accordion_common::sync::{Mutex, Semaphore, Signal};
 use accordion_common::{AccordionError, Result, StageId};
-use accordion_exec::driver::{run_task, TaskContext};
+use accordion_exec::driver::{run_task, JoinBuilds, TaskContext};
 use accordion_exec::executor::{drain_result, ExecOptions, QueryResult};
 use accordion_exec::metrics::QueryMetrics;
 use accordion_exec::splits::SplitFeed;
@@ -87,7 +88,7 @@ use accordion_net::{ConsumerLoc, ExchangeReader, ExchangeRegistry, ExchangeWrite
 use accordion_plan::fragment::StageTree;
 use accordion_plan::logical::LogicalPlan;
 use accordion_plan::optimizer::Optimizer;
-use accordion_plan::pipeline::{split_pipelines, PipelineSpec};
+use accordion_plan::pipeline::{build_inputs, split_pipelines, PipelineSpec};
 use accordion_storage::catalog::Catalog;
 
 use crate::admission::{AdmissionController, AdmissionPermit};
@@ -396,6 +397,7 @@ where
     fn run_task(
         &self,
         spec: TaskSpec,
+        builds: &Arc<JoinBuilds>,
         metrics: &Arc<QueryMetrics>,
         first_err: &Mutex<Option<AccordionError>>,
         exited: Option<&Signal>,
@@ -409,7 +411,7 @@ where
                 spec.inputs,
                 spec.output,
                 spec.split_feed,
-                &spec.pipelines,
+                builds.clone(),
                 metrics.clone(),
             );
             run_task(&spec.pipelines, &mut ctx)
@@ -440,6 +442,7 @@ where
         let tree: &StageTree = &self.tree;
         let (opts, role, registry, gate) = (&self.opts, &self.role, &self.registry, &self.gate);
         let metrics = Arc::new(QueryMetrics::new());
+        let builds = Arc::new(JoinBuilds::new(Some(gate.clone())));
         let feed = |stage: u32, slot: u32| {
             let source = self.pools.get(&stage)?.source.clone();
             Some(SplitFeed::from_source(source, slot, Some(gate.clone())))
@@ -453,13 +456,25 @@ where
             let stage = fragment.stage.0;
             let stage_pipelines = Arc::new(split_pipelines(fragment)?);
             pipelines.insert(stage, stage_pipelines.clone());
+            // A node hosting a task of the stage holds slot `node` of each
+            // build edge: one reader, drained by whichever task claims it.
+            let feeds = build_inputs(&stage_pipelines);
+            if role.node < fragment.parallelism.max(1) {
+                for &(child, join) in &feeds {
+                    let reader = registry.reader(child.0, role.node, Some(gate.clone()))?;
+                    builds.add(stage, join, reader);
+                }
+            }
             for task in 0..fragment.parallelism.max(1) {
                 if task_node(task, role.nodes) != role.node {
                     continue;
                 }
                 let mut inputs = HashMap::new();
                 for child in &fragment.child_stages {
-                    inputs.insert(child.0, registry.reader(child.0, task, Some(gate.clone()))?);
+                    if !feeds.iter().any(|(c, _)| c == child) {
+                        let reader = registry.reader(child.0, task, Some(gate.clone()))?;
+                        inputs.insert(child.0, reader);
+                    }
                 }
                 specs.push(TaskSpec {
                     stage,
@@ -516,7 +531,7 @@ where
 
         let first_err = Mutex::new(None);
         let exited = controller.as_ref().map(ElasticityController::signal);
-        let (this, metrics, first_err) = (&self, &metrics, &first_err);
+        let (this, builds, metrics, first_err) = (&self, &builds, &metrics, &first_err);
         let (pipelines, feed, exited) = (&pipelines, &feed, exited.as_deref());
 
         let mut pages = Vec::new();
@@ -528,9 +543,9 @@ where
             // its signal by then, and a wake-up does not queue.
             if let Some(controller) = controller {
                 scope.spawn(move || {
-                    // Grown tasks join the same scope and slot pool. The
-                    // edge was re-registered at the larger DOP before this
-                    // callback runs (see ElasticityController::decide).
+                    // Grown tasks join the same scope, slot pool and join
+                    // tables. The edge was re-registered at the larger DOP
+                    // before this callback runs (ElasticityController::decide).
                     let mut spawn = |stage: u32, slot: u32| -> Result<()> {
                         let not_elastic =
                             || AccordionError::Internal(format!("stage {stage} is not elastic"));
@@ -542,14 +557,15 @@ where
                             output: registry.writer(stage, slot, Some(gate.clone()))?,
                             split_feed: Some(feed(stage, slot).ok_or_else(not_elastic)?),
                         };
-                        scope.spawn(move || this.run_task(spec, metrics, first_err, exited));
+                        scope
+                            .spawn(move || this.run_task(spec, builds, metrics, first_err, exited));
                         Ok(())
                     };
                     controller.run(registry, &mut spawn);
                 });
             }
             for spec in specs {
-                scope.spawn(move || this.run_task(spec, metrics, first_err, exited));
+                scope.spawn(move || this.run_task(spec, builds, metrics, first_err, exited));
             }
             // Drain the root stage's stream while tasks run; on poison the
             // drain errors out and the scope joins the unwinding tasks.

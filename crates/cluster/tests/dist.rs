@@ -11,6 +11,8 @@
 //! session per peer per query, which carries its pages, its claims and its
 //! producer growth alike.
 
+mod common;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -428,6 +430,30 @@ fn one_session_per_peer_per_query_carries_pages_claims_and_growth() {
             }
         }
     }
+}
+
+#[test]
+fn q3_builds_each_join_table_once_per_node_across_three_nodes() {
+    // dop 4 over a coordinator and two workers: each node drains its one
+    // slot of each build edge into a table its probe tasks share. Only the
+    // coordinator's stats come back, and they hold one build per join.
+    let c = Arc::new(common::tpch());
+    let (oracle, _) = common::q3_oracle(&c);
+    let tree = Arc::new(common::q3_at(&c, 4));
+    let opts = ExecOptions::with_page_rows(common::TPCH_PAGE_ROWS).worker_threads(2);
+    let (result, remote_slots, _) = run_on(3, &c, &tree, &opts, 800);
+    assert!(
+        common::same_rows(&result.rows(), &oracle),
+        "{:?}",
+        result.rows()
+    );
+    assert!(remote_slots >= 1);
+    let builds: Vec<(u32, u32)> = (result.stats().operators.iter())
+        .filter(|o| o.operator == "HashJoinBuild")
+        .map(|o| (o.stage, o.pipeline))
+        .collect();
+    assert_eq!(builds.len(), 2, "{builds:?}");
+    assert!(builds.iter().all(|&(stage, _)| stage == 2), "{builds:?}");
 }
 
 /// The group-by of the golden suite planned at `dop`, plus its serial

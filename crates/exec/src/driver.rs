@@ -1,8 +1,9 @@
 //! Driver execution (paper §2 "Driver Execution").
 //!
 //! A task holds **exchange endpoints**, not materialized page maps: one
-//! [`ExchangeReader`] per child stage and one [`ExchangeWriter`] toward its
-//! parent, both streaming page-by-page, and — when its stage scans a table
+//! [`ExchangeReader`] per child stage that feeds no join build and one
+//! [`ExchangeWriter`] toward its parent, both streaming page-by-page, the
+//! node's [`JoinBuilds`], and — when its stage scans a table
 //! — a [`SplitFeed`] on a split queue, the only place a scan gets splits
 //! from. Every pipeline has one driver: it
 //! instantiates the pipeline's [`OperatorSpec`] list into a chain of
@@ -14,10 +15,14 @@
 //! self time the build).
 //!
 //! Pipelines run producer-first inside a task (the order
-//! [`accordion_plan::pipeline::split_pipelines`] guarantees), so a join
-//! table is built before the probe pipeline that reads it starts. A merge
-//! stage is one pipeline whose final aggregate consumes pages as they
-//! arrive off the exchange.
+//! [`accordion_plan::pipeline::split_pipelines`] guarantees). A join's
+//! table is built once per node: the tasks of a stage on one node share a
+//! [`JoinBuilds`], the first task to reach a build pipeline drains the
+//! node's one reader of the build edge into the table, and the others skip
+//! the pipeline. A task waits for a table only where it needs it, when its
+//! probe is built, with its compute slot yielded. A merge stage is one
+//! pipeline whose final aggregate consumes pages as they arrive off the
+//! exchange.
 //!
 //! When every pipeline has finished, [`run_task`] pushes the in-band end
 //! page through the output writer, closing this task's contribution to the
@@ -31,6 +36,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use accordion_common::sync::{condvar_wait, yield_slot, Condvar, Mutex, Semaphore};
 use accordion_common::{AccordionError, Result};
 use accordion_data::page::{EndReason, Page};
 use accordion_data::schema::Schema;
@@ -51,13 +57,14 @@ pub struct TaskContext {
     /// This task's sequence number within its stage.
     pub task_index: u32,
     pub page_rows: usize,
-    /// Streaming inputs, one reader per child stage id. A reader is consumed
-    /// (moved into the chain) by the pipeline that sources from it.
+    /// Streaming inputs, one reader per child stage id that feeds no join
+    /// build. A reader is consumed (moved into the chain) by the pipeline
+    /// that sources from it.
     inputs: HashMap<u32, Box<dyn ExchangeReader>>,
     /// Streaming output toward the parent stage (or the coordinator).
     output: Box<dyn ExchangeWriter>,
-    /// Hash-join build tables, indexed by the splitter's join ids.
-    join_tables: Vec<Option<Arc<JoinTable>>>,
+    /// The join tables of the node's share of the query.
+    builds: Arc<JoinBuilds>,
     metrics: Arc<QueryMetrics>,
     /// The task's claim on a split queue (its stage's, or in the serial
     /// executor its own); `None` when the stage scans no table.
@@ -76,24 +83,16 @@ impl TaskContext {
         inputs: HashMap<u32, Box<dyn ExchangeReader>>,
         output: Box<dyn ExchangeWriter>,
         split_feed: Option<SplitFeed>,
-        pipelines: &[PipelineSpec],
+        builds: Arc<JoinBuilds>,
         metrics: Arc<QueryMetrics>,
     ) -> Self {
-        let joins = pipelines
-            .iter()
-            .filter_map(|p| match p.operators.last() {
-                Some(OperatorSpec::HashJoinBuild { join, .. }) => Some(join + 1),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
         TaskContext {
             stage,
             task_index,
             page_rows,
             inputs,
             output,
-            join_tables: vec![None; joins],
+            builds,
             metrics,
             split_feed,
             end_reason: EndReason::UpstreamFinished,
@@ -117,31 +116,27 @@ pub fn run_pipeline(pipeline: &PipelineSpec, ctx: &mut TaskContext) -> Result<()
         .operators
         .split_last()
         .ok_or_else(|| AccordionError::Execution("empty pipeline".into()))?;
-    let (mut chain, mut last) = build_chain(specs, pipeline, ctx)?;
     match sink {
-        OperatorSpec::Output => loop {
-            match chain.next_page()? {
-                Page::End(e) => {
-                    ctx.end_reason = e.reason;
-                    break;
+        OperatorSpec::Output => {
+            let (mut chain, _) = build_chain(specs, pipeline, ctx)?;
+            loop {
+                match chain.next_page()? {
+                    Page::End(e) => {
+                        ctx.end_reason = e.reason;
+                        break;
+                    }
+                    page @ Page::Data(_) => ctx.output.push(page)?,
                 }
-                page @ Page::Data(_) => ctx.output.push(page)?,
             }
-        },
+        }
         OperatorSpec::HashJoinBuild { join, keys } => {
-            // Metered like an operator: the build side's rows and bytes,
-            // and busy time over the drain and the build, so its self time
-            // is the build.
-            let m = register(sink, pipeline, ctx, &mut last);
-            let start = Instant::now();
-            let mut pages = Vec::new();
-            while let Page::Data(p) = chain.next_page()? {
-                m.record_page(p.row_count() as u64, p.byte_size() as u64);
-                pages.push(p);
-            }
-            let table = JoinTable::build(pages, keys);
-            m.busy_ns.add(start.elapsed().as_nanos() as u64);
-            ctx.join_tables[*join] = Some(Arc::new(table));
+            let builds = ctx.builds.clone();
+            let Some((claim, input)) = builds.claim(ctx.stage, *join)? else {
+                return Ok(()); // another task of this node builds it
+            };
+            let built = build_table(specs, sink, keys, pipeline, ctx, input);
+            claim.publish(built.clone());
+            built?;
         }
         other => {
             return Err(AccordionError::Execution(format!(
@@ -152,6 +147,34 @@ pub fn run_pipeline(pipeline: &PipelineSpec, ctx: &mut TaskContext) -> Result<()
         }
     }
     Ok(())
+}
+
+/// Drains a build pipeline, whose source reads the claimed `input`, into
+/// its join table. The sink is metered like an operator: the build side's
+/// rows and bytes, and busy time over the drain and the build, so its self
+/// time is the build.
+fn build_table(
+    specs: &[OperatorSpec],
+    sink: &OperatorSpec,
+    keys: &[usize],
+    pipeline: &PipelineSpec,
+    ctx: &mut TaskContext,
+    input: Box<dyn ExchangeReader>,
+) -> Result<Arc<JoinTable>> {
+    if let Some(OperatorSpec::ExchangeSource { child_stage }) = specs.first() {
+        ctx.inputs.insert(child_stage.0, input);
+    }
+    let (mut chain, mut last) = build_chain(specs, pipeline, ctx)?;
+    let m = register(sink, pipeline, ctx, &mut last);
+    let start = Instant::now();
+    let mut pages = Vec::new();
+    while let Page::Data(p) = chain.next_page()? {
+        m.record_page(p.row_count() as u64, p.byte_size() as u64);
+        pages.push(p);
+    }
+    let table = JoinTable::build(pages, keys);
+    m.busy_ns.add(start.elapsed().as_nanos() as u64);
+    Ok(Arc::new(table))
 }
 
 /// Instantiates `specs` (a source followed by streaming operators) into a
@@ -285,24 +308,13 @@ fn wrap_operator(
             join,
             keys,
             output_schema,
-        } => {
-            let table = ctx
-                .join_tables
-                .get(*join)
-                .and_then(|t| t.clone())
-                .ok_or_else(|| {
-                    AccordionError::Execution(format!(
-                        "hash join {join} probed before its build pipeline ran"
-                    ))
-                })?;
-            Box::new(HashJoinProbeOp::new(
-                input,
-                table,
-                keys.clone(),
-                output_schema.clone(),
-                ctx.page_rows,
-            ))
-        }
+        } => Box::new(HashJoinProbeOp::new(
+            input,
+            ctx.builds.table(ctx.stage, *join)?,
+            keys.clone(),
+            output_schema.clone(),
+            ctx.page_rows,
+        )),
         other => {
             return Err(AccordionError::Execution(format!(
                 "operator {} cannot appear mid-pipeline",
@@ -310,4 +322,141 @@ fn wrap_operator(
             )))
         }
     })
+}
+
+/// The hash-join tables of one node's share of one query: for each (stage,
+/// join) one slot, which the first task of the stage to reach the join's
+/// build pipeline claims, builds from the node's one reader of the build
+/// edge, and publishes. Every task of the stage on this node probes the
+/// same table, so a task spawned mid-query on the node replays nothing.
+pub struct JoinBuilds {
+    slots: Mutex<HashMap<(u32, usize), Build>>,
+    published: Condvar,
+    /// The compute-slot gate a task hands back while it waits for a table.
+    gate: Option<Arc<Semaphore>>,
+}
+
+enum Build {
+    Unclaimed(BoxedReader),
+    Building,
+    Built(Arc<JoinTable>),
+    Failed(AccordionError),
+}
+
+impl JoinBuilds {
+    pub fn new(gate: Option<Arc<Semaphore>>) -> Self {
+        JoinBuilds {
+            slots: Mutex::new(HashMap::new()),
+            published: Condvar::new(),
+            gate,
+        }
+    }
+
+    /// Gives join `join` of `stage` the reader its table is built from.
+    pub fn add(&self, stage: u32, join: usize, input: BoxedReader) {
+        let mut slots = self.slots.lock();
+        slots.insert((stage, join), Build::Unclaimed(input));
+    }
+
+    /// Claims the build of join `join` of `stage` with its input, or `None`
+    /// when another task has claimed it already.
+    fn claim(&self, stage: u32, join: usize) -> Result<Option<(BuildClaim<'_>, BoxedReader)>> {
+        let mut slots = self.slots.lock();
+        let slot = slots.get_mut(&(stage, join)).ok_or_else(|| {
+            AccordionError::Execution(format!("hash join {join} of stage {stage} has no input"))
+        })?;
+        Ok(match std::mem::replace(slot, Build::Building) {
+            Build::Unclaimed(input) => Some((BuildClaim(self, (stage, join)), input)),
+            other => {
+                *slot = other;
+                None
+            }
+        })
+    }
+
+    /// The table of join `join` of `stage`, waiting with the compute slot
+    /// yielded while another task builds it. A failed build is the
+    /// builder's error here too.
+    fn table(&self, stage: u32, join: usize) -> Result<Arc<JoinTable>> {
+        loop {
+            let mut slots = self.slots.lock();
+            match slots.get(&(stage, join)) {
+                Some(Build::Built(table)) => return Ok(table.clone()),
+                Some(Build::Failed(e)) => return Err(e.clone()),
+                Some(Build::Building) => {}
+                _ => {
+                    return Err(AccordionError::Execution(format!(
+                        "hash join {join} probed before its build pipeline ran"
+                    )))
+                }
+            }
+            yield_slot(self.gate.as_deref(), || {
+                while matches!(slots.get(&(stage, join)), Some(Build::Building)) {
+                    slots = condvar_wait(&self.published, slots);
+                }
+                drop(slots);
+            });
+        }
+    }
+}
+
+type BoxedReader = Box<dyn ExchangeReader>;
+
+/// One task's claim on a join build. Dropping it wakes the waiters, and
+/// fails the build if it was never published (a panic mid-build), so no
+/// task waits for a table nobody builds.
+struct BuildClaim<'a>(&'a JoinBuilds, (u32, usize));
+
+impl BuildClaim<'_> {
+    fn publish(self, built: Result<Arc<JoinTable>>) {
+        let build = built.map_or_else(Build::Failed, Build::Built);
+        self.0.slots.lock().insert(self.1, build);
+    }
+}
+
+impl Drop for BuildClaim<'_> {
+    fn drop(&mut self) {
+        let ((stage, join), mut slots) = (self.1, self.0.slots.lock());
+        if let Some(slot @ Build::Building) = slots.get_mut(&self.1) {
+            *slot = Build::Failed(AccordionError::Internal(format!(
+                "the build of hash join {join} of stage {stage} stopped without a table"
+            )));
+        }
+        self.0.published.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    struct Empty;
+
+    impl ExchangeReader for Empty {
+        fn pull(&mut self) -> Result<Page> {
+            Ok(Page::end(EndReason::UpstreamFinished))
+        }
+    }
+
+    #[test]
+    fn a_claim_dropped_unpublished_fails_its_waiters() {
+        let builds = Arc::new(JoinBuilds::new(None));
+        builds.add(1, 0, Box::new(Empty));
+        let (claim, _input) = builds.claim(1, 0).unwrap().expect("the first claim builds");
+        assert!(builds.claim(1, 0).unwrap().is_none(), "the second skips");
+        let (done, waited) = std::sync::mpsc::channel();
+        let waiter = builds.clone();
+        std::thread::spawn(move || done.send(waiter.table(1, 0).map(drop)));
+        std::thread::sleep(Duration::from_millis(10)); // let it park
+        drop(claim);
+        match waited.recv_timeout(Duration::from_secs(5)) {
+            Ok(Err(AccordionError::Internal(msg))) => assert!(msg.contains("stage 1"), "{msg}"),
+            other => panic!("expected an internal error, got {other:?}"),
+        }
+        assert!(matches!(
+            builds.table(1, 0),
+            Err(AccordionError::Internal(_))
+        ));
+    }
 }

@@ -15,12 +15,16 @@
 //! `parallelism`-th split from its index on, and the merge stage above
 //! still combines non-empty partial states from several scanning tasks.
 //!
+//! Task 0 of a probe stage builds each join table into the same
+//! [`JoinBuilds`] as there, and tasks 1.. probe it.
+//!
 //! [`exchange_topology`] — shared with the cluster scheduler — derives the
 //! query's [`ExchangeTopology`] from the stage tree: one edge per stage,
 //! `parallelism` producer tasks routing by the stage's output partitioning
-//! into one consumer slot per consumer task (stage 0's consumer is the
-//! coordinator). All slots are local; the distributed scheduler re-homes
-//! slots onto worker nodes before building the registry.
+//! into one consumer slot per consumer task, or per node on an edge that
+//! feeds a join build (stage 0's consumer is the coordinator). All slots
+//! are local; the distributed scheduler re-homes slots onto worker nodes
+//! before building the registry.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -38,10 +42,10 @@ use accordion_plan::fragment::StageTree;
 use accordion_plan::logical::LogicalPlan;
 use accordion_plan::optimizer::Optimizer;
 use accordion_plan::physical::Partitioning;
-use accordion_plan::pipeline::split_pipelines;
+use accordion_plan::pipeline::{build_inputs, split_pipelines};
 use accordion_storage::catalog::Catalog;
 
-use crate::driver::{run_task, TaskContext};
+use crate::driver::{run_task, JoinBuilds, TaskContext};
 use crate::metrics::{QueryMetrics, QueryStats};
 use crate::splits::{SplitFeed, SplitQueue};
 
@@ -176,7 +180,9 @@ pub fn route_policy(p: &Partitioning) -> RoutePolicy {
 
 /// Derives the exchange wiring of `tree` as an all-local
 /// [`ExchangeTopology`]: one edge per stage, whose consumer is its parent
-/// stage's task set (stage 0 is consumed by the coordinator, one slot).
+/// stage's task set (stage 0 is consumed by the coordinator, one slot) —
+/// or, when it feeds a join build, one slot on each of the `nodes` that
+/// host a task of the parent (slot `s` on node `s`).
 /// Stages in `leased` get the elasticity controller's **writer lease**
 /// slot: one extra producer the controller claims and holds so the edge
 /// cannot end — and consumers cannot conclude the stage is done — while a
@@ -185,12 +191,20 @@ pub fn route_policy(p: &Partitioning) -> RoutePolicy {
 ///
 /// The distributed scheduler takes this as its starting point and re-homes
 /// consumer slots onto worker nodes before building each node's registry.
-pub fn exchange_topology(tree: &StageTree, leased: &HashSet<u32>) -> Result<ExchangeTopology> {
+pub fn exchange_topology(
+    tree: &StageTree,
+    leased: &HashSet<u32>,
+    nodes: u32,
+) -> Result<ExchangeTopology> {
     let mut consumers: HashMap<u32, u32> = HashMap::new();
     consumers.insert(0, 1);
     for f in tree.fragments() {
+        let tasks = f.parallelism.max(1);
         for c in &f.child_stages {
-            consumers.insert(c.0, f.parallelism.max(1));
+            consumers.insert(c.0, tasks);
+        }
+        for (c, _) in build_inputs(&split_pipelines(f)?) {
+            consumers.insert(c.0, tasks.min(nodes.max(1)));
         }
     }
     let mut topology = ExchangeTopology::new(0);
@@ -235,18 +249,25 @@ pub fn execute_tree(
     tree: &StageTree,
     opts: &ExecOptions,
 ) -> Result<QueryResult> {
-    let topology = exchange_topology(tree, &HashSet::new())?;
+    let topology = exchange_topology(tree, &HashSet::new(), 1)?;
     let registry = ExchangeRegistry::build_in_process(&topology)?;
     let metrics = Arc::new(QueryMetrics::new());
+    let builds = Arc::new(JoinBuilds::new(None));
     for stage_id in tree.execution_order() {
         let fragment = tree.fragment(stage_id)?;
         let pipelines = split_pipelines(fragment)?;
+        let feeds = build_inputs(&pipelines);
+        for &(child, join) in &feeds {
+            builds.add(stage_id.0, join, registry.reader(child.0, 0, None)?);
+        }
         let table = fragment.scan_table().map(|t| catalog.get(&t)).transpose()?;
         let tasks = fragment.parallelism.max(1);
         for task in 0..tasks {
             let mut inputs = HashMap::new();
             for child in &fragment.child_stages {
-                inputs.insert(child.0, registry.reader(child.0, task, None)?);
+                if !feeds.iter().any(|(c, _)| c == child) {
+                    inputs.insert(child.0, registry.reader(child.0, task, None)?);
+                }
             }
             let writer = registry.writer(fragment.stage.0, task, None)?;
             let mut ctx = TaskContext::new(
@@ -260,7 +281,7 @@ pub fn execute_tree(
                     let share = share.skip(task as usize).step_by(tasks as usize);
                     SplitFeed::new(Arc::new(SplitQueue::new(share.cloned().collect())), 0, None)
                 }),
-                &pipelines,
+                builds.clone(),
                 metrics.clone(),
             );
             run_task(&pipelines, &mut ctx)?;

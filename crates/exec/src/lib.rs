@@ -10,8 +10,9 @@
 //! * [`driver`] — instantiates one pipeline into a metered operator chain
 //!   and pulls it to completion into the pipeline's sink (paper §2 "Driver
 //!   Execution"). A task holds an `ExchangeWriter` toward its parent stage
-//!   and one `ExchangeReader` per child stage; every pipeline has one
-//!   driver.
+//!   and one `ExchangeReader` per child stage that feeds no join build;
+//!   the join tables are its node's, built once (`JoinBuilds`). Every
+//!   pipeline has one driver.
 //! * [`executor`] — the serial in-process reference executor (stages run
 //!   bottom-up in one thread, streaming through unbounded in-process
 //!   exchanges) plus the exchange-wiring helpers shared with the
@@ -39,7 +40,7 @@ pub mod metrics;
 pub mod operators;
 pub mod splits;
 
-pub use driver::{run_pipeline, run_task, TaskContext};
+pub use driver::{run_pipeline, run_task, JoinBuilds, TaskContext};
 pub use executor::{
     drain_result, exchange_topology, execute_logical, execute_tree, route_policy, ExecOptions,
     QueryResult,

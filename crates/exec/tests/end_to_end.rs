@@ -7,20 +7,26 @@
 //! golden results without a final sort).
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
+use accordion_common::sync::Semaphore;
 use accordion_common::{AccordionError, PipelineId, Result, StageId};
 use accordion_data::column::Column;
 use accordion_data::page::{DataPage, EndReason, Page};
 use accordion_data::schema::{Field, Schema};
 use accordion_data::types::{DataType, Value};
 use accordion_exec::{
-    execute_logical, execute_tree, run_task, ExecOptions, QueryMetrics, QueryResult, TaskContext,
+    execute_logical, execute_tree, run_task, ExecOptions, JoinBuilds, QueryMetrics, QueryResult,
+    TaskContext,
 };
 use accordion_expr::agg::AggKind;
 use accordion_expr::scalar::Expr;
-use accordion_net::{ExchangeReader, ExchangeStats, ExchangeWriter};
+use accordion_net::{
+    EdgeSpec, ExchangeReader, ExchangeRegistry, ExchangeStats, ExchangeTopology, ExchangeWriter,
+    RoutePolicy,
+};
 use accordion_plan::fragment::{StageKind, StageTree};
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::pipeline::{split_pipelines, OperatorSpec, PipelineSpec};
@@ -571,7 +577,7 @@ fn operators_report_busy_and_self_time() {
         inputs,
         Box::new(Discard),
         None,
-        &pipelines,
+        Arc::new(JoinBuilds::new(None)),
         metrics.clone(),
     );
     run_task(&pipelines, &mut task).unwrap();
@@ -593,15 +599,12 @@ fn operators_report_busy_and_self_time() {
     assert_eq!(json.get("self_ns").unwrap().as_u64(), Some(project.self_ns));
 }
 
-/// A join build sink reports like an operator: a `HashJoinBuild` row fed
-/// by the build chain's last operator, with the build side's rows and
-/// bytes, whose busy time covers the drain and the table build, so its
-/// self time is the build.
-#[test]
-fn a_join_build_reports_its_rows_and_its_own_time() {
+/// A build pipeline (stage 1's pages into join 0) and a probe pipeline
+/// (stage 2's pages against it), as a probe stage's tasks run them.
+fn join_pipelines() -> Vec<PipelineSpec> {
     let build_key = Field::new("b", DataType::Int64);
     let probe_key = Field::new("p", DataType::Int64);
-    let pipelines = vec![
+    vec![
         PipelineSpec {
             id: PipelineId(0),
             operators: vec![
@@ -628,7 +631,16 @@ fn a_join_build_reports_its_rows_and_its_own_time() {
                 OperatorSpec::Output,
             ],
         },
-    ];
+    ]
+}
+
+/// A join build sink reports like an operator: a `HashJoinBuild` row fed
+/// by the build chain's last operator, with the build side's rows and
+/// bytes, whose busy time covers the drain and the table build, so its
+/// self time is the build.
+#[test]
+fn a_join_build_reports_its_rows_and_its_own_time() {
+    let pipelines = join_pipelines();
     let build_pages = vec![
         Arc::new(DataPage::new(vec![Column::from_i64(vec![1, 2, 3, 4])])),
         Arc::new(DataPage::new(vec![Column::from_i64(vec![3, 4, 5])])),
@@ -636,14 +648,16 @@ fn a_join_build_reports_its_rows_and_its_own_time() {
     let build_bytes: usize = build_pages.iter().map(|p| p.byte_size()).sum();
     let probe_page = Arc::new(DataPage::new(vec![Column::from_i64(vec![3, 9])]));
     let nap = Duration::from_millis(3);
-    let mut inputs: HashMap<u32, Box<dyn ExchangeReader>> = HashMap::new();
-    inputs.insert(
-        1,
+    let builds = JoinBuilds::new(None);
+    builds.add(
+        0,
+        0,
         Box::new(SleepyInput {
             pages: build_pages,
             nap,
         }),
     );
+    let mut inputs: HashMap<u32, Box<dyn ExchangeReader>> = HashMap::new();
     inputs.insert(
         2,
         Box::new(SleepyInput {
@@ -659,7 +673,7 @@ fn a_join_build_reports_its_rows_and_its_own_time() {
         inputs,
         Box::new(Discard),
         None,
-        &pipelines,
+        Arc::new(builds),
         metrics.clone(),
     );
     run_task(&pipelines, &mut task).unwrap();
@@ -692,6 +706,66 @@ fn a_join_build_reports_its_rows_and_its_own_time() {
     assert_eq!(stats.rows_produced("HashJoinProbe"), 2);
 }
 
+/// A build that fails wakes every task waiting for its table. Two tasks
+/// share the node's `JoinBuilds`: one drains the build edge, the other
+/// parks for the table, and both hand their compute slot back while they
+/// wait. The build side's producer then fails mid-stream — its error
+/// poisons the query, as the scheduler does — and both tasks return it.
+#[test]
+fn a_failed_join_build_wakes_every_task_waiting_for_its_table() {
+    let pipelines = Arc::new(join_pipelines());
+    for slots in [1, 4] {
+        let gate = Arc::new(Semaphore::new(slots));
+        let topology = ExchangeTopology::new(0)
+            .edge(EdgeSpec::local(1, 1, RoutePolicy::Single, 1))
+            .edge(EdgeSpec::local(2, 1, RoutePolicy::Single, 2));
+        let registry = ExchangeRegistry::build_in_process(&topology).unwrap();
+        let builds = Arc::new(JoinBuilds::new(Some(gate.clone())));
+        builds.add(0, 0, registry.reader(1, 0, Some(gate.clone())).unwrap());
+        let mut producer = registry.writer(1, 0, None).unwrap();
+        let page = DataPage::new(vec![Column::from_i64(vec![1, 2, 3])]);
+        producer.push(Page::Data(Arc::new(page))).unwrap();
+
+        let started = Arc::new(AtomicUsize::new(0));
+        let (done, outcomes) = mpsc::channel();
+        for task in 0..2 {
+            let mut inputs: HashMap<u32, Box<dyn ExchangeReader>> = HashMap::new();
+            let probe = registry.reader(2, task, Some(gate.clone())).unwrap();
+            inputs.insert(2, probe);
+            let (gate, builds, pipelines) = (gate.clone(), builds.clone(), pipelines.clone());
+            let (started, done) = (started.clone(), done.clone());
+            std::thread::spawn(move || {
+                gate.acquire();
+                started.fetch_add(1, Ordering::SeqCst);
+                let metrics = Arc::new(QueryMetrics::new());
+                let output = Box::new(Discard);
+                let mut ctx = TaskContext::new(0, task, 64, inputs, output, None, builds, metrics);
+                let outcome = run_task(&pipelines, &mut ctx);
+                gate.release();
+                done.send(outcome).unwrap();
+            });
+        }
+        // Neither task can finish before the build side ends, so once both
+        // have started and every permit is free, both are parked.
+        let parked_by = Instant::now() + Duration::from_secs(5);
+        while started.load(Ordering::SeqCst) < 2 || gate.available() != slots {
+            assert!(
+                Instant::now() < parked_by,
+                "slots={slots}: tasks never parked"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let failure = AccordionError::Execution("the build side's producer failed".into());
+        registry.poison(failure.clone());
+        for _ in 0..2 {
+            match outcomes.recv_timeout(Duration::from_secs(5)) {
+                Ok(Err(e)) => assert_eq!(e.to_string(), failure.to_string(), "slots={slots}"),
+                other => panic!("slots={slots}: expected the producer's error, got {other:?}"),
+            }
+        }
+    }
+}
+
 /// A scan gets its splits from its stage's split queue and nowhere else: a
 /// task given no feed fails, naming the table, instead of scanning a share
 /// of it.
@@ -715,7 +789,7 @@ fn a_scan_without_a_split_feed_is_an_execution_error() {
         HashMap::new(),
         Box::new(Discard),
         None,
-        &pipelines,
+        Arc::new(JoinBuilds::new(None)),
         metrics,
     );
     match run_task(&pipelines, &mut task) {

@@ -31,8 +31,8 @@ use accordion_exec::operators::{
     QueueSource, Selection, SortOp, TopNOp,
 };
 use accordion_exec::{
-    execute_logical, run_task, ExecOptions, JoinTable, QueryMetrics, SplitFeed, SplitQueue,
-    TaskContext,
+    execute_logical, run_task, ExecOptions, JoinBuilds, JoinTable, QueryMetrics, SplitFeed,
+    SplitQueue, TaskContext,
 };
 use accordion_expr::agg::{AggKind, AggSpec};
 use accordion_expr::scalar::{BinaryOp, Expr};
@@ -1693,9 +1693,10 @@ fn sinks_behind_a_filter_receive_dense_pages() {
         ];
         let delivered = Arc::new(Mutex::new(Vec::new()));
         let build_side = pages.iter().cloned().map(Arc::new).collect();
-        let mut inputs: HashMap<u32, Box<dyn ExchangeReader>> = HashMap::new();
-        inputs.insert(
-            1,
+        let builds = JoinBuilds::new(None);
+        builds.add(
+            0,
+            0,
             Box::new(Input(QueueSource::new(
                 build_side,
                 EndReason::UpstreamFinished,
@@ -1706,14 +1707,14 @@ fn sinks_behind_a_filter_receive_dense_pages() {
             0,
             0,
             100,
-            inputs,
+            HashMap::new(),
             Box::new(Collect(delivered.clone())),
             Some(SplitFeed::new(
                 Arc::new(SplitQueue::new(date_splits)),
                 0,
                 None,
             )),
-            &pipelines,
+            Arc::new(builds),
             Arc::new(QueryMetrics::new()),
         );
         run_task(&pipelines, &mut task).unwrap();

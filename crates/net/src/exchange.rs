@@ -89,7 +89,8 @@ pub trait ExchangeReader: Send {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RoutePolicy {
     /// One output partition. With one consumer this is a gather; with many
-    /// consumers every page is broadcast to each of them (join build side).
+    /// consumers every page is broadcast to each of them (a join's build
+    /// side, whose edge has one consumer per node: the node's table).
     Single,
     /// Rows are hash-partitioned on `keys` into `partitions` queues.
     Hash { keys: Vec<usize>, partitions: u32 },

@@ -17,6 +17,7 @@ use accordion_common::{AccordionError, Result, StageId};
 use accordion_data::schema::Schema;
 
 use crate::physical::{Partitioning, PhysicalNode};
+use crate::pipeline::{build_inputs, split_pipelines};
 
 /// Role of a stage in the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,9 +75,10 @@ pub struct PlanFragment {
     /// (`Single` for the root: the coordinator reads one result stream).
     pub output_partitioning: Partitioning,
     /// Runtime DOP bounds when this stage is eligible for intra-query
-    /// re-parallelization: a Source stage with no child exchanges (so a
-    /// task set can grow or shrink between splits without replaying remote
-    /// inputs). `None` pins the planned DOP.
+    /// re-parallelization: a Source stage whose child exchanges all feed
+    /// join builds (so a task set can grow or shrink between splits: a
+    /// grown task probes its node's tables and replays no remote input).
+    /// `None` pins the planned DOP.
     pub elastic_bounds: Option<DopBounds>,
 }
 
@@ -239,22 +241,28 @@ impl Cutter {
         } else {
             StageKind::Source
         };
-        // A stage is runtime-elastic when growing/shrinking its task set
-        // between splits cannot lose or duplicate work: its one table's
-        // unconsumed splits are a single queue, and it has no child
-        // exchanges (whose buffers a late-spawned task could not replay).
         let parallelism = parallelism.max(1);
-        let elastic_bounds = (kind == StageKind::Source && child_stages.is_empty())
-            .then(|| DopBounds::new(1, parallelism.max(DEFAULT_MAX_ELASTIC_DOP)));
-        self.fragments.push(PlanFragment {
+        let mut fragment = PlanFragment {
             stage,
             root: stripped,
             parallelism,
             kind,
             child_stages,
             output_partitioning,
-            elastic_bounds,
-        });
+            elastic_bounds: None,
+        };
+        // A stage is runtime-elastic when growing/shrinking its task set
+        // between splits cannot lose or duplicate work: its one table's
+        // unconsumed splits are a single queue, and every child exchange
+        // feeds a join build, whose table the node's tasks share — a task
+        // spawned mid-query probes it and has no buffer to replay.
+        let builds = build_inputs(&split_pipelines(&fragment)?);
+        let mut children = fragment.child_stages.iter();
+        if kind == StageKind::Source && children.all(|c| builds.iter().any(|(b, _)| b == c)) {
+            fragment.elastic_bounds =
+                Some(DopBounds::new(1, parallelism.max(DEFAULT_MAX_ELASTIC_DOP)));
+        }
+        self.fragments.push(fragment);
         Ok(())
     }
 

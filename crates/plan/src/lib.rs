@@ -31,4 +31,4 @@ pub use fragment::{PlanFragment, StageKind, StageTree};
 pub use logical::{JoinType, LogicalPlan};
 pub use optimizer::{Optimizer, OptimizerConfig};
 pub use physical::{Partitioning, PhysicalNode};
-pub use pipeline::{split_pipelines, OperatorSpec, PipelineSpec};
+pub use pipeline::{build_inputs, split_pipelines, OperatorSpec, PipelineSpec};

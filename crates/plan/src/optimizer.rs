@@ -279,9 +279,10 @@ impl Optimizer {
                 let (probe, probe_dist) = self.lower(left)?;
                 let (build, build_dist) = self.lower(right)?;
                 // Broadcast join: the build side is gathered into a single
-                // partition which every probe task reads in full. Always a
-                // stage boundary (even at build dist 1), so the build scan
-                // stays independently elastic at runtime.
+                // partition, sent once to every node that runs probe tasks;
+                // there one task builds the table and every probe task
+                // reads it. Always a stage boundary (even at build dist 1),
+                // so the build scan stays independently elastic at runtime.
                 let build = Arc::new(PhysicalNode::Exchange {
                     input: build,
                     partitioning: Partitioning::Single,

@@ -148,6 +148,25 @@ pub fn split_pipelines(fragment: &PlanFragment) -> Result<Vec<PipelineSpec>> {
         .collect())
 }
 
+/// The child stages a join build consumes, each with its join's id: the
+/// `ExchangeSource` of every pipeline that ends in
+/// [`OperatorSpec::HashJoinBuild`]. One task per node drains such an edge
+/// into the table every task of the stage on that node probes, so the edge
+/// has one consumer slot per node, and a task spawned mid-query reads no
+/// exchange of its own.
+pub fn build_inputs(pipelines: &[PipelineSpec]) -> Vec<(StageId, usize)> {
+    pipelines
+        .iter()
+        .filter_map(|p| match (p.operators.first(), p.operators.last()) {
+            (
+                Some(OperatorSpec::ExchangeSource { child_stage }),
+                Some(OperatorSpec::HashJoinBuild { join, .. }),
+            ) => Some((*child_stage, *join)),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Sets `table_order` on every final aggregate of a finished pipeline whose
 /// group order nobody reads ([`sort_covers_groups`]).
 fn mark_unread_group_order(operators: &mut [OperatorSpec]) {

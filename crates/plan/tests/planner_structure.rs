@@ -14,7 +14,7 @@ use accordion_plan::catalog::MemoryCatalog;
 use accordion_plan::fragment::{DopBounds, StageKind, StageTree};
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::physical::{Partitioning, PhysicalNode};
-use accordion_plan::pipeline::{split_pipelines, OperatorSpec};
+use accordion_plan::pipeline::{build_inputs, split_pipelines, OperatorSpec};
 use accordion_plan::LogicalPlanBuilder;
 use accordion_sql::plan_select;
 use accordion_storage::catalog::Catalog;
@@ -192,10 +192,11 @@ fn single_scan_source_stages_are_elastic_eligible() {
 }
 
 #[test]
-fn broadcast_probe_stage_is_not_elastic_eligible() {
+fn broadcast_probe_stage_is_elastic_eligible() {
     // A probe-side Source stage reads the build side through a child
-    // exchange; a task spawned mid-query could not replay that buffer, so
-    // the stage must not advertise elasticity.
+    // exchange that feeds a join build: the node's tasks share the table,
+    // so a task spawned mid-query replays no buffer, and the stage is
+    // elastic.
     let c = catalog();
     let schema = Schema::shared(vec![
         Field::new("k2", DataType::Utf8),
@@ -212,8 +213,56 @@ fn broadcast_probe_stage_is_not_elastic_eligible() {
     let tree = StageTree::build(optimizer.optimize(&logical).unwrap()).unwrap();
     let probe = tree.fragment(StageId(1)).unwrap();
     assert_eq!(probe.kind, StageKind::Source);
-    assert_eq!(probe.elastic_bounds, None, "probe reads a child exchange");
+    assert_eq!(probe.elastic_bounds, Some(DopBounds::new(1, 8)));
+    let pipelines = split_pipelines(probe).unwrap();
+    assert_eq!(build_inputs(&pipelines), vec![(StageId(2), 0)]);
     // The gathered build-side scan stage is itself elastic.
+    assert!(tree.fragment(StageId(2)).unwrap().elastic_bounds.is_some());
+}
+
+#[test]
+fn a_stage_with_a_child_that_feeds_no_build_stays_pinned() {
+    // q3: the lineitem probe stage and both build scans are elastic; the
+    // merge stage reads a hash exchange into its final aggregate.
+    let tree = tpch_tree(include_str!("../../../suite/sql/q3.sql"));
+    let elastic: Vec<u32> = (tree.fragments().iter())
+        .filter(|f| f.elastic_bounds.is_some())
+        .map(|f| f.stage.0)
+        .collect();
+    assert_eq!(elastic, [2, 3, 4], "{tree}");
+    let merge = tree.fragment(StageId(1)).unwrap();
+    assert!(build_inputs(&split_pipelines(merge).unwrap()).is_empty());
+    // A Source stage whose exchange is the probe side, not a build input:
+    // a grown task would have no reader for it, so it stays pinned.
+    let scan = |table: &str| {
+        Arc::new(PhysicalNode::TableScan {
+            table: table.into(),
+            table_schema: Schema::shared(vec![Field::new("a", DataType::Int64)]),
+            projection: vec![0],
+        })
+    };
+    let probe_exchange = Arc::new(PhysicalNode::Exchange {
+        input: scan("u"),
+        partitioning: Partitioning::Single,
+        input_parallelism: 2,
+    });
+    let join = Arc::new(PhysicalNode::HashJoin {
+        probe: probe_exchange,
+        build: scan("t"),
+        on: vec![(0, 0)],
+        join_type: accordion_plan::JoinType::Inner,
+    });
+    let tree = StageTree::build(Arc::new(PhysicalNode::Exchange {
+        input: join,
+        partitioning: Partitioning::Single,
+        input_parallelism: 2,
+    }))
+    .unwrap();
+    let stage = tree.fragment(StageId(1)).unwrap();
+    assert_eq!(
+        (stage.kind, stage.elastic_bounds),
+        (StageKind::Source, None)
+    );
     assert!(tree.fragment(StageId(2)).unwrap().elastic_bounds.is_some());
 }
 

@@ -119,7 +119,8 @@ fn run_pool(name: &str, plan: &LogicalPlan, oracle: &[Vec<Value>], scan_rows: u6
             retuned.sort_unstable();
             match mode {
                 ElasticityMode::Off => assert!(retuned.is_empty(), "{cell}: {retuned:?}"),
-                // One grow per elastic stage (q3 has two), then passive.
+                // One grow per elastic stage (q3 has three: its lineitem
+                // probe stage and both build scans), then passive.
                 ElasticityMode::ForcedGrow => assert_eq!(retuned, elastic_stages, "{cell}"),
                 _ => {}
             }
@@ -145,6 +146,48 @@ fn q3_is_exactly_once_across_the_matrix() {
     ]
     .map(Value::Int64);
     assert_eq!(orderkeys, expected.iter().collect::<Vec<_>>());
+}
+
+/// Each node builds a join's table once: at every DOP and pool size q3
+/// has one `HashJoinBuild` row per join, holding the build side it holds
+/// at dop 1, and its build edges carry each build side once however many
+/// probe tasks read the table.
+#[test]
+fn q3_builds_each_join_table_once_per_node() {
+    let catalog = catalog();
+    let plan = plan_select(catalog, include_str!("../benchmarks/sql/q3.sql")).unwrap();
+    for workers in [1, 4] {
+        let executor = QueryExecutor::new(ExecOptions::default().worker_threads(workers));
+        let mut runs = Vec::new();
+        for dop in [1, 2, 4] {
+            let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(dop));
+            let tree = StageTree::build(optimizer.optimize(&plan).unwrap()).unwrap();
+            let opts = ExecOptions::with_page_rows(PAGE_ROWS).elasticity(ElasticityConfig::off());
+            let result = executor.execute_tree_opts(catalog, &tree, &opts).unwrap();
+            let stats = result.stats();
+            // (pipeline, rows, bytes) of every table built.
+            let mut tables: Vec<(u32, u64, u64)> = (stats.operators.iter())
+                .filter(|o| o.operator == "HashJoinBuild")
+                .map(|o| (o.pipeline, o.rows, o.bytes))
+                .collect();
+            tables.sort_unstable();
+            assert_eq!(tables.len(), 2, "dop={dop} workers={workers}: {tables:?}");
+            runs.push((dop, tables, stats.exchange.bytes));
+        }
+        let (_, sides, dop1_bytes) = &runs[0];
+        for (dop, tables, _) in &runs {
+            assert_eq!(tables, sides, "dop={dop} workers={workers}");
+        }
+        // One copy of each build side per node: dop 4 moves less than dop
+        // 1 plus one more copy of them (150,864 bytes at dop 1 and 4; a
+        // copy per probe task made dop 4 move 594,936).
+        let side_bytes: u64 = sides.iter().map(|t| t.2).sum();
+        let dop4_bytes = runs[2].2;
+        assert!(
+            dop4_bytes < dop1_bytes + side_bytes,
+            "workers={workers}: dop 1 {dop1_bytes}, dop 4 {dop4_bytes}, sides {side_bytes}"
+        );
+    }
 }
 
 #[test]
