@@ -18,9 +18,11 @@
 //! [`distributed_topology`] re-homes the all-local topology of
 //! `accordion_exec::exchange_topology` for one node: consumer slot `c`
 //! stays [`ConsumerLoc::Local`] when `task_node(c) == node` and becomes
-//! [`ConsumerLoc::Remote`] (that node's address) everywhere else. Every node therefore registers the same *global* edge — identical
-//! slot indices, producer counts and hash partitions — and the
-//! transport-agnostic registry of `accordion-net` does the rest.
+//! [`ConsumerLoc::Remote`] (that node's address) everywhere else. Every
+//! node therefore registers the same *global* edge — identical slot
+//! indices, producer counts (the nodes hosting a task of the stage) and
+//! hash partitions — and the transport-agnostic registry of `accordion-net`
+//! does the rest.
 //!
 //! ## One split pool across nodes
 //!
@@ -39,10 +41,9 @@
 //! unchanged: a paused queue simply delays its claim replies, wherever the
 //! claimant runs — the claim service answers what it can at once and
 //! parks the rest on short-lived threads, so no claim holds up the pages
-//! sharing its session. Grown tasks always spawn on the coordinator (their
-//! producer growth travels ahead of their pages on the coordinator's
-//! sessions); shrunk tasks observe retirement through their next claim
-//! reply. [`ClaimWiring`] names which side of the service a node is on —
+//! sharing its session. Grown tasks always spawn on the coordinator, where
+//! they join its writer groups and change nothing on any other node;
+//! shrunk tasks observe retirement through their next claim reply. [`ClaimWiring`] names which side of the service a node is on —
 //! or that it is alone and its queues need no service at all.
 
 use std::collections::{HashMap, HashSet};
@@ -110,11 +111,9 @@ pub fn plan_fingerprint(tree: &StageTree) -> u64 {
 
 /// The global exchange topology of `tree` as seen from one node: consumer
 /// slots placed on this node stay local, all others point at their owner's
-/// address. `leased` marks the elastic edges (as in
-/// `accordion_exec::exchange_topology`).
+/// address.
 pub fn distributed_topology(
     tree: &StageTree,
-    leased: &HashSet<u32>,
     query: u64,
     role: &DistRole,
 ) -> Result<ExchangeTopology> {
@@ -125,7 +124,7 @@ pub fn distributed_topology(
             role.nodes
         )));
     }
-    let mut topology = exchange_topology(tree, leased, role.nodes)?;
+    let mut topology = exchange_topology(tree, role.nodes)?;
     topology.query = query;
     for (id, addr) in role.peers.iter().enumerate() {
         if id as u32 != role.node {

@@ -72,27 +72,27 @@
 //! *Shrinking*: the controller retires task slots on the split queue; a
 //! retired task observes retirement at its next claim, finishes its current
 //! split, and its scan emits `Page::End(EndSignal)` — the driver forwards
-//! it through the task's `ExchangeWriter`, closing that producer's
-//! contribution in-band. Partial-operator state is safe to abandon this way
+//! it through the task's `ExchangeWriter`, which leaves its node's writer
+//! group in-band. Partial-operator state is safe to abandon this way
 //! because partial aggregates/top-Ns are reconstructible unions: whatever
 //! the retired task already pushed merges downstream exactly like the
 //! output of a completed task (paper §4.1).
 //!
-//! *Growing*: the controller re-registers the stage's output edge at the
-//! larger producer count (`ExchangeRegistry::add_producers`) **before**
-//! spawning the new task threads on the scheduler's `worker_threads` slot
-//! pool; the new tasks then drain the same split queue. Hash partitioning
-//! is DOP-stable — routing depends only on the consumer count, which never
-//! changes — so no in-flight page needs repartitioning.
+//! *Growing*: the controller spawns the new tasks on the scheduler's
+//! `worker_threads` slot pool, and they drain the same split queue. A new
+//! task's writer joins its node's writer group for the stage's output edge
+//! (see `accordion_net::exchange`); the edge itself does not change. Its
+//! producers are nodes, and hash partitioning is DOP-stable — routing
+//! depends only on the consumer count, which never changes — so no
+//! in-flight page needs repartitioning either.
 //!
-//! The race between "last old producer finishes" and "new producers join"
-//! is closed by the **writer lease**: elastic edges are declared with one
-//! extra producer slot (`EdgeSpec::leased`) that the controller
-//! holds, so consumers cannot see the edge's end page while a retune is
-//! still possible. The lease is released once the stage's split queue is
-//! exhausted — or unconditionally when the controller unwinds, because
-//! [`StageControl`] releases its queue and lease on drop (no decision can
-//! strand a blocked claimant).
+//! Between "the stage's last task ends" and "a grown task joins", the group
+//! is held open by the **writer lease**: one member of the coordinator's
+//! group that [`StageControl`] holds, so consumers cannot see the edge's
+//! end page while a retune is still possible. The lease is released once
+//! the stage's split queue is exhausted — or unconditionally when the
+//! controller unwinds, because [`StageControl`] releases its queue and
+//! lease on drop (no decision can strand a blocked claimant).
 //!
 //! [`SplitQueue`]: accordion_exec::splits::SplitQueue
 
@@ -256,8 +256,9 @@ pub struct StageControl {
     active: Vec<u32>,
     /// Next fresh slot id for grown tasks.
     next_slot: u32,
-    /// The writer lease holding the stage's output edge open (see module
-    /// docs). `None` once released.
+    /// The writer lease: a member of this node's writer group for the
+    /// stage's output edge, holding it open (see module docs). `None` once
+    /// released.
     lease: Option<Box<dyn ExchangeWriter>>,
     done: bool,
     /// Where the current measurement era began: the stage's scan totals
@@ -312,7 +313,8 @@ impl StageControl {
 impl Drop for StageControl {
     /// Safety net: a controller unwinding for any reason must never leave
     /// claimants parked at a pause boundary or consumers waiting on the
-    /// leased edge. (The lease writer's own drop guard closes its slot.)
+    /// edge the lease holds. (The lease writer's own drop guard leaves the
+    /// group.)
     fn drop(&mut self) {
         self.queue.release();
     }
@@ -432,8 +434,8 @@ impl ElasticityController {
     /// claimant, the last split, a retirement, a task exit — or the tick,
     /// whichever is first. On the way out every stage's series goes to the
     /// query's stats. `spawn` launches one new task `(stage, slot)` on the
-    /// scheduler's pool — it is only called after the stage's edge has been
-    /// re-registered at the larger DOP.
+    /// scheduler's pool, whose writer joins the group the stage's lease
+    /// holds open.
     pub fn run(
         mut self,
         registry: &ExchangeRegistry,
@@ -451,10 +453,11 @@ impl ElasticityController {
                 }
                 self.sample(i, false);
                 // A stage is complete when its split queue is exhausted —
-                // or when every real producer already finished (e.g. each
-                // task's local LIMIT was satisfied mid-scan and the task
-                // exited): only the controller's lease slot remains, so
-                // nothing will ever claim the leftover splits.
+                // or when every task already finished (e.g. each task's
+                // local LIMIT was satisfied mid-scan and the task exited):
+                // only the lease is left in this node's group and every
+                // other node's group has ended, so nothing will ever claim
+                // the leftover splits.
                 let tasks_done = registry
                     .producers_remaining(self.stages[i].stage)
                     .map(|writers| writers <= 1)
@@ -465,7 +468,7 @@ impl ElasticityController {
                 }
                 pending = true;
                 if self.stages[i].queue.decision_due() {
-                    if let Err(e) = self.decide(i, registry, spawn) {
+                    if let Err(e) = self.decide(i, spawn) {
                         registry.poison(e);
                         break 'control;
                     }
@@ -517,12 +520,7 @@ impl ElasticityController {
     }
 
     /// One decision for stage `i`, whose boundary has been reached.
-    fn decide(
-        &mut self,
-        i: usize,
-        registry: &ExchangeRegistry,
-        spawn: &mut dyn FnMut(u32, u32) -> Result<()>,
-    ) -> Result<()> {
+    fn decide(&mut self, i: usize, spawn: &mut dyn FnMut(u32, u32) -> Result<()>) -> Result<()> {
         let (bounds, dop) = {
             let st = &self.stages[i];
             (st.bounds, st.dop())
@@ -552,7 +550,7 @@ impl ElasticityController {
             }
         };
 
-        self.apply_retune(i, registry, spawn, target, predicted_secs)?;
+        self.apply_retune(i, spawn, target, predicted_secs)?;
 
         // Arm the next boundary — or, for one-shot forced schedules, go
         // passive: release the queue so claims never block again.
@@ -580,7 +578,6 @@ impl ElasticityController {
     fn apply_retune(
         &mut self,
         i: usize,
-        registry: &ExchangeRegistry,
         spawn: &mut dyn FnMut(u32, u32) -> Result<()>,
         target: u32,
         predicted_secs: f64,
@@ -597,12 +594,9 @@ impl ElasticityController {
         let at_ms = self.metrics.elapsed().as_secs_f64() * 1e3;
         let mut spawned = Vec::new();
         if target > dop {
-            // Grow: extend the edge's producer set first, then spawn — a
-            // new task must never push into an edge that does not yet
-            // account for its writer.
-            let added = target - dop;
-            registry.add_producers(stage, added)?;
-            for _ in 0..added {
+            // Grow: each new task's writer joins the group the lease holds
+            // open; the edge does not change.
+            for _ in 0..(target - dop) {
                 let slot = self.stages[i].next_slot;
                 self.stages[i].next_slot += 1;
                 self.stages[i].active.push(slot);
@@ -919,8 +913,7 @@ mod tests {
     ) {
         use accordion_net::{EdgeSpec, ExchangeTopology, RoutePolicy};
 
-        let topology =
-            ExchangeTopology::new(0).edge(EdgeSpec::local(1, 1, RoutePolicy::Single, 1).leased());
+        let topology = ExchangeTopology::new(0).edge(EdgeSpec::local(1, 1, RoutePolicy::Single, 1));
         let registry = ExchangeRegistry::build_in_process(&topology).unwrap();
         let metrics = Arc::new(QueryMetrics::with_clock(clock));
         let queue = Arc::new(SplitQueue::new(splits));
@@ -1117,8 +1110,8 @@ mod tests {
         // stage 2 is held pending by a producer that never finishes, so
         // the controller goes on ticking until it is poisoned.
         let topology = ExchangeTopology::new(0)
-            .edge(EdgeSpec::local(1, 1, RoutePolicy::Single, 1).leased())
-            .edge(EdgeSpec::local(2, 1, RoutePolicy::Single, 1).leased());
+            .edge(EdgeSpec::local(1, 1, RoutePolicy::Single, 1))
+            .edge(EdgeSpec::local(2, 1, RoutePolicy::Single, 1));
         let registry = ExchangeRegistry::build_in_process(&topology).unwrap();
         let metrics = Arc::new(QueryMetrics::new());
         let stage = |id: u32, splits| {

@@ -47,12 +47,12 @@
 //! Every stage that scans a table scans through its one [`SplitQueue`], in
 //! every mode: its tasks claim splits one at a time, so its DOP can change
 //! between any two claims. When `ExecOptions::elasticity` enables the
-//! controller, every elastic-eligible Source stage (see
+//! controller, an [`ElasticityController`] thread retunes the DOP of every
+//! elastic-eligible Source stage (see
 //! `accordion_plan::fragment::PlanFragment::elastic_bounds`: its child
-//! exchanges, if any, all feed join builds) also gets the controller's
-//! writer lease on its output edge, and an
-//! [`ElasticityController`] thread retunes the stage's DOP between splits
-//! — see `crate::elastic` for the mechanism and the EndSignal handshake.
+//! exchanges, if any, all feed join builds) between splits, holding a
+//! writer lease in node 0's writer group for the stage's output edge — see
+//! `crate::elastic` for the mechanism and the EndSignal handshake.
 //! That thread sleeps until something happens: the split queues wake it at
 //! their decision boundaries, and every task of the query wakes it when it
 //! exits.
@@ -66,20 +66,20 @@
 //! fails fast, and every node's run returns that first error. The
 //! controller observes the poison — woken by the first task that unwinds,
 //! or within one tick if the only claimant is parked and nothing else
-//! runs — releases its split queues and leases, and exits: no claimant
-//! stays parked at a decision boundary.
+//! runs — releases its split queues, leaves its writer groups, and exits:
+//! no claimant stays parked at a decision boundary.
 //!
 //! [`SplitQueue`]: accordion_exec::splits::SplitQueue
 //! [`ElasticityController`]: crate::elastic::ElasticityController
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use accordion_common::sync::{Mutex, Semaphore, Signal};
-use accordion_common::{AccordionError, Result, StageId};
+use accordion_common::{AccordionError, Result};
 use accordion_exec::driver::{run_task, JoinBuilds, TaskContext};
 use accordion_exec::executor::{drain_result, ExecOptions, QueryResult};
 use accordion_exec::metrics::QueryMetrics;
@@ -181,8 +181,6 @@ pub struct NodeQuery<T = Arc<StageTree>> {
     registry: Arc<ExchangeRegistry>,
     /// Split pools of the stages that scan a table, by stage id.
     pools: HashMap<u32, StagePool>,
-    /// The stages the controller drives: elastic, under an enabled mode.
-    leased: HashSet<u32>,
     remote_slots: usize,
     /// The executor's slot pool, which the run draws on, and its size.
     gate: Arc<Semaphore>,
@@ -291,13 +289,7 @@ impl QueryExecutor {
             None
         };
 
-        let leased: HashSet<u32> = tree
-            .fragments()
-            .iter()
-            .filter(|f| opts.elasticity.enabled() && f.elastic_bounds.is_some())
-            .map(|f| f.stage.0)
-            .collect();
-        let topology = distributed_topology(&tree, &leased, query, &role)?;
+        let topology = distributed_topology(&tree, query, &role)?;
         let remote_slots = topology
             .edges
             .iter()
@@ -306,8 +298,7 @@ impl QueryExecutor {
             .count();
         let registry = ExchangeRegistry::build(&topology, &opts.network, NicModel)?;
         // Every scanning stage scans through one shared split pool, so its
-        // task set can change between splits; the edges of the stages a
-        // controller drives get its writer lease slot.
+        // task set can change between splits.
         let mut pools: HashMap<u32, StagePool> = HashMap::new();
         let coordinator = role.peers.first().map_or("", String::as_str);
         for f in tree.fragments() {
@@ -317,9 +308,9 @@ impl QueryExecutor {
                 pools.insert(f.stage.0, pool);
             }
         }
-        // The lease on every elastic edge is held by the controller, which
-        // runs where the queues are — a worker that owned one, or a
-        // coordinator that did not, would leave the edge open forever.
+        // The controller runs where the queues are, and its leases and grown
+        // tasks join that node's writer groups: node 0, which hosts task 0
+        // of every stage and so has a group on every edge.
         if pools
             .values()
             .any(|p| p.queue.is_some() != role.is_coordinator())
@@ -336,7 +327,6 @@ impl QueryExecutor {
             role,
             registry,
             pools,
-            leased,
             remote_slots,
             gate: self.gate.clone(),
             slots: self.opts.worker_threads.max(1) as u32,
@@ -494,26 +484,21 @@ where
             None
         };
 
-        // The controller runs where the queues are (node 0): it takes the
-        // writer lease on every elastic edge and arms the first decision
-        // boundary — before any task runs. Producer growth goes out on this
-        // node's sessions before grown tasks (always spawned here) push a
-        // page on them.
+        // The controller runs where the queues are (node 0): it holds a
+        // writer lease in this node's group of every stage it drives and
+        // arms the first decision boundary — before any task runs, so no
+        // such group can end while a grow is still possible.
         let mut controls = Vec::new();
-        for &stage in &self.leased {
-            let Some(queue) = self.pools.get(&stage).and_then(|p| p.queue.as_ref()) else {
+        let elastic = opts.elasticity.enabled();
+        for fragment in tree.fragments().iter().filter(|_| elastic) {
+            let stage = fragment.stage.0;
+            let queue = self.pools.get(&stage).and_then(|p| p.queue.clone());
+            let (Some(bounds), Some(queue)) = (fragment.elastic_bounds, queue) else {
                 continue;
             };
-            let fragment = tree.fragment(StageId(stage))?;
-            controls.push(StageControl::new(
-                stage,
-                fragment
-                    .elastic_bounds
-                    .expect("only bounded stages are leased"),
-                fragment.parallelism.max(1),
-                queue.clone(),
-                registry.writer(stage, u32::MAX, None)?,
-            ));
+            let lease = registry.writer(stage, u32::MAX, None)?;
+            let dop = fragment.parallelism.max(1);
+            controls.push(StageControl::new(stage, bounds, dop, queue, lease));
         }
         let controller = if controls.is_empty() {
             None
@@ -543,9 +528,8 @@ where
             // its signal by then, and a wake-up does not queue.
             if let Some(controller) = controller {
                 scope.spawn(move || {
-                    // Grown tasks join the same scope, slot pool and join
-                    // tables. The edge was re-registered at the larger DOP
-                    // before this callback runs (ElasticityController::decide).
+                    // Grown tasks join the same scope, slot pool, join tables
+                    // and writer groups, which the stages' leases hold open.
                     let mut spawn = |stage: u32, slot: u32| -> Result<()> {
                         let not_elastic =
                             || AccordionError::Internal(format!("stage {stage} is not elastic"));

@@ -8,18 +8,21 @@
 //! scheduler, what holds for a single process holds here: node 0 passes the
 //! admission gate, `poison_active` reaches every node, and a node's queries
 //! share its executor's compute slots. Every node opens at most one
-//! session per peer per query, which carries its pages, its claims and its
-//! producer growth alike.
+//! session per peer per query, which carries its pages and its claims
+//! alike; a grow sends nothing. Every run leaves no query active on any
+//! node.
 
 mod common;
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use accordion_cluster::{ClaimWiring, DistRole, NodeQuery, QueryExecutor, SplitQueues};
+use accordion_cluster::{
+    distributed_topology, ClaimWiring, DistRole, NodeQuery, QueryExecutor, SplitQueues,
+};
 use accordion_common::config::{AdmissionConfig, ElasticityConfig, NetworkConfig};
 use accordion_common::sync::Mutex;
-use accordion_common::{AccordionError, ElasticityMode, Result};
+use accordion_common::{AccordionError, ElasticityMode, Result, StageId};
 use accordion_data::schema::{Field, Schema};
 use accordion_data::types::{DataType, Value};
 use accordion_exec::{execute_tree, ExecOptions, QueryResult};
@@ -251,6 +254,9 @@ fn run_on(
     for worker in workers {
         assert!(worker.join().unwrap().unwrap().is_none());
     }
+    for (node, executor) in executors.iter().enumerate() {
+        assert_eq!(executor.active_queries(), 0, "node {node} kept a query");
+    }
     let accepted = fleet.accepted();
     fleet.shutdown();
     (result, remote_slots, accepted)
@@ -381,11 +387,40 @@ fn forced_grow_and_shrink_stay_lossless_across_nodes() {
 }
 
 #[test]
-fn one_session_per_peer_per_query_carries_pages_claims_and_growth() {
+fn an_edge_counts_the_nodes_hosting_its_stage_as_its_producers() {
+    // A node's tasks of a stage are one producer of its output edge, so
+    // every node registers `min(parallelism, nodes)` producers: the nodes
+    // `task_node` places a task of the stage on.
+    let c = catalog();
+    for (name, builder) in golden_suite(&c) {
+        for dop in [1, 2, 4] {
+            let tree = common::tree_at(&builder, dop);
+            for nodes in 1..=3u32 {
+                let peers = (0..nodes).map(|n| format!("127.0.0.1:{}", 9000 + n));
+                for node in 0..nodes {
+                    let role = DistRole {
+                        node,
+                        nodes,
+                        peers: peers.clone().collect(),
+                    };
+                    for edge in distributed_topology(&tree, 1, &role).unwrap().edges {
+                        let stage = tree.fragment(StageId(edge.stage)).unwrap();
+                        let hosts = stage.parallelism.max(1).min(nodes);
+                        assert_eq!(edge.producers, hosts, "{name} at dop {dop} on {nodes}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn one_session_per_peer_per_query_carries_pages_and_claims() {
     // A shuffled group-by and a join across three nodes at dop 4: every
     // node sends pages to both others, and the workers claim splits from
-    // node 0. Whatever a node sends a peer for the query — DATA, FINISH,
-    // CLAIM, and under a forced grow ADDPROD — travels on one session.
+    // node 0. Whatever a node sends a peer for the query — DATA, FINISH
+    // and CLAIM — travels on one session, and a forced grow, which joins
+    // node 0's writer groups, sends nothing more.
     let c = catalog();
     let plain = opts(NetworkConfig::default());
     let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(4));
@@ -429,6 +464,49 @@ fn one_session_per_peer_per_query_carries_pages_claims_and_growth() {
                 assert!(retunes.iter().any(|r| r.to_dop > r.from_dop), "{retunes:?}");
             }
         }
+    }
+}
+
+/// `run`'s value, failing the test if it takes longer than ten seconds.
+fn within<T: Send + 'static>(run: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(run()));
+    rx.recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the query did not finish within 10 s")
+}
+
+#[test]
+fn an_elastic_stage_whose_tasks_all_end_early_finishes() {
+    // A bare-scan LIMIT 5 over 64 splits: each scan task's own LIMIT is met
+    // inside its first split, so every task ends with splits unclaimed, and
+    // only the controller can end the stage, once nothing but its lease is
+    // left on node 0 and every other node's tasks have ended. In process
+    // and across two nodes, under a schedule that grows and shrinks and
+    // one that grows once.
+    let c = Arc::new(common::split_catalog(8, 16, 4));
+    let scan = LogicalPlanBuilder::scan(c.as_ref(), "wide").unwrap();
+    let tree = Arc::new(common::tree_at(&scan.limit(5).unwrap(), 2));
+    let modes = [
+        ElasticityConfig::cycle(4, 1),
+        ElasticityConfig {
+            mode: ElasticityMode::ForcedGrow,
+        },
+    ];
+    for (query, elasticity) in (900..).zip(modes) {
+        let opts = ExecOptions::with_page_rows(4)
+            .worker_threads(2)
+            .elasticity(elasticity);
+        let executor = QueryExecutor::new(opts.clone());
+        let (pool, c, tree) = (executor.clone(), c.clone(), tree.clone());
+        let (in_process, c, tree) = within(move || {
+            let result = pool.execute_tree(&c, &tree).unwrap();
+            (result, c, tree)
+        });
+        assert_eq!(in_process.row_count(), 5, "{elasticity:?} in process");
+        assert_eq!(executor.active_queries(), 0);
+        // `run_on` checks that no node keeps the query.
+        let (across, ..) = within(move || run_on(2, &c, &tree, &opts, query));
+        assert_eq!(across.row_count(), 5, "{elasticity:?} across two nodes");
     }
 }
 

@@ -20,13 +20,14 @@
 //!
 //! [`exchange_topology`] — shared with the cluster scheduler — derives the
 //! query's [`ExchangeTopology`] from the stage tree: one edge per stage,
-//! `parallelism` producer tasks routing by the stage's output partitioning
-//! into one consumer slot per consumer task, or per node on an edge that
-//! feeds a join build (stage 0's consumer is the coordinator). All slots
-//! are local; the distributed scheduler re-homes slots onto worker nodes
-//! before building the registry.
+//! whose producers are the nodes hosting a task of the stage (one here:
+//! a node's tasks are one producer), routing by the stage's output
+//! partitioning into one consumer slot per consumer task, or per node on
+//! an edge that feeds a join build (stage 0's consumer is the coordinator).
+//! All slots are local; the distributed scheduler re-homes slots onto
+//! worker nodes before building the registry.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use accordion_common::config::{
@@ -178,24 +179,19 @@ pub fn route_policy(p: &Partitioning) -> RoutePolicy {
     }
 }
 
-/// Derives the exchange wiring of `tree` as an all-local
+/// Derives the exchange wiring of `tree` over `nodes` as an all-local
 /// [`ExchangeTopology`]: one edge per stage, whose consumer is its parent
 /// stage's task set (stage 0 is consumed by the coordinator, one slot) —
 /// or, when it feeds a join build, one slot on each of the `nodes` that
-/// host a task of the parent (slot `s` on node `s`).
-/// Stages in `leased` get the elasticity controller's **writer lease**
-/// slot: one extra producer the controller claims and holds so the edge
-/// cannot end — and consumers cannot conclude the stage is done — while a
-/// mid-query DOP retune is still possible (see `accordion_net::exchange`
-/// on the EndSignal handshake). Pass an empty set for non-elastic runs.
+/// host a task of the parent (slot `s` on node `s`). Its producers are
+/// the `min(parallelism, nodes)` nodes hosting a task of the stage: each
+/// node's tasks, grown ones included, are one producer (see
+/// `accordion_net::exchange`), so a mid-query DOP change never touches an
+/// edge.
 ///
 /// The distributed scheduler takes this as its starting point and re-homes
 /// consumer slots onto worker nodes before building each node's registry.
-pub fn exchange_topology(
-    tree: &StageTree,
-    leased: &HashSet<u32>,
-    nodes: u32,
-) -> Result<ExchangeTopology> {
+pub fn exchange_topology(tree: &StageTree, nodes: u32) -> Result<ExchangeTopology> {
     let mut consumers: HashMap<u32, u32> = HashMap::new();
     consumers.insert(0, 1);
     for f in tree.fragments() {
@@ -212,16 +208,9 @@ pub fn exchange_topology(
         let n = consumers.get(&f.stage.0).copied().ok_or_else(|| {
             AccordionError::Internal(format!("stage {} has no consumer", f.stage))
         })?;
-        let mut spec = EdgeSpec::local(
-            f.stage.0,
-            f.parallelism.max(1),
-            route_policy(&f.output_partitioning),
-            n,
-        );
-        if leased.contains(&f.stage.0) {
-            spec = spec.leased();
-        }
-        topology = topology.edge(spec);
+        let producers = f.parallelism.max(1).min(nodes.max(1));
+        let policy = route_policy(&f.output_partitioning);
+        topology = topology.edge(EdgeSpec::local(f.stage.0, producers, policy, n));
     }
     Ok(topology)
 }
@@ -249,7 +238,7 @@ pub fn execute_tree(
     tree: &StageTree,
     opts: &ExecOptions,
 ) -> Result<QueryResult> {
-    let topology = exchange_topology(tree, &HashSet::new(), 1)?;
+    let topology = exchange_topology(tree, 1)?;
     let registry = ExchangeRegistry::build_in_process(&topology)?;
     let metrics = Arc::new(QueryMetrics::new());
     let builds = Arc::new(JoinBuilds::new(None));
@@ -262,14 +251,18 @@ pub fn execute_tree(
         }
         let table = fragment.scan_table().map(|t| catalog.get(&t)).transpose()?;
         let tasks = fragment.parallelism.max(1);
-        for task in 0..tasks {
+        // Every writer joins the stage's one group before task 0 runs, or
+        // task 0's end would end the edge.
+        let writers: Vec<_> = (0..tasks)
+            .map(|task| registry.writer(fragment.stage.0, task, None))
+            .collect::<Result<_>>()?;
+        for (task, writer) in (0..tasks).zip(writers) {
             let mut inputs = HashMap::new();
             for child in &fragment.child_stages {
                 if !feeds.iter().any(|(c, _)| c == child) {
                     inputs.insert(child.0, registry.reader(child.0, task, None)?);
                 }
             }
-            let writer = registry.writer(fragment.stage.0, task, None)?;
             let mut ctx = TaskContext::new(
                 fragment.stage.0,
                 task,

@@ -2,10 +2,11 @@
 //!
 //! An [`ElasticQueue`] is one per-(consumer task, partition) page buffer of a
 //! shuffle exchange: multi-producer (every task of the upstream stage writes
-//! into it), single-consumer, bounded, and blocking on both sides. Capacity
-//! starts at **one page** and grows — doubling, up to the configured limit —
-//! whenever the consumer pulls from a buffer it finds full, i.e. when the
-//! buffer (not the producer) is what limits throughput. That is the paper's
+//! into it; each node's tasks are one producer, see `crate::exchange`),
+//! single-consumer, bounded, and blocking on both sides. Capacity starts at
+//! **one page** and grows — doubling, up to the configured limit — whenever
+//! the consumer pulls from a buffer it finds full, i.e. when the buffer (not
+//! the producer) is what limits throughput. That is the paper's
 //! consumer-side resize, applied on demand instead of on a timer.
 //!
 //! Blocking waits optionally yield a compute-slot [`Semaphore`] while parked
@@ -18,12 +19,12 @@
 //! window bounds how many are in flight — and carries its credit back to
 //! the sender when it leaves the buffer (`crate::tcp`).
 //!
-//! Termination is in-band: each producer finishes the queue once (the
-//! [`crate::exchange::ExchangeWriter`] maps `Page::End` onto
-//! [`ElasticQueue::writer_finished`]); when the last producer has finished
-//! and the buffer is drained, pulls return an end page. Errors propagate by
-//! [`ElasticQueue::poison`]ing the queue, which wakes and fails every
-//! blocked endpoint.
+//! Termination is in-band: each producer finishes the queue once (the last
+//! writer of a node's group maps its `Page::End` onto
+//! [`ElasticQueue::writer_finished`], here or through a FINISH frame); when
+//! the last producer has finished and the buffer is drained, pulls return
+//! an end page. Errors propagate by [`ElasticQueue::poison`]ing the queue,
+//! which wakes and fails every blocked endpoint.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -180,21 +181,6 @@ impl ElasticQueue {
                 drop(st);
             });
         }
-    }
-
-    /// Adds `n` producers to the queue — the re-parallelization path: a
-    /// Source stage growing its task set mid-query registers the new tasks'
-    /// writers before they push. Callers must guarantee the queue has not
-    /// ended yet (the elasticity controller holds a writer lease on every
-    /// elastic edge precisely so `writers` cannot reach zero while a retune
-    /// is still possible).
-    pub fn add_writers(&self, n: u32) {
-        let mut st = self.state.lock();
-        debug_assert!(
-            st.writers > 0,
-            "add_writers on an ended queue would resurrect a closed stream"
-        );
-        st.writers += n;
     }
 
     /// Producers that have not yet finished this queue.

@@ -26,32 +26,30 @@
 //! consumers cannot tell which transport an edge uses. Every node of a
 //! distributed query builds the **same global topology** (slots it does not
 //! own marked remote), so consumer-slot indices, hash partitions, and
-//! writer accounting agree everywhere: a finishing producer decrements its
-//! slot on every local queue directly and on every remote node via a
-//! FINISH frame, which follows the writer's pages on the session.
+//! producer counts agree everywhere.
 //!
 //! A failed task [`ExchangeRegistry::poison`]s the registry: every queue
 //! and every session wait fails, which unwinds all blocked sibling tasks
 //! with the original error — and the poison is broadcast as a POISON frame
 //! on every session and to every peer, so remote siblings unwind too.
 //!
-//! ## Re-parallelization and the EndSignal handshake (Fig 13)
+//! ## One producer per node, and re-parallelization (Fig 13)
 //!
-//! Edges support **live producer-set changes** for the runtime elasticity
-//! controller. Shrinking needs no exchange support at all: a retiring task
-//! simply pushes `Page::End(EndSignal)` through its writer, closing its
-//! contribution. Growing re-registers the edge at the larger DOP with
-//! [`ExchangeRegistry::add_producers`] before the new tasks' writers push
-//! (the growth reaches a remote node as ADDPROD on the node's session, and
-//! the grown task's pages and end frame follow it there, so they can never
-//! outrun its registration). The race between "last old producer
-//! finishes" and "new producers are added" is closed by a
-//! **writer lease**: an [`EdgeSpec`] marked [`EdgeSpec::leased`] carries
-//! one extra producer slot that the controller holds itself, so the queues
-//! cannot deliver their end page — and consumers cannot conclude the stage
-//! is done — while a retune is still possible. Dropping the lease
-//! (explicitly, or via the writer drop guard on error paths) releases the
-//! slot once the stage's split queue is exhausted.
+//! A node's tasks of a stage are **one producer** of the stage's output
+//! edge, and [`EdgeSpec::producers`] counts producing nodes, not tasks.
+//! Every [`ExchangeRegistry::writer`] call joins the node's *writer group*
+//! for the edge; when the group's last member finishes, the group ends the
+//! node's share once: it decrements every local queue directly and sends
+//! one FINISH to each node hosting a consumer slot, behind every member's
+//! pages on the session.
+//!
+//! So a change of a stage's DOP on a node touches no edge. A retiring task
+//! pushes `Page::End(EndSignal)` and leaves its group; a grown task's
+//! writer joins it. The elasticity controller holds one member of the group
+//! on its own node (the *writer lease*), so the group cannot end — and
+//! consumers cannot conclude the stage is done — while a grow is still
+//! possible; it leaves once the stage's split queue is exhausted. Joining a
+//! group that has ended is an error, never a reopened stream.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -127,17 +125,17 @@ pub enum ConsumerLoc {
 pub struct EdgeSpec {
     /// Stage whose output this edge carries.
     pub stage: u32,
-    /// Producer tasks across the whole fleet (every node registers the
-    /// global count, not its local share, so writer accounting agrees on
-    /// all nodes). Excludes the lease slot.
+    /// Producing nodes across the whole fleet: each node's writers of the
+    /// stage are one producer (see the module docs), and every node
+    /// registers the global count.
     pub producers: u32,
     /// Routing policy; a multi-partition policy must match the consumer
     /// slot count one-to-one.
     pub policy: RoutePolicy,
     /// One entry per consumer slot, globally indexed. Where each lives.
     pub consumers: Vec<ConsumerLoc>,
-    /// Reserve one extra producer slot for the elasticity controller's
-    /// writer lease (see module docs).
+    /// Ignored: the elasticity controller's lease is a member of its node's
+    /// writer group, not a slot of the edge.
     pub leased: bool,
 }
 
@@ -152,12 +150,6 @@ impl EdgeSpec {
             consumers: vec![ConsumerLoc::Local; consumers.max(1) as usize],
             leased: false,
         }
-    }
-
-    /// Adds the elasticity controller's writer-lease slot.
-    pub fn leased(mut self) -> EdgeSpec {
-        self.leased = true;
-        self
     }
 }
 
@@ -218,6 +210,9 @@ struct Edge {
     queues: Vec<Arc<ElasticQueue>>,
     policy: RoutePolicy,
     consumers: Vec<ConsumerLoc>,
+    /// This node's writer group: its live members, `None` once the last of
+    /// them has left and the node's share of the edge has ended.
+    group: Mutex<Option<u32>>,
 }
 
 /// The third argument of [`ExchangeRegistry::build`]. It carries nothing:
@@ -294,11 +289,10 @@ impl ExchangeRegistry {
                 spec.consumers.len()
             )));
         }
-        let producers = spec.producers + u32::from(spec.leased);
         let queues: Vec<Arc<ElasticQueue>> = spec
             .consumers
             .iter()
-            .map(|_| Arc::new(ElasticQueue::new(self.limits, producers)))
+            .map(|_| Arc::new(ElasticQueue::new(self.limits, spec.producers)))
             .collect();
         let mut edges = self.edges.lock();
         if edges.contains_key(&spec.stage) {
@@ -324,6 +318,7 @@ impl ExchangeRegistry {
                 queues,
                 policy: spec.policy.clone(),
                 consumers: spec.consumers.clone(),
+                group: Mutex::new(Some(0)),
             }),
         );
         Ok(())
@@ -347,7 +342,7 @@ impl ExchangeRegistry {
         }
     }
 
-    /// Applies a remote writer's end frame to every queue of `stage`'s
+    /// Applies a remote node's end frame to every queue of `stage`'s
     /// edge on this node.
     pub(crate) fn finish_local(&self, stage: u32, reason: EndReason) -> Result<()> {
         for q in &self.edge(stage)?.queues {
@@ -370,8 +365,11 @@ impl ExchangeRegistry {
         Ok(session)
     }
 
-    /// Writer endpoint for producer task `task` of `stage`. `gate` is the
-    /// scheduler's compute-slot semaphore, yielded while blocked.
+    /// Writer endpoint for producer task `task` of `stage`, a new member of
+    /// this node's writer group for the edge. `gate` is the scheduler's
+    /// compute-slot semaphore, yielded while blocked. A group whose members
+    /// have all finished has ended the node's share of the edge: joining it
+    /// is an error.
     pub fn writer(
         self: &Arc<Self>,
         stage: u32,
@@ -379,12 +377,18 @@ impl ExchangeRegistry {
         gate: Option<Arc<Semaphore>>,
     ) -> Result<Box<dyn ExchangeWriter>> {
         let edge = self.edge(stage)?;
+        match edge.group.lock().as_mut() {
+            Some(members) => *members += 1,
+            None => {
+                return Err(AccordionError::Internal(format!(
+                    "task {task} cannot join stage {stage}'s writers here: they have all ended"
+                )))
+            }
+        }
         Ok(Box::new(EdgeWriter {
             registry: self.clone(),
             stage,
-            queues: edge.queues.clone(),
-            consumers: edge.consumers.clone(),
-            policy: edge.policy.clone(),
+            edge,
             // Stagger round-robin starts by producer task so the stage's
             // combined output spreads across consumers even when every task
             // emits few pages.
@@ -417,63 +421,26 @@ impl ExchangeRegistry {
         Ok(Box::new(EdgeReader { queue, gate }))
     }
 
-    /// Re-registers the output edge of `stage` at a larger producer count —
-    /// on this node and, as ADDPROD on the session to it, on every node
-    /// hosting a consumer slot of the edge. The grown tasks' frames follow
-    /// on the same session, so they never reach a node that does not yet
-    /// account for their writers. Routing is DOP-stable — hash/round-robin
-    /// partitioning depends only on the (unchanged) consumer count — so
-    /// grown producers need no repartitioning.
-    ///
-    /// The caller must hold an unfinished writer on the edge (the
-    /// controller's lease): adding producers to an edge whose consumers
-    /// already saw the end page would lose every page the new tasks push.
-    pub fn add_producers(&self, stage: u32, n: u32) -> Result<()> {
-        self.add_producers_local(stage, n)?;
-        for host in remote_hosts(&self.edge(stage)?.consumers) {
-            let grow = Payload::default().u32(stage).u32(n);
-            self.session(host)?.send((kind::ADDPROD, grow.0))?;
-        }
-        Ok(())
-    }
-
-    /// Applies a producer-count growth to this node's queues only — a
-    /// session calls this when a peer's ADDPROD arrives.
-    pub fn add_producers_local(&self, stage: u32, n: u32) -> Result<()> {
-        let edge = self.edge(stage)?;
-        for q in &edge.queues {
-            q.add_writers(n);
-        }
-        Ok(())
-    }
-
-    /// Producer slots of `stage`'s output edge that have not finished yet
-    /// (including a held writer lease). The elasticity controller reads
-    /// this each time it wakes (a task's exit wakes it) to detect a stage
-    /// whose tasks all ended early — e.g. every
-    /// task's LIMIT was satisfied mid-scan — with splits still unclaimed:
-    /// once only the lease remains, nothing will ever claim again and the
-    /// stage must be finished.
-    ///
-    /// Only queues of **local** consumer slots are consulted: those receive
-    /// every producer's finish (local finishes directly, remote ones via
-    /// FINISH frames), while the placeholder queues of remote slots only
-    /// ever see local finishes and would over-count.
+    /// The live writers of `stage`'s output edge as this node sees them:
+    /// every member of its writer group (a held lease included), plus each
+    /// other producing node whose FINISH has not arrived. The elasticity
+    /// controller reads this each time it wakes (a task's exit wakes it) to
+    /// detect a stage whose tasks all ended early — e.g. every task's LIMIT
+    /// was satisfied mid-scan — with splits still unclaimed: once only its
+    /// lease remains, nothing will ever claim again and the stage must be
+    /// finished. It reads the first local consumer slot, whose queue counts
+    /// every producing node (slot 0 is local on node 0, where the
+    /// controller runs).
     pub fn producers_remaining(&self, stage: u32) -> Result<u32> {
         let edge = self.edge(stage)?;
-        let local_max = edge
-            .queues
-            .iter()
-            .zip(&edge.consumers)
-            .filter(|(_, loc)| matches!(loc, ConsumerLoc::Local))
-            .map(|(q, _)| q.writers())
-            .max();
-        Ok(match local_max {
-            Some(n) => n,
-            // No local slot: fall back to the placeholder queues (their
-            // local-only count is still an upper bound).
-            None => edge.queues.iter().map(|q| q.writers()).max().unwrap_or(0),
-        })
+        let slot = (edge.consumers.iter())
+            .position(|loc| *loc == ConsumerLoc::Local)
+            .ok_or_else(|| {
+                AccordionError::Internal(format!("stage {stage} has no consumer slot here"))
+            })?;
+        let group = edge.group.lock();
+        // A live group is one of the queue's writers, whatever its size.
+        Ok(edge.queues[slot].writers() + group.unwrap_or(0).saturating_sub(1))
     }
 
     /// Fails every buffer of every edge with `err` (first poison wins),
@@ -611,30 +578,39 @@ fn remote_hosts(consumers: &[ConsumerLoc]) -> BTreeSet<&String> {
 struct EdgeWriter {
     registry: Arc<ExchangeRegistry>,
     stage: u32,
-    queues: Vec<Arc<ElasticQueue>>,
-    consumers: Vec<ConsumerLoc>,
-    policy: RoutePolicy,
+    edge: Arc<Edge>,
     rr_next: usize,
     gate: Option<Arc<Semaphore>>,
     finished: bool,
 }
 
 impl EdgeWriter {
-    /// Closes this producer's contribution: decrements the writer count of
-    /// every local queue directly, and of every remote node hosting a
-    /// consumer slot via a FINISH frame (whether or not this writer routed
-    /// data there — the remote accounting needs the frame regardless).
-    /// Idempotent.
+    /// Leaves the node's writer group. The last member to leave ends the
+    /// node's share of the edge: it decrements the writer count of every
+    /// local queue directly, and of every remote node hosting a consumer
+    /// slot via a FINISH frame (whether or not the group routed data there
+    /// — the remote accounting needs the frame regardless), which follows
+    /// every member's pages on the session. Idempotent.
     fn finish(&mut self, reason: EndReason) -> Result<()> {
         if self.finished {
             return Ok(());
         }
         self.finished = true;
-        for q in &self.queues {
+        {
+            let mut group = self.edge.group.lock();
+            match group.as_mut() {
+                Some(members) if *members > 1 => {
+                    *members -= 1;
+                    return Ok(());
+                }
+                _ => *group = None,
+            }
+        }
+        for q in &self.edge.queues {
             q.writer_finished(reason);
         }
         let mut result = Ok(());
-        for host in remote_hosts(&self.consumers) {
+        for host in remote_hosts(&self.edge.consumers) {
             let mut end = Payload::default().u32(self.stage).0;
             end.extend_from_slice(&Page::end(reason).encode());
             let sent = self.registry.session(host);
@@ -660,22 +636,20 @@ impl ExchangeWriter for EdgeWriter {
         let EdgeWriter {
             registry,
             stage,
-            queues,
-            consumers,
-            policy,
+            edge,
             rr_next,
             gate,
             ..
         } = self;
-        let gate = gate.as_deref();
+        let (gate, queues) = (gate.as_deref(), &edge.queues);
         // A closed local queue (its consumer stopped pulling) is skipped:
         // the copy is simply not sent.
         route_page(
             &page,
-            policy,
+            &edge.policy,
             rr_next,
             queues.len(),
-            &mut |slot, piece| match &consumers[slot] {
+            &mut |slot, piece| match &edge.consumers[slot] {
                 ConsumerLoc::Local => {
                     let q = &queues[slot];
                     if q.is_closed() {
@@ -695,9 +669,10 @@ impl ExchangeWriter for EdgeWriter {
 
 impl Drop for EdgeWriter {
     /// Safety net: a writer dropped without an end page (task error or bug)
-    /// must not leave consumers waiting forever. A failed remote finish
-    /// poisons the registry — the query cannot terminate cleanly once a
-    /// node's writer accounting is short one end frame.
+    /// leaves its group all the same, so consumers never wait forever. A
+    /// failed remote finish poisons the registry — the query cannot
+    /// terminate cleanly once a node's writer accounting is short one end
+    /// frame.
     fn drop(&mut self) {
         if let Err(e) = self.finish(EndReason::UpstreamFinished) {
             self.registry.poison(e);
@@ -758,7 +733,8 @@ mod tests {
 
     #[test]
     fn gather_merges_all_producers() {
-        let r = registry_with(vec![EdgeSpec::local(1, 2, RoutePolicy::Single, 1)]);
+        // One node's two tasks: one producer.
+        let r = registry_with(vec![EdgeSpec::local(1, 1, RoutePolicy::Single, 1)]);
         let mut w0 = r.writer(1, 0, None).unwrap();
         let mut w1 = r.writer(1, 1, None).unwrap();
         w0.push(page(vec![1, 2])).unwrap();
@@ -835,11 +811,11 @@ mod tests {
 
     #[test]
     fn round_robin_staggers_across_producer_tasks() {
-        // Two producers, one page each: without per-task staggering both
-        // pages would land on queue 0.
+        // Two producer tasks on one node, one page each: without per-task
+        // staggering both pages would land on queue 0.
         let r = registry_with(vec![EdgeSpec::local(
             1,
-            2,
+            1,
             RoutePolicy::RoundRobin { partitions: 2 },
             2,
         )]);
@@ -896,47 +872,82 @@ mod tests {
     }
 
     #[test]
-    fn producers_added_mid_stream_extend_the_edge() {
-        // One initial producer; the leased flag reserves the controller's
-        // writer-lease slot.
-        let r = registry_with(vec![EdgeSpec::local(1, 1, RoutePolicy::Single, 1).leased()]);
-        let mut w0 = r.writer(1, 0, None).unwrap();
+    fn a_grow_joins_a_live_group() {
+        // One node, one producer: a task and the controller's lease.
+        let r = registry_with(vec![EdgeSpec::local(1, 1, RoutePolicy::Single, 1)]);
+        let mut task = r.writer(1, 0, None).unwrap();
         let mut lease = r.writer(1, u32::MAX, None).unwrap();
-        w0.push(page(vec![1])).unwrap();
-        // The old task retires between splits (EndSignal direction).
-        w0.push(Page::end(EndReason::EndSignal)).unwrap();
-        // Grow: two new producers join the live edge and take over the
-        // remaining splits.
-        r.add_producers(1, 2).unwrap();
-        let mut w1 = r.writer(1, 1, None).unwrap();
-        let mut w2 = r.writer(1, 2, None).unwrap();
-        w1.push(page(vec![2])).unwrap();
-        w2.push(page(vec![3])).unwrap();
-        w1.push(Page::end(EndReason::ScanExhausted)).unwrap();
-        w2.push(Page::end(EndReason::ScanExhausted)).unwrap();
-        // Only once the lease is released does the edge end.
+        task.push(page(vec![1])).unwrap();
+        // The old task retires between splits (EndSignal direction); the
+        // lease keeps the group, and the edge, open.
+        task.push(Page::end(EndReason::EndSignal)).unwrap();
+        assert_eq!(r.producers_remaining(1).unwrap(), 1);
+        // Grow: a new task joins the group. Nothing about the edge changes.
+        let mut grown = r.writer(1, 1, None).unwrap();
+        assert_eq!(r.producers_remaining(1).unwrap(), 2);
+        grown.push(page(vec![2])).unwrap();
+        grown.push(Page::end(EndReason::ScanExhausted)).unwrap();
         lease.push(Page::end(EndReason::UpstreamFinished)).unwrap();
+        assert_eq!(r.producers_remaining(1).unwrap(), 0);
         let mut reader = r.reader(1, 0, None).unwrap();
-        let mut got = drain(reader.as_mut());
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2, 3], "no page lost or duplicated");
+        assert_eq!(
+            drain(reader.as_mut()),
+            vec![1, 2],
+            "every page, then one end"
+        );
     }
 
     #[test]
-    fn lease_holds_edge_open_while_producers_finish() {
-        let r = registry_with(vec![EdgeSpec::local(1, 1, RoutePolicy::Single, 1).leased()]);
+    fn the_last_task_ending_while_a_grow_is_decided_leaves_the_edge_open() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let r = registry_with(vec![EdgeSpec::local(1, 1, RoutePolicy::Single, 1)]);
+        let lease = r.writer(1, u32::MAX, None).unwrap();
         {
             let mut w = r.writer(1, 0, None).unwrap();
             w.push(page(vec![9])).unwrap();
             w.push(Page::end(EndReason::ScanExhausted)).unwrap();
         }
-        let lease = r.writer(1, 1, None).unwrap();
-        // All real producers are done, but the lease keeps the edge open:
-        // the buffered page is readable, and no end page follows yet.
+        // Every task has ended while the controller is still deciding
+        // whether to grow: the buffered page is readable, and no end
+        // page follows it yet.
         let mut reader = r.reader(1, 0, None).unwrap();
-        assert_eq!(reader.pull().unwrap().row_count(), 1);
-        drop(lease); // drop guard finishes the lease's slot
-        assert!(reader.pull().unwrap().is_end());
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || loop {
+            let page = reader.pull().unwrap();
+            let end = page.is_end();
+            tx.send(page.row_count()).unwrap();
+            if end {
+                return;
+            }
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(1));
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "the edge ended under a held lease"
+        );
+        drop(lease); // the drop guard leaves the group
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(10)),
+            Ok(0),
+            "the end page"
+        );
+    }
+
+    #[test]
+    fn joining_an_ended_group_is_a_typed_error() {
+        let r = registry_with(vec![EdgeSpec::local(1, 1, RoutePolicy::Single, 1)]);
+        let mut w = r.writer(1, 0, None).unwrap();
+        w.push(page(vec![1])).unwrap();
+        w.push(Page::end(EndReason::ScanExhausted)).unwrap();
+        let Err(err) = r.writer(1, 1, None) else {
+            panic!("a writer joined an ended group");
+        };
+        assert!(matches!(err, AccordionError::Internal(_)), "{err}");
+        // Nothing was reopened: the edge still ends after its one page.
+        let mut reader = r.reader(1, 0, None).unwrap();
+        assert_eq!(drain(reader.as_mut()), vec![1]);
     }
 
     #[test]

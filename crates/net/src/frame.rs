@@ -26,10 +26,9 @@
 //! |------|---------|------------------------------------------------|----------------------|
 //! | 0    | HELLO   | query `u64`; opens a session                   | dialer → acceptor    |
 //! | 1    | DATA    | stage `u32`, consumer `u32`, encoded data page | dialer → acceptor    |
-//! | 2    | FINISH  | stage `u32`, encoded end page                  | dialer → acceptor    |
+//! | 2    | FINISH  | stage `u32`, encoded end page; one per node    | dialer → acceptor    |
 //! | 3    | CREDIT  | stage `u32`, consumer `u32`, grant `u32`       | acceptor → dialer    |
 //! | 4    | ERR     | `text`; the reply to any request that failed   | server → client      |
-//! | 5    | ADDPROD | stage `u32`, producers `u32`                   | dialer → acceptor    |
 //! | 6    | POISON  | `text`                                         | dialer → acceptor    |
 //! | 7    | ACK     | (empty)                                        | server → client      |
 //! | 8    | WIRE    | query `u64`, node `u32`, nodes `u32`, fingerprint `u64`, dop `u32`, elasticity `str`, peer count `u32` × `str`, sql `str` (WIRED) | coordinator → worker |
@@ -42,8 +41,10 @@
 //! | 15   | NONE    | stage `u32`, slot `u32`                        | acceptor → dialer    |
 //! | 16   | RETIRED | stage `u32`, slot `u32`                        | acceptor → dialer    |
 //!
-//! Kinds 0–7 and 13–16 travel on a session, unacknowledged: frames of one
-//! sender arrive in order. 8–12 are encoded and decoded by
+//! Kind 5 is unassigned, so the others keep their numbers; it is read as an
+//! unknown kind. Kinds 0–7 and 13–16 travel on a session, unacknowledged:
+//! frames of one sender arrive in order; a node's tasks of a stage are one
+//! producer of its edge, so one FINISH ends the node's share of it. 8–12 are encoded and decoded by
 //! `accordion_core::dist::CtrlMsg`, which answers GO with ACK; the bodies
 //! behind the (stage, slot) of 14–16 by `accordion_cluster::dist::ClaimMsg`. A peer address — in WIRE, in a
 //! consumer slot, in a claim — is always the node's one address.
@@ -76,7 +77,6 @@ pub mod kind {
     pub const FINISH: u8 = 2;
     pub const CREDIT: u8 = 3;
     pub const ERR: u8 = 4;
-    pub const ADDPROD: u8 = 5;
     pub const POISON: u8 = 6;
     pub const ACK: u8 = 7;
     pub const WIRE: u8 = 8;
@@ -137,7 +137,7 @@ pub fn read_frame(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<Option<u8>
     let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
     let cap = match kind {
         kind::DATA => MAX_DATA,
-        0..=kind::RETIRED => MAX_CONTROL,
+        kind::HELLO..=kind::ERR | kind::POISON..=kind::RETIRED => MAX_CONTROL,
         _ => return Err(net_err(format!("unknown frame kind {kind}"))),
     };
     if len == 0 || len - 1 > cap {

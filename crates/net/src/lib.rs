@@ -9,7 +9,8 @@
 //!   (page-granular, bounded, blocking, with `Page::End` as the in-band
 //!   termination signal) and the [`ExchangeRegistry`] that wires each
 //!   stage's output to its consumer tasks under a [`RoutePolicy`]
-//!   (gather/broadcast, hash, round-robin).
+//!   (gather/broadcast, hash, round-robin); a node's writers of a stage
+//!   are one producer of its output, however many tasks it runs.
 //! * [`buffer`] — the paper's elastic buffers (§4.2.2): per-(task,
 //!   partition) [`ElasticQueue`]s that start at **one page** and grow on
 //!   consumer-side demand up to the `NetworkConfig` limit, blocking
@@ -24,8 +25,8 @@
 //! * [`tcp`] — the real multi-node transport on that framing: one
 //!   [`Session`] per (query, peer) carries a node's pages (the
 //!   `accordion_data::wire` codec) under a credit window mirroring the
-//!   elastic-buffer backpressure, its end frames, growth, poison and split
-//!   claims into the peer's [`PageRegistries`] and [`Claims`] service.
+//!   elastic-buffer backpressure, its end frames, poison and split claims
+//!   into the peer's [`PageRegistries`] and [`Claims`] service.
 //!
 //! The wiring of a query is declared as an [`ExchangeTopology`]: one
 //! [`EdgeSpec`] per stage output naming where every consumer slot lives

@@ -4,8 +4,8 @@
 //! This module moves pages between **processes** ([`Page::encode`] /
 //! [`Page::decode`]) with the rest of a query's node-to-node traffic. A
 //! node's [`ExchangeRegistry`] opens at most one [`Session`] per peer it
-//! sends to, on first use, with HELLO(query); DATA and FINISH of every edge
-//! and writer, ADDPROD, POISON and CLAIM all travel on it. The peer's
+//! sends to, on first use, with HELLO(query); DATA and FINISH of every edge,
+//! POISON and CLAIM all travel on it. The peer's
 //! [`PageRegistries`] take the pages and its [`Claims`] service the claims
 //! — on the node's one listener, or behind a [`PageServer`] (pages only) or
 //! a `SplitServer` (claims only).
@@ -13,9 +13,10 @@
 //! ## Framing
 //!
 //! After HELLO every frame names its stream (layouts: [`crate::frame`]).
-//! Frames of one sender arrive in order, so a writer's FINISH follows its
-//! DATA and a grown task's frames follow the ADDPROD that counted it, with
-//! no acknowledgement. The dialer's reader thread routes CREDIT to its
+//! Frames of one sender arrive in order, so the one FINISH a node sends for
+//! its share of an edge follows the DATA of every task that wrote there, a
+//! grown task's included, with no acknowledgement: a change of DOP inside a
+//! node sends nothing. The dialer's reader thread routes CREDIT to its
 //! window and SPLIT, NONE or RETIRED to the waiting claim. The accepting
 //! thread never blocks (a join drains its build edge before it pulls its
 //! probe edge, and both may share a session), so a claim that must park
@@ -94,7 +95,7 @@ impl Session {
         Ok(session)
     }
 
-    /// Sends one frame that expects no reply (FINISH, ADDPROD, POISON).
+    /// Sends one frame that expects no reply (FINISH, POISON).
     pub fn send(&self, frame: Frame) -> Result<()> {
         self.conn.lock().send(frame)
     }
@@ -321,7 +322,7 @@ fn serve_session(
             // The registry is gone, and every queue with it: DATA is
             // credited at once, and nothing else has anything to change.
             (kind::DATA, Some(None), _) => credit_back(replies, fields.u32()?, fields.u32()?)(1),
-            (kind::FINISH | kind::ADDPROD | kind::POISON, Some(None), _) => {}
+            (kind::FINISH | kind::POISON, Some(None), _) => {}
             (kind::DATA, Some(Some(registry)), _) => {
                 let (stage, consumer) = (fields.u32()?, fields.u32()?);
                 let Page::Data(page) = decode(&registry, fields.rest())? else {
@@ -337,11 +338,6 @@ fn serve_session(
                     return Err(net_err("data page in FINISH frame"));
                 };
                 registry.finish_local(stage, end.reason)?;
-            }
-            (kind::ADDPROD, Some(Some(registry)), _) => {
-                let (stage, n) = (fields.u32()?, fields.u32()?);
-                fields.finish()?;
-                registry.add_producers_local(stage, n)?;
             }
             (kind::POISON, Some(Some(registry)), _) => {
                 let text = String::from_utf8_lossy(&payload).into_owned();

@@ -1,8 +1,8 @@
 //! Cross-node exchange over the real TCP transport: two registries in one
 //! process, each fronted by its own `PageServer`, simulating a two-node
 //! fleet. Exercises hybrid local/remote routing, writer accounting via
-//! FINISH frames, credit backpressure, producer growth, poison
-//! propagation, several edges sharing one session, and what a listener
+//! one FINISH frame per node, credit backpressure, poison propagation,
+//! several edges sharing one session, and what a listener
 //! does with peers that do not speak the framing or open with a frame that
 //! starts no conversation it serves.
 
@@ -208,36 +208,46 @@ fn credit_window_survives_a_tight_buffer() {
 }
 
 #[test]
-fn add_producers_broadcast_reaches_the_peer() {
+fn two_writers_on_one_node_end_behind_one_finish() {
+    // Node A's two tasks are one producer of the edge, so node B registers
+    // it with one. A's first task ends before its second has pushed a
+    // page: had A sent a FINISH per task, B's edge would have ended right
+    // there, without the second task's page.
     let network = roomy();
-    let f = fleet(11, 1, RoutePolicy::Single, &network);
-    assert_eq!(f.registry_b.producers_remaining(1).unwrap(), 1);
-    // Node A grows the edge by two producers and, without waiting for
-    // node B to hear of it, its original writer finishes and the two grown
-    // writers push a page each and finish. ADDPROD is not acknowledged:
-    // it reaches B ahead of the grown writers' frames because they all
-    // travel on A's one session to B. Had B counted the original FINISH
-    // first, its edge would have ended without the grown pages.
-    f.registry_a.add_producers(1, 2).unwrap();
-    assert_eq!(f.registry_a.producers_remaining(1).unwrap(), 3);
-    let mut original = f.registry_a.writer(1, 0, None).unwrap();
-    original.push(Page::end(EndReason::EndSignal)).unwrap();
-    for (task, key) in [(1, 5), (2, 6)] {
-        let mut grown = f.registry_a.writer(1, task, None).unwrap();
-        grown.push(page(vec![key])).unwrap();
-        grown.push(Page::end(EndReason::ScanExhausted)).unwrap();
-    }
-    let mut r_b = f.registry_b.reader(1, 1, None).unwrap();
-    assert_eq!(
-        drain(r_b.as_mut()),
-        vec![5, 6],
-        "B counted all three writers"
+    let server_b = PageServer::bind("127.0.0.1:0").unwrap();
+    let topo_b = ExchangeTopology::new(11).edge(EdgeSpec::local(1, 1, RoutePolicy::Single, 1));
+    let registry_b = ExchangeRegistry::build(&topo_b, &network, NicModel::unlimited()).unwrap();
+    server_b.register(11, registry_b.clone());
+    let registry_a = remote_edge(11, 1, &server_b.local_addr(), &network);
+    let mut first = registry_a.writer(1, 0, None).unwrap();
+    let mut second = registry_a.writer(1, 1, None).unwrap();
+    let mut reader = registry_b.reader(1, 0, None).unwrap();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || loop {
+        let keys = match reader.pull().unwrap() {
+            Page::End(_) => None,
+            Page::Data(p) => Some(p.column(0).as_i64().unwrap().to_vec()),
+        };
+        let end = keys.is_none();
+        tx.send(keys).unwrap();
+        if end {
+            return;
+        }
+    });
+    let next = || rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    first.push(page(vec![1])).unwrap();
+    first.push(Page::end(EndReason::EndSignal)).unwrap();
+    assert_eq!(next(), Some(vec![1]));
+    assert!(
+        rx.recv_timeout(Duration::from_millis(100)).is_err(),
+        "B's edge ended while a task of A still ran"
     );
-    assert_eq!(f.registry_b.producers_remaining(1).unwrap(), 0);
-    let mut r_a = f.registry_a.reader(1, 0, None).unwrap();
-    assert_eq!(drain(r_a.as_mut()), vec![5, 6]);
-    f.server_a.shutdown();
-    f.server_b.shutdown();
+    second.push(page(vec![2])).unwrap();
+    second.push(Page::end(EndReason::ScanExhausted)).unwrap();
+    assert_eq!(next(), Some(vec![2]));
+    assert_eq!(next(), None, "and then the edge's one end");
+    assert_eq!(registry_b.producers_remaining(1).unwrap(), 0);
+    server_b.shutdown();
 }
 
 #[test]
@@ -473,31 +483,35 @@ fn a_dropped_server_releases_its_port() {
 
 #[test]
 fn surplus_credit_does_not_lose_the_finish_frame() {
-    // Two local and two remote producers feed one tight consumer slot.
+    // Two tasks on each of two nodes feed one tight consumer slot.
     // Capacity doubling hands the remote window surplus credit, so the
     // writers finish with CREDIT frames still unread on the wire, and no
-    // FINISH is acknowledged. The session's close must still deliver both
-    // FINISH frames — the dialer shuts down its write half and drains its
-    // reader, so no unread byte resets the connection — or the edge's
-    // writer accounting would never reach zero.
+    // FINISH is acknowledged. The session's close must still deliver the
+    // remote node's FINISH — the dialer shuts down its write half and
+    // drains its reader, so no unread byte resets the connection — or the
+    // edge's writer accounting would never reach zero.
     let network = NetworkConfig::default();
     let server = PageServer::bind("127.0.0.1:0").unwrap();
-    let topo_a = ExchangeTopology::new(50).edge(EdgeSpec::local(0, 4, RoutePolicy::Single, 1));
+    let topo_a = ExchangeTopology::new(50).edge(EdgeSpec::local(0, 2, RoutePolicy::Single, 1));
     let reg_a = ExchangeRegistry::build(&topo_a, &network, NicModel::unlimited()).unwrap();
     server.register(50, reg_a.clone());
     let topo_b = ExchangeTopology::new(50).edge(EdgeSpec {
         stage: 0,
-        producers: 4,
+        producers: 2,
         policy: RoutePolicy::Single,
         consumers: vec![ConsumerLoc::Remote(server.local_addr())],
         leased: false,
     });
     let reg_b = ExchangeRegistry::build(&topo_b, &network, NicModel::unlimited()).unwrap();
+    // Every writer joins its node's group before any of them can end it,
+    // as the scheduler creates a node's writers before it starts a task.
+    let writers: Vec<_> = [(0u32, &reg_a), (1, &reg_b), (2, &reg_a), (3, &reg_b)]
+        .into_iter()
+        .map(|(task, reg)| reg.writer(0, task, None).unwrap())
+        .collect();
     let mut handles = Vec::new();
-    for (task, reg) in [(0u32, &reg_a), (1, &reg_b), (2, &reg_a), (3, &reg_b)] {
-        let reg = reg.clone();
+    for mut w in writers {
         handles.push(std::thread::spawn(move || {
-            let mut w = reg.writer(0, task, None).unwrap();
             for i in 0..20 {
                 w.push(page(vec![i])).unwrap();
             }
