@@ -54,9 +54,9 @@ use accordion_common::sync::{yield_slot, Mutex, Semaphore};
 use accordion_common::{fnv1a, AccordionError, NodeId, Result};
 use accordion_exec::executor::exchange_topology;
 use accordion_exec::splits::{SplitQueue, SplitSource};
-use accordion_net::frame::{kind, Conversation, Cursor, Frame, Payload, Route, Served};
+use accordion_net::frame::{kind, Conversation, Cursor, Frame, Payload, Serve, Served};
 use accordion_net::{
-    session_route, Claims, ConsumerLoc, ExchangeRegistry, ExchangeTopology, NicModel,
+    serve_sessions, Claims, ConsumerLoc, ExchangeRegistry, ExchangeTopology, NicModel,
 };
 use accordion_plan::fragment::StageTree;
 use accordion_storage::split::Split;
@@ -68,7 +68,7 @@ pub fn task_node(task: u32, nodes: u32) -> u32 {
 }
 
 /// One node's identity within a fleet executing a query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistRole {
     /// This node's index; node 0 is the coordinator.
     pub node: u32,
@@ -191,8 +191,9 @@ impl ClaimMsg {
 /// queries' scanning stages, answering the CLAIM frames of the sessions
 /// opened to its node. A claim that is paused at a decision boundary
 /// simply delays its reply — remote claimants park at the same boundary
-/// local ones do. It serves whatever listener its [`route`](Self::route) is
-/// given to — the node's one listener, or a [`SplitServer`]'s own.
+/// local ones do. It serves whatever listener its [`serve`](Self::serve)
+/// handler is given to — the node's one listener, or a [`SplitServer`]'s
+/// own.
 #[derive(Default)]
 pub struct SplitQueues(Mutex<HashMap<(u64, u32), Arc<SplitQueue>>>);
 
@@ -235,8 +236,8 @@ impl Claims for SplitQueues {
 
 /// The claim side of a session: claims only.
 impl Conversation for SplitQueues {
-    fn route(self: &Arc<Self>) -> Route {
-        session_route(None, Some(self.clone()))
+    fn serve(self: &Arc<Self>) -> Box<Serve> {
+        serve_sessions(None, Some(self.clone()), None)
     }
 }
 

@@ -182,6 +182,7 @@ pub struct NodeQuery<T = Arc<StageTree>> {
     /// Split pools of the stages that scan a table, by stage id.
     pools: HashMap<u32, StagePool>,
     remote_slots: usize,
+    fleet_remote_slots: usize,
     /// The executor's slot pool, which the run draws on, and its size.
     gate: Arc<Semaphore>,
     slots: u32,
@@ -296,6 +297,8 @@ impl QueryExecutor {
             .flat_map(|e| &e.consumers)
             .filter(|c| matches!(c, ConsumerLoc::Remote(_)))
             .count();
+        let slots = topology.edges.iter().map(|e| e.consumers.len());
+        let fleet_remote_slots = (role.nodes.max(1) as usize - 1) * slots.sum::<usize>();
         let registry = ExchangeRegistry::build(&topology, &opts.network, NicModel)?;
         // Every scanning stage scans through one shared split pool, so its
         // task set can change between splits.
@@ -328,6 +331,7 @@ impl QueryExecutor {
             registry,
             pools,
             remote_slots,
+            fleet_remote_slots,
             gate: self.gate.clone(),
             slots: self.opts.worker_threads.max(1) as u32,
             _active: ActiveGuard {
@@ -378,6 +382,12 @@ where
     /// genuinely multi-node plan.
     pub fn remote_slots(&self) -> usize {
         self.remote_slots
+    }
+
+    /// [`Self::remote_slots`] summed over the fleet, known without asking:
+    /// every node registers the same edges and reaches all slots but its own.
+    pub fn fleet_remote_slots(&self) -> usize {
+        self.fleet_remote_slots
     }
 
     /// Runs one task to completion on the current thread, recording the

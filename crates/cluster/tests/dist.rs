@@ -28,8 +28,8 @@ use accordion_data::types::{DataType, Value};
 use accordion_exec::{execute_tree, ExecOptions, QueryResult};
 use accordion_expr::agg::AggKind;
 use accordion_expr::scalar::Expr;
-use accordion_net::frame::{kind, listen, Cursor, Listener, Route};
-use accordion_net::{session_route, PageRegistries};
+use accordion_net::frame::{listen, FrameConn, Listener};
+use accordion_net::{serve_sessions, PageRegistries};
 use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::LogicalPlanBuilder;
@@ -122,42 +122,17 @@ fn sorted_rows(result: &QueryResult) -> Vec<Vec<Value>> {
     rows
 }
 
-/// Connections a node accepted, by the kind of their first frame and, for
-/// a session, the query its HELLO names.
-type Counts = HashMap<(u8, Option<u64>), usize>;
+/// Sessions a node accepted, by the query their HELLO names.
+type Counts = HashMap<u64, usize>;
 type Accepted = Arc<Mutex<Counts>>;
 
 /// An in-process fleet: one listener per node, serving the node's pages
 /// and — on node 0 — the coordinator's claim service, so elasticity (when
 /// enabled) claims at `peers[0]` exactly as separate processes would.
-/// Every listener counts the connections it accepts by their first frame.
+/// Every listener counts the sessions it accepts.
 struct TestFleet {
     nodes: Vec<(Listener, Arc<PageRegistries>, Accepted)>,
     claims: Arc<SplitQueues>,
-}
-
-/// `routes` with every connection counted in `accepted` first — and every
-/// first-frame kind counted, the ones no route serves included.
-fn counted(routes: Vec<Route>, accepted: &Accepted) -> Vec<Route> {
-    let mut routes: HashMap<u8, _> = routes.into_iter().collect();
-    (0..=kind::RETIRED)
-        .map(|opens| {
-            let (serve, accepted) = (routes.remove(&opens), accepted.clone());
-            let count = move |conn: &mut _, first: Vec<u8>| {
-                let query = (opens == kind::HELLO)
-                    .then(|| Cursor::new(&first).u64().ok())
-                    .flatten();
-                *accepted.lock().entry((opens, query)).or_default() += 1;
-                match &serve {
-                    Some(serve) => serve(conn, first),
-                    None => Err(AccordionError::Execution(format!(
-                        "kind {opens} opens nothing here"
-                    ))),
-                }
-            };
-            (opens, Box::new(count) as _)
-        })
-        .collect()
 }
 
 impl TestFleet {
@@ -167,8 +142,13 @@ impl TestFleet {
             let pages = Arc::<PageRegistries>::default();
             let served = (n == 0).then(|| claims.clone() as _);
             let accepted = Accepted::default();
-            let routes = counted(vec![session_route(Some(pages.clone()), served)], &accepted);
-            let listener = listen("127.0.0.1:0", "test-node", routes).unwrap();
+            let serve = serve_sessions(Some(pages.clone()), served, None);
+            let counted = accepted.clone();
+            let count = move |conn: &mut FrameConn, query| {
+                *counted.lock().entry(query).or_default() += 1;
+                serve(conn, query)
+            };
+            let listener = listen("127.0.0.1:0", "test-node", Box::new(count)).unwrap();
             (listener, pages, accepted)
         };
         TestFleet {
@@ -177,7 +157,7 @@ impl TestFleet {
         }
     }
 
-    /// The connections each node accepted, by first-frame kind and query.
+    /// The sessions each node accepted, by query.
     fn accepted(&self) -> Vec<Counts> {
         self.nodes
             .iter()
@@ -415,6 +395,44 @@ fn an_edge_counts_the_nodes_hosting_its_stage_as_its_producers() {
 }
 
 #[test]
+fn the_coordinator_counts_the_fleets_remote_slots_without_asking() {
+    // The coordinator reports a query's cross-node slots as (nodes − 1) ×
+    // its edges' slots, with no word from its workers: every node registers
+    // the same global edges, so that is what the nodes' own counts sum to.
+    let c = catalog();
+    let opts = opts(NetworkConfig::default());
+    let (claims, mut query) = (SplitQueues::default(), 1000);
+    for (name, builder) in golden_suite(&c) {
+        for dop in [1, 2, 4] {
+            let tree = Arc::new(common::tree_at(&builder, dop));
+            for nodes in 1..=3u32 {
+                query += 1;
+                let peers: Vec<_> = (0..nodes)
+                    .map(|n| format!("127.0.0.1:{}", 9000 + n))
+                    .collect();
+                let executor = QueryExecutor::new(opts.clone());
+                let wired: Vec<NodeQuery> = (0..nodes)
+                    .map(|node| {
+                        let peers = peers.clone();
+                        let role = DistRole { node, nodes, peers };
+                        let claim = match node {
+                            0 => ClaimWiring::Serve(&claims),
+                            _ => ClaimWiring::Connect,
+                        };
+                        executor
+                            .wire(&c, tree.clone(), &opts, role, query, claim)
+                            .unwrap()
+                    })
+                    .collect();
+                let each: usize = wired.iter().map(NodeQuery::remote_slots).sum();
+                let at = format!("{name} at dop {dop} on {nodes} nodes");
+                assert_eq!(wired[0].fleet_remote_slots(), each, "{at}");
+            }
+        }
+    }
+}
+
+#[test]
 fn one_session_per_peer_per_query_carries_pages_and_claims() {
     // A shuffled group-by and a join across three nodes at dop 4: every
     // node sends pages to both others, and the workers claim splits from
@@ -445,13 +463,11 @@ fn one_session_per_peer_per_query_carries_pages_and_claims() {
             let (result, remote_slots, accepted) = run_on(3, &c, &tree, &elastic, query);
             assert_eq!(sorted_rows(&result), reference, "{name} under {mode:?}");
             assert!(remote_slots >= 1, "{name} never crossed a node");
-            for (node, by_first) in accepted.iter().enumerate() {
-                for (&(opens, q), &n) in by_first {
+            for (node, by_query) in accepted.iter().enumerate() {
+                for (&q, &n) in by_query {
                     assert_eq!(
-                        (opens, q),
-                        (kind::HELLO, Some(query)),
-                        "node {node} accepted {n} connections opening with kind {opens} \
-                         ({name} under {mode:?})"
+                        q, query,
+                        "node {node} accepted {n} sessions of query {q} ({name} under {mode:?})"
                     );
                     assert!(
                         n <= 2,

@@ -5,32 +5,34 @@
 //! [`QueryExecutor`]; this module gives each node its **own OS process**
 //! and carries the wire/run hand-shake between them. A node is a
 //! [`Worker`]: **one address** — one listener serving query sessions
-//! (pages, split claims and registry control, one connection per peer and
-//! query) and control sessions, told apart by the first frame of each
-//! connection — in front of one executor, so the process's compute slots,
-//! admission gate and kill switch span every query and every
-//! connection it serves. The coordinator is a node too, the one nobody has
-//! wired, driving the others through a [`Fleet`]: a query-server session
-//! with `SET nodes` does that on the server's own executor. Every process
-//! generates the same deterministic TPC-H catalog (same scale factor and
-//! seed) and plans every query independently; the coordinator cross-checks
-//! a [`plan_fingerprint`] so a divergent plan fails fast instead of
-//! mis-routing pages.
+//! (pages, split claims, registry control and the coordinator's control,
+//! one connection per peer and query) — in front of one executor, so the
+//! process's compute slots, admission gate and kill switch span every
+//! query and every connection it serves. The coordinator is a node too,
+//! the one nobody has wired, driving the others through a [`Fleet`]: a
+//! query-server session with `SET nodes` does that on the server's own
+//! executor. Every process generates the same deterministic TPC-H catalog
+//! (same scale factor and seed) and plans every query independently; the
+//! coordinator cross-checks a [`plan_fingerprint`] so a divergent plan
+//! fails fast instead of mis-routing pages.
 //!
 //! ## Control protocol
 //!
-//! [`CtrlMsg`] frames on the node-to-node framing of `accordion_net::frame`
-//! (kinds 8–12 plus the shared ACK and ERR; the kind table there has the
-//! layouts), one connection per (coordinator, worker) pair, opened by its
-//! first WIRE and serving any number of queries sequentially:
+//! Frames of the node-to-node framing of `accordion_net::frame` (kinds 8
+//! and 10–12 plus the shared ACK and ERR; the kind table there has the
+//! layouts, [`WireMsg`] the one with a body), on the coordinator's session
+//! for the query to each worker — the one its pages to that worker travel
+//! on, whose HELLO names the query:
 //!
 //! ```text
-//! coord  → WIRE   query, node, nodes, fingerprint, dop, elasticity mode,
-//!                 peers, sql
-//! worker → WIRED  remote slots | ERR message               plan + wire
-//! coord  → GO     query
+//! coord  → HELLO  query                                    opens the session
+//! coord  → WIRE   node, nodes, peers, fingerprint, dop,
+//!                 elasticity mode, sql
+//! worker → ACK | ERR message                               plan + wire
+//! coord  → GO
 //! worker → ACK                                             tasks started
-//! coord  → JOIN   query
+//! coord  → DATA, FINISH, POISON                            as the query runs
+//! coord  → JOIN
 //! worker → DONE   elapsed ms | ERR message                 tasks done
 //! ```
 //!
@@ -39,130 +41,78 @@
 //! two-phase WIRE/GO split matters: a worker must know the query's registry
 //! before **any** process starts tasks, or an early page from a fast peer
 //! would be rejected. `GO` is only sent once every node acknowledged
-//! `WIRE`. A wired query never outlives its control session: the
-//! coordinator sends `JOIN` to every worker however the query ended, and a
-//! worker whose connection closes — which is how a session ends — poisons
-//! and forgets whatever it left behind. Every worker task that scans claims
-//! its splits from the coordinator's shared queues at `peers[0]`, in every
-//! elasticity mode, on the session that carries its pages there, which
-//! keeps mid-query grow/shrink lossless across process boundaries.
+//! `WIRE`, and `JOIN` once the coordinator's own share has run. A wired
+//! query never outlives its session: one that closes before `JOIN` —
+//! which is how a failed query ends, its poison sent ahead — poisons,
+//! joins and forgets it (`accordion_net::tcp`). A [`Fleet`] holds no
+//! connection between statements. Every worker task that scans claims
+//! its splits from the coordinator's shared queues at `peers[0]`, in
+//! every elasticity mode, on the session that carries its pages there,
+//! which keeps mid-query grow/shrink lossless across process boundaries.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use accordion_cluster::{
-    plan_fingerprint, ClaimWiring, DistRole, NodeQuery, QueryExecutor, SplitQueues,
-};
+use accordion_cluster::{plan_fingerprint, ClaimWiring, DistRole, QueryExecutor, SplitQueues};
 use accordion_common::config::ElasticityConfig;
 use accordion_common::{fnv1a, AccordionError, Result};
 use accordion_exec::executor::{ExecOptions, QueryResult};
-use accordion_net::frame::{kind, listen, Cursor, Frame, FrameConn, Listener, Payload};
-use accordion_net::{session_route, ExchangeRegistry, PageRegistries};
+use accordion_net::frame::{kind, listen, Cursor, Frame, Listener, Payload};
+use accordion_net::{serve_sessions, Control, PageRegistries, Wired};
 use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_sql::plan_select;
 use accordion_storage::catalog::Catalog;
 
-/// The coordinator ↔ worker control conversation — kinds 8–12 of the
-/// node-to-node kind table (`accordion_net::frame`) plus the shared ACK. A
-/// request that fails is answered with an ERR frame instead.
+/// WIRE, the one control request with a body — kind 8 of the node-to-node
+/// kind table (`accordion_net::frame`), sent on the query's session: plan
+/// `sql` at `dop`, check it against `fingerprint`, and wire this node's
+/// share in `role`. GO and JOIN, which start and join that share, carry
+/// nothing; the worker answers WIRE and GO with ACK, JOIN with DONE
+/// (elapsed ms `u64`), and a request that fails with ERR.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CtrlMsg {
-    /// Plan `sql` at `dop`, check it against `fingerprint`, and wire this
-    /// node's share as node `node` of `nodes`.
-    Wire {
-        query: u64,
-        node: u32,
-        nodes: u32,
-        fingerprint: u64,
-        dop: u32,
-        /// The elasticity mode string every node parses identically.
-        elasticity: String,
-        /// The address of every node, indexed by node id; `peers[0]`
-        /// serves the query's split claims.
-        peers: Vec<String>,
-        sql: String,
-    },
-    /// WIRE succeeded; this node reaches `remote_slots` cross-process slots.
-    Wired { remote_slots: u32 },
-    /// Start the wired query's tasks.
-    Go { query: u64 },
-    /// Wait for the query's tasks and forget it.
-    Join { query: u64 },
-    /// JOIN succeeded after this long.
-    Done { elapsed_ms: u64 },
-    /// GO succeeded.
-    Ack,
+pub struct WireMsg {
+    /// The worker's place in the fleet; `peers[0]` serves the query's
+    /// split claims.
+    pub role: DistRole,
+    pub fingerprint: u64,
+    pub dop: u32,
+    /// The elasticity mode string every node parses identically.
+    pub elasticity: String,
+    pub sql: String,
 }
 
-impl CtrlMsg {
+impl WireMsg {
     /// This message as a frame.
     pub fn encode(&self) -> Frame {
-        let p = Payload::default();
-        match self {
-            CtrlMsg::Wire {
-                query,
-                node,
-                nodes,
-                fingerprint,
-                dop,
-                elasticity,
-                peers,
-                sql,
-            } => {
-                let p = p.u64(*query).u32(*node).u32(*nodes).u64(*fingerprint);
-                let p = p.u32(*dop).str(elasticity);
-                let p = peers
-                    .iter()
-                    .fold(p.u32(peers.len() as u32), |p, a| p.str(a));
-                (kind::WIRE, p.str(sql).0)
-            }
-            CtrlMsg::Wired { remote_slots } => (kind::WIRED, p.u32(*remote_slots).0),
-            CtrlMsg::Go { query } => (kind::GO, p.u64(*query).0),
-            CtrlMsg::Join { query } => (kind::JOIN, p.u64(*query).0),
-            CtrlMsg::Done { elapsed_ms } => (kind::DONE, p.u64(*elapsed_ms).0),
-            CtrlMsg::Ack => (kind::ACK, p.0),
-        }
+        let (role, p) = (&self.role, Payload::default());
+        let p = p
+            .u32(role.node)
+            .u32(role.nodes)
+            .u32(role.peers.len() as u32);
+        let p = role.peers.iter().fold(p, |p, a| p.str(a));
+        let p = p.u64(self.fingerprint).u32(self.dop).str(&self.elasticity);
+        (kind::WIRE, p.str(&self.sql).0)
     }
 
-    /// Inverse of [`encode`](Self::encode); anything else is a typed error.
-    pub fn decode(kind: u8, payload: &[u8]) -> Result<CtrlMsg> {
+    /// Inverse of [`encode`](Self::encode), from a WIRE frame's payload;
+    /// anything else is a typed error.
+    pub fn decode(payload: &[u8]) -> Result<WireMsg> {
         let mut c = Cursor::new(payload);
-        let msg = match kind {
-            kind::WIRE => CtrlMsg::Wire {
-                query: c.u64()?,
-                node: c.u32()?,
-                nodes: c.u32()?,
-                fingerprint: c.u64()?,
-                dop: c.u32()?,
-                elasticity: c.str()?.to_string(),
-                peers: {
-                    // Grown one by one: the count is only the sender's
-                    // word, the payload running out is the bound.
-                    let mut peers = Vec::new();
-                    for _ in 0..c.u32()? {
-                        peers.push(c.str()?.to_string());
-                    }
-                    peers
-                },
-                sql: c.str()?.to_string(),
-            },
-            kind::WIRED => CtrlMsg::Wired {
-                remote_slots: c.u32()?,
-            },
-            kind::GO => CtrlMsg::Go { query: c.u64()? },
-            kind::JOIN => CtrlMsg::Join { query: c.u64()? },
-            kind::DONE => CtrlMsg::Done {
-                elapsed_ms: c.u64()?,
-            },
-            kind::ACK => CtrlMsg::Ack,
-            other => {
-                return Err(AccordionError::Wire(format!(
-                    "frame kind {other} is not a control message"
-                )))
-            }
+        let (node, nodes) = (c.u32()?, c.u32()?);
+        // Grown one by one: the count is only the sender's word, the
+        // payload running out is the bound.
+        let mut peers = Vec::new();
+        for _ in 0..c.u32()? {
+            peers.push(c.str()?.to_string());
+        }
+        let msg = WireMsg {
+            role: DistRole { node, nodes, peers },
+            fingerprint: c.u64()?,
+            dop: c.u32()?,
+            elasticity: c.str()?.to_string(),
+            sql: c.str()?.to_string(),
         };
         c.finish()?;
         Ok(msg)
@@ -179,17 +129,17 @@ pub fn plan_tree(catalog: &Catalog, sql: &str, dop: u32) -> Result<Arc<StageTree
     Ok(Arc::new(StageTree::build(optimizer.optimize(&logical)?)?))
 }
 
-/// One node: a single listener serving query sessions and WIRE/GO/JOIN
-/// control sessions in front of one executor. A node somebody
-/// wires is a worker; one that wires others (through a [`Fleet`]) is their
-/// coordinator, and the same node may be both at once. Dropping it releases
-/// its port.
+/// One node: a single listener serving query sessions — pages, claims and
+/// the WIRE/GO/JOIN of whoever coordinates the query — in front of one
+/// executor. A node somebody wires is a worker; one that wires others
+/// (through a [`Fleet`]) is their coordinator, and the same node may be
+/// both at once. Dropping it releases its port.
 pub struct Worker {
     listener: Listener,
     state: Arc<NodeState>,
 }
 
-/// What a node's two kinds of session share.
+/// What a node's sessions are served against.
 struct NodeState {
     catalog: Arc<Catalog>,
     /// The process's one pool: every query on every connection runs its
@@ -197,17 +147,6 @@ struct NodeState {
     executor: QueryExecutor,
     pages: Arc<PageRegistries>,
     splits: Arc<SplitQueues>,
-}
-
-/// A query between WIRE and JOIN on one control connection.
-enum WiredQuery {
-    Ready(Box<NodeQuery>),
-    Running {
-        handle: std::thread::JoinHandle<Result<Option<QueryResult>>>,
-        /// Kept to poison the run if the session ends before JOIN.
-        registry: Arc<ExchangeRegistry>,
-        started: Instant,
-    },
 }
 
 /// Low half of every query id this process hands out.
@@ -235,15 +174,9 @@ impl Worker {
             pages: Arc::default(),
             splits: Arc::default(),
         });
-        let ctrl = state.clone();
-        let routes = vec![
-            session_route(Some(state.pages.clone()), Some(state.splits.clone())),
-            (
-                kind::WIRE,
-                Box::new(move |conn, wire| serve_ctrl(&ctrl, conn, wire)),
-            ),
-        ];
-        let listener = listen(addr, "node", routes)?;
+        let (pages, splits) = (state.pages.clone(), state.splits.clone());
+        let serve = serve_sessions(Some(pages), Some(splits), Some(state.clone()));
+        let listener = listen(addr, "node", serve)?;
         Ok(Worker { listener, state })
     }
 
@@ -253,7 +186,8 @@ impl Worker {
     }
 
     /// The node's one address: what a coordinator's worker list, `SET
-    /// nodes` and every `peers` entry name.
+    /// nodes` and every `peers` entry name, and where every session to the
+    /// node — pages, claims and control — is opened.
     pub fn ctrl_addr(&self) -> String {
         self.listener.local_addr()
     }
@@ -268,120 +202,40 @@ impl Worker {
     }
 }
 
-/// Runs one coordinator control connection, opened by the WIRE in `first`,
-/// to completion, then unwinds whatever the session left wired: a query
-/// must not outlive the only connection that could ever JOIN it.
-fn serve_ctrl(state: &NodeState, conn: &mut FrameConn, first: Vec<u8>) -> Result<()> {
-    let mut wired = HashMap::new();
-    let outcome = (|| {
-        let mut next = Some((kind::WIRE, first));
-        while let Some((kind, payload)) = next {
-            let request = CtrlMsg::decode(kind, &payload);
-            let reply = request.and_then(|msg| handle_ctrl(state, &mut wired, msg));
-            conn.respond(reply.map(|msg| msg.encode()))?;
-            next = conn.recv()?;
-        }
-        Ok(())
-    })();
-    for (query, orphan) in wired {
-        // Dropping a `Ready` query releases its wiring; a running one is
-        // poisoned so its parked tasks unwind, then joined.
-        if let WiredQuery::Running {
-            handle, registry, ..
-        } = orphan
-        {
-            registry.poison(AccordionError::Execution(format!(
-                "coordinator session ended before query {query} was joined"
+/// A worker's side of the control protocol: WIRE plans and wires the
+/// node's share; the session that carried it starts, joins and unwinds it.
+impl Control for NodeState {
+    fn wire(&self, query: u64, wire: &[u8]) -> Result<Wired> {
+        let wire = WireMsg::decode(wire)?;
+        let mut exec = self.executor.options().clone();
+        exec.elasticity = ElasticityConfig {
+            mode: ElasticityConfig::try_parse_mode(&wire.elasticity)?,
+        };
+        let tree = plan_tree(&self.catalog, &wire.sql, wire.dop)?;
+        let (local, fingerprint) = (plan_fingerprint(&tree), wire.fingerprint);
+        if local != fingerprint {
+            return Err(AccordionError::Execution(format!(
+                "plan fingerprint mismatch for query {query}: coordinator \
+                 {fingerprint:016x}, this node {local:016x} — catalogs or planner \
+                 versions diverge"
             )));
-            let _ = handle.join();
         }
-        state.pages.unregister(query);
-    }
-    outcome
-}
-
-/// Answers one control request; an `Err` travels back as an ERR frame and
-/// the session goes on.
-fn handle_ctrl(
-    state: &NodeState,
-    wired: &mut HashMap<u64, WiredQuery>,
-    request: CtrlMsg,
-) -> Result<CtrlMsg> {
-    let refuse = |msg: String| Err(AccordionError::Execution(msg));
-    match request {
-        CtrlMsg::Wire {
+        let nq = self.executor.wire(
+            &self.catalog,
+            tree,
+            &exec,
+            wire.role,
             query,
-            node,
-            nodes,
-            fingerprint,
-            dop,
-            elasticity,
-            peers,
-            sql,
-        } => {
-            let mut exec = state.executor.options().clone();
-            exec.elasticity = ElasticityConfig {
-                mode: ElasticityConfig::try_parse_mode(&elasticity)?,
-            };
-            let tree = plan_tree(&state.catalog, &sql, dop)?;
-            let local = plan_fingerprint(&tree);
-            if local != fingerprint {
-                return refuse(format!(
-                    "plan fingerprint mismatch for query {query}: coordinator \
-                     {fingerprint:016x}, this node {local:016x} — catalogs or planner \
-                     versions diverge"
-                ));
-            }
-            let (catalog, role) = (&state.catalog, DistRole { node, nodes, peers });
-            let nq =
-                state
-                    .executor
-                    .wire(catalog, tree, &exec, role, query, ClaimWiring::Connect)?;
-            state.pages.register(query, nq.registry().clone());
-            let remote_slots = nq.remote_slots() as u32;
-            wired.insert(query, WiredQuery::Ready(Box::new(nq)));
-            Ok(CtrlMsg::Wired { remote_slots })
-        }
-        CtrlMsg::Go { query } => match wired.remove(&query) {
-            Some(WiredQuery::Ready(nq)) => {
-                let registry = nq.registry().clone();
-                let started = Instant::now();
-                let handle = std::thread::Builder::new()
-                    .name(format!("worker-query-{query}"))
-                    .spawn(move || nq.run())?;
-                wired.insert(
-                    query,
-                    WiredQuery::Running {
-                        handle,
-                        registry,
-                        started,
-                    },
-                );
-                Ok(CtrlMsg::Ack)
-            }
-            Some(running) => {
-                wired.insert(query, running);
-                refuse(format!("query {query} is already running"))
-            }
-            None => refuse(format!("query {query} is not wired")),
-        },
-        CtrlMsg::Join { query } => {
-            let reply = match wired.remove(&query) {
-                Some(WiredQuery::Running {
-                    handle, started, ..
-                }) => match handle.join() {
-                    Ok(run) => run.map(|_| CtrlMsg::Done {
-                        elapsed_ms: started.elapsed().as_millis() as u64,
-                    }),
-                    Err(_) => refuse("worker query thread panicked".into()),
-                },
-                Some(WiredQuery::Ready(_)) => refuse(format!("query {query} was never started")),
-                None => refuse(format!("query {query} is not running")),
-            };
-            state.pages.unregister(query);
-            reply
-        }
-        other => refuse(format!("unexpected control message: {other:?}")),
+            ClaimWiring::Connect,
+        )?;
+        let registry = nq.registry().clone();
+        let run = move || {
+            let started = Instant::now();
+            nq.run()?;
+            let elapsed_ms = started.elapsed().as_millis() as u64;
+            Ok((kind::DONE, Payload::default().u64(elapsed_ms).0))
+        };
+        Ok((registry, Box::new(run)))
     }
 }
 
@@ -394,21 +248,14 @@ pub struct DistributedRun {
     pub elapsed_ms: u64,
 }
 
-/// One request on a control connection, one reply; the worker's ERR is the
-/// returned error.
-fn call(link: &mut FrameConn, request: &CtrlMsg) -> Result<CtrlMsg> {
-    let (kind, payload) = link.call(request.encode())?;
-    CtrlMsg::decode(kind, &payload)
-}
-
 /// A coordinating node's handle on a fleet of workers: node 0 is `node`,
-/// in this process; each worker is one more node, in list order, behind
-/// one control connection.
+/// in this process; each worker is one more node, in list order. It holds
+/// no connection: each statement opens its own sessions, and closes them
+/// with its registry.
 pub struct Fleet {
     /// Node 0. Its executor's admission gate speaks for the whole
     /// distributed query.
     node: Arc<Worker>,
-    links: Vec<FrameConn>,
     peers: Vec<String>,
     /// Per-query options on every node's executor: page size, network
     /// shape and the elasticity mode WIRE carries.
@@ -436,8 +283,9 @@ impl Fleet {
     }
 
     /// A fleet coordinated by `node` over the nodes at `workers`, planning
-    /// at `dop` and running under `exec`. A worker that cannot be reached
-    /// within `connect_timeout_ms` fails the whole call, naming it.
+    /// at `dop` and running under `exec`. Nothing is dialed yet: a worker
+    /// that cannot be reached within `connect_timeout_ms` fails the
+    /// statement that needs it, naming it.
     pub fn over(
         node: Arc<Worker>,
         workers: &[String],
@@ -453,14 +301,8 @@ impl Fleet {
                 peers[twice]
             )));
         }
-        let timeout = Duration::from_millis(exec.network.connect_timeout_ms);
-        let links = workers
-            .iter()
-            .map(|addr| FrameConn::connect(addr, timeout))
-            .collect::<Result<_>>()?;
         Ok(Fleet {
             node,
-            links,
             peers,
             exec,
             dop,
@@ -486,7 +328,7 @@ impl Fleet {
         let started = Instant::now();
         let state = &self.node.state;
         let tree = plan_tree(&state.catalog, sql, self.dop)?;
-        let fp = plan_fingerprint(&tree);
+        let fingerprint = plan_fingerprint(&tree);
         let nodes = self.nodes();
         // Node 0 wires first: a query the admission gate turns away never
         // reaches a worker.
@@ -504,66 +346,53 @@ impl Fleet {
         )?;
         let registry = nq.registry().clone();
         state.pages.register(query, registry.clone());
-        let mut remote_slots = nq.remote_slots();
+        let remote_slots = nq.fleet_remote_slots();
+        let workers = &self.peers[1..];
+        // One request on the query's session to a worker, one reply; the
+        // worker's ERR is the returned error.
+        let call = |worker: &String, request: Frame| registry.session(worker)?.call(request);
         let run = (|| {
-            for (i, link) in self.links.iter_mut().enumerate() {
-                let node = i as u32 + 1;
-                let wire = CtrlMsg::Wire {
-                    query,
-                    node,
-                    nodes,
-                    fingerprint: fp,
+            for (node, worker) in (1..).zip(workers) {
+                let wire = WireMsg {
+                    role: DistRole {
+                        node,
+                        nodes,
+                        peers: self.peers.clone(),
+                    },
+                    fingerprint,
                     dop: self.dop,
                     elasticity: self.exec.elasticity.mode.to_string(),
-                    peers: self.peers.clone(),
                     sql: sql.to_string(),
                 };
-                match call(link, &wire)? {
-                    CtrlMsg::Wired {
-                        remote_slots: slots,
-                    } => remote_slots += slots as usize,
-                    other => {
-                        return Err(AccordionError::Io(format!(
-                            "worker {node} answered WIRE with: {other:?}"
-                        )))
-                    }
-                }
+                call(worker, wire.encode())?;
             }
-            for link in self.links.iter_mut() {
-                call(link, &CtrlMsg::Go { query })?;
+            for worker in workers {
+                call(worker, (kind::GO, Vec::new()))?;
             }
-            nq.run()
+            let result = nq.run()?;
+            for worker in workers {
+                call(worker, (kind::JOIN, Vec::new()))?;
+            }
+            result.ok_or_else(|| {
+                AccordionError::Internal("coordinator run returned no result".into())
+            })
         })();
         if let Err(e) = &run {
-            // Workers already told to GO are parked on pages this node will
-            // never send; the poison reaches them through their listeners.
+            // Workers told to GO may be parked on pages this node will never
+            // send: the poison reaches them on their sessions, and closing
+            // those with the registry takes down what is left.
             registry.poison(e.clone());
         }
-        // Reap every worker however the query ended — one that answered
-        // WIRED holds the query until it is JOINed (one that never did just
-        // says so), and a worker's error is the root cause when the
-        // coordinator only saw the poison.
-        let mut worker_err = None;
-        for link in self.links.iter_mut() {
-            if let Err(e) = call(link, &CtrlMsg::Join { query }) {
-                worker_err.get_or_insert(e);
-            }
-        }
-        let result = run?
-            .ok_or_else(|| AccordionError::Internal("coordinator run returned no result".into()))?;
-        if let Some(e) = worker_err {
-            return Err(e);
-        }
         Ok(DistributedRun {
-            result,
+            result: run?,
             remote_slots,
             elapsed_ms: started.elapsed().as_millis() as u64,
         })
     }
 
-    /// Ends the fleet: closing the control connections is what ends the
-    /// sessions, and the last handle on the coordinating node releases its
-    /// port. Workers stay alive for the next coordinator.
+    /// Ends the fleet. It holds no connection; the last handle on the
+    /// coordinating node releases its port. Workers stay alive for the
+    /// next coordinator.
     pub fn shutdown(self) {}
 }
 
@@ -571,15 +400,16 @@ impl Fleet {
 mod tests {
     use super::*;
 
-    fn wire(peers: &[&str], sql: &str) -> CtrlMsg {
-        CtrlMsg::Wire {
-            query: 7,
-            node: 1,
-            nodes: 2,
+    fn wire(peers: &[&str], sql: &str) -> WireMsg {
+        WireMsg {
+            role: DistRole {
+                node: 1,
+                nodes: 2,
+                peers: peers.iter().map(|p| p.to_string()).collect(),
+            },
             fingerprint: 0xdead_beef_0123_4567,
             dop: 4,
             elasticity: "auto:2000".into(),
-            peers: peers.iter().map(|p| p.to_string()).collect(),
             sql: sql.into(),
         }
     }
@@ -592,17 +422,13 @@ mod tests {
                 "SELECT * FROM t WHERE a = 'x y' AND b = \"q\";\n-- naïve ✓ comment",
             ),
             wire(&[], ""),
-            CtrlMsg::Wired { remote_slots: 3 },
-            CtrlMsg::Go { query: u64::MAX },
-            CtrlMsg::Join { query: 0 },
-            CtrlMsg::Done { elapsed_ms: 12 },
-            CtrlMsg::Ack,
         ];
         for msg in messages {
             let (kind, payload) = msg.encode();
-            assert_eq!(CtrlMsg::decode(kind, &payload).unwrap(), msg);
+            assert_eq!(kind, kind::WIRE);
+            assert_eq!(WireMsg::decode(&payload).unwrap(), msg);
             for cut in 0..payload.len() {
-                let err = CtrlMsg::decode(kind, &payload[..cut]).unwrap_err();
+                let err = WireMsg::decode(&payload[..cut]).unwrap_err();
                 assert!(
                     matches!(err, AccordionError::Wire(_)),
                     "{msg:?}@{cut}: {err}"
@@ -610,19 +436,18 @@ mod tests {
             }
             let mut long = payload.clone();
             long.push(0);
-            assert!(CtrlMsg::decode(kind, &long).is_err(), "{msg:?}: trailing");
+            assert!(WireMsg::decode(&long).is_err(), "{msg:?}: trailing");
         }
-        assert!(CtrlMsg::decode(kind::CLAIM, &[]).is_err(), "foreign kind");
     }
 
     #[test]
     fn a_peer_count_is_not_an_allocation_size() {
-        // WIRE claiming four billion peers in a 49-byte payload: the decoder
+        // WIRE claiming four billion peers in a 41-byte payload: the decoder
         // runs out of bytes, not out of memory.
-        let (kind, mut payload) = wire(&[], "").encode();
-        let count_at = 8 + 4 + 4 + 8 + 4 + 4 + "auto:2000".len();
+        let (_, mut payload) = wire(&[], "").encode();
+        let count_at = 4 + 4;
         payload[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = CtrlMsg::decode(kind, &payload).unwrap_err();
+        let err = WireMsg::decode(&payload).unwrap_err();
         assert!(matches!(err, AccordionError::Wire(_)), "{err}");
     }
 }

@@ -14,7 +14,8 @@
 //! - [`client`] — a small blocking [`Client`] for tests, the CLI, and
 //!   examples.
 //! - [`dist`] — process-per-node execution: the [`Worker`] node (one
-//!   address serving pages, split claims and WIRE/GO/JOIN control) and the
+//!   address serving query sessions, which carry pages, split claims and
+//!   the coordinator's WIRE/GO/JOIN) and the
 //!   [`Fleet`] through which a coordinating node — a server session with
 //!   `SET nodes` — drives worker processes through a distributed query.
 //!

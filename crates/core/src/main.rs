@@ -16,8 +16,9 @@
 //!
 //! accordion-core worker [--listen 127.0.0.1:0] [--sf 0.02] [--workers N]
 //!     One node of a process-per-node fleet: generate the TPC-H catalog,
-//!     serve pages, split claims and WIRE/GO/JOIN control sessions on the
-//!     one `--listen` address, and run until killed. Prints
+//!     serve query sessions — pages, split claims and a coordinator's
+//!     WIRE/GO/JOIN, one connection per query and peer — on the one
+//!     `--listen` address, and run until killed. Prints
 //!     `accordion-core worker listening on <addr>` when ready.
 //! ```
 //!

@@ -6,7 +6,7 @@
 //! one cross-process exchange edge — and mid-query forced grow/shrink must
 //! stay lossless across process boundaries. The later cases run [`Worker`]s
 //! inside the test process to watch their executors: no wired query may
-//! outlive the control session that wired it, a fleet that fails to
+//! outlive the session that wired it, a fleet that fails to
 //! assemble leaves the workers it reached free for the next one, two
 //! coordinators share a worker without seeing each other, and one address
 //! serves all three conversations at once.
@@ -16,14 +16,17 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use accordion_cluster::{plan_fingerprint, ClaimWiring, DistRole, QueryExecutor, SplitQueues};
+use accordion_cluster::{
+    plan_fingerprint, ClaimWiring, DistRole, NodeQuery, QueryExecutor, SplitQueues,
+};
 use accordion_common::config::{ElasticityConfig, NetworkConfig};
-use accordion_core::dist::{plan_tree, CtrlMsg};
+use accordion_common::AccordionError;
+use accordion_core::dist::{plan_tree, WireMsg};
 use accordion_core::{Client, Fleet, QueryServer, Response, ServerConfig, Worker};
 use accordion_data::types::Value;
 use accordion_exec::{execute_tree, ExecOptions};
-use accordion_net::frame::{kind, listen, FrameConn, Listener, Route};
-use accordion_net::{session_route, PageRegistries};
+use accordion_net::frame::{kind, listen, FrameConn, Listener, Payload};
+use accordion_net::{serve_sessions, PageRegistries};
 use accordion_storage::catalog::Catalog;
 use accordion_tpch::gen::{generate, TpchOptions};
 
@@ -325,9 +328,7 @@ fn a_server_session_with_nodes_set_coordinates_worker_processes() {
 
     // A dead node is an error naming it, promptly, and only for statements
     // that need it.
-    let dead = listen("127.0.0.1:0", "dead", Vec::new())
-        .unwrap()
-        .local_addr();
+    let dead = dead_address();
     client
         .send(&format!("SET nodes = '{},{dead}'", w1.ctrl))
         .unwrap();
@@ -436,9 +437,64 @@ fn coordinator_address() -> (Listener, Arc<PageRegistries>, Arc<SplitQueues>) {
         Arc::<PageRegistries>::default(),
         Arc::<SplitQueues>::default(),
     );
-    let routes = vec![session_route(Some(pages.clone()), Some(claims.clone()))];
-    let listener = listen("127.0.0.1:0", "coordinator", routes).unwrap();
+    let serve = serve_sessions(Some(pages.clone()), Some(claims.clone()), None);
+    let listener = listen("127.0.0.1:0", "coordinator", serve).unwrap();
     (listener, pages, claims)
+}
+
+/// An address nothing listens on: bound, read back, released.
+fn dead_address() -> String {
+    let serve = Box::new(|_: &mut FrameConn, _| Ok(()));
+    listen("127.0.0.1:0", "dead", serve).unwrap().local_addr()
+}
+
+/// A hand-rolled coordinator of query `query` over `worker` at dop 2: its
+/// own share, wired behind an address of its own (so the worker's pages
+/// have somewhere to go), and the query's session to the worker, on which
+/// it has sent WIRE.
+struct HandRolled {
+    session: FrameConn,
+    share: NodeQuery,
+    address: Listener,
+}
+
+impl HandRolled {
+    fn wire(worker: &Worker, catalog: &Arc<Catalog>, exec: &ExecOptions, query: u64) -> Self {
+        let (address, pages, claims) = coordinator_address();
+        let peers = vec![address.local_addr(), worker.ctrl_addr()];
+        let tree = plan_tree(catalog, GROUP_SQL, 2).unwrap();
+        let role = DistRole {
+            node: 0,
+            nodes: 2,
+            peers,
+        };
+        let claim = ClaimWiring::Serve(&claims);
+        let share = QueryExecutor::new(exec.clone())
+            .wire(catalog, tree.clone(), exec, role.clone(), query, claim)
+            .unwrap();
+        pages.register(query, share.registry().clone());
+        let mut session = FrameConn::connect(&worker.ctrl_addr(), Duration::from_secs(5)).unwrap();
+        let hello = (kind::HELLO, Payload::default().u64(query).0);
+        session.send(hello).unwrap();
+        let wire = WireMsg {
+            role: DistRole { node: 1, ..role },
+            fingerprint: plan_fingerprint(&tree),
+            dop: 2,
+            elasticity: "off".into(),
+            sql: GROUP_SQL.into(),
+        };
+        assert_eq!(session.call(wire.encode()).unwrap().0, kind::ACK);
+        HandRolled {
+            session,
+            share,
+            address,
+        }
+    }
+}
+
+/// GO or JOIN on a hand-rolled session; the kind of the reply.
+fn call(session: &mut FrameConn, request: u8) -> u8 {
+    session.call((request, Vec::new())).unwrap().0
 }
 
 /// Waits (bounded) until the worker's executor holds no query.
@@ -481,19 +537,17 @@ fn failed_wiring_reaps_the_workers_already_wired() {
     let catalog = tpch_catalog_at(0.002);
     let exec = tight_static_opts();
     let real = Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap();
-    // A second "worker" that takes a control session like one and refuses
-    // everything it is asked.
-    let refuse: Route = (
-        kind::WIRE,
-        Box::new(|conn, _wire| {
-            conn.send((kind::ERR, b"nope".into()))?;
-            while conn.recv()?.is_some() {
-                conn.send((kind::ERR, b"nope".into()))?;
+    // A second "worker" that takes a query's session like one and refuses
+    // the WIRE that follows its HELLO.
+    let refuse = |conn: &mut FrameConn, _query| {
+        while let Some((kind, _)) = conn.recv()? {
+            if kind == kind::WIRE {
+                return Err(AccordionError::Execution("nope".into()));
             }
-            Ok(())
-        }),
-    );
-    let stub = listen("127.0.0.1:0", "stub-worker", vec![refuse]).unwrap();
+        }
+        Ok(())
+    };
+    let stub = listen("127.0.0.1:0", "stub-worker", Box::new(refuse)).unwrap();
     let stub_addr = stub.local_addr();
 
     let mut fleet = Fleet::connect(
@@ -509,8 +563,8 @@ fn failed_wiring_reaps_the_workers_already_wired() {
         .err()
         .expect("the stub refuses to wire");
     assert!(err.to_string().contains("nope"), "{err}");
-    // The real worker answered WIRED before the stub refused: it must have
-    // been reaped, not left holding the query until the session dies.
+    // The real worker acknowledged WIRE before the stub refused: it must
+    // have been reaped.
     await_idle(&real);
     fleet.shutdown();
     drop(stub);
@@ -524,54 +578,24 @@ fn worker_unwinds_queries_orphaned_by_their_session() {
     let exec = tight_static_opts();
     let real = Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap();
 
-    // A hand-rolled coordinator: wires its own share (so the worker's pages
-    // have somewhere to go), tells the worker to WIRE and GO, then vanishes
-    // without ever running or joining.
-    let mut ctrl = FrameConn::connect(&real.ctrl_addr(), Duration::from_secs(5)).unwrap();
-    let mut call = |request: CtrlMsg| {
-        let (kind, payload) = ctrl.call(request.encode()).unwrap();
-        CtrlMsg::decode(kind, &payload).unwrap()
-    };
-    let (address, pages, claims) = coordinator_address();
-    let peers = vec![address.local_addr(), real.ctrl_addr()];
-    let tree = plan_tree(&catalog, GROUP_SQL, 2).unwrap();
-    let coordinator = QueryExecutor::new(exec.clone())
-        .wire(
-            &catalog,
-            tree.clone(),
-            &exec,
-            DistRole {
-                node: 0,
-                nodes: 2,
-                peers: peers.clone(),
-            },
-            7,
-            ClaimWiring::Serve(&claims),
-        )
-        .unwrap();
-    pages.register(7, coordinator.registry().clone());
-    let wired = call(CtrlMsg::Wire {
-        query: 7,
-        node: 1,
-        nodes: 2,
-        fingerprint: plan_fingerprint(&tree),
-        dop: 2,
-        elasticity: "off".into(),
-        peers,
-        sql: GROUP_SQL.into(),
-    });
-    assert!(matches!(wired, CtrlMsg::Wired { .. }), "{wired:?}");
-    assert_eq!(call(CtrlMsg::Go { query: 7 }), CtrlMsg::Ack);
-    // Node 1's final-stage task waits on node 0's producers, which never
-    // start: the query is parked on the worker.
-    assert_eq!(real.executor().active_queries(), 1);
+    // A hand-rolled coordinator tells the worker to WIRE — and GO, or not —
+    // then vanishes without ever running or joining.
+    for (query, go) in [(7, true), (8, false)] {
+        let mut coordinator = HandRolled::wire(&real, &catalog, &exec, query);
+        if go {
+            assert_eq!(call(&mut coordinator.session, kind::GO), kind::ACK);
+        }
+        // Wired, the query holds the worker; started, node 1's final-stage
+        // task waits on node 0's producers, which never start.
+        assert_eq!(real.executor().active_queries(), 1, "query {query}");
 
-    drop(ctrl);
-    await_idle(&real);
-    drop(coordinator);
-    address.shutdown();
+        drop(coordinator.session);
+        await_idle(&real);
+        drop(coordinator.share);
+        coordinator.address.shutdown();
 
-    assert_serves_a_fresh_fleet(&real, &catalog, &exec);
+        assert_serves_a_fresh_fleet(&real, &catalog, &exec);
+    }
 }
 
 #[test]
@@ -585,26 +609,30 @@ fn a_fleet_that_fails_to_assemble_leaves_its_workers_free() {
         ..tight_static_opts()
     };
     let real = Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap();
-    // An address nothing listens on: bound, read back, released.
-    let dead = listen("127.0.0.1:0", "dead", Vec::new())
-        .unwrap()
-        .local_addr();
+    let dead = dead_address();
 
-    let started = Instant::now();
-    let err = Fleet::connect(
+    // A fleet dials nobody until a statement needs its workers: the
+    // statement fails, naming the dead one, after the live one was wired.
+    let mut fleet = Fleet::connect(
         &[real.ctrl_addr(), dead.clone()],
         catalog.clone(),
         exec.clone(),
         "off",
         2,
     )
-    .err()
-    .expect("one worker address is dead");
+    .expect("a fleet holds no connection");
+    let started = Instant::now();
+    let err = fleet
+        .run_sql(GROUP_SQL)
+        .err()
+        .expect("one worker address is dead");
     assert!(err.to_string().contains(&dead), "{err}");
     assert!(
         started.elapsed() < Duration::from_secs(10),
         "dial unbounded"
     );
+    fleet.shutdown();
+    await_idle(&real);
     assert_serves_a_fresh_fleet(&real, &catalog, &exec);
 }
 
@@ -655,42 +683,8 @@ fn one_address_serves_pages_claims_and_control_at_once() {
     // Conversation one, control: a hand-rolled coordinator wires `node` as
     // its worker and starts it, then holds the session open — the query is
     // parked on `node`, waiting for this coordinator's share to run.
-    let mut ctrl = FrameConn::connect(&node.ctrl_addr(), Duration::from_secs(5)).unwrap();
-    let mut call = |request: CtrlMsg| {
-        let (kind, payload) = ctrl.call(request.encode()).unwrap();
-        CtrlMsg::decode(kind, &payload).unwrap()
-    };
-    let (address, pages, claims) = coordinator_address();
-    let peers = vec![address.local_addr(), node.ctrl_addr()];
-    let tree = plan_tree(&catalog, GROUP_SQL, 2).unwrap();
-    let role = DistRole {
-        node: 0,
-        nodes: 2,
-        peers: peers.clone(),
-    };
-    let coordinator = QueryExecutor::new(exec.clone())
-        .wire(
-            &catalog,
-            tree.clone(),
-            &exec,
-            role,
-            7,
-            ClaimWiring::Serve(&claims),
-        )
-        .unwrap();
-    pages.register(7, coordinator.registry().clone());
-    let wired = call(CtrlMsg::Wire {
-        query: 7,
-        node: 1,
-        nodes: 2,
-        fingerprint: plan_fingerprint(&tree),
-        dop: 2,
-        elasticity: "off".into(),
-        peers,
-        sql: GROUP_SQL.into(),
-    });
-    assert!(matches!(wired, CtrlMsg::Wired { .. }), "{wired:?}");
-    assert_eq!(call(CtrlMsg::Go { query: 7 }), CtrlMsg::Ack);
+    let mut coordinator = HandRolled::wire(&node, &catalog, &exec, 7);
+    assert_eq!(call(&mut coordinator.session, kind::GO), kind::ACK);
     assert_eq!(node.executor().active_queries(), 1);
 
     // Conversations two and three, meanwhile: `node` coordinates a growing
@@ -714,10 +708,9 @@ fn one_address_serves_pages_claims_and_control_at_once() {
 
     // The held session was served all along: its query finishes the moment
     // the coordinator's share runs, with pages crossing both ways.
-    let result = coordinator.run().unwrap().expect("node 0 drains");
+    let result = coordinator.share.run().unwrap().expect("node 0 drains");
     assert_rows_close("hand-rolled", &sorted(result.rows()), &reference);
-    let done = call(CtrlMsg::Join { query: 7 });
-    assert!(matches!(done, CtrlMsg::Done { .. }), "{done:?}");
+    assert_eq!(call(&mut coordinator.session, kind::JOIN), kind::DONE);
     await_idle(&node);
     await_idle(&other);
 }
@@ -767,9 +760,7 @@ fn coordinating_sessions_leave_every_node_idle() {
                 }
                 // A statement that fails to assemble its fleet leaves the
                 // worker it did reach free.
-                let dead = listen("127.0.0.1:0", "dead", Vec::new())
-                    .unwrap()
-                    .local_addr();
+                let dead = dead_address();
                 let (_, live) = set_nodes.split_once('\'').unwrap();
                 let live = live.split(',').next().unwrap();
                 client

@@ -9,11 +9,11 @@
 //! dialer, and [`listen`] the only accept loop. Text stays at the human
 //! edge, the query server's client protocol.
 //!
-//! A node listens on **one** port; the kind of a connection's **first
-//! frame** says what it is for — HELLO a query's session (`crate::tcp`),
-//! WIRE a control session — and [`listen`] hands it to the [`Route`] of
-//! that kind. Any other first frame is answered with one ERR naming the
-//! kind, and the connection is closed.
+//! A node listens on **one** port and serves **one** conversation there:
+//! a query's session (`crate::tcp`), opened by HELLO, which carries
+//! everything one node sends another for the query — pages, claims and
+//! the coordinator's WIRE, GO and JOIN. Any other first frame is answered
+//! with one ERR naming the kind, and the connection is closed.
 //!
 //! ## Kind table
 //!
@@ -28,26 +28,28 @@
 //! | 1    | DATA    | stage `u32`, consumer `u32`, encoded data page | dialer → acceptor    |
 //! | 2    | FINISH  | stage `u32`, encoded end page; one per node    | dialer → acceptor    |
 //! | 3    | CREDIT  | stage `u32`, consumer `u32`, grant `u32`       | acceptor → dialer    |
-//! | 4    | ERR     | `text`; the reply to any request that failed   | server → client      |
+//! | 4    | ERR     | `text`; the reply to any request that failed   | acceptor → dialer    |
 //! | 6    | POISON  | `text`                                         | dialer → acceptor    |
-//! | 7    | ACK     | (empty)                                        | server → client      |
-//! | 8    | WIRE    | query `u64`, node `u32`, nodes `u32`, fingerprint `u64`, dop `u32`, elasticity `str`, peer count `u32` × `str`, sql `str` (WIRED) | coordinator → worker |
-//! | 9    | WIRED   | remote slots `u32`                             | worker → coordinator |
-//! | 10   | GO      | query `u64` (ACK)                              | coordinator → worker |
-//! | 11   | JOIN    | query `u64` (DONE)                             | coordinator → worker |
+//! | 7    | ACK     | (empty)                                        | worker → coordinator |
+//! | 8    | WIRE    | node `u32`, nodes `u32`, peer count `u32` × `str`, fingerprint `u64`, dop `u32`, elasticity `str`, sql `str` (ACK) | coordinator → worker |
+//! | 10   | GO      | (empty) (ACK)                                  | coordinator → worker |
+//! | 11   | JOIN    | (empty) (DONE)                                 | coordinator → worker |
 //! | 12   | DONE    | elapsed ms `u64`                               | worker → coordinator |
 //! | 13   | CLAIM   | stage `u32`, slot `u32` (SPLIT, NONE or RETIRED) | dialer → acceptor  |
 //! | 14   | SPLIT   | stage `u32`, slot `u32`, split id `u64` (its position in its table) | acceptor → dialer |
 //! | 15   | NONE    | stage `u32`, slot `u32`                        | acceptor → dialer    |
 //! | 16   | RETIRED | stage `u32`, slot `u32`                        | acceptor → dialer    |
 //!
-//! Kind 5 is unassigned, so the others keep their numbers; it is read as an
-//! unknown kind. Kinds 0–7 and 13–16 travel on a session, unacknowledged:
-//! frames of one sender arrive in order; a node's tasks of a stage are one
-//! producer of its edge, so one FINISH ends the node's share of it. 8–12 are encoded and decoded by
-//! `accordion_core::dist::CtrlMsg`, which answers GO with ACK; the bodies
-//! behind the (stage, slot) of 14–16 by `accordion_cluster::dist::ClaimMsg`. A peer address — in WIRE, in a
-//! consumer slot, in a claim — is always the node's one address.
+//! Kinds 5 and 9 are unassigned, so the others keep their numbers; they are
+//! read as unknown kinds, which leaves 15. Every kind travels on a session,
+//! whose HELLO names the query for all that follow. Frames of one sender
+//! arrive in order; a node's tasks of a stage are one producer of its
+//! edge, so one FINISH ends the node's share of it. Pages, FINISH and
+//! POISON are unacknowledged; WIRE, GO and JOIN are answered in turn, and
+//! a CLAIM by its (stage, slot). WIRE's payload is encoded and decoded by
+//! `accordion_core::dist::WireMsg`; the bodies behind the (stage, slot) of
+//! 14–16 by `accordion_cluster::dist::ClaimMsg`. A peer address — in WIRE,
+//! in a consumer slot, in a claim — is always the node's one address.
 //!
 //! ## A length is not an allocation size
 //!
@@ -80,7 +82,6 @@ pub mod kind {
     pub const POISON: u8 = 6;
     pub const ACK: u8 = 7;
     pub const WIRE: u8 = 8;
-    pub const WIRED: u8 = 9;
     pub const GO: u8 = 10;
     pub const JOIN: u8 = 11;
     pub const DONE: u8 = 12;
@@ -137,7 +138,9 @@ pub fn read_frame(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<Option<u8>
     let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
     let cap = match kind {
         kind::DATA => MAX_DATA,
-        kind::HELLO..=kind::ERR | kind::POISON..=kind::RETIRED => MAX_CONTROL,
+        kind::HELLO..=kind::ERR | kind::POISON..=kind::WIRE | kind::GO..=kind::RETIRED => {
+            MAX_CONTROL
+        }
         _ => return Err(net_err(format!("unknown frame kind {kind}"))),
     };
     if len == 0 || len - 1 > cap {
@@ -219,7 +222,7 @@ impl FrameConn {
 }
 
 /// A bound node-to-node server: an accept thread handing every connection
-/// to its [`Route`] on a thread of its own. Dropping the handle (or
+/// to its session handler on a thread of its own. Dropping the handle (or
 /// [`shutdown`](Listener::shutdown)) stops the accept thread and releases
 /// the port, so a listener never outlives its owner; connections already
 /// open run out when their peers close them.
@@ -229,38 +232,23 @@ pub struct Listener {
     accept: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// One conversation a listener serves: a connection whose first frame is
-/// of this kind is run by this handler, which gets that frame's payload and
-/// the connection to carry on with.
-pub type Route = (u8, Box<Serve>);
+/// What a listener runs on each session: it gets the query the HELLO
+/// names and the connection to carry on with.
+pub type Serve = dyn Fn(&mut FrameConn, u64) -> Result<()> + Send + Sync;
 
-type Serve = dyn Fn(&mut FrameConn, Vec<u8>) -> Result<()> + Send + Sync;
-
-/// Runs one accepted connection: its first frame picks the route.
-fn serve_conn(routes: &[Route], conn: &mut FrameConn) -> Result<()> {
-    let Some((kind, payload)) = conn.recv()? else {
-        return Ok(());
-    };
-    match routes.iter().find(|(opens, _)| *opens == kind) {
-        Some((_, serve)) => serve(conn, payload),
-        None => Err(net_err(format!(
-            "frame kind {kind} opens no conversation served at this address"
-        ))),
-    }
-}
-
-/// Binds `addr` (port 0 for an ephemeral port) and serves `routes` over
-/// each accepted connection on a thread named after `name`. A route that
-/// returns an error ends its connection with that error as an ERR frame;
-/// the listener keeps serving the others. A route must not own the
-/// returned [`Listener`], or neither is ever dropped: give it the state it
-/// serves, not the server.
-pub fn listen(addr: &str, name: &str, routes: Vec<Route>) -> Result<Listener> {
+/// Binds `addr` (port 0 for an ephemeral port) and serves every accepted
+/// connection that opens with HELLO through `serve`, on a thread named
+/// after `name`. A handler that returns an error ends its connection with
+/// that error as an ERR frame, as does any other first frame; the
+/// listener keeps serving the others. A handler must not own the returned
+/// [`Listener`], or neither is ever dropped: give it the state it serves,
+/// not the server.
+pub fn listen(addr: &str, name: &str, serve: Box<Serve>) -> Result<Listener> {
     let listener =
         TcpListener::bind(addr).map_err(|e| net_err(format!("{name}: bind {addr}: {e}")))?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let (stopped, routes, conn_name) = (stop.clone(), Arc::new(routes), format!("{name}-conn"));
+    let (stopped, serve, conn_name) = (stop.clone(), Arc::new(serve), format!("{name}-conn"));
     let accept = std::thread::Builder::new()
         .name(format!("{name}-accept"))
         .spawn(move || {
@@ -270,14 +258,26 @@ pub fn listen(addr: &str, name: &str, routes: Vec<Route>) -> Result<Listener> {
                 }
                 let Ok(s) = stream else { continue };
                 let _ = s.set_nodelay(true);
-                let routes = routes.clone();
+                let serve = serve.clone();
                 // Detached on purpose: a connection lives as long as its
                 // peer keeps it open, which no join here could bound.
                 let _ = std::thread::Builder::new()
                     .name(conn_name.clone())
                     .spawn(move || {
                         let mut conn = FrameConn { stream: s.into() };
-                        if let Err(e) = serve_conn(&routes, &mut conn) {
+                        let served = match conn.recv() {
+                            Ok(Some((kind::HELLO, hello))) => {
+                                let mut fields = Cursor::new(&hello);
+                                let query = fields.u64();
+                                fields.finish().and(query).and_then(|q| serve(&mut conn, q))
+                            }
+                            Ok(Some((kind, _))) => Err(net_err(format!(
+                                "frame kind {kind} opens no conversation served at this address"
+                            ))),
+                            Ok(None) => Ok(()),
+                            Err(e) => Err(e),
+                        };
+                        if let Err(e) = served {
                             let _ = conn.respond(Err(e));
                         }
                     });
@@ -317,11 +317,11 @@ impl Drop for Listener {
     }
 }
 
-/// State that one kind of connection is run against — a node's page
-/// registries, its split queues.
+/// State a node's sessions are served against — its page registries, its
+/// split queues.
 pub trait Conversation {
-    /// The route that runs this state's connections.
-    fn route(self: &Arc<Self>) -> Route;
+    /// The handler that serves sessions against this state.
+    fn serve(self: &Arc<Self>) -> Box<Serve>;
 }
 
 /// One [`Conversation`] behind a listener of its own, for when there is no
@@ -337,7 +337,7 @@ impl<S: Conversation + Default> Served<S> {
     /// accepting.
     pub fn bind(addr: &str) -> Result<Arc<Self>> {
         let state = Arc::<S>::default();
-        let listener = listen(addr, "served", vec![state.route()])?;
+        let listener = listen(addr, "served", state.serve())?;
         Ok(Arc::new(Served { listener, state }))
     }
 

@@ -19,14 +19,15 @@
 //! * [`frame`] — the one framing of node-to-node traffic,
 //!   `[len][kind][payload]`: the only frame reader and writer, the only
 //!   dialer ([`FrameConn`](frame::FrameConn)) and accept loop
-//!   ([`listen`](frame::listen), which tells a node's conversations apart
-//!   by the first frame of each connection), and the kind table shared by
-//!   exchange pages, worker control and split claims.
+//!   ([`listen`](frame::listen), which serves the one conversation a
+//!   node has, a query's session opened by HELLO), and the kind table
+//!   shared by exchange pages, worker control and split claims.
 //! * [`tcp`] — the real multi-node transport on that framing: one
 //!   [`Session`] per (query, peer) carries a node's pages (the
 //!   `accordion_data::wire` codec) under a credit window mirroring the
-//!   elastic-buffer backpressure, its end frames, poison and split claims
-//!   into the peer's [`PageRegistries`] and [`Claims`] service.
+//!   elastic-buffer backpressure, its end frames, poison, split claims and
+//!   the coordinator's WIRE, GO and JOIN into the peer's
+//!   [`PageRegistries`], [`Claims`] and [`Control`] services.
 //!
 //! The wiring of a query is declared as an [`ExchangeTopology`]: one
 //! [`EdgeSpec`] per stage output naming where every consumer slot lives
@@ -50,6 +51,7 @@
 //! [`PageRegistries`]: tcp::PageRegistries
 //! [`Session`]: tcp::Session
 //! [`Claims`]: tcp::Claims
+//! [`Control`]: tcp::Control
 
 pub mod buffer;
 pub mod exchange;
@@ -61,4 +63,4 @@ pub use exchange::{
     route_page, ConsumerLoc, EdgeSpec, ExchangeReader, ExchangeRegistry, ExchangeStats,
     ExchangeTopology, ExchangeWriter, NicModel, RoutePolicy,
 };
-pub use tcp::{session_route, Claims, PageRegistries, PageServer, Session};
+pub use tcp::{serve_sessions, Claims, Control, PageRegistries, PageServer, Session, Wired};

@@ -5,10 +5,11 @@
 //! [`Page::decode`]) with the rest of a query's node-to-node traffic. A
 //! node's [`ExchangeRegistry`] opens at most one [`Session`] per peer it
 //! sends to, on first use, with HELLO(query); DATA and FINISH of every edge,
-//! POISON and CLAIM all travel on it. The peer's
-//! [`PageRegistries`] take the pages and its [`Claims`] service the claims
-//! — on the node's one listener, or behind a [`PageServer`] (pages only) or
-//! a `SplitServer` (claims only).
+//! POISON, CLAIM and the coordinator's WIRE, GO and JOIN all travel on it.
+//! The peer's [`PageRegistries`] take the pages, its [`Claims`] service
+//! the claims and its [`Control`] service the WIRE — on the node's one
+//! listener, or behind a [`PageServer`] (pages only) or a `SplitServer`
+//! (claims only).
 //!
 //! ## Framing
 //!
@@ -17,10 +18,21 @@
 //! its share of an edge follows the DATA of every task that wrote there, a
 //! grown task's included, with no acknowledgement: a change of DOP inside a
 //! node sends nothing. The dialer's reader thread routes CREDIT to its
-//! window and SPLIT, NONE or RETIRED to the waiting claim. The accepting
-//! thread never blocks (a join drains its build edge before it pulls its
-//! probe edge, and both may share a session), so a claim that must park
-//! at a decision boundary is answered from a short-lived thread.
+//! window, SPLIT, NONE or RETIRED to the waiting claim, and ACK or DONE to
+//! the waiting [`Session::call`].
+//!
+//! The coordinator's session to a worker carries HELLO, WIRE, GO,
+//! DATA/FINISH/POISON, JOIN, in that order. WIRE registers the query, so a
+//! page-side frame is refused only if none has by then. A session wires
+//! one query at most, and a session that ends before JOIN poisons, joins
+//! and unregisters it.
+//!
+//! The accepting thread never waits for room in a queue (a join drains its
+//! build edge before it pulls its probe edge, and both may share a
+//! session), and a claim that must park at a decision boundary is answered
+//! from a short-lived thread. It does wait out JOIN, which holds up
+//! nothing: the coordinator sends JOIN once its own share has run, so every
+//! frame it sends for the query precedes it.
 //!
 //! ## Backpressure: credits mirroring the elastic buffers
 //!
@@ -44,6 +56,7 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use accordion_common::config::NetworkConfig;
@@ -53,7 +66,7 @@ use accordion_data::page::{DataPage, Page};
 
 use crate::buffer::Credit;
 use crate::exchange::ExchangeRegistry;
-use crate::frame::{kind, net_err, Conversation, Cursor, Frame, FrameConn, Payload, Route, Served};
+use crate::frame::{kind, net_err, Conversation, Cursor, Frame, FrameConn, Payload, Serve, Served};
 
 /// The dialing side of one query's connection to one peer, shared by every
 /// writer, claimant and broadcast of the query on the node, and by the
@@ -70,8 +83,9 @@ struct SessionState {
     failed: Option<AccordionError>,
     /// Credits left per (stage, consumer slot).
     credit: HashMap<(u32, u32), usize>,
-    /// Claim replies not yet taken, per (stage, slot).
-    claims: HashMap<(u32, u32), Frame>,
+    /// Replies not yet taken: a claim's per (stage, slot), a control
+    /// call's under `None`.
+    replies: HashMap<Option<(u32, u32)>, Frame>,
 }
 
 impl Session {
@@ -137,11 +151,22 @@ impl Session {
     /// to wait, so there is no timeout; a failed session, or the query's
     /// poison, ends the wait.
     pub fn claim(&self, stage: u32, slot: u32) -> Result<Frame> {
-        let key = (stage, slot);
         self.send((kind::CLAIM, Payload::default().u32(stage).u32(slot).0))?;
+        self.reply(Some((stage, slot)))
+    }
+
+    /// Sends a control request — WIRE, GO or JOIN — and waits for its
+    /// reply, ACK or DONE; the peer's ERR, or the query's poison, is the
+    /// returned error. A coordinator makes one call at a time.
+    pub fn call(&self, request: Frame) -> Result<Frame> {
+        self.send(request)?;
+        self.reply(None)
+    }
+
+    fn reply(&self, key: Option<(u32, u32)>) -> Result<Frame> {
         let mut st = self.state.lock();
         loop {
-            if let Some(reply) = st.claims.remove(&key) {
+            if let Some(reply) = st.replies.remove(&key) {
                 return Ok(reply);
             }
             if let Some(e) = &st.failed {
@@ -190,8 +215,9 @@ impl Session {
                 let mut fields = Cursor::new(&payload);
                 let key = (fields.u32()?, fields.u32()?);
                 let body = fields.rest().to_vec();
-                self.state.lock().claims.insert(key, (kind, body));
+                self.state.lock().replies.insert(Some(key), (kind, body));
             }
+            kind::ACK | kind::DONE => _ = self.state.lock().replies.insert(None, (kind, payload)),
             kind::ERR => {
                 let text = String::from_utf8_lossy(&payload);
                 return Err(AccordionError::Execution(text.into_owned()));
@@ -222,6 +248,21 @@ pub trait Claims: Send + Sync {
     fn answer(&self, query: u64, stage: u32, slot: u32, wait: bool) -> Result<Option<Frame>>;
 }
 
+/// The control service a session's accepting side hands WIRE to: the node
+/// of `accordion_core::dist`, two crates up.
+pub trait Control: Send + Sync {
+    /// Plans and wires this node's share of `query` as WIRE's payload says.
+    fn wire(&self, query: u64, wire: &[u8]) -> Result<Wired>;
+}
+
+/// A share of a query as WIRE leaves it: the node's registry for it and
+/// the run GO starts, whose value is JOIN's reply. Dropped unrun, it
+/// releases its wiring.
+pub type Wired = (
+    Arc<ExchangeRegistry>,
+    Box<dyn FnOnce() -> Result<Frame> + Send>,
+);
+
 /// A node's exchange ingress: the registries of the queries wired on it,
 /// which incoming sessions feed their pages into.
 #[derive(Default)]
@@ -230,13 +271,13 @@ pub struct PageRegistries(Mutex<HashMap<u64, Arc<ExchangeRegistry>>>);
 impl PageRegistries {
     /// Makes `query`'s registry reachable for incoming frames. Must happen
     /// on every node **before any node's tasks start** (the two-phase
-    /// wire/start handshake of the distributed scheduler guarantees it).
+    /// WIRE/GO handshake of the distributed scheduler guarantees it).
     pub fn register(&self, query: u64, registry: Arc<ExchangeRegistry>) {
         self.0.lock().insert(query, registry);
     }
 
-    /// Drops `query`'s registry; a session opened for it later is answered
-    /// with ERR.
+    /// Drops `query`'s registry; a page that arrives for it later on a
+    /// session that has not seen one yet is answered with ERR.
     pub fn unregister(&self, query: u64) {
         self.0.lock().remove(&query);
     }
@@ -244,8 +285,8 @@ impl PageRegistries {
 
 /// The page side of a session: pages only.
 impl Conversation for PageRegistries {
-    fn route(self: &Arc<Self>) -> Route {
-        session_route(Some(self.clone()), None)
+    fn serve(self: &Arc<Self>) -> Box<Serve> {
+        serve_sessions(Some(self.clone()), None, None)
     }
 }
 
@@ -253,15 +294,23 @@ impl Conversation for PageRegistries {
 /// has no node around it.
 pub type PageServer = Served<PageRegistries>;
 
-/// The route of a node's sessions: pages go into `pages`' registries and
-/// claims to `claims`. A frame whose side is absent is refused.
-pub fn session_route(pages: Option<Arc<PageRegistries>>, claims: Option<Arc<dyn Claims>>) -> Route {
-    let serve = move |conn: &mut FrameConn, hello: Vec<u8>| {
+/// The handler of a node's sessions: pages go into `pages`' registries,
+/// claims to `claims` and WIRE, GO and JOIN to `control`, which wires into
+/// `pages`. A frame whose side is absent is refused.
+pub fn serve_sessions(
+    pages: Option<Arc<PageRegistries>>,
+    claims: Option<Arc<dyn Claims>>,
+    control: Option<Arc<dyn Control>>,
+) -> Box<Serve> {
+    Box::new(move |conn: &mut FrameConn, query: u64| {
         let replies = Arc::new(Mutex::new(conn.clone()));
-        let served = serve_session(conn, &hello, &replies, pages.as_deref(), claims.as_ref());
-        if let Err(e) = served {
+        let mut share = Share::Unwired;
+        let (pages, claims) = (pages.as_deref(), claims.as_ref());
+        let control = control.as_deref().zip(pages);
+        if let Err(e) = serve_session(conn, query, &replies, pages, claims, control, &mut share) {
             let _ = replies.lock().respond(Err(e));
         }
+        share.unwind(query, pages);
         // Queued pages keep clones of the connection for their credits;
         // the peer's reader must not wait for them.
         replies.lock().close();
@@ -269,28 +318,36 @@ pub fn session_route(pages: Option<Arc<PageRegistries>>, claims: Option<Arc<dyn 
         // would reset the connection and could discard an ERR with it.
         while let Ok(Some(_)) = conn.recv() {}
         Ok(())
-    };
-    (kind::HELLO, Box::new(serve))
+    })
 }
 
-/// One accepted session, from its HELLO to the peer's EOF.
+/// One accepted session of `query`, from its HELLO to the peer's EOF.
 fn serve_session(
     conn: &mut FrameConn,
-    hello: &[u8],
+    query: u64,
     replies: &Arc<Mutex<FrameConn>>,
     pages: Option<&PageRegistries>,
     claims: Option<&Arc<dyn Claims>>,
+    control: Option<(&dyn Control, &PageRegistries)>,
+    share: &mut Share,
 ) -> Result<()> {
-    let mut fields = Cursor::new(hello);
-    let query = fields.u64()?;
-    fields.finish()?;
+    // Looked up by the first page-side frame, which a node's WIRE precedes.
     // Weak: a registry holds sessions to its peers, whose acceptors must
     // not keep it alive in turn.
-    let registry = match pages.map(|pages| pages.0.lock().get(&query).map(Arc::downgrade)) {
-        Some(None) => return Err(net_err(format!("query {query} is not registered here"))),
-        registry => registry.flatten(),
-    };
+    let mut registry = None;
     while let Some((kind, payload)) = conn.recv()? {
+        if let (Some((control, pages)), kind::WIRE | kind::GO | kind::JOIN) = (control, kind) {
+            let reply = share.serve(kind, &payload, query, control, pages)?;
+            replies.lock().send(reply)?;
+            continue;
+        }
+        if let (Some(pages), None, kind::DATA | kind::FINISH | kind::POISON) =
+            (pages, &registry, kind)
+        {
+            let found = pages.0.lock().get(&query).map(Arc::downgrade);
+            let missing = || net_err(format!("query {query} is not registered here"));
+            registry = Some(found.ok_or_else(missing)?);
+        }
         let mut fields = Cursor::new(&payload);
         match (kind, registry.as_ref().map(Weak::upgrade), claims) {
             (kind::CLAIM, _, Some(claims)) => {
@@ -347,6 +404,65 @@ fn serve_session(
         }
     }
     Ok(())
+}
+
+/// The query a session wired on this node, which WIRE wires, GO starts and
+/// JOIN waits for, each once and in turn. It never outlives the session.
+enum Share {
+    Unwired,
+    Ready(Wired),
+    Running(Arc<ExchangeRegistry>, JoinHandle<Result<Frame>>),
+    Joined,
+}
+
+impl Share {
+    /// Serves one control frame; the reply is ACK, or JOIN's DONE.
+    fn serve(
+        &mut self,
+        kind: u8,
+        payload: &[u8],
+        query: u64,
+        control: &dyn Control,
+        pages: &PageRegistries,
+    ) -> Result<Frame> {
+        *self = match (kind, std::mem::replace(self, Share::Joined)) {
+            (kind::WIRE, Share::Unwired) => {
+                *self = Share::Unwired; // until it registers anything
+                let (registry, run) = control.wire(query, payload)?;
+                pages.register(query, registry.clone());
+                Share::Ready((registry, run))
+            }
+            (kind::GO, Share::Ready((registry, run))) => {
+                let name = format!("worker-query-{query}");
+                Share::Running(registry, std::thread::Builder::new().name(name).spawn(run)?)
+            }
+            (kind::JOIN, Share::Running(_, handle)) => {
+                let panicked = || AccordionError::Execution("worker query thread panicked".into());
+                return handle.join().unwrap_or_else(|_| Err(panicked()));
+            }
+            (kind, share) => {
+                *self = share;
+                let turns = "a session wires, starts and joins one query";
+                return Err(net_err(format!("frame kind {kind} out of turn: {turns}")));
+            }
+        };
+        Ok((kind::ACK, Vec::new()))
+    }
+
+    /// Takes down what the session left of its query: a running share is
+    /// poisoned, so its parked tasks unwind, and joined; a ready one
+    /// releases its wiring.
+    fn unwind(self, query: u64, pages: Option<&PageRegistries>) {
+        let wired = !matches!(self, Share::Unwired);
+        if let Share::Running(registry, handle) = self {
+            let ended = format!("coordinator session ended before query {query} was joined");
+            registry.poison(AccordionError::Execution(ended));
+            let _ = handle.join();
+        }
+        if let (true, Some(pages)) = (wired, pages) {
+            pages.unregister(query);
+        }
+    }
 }
 
 /// A page off a session. A corrupt page is unrecoverable for the query:

@@ -3,8 +3,8 @@
 //! fleet. Exercises hybrid local/remote routing, writer accounting via
 //! one FINISH frame per node, credit backpressure, poison propagation,
 //! several edges sharing one session, and what a listener
-//! does with peers that do not speak the framing or open with a frame that
-//! starts no conversation it serves.
+//! does with peers that do not speak the framing, open with anything but
+//! HELLO, or take a session out of turn.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -14,12 +14,13 @@ use std::time::{Duration, Instant};
 
 use accordion_common::config::NetworkConfig;
 use accordion_common::AccordionError;
+use accordion_common::Result;
 use accordion_data::column::Column;
 use accordion_data::page::{DataPage, EndReason, Page};
-use accordion_net::frame::{kind, listen, read_frame, FrameConn, Route, MAX_DATA, PREALLOC};
+use accordion_net::frame::{kind, listen, read_frame, FrameConn, Listener, MAX_DATA, PREALLOC};
 use accordion_net::{
-    session_route, ConsumerLoc, EdgeSpec, ExchangeReader, ExchangeRegistry, ExchangeTopology,
-    NicModel, PageRegistries, PageServer, RoutePolicy,
+    serve_sessions, ConsumerLoc, Control, EdgeSpec, ExchangeReader, ExchangeRegistry,
+    ExchangeTopology, NicModel, PageRegistries, PageServer, RoutePolicy, Wired,
 };
 
 fn data_page(keys: Vec<i64>) -> Arc<DataPage> {
@@ -299,17 +300,47 @@ fn remote_edge(
 fn unknown_query_is_rejected_with_an_error_frame() {
     let network = NetworkConfig::builder().connect_timeout_ms(2_000).build();
     let server = PageServer::bind("127.0.0.1:0").unwrap();
-    // No registry registered for query 99: a push must surface the
-    // server's error, not hang. HELLO has no reply, so the first page
-    // goes out on the window's credit; the ERR lands while the writer waits
-    // for more.
-    let registry = remote_edge(99, 1, &server.local_addr(), &network);
-    let mut w = registry.writer(1, 0, None).unwrap();
-    let err = (0..10_000)
-        .find_map(|i| w.push(page(vec![i])).err())
-        .expect("unregistered query must fail the producer");
-    assert!(err.to_string().contains("not registered"), "{err}");
+    // A node that also takes WIRE accepts a HELLO for a query it does not
+    // know yet, which no WIRE has registered before the page arrives.
+    let node = control_node(&Arc::default());
+    for addr in [server.local_addr(), node.local_addr()] {
+        // No registry registered for query 99: a push must surface the
+        // server's error, not hang. HELLO has no reply, so the first page
+        // goes out on the window's credit; the ERR lands while the writer
+        // waits for more.
+        let registry = remote_edge(99, 1, &addr, &network);
+        let mut w = registry.writer(1, 0, None).unwrap();
+        let err = (0..10_000)
+            .find_map(|i| w.push(page(vec![i])).err())
+            .expect("unregistered query must fail the producer");
+        assert!(err.to_string().contains("not registered"), "{addr}: {err}");
+    }
     server.shutdown();
+}
+
+/// A stand-in for a node's control service (which lives two crates up):
+/// WIRE wires an edgeless registry, whose run JOIN answers with DONE.
+struct StubControl;
+
+impl Control for StubControl {
+    fn wire(&self, query: u64, _wire: &[u8]) -> Result<Wired> {
+        let registry = ExchangeRegistry::build(
+            &ExchangeTopology::new(query),
+            &roomy(),
+            NicModel::unlimited(),
+        )?;
+        Ok((
+            registry,
+            Box::new(|| Ok((kind::DONE, 0u64.to_le_bytes().to_vec()))),
+        ))
+    }
+}
+
+/// A node listener serving pages into `pages` and WIRE through
+/// [`StubControl`].
+fn control_node(pages: &Arc<PageRegistries>) -> Listener {
+    let serve = serve_sessions(Some(pages.clone()), None, Some(Arc::new(StubControl)));
+    listen("127.0.0.1:0", "control", serve).unwrap()
 }
 
 /// xorshift64*, as in the CSV suite: the hostile schedule is reproducible.
@@ -397,18 +428,18 @@ fn hostile_peers_cost_a_small_buffer_and_a_closed_connection() {
         );
     }
 
-    // The first frame says what a connection is for. A reply kind says
-    // nothing, a claim travels inside a session and opens none, and a
-    // conversation this listener does not serve is not served: one ERR
-    // naming the kind, then the connection is closed.
-    let control = listen("127.0.0.1:0", "control", vec![wire_route()]).unwrap();
+    // A connection opens with HELLO. A reply kind opens nothing, and
+    // neither do a claim or a WIRE, which travel inside a session, even at
+    // a node that serves them there: one ERR naming the kind, then the
+    // connection is closed.
+    let control = control_node(&Arc::default());
     for (addr, first) in [
         (server.local_addr(), kind::CREDIT),
         (server.local_addr(), kind::ACK),
-        (server.local_addr(), kind::WIRED),
+        (server.local_addr(), kind::WIRE),
         (server.local_addr(), kind::SPLIT),
         (server.local_addr(), kind::CLAIM),
-        (control.local_addr(), kind::HELLO),
+        (control.local_addr(), kind::WIRE),
     ] {
         let mut peer = TcpStream::connect(&addr).unwrap();
         peer.set_read_timeout(Some(Duration::from_secs(10)))
@@ -428,12 +459,22 @@ fn hostile_peers_cost_a_small_buffer_and_a_closed_connection() {
             "first frame {first}: a second reply"
         );
     }
-    // ... while a listener that does serve the kind takes it up.
+    // Inside a session the node takes WIRE up — once: a second WIRE on
+    // the session is refused with one ERR, and the session ends.
     let mut coordinator =
         FrameConn::connect(&control.local_addr(), Duration::from_secs(5)).unwrap();
+    coordinator
+        .send((kind::HELLO, 61u64.to_le_bytes().to_vec()))
+        .unwrap();
     assert_eq!(
         coordinator.call((kind::WIRE, Vec::new())).unwrap().0,
         kind::ACK
+    );
+    let err = coordinator.call((kind::WIRE, Vec::new())).unwrap_err();
+    assert!(err.to_string().contains("kind 8 out of turn"), "{err}");
+    assert!(
+        coordinator.recv().unwrap().is_none(),
+        "and the session ends"
     );
 
     // The session opened before all of that, and one opened after it, are
@@ -453,20 +494,6 @@ fn hostile_peers_cost_a_small_buffer_and_a_closed_connection() {
     got.sort_unstable();
     assert_eq!(got, vec![1, 2, 3, 4, 5, 6]);
     server.shutdown();
-}
-
-/// A stand-in for a node's control service (which lives two crates up):
-/// the route a WIRE-first connection takes, answering every request with
-/// ACK.
-fn wire_route() -> Route {
-    let serve = |conn: &mut FrameConn, _first| {
-        conn.send((kind::ACK, Vec::new()))?;
-        while conn.recv()?.is_some() {
-            conn.send((kind::ACK, Vec::new()))?;
-        }
-        Ok(())
-    };
-    (kind::WIRE, Box::new(serve))
 }
 
 #[test]
@@ -538,20 +565,14 @@ fn surplus_credit_does_not_lose_the_finish_frame() {
 
 /// A node listener serving pages only, which counts the connections it
 /// accepts.
-fn counting_node(
-    pages: &Arc<PageRegistries>,
-    accepted: &Arc<AtomicUsize>,
-) -> accordion_net::frame::Listener {
-    let (opens, serve) = session_route(Some(pages.clone()), None);
+fn counting_node(pages: &Arc<PageRegistries>, accepted: &Arc<AtomicUsize>) -> Listener {
+    let serve = serve_sessions(Some(pages.clone()), None, None);
     let accepted = accepted.clone();
-    let counted: Route = (
-        opens,
-        Box::new(move |conn, hello| {
-            accepted.fetch_add(1, Ordering::SeqCst);
-            serve(conn, hello)
-        }),
-    );
-    listen("127.0.0.1:0", "counting", vec![counted]).unwrap()
+    let counted = move |conn: &mut FrameConn, query| {
+        accepted.fetch_add(1, Ordering::SeqCst);
+        serve(conn, query)
+    };
+    listen("127.0.0.1:0", "counting", Box::new(counted)).unwrap()
 }
 
 /// Drains `reader` on a thread of its own, so a test can bound the wait.
