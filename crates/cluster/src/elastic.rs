@@ -31,6 +31,8 @@
 //!    claim splits from a shared [`SplitQueue`], in every mode; under the
 //!    controller its pause threshold makes claims block at the decision
 //!    boundary, so a retune always lands between splits, never mid-split.
+//!    The first boundary is armed when node 0 wires the query, before a
+//!    task on any node can claim.
 //!
 //! ## Nothing here waits for a timer
 //!
@@ -343,9 +345,10 @@ pub struct ElasticityController {
 }
 
 impl ElasticityController {
-    /// Builds the controller, has every stage's queue raise its signal and
-    /// arms the first decision boundary (one claim in). Call before any
-    /// task starts claiming.
+    /// Builds the controller and has every stage's queue raise its signal.
+    /// Each queue's first decision boundary (one claim in) is armed
+    /// already: node 0 arms it when it wires the query, before a task on
+    /// any node can claim.
     pub fn new(
         config: ElasticityConfig,
         metrics: Arc<QueryMetrics>,
@@ -355,7 +358,6 @@ impl ElasticityController {
         let signal = Arc::new(Signal::new());
         for st in &stages {
             st.queue.watch(signal.clone());
-            st.queue.set_pause_after(Some(1));
         }
         // A task's first page opens its era and is not part of it.
         metrics.watch_scans(MIN_SAMPLE_PAGES + 1, signal.clone());
@@ -917,6 +919,7 @@ mod tests {
         let registry = ExchangeRegistry::build_in_process(&topology).unwrap();
         let metrics = Arc::new(QueryMetrics::with_clock(clock));
         let queue = Arc::new(SplitQueue::new(splits));
+        queue.set_pause_after(Some(1)); // as `QueryExecutor::wire` arms it
         let lease = registry.writer(1, u32::MAX, None).unwrap();
         let stage = StageControl::new(1, bounds(1, 8), 1, queue.clone(), lease);
         let ctrl = ElasticityController::new(config, metrics.clone(), vec![stage], 2);
@@ -1116,6 +1119,7 @@ mod tests {
         let metrics = Arc::new(QueryMetrics::new());
         let stage = |id: u32, splits| {
             let (queue, lease) = (SplitQueue::new(splits), registry.writer(id, u32::MAX, None));
+            queue.set_pause_after(Some(1));
             StageControl::new(id, bounds(1, 8), 1, Arc::new(queue), lease.unwrap())
         };
         let stages = vec![stage(1, Vec::new()), stage(2, vec![split(0, 1)])];

@@ -21,7 +21,7 @@
 //! |---|---|---|
 //! | admission gate | passes it | — (node 0 answers for the query) |
 //! | split pools | owns the [`SplitQueue`]s | claims through a [`ClaimWiring`] proxy |
-//! | elasticity controller | runs it, spawns grown tasks | — |
+//! | elasticity controller | arms its boundaries when wired, runs it, spawns grown tasks | — |
 //! | stage 0's result | drains it (`Some(result)`) | `None`, or the query's poison |
 //!
 //! ## The worker pool
@@ -52,7 +52,11 @@
 //! `accordion_plan::fragment::PlanFragment::elastic_bounds`: its child
 //! exchanges, if any, all feed join builds) between splits, holding a
 //! writer lease in node 0's writer group for the stage's output edge — see
-//! `crate::elastic` for the mechanism and the EndSignal handshake.
+//! `crate::elastic` for the mechanism and the EndSignal handshake. Node 0
+//! arms each such stage's first decision boundary when it is wired, so the
+//! boundary holds before any task runs on any node: a worker whose share
+//! starts first claims no further than node 0's own tasks could. A node 0
+//! dropped unrun releases its queues.
 //! That thread sleeps until something happens: the split queues wake it at
 //! their decision boundaries, and every task of the query wakes it when it
 //! exits.
@@ -84,7 +88,7 @@ use accordion_exec::driver::{run_task, JoinBuilds, TaskContext};
 use accordion_exec::executor::{drain_result, ExecOptions, QueryResult};
 use accordion_exec::metrics::QueryMetrics;
 use accordion_exec::splits::SplitFeed;
-use accordion_net::{ConsumerLoc, ExchangeReader, ExchangeRegistry, ExchangeWriter, NicModel};
+use accordion_net::{ConsumerLoc, ExchangeRegistry, NicModel};
 use accordion_plan::fragment::StageTree;
 use accordion_plan::logical::LogicalPlan;
 use accordion_plan::optimizer::Optimizer;
@@ -95,16 +99,9 @@ use crate::admission::{AdmissionController, AdmissionPermit};
 use crate::dist::{distributed_topology, task_node, ClaimWiring, DistRole, StagePool};
 use crate::elastic::{ElasticityController, StageControl};
 
-/// Everything one task thread needs, assembled before spawning.
-struct TaskSpec {
-    stage: u32,
-    task: u32,
-    pipelines: Arc<Vec<PipelineSpec>>,
-    inputs: HashMap<u32, Box<dyn ExchangeReader>>,
-    output: Box<dyn ExchangeWriter>,
-    /// Scanning stages claim splits from the stage's shared pool.
-    split_feed: Option<SplitFeed>,
-}
+/// One task, assembled before its thread spawns: its stage's pipelines
+/// and its context.
+type Task = (Arc<Vec<PipelineSpec>>, TaskContext);
 
 /// Multi-threaded executor: concurrent stages, elastic exchanges, and
 /// (when enabled) the intra-query re-parallelization
@@ -308,6 +305,13 @@ impl QueryExecutor {
             if let Some(table) = f.scan_table() {
                 let splits = catalog.get(&table)?.splits.splits().to_vec();
                 let pool = claim.pool(query, f.stage.0, splits, &registry, coordinator);
+                // The controller decides from a stage's first claim on,
+                // wherever the claim comes from: its first decision boundary
+                // is armed here, before a task on any node can claim.
+                let elastic = f.elastic_bounds.is_some() && opts.elasticity.enabled();
+                if let Some(queue) = pool.queue.as_ref().filter(|_| elastic) {
+                    queue.set_pause_after(Some(1));
+                }
                 pools.insert(f.stage.0, pool);
             }
         }
@@ -396,26 +400,12 @@ where
     /// event for the elasticity controller, whose signal `exited` is.
     fn run_task(
         &self,
-        spec: TaskSpec,
-        builds: &Arc<JoinBuilds>,
-        metrics: &Arc<QueryMetrics>,
+        (pipelines, mut ctx): Task,
         first_err: &Mutex<Option<AccordionError>>,
         exited: Option<&Signal>,
     ) {
         self.gate.acquire();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut ctx = TaskContext::new(
-                spec.stage,
-                spec.task,
-                self.opts.page_rows,
-                spec.inputs,
-                spec.output,
-                spec.split_feed,
-                builds.clone(),
-                metrics.clone(),
-            );
-            run_task(&spec.pipelines, &mut ctx)
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_task(&pipelines, &mut ctx)));
         self.gate.release();
         let err = match outcome {
             Ok(Ok(())) => None,
@@ -443,47 +433,61 @@ where
         let (opts, role, registry, gate) = (&self.opts, &self.role, &self.registry, &self.gate);
         let metrics = Arc::new(QueryMetrics::new());
         let builds = Arc::new(JoinBuilds::new(Some(gate.clone())));
-        let feed = |stage: u32, slot: u32| {
-            let source = self.pools.get(&stage)?.source.clone();
-            Some(SplitFeed::from_source(source, slot, Some(gate.clone())))
-        };
 
         // Claim every endpoint up front so wiring errors surface before any
         // thread spawns.
-        let mut pipelines: HashMap<u32, Arc<Vec<PipelineSpec>>> = HashMap::new();
-        let mut specs = Vec::new();
+        let mut stages = HashMap::new();
         for fragment in tree.fragments() {
             let stage = fragment.stage.0;
-            let stage_pipelines = Arc::new(split_pipelines(fragment)?);
-            pipelines.insert(stage, stage_pipelines.clone());
+            let pipelines = Arc::new(split_pipelines(fragment)?);
             // A node hosting a task of the stage holds slot `node` of each
             // build edge: one reader, drained by whichever task claims it.
-            let feeds = build_inputs(&stage_pipelines);
             if role.node < fragment.parallelism.max(1) {
-                for &(child, join) in &feeds {
+                for (child, join) in build_inputs(&pipelines) {
                     let reader = registry.reader(child.0, role.node, Some(gate.clone()))?;
                     builds.add(stage, join, reader);
                 }
             }
-            for task in 0..fragment.parallelism.max(1) {
-                if task_node(task, role.nodes) != role.node {
-                    continue;
+            stages.insert(stage, (fragment, pipelines));
+        }
+        // The one way to start a task, planned or grown: a reader of each
+        // child edge that feeds no join build (a grown task's elastic stage
+        // has none), a writer in this node's group, and the stage's split
+        // feed when it scans.
+        let spec = |stage: u32, slot: u32| -> Result<Task> {
+            let (fragment, pipelines) = stages.get(&stage).ok_or_else(|| {
+                AccordionError::Internal(format!("the query has no stage {stage}"))
+            })?;
+            let feeds = build_inputs(pipelines);
+            let mut inputs = HashMap::new();
+            for child in &fragment.child_stages {
+                if !feeds.iter().any(|(c, _)| c == child) {
+                    let reader = registry.reader(child.0, slot, Some(gate.clone()))?;
+                    inputs.insert(child.0, reader);
                 }
-                let mut inputs = HashMap::new();
-                for child in &fragment.child_stages {
-                    if !feeds.iter().any(|(c, _)| c == child) {
-                        let reader = registry.reader(child.0, task, Some(gate.clone()))?;
-                        inputs.insert(child.0, reader);
-                    }
+            }
+            let output = registry.writer(stage, slot, Some(gate.clone()))?;
+            let split_feed = (self.pools.get(&stage))
+                .map(|pool| SplitFeed::from_source(pool.source.clone(), slot, Some(gate.clone())));
+            let (builds, metrics) = (builds.clone(), metrics.clone());
+            let ctx = TaskContext::new(
+                stage,
+                slot,
+                opts.page_rows,
+                inputs,
+                output,
+                split_feed,
+                builds,
+                metrics,
+            );
+            Ok((pipelines.clone(), ctx))
+        };
+        let mut tasks = Vec::new();
+        for fragment in tree.fragments() {
+            for slot in 0..fragment.parallelism.max(1) {
+                if task_node(slot, role.nodes) == role.node {
+                    tasks.push(spec(fragment.stage.0, slot)?);
                 }
-                specs.push(TaskSpec {
-                    stage,
-                    task,
-                    pipelines: stage_pipelines.clone(),
-                    inputs,
-                    output: registry.writer(stage, task, Some(gate.clone()))?,
-                    split_feed: feed(stage, task),
-                });
             }
         }
         // The coordinator's reader is not gated: the calling thread is not a
@@ -494,10 +498,10 @@ where
             None
         };
 
-        // The controller runs where the queues are (node 0): it holds a
-        // writer lease in this node's group of every stage it drives and
-        // arms the first decision boundary — before any task runs, so no
-        // such group can end while a grow is still possible.
+        // The controller runs where the queues are (node 0), over the
+        // stages whose first decision boundary `wire` armed: it holds a
+        // writer lease in this node's group of each, taken before any task
+        // runs, so no such group can end while a grow is still possible.
         let mut controls = Vec::new();
         let elastic = opts.elasticity.enabled();
         for fragment in tree.fragments().iter().filter(|_| elastic) {
@@ -526,8 +530,8 @@ where
 
         let first_err = Mutex::new(None);
         let exited = controller.as_ref().map(ElasticityController::signal);
-        let (this, builds, metrics, first_err) = (&self, &builds, &metrics, &first_err);
-        let (pipelines, feed, exited) = (&pipelines, &feed, exited.as_deref());
+        let (this, first_err) = (&self, &first_err);
+        let (spec, exited) = (&spec, exited.as_deref());
 
         let mut pages = Vec::new();
         std::thread::scope(|scope| {
@@ -541,25 +545,15 @@ where
                     // Grown tasks join the same scope, slot pool, join tables
                     // and writer groups, which the stages' leases hold open.
                     let mut spawn = |stage: u32, slot: u32| -> Result<()> {
-                        let not_elastic =
-                            || AccordionError::Internal(format!("stage {stage} is not elastic"));
-                        let spec = TaskSpec {
-                            stage,
-                            task: slot,
-                            pipelines: pipelines.get(&stage).ok_or_else(not_elastic)?.clone(),
-                            inputs: HashMap::new(),
-                            output: registry.writer(stage, slot, Some(gate.clone()))?,
-                            split_feed: Some(feed(stage, slot).ok_or_else(not_elastic)?),
-                        };
-                        scope
-                            .spawn(move || this.run_task(spec, builds, metrics, first_err, exited));
+                        let task = spec(stage, slot)?;
+                        scope.spawn(move || this.run_task(task, first_err, exited));
                         Ok(())
                     };
                     controller.run(registry, &mut spawn);
                 });
             }
-            for spec in specs {
-                scope.spawn(move || this.run_task(spec, builds, metrics, first_err, exited));
+            for task in tasks {
+                scope.spawn(move || this.run_task(task, first_err, exited));
             }
             // Drain the root stage's stream while tasks run; on poison the
             // drain errors out and the scope joins the unwinding tasks.
@@ -588,6 +582,17 @@ where
             pages,
             metrics.snapshot(registry.stats()),
         )))
+    }
+}
+
+impl<T> Drop for NodeQuery<T> {
+    /// A node 0 wired and dropped unrun leaves no claim parked at a
+    /// boundary `wire` armed, which nothing would ever move. After a run
+    /// this changes nothing: the controller has released its queues.
+    fn drop(&mut self) {
+        for queue in self.pools.values().filter_map(|p| p.queue.as_ref()) {
+            queue.release();
+        }
     }
 }
 

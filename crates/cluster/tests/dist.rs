@@ -18,13 +18,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use accordion_cluster::{
-    distributed_topology, ClaimWiring, DistRole, NodeQuery, QueryExecutor, SplitQueues,
+    distributed_topology, ClaimWiring, DistRole, NodeQuery, QueryExecutor, RemoteSplitSource,
+    SplitQueues,
 };
 use accordion_common::config::{AdmissionConfig, ElasticityConfig, NetworkConfig};
 use accordion_common::sync::Mutex;
 use accordion_common::{AccordionError, ElasticityMode, Result, StageId};
 use accordion_data::schema::{Field, Schema};
 use accordion_data::types::{DataType, Value};
+use accordion_exec::splits::SplitSource;
 use accordion_exec::{execute_tree, ExecOptions, QueryResult};
 use accordion_expr::agg::AggKind;
 use accordion_expr::scalar::Expr;
@@ -548,6 +550,101 @@ fn q3_builds_each_join_table_once_per_node_across_three_nodes() {
         .collect();
     assert_eq!(builds.len(), 2, "{builds:?}");
     assert!(builds.iter().all(|&(stage, _)| stage == 2), "{builds:?}");
+}
+
+#[test]
+fn a_worker_that_starts_first_claims_up_to_the_first_decision_boundary() {
+    // Node 0 arms its elastic stage's first decision boundary when it is
+    // wired, not when it runs: a worker whose share starts first claims one
+    // split and waits there, and the grow lands one claim in.
+    let c = catalog();
+    let (tree, reference) = group_by_at(&c, 2);
+    let grow = ExecOptions {
+        elasticity: ElasticityConfig {
+            mode: ElasticityMode::ForcedGrow,
+        },
+        ..opts(NetworkConfig::builder().unbounded_buffers().build())
+    };
+    let coordinator = QueryExecutor::new(grow.clone());
+    let worker = QueryExecutor::new(grow.clone());
+    let fleet = TestFleet::new(2);
+    let query = 960;
+    let nq0 = fleet
+        .wire(0, &coordinator, &c, &tree, &grow, query)
+        .unwrap();
+    let nq1 = fleet.wire(1, &worker, &c, &tree, &grow, query).unwrap();
+    let running = std::thread::spawn(move || nq1.run());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !fleet.accepted()[0].contains_key(&query) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the worker never called"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    // Let the worker claim as far as it may before node 0 runs.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let result = nq0.run().unwrap().expect("node 0 drains");
+    assert!(running.join().unwrap().unwrap().is_none());
+    assert_eq!(sorted_rows(&result), reference);
+    let retunes = &result.stats().retunes;
+    let grows: Vec<u64> = (retunes.iter())
+        .filter(|r| r.to_dop > r.from_dop)
+        .map(|r| r.splits_claimed)
+        .collect();
+    assert_eq!(grows, [1], "{retunes:?}");
+    assert_eq!(coordinator.active_queries(), 0);
+    assert_eq!(worker.active_queries(), 0);
+    fleet.shutdown();
+}
+
+#[test]
+fn a_coordinator_dropped_unrun_frees_a_claim_parked_at_its_boundary() {
+    // A claim that waits at the boundary node 0 armed while wiring is
+    // answered once node 0 is dropped without running: nothing is left to
+    // move the boundary, so the share lets go of its queues.
+    let c = catalog();
+    let (tree, _) = group_by_at(&c, 2);
+    let grow = ExecOptions {
+        elasticity: ElasticityConfig {
+            mode: ElasticityMode::ForcedGrow,
+        },
+        ..opts(NetworkConfig::default())
+    };
+    let coordinator = QueryExecutor::new(grow.clone());
+    let fleet = TestFleet::new(2);
+    let query = 961;
+    let nq0 = fleet
+        .wire(0, &coordinator, &c, &tree, &grow, query)
+        .unwrap();
+    let stage = (tree.fragments().iter())
+        .find(|f| f.elastic_bounds.is_some())
+        .expect("the scan stage is elastic")
+        .stage
+        .0;
+    let splits = c.get("sales").unwrap().splits.splits().to_vec();
+    let addr = fleet.nodes[0].0.local_addr();
+    let source = RemoteSplitSource::new(addr, query, stage, splits);
+    assert!(
+        source.claim(1, None, None).is_some(),
+        "the first claim passes"
+    );
+    let parked = {
+        let source = source.clone();
+        std::thread::spawn(move || source.claim(1, None, None).is_some())
+    };
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    assert!(
+        !parked.is_finished(),
+        "the second claim waits at the boundary"
+    );
+    drop(nq0);
+    assert!(
+        within(move || parked.join().unwrap()),
+        "released, it claims"
+    );
+    assert_eq!(coordinator.active_queries(), 0);
+    fleet.shutdown();
 }
 
 /// The group-by of the golden suite planned at `dop`, plus its serial

@@ -7,6 +7,8 @@
 //! multiply-xor mix (an FxHash/wyhash-style construction implemented here
 //! from scratch) rather than std's randomly-seeded SipHash.
 
+use std::fmt;
+
 use crate::column::Column;
 use crate::page::DataPage;
 
@@ -207,6 +209,44 @@ pub fn hash_partition(page: &DataPage, key_indices: &[usize], partitions: u32) -
         .into_iter()
         .map(|idx| page.gather(&idx))
         .collect()
+}
+
+/// How the producing side of an exchange partitions its output across the
+/// consuming side's slots: the plan's `Exchange` and a fragment's output
+/// carry it, and the exchange's writers route by it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Partitioning {
+    /// One output partition. With one consumer this is a gather; with many
+    /// every page is broadcast to each of them (a join's build side, whose
+    /// edge has one consumer per node: the node's table).
+    Single,
+    /// Rows are hash-partitioned on key columns into `partitions` buckets
+    /// ([`hash_partition`]).
+    Hash { keys: Vec<usize>, partitions: u32 },
+    /// Whole pages are dealt round-robin across `partitions` consumers.
+    RoundRobin { partitions: u32 },
+}
+
+impl Partitioning {
+    /// Number of output partitions produced under this scheme.
+    pub fn partition_count(&self) -> u32 {
+        match self {
+            Partitioning::Single => 1,
+            Partitioning::Hash { partitions, .. } | Partitioning::RoundRobin { partitions } => {
+                *partitions
+            }
+        }
+    }
+}
+
+impl fmt::Display for Partitioning {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Partitioning::Single => write!(f, "single"),
+            Partitioning::Hash { keys, partitions } => write!(f, "hash{keys:?}x{partitions}"),
+            Partitioning::RoundRobin { partitions } => write!(f, "rr x{partitions}"),
+        }
+    }
 }
 
 #[cfg(test)]

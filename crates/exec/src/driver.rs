@@ -3,16 +3,20 @@
 //! A task holds **exchange endpoints**, not materialized page maps: one
 //! [`ExchangeReader`] per child stage that feeds no join build and one
 //! [`ExchangeWriter`] toward its parent, both streaming page-by-page, the
-//! node's [`JoinBuilds`], and — when its stage scans a table
-//! — a [`SplitFeed`] on a split queue, the only place a scan gets splits
-//! from. Every pipeline has one driver: it
-//! instantiates the pipeline's [`OperatorSpec`] list into a chain of
-//! [`PageStream`]s and pulls pages through it into the pipeline's sink, the
-//! task's output writer or a hash-join build table. Every operator in the
+//! node's [`JoinBuilds`], and — when its stage scans a table — a
+//! [`SplitFeed`] on a split queue, the only place a scan gets splits from.
+//! Every pipeline has one driver: it instantiates the pipeline's nodes —
+//! the fragment's own [`PhysicalNode`]s, in pull order — into a chain of
+//! [`PageStream`]s, building each operator from its node's fields and
+//! `schema()`, and pulls pages through it into the pipeline's [`Sink`], the
+//! task's output writer or a hash-join build table. A final aggregate
+//! emits its groups in table order where [`PipelineSpec::table_order`]
+//! finds that no step after it can see their order. Every operator in the
 //! chain is wrapped in a [`MeteredStream`] recording rows/bytes produced
-//! and time spent into the query's [`QueryMetrics`], and a join build sink
-//! is metered too (`HashJoinBuild`: the build side's rows and bytes, its
-//! self time the build).
+//! and time spent into the query's [`QueryMetrics`], under the name
+//! [`operator_name`] gives its node, and a join build sink is metered too
+//! (`HashJoinBuild`: the build side's rows and bytes, its self time the
+//! build).
 //!
 //! Pipelines run producer-first inside a task (the order
 //! [`accordion_plan::pipeline::split_pipelines`] guarantees). A join's
@@ -39,9 +43,9 @@ use std::time::Instant;
 use accordion_common::sync::{condvar_wait, yield_slot, Condvar, Mutex, Semaphore};
 use accordion_common::{AccordionError, Result};
 use accordion_data::page::{EndReason, Page};
-use accordion_data::schema::Schema;
 use accordion_net::{ExchangeReader, ExchangeWriter};
-use accordion_plan::pipeline::{OperatorSpec, PipelineSpec};
+use accordion_plan::physical::PhysicalNode;
+use accordion_plan::pipeline::{operator_name, PipelineSpec, Sink};
 
 use crate::metrics::{MeteredStream, OperatorMetrics, QueryMetrics};
 use crate::operators::{
@@ -112,13 +116,9 @@ pub fn run_task(pipelines: &[PipelineSpec], ctx: &mut TaskContext) -> Result<()>
 
 /// Runs one pipeline to completion inside `ctx` with its one driver.
 pub fn run_pipeline(pipeline: &PipelineSpec, ctx: &mut TaskContext) -> Result<()> {
-    let (sink, specs) = pipeline
-        .operators
-        .split_last()
-        .ok_or_else(|| AccordionError::Execution("empty pipeline".into()))?;
-    match sink {
-        OperatorSpec::Output => {
-            let (mut chain, _) = build_chain(specs, pipeline, ctx)?;
+    match &pipeline.sink {
+        Sink::Output => {
+            let (mut chain, _) = build_chain(pipeline, ctx)?;
             loop {
                 match chain.next_page()? {
                     Page::End(e) => {
@@ -129,21 +129,14 @@ pub fn run_pipeline(pipeline: &PipelineSpec, ctx: &mut TaskContext) -> Result<()
                 }
             }
         }
-        OperatorSpec::HashJoinBuild { join, keys } => {
+        Sink::JoinBuild { join, keys } => {
             let builds = ctx.builds.clone();
             let Some((claim, input)) = builds.claim(ctx.stage, *join)? else {
                 return Ok(()); // another task of this node builds it
             };
-            let built = build_table(specs, sink, keys, pipeline, ctx, input);
+            let built = build_table(pipeline, keys, ctx, input);
             claim.publish(built.clone());
             built?;
-        }
-        other => {
-            return Err(AccordionError::Execution(format!(
-                "pipeline {} does not end in a sink: {}",
-                pipeline.id,
-                other.name()
-            )))
         }
     }
     Ok(())
@@ -154,18 +147,18 @@ pub fn run_pipeline(pipeline: &PipelineSpec, ctx: &mut TaskContext) -> Result<()
 /// rows and bytes, and busy time over the drain and the build, so its self
 /// time is the build.
 fn build_table(
-    specs: &[OperatorSpec],
-    sink: &OperatorSpec,
-    keys: &[usize],
     pipeline: &PipelineSpec,
+    keys: &[usize],
     ctx: &mut TaskContext,
     input: Box<dyn ExchangeReader>,
 ) -> Result<Arc<JoinTable>> {
-    if let Some(OperatorSpec::ExchangeSource { child_stage }) = specs.first() {
+    if let Some(PhysicalNode::RemoteSource { child_stage, .. }) =
+        pipeline.nodes.first().map(|n| &**n)
+    {
         ctx.inputs.insert(child_stage.0, input);
     }
-    let (mut chain, mut last) = build_chain(specs, pipeline, ctx)?;
-    let m = register(sink, pipeline, ctx, &mut last);
+    let (mut chain, mut last) = build_chain(pipeline, ctx)?;
+    let m = register(pipeline.sink.name(), pipeline, ctx, &mut last);
     let start = Instant::now();
     let mut pages = Vec::new();
     while let Page::Data(p) = chain.next_page()? {
@@ -177,52 +170,54 @@ fn build_table(
     Ok(Arc::new(table))
 }
 
-/// Instantiates `specs` (a source followed by streaming operators) into a
-/// metered pull chain, returned with the meter of its last operator.
+/// Instantiates the pipeline's nodes (a source followed by streaming
+/// operators) into a metered pull chain, returned with the meter of its
+/// last operator.
 fn build_chain(
-    specs: &[OperatorSpec],
     pipeline: &PipelineSpec,
     ctx: &mut TaskContext,
 ) -> Result<(BoxedStream, Option<Arc<OperatorMetrics>>)> {
-    let (source, rest) = specs
-        .split_first()
+    let (source, rest) = (pipeline.nodes.split_first())
         .ok_or_else(|| AccordionError::Execution("pipeline has a sink but no source".into()))?;
     let mut last = None;
     let stream = build_source(source, ctx)?;
     let mut chain: BoxedStream = Box::new(MeteredStream::new(
         stream,
-        register(source, pipeline, ctx, &mut last),
+        register(operator_name(source), pipeline, ctx, &mut last),
     ));
-    for spec in rest {
-        let stream = wrap_operator(spec, chain, ctx)?;
+    let mut probes = pipeline.probes.iter();
+    for (step, node) in rest.iter().enumerate() {
+        let stream = wrap_operator(pipeline, step + 1, chain, &mut probes, ctx)?;
         chain = Box::new(MeteredStream::new(
             stream,
-            register(spec, pipeline, ctx, &mut last),
+            register(operator_name(node), pipeline, ctx, &mut last),
         ));
     }
     Ok((chain, last))
 }
 
-/// Registers the meter of `spec`, which knows the operator feeding it
-/// (`upstream`, which becomes this one for the next operator).
+/// Registers the meter of operator `name`, which knows the operator feeding
+/// it (`upstream`, which becomes this one for the next operator).
 fn register(
-    spec: &OperatorSpec,
+    name: &'static str,
     pipeline: &PipelineSpec,
     ctx: &TaskContext,
     upstream: &mut Option<Arc<OperatorMetrics>>,
 ) -> Arc<OperatorMetrics> {
     let m = ctx
         .metrics
-        .register(ctx.stage, ctx.task_index, pipeline.id.0, spec.name());
+        .register(ctx.stage, ctx.task_index, pipeline.id.0, name);
     if let Some(input) = upstream.replace(m.clone()) {
         m.set_input(input);
     }
     m
 }
 
-fn build_source(spec: &OperatorSpec, ctx: &mut TaskContext) -> Result<BoxedStream> {
-    match spec {
-        OperatorSpec::TableScan { table, projection } => {
+fn build_source(node: &PhysicalNode, ctx: &mut TaskContext) -> Result<BoxedStream> {
+    match node {
+        PhysicalNode::TableScan {
+            table, projection, ..
+        } => {
             let feed = ctx.split_feed.take().ok_or_else(|| {
                 AccordionError::Execution(format!("scan of table {table} has no split feed"))
             })?;
@@ -232,7 +227,7 @@ fn build_source(spec: &OperatorSpec, ctx: &mut TaskContext) -> Result<BoxedStrea
                 ctx.page_rows,
             )))
         }
-        OperatorSpec::ExchangeSource { child_stage } => {
+        PhysicalNode::RemoteSource { child_stage, .. } => {
             let reader = ctx.inputs.remove(&child_stage.0).ok_or_else(|| {
                 AccordionError::Execution(format!(
                     "task has no exchange reader for stage {child_stage}"
@@ -258,67 +253,64 @@ impl crate::operators::PageStream for ReaderSource {
     }
 }
 
+/// Builds the operator of `pipeline.nodes[step]` over `input`; a probe
+/// takes the next of the pipeline's `probes`.
 fn wrap_operator(
-    spec: &OperatorSpec,
+    pipeline: &PipelineSpec,
+    step: usize,
     input: BoxedStream,
+    probes: &mut std::slice::Iter<'_, usize>,
     ctx: &mut TaskContext,
 ) -> Result<BoxedStream> {
-    Ok(match spec {
-        OperatorSpec::Filter { predicate } => Box::new(FilterOp::new(input, predicate.clone())),
-        OperatorSpec::Project { exprs } => Box::new(ProjectOp::new(
+    let node = &pipeline.nodes[step];
+    let page_rows = ctx.page_rows;
+    Ok(match &**node {
+        PhysicalNode::Filter { predicate, .. } => Box::new(FilterOp::new(input, predicate.clone())),
+        PhysicalNode::Project { exprs, .. } => Box::new(ProjectOp::new(
             input,
             exprs.iter().map(|(e, _)| e.clone()).collect(),
         )),
-        OperatorSpec::PartialAggregate {
-            group_by,
-            aggs,
-            output_schema,
-        } => Box::new(PartialHashAggOp::new(
+        PhysicalNode::PartialAggregate { group_by, aggs, .. } => Box::new(PartialHashAggOp::new(
             input,
             group_by.clone(),
             aggs.clone(),
-            output_schema.clone(),
-            ctx.page_rows,
+            node.schema(),
+            page_rows,
         )),
-        OperatorSpec::FinalAggregate {
-            group_count,
-            aggs,
-            output_schema,
-            table_order,
+        PhysicalNode::FinalAggregate {
+            group_count, aggs, ..
         } => Box::new(
-            FinalHashAggOp::new(
-                input,
-                *group_count,
-                aggs.clone(),
-                output_schema.clone(),
-                ctx.page_rows,
-            )
-            .with_table_order(*table_order),
+            FinalHashAggOp::new(input, *group_count, aggs.clone(), node.schema(), page_rows)
+                .with_table_order(pipeline.table_order(step)),
         ),
-        OperatorSpec::TopN { keys, n } => Box::new(TopNOp::new(
+        PhysicalNode::TopN { keys, n, .. } => Box::new(TopNOp::new(
             input,
             keys.clone(),
             *n,
-            Schema::default(),
-            ctx.page_rows,
+            node.schema(),
+            page_rows,
         )),
-        OperatorSpec::Sort { keys } => Box::new(SortOp::new(input, keys.clone(), ctx.page_rows)),
-        OperatorSpec::Limit { n } => Box::new(LimitOp::new(input, *n)),
-        OperatorSpec::HashJoinProbe {
-            join,
-            keys,
-            output_schema,
-        } => Box::new(HashJoinProbeOp::new(
-            input,
-            ctx.builds.table(ctx.stage, *join)?,
-            keys.clone(),
-            output_schema.clone(),
-            ctx.page_rows,
-        )),
+        PhysicalNode::Sort { keys, .. } => Box::new(SortOp::new(input, keys.clone(), page_rows)),
+        PhysicalNode::Limit { n, .. } => Box::new(LimitOp::new(input, *n)),
+        PhysicalNode::HashJoin { on, .. } => {
+            let join = *probes.next().ok_or_else(|| {
+                AccordionError::Execution(format!(
+                    "pipeline {} probes an unknown join",
+                    pipeline.id
+                ))
+            })?;
+            Box::new(HashJoinProbeOp::new(
+                input,
+                ctx.builds.table(ctx.stage, join)?,
+                on.iter().map(|&(p, _)| p).collect(),
+                node.schema(),
+                page_rows,
+            ))
+        }
         other => {
             return Err(AccordionError::Execution(format!(
                 "operator {} cannot appear mid-pipeline",
-                other.name()
+                operator_name(other)
             )))
         }
     })

@@ -38,11 +38,10 @@ use accordion_data::column::Column;
 use accordion_data::page::{DataPage, Page};
 use accordion_data::schema::Schema;
 use accordion_data::types::Value;
-use accordion_net::{EdgeSpec, ExchangeReader, ExchangeRegistry, ExchangeTopology, RoutePolicy};
+use accordion_net::{EdgeSpec, ExchangeReader, ExchangeRegistry, ExchangeTopology};
 use accordion_plan::fragment::StageTree;
 use accordion_plan::logical::LogicalPlan;
 use accordion_plan::optimizer::Optimizer;
-use accordion_plan::physical::Partitioning;
 use accordion_plan::pipeline::{build_inputs, split_pipelines};
 use accordion_storage::catalog::Catalog;
 
@@ -165,20 +164,6 @@ impl QueryResult {
     }
 }
 
-/// Converts planner partitioning into the network routing policy.
-pub fn route_policy(p: &Partitioning) -> RoutePolicy {
-    match p {
-        Partitioning::Single => RoutePolicy::Single,
-        Partitioning::Hash { keys, partitions } => RoutePolicy::Hash {
-            keys: keys.clone(),
-            partitions: *partitions,
-        },
-        Partitioning::RoundRobin { partitions } => RoutePolicy::RoundRobin {
-            partitions: *partitions,
-        },
-    }
-}
-
 /// Derives the exchange wiring of `tree` over `nodes` as an all-local
 /// [`ExchangeTopology`]: one edge per stage, whose consumer is its parent
 /// stage's task set (stage 0 is consumed by the coordinator, one slot) —
@@ -209,7 +194,7 @@ pub fn exchange_topology(tree: &StageTree, nodes: u32) -> Result<ExchangeTopolog
             AccordionError::Internal(format!("stage {} has no consumer", f.stage))
         })?;
         let producers = f.parallelism.max(1).min(nodes.max(1));
-        let policy = route_policy(&f.output_partitioning);
+        let policy = f.output_partitioning.clone();
         topology = topology.edge(EdgeSpec::local(f.stage.0, producers, policy, n));
     }
     Ok(topology)

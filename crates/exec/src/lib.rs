@@ -1,15 +1,17 @@
 //! Vectorized executor for the Accordion IQRE engine.
 //!
 //! Takes the descriptive output of `accordion-plan` — a [`StageTree`] of
-//! fragments, each split into pipelines of operator specs — and runs it
-//! against the streaming exchange endpoints of `accordion-net`:
+//! fragments, each split into pipelines of the fragment's own physical
+//! nodes — and runs it against the streaming exchange endpoints of
+//! `accordion-net`, whose edges route by each fragment's output
+//! `Partitioning` as it stands:
 //!
 //! * [`operators`] — the physical operators as pull-based [`Page`] streams
 //!   (scan over splits, filter, project, partial/final hash aggregation,
 //!   sort, top-N, limit, hash join).
-//! * [`driver`] — instantiates one pipeline into a metered operator chain
-//!   and pulls it to completion into the pipeline's sink (paper §2 "Driver
-//!   Execution"). A task holds an `ExchangeWriter` toward its parent stage
+//! * [`driver`] — instantiates one pipeline's nodes into a metered
+//!   operator chain and pulls it to completion into the pipeline's sink
+//!   (paper §2 "Driver Execution"). A task holds an `ExchangeWriter` toward its parent stage
 //!   and one `ExchangeReader` per child stage that feeds no join build;
 //!   the join tables are its node's, built once (`JoinBuilds`). Every
 //!   pipeline has one driver.
@@ -42,8 +44,7 @@ pub mod splits;
 
 pub use driver::{run_pipeline, run_task, JoinBuilds, TaskContext};
 pub use executor::{
-    drain_result, exchange_topology, execute_logical, execute_tree, route_policy, ExecOptions,
-    QueryResult,
+    drain_result, exchange_topology, execute_logical, execute_tree, ExecOptions, QueryResult,
 };
 pub use metrics::{
     DecisionRecord, EraSample, Evaluation, OperatorStats, QueryMetrics, QueryStats, RetuneEvent,

@@ -34,7 +34,7 @@
 //! aggregate emits them in table (first-seen) order, because its rows only
 //! ever feed a final aggregate that merges each group whatever its arrival
 //! order; a final aggregate does too when a sort covering every group
-//! column follows it (see `OperatorSpec::FinalAggregate::table_order`), and
+//! column follows it in its pipeline (see `PipelineSpec::table_order`), and
 //! otherwise emits them sorted by their encoded key bytes (the iteration
 //! order of the `BTreeMap` this engine replaced), so output is
 //! deterministic for a given input set regardless of page arrival order.
@@ -630,7 +630,8 @@ impl FinalHashAggOp {
     /// With `table_order`, emits groups in table (first-seen) order and
     /// skips the sort by key bytes: for a final whose rows a sort covering
     /// every group column reorders anyway, so arrival order cannot show
-    /// (`OperatorSpec::FinalAggregate::table_order`).
+    /// (`PipelineSpec::table_order`, which the driver asks when it builds
+    /// the operator).
     pub fn with_table_order(mut self, table_order: bool) -> Self {
         self.table_order = table_order;
         self

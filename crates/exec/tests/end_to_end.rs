@@ -12,7 +12,7 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use accordion_common::sync::Semaphore;
-use accordion_common::{AccordionError, PipelineId, Result, StageId};
+use accordion_common::{AccordionError, Result, StageId};
 use accordion_data::column::Column;
 use accordion_data::page::{DataPage, EndReason, Page};
 use accordion_data::schema::{Field, Schema};
@@ -27,9 +27,11 @@ use accordion_net::{
     EdgeSpec, ExchangeReader, ExchangeRegistry, ExchangeStats, ExchangeTopology, ExchangeWriter,
     RoutePolicy,
 };
-use accordion_plan::fragment::{StageKind, StageTree};
+use accordion_plan::fragment::{PlanFragment, StageKind, StageTree};
+use accordion_plan::logical::JoinType;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
-use accordion_plan::pipeline::{split_pipelines, OperatorSpec, PipelineSpec};
+use accordion_plan::physical::{Partitioning, PhysicalNode};
+use accordion_plan::pipeline::{split_pipelines, PipelineSpec};
 use accordion_plan::LogicalPlanBuilder;
 use accordion_storage::catalog::Catalog;
 use accordion_storage::table::TableBuilder;
@@ -544,21 +546,18 @@ impl ExchangeWriter for Discard {
 /// time, and a source's self time is its wait on input.
 #[test]
 fn operators_report_busy_and_self_time() {
-    let pipelines = vec![PipelineSpec {
-        id: PipelineId(0),
-        operators: vec![
-            OperatorSpec::ExchangeSource {
-                child_stage: StageId(1),
-            },
-            OperatorSpec::Filter {
-                predicate: Expr::gt(Expr::col(0), Expr::lit_i64(1)),
-            },
-            OperatorSpec::Project {
-                exprs: vec![(Expr::col(0), "a".into())],
-            },
-            OperatorSpec::Output,
-        ],
-    }];
+    let source = Arc::new(PhysicalNode::RemoteSource {
+        child_stage: StageId(1),
+        schema: Schema::new(vec![Field::new("a", DataType::Int64)]),
+    });
+    let filter = Arc::new(PhysicalNode::Filter {
+        input: source,
+        predicate: Expr::gt(Expr::col(0), Expr::lit_i64(1)),
+    });
+    let pipelines = pipelines_of(PhysicalNode::Project {
+        input: filter,
+        exprs: vec![(Expr::col(0), "a".into())],
+    });
     let page = Arc::new(DataPage::new(vec![Column::from_i64(vec![1, 2, 3, 4])]));
     let nap = Duration::from_millis(3);
     let mut inputs: HashMap<u32, Box<dyn ExchangeReader>> = HashMap::new();
@@ -599,39 +598,47 @@ fn operators_report_busy_and_self_time() {
     assert_eq!(json.get("self_ns").unwrap().as_u64(), Some(project.self_ns));
 }
 
+/// The pipelines of a one-task fragment rooted at `root`, whose remote
+/// sources read stages 1 and 2.
+fn pipelines_of(root: PhysicalNode) -> Vec<PipelineSpec> {
+    split_pipelines(&PlanFragment {
+        stage: StageId(0),
+        root: Arc::new(root),
+        parallelism: 1,
+        kind: StageKind::Intermediate,
+        child_stages: vec![StageId(1), StageId(2)],
+        output_partitioning: Partitioning::Single,
+        elastic_bounds: None,
+    })
+    .unwrap()
+}
+
 /// A build pipeline (stage 1's pages into join 0) and a probe pipeline
 /// (stage 2's pages against it), as a probe stage's tasks run them.
 fn join_pipelines() -> Vec<PipelineSpec> {
-    let build_key = Field::new("b", DataType::Int64);
-    let probe_key = Field::new("p", DataType::Int64);
-    vec![
-        PipelineSpec {
-            id: PipelineId(0),
-            operators: vec![
-                OperatorSpec::ExchangeSource {
-                    child_stage: StageId(1),
-                },
-                OperatorSpec::HashJoinBuild {
-                    join: 0,
-                    keys: vec![0],
-                },
-            ],
-        },
-        PipelineSpec {
-            id: PipelineId(1),
-            operators: vec![
-                OperatorSpec::ExchangeSource {
-                    child_stage: StageId(2),
-                },
-                OperatorSpec::HashJoinProbe {
-                    join: 0,
-                    keys: vec![0],
-                    output_schema: Schema::new(vec![probe_key, build_key]),
-                },
-                OperatorSpec::Output,
-            ],
-        },
-    ]
+    let remote = |stage, name: &str| {
+        Arc::new(PhysicalNode::RemoteSource {
+            child_stage: StageId(stage),
+            schema: Schema::new(vec![Field::new(name, DataType::Int64)]),
+        })
+    };
+    let pipelines = pipelines_of(PhysicalNode::HashJoin {
+        probe: remote(2, "p"),
+        build: remote(1, "b"),
+        on: vec![(0, 0)],
+        join_type: JoinType::Inner,
+    });
+    assert_eq!(
+        pipelines
+            .iter()
+            .map(|p| p.operator_names())
+            .collect::<Vec<_>>(),
+        [
+            vec!["ExchangeSource", "HashJoinBuild"],
+            vec!["ExchangeSource", "HashJoinProbe", "Output"],
+        ]
+    );
+    pipelines
 }
 
 /// A join build sink reports like an operator: a `HashJoinBuild` row fed
@@ -766,21 +773,32 @@ fn a_failed_join_build_wakes_every_task_waiting_for_its_table() {
     }
 }
 
+/// The plan's `Partitioning` and the exchange's `RoutePolicy` are one
+/// type: this compiles only because a fragment's output partitioning is
+/// already an edge's routing policy, with nothing to convert.
+#[test]
+fn a_plan_partitioning_is_a_route_policy() {
+    fn route(partitioning: Partitioning) -> RoutePolicy {
+        partitioning
+    }
+    let hash = Partitioning::Hash {
+        keys: vec![0],
+        partitions: 2,
+    };
+    let edge = EdgeSpec::local(1, 1, route(hash.clone()), 2);
+    assert_eq!(edge.policy, hash);
+}
+
 /// A scan gets its splits from its stage's split queue and nowhere else: a
 /// task given no feed fails, naming the table, instead of scanning a share
 /// of it.
 #[test]
 fn a_scan_without_a_split_feed_is_an_execution_error() {
-    let pipelines = vec![PipelineSpec {
-        id: PipelineId(0),
-        operators: vec![
-            OperatorSpec::TableScan {
-                table: "sales".into(),
-                projection: vec![0],
-            },
-            OperatorSpec::Output,
-        ],
-    }];
+    let pipelines = pipelines_of(PhysicalNode::TableScan {
+        table: "sales".into(),
+        table_schema: Schema::shared(vec![Field::new("region", DataType::Utf8)]),
+        projection: vec![0],
+    });
     let metrics = Arc::new(QueryMetrics::new());
     let mut task = TaskContext::new(
         0,

@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use accordion_common::id::{PipelineId, StageId};
+use accordion_common::id::StageId;
 use accordion_common::Result;
 use accordion_data::column::ColumnBuilder;
 use accordion_data::hash::{hash_row, hash_rows};
@@ -37,9 +37,11 @@ use accordion_exec::{
 use accordion_expr::agg::{AggKind, AggSpec};
 use accordion_expr::scalar::{BinaryOp, Expr};
 use accordion_net::{ExchangeReader, ExchangeWriter};
-use accordion_plan::fragment::StageTree;
+use accordion_plan::fragment::{PlanFragment, StageKind, StageTree};
+use accordion_plan::logical::JoinType;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
-use accordion_plan::pipeline::{split_pipelines, OperatorSpec, PipelineSpec};
+use accordion_plan::physical::{Partitioning, PhysicalNode};
+use accordion_plan::pipeline::split_pipelines;
 use accordion_plan::LogicalPlanBuilder;
 use accordion_storage::catalog::Catalog;
 use accordion_storage::table::TableBuilder;
@@ -1621,8 +1623,7 @@ fn sinks_behind_a_filter_receive_dense_pages() {
         let mut shapes = Vec::new();
         for fragment in tree.fragments() {
             for pipeline in split_pipelines(fragment).unwrap() {
-                let names: Vec<_> = pipeline.operators.iter().map(|o| o.name()).collect();
-                shapes.push(names.join(" → "));
+                shapes.push(pipeline.operator_names().join(" → "));
             }
         }
         shapes
@@ -1654,43 +1655,45 @@ fn sinks_behind_a_filter_receive_dense_pages() {
         );
 
         // The planner puts an exchange between a filtered scan and a join
-        // build, so that pipeline is written out by hand: one task, build
+        // build, so that fragment is written out by hand: one task, build
         // pipeline first, its rows arriving through an input reader as they
         // would off that exchange; the probe side scans `dates`.
-        let mut joined_fields = vec![Field::new("d", DataType::Date32)];
-        joined_fields.extend(handover_schema().fields().iter().cloned());
-        let pipelines = vec![
-            PipelineSpec {
-                id: PipelineId(0),
-                operators: vec![
-                    OperatorSpec::ExchangeSource {
-                        child_stage: StageId(1),
-                    },
-                    OperatorSpec::Filter {
-                        predicate: predicate.clone(),
-                    },
-                    OperatorSpec::HashJoinBuild {
-                        join: 0,
-                        keys: vec![K_DATE],
-                    },
-                ],
-            },
-            PipelineSpec {
-                id: PipelineId(1),
-                operators: vec![
-                    OperatorSpec::TableScan {
-                        table: "dates".into(),
-                        projection: vec![0],
-                    },
-                    OperatorSpec::HashJoinProbe {
-                        join: 0,
-                        keys: vec![0],
-                        output_schema: Schema::new(joined_fields),
-                    },
-                    OperatorSpec::Output,
-                ],
-            },
-        ];
+        let join = PhysicalNode::HashJoin {
+            probe: Arc::new(PhysicalNode::TableScan {
+                table: "dates".into(),
+                table_schema: catalog.get("dates").unwrap().schema.clone(),
+                projection: vec![0],
+            }),
+            build: Arc::new(PhysicalNode::Filter {
+                input: Arc::new(PhysicalNode::RemoteSource {
+                    child_stage: StageId(1),
+                    schema: handover_schema(),
+                }),
+                predicate: predicate.clone(),
+            }),
+            on: vec![(0, K_DATE)],
+            join_type: JoinType::Inner,
+        };
+        let pipelines = split_pipelines(&PlanFragment {
+            stage: StageId(0),
+            root: Arc::new(join),
+            parallelism: 1,
+            kind: StageKind::Source,
+            child_stages: vec![StageId(1)],
+            output_partitioning: Partitioning::Single,
+            elastic_bounds: None,
+        })
+        .unwrap();
+        assert_eq!(
+            pipelines
+                .iter()
+                .map(|p| p.operator_names())
+                .collect::<Vec<_>>(),
+            [
+                vec!["ExchangeSource", "Filter", "HashJoinBuild"],
+                vec!["TableScan", "HashJoinProbe", "Output"],
+            ]
+        );
         let delivered = Arc::new(Mutex::new(Vec::new()));
         let build_side = pages.iter().cloned().map(Arc::new).collect();
         let builds = JoinBuilds::new(None);

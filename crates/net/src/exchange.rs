@@ -14,8 +14,9 @@
 //! policy, and **where every consumer slot lives** ([`ConsumerLoc`]).
 //! [`ExchangeRegistry::build`] consumes the descriptor and materializes one
 //! [`ElasticQueue`] per consumer slot; writers route data pages by the
-//! edge's [`RoutePolicy`] — gather/broadcast (`Single`), hash partitioning,
-//! or round-robin. A transfer costs what the queue or the socket charges:
+//! edge's [`Partitioning`] — the plan's own type, also exported here as
+//! [`RoutePolicy`] — gather/broadcast (`Single`), hash partitioning, or
+//! round-robin. A transfer costs what the queue or the socket charges:
 //! there is no simulated link.
 //!
 //! The registry is **transport-agnostic**: a slot marked
@@ -57,7 +58,7 @@ use std::sync::Arc;
 use accordion_common::config::NetworkConfig;
 use accordion_common::sync::{Mutex, Semaphore};
 use accordion_common::{AccordionError, Result};
-use accordion_data::hash::hash_partition;
+use accordion_data::hash::{hash_partition, Partitioning};
 use accordion_data::page::{DataPage, EndReason, Page};
 
 use crate::buffer::{ElasticQueue, ExchangeLimits};
@@ -81,31 +82,10 @@ pub trait ExchangeReader: Send {
     fn pull(&mut self) -> Result<Page>;
 }
 
-/// How a writer routes data pages across the consumer-side queues. Mirrors
-/// `accordion_plan::physical::Partitioning` without depending on the plan
-/// crate (the executor converts between the two).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RoutePolicy {
-    /// One output partition. With one consumer this is a gather; with many
-    /// consumers every page is broadcast to each of them (a join's build
-    /// side, whose edge has one consumer per node: the node's table).
-    Single,
-    /// Rows are hash-partitioned on `keys` into `partitions` queues.
-    Hash { keys: Vec<usize>, partitions: u32 },
-    /// Whole pages are dealt round-robin across `partitions` queues.
-    RoundRobin { partitions: u32 },
-}
-
-impl RoutePolicy {
-    pub fn partition_count(&self) -> u32 {
-        match self {
-            RoutePolicy::Single => 1,
-            RoutePolicy::Hash { partitions, .. } | RoutePolicy::RoundRobin { partitions } => {
-                *partitions
-            }
-        }
-    }
-}
+/// How a writer routes data pages across an edge's consumer slots: the
+/// plan's [`Partitioning`] itself, under the second name the exchange's
+/// callers (the repo benchmark among them) spell it by.
+pub use accordion_data::hash::Partitioning as RoutePolicy;
 
 /// Where one consumer slot of an edge runs, from the building node's point
 /// of view. The same global slot is `Local` on exactly one node and
@@ -131,7 +111,7 @@ pub struct EdgeSpec {
     pub producers: u32,
     /// Routing policy; a multi-partition policy must match the consumer
     /// slot count one-to-one.
-    pub policy: RoutePolicy,
+    pub policy: Partitioning,
     /// One entry per consumer slot, globally indexed. Where each lives.
     pub consumers: Vec<ConsumerLoc>,
     /// Ignored: the elasticity controller's lease is a member of its node's
@@ -142,7 +122,7 @@ pub struct EdgeSpec {
 impl EdgeSpec {
     /// An all-local edge with `consumers` consumer slots — the common case
     /// for single-process execution.
-    pub fn local(stage: u32, producers: u32, policy: RoutePolicy, consumers: u32) -> EdgeSpec {
+    pub fn local(stage: u32, producers: u32, policy: Partitioning, consumers: u32) -> EdgeSpec {
         EdgeSpec {
             stage,
             producers,
@@ -208,7 +188,7 @@ struct Edge {
     /// One queue per consumer slot, globally indexed. Remote slots have a
     /// queue too (unused locally) so indices line up on every node.
     queues: Vec<Arc<ElasticQueue>>,
-    policy: RoutePolicy,
+    policy: Partitioning,
     consumers: Vec<ConsumerLoc>,
     /// This node's writer group: its live members, `None` once the last of
     /// them has left and the node's share of the edge has ended.
@@ -528,7 +508,7 @@ impl Drop for ExchangeRegistry {
 /// writer, local or remote, routes through it.
 pub fn route_page(
     page: &Arc<DataPage>,
-    policy: &RoutePolicy,
+    policy: &Partitioning,
     rr_next: &mut usize,
     sinks: usize,
     deliver: &mut dyn FnMut(usize, Arc<DataPage>) -> Result<()>,
@@ -537,12 +517,12 @@ pub fn route_page(
         return Ok(());
     }
     match policy {
-        RoutePolicy::Single => {
+        Partitioning::Single => {
             for sink in 0..sinks.max(1) {
                 deliver(sink, page.clone())?;
             }
         }
-        RoutePolicy::Hash { keys, partitions } => {
+        Partitioning::Hash { keys, partitions } => {
             for (part, piece) in hash_partition(page, keys, *partitions)
                 .into_iter()
                 .enumerate()
@@ -552,7 +532,7 @@ pub fn route_page(
                 }
             }
         }
-        RoutePolicy::RoundRobin { .. } => {
+        Partitioning::RoundRobin { .. } => {
             let sink = *rr_next % sinks.max(1);
             *rr_next += 1;
             deliver(sink, page.clone())?;

@@ -9,8 +9,10 @@
 //!   (page-granular, bounded, blocking, with `Page::End` as the in-band
 //!   termination signal) and the [`ExchangeRegistry`] that wires each
 //!   stage's output to its consumer tasks under a [`RoutePolicy`]
-//!   (gather/broadcast, hash, round-robin); a node's writers of a stage
-//!   are one producer of its output, however many tasks it runs.
+//!   (gather/broadcast, hash, round-robin: the plan's
+//!   `accordion_data::hash::Partitioning` under its exchange name); a
+//!   node's writers of a stage are one producer of its output, however
+//!   many tasks it runs.
 //! * [`buffer`] — the paper's elastic buffers (§4.2.2): per-(task,
 //!   partition) [`ElasticQueue`]s that start at **one page** and grow on
 //!   consumer-side demand up to the `NetworkConfig` limit, blocking

@@ -10,12 +10,12 @@
 //!    tree containing explicit **Exchange** nodes.
 //! 3. The [`fragment`] module cuts the physical plan at Exchange nodes into a
 //!    stage tree ([`fragment::StageTree`], paper Fig 4) of plan fragments.
-//! 4. The [`pipeline`] module rewrites each fragment into pipelines (paper
-//!    Fig 6) by splitting at the one pipeline breaker, the hash-join build
-//!    side.
+//! 4. The [`pipeline`] module splits each fragment into pipelines (paper
+//!    Fig 6) at the one pipeline breaker, the hash-join build side.
 //!
-//! The output of this crate is *descriptive*: operator **specs** that the
-//! `accordion-exec` crate instantiates into running operators/drivers.
+//! The output of this crate is *descriptive*: each pipeline is a run of the
+//! fragment's own physical nodes, which the `accordion-exec` driver
+//! instantiates into running operators.
 
 pub mod builder;
 pub mod catalog;
@@ -31,4 +31,4 @@ pub use fragment::{PlanFragment, StageKind, StageTree};
 pub use logical::{JoinType, LogicalPlan};
 pub use optimizer::{Optimizer, OptimizerConfig};
 pub use physical::{Partitioning, PhysicalNode};
-pub use pipeline::{build_inputs, split_pipelines, OperatorSpec, PipelineSpec};
+pub use pipeline::{build_inputs, split_pipelines, PipelineSpec, Sink};

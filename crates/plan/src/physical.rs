@@ -5,7 +5,10 @@
 //! mark task-to-task (network) shuffles and are the cut points for stage
 //! fragmentation (paper Fig 4). Inside a task nothing is redistributed:
 //! every pipeline has one driver, and pipelines break only at hash-join
-//! builds (paper Fig 6).
+//! builds (paper Fig 6). A pipeline is a run of these same nodes, from
+//! which the executor builds each operator. An [`Exchange`]'s
+//! [`Partitioning`] lives in `accordion_data::hash`, next to the hash
+//! partitioner, and is the exchange's routing policy as it stands.
 //!
 //! Aggregation is always represented in the paper's two-phase form
 //! ([`PhysicalNode::PartialAggregate`] / [`PhysicalNode::FinalAggregate`]):
@@ -20,6 +23,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use accordion_common::StageId;
+pub use accordion_data::hash::Partitioning;
 use accordion_data::schema::{Field, Schema, SchemaRef};
 use accordion_data::sort::SortKey;
 use accordion_data::types::DataType;
@@ -27,42 +31,6 @@ use accordion_expr::agg::AggSpec;
 use accordion_expr::scalar::Expr;
 
 use crate::logical::JoinType;
-
-/// How the producing side of an exchange partitions its output pages across
-/// the consuming side's tasks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Partitioning {
-    /// All pages flow to a single consumer (gather).
-    Single,
-    /// Rows are hash-partitioned on key columns into `partitions` buckets.
-    Hash { keys: Vec<usize>, partitions: u32 },
-    /// Pages are dealt round-robin across `partitions` consumers.
-    RoundRobin { partitions: u32 },
-}
-
-impl Partitioning {
-    /// Number of output partitions produced under this scheme.
-    pub fn partition_count(&self) -> u32 {
-        match self {
-            Partitioning::Single => 1,
-            Partitioning::Hash { partitions, .. } | Partitioning::RoundRobin { partitions } => {
-                *partitions
-            }
-        }
-    }
-}
-
-impl fmt::Display for Partitioning {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Partitioning::Single => write!(f, "single"),
-            Partitioning::Hash { keys, partitions } => {
-                write!(f, "hash{keys:?}x{partitions}")
-            }
-            Partitioning::RoundRobin { partitions } => write!(f, "rr x{partitions}"),
-        }
-    }
-}
 
 /// A physical plan node. Children are `Arc`-shared, like logical plans.
 #[derive(Debug, Clone)]

@@ -2,202 +2,146 @@
 //!
 //! Each task executes its fragment as a set of **pipelines**: maximal runs
 //! of operators that stream pages without buffering between them, each run
-//! by one driver. A fragment is split only where a hash-join build side must
-//! finish first: the build becomes a pipeline terminated by
-//! [`OperatorSpec::HashJoinBuild`], which materializes the hash table the
-//! probe pipeline's [`OperatorSpec::HashJoinProbe`] reads. A merge stage is
-//! one pipeline, `ExchangeSource → FinalAggregate → … → Output`, that
-//! merges pages as they arrive.
+//! by one driver. A pipeline is a run of the fragment's own
+//! [`PhysicalNode`]s in pull order, from a source to a [`Sink`]; the driver
+//! instantiates each operator from its node's fields. A fragment is split
+//! only where a hash-join build side must finish first: the build becomes a
+//! pipeline ending in [`Sink::JoinBuild`], which materializes the hash
+//! table the probe pipeline's `HashJoin` node reads. A merge stage is one
+//! pipeline, `ExchangeSource → FinalAggregate → … → Output`, that merges
+//! pages as they arrive.
 //!
 //! Pipelines are emitted producers-first, so executing them in order always
-//! satisfies intra-task data dependencies. The last pipeline ends with
-//! [`OperatorSpec::Output`]: it feeds the task's output buffer.
+//! satisfies intra-task data dependencies. The last pipeline ends in
+//! [`Sink::Output`]: it feeds the task's output buffer.
+
+use std::sync::Arc;
 
 use accordion_common::{AccordionError, PipelineId, Result, StageId};
-use accordion_data::schema::Schema;
-use accordion_data::sort::SortKey;
-use accordion_expr::agg::AggSpec;
 use accordion_expr::scalar::Expr;
 
 use crate::fragment::PlanFragment;
 use crate::physical::PhysicalNode;
 
-/// One operator slot of a pipeline, fully describing what the executor
-/// instantiates. Specs carry the output schemas the operators cannot infer
-/// from input pages alone (needed e.g. when the input is empty).
+/// Where a pipeline's pages go.
 #[derive(Debug, Clone)]
-pub enum OperatorSpec {
-    /// Source: streams the splits of a base table the task claims from its
-    /// stage's split queue.
-    TableScan {
-        table: String,
-        projection: Vec<usize>,
-    },
-    /// Source: streams pages produced by a child stage.
-    ExchangeSource {
-        child_stage: StageId,
-    },
-    Filter {
-        predicate: Expr,
-    },
-    Project {
-        exprs: Vec<(Expr, String)>,
-    },
-    PartialAggregate {
-        group_by: Vec<usize>,
-        aggs: Vec<AggSpec>,
-        output_schema: Schema,
-    },
-    FinalAggregate {
-        group_count: usize,
-        aggs: Vec<AggSpec>,
-        output_schema: Schema,
-        /// Groups may leave in table (first-seen) order instead of sorted
-        /// by key bytes: this pipeline carries them, through Filters and
-        /// Projects of plain column references, into a TopN or Sort whose
-        /// keys include every group column, so nobody can see their order.
-        /// Set by [`split_pipelines`].
-        table_order: bool,
-    },
-    /// Sink: consumes the build side of hash join `join` into a hash table.
-    HashJoinBuild {
-        join: usize,
-        keys: Vec<usize>,
-    },
-    /// Streams probe rows against the hash table built by `HashJoinBuild`.
-    HashJoinProbe {
-        join: usize,
-        keys: Vec<usize>,
-        output_schema: Schema,
-    },
-    TopN {
-        keys: Vec<SortKey>,
-        n: usize,
-    },
-    Sort {
-        keys: Vec<SortKey>,
-    },
-    Limit {
-        n: usize,
-    },
-    /// Sink: pushes pages into the task's output buffer.
+pub enum Sink {
+    /// The task's output buffer.
     Output,
+    /// The hash table of join `join`, keyed on the build-side columns of
+    /// its `on` pairs.
+    JoinBuild { join: usize, keys: Vec<usize> },
 }
 
-impl OperatorSpec {
+impl Sink {
     pub fn name(&self) -> &'static str {
         match self {
-            OperatorSpec::TableScan { .. } => "TableScan",
-            OperatorSpec::ExchangeSource { .. } => "ExchangeSource",
-            OperatorSpec::Filter { .. } => "Filter",
-            OperatorSpec::Project { .. } => "Project",
-            OperatorSpec::PartialAggregate { .. } => "PartialAggregate",
-            OperatorSpec::FinalAggregate { .. } => "FinalAggregate",
-            OperatorSpec::HashJoinBuild { .. } => "HashJoinBuild",
-            OperatorSpec::HashJoinProbe { .. } => "HashJoinProbe",
-            OperatorSpec::TopN { .. } => "TopN",
-            OperatorSpec::Sort { .. } => "Sort",
-            OperatorSpec::Limit { .. } => "Limit",
-            OperatorSpec::Output => "Output",
+            Sink::Output => "Output",
+            Sink::JoinBuild { .. } => "HashJoinBuild",
         }
     }
 }
 
-/// One pipeline of a task: `operators[0]` is a source, the last operator is
-/// a sink, everything between streams pages.
+/// One pipeline of a task: a source, the operators streaming its pages,
+/// and the sink they end in.
 #[derive(Debug, Clone)]
 pub struct PipelineSpec {
     pub id: PipelineId,
-    pub operators: Vec<OperatorSpec>,
+    /// The fragment's nodes this pipeline runs, in pull order: the source
+    /// (a `TableScan` or `RemoteSource`), then each streaming operator — a
+    /// `Filter`, `Project`, `PartialAggregate`, `FinalAggregate`, `TopN`,
+    /// `Sort` or `Limit`, or a `HashJoin` as its probe.
+    pub nodes: Vec<Arc<PhysicalNode>>,
+    /// The join id of each `HashJoin` in `nodes`, in order.
+    pub probes: Vec<usize>,
+    pub sink: Sink,
 }
 
 impl PipelineSpec {
     /// True when this pipeline feeds the task output buffer.
     pub fn is_output(&self) -> bool {
-        matches!(self.operators.last(), Some(OperatorSpec::Output))
+        matches!(self.sink, Sink::Output)
     }
 
-    /// Operator names in order — convenient for structural assertions.
+    /// Operator names in order, the sink's last: the names their meters
+    /// report in `QueryStats` (an `Output` sink has none).
     pub fn operator_names(&self) -> Vec<&'static str> {
-        self.operators.iter().map(|o| o.name()).collect()
+        let nodes = self.nodes.iter().map(|n| operator_name(n));
+        nodes.chain([self.sink.name()]).collect()
+    }
+
+    /// Whether the final aggregate at `nodes[step]` may leave its groups in
+    /// table (first-seen) order instead of sorting them by key bytes: the
+    /// steps after it carry its rows, through Filters and Projects of plain
+    /// column references, into a TopN or Sort whose keys include every
+    /// group column, so nobody can see their order (`sort_covers_groups`).
+    pub fn table_order(&self, step: usize) -> bool {
+        match &*self.nodes[step] {
+            PhysicalNode::FinalAggregate {
+                group_count, aggs, ..
+            } => {
+                let width = group_count + aggs.len();
+                sort_covers_groups(&self.nodes[step + 1..], *group_count, width)
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The name the operator running `node` reports: the plan's, except that
+/// a `RemoteSource` runs as an `ExchangeSource` and a `HashJoin` in a
+/// pipeline is its probe.
+pub fn operator_name(node: &PhysicalNode) -> &'static str {
+    match node {
+        PhysicalNode::RemoteSource { .. } => "ExchangeSource",
+        PhysicalNode::HashJoin { .. } => "HashJoinProbe",
+        node => node.name(),
     }
 }
 
 /// Splits a fragment into its pipelines at hash-join build sides. Producer
-/// pipelines precede their consumers; the final pipeline carries
-/// [`OperatorSpec::Output`].
+/// pipelines precede their consumers; the final pipeline ends in
+/// [`Sink::Output`].
 pub fn split_pipelines(fragment: &PlanFragment) -> Result<Vec<PipelineSpec>> {
-    let mut splitter = Splitter {
-        pipelines: Vec::new(),
-        joins: 0,
-    };
-    let mut ops = splitter.build(&fragment.root)?;
-    ops.push(OperatorSpec::Output);
-    splitter.pipelines.push(ops);
-    Ok(splitter
-        .pipelines
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut operators)| {
-            mark_unread_group_order(&mut operators);
-            PipelineSpec {
-                id: PipelineId(i as u32),
-                operators,
-            }
-        })
-        .collect())
+    let mut splitter = Splitter::default();
+    let mut run = Run::default();
+    splitter.build(&fragment.root, &mut run)?;
+    splitter.finish(run, Sink::Output);
+    Ok(splitter.pipelines)
 }
 
 /// The child stages a join build consumes, each with its join's id: the
-/// `ExchangeSource` of every pipeline that ends in
-/// [`OperatorSpec::HashJoinBuild`]. One task per node drains such an edge
-/// into the table every task of the stage on that node probes, so the edge
-/// has one consumer slot per node, and a task spawned mid-query reads no
-/// exchange of its own.
+/// `RemoteSource` of every pipeline that ends in [`Sink::JoinBuild`]. One
+/// task per node drains such an edge into the table every task of the
+/// stage on that node probes, so the edge has one consumer slot per node,
+/// and a task spawned mid-query reads no exchange of its own.
 pub fn build_inputs(pipelines: &[PipelineSpec]) -> Vec<(StageId, usize)> {
     pipelines
         .iter()
-        .filter_map(|p| match (p.operators.first(), p.operators.last()) {
+        .filter_map(|p| match (p.nodes.first().map(|n| &**n), &p.sink) {
             (
-                Some(OperatorSpec::ExchangeSource { child_stage }),
-                Some(OperatorSpec::HashJoinBuild { join, .. }),
+                Some(PhysicalNode::RemoteSource { child_stage, .. }),
+                Sink::JoinBuild { join, .. },
             ) => Some((*child_stage, *join)),
             _ => None,
         })
         .collect()
 }
 
-/// Sets `table_order` on every final aggregate of a finished pipeline whose
-/// group order nobody reads ([`sort_covers_groups`]).
-fn mark_unread_group_order(operators: &mut [OperatorSpec]) {
-    for i in 0..operators.len() {
-        let (head, downstream) = operators.split_at_mut(i + 1);
-        if let OperatorSpec::FinalAggregate {
-            group_count,
-            output_schema,
-            table_order,
-            ..
-        } = &mut head[i]
-        {
-            *table_order = sort_covers_groups(downstream, *group_count, output_schema.len());
-        }
-    }
-}
-
-/// Whether the operators after a final aggregate (of `width` output
-/// columns, the first `group_count` of them its group columns) carry its
-/// rows, through Filters and Projects of plain column references, into a
-/// TopN or Sort whose keys include every group column. Two groups then
-/// differ in a sort key, and keys compare by `Value::total_cmp` — under
-/// which a NULL and a value, and any two distinct float bit patterns, are
-/// unequal — so the sort leaves no tie for arrival order to break.
-fn sort_covers_groups(downstream: &[OperatorSpec], group_count: usize, width: usize) -> bool {
+/// Whether the nodes after a final aggregate (of `width` output columns,
+/// the first `group_count` of them its group columns) carry its rows,
+/// through Filters and Projects of plain column references, into a TopN or
+/// Sort whose keys include every group column. Two groups then differ in a
+/// sort key, and keys compare by `Value::total_cmp` — under which a NULL
+/// and a value, and any two distinct float bit patterns, are unequal — so
+/// the sort leaves no tie for arrival order to break.
+fn sort_covers_groups(downstream: &[Arc<PhysicalNode>], group_count: usize, width: usize) -> bool {
     // For each column of the stream, the aggregate column it copies.
     let mut origin: Vec<Option<usize>> = (0..width).map(Some).collect();
-    for op in downstream {
-        match op {
-            OperatorSpec::Filter { .. } => {}
-            OperatorSpec::Project { exprs } => {
+    for node in downstream {
+        match &**node {
+            PhysicalNode::Filter { .. } => {}
+            PhysicalNode::Project { exprs, .. } => {
                 origin = exprs
                     .iter()
                     .map(|(e, _)| match e {
@@ -206,7 +150,7 @@ fn sort_covers_groups(downstream: &[OperatorSpec], group_count: usize, width: us
                     })
                     .collect();
             }
-            OperatorSpec::TopN { keys, .. } | OperatorSpec::Sort { keys } => {
+            PhysicalNode::TopN { keys, .. } | PhysicalNode::Sort { keys, .. } => {
                 return (0..group_count).all(|g| {
                     keys.iter()
                         .any(|k| origin.get(k.column).copied().flatten() == Some(g))
@@ -218,115 +162,63 @@ fn sort_covers_groups(downstream: &[OperatorSpec], group_count: usize, width: us
     false
 }
 
+/// The nodes and probe join ids of a pipeline under construction.
+#[derive(Default)]
+struct Run {
+    nodes: Vec<Arc<PhysicalNode>>,
+    probes: Vec<usize>,
+}
+
+#[derive(Default)]
 struct Splitter {
-    /// Completed producer pipelines, in execution order.
-    pipelines: Vec<Vec<OperatorSpec>>,
+    /// Completed pipelines, in execution order.
+    pipelines: Vec<PipelineSpec>,
     joins: usize,
 }
 
 impl Splitter {
-    /// Returns the operator prefix of the pipeline `node` belongs to,
-    /// pushing any producer pipelines it depends on.
-    fn build(&mut self, node: &PhysicalNode) -> Result<Vec<OperatorSpec>> {
-        match node {
-            PhysicalNode::TableScan {
-                table, projection, ..
-            } => Ok(vec![OperatorSpec::TableScan {
-                table: table.clone(),
-                projection: projection.clone(),
-            }]),
-            PhysicalNode::RemoteSource { child_stage, .. } => {
-                Ok(vec![OperatorSpec::ExchangeSource {
-                    child_stage: *child_stage,
-                }])
-            }
+    /// Appends `node`'s subtree, source first, to the pipeline `run` it
+    /// belongs to, finishing first every build pipeline it depends on.
+    fn build(&mut self, node: &Arc<PhysicalNode>, run: &mut Run) -> Result<()> {
+        match &**node {
             // One driver sees every row whatever the partitioning, so the
             // operators above stay globally correct.
-            PhysicalNode::LocalExchange { input, .. } => self.build(input),
+            PhysicalNode::LocalExchange { input, .. } => return self.build(input, run),
+            PhysicalNode::Exchange { .. } => {
+                return Err(AccordionError::Plan(
+                    "fragment contains an uncut Exchange — run StageTree::build first".into(),
+                ))
+            }
             PhysicalNode::HashJoin {
                 probe, build, on, ..
             } => {
                 let join = self.joins;
                 self.joins += 1;
-                let mut build_ops = self.build(build)?;
-                build_ops.push(OperatorSpec::HashJoinBuild {
-                    join,
-                    keys: on.iter().map(|&(_, b)| b).collect(),
-                });
-                self.pipelines.push(build_ops);
-                let mut probe_ops = self.build(probe)?;
-                probe_ops.push(OperatorSpec::HashJoinProbe {
-                    join,
-                    keys: on.iter().map(|&(p, _)| p).collect(),
-                    output_schema: node.schema(),
-                });
-                Ok(probe_ops)
+                let mut build_run = Run::default();
+                self.build(build, &mut build_run)?;
+                let keys = on.iter().map(|&(_, b)| b).collect();
+                self.finish(build_run, Sink::JoinBuild { join, keys });
+                self.build(probe, run)?;
+                run.probes.push(join);
             }
-            PhysicalNode::Filter { input, predicate } => {
-                let mut ops = self.build(input)?;
-                ops.push(OperatorSpec::Filter {
-                    predicate: predicate.clone(),
-                });
-                Ok(ops)
+            // A source has no input; every other operator streams its one.
+            _ => {
+                for input in node.children() {
+                    self.build(input, run)?;
+                }
             }
-            PhysicalNode::Project { input, exprs } => {
-                let mut ops = self.build(input)?;
-                ops.push(OperatorSpec::Project {
-                    exprs: exprs.clone(),
-                });
-                Ok(ops)
-            }
-            PhysicalNode::PartialAggregate {
-                input,
-                group_by,
-                aggs,
-            } => {
-                let output_schema = node.schema();
-                let mut ops = self.build(input)?;
-                ops.push(OperatorSpec::PartialAggregate {
-                    group_by: group_by.clone(),
-                    aggs: aggs.clone(),
-                    output_schema,
-                });
-                Ok(ops)
-            }
-            PhysicalNode::FinalAggregate {
-                input,
-                group_count,
-                aggs,
-            } => {
-                let output_schema = node.schema();
-                let mut ops = self.build(input)?;
-                ops.push(OperatorSpec::FinalAggregate {
-                    group_count: *group_count,
-                    aggs: aggs.clone(),
-                    output_schema,
-                    table_order: false,
-                });
-                Ok(ops)
-            }
-            PhysicalNode::Sort { input, keys } => {
-                let mut ops = self.build(input)?;
-                ops.push(OperatorSpec::Sort { keys: keys.clone() });
-                Ok(ops)
-            }
-            PhysicalNode::TopN { input, keys, n } => {
-                let mut ops = self.build(input)?;
-                ops.push(OperatorSpec::TopN {
-                    keys: keys.clone(),
-                    n: *n,
-                });
-                Ok(ops)
-            }
-            PhysicalNode::Limit { input, n } => {
-                let mut ops = self.build(input)?;
-                ops.push(OperatorSpec::Limit { n: *n });
-                Ok(ops)
-            }
-            PhysicalNode::Exchange { .. } => Err(AccordionError::Plan(
-                "fragment contains an uncut Exchange — run StageTree::build first".into(),
-            )),
         }
+        run.nodes.push(node.clone());
+        Ok(())
+    }
+
+    fn finish(&mut self, run: Run, sink: Sink) {
+        self.pipelines.push(PipelineSpec {
+            id: PipelineId(self.pipelines.len() as u32),
+            nodes: run.nodes,
+            probes: run.probes,
+            sink,
+        });
     }
 }
 
@@ -337,8 +229,8 @@ mod tests {
     use crate::logical::JoinType;
     use crate::physical::Partitioning;
     use accordion_data::schema::{Field, Schema};
+    use accordion_data::sort::SortKey;
     use accordion_data::types::DataType;
-    use std::sync::Arc;
 
     fn scan(name: &str) -> Arc<PhysicalNode> {
         Arc::new(PhysicalNode::TableScan {

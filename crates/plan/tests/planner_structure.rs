@@ -14,7 +14,7 @@ use accordion_plan::catalog::MemoryCatalog;
 use accordion_plan::fragment::{DopBounds, StageKind, StageTree};
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::physical::{Partitioning, PhysicalNode};
-use accordion_plan::pipeline::{build_inputs, split_pipelines, OperatorSpec};
+use accordion_plan::pipeline::{build_inputs, split_pipelines};
 use accordion_plan::LogicalPlanBuilder;
 use accordion_sql::plan_select;
 use accordion_storage::catalog::Catalog;
@@ -416,15 +416,16 @@ fn tpch_tree(sql: &str) -> StageTree {
     StageTree::build(optimizer.optimize(&plan).unwrap()).unwrap()
 }
 
-/// `table_order` of every final aggregate in `sql`'s pipelines.
+/// `PipelineSpec::table_order` of every final aggregate in `sql`'s
+/// pipelines: what the driver builds each one with.
 fn final_table_order(sql: &str) -> Vec<bool> {
     let tree = tpch_tree(sql);
     let mut out = Vec::new();
     for fragment in tree.fragments() {
         for pipeline in split_pipelines(fragment).unwrap() {
-            for op in pipeline.operators {
-                if let OperatorSpec::FinalAggregate { table_order, .. } = op {
-                    out.push(table_order);
+            for (step, node) in pipeline.nodes.iter().enumerate() {
+                if let PhysicalNode::FinalAggregate { .. } = **node {
+                    out.push(pipeline.table_order(step));
                 }
             }
         }
