@@ -1,16 +1,15 @@
 //! Admission control: gates query starts against the executor's pool.
 //!
-//! [`AdmissionController`] admits queries up to
-//! `max_concurrent_queries`; beyond it, arrivals either wait
-//! ([`AdmissionPolicy::Queue`], bounded by `queue_limit`) or fail fast
-//! ([`AdmissionPolicy::Reject`]). The default is unlimited. Admitted queries
-//! share the executor's compute slots: each query's
-//! elasticity controller caps its DOP at the pool's slots, and the slot
-//! semaphore decides which task runs.
+//! [`AdmissionController`] admits queries up to `max_concurrent_queries`;
+//! beyond it, an arrival waits while fewer than `queue_limit` already do
+//! and fails fast otherwise — so a queue limit of 0 rejects every arrival
+//! past the limit. The default is unlimited. Admitted queries share the
+//! executor's compute slots: each query's elasticity controller caps its
+//! DOP at the pool's slots, and the slot semaphore decides which task runs.
 
 use std::sync::Arc;
 
-use accordion_common::config::{AdmissionConfig, AdmissionPolicy};
+use accordion_common::config::AdmissionConfig;
 use accordion_common::sync::{condvar_wait, Condvar, Mutex};
 use accordion_common::{AccordionError, Result};
 
@@ -23,8 +22,7 @@ pub struct AdmissionStats {
     pub waiting: usize,
     /// Permits ever granted.
     pub admitted: u64,
-    /// Arrivals turned away (policy `Reject`, a full queue, or an abort
-    /// while queued).
+    /// Arrivals turned away (a full queue, or an abort while queued).
     pub rejected: u64,
     /// High-water mark of concurrently running queries.
     pub peak_running: usize,
@@ -77,51 +75,35 @@ impl AdmissionController {
         &self.config
     }
 
-    /// Admits one query, blocking under the `Queue` policy while the pool
-    /// is saturated. Errors when the `Reject` policy turns the query away,
-    /// when the wait queue itself is full, or when
+    /// Admits one query, blocking while the pool is saturated. Errors when
+    /// the wait queue is full (at once, with a queue limit of 0) or when
     /// [`Self::abort_waiters`] fails the queued arrivals.
     pub fn admit(self: &Arc<Self>) -> Result<AdmissionPermit> {
         let mut st = self.state.lock();
-        let Some(max) = self.config.max_concurrent_queries else {
-            st.stats.running += 1;
-            st.stats.admitted += 1;
-            st.stats.peak_running = st.stats.peak_running.max(st.stats.running);
-            return Ok(AdmissionPermit {
-                controller: self.clone(),
-            });
-        };
+        let max = self.config.max_concurrent_queries.unwrap_or(usize::MAX);
         if st.stats.running >= max {
-            match self.config.policy {
-                AdmissionPolicy::Reject => {
-                    st.stats.rejected += 1;
-                    return Err(AccordionError::Execution(format!(
-                        "admission rejected: {} queries already running (max {max})",
-                        st.stats.running
-                    )));
-                }
-                AdmissionPolicy::Queue => {
-                    if st.stats.waiting >= self.config.queue_limit {
-                        st.stats.rejected += 1;
-                        return Err(AccordionError::Execution(format!(
-                            "admission queue full: {} queries waiting (limit {})",
-                            st.stats.waiting, self.config.queue_limit
-                        )));
-                    }
-                    st.stats.waiting += 1;
-                    let generation = st.abort_generation;
-                    while st.stats.running >= max && st.abort_generation == generation {
-                        st = condvar_wait(&self.cv, st);
-                    }
-                    st.stats.waiting -= 1;
-                    if st.abort_generation != generation {
-                        st.stats.rejected += 1;
-                        let err = st.abort_error.clone().unwrap_or_else(|| {
-                            AccordionError::Execution("admission wait aborted".into())
-                        });
-                        return Err(err);
-                    }
-                }
+            let limit = self.config.queue_limit;
+            if st.stats.waiting >= limit {
+                st.stats.rejected += 1;
+                return Err(AccordionError::Execution(format!(
+                    "admission rejected: {} queries running (max {max}), queue full \
+                     ({} waiting, limit {limit})",
+                    st.stats.running, st.stats.waiting
+                )));
+            }
+            st.stats.waiting += 1;
+            let generation = st.abort_generation;
+            while st.stats.running >= max && st.abort_generation == generation {
+                st = condvar_wait(&self.cv, st);
+            }
+            st.stats.waiting -= 1;
+            if st.abort_generation != generation {
+                st.stats.rejected += 1;
+                let err = st
+                    .abort_error
+                    .clone()
+                    .unwrap_or_else(|| AccordionError::Execution("admission wait aborted".into()));
+                return Err(err);
             }
         }
         st.stats.running += 1;
@@ -151,6 +133,7 @@ impl AdmissionController {
         self.state.lock().stats
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,6 +163,21 @@ mod tests {
         // Capacity freed: the next arrival admits.
         let _again = ctrl.admit().unwrap();
         assert_eq!(ctrl.stats().rejected, 1);
+    }
+
+    #[test]
+    fn a_zero_length_queue_rejects_at_once() {
+        let config = AdmissionConfig {
+            queue_limit: 0,
+            ..AdmissionConfig::queued(1)
+        };
+        let ctrl = Arc::new(AdmissionController::new(config));
+        let _permit = ctrl.admit().unwrap();
+        let err = ctrl.admit().unwrap_err().to_string();
+        assert!(err.contains("admission rejected"), "{err}");
+        assert!(err.contains("queue full"), "{err}");
+        let s = ctrl.stats();
+        assert_eq!((s.waiting, s.rejected), (0, 1));
     }
 
     #[test]

@@ -43,8 +43,11 @@
 //! parks the rest on short-lived threads, so no claim holds up the pages
 //! sharing its session. Grown tasks always spawn on the coordinator, where
 //! they join its writer groups and change nothing on any other node;
-//! shrunk tasks observe retirement through their next claim reply. [`ClaimWiring`] names which side of the service a node is on —
-//! or that it is alone and its queues need no service at all.
+//! shrunk tasks observe retirement through their next claim reply. Which
+//! side of the service a node is on follows from its [`DistRole`]: node 0
+//! registers its queues in the [`SplitQueues`] it is wired with — a fleet
+//! of one in a service nobody else reaches — and every other node claims
+//! at `peers[0]`.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -72,11 +75,10 @@ pub fn task_node(task: u32, nodes: u32) -> u32 {
 pub struct DistRole {
     /// This node's index; node 0 is the coordinator.
     pub node: u32,
-    /// Fleet size.
-    pub nodes: u32,
-    /// The address of every node, indexed by node id (this node's own
-    /// entry is present but unused). `peers[0]` is where workers claim
-    /// splits as well as where they send pages.
+    /// The address of every node, indexed by node id, so the fleet is as
+    /// large as this list (this node's own entry is present but unused).
+    /// `peers[0]` is where workers claim splits as well as where they send
+    /// pages.
     pub peers: Vec<String>,
 }
 
@@ -85,9 +87,13 @@ impl DistRole {
     pub fn single() -> DistRole {
         DistRole {
             node: 0,
-            nodes: 1,
             peers: vec![String::new()],
         }
+    }
+
+    /// Fleet size.
+    pub fn nodes(&self) -> u32 {
+        self.peers.len() as u32
     }
 
     pub fn is_coordinator(&self) -> bool {
@@ -117,14 +123,14 @@ pub fn distributed_topology(
     query: u64,
     role: &DistRole,
 ) -> Result<ExchangeTopology> {
-    if role.peers.len() != role.nodes as usize {
-        return Err(AccordionError::Internal(format!(
-            "role lists {} peer addresses for {} nodes",
-            role.peers.len(),
-            role.nodes
+    let nodes = role.nodes();
+    if role.node >= nodes {
+        return Err(AccordionError::Execution(format!(
+            "role names node {} of a fleet of {nodes}",
+            role.node
         )));
     }
-    let mut topology = exchange_topology(tree, role.nodes)?;
+    let mut topology = exchange_topology(tree, nodes)?;
     topology.query = query;
     for (id, addr) in role.peers.iter().enumerate() {
         if id as u32 != role.node {
@@ -133,7 +139,7 @@ pub fn distributed_topology(
     }
     for edge in &mut topology.edges {
         for (slot, loc) in edge.consumers.iter_mut().enumerate() {
-            let home = task_node(slot as u32, role.nodes);
+            let home = task_node(slot as u32, nodes);
             *loc = if home == role.node {
                 ConsumerLoc::Local
             } else {
@@ -251,9 +257,9 @@ pub type SplitServer = Served<SplitQueues>;
 ///
 /// One instance is shared by all of a worker's tasks of the stage, and its
 /// claims travel on the query's session to the coordinator next to the
-/// node's pages. A transport failure panics the claiming task — the
-/// scheduler's panic path poisons the exchanges, which is exactly the
-/// contract for a mid-query node loss.
+/// node's pages. A failed claim — a lost connection, or an ERR such as a
+/// poisoned coordinator's — poisons the query with its error, which is
+/// exactly the contract for a mid-query node loss.
 pub struct RemoteSplitSource {
     /// The registry whose session to `addr` carries the claims.
     registry: Arc<ExchangeRegistry>,
@@ -270,9 +276,21 @@ impl RemoteSplitSource {
     /// as the catalog does.
     pub fn new(addr: String, query: u64, stage: u32, splits: Vec<Split>) -> Arc<RemoteSplitSource> {
         let own = ExchangeTopology::new(query);
+        let registry = ExchangeRegistry::build(&own, &NetworkConfig::default(), NicModel)
+            .expect("a registry without edges always builds");
+        RemoteSplitSource::on(registry, addr, stage, splits)
+    }
+
+    /// A source whose claims ride `registry`'s session to `addr`: a
+    /// worker's, next to its pages to the coordinator.
+    pub(crate) fn on(
+        registry: Arc<ExchangeRegistry>,
+        addr: String,
+        stage: u32,
+        splits: Vec<Split>,
+    ) -> Arc<RemoteSplitSource> {
         Arc::new(RemoteSplitSource {
-            registry: ExchangeRegistry::build(&own, &NetworkConfig::default(), NicModel)
-                .expect("a registry without edges always builds"),
+            registry,
             addr,
             stage,
             splits,
@@ -301,67 +319,17 @@ impl SplitSource for RemoteSplitSource {
                 self.retired.lock().insert(slot);
                 None
             }
-            // The task meets the query's poison at its next exchange call.
-            Err(_) if self.registry.poison_error().is_some() => None,
-            Err(e) => panic!("split claim failed: {e}"),
+            // A failed claim fails the query, if nothing has yet, and the
+            // task meets the poison at its next exchange call.
+            Err(e) => {
+                self.registry.poison(e);
+                None
+            }
         }
     }
 
     fn is_retired(&self, slot: u32) -> bool {
         self.retired.lock().contains(&slot)
-    }
-}
-
-/// How a node's scanning stages reach the query's shared split pools.
-pub enum ClaimWiring<'a> {
-    /// A fleet of one: the node owns the queues and nobody else claims.
-    Local,
-    /// Coordinator: owns the queues and publishes them on its service.
-    Serve(&'a SplitQueues),
-    /// Worker: claims from the coordinator's service, at the coordinator's
-    /// node address, on the query's session to it.
-    Connect,
-}
-
-/// One scanning stage's split pool as this node sees it.
-pub(crate) struct StagePool {
-    /// Where this node's tasks of the stage claim from.
-    pub(crate) source: Arc<dyn SplitSource>,
-    /// The queue itself, on the node that owns it — which is therefore the
-    /// node that runs the stage's controller, when one drives it.
-    pub(crate) queue: Option<Arc<SplitQueue>>,
-}
-
-impl ClaimWiring<'_> {
-    /// This node's pool for `stage` of query `query`, whose splits are
-    /// `splits` in catalog order. A worker claims on `registry`'s session
-    /// to `coordinator`.
-    pub(crate) fn pool(
-        &self,
-        query: u64,
-        stage: u32,
-        splits: Vec<Split>,
-        registry: &Arc<ExchangeRegistry>,
-        coordinator: &str,
-    ) -> StagePool {
-        let owned = |queue: Arc<SplitQueue>| StagePool {
-            source: queue.clone(),
-            queue: Some(queue),
-        };
-        match self {
-            ClaimWiring::Local => owned(Arc::new(SplitQueue::new(splits))),
-            ClaimWiring::Serve(server) => owned(server.register(query, stage, splits)),
-            ClaimWiring::Connect => StagePool {
-                source: Arc::new(RemoteSplitSource {
-                    registry: registry.clone(),
-                    addr: coordinator.to_string(),
-                    stage,
-                    splits,
-                    retired: Mutex::default(),
-                }),
-                queue: None,
-            },
-        }
     }
 }
 

@@ -101,7 +101,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use accordion_common::config::{ElasticityConfig, ElasticityMode};
+use accordion_common::config::ElasticityMode;
 use accordion_common::metrics::TimePoint;
 use accordion_common::sync::Signal;
 use accordion_common::Result;
@@ -326,7 +326,7 @@ impl Drop for StageControl {
 /// elastic stages' split queues, writer leases and runtime information,
 /// and applies DOP retunes at between-splits decision boundaries.
 pub struct ElasticityController {
-    config: ElasticityConfig,
+    mode: ElasticityMode,
     /// Also the deadline's anchor: every `Auto` decision budgets against
     /// the deadline **minus [`QueryMetrics::elapsed`]** — handing the
     /// predictor the full deadline at every boundary would let a query
@@ -350,7 +350,7 @@ impl ElasticityController {
     /// already: node 0 arms it when it wires the query, before a task on
     /// any node can claim.
     pub fn new(
-        config: ElasticityConfig,
+        mode: ElasticityMode,
         metrics: Arc<QueryMetrics>,
         stages: Vec<StageControl>,
         slots: u32,
@@ -362,7 +362,7 @@ impl ElasticityController {
         // A task's first page opens its era and is not part of it.
         metrics.watch_scans(MIN_SAMPLE_PAGES + 1, signal.clone());
         ElasticityController {
-            config,
+            mode,
             metrics,
             stages,
             slots: slots.max(1),
@@ -527,7 +527,7 @@ impl ElasticityController {
             let st = &self.stages[i];
             (st.bounds, st.dop())
         };
-        let (target, predicted_secs) = match self.config.mode {
+        let (target, predicted_secs) = match self.mode {
             ElasticityMode::Off => return Ok(()),
             ElasticityMode::Forced { target_dop } => (bounds.clamp(target_dop), 0.0),
             ElasticityMode::ForcedGrow => (bounds.clamp(dop.saturating_mul(2)), 0.0),
@@ -556,7 +556,7 @@ impl ElasticityController {
 
         // Arm the next boundary — or, for one-shot forced schedules, go
         // passive: release the queue so claims never block again.
-        match self.config.mode {
+        match self.mode {
             // Every claimed split is a boundary. That costs one wake-up of
             // this thread per split and, as a rule, no waiting: the claim
             // that reaches the boundary raises the signal and goes off to
@@ -734,8 +734,7 @@ mod tests {
         // full-deadline bug, both decisions below were identical.
         let clock = ManualClock::shared();
         let metrics = Arc::new(QueryMetrics::with_clock(clock.clone()));
-        let ctrl =
-            ElasticityController::new(ElasticityConfig::auto(10_000), metrics, Vec::new(), 4);
+        let ctrl = ElasticityController::new(ElasticityMode::auto(10_000), metrics, Vec::new(), 4);
 
         // 1000 rows left, 100 rows/s measured at 2 tasks → 50 rows/s/task.
         let decide =
@@ -904,7 +903,7 @@ mod tests {
     /// A one-stage registry and a controller over `splits` for stage 1,
     /// whose metrics run on `clock`.
     fn controlled(
-        config: ElasticityConfig,
+        config: ElasticityMode,
         splits: Vec<accordion_storage::split::Split>,
         clock: accordion_common::SharedClock,
     ) -> (
@@ -943,7 +942,7 @@ mod tests {
     #[test]
     fn v_remain_includes_a_split_that_is_claimed_but_not_scanned() {
         let (_registry, metrics, queue, mut ctrl) = controlled(
-            ElasticityConfig::auto(1_000),
+            ElasticityMode::auto(1_000),
             vec![split(0, 10), split(1, 10)],
             ManualClock::shared(),
         );
@@ -969,7 +968,7 @@ mod tests {
         // query whose only scan task waits at the boundary while the
         // failure happens somewhere that cannot wake the controller.
         let (registry, _metrics, queue, ctrl) = controlled(
-            ElasticityConfig::off(),
+            ElasticityMode::off(),
             vec![split(0, 1), split(1, 1), split(2, 1)],
             ManualClock::shared(),
         );
@@ -1011,7 +1010,7 @@ mod tests {
     fn the_controller_samples_the_live_scan_rate() {
         let clock = ManualClock::shared();
         let (registry, metrics, _, mut ctrl) =
-            controlled(ElasticityConfig::off(), vec![split(0, 1)], clock.clone());
+            controlled(ElasticityMode::off(), vec![split(0, 1)], clock.clone());
         let m = metrics.register(1, 0, 0, "TableScan");
         let last_rate = |ctrl: &ElasticityController| ctrl.stages[0].series.last().unwrap().value;
 
@@ -1056,7 +1055,7 @@ mod tests {
     fn the_first_era_starts_at_the_first_page_not_at_query_start() {
         let clock = ManualClock::shared();
         let (_registry, metrics, _, mut ctrl) =
-            controlled(ElasticityConfig::off(), vec![split(0, 1)], clock.clone());
+            controlled(ElasticityMode::off(), vec![split(0, 1)], clock.clone());
         // 5 ms pass before the scan task runs at all: nothing to sample.
         clock.advance_millis(5);
         let m = metrics.register(1, 0, 0, "TableScan");
@@ -1083,7 +1082,7 @@ mod tests {
         // would read 170) and the predictor would mis-size every retune.
         let clock = ManualClock::shared();
         let (_registry, metrics, _, mut ctrl) =
-            controlled(ElasticityConfig::off(), vec![split(0, 1)], clock.clone());
+            controlled(ElasticityMode::off(), vec![split(0, 1)], clock.clone());
         let m = metrics.register(1, 0, 0, "TableScan");
 
         let eras: [(u64, f64); 3] = [(100, 100.0), (10, 10.0), (400, 400.0)];
@@ -1123,7 +1122,7 @@ mod tests {
             StageControl::new(id, bounds(1, 8), 1, Arc::new(queue), lease.unwrap())
         };
         let stages = vec![stage(1, Vec::new()), stage(2, vec![split(0, 1)])];
-        let ctrl = ElasticityController::new(ElasticityConfig::off(), metrics.clone(), stages, 2);
+        let ctrl = ElasticityController::new(ElasticityMode::off(), metrics.clone(), stages, 2);
         let _task_writer = registry.writer(2, 0, None).unwrap();
         let controller = {
             let registry = registry.clone();

@@ -37,8 +37,8 @@ pub mod scheduler;
 
 pub use admission::{AdmissionController, AdmissionPermit, AdmissionStats};
 pub use dist::{
-    distributed_topology, plan_fingerprint, task_node, ClaimMsg, ClaimWiring, DistRole,
-    RemoteSplitSource, SplitQueues, SplitServer,
+    distributed_topology, plan_fingerprint, task_node, ClaimMsg, DistRole, RemoteSplitSource,
+    SplitQueues, SplitServer,
 };
 pub use elastic::{ElasticityController, StageControl, WhatIfPredictor};
 pub use scheduler::{NodeQuery, QueryExecutor};

@@ -20,7 +20,7 @@
 //! | | node 0 (coordinator) | nodes 1.. (workers) |
 //! |---|---|---|
 //! | admission gate | passes it | — (node 0 answers for the query) |
-//! | split pools | owns the [`SplitQueue`]s | claims through a [`ClaimWiring`] proxy |
+//! | split pools | registers the [`SplitQueue`]s in its [`SplitQueues`] | claims at `peers[0]` through a [`RemoteSplitSource`] |
 //! | elasticity controller | arms its boundaries when wired, runs it, spawns grown tasks | — |
 //! | stage 0's result | drains it (`Some(result)`) | `None`, or the query's poison |
 //!
@@ -87,7 +87,7 @@ use accordion_common::{AccordionError, Result};
 use accordion_exec::driver::{run_task, JoinBuilds, TaskContext};
 use accordion_exec::executor::{drain_result, ExecOptions, QueryResult};
 use accordion_exec::metrics::QueryMetrics;
-use accordion_exec::splits::SplitFeed;
+use accordion_exec::splits::{SplitFeed, SplitQueue, SplitSource};
 use accordion_net::{ConsumerLoc, ExchangeRegistry, NicModel};
 use accordion_plan::fragment::StageTree;
 use accordion_plan::logical::LogicalPlan;
@@ -96,7 +96,7 @@ use accordion_plan::pipeline::{build_inputs, split_pipelines, PipelineSpec};
 use accordion_storage::catalog::Catalog;
 
 use crate::admission::{AdmissionController, AdmissionPermit};
-use crate::dist::{distributed_topology, task_node, ClaimWiring, DistRole, StagePool};
+use crate::dist::{distributed_topology, task_node, DistRole, RemoteSplitSource, SplitQueues};
 use crate::elastic::{ElasticityController, StageControl};
 
 /// One task, assembled before its thread spawns: its stage's pipelines
@@ -176,8 +176,12 @@ pub struct NodeQuery<T = Arc<StageTree>> {
     opts: ExecOptions,
     role: DistRole,
     registry: Arc<ExchangeRegistry>,
-    /// Split pools of the stages that scan a table, by stage id.
-    pools: HashMap<u32, StagePool>,
+    /// Where this node's tasks of each stage that scans a table claim its
+    /// splits, by stage id.
+    sources: HashMap<u32, Arc<dyn SplitSource>>,
+    /// The stages' split queues themselves, on node 0, which owns them and
+    /// so runs their controller.
+    queues: HashMap<u32, Arc<SplitQueue>>,
     remote_slots: usize,
     fleet_remote_slots: usize,
     /// The executor's slot pool, which the run draws on, and its size.
@@ -249,23 +253,20 @@ impl QueryExecutor {
         tree: &StageTree,
         opts: &ExecOptions,
     ) -> Result<QueryResult> {
-        // A query id is only ever spoken to peers; node 0 of 1 has none.
-        self.wire(
-            catalog,
-            tree,
-            opts,
-            DistRole::single(),
-            0,
-            ClaimWiring::Local,
-        )?
-        .run()?
-        .ok_or_else(|| AccordionError::Internal("node 0 returned no result".into()))
+        // A query id is only ever spoken to peers, and node 0 of 1 serves
+        // its split queues to nobody.
+        let claims = SplitQueues::default();
+        self.wire(catalog, tree, opts, DistRole::single(), 0, &claims)?
+            .run()?
+            .ok_or_else(|| AccordionError::Internal("node 0 returned no result".into()))
     }
 
     /// Wires this node's share of query `query` (an id every node of the
     /// fleet agrees on) — phase one of an execution; see [`NodeQuery`].
     /// `opts` follows [`Self::execute_tree_opts`]: the pool and the
-    /// admission limit stay the executor's.
+    /// admission limit stay the executor's. `claims` is the node's claim
+    /// service, where node 0 registers the query's split queues; any other
+    /// node claims from node 0's.
     pub fn wire<T>(
         &self,
         catalog: &Catalog,
@@ -273,14 +274,14 @@ impl QueryExecutor {
         opts: &ExecOptions,
         role: DistRole,
         query: u64,
-        claim: ClaimWiring<'_>,
+        claims: &SplitQueues,
     ) -> Result<NodeQuery<T>>
     where
         T: Deref<Target = StageTree>,
     {
-        // Admission first, on the node that answers for the query: under
-        // the `Queue` policy this blocks until the pool has room; the
-        // permit is held until the run ends.
+        // Admission first, on the node that answers for the query: past
+        // the limit this waits in the gate's queue, or fails when that is
+        // full; the permit is held until the run ends.
         let permit = if role.is_coordinator() {
             Some(self.admission.admit()?)
         } else {
@@ -295,36 +296,32 @@ impl QueryExecutor {
             .filter(|c| matches!(c, ConsumerLoc::Remote(_)))
             .count();
         let slots = topology.edges.iter().map(|e| e.consumers.len());
-        let fleet_remote_slots = (role.nodes.max(1) as usize - 1) * slots.sum::<usize>();
+        let fleet_remote_slots = (role.nodes() as usize - 1) * slots.sum::<usize>();
         let registry = ExchangeRegistry::build(&topology, &opts.network, NicModel)?;
         // Every scanning stage scans through one shared split pool, so its
-        // task set can change between splits.
-        let mut pools: HashMap<u32, StagePool> = HashMap::new();
-        let coordinator = role.peers.first().map_or("", String::as_str);
+        // task set can change between splits. Node 0 builds each pool and
+        // serves it; every other node claims from node 0's, on its session
+        // there (the role lists node 0, or `distributed_topology` refused it).
+        let (mut sources, mut queues) = (HashMap::new(), HashMap::new());
         for f in tree.fragments() {
-            if let Some(table) = f.scan_table() {
-                let splits = catalog.get(&table)?.splits.splits().to_vec();
-                let pool = claim.pool(query, f.stage.0, splits, &registry, coordinator);
+            let Some(table) = f.scan_table() else {
+                continue;
+            };
+            let (stage, splits) = (f.stage.0, catalog.get(&table)?.splits.splits().to_vec());
+            let source: Arc<dyn SplitSource> = if role.is_coordinator() {
+                let queue = claims.register(query, stage, splits);
                 // The controller decides from a stage's first claim on,
                 // wherever the claim comes from: its first decision boundary
                 // is armed here, before a task on any node can claim.
-                let elastic = f.elastic_bounds.is_some() && opts.elasticity.enabled();
-                if let Some(queue) = pool.queue.as_ref().filter(|_| elastic) {
+                if f.elastic_bounds.is_some() && opts.elasticity.enabled() {
                     queue.set_pause_after(Some(1));
                 }
-                pools.insert(f.stage.0, pool);
-            }
-        }
-        // The controller runs where the queues are, and its leases and grown
-        // tasks join that node's writer groups: node 0, which hosts task 0
-        // of every stage and so has a group on every edge.
-        if pools
-            .values()
-            .any(|p| p.queue.is_some() != role.is_coordinator())
-        {
-            return Err(AccordionError::Internal(
-                "a query's split queues are owned by node 0 and no other".into(),
-            ));
+                queues.insert(stage, queue.clone());
+                queue
+            } else {
+                RemoteSplitSource::on(registry.clone(), role.peers[0].clone(), stage, splits)
+            };
+            sources.insert(stage, source);
         }
         let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
         self.active.lock().insert(id, registry.clone());
@@ -333,7 +330,8 @@ impl QueryExecutor {
             opts: opts.clone(),
             role,
             registry,
-            pools,
+            sources,
+            queues,
             remote_slots,
             fleet_remote_slots,
             gate: self.gate.clone(),
@@ -467,8 +465,8 @@ where
                 }
             }
             let output = registry.writer(stage, slot, Some(gate.clone()))?;
-            let split_feed = (self.pools.get(&stage))
-                .map(|pool| SplitFeed::from_source(pool.source.clone(), slot, Some(gate.clone())));
+            let split_feed = (self.sources.get(&stage))
+                .map(|source| SplitFeed::from_source(source.clone(), slot, Some(gate.clone())));
             let (builds, metrics) = (builds.clone(), metrics.clone());
             let ctx = TaskContext::new(
                 stage,
@@ -485,7 +483,7 @@ where
         let mut tasks = Vec::new();
         for fragment in tree.fragments() {
             for slot in 0..fragment.parallelism.max(1) {
-                if task_node(slot, role.nodes) == role.node {
+                if task_node(slot, role.nodes()) == role.node {
                     tasks.push(spec(fragment.stage.0, slot)?);
                 }
             }
@@ -506,7 +504,7 @@ where
         let elastic = opts.elasticity.enabled();
         for fragment in tree.fragments().iter().filter(|_| elastic) {
             let stage = fragment.stage.0;
-            let queue = self.pools.get(&stage).and_then(|p| p.queue.clone());
+            let queue = self.queues.get(&stage).cloned();
             let (Some(bounds), Some(queue)) = (fragment.elastic_bounds, queue) else {
                 continue;
             };
@@ -519,7 +517,7 @@ where
         } else {
             // The query's tasks can occupy this node's slots and, spread
             // over several nodes, as many again on every other node.
-            let slots = self.slots.saturating_mul(role.nodes);
+            let slots = self.slots.saturating_mul(role.nodes());
             Some(ElasticityController::new(
                 opts.elasticity,
                 metrics.clone(),
@@ -590,7 +588,7 @@ impl<T> Drop for NodeQuery<T> {
     /// boundary `wire` armed, which nothing would ever move. After a run
     /// this changes nothing: the controller has released its queues.
     fn drop(&mut self) {
-        for queue in self.pools.values().filter_map(|p| p.queue.as_ref()) {
+        for queue in self.queues.values() {
             queue.release();
         }
     }

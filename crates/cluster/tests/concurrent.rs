@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use accordion_cluster::{ClaimWiring, DistRole, NodeQuery, QueryExecutor};
+use accordion_cluster::{DistRole, NodeQuery, QueryExecutor, SplitQueues};
 use accordion_common::config::{AdmissionConfig, ElasticityConfig};
 use accordion_common::AccordionError;
 use accordion_data::schema::{Field, Schema};
@@ -86,7 +86,14 @@ fn hold<'a>(
 ) -> NodeQuery<&'a StageTree> {
     let opts = ExecOptions::with_page_rows(1).elasticity(ElasticityConfig::off());
     executor
-        .wire(c, tree, &opts, DistRole::single(), 0, ClaimWiring::Local)
+        .wire(
+            c,
+            tree,
+            &opts,
+            DistRole::single(),
+            0,
+            &SplitQueues::default(),
+        )
         .unwrap()
 }
 

@@ -18,10 +18,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use accordion_cluster::{
-    distributed_topology, ClaimWiring, DistRole, NodeQuery, QueryExecutor, RemoteSplitSource,
-    SplitQueues,
+    distributed_topology, DistRole, NodeQuery, QueryExecutor, RemoteSplitSource, SplitQueues,
 };
-use accordion_common::config::{AdmissionConfig, ElasticityConfig, NetworkConfig};
+use accordion_common::config::{AdmissionConfig, NetworkConfig};
 use accordion_common::sync::Mutex;
 use accordion_common::{AccordionError, ElasticityMode, Result, StageId};
 use accordion_data::schema::{Field, Schema};
@@ -31,7 +30,7 @@ use accordion_exec::{execute_tree, ExecOptions, QueryResult};
 use accordion_expr::agg::AggKind;
 use accordion_expr::scalar::Expr;
 use accordion_net::frame::{listen, FrameConn, Listener};
-use accordion_net::{serve_sessions, PageRegistries};
+use accordion_net::{serve_sessions, ExchangeRegistry, ExchangeTopology, NicModel, PageRegistries};
 use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::LogicalPlanBuilder;
@@ -180,15 +179,9 @@ impl TestFleet {
     ) -> Result<NodeQuery> {
         let role = DistRole {
             node,
-            nodes: self.nodes.len() as u32,
             peers: self.nodes.iter().map(|(l, ..)| l.local_addr()).collect(),
         };
-        let claim = if node == 0 {
-            ClaimWiring::Serve(&self.claims)
-        } else {
-            ClaimWiring::Connect
-        };
-        let nq = executor.wire(catalog, tree.clone(), opts, role, query, claim)?;
+        let nq = executor.wire(catalog, tree.clone(), opts, role, query, &self.claims)?;
         self.nodes[node as usize]
             .1
             .register(query, nq.registry().clone());
@@ -345,7 +338,7 @@ fn forced_grow_and_shrink_stay_lossless_across_nodes() {
         let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(start_dop));
         let tree = Arc::new(StageTree::build(optimizer.optimize(&group_by).unwrap()).unwrap());
         let elastic_opts = ExecOptions {
-            elasticity: ElasticityConfig { mode },
+            elasticity: mode,
             ..plain.clone()
         };
         let (result, remote_slots) = run_two_nodes(&c, &tree, &elastic_opts, query);
@@ -382,7 +375,6 @@ fn an_edge_counts_the_nodes_hosting_its_stage_as_its_producers() {
                 for node in 0..nodes {
                     let role = DistRole {
                         node,
-                        nodes,
                         peers: peers.clone().collect(),
                     };
                     for edge in distributed_topology(&tree, 1, &role).unwrap().edges {
@@ -416,13 +408,9 @@ fn the_coordinator_counts_the_fleets_remote_slots_without_asking() {
                 let wired: Vec<NodeQuery> = (0..nodes)
                     .map(|node| {
                         let peers = peers.clone();
-                        let role = DistRole { node, nodes, peers };
-                        let claim = match node {
-                            0 => ClaimWiring::Serve(&claims),
-                            _ => ClaimWiring::Connect,
-                        };
+                        let role = DistRole { node, peers };
                         executor
-                            .wire(&c, tree.clone(), &opts, role, query, claim)
+                            .wire(&c, tree.clone(), &opts, role, query, &claims)
                             .unwrap()
                     })
                     .collect();
@@ -459,7 +447,7 @@ fn one_session_per_peer_per_query_carries_pages_and_claims() {
         for mode in [ElasticityMode::Off, ElasticityMode::ForcedGrow] {
             query += 1;
             let elastic = ExecOptions {
-                elasticity: ElasticityConfig { mode },
+                elasticity: mode,
                 ..plain.clone()
             };
             let (result, remote_slots, accepted) = run_on(3, &c, &tree, &elastic, query);
@@ -504,12 +492,7 @@ fn an_elastic_stage_whose_tasks_all_end_early_finishes() {
     let c = Arc::new(common::split_catalog(8, 16, 4));
     let scan = LogicalPlanBuilder::scan(c.as_ref(), "wide").unwrap();
     let tree = Arc::new(common::tree_at(&scan.limit(5).unwrap(), 2));
-    let modes = [
-        ElasticityConfig::cycle(4, 1),
-        ElasticityConfig {
-            mode: ElasticityMode::ForcedGrow,
-        },
-    ];
+    let modes = [ElasticityMode::cycle(4, 1), ElasticityMode::ForcedGrow];
     for (query, elasticity) in (900..).zip(modes) {
         let opts = ExecOptions::with_page_rows(4)
             .worker_threads(2)
@@ -560,9 +543,7 @@ fn a_worker_that_starts_first_claims_up_to_the_first_decision_boundary() {
     let c = catalog();
     let (tree, reference) = group_by_at(&c, 2);
     let grow = ExecOptions {
-        elasticity: ElasticityConfig {
-            mode: ElasticityMode::ForcedGrow,
-        },
+        elasticity: ElasticityMode::ForcedGrow,
         ..opts(NetworkConfig::builder().unbounded_buffers().build())
     };
     let coordinator = QueryExecutor::new(grow.clone());
@@ -606,9 +587,7 @@ fn a_coordinator_dropped_unrun_frees_a_claim_parked_at_its_boundary() {
     let c = catalog();
     let (tree, _) = group_by_at(&c, 2);
     let grow = ExecOptions {
-        elasticity: ElasticityConfig {
-            mode: ElasticityMode::ForcedGrow,
-        },
+        elasticity: ElasticityMode::ForcedGrow,
         ..opts(NetworkConfig::default())
     };
     let coordinator = QueryExecutor::new(grow.clone());
@@ -746,6 +725,28 @@ fn poison_active_reaches_every_node_of_an_in_flight_query() {
         );
     }
     assert_eq!(executors[0].active_queries(), 0);
+    fleet.shutdown();
+}
+
+#[test]
+fn a_claim_on_a_query_poisoned_at_its_claim_service_gets_no_split() {
+    // Node 0's query is poisoned and no broadcast of that poison has
+    // reached the claimant: the claim, on a connection of its own, is
+    // answered with the poison instead of a split.
+    let c = catalog();
+    let splits = c.get("sales").unwrap().splits.splits().to_vec();
+    let fleet = TestFleet::new(1);
+    let (node, pages, _) = &fleet.nodes[0];
+    fleet.claims.register(9, 1, splits.clone());
+    let own = ExchangeTopology::new(9);
+    let registry = ExchangeRegistry::build(&own, &NetworkConfig::default(), NicModel).unwrap();
+    pages.register(9, registry.clone());
+    registry.poison_local(AccordionError::Execution("server shutting down".into()));
+    let source = RemoteSplitSource::new(node.local_addr(), 9, 1, splits);
+    assert!(
+        source.claim(0, None, None).is_none(),
+        "a split after the poison"
+    );
     fleet.shutdown();
 }
 

@@ -1,4 +1,8 @@
-//! Network, elasticity and admission configuration.
+//! Network, elasticity and admission configuration, each fact stated once:
+//! [`NetworkConfig`] is what every exchange buffer and transport reads,
+//! [`ElasticityMode`] is the whole controller configuration, and
+//! [`AdmissionConfig`] is a concurrency limit plus a wait-queue length — a
+//! gate that rejects is one whose queue has no room.
 //!
 //! The defaults model the paper's testbed shrunk to a single process: the
 //! paper used 1 coordinator + 10 compute + 10 storage nodes (c5.2xlarge,
@@ -104,10 +108,15 @@ impl NetworkConfigBuilder {
 }
 
 /// How (and whether) the runtime elasticity controller retunes Source-stage
-/// DOP mid-query (paper §5.2, Fig 13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// DOP mid-query (paper §5.2, Fig 13). The mode is all there is to
+/// configure: *when* the controller looks is not a setting — it wakes on
+/// the split queue's events (see `accordion_cluster::elastic`), and every
+/// claimed split is a decision boundary, so re-parallelization always
+/// happens **between splits**.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ElasticityMode {
     /// No controller: stages keep their planned parallelism.
+    #[default]
     Off,
     /// The what-if predictor picks the **smallest** DOP within the stage's
     /// bounds whose predicted completion time (`T_remain = V_remain /
@@ -132,8 +141,12 @@ pub enum ElasticityMode {
     Cycle { high: u32, low: u32 },
 }
 
+/// A second name for [`ElasticityMode`], which is the whole elasticity
+/// configuration; the benchmark suite spells it this way.
+pub type ElasticityConfig = ElasticityMode;
+
 /// The canonical spelling of a mode, in the grammar
-/// [`ElasticityConfig::try_parse_mode`] reads: what `SET` / `SHOW` echo and
+/// [`ElasticityMode::try_parse_mode`] reads: what `SET` / `SHOW` echo and
 /// what a coordinator sends its workers.
 impl std::fmt::Display for ElasticityMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -148,50 +161,26 @@ impl std::fmt::Display for ElasticityMode {
     }
 }
 
-/// Configuration of the intra-query re-parallelization controller. The
-/// mode is all there is to configure: *when* the controller looks is not a
-/// setting — it wakes on the split queue's events (see
-/// `accordion_cluster::elastic`), and every claimed split is a decision
-/// boundary, so re-parallelization always happens **between splits**.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElasticityConfig {
-    pub mode: ElasticityMode,
-}
-
-impl Default for ElasticityConfig {
-    fn default() -> Self {
-        ElasticityConfig {
-            mode: ElasticityMode::Off,
-        }
-    }
-}
-
-impl ElasticityConfig {
+impl ElasticityMode {
     pub fn off() -> Self {
-        ElasticityConfig::default()
+        ElasticityMode::Off
     }
 
     /// Deterministic test schedule: jump to `target_dop` at the first split
     /// boundary.
     pub fn forced(target_dop: u32) -> Self {
-        ElasticityConfig {
-            mode: ElasticityMode::Forced { target_dop },
-        }
+        ElasticityMode::Forced { target_dop }
     }
 
     /// Predictor-driven mode with a completion deadline in milliseconds.
     pub fn auto(deadline_ms: u64) -> Self {
-        ElasticityConfig {
-            mode: ElasticityMode::Auto { deadline_ms },
-        }
+        ElasticityMode::Auto { deadline_ms }
     }
 
     /// Repeated grow/shrink schedule: alternate between `high` and `low`
     /// DOP at every decision boundary.
     pub fn cycle(high: u32, low: u32) -> Self {
-        ElasticityConfig {
-            mode: ElasticityMode::Cycle { high, low },
-        }
+        ElasticityMode::Cycle { high, low }
     }
 
     /// Deadline used by `auto` when no explicit `auto:<deadline_ms>` suffix
@@ -203,9 +192,7 @@ impl ElasticityConfig {
     /// anything else — including unset — is `Off`. This is what the CI
     /// elasticity matrix toggles.
     pub fn from_env() -> Self {
-        ElasticityConfig {
-            mode: Self::parse_mode(std::env::var("ACCORDION_ELASTICITY").ok().as_deref()),
-        }
+        Self::parse_mode(std::env::var("ACCORDION_ELASTICITY").ok().as_deref())
     }
 
     /// Parses one `ACCORDION_ELASTICITY` value: [`Self::try_parse_mode`]
@@ -213,7 +200,7 @@ impl ElasticityConfig {
     pub fn parse_mode(value: Option<&str>) -> ElasticityMode {
         value
             .and_then(|v| Self::try_parse_mode(v).ok())
-            .unwrap_or(ElasticityMode::Off)
+            .unwrap_or_default()
     }
 
     /// Strict parsing of an elasticity mode — the one grammar, behind the
@@ -288,55 +275,21 @@ impl ElasticityConfig {
 
     /// True when a controller should run at all.
     pub fn enabled(&self) -> bool {
-        self.mode != ElasticityMode::Off
-    }
-}
-
-/// What happens to a query that arrives while the concurrency limit is
-/// already saturated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionPolicy {
-    /// Block the submitting thread until a slot frees up (bounded by
-    /// `AdmissionConfig::queue_limit`).
-    #[default]
-    Queue,
-    /// Fail the query immediately with an execution error.
-    Reject,
-}
-
-impl AdmissionPolicy {
-    /// Strict parsing — the API behind `SET` and the server's `--admission`.
-    pub fn try_parse(value: &str) -> crate::error::Result<Self> {
-        match value {
-            "queue" => Ok(AdmissionPolicy::Queue),
-            "reject" => Ok(AdmissionPolicy::Reject),
-            v => Err(crate::error::AccordionError::Parse(format!(
-                "unknown admission policy '{v}' (expected queue or reject)"
-            ))),
-        }
-    }
-}
-
-impl std::fmt::Display for AdmissionPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AdmissionPolicy::Queue => write!(f, "queue"),
-            AdmissionPolicy::Reject => write!(f, "reject"),
-        }
+        *self != ElasticityMode::Off
     }
 }
 
 /// Multi-query admission control: how many queries may run concurrently on
-/// the shared compute-slot pool, and what to do with the overflow.
+/// the shared compute-slot pool, and how many more may wait for a slot. A
+/// gate with no room to wait (`queue_limit == 0`) rejects every arrival
+/// past the limit at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Maximum queries executing at once (`None` = unlimited, the
     /// single-tenant behavior of earlier versions).
     pub max_concurrent_queries: Option<usize>,
-    /// Overflow policy once `max_concurrent_queries` is reached.
-    pub policy: AdmissionPolicy,
-    /// With [`AdmissionPolicy::Queue`], how many queries may wait before
-    /// further arrivals are rejected outright.
+    /// How many queries may wait for a slot once `max_concurrent_queries`
+    /// run; further arrivals are rejected outright.
     pub queue_limit: usize,
 }
 
@@ -344,7 +297,6 @@ impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             max_concurrent_queries: None,
-            policy: AdmissionPolicy::Queue,
             queue_limit: 64,
         }
     }
@@ -355,7 +307,6 @@ impl AdmissionConfig {
     pub fn queued(max: usize) -> Self {
         AdmissionConfig {
             max_concurrent_queries: Some(max.max(1)),
-            policy: AdmissionPolicy::Queue,
             ..AdmissionConfig::default()
         }
     }
@@ -363,15 +314,9 @@ impl AdmissionConfig {
     /// Admit at most `max` concurrent queries, rejecting the rest.
     pub fn rejecting(max: usize) -> Self {
         AdmissionConfig {
-            max_concurrent_queries: Some(max.max(1)),
-            policy: AdmissionPolicy::Reject,
-            ..AdmissionConfig::default()
+            queue_limit: 0,
+            ..AdmissionConfig::queued(max)
         }
-    }
-
-    /// True when a concurrency limit is actually enforced.
-    pub fn limited(&self) -> bool {
-        self.max_concurrent_queries.is_some()
     }
 }
 
@@ -441,60 +386,60 @@ mod tests {
 
     #[test]
     fn elasticity_modes() {
-        assert!(!ElasticityConfig::off().enabled());
-        assert!(ElasticityConfig::forced(4).enabled());
+        assert!(!ElasticityMode::off().enabled());
+        assert!(ElasticityMode::forced(4).enabled());
         assert_eq!(
-            ElasticityConfig::auto(250).mode,
+            ElasticityMode::auto(250),
             ElasticityMode::Auto { deadline_ms: 250 }
         );
         assert_eq!(
-            ElasticityConfig::parse_mode(Some("forced-grow")),
+            ElasticityMode::parse_mode(Some("forced-grow")),
             ElasticityMode::ForcedGrow
         );
         assert_eq!(
-            ElasticityConfig::parse_mode(Some("forced-shrink")),
+            ElasticityMode::parse_mode(Some("forced-shrink")),
             ElasticityMode::ForcedShrink
         );
         assert_eq!(
-            ElasticityConfig::parse_mode(Some("auto:500")),
+            ElasticityMode::parse_mode(Some("auto:500")),
             ElasticityMode::Auto { deadline_ms: 500 }
         );
         assert_eq!(
-            ElasticityConfig::parse_mode(Some("cycle:6:2")),
+            ElasticityMode::parse_mode(Some("cycle:6:2")),
             ElasticityMode::Cycle { high: 6, low: 2 }
         );
         // Bare `cycle` gets the default 4:1 schedule.
         assert_eq!(
-            ElasticityConfig::parse_mode(Some("cycle")),
+            ElasticityMode::parse_mode(Some("cycle")),
             ElasticityMode::Cycle { high: 4, low: 1 }
         );
         assert_eq!(
-            ElasticityConfig::cycle(8, 2).mode,
+            ElasticityMode::cycle(8, 2),
             ElasticityMode::Cycle { high: 8, low: 2 }
         );
         // Bare `auto` gets the non-degenerate default deadline instead of
         // an unmeetable 0 ms.
         assert_eq!(
-            ElasticityConfig::parse_mode(Some("auto")),
+            ElasticityMode::parse_mode(Some("auto")),
             ElasticityMode::Auto {
-                deadline_ms: ElasticityConfig::DEFAULT_AUTO_DEADLINE_MS
+                deadline_ms: ElasticityMode::DEFAULT_AUTO_DEADLINE_MS
             }
         );
         // The env path speaks the strict grammar, `forced:<dop>` included,
         // and everything that grammar rejects is `Off` — never a guess.
         assert_eq!(
-            ElasticityConfig::parse_mode(Some("forced:3")),
+            ElasticityMode::parse_mode(Some("forced:3")),
             ElasticityMode::Forced { target_dop: 3 }
         );
         for off in [None, Some("bogus"), Some("auto:5OO"), Some("cycle:x:y")] {
-            assert_eq!(ElasticityConfig::parse_mode(off), ElasticityMode::Off);
+            assert_eq!(ElasticityMode::parse_mode(off), ElasticityMode::Off);
         }
     }
 
     #[test]
     fn try_parse_mode_accepts_the_full_grammar() {
         use ElasticityMode::*;
-        let ok = |s: &str| ElasticityConfig::try_parse_mode(s).unwrap();
+        let ok = |s: &str| ElasticityMode::try_parse_mode(s).unwrap();
         assert_eq!(ok("off"), Off);
         assert_eq!(ok("forced-grow"), ForcedGrow);
         assert_eq!(ok("forced-shrink"), ForcedShrink);
@@ -504,7 +449,7 @@ mod tests {
         assert_eq!(
             ok("auto"),
             Auto {
-                deadline_ms: ElasticityConfig::DEFAULT_AUTO_DEADLINE_MS
+                deadline_ms: ElasticityMode::DEFAULT_AUTO_DEADLINE_MS
             }
         );
         assert_eq!(ok("auto:2500"), Auto { deadline_ms: 2500 });
@@ -523,16 +468,16 @@ mod tests {
             ("AUTO", "auto:1000", Auto { deadline_ms: 1000 }),
             ("Auto:500", "auto:500", Auto { deadline_ms: 500 }),
         ] {
-            let parsed = ElasticityConfig::try_parse_mode(value).unwrap();
+            let parsed = ElasticityMode::try_parse_mode(value).unwrap();
             assert_eq!(parsed, mode, "{value}");
             assert_eq!(parsed.to_string(), shown, "{value}");
-            assert_eq!(ElasticityConfig::try_parse_mode(shown).unwrap(), mode);
+            assert_eq!(ElasticityMode::try_parse_mode(shown).unwrap(), mode);
         }
     }
 
     #[test]
     fn try_parse_mode_rejects_malformed_values() {
-        let err = |s: &str| match ElasticityConfig::try_parse_mode(s) {
+        let err = |s: &str| match ElasticityMode::try_parse_mode(s) {
             Err(crate::error::AccordionError::Parse(m)) => m,
             other => panic!("expected parse error for {s:?}, got {other:?}"),
         };
@@ -553,7 +498,7 @@ mod tests {
         assert!(err("").contains("unknown elasticity mode"));
         // The lenient env-var path still falls back instead of failing.
         assert_eq!(
-            ElasticityConfig::parse_mode(Some("bogus")),
+            ElasticityMode::parse_mode(Some("bogus")),
             ElasticityMode::Off
         );
     }
@@ -561,20 +506,18 @@ mod tests {
     #[test]
     fn admission_defaults_and_parsing() {
         let a = AdmissionConfig::default();
-        assert!(!a.limited(), "default admission is unlimited");
-        assert_eq!(a.policy, AdmissionPolicy::Queue);
-        assert_eq!(AdmissionConfig::queued(2).max_concurrent_queries, Some(2));
         assert_eq!(
-            AdmissionConfig::rejecting(3).policy,
-            AdmissionPolicy::Reject
+            a.max_concurrent_queries, None,
+            "default admission is unlimited"
+        );
+        assert_eq!(a.queue_limit, 64);
+        assert_eq!(AdmissionConfig::queued(2).max_concurrent_queries, Some(2));
+        assert_eq!(AdmissionConfig::rejecting(3).queue_limit, 0);
+        assert_eq!(
+            AdmissionConfig::rejecting(3).max_concurrent_queries,
+            Some(3)
         );
         // A zero cap would deadlock every query; clamp to one.
         assert_eq!(AdmissionConfig::queued(0).max_concurrent_queries, Some(1));
-        assert_eq!(
-            AdmissionPolicy::try_parse("reject").unwrap(),
-            AdmissionPolicy::Reject
-        );
-        assert!(AdmissionPolicy::try_parse("drop").is_err());
-        assert_eq!(AdmissionPolicy::Queue.to_string(), "queue");
     }
 }

@@ -27,9 +27,7 @@ pub mod metrics;
 pub mod sync;
 
 pub use clock::{Clock, ManualClock, SharedClock, SystemClock};
-pub use config::{
-    AdmissionConfig, AdmissionPolicy, ElasticityConfig, ElasticityMode, NetworkConfig,
-};
+pub use config::{AdmissionConfig, ElasticityConfig, ElasticityMode, NetworkConfig};
 pub use error::{AccordionError, Result};
 pub use id::{fnv1a, NodeId, PipelineId, SplitId, StageId};
 pub use json::Json;

@@ -26,7 +26,7 @@
 //!
 //! ```text
 //! coord  → HELLO  query                                    opens the session
-//! coord  → WIRE   node, nodes, peers, fingerprint, dop,
+//! coord  → WIRE   node, peers, fingerprint, dop,
 //!                 elasticity mode, sql
 //! worker → ACK | ERR message                               plan + wire
 //! coord  → GO
@@ -37,7 +37,8 @@
 //! ```
 //!
 //! Strings travel length-prefixed, so SQL and error text need no escaping.
-//! `peers` is `[coordinator] + workers`, every node's one address. The
+//! `peers` is `[coordinator] + workers`, every node's one address, and the
+//! fleet is as many nodes as it lists. The
 //! two-phase WIRE/GO split matters: a worker must know the query's registry
 //! before **any** process starts tasks, or an early page from a fast peer
 //! would be rejected. `GO` is only sent once every node acknowledged
@@ -54,8 +55,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use accordion_cluster::{plan_fingerprint, ClaimWiring, DistRole, QueryExecutor, SplitQueues};
-use accordion_common::config::ElasticityConfig;
+use accordion_cluster::{plan_fingerprint, DistRole, QueryExecutor, SplitQueues};
+use accordion_common::config::ElasticityMode;
 use accordion_common::{fnv1a, AccordionError, Result};
 use accordion_exec::executor::{ExecOptions, QueryResult};
 use accordion_net::frame::{kind, listen, Cursor, Frame, Listener, Payload};
@@ -87,10 +88,7 @@ impl WireMsg {
     /// This message as a frame.
     pub fn encode(&self) -> Frame {
         let (role, p) = (&self.role, Payload::default());
-        let p = p
-            .u32(role.node)
-            .u32(role.nodes)
-            .u32(role.peers.len() as u32);
+        let p = p.u32(role.node).u32(role.peers.len() as u32);
         let p = role.peers.iter().fold(p, |p, a| p.str(a));
         let p = p.u64(self.fingerprint).u32(self.dop).str(&self.elasticity);
         (kind::WIRE, p.str(&self.sql).0)
@@ -100,7 +98,7 @@ impl WireMsg {
     /// anything else is a typed error.
     pub fn decode(payload: &[u8]) -> Result<WireMsg> {
         let mut c = Cursor::new(payload);
-        let (node, nodes) = (c.u32()?, c.u32()?);
+        let node = c.u32()?;
         // Grown one by one: the count is only the sender's word, the
         // payload running out is the bound.
         let mut peers = Vec::new();
@@ -108,7 +106,7 @@ impl WireMsg {
             peers.push(c.str()?.to_string());
         }
         let msg = WireMsg {
-            role: DistRole { node, nodes, peers },
+            role: DistRole { node, peers },
             fingerprint: c.u64()?,
             dop: c.u32()?,
             elasticity: c.str()?.to_string(),
@@ -207,10 +205,13 @@ impl Worker {
 impl Control for NodeState {
     fn wire(&self, query: u64, wire: &[u8]) -> Result<Wired> {
         let wire = WireMsg::decode(wire)?;
+        if wire.role.is_coordinator() {
+            return Err(AccordionError::Execution(format!(
+                "WIRE for query {query} names node 0, which wires itself"
+            )));
+        }
         let mut exec = self.executor.options().clone();
-        exec.elasticity = ElasticityConfig {
-            mode: ElasticityConfig::try_parse_mode(&wire.elasticity)?,
-        };
+        exec.elasticity = ElasticityMode::try_parse_mode(&wire.elasticity)?;
         let tree = plan_tree(&self.catalog, &wire.sql, wire.dop)?;
         let (local, fingerprint) = (plan_fingerprint(&tree), wire.fingerprint);
         if local != fingerprint {
@@ -220,14 +221,10 @@ impl Control for NodeState {
                  versions diverge"
             )));
         }
-        let nq = self.executor.wire(
-            &self.catalog,
-            tree,
-            &exec,
-            wire.role,
-            query,
-            ClaimWiring::Connect,
-        )?;
+        let (catalog, splits) = (&self.catalog, &self.splits);
+        let nq = self
+            .executor
+            .wire(catalog, tree, &exec, wire.role, query, splits)?;
         let registry = nq.registry().clone();
         let run = move || {
             let started = Instant::now();
@@ -275,9 +272,7 @@ impl Fleet {
         elasticity: &str,
         dop: u32,
     ) -> Result<Fleet> {
-        exec.elasticity = ElasticityConfig {
-            mode: ElasticityConfig::try_parse_mode(elasticity)?,
-        };
+        exec.elasticity = ElasticityMode::try_parse_mode(elasticity)?;
         let node = Arc::new(Worker::start("127.0.0.1:0", catalog, exec.clone())?);
         Fleet::over(node, workers, exec, dop)
     }
@@ -329,21 +324,16 @@ impl Fleet {
         let state = &self.node.state;
         let tree = plan_tree(&state.catalog, sql, self.dop)?;
         let fingerprint = plan_fingerprint(&tree);
-        let nodes = self.nodes();
         // Node 0 wires first: a query the admission gate turns away never
         // reaches a worker.
-        let nq = state.executor.wire(
-            &state.catalog,
-            tree,
-            &self.exec,
-            DistRole {
-                node: 0,
-                nodes,
-                peers: self.peers.clone(),
-            },
-            query,
-            ClaimWiring::Serve(&state.splits),
-        )?;
+        let role = |node| DistRole {
+            node,
+            peers: self.peers.clone(),
+        };
+        let (catalog, splits) = (&state.catalog, &state.splits);
+        let nq = state
+            .executor
+            .wire(catalog, tree, &self.exec, role(0), query, splits)?;
         let registry = nq.registry().clone();
         state.pages.register(query, registry.clone());
         let remote_slots = nq.fleet_remote_slots();
@@ -354,14 +344,10 @@ impl Fleet {
         let run = (|| {
             for (node, worker) in (1..).zip(workers) {
                 let wire = WireMsg {
-                    role: DistRole {
-                        node,
-                        nodes,
-                        peers: self.peers.clone(),
-                    },
+                    role: role(node),
                     fingerprint,
                     dop: self.dop,
-                    elasticity: self.exec.elasticity.mode.to_string(),
+                    elasticity: self.exec.elasticity.to_string(),
                     sql: sql.to_string(),
                 };
                 call(worker, wire.encode())?;
@@ -404,7 +390,6 @@ mod tests {
         WireMsg {
             role: DistRole {
                 node: 1,
-                nodes: 2,
                 peers: peers.iter().map(|p| p.to_string()).collect(),
             },
             fingerprint: 0xdead_beef_0123_4567,
@@ -442,10 +427,10 @@ mod tests {
 
     #[test]
     fn a_peer_count_is_not_an_allocation_size() {
-        // WIRE claiming four billion peers in a 41-byte payload: the decoder
+        // WIRE claiming four billion peers in a 37-byte payload: the decoder
         // runs out of bytes, not out of memory.
         let (_, mut payload) = wire(&[], "").encode();
-        let count_at = 4 + 4;
+        let count_at = 4;
         payload[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = WireMsg::decode(&payload).unwrap_err();
         assert!(matches!(err, AccordionError::Wire(_)), "{err}");

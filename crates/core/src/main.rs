@@ -31,7 +31,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use accordion_cluster::QueryExecutor;
-use accordion_common::config::{AdmissionConfig, AdmissionPolicy, ElasticityConfig};
+use accordion_common::config::{AdmissionConfig, ElasticityMode};
 use accordion_core::{Client, QueryServer, Response, ServerConfig};
 use accordion_exec::ExecOptions;
 use accordion_sql::parse_statements;
@@ -110,13 +110,12 @@ fn run_server(args: &[String]) -> Result<(), String> {
     let workers: usize = parse_or(flag_value(args, "--workers")?, 4, "--workers")?;
     let dop: u32 = parse_or(flag_value(args, "--dop")?, 4, "--dop")?;
     let elasticity = match flag_value(args, "--elasticity")? {
-        None => ElasticityConfig::off(),
-        Some(mode) => ElasticityConfig {
-            mode: ElasticityConfig::try_parse_mode(&mode).map_err(|e| e.to_string())?,
-        },
+        None => ElasticityMode::Off,
+        Some(mode) => ElasticityMode::try_parse_mode(&mode).map_err(|e| e.to_string())?,
     };
     // Admission gate: `--max-queries` limits concurrent queries on the
-    // shared pool; `--admission` picks what happens past the limit.
+    // shared pool; `--admission` picks what happens past the limit — a
+    // rejecting gate is one whose queue has no room.
     let max_queries: Option<usize> = match flag_value(args, "--max-queries")? {
         None => None,
         Some(s) => Some(
@@ -126,14 +125,16 @@ fn run_server(args: &[String]) -> Result<(), String> {
                 .ok_or_else(|| format!("invalid --max-queries: '{s}' (positive integer)"))?,
         ),
     };
-    let policy = match flag_value(args, "--admission")? {
-        None => AdmissionPolicy::default(),
-        Some(s) => AdmissionPolicy::try_parse(&s).map_err(|e| e.to_string())?,
+    let queue_limit = match flag_value(args, "--admission")?.as_deref() {
+        None | Some("queue") => AdmissionConfig::default().queue_limit,
+        Some("reject") => 0,
+        Some(v) => Err(format!(
+            "parse error: unknown admission policy '{v}' (expected queue or reject)"
+        ))?,
     };
     let admission = AdmissionConfig {
         max_concurrent_queries: max_queries,
-        policy,
-        ..AdmissionConfig::default()
+        queue_limit,
     };
 
     eprintln!("generating TPC-H data at sf {sf} ...");

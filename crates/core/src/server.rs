@@ -87,8 +87,9 @@ pub struct ServerConfig {
     /// overrides per session).
     pub default_dop: u32,
     /// Option template for new sessions: page size, network shape, and the
-    /// default elasticity mode. Its `worker_threads` only matters if the
-    /// server constructs its own executor.
+    /// default elasticity mode. Its `worker_threads` and `admission` are
+    /// unused here: the pool and the gate are the executor's, which
+    /// [`QueryServer::start`] is handed.
     pub exec: ExecOptions,
 }
 
@@ -333,13 +334,18 @@ fn run_batch(
                         shared.catalog.table_names().join(", ")
                     ))
                 } else if name == "admission" {
-                    // Live view of the shared executor's admission gate.
+                    // Live view of the shared executor's admission gate;
+                    // one with no room to queue is a rejecting one.
                     let stats = shared.executor.admission().stats();
                     let config = shared.executor.admission().config();
+                    let policy = if config.queue_limit == 0 {
+                        "reject"
+                    } else {
+                        "queue"
+                    };
                     Ok(format!(
-                        "admission: policy={} max={} running={} waiting={} \
+                        "admission: policy={policy} max={} running={} waiting={} \
                          admitted={} rejected={} peak_running={}",
-                        config.policy,
                         config
                             .max_concurrent_queries
                             .map_or("unlimited".to_string(), |m| m.to_string()),

@@ -13,12 +13,12 @@
 //!
 //! `SET elasticity = auto` (no suffix) adopts the session's current
 //! `deadline_ms`; `SET elasticity = auto:2500` pins both. Malformed values
-//! are rejected via [`ElasticityConfig::try_parse_mode`] and leave the
+//! are rejected via [`ElasticityMode::try_parse_mode`] and leave the
 //! session unchanged.
 
 use std::net::SocketAddr;
 
-use accordion_common::config::{ElasticityConfig, ElasticityMode};
+use accordion_common::config::ElasticityMode;
 use accordion_common::{AccordionError, Result};
 use accordion_exec::ExecOptions;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
@@ -34,8 +34,8 @@ pub const MAX_SESSION_DOP: u32 = 1024;
 pub struct SessionVars {
     /// Deadline handed to `auto` elasticity, milliseconds.
     pub deadline_ms: u64,
-    /// Elasticity controller configuration for this session's queries.
-    pub elasticity: ElasticityConfig,
+    /// Elasticity controller mode for this session's queries.
+    pub elasticity: ElasticityMode,
     /// Planned Source-stage parallelism.
     pub dop: u32,
     /// Worker nodes SELECTs are distributed over; none runs them locally.
@@ -47,9 +47,9 @@ pub struct SessionVars {
 
 impl SessionVars {
     pub fn new(base: &ExecOptions, default_dop: u32) -> Self {
-        let deadline_ms = match base.elasticity.mode {
+        let deadline_ms = match base.elasticity {
             ElasticityMode::Auto { deadline_ms } => deadline_ms,
-            _ => ElasticityConfig::DEFAULT_AUTO_DEADLINE_MS,
+            _ => ElasticityMode::DEFAULT_AUTO_DEADLINE_MS,
         };
         SessionVars {
             deadline_ms,
@@ -74,14 +74,14 @@ impl SessionVars {
                 }
                 self.deadline_ms = ms;
                 // An active auto controller re-targets immediately.
-                if let ElasticityMode::Auto { .. } = self.elasticity.mode {
-                    self.elasticity.mode = ElasticityMode::Auto { deadline_ms: ms };
+                if let ElasticityMode::Auto { .. } = self.elasticity {
+                    self.elasticity = ElasticityMode::Auto { deadline_ms: ms };
                 }
                 Ok(format!("deadline_ms = {ms}"))
             }
             "elasticity" => {
                 let value = value.trim();
-                let mut mode = ElasticityConfig::try_parse_mode(value)?;
+                let mut mode = ElasticityMode::try_parse_mode(value)?;
                 if let ElasticityMode::Auto { deadline_ms } = &mut mode {
                     // Bare `auto` adopts the session deadline instead of the
                     // global default; `auto:<ms>` re-pins the session's.
@@ -91,7 +91,7 @@ impl SessionVars {
                         *deadline_ms = self.deadline_ms;
                     }
                 }
-                self.elasticity.mode = mode;
+                self.elasticity = mode;
                 Ok(format!("elasticity = {mode}"))
             }
             "dop" => {
@@ -134,13 +134,13 @@ impl SessionVars {
     pub fn show(&self, name: &str) -> Result<String> {
         match name {
             "deadline_ms" => Ok(format!("deadline_ms = {}", self.deadline_ms)),
-            "elasticity" => Ok(format!("elasticity = {}", self.elasticity.mode)),
+            "elasticity" => Ok(format!("elasticity = {}", self.elasticity)),
             "dop" => Ok(format!("dop = {}", self.dop)),
             "nodes" => Ok(format!("nodes = {}", self.nodes.join(","))),
             "all" => Ok(format!(
                 "deadline_ms = {}, elasticity = {}, dop = {}, nodes = {}",
                 self.deadline_ms,
-                self.elasticity.mode,
+                self.elasticity,
                 self.dop,
                 self.nodes.join(",")
             )),
@@ -183,7 +183,7 @@ mod tests {
             v.set("elasticity", "forced-grow").unwrap(),
             "elasticity = forced-grow"
         );
-        assert_eq!(v.elasticity.mode, ElasticityMode::ForcedGrow);
+        assert_eq!(v.elasticity, ElasticityMode::ForcedGrow);
         assert!(v.show("all").unwrap().contains("forced-grow"));
     }
 
@@ -192,13 +192,13 @@ mod tests {
         let mut v = vars();
         v.set("deadline_ms", "750").unwrap();
         v.set("elasticity", "auto").unwrap();
-        assert_eq!(v.elasticity.mode, ElasticityMode::Auto { deadline_ms: 750 });
+        assert_eq!(v.elasticity, ElasticityMode::Auto { deadline_ms: 750 });
         // An explicit suffix re-pins the session deadline too.
         v.set("elasticity", "auto:300").unwrap();
         assert_eq!(v.deadline_ms, 300);
         // Re-targeting the deadline updates the active auto mode.
         v.set("deadline_ms", "900").unwrap();
-        assert_eq!(v.elasticity.mode, ElasticityMode::Auto { deadline_ms: 900 });
+        assert_eq!(v.elasticity, ElasticityMode::Auto { deadline_ms: 900 });
     }
 
     #[test]
@@ -217,11 +217,11 @@ mod tests {
     #[test]
     fn malformed_values_are_rejected_and_leave_state_unchanged() {
         let mut v = vars();
-        let before = v.elasticity.mode;
+        let before = v.elasticity;
         assert!(v.set("elasticity", "warp-speed").is_err());
         assert!(v.set("elasticity", "auto:0").is_err());
         assert!(v.set("elasticity", "forced:abc").is_err());
-        assert_eq!(v.elasticity.mode, before);
+        assert_eq!(v.elasticity, before);
         assert!(v.set("dop", "0").is_err());
         assert!(v.set("dop", "-3").is_err());
         assert!(v.set("dop", "1025").is_err());
@@ -254,10 +254,7 @@ mod tests {
         v.set("elasticity", "forced:6").unwrap();
         let opts = v.exec_options();
         assert_eq!(opts.page_rows, 64);
-        assert_eq!(
-            opts.elasticity.mode,
-            ElasticityMode::Forced { target_dop: 6 }
-        );
+        assert_eq!(opts.elasticity, ElasticityMode::Forced { target_dop: 6 });
         assert_eq!(v.optimizer().config().scan_parallelism, 4);
     }
 }

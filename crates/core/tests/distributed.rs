@@ -16,9 +16,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use accordion_cluster::{
-    plan_fingerprint, ClaimWiring, DistRole, NodeQuery, QueryExecutor, SplitQueues,
-};
+use accordion_cluster::{plan_fingerprint, DistRole, NodeQuery, QueryExecutor, SplitQueues};
 use accordion_common::config::{ElasticityConfig, NetworkConfig};
 use accordion_common::AccordionError;
 use accordion_core::dist::{plan_tree, WireMsg};
@@ -463,14 +461,9 @@ impl HandRolled {
         let (address, pages, claims) = coordinator_address();
         let peers = vec![address.local_addr(), worker.ctrl_addr()];
         let tree = plan_tree(catalog, GROUP_SQL, 2).unwrap();
-        let role = DistRole {
-            node: 0,
-            nodes: 2,
-            peers,
-        };
-        let claim = ClaimWiring::Serve(&claims);
+        let role = DistRole { node: 0, peers };
         let share = QueryExecutor::new(exec.clone())
-            .wire(catalog, tree.clone(), exec, role.clone(), query, claim)
+            .wire(catalog, tree.clone(), exec, role.clone(), query, &claims)
             .unwrap();
         pages.register(query, share.registry().clone());
         let mut session = FrameConn::connect(&worker.ctrl_addr(), Duration::from_secs(5)).unwrap();
@@ -599,6 +592,47 @@ fn worker_unwinds_queries_orphaned_by_their_session() {
 }
 
 #[test]
+fn a_wire_naming_a_node_outside_its_fleet_is_refused() {
+    // A WIRE with the true fingerprint whose role names node 1 of an empty
+    // fleet, then one naming node 0, which only the coordinator is: the
+    // worker answers each with an ERR and keeps serving.
+    let catalog = tpch_catalog_at(0.002);
+    let exec = tight_static_opts();
+    let worker = Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap();
+    let tree = plan_tree(&catalog, GROUP_SQL, 2).unwrap();
+    let peers = vec![dead_address(), worker.ctrl_addr()];
+    for (query, role, says) in [
+        (
+            11,
+            DistRole {
+                node: 1,
+                peers: vec![],
+            },
+            "node 1 of a fleet of 0",
+        ),
+        (12, DistRole { node: 0, peers }, "names node 0"),
+    ] {
+        let mut session = FrameConn::connect(&worker.ctrl_addr(), Duration::from_secs(5)).unwrap();
+        session
+            .send((kind::HELLO, Payload::default().u64(query).0))
+            .unwrap();
+        let wire = WireMsg {
+            role,
+            fingerprint: plan_fingerprint(&tree),
+            dop: 2,
+            elasticity: "off".into(),
+            sql: GROUP_SQL.into(),
+        };
+        match session.call(wire.encode()) {
+            Err(AccordionError::Execution(m)) => assert!(m.contains(says), "{m}"),
+            other => panic!("expected the worker's ERR, got {other:?}"),
+        }
+        assert_eq!(worker.executor().active_queries(), 0);
+    }
+    assert_serves_a_fresh_fleet(&worker, &catalog, &exec);
+}
+
+#[test]
 fn a_fleet_that_fails_to_assemble_leaves_its_workers_free() {
     let catalog = tpch_catalog_at(0.002);
     let exec = ExecOptions {
@@ -691,9 +725,7 @@ fn one_address_serves_pages_claims_and_control_at_once() {
     // query over `other`, whose tasks claim their splits from `node`'s
     // address and send their pages to it.
     let growing = ExecOptions {
-        elasticity: ElasticityConfig {
-            mode: ElasticityConfig::try_parse_mode("forced-grow").unwrap(),
-        },
+        elasticity: ElasticityConfig::try_parse_mode("forced-grow").unwrap(),
         network: NetworkConfig::default(),
         ..exec.clone()
     };

@@ -131,6 +131,13 @@ fn set_variables_are_session_scoped_and_validated() {
         b.send("SHOW elasticity").unwrap(),
         Response::Ok("elasticity = off".to_string())
     );
+    // The default gate queues, with no limit, and nothing has run yet.
+    let gate = "admission: policy=queue max=unlimited running=0 waiting=0 admitted=0 \
+                rejected=0 peak_running=0";
+    assert_eq!(
+        b.send("SHOW admission").unwrap(),
+        Response::Ok(gate.to_string())
+    );
 
     // Malformed values produce ERR frames and leave the session intact.
     let err = a.send("SET elasticity = 'warp'").unwrap_err();

@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use accordion_common::config::{
-    worker_threads_from_env, AdmissionConfig, ElasticityConfig, NetworkConfig,
+    worker_threads_from_env, AdmissionConfig, ElasticityMode, NetworkConfig,
 };
 use accordion_common::{AccordionError, Result};
 use accordion_data::column::Column;
@@ -66,7 +66,7 @@ pub struct ExecOptions {
     /// `ACCORDION_ELASTICITY` environment variable (`off`, `forced-grow`,
     /// `forced-shrink`, `auto[:deadline_ms]`), else off — what the CI
     /// elasticity matrix toggles.
-    pub elasticity: ElasticityConfig,
+    pub elasticity: ElasticityMode,
     /// Multi-query admission control (used by the cluster scheduler, which
     /// reads it from the options its executor was **constructed** with —
     /// per-query option overrides cannot change the shared limit).
@@ -81,7 +81,7 @@ impl Default for ExecOptions {
             page_rows: 1024,
             worker_threads: worker_threads_from_env(),
             network: NetworkConfig::default(),
-            elasticity: ElasticityConfig::from_env(),
+            elasticity: ElasticityMode::from_env(),
             admission: AdmissionConfig::default(),
         }
     }
@@ -107,7 +107,7 @@ impl ExecOptions {
         self
     }
 
-    pub fn elasticity(mut self, elasticity: ElasticityConfig) -> Self {
+    pub fn elasticity(mut self, elasticity: ElasticityMode) -> Self {
         self.elasticity = elasticity;
         self
     }

@@ -29,6 +29,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use accordion_common::config::NetworkConfig;
 use accordion_common::metrics::Counter;
 use accordion_common::sync::{condvar_wait, yield_slot, Condvar, Mutex, Semaphore};
 use accordion_common::{AccordionError, Result};
@@ -36,15 +37,6 @@ use accordion_data::page::{DataPage, EndReason, Page};
 
 /// Returns a remote page's credit, plus any growth, to its sender.
 pub(crate) type Credit = Arc<dyn Fn(u32) + Send + Sync>;
-
-/// Capacity limits of every elastic buffer of an exchange.
-#[derive(Debug, Clone, Copy)]
-pub struct ExchangeLimits {
-    /// Starting capacity in pages (the paper uses 1).
-    pub initial_pages: usize,
-    /// Growth ceiling in pages; `None` grows without bound.
-    pub max_pages: Option<usize>,
-}
 
 struct QueueState {
     pages: VecDeque<(Arc<DataPage>, Option<Credit>)>,
@@ -72,12 +64,14 @@ pub struct ElasticQueue {
 }
 
 impl ElasticQueue {
-    pub fn new(limits: ExchangeLimits, writers: u32) -> Self {
+    /// A buffer of `writers` producers that starts at `network`'s
+    /// `initial_buffer_pages` and grows up to its `max_buffer_pages`.
+    pub fn new(network: &NetworkConfig, writers: u32) -> Self {
         ElasticQueue {
             state: Mutex::new(QueueState {
                 pages: VecDeque::new(),
-                capacity: limits.initial_pages.max(1),
-                max: limits.max_pages,
+                capacity: network.initial_buffer_pages.max(1),
+                max: network.max_buffer_pages,
                 writers: writers.max(1),
                 end_reason: EndReason::UpstreamFinished,
                 poison: None,
@@ -260,11 +254,10 @@ mod tests {
     use accordion_data::column::Column;
     use std::time::Duration;
 
-    fn limits(initial_pages: usize, max_pages: Option<usize>) -> ExchangeLimits {
-        ExchangeLimits {
-            initial_pages,
-            max_pages,
-        }
+    fn limits(initial_pages: usize, max_pages: Option<usize>) -> NetworkConfig {
+        NetworkConfig::builder()
+            .buffer_pages(initial_pages, max_pages)
+            .build()
     }
 
     fn page(n: i64) -> Arc<DataPage> {
@@ -273,7 +266,7 @@ mod tests {
 
     #[test]
     fn fifo_and_end_after_writers_finish() {
-        let q = ElasticQueue::new(limits(usize::MAX, None), 2);
+        let q = ElasticQueue::new(&limits(usize::MAX, None), 2);
         q.push(page(1), None).unwrap();
         q.push(page(2), None).unwrap();
         q.writer_finished(EndReason::ScanExhausted);
@@ -288,13 +281,7 @@ mod tests {
 
     #[test]
     fn bounded_push_blocks_until_pull() {
-        let q = Arc::new(ElasticQueue::new(
-            ExchangeLimits {
-                initial_pages: 1,
-                max_pages: Some(1),
-            },
-            1,
-        ));
+        let q = Arc::new(ElasticQueue::new(&limits(1, Some(1)), 1));
         q.push(page(1), None).unwrap();
         let q2 = q.clone();
         let h = std::thread::spawn(move || q2.push(page(2), None));
@@ -307,7 +294,7 @@ mod tests {
 
     #[test]
     fn consumer_demand_grows_capacity() {
-        let q = ElasticQueue::new(limits(1, Some(8)), 1);
+        let q = ElasticQueue::new(&limits(1, Some(8)), 1);
         assert_eq!(q.capacity(), 1, "paper: buffers start at one page");
         q.push(page(1), None).unwrap();
         // Pulling from a full buffer doubles it: 1 → 2 → 4 → 8 (capped).
@@ -325,13 +312,7 @@ mod tests {
 
     #[test]
     fn poison_wakes_blocked_sides() {
-        let q = Arc::new(ElasticQueue::new(
-            ExchangeLimits {
-                initial_pages: 1,
-                max_pages: Some(1),
-            },
-            1,
-        ));
+        let q = Arc::new(ElasticQueue::new(&limits(1, Some(1)), 1));
         q.push(page(1), None).unwrap();
         let producer = {
             let q = q.clone();
@@ -346,13 +327,7 @@ mod tests {
 
     #[test]
     fn close_consumer_unblocks_and_drops() {
-        let q = Arc::new(ElasticQueue::new(
-            ExchangeLimits {
-                initial_pages: 1,
-                max_pages: Some(1),
-            },
-            1,
-        ));
+        let q = Arc::new(ElasticQueue::new(&limits(1, Some(1)), 1));
         q.push(page(1), None).unwrap();
         let producer = {
             let q = q.clone();
@@ -372,7 +347,7 @@ mod tests {
 
     #[test]
     fn blocked_pull_yields_gate_permit() {
-        let q = Arc::new(ElasticQueue::new(limits(1, None), 1));
+        let q = Arc::new(ElasticQueue::new(&limits(1, None), 1));
         let gate = Arc::new(Semaphore::new(1));
         gate.acquire(); // the consumer "task" holds the only slot
         let consumer = {

@@ -61,7 +61,7 @@ use accordion_common::{AccordionError, Result};
 use accordion_data::hash::{hash_partition, Partitioning};
 use accordion_data::page::{DataPage, EndReason, Page};
 
-use crate::buffer::{ElasticQueue, ExchangeLimits};
+use crate::buffer::ElasticQueue;
 use crate::frame::{kind, net_err, Payload};
 use crate::tcp::Session;
 
@@ -211,7 +211,6 @@ impl NicModel {
 /// and remote. Built from an [`ExchangeTopology`] — see the module docs.
 pub struct ExchangeRegistry {
     query: u64,
-    limits: ExchangeLimits,
     network: NetworkConfig,
     peers: Vec<String>,
     edges: Mutex<HashMap<u32, Arc<Edge>>>,
@@ -230,10 +229,6 @@ impl ExchangeRegistry {
     ) -> Result<Arc<ExchangeRegistry>> {
         let registry = ExchangeRegistry {
             query: topology.query,
-            limits: ExchangeLimits {
-                initial_pages: network.initial_buffer_pages.max(1),
-                max_pages: network.max_buffer_pages,
-            },
             network: network.clone(),
             peers: topology.peers.clone(),
             edges: Mutex::new(HashMap::new()),
@@ -272,7 +267,7 @@ impl ExchangeRegistry {
         let queues: Vec<Arc<ElasticQueue>> = spec
             .consumers
             .iter()
-            .map(|_| Arc::new(ElasticQueue::new(self.limits, spec.producers)))
+            .map(|_| Arc::new(ElasticQueue::new(&self.network, spec.producers)))
             .collect();
         let mut edges = self.edges.lock();
         if edges.contains_key(&spec.stage) {

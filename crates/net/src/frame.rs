@@ -31,7 +31,7 @@
 //! | 4    | ERR     | `text`; the reply to any request that failed   | acceptor → dialer    |
 //! | 6    | POISON  | `text`                                         | dialer → acceptor    |
 //! | 7    | ACK     | (empty)                                        | worker → coordinator |
-//! | 8    | WIRE    | node `u32`, nodes `u32`, peer count `u32` × `str`, fingerprint `u64`, dop `u32`, elasticity `str`, sql `str` (ACK) | coordinator → worker |
+//! | 8    | WIRE    | node `u32`, peer count `u32` × `str` (the fleet, by node), fingerprint `u64`, dop `u32`, elasticity `str`, sql `str` (ACK) | coordinator → worker |
 //! | 10   | GO      | (empty) (ACK)                                  | coordinator → worker |
 //! | 11   | JOIN    | (empty) (DONE)                                 | coordinator → worker |
 //! | 12   | DONE    | elapsed ms `u64`                               | worker → coordinator |

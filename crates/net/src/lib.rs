@@ -60,7 +60,7 @@ pub mod exchange;
 pub mod frame;
 pub mod tcp;
 
-pub use buffer::{ElasticQueue, ExchangeLimits};
+pub use buffer::ElasticQueue;
 pub use exchange::{
     route_page, ConsumerLoc, EdgeSpec, ExchangeReader, ExchangeRegistry, ExchangeStats,
     ExchangeTopology, ExchangeWriter, NicModel, RoutePolicy,

@@ -362,6 +362,14 @@ fn serve_session(
                     });
                     replies.lock().respond(keyed)
                 };
+                // A query poisoned here hands out nothing more: the poison
+                // answers on the claim's connection, which the claimant may
+                // read before the broadcast that travels on another.
+                let poison = pages.and_then(|p| p.0.lock().get(&query)?.poison_error());
+                if let Some(e) = poison {
+                    reply(Err(e))?;
+                    continue;
+                }
                 if let Some(answer) = claims.answer(query, stage, slot, false)? {
                     reply(Ok(answer))?;
                     continue;

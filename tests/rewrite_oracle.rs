@@ -13,7 +13,7 @@ use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 use accordion::cluster::QueryExecutor;
-use accordion::common::config::{ElasticityConfig, ElasticityMode};
+use accordion::common::config::ElasticityMode;
 use accordion::data::types::Value;
 use accordion::exec::ExecOptions;
 use accordion::plan::optimizer::{Optimizer, OptimizerConfig};
@@ -249,8 +249,7 @@ fn generated_three_table_statements_agree_with_the_unrewritten_plan() {
                     let sql = &statement.sql;
                     let plan = plan_select(catalog, sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
                     let rows = |on: bool, (dop, mode): (u32, ElasticityMode)| {
-                        let opts = ExecOptions::with_page_rows(PAGE_ROWS)
-                            .elasticity(ElasticityConfig { mode });
+                        let opts = ExecOptions::with_page_rows(PAGE_ROWS).elasticity(mode);
                         let mut rows = executor
                             .execute_logical_opts(catalog, &plan, &rewrites(on, dop), &opts)
                             .unwrap_or_else(|e| {

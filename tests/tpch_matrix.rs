@@ -96,7 +96,7 @@ fn run_pool(name: &str, plan: &LogicalPlan, oracle: &[Vec<Value>], scan_rows: u6
         for mode in MODES {
             let cell = format!("{name} dop={dop} workers={workers} mode={mode}");
             let mode = ElasticityConfig::try_parse_mode(mode).unwrap();
-            let opts = ExecOptions::with_page_rows(PAGE_ROWS).elasticity(ElasticityConfig { mode });
+            let opts = ExecOptions::with_page_rows(PAGE_ROWS).elasticity(mode);
             let result = executor
                 .execute_tree_opts(catalog, &tree, &opts)
                 .unwrap_or_else(|e| panic!("{cell}: {e}"));
