@@ -258,11 +258,13 @@ pub type SplitServer = Served<SplitQueues>;
 /// One instance is shared by all of a worker's tasks of the stage, and its
 /// claims travel on the query's session to the coordinator next to the
 /// node's pages. A failed claim — a lost connection, or an ERR such as a
-/// poisoned coordinator's — poisons the query with its error, which is
-/// exactly the contract for a mid-query node loss.
+/// poisoned coordinator's — poisons the query, the contract for a mid-query
+/// node loss; a source of its own ([`RemoteSplitSource::new`]) panics.
 pub struct RemoteSplitSource {
     /// The registry whose session to `addr` carries the claims.
     registry: Arc<ExchangeRegistry>,
+    /// Whether `registry` is a query's, which a failed claim poisons.
+    in_query: bool,
     addr: String,
     stage: u32,
     /// The table's splits, split `i` at position `i`.
@@ -276,9 +278,15 @@ impl RemoteSplitSource {
     /// as the catalog does.
     pub fn new(addr: String, query: u64, stage: u32, splits: Vec<Split>) -> Arc<RemoteSplitSource> {
         let own = ExchangeTopology::new(query);
-        let registry = ExchangeRegistry::build(&own, &NetworkConfig::default(), NicModel)
-            .expect("a registry without edges always builds");
-        RemoteSplitSource::on(registry, addr, stage, splits)
+        Arc::new(RemoteSplitSource {
+            registry: ExchangeRegistry::build(&own, &NetworkConfig::default(), NicModel)
+                .expect("a registry without edges always builds"),
+            in_query: false,
+            addr,
+            stage,
+            splits,
+            retired: Mutex::default(),
+        })
     }
 
     /// A source whose claims ride `registry`'s session to `addr`: a
@@ -291,6 +299,7 @@ impl RemoteSplitSource {
     ) -> Arc<RemoteSplitSource> {
         Arc::new(RemoteSplitSource {
             registry,
+            in_query: true,
             addr,
             stage,
             splits,
@@ -321,10 +330,11 @@ impl SplitSource for RemoteSplitSource {
             }
             // A failed claim fails the query, if nothing has yet, and the
             // task meets the poison at its next exchange call.
-            Err(e) => {
+            Err(e) if self.in_query => {
                 self.registry.poison(e);
                 None
             }
+            Err(e) => panic!("split claim failed: {e}"),
         }
     }
 
@@ -466,13 +476,8 @@ mod tests {
             NicModel,
         )
         .unwrap();
-        let source = |stage| RemoteSplitSource {
-            registry: registry.clone(),
-            addr: server.local_addr(),
-            stage,
-            splits: splits(2),
-            retired: Mutex::default(),
-        };
+        let source =
+            |stage| RemoteSplitSource::on(registry.clone(), server.local_addr(), stage, splits(2));
         let (parked, free) = (source(1), source(2));
         let waiting = std::thread::spawn(move || parked.claim(0, None, None));
         let deadline = std::time::Instant::now() + Duration::from_secs(10);

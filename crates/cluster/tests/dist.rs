@@ -29,7 +29,7 @@ use accordion_exec::splits::SplitSource;
 use accordion_exec::{execute_tree, ExecOptions, QueryResult};
 use accordion_expr::agg::AggKind;
 use accordion_expr::scalar::Expr;
-use accordion_net::frame::{listen, FrameConn, Listener};
+use accordion_net::frame::{kind, listen, FrameConn, Listener, Payload};
 use accordion_net::{serve_sessions, ExchangeRegistry, ExchangeTopology, NicModel, PageRegistries};
 use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
@@ -737,17 +737,36 @@ fn a_claim_on_a_query_poisoned_at_its_claim_service_gets_no_split() {
     let splits = c.get("sales").unwrap().splits.splits().to_vec();
     let fleet = TestFleet::new(1);
     let (node, pages, _) = &fleet.nodes[0];
-    fleet.claims.register(9, 1, splits.clone());
+    fleet.claims.register(9, 1, splits);
     let own = ExchangeTopology::new(9);
     let registry = ExchangeRegistry::build(&own, &NetworkConfig::default(), NicModel).unwrap();
     pages.register(9, registry.clone());
     registry.poison_local(AccordionError::Execution("server shutting down".into()));
-    let source = RemoteSplitSource::new(node.local_addr(), 9, 1, splits);
+    let mut conn =
+        FrameConn::connect(&node.local_addr(), std::time::Duration::from_secs(5)).unwrap();
+    conn.send((kind::HELLO, Payload::default().u64(9).0))
+        .unwrap();
+    let claim = (kind::CLAIM, Payload::default().u32(1).u32(0).0);
+    let err = conn.call(claim).unwrap_err();
     assert!(
-        source.claim(0, None, None).is_none(),
-        "a split after the poison"
+        matches!(&err, AccordionError::Execution(m) if m.contains("server shutting down")),
+        "the poison's own ERR: {err}"
     );
     fleet.shutdown();
+}
+
+#[test]
+#[should_panic(expected = "split claim failed")]
+fn a_source_of_its_own_panics_on_a_failed_claim() {
+    // No query stands behind it to poison: a refused connection must not
+    // read as the table running out of splits.
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .to_string();
+    let splits = catalog().get("sales").unwrap().splits.splits().to_vec();
+    RemoteSplitSource::new(addr, 1, 1, splits).claim(0, None, None);
 }
 
 #[test]

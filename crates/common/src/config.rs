@@ -318,6 +318,22 @@ impl AdmissionConfig {
             ..AdmissionConfig::queued(max)
         }
     }
+
+    /// The server's `--max-queries` and strict `--admission queue|reject`
+    /// (absent is `queue`): `reject` is a queue with no room.
+    pub fn try_parse(max: Option<usize>, policy: Option<&str>) -> crate::error::Result<Self> {
+        let queue_limit = match policy.unwrap_or("queue") {
+            "queue" => AdmissionConfig::default().queue_limit,
+            "reject" => 0,
+            v => Err(crate::error::AccordionError::Parse(format!(
+                "unknown admission policy '{v}' (expected queue or reject)"
+            )))?,
+        };
+        Ok(AdmissionConfig {
+            max_concurrent_queries: max,
+            queue_limit,
+        })
+    }
 }
 
 /// Reads `ACCORDION_WORKER_THREADS`: the default size of the cluster
@@ -519,5 +535,15 @@ mod tests {
         );
         // A zero cap would deadlock every query; clamp to one.
         assert_eq!(AdmissionConfig::queued(0).max_concurrent_queries, Some(1));
+        // `--admission`: nothing or `queue` queues, `reject` has no room.
+        let parse = |policy| AdmissionConfig::try_parse(Some(2), policy);
+        assert_eq!(parse(None).unwrap(), AdmissionConfig::queued(2));
+        assert_eq!(parse(Some("queue")).unwrap(), AdmissionConfig::queued(2));
+        assert_eq!(
+            parse(Some("reject")).unwrap(),
+            AdmissionConfig::rejecting(2)
+        );
+        let err = parse(Some("drop")).unwrap_err().to_string();
+        assert!(err.contains("unknown admission policy 'drop'"), "{err}");
     }
 }

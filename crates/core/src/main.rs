@@ -125,17 +125,9 @@ fn run_server(args: &[String]) -> Result<(), String> {
                 .ok_or_else(|| format!("invalid --max-queries: '{s}' (positive integer)"))?,
         ),
     };
-    let queue_limit = match flag_value(args, "--admission")?.as_deref() {
-        None | Some("queue") => AdmissionConfig::default().queue_limit,
-        Some("reject") => 0,
-        Some(v) => Err(format!(
-            "parse error: unknown admission policy '{v}' (expected queue or reject)"
-        ))?,
-    };
-    let admission = AdmissionConfig {
-        max_concurrent_queries: max_queries,
-        queue_limit,
-    };
+    let admission =
+        AdmissionConfig::try_parse(max_queries, flag_value(args, "--admission")?.as_deref())
+            .map_err(|e| e.to_string())?;
 
     eprintln!("generating TPC-H data at sf {sf} ...");
     let data = generate(&TpchOptions {

@@ -377,11 +377,16 @@ fn a_server_session_with_nodes_set_coordinates_worker_processes() {
 #[test]
 fn server_and_worker_reject_unknown_flags() {
     // A typo must not start a node on defaults: `--worker` for `--workers`,
-    // a flag of another subcommand, a stray positional.
-    for (args, bad) in [
-        (&["server", "--worker", "8"][..], "--worker"),
-        (&["worker", "--dop", "4"][..], "--dop"),
-        (&["worker", "--sf", SF, "stray"][..], "stray"),
+    // a flag of another subcommand, a stray positional, an unknown
+    // `--admission` policy.
+    for (args, error) in [
+        (&["server", "--worker", "8"][..], "unknown flag '--worker'"),
+        (&["worker", "--dop", "4"][..], "unknown flag '--dop'"),
+        (&["worker", "--sf", SF, "stray"][..], "unknown flag 'stray'"),
+        (
+            &["server", "--admission", "drop"][..],
+            "unknown admission policy 'drop'",
+        ),
     ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_accordion-core"))
             .args(args)
@@ -402,10 +407,7 @@ fn server_and_worker_reject_unknown_flags() {
         let out = child.wait_with_output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{args:?} exited zero");
-        assert!(
-            stderr.contains(&format!("unknown flag '{bad}'")),
-            "{args:?}: {stderr}"
-        );
+        assert!(stderr.contains(error), "{args:?}: {stderr}");
         assert!(
             !stderr.contains("generating"),
             "{args:?} generated data before failing: {stderr}"
