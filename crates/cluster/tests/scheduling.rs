@@ -122,7 +122,10 @@ fn golden_suite(c: &Catalog) -> Vec<(&'static str, LogicalPlanBuilder)> {
 }
 
 fn sorted_rows(result: &QueryResult) -> Vec<Vec<Value>> {
-    let mut rows = result.rows();
+    sort_rows(result.rows())
+}
+
+fn sort_rows(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     rows.sort_by(|a, b| {
         a.iter()
             .zip(b)
@@ -325,4 +328,42 @@ fn stats_expose_per_operator_rows() {
         stats.exchange.pages, 0,
         "everything filtered: no data page crosses the exchange"
     );
+}
+
+#[test]
+fn a_join_with_no_keys_is_the_full_product_on_both_executors() {
+    // `join(right, &[])` is the cross join: the planner gives it the
+    // broadcast join's shape, and a join table with no keys hands every
+    // probe row every build row, NULL-bearing rows included.
+    let c = catalog();
+    let table_rows = |name: &str| -> Vec<Vec<Value>> {
+        let meta = c.get(name).unwrap();
+        let pages = meta.splits.splits().iter().flat_map(|s| s.pages.iter());
+        pages.flat_map(|p| p.rows()).collect()
+    };
+    let bonuses = table_rows("bonuses");
+    let product: Vec<Vec<Value>> = table_rows("sales")
+        .into_iter()
+        .flat_map(|probe| {
+            bonuses
+                .iter()
+                .map(move |build| [probe.clone(), build.clone()].concat())
+        })
+        .collect();
+    assert_eq!(product.len(), 64 * 3);
+    let expected = sort_rows(product);
+
+    let sales = LogicalPlanBuilder::scan(&c, "sales").unwrap();
+    let plan = sales
+        .join(LogicalPlanBuilder::scan(&c, "bonuses").unwrap(), &[])
+        .unwrap()
+        .build();
+    let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(2));
+    let tree = StageTree::build(optimizer.optimize(&plan).unwrap()).unwrap();
+    let serial = execute_tree(&c, &tree, &opts(1, false)).unwrap();
+    assert_eq!(sorted_rows(&serial), expected, "serial executor");
+    let concurrent = QueryExecutor::new(opts(2, true))
+        .execute_tree(&c, &tree)
+        .unwrap();
+    assert_eq!(sorted_rows(&concurrent), expected, "QueryExecutor at dop 2");
 }

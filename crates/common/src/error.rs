@@ -43,6 +43,33 @@ impl fmt::Display for AccordionError {
     }
 }
 
+/// Every variant's constructor.
+const KINDS: [fn(String) -> AccordionError; 8] = [
+    AccordionError::Parse,
+    AccordionError::Analysis,
+    AccordionError::Plan,
+    AccordionError::Execution,
+    AccordionError::Storage,
+    AccordionError::Io,
+    AccordionError::Wire,
+    AccordionError::Internal,
+];
+
+impl AccordionError {
+    /// The error whose `Display` is `text`: the inverse of `to_string`, so
+    /// an error sent between nodes as text arrives as the same variant and
+    /// message. Text without a known kind prefix is an `Execution` error
+    /// carrying it whole.
+    pub fn from_display(text: &str) -> AccordionError {
+        for kind in KINDS {
+            if let Some(message) = text.strip_prefix(&kind(String::new()).to_string()) {
+                return kind(message.to_string());
+            }
+        }
+        AccordionError::Execution(text.to_string())
+    }
+}
+
 impl std::error::Error for AccordionError {}
 
 impl From<std::io::Error> for AccordionError {
@@ -60,5 +87,19 @@ mod tests {
         let io = std::io::Error::new(std::io::ErrorKind::NotFound, "nope");
         let e: AccordionError = io.into();
         assert!(matches!(e, AccordionError::Io(_)));
+    }
+
+    #[test]
+    fn every_variant_round_trips_through_its_display() {
+        for kind in KINDS {
+            for message in ["", "boom", "execution error: nested: twice"] {
+                let e = kind(message.to_string());
+                assert_eq!(AccordionError::from_display(&e.to_string()), e);
+            }
+        }
+        assert_eq!(
+            AccordionError::from_display("no known prefix"),
+            AccordionError::Execution("no known prefix".into())
+        );
     }
 }

@@ -381,7 +381,7 @@ fn run_select(
     writer: &mut impl Write,
 ) -> std::io::Result<()> {
     let started = Instant::now();
-    let plan = match Analyzer::new(&*shared.catalog, src).analyze(select) {
+    let plan = match Analyzer::new(&shared.catalog, src).analyze(select) {
         Ok(plan) => plan,
         Err(e) => {
             writeln!(writer, "ERR {}", escape_message(&e.render(src)))?;

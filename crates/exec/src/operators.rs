@@ -802,7 +802,7 @@ const NO_GROUP: u32 = u32::MAX;
 /// The materialized build side of a hash join, shared by all probe drivers.
 /// Rows whose keys contain SQL NULL are excluded (NULL never equi-joins).
 /// With no key columns every row lands in one bucket — that is exactly
-/// cross-join semantics, so `Cross` needs no special casing.
+/// cross-join semantics, so a join with no keys needs no special casing.
 ///
 /// Layout: all build pages concatenated into one [`DataPage`], a
 /// [`GroupTable`] mapping each distinct key to a group id, and a CSR index

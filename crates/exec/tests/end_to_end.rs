@@ -28,7 +28,6 @@ use accordion_net::{
     RoutePolicy,
 };
 use accordion_plan::fragment::{PlanFragment, StageKind, StageTree};
-use accordion_plan::logical::JoinType;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::physical::{Partitioning, PhysicalNode};
 use accordion_plan::pipeline::{split_pipelines, PipelineSpec};
@@ -626,7 +625,6 @@ fn join_pipelines() -> Vec<PipelineSpec> {
         probe: remote(2, "p"),
         build: remote(1, "b"),
         on: vec![(0, 0)],
-        join_type: JoinType::Inner,
     });
     assert_eq!(
         pipelines

@@ -38,7 +38,6 @@ use accordion_expr::agg::{AggKind, AggSpec};
 use accordion_expr::scalar::{BinaryOp, Expr};
 use accordion_net::{ExchangeReader, ExchangeWriter};
 use accordion_plan::fragment::{PlanFragment, StageKind, StageTree};
-use accordion_plan::logical::JoinType;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::physical::{Partitioning, PhysicalNode};
 use accordion_plan::pipeline::split_pipelines;
@@ -817,15 +816,7 @@ fn a_final_under_a_covering_sort_returns_its_key_ordered_twin_row_for_row() {
             ..pushed.clone()
         });
         let context = format!("seed {seed}, keys {kts:?}, order {order:?}, n {n}, dop {dop}");
-        assert_eq!(run(pushed.clone()), twin, "{context}: pushed-down TopN");
-        assert_eq!(
-            run(OptimizerConfig {
-                two_stage_aggregation: false,
-                ..pushed
-            }),
-            twin,
-            "{context}: single-stage aggregation"
-        );
+        assert_eq!(run(pushed), twin, "{context}: pushed-down TopN");
     }
 }
 
@@ -1672,7 +1663,6 @@ fn sinks_behind_a_filter_receive_dense_pages() {
                 predicate: predicate.clone(),
             }),
             on: vec![(0, K_DATE)],
-            join_type: JoinType::Inner,
         };
         let pipelines = split_pipelines(&PlanFragment {
             stage: StageId(0),

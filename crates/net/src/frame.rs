@@ -19,8 +19,10 @@
 //!
 //! Integers are little-endian; `str` is a `u32` byte length followed by
 //! UTF-8 ([`Cursor::str`] / [`Payload::str`]); `text` is raw UTF-8 filling the
-//! payload. Payload fields are always read through [`Cursor`], so a short
-//! or over-long payload is a typed error, never a panic.
+//! payload; `error` is an `AccordionError` as `text`, its `Display`, which
+//! [`AccordionError::from_display`] reads back into the sender's variant
+//! and message. Payload fields are always read through [`Cursor`], so a
+//! short or over-long payload is a typed error, never a panic.
 //!
 //! | kind | name    | payload                                        | direction            |
 //! |------|---------|------------------------------------------------|----------------------|
@@ -28,8 +30,8 @@
 //! | 1    | DATA    | stage `u32`, consumer `u32`, encoded data page | dialer → acceptor    |
 //! | 2    | FINISH  | stage `u32`, encoded end page; one per node    | dialer → acceptor    |
 //! | 3    | CREDIT  | stage `u32`, consumer `u32`, grant `u32`       | acceptor → dialer    |
-//! | 4    | ERR     | `text`; the reply to any request that failed   | acceptor → dialer    |
-//! | 6    | POISON  | `text`                                         | dialer → acceptor    |
+//! | 4    | ERR     | `error`; the reply to any request that failed  | acceptor → dialer    |
+//! | 6    | POISON  | `error`; the query's poison                    | dialer → acceptor    |
 //! | 7    | ACK     | (empty)                                        | worker → coordinator |
 //! | 8    | WIRE    | node `u32`, peer count `u32` × `str` (the fleet, by node), fingerprint `u64`, dop `u32`, elasticity `str`, sql `str` (ACK) | coordinator → worker |
 //! | 10   | GO      | (empty) (ACK)                                  | coordinator → worker |
@@ -202,13 +204,14 @@ impl FrameConn {
     }
 
     /// One request, one reply: a closed connection is an `Io` error and an
-    /// ERR frame is the `Execution` error it carries.
+    /// ERR frame is the error it carries.
     pub fn call(&mut self, request: Frame) -> Result<Frame> {
         self.send(request)?;
         match self.recv()? {
-            Some((kind::ERR, text)) => Err(AccordionError::Execution(
-                String::from_utf8_lossy(&text).into_owned(),
-            )),
+            Some((kind::ERR, text)) => {
+                let text = String::from_utf8_lossy(&text);
+                Err(AccordionError::from_display(&text))
+            }
             Some(frame) => Ok(frame),
             None => Err(net_err("peer closed the connection before replying")),
         }

@@ -220,7 +220,7 @@ impl Session {
             kind::ACK | kind::DONE => _ = self.state.lock().replies.insert(None, (kind, payload)),
             kind::ERR => {
                 let text = String::from_utf8_lossy(&payload);
-                return Err(AccordionError::Execution(text.into_owned()));
+                return Err(AccordionError::from_display(&text));
             }
             other => return Err(net_err(format!("frame kind {other} on a session reply"))),
         }
@@ -405,8 +405,8 @@ fn serve_session(
                 registry.finish_local(stage, end.reason)?;
             }
             (kind::POISON, Some(Some(registry)), _) => {
-                let text = String::from_utf8_lossy(&payload).into_owned();
-                registry.poison_local(AccordionError::Execution(text));
+                let text = String::from_utf8_lossy(&payload);
+                registry.poison_local(AccordionError::from_display(&text));
             }
             _ => return Err(net_err(format!("frame kind {kind} is not served here"))),
         }

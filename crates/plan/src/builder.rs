@@ -14,7 +14,7 @@ use accordion_expr::agg::{AggKind, AggSpec};
 use accordion_expr::scalar::Expr;
 
 use crate::catalog::Catalog;
-use crate::logical::{JoinType, LogicalPlan};
+use crate::logical::LogicalPlan;
 
 /// Fluent builder over [`LogicalPlan`].
 #[derive(Debug, Clone)]
@@ -23,15 +23,14 @@ pub struct LogicalPlanBuilder {
 }
 
 impl LogicalPlanBuilder {
-    /// Starts from a full table scan. Any [`Catalog`] implementation works:
-    /// the storage registry, a schema-only catalog, or a test fixture.
-    pub fn scan(catalog: &dyn Catalog, table: &str) -> Result<Self> {
-        let t = catalog.table(table)?;
+    /// Starts from a full table scan of a catalog table.
+    pub fn scan(catalog: &Catalog, table: &str) -> Result<Self> {
+        let t = catalog.get(table)?;
         let projection: Vec<usize> = (0..t.schema.len()).collect();
         Ok(LogicalPlanBuilder {
             plan: Arc::new(LogicalPlan::TableScan {
-                table: t.name,
-                table_schema: t.schema,
+                table: t.name.clone(),
+                table_schema: t.schema.clone(),
                 projection,
             }),
         })
@@ -88,7 +87,8 @@ impl LogicalPlanBuilder {
         self.project(exprs)
     }
 
-    /// Inner equi-join on named key pairs `(left_name, right_name)`.
+    /// Inner equi-join on named key pairs `(left_name, right_name)`; with no
+    /// pairs, the cross join.
     pub fn join(self, right: LogicalPlanBuilder, keys: &[(&str, &str)]) -> Result<Self> {
         let on: Vec<(usize, usize)> = keys
             .iter()
@@ -98,19 +98,6 @@ impl LogicalPlanBuilder {
             left: self.plan,
             right: right.plan,
             on,
-            join_type: JoinType::Inner,
-        });
-        plan.validate()?;
-        Ok(LogicalPlanBuilder { plan })
-    }
-
-    /// Cross join.
-    pub fn cross_join(self, right: LogicalPlanBuilder) -> Result<Self> {
-        let plan = Arc::new(LogicalPlan::Join {
-            left: self.plan,
-            right: right.plan,
-            on: vec![],
-            join_type: JoinType::Cross,
         });
         plan.validate()?;
         Ok(LogicalPlanBuilder { plan })
@@ -286,7 +273,7 @@ mod tests {
         let c = catalog();
         let items = LogicalPlanBuilder::scan(&c, "items").unwrap();
         let sales = LogicalPlanBuilder::scan(&c, "sales").unwrap();
-        let x = items.cross_join(sales).unwrap();
+        let x = items.join(sales, &[]).unwrap();
         assert_eq!(x.schema().len(), 5);
     }
 

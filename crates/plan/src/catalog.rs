@@ -1,124 +1,10 @@
 //! Name-to-schema resolution for plan construction.
 //!
-//! The planner (and above it the SQL analyzer) only needs to turn a table
-//! *name* into a canonical name plus a [`Schema`] — it never touches rows or
-//! splits. The [`Catalog`] trait captures exactly that, so plans can be
-//! built against any metadata source: the storage layer's registry of real
-//! tables (`accordion_storage::catalog::Catalog` implements this trait), a
-//! schema-only catalog like `accordion_tpch`'s table definitions, or an
-//! in-memory [`MemoryCatalog`] in tests.
-//!
-//! [`Schema`]: accordion_data::schema::Schema
+//! The planner (and above it the SQL analyzer) resolves a table name through
+//! the storage layer's registry, [`Catalog::get`], and reads only the
+//! table's canonical name and schema; an unknown name is an analysis error,
+//! `table 'x' does not exist`. A table registered with no splits
+//! (`TableMeta { name, schema, splits: SplitSet::default() }`) is enough to
+//! parse, analyze and plan against.
 
-use std::collections::BTreeMap;
-
-use accordion_common::{AccordionError, Result};
-use accordion_data::schema::SchemaRef;
-
-/// Resolved reference to a table: the canonical (registered) name and the
-/// table's schema.
-#[derive(Debug, Clone)]
-pub struct TableRef {
-    pub name: String,
-    pub schema: SchemaRef,
-}
-
-/// Table name → schema resolution. Lookups are case-insensitive, matching
-/// common SQL engines.
-pub trait Catalog {
-    /// Resolves a table by name, returning its canonical name and schema.
-    fn table(&self, name: &str) -> Result<TableRef>;
-
-    /// Names of all resolvable tables, sorted — used by diagnostics
-    /// ("unknown table" suggestions) and by `SHOW TABLES`.
-    fn table_names(&self) -> Vec<String>;
-}
-
-/// The error every [`Catalog`] implementation should raise for an unknown
-/// table, so diagnostics stay uniform across metadata sources.
-pub fn unknown_table(name: &str) -> AccordionError {
-    AccordionError::Analysis(format!("table '{name}' does not exist"))
-}
-
-/// The storage layer's table registry resolves through its metadata.
-impl Catalog for accordion_storage::catalog::Catalog {
-    fn table(&self, name: &str) -> Result<TableRef> {
-        let meta = self.get(name)?;
-        Ok(TableRef {
-            name: meta.name.clone(),
-            schema: meta.schema.clone(),
-        })
-    }
-
-    fn table_names(&self) -> Vec<String> {
-        accordion_storage::catalog::Catalog::table_names(self)
-    }
-}
-
-/// Schema-only in-memory catalog: enough to parse, analyze and plan queries
-/// without any table data behind them.
-#[derive(Debug, Clone, Default)]
-pub struct MemoryCatalog {
-    tables: BTreeMap<String, TableRef>,
-}
-
-impl MemoryCatalog {
-    pub fn new() -> Self {
-        MemoryCatalog::default()
-    }
-
-    /// Registers (or replaces) a table schema under a case-insensitive name.
-    pub fn register(&mut self, name: impl Into<String>, schema: SchemaRef) {
-        let name = name.into();
-        self.tables
-            .insert(name.to_ascii_lowercase(), TableRef { name, schema });
-    }
-}
-
-impl Catalog for MemoryCatalog {
-    fn table(&self, name: &str) -> Result<TableRef> {
-        self.tables
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| unknown_table(name))
-    }
-
-    fn table_names(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use accordion_data::schema::{Field, Schema};
-    use accordion_data::types::DataType;
-
-    #[test]
-    fn memory_catalog_resolves_case_insensitively() {
-        let mut c = MemoryCatalog::new();
-        c.register(
-            "Lineitem",
-            Schema::shared(vec![Field::new("l_orderkey", DataType::Int64)]),
-        );
-        let t = c.table("LINEITEM").unwrap();
-        assert_eq!(t.name, "Lineitem");
-        assert_eq!(t.schema.len(), 1);
-        assert!(c.table("orders").is_err());
-        assert_eq!(c.table_names(), vec!["lineitem"]);
-    }
-
-    #[test]
-    fn storage_catalog_implements_the_trait() {
-        use accordion_storage::catalog::{Catalog as StorageCatalog, TableMeta};
-        let sc = StorageCatalog::new();
-        sc.register(TableMeta {
-            name: "t".into(),
-            schema: Schema::shared(vec![Field::new("x", DataType::Int64)]),
-            splits: Default::default(),
-        });
-        let dyn_catalog: &dyn Catalog = &sc;
-        assert_eq!(dyn_catalog.table("T").unwrap().name, "t");
-        assert_eq!(dyn_catalog.table_names(), vec!["t"]);
-    }
-}
+pub use accordion_storage::catalog::Catalog;

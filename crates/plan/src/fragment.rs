@@ -54,9 +54,8 @@ impl DopBounds {
     }
 }
 
-/// Largest default runtime DOP for elastic stages whose planned parallelism
-/// is smaller (the controller may still be handed wider bounds explicitly
-/// via [`StageTree::set_elastic_bounds`]).
+/// Largest runtime DOP of an elastic stage whose planned parallelism is
+/// smaller.
 pub const DEFAULT_MAX_ELASTIC_DOP: u32 = 8;
 
 /// One stage: a connected piece of the physical plan between exchanges.
@@ -65,7 +64,8 @@ pub struct PlanFragment {
     pub stage: StageId,
     /// Fragment-local plan; `Exchange` cut points appear as `RemoteSource`.
     pub root: Arc<PhysicalNode>,
-    /// Number of tasks this stage runs (fixed at planning time for now).
+    /// Number of tasks this stage starts with: all it runs, unless
+    /// `elastic_bounds` lets the controller grow or shrink it mid-query.
     pub parallelism: u32,
     pub kind: StageKind,
     /// Stages feeding this one, in the order their `RemoteSource` leaves
@@ -148,23 +148,6 @@ impl StageTree {
 
     pub fn fragments(&self) -> &[PlanFragment] {
         &self.fragments
-    }
-
-    /// Overrides the runtime DOP bounds of an elastic stage (e.g. to widen
-    /// or pin the range the elasticity controller may use). Errors when the
-    /// stage is unknown or not elastic-eligible.
-    pub fn set_elastic_bounds(&mut self, stage: StageId, bounds: DopBounds) -> Result<()> {
-        let f = self
-            .fragments
-            .get_mut(stage.0 as usize)
-            .ok_or_else(|| AccordionError::Plan(format!("unknown stage {stage}")))?;
-        if f.elastic_bounds.is_none() {
-            return Err(AccordionError::Plan(format!(
-                "stage {stage} is not elastic-eligible"
-            )));
-        }
-        f.elastic_bounds = Some(bounds);
-        Ok(())
     }
 
     pub fn len(&self) -> usize {
@@ -319,16 +302,10 @@ impl Cutter {
                 group_count: *group_count,
                 aggs: aggs.clone(),
             })),
-            PhysicalNode::HashJoin {
-                probe,
-                build,
-                on,
-                join_type,
-            } => Ok(Arc::new(PhysicalNode::HashJoin {
+            PhysicalNode::HashJoin { probe, build, on } => Ok(Arc::new(PhysicalNode::HashJoin {
                 probe: self.strip(probe, child_stages)?,
                 build: self.strip(build, child_stages)?,
                 on: on.clone(),
-                join_type: *join_type,
             })),
             PhysicalNode::LocalExchange {
                 input,
@@ -357,7 +334,6 @@ impl Cutter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logical::JoinType;
     use accordion_data::schema::{Field, Schema};
     use accordion_data::types::DataType;
 
@@ -438,7 +414,6 @@ mod tests {
                 projection: vec![0],
             }),
             on: vec![(0, 0)],
-            join_type: JoinType::Inner,
         });
         let plan = Arc::new(PhysicalNode::Exchange {
             input: join,

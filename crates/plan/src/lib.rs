@@ -4,10 +4,10 @@
 //!
 //! 1. A [`logical::LogicalPlan`] is built (by the SQL front-end or the
 //!    [`builder::LogicalPlanBuilder`] API).
-//! 2. The [`optimizer`] applies rewrite rules (predicate pushdown, two-stage
-//!    aggregation, broadcast-vs-partitioned join selection, optional elastic
-//!    shuffle-stage insertion §4.6) and lowers to a [`physical::PhysicalNode`]
-//!    tree containing explicit **Exchange** nodes.
+//! 2. The [`optimizer`] applies the logical rewrites (predicate pushdown,
+//!    column pruning) and lowers to a [`physical::PhysicalNode`] tree
+//!    containing explicit **Exchange** nodes: two-stage aggregation,
+//!    broadcast joins and local/final Top-N and Limit.
 //! 3. The [`fragment`] module cuts the physical plan at Exchange nodes into a
 //!    stage tree ([`fragment::StageTree`], paper Fig 4) of plan fragments.
 //! 4. The [`pipeline`] module splits each fragment into pipelines (paper
@@ -26,9 +26,9 @@ pub mod physical;
 pub mod pipeline;
 
 pub use builder::LogicalPlanBuilder;
-pub use catalog::{Catalog, MemoryCatalog, TableRef};
+pub use catalog::Catalog;
 pub use fragment::{PlanFragment, StageKind, StageTree};
-pub use logical::{JoinType, LogicalPlan};
+pub use logical::LogicalPlan;
 pub use optimizer::{Optimizer, OptimizerConfig};
 pub use physical::{Partitioning, PhysicalNode};
 pub use pipeline::{build_inputs, split_pipelines, PipelineSpec, Sink};

@@ -13,14 +13,6 @@ use accordion_data::types::DataType;
 use accordion_expr::agg::AggSpec;
 use accordion_expr::scalar::Expr;
 
-/// Join type. The evaluation workload uses inner equi-joins; cross joins are
-/// kept because the paper lists the cross-join operator as stateful (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinType {
-    Inner,
-    Cross,
-}
-
 /// A logical plan node. Children are `Arc`-shared.
 #[derive(Debug, Clone)]
 pub enum LogicalPlan {
@@ -49,12 +41,12 @@ pub enum LogicalPlan {
         group_by: Vec<usize>,
         aggs: Vec<AggSpec>,
     },
-    /// Equi-join (`on` pairs left/right key column indices) or cross join.
+    /// Inner equi-join: `on` pairs left/right key column indices. With no
+    /// pairs it is the cross join, every left row with every right row.
     Join {
         left: Arc<LogicalPlan>,
         right: Arc<LogicalPlan>,
         on: Vec<(usize, usize)>,
-        join_type: JoinType,
     },
     /// ORDER BY + LIMIT.
     TopN {
@@ -188,9 +180,7 @@ impl LogicalPlan {
                     }
                 }
             }
-            LogicalPlan::Join {
-                left, right, on, ..
-            } => {
+            LogicalPlan::Join { left, right, on } => {
                 left.validate()?;
                 right.validate()?;
                 let (ls, rs) = (left.schema(), right.schema());
@@ -263,13 +253,8 @@ impl LogicalPlan {
                 ));
                 input.fmt_indent(out, indent + 1);
             }
-            LogicalPlan::Join {
-                left,
-                right,
-                on,
-                join_type,
-            } => {
-                out.push_str(&format!("{pad}Join[{join_type:?}]: on={on:?}\n"));
+            LogicalPlan::Join { left, right, on } => {
+                out.push_str(&format!("{pad}Join: on={on:?}\n"));
                 left.fmt_indent(out, indent + 1);
                 right.fmt_indent(out, indent + 1);
             }
@@ -372,7 +357,6 @@ mod tests {
             left: scan(),
             right: scan(),
             on: vec![(0, 0)],
-            join_type: JoinType::Inner,
         };
         assert_eq!(j.schema().len(), 6);
         j.validate().unwrap();
@@ -389,7 +373,6 @@ mod tests {
             left: scan(),
             right: scan(),
             on: vec![(0, 2)],
-            join_type: JoinType::Inner,
         };
         assert!(j.validate().is_err(), "int vs utf8 join key");
         // Numeric but different: the join kernels would hash and compare
@@ -398,7 +381,6 @@ mod tests {
             left: scan(),
             right: scan(),
             on: vec![(0, 1)],
-            join_type: JoinType::Inner,
         };
         let err = j.validate().unwrap_err().to_string();
         assert!(err.contains("INT64 vs FLOAT64"), "{err}");

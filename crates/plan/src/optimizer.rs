@@ -13,8 +13,9 @@
 //!   - through an `Aggregate`: when it reads only group keys *and* there
 //!     are group keys — a global aggregate answers one row for no input,
 //!     so nothing may drop its input rows on its behalf;
-//!   - through a `Join` (`Inner` or `Cross`, all there are): each `AND`
-//!     conjunct whose columns all lie on one input goes to that input;
+//!   - through a `Join` (every join is inner; one with no keys is the
+//!     full product): each `AND` conjunct whose columns all lie on one
+//!     input goes to that input;
 //!     conjuncts over both inputs, or over no column, stay above the join
 //!     (and a bare-scan probe side keeps its own — see
 //!     `push_filter_into_join`);
@@ -55,11 +56,11 @@ use accordion_data::types::DataType;
 use accordion_expr::agg::{AggKind, AggSpec};
 use accordion_expr::scalar::{BinaryOp, Expr};
 
-use crate::logical::{JoinType, LogicalPlan};
+use crate::logical::LogicalPlan;
 use crate::physical::{Partitioning, PhysicalNode};
 
-/// Tuning knobs for the optimizer. Rule toggles exist so structural planner
-/// tests can isolate a single rewrite.
+/// Tuning knobs for the optimizer. Each rule toggle is there for the test
+/// that holds the rule to the plan without it.
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
     /// Parallelism (task count) of source stages — the stages the cluster
@@ -71,13 +72,12 @@ pub struct OptimizerConfig {
     /// of gathering to a single task; global aggregates always gather.
     pub merge_parallelism: u32,
     /// Enables the logical rewrites: filter pushdown (through projections,
-    /// aggregations and joins) and column pruning.
+    /// aggregations and joins) and column pruning. Off, the analyzer's tree
+    /// runs as it stands: the oracle of `tests/rewrite_oracle.rs`.
     pub predicate_pushdown: bool,
-    /// Splits aggregations into partial/final phases across an exchange.
-    /// When disabled, the input is gathered first and both phases run
-    /// back-to-back in the single merge stage.
-    pub two_stage_aggregation: bool,
-    /// Keeps a per-task TopN/Limit below the gather exchange.
+    /// Keeps a per-task TopN/Limit below the gather exchange. Off, only the
+    /// final TopN/Limit runs: the twin `exec/tests/kernel_reference.rs`
+    /// compares the pushed-down plan with.
     pub topn_pushdown: bool,
 }
 
@@ -87,7 +87,6 @@ impl Default for OptimizerConfig {
             scan_parallelism: 4,
             merge_parallelism: 2,
             predicate_pushdown: true,
-            two_stage_aggregation: true,
             topn_pushdown: true,
         }
     }
@@ -212,70 +211,51 @@ impl Optimizer {
             } => {
                 let (child, dist) = self.lower(input)?;
                 let (aggs, divide) = split_avg(plan, group_by.len(), aggs);
-                let (node, dist) = if self.config.two_stage_aggregation {
-                    // partial (parallel) → partitioned exchange → final,
-                    // which merges pages as they arrive. With group keys and
-                    // `merge_parallelism > 1` the exchange hash-partitions
-                    // the partial states on the group-key columns (the first
-                    // `group_by.len()` columns of the partial output), so
-                    // every row of one group lands in the same merge task
-                    // and the final phase runs distributed. Global
-                    // aggregates have nothing to hash on and gather.
-                    let merge_dop = if group_by.is_empty() {
-                        1
-                    } else {
-                        self.config.merge_parallelism.max(1)
-                    };
-                    let partitioning = if merge_dop > 1 {
-                        Partitioning::Hash {
-                            keys: (0..group_by.len()).collect(),
-                            partitions: merge_dop,
-                        }
-                    } else {
-                        Partitioning::Single
-                    };
-                    let partial = Arc::new(PhysicalNode::PartialAggregate {
-                        input: child,
-                        group_by: group_by.clone(),
-                        aggs: aggs.clone(),
-                    });
-                    let exchange = Arc::new(PhysicalNode::Exchange {
-                        input: partial,
-                        partitioning,
-                        input_parallelism: dist,
-                    });
-                    let node = Arc::new(PhysicalNode::FinalAggregate {
-                        input: exchange,
-                        group_count: group_by.len(),
-                        aggs: aggs.clone(),
-                    });
-                    (node, merge_dop)
+                // partial (parallel) → partitioned exchange → final, which
+                // merges pages as they arrive. With group keys and
+                // `merge_parallelism > 1` the exchange hash-partitions the
+                // partial states on the group-key columns (the first
+                // `group_by.len()` columns of the partial output), so every
+                // row of one group lands in the same merge task and the
+                // final phase runs distributed. Global aggregates have
+                // nothing to hash on and gather.
+                let merge_dop = if group_by.is_empty() {
+                    1
                 } else {
-                    // Gather raw rows, then run both phases back-to-back.
-                    let gathered = gather_if_distributed(child, dist);
-                    let partial = Arc::new(PhysicalNode::PartialAggregate {
-                        input: gathered,
-                        group_by: group_by.clone(),
-                        aggs: aggs.clone(),
-                    });
-                    let node = Arc::new(PhysicalNode::FinalAggregate {
-                        input: partial,
-                        group_count: group_by.len(),
-                        aggs: aggs.clone(),
-                    });
-                    (node, 1)
+                    self.config.merge_parallelism.max(1)
                 };
+                let partitioning = if merge_dop > 1 {
+                    Partitioning::Hash {
+                        keys: (0..group_by.len()).collect(),
+                        partitions: merge_dop,
+                    }
+                } else {
+                    Partitioning::Single
+                };
+                let partial = Arc::new(PhysicalNode::PartialAggregate {
+                    input: child,
+                    group_by: group_by.clone(),
+                    aggs: aggs.clone(),
+                });
+                let exchange = Arc::new(PhysicalNode::Exchange {
+                    input: partial,
+                    partitioning,
+                    input_parallelism: dist,
+                });
+                let node = Arc::new(PhysicalNode::FinalAggregate {
+                    input: exchange,
+                    group_count: group_by.len(),
+                    aggs,
+                });
                 match divide {
-                    Some(exprs) => (Arc::new(PhysicalNode::Project { input: node, exprs }), dist),
-                    None => (node, dist),
+                    Some(exprs) => (
+                        Arc::new(PhysicalNode::Project { input: node, exprs }),
+                        merge_dop,
+                    ),
+                    None => (node, merge_dop),
                 }
             }
-            LogicalPlan::Join {
-                left,
-                right,
-                on,
-                join_type,
-            } => {
+            LogicalPlan::Join { left, right, on } => {
                 let (probe, probe_dist) = self.lower(left)?;
                 let (build, build_dist) = self.lower(right)?;
                 // Broadcast join: the build side is gathered into a single
@@ -293,7 +273,6 @@ impl Optimizer {
                         probe,
                         build,
                         on: on.clone(),
-                        join_type: *join_type,
                     }),
                     probe_dist,
                 )
@@ -416,18 +395,6 @@ fn root_stage_contains_scan(node: &PhysicalNode) -> bool {
     }
 }
 
-fn gather_if_distributed(node: Arc<PhysicalNode>, dist: u32) -> Arc<PhysicalNode> {
-    if dist > 1 {
-        Arc::new(PhysicalNode::Exchange {
-            input: node,
-            partitioning: Partitioning::Single,
-            input_parallelism: dist,
-        })
-    } else {
-        node
-    }
-}
-
 /// Rewrites the plan bottom-up, sinking every filter as far down as it can
 /// legally go.
 pub fn pushdown_predicates(plan: &LogicalPlan) -> Arc<LogicalPlan> {
@@ -450,16 +417,10 @@ pub fn pushdown_predicates(plan: &LogicalPlan) -> Arc<LogicalPlan> {
             group_by: group_by.clone(),
             aggs: aggs.clone(),
         }),
-        LogicalPlan::Join {
-            left,
-            right,
-            on,
-            join_type,
-        } => Arc::new(LogicalPlan::Join {
+        LogicalPlan::Join { left, right, on } => Arc::new(LogicalPlan::Join {
             left: pushdown_predicates(left),
             right: pushdown_predicates(right),
             on: on.clone(),
-            join_type: *join_type,
         }),
         LogicalPlan::TopN { input, keys, n } => Arc::new(LogicalPlan::TopN {
             input: pushdown_predicates(input),
@@ -516,12 +477,7 @@ fn push_filter(input: Arc<LogicalPlan>, predicate: Expr) -> Arc<LogicalPlan> {
                 aggs: aggs.clone(),
             })
         }
-        LogicalPlan::Join {
-            left,
-            right,
-            on,
-            join_type,
-        } => push_filter_into_join(left, right, on, *join_type, predicate),
+        LogicalPlan::Join { left, right, on } => push_filter_into_join(left, right, on, predicate),
         // TopN/Limit change cardinality — a filter must not cross them.
         _ => Arc::new(LogicalPlan::Filter { input, predicate }),
     }
@@ -530,9 +486,9 @@ fn push_filter(input: Arc<LogicalPlan>, predicate: Expr) -> Arc<LogicalPlan> {
 /// Sends each `AND` conjunct of `predicate` to the join input that holds
 /// every column it references, where it keeps sinking; conjuncts over both
 /// inputs (an `OR` across them included) or over no column at all stay in
-/// one filter above the join. Sound for `Inner` and `Cross`, every join type
-/// there is: a joined row passes a single-input conjunct exactly when the
-/// input row it was made from does.
+/// one filter above the join. Sound for every join there is (inner, the
+/// full product when `on` is empty): a joined row passes a single-input
+/// conjunct exactly when the input row it was made from does.
 ///
 /// One input is left alone: a probe side (`left`) that is a bare scan keeps
 /// its conjuncts directly above this join. The repo benchmark's join probes
@@ -545,7 +501,6 @@ fn push_filter_into_join(
     left: &Arc<LogicalPlan>,
     right: &Arc<LogicalPlan>,
     on: &[(usize, usize)],
-    join_type: JoinType,
     predicate: Expr,
 ) -> Arc<LogicalPlan> {
     let left_width = left.schema().len();
@@ -575,7 +530,6 @@ fn push_filter_into_join(
         left: sink(left, to_left),
         right: sink(right, to_right),
         on: on.to_vec(),
-        join_type,
     });
     match above {
         Some(predicate) => Arc::new(LogicalPlan::Filter {
@@ -669,12 +623,7 @@ fn prune_columns(plan: &LogicalPlan, required: &[usize]) -> Pruned {
             group_by,
             aggs,
         } => prune_aggregate(input, group_by, aggs),
-        LogicalPlan::Join {
-            left,
-            right,
-            on,
-            join_type,
-        } => prune_join(left, right, on, *join_type, required),
+        LogicalPlan::Join { left, right, on } => prune_join(left, right, on, required),
         LogicalPlan::TopN { input, keys, n } => {
             let input = prune_columns(input, &union(required, keys.iter().map(|k| k.column)));
             let keys = keys
@@ -753,7 +702,6 @@ fn prune_join(
     left: &LogicalPlan,
     right: &LogicalPlan,
     on: &[(usize, usize)],
-    join_type: JoinType,
     required: &[usize],
 ) -> Pruned {
     let left_width = left.schema().len();
@@ -772,7 +720,6 @@ fn prune_join(
             left: left.plan,
             right: right.plan,
             on,
-            join_type,
         }),
         kept,
     }
@@ -1036,38 +983,5 @@ mod tests {
                 );
             }
         });
-    }
-
-    #[test]
-    fn single_stage_aggregation_when_disabled() {
-        let cfg = OptimizerConfig {
-            two_stage_aggregation: false,
-            ..OptimizerConfig::default()
-        };
-        let opt = Optimizer::new(cfg);
-        let agg = LogicalPlan::Aggregate {
-            input: scan(),
-            group_by: vec![1],
-            aggs: vec![AggSpec::new(
-                AggKind::Sum,
-                Expr::col(0),
-                DataType::Int64,
-                "s",
-            )],
-        };
-        let phys = opt.optimize(&agg).unwrap();
-        // Final directly over Partial — exactly one Exchange (the gather
-        // below the partial phase).
-        let mut names = Vec::new();
-        phys.visit(&mut |n| names.push(n.name()));
-        assert_eq!(
-            names,
-            vec![
-                "FinalAggregate",
-                "PartialAggregate",
-                "Exchange",
-                "TableScan"
-            ]
-        );
     }
 }

@@ -30,8 +30,6 @@ use accordion_data::types::DataType;
 use accordion_expr::agg::AggSpec;
 use accordion_expr::scalar::Expr;
 
-use crate::logical::JoinType;
-
 /// A physical plan node. Children are `Arc`-shared, like logical plans.
 #[derive(Debug, Clone)]
 pub enum PhysicalNode {
@@ -73,13 +71,14 @@ pub enum PhysicalNode {
     HashJoin {
         probe: Arc<PhysicalNode>,
         build: Arc<PhysicalNode>,
-        /// Pairs of (probe column, build column) equi-join keys.
+        /// Pairs of (probe column, build column) equi-join keys; with none
+        /// every probe row meets every build row.
         on: Vec<(usize, usize)>,
-        join_type: JoinType,
     },
     /// Task-to-task (network) shuffle. Stage fragmentation cuts here.
-    /// `input_parallelism` records the producing stage's DOP, fixed at
-    /// optimization time (later PRs make this elastic at runtime).
+    /// `input_parallelism` is the producing stage's planned DOP, the task
+    /// count it starts with; an elastic stage's controller moves it at
+    /// runtime within the stage's `elastic_bounds`.
     Exchange {
         input: Arc<PhysicalNode>,
         partitioning: Partitioning,
@@ -269,13 +268,8 @@ impl PhysicalNode {
                 ));
                 input.fmt_indent(out, indent + 1);
             }
-            PhysicalNode::HashJoin {
-                probe,
-                build,
-                on,
-                join_type,
-            } => {
-                out.push_str(&format!("{pad}HashJoin[{join_type:?}]: on={on:?}\n"));
+            PhysicalNode::HashJoin { probe, build, on } => {
+                out.push_str(&format!("{pad}HashJoin: on={on:?}\n"));
                 probe.fmt_indent(out, indent + 1);
                 build.fmt_indent(out, indent + 1);
             }

@@ -226,7 +226,6 @@ impl Splitter {
 mod tests {
     use super::*;
     use crate::fragment::{StageKind, StageTree};
-    use crate::logical::JoinType;
     use crate::physical::Partitioning;
     use accordion_data::schema::{Field, Schema};
     use accordion_data::sort::SortKey;
@@ -295,7 +294,6 @@ mod tests {
             probe: scan("probe"),
             build: scan("build"),
             on: vec![(0, 0)],
-            join_type: JoinType::Inner,
         });
         let pipelines = split_pipelines(&fragment_of(root)).unwrap();
         assert_eq!(pipelines.len(), 2);

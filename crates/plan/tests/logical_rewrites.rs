@@ -10,19 +10,25 @@ use accordion_data::schema::{Field, Schema};
 use accordion_data::types::DataType::{self, Date32, Float64, Int64, Utf8};
 use accordion_expr::agg::{AggKind, AggSpec};
 use accordion_expr::scalar::{BinaryOp, Expr};
-use accordion_plan::catalog::MemoryCatalog;
+use accordion_plan::catalog::Catalog;
 use accordion_plan::logical::LogicalPlan;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::LogicalPlanBuilder;
+use accordion_storage::catalog::TableMeta;
+use accordion_storage::split::SplitSet;
 
-fn catalog() -> MemoryCatalog {
-    let table = |cols: &[(&str, DataType)]| {
-        Schema::shared(cols.iter().map(|(n, t)| Field::new(*n, *t)).collect())
+fn catalog() -> Catalog {
+    let c = Catalog::new();
+    let register = |name: &str, cols: &[(&str, DataType)]| {
+        c.register(TableMeta {
+            name: name.into(),
+            schema: Schema::shared(cols.iter().map(|(n, t)| Field::new(*n, *t)).collect()),
+            splits: SplitSet::default(),
+        })
     };
-    let mut c = MemoryCatalog::new();
-    c.register(
+    register(
         "lineitem",
-        table(&[
+        &[
             ("l_orderkey", Int64),
             ("l_linenumber", Int64),
             ("l_quantity", Float64),
@@ -30,32 +36,32 @@ fn catalog() -> MemoryCatalog {
             ("l_discount", Float64),
             ("l_returnflag", Utf8),
             ("l_shipdate", Date32),
-        ]),
+        ],
     );
-    c.register(
+    register(
         "orders",
-        table(&[
+        &[
             ("o_orderkey", Int64),
             ("o_custkey", Int64),
             ("o_orderstatus", Utf8),
             ("o_totalprice", Float64),
             ("o_orderdate", Date32),
-        ]),
+        ],
     );
-    c.register(
+    register(
         "customer",
-        table(&[
+        &[
             ("c_custkey", Int64),
             ("c_name", Utf8),
             ("c_mktsegment", Utf8),
             ("c_acctbal", Float64),
-        ]),
+        ],
     );
     c
 }
 
 /// lineitem ⋈ orders ⋈ customer, left-deep, as `FROM … JOIN … JOIN …` plans.
-fn three_tables(c: &MemoryCatalog) -> LogicalPlanBuilder {
+fn three_tables(c: &Catalog) -> LogicalPlanBuilder {
     let scan = |t| LogicalPlanBuilder::scan(c, t).unwrap();
     scan("lineitem")
         .join(scan("orders"), &[("l_orderkey", "o_orderkey")])
@@ -120,7 +126,7 @@ fn names(cols: &[&str]) -> Vec<String> {
 
 /// q3: three single-table conjuncts in one `WHERE`, a grouped aggregate over
 /// an expression, ORDER BY … LIMIT.
-fn q3(c: &MemoryCatalog) -> Arc<LogicalPlan> {
+fn q3(c: &Catalog) -> Arc<LogicalPlan> {
     let b = three_tables(c);
     let date = Expr::lit_date(9_204); // 1995-03-15
     let predicate = and(vec![
@@ -264,7 +270,7 @@ fn cross_join_sides_take_their_conjuncts_too() {
     let b = scan("orders")
         .join(scan("customer"), &[("o_custkey", "c_custkey")])
         .unwrap()
-        .cross_join(scan("lineitem"))
+        .join(scan("lineitem"), &[])
         .unwrap();
     let predicate = and(vec![
         Expr::lt(b.col("l_linenumber").unwrap(), Expr::lit_i64(2)),

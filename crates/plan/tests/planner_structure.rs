@@ -10,14 +10,14 @@ use accordion_data::schema::{Field, Schema};
 use accordion_data::types::{DataType, Value};
 use accordion_expr::agg::{AggKind, AggSpec};
 use accordion_expr::scalar::{BinaryOp, Expr};
-use accordion_plan::catalog::MemoryCatalog;
 use accordion_plan::fragment::{DopBounds, StageKind, StageTree};
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion_plan::physical::{Partitioning, PhysicalNode};
 use accordion_plan::pipeline::{build_inputs, split_pipelines};
 use accordion_plan::LogicalPlanBuilder;
 use accordion_sql::plan_select;
-use accordion_storage::catalog::Catalog;
+use accordion_storage::catalog::{Catalog, TableMeta};
+use accordion_storage::split::SplitSet;
 use accordion_storage::table::TableBuilder;
 
 fn catalog() -> Catalog {
@@ -178,17 +178,6 @@ fn single_scan_source_stages_are_elastic_eligible() {
     let wide = agg_sort_tree(16);
     let source = wide.fragment(StageId(2)).unwrap();
     assert_eq!(source.elastic_bounds, Some(DopBounds::new(1, 16)));
-    // Bounds are overridable (and rejected on non-eligible stages).
-    let mut tree = agg_sort_tree(4);
-    tree.set_elastic_bounds(StageId(2), DopBounds::new(2, 4))
-        .unwrap();
-    assert_eq!(
-        tree.fragment(StageId(2)).unwrap().elastic_bounds,
-        Some(DopBounds::new(2, 4))
-    );
-    assert!(tree
-        .set_elastic_bounds(StageId(0), DopBounds::new(1, 2))
-        .is_err());
 }
 
 #[test]
@@ -250,7 +239,6 @@ fn a_stage_with_a_child_that_feeds_no_build_stays_pinned() {
         probe: probe_exchange,
         build: scan("t"),
         on: vec![(0, 0)],
-        join_type: accordion_plan::JoinType::Inner,
     });
     let tree = StageTree::build(Arc::new(PhysicalNode::Exchange {
         input: join,
@@ -359,20 +347,19 @@ fn pushdown_moves_filter_into_scan_stage() {
 }
 
 /// The benchmark's tables, schemas only.
-fn tpch_catalog() -> MemoryCatalog {
-    let table = |fields: &[(&str, DataType)]| {
-        Schema::shared(
-            fields
-                .iter()
-                .map(|&(name, dt)| Field::new(name, dt))
-                .collect(),
-        )
+fn tpch_catalog() -> Catalog {
+    let c = Catalog::new();
+    let register = |name: &str, fields: &[(&str, DataType)]| {
+        c.register(TableMeta {
+            name: name.into(),
+            schema: Schema::shared(fields.iter().map(|&(f, dt)| Field::new(f, dt)).collect()),
+            splits: SplitSet::default(),
+        })
     };
     use DataType::*;
-    let mut c = MemoryCatalog::new();
-    c.register(
+    register(
         "lineitem",
-        table(&[
+        &[
             ("l_orderkey", Int64),
             ("l_linenumber", Int64),
             ("l_partkey", Int64),
@@ -384,27 +371,27 @@ fn tpch_catalog() -> MemoryCatalog {
             ("l_returnflag", Utf8),
             ("l_linestatus", Utf8),
             ("l_shipdate", Date32),
-        ]),
+        ],
     );
-    c.register(
+    register(
         "orders",
-        table(&[
+        &[
             ("o_orderkey", Int64),
             ("o_custkey", Int64),
             ("o_orderstatus", Utf8),
             ("o_totalprice", Float64),
             ("o_orderdate", Date32),
-        ]),
+        ],
     );
-    c.register(
+    register(
         "customer",
-        table(&[
+        &[
             ("c_custkey", Int64),
             ("c_name", Utf8),
             ("c_nationkey", Int64),
             ("c_mktsegment", Utf8),
             ("c_acctbal", Float64),
-        ]),
+        ],
     );
     c
 }
@@ -568,25 +555,20 @@ fn every_partial_aggregate_state_is_one_column_per_aggregate() {
     ];
     for sql in statements {
         let plan = plan_select(&tpch_catalog(), sql).unwrap();
-        for two_stage_aggregation in [true, false] {
-            let config = OptimizerConfig {
-                two_stage_aggregation,
-                ..OptimizerConfig::default().with_parallelism(2)
-            };
-            let physical = Optimizer::new(config).optimize(&plan).unwrap();
-            let mut partials = 0;
-            physical.visit(&mut |node| {
-                if let PhysicalNode::PartialAggregate { group_by, aggs, .. } = node {
-                    partials += 1;
-                    assert!(aggs.iter().all(|a| a.kind != AggKind::Avg), "{sql}");
-                    assert_eq!(node.schema().len(), group_by.len() + aggs.len(), "{sql}");
-                }
-            });
-            assert_eq!(partials, 1, "{sql}");
-            // Every AVG is a division above the final; the statement's
-            // output is the analyzer's.
-            assert_eq!(physical.schema(), plan.schema(), "{sql}");
-        }
+        let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(2));
+        let physical = optimizer.optimize(&plan).unwrap();
+        let mut partials = 0;
+        physical.visit(&mut |node| {
+            if let PhysicalNode::PartialAggregate { group_by, aggs, .. } = node {
+                partials += 1;
+                assert!(aggs.iter().all(|a| a.kind != AggKind::Avg), "{sql}");
+                assert_eq!(node.schema().len(), group_by.len() + aggs.len(), "{sql}");
+            }
+        });
+        assert_eq!(partials, 1, "{sql}");
+        // Every AVG is a division above the final; the statement's output
+        // is the analyzer's.
+        assert_eq!(physical.schema(), plan.schema(), "{sql}");
     }
     // q1's AVG splits, and its final still leaves groups in table order:
     // the division's projection passes the group columns through.

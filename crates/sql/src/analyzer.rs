@@ -17,14 +17,14 @@ use accordion_data::types::{parse_date32, Value};
 use accordion_expr::agg::{AggKind, AggSpec};
 use accordion_expr::scalar::{BinaryOp, Expr};
 use accordion_plan::catalog::Catalog;
-use accordion_plan::logical::{JoinType, LogicalPlan};
+use accordion_plan::logical::LogicalPlan;
 
 use crate::ast;
 use crate::error::{Span, SqlError};
 
 /// Lowers parsed [`ast::Select`] statements to logical plans.
 pub struct Analyzer<'a> {
-    catalog: &'a dyn Catalog,
+    catalog: &'a Catalog,
     /// Original SQL text — used to derive output column names for
     /// unaliased expression items (`count(*)` keeps its spelling) and to
     /// match `ORDER BY` expressions against projected items.
@@ -89,7 +89,7 @@ struct CollectedAgg {
 }
 
 impl<'a> Analyzer<'a> {
-    pub fn new(catalog: &'a dyn Catalog, src: &'a str) -> Analyzer<'a> {
+    pub fn new(catalog: &'a Catalog, src: &'a str) -> Analyzer<'a> {
         Analyzer { catalog, src }
     }
 
@@ -138,7 +138,7 @@ impl<'a> Analyzer<'a> {
     fn scan(&self, factor: &ast::TableFactor) -> Result<(Arc<LogicalPlan>, Scope), SqlError> {
         let t = self
             .catalog
-            .table(&factor.name.value)
+            .get(&factor.name.value)
             .map_err(|e| SqlError::analysis(error_text(e), factor.name.span))?;
         let qualifier = factor.qualifier();
         let columns = t
@@ -153,8 +153,8 @@ impl<'a> Analyzer<'a> {
         let schema = t.schema.as_ref().clone();
         let projection: Vec<usize> = (0..t.schema.len()).collect();
         let plan = Arc::new(LogicalPlan::TableScan {
-            table: t.name,
-            table_schema: t.schema,
+            table: t.name.clone(),
+            table_schema: t.schema.clone(),
             projection,
         });
         Ok((plan, Scope { columns, schema }))
@@ -246,7 +246,6 @@ impl<'a> Analyzer<'a> {
                 left: plan,
                 right: right_plan,
                 on: equi,
-                join_type: JoinType::Inner,
             });
             joined
                 .validate()
@@ -876,29 +875,31 @@ fn error_text(e: accordion_common::AccordionError) -> String {
 mod tests {
     use super::*;
     use accordion_data::types::DataType;
-    use accordion_plan::catalog::MemoryCatalog;
+    use accordion_storage::catalog::TableMeta;
+    use accordion_storage::split::SplitSet;
 
     use crate::parser::parse_one;
 
-    fn catalog() -> MemoryCatalog {
-        let mut c = MemoryCatalog::new();
-        c.register(
-            "sales",
-            Schema::shared(vec![
-                Field::new("region", DataType::Utf8),
-                Field::new("item_id", DataType::Int64),
-                Field::new("qty", DataType::Int64),
-                Field::new("price", DataType::Float64),
-                Field::new("sold_on", DataType::Date32),
-            ]),
-        );
-        c.register(
-            "items",
-            Schema::shared(vec![
-                Field::new("item_id", DataType::Int64),
-                Field::new("name", DataType::Utf8),
-            ]),
-        );
+    fn catalog() -> Catalog {
+        let c = Catalog::new();
+        let sales = vec![
+            Field::new("region", DataType::Utf8),
+            Field::new("item_id", DataType::Int64),
+            Field::new("qty", DataType::Int64),
+            Field::new("price", DataType::Float64),
+            Field::new("sold_on", DataType::Date32),
+        ];
+        let items = vec![
+            Field::new("item_id", DataType::Int64),
+            Field::new("name", DataType::Utf8),
+        ];
+        for (name, fields) in [("sales", sales), ("items", items)] {
+            c.register(TableMeta {
+                name: name.into(),
+                schema: Schema::shared(fields),
+                splits: SplitSet::default(),
+            });
+        }
         c
     }
 

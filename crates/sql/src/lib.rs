@@ -17,13 +17,16 @@
 //! ```
 //! use accordion_data::schema::{Field, Schema};
 //! use accordion_data::types::DataType;
-//! use accordion_plan::catalog::MemoryCatalog;
+//! use accordion_plan::catalog::Catalog;
+//! use accordion_storage::catalog::TableMeta;
+//! use accordion_storage::split::SplitSet;
 //!
-//! let mut catalog = MemoryCatalog::new();
-//! catalog.register(
-//!     "t",
-//!     Schema::shared(vec![Field::new("x", DataType::Int64)]),
-//! );
+//! let catalog = Catalog::new();
+//! catalog.register(TableMeta {
+//!     name: "t".into(),
+//!     schema: Schema::shared(vec![Field::new("x", DataType::Int64)]),
+//!     splits: SplitSet::default(),
+//! });
 //! let plan = accordion_sql::plan_select(&catalog, "SELECT x FROM t WHERE x > 3").unwrap();
 //! assert_eq!(plan.schema().field(0).name, "x");
 //! ```
@@ -47,7 +50,7 @@ pub use parser::{parse_one, parse_statements};
 
 /// Parses and analyzes a single SELECT statement into a logical plan.
 /// Errors are rendered against `sql` with caret diagnostics.
-pub fn plan_select(catalog: &dyn Catalog, sql: &str) -> Result<Arc<LogicalPlan>> {
+pub fn plan_select(catalog: &Catalog, sql: &str) -> Result<Arc<LogicalPlan>> {
     match parse_one(sql).map_err(|e| e.into_engine(sql))? {
         Statement::Select(select) => Analyzer::new(catalog, sql)
             .analyze(&select)
@@ -73,17 +76,19 @@ mod tests {
     use super::*;
     use accordion_data::schema::{Field, Schema};
     use accordion_data::types::DataType;
-    use accordion_plan::catalog::MemoryCatalog;
+    use accordion_storage::catalog::TableMeta;
+    use accordion_storage::split::SplitSet;
 
-    fn catalog() -> MemoryCatalog {
-        let mut c = MemoryCatalog::new();
-        c.register(
-            "t",
-            Schema::shared(vec![
+    fn catalog() -> Catalog {
+        let c = Catalog::new();
+        c.register(TableMeta {
+            name: "t".into(),
+            schema: Schema::shared(vec![
                 Field::new("x", DataType::Int64),
                 Field::new("s", DataType::Utf8),
             ]),
-        );
+            splits: SplitSet::default(),
+        });
         c
     }
 

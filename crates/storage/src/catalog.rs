@@ -1,7 +1,7 @@
 //! Table catalog.
 //!
 //! The catalog is shared by the SQL analyzer and the planner, which read
-//! only table schemas (through `accordion_plan::Catalog`), and by the
+//! only table schemas (through [`Catalog::get`]), and by the
 //! scheduler, which enumerates a scanning stage's splits.
 
 use std::collections::BTreeMap;
