@@ -25,7 +25,7 @@
 //!    [`WhatIfPredictor::evaluate`] turns that into a decision: the
 //!    **smallest** DOP whose prediction meets what is left of the deadline
 //!    (don't pay for parallelism the deadline doesn't need), never more
-//!    tasks than the query can occupy compute slots, and no shrink that
+//!    tasks than the stage can occupy compute slots, and no shrink that
 //!    merely spends the head start a higher DOP has earned.
 //! 3. **The re-parallelization mechanism** — each stage's scan tasks
 //!    claim splits from a shared [`SplitQueue`], in every mode; under the
@@ -256,6 +256,10 @@ pub struct StageControl {
     /// Active task slots (slot ids are never reused); `len()` is the
     /// stage's current DOP.
     active: Vec<u32>,
+    /// Compute slots the stage's tasks can occupy at once: the controller
+    /// node's pool, where every grow runs, plus the planned tasks other
+    /// nodes host. `Auto` never asks for more tasks than this.
+    slots: u32,
     /// Next fresh slot id for grown tasks.
     next_slot: u32,
     /// The writer lease: a member of this node's writer group for the
@@ -277,6 +281,7 @@ impl StageControl {
         stage: u32,
         bounds: DopBounds,
         initial_dop: u32,
+        slots: u32,
         queue: Arc<SplitQueue>,
         lease: Box<dyn ExchangeWriter>,
     ) -> Self {
@@ -286,6 +291,7 @@ impl StageControl {
             bounds,
             queue,
             active: (0..initial_dop).collect(),
+            slots: slots.max(1),
             next_slot: initial_dop,
             lease: Some(lease),
             done: false,
@@ -335,10 +341,6 @@ pub struct ElasticityController {
     /// tests.)
     metrics: Arc<QueryMetrics>,
     stages: Vec<StageControl>,
-    /// Compute slots the query's tasks can occupy at once — the pool's
-    /// `worker_threads`, times the nodes of a distributed query. `Auto`
-    /// never asks for more tasks than this.
-    slots: u32,
     /// Where [`Self::run`] sleeps; raised by the stages' split queues and,
     /// through [`Self::signal`], by the scheduler when a task exits.
     signal: Arc<Signal>,
@@ -353,7 +355,6 @@ impl ElasticityController {
         mode: ElasticityMode,
         metrics: Arc<QueryMetrics>,
         stages: Vec<StageControl>,
-        slots: u32,
     ) -> Self {
         let signal = Arc::new(Signal::new());
         for st in &stages {
@@ -365,7 +366,6 @@ impl ElasticityController {
             mode,
             metrics,
             stages,
-            slots: slots.max(1),
             signal,
         }
     }
@@ -499,7 +499,7 @@ impl ElasticityController {
         let view = StageView {
             dop: st.dop(),
             bounds: st.bounds,
-            slots: self.slots,
+            slots: st.slots,
             total_rows: st.queue.total_rows(),
             // Every row not scanned yet. Counting only the *unclaimed*
             // splits would leave out the ones being read right now — up to
@@ -734,7 +734,7 @@ mod tests {
         // full-deadline bug, both decisions below were identical.
         let clock = ManualClock::shared();
         let metrics = Arc::new(QueryMetrics::with_clock(clock.clone()));
-        let ctrl = ElasticityController::new(ElasticityMode::auto(10_000), metrics, Vec::new(), 4);
+        let ctrl = ElasticityController::new(ElasticityMode::auto(10_000), metrics, Vec::new());
 
         // 1000 rows left, 100 rows/s measured at 2 tasks → 50 rows/s/task.
         let decide =
@@ -920,8 +920,8 @@ mod tests {
         let queue = Arc::new(SplitQueue::new(splits));
         queue.set_pause_after(Some(1)); // as `QueryExecutor::wire` arms it
         let lease = registry.writer(1, u32::MAX, None).unwrap();
-        let stage = StageControl::new(1, bounds(1, 8), 1, queue.clone(), lease);
-        let ctrl = ElasticityController::new(config, metrics.clone(), vec![stage], 2);
+        let stage = StageControl::new(1, bounds(1, 8), 1, 2, queue.clone(), lease);
+        let ctrl = ElasticityController::new(config, metrics.clone(), vec![stage]);
         (registry, metrics, queue, ctrl)
     }
 
@@ -1119,10 +1119,10 @@ mod tests {
         let stage = |id: u32, splits| {
             let (queue, lease) = (SplitQueue::new(splits), registry.writer(id, u32::MAX, None));
             queue.set_pause_after(Some(1));
-            StageControl::new(id, bounds(1, 8), 1, Arc::new(queue), lease.unwrap())
+            StageControl::new(id, bounds(1, 8), 1, 2, Arc::new(queue), lease.unwrap())
         };
         let stages = vec![stage(1, Vec::new()), stage(2, vec![split(0, 1)])];
-        let ctrl = ElasticityController::new(ElasticityMode::off(), metrics.clone(), stages, 2);
+        let ctrl = ElasticityController::new(ElasticityMode::off(), metrics.clone(), stages);
         let _task_writer = registry.writer(2, 0, None).unwrap();
         let controller = {
             let registry = registry.clone();

@@ -22,7 +22,7 @@
 //! | admission gate | passes it | — (node 0 answers for the query) |
 //! | split pools | registers the [`SplitQueue`]s in its [`SplitQueues`] | claims at `peers[0]` through a [`RemoteSplitSource`] |
 //! | elasticity controller | arms its boundaries when wired, runs it, spawns grown tasks | — |
-//! | stage 0's result | drains it (`Some(result)`) | `None`, or the query's poison |
+//! | stage 0's result | drains it into the result's pages | none: a result of stats alone, or the query's poison |
 //!
 //! ## The worker pool
 //!
@@ -257,8 +257,7 @@ impl QueryExecutor {
         // its split queues to nobody.
         let claims = SplitQueues::default();
         self.wire(catalog, tree, opts, DistRole::single(), 0, &claims)?
-            .run()?
-            .ok_or_else(|| AccordionError::Internal("node 0 returned no result".into()))
+            .run()
     }
 
     /// Wires this node's share of query `query` (an id every node of the
@@ -423,10 +422,11 @@ where
     }
 
     /// The one runner: executes, on the executor's pool, the tasks
-    /// [`task_node`] places on this node. The coordinator returns the
-    /// drained result, workers `None`. Any node's failure poisons every
-    /// registry in the query, so all nodes return the error.
-    pub fn run(self) -> Result<Option<QueryResult>> {
+    /// [`task_node`] places on this node, and returns the node's stats with
+    /// the pages it drained: the whole result on the coordinator, none on a
+    /// worker. Any node's failure poisons every registry in the query, so
+    /// all nodes return the error.
+    pub fn run(self) -> Result<QueryResult> {
         let tree: &StageTree = &self.tree;
         let (opts, role, registry, gate) = (&self.opts, &self.role, &self.registry, &self.gate);
         let metrics = Arc::new(QueryMetrics::new());
@@ -510,21 +510,14 @@ where
             };
             let lease = registry.writer(stage, u32::MAX, None)?;
             let dop = fragment.parallelism.max(1);
-            controls.push(StageControl::new(stage, bounds, dop, queue, lease));
+            // Every grow runs here, so the stage can occupy this node's
+            // slots plus the planned tasks other nodes host for it.
+            let away = (0..dop).filter(|&t| task_node(t, role.nodes()) != 0);
+            let slots = self.slots + away.count() as u32;
+            controls.push(StageControl::new(stage, bounds, dop, slots, queue, lease));
         }
-        let controller = if controls.is_empty() {
-            None
-        } else {
-            // The query's tasks can occupy this node's slots and, spread
-            // over several nodes, as many again on every other node.
-            let slots = self.slots.saturating_mul(role.nodes());
-            Some(ElasticityController::new(
-                opts.elasticity,
-                metrics.clone(),
-                controls,
-                slots,
-            ))
-        };
+        let controller = (!controls.is_empty())
+            .then(|| ElasticityController::new(opts.elasticity, metrics.clone(), controls));
 
         let first_err = Mutex::new(None);
         let exited = controller.as_ref().map(ElasticityController::signal);
@@ -567,19 +560,16 @@ where
         if let Some(e) = first_err.lock().take() {
             return Err(e);
         }
-        if !role.is_coordinator() {
-            // A remote failure can land after every local task finished
-            // cleanly — surface it rather than reporting success.
-            return match registry.poison_error() {
-                Some(e) => Err(e),
-                None => Ok(None),
-            };
+        // On a worker, a remote failure can land after every local task
+        // finished cleanly — surface it rather than reporting success.
+        if let (false, Some(e)) = (role.is_coordinator(), registry.poison_error()) {
+            return Err(e);
         }
-        Ok(Some(QueryResult::new(
+        Ok(QueryResult::new(
             tree.root().schema(),
             pages,
             metrics.snapshot(registry.stats()),
-        )))
+        ))
     }
 }
 

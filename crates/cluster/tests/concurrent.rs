@@ -174,7 +174,7 @@ fn reject_policy_fails_fast_while_the_pool_is_busy() {
         }
         other => panic!("expected an admission rejection, got {other:?}"),
     }
-    let rows = held.run().unwrap().expect("node 0 drains the result");
+    let rows = held.run().unwrap();
     assert_eq!(rows.row_count(), 64);
     // The pool drained: the same arrival now admits.
     executor.execute_logical(&c, &scan, &optimizer).unwrap();

@@ -222,12 +222,9 @@ fn run_on(
     let workers: Vec<_> = wired
         .map(|nq| std::thread::spawn(move || nq.run()))
         .collect();
-    let result = coordinator
-        .run()
-        .unwrap()
-        .expect("coordinator returns the result");
+    let result = coordinator.run().unwrap();
     for worker in workers {
-        assert!(worker.join().unwrap().unwrap().is_none());
+        assert!(worker.join().unwrap().unwrap().pages.is_empty());
     }
     for (node, executor) in executors.iter().enumerate() {
         assert_eq!(executor.active_queries(), 0, "node {node} kept a query");
@@ -565,8 +562,8 @@ fn a_worker_that_starts_first_claims_up_to_the_first_decision_boundary() {
     }
     // Let the worker claim as far as it may before node 0 runs.
     std::thread::sleep(std::time::Duration::from_millis(50));
-    let result = nq0.run().unwrap().expect("node 0 drains");
-    assert!(running.join().unwrap().unwrap().is_none());
+    let result = nq0.run().unwrap();
+    assert!(running.join().unwrap().unwrap().pages.is_empty());
     assert_eq!(sorted_rows(&result), reference);
     let retunes = &result.stats().retunes;
     let grows: Vec<u64> = (retunes.iter())
@@ -670,8 +667,8 @@ fn coordinator_admission_gates_distributed_queries() {
     drop(fleet.wire(1, &worker, &c, &tree, &limited, 402).unwrap());
     assert_eq!(worker.admission().stats().admitted, 0);
 
-    assert!(nq1.run().unwrap().is_none());
-    let result = running.join().unwrap().unwrap().expect("node 0 drains");
+    assert!(nq1.run().unwrap().pages.is_empty());
+    let result = running.join().unwrap().unwrap();
     assert_eq!(sorted_rows(&result), reference);
     // The finished query gave its slot back.
     assert_eq!(coordinator.admission().stats().running, 0);
@@ -800,8 +797,8 @@ fn one_compute_slot_serves_concurrent_queries_across_nodes() {
         })
         .collect();
     for (node0, node1) in runs {
-        assert!(node1.join().unwrap().unwrap().is_none());
-        let result = node0.join().unwrap().unwrap().expect("node 0 drains");
+        assert!(node1.join().unwrap().unwrap().pages.is_empty());
+        let result = node0.join().unwrap().unwrap();
         assert_eq!(sorted_rows(&result), reference);
     }
     assert_eq!(worker.active_queries(), 0);

@@ -193,7 +193,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(parse_err(pos, "trailing characters after JSON value"));
@@ -261,8 +261,15 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<()> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
+/// Deepest nesting [`Json::parse`] accepts, so that text from a peer (a
+/// worker's DONE) cannot recurse the parser out of its stack.
+const MAX_DEPTH: usize = 64;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
     skip_ws(bytes, pos);
+    if depth > MAX_DEPTH {
+        return Err(parse_err(*pos, "nesting too deep"));
+    }
     match bytes.get(*pos) {
         None => Err(parse_err(*pos, "unexpected end of input")),
         Some(b'n') => expect(bytes, pos, "null").map(|_| Json::Null),
@@ -278,7 +285,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -306,7 +313,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
                     return Err(parse_err(*pos, "expected ':'"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -474,6 +481,8 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert!(Json::parse("").is_err());
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
+        assert!(Json::parse(&format!("{}{}", "[".repeat(64), "]".repeat(64))).is_ok());
         assert!(Json::parse("{").is_err());
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("nul").is_err());

@@ -33,10 +33,12 @@
 //! worker → ACK                                             tasks started
 //! coord  → DATA, FINISH, POISON                            as the query runs
 //! coord  → JOIN
-//! worker → DONE   elapsed ms | ERR message                 tasks done
+//! worker → DONE   stats JSON | ERR message                 tasks done
 //! ```
 //!
 //! Strings travel length-prefixed, so SQL and error text need no escaping.
+//! DONE carries the worker's [`node_stats`] as text, or past
+//! [`MAX_CONTROL`] only `{"node":n,"omitted_bytes":len}`.
 //! `peers` is `[coordinator] + workers`, every node's one address, and the
 //! fleet is as many nodes as it lists. The
 //! two-phase WIRE/GO split matters: a worker must know the query's registry
@@ -53,13 +55,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use accordion_cluster::{plan_fingerprint, DistRole, QueryExecutor, SplitQueues};
 use accordion_common::config::ElasticityMode;
-use accordion_common::{fnv1a, AccordionError, Result};
+use accordion_common::{fnv1a, AccordionError, Json, Result};
 use accordion_exec::executor::{ExecOptions, QueryResult};
-use accordion_net::frame::{kind, listen, Cursor, Frame, Listener, Payload};
+use accordion_exec::metrics::QueryStats;
+use accordion_net::frame::{kind, listen, Cursor, Frame, Listener, Payload, MAX_CONTROL};
 use accordion_net::{serve_sessions, Control, PageRegistries, Wired};
 use accordion_plan::fragment::StageTree;
 use accordion_plan::optimizer::{Optimizer, OptimizerConfig};
@@ -71,7 +73,7 @@ use accordion_storage::catalog::Catalog;
 /// `sql` at `dop`, check it against `fingerprint`, and wire this node's
 /// share in `role`. GO and JOIN, which start and join that share, carry
 /// nothing; the worker answers WIRE and GO with ACK, JOIN with DONE
-/// (elapsed ms `u64`), and a request that fails with ERR.
+/// (its stats), and a request that fails with ERR.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireMsg {
     /// The worker's place in the fleet; `peers[0]` serves the query's
@@ -125,6 +127,29 @@ pub fn plan_tree(catalog: &Catalog, sql: &str, dop: u32) -> Result<Arc<StageTree
     let logical = plan_select(catalog, sql)?;
     let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(dop));
     Ok(Arc::new(StageTree::build(optimizer.optimize(&logical)?)?))
+}
+
+/// `stats` of node `node` as one JSON object: `"node"` first, then the
+/// fields of [`QueryStats::to_json`]. `SHOW STATS` lists one per node.
+pub fn node_stats(node: u32, stats: &QueryStats) -> Json {
+    let mut json = Json::obj().with("node", Json::u64(node.into()));
+    if let (Json::Obj(head), Json::Obj(fields)) = (&mut json, stats.to_json()) {
+        head.extend(fields);
+    }
+    json
+}
+
+/// DONE's payload: [`node_stats`] as text, or — when that would not fit a
+/// control frame — only the node and the length that was left out.
+fn done_payload(node: u32, stats: &QueryStats) -> Vec<u8> {
+    let text = node_stats(node, stats).to_string_compact();
+    if text.len() <= MAX_CONTROL {
+        return text.into_bytes();
+    }
+    let omitted = Json::obj()
+        .with("node", Json::u64(node.into()))
+        .with("omitted_bytes", Json::u64(text.len() as u64));
+    omitted.to_string_compact().into_bytes()
 }
 
 /// One node: a single listener serving query sessions — pages, claims and
@@ -221,28 +246,25 @@ impl Control for NodeState {
                  versions diverge"
             )));
         }
-        let (catalog, splits) = (&self.catalog, &self.splits);
+        let (catalog, splits, node) = (&self.catalog, &self.splits, wire.role.node);
         let nq = self
             .executor
             .wire(catalog, tree, &exec, wire.role, query, splits)?;
         let registry = nq.registry().clone();
-        let run = move || {
-            let started = Instant::now();
-            nq.run()?;
-            let elapsed_ms = started.elapsed().as_millis() as u64;
-            Ok((kind::DONE, Payload::default().u64(elapsed_ms).0))
-        };
+        let run = move || Ok((kind::DONE, done_payload(node, nq.run()?.stats())));
         Ok((registry, Box::new(run)))
     }
 }
 
 /// One distributed query's outcome on the coordinator.
 pub struct DistributedRun {
+    /// The rows, with node 0's stats.
     pub result: QueryResult,
     /// Cross-process consumer slots across the whole fleet — at least one
     /// in any genuinely distributed plan.
     pub remote_slots: usize,
-    pub elapsed_ms: u64,
+    /// Each worker's DONE, in node order.
+    pub worker_stats: Vec<Json>,
 }
 
 /// A coordinating node's handle on a fleet of workers: node 0 is `node`,
@@ -320,7 +342,6 @@ impl Fleet {
     }
 
     fn run_query(&mut self, query: u64, sql: &str) -> Result<DistributedRun> {
-        let started = Instant::now();
         let state = &self.node.state;
         let tree = plan_tree(&state.catalog, sql, self.dop)?;
         let fingerprint = plan_fingerprint(&tree);
@@ -341,7 +362,7 @@ impl Fleet {
         // One request on the query's session to a worker, one reply; the
         // worker's ERR is the returned error.
         let call = |worker: &String, request: Frame| registry.session(worker)?.call(request);
-        let run = (|| {
+        let run: Result<(QueryResult, Vec<Json>)> = (|| {
             for (node, worker) in (1..).zip(workers) {
                 let wire = WireMsg {
                     role: role(node),
@@ -356,12 +377,12 @@ impl Fleet {
                 call(worker, (kind::GO, Vec::new()))?;
             }
             let result = nq.run()?;
+            let mut worker_stats = Vec::new();
             for worker in workers {
-                call(worker, (kind::JOIN, Vec::new()))?;
+                let (_, done) = call(worker, (kind::JOIN, Vec::new()))?;
+                worker_stats.push(Json::parse(&String::from_utf8_lossy(&done))?);
             }
-            result.ok_or_else(|| {
-                AccordionError::Internal("coordinator run returned no result".into())
-            })
+            Ok((result, worker_stats))
         })();
         if let Err(e) = &run {
             // Workers told to GO may be parked on pages this node will never
@@ -369,10 +390,11 @@ impl Fleet {
             // those with the registry takes down what is left.
             registry.poison(e.clone());
         }
+        let (result, worker_stats) = run?;
         Ok(DistributedRun {
-            result: run?,
+            result,
             remote_slots,
-            elapsed_ms: started.elapsed().as_millis() as u64,
+            worker_stats,
         })
     }
 
@@ -422,6 +444,21 @@ mod tests {
             let mut long = payload.clone();
             long.push(0);
             assert!(WireMsg::decode(&long).is_err(), "{msg:?}: trailing");
+        }
+    }
+
+    #[test]
+    fn done_carries_the_stats_or_only_their_length() {
+        // A thousand tasks' meters fit a control frame; ten thousand do not.
+        for (tasks, fits) in [(1_000, true), (10_000, false)] {
+            let metrics = accordion_exec::metrics::QueryMetrics::new();
+            (0..tasks).for_each(|t| metrics.register(2, t, 0, "TableScan").record_page(1, 8));
+            let stats = metrics.snapshot(Default::default());
+            let full = node_stats(2, &stats).to_string_compact();
+            let omitted = format!(r#"{{"node":2,"omitted_bytes":{}}}"#, full.len());
+            let done = String::from_utf8(done_payload(2, &stats)).unwrap();
+            assert!(done.len() <= MAX_CONTROL, "{tasks}");
+            assert_eq!(done, if fits { full } else { omitted }, "{tasks}");
         }
     }
 

@@ -46,6 +46,7 @@
 
 pub mod client;
 pub mod dist;
+mod explain;
 pub mod protocol;
 pub mod server;
 pub mod session;

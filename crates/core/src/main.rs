@@ -9,10 +9,10 @@
 //!     ready.
 //!
 //! accordion-core client [--addr 127.0.0.1:4433] [--expect-rows N]
-//!                       [-e SQL]... [FILE.sql]...
-//!     Run statements (from -e flags and .sql files, in order) against a
-//!     server, print results, and — with --expect-rows — fail unless the
-//!     last result set has exactly N rows.
+//!                       [-e SQL]... [FILE.sql | -]...
+//!     Run statements (from -e flags, .sql files and `-` for stdin, in
+//!     order) against a server, print results, and — with --expect-rows —
+//!     fail unless the last result set has exactly N rows.
 //!
 //! accordion-core worker [--listen 127.0.0.1:0] [--sf 0.02] [--workers N]
 //!     One node of a process-per-node fleet: generate the TPC-H catalog,
@@ -214,7 +214,7 @@ fn run_worker(args: &[String]) -> Result<(), String> {
 }
 
 /// What `client` runs — every `-e SQL` plus the contents of every
-/// positional .sql file, in command-line order — and the `--expect-rows`
+/// positional .sql file or stdin, in command-line order — and the `--expect-rows`
 /// value.
 fn collect_script(args: &[String]) -> Result<(Vec<String>, Option<u64>), String> {
     let expect_rows = flag_value(args, "--expect-rows")?
@@ -235,8 +235,11 @@ fn collect_script(args: &[String]) -> Result<(Vec<String>, Option<u64>), String>
                 it.next();
             }
             path => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
+                let text = match path {
+                    "-" => std::io::read_to_string(std::io::stdin()),
+                    path => std::fs::read_to_string(path),
+                };
+                let text = text.map_err(|e| format!("cannot read {path}: {e}"))?;
                 collect_statements(&text, &mut statements)?;
             }
         }

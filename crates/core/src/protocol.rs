@@ -9,7 +9,8 @@
 //! server → OK accordion <version>          greeting, once per connection
 //! client → SELECT ... ;                    any statement batch
 //! server → OK <message>                    SET / SHOW acknowledgment
-//!        | RESULT <ncols>                  result set follows
+//!        | RESULT <ncols>                  result set follows (a SELECT's,
+//!                                          or EXPLAIN's one `plan` column)
 //!          <csv header>
 //!          <csv row>*
 //!          END <nrows> <elapsed_ms>

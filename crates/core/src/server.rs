@@ -14,8 +14,9 @@
 //!   ([`SessionVars`]); they shape the per-query [`ExecOptions`], the
 //!   optimizer's planned DOP and where the query runs without touching
 //!   other sessions.
-//! - `SHOW <var> | ALL | TABLES | ADMISSION` — introspection
-//!   (`ADMISSION` reports the shared executor's admission-gate counters).
+//! - `SHOW <var> | ALL | TABLES | ADMISSION | STATS` — introspection
+//!   (`ADMISSION` reports the shared executor's admission-gate counters,
+//!   `STATS` the last SELECT's stats per node, as JSON).
 //! - `SELECT ...` — parsed and analyzed by `accordion-sql` against the
 //!   server catalog, executed on the shared pool, streamed back as CSV
 //!   page by page. A session with `nodes` set is a **coordinator**: the
@@ -23,6 +24,8 @@
 //!   through a [`Fleet`] on the same executor — same admission gate, same
 //!   `poison_active`, same framing. The server's node listener, its second
 //!   port, is bound the first time a session needs it.
+//! - `EXPLAIN [ANALYZE] <select>` — the plans as rows of a `plan` column;
+//!   `ANALYZE` runs the SELECT and adds each plan node's meter.
 //! - `EXIT;` / `QUIT;` — end the session.
 //!
 //! Errors (lex/parse/analysis/execution) become `ERR` frames; the session
@@ -66,12 +69,21 @@ use std::time::Instant;
 
 use accordion_cluster::QueryExecutor;
 use accordion_common::sync::Mutex;
-use accordion_common::{AccordionError, Result};
+use accordion_common::{AccordionError, Json, Result};
+use accordion_data::column::Column;
+use accordion_data::page::DataPage;
+use accordion_data::schema::{Field, Schema};
+use accordion_data::types::DataType;
+use accordion_exec::metrics::QueryStats;
 use accordion_exec::{ExecOptions, QueryResult};
+use accordion_plan::fragment::StageTree;
+use accordion_plan::logical::LogicalPlan;
+use accordion_sql::ast::Select;
 use accordion_sql::{parse_statements, Analyzer, Statement};
 use accordion_storage::catalog::Catalog;
 
-use crate::dist::{Fleet, Worker};
+use crate::dist::{node_stats, Fleet, Worker};
+use crate::explain;
 use crate::protocol::{encode_header, escape_message, greeting, write_rows};
 use crate::session::SessionVars;
 
@@ -119,10 +131,22 @@ struct Shared {
 }
 
 impl Shared {
-    /// Runs `sql` across this server (node 0) and the session's `nodes`.
+    /// Runs `tree` where the session runs SELECTs: on the shared pool, or
+    /// across this server (node 0) and the session's `nodes`, every node
+    /// planning it from `sql`; with the workers' stats.
     /// The server's node is bound on first use: an ephemeral port of the
     /// text listener's interface, in front of the shared executor.
-    fn run_across(&self, sql: &str, vars: &SessionVars) -> Result<QueryResult> {
+    fn run(
+        &self,
+        sql: &str,
+        tree: &StageTree,
+        vars: &SessionVars,
+    ) -> Result<(QueryResult, Vec<Json>)> {
+        if vars.nodes.is_empty() {
+            let result =
+                (self.executor).execute_tree_opts(&self.catalog, tree, &vars.exec_options())?;
+            return Ok((result, Vec::new()));
+        }
         let node = match &mut *self.node.lock() {
             Some(node) => node.clone(),
             unbound => {
@@ -133,8 +157,18 @@ impl Shared {
             }
         };
         let mut fleet = Fleet::over(node, &vars.nodes, vars.exec_options(), vars.dop)?;
-        Ok(fleet.run_sql(sql)?.result)
+        let run = fleet.run_sql(sql)?;
+        Ok((run.result, run.worker_stats))
     }
+}
+
+/// A session's last SELECT as `SHOW STATS` reports it, never its pages:
+/// node 0's stats, moved out of its result, and each worker's DONE.
+type LastStats = (QueryStats, Vec<Json>);
+
+/// One [`node_stats`] object per node, node 0's first.
+fn stats_nodes((local, workers): &LastStats) -> Vec<Json> {
+    [vec![node_stats(0, local)], workers.clone()].concat()
 }
 
 /// A running query server. Dropping it shuts it down.
@@ -259,6 +293,7 @@ fn serve_session(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     writer.flush()?;
 
     let mut vars = SessionVars::new(&shared.config.exec, shared.config.default_dop);
+    let mut last = None;
     let mut buffer = String::new();
     loop {
         let mut line = String::new();
@@ -284,7 +319,7 @@ fn serve_session(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
             writer.flush()?;
             return Ok(());
         }
-        if !run_batch(&batch, &mut vars, shared, &mut writer)? {
+        if !run_batch(&batch, &mut vars, &mut last, shared, &mut writer)? {
             return Ok(());
         }
     }
@@ -299,6 +334,7 @@ fn is_exit(stmt: &str) -> bool {
 fn run_batch(
     batch: &str,
     vars: &mut SessionVars,
+    last: &mut Option<LastStats>,
     shared: &Shared,
     writer: &mut impl Write,
 ) -> std::io::Result<bool> {
@@ -355,6 +391,11 @@ fn run_batch(
                         stats.rejected,
                         stats.peak_running,
                     ))
+                } else if name == "stats" {
+                    let nodes = last.as_ref().map_or(Vec::new(), stats_nodes);
+                    Ok(Json::obj()
+                        .with("nodes", Json::Arr(nodes))
+                        .to_string_compact())
                 } else {
                     vars.show(&name)
                 };
@@ -364,60 +405,85 @@ fn run_batch(
                 }
             }
             Statement::Select(ref select) => {
-                run_select(batch, select, vars, shared, writer)?;
+                run_select(batch, select, None, vars, last, shared, writer)?;
             }
+            Statement::Explain {
+                analyze,
+                ref select,
+                ..
+            } => run_select(batch, select, Some(analyze), vars, last, shared, writer)?,
         }
         writer.flush()?;
     }
     Ok(true)
 }
 
-/// Analyzes, executes, and streams one SELECT.
+/// Answers a SELECT, or an `EXPLAIN [ANALYZE]` of one (`explain` says
+/// which): its rows streamed as CSV, or one `plan` row per line.
 fn run_select(
     src: &str,
-    select: &accordion_sql::ast::Select,
+    select: &Select,
+    explain: Option<bool>,
     vars: &SessionVars,
+    last: &mut Option<LastStats>,
     shared: &Shared,
     writer: &mut impl Write,
 ) -> std::io::Result<()> {
     let started = Instant::now();
-    let plan = match Analyzer::new(&shared.catalog, src).analyze(select) {
-        Ok(plan) => plan,
-        Err(e) => {
-            writeln!(writer, "ERR {}", escape_message(&e.render(src)))?;
-            return Ok(());
-        }
+    let text = &src[select.span.start..select.span.end];
+    let answer = match Analyzer::new(&shared.catalog, src).analyze(select) {
+        Ok(plan) => answer(&plan, text, explain, vars, last, shared).map_err(|e| e.to_string()),
+        Err(e) => Err(e.render(src)),
     };
-    let result = if vars.nodes.is_empty() {
-        shared.executor.execute_logical_opts(
-            &shared.catalog,
-            &plan,
-            &vars.optimizer(),
-            &vars.exec_options(),
-        )
-    } else {
-        // Every node plans from the text; ours above was for the caret.
-        shared.run_across(&src[select.span.start..select.span.end], vars)
+    let (schema, pages) = match answer {
+        Ok(answer) => answer,
+        Err(e) => return writeln!(writer, "ERR {}", escape_message(&e)),
     };
-    match result {
-        Ok(result) => {
-            writeln!(writer, "RESULT {}", result.schema.len())?;
-            writeln!(writer, "{}", encode_header(&result.schema))?;
-            let mut nrows: u64 = 0;
-            // Row by row into the session's buffer — large results never
-            // materialize as one string, and nothing is flushed here (see
-            // the module docs): the caller does that once per response.
-            let mut line = String::new();
-            for page in &result.pages {
-                write_rows(writer, page, &mut line)?;
-                nrows += page.row_count() as u64;
-            }
-            let elapsed_ms = started.elapsed().as_millis() as u64;
-            writeln!(writer, "END {nrows} {elapsed_ms}")?;
-        }
-        Err(e) => {
-            writeln!(writer, "ERR {}", escape_message(&e.to_string()))?;
-        }
+    writeln!(writer, "RESULT {}", schema.len())?;
+    writeln!(writer, "{}", encode_header(&schema))?;
+    let mut nrows: u64 = 0;
+    // Row by row into the session's buffer — large results never
+    // materialize as one string, and nothing is flushed here (see the
+    // module docs): the caller does that once per response.
+    let mut line = String::new();
+    for page in &pages {
+        write_rows(writer, page, &mut line)?;
+        nrows += page.row_count() as u64;
     }
-    Ok(())
+    let elapsed_ms = started.elapsed().as_millis() as u64;
+    writeln!(writer, "END {nrows} {elapsed_ms}")
+}
+
+/// Plans `plan`, the analyzed `sql`, at the session's dop and, unless it
+/// is only explained, runs it where the session runs SELECTs, keeping its
+/// stats, never its pages, in `last`.
+fn answer(
+    plan: &LogicalPlan,
+    sql: &str,
+    explain: Option<bool>,
+    vars: &SessionVars,
+    last: &mut Option<LastStats>,
+    shared: &Shared,
+) -> Result<(Schema, Vec<Arc<DataPage>>)> {
+    let optimizer = vars.optimizer();
+    if explain == Some(false) {
+        return Ok(plan_rows(&explain::plans(plan, &optimizer, vars.dop)?));
+    }
+    let tree = StageTree::build(optimizer.optimize(plan)?)?;
+    let (result, workers) = shared.run(sql, &tree, vars)?;
+    let (schema, pages, stats) = result.into_parts();
+    let stats = last.insert((stats, workers));
+    if explain.is_none() {
+        return Ok((schema, pages));
+    }
+    let text = explain::analyzed(&tree, &stats.0, &stats_nodes(stats))?;
+    Ok(plan_rows(&text))
+}
+
+/// Plan text as the rows of one string column, `plan`.
+fn plan_rows(text: &str) -> (Schema, Vec<Arc<DataPage>>) {
+    let lines: Vec<&str> = text.lines().collect();
+    let page = DataPage::new(vec![Column::from_strings(&lines)]);
+    let schema = Schema::new(vec![Field::new("plan", DataType::Utf8)]);
+    (schema, vec![Arc::new(page)])
 }

@@ -16,9 +16,11 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use accordion_cluster::{plan_fingerprint, DistRole, NodeQuery, QueryExecutor, SplitQueues};
+use accordion_cluster::{
+    plan_fingerprint, task_node, DistRole, NodeQuery, QueryExecutor, SplitQueues,
+};
 use accordion_common::config::{ElasticityConfig, NetworkConfig};
-use accordion_common::AccordionError;
+use accordion_common::{AccordionError, Json, StageId};
 use accordion_core::dist::{plan_tree, WireMsg};
 use accordion_core::{Client, Fleet, QueryServer, Response, ServerConfig, Worker};
 use accordion_data::types::Value;
@@ -742,7 +744,7 @@ fn one_address_serves_pages_claims_and_control_at_once() {
 
     // The held session was served all along: its query finishes the moment
     // the coordinator's share runs, with pages crossing both ways.
-    let result = coordinator.share.run().unwrap().expect("node 0 drains");
+    let result = coordinator.share.run().unwrap();
     assert_rows_close("hand-rolled", &sorted(result.rows()), &reference);
     assert_eq!(call(&mut coordinator.session, kind::JOIN), kind::DONE);
     await_idle(&node);
@@ -824,4 +826,113 @@ fn sorted_cells(rows: &[Vec<String>]) -> Vec<Vec<String>> {
     let mut rows = rows.to_vec();
     rows.sort();
     rows
+}
+
+#[test]
+fn a_distributed_auto_query_caps_each_stage_at_the_slots_its_grows_reach() {
+    // Every grow spawns on node 0: a stage can occupy node 0's slots plus
+    // the tasks planned for it elsewhere, not every node's pool.
+    let catalog = tpch_catalog_at(0.01);
+    let exec = ExecOptions {
+        worker_threads: 2,
+        ..ExecOptions::default()
+    };
+    let workers = [
+        Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap(),
+        Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap(),
+    ];
+    let addrs: Vec<String> = workers.iter().map(Worker::ctrl_addr).collect();
+    let (q1, dop) = (include_str!("../../../benchmarks/sql/q1.sql"), 4);
+    let mut fleet = Fleet::connect(&addrs, catalog.clone(), exec, "auto:1", dop).unwrap();
+    let run = fleet.run_sql(q1).unwrap();
+    let tree = plan_tree(&catalog, q1, dop).unwrap();
+    let decisions = &run.result.stats().decisions;
+    assert!(!decisions.is_empty(), "a 1 ms deadline decides");
+    for d in decisions {
+        let planned = tree.fragment(StageId(d.stage)).unwrap().parallelism;
+        let away = (0..planned).filter(|&t| task_node(t, 3) != 0).count() as u32;
+        assert_eq!(d.view.slots, 2 + away, "{d:?}");
+        assert!(d.eval.chosen_dop <= d.view.slots, "{d:?}");
+    }
+    fleet.shutdown();
+}
+
+/// The `SHOW STATS` object's entries, one per node.
+fn show_stats(client: &mut Client) -> Vec<Json> {
+    let shown = Json::parse(&ok_line(client, "SHOW STATS")).unwrap();
+    shown.get("nodes").and_then(Json::as_arr).unwrap().to_vec()
+}
+
+/// Rows produced per stage, summed over every operator on every node.
+fn stage_rows(nodes: &[Json]) -> std::collections::BTreeMap<u64, u64> {
+    let mut rows = std::collections::BTreeMap::new();
+    for op in nodes
+        .iter()
+        .flat_map(|n| n.get("operators").unwrap().as_arr().unwrap())
+    {
+        let field = |k| op.get(k).and_then(Json::as_u64).unwrap();
+        *rows.entry(field("stage")).or_default() += field("rows");
+    }
+    rows
+}
+
+/// Every `rows=N` of an `EXPLAIN ANALYZE` answer, in order.
+fn analyzed_rows(client: &mut Client, sql: &str) -> Vec<u64> {
+    let rs = client.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+    let meters = rs
+        .rows
+        .iter()
+        .filter_map(|row| row[0].split_once("(rows="))
+        .map(|(_, rest)| rest.split(' ').next().unwrap().parse().unwrap());
+    meters.collect()
+}
+
+#[test]
+fn a_distributed_session_reports_every_node_with_the_local_rows() {
+    let catalog = tpch_catalog_at(0.002);
+    let exec = ExecOptions {
+        worker_threads: 2,
+        elasticity: ElasticityConfig::off(),
+        ..ExecOptions::default()
+    };
+    let workers = [
+        Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap(),
+        Worker::start("127.0.0.1:0", catalog.clone(), exec.clone()).unwrap(),
+    ];
+    let executor = QueryExecutor::new(exec.clone());
+    let config = ServerConfig {
+        default_dop: 4,
+        exec,
+    };
+    let mut server = QueryServer::start(catalog, executor, config, "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert!(show_stats(&mut client).is_empty(), "nothing ran yet");
+    // Every operator's row count is fixed by the data: no aggregate or
+    // Top-N whose per-task output depends on which task read which split.
+    let sql = "SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity < 3.0";
+    client.query(sql).unwrap();
+    let local = show_stats(&mut client);
+    assert_eq!(local.len(), 1);
+    assert_eq!(local[0].get("node").and_then(Json::as_u64), Some(0));
+    let local_meters = analyzed_rows(&mut client, sql);
+    assert!(local_meters.len() >= 4, "{local_meters:?}");
+
+    let set_nodes = format!(
+        "SET nodes = '{},{}'",
+        workers[0].ctrl_addr(),
+        workers[1].ctrl_addr()
+    );
+    ok_line(&mut client, &set_nodes);
+    client.query(sql).unwrap();
+    let across = show_stats(&mut client);
+    let ids: Vec<_> = across
+        .iter()
+        .map(|n| n.get("node").and_then(Json::as_u64))
+        .collect();
+    assert_eq!(ids, [Some(0), Some(1), Some(2)]);
+    assert_eq!(stage_rows(&across), stage_rows(&local));
+    assert_eq!(analyzed_rows(&mut client, sql), local_meters);
+    // EXPLAIN ANALYZE ran it too: its stats are the session's last.
+    assert_eq!(stage_rows(&show_stats(&mut client)), stage_rows(&local));
+    server.shutdown();
 }

@@ -153,6 +153,11 @@ impl QueryResult {
         &self.stats
     }
 
+    /// The schema, the pages and the stats, apart.
+    pub fn into_parts(self) -> (Schema, Vec<Arc<DataPage>>, QueryStats) {
+        (self.schema, self.pages, self.stats)
+    }
+
     /// The whole result as one page (an empty page of the right arity when
     /// the query produced no rows).
     pub fn concat(&self) -> DataPage {

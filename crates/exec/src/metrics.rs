@@ -406,8 +406,8 @@ pub struct StageView {
     /// Tasks scanning the stage now.
     pub dop: u32,
     pub bounds: DopBounds,
-    /// Compute slots the query's tasks can occupy at once (the pool's, times
-    /// the nodes of a distributed query): `auto` never chooses more tasks.
+    /// Compute slots the stage's tasks can occupy at once (node 0's, where
+    /// grows spawn, plus its tasks on other nodes): `auto`'s cap.
     pub slots: u32,
     /// Rows in all of the stage's splits.
     pub total_rows: u64,

@@ -36,7 +36,7 @@
 //! | 8    | WIRE    | node `u32`, peer count `u32` × `str` (the fleet, by node), fingerprint `u64`, dop `u32`, elasticity `str`, sql `str` (ACK) | coordinator → worker |
 //! | 10   | GO      | (empty) (ACK)                                  | coordinator → worker |
 //! | 11   | JOIN    | (empty) (DONE)                                 | coordinator → worker |
-//! | 12   | DONE    | elapsed ms `u64`                               | worker → coordinator |
+//! | 12   | DONE    | `text`: the worker's stats as JSON, or only their length past the cap | worker → coordinator |
 //! | 13   | CLAIM   | stage `u32`, slot `u32` (SPLIT, NONE or RETIRED) | dialer → acceptor  |
 //! | 14   | SPLIT   | stage `u32`, slot `u32`, split id `u64` (its position in its table) | acceptor → dialer |
 //! | 15   | NONE    | stage `u32`, slot `u32`                        | acceptor → dialer    |

@@ -51,6 +51,12 @@ pub enum Statement {
         name: Ident,
         span: Span,
     },
+    /// `EXPLAIN [ANALYZE] <select>`: the SELECT's plans, or how it ran.
+    Explain {
+        analyze: bool,
+        select: Box<Select>,
+        span: Span,
+    },
 }
 
 impl Statement {
@@ -59,7 +65,9 @@ impl Statement {
     pub fn span(&self) -> Span {
         match self {
             Statement::Select(s) => s.span,
-            Statement::Set { span, .. } | Statement::Show { span, .. } => *span,
+            Statement::Set { span, .. }
+            | Statement::Show { span, .. }
+            | Statement::Explain { span, .. } => *span,
         }
     }
 }

@@ -6,7 +6,7 @@
 //! 1. [`lexer`] — tokens with byte spans.
 //! 2. [`parser`] — recursive-descent parse into the typed, span-carrying
 //!    [`ast`]. SELECT (projection/aliases, WHERE, INNER JOIN … ON, GROUP
-//!    BY, HAVING, ORDER BY, LIMIT), `SET`, and `SHOW`; batch parsing
+//!    BY, HAVING, ORDER BY, LIMIT), `SET`, `SHOW` and `EXPLAIN [ANALYZE]`; batch parsing
 //!    recovers at `;` boundaries and reports every error.
 //! 3. [`analyzer`] — resolves names against a [`Catalog`], lowers to
 //!    [`LogicalPlan`], and maps type errors (from the engine's expression
@@ -68,6 +68,7 @@ pub fn statement_kind(s: &Statement) -> &'static str {
         Statement::Select(_) => "SELECT",
         Statement::Set { .. } => "SET",
         Statement::Show { .. } => "SHOW",
+        Statement::Explain { .. } => "EXPLAIN",
     }
 }
 

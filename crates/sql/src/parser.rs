@@ -199,8 +199,17 @@ impl<'a> Parser<'a> {
             self.parse_set()
         } else if self.at_kw("show") {
             self.parse_show()
+        } else if self.at_kw("explain") {
+            let kw = self.next();
+            let analyze = self.eat_kw("analyze");
+            let select = self.parse_select()?;
+            Ok(Statement::Explain {
+                analyze,
+                span: kw.span.to(select.span),
+                select: Box::new(select),
+            })
         } else {
-            Err(self.unexpected("SELECT, SET or SHOW"))
+            Err(self.unexpected("SELECT, SET, SHOW or EXPLAIN"))
         }
     }
 
@@ -916,6 +925,21 @@ mod tests {
             Statement::Show { name, .. } => assert_eq!(name.value, "tables"),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn explain_wraps_one_select() {
+        let explained = |sql| match parse_one(sql).unwrap() {
+            s @ Statement::Explain { analyze, .. } => (analyze, s.span()),
+            other => panic!("{other:?}"),
+        };
+        let (plain, analyze) = (
+            "EXPLAIN SELECT a FROM t",
+            "explain Analyze SELECT a FROM t;",
+        );
+        assert_eq!(explained(plain), (false, Span::new(0, 23)));
+        assert_eq!(explained(analyze), (true, Span::new(0, 31)));
+        assert!(parse_one("EXPLAIN SET dop = 2").is_err());
     }
 
     #[test]
