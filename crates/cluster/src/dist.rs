@@ -31,7 +31,7 @@
 //! scanning stage, in every elasticity mode, and its [`SplitQueues`] answer
 //! the CLAIM frames of every session opened to its node address
 //! (`peers[0]`, where the worker's pages go too): one [`ClaimMsg`] round
-//! trip per claim — a CLAIM frame answered by SPLIT, NONE or RETIRED — on
+//! trip per claim — a CLAIM frame answered by SPLIT or NONE — on
 //! the node-to-node framing of `accordion_net::frame`, whose kind table has
 //! the layouts. A SPLIT reply carries the split's id, which is its position
 //! in its table and so the same in every process. Worker tasks claim
@@ -42,14 +42,15 @@
 //! claimant runs — the claim service answers what it can at once and
 //! parks the rest on short-lived threads, so no claim holds up the pages
 //! sharing its session. Grown tasks always spawn on the coordinator, where
-//! they join its writer groups and change nothing on any other node;
-//! shrunk tasks observe retirement through their next claim reply. Which
+//! they join its writer groups and change nothing on any other node; a
+//! shrunk task's next claim is answered NONE, as on exhaustion, and its
+//! scan ends. Which
 //! side of the service a node is on follows from its [`DistRole`]: node 0
 //! registers its queues in the [`SplitQueues`] it is wired with — a fleet
 //! of one in a service nobody else reaches — and every other node claims
 //! at `peers[0]`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use accordion_common::config::NetworkConfig;
@@ -150,7 +151,7 @@ pub fn distributed_topology(
     Ok(topology)
 }
 
-/// The replies of the split-claim conversation — kinds 14–16 of the
+/// The replies of the split-claim conversation — kinds 14 and 15 of the
 /// node-to-node kind table (`accordion_net::frame`) — without the (stage,
 /// slot) their session puts in front: a worker task's CLAIM is answered
 /// with one of these, or with an ERR frame.
@@ -158,10 +159,9 @@ pub fn distributed_topology(
 pub enum ClaimMsg {
     /// The split with this id.
     Split { id: u64 },
-    /// The stage's splits are exhausted.
+    /// No split for this slot: the stage's splits are exhausted, or a
+    /// shrink retired the slot.
     None,
-    /// The claiming slot was retired by a shrink.
-    Retired,
 }
 
 impl ClaimMsg {
@@ -171,7 +171,6 @@ impl ClaimMsg {
         match *self {
             ClaimMsg::Split { id } => (kind::SPLIT, p.u64(id).0),
             ClaimMsg::None => (kind::NONE, p.0),
-            ClaimMsg::Retired => (kind::RETIRED, p.0),
         }
     }
 
@@ -181,7 +180,6 @@ impl ClaimMsg {
         let msg = match kind {
             kind::SPLIT => ClaimMsg::Split { id: c.u64()? },
             kind::NONE => ClaimMsg::None,
-            kind::RETIRED => ClaimMsg::Retired,
             other => {
                 return Err(AccordionError::Wire(format!(
                     "frame kind {other} is not a claim reply"
@@ -229,13 +227,9 @@ impl Claims for SplitQueues {
         } else {
             queue.try_claim(slot)
         };
-        Ok(claimed.map(|split| {
-            match split {
-                Some(split) => ClaimMsg::Split { id: split.id.0 },
-                None if queue.is_retired(slot) => ClaimMsg::Retired,
-                None => ClaimMsg::None,
-            }
-            .encode()
+        Ok(claimed.map(|split| match split {
+            Some(split) => ClaimMsg::Split { id: split.id.0 }.encode(),
+            None => ClaimMsg::None.encode(),
         }))
     }
 }
@@ -269,7 +263,6 @@ pub struct RemoteSplitSource {
     stage: u32,
     /// The table's splits, split `i` at position `i`.
     splits: Vec<Split>,
-    retired: Mutex<HashSet<u32>>,
 }
 
 impl RemoteSplitSource {
@@ -285,7 +278,6 @@ impl RemoteSplitSource {
             addr,
             stage,
             splits,
-            retired: Mutex::default(),
         })
     }
 
@@ -303,7 +295,6 @@ impl RemoteSplitSource {
             addr,
             stage,
             splits,
-            retired: Mutex::default(),
         })
     }
 }
@@ -324,10 +315,6 @@ impl SplitSource for RemoteSplitSource {
                     .clone(),
             ),
             Ok(ClaimMsg::None) => None,
-            Ok(ClaimMsg::Retired) => {
-                self.retired.lock().insert(slot);
-                None
-            }
             // A failed claim fails the query, if nothing has yet, and the
             // task meets the poison at its next exchange call.
             Err(e) if self.in_query => {
@@ -336,10 +323,6 @@ impl SplitSource for RemoteSplitSource {
             }
             Err(e) => panic!("split claim failed: {e}"),
         }
-    }
-
-    fn is_retired(&self, slot: u32) -> bool {
-        self.retired.lock().contains(&slot)
     }
 }
 
@@ -389,15 +372,13 @@ mod tests {
         assert!(Arc::ptr_eq(&first.pages, &copy[0].pages));
         assert!(!Arc::ptr_eq(&first.pages, &served[0].pages));
         assert_eq!(source.claim(0, None, None).unwrap().id.0, 1);
-        // Retire a different slot mid-stream: its claim reports RETIRED and
-        // the source remembers (ScanSource's EndSignal path).
+        // Retire a different slot mid-stream: its claim returns no split,
+        // and takes none from the slots still claiming.
         queue.retire(5);
         assert!(source.claim(5, None, None).is_none());
-        assert!(source.is_retired(5));
-        // The last split drains, then exhaustion.
+        // Slot 0 still drains the last split, then exhaustion.
         assert_eq!(source.claim(0, None, None).unwrap().id.0, 2);
         assert!(source.claim(0, None, None).is_none());
-        assert!(!source.is_retired(0), "exhaustion is not retirement");
         server.shutdown();
     }
 
@@ -495,12 +476,7 @@ mod tests {
 
     #[test]
     fn claim_messages_round_trip_and_every_prefix_is_a_typed_error() {
-        let messages = [
-            ClaimMsg::Split { id: 1 << 40 },
-            ClaimMsg::None,
-            ClaimMsg::Retired,
-        ];
-        for msg in messages {
+        for msg in [ClaimMsg::Split { id: 1 << 40 }, ClaimMsg::None] {
             let (kind, payload) = msg.encode();
             assert_eq!(ClaimMsg::decode(kind, &payload).unwrap(), msg);
             for cut in 0..payload.len() {
@@ -519,5 +495,11 @@ mod tests {
         }
         assert!(ClaimMsg::decode(kind::CLAIM, &[]).is_err(), "a request");
         assert!(ClaimMsg::decode(kind::HELLO, &[]).is_err(), "foreign kind");
+        // A retired slot is answered NONE; kind 16 is unassigned.
+        let err = ClaimMsg::decode(16, &[]).unwrap_err();
+        assert!(
+            err.to_string().contains("kind 16 is not a claim reply"),
+            "{err}"
+        );
     }
 }

@@ -71,11 +71,13 @@
 //!
 //! ## The EndSignal handshake (Fig 13)
 //!
-//! *Shrinking*: the controller retires task slots on the split queue; a
-//! retired task observes retirement at its next claim, finishes its current
-//! split, and its scan emits `Page::End(EndSignal)` — the driver forwards
-//! it through the task's `ExchangeWriter`, which leaves its node's writer
-//! group in-band. Partial-operator state is safe to abandon this way
+//! *Shrinking*: the controller retires task slots on the split queue. A
+//! retired task's next claim is answered like exhaustion — no split, on
+//! any node — so it finishes its current split, then its scan ends and its
+//! task's `ExchangeWriter` leaves its node's writer group in-band: the
+//! claim that returns nothing is the paper's EndSignal, and nothing
+//! downstream tells it from exhaustion. Partial-operator state is safe to
+//! abandon this way
 //! because partial aggregates/top-Ns are reconstructible unions: whatever
 //! the retired task already pushed merges downstream exactly like the
 //! output of a completed task (paper §4.1).
@@ -607,7 +609,7 @@ impl ElasticityController {
             }
         } else {
             // Shrink: retire the most recently added slots; each retired
-            // task ends with `Page::End(EndSignal)` at its next claim.
+            // task's scan ends at its next claim.
             for _ in 0..(dop - target) {
                 if let Some(slot) = self.stages[i].active.pop() {
                     self.stages[i].queue.retire(slot);
@@ -948,7 +950,7 @@ mod tests {
         );
         let scan = metrics.register(1, 0, 0, "TableScan");
         assert!(queue.claim(0, None).is_some());
-        assert_eq!(queue.remaining_rows(), 10, "what the unclaimed splits hold");
+        assert_eq!(queue.remaining_splits(), 1, "one split left to claim");
         let unscanned = |ctrl: &mut ElasticityController| {
             ctrl.evaluate(0, 1_000);
             let decisions = metrics.snapshot(ExchangeStats::default()).decisions;

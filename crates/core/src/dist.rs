@@ -26,8 +26,7 @@
 //!
 //! ```text
 //! coord  → HELLO  query                                    opens the session
-//! coord  → WIRE   node, peers, fingerprint, dop,
-//!                 elasticity mode, sql
+//! coord  → WIRE   node, peers, fingerprint, dop, sql
 //! worker → ACK | ERR message                               plan + wire
 //! coord  → GO
 //! worker → ACK                                             tasks started
@@ -40,7 +39,9 @@
 //! DONE carries the worker's [`node_stats`] as text, or past
 //! [`MAX_CONTROL`] only `{"node":n,"omitted_bytes":len}`.
 //! `peers` is `[coordinator] + workers`, every node's one address, and the
-//! fleet is as many nodes as it lists. The
+//! fleet is as many nodes as it lists. WIRE carries no elasticity mode: a
+//! worker wires with its own executor's options, whose mode it never reads,
+//! since only node 0 holds split queues and runs a controller. The
 //! two-phase WIRE/GO split matters: a worker must know the query's registry
 //! before **any** process starts tasks, or an early page from a fast peer
 //! would be rejected. `GO` is only sent once every node acknowledged
@@ -71,9 +72,10 @@ use accordion_storage::catalog::Catalog;
 /// WIRE, the one control request with a body — kind 8 of the node-to-node
 /// kind table (`accordion_net::frame`), sent on the query's session: plan
 /// `sql` at `dop`, check it against `fingerprint`, and wire this node's
-/// share in `role`. GO and JOIN, which start and join that share, carry
-/// nothing; the worker answers WIRE and GO with ACK, JOIN with DONE
-/// (its stats), and a request that fails with ERR.
+/// share in `role` under the worker's own options. GO and JOIN, which
+/// start and join that share, carry nothing; the worker answers WIRE and
+/// GO with ACK, JOIN with DONE (its stats), and a request that fails with
+/// ERR.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireMsg {
     /// The worker's place in the fleet; `peers[0]` serves the query's
@@ -81,8 +83,6 @@ pub struct WireMsg {
     pub role: DistRole,
     pub fingerprint: u64,
     pub dop: u32,
-    /// The elasticity mode string every node parses identically.
-    pub elasticity: String,
     pub sql: String,
 }
 
@@ -92,8 +92,8 @@ impl WireMsg {
         let (role, p) = (&self.role, Payload::default());
         let p = p.u32(role.node).u32(role.peers.len() as u32);
         let p = role.peers.iter().fold(p, |p, a| p.str(a));
-        let p = p.u64(self.fingerprint).u32(self.dop).str(&self.elasticity);
-        (kind::WIRE, p.str(&self.sql).0)
+        let p = p.u64(self.fingerprint).u32(self.dop).str(&self.sql);
+        (kind::WIRE, p.0)
     }
 
     /// Inverse of [`encode`](Self::encode), from a WIRE frame's payload;
@@ -111,7 +111,6 @@ impl WireMsg {
             role: DistRole { node, peers },
             fingerprint: c.u64()?,
             dop: c.u32()?,
-            elasticity: c.str()?.to_string(),
             sql: c.str()?.to_string(),
         };
         c.finish()?;
@@ -235,8 +234,6 @@ impl Control for NodeState {
                 "WIRE for query {query} names node 0, which wires itself"
             )));
         }
-        let mut exec = self.executor.options().clone();
-        exec.elasticity = ElasticityMode::try_parse_mode(&wire.elasticity)?;
         let tree = plan_tree(&self.catalog, &wire.sql, wire.dop)?;
         let (local, fingerprint) = (plan_fingerprint(&tree), wire.fingerprint);
         if local != fingerprint {
@@ -247,9 +244,10 @@ impl Control for NodeState {
             )));
         }
         let (catalog, splits, node) = (&self.catalog, &self.splits, wire.role.node);
+        let exec = self.executor.options();
         let nq = self
             .executor
-            .wire(catalog, tree, &exec, wire.role, query, splits)?;
+            .wire(catalog, tree, exec, wire.role, query, splits)?;
         let registry = nq.registry().clone();
         let run = move || Ok((kind::DONE, done_payload(node, nq.run()?.stats())));
         Ok((registry, Box::new(run)))
@@ -276,8 +274,8 @@ pub struct Fleet {
     /// distributed query.
     node: Arc<Worker>,
     peers: Vec<String>,
-    /// Per-query options on every node's executor: page size, network
-    /// shape and the elasticity mode WIRE carries.
+    /// Node 0's per-query options: page size, network shape and the
+    /// elasticity mode its controller runs.
     exec: ExecOptions,
     dop: u32,
 }
@@ -334,17 +332,24 @@ impl Fleet {
     /// Plans, wires, and runs one SELECT across every node of the fleet,
     /// returning the coordinator-side result.
     pub fn run_sql(&mut self, sql: &str) -> Result<DistributedRun> {
+        let tree = plan_tree(&self.node.state.catalog, sql, self.dop)?;
+        self.run_tree(sql, &tree)
+    }
+
+    /// [`run_sql`](Self::run_sql) of a SELECT node 0 has already planned:
+    /// `tree` is `sql` planned at the fleet's dop, which every worker plans
+    /// again from `sql` and checks against `tree`'s fingerprint.
+    pub(crate) fn run_tree(&mut self, sql: &str, tree: &StageTree) -> Result<DistributedRun> {
         let query = self.node.next_query();
-        let outcome = self.run_query(query, sql);
+        let outcome = self.run_query(query, sql, tree);
         self.node.state.pages.unregister(query);
         self.node.state.splits.unregister_query(query);
         outcome
     }
 
-    fn run_query(&mut self, query: u64, sql: &str) -> Result<DistributedRun> {
+    fn run_query(&mut self, query: u64, sql: &str, tree: &StageTree) -> Result<DistributedRun> {
         let state = &self.node.state;
-        let tree = plan_tree(&state.catalog, sql, self.dop)?;
-        let fingerprint = plan_fingerprint(&tree);
+        let fingerprint = plan_fingerprint(tree);
         // Node 0 wires first: a query the admission gate turns away never
         // reaches a worker.
         let role = |node| DistRole {
@@ -368,7 +373,6 @@ impl Fleet {
                     role: role(node),
                     fingerprint,
                     dop: self.dop,
-                    elasticity: self.exec.elasticity.to_string(),
                     sql: sql.to_string(),
                 };
                 call(worker, wire.encode())?;
@@ -416,7 +420,6 @@ mod tests {
             },
             fingerprint: 0xdead_beef_0123_4567,
             dop: 4,
-            elasticity: "auto:2000".into(),
             sql: sql.into(),
         }
     }
@@ -464,7 +467,7 @@ mod tests {
 
     #[test]
     fn a_peer_count_is_not_an_allocation_size() {
-        // WIRE claiming four billion peers in a 37-byte payload: the decoder
+        // WIRE claiming four billion peers in a 24-byte payload: the decoder
         // runs out of bytes, not out of memory.
         let (_, mut payload) = wire(&[], "").encode();
         let count_at = 4;

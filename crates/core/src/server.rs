@@ -131,9 +131,10 @@ struct Shared {
 }
 
 impl Shared {
-    /// Runs `tree` where the session runs SELECTs: on the shared pool, or
-    /// across this server (node 0) and the session's `nodes`, every node
-    /// planning it from `sql`; with the workers' stats.
+    /// Runs `tree`, the session's plan of `sql`, where the session runs
+    /// SELECTs: on the shared pool, or across this server (node 0) and the
+    /// session's `nodes`, every worker planning it from `sql`; with the
+    /// workers' stats.
     /// The server's node is bound on first use: an ephemeral port of the
     /// text listener's interface, in front of the shared executor.
     fn run(
@@ -157,7 +158,7 @@ impl Shared {
             }
         };
         let mut fleet = Fleet::over(node, &vars.nodes, vars.exec_options(), vars.dop)?;
-        let run = fleet.run_sql(sql)?;
+        let run = fleet.run_tree(sql, tree)?;
         Ok((run.result, run.worker_stats))
     }
 }

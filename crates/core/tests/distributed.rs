@@ -477,7 +477,6 @@ impl HandRolled {
             role: DistRole { node: 1, ..role },
             fingerprint: plan_fingerprint(&tree),
             dop: 2,
-            elasticity: "off".into(),
             sql: GROUP_SQL.into(),
         };
         assert_eq!(session.call(wire.encode()).unwrap().0, kind::ACK);
@@ -624,7 +623,6 @@ fn a_wire_naming_a_node_outside_its_fleet_is_refused() {
             role,
             fingerprint: plan_fingerprint(&tree),
             dop: 2,
-            elasticity: "off".into(),
             sql: GROUP_SQL.into(),
         };
         match session.call(wire.encode()) {

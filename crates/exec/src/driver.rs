@@ -73,9 +73,6 @@ pub struct TaskContext {
     /// The task's claim on a split queue (its stage's, or in the serial
     /// executor its own); `None` when the stage scans no table.
     split_feed: Option<SplitFeed>,
-    /// End reason of the last output pipeline's chain, forwarded by
-    /// [`run_task`] as the task's own end page.
-    end_reason: EndReason,
 }
 
 impl TaskContext {
@@ -99,7 +96,6 @@ impl TaskContext {
             builds,
             metrics,
             split_feed,
-            end_reason: EndReason::UpstreamFinished,
         }
     }
 }
@@ -110,8 +106,7 @@ pub fn run_task(pipelines: &[PipelineSpec], ctx: &mut TaskContext) -> Result<()>
     for pipeline in pipelines {
         run_pipeline(pipeline, ctx)?;
     }
-    let reason = ctx.end_reason;
-    ctx.output.push(Page::end(reason))
+    ctx.output.push(Page::end(EndReason::UpstreamFinished))
 }
 
 /// Runs one pipeline to completion inside `ctx` with its one driver.
@@ -119,14 +114,8 @@ pub fn run_pipeline(pipeline: &PipelineSpec, ctx: &mut TaskContext) -> Result<()
     match &pipeline.sink {
         Sink::Output => {
             let (mut chain, _) = build_chain(pipeline, ctx)?;
-            loop {
-                match chain.next_page()? {
-                    Page::End(e) => {
-                        ctx.end_reason = e.reason;
-                        break;
-                    }
-                    page @ Page::Data(_) => ctx.output.push(page)?,
-                }
+            while let page @ Page::Data(_) = chain.next_page()? {
+                ctx.output.push(page)?;
             }
         }
         Sink::JoinBuild { join, keys } => {

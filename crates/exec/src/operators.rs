@@ -136,9 +136,9 @@ pub type BoxedStream = Box<dyn PageStream>;
 // ---------------------------------------------------------------------------
 
 /// The one scan operator: streams the pages of splits claimed one at a
-/// time from a [`SplitFeed`], applying the scan's column projection. A
-/// retired claimant ends with the engine's `EndSignal` (paper §4.3), an
-/// exhausted pool with the ordinary scan end.
+/// time from a [`SplitFeed`], applying the scan's column projection. It
+/// ends at the first claim that returns no split: the pool is exhausted,
+/// or the task was retired (the paper's EndSignal, §4.3).
 pub struct ScanSource {
     feed: SplitFeed,
     projection: Vec<usize>,
@@ -171,14 +171,7 @@ impl PageStream for ScanSource {
                 Some(current) => current,
                 None => match self.feed.claim() {
                     Some(split) => self.current.insert(split.open(self.page_rows)?),
-                    None => {
-                        let reason = if self.feed.retired() {
-                            EndReason::EndSignal
-                        } else {
-                            EndReason::ScanExhausted
-                        };
-                        return Ok(Page::end(reason));
-                    }
+                    None => return Ok(Page::end(EndReason::ScanExhausted)),
                 },
             };
             match current.next_page()? {

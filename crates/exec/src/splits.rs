@@ -27,8 +27,8 @@
 //! a claim takes the **last split** (nothing is left to decide), or a slot
 //! is retired. Remote claims arrive through the coordinator's claim service
 //! into this same method, so they raise it too. Retired tasks observe their
-//! retirement at the same boundary: their next claim returns `None` and the
-//! scan emits `Page::End(EndSignal)`.
+//! retirement at the same boundary: their next claim returns `None`, as on
+//! exhaustion, and the scan ends.
 //!
 //! Every claim takes the front of the queue: splits are handed out in the
 //! order the queue was built with, whichever task or node asks.
@@ -55,17 +55,12 @@ pub trait SplitSource: Send + Sync {
     /// `None` when the pool is exhausted or the slot was retired. `gate` is
     /// yielded for the duration of any wait.
     fn claim(&self, slot: u32, node: Option<NodeId>, gate: Option<&Semaphore>) -> Option<Split>;
-
-    /// True once `slot` was retired (distinguishes the EndSignal scan end
-    /// from plain exhaustion).
-    fn is_retired(&self, slot: u32) -> bool;
 }
 
 #[derive(Debug)]
 struct QueueState {
     splits: VecDeque<Split>,
     claimed: u64,
-    remaining_rows: u64,
     retired: HashSet<u32>,
     /// Claims at or beyond this count block until the controller advances
     /// the threshold (or releases the queue).
@@ -101,7 +96,6 @@ impl QueueState {
         }
         let split = self.splits.pop_front().expect("non-empty checked above");
         self.claimed += 1;
-        self.remaining_rows = self.remaining_rows.saturating_sub(split.rows);
         // This claim brought the stage to its decision boundary, or left
         // nothing to decide about: either way the controller has something
         // to look at.
@@ -124,13 +118,11 @@ pub struct SplitQueue {
 
 impl SplitQueue {
     pub fn new(splits: Vec<Split>) -> Self {
-        let remaining_rows = splits.iter().map(|s| s.rows).sum();
         SplitQueue {
-            total_rows: remaining_rows,
+            total_rows: splits.iter().map(|s| s.rows).sum(),
             state: Mutex::new(QueueState {
                 splits: splits.into(),
                 claimed: 0,
-                remaining_rows,
                 retired: HashSet::new(),
                 pause_after: None,
                 released: false,
@@ -170,19 +162,13 @@ impl SplitQueue {
     }
 
     /// Retires a task slot: its next claim returns `None`, making it finish
-    /// its current split, emit `Page::End(EndSignal)` and exit.
+    /// its current split, end its scan and exit.
     pub fn retire(&self, slot: u32) {
         let mut st = self.state.lock();
         st.retired.insert(slot);
         st.raise();
         drop(st);
         self.cv.notify_all();
-    }
-
-    /// True once `slot` was retired (distinguishes the EndSignal scan end
-    /// from plain exhaustion).
-    pub fn is_retired(&self, slot: u32) -> bool {
-        self.state.lock().retired.contains(&slot)
     }
 
     /// Splits handed out so far.
@@ -195,15 +181,9 @@ impl SplitQueue {
         self.state.lock().splits.len()
     }
 
-    /// Rows in the unclaimed splits. Not the what-if predictor's
-    /// `V_remain`: a claimed split still has to be scanned, so the
-    /// controller counts [`Self::total_rows`] minus the rows actually
-    /// scanned.
-    pub fn remaining_rows(&self) -> u64 {
-        self.state.lock().remaining_rows
-    }
-
-    /// Rows in every split the queue was built with, claimed or not.
+    /// Rows in every split the queue was built with, claimed or not: the
+    /// what-if predictor's `V_remain` is this minus the rows scanned, since
+    /// a claimed split still has to be scanned.
     pub fn total_rows(&self) -> u64 {
         self.total_rows
     }
@@ -251,10 +231,6 @@ impl SplitSource for SplitQueue {
     fn claim(&self, slot: u32, _node: Option<NodeId>, gate: Option<&Semaphore>) -> Option<Split> {
         SplitQueue::claim(self, slot, gate)
     }
-
-    fn is_retired(&self, slot: u32) -> bool {
-        SplitQueue::is_retired(self, slot)
-    }
 }
 
 /// One task's handle on its stage's split pool.
@@ -293,10 +269,6 @@ impl SplitFeed {
     pub fn claim(&self) -> Option<Split> {
         self.source.claim(self.slot, None, self.gate.as_deref())
     }
-
-    pub fn retired(&self) -> bool {
-        self.source.is_retired(self.slot)
-    }
 }
 
 #[cfg(test)]
@@ -326,7 +298,6 @@ mod tests {
             split(2, vec![3]),
         ]);
         assert_eq!(q.remaining_splits(), 3);
-        assert_eq!(q.remaining_rows(), 3);
         let mut ids = Vec::new();
         while let Some(s) = q.claim(0, None) {
             ids.push(s.id.0);
@@ -334,7 +305,6 @@ mod tests {
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2]);
         assert_eq!(q.claimed(), 3);
-        assert_eq!(q.remaining_rows(), 0);
         assert!(q.claim(1, None).is_none(), "exhausted for every slot");
     }
 
@@ -356,14 +326,13 @@ mod tests {
         let feed = SplitFeed::new(q.clone(), 3, None);
         assert_eq!(feed.claim().unwrap().id.0, 1);
         assert!(feed.claim().is_none());
-        assert_eq!((q.claimed(), q.remaining_rows()), (4, 0));
+        assert_eq!((q.claimed(), q.remaining_splits()), (4, 0));
     }
 
     #[test]
     fn retired_slot_claims_nothing() {
         let q = SplitQueue::new(vec![split(0, vec![1]), split(1, vec![2])]);
         q.retire(7);
-        assert!(q.is_retired(7));
         assert!(q.claim(7, None).is_none());
         // Other slots keep claiming.
         assert!(q.claim(0, None).is_some());
@@ -488,9 +457,9 @@ mod tests {
         q.set_pause_after(Some(1));
         assert!(q.claim(0, None).is_some());
         assert!(q.decision_due());
-        // A claimed split is no longer "remaining" but still part of the
-        // total the controller subtracts scanned rows from.
-        assert_eq!((q.remaining_rows(), q.total_rows()), (1, 3));
+        // A claimed split is still part of the total the controller
+        // subtracts scanned rows from.
+        assert_eq!((q.remaining_splits(), q.total_rows()), (1, 3));
     }
 
     #[test]
@@ -510,13 +479,11 @@ mod tests {
         assert_eq!(rows, 3);
         assert_eq!(reason, EndReason::ScanExhausted);
 
-        // A retired feed ends with the engine's EndSignal instead.
+        // A retired feed's scan ends at once, having scanned nothing.
         let q = Arc::new(SplitQueue::new(vec![split(0, vec![1])]));
         q.retire(0);
-        let mut src = ScanSource::claiming(SplitFeed::new(q, 0, None), vec![0], 10);
-        match src.next_page().unwrap() {
-            Page::End(e) => assert_eq!(e.reason, EndReason::EndSignal),
-            other => panic!("expected end page, got {other}"),
-        }
+        let mut src = ScanSource::claiming(SplitFeed::new(q.clone(), 0, None), vec![0], 10);
+        assert!(src.next_page().unwrap().is_end());
+        assert_eq!((q.claimed(), q.remaining_splits()), (0, 1));
     }
 }

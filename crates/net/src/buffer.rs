@@ -44,7 +44,6 @@ struct QueueState {
     max: Option<usize>,
     /// Producers that have not yet finished this queue.
     writers: u32,
-    end_reason: EndReason,
     poison: Option<AccordionError>,
     /// Consumer went away (e.g. a LIMIT stopped pulling early): pushes are
     /// silently dropped so producers never block on a dead buffer.
@@ -73,7 +72,6 @@ impl ElasticQueue {
                 capacity: network.initial_buffer_pages.max(1),
                 max: network.max_buffer_pages,
                 writers: writers.max(1),
-                end_reason: EndReason::UpstreamFinished,
                 poison: None,
                 closed: false,
             }),
@@ -166,7 +164,7 @@ impl ElasticQueue {
                 return Ok(Page::Data(page));
             }
             if st.writers == 0 || st.closed {
-                return Ok(Page::end(st.end_reason));
+                return Ok(Page::end(EndReason::UpstreamFinished));
             }
             yield_slot(gate, || {
                 while st.pages.is_empty() && st.writers > 0 && st.poison.is_none() && !st.closed {
@@ -182,14 +180,11 @@ impl ElasticQueue {
         self.state.lock().writers
     }
 
-    /// Marks one producer as finished. The last producer's `reason` becomes
-    /// the end page consumers see after draining.
-    pub fn writer_finished(&self, reason: EndReason) {
+    /// Marks one producer as finished; once none is left, consumers see an
+    /// end page after draining.
+    pub fn writer_finished(&self) {
         let mut st = self.state.lock();
         st.writers = st.writers.saturating_sub(1);
-        if st.writers == 0 {
-            st.end_reason = reason;
-        }
         self.data.notify_all();
     }
 
@@ -269,14 +264,11 @@ mod tests {
         let q = ElasticQueue::new(&limits(usize::MAX, None), 2);
         q.push(page(1), None).unwrap();
         q.push(page(2), None).unwrap();
-        q.writer_finished(EndReason::ScanExhausted);
-        q.writer_finished(EndReason::UpstreamFinished);
+        q.writer_finished();
+        q.writer_finished();
         assert_eq!(q.pull(None).unwrap().row_count(), 1);
         assert_eq!(q.pull(None).unwrap().row_count(), 1);
-        match q.pull(None).unwrap() {
-            Page::End(e) => assert_eq!(e.reason, EndReason::UpstreamFinished),
-            other => panic!("expected end page, got {other}"),
-        }
+        assert!(q.pull(None).unwrap().is_end());
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! A stage's tasks no longer hand a materialized page map to their
 //! consumers; they hold an [`ExchangeWriter`] toward the parent stage and
 //! one [`ExchangeReader`] per child stage, both page-granular and blocking.
-//! Termination is **in-band**: pushing `Page::End(reason)` closes a
-//! producer's contribution (paper Fig 13), and a reader receives a single
-//! end page once every producer has finished and the buffers are drained.
+//! Termination is **in-band**: pushing `Page::End` closes a producer's
+//! contribution (paper Fig 13), whatever its reason, and a reader receives
+//! a single end page once every producer has finished and the buffers are
+//! drained.
 //!
 //! ## Topology-first wiring
 //!
@@ -41,11 +42,11 @@
 //! Every [`ExchangeRegistry::writer`] call joins the node's *writer group*
 //! for the edge; when the group's last member finishes, the group ends the
 //! node's share once: it decrements every local queue directly and sends
-//! one FINISH to each node hosting a consumer slot, behind every member's
-//! pages on the session.
+//! one FINISH, which names only the stage, to each node hosting a consumer
+//! slot, behind every member's pages on the session.
 //!
 //! So a change of a stage's DOP on a node touches no edge. A retiring task
-//! pushes `Page::End(EndSignal)` and leaves its group; a grown task's
+//! pushes its end page and leaves its group; a grown task's
 //! writer joins it. The elasticity controller holds one member of the group
 //! on its own node (the *writer lease*), so the group cannot end — and
 //! consumers cannot conclude the stage is done — while a grow is still
@@ -59,7 +60,7 @@ use accordion_common::config::NetworkConfig;
 use accordion_common::sync::{Mutex, Semaphore};
 use accordion_common::{AccordionError, Result};
 use accordion_data::hash::{hash_partition, Partitioning};
-use accordion_data::page::{DataPage, EndReason, Page};
+use accordion_data::page::{DataPage, Page};
 
 use crate::buffer::ElasticQueue;
 use crate::frame::{kind, net_err, Payload};
@@ -317,11 +318,11 @@ impl ExchangeRegistry {
         }
     }
 
-    /// Applies a remote node's end frame to every queue of `stage`'s
-    /// edge on this node.
-    pub(crate) fn finish_local(&self, stage: u32, reason: EndReason) -> Result<()> {
+    /// Applies a remote node's FINISH to every queue of `stage`'s edge on
+    /// this node.
+    pub(crate) fn finish_local(&self, stage: u32) -> Result<()> {
         for q in &self.edge(stage)?.queues {
-            q.writer_finished(reason);
+            q.writer_finished();
         }
         Ok(())
     }
@@ -566,7 +567,7 @@ impl EdgeWriter {
     /// slot via a FINISH frame (whether or not the group routed data there
     /// — the remote accounting needs the frame regardless), which follows
     /// every member's pages on the session. Idempotent.
-    fn finish(&mut self, reason: EndReason) -> Result<()> {
+    fn finish(&mut self) -> Result<()> {
         if self.finished {
             return Ok(());
         }
@@ -582,14 +583,12 @@ impl EdgeWriter {
             }
         }
         for q in &self.edge.queues {
-            q.writer_finished(reason);
+            q.writer_finished();
         }
         let mut result = Ok(());
         for host in remote_hosts(&self.edge.consumers) {
-            let mut end = Payload::default().u32(self.stage).0;
-            end.extend_from_slice(&Page::end(reason).encode());
-            let sent = self.registry.session(host);
-            if let Err(e) = sent.and_then(|s| s.send((kind::FINISH, end))) {
+            let end = (kind::FINISH, Payload::default().u32(self.stage).0);
+            if let Err(e) = self.registry.session(host).and_then(|s| s.send(end)) {
                 result = Err(e);
             }
         }
@@ -600,7 +599,7 @@ impl EdgeWriter {
 impl ExchangeWriter for EdgeWriter {
     fn push(&mut self, page: Page) -> Result<()> {
         let page = match page {
-            Page::End(e) => return self.finish(e.reason),
+            Page::End(_) => return self.finish(),
             Page::Data(p) => p,
         };
         if self.finished {
@@ -649,7 +648,7 @@ impl Drop for EdgeWriter {
     /// terminate cleanly once a node's writer accounting is short one end
     /// frame.
     fn drop(&mut self) {
-        if let Err(e) = self.finish(EndReason::UpstreamFinished) {
+        if let Err(e) = self.finish() {
             self.registry.poison(e);
         }
     }
@@ -680,7 +679,7 @@ impl Drop for EdgeReader {
 mod tests {
     use super::*;
     use accordion_data::column::Column;
-    use accordion_data::page::DataPage;
+    use accordion_data::page::{DataPage, EndReason};
 
     fn registry_with(edges: Vec<EdgeSpec>) -> Arc<ExchangeRegistry> {
         let mut t = ExchangeTopology::new(1);
@@ -971,7 +970,7 @@ mod tests {
         assert_eq!(r.producers_remaining(1).unwrap(), 2);
         // Simulate a remote producer's FINISH frame: it decrements every
         // queue on this node (what a session does on receipt).
-        r.finish_local(1, EndReason::ScanExhausted).unwrap();
+        r.finish_local(1).unwrap();
         assert_eq!(r.producers_remaining(1).unwrap(), 1);
     }
 

@@ -28,30 +28,29 @@
 //! |------|---------|------------------------------------------------|----------------------|
 //! | 0    | HELLO   | query `u64`; opens a session                   | dialer → acceptor    |
 //! | 1    | DATA    | stage `u32`, consumer `u32`, encoded data page | dialer → acceptor    |
-//! | 2    | FINISH  | stage `u32`, encoded end page; one per node    | dialer → acceptor    |
+//! | 2    | FINISH  | stage `u32`; one per node                      | dialer → acceptor    |
 //! | 3    | CREDIT  | stage `u32`, consumer `u32`, grant `u32`       | acceptor → dialer    |
 //! | 4    | ERR     | `error`; the reply to any request that failed  | acceptor → dialer    |
 //! | 6    | POISON  | `error`; the query's poison                    | dialer → acceptor    |
 //! | 7    | ACK     | (empty)                                        | worker → coordinator |
-//! | 8    | WIRE    | node `u32`, peer count `u32` × `str` (the fleet, by node), fingerprint `u64`, dop `u32`, elasticity `str`, sql `str` (ACK) | coordinator → worker |
+//! | 8    | WIRE    | node `u32`, peer count `u32` × `str` (the fleet, by node), fingerprint `u64`, dop `u32`, sql `str` (ACK) | coordinator → worker |
 //! | 10   | GO      | (empty) (ACK)                                  | coordinator → worker |
 //! | 11   | JOIN    | (empty) (DONE)                                 | coordinator → worker |
 //! | 12   | DONE    | `text`: the worker's stats as JSON, or only their length past the cap | worker → coordinator |
-//! | 13   | CLAIM   | stage `u32`, slot `u32` (SPLIT, NONE or RETIRED) | dialer → acceptor  |
+//! | 13   | CLAIM   | stage `u32`, slot `u32` (SPLIT or NONE)        | dialer → acceptor    |
 //! | 14   | SPLIT   | stage `u32`, slot `u32`, split id `u64` (its position in its table) | acceptor → dialer |
-//! | 15   | NONE    | stage `u32`, slot `u32`                        | acceptor → dialer    |
-//! | 16   | RETIRED | stage `u32`, slot `u32`                        | acceptor → dialer    |
+//! | 15   | NONE    | stage `u32`, slot `u32`; exhausted or retired  | acceptor → dialer    |
 //!
-//! Kinds 5 and 9 are unassigned, so the others keep their numbers; they are
-//! read as unknown kinds, which leaves 15. Every kind travels on a session,
-//! whose HELLO names the query for all that follow. Frames of one sender
-//! arrive in order; a node's tasks of a stage are one producer of its
-//! edge, so one FINISH ends the node's share of it. Pages, FINISH and
+//! Kinds 5, 9 and 16 are unassigned, so the others keep their numbers;
+//! they are read as unknown kinds, which leaves 14. Every kind travels on a
+//! session, whose HELLO names the query for all that follow. Frames of one
+//! sender arrive in order; a node's tasks of a stage are one producer of
+//! its edge, so one FINISH ends the node's share of it. Pages, FINISH and
 //! POISON are unacknowledged; WIRE, GO and JOIN are answered in turn, and
 //! a CLAIM by its (stage, slot). WIRE's payload is encoded and decoded by
 //! `accordion_core::dist::WireMsg`; the bodies behind the (stage, slot) of
-//! 14–16 by `accordion_cluster::dist::ClaimMsg`. A peer address — in WIRE,
-//! in a consumer slot, in a claim — is always the node's one address.
+//! 14 and 15 by `accordion_cluster::dist::ClaimMsg`. A peer address — in
+//! WIRE, in a consumer slot, in a claim — is always the node's one address.
 //!
 //! ## A length is not an allocation size
 //!
@@ -90,7 +89,6 @@ pub mod kind {
     pub const CLAIM: u8 = 13;
     pub const SPLIT: u8 = 14;
     pub const NONE: u8 = 15;
-    pub const RETIRED: u8 = 16;
 }
 
 /// Payload guard of DATA frames: pages are bounded by `page_rows`, so this
@@ -140,9 +138,7 @@ pub fn read_frame(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<Option<u8>
     let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
     let cap = match kind {
         kind::DATA => MAX_DATA,
-        kind::HELLO..=kind::ERR | kind::POISON..=kind::WIRE | kind::GO..=kind::RETIRED => {
-            MAX_CONTROL
-        }
+        kind::HELLO..=kind::ERR | kind::POISON..=kind::WIRE | kind::GO..=kind::NONE => MAX_CONTROL,
         _ => return Err(net_err(format!("unknown frame kind {kind}"))),
     };
     if len == 0 || len - 1 > cap {

@@ -17,9 +17,10 @@
 //! Frames of one sender arrive in order, so the one FINISH a node sends for
 //! its share of an edge follows the DATA of every task that wrote there, a
 //! grown task's included, with no acknowledgement: a change of DOP inside a
-//! node sends nothing. The dialer's reader thread routes CREDIT to its
-//! window, SPLIT, NONE or RETIRED to the waiting claim, and ACK or DONE to
-//! the waiting [`Session::call`].
+//! node sends nothing. FINISH names only its stage: which task ended last,
+//! or why, is nothing the receiving queues read. The dialer's reader thread
+//! routes CREDIT to its window, SPLIT or NONE to the waiting claim, and ACK
+//! or DONE to the waiting [`Session::call`].
 //!
 //! The coordinator's session to a worker carries HELLO, WIRE, GO,
 //! DATA/FINISH/POISON, JOIN, in that order. WIRE registers the query, so a
@@ -211,7 +212,7 @@ impl Session {
                 let mut st = self.state.lock();
                 *st.credit.entry(key).or_insert(self.initial_credit) += grant as usize;
             }
-            kind::SPLIT | kind::NONE | kind::RETIRED => {
+            kind::SPLIT | kind::NONE => {
                 let mut fields = Cursor::new(&payload);
                 let key = (fields.u32()?, fields.u32()?);
                 let body = fields.rest().to_vec();
@@ -399,10 +400,8 @@ fn serve_session(
             }
             (kind::FINISH, Some(Some(registry)), _) => {
                 let stage = fields.u32()?;
-                let Page::End(end) = decode(&registry, fields.rest())? else {
-                    return Err(net_err("data page in FINISH frame"));
-                };
-                registry.finish_local(stage, end.reason)?;
+                fields.finish()?;
+                registry.finish_local(stage)?;
             }
             (kind::POISON, Some(Some(registry)), _) => {
                 let text = String::from_utf8_lossy(&payload);

@@ -398,7 +398,7 @@ fn hostile_peers_cost_a_small_buffer_and_a_closed_connection() {
             3 => frame_header(MAX_DATA as u32, kind::DATA),
             // A kind nobody defined, and defined kinds a page server
             // does not serve (as a first frame and inside a session).
-            4 => frame_header(1, 17 + (rng.next() % 239) as u8),
+            4 => frame_header(1, 16 + (rng.next() % 240) as u8),
             5 => {
                 let mut b = if rng.next().is_multiple_of(2) {
                     hello.clone()
@@ -476,6 +476,27 @@ fn hostile_peers_cost_a_small_buffer_and_a_closed_connection() {
         coordinator.recv().unwrap().is_none(),
         "and the session ends"
     );
+
+    // Kind 16 is unassigned, like 5 and 9.
+    let err = read_frame(&mut frame_header(1, 16).as_slice(), &mut payload).unwrap_err();
+    assert!(err.to_string().contains("unknown frame kind 16"), "{err}");
+    // FINISH names its stage and nothing else: one that carries more ends
+    // its session with a typed ERR and finishes no queue of the edge.
+    let mut finish = FrameConn::connect(&server.local_addr(), Duration::from_secs(5)).unwrap();
+    finish
+        .send((kind::HELLO, 60u64.to_le_bytes().to_vec()))
+        .unwrap();
+    let stage_and_more = [1u32.to_le_bytes().as_slice(), &[0]].concat();
+    finish.send((kind::FINISH, stage_and_more)).unwrap();
+    finish.close(); // a FINISH the node took would be answered by EOF
+    let (reply, text) = finish.recv().unwrap().expect("an ERR");
+    let err = AccordionError::from_display(&String::from_utf8_lossy(&text));
+    assert!(
+        reply == kind::ERR && matches!(err, AccordionError::Wire(_)),
+        "{err}"
+    );
+    assert!(finish.recv().unwrap().is_none(), "and the session ends");
+    assert_eq!(registry.producers_remaining(1).unwrap(), 2);
 
     // The session opened before all of that, and one opened after it, are
     // both served.
