@@ -197,24 +197,17 @@ impl Page {
     /// Encodes this page as one contiguous wire frame (see [`crate::wire`]
     /// for the layout). This is the engine's **only** page serialization
     /// entry point — transports add an outer length prefix and ship the
-    /// buffer verbatim.
+    /// buffer verbatim. An end page has no wire form and encodes to no
+    /// bytes, which [`Page::decode`] refuses.
     pub fn encode(&self) -> Vec<u8> {
         crate::wire::encode_page(self)
     }
 
-    /// Decodes a frame produced by [`Page::encode`]. Truncated, corrupt or
-    /// version-mismatched input returns a typed
+    /// Decodes a data page produced by [`Page::encode`]. Truncated, corrupt
+    /// or version-mismatched input returns a typed
     /// [`accordion_common::AccordionError::Wire`] — never a panic.
     pub fn decode(bytes: &[u8]) -> accordion_common::Result<Page> {
-        crate::wire::decode_page(bytes, None)
-    }
-
-    /// Like [`Page::decode`], but additionally rejects data frames whose
-    /// embedded schema hash differs from `expected` (computed with
-    /// [`crate::wire::schema_hash`]) — the receiver-side guard that a frame
-    /// actually belongs to the exchange edge it arrived on.
-    pub fn decode_expecting(bytes: &[u8], expected: u64) -> accordion_common::Result<Page> {
-        crate::wire::decode_page(bytes, Some(expected))
+        crate::wire::decode_data(bytes, None).map(Page::Data)
     }
 }
 

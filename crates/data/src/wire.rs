@@ -1,21 +1,19 @@
 //! Binary page wire codec — version 1.
 //!
 //! The one encoding boundary of the engine: [`Page::encode`] /
-//! [`Page::decode`] (defined on [`Page`], implemented here) turn a page
-//! into a single contiguous buffer and back, so a cross-process exchange
-//! transfer is one buffer write instead of a deep clone. The transport adds
-//! its own outer length prefix; this module defines everything inside it.
+//! [`Page::decode`] (defined on [`Page`], implemented here) turn a data
+//! page into a single contiguous buffer and back, so a cross-process
+//! exchange transfer is one buffer write instead of a deep clone. The
+//! transport adds its own outer length prefix; this module defines
+//! everything inside it. An end page has no wire form — a node's share of
+//! an edge ends with a FINISH frame — so it encodes to no bytes, which
+//! every decoder refuses.
 //!
 //! ## Frame layout
 //!
 //! ```text
 //! byte 0        WIRE_VERSION (currently 1)
-//! byte 1        kind: 0 = data page, 1 = end page
-//!
-//! end page:
-//! byte 2        EndReason discriminant (0..=3)
-//!
-//! data page:
+//! byte 1        kind: 0 = data page
 //! bytes 2..10   schema hash   u64 LE  (column count + per-column type tags)
 //! bytes 10..14  row count     u32 LE
 //! bytes 14..18  column count  u32 LE
@@ -50,7 +48,7 @@ use accordion_common::{AccordionError, Result};
 
 use crate::column::{Column, Utf8Column, Validity};
 use crate::hash::{finalize, mix, SEED};
-use crate::page::{DataPage, EndPage, EndReason, Page};
+use crate::page::{DataPage, Page};
 use crate::types::DataType;
 
 /// Current frame version; bumped on any layout change.
@@ -66,7 +64,6 @@ pub const FRAME_OVERHEAD: usize = 2 + 8 + 4 + 4 + 8;
 pub const PER_COLUMN_OVERHEAD: usize = 2 + 8 + 4;
 
 const KIND_DATA: u8 = 0;
-const KIND_END: u8 = 1;
 
 fn type_tag(dt: DataType) -> u8 {
     match dt {
@@ -119,28 +116,9 @@ fn checksum(payload: &[u8]) -> u64 {
     finalize(h)
 }
 
-fn end_reason_tag(reason: EndReason) -> u8 {
-    match reason {
-        EndReason::ScanExhausted => 0,
-        EndReason::UpstreamFinished => 1,
-        EndReason::EndSignal => 2,
-        EndReason::LocalExchangeDrained => 3,
-    }
-}
-
-fn tag_end_reason(tag: u8) -> Result<EndReason> {
-    Ok(match tag {
-        0 => EndReason::ScanExhausted,
-        1 => EndReason::UpstreamFinished,
-        2 => EndReason::EndSignal,
-        3 => EndReason::LocalExchangeDrained,
-        other => return Err(err(format!("unknown end reason {other}"))),
-    })
-}
-
 pub(crate) fn encode_page(page: &Page) -> Vec<u8> {
     match page {
-        Page::End(end) => vec![WIRE_VERSION, KIND_END, end_reason_tag(end.reason)],
+        Page::End(_) => Vec::new(),
         Page::Data(data) => encode_data_page(data),
     }
 }
@@ -296,7 +274,13 @@ impl Payload {
     }
 }
 
-pub(crate) fn decode_page(bytes: &[u8], expected_schema: Option<u64>) -> Result<Page> {
+/// The data page [`Page::encode`] wrote into `bytes`; truncated, corrupt
+/// or version-mismatched input — the empty encoding of an end page
+/// included — is a typed [`AccordionError::Wire`]. With `expected_schema`
+/// (a [`schema_hash`]) it also refuses a page of another layout: the
+/// receiver-side guard that a frame belongs to the edge it arrived on.
+/// [`Page::decode`] is this without the guard, wrapped in a page.
+pub fn decode_data(bytes: &[u8], expected_schema: Option<u64>) -> Result<Arc<DataPage>> {
     let mut c = Cursor::new(bytes);
     let version = c.u8()?;
     if version != WIRE_VERSION {
@@ -305,17 +289,12 @@ pub(crate) fn decode_page(bytes: &[u8], expected_schema: Option<u64>) -> Result<
         )));
     }
     match c.u8()? {
-        KIND_END => {
-            let reason = tag_end_reason(c.u8()?)?;
-            c.finish()?;
-            Ok(Page::End(EndPage { reason }))
-        }
         KIND_DATA => decode_data_page(bytes, expected_schema),
         other => Err(err(format!("unknown frame kind {other}"))),
     }
 }
 
-fn decode_data_page(bytes: &[u8], expected_schema: Option<u64>) -> Result<Page> {
+fn decode_data_page(bytes: &[u8], expected_schema: Option<u64>) -> Result<Arc<DataPage>> {
     if bytes.len() < FRAME_OVERHEAD {
         return Err(err(format!(
             "truncated frame: {} bytes is below the {FRAME_OVERHEAD}-byte minimum",
@@ -422,7 +401,7 @@ fn decode_data_page(bytes: &[u8], expected_schema: Option<u64>) -> Result<Page> 
         }
         DataPage::new(columns)
     };
-    Ok(Page::Data(Arc::new(page)))
+    Ok(Arc::new(page))
 }
 
 #[cfg(test)]
@@ -440,7 +419,8 @@ mod tests {
     }
 
     #[test]
-    fn end_pages_are_three_bytes() {
+    fn an_end_page_has_no_wire_form() {
+        use crate::page::EndReason;
         for reason in [
             EndReason::ScanExhausted,
             EndReason::UpstreamFinished,
@@ -448,20 +428,19 @@ mod tests {
             EndReason::LocalExchangeDrained,
         ] {
             let buf = Page::end(reason).encode();
-            assert_eq!(buf.len(), 3);
-            assert_eq!(Page::decode(&buf).unwrap(), Page::end(reason));
+            assert!(buf.is_empty(), "{reason:?}");
+            let err = Page::decode(&buf).unwrap_err();
+            assert!(matches!(err, AccordionError::Wire(_)), "{err}");
         }
-    }
-
-    #[test]
-    fn bad_end_reason_is_a_typed_error() {
-        let err = Page::decode(&[WIRE_VERSION, KIND_END, 9]).unwrap_err();
-        assert!(matches!(err, AccordionError::Wire(_)), "{err}");
+        // Nor does the kind an end page once had decode to anything.
+        let err = Page::decode(&[WIRE_VERSION, 1, 2]).unwrap_err();
+        assert!(err.to_string().contains("unknown frame kind 1"), "{err}");
     }
 
     #[test]
     fn version_gate() {
-        let mut buf = Page::end(EndReason::EndSignal).encode();
+        let page = DataPage::new(vec![Column::from_i64(vec![1, 2])]);
+        let mut buf = Page::data(page).encode();
         buf[0] = 2;
         let err = Page::decode(&buf).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");

@@ -8,7 +8,7 @@ use accordion_common::AccordionError;
 use accordion_data::column::{Column, Utf8Column};
 use accordion_data::page::{DataPage, EndReason, Page};
 use accordion_data::types::DataType;
-use accordion_data::wire::{FRAME_OVERHEAD, PER_COLUMN_OVERHEAD};
+use accordion_data::wire::{decode_data, FRAME_OVERHEAD, PER_COLUMN_OVERHEAD};
 
 /// Tiny deterministic PRNG (xorshift*) — no external deps allowed.
 struct Rng(u64);
@@ -243,14 +243,19 @@ fn wrong_schema_hash_is_rejected() {
     let encoded = Page::data(page).encode();
     let right = accordion_data::wire::schema_hash(&[DataType::Int64]);
     let wrong = accordion_data::wire::schema_hash(&[DataType::Utf8]);
-    assert!(Page::decode_expecting(&encoded, right).is_ok());
-    match Page::decode_expecting(&encoded, wrong) {
+    assert!(decode_data(&encoded, Some(right)).is_ok());
+    match decode_data(&encoded, Some(wrong)) {
         Err(AccordionError::Wire(m)) => assert!(m.contains("schema hash"), "{m}"),
         other => panic!("expected schema-hash rejection, got {other:?}"),
     }
-    // End frames carry no schema and pass any expectation.
+    // An end page has no wire form: its empty encoding is refused under
+    // any expectation.
     let end = Page::end(EndReason::ScanExhausted).encode();
-    assert!(Page::decode_expecting(&end, wrong).is_ok());
+    let refused = decode_data(&end, Some(right));
+    assert!(
+        matches!(refused, Err(AccordionError::Wire(_))),
+        "{refused:?}"
+    );
 }
 
 #[test]

@@ -46,14 +46,15 @@
 //! slot, behind every member's pages on the session.
 //!
 //! So a change of a stage's DOP on a node touches no edge. A retiring task
-//! pushes its end page and leaves its group; a grown task's
-//! writer joins it. The elasticity controller holds one member of the group
-//! on its own node (the *writer lease*), so the group cannot end — and
-//! consumers cannot conclude the stage is done — while a grow is still
-//! possible; it leaves once the stage's split queue is exhausted. Joining a
-//! group that has ended is an error, never a reopened stream.
+//! pushes its end page and leaves its group; a grown task's writer joins
+//! it, on node 0 or on a worker whose grow inbox a GROW frame fed
+//! ([`ExchangeRegistry::next_grow`]). The controller grows only a node with
+//! an active task of the stage, so the group still has a live member; one
+//! whose members have all left has ended for good, and
+//! [`ExchangeRegistry::try_writer`] starts nothing, never a reopened stream.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 
 use accordion_common::config::NetworkConfig;
@@ -115,8 +116,8 @@ pub struct EdgeSpec {
     pub policy: Partitioning,
     /// One entry per consumer slot, globally indexed. Where each lives.
     pub consumers: Vec<ConsumerLoc>,
-    /// Ignored: the elasticity controller's lease is a member of its node's
-    /// writer group, not a slot of the edge.
+    /// Ignored: a grow joins its node's live writer group, so no edge
+    /// reserves anything for one.
     pub leased: bool,
 }
 
@@ -218,6 +219,10 @@ pub struct ExchangeRegistry {
     poison: Mutex<Option<AccordionError>>,
     /// The query's sessions, one per peer address this node has sent to.
     sessions: Mutex<HashMap<String, Arc<Session>>>,
+    /// The grow inbox: the grown tasks node 0 placed here, as (stage,
+    /// slot). JOIN or the poison closes it by dropping its sender.
+    grows: Mutex<Option<Sender<(u32, u32)>>>,
+    inbox: Mutex<Receiver<(u32, u32)>>,
 }
 
 impl ExchangeRegistry {
@@ -228,6 +233,7 @@ impl ExchangeRegistry {
         network: &NetworkConfig,
         _nic: NicModel,
     ) -> Result<Arc<ExchangeRegistry>> {
+        let (grows, inbox) = mpsc::channel();
         let registry = ExchangeRegistry {
             query: topology.query,
             network: network.clone(),
@@ -235,6 +241,8 @@ impl ExchangeRegistry {
             edges: Mutex::new(HashMap::new()),
             poison: Mutex::new(None),
             sessions: Mutex::new(HashMap::new()),
+            grows: Mutex::new(Some(grows)),
+            inbox: Mutex::new(inbox),
         };
         for spec in &topology.edges {
             registry.register(spec)?;
@@ -352,16 +360,27 @@ impl ExchangeRegistry {
         task: u32,
         gate: Option<Arc<Semaphore>>,
     ) -> Result<Box<dyn ExchangeWriter>> {
+        self.try_writer(stage, task, gate)?.ok_or_else(|| {
+            AccordionError::Internal(format!(
+                "task {task} cannot join stage {stage}'s writers here: they have all ended"
+            ))
+        })
+    }
+
+    /// [`Self::writer`], but `None` when the group has ended: a grow that
+    /// arrives after every task of the stage on this node has finished.
+    pub fn try_writer(
+        self: &Arc<Self>,
+        stage: u32,
+        task: u32,
+        gate: Option<Arc<Semaphore>>,
+    ) -> Result<Option<Box<dyn ExchangeWriter>>> {
         let edge = self.edge(stage)?;
         match edge.group.lock().as_mut() {
             Some(members) => *members += 1,
-            None => {
-                return Err(AccordionError::Internal(format!(
-                    "task {task} cannot join stage {stage}'s writers here: they have all ended"
-                )))
-            }
+            None => return Ok(None),
         }
-        Ok(Box::new(EdgeWriter {
+        Ok(Some(Box::new(EdgeWriter {
             registry: self.clone(),
             stage,
             edge,
@@ -371,7 +390,7 @@ impl ExchangeRegistry {
             rr_next: task as usize,
             gate,
             finished: false,
-        }))
+        })))
     }
 
     /// Reader endpoint for consumer task `consumer` of `stage`'s output.
@@ -397,16 +416,16 @@ impl ExchangeRegistry {
         Ok(Box::new(EdgeReader { queue, gate }))
     }
 
-    /// The live writers of `stage`'s output edge as this node sees them:
-    /// every member of its writer group (a held lease included), plus each
-    /// other producing node whose FINISH has not arrived. The elasticity
-    /// controller reads this each time it wakes (a task's exit wakes it) to
-    /// detect a stage whose tasks all ended early — e.g. every task's LIMIT
-    /// was satisfied mid-scan — with splits still unclaimed: once only its
-    /// lease remains, nothing will ever claim again and the stage must be
-    /// finished. It reads the first local consumer slot, whose queue counts
-    /// every producing node (slot 0 is local on node 0, where the
-    /// controller runs).
+    /// The producing nodes of `stage`'s output edge whose share has not
+    /// ended, as this node sees them: its own while its writer group is
+    /// live, and each other one whose FINISH has not arrived. The
+    /// elasticity controller reads this each time it wakes (a task's exit
+    /// wakes it) to detect a stage whose tasks all ended early — e.g. every
+    /// task's LIMIT was satisfied mid-scan — with splits still unclaimed: at
+    /// zero nothing will ever claim again and the stage must be finished.
+    /// It reads the first local consumer slot, whose queue counts every
+    /// producing node (slot 0 is local on node 0, where the controller
+    /// runs).
     pub fn producers_remaining(&self, stage: u32) -> Result<u32> {
         let edge = self.edge(stage)?;
         let slot = (edge.consumers.iter())
@@ -414,9 +433,27 @@ impl ExchangeRegistry {
             .ok_or_else(|| {
                 AccordionError::Internal(format!("stage {stage} has no consumer slot here"))
             })?;
-        let group = edge.group.lock();
-        // A live group is one of the queue's writers, whatever its size.
-        Ok(edge.queues[slot].writers() + group.unwrap_or(0).saturating_sub(1))
+        Ok(edge.queues[slot].writers())
+    }
+
+    /// Puts a grown task node 0 placed here into the grow inbox; a closed
+    /// inbox drops it, as JOIN ends the query's grows.
+    pub(crate) fn grow(&self, stage: u32, slot: u32) {
+        if let Some(grows) = self.grows.lock().as_ref() {
+            let _ = grows.send((stage, slot));
+        }
+    }
+
+    /// The next grown task placed here, waiting for one; `None` once the
+    /// inbox is closed and empty.
+    pub fn next_grow(&self) -> Option<(u32, u32)> {
+        self.inbox.lock().recv().ok()
+    }
+
+    /// Closes the grow inbox: node 0 places no more tasks here. JOIN does
+    /// this, and so does the query's poison.
+    pub fn close_grows(&self) {
+        self.grows.lock().take();
     }
 
     /// Fails every buffer of every edge with `err` (first poison wins),
@@ -460,6 +497,7 @@ impl ExchangeRegistry {
         for session in self.sessions.lock().values() {
             session.fail(err.clone());
         }
+        self.close_grows();
         first
     }
 
@@ -847,22 +885,23 @@ mod tests {
 
     #[test]
     fn a_grow_joins_a_live_group() {
-        // One node, one producer: a task and the controller's lease.
+        // One node, one producer: a planned task and a grown one.
         let r = registry_with(vec![EdgeSpec::local(1, 1, RoutePolicy::Single, 1)]);
         let mut task = r.writer(1, 0, None).unwrap();
-        let mut lease = r.writer(1, u32::MAX, None).unwrap();
         task.push(page(vec![1])).unwrap();
-        // The old task retires between splits (EndSignal direction); the
-        // lease keeps the group, and the edge, open.
+        // Grow: a new task joins the group while the planned one is live.
+        // Nothing about the edge changes.
+        let mut grown = r.writer(1, 1, None).unwrap();
+        // The planned task retires between splits (EndSignal direction);
+        // the grown one keeps the group, and the edge, open.
         task.push(Page::end(EndReason::EndSignal)).unwrap();
         assert_eq!(r.producers_remaining(1).unwrap(), 1);
-        // Grow: a new task joins the group. Nothing about the edge changes.
-        let mut grown = r.writer(1, 1, None).unwrap();
-        assert_eq!(r.producers_remaining(1).unwrap(), 2);
         grown.push(page(vec![2])).unwrap();
         grown.push(Page::end(EndReason::ScanExhausted)).unwrap();
-        lease.push(Page::end(EndReason::UpstreamFinished)).unwrap();
         assert_eq!(r.producers_remaining(1).unwrap(), 0);
+        // A grow that comes after the group's last member left starts
+        // nothing.
+        assert!(r.try_writer(1, 2, None).unwrap().is_none());
         let mut reader = r.reader(1, 0, None).unwrap();
         assert_eq!(
             drain(reader.as_mut()),
@@ -872,41 +911,25 @@ mod tests {
     }
 
     #[test]
-    fn the_last_task_ending_while_a_grow_is_decided_leaves_the_edge_open() {
-        use std::sync::mpsc;
-        use std::time::Duration;
-
+    fn the_grow_inbox_hands_out_grows_until_it_is_closed() {
         let r = registry_with(vec![EdgeSpec::local(1, 1, RoutePolicy::Single, 1)]);
-        let lease = r.writer(1, u32::MAX, None).unwrap();
-        {
-            let mut w = r.writer(1, 0, None).unwrap();
-            w.push(page(vec![9])).unwrap();
-            w.push(Page::end(EndReason::ScanExhausted)).unwrap();
-        }
-        // Every task has ended while the controller is still deciding
-        // whether to grow: the buffered page is readable, and no end
-        // page follows it yet.
-        let mut reader = r.reader(1, 0, None).unwrap();
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || loop {
-            let page = reader.pull().unwrap();
-            let end = page.is_end();
-            tx.send(page.row_count()).unwrap();
-            if end {
-                return;
-            }
-        });
-        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(1));
-        assert!(
-            rx.recv_timeout(Duration::from_millis(50)).is_err(),
-            "the edge ended under a held lease"
-        );
-        drop(lease); // the drop guard leaves the group
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(10)),
-            Ok(0),
-            "the end page"
-        );
+        r.grow(1, 4);
+        assert_eq!(r.next_grow(), Some((1, 4)));
+        let waiting = {
+            let r = r.clone();
+            std::thread::spawn(move || (r.next_grow(), r.next_grow()))
+        };
+        r.grow(1, 5);
+        // JOIN closes the inbox: what is in it still comes out, then the
+        // end, and a later grow is dropped.
+        r.close_grows();
+        r.grow(1, 6);
+        assert_eq!(waiting.join().unwrap(), (Some((1, 5)), None));
+        // The poison closes it too.
+        let poisoned = registry_with(vec![EdgeSpec::local(1, 1, RoutePolicy::Single, 1)]);
+        poisoned.poison(AccordionError::Execution("boom".into()));
+        poisoned.grow(1, 1);
+        assert_eq!(poisoned.next_grow(), None);
     }
 
     #[test]
