@@ -432,9 +432,16 @@ mod tests {
             let err = Page::decode(&buf).unwrap_err();
             assert!(matches!(err, AccordionError::Wire(_)), "{err}");
         }
-        // Nor does the kind an end page once had decode to anything.
-        let err = Page::decode(&[WIRE_VERSION, 1, 2]).unwrap_err();
-        assert!(err.to_string().contains("unknown frame kind 1"), "{err}");
+    }
+
+    #[test]
+    fn the_old_end_page_kind_is_an_unknown_frame() {
+        // Kind 1 with a reason byte was an end page; it decodes to nothing.
+        for reason in [0, 3, 9] {
+            let err = Page::decode(&[WIRE_VERSION, 1, reason]).unwrap_err();
+            assert!(matches!(err, AccordionError::Wire(_)), "{err}");
+            assert!(err.to_string().contains("unknown frame kind 1"), "{err}");
+        }
     }
 
     #[test]
