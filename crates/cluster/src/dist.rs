@@ -5,14 +5,12 @@
 //! node plans independently from its identical catalog copy and the
 //! coordinator cross-checks a [`plan_fingerprint`] so divergent plans fail
 //! fast instead of mis-routing pages. Placement is deterministic and
-//! agreed without communication: planned task `t` of every stage runs on
-//! node [`task_node`]`(t, nodes)`, so a stage's hosts are its first
-//! `min(dop, nodes)` nodes. Node 0 is the **coordinator**: it hosts task
+//! agreed without communication: task `t` of every stage runs on node
+//! [`task_node`]`(t, nodes)`. Node 0 is the **coordinator**: it hosts task
 //! 0 of every stage (so it owns at least one local consumer slot of every
 //! edge, keeping its writer accounting authoritative), passes the admission
 //! gate on the query's behalf, drains the root stage's result, and runs the
-//! elasticity controller, which places each grown task on a host of its
-//! stage (`crate::elastic`). A single process is the fleet of one
+//! elasticity controller. A single process is the fleet of one
 //! ([`DistRole::single`]): node 0, with no peers. The runner itself —
 //! `QueryExecutor::{wire, execute_tree}` and `NodeQuery::run` — lives in
 //! `crate::scheduler`; nothing here spawns a task.
@@ -43,11 +41,10 @@
 //! unchanged: a paused queue simply delays its claim replies, wherever the
 //! claimant runs — the claim service answers what it can at once and
 //! parks the rest on short-lived threads, so no claim holds up the pages
-//! sharing its session. A grown task starts on the least-loaded host still
-//! in its stage — on node 0 directly, on a worker through one GROW frame —
-//! joins that node's live writer group, changes nothing on any other node,
-//! and claims like every task there; a shrunk task's next claim is
-//! answered NONE, as on exhaustion, and its scan ends. Which
+//! sharing its session. Grown tasks always spawn on the coordinator, where
+//! they join its live writer groups (one whose tasks have all ended starts
+//! none) and change nothing on any other node; a shrunk task's next claim
+//! is answered NONE, as on exhaustion, and its scan ends. Which
 //! side of the service a node is on follows from its [`DistRole`]: node 0
 //! registers its queues in the [`SplitQueues`] it is wired with — a fleet
 //! of one in a service nobody else reaches — and every other node claims
@@ -498,13 +495,11 @@ mod tests {
         }
         assert!(ClaimMsg::decode(kind::CLAIM, &[]).is_err(), "a request");
         assert!(ClaimMsg::decode(kind::HELLO, &[]).is_err(), "foreign kind");
-        // A retired slot is answered NONE; kind 9 is unassigned.
-        let err = ClaimMsg::decode(9, &[]).unwrap_err();
+        // A retired slot is answered NONE; kind 16 is unassigned.
+        let err = ClaimMsg::decode(16, &[]).unwrap_err();
         assert!(
-            err.to_string().contains("kind 9 is not a claim reply"),
+            err.to_string().contains("kind 16 is not a claim reply"),
             "{err}"
         );
-        let err = ClaimMsg::decode(kind::GROW, &[]).unwrap_err();
-        assert!(err.to_string().contains("kind 16 is not a claim"), "{err}");
     }
 }

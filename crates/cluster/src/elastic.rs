@@ -82,26 +82,21 @@
 //! the retired task already pushed merges downstream exactly like the
 //! output of a completed task (paper §4.1).
 //!
-//! *Growing*: a stage's nodes are the `min(planned dop, nodes)` producers
-//! of its edge, each holding its pipelines, writer group and join-table
-//! slots; a node leaves the stage once a shrink has retired its last
-//! active task, and a shrink retires the newest task on the node with the
-//! most (ties go to the highest id, so node 0 leaves last). A grow lands
-//! on the node still in the stage with the fewest active tasks, on that
-//! node's slot pool — node 0's through the scheduler's `spawn`, a worker's
-//! through one GROW frame — and drains the same split queue. Its writer
-//! joins the node's live writer group (see `accordion_net::exchange`); the
-//! edge does not change. Its producers are nodes, and hash partitioning is
-//! DOP-stable — routing depends only on the consumer count — so no
-//! in-flight page needs repartitioning either. A grow that finds its group
-//! ended (the splits ran out, or a LIMIT ended every task there) starts
-//! nothing. `Auto` counts the slots a stage can occupy as the summed pools
-//! of its nodes. [`StageControl`] releases its queue on drop, so no
-//! decision can strand a blocked claimant.
+//! *Growing*: the controller spawns the new tasks on the scheduler's
+//! `worker_threads` slot pool, and they drain the same split queue. A new
+//! task's writer joins its node's writer group for the stage's output edge
+//! (see `accordion_net::exchange`); the edge itself does not change. Its
+//! producers are nodes, and hash partitioning is DOP-stable — routing
+//! depends only on the consumer count, which never changes — so no
+//! in-flight page needs repartitioning either. A grow joins only a group
+//! with a live member: once every task of the stage on the controller's
+//! node has ended (the splits ran out, or a LIMIT ended them) the group has
+//! ended, the grow starts nothing, and the stage's DOP does not count it.
+//! [`StageControl`] releases its queue on drop, so no decision can strand a
+//! blocked claimant.
 //!
 //! [`SplitQueue`]: accordion_exec::splits::SplitQueue
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -116,8 +111,6 @@ use accordion_exec::metrics::{
 use accordion_exec::splits::SplitQueue;
 use accordion_net::ExchangeRegistry;
 use accordion_plan::fragment::DopBounds;
-
-use crate::dist::task_node;
 
 /// Pages a measurement era must hold before `auto` acts on its rate: the
 /// first few pages of a task are read cache-cold between two clock reads
@@ -258,12 +251,13 @@ pub struct StageControl {
     pub stage: u32,
     bounds: DopBounds,
     queue: Arc<SplitQueue>,
-    /// Active tasks as (node, slot), oldest first (slot ids are never
-    /// reused); `len()` is the stage's current DOP, and the nodes named
-    /// here are the ones still in the stage.
-    active: Vec<(u32, u32)>,
-    /// Each node's compute slots, by node id.
-    pools: Vec<u32>,
+    /// Active task slots (slot ids are never reused); `len()` is the
+    /// stage's current DOP.
+    active: Vec<u32>,
+    /// Compute slots the stage's tasks can occupy at once: the controller
+    /// node's pool, where every grow runs, plus the planned tasks other
+    /// nodes host. `Auto` never asks for more tasks than this.
+    slots: u32,
     /// Next fresh slot id for grown tasks.
     next_slot: u32,
     done: bool,
@@ -277,23 +271,20 @@ pub struct StageControl {
 }
 
 impl StageControl {
-    /// The stage's `initial_dop` planned tasks, placed as every node places
-    /// them ([`task_node`]) on a fleet whose node `n` has `pools[n]` compute
-    /// slots.
     pub fn new(
         stage: u32,
         bounds: DopBounds,
         initial_dop: u32,
-        pools: Vec<u32>,
+        slots: u32,
         queue: Arc<SplitQueue>,
     ) -> Self {
-        let (initial_dop, nodes) = (initial_dop.max(1), pools.len() as u32);
+        let initial_dop = initial_dop.max(1);
         StageControl {
             stage,
             bounds,
             queue,
-            active: (0..initial_dop).map(|t| (task_node(t, nodes), t)).collect(),
-            pools,
+            active: (0..initial_dop).collect(),
+            slots: slots.max(1),
             next_slot: initial_dop,
             done: false,
             era: None,
@@ -303,41 +294,6 @@ impl StageControl {
 
     fn dop(&self) -> u32 {
         self.active.len() as u32
-    }
-
-    /// Active tasks per node still in the stage, by node id.
-    fn load(&self) -> BTreeMap<u32, u32> {
-        let mut load = BTreeMap::new();
-        for &(node, _) in &self.active {
-            *load.entry(node).or_default() += 1;
-        }
-        load
-    }
-
-    /// Compute slots the stage's tasks can occupy at once: the summed pools
-    /// of the nodes still in the stage. `Auto` never asks for more tasks
-    /// than this.
-    fn slots(&self) -> u32 {
-        let pool = |node: &u32| self.pools[*node as usize];
-        self.load().keys().map(pool).sum::<u32>().max(1)
-    }
-
-    /// Places one grown task: a fresh slot on the node still in the stage
-    /// with the fewest active tasks (the lowest id on a tie).
-    fn grow(&mut self) -> (u32, u32) {
-        let least = self.load().into_iter().min_by_key(|&(node, n)| (n, node));
-        let (node, slot) = (least.map_or(0, |(node, _)| node), self.next_slot);
-        self.next_slot += 1;
-        self.active.push((node, slot));
-        (node, slot)
-    }
-
-    /// Retires the newest task on the node with the most active tasks (the
-    /// highest id on a tie, so node 0 leaves a stage last); its slot.
-    fn shrink(&mut self) -> Option<u32> {
-        let (node, _) = self.load().into_iter().max_by_key(|&(node, n)| (n, node))?;
-        let newest = self.active.iter().rposition(|&(n, _)| n == node)?;
-        Some(self.active.remove(newest).1)
     }
 
     /// Detaches the controller from this stage: no claim ever blocks again,
@@ -357,8 +313,8 @@ impl Drop for StageControl {
 }
 
 /// The runtime elasticity controller of one query execution: owns the
-/// elastic stages' split queues, task placement and runtime information,
-/// and applies DOP retunes at between-splits decision boundaries.
+/// elastic stages' split queues and runtime information, and applies DOP
+/// retunes at between-splits decision boundaries.
 pub struct ElasticityController {
     mode: ElasticityMode,
     /// Also the deadline's anchor: every `Auto` decision budgets against
@@ -463,12 +419,13 @@ impl ElasticityController {
     /// Then sleep until the next event — a claim at a boundary, a parked
     /// claimant, the last split, a retirement, a task exit — or the tick,
     /// whichever is first. On the way out every stage's series goes to the
-    /// query's stats. `spawn` starts one new task `(node, stage, slot)` on
-    /// that node's pool, whose writer joins the node's live group.
+    /// query's stats. `spawn` starts one new task `(stage, slot)` on the
+    /// scheduler's pool, whose writer joins the stage's live group; `false`
+    /// when the group has ended and nothing started.
     pub fn run(
         mut self,
         registry: &ExchangeRegistry,
-        spawn: &mut dyn FnMut(u32, u32, u32) -> Result<()>,
+        spawn: &mut dyn FnMut(u32, u32) -> Result<bool>,
     ) {
         'control: loop {
             if registry.poison_error().is_some() {
@@ -525,7 +482,7 @@ impl ElasticityController {
         let view = StageView {
             dop: st.dop(),
             bounds: st.bounds,
-            slots: st.slots(),
+            slots: st.slots,
             total_rows: st.queue.total_rows(),
             // Every row not scanned yet. Counting only the *unclaimed*
             // splits would leave out the ones being read right now — up to
@@ -548,11 +505,7 @@ impl ElasticityController {
     }
 
     /// One decision for stage `i`, whose boundary has been reached.
-    fn decide(
-        &mut self,
-        i: usize,
-        spawn: &mut dyn FnMut(u32, u32, u32) -> Result<()>,
-    ) -> Result<()> {
+    fn decide(&mut self, i: usize, spawn: &mut dyn FnMut(u32, u32) -> Result<bool>) -> Result<()> {
         let (bounds, dop) = {
             let st = &self.stages[i];
             (st.bounds, st.dop())
@@ -610,7 +563,7 @@ impl ElasticityController {
     fn apply_retune(
         &mut self,
         i: usize,
-        spawn: &mut dyn FnMut(u32, u32, u32) -> Result<()>,
+        spawn: &mut dyn FnMut(u32, u32) -> Result<bool>,
         target: u32,
         predicted_secs: f64,
     ) -> Result<()> {
@@ -626,26 +579,36 @@ impl ElasticityController {
         let at_ms = self.metrics.elapsed().as_secs_f64() * 1e3;
         let mut spawned = Vec::new();
         if target > dop {
-            // Grow: each new task's writer joins its node's live group; the
-            // edge does not change.
+            // Grow: each new task's writer joins the stage's live group;
+            // the edge does not change. Once the group has ended no grow
+            // can start, and the DOP counts only the ones that did.
             for _ in 0..(target - dop) {
-                let (node, slot) = self.stages[i].grow();
-                spawn(node, stage, slot)?;
+                let slot = self.stages[i].next_slot;
+                if !spawn(stage, slot)? {
+                    break;
+                }
+                self.stages[i].next_slot += 1;
+                self.stages[i].active.push(slot);
                 spawned.push(slot);
             }
         } else {
-            // Shrink: each retired task's scan ends at its next claim.
+            // Shrink: retire the most recently added slots; each retired
+            // task's scan ends at its next claim.
             for _ in 0..(dop - target) {
-                if let Some(slot) = self.stages[i].shrink() {
+                if let Some(slot) = self.stages[i].active.pop() {
                     self.stages[i].queue.retire(slot);
                 }
             }
+        }
+        let to_dop = self.stages[i].dop();
+        if to_dop == dop {
+            return Ok(());
         }
         self.metrics.record_retune(
             RetuneEvent {
                 stage,
                 from_dop: dop,
-                to_dop: target,
+                to_dop,
                 splits_claimed: self.stages[i].queue.claimed(),
                 predicted_secs,
                 at_ms,
@@ -946,7 +909,7 @@ mod tests {
         let metrics = Arc::new(QueryMetrics::with_clock(clock));
         let queue = Arc::new(SplitQueue::new(splits));
         queue.set_pause_after(Some(1)); // as `QueryExecutor::wire` arms it
-        let stage = StageControl::new(1, bounds(1, 8), 1, vec![2], queue.clone());
+        let stage = StageControl::new(1, bounds(1, 8), 1, 2, queue.clone());
         let ctrl = ElasticityController::new(config, metrics.clone(), vec![stage]);
         (registry, metrics, queue, ctrl)
     }
@@ -986,6 +949,35 @@ mod tests {
     }
 
     #[test]
+    fn a_grow_that_starts_nothing_is_not_counted() {
+        // Forced-grow doubles 2 to 4, but the stage's writer group ends
+        // after the first grown task joined it: the second grow starts
+        // nothing, so the DOP, the retune and the next view count 3. A
+        // decision whose grows all start nothing records no retune.
+        let (_registry, metrics, _queue, mut ctrl) = controlled(
+            ElasticityMode::ForcedGrow,
+            vec![split(0, 1)],
+            ManualClock::shared(),
+        );
+        ctrl.stages[0].active.push(1);
+        ctrl.stages[0].next_slot = 2;
+        let mut started = Vec::new();
+        let mut spawn = |_, slot| {
+            started.push(slot);
+            Ok(started.len() == 1)
+        };
+        ctrl.decide(0, &mut spawn).unwrap();
+        assert_eq!(started, vec![2, 3], "the second grow was tried");
+        assert_eq!(ctrl.stages[0].active, vec![0, 1, 2]);
+        assert_eq!(ctrl.stages[0].next_slot, 3, "slot 3 is still free");
+        let retunes = metrics.snapshot(ExchangeStats::default()).retunes;
+        assert_eq!((retunes[0].from_dop, retunes[0].to_dop), (2, 3));
+        ctrl.decide(0, &mut |_, _| Ok(false)).unwrap();
+        assert_eq!(ctrl.stages[0].dop(), 3);
+        assert_eq!(metrics.snapshot(ExchangeStats::default()).retunes.len(), 1);
+    }
+
+    #[test]
     fn a_poison_nobody_signals_ends_the_controller_within_a_tick() {
         use std::sync::mpsc;
 
@@ -1015,7 +1007,7 @@ mod tests {
         let controller = {
             let registry = registry.clone();
             std::thread::spawn(move || {
-                ctrl.run(&registry, &mut |_, _, _| Ok(()));
+                ctrl.run(&registry, &mut |_, _| Ok(true));
                 done.send(()).unwrap();
             })
         };
@@ -1070,7 +1062,7 @@ mod tests {
         // However it exits, the controller hands the series over, counted
         // from query start.
         registry.poison(accordion_common::AccordionError::Execution("boom".into()));
-        ctrl.run(&registry, &mut |_, _, _| Ok(()));
+        ctrl.run(&registry, &mut |_, _| Ok(true));
         let stats = metrics.snapshot(ExchangeStats::default());
         let series = stats.series_for(1).expect("series recorded");
         let at: Vec<u128> = series.points.iter().map(|p| p.at.as_millis()).collect();
@@ -1145,14 +1137,14 @@ mod tests {
         let stage = |id: u32, splits| {
             let queue = SplitQueue::new(splits);
             queue.set_pause_after(Some(1));
-            StageControl::new(id, bounds(1, 8), 1, vec![2], Arc::new(queue))
+            StageControl::new(id, bounds(1, 8), 1, 2, Arc::new(queue))
         };
         let stages = vec![stage(1, Vec::new()), stage(2, vec![split(0, 1)])];
         let ctrl = ElasticityController::new(ElasticityMode::off(), metrics.clone(), stages);
         let _task_writer = registry.writer(2, 0, None).unwrap();
         let controller = {
             let registry = registry.clone();
-            std::thread::spawn(move || ctrl.run(&registry, &mut |_, _, _| Ok(())))
+            std::thread::spawn(move || ctrl.run(&registry, &mut |_, _| Ok(true)))
         };
         // Nothing raises the signal, so passes come a tick apart: seven
         // are 60 ms of sampling.
@@ -1173,42 +1165,6 @@ mod tests {
             running >= 3,
             "a running stage is sampled every tick: {running}"
         );
-    }
-
-    #[test]
-    fn cycle_keeps_the_nodes_in_a_stage_within_one_task_of_each_other() {
-        // Grows go to the least-loaded node still in the stage and shrinks
-        // retire from the most-loaded, highest id first: across repeated
-        // grow → shrink cycles over 2 and 3 hosts, no node in the stage
-        // holds two tasks more than another, node 0 never leaves, and a
-        // node that left never gets a grow.
-        for nodes in [2u32, 3] {
-            for (start, high, low) in [(nodes, 4, 1), (nodes, 6, 2), (4, 8, 3), (4, 5, 4)] {
-                let queue = Arc::new(SplitQueue::new(vec![split(0, 1)]));
-                let pools = vec![2; nodes as usize];
-                let stage = StageControl::new(1, bounds(1, 8), start, pools, queue);
-                let mode = ElasticityMode::cycle(high, low);
-                let metrics = Arc::new(QueryMetrics::new());
-                let mut ctrl = ElasticityController::new(mode, metrics, vec![stage]);
-                for round in 0..8 {
-                    let before = ctrl.stages[0].load();
-                    let mut placed = Vec::new();
-                    let mut spawn = |node, _, _| {
-                        placed.push(node);
-                        Ok(())
-                    };
-                    ctrl.decide(0, &mut spawn).unwrap();
-                    let at = format!("{nodes} hosts, cycle({high}, {low}) from {start}, {round}");
-                    assert!(placed.iter().all(|n| before.contains_key(n)), "{at}");
-                    let load = ctrl.stages[0].load();
-                    let (min, max) = (load.values().min(), load.values().max());
-                    assert!(max.unwrap() - min.unwrap() <= 1, "{at}: {load:?}");
-                    assert!(load.contains_key(&0), "{at}: {load:?}");
-                    let slots = load.keys().count() as u32 * 2;
-                    assert_eq!(ctrl.stages[0].slots(), slots, "{at}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! |---|---|---|
 //! | admission gate | passes it | — (node 0 answers for the query) |
 //! | split pools | registers the [`SplitQueue`]s in its [`SplitQueues`] | claims at `peers[0]` through a [`RemoteSplitSource`] |
-//! | elasticity controller | arms its boundaries when wired, runs it, starts the grows it places here, sends a GROW for each elsewhere | starts each GROW's task until JOIN or the poison closes its grow inbox |
+//! | elasticity controller | arms its boundaries when wired, runs it, spawns grown tasks | — |
 //! | stage 0's result | drains it into the result's pages | none: a result of stats alone, or the query's poison |
 //!
 //! ## The worker pool
@@ -35,9 +35,9 @@
 //! capacity-1 buffer hands its slot to the consumer that will drain it.
 //! This is what makes the pool deadlock-free for any combination of
 //! `worker_threads ≥ 1` and buffer capacity, including one page. Tasks the
-//! elasticity controller places on a node mid-query join that node's pool:
-//! a grown stage competes for the same compute slots, it does not add any.
-//! The pool belongs to the executor, not the query:
+//! elasticity controller spawns mid-query join the same pool: a grown
+//! stage competes for the same compute slots, it does not add any. The
+//! pool belongs to the executor, not the query:
 //! everything a process runs, whole queries or one node's share of them,
 //! draws on it. Concurrent queries meet only there and at the admission
 //! gate.
@@ -50,10 +50,9 @@
 //! controller, an [`ElasticityController`] thread retunes the DOP of every
 //! elastic-eligible Source stage (see
 //! `accordion_plan::fragment::PlanFragment::elastic_bounds`: its child
-//! exchanges, if any, all feed join builds) between splits, placing each
-//! grown task on the least-loaded node still in the stage, where it starts
-//! as a planned task does — see `crate::elastic` for the mechanism and the
-//! EndSignal handshake. Node 0
+//! exchanges, if any, all feed join builds) between splits, starting each
+//! grown task on node 0 as a planned task starts — see `crate::elastic`
+//! for the mechanism and the EndSignal handshake. Node 0
 //! arms each such stage's first decision boundary when it is wired, so the
 //! boundary holds before any task runs on any node: a worker whose share
 //! starts first claims no further than node 0's own tasks could. A node 0
@@ -89,7 +88,6 @@ use accordion_exec::driver::{run_task, JoinBuilds, TaskContext};
 use accordion_exec::executor::{drain_result, ExecOptions, QueryResult};
 use accordion_exec::metrics::QueryMetrics;
 use accordion_exec::splits::{SplitFeed, SplitQueue, SplitSource};
-use accordion_net::frame::{kind, Payload};
 use accordion_net::{ConsumerLoc, ExchangeRegistry, NicModel};
 use accordion_plan::fragment::StageTree;
 use accordion_plan::logical::LogicalPlan;
@@ -186,11 +184,9 @@ pub struct NodeQuery<T = Arc<StageTree>> {
     queues: HashMap<u32, Arc<SplitQueue>>,
     remote_slots: usize,
     fleet_remote_slots: usize,
-    /// The executor's slot pool, which the run draws on.
+    /// The executor's slot pool, which the run draws on, and its size.
     gate: Arc<Semaphore>,
-    /// Each node's compute slots, by node id: this node's pool for every
-    /// node until [`Self::set_pool`] says otherwise.
-    pools: Vec<u32>,
+    slots: u32,
     /// Held from wiring until dropped: keeps the registry in the active map.
     _active: ActiveGuard,
     /// Held from wiring to the end of the run; node 0 only.
@@ -328,7 +324,6 @@ impl QueryExecutor {
         }
         let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
         self.active.lock().insert(id, registry.clone());
-        let pools = vec![self.opts.worker_threads.max(1) as u32; role.nodes() as usize];
         Ok(NodeQuery {
             tree,
             opts: opts.clone(),
@@ -339,7 +334,7 @@ impl QueryExecutor {
             remote_slots,
             fleet_remote_slots,
             gate: self.gate.clone(),
-            pools,
+            slots: self.opts.worker_threads.max(1) as u32,
             _active: ActiveGuard {
                 active: self.active.clone(),
                 id,
@@ -396,12 +391,6 @@ where
         self.fleet_remote_slots
     }
 
-    /// Records node `node`'s compute slots, as its ACK to WIRE reported
-    /// them: what the controller counts for a stage the node is in.
-    pub fn set_pool(&mut self, node: u32, pool: u32) {
-        self.pools[node as usize] = pool.max(1);
-    }
-
     /// Runs one task to completion on the current thread, recording the
     /// first failure and poisoning the exchanges on error or panic. Its
     /// exit — clean, failed or unwinding from someone else's poison — is an
@@ -433,11 +422,10 @@ where
     }
 
     /// The one runner: executes, on the executor's pool, the tasks
-    /// [`task_node`] places on this node and those the controller grows
-    /// here, and returns the node's stats with the pages it drained: the
-    /// whole result on the coordinator, none on a worker, whose run lasts
-    /// until JOIN or the poison closes its grow inbox. Any node's failure
-    /// poisons every registry in the query, so all nodes return the error.
+    /// [`task_node`] places on this node, and returns the node's stats with
+    /// the pages it drained: the whole result on the coordinator, none on a
+    /// worker. Any node's failure poisons every registry in the query, so
+    /// all nodes return the error.
     pub fn run(self) -> Result<QueryResult> {
         let tree: &StageTree = &self.tree;
         let (opts, role, registry, gate) = (&self.opts, &self.role, &self.registry, &self.gate);
@@ -460,11 +448,11 @@ where
             }
             stages.insert(stage, (fragment, pipelines));
         }
-        // The one way to start a task, planned or grown, on any node: a
-        // writer in this node's group, a reader of each child edge that
-        // feeds no join build (a grown task's elastic stage has none), and
-        // the stage's split feed when it scans. `None` when the group has
-        // ended: a grow that came after every task of the stage here ended.
+        // The one way to start a task, planned or grown: a writer in this
+        // node's group, a reader of each child edge that feeds no join build
+        // (a grown task's elastic stage has none), and the stage's split
+        // feed when it scans. `None` when the group has ended: a grow that
+        // came after every task of the stage here ended.
         let spec = |stage: u32, slot: u32| -> Result<Option<Task>> {
             let (fragment, pipelines) = stages.get(&stage).ok_or_else(|| {
                 AccordionError::Internal(format!("the query has no stage {stage}"))
@@ -522,8 +510,12 @@ where
             let (Some(bounds), Some(queue)) = (fragment.elastic_bounds, queue) else {
                 continue;
             };
-            let (dop, pools) = (fragment.parallelism.max(1), self.pools.clone());
-            controls.push(StageControl::new(stage, bounds, dop, pools, queue));
+            let dop = fragment.parallelism.max(1);
+            // Every grow runs here, so the stage can occupy this node's
+            // slots plus the planned tasks other nodes host for it.
+            let away = (0..dop).filter(|&t| task_node(t, role.nodes()) != 0);
+            let slots = self.slots + away.count() as u32;
+            controls.push(StageControl::new(stage, bounds, dop, slots, queue));
         }
         let controller = (!controls.is_empty())
             .then(|| ElasticityController::new(opts.elasticity, metrics.clone(), controls));
@@ -535,11 +527,6 @@ where
 
         let mut pages = Vec::new();
         std::thread::scope(|scope| {
-            // Grown tasks join the same scope, slot pool, join tables and
-            // writer groups as planned ones.
-            let start = move |task: Task| {
-                scope.spawn(move || this.run_task(task, first_err, exited));
-            };
             // The controller first: a thread spawned while a scan task
             // already has a core can sit behind it in the run queue for a
             // scheduler slice — milliseconds in which the first decision
@@ -547,54 +534,30 @@ where
             // its signal by then, and a wake-up does not queue.
             if let Some(controller) = controller {
                 scope.spawn(move || {
-                    // A grow here starts as a planned task does; one on
-                    // another node is a GROW on the query's session there.
-                    let mut spawn = |node: u32, stage: u32, slot: u32| -> Result<()> {
-                        if node != role.node {
-                            let grow = Payload::default().u32(stage).u32(slot).0;
-                            let session = registry.session(&role.peers[node as usize])?;
-                            return session.send((kind::GROW, grow));
-                        }
-                        if let Some(task) = spec(stage, slot)? {
-                            start(task);
-                        }
-                        Ok(())
+                    // Grown tasks join the same scope, slot pool, join tables
+                    // and writer groups; a grow whose group has ended starts
+                    // nothing.
+                    let mut spawn = |stage: u32, slot: u32| -> Result<bool> {
+                        let Some(task) = spec(stage, slot)? else {
+                            return Ok(false);
+                        };
+                        scope.spawn(move || this.run_task(task, first_err, exited));
+                        Ok(true)
                     };
                     controller.run(registry, &mut spawn);
                 });
             }
-            tasks.into_iter().for_each(start);
+            for task in tasks {
+                scope.spawn(move || this.run_task(task, first_err, exited));
+            }
             // Drain the root stage's stream while tasks run; on poison the
             // drain errors out and the scope joins the unwinding tasks.
-            // A worker instead starts the grows node 0 places here, until
-            // JOIN or the poison closes its inbox.
-            let Some(reader) = result_reader else {
-                while let Some((stage, slot)) = registry.next_grow() {
-                    // Node 0 grows only an elastic stage this node hosts: a
-                    // writer anywhere else would join a group no consumer
-                    // counts. A failed grow fails the query; the run
-                    // returns the poison.
-                    let hosted = stages.get(&stage).is_some_and(|(f, _)| {
-                        f.elastic_bounds.is_some() && role.node < f.parallelism.max(1)
-                    });
-                    let grown = if hosted {
-                        spec(stage, slot)
-                    } else {
-                        let node = role.node;
-                        let msg = format!("GROW of stage {stage}, which node {node} does not host");
-                        Err(AccordionError::Execution(msg))
-                    };
-                    match grown {
-                        Ok(task) => task.into_iter().for_each(start),
-                        Err(e) => registry.poison(e),
+            if let Some(reader) = result_reader {
+                match drain_result(reader) {
+                    Ok(p) => pages = p,
+                    Err(e) => {
+                        first_err.lock().get_or_insert(e);
                     }
-                }
-                return;
-            };
-            match drain_result(reader) {
-                Ok(p) => pages = p,
-                Err(e) => {
-                    first_err.lock().get_or_insert(e);
                 }
             }
         });

@@ -8,8 +8,8 @@
 //! scheduler, what holds for a single process holds here: node 0 passes the
 //! admission gate, `poison_active` reaches every node, and a node's queries
 //! share its executor's compute slots. Every node opens at most one
-//! session per peer per query, which carries its pages, its claims and
-//! node 0's GROW frames alike. Every run leaves no query active on any
+//! session per peer per query, which carries its pages and its claims
+//! alike; a grow sends nothing. Every run leaves no query active on any
 //! node.
 
 mod common;
@@ -220,12 +220,10 @@ fn run_on(
     let mut wired = wired.into_iter();
     let coordinator = wired.next().unwrap();
     let workers: Vec<_> = wired
-        .map(|nq| (nq.registry().clone(), std::thread::spawn(move || nq.run())))
+        .map(|nq| std::thread::spawn(move || nq.run()))
         .collect();
     let result = coordinator.run().unwrap();
-    // What JOIN does: node 0 has run, so no grow is coming.
-    for (inbox, worker) in workers {
-        inbox.close_grows();
+    for worker in workers {
         assert!(worker.join().unwrap().unwrap().pages.is_empty());
     }
     for (node, executor) in executors.iter().enumerate() {
@@ -310,12 +308,15 @@ fn tight_buffers_survive_the_node_boundary() {
 
 #[test]
 fn forced_grow_and_shrink_stay_lossless_across_nodes() {
-    // 64 splits of 1,024 rows: enough that the worker's task is still
-    // scanning when its GROW arrives. On a few dozen rows node 0 can claim
-    // every split first, and a grow that finds its node's tasks all ended
-    // rightly starts nothing.
-    let c = Arc::new(common::split_catalog(8, 1024, 128));
-    let group_by = common::wide_stats(&c).build();
+    let c = catalog();
+    let group_by = {
+        let b = LogicalPlanBuilder::scan(&c, "sales").unwrap();
+        let aggs = vec![
+            b.agg(AggKind::Count, "qty", "cnt").unwrap(),
+            b.agg(AggKind::Sum, "qty", "total").unwrap(),
+        ];
+        b.aggregate(&["region"], aggs).unwrap().build()
+    };
     let serial_opt = Optimizer::new(OptimizerConfig::default().with_parallelism(1));
     let serial_tree = StageTree::build(serial_opt.optimize(&group_by).unwrap()).unwrap();
     let plain = opts(NetworkConfig::builder().unbounded_buffers().build());
@@ -337,31 +338,14 @@ fn forced_grow_and_shrink_stay_lossless_across_nodes() {
             elasticity: mode,
             ..plain.clone()
         };
-        let (result, on_worker, remote_slots) = worker_first(&c, &tree, &elastic_opts, query);
+        let (result, remote_slots) = run_two_nodes(&c, &tree, &elastic_opts, query);
         assert_eq!(
             sorted_rows(&result),
             reference,
             "{mode:?} lost or duplicated rows across nodes"
         );
         assert!(remote_slots >= 1, "{mode:?} plan never crossed nodes");
-        // Every split is scanned exactly once, on whichever node.
-        let scans = |node: &QueryResult| {
-            let scans = node.stats().operators.iter();
-            let scans = scans.filter(|o| o.operator == "TableScan");
-            scans.map(|o| (o.task, o.rows)).collect::<Vec<_>>()
-        };
-        let nodes = [scans(&result), scans(&on_worker)];
-        let rows: u64 = nodes.iter().flatten().map(|&(_, rows)| rows).sum();
-        assert_eq!(rows, 65_536, "{mode:?} scanned a split twice or not at all");
         let grew = matches!(mode, ElasticityMode::ForcedGrow);
-        if grew {
-            // The two grows land one on each node: slots 2 and 3, beyond
-            // the planned 0 and 1.
-            for scans in &nodes {
-                let grown = scans.iter().any(|&(task, _)| task >= start_dop);
-                assert!(grown, "no grown task on a node: {nodes:?}");
-            }
-        }
         assert!(
             result.stats().retunes.iter().any(|r| if grew {
                 r.to_dop > r.from_dop
@@ -439,9 +423,9 @@ fn the_coordinator_counts_the_fleets_remote_slots_without_asking() {
 fn one_session_per_peer_per_query_carries_pages_and_claims() {
     // A shuffled group-by and a join across three nodes at dop 4: every
     // node sends pages to both others, and the workers claim splits from
-    // node 0. Whatever a node sends a peer for the query — DATA, FINISH,
-    // CLAIM and GROW — travels on one session, so a forced grow, which
-    // places tasks on the workers too, opens none more.
+    // node 0. Whatever a node sends a peer for the query — DATA, FINISH
+    // and CLAIM — travels on one session, and a forced grow, which joins
+    // node 0's writer groups, sends nothing more.
     let c = catalog();
     let plain = opts(NetworkConfig::default());
     let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(4));
@@ -498,8 +482,8 @@ fn within<T: Send + 'static>(run: impl FnOnce() -> T + Send + 'static) -> T {
 fn an_elastic_stage_whose_tasks_all_end_early_finishes() {
     // A bare-scan LIMIT 5 over 64 splits: each scan task's own LIMIT is met
     // inside its first split, so every task ends with splits unclaimed, and
-    // only the controller can end the stage, once every node's tasks have
-    // ended. In process
+    // only the controller can end the stage, once nothing but its lease is
+    // left on node 0 and every other node's tasks have ended. In process
     // and across two nodes, under a schedule that grows and shrinks and
     // one that grows once.
     let c = Arc::new(common::split_catalog(8, 16, 4));
@@ -548,23 +532,25 @@ fn q3_builds_each_join_table_once_per_node_across_three_nodes() {
     assert!(builds.iter().all(|&(stage, _)| stage == 2), "{builds:?}");
 }
 
-/// Runs `tree` on a two-node in-process fleet whose worker starts first:
-/// node 0 runs once the worker has opened its session there and had time
-/// to claim as far as node 0's first decision boundary lets it. Returns
-/// node 0's result, the worker's (stats, no pages) and the fleet's
-/// cross-node slots, and checks that neither node keeps the query.
-fn worker_first(
-    c: &Arc<Catalog>,
-    tree: &Arc<StageTree>,
-    opts: &ExecOptions,
-    query: u64,
-) -> (QueryResult, QueryResult, usize) {
-    let coordinator = QueryExecutor::new(opts.clone());
-    let worker = QueryExecutor::new(opts.clone());
+#[test]
+fn a_worker_that_starts_first_claims_up_to_the_first_decision_boundary() {
+    // Node 0 arms its elastic stage's first decision boundary when it is
+    // wired, not when it runs: a worker whose share starts first claims one
+    // split and waits there, and the grow lands one claim in.
+    let c = catalog();
+    let (tree, reference) = group_by_at(&c, 2);
+    let grow = ExecOptions {
+        elasticity: ElasticityMode::ForcedGrow,
+        ..opts(NetworkConfig::builder().unbounded_buffers().build())
+    };
+    let coordinator = QueryExecutor::new(grow.clone());
+    let worker = QueryExecutor::new(grow.clone());
     let fleet = TestFleet::new(2);
-    let nq0 = fleet.wire(0, &coordinator, c, tree, opts, query).unwrap();
-    let nq1 = fleet.wire(1, &worker, c, tree, opts, query).unwrap();
-    let (inbox, remote_slots) = (nq1.registry().clone(), nq0.fleet_remote_slots());
+    let query = 960;
+    let nq0 = fleet
+        .wire(0, &coordinator, &c, &tree, &grow, query)
+        .unwrap();
+    let nq1 = fleet.wire(1, &worker, &c, &tree, &grow, query).unwrap();
     let running = std::thread::spawn(move || nq1.run());
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     while !fleet.accepted()[0].contains_key(&query) {
@@ -577,28 +563,7 @@ fn worker_first(
     // Let the worker claim as far as it may before node 0 runs.
     std::thread::sleep(std::time::Duration::from_millis(50));
     let result = nq0.run().unwrap();
-    // What JOIN does: node 0 has run, so no grow is coming.
-    inbox.close_grows();
-    let on_worker = running.join().unwrap().unwrap();
-    assert!(on_worker.pages.is_empty());
-    assert_eq!(coordinator.active_queries(), 0);
-    assert_eq!(worker.active_queries(), 0);
-    fleet.shutdown();
-    (result, on_worker, remote_slots)
-}
-
-#[test]
-fn a_worker_that_starts_first_claims_up_to_the_first_decision_boundary() {
-    // Node 0 arms its elastic stage's first decision boundary when it is
-    // wired, not when it runs: a worker whose share starts first claims one
-    // split and waits there, and the grow lands one claim in.
-    let c = catalog();
-    let (tree, reference) = group_by_at(&c, 2);
-    let grow = ExecOptions {
-        elasticity: ElasticityMode::ForcedGrow,
-        ..opts(NetworkConfig::builder().unbounded_buffers().build())
-    };
-    let (result, ..) = worker_first(&c, &tree, &grow, 960);
+    assert!(running.join().unwrap().unwrap().pages.is_empty());
     assert_eq!(sorted_rows(&result), reference);
     let retunes = &result.stats().retunes;
     let grows: Vec<u64> = (retunes.iter())
@@ -606,6 +571,9 @@ fn a_worker_that_starts_first_claims_up_to_the_first_decision_boundary() {
         .map(|r| r.splits_claimed)
         .collect();
     assert_eq!(grows, [1], "{retunes:?}");
+    assert_eq!(coordinator.active_queries(), 0);
+    assert_eq!(worker.active_queries(), 0);
+    fleet.shutdown();
 }
 
 #[test]
@@ -699,13 +667,8 @@ fn coordinator_admission_gates_distributed_queries() {
     drop(fleet.wire(1, &worker, &c, &tree, &limited, 402).unwrap());
     assert_eq!(worker.admission().stats().admitted, 0);
 
-    let (inbox, node1) = (
-        nq1.registry().clone(),
-        std::thread::spawn(move || nq1.run()),
-    );
+    assert!(nq1.run().unwrap().pages.is_empty());
     let result = running.join().unwrap().unwrap();
-    inbox.close_grows();
-    assert!(node1.join().unwrap().unwrap().pages.is_empty());
     assert_eq!(sorted_rows(&result), reference);
     // The finished query gave its slot back.
     assert_eq!(coordinator.admission().stats().running, 0);
@@ -829,16 +792,14 @@ fn one_compute_slot_serves_concurrent_queries_across_nodes() {
         .map(|(nq0, nq1)| {
             (
                 std::thread::spawn(move || nq0.run()),
-                nq1.registry().clone(),
                 std::thread::spawn(move || nq1.run()),
             )
         })
         .collect();
-    for (node0, inbox, node1) in runs {
+    for (node0, node1) in runs {
+        assert!(node1.join().unwrap().unwrap().pages.is_empty());
         let result = node0.join().unwrap().unwrap();
         assert_eq!(sorted_rows(&result), reference);
-        inbox.close_grows();
-        assert!(node1.join().unwrap().unwrap().pages.is_empty());
     }
     assert_eq!(worker.active_queries(), 0);
     fleet.shutdown();

@@ -18,8 +18,8 @@
 //!
 //! ## Control protocol
 //!
-//! Frames of the node-to-node framing of `accordion_net::frame` (kinds 8,
-//! 10–12 and 16 plus the shared ACK and ERR; the kind table there has the
+//! Frames of the node-to-node framing of `accordion_net::frame` (kinds 8
+//! and 10–12 plus the shared ACK and ERR; the kind table there has the
 //! layouts, [`WireMsg`] the one with a body), on the coordinator's session
 //! for the query to each worker — the one its pages to that worker travel
 //! on, whose HELLO names the query:
@@ -27,12 +27,11 @@
 //! ```text
 //! coord  → HELLO  query                                    opens the session
 //! coord  → WIRE   node, peers, fingerprint, dop, sql
-//! worker → ACK pool | ERR message                          plan + wire
+//! worker → ACK | ERR message                               plan + wire
 //! coord  → GO
 //! worker → ACK                                             tasks started
 //! coord  → DATA, FINISH, POISON                            as the query runs
-//! coord  → GROW   stage, slot                              a grown task here
-//! coord  → JOIN                                            no more grows
+//! coord  → JOIN
 //! worker → DONE   stats JSON | ERR message                 tasks done
 //! ```
 //!
@@ -42,9 +41,7 @@
 //! `peers` is `[coordinator] + workers`, every node's one address, and the
 //! fleet is as many nodes as it lists. WIRE carries no elasticity mode: a
 //! worker wires with its own executor's options, whose mode it never reads,
-//! since only node 0 holds split queues and runs a controller; ACK reports
-//! the worker's compute slots to it, and each grow it places on the worker
-//! is one GROW. The
+//! since only node 0 holds split queues and runs a controller. The
 //! two-phase WIRE/GO split matters: a worker must know the query's registry
 //! before **any** process starts tasks, or an early page from a fast peer
 //! would be rejected. `GO` is only sent once every node acknowledged
@@ -255,10 +252,6 @@ impl Control for NodeState {
         let run = move || Ok((kind::DONE, done_payload(node, nq.run()?.stats())));
         Ok((registry, Box::new(run)))
     }
-
-    fn pool(&self) -> u32 {
-        self.executor.options().worker_threads.max(1) as u32
-    }
 }
 
 /// One distributed query's outcome on the coordinator.
@@ -364,7 +357,7 @@ impl Fleet {
             peers: self.peers.clone(),
         };
         let (catalog, splits) = (&state.catalog, &state.splits);
-        let mut nq = state
+        let nq = state
             .executor
             .wire(catalog, tree, &self.exec, role(0), query, splits)?;
         let registry = nq.registry().clone();
@@ -382,10 +375,7 @@ impl Fleet {
                     dop: self.dop,
                     sql: sql.to_string(),
                 };
-                let (_, ack) = call(worker, wire.encode())?;
-                let mut pool = Cursor::new(&ack);
-                nq.set_pool(node, pool.u32()?);
-                pool.finish()?;
+                call(worker, wire.encode())?;
             }
             for worker in workers {
                 call(worker, (kind::GO, Vec::new()))?;

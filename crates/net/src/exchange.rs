@@ -47,14 +47,11 @@
 //!
 //! So a change of a stage's DOP on a node touches no edge. A retiring task
 //! pushes its end page and leaves its group; a grown task's writer joins
-//! it, on node 0 or on a worker whose grow inbox a GROW frame fed
-//! ([`ExchangeRegistry::next_grow`]). The controller grows only a node with
-//! an active task of the stage, so the group still has a live member; one
-//! whose members have all left has ended for good, and
-//! [`ExchangeRegistry::try_writer`] starts nothing, never a reopened stream.
+//! it while a member is still live. A group whose members have all left
+//! has ended for good: [`ExchangeRegistry::try_writer`] answers `None`, so
+//! a grow that comes after it starts nothing, never a reopened stream.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 
 use accordion_common::config::NetworkConfig;
@@ -116,7 +113,7 @@ pub struct EdgeSpec {
     pub policy: Partitioning,
     /// One entry per consumer slot, globally indexed. Where each lives.
     pub consumers: Vec<ConsumerLoc>,
-    /// Ignored: a grow joins its node's live writer group, so no edge
+    /// Ignored: a grown task joins its node's writer group, so no edge
     /// reserves anything for one.
     pub leased: bool,
 }
@@ -219,10 +216,6 @@ pub struct ExchangeRegistry {
     poison: Mutex<Option<AccordionError>>,
     /// The query's sessions, one per peer address this node has sent to.
     sessions: Mutex<HashMap<String, Arc<Session>>>,
-    /// The grow inbox: the grown tasks node 0 placed here, as (stage,
-    /// slot). JOIN or the poison closes it by dropping its sender.
-    grows: Mutex<Option<Sender<(u32, u32)>>>,
-    inbox: Mutex<Receiver<(u32, u32)>>,
 }
 
 impl ExchangeRegistry {
@@ -233,7 +226,6 @@ impl ExchangeRegistry {
         network: &NetworkConfig,
         _nic: NicModel,
     ) -> Result<Arc<ExchangeRegistry>> {
-        let (grows, inbox) = mpsc::channel();
         let registry = ExchangeRegistry {
             query: topology.query,
             network: network.clone(),
@@ -241,8 +233,6 @@ impl ExchangeRegistry {
             edges: Mutex::new(HashMap::new()),
             poison: Mutex::new(None),
             sessions: Mutex::new(HashMap::new()),
-            grows: Mutex::new(Some(grows)),
-            inbox: Mutex::new(inbox),
         };
         for spec in &topology.edges {
             registry.register(spec)?;
@@ -351,24 +341,9 @@ impl ExchangeRegistry {
 
     /// Writer endpoint for producer task `task` of `stage`, a new member of
     /// this node's writer group for the edge. `gate` is the scheduler's
-    /// compute-slot semaphore, yielded while blocked. A group whose members
-    /// have all finished has ended the node's share of the edge: joining it
-    /// is an error.
-    pub fn writer(
-        self: &Arc<Self>,
-        stage: u32,
-        task: u32,
-        gate: Option<Arc<Semaphore>>,
-    ) -> Result<Box<dyn ExchangeWriter>> {
-        self.try_writer(stage, task, gate)?.ok_or_else(|| {
-            AccordionError::Internal(format!(
-                "task {task} cannot join stage {stage}'s writers here: they have all ended"
-            ))
-        })
-    }
-
-    /// [`Self::writer`], but `None` when the group has ended: a grow that
-    /// arrives after every task of the stage on this node has finished.
+    /// compute-slot semaphore, yielded while blocked. `None` once the
+    /// group's members have all finished, which ended the node's share of
+    /// the edge: a grow that came after every task of the stage here ended.
     pub fn try_writer(
         self: &Arc<Self>,
         stage: u32,
@@ -391,6 +366,21 @@ impl ExchangeRegistry {
             gate,
             finished: false,
         })))
+    }
+
+    /// [`Self::try_writer`] for a group that must still be live: joining
+    /// one that has ended is an error.
+    pub fn writer(
+        self: &Arc<Self>,
+        stage: u32,
+        task: u32,
+        gate: Option<Arc<Semaphore>>,
+    ) -> Result<Box<dyn ExchangeWriter>> {
+        self.try_writer(stage, task, gate)?.ok_or_else(|| {
+            AccordionError::Internal(format!(
+                "task {task} cannot join stage {stage}'s writers here: they have all ended"
+            ))
+        })
     }
 
     /// Reader endpoint for consumer task `consumer` of `stage`'s output.
@@ -436,26 +426,6 @@ impl ExchangeRegistry {
         Ok(edge.queues[slot].writers())
     }
 
-    /// Puts a grown task node 0 placed here into the grow inbox; a closed
-    /// inbox drops it, as JOIN ends the query's grows.
-    pub(crate) fn grow(&self, stage: u32, slot: u32) {
-        if let Some(grows) = self.grows.lock().as_ref() {
-            let _ = grows.send((stage, slot));
-        }
-    }
-
-    /// The next grown task placed here, waiting for one; `None` once the
-    /// inbox is closed and empty.
-    pub fn next_grow(&self) -> Option<(u32, u32)> {
-        self.inbox.lock().recv().ok()
-    }
-
-    /// Closes the grow inbox: node 0 places no more tasks here. JOIN does
-    /// this, and so does the query's poison.
-    pub fn close_grows(&self) {
-        self.grows.lock().take();
-    }
-
     /// Fails every buffer of every edge with `err` (first poison wins),
     /// unwinding all tasks blocked on — or about to touch — an exchange.
     /// The first poison is also broadcast (best-effort) as POISON on every
@@ -497,7 +467,6 @@ impl ExchangeRegistry {
         for session in self.sessions.lock().values() {
             session.fail(err.clone());
         }
-        self.close_grows();
         first
     }
 
@@ -900,36 +869,15 @@ mod tests {
         grown.push(Page::end(EndReason::ScanExhausted)).unwrap();
         assert_eq!(r.producers_remaining(1).unwrap(), 0);
         // A grow that comes after the group's last member left starts
-        // nothing.
+        // nothing; a planned writer there is an error.
         assert!(r.try_writer(1, 2, None).unwrap().is_none());
+        assert!(r.writer(1, 3, None).is_err());
         let mut reader = r.reader(1, 0, None).unwrap();
         assert_eq!(
             drain(reader.as_mut()),
             vec![1, 2],
             "every page, then one end"
         );
-    }
-
-    #[test]
-    fn the_grow_inbox_hands_out_grows_until_it_is_closed() {
-        let r = registry_with(vec![EdgeSpec::local(1, 1, RoutePolicy::Single, 1)]);
-        r.grow(1, 4);
-        assert_eq!(r.next_grow(), Some((1, 4)));
-        let waiting = {
-            let r = r.clone();
-            std::thread::spawn(move || (r.next_grow(), r.next_grow()))
-        };
-        r.grow(1, 5);
-        // JOIN closes the inbox: what is in it still comes out, then the
-        // end, and a later grow is dropped.
-        r.close_grows();
-        r.grow(1, 6);
-        assert_eq!(waiting.join().unwrap(), (Some((1, 5)), None));
-        // The poison closes it too.
-        let poisoned = registry_with(vec![EdgeSpec::local(1, 1, RoutePolicy::Single, 1)]);
-        poisoned.poison(AccordionError::Execution("boom".into()));
-        poisoned.grow(1, 1);
-        assert_eq!(poisoned.next_grow(), None);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! [`decode_data`]) with the rest of a query's node-to-node traffic. A
 //! node's [`ExchangeRegistry`] opens at most one [`Session`] per peer it
 //! sends to, on first use, with HELLO(query); DATA and FINISH of every edge,
-//! POISON, CLAIM and the coordinator's WIRE, GO, GROW and JOIN all travel
-//! on it.
+//! POISON, CLAIM and the coordinator's WIRE, GO and JOIN all travel on it.
 //! The peer's [`PageRegistries`] take the pages, its [`Claims`] service
 //! the claims and its [`Control`] service the WIRE — on the node's one
 //! listener, or behind a [`PageServer`] (pages only) or a `SplitServer`
@@ -24,12 +23,10 @@
 //! or DONE to the waiting [`Session::call`].
 //!
 //! The coordinator's session to a worker carries HELLO, WIRE, GO,
-//! DATA/FINISH/POISON/GROW, JOIN, in that order. WIRE registers the query,
-//! so a page-side frame is refused only if none has by then. A GROW puts
-//! one grown task into the registry's grow inbox, where the worker's run
-//! starts it; JOIN closes the inbox, so a GROW after it starts nothing. A
-//! session wires one query at most, and a session that ends before JOIN
-//! poisons, joins and unregisters it.
+//! DATA/FINISH/POISON, JOIN, in that order. WIRE registers the query, so a
+//! page-side frame is refused only if none has by then. A session wires
+//! one query at most, and a session that ends before JOIN poisons, joins
+//! and unregisters it.
 //!
 //! The accepting thread never waits for room in a queue (a join drains its
 //! build edge before it pulls its probe edge, and both may share a
@@ -258,9 +255,6 @@ pub trait Claims: Send + Sync {
 pub trait Control: Send + Sync {
     /// Plans and wires this node's share of `query` as WIRE's payload says.
     fn wire(&self, query: u64, wire: &[u8]) -> Result<Wired>;
-
-    /// The node's compute slots, which ACK to WIRE reports.
-    fn pool(&self) -> u32;
 }
 
 /// A share of a query as WIRE leaves it: the node's registry for it and
@@ -349,7 +343,7 @@ fn serve_session(
             replies.lock().send(reply)?;
             continue;
         }
-        if let (Some(pages), None, kind::DATA | kind::FINISH | kind::POISON | kind::GROW) =
+        if let (Some(pages), None, kind::DATA | kind::FINISH | kind::POISON) =
             (pages, &registry, kind)
         {
             let found = pages.0.lock().get(&query).map(Arc::downgrade);
@@ -395,7 +389,7 @@ fn serve_session(
             // The registry is gone, and every queue with it: DATA is
             // credited at once, and nothing else has anything to change.
             (kind::DATA, Some(None), _) => credit_back(replies, fields.u32()?, fields.u32()?)(1),
-            (kind::FINISH | kind::POISON | kind::GROW, Some(None), _) => {}
+            (kind::FINISH | kind::POISON, Some(None), _) => {}
             (kind::DATA, Some(Some(registry)), _) => {
                 let (stage, consumer) = (fields.u32()?, fields.u32()?);
                 // A corrupt page is unrecoverable for the query: it fails
@@ -414,11 +408,6 @@ fn serve_session(
             (kind::POISON, Some(Some(registry)), _) => {
                 let text = String::from_utf8_lossy(&payload);
                 registry.poison_local(AccordionError::from_display(&text));
-            }
-            (kind::GROW, Some(Some(registry)), _) => {
-                let (stage, slot) = (fields.u32()?, fields.u32()?);
-                fields.finish()?;
-                registry.grow(stage, slot);
             }
             _ => return Err(net_err(format!("frame kind {kind} is not served here"))),
         }
@@ -445,21 +434,18 @@ impl Share {
         control: &dyn Control,
         pages: &PageRegistries,
     ) -> Result<Frame> {
-        let mut ack = Vec::new();
         *self = match (kind, std::mem::replace(self, Share::Joined)) {
             (kind::WIRE, Share::Unwired) => {
                 *self = Share::Unwired; // until it registers anything
                 let (registry, run) = control.wire(query, payload)?;
                 pages.register(query, registry.clone());
-                ack = Payload::default().u32(control.pool()).0;
                 Share::Ready((registry, run))
             }
             (kind::GO, Share::Ready((registry, run))) => {
                 let name = format!("worker-query-{query}");
                 Share::Running(registry, std::thread::Builder::new().name(name).spawn(run)?)
             }
-            (kind::JOIN, Share::Running(registry, handle)) => {
-                registry.close_grows();
+            (kind::JOIN, Share::Running(_, handle)) => {
                 let panicked = || AccordionError::Execution("worker query thread panicked".into());
                 return handle.join().unwrap_or_else(|_| Err(panicked()));
             }
@@ -469,7 +455,7 @@ impl Share {
                 return Err(net_err(format!("frame kind {kind} out of turn: {turns}")));
             }
         };
-        Ok((kind::ACK, ack))
+        Ok((kind::ACK, Vec::new()))
     }
 
     /// Takes down what the session left of its query: a running share is

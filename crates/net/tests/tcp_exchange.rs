@@ -17,9 +17,7 @@ use accordion_common::AccordionError;
 use accordion_common::Result;
 use accordion_data::column::Column;
 use accordion_data::page::{DataPage, EndReason, Page};
-use accordion_net::frame::{
-    kind, listen, read_frame, FrameConn, Listener, Payload, MAX_DATA, PREALLOC,
-};
+use accordion_net::frame::{kind, listen, read_frame, FrameConn, Listener, MAX_DATA, PREALLOC};
 use accordion_net::{
     serve_sessions, ConsumerLoc, Control, EdgeSpec, ExchangeReader, ExchangeRegistry,
     ExchangeTopology, NicModel, PageRegistries, PageServer, RoutePolicy, Wired,
@@ -321,10 +319,8 @@ fn unknown_query_is_rejected_with_an_error_frame() {
 }
 
 /// A stand-in for a node's control service (which lives two crates up):
-/// WIRE wires an edgeless registry, kept here for the test to look at,
-/// whose run JOIN answers with DONE.
-#[derive(Default)]
-struct StubControl(std::sync::Mutex<Vec<Arc<ExchangeRegistry>>>);
+/// WIRE wires an edgeless registry, whose run JOIN answers with DONE.
+struct StubControl;
 
 impl Control for StubControl {
     fn wire(&self, query: u64, _wire: &[u8]) -> Result<Wired> {
@@ -333,28 +329,18 @@ impl Control for StubControl {
             &roomy(),
             NicModel::unlimited(),
         )?;
-        self.0.lock().unwrap().push(registry.clone());
         Ok((
             registry,
             Box::new(|| Ok((kind::DONE, 0u64.to_le_bytes().to_vec()))),
         ))
     }
-
-    fn pool(&self) -> u32 {
-        3
-    }
 }
 
-/// A node listener serving pages into `pages` and WIRE through `control`.
-fn node_with(pages: &Arc<PageRegistries>, control: &Arc<StubControl>) -> Listener {
-    let serve = serve_sessions(Some(pages.clone()), None, Some(control.clone()));
-    listen("127.0.0.1:0", "control", serve).unwrap()
-}
-
-/// A node listener serving pages into `pages` and WIRE through a
-/// [`StubControl`] of its own.
+/// A node listener serving pages into `pages` and WIRE through
+/// [`StubControl`].
 fn control_node(pages: &Arc<PageRegistries>) -> Listener {
-    node_with(pages, &Arc::default())
+    let serve = serve_sessions(Some(pages.clone()), None, Some(Arc::new(StubControl)));
+    listen("127.0.0.1:0", "control", serve).unwrap()
 }
 
 /// xorshift64*, as in the CSV suite: the hostile schedule is reproducible.
@@ -412,7 +398,7 @@ fn hostile_peers_cost_a_small_buffer_and_a_closed_connection() {
             3 => frame_header(MAX_DATA as u32, kind::DATA),
             // A kind nobody defined, and defined kinds a page server
             // does not serve (as a first frame and inside a session).
-            4 => frame_header(1, 17 + (rng.next() % 239) as u8),
+            4 => frame_header(1, 16 + (rng.next() % 240) as u8),
             5 => {
                 let mut b = if rng.next().is_multiple_of(2) {
                     hello.clone()
@@ -491,17 +477,9 @@ fn hostile_peers_cost_a_small_buffer_and_a_closed_connection() {
         "and the session ends"
     );
 
-    // Kinds 5 and 9 are unassigned; 16 is GROW.
-    for unassigned in [5, 9] {
-        let frame = frame_header(1, unassigned);
-        let err = read_frame(&mut frame.as_slice(), &mut payload).unwrap_err();
-        let want = format!("unknown frame kind {unassigned}");
-        assert!(err.to_string().contains(&want), "{err}");
-    }
-    assert_eq!(
-        read_frame(&mut frame_header(1, kind::GROW).as_slice(), &mut payload).unwrap(),
-        Some(kind::GROW)
-    );
+    // Kind 16 is unassigned, like 5 and 9.
+    let err = read_frame(&mut frame_header(1, 16).as_slice(), &mut payload).unwrap_err();
+    assert!(err.to_string().contains("unknown frame kind 16"), "{err}");
     // FINISH names its stage and nothing else: one that carries more ends
     // its session with a typed ERR and finishes no queue of the edge.
     let mut finish = FrameConn::connect(&server.local_addr(), Duration::from_secs(5)).unwrap();
@@ -537,79 +515,6 @@ fn hostile_peers_cost_a_small_buffer_and_a_closed_connection() {
     got.sort_unstable();
     assert_eq!(got, vec![1, 2, 3, 4, 5, 6]);
     server.shutdown();
-}
-
-#[test]
-fn a_grow_lands_in_the_inbox_of_its_query_until_join() {
-    let timeout = Duration::from_secs(5);
-    let server = PageServer::bind("127.0.0.1:0").unwrap();
-    let topo = ExchangeTopology::new(62).edge(EdgeSpec::local(1, 1, RoutePolicy::Single, 1));
-    let registry = ExchangeRegistry::build(&topo, &roomy(), NicModel::unlimited()).unwrap();
-    server.register(62, registry.clone());
-    let session = |query: u64| {
-        let mut conn = FrameConn::connect(&server.local_addr(), timeout).unwrap();
-        conn.send((kind::HELLO, Payload::default().u64(query).0))
-            .unwrap();
-        conn
-    };
-    let grow = |slot: u32| Payload::default().u32(1).u32(slot).0;
-    let finish = || (kind::FINISH, Payload::default().u32(1).0);
-    // GROW names a stage and a slot and nothing else: every truncated
-    // prefix, and a trailing byte, ends its session with a typed ERR.
-    let full = grow(7);
-    let mut malformed: Vec<Vec<u8>> = (0..full.len()).map(|cut| full[..cut].to_vec()).collect();
-    malformed.push([full.as_slice(), &[0]].concat());
-    for body in malformed {
-        let mut conn = session(62);
-        conn.send((kind::GROW, body.clone())).unwrap();
-        conn.close();
-        let (reply, text) = conn.recv().unwrap().expect("an ERR");
-        let err = AccordionError::from_display(&String::from_utf8_lossy(&text));
-        assert!(
-            reply == kind::ERR && matches!(err, AccordionError::Wire(_)),
-            "{body:?}: {err}"
-        );
-        assert!(conn.recv().unwrap().is_none(), "and the session ends");
-    }
-    // None of them reached the inbox: a well-formed GROW is the first out.
-    let mut conn = session(62);
-    conn.send((kind::GROW, grow(7))).unwrap();
-    assert_eq!(registry.next_grow(), Some((1, 7)));
-    // Once the node no longer holds the query, a GROW is ignored as FINISH
-    // is: the session takes both and ends without an ERR.
-    server.unregister(62);
-    drop(registry);
-    conn.send((kind::GROW, grow(8))).unwrap();
-    conn.send(finish()).unwrap();
-    conn.close();
-    assert!(conn.recv().unwrap().is_none(), "ignored, not refused");
-    // On a session of a query never registered here, both are refused.
-    for frame in [(kind::GROW, grow(9)), finish()] {
-        let err = session(63).call(frame).unwrap_err();
-        assert!(err.to_string().contains("not registered"), "{err}");
-    }
-    server.shutdown();
-
-    // ACK to WIRE carries the node's pool, ACK to GO nothing; JOIN closes
-    // the query's grow inbox, so a GROW after it starts nothing.
-    let control = Arc::<StubControl>::default();
-    let node = node_with(&Arc::default(), &control);
-    let mut coordinator = FrameConn::connect(&node.local_addr(), timeout).unwrap();
-    coordinator
-        .send((kind::HELLO, Payload::default().u64(64).0))
-        .unwrap();
-    let pool = (kind::ACK, Payload::default().u32(3).0);
-    assert_eq!(coordinator.call((kind::WIRE, Vec::new())).unwrap(), pool);
-    let go = coordinator.call((kind::GO, Vec::new())).unwrap();
-    assert_eq!(go, (kind::ACK, Vec::new()));
-    let done = coordinator.call((kind::JOIN, Vec::new())).unwrap();
-    assert_eq!(done.0, kind::DONE);
-    coordinator.send((kind::GROW, grow(4))).unwrap();
-    coordinator.close();
-    assert!(coordinator.recv().unwrap().is_none(), "taken, not refused");
-    let wired = control.0.lock().unwrap()[0].clone();
-    assert_eq!(wired.next_grow(), None, "the inbox is closed");
-    node.shutdown();
 }
 
 #[test]
