@@ -27,12 +27,13 @@ pub fn plans(logical: &LogicalPlan, optimizer: &Optimizer, dop: u32) -> Result<S
 /// `EXPLAIN ANALYZE`: the stage tree that ran, each plan node's line
 /// followed by its meter — rows and self time summed over every task on
 /// every node in `nodes` (`dist::node_stats` objects), a join's with its
-/// build sink's — then node 0's retunes and decisions. A task registers
+/// build sink's and a partial aggregate's with its flushes — then node 0's
+/// retunes and decisions. A task registers
 /// its meters in pipeline-step order, and step `i`'s belongs to
 /// `PipelineSpec::nodes[i]`; a build sink's comes after its last step.
 pub fn analyzed(tree: &StageTree, local: &QueryStats, nodes: &[Json]) -> Result<String> {
-    // (stage, pipeline, step) → (rows, self ns).
-    let mut meters: HashMap<(u64, u64, usize), (u64, u64)> = HashMap::new();
+    // (stage, pipeline, step) → (rows, self ns, flushes).
+    let mut meters: HashMap<(u64, u64, usize), (u64, u64, u64)> = HashMap::new();
     let mut out = String::new();
     for node in nodes {
         let field = |j: &Json, k| j.get(k).and_then(Json::as_u64).unwrap_or(0);
@@ -47,7 +48,9 @@ pub fn analyzed(tree: &StageTree, local: &QueryStats, nodes: &[Json]) -> Result<
                 .entry((stage, field(op, "task"), pipeline))
                 .or_default();
             let meter = meters.entry((stage, pipeline, *step)).or_default();
-            *meter = (meter.0 + field(op, "rows"), meter.1 + field(op, "self_ns"));
+            meter.0 += field(op, "rows");
+            meter.1 += field(op, "self_ns");
+            meter.2 += field(op, "flushes");
             *step += 1;
         }
     }
@@ -57,23 +60,31 @@ pub fn analyzed(tree: &StageTree, local: &QueryStats, nodes: &[Json]) -> Result<
         let pipelines = split_pipelines(f)?;
         let meter = |p: usize, step: usize| {
             let key = (f.stage.0.into(), p as u64, step);
-            let (rows, ns) = meters.get(&key).copied().unwrap_or_default();
-            format!("rows={rows} self_ms={:.3}", ns as f64 / 1e6)
+            meters.get(&key).copied().unwrap_or_default()
         };
+        let note =
+            |(rows, ns, _): (u64, u64, u64)| format!("rows={rows} self_ms={:.3}", ns as f64 / 1e6);
         // Each node's meter by node; a build pipeline precedes its probe.
         let (mut builds, mut notes) = (HashMap::new(), HashMap::new());
         for (p, spec) in pipelines.iter().enumerate() {
             if let Sink::JoinBuild { join, .. } = spec.sink {
-                builds.insert(join, meter(p, spec.nodes.len()));
+                builds.insert(join, note(meter(p, spec.nodes.len())));
             }
             let mut probes = spec.probes.iter();
             for (step, node) in spec.nodes.iter().enumerate() {
-                let mut note = meter(p, step);
-                if let PhysicalNode::HashJoin { .. } = **node {
-                    let build = probes.next().and_then(|join| builds.get(join));
-                    note.extend(build.map(|b| format!(" build: {b}")));
+                let m = meter(p, step);
+                let mut line = note(m);
+                match **node {
+                    PhysicalNode::HashJoin { .. } => {
+                        let build = probes.next().and_then(|join| builds.get(join));
+                        line.extend(build.map(|b| format!(" build: {b}")));
+                    }
+                    PhysicalNode::PartialAggregate { .. } => {
+                        line.push_str(&format!(" flushes={}", m.2));
+                    }
+                    _ => {}
                 }
-                notes.insert(Arc::as_ptr(node), note);
+                notes.insert(Arc::as_ptr(node), line);
             }
         }
         // The header, then one line per node in `visit` order.

@@ -33,7 +33,9 @@
 //! sorted by their encoded key bytes, which is exactly the iteration order
 //! of the `BTreeMap<Vec<u8>, _>` it replaced — deterministic,
 //! history-independent output, at the price of a sort over every group
-//! (q_shuffle's ~375 k per task). It sorts `(prefix, id)` pairs, the
+//! (a final aggregate's: up to q_shuffle's ~375 k per task; a partial
+//! aggregate never sorts, and its table stops near 16 k groups when its
+//! keys do not repeat). It sorts `(prefix, id)` pairs, the
 //! prefix being a key's first 8 bytes read big-endian and zero-padded, and
 //! compares whole keys only between equal prefixes. Padding cannot reorder
 //! two keys: where one is

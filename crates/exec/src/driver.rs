@@ -176,11 +176,9 @@ fn build_chain(
     ));
     let mut probes = pipeline.probes.iter();
     for (step, node) in rest.iter().enumerate() {
-        let stream = wrap_operator(pipeline, step + 1, chain, &mut probes, ctx)?;
-        chain = Box::new(MeteredStream::new(
-            stream,
-            register(operator_name(node), pipeline, ctx, &mut last),
-        ));
+        let meter = register(operator_name(node), pipeline, ctx, &mut last);
+        let stream = wrap_operator(pipeline, step + 1, chain, &mut probes, &meter, ctx)?;
+        chain = Box::new(MeteredStream::new(stream, meter));
     }
     Ok((chain, last))
 }
@@ -243,12 +241,14 @@ impl crate::operators::PageStream for ReaderSource {
 }
 
 /// Builds the operator of `pipeline.nodes[step]` over `input`; a probe
-/// takes the next of the pipeline's `probes`.
+/// takes the next of the pipeline's `probes`, and a partial aggregate
+/// counts its flushes in its `meter`.
 fn wrap_operator(
     pipeline: &PipelineSpec,
     step: usize,
     input: BoxedStream,
     probes: &mut std::slice::Iter<'_, usize>,
+    meter: &OperatorMetrics,
     ctx: &mut TaskContext,
 ) -> Result<BoxedStream> {
     let node = &pipeline.nodes[step];
@@ -259,13 +259,16 @@ fn wrap_operator(
             input,
             exprs.iter().map(|(e, _)| e.clone()).collect(),
         )),
-        PhysicalNode::PartialAggregate { group_by, aggs, .. } => Box::new(PartialHashAggOp::new(
-            input,
-            group_by.clone(),
-            aggs.clone(),
-            node.schema(),
-            page_rows,
-        )),
+        PhysicalNode::PartialAggregate { group_by, aggs, .. } => Box::new(
+            PartialHashAggOp::new(
+                input,
+                group_by.clone(),
+                aggs.clone(),
+                node.schema(),
+                page_rows,
+            )
+            .counting_flushes(meter.flushes.clone()),
+        ),
         PhysicalNode::FinalAggregate {
             group_count, aggs, ..
         } => Box::new(

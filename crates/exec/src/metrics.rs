@@ -44,6 +44,9 @@ pub struct OperatorMetrics {
     pub rows: Counter,
     pub bytes: Counter,
     pub pages: Counter,
+    /// Tables a partial aggregate emitted before its input ended (see
+    /// `PartialHashAggOp`); 0 for every other operator.
+    pub flushes: Arc<Counter>,
     /// When this instance registered, on `clock`: where
     /// [`OperatorStats::rows_per_sec`] starts counting.
     registered_nanos: u64,
@@ -197,6 +200,7 @@ impl QueryMetrics {
             rows: Counter::new(),
             bytes: Counter::new(),
             pages: Counter::new(),
+            flushes: Arc::new(Counter::new()),
             registered_nanos: self.clock.now_nanos(),
             busy_ns: Counter::new(),
             input: OnceLock::new(),
@@ -286,6 +290,7 @@ impl QueryMetrics {
                 rows_per_sec: m.rows_per_sec(),
                 busy_ns: m.busy_ns.get(),
                 self_ns: m.self_ns(),
+                flushes: m.flushes.get(),
             })
             .collect();
         let retunes = self
@@ -339,12 +344,15 @@ pub struct OperatorStats {
     /// split claim. The self times of a chain sum to its last operator's
     /// `busy_ns`.
     pub self_ns: u64,
+    /// Tables a partial aggregate emitted before its input ended.
+    pub flushes: u64,
 }
 
 impl OperatorStats {
-    /// The operator record of [`QueryStats::to_json`].
+    /// The operator record of [`QueryStats::to_json`]; `flushes` only
+    /// where there were some.
     pub fn to_json(&self) -> Json {
-        Json::obj()
+        let json = Json::obj()
             .with("stage", Json::u64(self.stage as u64))
             .with("task", Json::u64(self.task as u64))
             .with("pipeline", Json::u64(self.pipeline as u64))
@@ -353,7 +361,11 @@ impl OperatorStats {
             .with("bytes", Json::u64(self.bytes))
             .with("rows_per_sec", Json::f64(self.rows_per_sec))
             .with("busy_ns", Json::u64(self.busy_ns))
-            .with("self_ns", Json::u64(self.self_ns))
+            .with("self_ns", Json::u64(self.self_ns));
+        match self.flushes {
+            0 => json,
+            n => json.with("flushes", Json::u64(n)),
+        }
     }
 }
 

@@ -4,8 +4,11 @@
 //! that terminates with an end page (paper §4.3 — the same marker later PRs
 //! reuse to shut drivers down mid-query). Streaming operators (filter,
 //! project, limit, join probe) transform one page at a time; blocking
-//! operators (aggregates, sort, top-N) drain their child on the first pull
-//! and then emit their buffered result.
+//! operators (the final aggregate, sort, top-N) drain their child on the
+//! first pull and then emit their buffered result. The partial aggregate
+//! sits between: it emits a full table of [`PARTIAL_GROUP_CAP`] groups
+//! mid-input when its keys do not repeat, and otherwise blocks like the
+//! rest.
 //!
 //! **Filter hand-over.** [`FilterOp`] does not have to copy the rows it
 //! keeps: through [`PageStream::next_selected`] it hands on its *input* page
@@ -43,6 +46,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use accordion_common::metrics::Counter;
 use accordion_common::{AccordionError, Result};
 use accordion_data::column::Column;
 use accordion_data::grouptable::GroupTable;
@@ -357,6 +361,9 @@ struct GroupIndex {
     memo: [Seen; MEMO_SLOTS],
     /// Per-row group ids of the page most recently passed to [`assign`].
     gids: Vec<u32>,
+    /// Rows that reached the table and found their key there, since the
+    /// table was started.
+    repeats: u64,
 }
 
 /// One memo entry: a row of the current page, its key hash and its group.
@@ -387,7 +394,14 @@ impl GroupIndex {
                 gid: NONE,
             }; MEMO_SLOTS],
             gids: Vec::new(),
+            repeats: 0,
         }
+    }
+
+    /// Drops every group and starts over on a table sized for `groups`.
+    fn restart(&mut self, groups: usize) {
+        self.table = GroupTable::with_capacity(groups);
+        self.repeats = 0;
     }
 
     /// Assigns every selected row of `page` (every row without a selection)
@@ -440,7 +454,9 @@ impl GroupIndex {
         }
         self.key_scratch.clear();
         encode_key_into(page, key_cols, row, &mut self.key_scratch);
+        let groups = self.table.len();
         let gid = self.table.insert(hash, &self.key_scratch);
+        self.repeats += ((gid as usize) < groups) as u64;
         self.memo[slot] = Seen {
             hash,
             row: row as u32,
@@ -498,17 +514,47 @@ fn emit_group_pages(
         .collect()
 }
 
+/// A grouped partial aggregate checks its table when a page leaves it
+/// holding at least this many groups: a table that size stays in cache.
+pub const PARTIAL_GROUP_CAP: usize = 16_384;
+
+/// At the check, a partial flushes when fewer than one in this many of the
+/// rows that reached its table found a group there.
+const FLUSH_ONE_IN: u64 = 64;
+
 /// Partial (scan-side) phase of two-phase aggregation. Emits one row per
 /// group, in table (first-seen) order: group values followed by each
 /// aggregate's one-column state. Only a final aggregate reads them, and it
-/// merges every group whatever order its rows arrive in.
+/// merges every group whatever order its rows arrive in — so a key may
+/// leave more than once, and the partial may stream.
+///
+/// It does when its keys do not repeat. When a page leaves a grouped
+/// partial's table at [`PARTIAL_GROUP_CAP`] groups or more, it looks at
+/// the rows that got past the per-page memo since the table started. If
+/// fewer than one in 64 found an existing group, the table
+/// reduces next to nothing the final would not (an input clustered by its
+/// key, such as lineitem by `l_orderkey`, whose runs the memo already
+/// folds, or unique keys) while growing past the cache: the partial
+/// returns its groups before it reads more input, and starts again on a
+/// table pre-sized for the cap plus a page. The first check that finds
+/// repeats is the last: from then on one table grows to the end, as keys
+/// drawn at random from a smaller domain need. A global aggregate holds
+/// one group and never flushes.
 pub struct PartialHashAggOp {
     input: BoxedStream,
     group_by: Vec<usize>,
     aggs: Vec<AggSpec>,
     output_schema: SchemaRef,
     page_rows: usize,
-    out: Option<VecDeque<DataPage>>,
+    index: GroupIndex,
+    /// Built on the first pull: an AVG is refused there, not by `new`.
+    accs: Option<Vec<AggAccumulator>>,
+    /// Cleared for good by a check that finds repeats.
+    may_flush: bool,
+    /// Set when the input has ended.
+    done: bool,
+    out: VecDeque<DataPage>,
+    flushes: Arc<Counter>,
 }
 
 impl PartialHashAggOp {
@@ -525,16 +571,37 @@ impl PartialHashAggOp {
             aggs,
             output_schema: Arc::new(output_schema),
             page_rows,
-            out: None,
+            index: GroupIndex::new(),
+            accs: None,
+            may_flush: true,
+            done: false,
+            out: VecDeque::new(),
+            flushes: Arc::new(Counter::new()),
         }
     }
 
-    fn consume_input(&mut self) -> Result<VecDeque<DataPage>> {
-        let mut index = GroupIndex::new();
-        let mut accs = AggAccumulator::for_specs(&self.aggs)?;
-        loop {
+    /// Counts this operator's flushes in `flushes` (its meter's).
+    pub fn counting_flushes(mut self, flushes: Arc<Counter>) -> Self {
+        self.flushes = flushes;
+        self
+    }
+
+    /// How many times this operator has emitted a full table mid-input.
+    pub fn flushes(&self) -> u64 {
+        self.flushes.get()
+    }
+
+    /// Folds input pages into the table until it flushes or the input
+    /// ends, and leaves the groups it emits in `out`.
+    fn fill(&mut self) -> Result<()> {
+        let accs = match &mut self.accs {
+            Some(accs) => accs,
+            None => self.accs.insert(AggAccumulator::for_specs(&self.aggs)?),
+        };
+        let index = &mut self.index;
+        let flushed = loop {
             let (page, selection) = match self.input.next_selected()? {
-                (Page::End(_), _) => break,
+                (Page::End(_), _) => break false,
                 (Page::Data(page), selection) => dense_or_copied(page, selection),
             };
             // Evaluate each aggregate's argument once per page, then fold
@@ -554,35 +621,51 @@ impl PartialHashAggOp {
                 acc.update(col.as_ref(), &index.gids)?;
                 acc.resize(group_count);
             }
-        }
+            if self.may_flush && group_count >= PARTIAL_GROUP_CAP {
+                if index.repeats * FLUSH_ONE_IN < index.repeats + group_count as u64 {
+                    break true;
+                }
+                self.may_flush = false;
+            }
+        };
+        self.done = !flushed;
         // A global aggregate over zero rows still produces one row of
         // initial state (COUNT(*) of an empty table is 0, not no-rows).
-        if self.group_by.is_empty() && index.table.is_empty() {
+        if self.done && self.group_by.is_empty() && index.table.is_empty() {
             index.insert_empty_key_group();
             for acc in accs.iter_mut() {
                 acc.resize(1);
             }
         }
-        Ok(emit_group_pages(
-            &index,
-            &accs,
+        self.out = emit_group_pages(
+            index,
+            accs,
             true,
             &self.output_schema,
             self.group_by.len(),
             self.page_rows,
-        ))
+        );
+        if flushed {
+            index.restart(PARTIAL_GROUP_CAP + self.page_rows);
+            for acc in accs.iter_mut() {
+                acc.resize(0);
+            }
+            self.flushes.inc();
+        }
+        Ok(())
     }
 }
 
 impl PageStream for PartialHashAggOp {
     fn next_page(&mut self) -> Result<Page> {
-        if self.out.is_none() {
-            let pages = self.consume_input()?;
-            self.out = Some(pages);
-        }
-        match self.out.as_mut().unwrap().pop_front() {
-            Some(p) => Ok(Page::data(p)),
-            None => Ok(Page::end(EndReason::UpstreamFinished)),
+        loop {
+            if let Some(p) = self.out.pop_front() {
+                return Ok(Page::data(p));
+            }
+            if self.done {
+                return Ok(Page::end(EndReason::UpstreamFinished));
+            }
+            self.fill()?;
         }
     }
 }

@@ -28,7 +28,7 @@ use accordion_data::sort::SortKey;
 use accordion_data::types::{DataType, Value};
 use accordion_exec::operators::{
     FilterOp, FinalHashAggOp, HashJoinProbeOp, LimitOp, PageStream, PartialHashAggOp, ProjectOp,
-    QueueSource, Selection, SortOp, TopNOp,
+    QueueSource, Selection, SortOp, TopNOp, PARTIAL_GROUP_CAP,
 };
 use accordion_exec::{
     execute_logical, run_task, ExecOptions, JoinBuilds, JoinTable, QueryMetrics, SplitFeed,
@@ -1090,6 +1090,175 @@ fn grouped_aggregates_across_batch_edges_match_the_reference() {
                 "keys {kts:?}, page_rows {page_rows}: grouped aggregate diverged"
             );
         }
+    }
+}
+
+/// The three key orders a partial aggregate meets over
+/// `3 × PARTIAL_GROUP_CAP + 1,000` distinct keys, each a page of one key
+/// column (NULL at [`EDGE_NULL_ROWS`]) and one value column.
+fn flush_orders() -> [(&'static str, DataPage); 3] {
+    let distinct = 3 * PARTIAL_GROUP_CAP + 1_000;
+    let mut rng = XorShift::new(4949);
+    let mut shuffled = |mut keys: Vec<usize>| {
+        for i in (1..keys.len()).rev() {
+            keys.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        keys
+    };
+    let repeated = shuffled((0..distinct).flat_map(|k| [k, k]).collect());
+    let unique = shuffled((0..distinct).collect());
+    let mut rng = XorShift::new(4950);
+    let clustered = (0..distinct)
+        .flat_map(|k| std::iter::repeat_n(k, 1 + rng.below(7) as usize))
+        .collect();
+    [
+        ("clustered", clustered),
+        ("repeated", repeated),
+        ("unique", unique),
+    ]
+    .map(|(order, keys): (_, Vec<usize>)| {
+        let nulls: Vec<bool> = (0..keys.len())
+            .map(|r| EDGE_NULL_ROWS.contains(&r))
+            .collect();
+        let values = (0..keys.len() as i64).map(|r| r % 1_000 - 500).collect();
+        let keys = keys.iter().map(|&k| spread_key(k)).collect();
+        let page = DataPage::new(vec![
+            accordion_data::Column::from_i64_nullable(keys, &nulls),
+            accordion_data::Column::from_i64(values),
+        ]);
+        (order, page)
+    })
+}
+
+#[test]
+fn a_partial_flushes_exactly_where_its_keys_do_not_repeat() {
+    // Clustered runs of 1–7 rows (lineitem by l_orderkey) reach the table
+    // once per run and unique keys once per key: the table finds no
+    // repeats, so it flushes at the cap. Keys in random order, each twice,
+    // find about one repeat in ten by then, so the table grows to the end.
+    // Both ways, partial → final equals the reference. Pages of up to 33
+    // rows split a run across pages more often than one probe in 64, and a
+    // run split so reaches the table twice: clustered input flushes only
+    // at page sizes where a page holds hundreds of runs.
+    let aggs = vec![
+        AggSpec::count_star("cnt"),
+        AggSpec::new(AggKind::Sum, Expr::col(1), DataType::Int64, "s"),
+        AggSpec::new(AggKind::Min, Expr::col(1), DataType::Int64, "mn"),
+        AggSpec::new(AggKind::Max, Expr::col(1), DataType::Int64, "mx"),
+    ];
+    let fields = aggregate_fields(&[DataType::Int64], &aggs);
+    for (order, page) in flush_orders() {
+        let expected = reference_grouped_agg(std::slice::from_ref(&page), &[0], &aggs);
+        assert!(expected.len() > 3 * PARTIAL_GROUP_CAP, "{order}");
+        for page_rows in EDGE_PAGE_ROWS {
+            let mut partial = PartialHashAggOp::new(
+                source(pages_of(&page, page_rows)),
+                vec![0],
+                aggs.clone(),
+                Schema::new(fields.clone()),
+                page_rows,
+            );
+            let mut pages = Vec::new();
+            while let Page::Data(p) = partial.next_page().unwrap() {
+                pages.push(Arc::unwrap_or_clone(p));
+            }
+            let flushes = partial.flushes();
+            let context = format!("{order}, page_rows {page_rows}: {flushes} flushes");
+            match order {
+                "clustered" if page_rows < 1000 => {}
+                "clustered" | "unique" => assert!(flushes >= 2, "{context}"),
+                _ => assert_eq!(flushes, 0, "{context}"),
+            }
+            let fin = FinalHashAggOp::new(
+                source(pages),
+                1,
+                aggs.clone(),
+                Schema::new(fields.clone()),
+                page_rows,
+            );
+            assert!(drain(fin) == expected, "{context}: diverged");
+        }
+    }
+}
+
+/// Hands out its pages and counts how many it has handed out.
+struct CountingSource {
+    pages: std::vec::IntoIter<DataPage>,
+    pulled: Arc<AtomicUsize>,
+}
+
+impl PageStream for CountingSource {
+    fn next_page(&mut self) -> Result<Page> {
+        Ok(match self.pages.next() {
+            Some(p) => {
+                self.pulled.fetch_add(1, Ordering::Relaxed);
+                Page::data(p)
+            }
+            None => Page::end(EndReason::UpstreamFinished),
+        })
+    }
+}
+
+#[test]
+fn a_flushing_partial_returns_its_first_page_before_its_input_ends() {
+    let [(_, clustered), ..] = flush_orders();
+    let pages = pages_of(&clustered, 1024);
+    let total = pages.len();
+    let pulled = Arc::new(AtomicUsize::new(0));
+    let input = CountingSource {
+        pages: pages.into_iter(),
+        pulled: pulled.clone(),
+    };
+    let aggs = vec![AggSpec::count_star("cnt")];
+    let fields = aggregate_fields(&[DataType::Int64], &aggs);
+    let mut partial =
+        PartialHashAggOp::new(Box::new(input), vec![0], aggs, Schema::new(fields), 1024);
+    let Page::Data(first) = partial.next_page().unwrap() else {
+        panic!("no groups")
+    };
+    assert_eq!(first.row_count(), 1024);
+    let read = pulled.load(Ordering::Relaxed);
+    assert!(read < total / 2, "read {read} of {total} pages first");
+    assert_eq!(partial.flushes(), 1);
+}
+
+#[test]
+fn a_global_aggregate_never_flushes_and_answers_one_row_over_no_rows() {
+    let aggs = vec![
+        AggSpec::count_star("cnt"),
+        AggSpec::new(AggKind::Sum, Expr::col(1), DataType::Int64, "s"),
+    ];
+    let fields = aggregate_fields(&[], &aggs);
+    let [_, _, (_, unique)] = flush_orders();
+    let rows = unique.row_count() as i64;
+    let sum = (0..rows).map(|r| r % 1_000 - 500).sum::<i64>();
+    for (pages, expected) in [
+        (vec![], vec![Value::Int64(0), Value::Null]),
+        (
+            pages_of(&unique, 1024),
+            vec![Value::Int64(rows), Value::Int64(sum)],
+        ),
+    ] {
+        let mut partial = PartialHashAggOp::new(
+            source(pages),
+            vec![],
+            aggs.clone(),
+            Schema::new(fields.clone()),
+            1024,
+        );
+        let mut states = Vec::new();
+        while let Page::Data(p) = partial.next_page().unwrap() {
+            states.push(Arc::unwrap_or_clone(p));
+        }
+        assert_eq!(partial.flushes(), 0);
+        let fin = FinalHashAggOp::new(
+            source(states),
+            0,
+            aggs.clone(),
+            Schema::new(fields.clone()),
+            8,
+        );
+        assert_eq!(drain(fin), vec![expected]);
     }
 }
 

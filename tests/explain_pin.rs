@@ -2,12 +2,17 @@
 //! `benchmarks/sql/q{1,3,6}.sql` at `SET dop = 2`, over a server holding
 //! TPC-H's schemas (sf 0.001 — plans do not depend on the data), the rows
 //! of the one `plan` column are the analyzer's tree, the tree after the
-//! logical rewrites and the stage tree, one line each.
+//! logical rewrites and the stage tree, one line each. `EXPLAIN ANALYZE`
+//! shows a partial aggregate's flushes on its meter line.
 
 use std::sync::Arc;
 
 use accordion::cluster::QueryExecutor;
+use accordion::data::schema::{Field, Schema};
+use accordion::data::types::{DataType, Value};
+use accordion::exec::operators::PARTIAL_GROUP_CAP;
 use accordion::server::{Client, QueryServer, ServerConfig};
+use accordion::storage::table::TableBuilder;
 use accordion::tpch::gen::{generate, TpchOptions};
 
 fn explain_all(statements: &[&str]) -> Vec<String> {
@@ -160,4 +165,49 @@ Stage 1 [Source] x2 elastic[1..=8] → single
 "#,
         "q6"
     );
+}
+
+/// The `flushes=N` of every meter line of an `EXPLAIN ANALYZE` answer.
+fn flushes_shown(client: &mut Client, sql: &str) -> Vec<u64> {
+    let rs = client.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+    let notes = rs
+        .rows
+        .iter()
+        .filter_map(|row| row[0].split_once("flushes="));
+    notes
+        .map(|(_, n)| n.trim_end_matches(')').parse().unwrap())
+        .collect()
+}
+
+#[test]
+fn explain_analyze_shows_each_partial_aggregates_flushes() {
+    let catalog = generate(&TpchOptions {
+        scale_factor: 0.001,
+        ..TpchOptions::default()
+    })
+    .catalog;
+    let schema = Schema::shared(vec![Field::new("k", DataType::Int64)]);
+    let mut uniq = TableBuilder::new("uniq", schema, 1024);
+    for k in 0..(3 * PARTIAL_GROUP_CAP + 1_000) as i64 {
+        uniq.push_row(vec![Value::Int64(k)]);
+    }
+    uniq.register(&catalog, 4);
+    let config = ServerConfig::default();
+    let mut server = QueryServer::start(
+        Arc::new(catalog),
+        QueryExecutor::default(),
+        config,
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // At a fixed dop of 2 a task reads half the keys or more; a grow
+    // could split them into shares under the cap.
+    client.send("SET dop = 2").unwrap();
+    client.send("SET elasticity = off").unwrap();
+    let uniq = flushes_shown(&mut client, "SELECT k, count(*) AS n FROM uniq GROUP BY k");
+    assert!(matches!(uniq[..], [n] if n >= 1), "{uniq:?}");
+    let q1 = flushes_shown(&mut client, include_str!("../benchmarks/sql/q1.sql"));
+    assert_eq!(q1, [0]);
+    server.shutdown();
 }

@@ -3,15 +3,20 @@
 //! TPC-H catalog, the operator names of every pipeline, the `build_inputs`
 //! of every fragment, and the `(stage, task, pipeline, operator)` rows of
 //! one serial run's `QueryStats::operators` — which name every operator
-//! meter and give their registration order.
+//! meter and give their registration order. Last, which partial aggregates
+//! flush their tables: one over unique keys does in every task, q1's never.
 
-use accordion::data::types::Value;
+use accordion::data::schema::{Field, Schema};
+use accordion::data::types::{DataType, Value};
+use accordion::exec::metrics::OperatorStats;
+use accordion::exec::operators::PARTIAL_GROUP_CAP;
 use accordion::exec::{execute_tree, ExecOptions};
 use accordion::plan::fragment::StageTree;
 use accordion::plan::optimizer::{Optimizer, OptimizerConfig};
 use accordion::plan::pipeline::{build_inputs, split_pipelines};
 use accordion::sql::plan_select;
 use accordion::storage::catalog::Catalog;
+use accordion::storage::table::TableBuilder;
 use accordion::tpch::gen::{generate, TpchOptions};
 
 /// One stage: its id, each pipeline's operator names, and its join build
@@ -278,4 +283,49 @@ fn q_shuffle_pipelines_and_meters() {
         ]
     );
     assert_eq!(rows.len(), 20);
+}
+
+/// Registers `uniq`: `rows` rows of a unique INT64 key `k` in 4 splits.
+fn register_unique_keys(catalog: &Catalog, rows: usize) {
+    let schema = Schema::shared(vec![Field::new("k", DataType::Int64)]);
+    let mut table = TableBuilder::new("uniq", schema, 256);
+    for k in 0..rows as i64 {
+        table.push_row(vec![Value::Int64(k)]);
+    }
+    table.register(catalog, 4);
+}
+
+/// The partial aggregates' meters of one serial dop-2 run of `sql`.
+fn partial_meters(catalog: &Catalog, sql: &str) -> Vec<OperatorStats> {
+    let plan = plan_select(catalog, sql).unwrap();
+    let optimizer = Optimizer::new(OptimizerConfig::default().with_parallelism(2));
+    let tree = StageTree::build(optimizer.optimize(&plan).unwrap()).unwrap();
+    let result = execute_tree(catalog, &tree, &ExecOptions::with_page_rows(256)).unwrap();
+    let partials = result.stats().operators.iter();
+    let partials = partials.filter(|o| o.operator == "PartialAggregate");
+    partials.cloned().collect()
+}
+
+#[test]
+fn each_partial_task_flushes_over_unique_keys_and_q1s_never_do() {
+    let catalog = catalog();
+    let keys = 3 * PARTIAL_GROUP_CAP + 1_000;
+    register_unique_keys(&catalog, keys);
+    let uniq = partial_meters(&catalog, "SELECT k, count(*) AS n FROM uniq GROUP BY k");
+    assert_eq!(uniq.len(), 2);
+    for task in &uniq {
+        assert!(task.flushes >= 1, "{task:?}");
+        let json = task.to_json();
+        assert_eq!(
+            json.get("flushes").and_then(|f| f.as_u64()),
+            Some(task.flushes)
+        );
+    }
+    assert!(uniq.iter().map(|t| t.rows).sum::<u64>() >= keys as u64);
+    let q1 = partial_meters(&catalog, include_str!("../benchmarks/sql/q1.sql"));
+    assert_eq!(q1.len(), 2);
+    for task in &q1 {
+        assert_eq!(task.flushes, 0, "{task:?}");
+        assert_eq!(task.to_json().get("flushes"), None);
+    }
 }
