@@ -457,7 +457,7 @@ where
             let (fragment, pipelines) = stages.get(&stage).ok_or_else(|| {
                 AccordionError::Internal(format!("the query has no stage {stage}"))
             })?;
-            let Some(output) = registry.try_writer(stage, slot, Some(gate.clone()))? else {
+            let Some(output) = registry.try_writer(stage, Some(gate.clone()))? else {
                 return Ok(None);
             };
             let feeds = build_inputs(pipelines);

@@ -20,9 +20,9 @@ pub enum AccordionError {
     Storage(String),
     /// I/O error (file read/write), stringified to keep the enum `Clone`.
     Io(String),
-    /// Wire-codec failure: a page frame was truncated, corrupted, version
-    /// mismatched, or carried an unexpected schema hash. Never a panic —
-    /// every malformed byte stream decodes to this.
+    /// Wire-codec failure: a page frame was truncated, corrupted or version
+    /// mismatched. Never a panic — every malformed byte stream decodes to
+    /// this.
     Wire(String),
     /// Internal invariant violation — a bug in the engine.
     Internal(String),

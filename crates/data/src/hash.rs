@@ -223,8 +223,6 @@ pub enum Partitioning {
     /// Rows are hash-partitioned on key columns into `partitions` buckets
     /// ([`hash_partition`]).
     Hash { keys: Vec<usize>, partitions: u32 },
-    /// Whole pages are dealt round-robin across `partitions` consumers.
-    RoundRobin { partitions: u32 },
 }
 
 impl Partitioning {
@@ -232,9 +230,7 @@ impl Partitioning {
     pub fn partition_count(&self) -> u32 {
         match self {
             Partitioning::Single => 1,
-            Partitioning::Hash { partitions, .. } | Partitioning::RoundRobin { partitions } => {
-                *partitions
-            }
+            Partitioning::Hash { partitions, .. } => *partitions,
         }
     }
 }
@@ -244,7 +240,6 @@ impl fmt::Display for Partitioning {
         match self {
             Partitioning::Single => write!(f, "single"),
             Partitioning::Hash { keys, partitions } => write!(f, "hash{keys:?}x{partitions}"),
-            Partitioning::RoundRobin { partitions } => write!(f, "rr x{partitions}"),
         }
     }
 }

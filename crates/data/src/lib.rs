@@ -18,7 +18,7 @@
 //!   grouped aggregation and join builds share.
 //! * [`wire`] — the versioned binary page codec behind [`page::Page::encode`]
 //!   / [`page::Page::decode`]: one buffer per page on the network, with a
-//!   schema hash and checksum guarding every frame.
+//!   version byte and a checksum guarding every frame.
 
 pub mod column;
 pub mod grouptable;

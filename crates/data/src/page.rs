@@ -141,9 +141,6 @@ pub enum EndReason {
     UpstreamFinished,
     /// The engine asked this driver to shut down (DOP decrease).
     EndSignal,
-    /// Produced by nothing; it holds wire tag 3 of the page codec, so
-    /// removing it would change the wire format.
-    LocalExchangeDrained,
 }
 
 /// Marker that terminates a page stream.
@@ -207,7 +204,7 @@ impl Page {
     /// or version-mismatched input returns a typed
     /// [`accordion_common::AccordionError::Wire`] — never a panic.
     pub fn decode(bytes: &[u8]) -> accordion_common::Result<Page> {
-        crate::wire::decode_data(bytes, None).map(Page::Data)
+        crate::wire::decode_data(bytes).map(Page::Data)
     }
 }
 

@@ -1,4 +1,4 @@
-//! Binary page wire codec — version 1.
+//! Binary page wire codec — version 2.
 //!
 //! The one encoding boundary of the engine: [`Page::encode`] /
 //! [`Page::decode`] (defined on [`Page`], implemented here) turn a data
@@ -12,11 +12,9 @@
 //! ## Frame layout
 //!
 //! ```text
-//! byte 0        WIRE_VERSION (currently 1)
-//! byte 1        kind: 0 = data page
-//! bytes 2..10   schema hash   u64 LE  (column count + per-column type tags)
-//! bytes 10..14  row count     u32 LE
-//! bytes 14..18  column count  u32 LE
+//! byte 0        WIRE_VERSION (currently 2)
+//! bytes 1..5    row count     u32 LE
+//! bytes 5..9    column count  u32 LE
 //! per column:
 //!   tag           u8   (0 Int64, 1 Float64, 2 Bool, 3 Date32, 4 Utf8)
 //!   has_validity  u8   (0 absent = all rows valid, 1 bitmap follows)
@@ -25,7 +23,7 @@
 //!                 NaN payloads and −0.0 survive bit-exactly)
 //!                 Date32: rows × 4 B LE · Bool: rows × 1 B
 //!                 Utf8: (rows+1) × u32 LE offsets, then the byte arena
-//! trailer       checksum u64 LE over bytes [2, len−8)
+//! trailer       checksum u64 LE over bytes [1, len−8)
 //! ```
 //!
 //! ## Versioning rule
@@ -52,18 +50,16 @@ use crate::page::{DataPage, Page};
 use crate::types::DataType;
 
 /// Current frame version; bumped on any layout change.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
-/// Fixed framing bytes of a data frame: version + kind + schema hash +
-/// row count + column count + checksum.
-pub const FRAME_OVERHEAD: usize = 2 + 8 + 4 + 4 + 8;
+/// Fixed framing bytes of a data frame: version + row count + column
+/// count + checksum.
+pub const FRAME_OVERHEAD: usize = 1 + 4 + 4 + 8;
 
 /// Worst-case per-column overhead beyond [`DataPage::byte_size`]: type tag
 /// and validity flag (2), bitmap word padding (≤ 8), and the Utf8 offsets
 /// slot a degenerate empty column never accounted for (≤ 4).
 pub const PER_COLUMN_OVERHEAD: usize = 2 + 8 + 4;
-
-const KIND_DATA: u8 = 0;
 
 fn type_tag(dt: DataType) -> u8 {
     match dt {
@@ -90,19 +86,6 @@ fn err(msg: impl Into<String>) -> AccordionError {
     AccordionError::Wire(msg.into())
 }
 
-/// Stable hash of a column-type layout — the value carried in every data
-/// frame's header. Both ends of an exchange edge derive it independently
-/// from the planned schema; a mismatch means the frame belongs to a
-/// different edge (or a different plan) and is rejected before any data is
-/// interpreted.
-pub fn schema_hash(types: &[DataType]) -> u64 {
-    let mut h = mix(SEED, types.len() as u64);
-    for &dt in types {
-        h = mix(h, u64::from(type_tag(dt)) + 1);
-    }
-    finalize(h)
-}
-
 /// Checksum over the frame payload, chunked into 8-byte LE words (the tail
 /// chunk zero-padded), seeded with the payload length so truncation to a
 /// chunk boundary still fails.
@@ -124,13 +107,10 @@ pub(crate) fn encode_page(page: &Page) -> Vec<u8> {
 }
 
 fn encode_data_page(page: &DataPage) -> Vec<u8> {
-    let types: Vec<DataType> = page.columns().iter().map(|c| c.data_type()).collect();
     let mut buf = Vec::with_capacity(
         page.byte_size() + FRAME_OVERHEAD + PER_COLUMN_OVERHEAD * page.num_columns(),
     );
     buf.push(WIRE_VERSION);
-    buf.push(KIND_DATA);
-    buf.extend_from_slice(&schema_hash(&types).to_le_bytes());
     buf.extend_from_slice(&(page.row_count() as u32).to_le_bytes());
     buf.extend_from_slice(&(page.num_columns() as u32).to_le_bytes());
     for col in page.columns() {
@@ -175,7 +155,7 @@ fn encode_data_page(page: &DataPage) -> Vec<u8> {
             }
         }
     }
-    let sum = checksum(&buf[2..]);
+    let sum = checksum(&buf[1..]);
     buf.extend_from_slice(&sum.to_le_bytes());
     buf
 }
@@ -276,25 +256,15 @@ impl Payload {
 
 /// The data page [`Page::encode`] wrote into `bytes`; truncated, corrupt
 /// or version-mismatched input — the empty encoding of an end page
-/// included — is a typed [`AccordionError::Wire`]. With `expected_schema`
-/// (a [`schema_hash`]) it also refuses a page of another layout: the
-/// receiver-side guard that a frame belongs to the edge it arrived on.
-/// [`Page::decode`] is this without the guard, wrapped in a page.
-pub fn decode_data(bytes: &[u8], expected_schema: Option<u64>) -> Result<Arc<DataPage>> {
-    let mut c = Cursor::new(bytes);
-    let version = c.u8()?;
+/// included — is a typed [`AccordionError::Wire`]. [`Page::decode`] is
+/// this wrapped in a page.
+pub fn decode_data(bytes: &[u8]) -> Result<Arc<DataPage>> {
+    let version = Cursor::new(bytes).u8()?;
     if version != WIRE_VERSION {
         return Err(err(format!(
             "unsupported wire version {version} (this build speaks {WIRE_VERSION})"
         )));
     }
-    match c.u8()? {
-        KIND_DATA => decode_data_page(bytes, expected_schema),
-        other => Err(err(format!("unknown frame kind {other}"))),
-    }
-}
-
-fn decode_data_page(bytes: &[u8], expected_schema: Option<u64>) -> Result<Arc<DataPage>> {
     if bytes.len() < FRAME_OVERHEAD {
         return Err(err(format!(
             "truncated frame: {} bytes is below the {FRAME_OVERHEAD}-byte minimum",
@@ -305,7 +275,7 @@ fn decode_data_page(bytes: &[u8], expected_schema: Option<u64>) -> Result<Arc<Da
     // corruption surfaces as one uniform error instead of a parse artifact.
     let body_end = bytes.len() - 8;
     let stored = u64::from_le_bytes(bytes[body_end..].try_into().unwrap());
-    let actual = checksum(&bytes[2..body_end]);
+    let actual = checksum(&bytes[1..body_end]);
     if stored != actual {
         return Err(err(format!(
             "checksum mismatch: frame carries {stored:#018x}, payload hashes to {actual:#018x}"
@@ -313,24 +283,13 @@ fn decode_data_page(bytes: &[u8], expected_schema: Option<u64>) -> Result<Arc<Da
     }
     let mut c = Cursor {
         buf: &bytes[..body_end],
-        pos: 2,
+        pos: 1,
     };
-    let frame_schema = c.u64()?;
-    if let Some(expected) = expected_schema {
-        if frame_schema != expected {
-            return Err(err(format!(
-                "schema hash mismatch: frame carries {frame_schema:#018x}, \
-                 edge expects {expected:#018x}"
-            )));
-        }
-    }
     let rows = c.u32()? as usize;
     let ncols = c.u32()? as usize;
     let mut columns = Vec::with_capacity(ncols.min(1024));
-    let mut types = Vec::with_capacity(ncols.min(1024));
     for _ in 0..ncols {
         let dt = tag_type(c.u8()?)?;
-        types.push(dt);
         let validity = if c.bool()? {
             let words = c
                 .take(rows.div_ceil(64) * 8)?
@@ -390,9 +349,6 @@ fn decode_data_page(bytes: &[u8], expected_schema: Option<u64>) -> Result<Arc<Da
         columns.push(column);
     }
     c.finish()?;
-    if schema_hash(&types) != frame_schema {
-        return Err(err("schema hash does not match the frame's own columns"));
-    }
     let page = if columns.is_empty() {
         DataPage::row_count_only(rows)
     } else {
@@ -409,23 +365,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn schema_hash_discriminates_layouts() {
-        let a = schema_hash(&[DataType::Int64, DataType::Utf8]);
-        let b = schema_hash(&[DataType::Utf8, DataType::Int64]);
-        let c = schema_hash(&[DataType::Int64]);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, schema_hash(&[DataType::Int64, DataType::Utf8]));
-    }
-
-    #[test]
     fn an_end_page_has_no_wire_form() {
         use crate::page::EndReason;
         for reason in [
             EndReason::ScanExhausted,
             EndReason::UpstreamFinished,
             EndReason::EndSignal,
-            EndReason::LocalExchangeDrained,
         ] {
             let buf = Page::end(reason).encode();
             assert!(buf.is_empty(), "{reason:?}");
@@ -435,12 +380,15 @@ mod tests {
     }
 
     #[test]
-    fn the_old_end_page_kind_is_an_unknown_frame() {
-        // Kind 1 with a reason byte was an end page; it decodes to nothing.
+    fn a_version_1_frame_is_refused_by_its_version() {
+        // Version 1's end page: kind 1 and a reason byte.
         for reason in [0, 3, 9] {
-            let err = Page::decode(&[WIRE_VERSION, 1, reason]).unwrap_err();
+            let err = Page::decode(&[1, 1, reason]).unwrap_err();
             assert!(matches!(err, AccordionError::Wire(_)), "{err}");
-            assert!(err.to_string().contains("unknown frame kind 1"), "{err}");
+            assert!(
+                err.to_string().contains("unsupported wire version 1"),
+                "{err}"
+            );
         }
     }
 
@@ -448,8 +396,28 @@ mod tests {
     fn version_gate() {
         let page = DataPage::new(vec![Column::from_i64(vec![1, 2])]);
         let mut buf = Page::data(page).encode();
-        buf[0] = 2;
+        buf[0] = WIRE_VERSION + 1;
         let err = Page::decode(&buf).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    #[test]
+    fn the_header_is_version_rows_then_columns() {
+        // Pinned so that moving a header field fails here until
+        // WIRE_VERSION is bumped with it.
+        assert_eq!(WIRE_VERSION, 2);
+        assert_eq!(FRAME_OVERHEAD, 17);
+        let page = DataPage::new(vec![
+            Column::from_i64(vec![1, 2, 3]),
+            Column::from_i64(vec![4, 5, 6]),
+        ]);
+        let buf = Page::data(page).encode();
+        assert_eq!(buf[0], WIRE_VERSION);
+        assert_eq!(u32::from_le_bytes(buf[1..5].try_into().unwrap()), 3);
+        assert_eq!(u32::from_le_bytes(buf[5..9].try_into().unwrap()), 2);
+        // Tag and validity flag of the first column follow the header.
+        assert_eq!(&buf[9..11], &[0, 0]);
+        let empty = Page::data(DataPage::row_count_only(5)).encode();
+        assert_eq!(empty.len(), FRAME_OVERHEAD);
     }
 }

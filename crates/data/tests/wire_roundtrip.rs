@@ -6,9 +6,8 @@ use std::sync::Arc;
 
 use accordion_common::AccordionError;
 use accordion_data::column::{Column, Utf8Column};
-use accordion_data::page::{DataPage, EndReason, Page};
-use accordion_data::types::DataType;
-use accordion_data::wire::{decode_data, FRAME_OVERHEAD, PER_COLUMN_OVERHEAD};
+use accordion_data::page::{DataPage, Page};
+use accordion_data::wire::{FRAME_OVERHEAD, PER_COLUMN_OVERHEAD};
 
 /// Tiny deterministic PRNG (xorshift*) — no external deps allowed.
 struct Rng(u64);
@@ -226,7 +225,7 @@ fn corruption_of_any_byte_is_detected() {
     let page = random_page(&mut rng);
     let encoded = Page::data(page.clone()).encode();
     // Flip a bit at a sample of positions across the frame (every position
-    // for small frames). The checksum (or version/kind gate) must catch it —
+    // for small frames). The checksum (or the version gate) must catch it —
     // decode may never panic and never silently return different data.
     for pos in 0..encoded.len() {
         let mut bad = encoded.clone();
@@ -235,27 +234,6 @@ fn corruption_of_any_byte_is_detected() {
             assert_pages_bit_identical(&page, &d);
         }
     }
-}
-
-#[test]
-fn wrong_schema_hash_is_rejected() {
-    let page = DataPage::new(vec![Column::from_i64(vec![1, 2, 3])]);
-    let encoded = Page::data(page).encode();
-    let right = accordion_data::wire::schema_hash(&[DataType::Int64]);
-    let wrong = accordion_data::wire::schema_hash(&[DataType::Utf8]);
-    assert!(decode_data(&encoded, Some(right)).is_ok());
-    match decode_data(&encoded, Some(wrong)) {
-        Err(AccordionError::Wire(m)) => assert!(m.contains("schema hash"), "{m}"),
-        other => panic!("expected schema-hash rejection, got {other:?}"),
-    }
-    // An end page has no wire form: its empty encoding is refused under
-    // any expectation.
-    let end = Page::end(EndReason::ScanExhausted).encode();
-    let refused = decode_data(&end, Some(right));
-    assert!(
-        matches!(refused, Err(AccordionError::Wire(_))),
-        "{refused:?}"
-    );
 }
 
 #[test]

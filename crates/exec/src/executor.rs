@@ -64,8 +64,9 @@ pub struct ExecOptions {
     /// Intra-query re-parallelization controller (used by the cluster
     /// scheduler; the serial executor runs no controller). Defaults to the
     /// `ACCORDION_ELASTICITY` environment variable (`off`, `forced-grow`,
-    /// `forced-shrink`, `auto[:deadline_ms]`), else off — what the CI
-    /// elasticity matrix toggles.
+    /// `forced-shrink`, `forced:<dop>`, `cycle[:high:low]`,
+    /// `auto[:deadline_ms]`), else off — what the CI elasticity matrix
+    /// toggles.
     pub elasticity: ElasticityMode,
     /// Multi-query admission control (used by the cluster scheduler, which
     /// reads it from the options its executor was **constructed** with —

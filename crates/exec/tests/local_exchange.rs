@@ -115,33 +115,6 @@ fn hash_partitioned_local_exchange_executes() {
 }
 
 #[test]
-fn round_robin_local_exchange_executes() {
-    // A Filter over a round-robin local exchange keeps every row it passes.
-    let c = catalog();
-    let local = Arc::new(PhysicalNode::LocalExchange {
-        input: scan(),
-        partitioning: Partitioning::RoundRobin { partitions: 2 },
-    });
-    let filtered = Arc::new(PhysicalNode::Filter {
-        input: local,
-        predicate: Expr::gt(Expr::col(1), Expr::lit_i64(9)),
-    });
-    let tree = StageTree::build(filtered).unwrap();
-    let result = execute_tree(&c, &tree, &ExecOptions::with_page_rows(4)).unwrap();
-    assert_eq!(result.row_count(), 20);
-    let mut vs: Vec<i64> = result
-        .rows()
-        .iter()
-        .map(|r| match r[1] {
-            Value::Int64(v) => v,
-            _ => unreachable!(),
-        })
-        .collect();
-    vs.sort_unstable();
-    assert_eq!(vs, (10..30).collect::<Vec<_>>());
-}
-
-#[test]
 fn a_local_exchange_of_any_partitioning_returns_the_rows_of_the_plan_without_it() {
     let c = catalog();
     let partial = || {
@@ -189,7 +162,10 @@ fn a_local_exchange_of_any_partitioning_returns_the_rows_of_the_plan_without_it(
             keys: vec![0],
             partitions: 2,
         },
-        Partitioning::RoundRobin { partitions: 3 },
+        Partitioning::Hash {
+            keys: vec![1],
+            partitions: 3,
+        },
     ] {
         for (name, op) in above {
             let input = || {

@@ -16,9 +16,9 @@
 //! [`ExchangeRegistry::build`] consumes the descriptor and materializes one
 //! [`ElasticQueue`] per consumer slot; writers route data pages by the
 //! edge's [`Partitioning`] — the plan's own type, also exported here as
-//! [`RoutePolicy`] — gather/broadcast (`Single`), hash partitioning, or
-//! round-robin. A transfer costs what the queue or the socket charges:
-//! there is no simulated link.
+//! [`RoutePolicy`] — gather/broadcast (`Single`) or hash partitioning. A
+//! transfer costs what the queue or the socket charges: there is no
+//! simulated link.
 //!
 //! The registry is **transport-agnostic**: a slot marked
 //! [`ConsumerLoc::Local`] is reached through its shared-memory queue, a
@@ -339,15 +339,14 @@ impl ExchangeRegistry {
         Ok(session)
     }
 
-    /// Writer endpoint for producer task `task` of `stage`, a new member of
-    /// this node's writer group for the edge. `gate` is the scheduler's
+    /// Writer endpoint for a producer task of `stage`, a new member of this
+    /// node's writer group for the edge. `gate` is the scheduler's
     /// compute-slot semaphore, yielded while blocked. `None` once the
     /// group's members have all finished, which ended the node's share of
     /// the edge: a grow that came after every task of the stage here ended.
     pub fn try_writer(
         self: &Arc<Self>,
         stage: u32,
-        task: u32,
         gate: Option<Arc<Semaphore>>,
     ) -> Result<Option<Box<dyn ExchangeWriter>>> {
         let edge = self.edge(stage)?;
@@ -359,24 +358,20 @@ impl ExchangeRegistry {
             registry: self.clone(),
             stage,
             edge,
-            // Stagger round-robin starts by producer task so the stage's
-            // combined output spreads across consumers even when every task
-            // emits few pages.
-            rr_next: task as usize,
             gate,
             finished: false,
         })))
     }
 
-    /// [`Self::try_writer`] for a group that must still be live: joining
-    /// one that has ended is an error.
+    /// [`Self::try_writer`] for producer task `task`, whose group must still
+    /// be live: joining one that has ended is an error naming the task.
     pub fn writer(
         self: &Arc<Self>,
         stage: u32,
         task: u32,
         gate: Option<Arc<Semaphore>>,
     ) -> Result<Box<dyn ExchangeWriter>> {
-        self.try_writer(stage, task, gate)?.ok_or_else(|| {
+        self.try_writer(stage, gate)?.ok_or_else(|| {
             AccordionError::Internal(format!(
                 "task {task} cannot join stage {stage}'s writers here: they have all ended"
             ))
@@ -506,13 +501,13 @@ impl Drop for ExchangeRegistry {
 
 /// Routes one data page across `sinks` delivery targets according to
 /// `policy`: gather/broadcast clones the (`Arc`-shared) page to every sink,
-/// hash splits rows by key, round-robin deals whole pages advancing
-/// `rr_next`. Empty pages and empty hash pieces are skipped. Every exchange
-/// writer, local or remote, routes through it.
+/// hash splits rows by key. Empty pages and empty hash pieces are skipped.
+/// Every exchange writer, local or remote, routes through it. `_rr_next`
+/// is ignored: no policy keeps routing state.
 pub fn route_page(
     page: &Arc<DataPage>,
     policy: &Partitioning,
-    rr_next: &mut usize,
+    _rr_next: &mut usize,
     sinks: usize,
     deliver: &mut dyn FnMut(usize, Arc<DataPage>) -> Result<()>,
 ) -> Result<()> {
@@ -534,11 +529,6 @@ pub fn route_page(
                     deliver(part, Arc::new(piece))?;
                 }
             }
-        }
-        Partitioning::RoundRobin { .. } => {
-            let sink = *rr_next % sinks.max(1);
-            *rr_next += 1;
-            deliver(sink, page.clone())?;
         }
     }
     Ok(())
@@ -562,7 +552,6 @@ struct EdgeWriter {
     registry: Arc<ExchangeRegistry>,
     stage: u32,
     edge: Arc<Edge>,
-    rr_next: usize,
     gate: Option<Arc<Semaphore>>,
     finished: bool,
 }
@@ -618,7 +607,6 @@ impl ExchangeWriter for EdgeWriter {
             registry,
             stage,
             edge,
-            rr_next,
             gate,
             ..
         } = self;
@@ -628,7 +616,7 @@ impl ExchangeWriter for EdgeWriter {
         route_page(
             &page,
             &edge.policy,
-            rr_next,
+            &mut 0,
             queues.len(),
             &mut |slot, piece| match &edge.consumers[slot] {
                 ConsumerLoc::Local => {
@@ -772,47 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_deals_pages() {
-        let r = registry_with(vec![EdgeSpec::local(
-            1,
-            1,
-            RoutePolicy::RoundRobin { partitions: 2 },
-            2,
-        )]);
-        let mut w = r.writer(1, 0, None).unwrap();
-        w.push(page(vec![1])).unwrap();
-        w.push(page(vec![2])).unwrap();
-        w.push(page(vec![3])).unwrap();
-        w.push(Page::end(EndReason::UpstreamFinished)).unwrap();
-        let mut r0 = r.reader(1, 0, None).unwrap();
-        let mut r1 = r.reader(1, 1, None).unwrap();
-        assert_eq!(drain(r0.as_mut()), vec![1, 3]);
-        assert_eq!(drain(r1.as_mut()), vec![2]);
-    }
-
-    #[test]
-    fn round_robin_staggers_across_producer_tasks() {
-        // Two producer tasks on one node, one page each: without per-task
-        // staggering both pages would land on queue 0.
-        let r = registry_with(vec![EdgeSpec::local(
-            1,
-            1,
-            RoutePolicy::RoundRobin { partitions: 2 },
-            2,
-        )]);
-        let mut w0 = r.writer(1, 0, None).unwrap();
-        let mut w1 = r.writer(1, 1, None).unwrap();
-        w0.push(page(vec![1])).unwrap();
-        w1.push(page(vec![2])).unwrap();
-        w0.push(Page::end(EndReason::UpstreamFinished)).unwrap();
-        w1.push(Page::end(EndReason::UpstreamFinished)).unwrap();
-        let mut r0 = r.reader(1, 0, None).unwrap();
-        let mut r1 = r.reader(1, 1, None).unwrap();
-        assert_eq!(drain(r0.as_mut()), vec![1]);
-        assert_eq!(drain(r1.as_mut()), vec![2]);
-    }
-
-    #[test]
     fn broadcast_charges_stats_per_copy() {
         let r = registry_with(vec![EdgeSpec::local(1, 1, RoutePolicy::Single, 3)]);
         let mut w = r.writer(1, 0, None).unwrap();
@@ -870,7 +817,7 @@ mod tests {
         assert_eq!(r.producers_remaining(1).unwrap(), 0);
         // A grow that comes after the group's last member left starts
         // nothing; a planned writer there is an error.
-        assert!(r.try_writer(1, 2, None).unwrap().is_none());
+        assert!(r.try_writer(1, None).unwrap().is_none());
         assert!(r.writer(1, 3, None).is_err());
         let mut reader = r.reader(1, 0, None).unwrap();
         assert_eq!(
@@ -933,7 +880,7 @@ mod tests {
         let spec = EdgeSpec {
             stage: 1,
             producers: 2,
-            policy: RoutePolicy::RoundRobin { partitions: 2 },
+            policy: RoutePolicy::Single,
             consumers: vec![ConsumerLoc::Local, ConsumerLoc::Remote("10.0.0.9:1".into())],
             leased: false,
         };

@@ -9,7 +9,7 @@
 //!   (page-granular, bounded, blocking, with `Page::End` as the in-band
 //!   termination signal) and the [`ExchangeRegistry`] that wires each
 //!   stage's output to its consumer tasks under a [`RoutePolicy`]
-//!   (gather/broadcast, hash, round-robin: the plan's
+//!   (gather/broadcast or hash: the plan's
 //!   `accordion_data::hash::Partitioning` under its exchange name); a
 //!   node's writers of a stage are one producer of its output, however
 //!   many tasks it runs.

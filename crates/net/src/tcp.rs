@@ -395,7 +395,7 @@ fn serve_session(
                 // A corrupt page is unrecoverable for the query: it fails
                 // everywhere, not just on this session.
                 let page =
-                    decode_data(fields.rest(), None).inspect_err(|e| registry.poison(e.clone()))?;
+                    decode_data(fields.rest()).inspect_err(|e| registry.poison(e.clone()))?;
                 let credit = credit_back(replies, stage, consumer);
                 let queue = registry.ingress_queue(stage, consumer)?;
                 queue.push_credited(page, Some(credit), None)?;

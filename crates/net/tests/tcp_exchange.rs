@@ -162,10 +162,10 @@ fn remote_producer_with_no_data_still_closes_the_edge() {
     // FINISH frame alone must decrement A's writer accounting, or A's
     // reader would wait forever.
     let network = roomy();
-    let f = fleet(9, 2, RoutePolicy::RoundRobin { partitions: 2 }, &network);
+    let f = fleet(9, 2, RoutePolicy::Single, &network);
     let mut w_a = f.registry_a.writer(1, 0, None).unwrap();
     let mut w_b = f.registry_b.writer(1, 1, None).unwrap();
-    w_a.push(page(vec![42])).unwrap(); // rr slot 0 → local on A
+    w_a.push(page(vec![42])).unwrap(); // broadcast: local on A, a copy to B
     w_a.push(Page::end(EndReason::ScanExhausted)).unwrap();
     w_b.push(Page::end(EndReason::ScanExhausted)).unwrap(); // no data at all
     let mut r_a = f.registry_a.reader(1, 0, None).unwrap();

@@ -397,10 +397,6 @@ mod tests {
             .partition_count(),
             4
         );
-        assert_eq!(
-            Partitioning::RoundRobin { partitions: 3 }.partition_count(),
-            3
-        );
     }
 
     #[test]

@@ -270,7 +270,10 @@ mod tests {
     fn local_exchange_does_not_break_pipeline() {
         for partitioning in [
             Partitioning::Single,
-            Partitioning::RoundRobin { partitions: 2 },
+            Partitioning::Hash {
+                keys: vec![0],
+                partitions: 2,
+            },
         ] {
             let root = Arc::new(PhysicalNode::Sort {
                 input: Arc::new(PhysicalNode::LocalExchange {
