@@ -31,6 +31,8 @@ use crate::protocol::{decode_line, parse_frame, Frame};
 const CONNECT_ATTEMPTS: u32 = 4;
 /// First backoff sleep; doubles per failed attempt (25 → 50 → 100 ms).
 const BACKOFF_START_MS: u64 = 25;
+/// Read buffer: the server writes a result in 64 KiB pieces.
+const READ_BUFFER_BYTES: usize = 64 * 1024;
 
 /// A decoded result set — all values as their CSV text form.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,6 +55,8 @@ pub enum Response {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The last line read, without its line break; reused for every line.
+    line: String,
     /// The server greeting, e.g. `accordion 0.1.0`.
     pub greeting: String,
 }
@@ -81,11 +85,12 @@ impl Client {
             .try_clone()
             .map_err(|e| AccordionError::Io(format!("clone failed: {e}")))?;
         let mut client = Client {
-            reader: BufReader::new(stream),
+            reader: BufReader::with_capacity(READ_BUFFER_BYTES, stream),
             writer,
+            line: String::new(),
             greeting: String::new(),
         };
-        match parse_frame(&client.read_line()?)? {
+        match parse_frame(client.read_line()?)? {
             Frame::Ok(greeting) => client.greeting = greeting,
             other => {
                 return Err(AccordionError::Io(format!(
@@ -135,7 +140,7 @@ impl Client {
 
     /// Reads one response frame (plus body for result sets).
     pub fn read_response(&mut self) -> Result<Response> {
-        match parse_frame(&self.read_line()?)? {
+        match parse_frame(self.read_line()?)? {
             Frame::Ok(msg) => Ok(Response::Ok(msg)),
             Frame::Err(msg) => Err(AccordionError::Execution(msg)),
             Frame::End { .. } => Err(AccordionError::Io(
@@ -152,7 +157,6 @@ impl Client {
                 let mut rows = Vec::new();
                 loop {
                     let line = self.read_line()?;
-                    let line = line.trim_end_matches(['\r', '\n']);
                     // String fields are always quoted, so a bare END token
                     // is unambiguously the trailer.
                     if line.starts_with("END ") {
@@ -192,9 +196,11 @@ impl Client {
         Ok(())
     }
 
-    fn read_line(&mut self) -> Result<String> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).map_err(|e| {
+    /// Reads the next line into the reused buffer and returns it without
+    /// its line break.
+    fn read_line(&mut self) -> Result<&str> {
+        self.line.clear();
+        let n = self.reader.read_line(&mut self.line).map_err(|e| {
             if matches!(
                 e.kind(),
                 std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
@@ -209,7 +215,7 @@ impl Client {
                 "connection closed by server".to_string(),
             ));
         }
-        Ok(line)
+        Ok(self.line.trim_end_matches(['\r', '\n']))
     }
 }
 

@@ -222,34 +222,43 @@ pub fn format_date32(days: i32) -> String {
 
 /// [`format_date32`] into an existing buffer or formatter.
 pub fn write_date32(out: &mut impl fmt::Write, days: i32) -> fmt::Result {
-    let mut remaining = days as i64;
-    let mut year = 1970i64;
-    loop {
-        let len = if is_leap(year) { 366 } else { 365 };
-        if remaining >= len {
-            remaining -= len;
-            year += 1;
-        } else if remaining < 0 {
-            year -= 1;
-            remaining += if is_leap(year) { 366 } else { 365 };
-        } else {
-            break;
-        }
+    if let Some(text) = date32_ascii(days) {
+        return out.write_str(std::str::from_utf8(&text).expect("ASCII digits"));
     }
-    let mut month = 0usize;
-    loop {
-        let mut len = MONTH_DAYS[month];
-        if month == 1 && is_leap(year) {
-            len += 1;
-        }
-        if remaining >= len {
-            remaining -= len;
-            month += 1;
-        } else {
-            break;
-        }
+    let (year, month, day) = civil_from_days(days);
+    write!(out, "{year:04}-{month:02}-{day:02}")
+}
+
+/// The ten bytes `YYYY-MM-DD` of a day in years 0 through 9999, written
+/// as digit pairs; `None` outside them, where the year takes another width
+/// or a sign.
+pub fn date32_ascii(days: i32) -> Option<[u8; 10]> {
+    let (year, month, day) = civil_from_days(days);
+    if !(0..=9_999).contains(&year) {
+        return None;
     }
-    write!(out, "{:04}-{:02}-{:02}", year, month + 1, remaining + 1)
+    let pair = |n: u32| [b'0' + (n / 10) as u8, b'0' + (n % 10) as u8];
+    let (hi, lo) = (pair(year as u32 / 100), pair(year as u32 % 100));
+    let (m, d) = (pair(month), pair(day));
+    Some([
+        hi[0], hi[1], lo[0], lo[1], b'-', m[0], m[1], b'-', d[0], d[1],
+    ])
+}
+
+/// Year, month (1–12) and day (1–31) of a day count since 1970-01-01 in
+/// the proleptic Gregorian calendar, in O(1): Hinnant's civil-from-days
+/// over 400-year eras whose years start in March, so a January or February
+/// belongs to the civil year after the March-based year that holds it.
+pub fn civil_from_days(days: i32) -> (i64, u32, u32) {
+    let z = days as i64 + 719_468;
+    let era = z.div_euclid(146_097);
+    let doe = z.rem_euclid(146_097);
+    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let day = (doy - (153 * mp + 2) / 5 + 1) as u32;
+    let month = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
+    (era * 400 + yoe + (month <= 2) as i64, month, day)
 }
 
 #[cfg(test)]

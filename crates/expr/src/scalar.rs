@@ -27,7 +27,7 @@ use accordion_common::{AccordionError, Result};
 use accordion_data::column::{Column, Validity};
 use accordion_data::page::DataPage;
 use accordion_data::schema::Schema;
-use accordion_data::types::{DataType, Value};
+use accordion_data::types::{civil_from_days, DataType, Value};
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -556,8 +556,10 @@ impl Expr {
             Expr::ExtractYear(e) => {
                 let c = e.evaluate_as(page, DataType::Date32)?;
                 let days = expect_type(c.as_date32(), "EXTRACT YEAR over non-date", &c)?;
-                Ok(Column::from_i64(days.iter().map(|&d| year_of(d)).collect())
-                    .with_validity(c.validity().cloned()))
+                Ok(
+                    Column::from_i64(days.iter().map(|&d| civil_from_days(d).0).collect())
+                        .with_validity(c.validity().cloned()),
+                )
             }
             Expr::IsNull(e) => {
                 let c = e.evaluate(page)?;
@@ -884,18 +886,6 @@ fn in_list(col: &Column, list: &[Value]) -> Result<Column> {
         col.validity().cloned()
     };
     Ok(Column::from_bool(hits).with_validity(validity))
-}
-
-/// Year of a day count since 1970-01-01 in the proleptic Gregorian calendar
-/// (civil-from-days over 400-year eras; the year starts in March inside an
-/// era, so January and February belong to the next one).
-fn year_of(days: i32) -> i64 {
-    let z = days as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    era * 400 + yoe + (doy >= 306) as i64
 }
 
 /// A `LIKE` pattern compiled once per kernel call: `%` matches any run of
