@@ -38,13 +38,14 @@
 //! through a [`RemoteSplitSource`] proxy on their registry's session to the
 //! coordinator, which looks the id up in its own catalog copy. Every claim,
 //! local or remote, takes the front of the queue. Decision boundaries work
-//! unchanged: a paused queue simply delays its claim replies, wherever the
-//! claimant runs — the claim service answers what it can at once and
-//! parks the rest on short-lived threads, so no claim holds up the pages
-//! sharing its session. Grown tasks always spawn on the coordinator, where
-//! they join its live writer groups (one whose tasks have all ended starts
-//! none) and change nothing on any other node; a shrunk task's next claim
-//! is answered NONE, as on exhaustion, and its scan ends. Which
+//! unchanged: the claim service answers each claim inline, and one at a
+//! paused boundary steps the controller there as a local claimant does, so
+//! it waits at most while another thread is inside one step (before node 0
+//! runs, until node 0 installs the step). Grown tasks always spawn on the
+//! coordinator, where they join its live writer groups (one whose tasks
+//! have all ended starts none) and change nothing on any other node; a
+//! shrunk task's next claim is answered NONE, as on exhaustion, and its
+//! scan ends. Which
 //! side of the service a node is on follows from its [`DistRole`]: node 0
 //! registers its queues in the [`SplitQueues`] it is wired with — a fleet
 //! of one in a service nobody else reaches — and every other node claims
@@ -193,9 +194,9 @@ impl ClaimMsg {
 
 /// The coordinator's split-claim service: the shared [`SplitQueue`]s of its
 /// queries' scanning stages, answering the CLAIM frames of the sessions
-/// opened to its node. A claim that is paused at a decision boundary
-/// simply delays its reply — remote claimants park at the same boundary
-/// local ones do. It serves whatever listener its [`serve`](Self::serve)
+/// opened to its node. A claim at a paused decision boundary steps the
+/// controller before its reply — remote claimants park at the same
+/// boundary local ones do. It serves whatever listener its [`serve`](Self::serve)
 /// handler is given to — the node's one listener, or a [`SplitServer`]'s
 /// own.
 #[derive(Default)]
@@ -218,19 +219,14 @@ impl SplitQueues {
 }
 
 impl Claims for SplitQueues {
-    fn answer(&self, query: u64, stage: u32, slot: u32, wait: bool) -> Result<Option<Frame>> {
+    fn answer(&self, query: u64, stage: u32, slot: u32) -> Result<Frame> {
         let queue = self.0.lock().get(&(query, stage)).cloned().ok_or_else(|| {
             AccordionError::Execution(format!("no split queue for query {query} stage {stage}"))
         })?;
-        let claimed = if wait {
-            Some(queue.claim(slot, None))
-        } else {
-            queue.try_claim(slot)
-        };
-        Ok(claimed.map(|split| match split {
+        Ok(match queue.claim(slot, None) {
             Some(split) => ClaimMsg::Split { id: split.id.0 }.encode(),
             None => ClaimMsg::None.encode(),
-        }))
+        })
     }
 }
 
@@ -443,13 +439,26 @@ mod tests {
     }
 
     #[test]
-    fn a_parked_claim_holds_up_no_other_claim_on_its_session() {
+    fn a_claim_at_a_paused_boundary_steps_and_is_answered_inline() {
+        use accordion_exec::splits::Step;
+
+        /// A controller whose every step moves the boundary a claim on.
+        struct Decides(Arc<SplitQueue>, Mutex<Vec<bool>>);
+        impl Step for Decides {
+            fn step(&self, parked: bool) {
+                self.1.lock().push(parked);
+                self.0.set_pause_after(Some(self.0.claimed() + 1));
+            }
+        }
         // Stage 1 is paused at its decision boundary, stage 2 is not: one
-        // session carries a claim on each, and the second is answered while
-        // the first waits for the boundary to lift.
+        // session carries a claim on each. The first steps the controller
+        // as a parked claimant, on the session's own thread, and both are
+        // answered in turn.
         let server = SplitServer::bind("127.0.0.1:0").unwrap();
         let paused = server.register(5, 1, splits(2));
         paused.set_pause_after(Some(0));
+        let decides = Arc::new(Decides(paused.clone(), Mutex::new(Vec::new())));
+        paused.set_step(Arc::downgrade(&(decides.clone() as Arc<dyn Step>)));
         server.register(5, 2, splits(2));
         let registry = ExchangeRegistry::build(
             &ExchangeTopology::new(5),
@@ -460,17 +469,11 @@ mod tests {
         let source =
             |stage| RemoteSplitSource::on(registry.clone(), server.local_addr(), stage, splits(2));
         let (parked, free) = (source(1), source(2));
-        let waiting = std::thread::spawn(move || parked.claim(0, None, None));
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while paused.parked() == 0 {
-            assert!(std::time::Instant::now() < deadline, "claim never parked");
-            std::thread::yield_now();
-        }
+        assert_eq!(parked.claim(0, None, None).unwrap().id.0, 0);
         assert_eq!(free.claim(0, None, None).unwrap().id.0, 0);
+        assert_eq!(*decides.1.lock(), [true, false], "parked, then reached");
+        assert_eq!(paused.parked(), 0);
         assert_eq!(free.claim(0, None, None).unwrap().id.0, 1);
-        assert!(!waiting.is_finished(), "the boundary still holds");
-        paused.set_pause_after(None);
-        assert_eq!(waiting.join().unwrap().unwrap().id.0, 0);
         server.shutdown();
     }
 

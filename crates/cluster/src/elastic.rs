@@ -8,14 +8,13 @@
 //! 1. **Runtime info collection** — each [`StageControl`] measures its
 //!    stage's scan throughput per *measurement era* and keeps the stage's
 //!    series of paper Fig 18, from one read of the scan meters
-//!    ([`QueryMetrics::scan_totals`]) whenever something wakes the
-//!    controller, never on a timer of its own. The first era starts at the
-//!    stage's first scanned page, not at query start: thread start-up and
-//!    the wait for a compute slot are not scan time, and billing them to
-//!    the scan makes a 25 ms query look three times slower than it is.
-//!    Every retune starts a new era, so the rate always measures the
-//!    *current* task set. A stage's series ends with its scan, and goes to
-//!    the query's stats when the controller exits.
+//!    ([`QueryMetrics::scan_totals`]) at every step, never on a timer of
+//!    its own. The first era starts at the stage's first scanned page, not
+//!    at query start: thread start-up and the wait for a compute slot are
+//!    not scan time, and billing them to the scan makes a 25 ms query look
+//!    three times slower than it is. Every retune starts a new era, so the
+//!    rate always measures the *current* task set. A stage's series ends
+//!    with its scan, and goes to the query's stats when the run ends.
 //! 2. **The what-if predictor** ([`WhatIfPredictor`], §5.2) — estimates the
 //!    remaining completion time under a candidate DOP as
 //!    `T_remain(d) = V_remain / (R_per_task · d)`. `V_remain` is every row
@@ -29,29 +28,23 @@
 //!    merely spends the head start a higher DOP has earned.
 //! 3. **The re-parallelization mechanism** — each stage's scan tasks
 //!    claim splits from a shared [`SplitQueue`], in every mode; under the
-//!    controller its pause threshold makes claims block at the decision
+//!    controller its pause threshold holds claims at the decision
 //!    boundary, so a retune always lands between splits, never mid-split.
 //!    The first boundary is armed when node 0 wires the query, before a
 //!    task on any node can claim.
 //!
-//! ## Nothing here waits for a timer
+//! ## Decided where the boundary is reached
 //!
-//! The controller sleeps on one [`Signal`] per query. The split queues
-//! raise it when a claim reaches the decision boundary, when a claimant
-//! parks there, when the last split is taken and when a slot is retired
-//! (remote claims come through the coordinator's claim service into the
-//! same queues); a scan task raises it once, when it has scanned enough
-//! pages for a usable sample — so the first decision of a query, and the
-//! first after a grow, comes a fraction of a millisecond into the task's
-//! first split rather than at the end of it; the scheduler raises it when
-//! a task exits, which covers stages that end early (LIMIT satisfied) and
-//! tasks unwinding from a poisoned query. Every claimed split is a boundary, and the claim that
-//! reaches it raises the signal while its task goes on to scan the split —
-//! so by the time the next claim arrives the decision has normally been
-//! taken and nobody parks at all. The single timed wait is the tick
-//! ([`SAMPLE_MIN_INTERVAL_NANOS`]): it paces the Fig-18 series and bounds
-//! the damage of an event nobody raised (a poison arriving from a peer,
-//! say).
+//! The controller is no thread: its stages' controls sit behind one mutex with
+//! one entry, [`Step::step`], which the threads that hit a boundary run. The
+//! claim that reaches the decision boundary (every claimed split is one) or
+//! takes the last split steps before it scans; so does the scan page that makes
+//! a task's sample usable, so the first decision comes a fraction of a
+//! millisecond into the task's first split. Both go on if the mutex is held,
+//! leaving a flag its holder reads before it lets go. A claimant parked at a
+//! paused boundary waits for the mutex, counted in [`StageView::parked`]: it
+//! waits only while another thread is inside one closed-form evaluation.
+//! Nothing waits for a timer.
 //!
 //! An `auto` decision wants a **usable sample** — [`MIN_SAMPLE_PAGES`]
 //! pages in the current era — and is postponed to the next event without
@@ -61,7 +54,8 @@
 //! never come; it decides on what it has (which, with nothing measured,
 //! is "carry on"). Every evaluation, acted on or not, is a `DecisionRecord`
 //! in the query's stats: the [`StageView`] the predictor was given and the
-//! [`Evaluation`] it returned, so re-evaluating the view replays it.
+//! [`Evaluation`] it returned, so re-evaluating the view replays it. The
+//! step that sees the query's poison releases every queue instead.
 //!
 //! The era's average is all the predictor has. A scan thread that loses its
 //! core for a few milliseconds early in an era reads as a scan that got
@@ -71,44 +65,42 @@
 //!
 //! ## The EndSignal handshake (Fig 13)
 //!
-//! *Shrinking*: the controller retires task slots on the split queue. A
-//! retired task's next claim is answered like exhaustion — no split, on
-//! any node — so it finishes its current split, then its scan ends and its
-//! task's `ExchangeWriter` leaves its node's writer group in-band: the
-//! claim that returns nothing is the paper's EndSignal, and nothing
-//! downstream tells it from exhaustion. Partial-operator state is safe to
-//! abandon this way
-//! because partial aggregates/top-Ns are reconstructible unions: whatever
-//! the retired task already pushed merges downstream exactly like the
-//! output of a completed task (paper §4.1).
+//! *Shrinking*: the controller retires task slots on the split queue. A retired
+//! task's next claim is answered like exhaustion — no split, on any node — so
+//! it finishes its current split, then its scan ends and its task's
+//! `ExchangeWriter` leaves its node's writer group in-band: the claim that
+//! returns nothing is the paper's EndSignal, and nothing downstream tells it
+//! from exhaustion. Partial-operator state is safe to abandon this way because
+//! partial aggregates/top-Ns are reconstructible unions: whatever the retired
+//! task already pushed merges downstream exactly like the output of a completed
+//! task (paper §4.1).
 //!
-//! *Growing*: the controller spawns the new tasks on the scheduler's
-//! `worker_threads` slot pool, and they drain the same split queue. A new
-//! task's writer joins its node's writer group for the stage's output edge
-//! (see `accordion_net::exchange`); the edge itself does not change. Its
-//! producers are nodes, and hash partitioning is DOP-stable — routing
-//! depends only on the consumer count, which never changes — so no
-//! in-flight page needs repartitioning either. A grow joins only a group
-//! with a live member: once every task of the stage on the controller's
-//! node has ended (the splits ran out, or a LIMIT ended them) the group has
-//! ended, the grow starts nothing, and the stage's DOP does not count it.
-//! [`StageControl`] releases its queue on drop, so no decision can strand a
-//! blocked claimant.
+//! *Growing*: the stepping thread starts the new tasks through the scheduler's
+//! task starter, on its slot pool, and they drain the same split queue. A new
+//! task's writer joins its node's writer group for the stage's output edge (see
+//! `accordion_net::exchange`); the edge itself does not change. Its producers
+//! are nodes, and hash partitioning is DOP-stable — routing depends only on the
+//! consumer count, which never changes — so no in-flight page needs
+//! repartitioning either. A grow joins only a group with a live member: once
+//! every task of the stage on the controller's node has ended (the splits ran
+//! out, or a LIMIT ended them) the group has ended, the grow starts nothing,
+//! and the stage's DOP does not count it.
 //!
 //! [`SplitQueue`]: accordion_exec::splits::SplitQueue
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use accordion_common::config::ElasticityMode;
 use accordion_common::metrics::TimePoint;
-use accordion_common::sync::Signal;
+use accordion_common::sync::Mutex;
 use accordion_common::Result;
 use accordion_exec::metrics::{
     DecisionRecord, EraSample, Evaluation, QueryMetrics, RetuneEvent, ScanTotals, StageSeries,
     StageView, SAMPLE_MIN_INTERVAL_NANOS,
 };
-use accordion_exec::splits::SplitQueue;
+use accordion_exec::splits::{SplitQueue, Step};
 use accordion_net::ExchangeRegistry;
 use accordion_plan::fragment::DopBounds;
 
@@ -266,7 +258,7 @@ pub struct StageControl {
     /// the first era and is not part of it.
     era: Option<(ScanTotals, u64)>,
     /// The stage's era rate over time (paper Fig 18): at most one point per
-    /// tick, plus one per decision.
+    /// [`SAMPLE_MIN_INTERVAL_NANOS`], plus one per decision.
     series: Vec<TimePoint>,
 }
 
@@ -296,7 +288,7 @@ impl StageControl {
         self.active.len() as u32
     }
 
-    /// Detaches the controller from this stage: no claim ever blocks again,
+    /// Detaches the controller from this stage: no claim ever waits again,
     /// and the output edge ends once the remaining tasks finish. Idempotent.
     fn finish(&mut self) {
         self.queue.release();
@@ -304,78 +296,79 @@ impl StageControl {
     }
 }
 
-impl Drop for StageControl {
-    /// Safety net: a controller unwinding for any reason must never leave
-    /// claimants parked at a pause boundary.
-    fn drop(&mut self) {
-        self.queue.release();
-    }
-}
+/// Starts one grown task `(stage, slot)` on the scheduler's pool: `false`
+/// when the stage's writer group has ended and nothing started.
+pub type Spawn = Box<dyn Fn(u32, u32) -> Result<bool> + Send + Sync>;
 
-/// The runtime elasticity controller of one query execution: owns the
-/// elastic stages' split queues and runtime information, and applies DOP
-/// retunes at between-splits decision boundaries.
+/// The runtime elasticity controller of one query execution: its elastic
+/// stages' controls behind one mutex, entered through [`Step::step`] by the
+/// threads that reach a boundary (see the module docs).
 pub struct ElasticityController {
     mode: ElasticityMode,
     /// Also the deadline's anchor: every `Auto` decision budgets against
-    /// the deadline **minus [`QueryMetrics::elapsed`]** — handing the
-    /// predictor the full deadline at every boundary would let a query
-    /// halfway through its budget keep planning as if untouched. (Its clock
-    /// is injectable via `QueryMetrics::with_clock` for deterministic
-    /// tests.)
+    /// the deadline **minus [`QueryMetrics::elapsed`]**, not the whole
+    /// deadline, on a clock tests set (`QueryMetrics::with_clock`).
     metrics: Arc<QueryMetrics>,
-    stages: Vec<StageControl>,
-    /// Where [`Self::run`] sleeps; raised by the stages' split queues and,
-    /// through [`Self::signal`], by the scheduler when a task exits.
-    signal: Arc<Signal>,
+    /// Whose poison ends every decision, and whose writer groups end stages.
+    registry: Arc<ExchangeRegistry>,
+    stages: Mutex<Vec<StageControl>>,
+    /// Set by every event; the holder of `stages` passes again while set.
+    pending: AtomicBool,
+    spawn: Spawn,
 }
 
 impl ElasticityController {
-    /// Builds the controller and has every stage's queue raise its signal.
-    /// Each queue's first decision boundary (one claim in) is armed
-    /// already: node 0 arms it when it wires the query, before a task on
-    /// any node can claim.
+    /// Builds the controller and installs its step on every stage's queue
+    /// and every scan registered from now on. Node 0 armed each queue's first
+    /// boundary (one claim in) when it wired the query.
     pub fn new(
         mode: ElasticityMode,
         metrics: Arc<QueryMetrics>,
+        registry: Arc<ExchangeRegistry>,
         stages: Vec<StageControl>,
-    ) -> Self {
-        let signal = Arc::new(Signal::new());
-        for st in &stages {
-            st.queue.watch(signal.clone());
-        }
-        // A task's first page opens its era and is not part of it.
-        metrics.watch_scans(MIN_SAMPLE_PAGES + 1, signal.clone());
-        ElasticityController {
+        spawn: Spawn,
+    ) -> Arc<Self> {
+        let ctrl = Arc::new(ElasticityController {
             mode,
             metrics,
-            stages,
-            signal,
+            registry,
+            stages: Mutex::new(stages),
+            pending: AtomicBool::new(false),
+            spawn,
+        });
+        let step: Weak<dyn Step> = Arc::downgrade(&ctrl) as Weak<ElasticityController>;
+        for st in ctrl.stages.lock().iter() {
+            st.queue.set_step(step.clone());
+        }
+        // A task's first page opens its era and is not part of it.
+        ctrl.metrics.step_scans_at(MIN_SAMPLE_PAGES + 1, step);
+        ctrl
+    }
+
+    /// The run has ended: each stage's series goes to the stats, and its
+    /// queue is released.
+    pub fn finish(&self) {
+        for st in self.stages.lock().iter_mut() {
+            st.finish();
+            self.metrics.record_series(StageSeries {
+                stage: st.stage,
+                points: std::mem::take(&mut st.series),
+            });
         }
     }
 
-    /// The controller's wake-up signal, for events its split queues cannot
-    /// see: the scheduler raises it whenever one of the query's tasks exits.
-    pub fn signal(&self) -> Arc<Signal> {
-        self.signal.clone()
-    }
-
-    /// Deadline budget still available at this instant: the configured
-    /// deadline minus time elapsed since query start. Saturates at zero —
-    /// an exhausted budget flows into [`WhatIfPredictor::choose_dop`]'s
-    /// unmeetable-deadline path, which takes the maximum DOP in bounds.
+    /// The deadline minus the time since query start, saturating at zero,
+    /// which [`WhatIfPredictor::choose_dop`] meets with the maximum DOP.
     fn remaining_budget(&self, deadline_ms: u64) -> Duration {
         Duration::from_millis(deadline_ms).saturating_sub(self.metrics.elapsed())
     }
 
-    /// Reads stage `i`'s scan meters once and returns them with its
-    /// current era. Adds the era's rate to the stage's series when a point
-    /// is due: its first, a tick after the last, or one a decision
-    /// `force`s.
-    fn sample(&mut self, i: usize, force: bool) -> (ScanTotals, EraSample) {
-        let totals = self.metrics.scan_totals(self.stages[i].stage);
+    /// Reads `st`'s scan meters once and returns them with its current era,
+    /// adding the era's rate to the series when a point is due: its first,
+    /// one [`SAMPLE_MIN_INTERVAL_NANOS`] after the last, or one `force`d.
+    fn sample(&self, st: &mut StageControl, force: bool) -> (ScanTotals, EraSample) {
+        let totals = self.metrics.scan_totals(st.stage);
         let (now, at) = (self.metrics.clock().now_nanos(), self.metrics.elapsed());
-        let st = &mut self.stages[i];
         // The first era begins with the first page, which is itself
         // outside it: it was scanned before the era's clock started.
         if let (None, Some(first)) = (st.era, totals.first_page) {
@@ -393,8 +386,8 @@ impl ElasticityController {
                 pages: totals.pages.saturating_sub(start.pages),
                 secs: now.saturating_sub(nanos) as f64 / 1e9,
             });
-        let tick = Duration::from_nanos(SAMPLE_MIN_INTERVAL_NANOS);
-        let due = |last: &TimePoint| at.saturating_sub(last.at) >= tick;
+        let spacing = Duration::from_nanos(SAMPLE_MIN_INTERVAL_NANOS);
+        let due = |last: &TimePoint| at.saturating_sub(last.at) >= spacing;
         if force || st.series.last().is_none_or(due) {
             st.series.push(TimePoint {
                 at,
@@ -404,81 +397,45 @@ impl ElasticityController {
         (totals, sample)
     }
 
-    /// Starts a new measurement era for stage `i`, so later rates measure
-    /// its new task set only.
-    fn restart_era(&mut self, i: usize) {
-        let totals = self.metrics.scan_totals(self.stages[i].stage);
-        self.stages[i].era = Some((totals, self.metrics.clock().now_nanos()));
+    /// Starts a new measurement era for `st`, so later rates measure its
+    /// new task set only.
+    fn restart_era(&self, st: &mut StageControl) {
+        let totals = self.metrics.scan_totals(st.stage);
+        st.era = Some((totals, self.metrics.clock().now_nanos()));
     }
 
-    /// Runs the control loop until every elastic stage's split queue is
-    /// exhausted (or the registry is poisoned). One pass, over each stage
-    /// still running: sample its runtime info (at most one point per
-    /// tick), retire it if it is finished, and if its decision is due
-    /// consult the schedule or the what-if predictor and apply the retune.
-    /// Then sleep until the next event — a claim at a boundary, a parked
-    /// claimant, the last split, a retirement, a task exit — or the tick,
-    /// whichever is first. On the way out every stage's series goes to the
-    /// query's stats. `spawn` starts one new task `(stage, slot)` on the
-    /// scheduler's pool, whose writer joins the stage's live group; `false`
-    /// when the group has ended and nothing started.
-    pub fn run(
-        mut self,
-        registry: &ExchangeRegistry,
-        spawn: &mut dyn FnMut(u32, u32) -> Result<bool>,
-    ) {
-        'control: loop {
-            if registry.poison_error().is_some() {
+    /// One look at every stage still running: finish it once its splits or
+    /// its tasks (a LIMIT met mid-scan) have run out, take its decision if
+    /// one is due, and sample it otherwise. A poisoned query decides nothing.
+    fn pass(&self, stages: &mut [StageControl]) {
+        let poisoned = || self.registry.poison_error().is_some();
+        for st in stages.iter_mut().filter(|st| !st.done) {
+            if poisoned() {
                 break;
             }
-            self.metrics.record_controller_wakeup();
-            let mut pending = false;
-            for i in 0..self.stages.len() {
-                if self.stages[i].done {
-                    continue;
-                }
-                self.sample(i, false);
-                // A stage is complete when its split queue is exhausted —
-                // or when every task already finished (e.g. each task's
-                // local LIMIT was satisfied mid-scan and the task exited):
-                // every node's writer group has ended, so nothing will ever
-                // claim the leftover splits.
-                let tasks_done = registry
-                    .producers_remaining(self.stages[i].stage)
-                    .map(|nodes| nodes == 0)
-                    .unwrap_or(true);
-                if self.stages[i].queue.remaining_splits() == 0 || tasks_done {
-                    self.stages[i].finish();
-                    continue;
-                }
-                pending = true;
-                if self.stages[i].queue.decision_due() {
-                    if let Err(e) = self.decide(i, spawn) {
-                        registry.poison(e);
-                        break 'control;
-                    }
-                }
+            let tasks_done = (self.registry.producers_remaining(st.stage)).map_or(true, |n| n == 0);
+            if st.queue.remaining_splits() == 0 || tasks_done {
+                self.sample(st, false);
+                st.finish();
+            } else if !st.queue.decision_due() {
+                self.sample(st, false);
+            } else if let Err(e) = self.decide(st) {
+                self.registry.poison(e);
             }
-            if !pending {
-                break;
-            }
-            self.signal
-                .wait_timeout(Duration::from_nanos(SAMPLE_MIN_INTERVAL_NANOS));
         }
-        for st in &mut self.stages {
-            st.finish();
-            self.metrics.record_series(StageSeries {
-                stage: st.stage,
-                points: std::mem::take(&mut st.series),
-            });
+        if poisoned() {
+            stages.iter_mut().for_each(StageControl::finish);
         }
     }
 
-    /// One `Auto` evaluation of stage `i`, recorded whatever comes of it.
-    fn evaluate(&mut self, i: usize, deadline_ms: u64) -> Evaluation {
-        // Fresh, and a point of the series whatever the tick says.
-        let (totals, sample) = self.sample(i, true);
-        let st = &self.stages[i];
+    /// One `Auto` evaluation of `st`, recorded whatever comes of it.
+    fn evaluate(
+        &self,
+        st: &StageControl,
+        deadline_ms: u64,
+        sampled: (ScanTotals, EraSample),
+    ) -> Evaluation {
+        let (totals, sample) = sampled;
         let view = StageView {
             dop: st.dop(),
             bounds: st.bounds,
@@ -504,12 +461,11 @@ impl ElasticityController {
         eval
     }
 
-    /// One decision for stage `i`, whose boundary has been reached.
-    fn decide(&mut self, i: usize, spawn: &mut dyn FnMut(u32, u32) -> Result<bool>) -> Result<()> {
-        let (bounds, dop) = {
-            let st = &self.stages[i];
-            (st.bounds, st.dop())
-        };
+    /// One decision for `st`, whose boundary has been reached.
+    fn decide(&self, st: &mut StageControl) -> Result<()> {
+        // Fresh, and a point of the series whatever its spacing.
+        let sampled = self.sample(st, true);
+        let (bounds, dop) = (st.bounds, st.dop());
         let (target, predicted_secs) = match self.mode {
             ElasticityMode::Off => return Ok(()),
             ElasticityMode::Forced { target_dop } => (bounds.clamp(target_dop), 0.0),
@@ -524,58 +480,46 @@ impl ElasticityController {
                 (bounds.clamp(next), 0.0)
             }
             ElasticityMode::Auto { deadline_ms } => {
-                let eval = self.evaluate(i, deadline_ms);
+                let eval = self.evaluate(st, deadline_ms, sampled);
                 if eval.postponed {
                     // The boundary stays where it is: whoever claims next
-                    // parks at it and raises the signal, and then the
-                    // decision is taken on whatever has been measured.
+                    // parks at it and steps, and then the decision is taken
+                    // on whatever has been measured.
                     return Ok(());
                 }
                 (eval.chosen_dop, eval.predicted_secs)
             }
         };
 
-        self.apply_retune(i, spawn, target, predicted_secs)?;
+        self.apply_retune(st, target, predicted_secs)?;
 
         // Arm the next boundary — or, for one-shot forced schedules, go
-        // passive: release the queue so claims never block again.
+        // passive: release the queue so claims never wait again.
         match self.mode {
-            // Every claimed split is a boundary. That costs one wake-up of
-            // this thread per split and, as a rule, no waiting: the claim
-            // that reaches the boundary raises the signal and goes off to
-            // scan, and the boundary has moved on before the next claim.
+            // Every claimed split is a boundary. That costs one step per
+            // split and, as a rule, no waiting: the claim that reaches the
+            // boundary steps before it scans, and the boundary has moved on
+            // before the next claim.
             ElasticityMode::Auto { .. } | ElasticityMode::Cycle { .. } => {
-                let claimed = self.stages[i].queue.claimed();
-                self.stages[i].queue.set_pause_after(Some(claimed + 1));
+                st.queue.set_pause_after(Some(st.queue.claimed() + 1));
             }
-            // One-shot forced schedules go passive after their decision.
-            _ => self.stages[i].queue.release(),
+            _ => st.queue.release(),
         }
         Ok(())
     }
 
-    /// Applies a DOP change for stage `i` and — inseparably — records the
-    /// retune event and starts the stage's next measurement era. This is
-    /// the *only* code path that changes a stage's task set, so a new era
+    /// Applies a DOP change for `st` and — inseparably — records the retune
+    /// event and starts the stage's next measurement era. This is the
+    /// *only* code path that changes a stage's task set, so a new era
     /// begins on every DOP change: the next decision must not divide a rate
     /// observed at the old DOP by the new one (mixing eras skews the
     /// per-task rate by up to the grow/shrink ratio).
-    fn apply_retune(
-        &mut self,
-        i: usize,
-        spawn: &mut dyn FnMut(u32, u32) -> Result<bool>,
-        target: u32,
-        predicted_secs: f64,
-    ) -> Result<()> {
-        let (stage, dop) = {
-            let st = &self.stages[i];
-            (st.stage, st.dop())
-        };
+    fn apply_retune(&self, st: &mut StageControl, target: u32, predicted_secs: f64) -> Result<()> {
+        let dop = st.dop();
         if target == dop {
             return Ok(());
         }
-        // Before the first thread is spawned: `first_page_ms` counts from
-        // here.
+        // Before the first task starts: `first_page_ms` counts from here.
         let at_ms = self.metrics.elapsed().as_secs_f64() * 1e3;
         let mut spawned = Vec::new();
         if target > dop {
@@ -583,33 +527,32 @@ impl ElasticityController {
             // the edge does not change. Once the group has ended no grow
             // can start, and the DOP counts only the ones that did.
             for _ in 0..(target - dop) {
-                let slot = self.stages[i].next_slot;
-                if !spawn(stage, slot)? {
+                if !(self.spawn)(st.stage, st.next_slot)? {
                     break;
                 }
-                self.stages[i].next_slot += 1;
-                self.stages[i].active.push(slot);
-                spawned.push(slot);
+                st.active.push(st.next_slot);
+                spawned.push(st.next_slot);
+                st.next_slot += 1;
             }
         } else {
             // Shrink: retire the most recently added slots; each retired
             // task's scan ends at its next claim.
             for _ in 0..(dop - target) {
-                if let Some(slot) = self.stages[i].active.pop() {
-                    self.stages[i].queue.retire(slot);
+                if let Some(slot) = st.active.pop() {
+                    st.queue.retire(slot);
                 }
             }
         }
-        let to_dop = self.stages[i].dop();
+        let to_dop = st.dop();
         if to_dop == dop {
             return Ok(());
         }
         self.metrics.record_retune(
             RetuneEvent {
-                stage,
+                stage: st.stage,
                 from_dop: dop,
                 to_dop,
-                splits_claimed: self.stages[i].queue.claimed(),
+                splits_claimed: st.queue.claimed(),
                 predicted_secs,
                 at_ms,
                 // Known once a spawned task has scanned a page: the
@@ -618,8 +561,31 @@ impl ElasticityController {
             },
             spawned,
         );
-        self.restart_era(i);
+        self.restart_era(st);
         Ok(())
+    }
+}
+
+impl Step for ElasticityController {
+    /// One pass over the stages, and another for every event that arrived
+    /// meanwhile. A caller that is not `parked` goes on if another thread
+    /// holds the mutex, leaving its event pending for that thread, which
+    /// reads the flag again once it has let go: no event is lost.
+    fn step(&self, parked: bool) {
+        self.pending.store(true, Ordering::SeqCst);
+        let try_lock = || self.stages.try_lock();
+        let mut held = if parked {
+            Some(self.stages.lock())
+        } else {
+            try_lock()
+        };
+        while let Some(mut stages) = held {
+            while self.pending.swap(false, Ordering::SeqCst) {
+                self.pass(&mut stages);
+            }
+            drop(stages);
+            held = self.pending.load(Ordering::SeqCst).then(try_lock).flatten();
+        }
     }
 }
 
@@ -723,8 +689,7 @@ mod tests {
         // decision against the deadline MINUS elapsed query time. With the
         // full-deadline bug, both decisions below were identical.
         let clock = ManualClock::shared();
-        let metrics = Arc::new(QueryMetrics::with_clock(clock.clone()));
-        let ctrl = ElasticityController::new(ElasticityMode::auto(10_000), metrics, Vec::new());
+        let (_, _, _, ctrl) = controlled(ElasticityMode::auto(10_000), Vec::new(), clock.clone());
 
         // 1000 rows left, 100 rows/s measured at 2 tasks → 50 rows/s/task.
         let decide =
@@ -891,7 +856,8 @@ mod tests {
     }
 
     /// A one-stage registry and a controller over `splits` for stage 1,
-    /// whose metrics run on `clock`.
+    /// whose metrics run on `clock` and whose grows start nothing. A task's
+    /// writer keeps the stage's group live, as a running task does.
     fn controlled(
         config: ElasticityMode,
         splits: Vec<accordion_storage::split::Split>,
@@ -900,18 +866,53 @@ mod tests {
         Arc<ExchangeRegistry>,
         Arc<QueryMetrics>,
         Arc<SplitQueue>,
-        ElasticityController,
+        Arc<ElasticityController>,
+    ) {
+        controlled_with(config, splits, clock, Box::new(|_, _| Ok(false)))
+    }
+
+    fn controlled_with(
+        config: ElasticityMode,
+        splits: Vec<accordion_storage::split::Split>,
+        clock: accordion_common::SharedClock,
+        spawn: Spawn,
+    ) -> (
+        Arc<ExchangeRegistry>,
+        Arc<QueryMetrics>,
+        Arc<SplitQueue>,
+        Arc<ElasticityController>,
     ) {
         use accordion_net::{EdgeSpec, ExchangeTopology, RoutePolicy};
 
         let topology = ExchangeTopology::new(0).edge(EdgeSpec::local(1, 1, RoutePolicy::Single, 1));
         let registry = ExchangeRegistry::build_in_process(&topology).unwrap();
+        std::mem::forget(registry.writer(1, 0, None).unwrap());
         let metrics = Arc::new(QueryMetrics::with_clock(clock));
         let queue = Arc::new(SplitQueue::new(splits));
         queue.set_pause_after(Some(1)); // as `QueryExecutor::wire` arms it
         let stage = StageControl::new(1, bounds(1, 8), 1, 2, queue.clone());
-        let ctrl = ElasticityController::new(config, metrics.clone(), vec![stage]);
+        let ctrl = ElasticityController::new(
+            config,
+            metrics.clone(),
+            registry.clone(),
+            vec![stage],
+            spawn,
+        );
         (registry, metrics, queue, ctrl)
+    }
+
+    impl ElasticityController {
+        fn sample_at(&self, i: usize, force: bool) -> (ScanTotals, EraSample) {
+            self.sample(&mut self.stages.lock()[i], force)
+        }
+
+        fn restart_era_at(&self, i: usize) {
+            self.restart_era(&mut self.stages.lock()[i]);
+        }
+
+        fn series_len(&self, i: usize) -> usize {
+            self.stages.lock()[i].series.len()
+        }
     }
 
     fn split(id: u64, rows: i64) -> accordion_storage::split::Split {
@@ -930,139 +931,138 @@ mod tests {
 
     #[test]
     fn v_remain_includes_a_split_that_is_claimed_but_not_scanned() {
-        let (_registry, metrics, queue, mut ctrl) = controlled(
+        let (_registry, metrics, queue, ctrl) = controlled(
             ElasticityMode::auto(1_000),
-            vec![split(0, 10), split(1, 10)],
+            vec![split(0, 10), split(1, 10), split(2, 10)],
             ManualClock::shared(),
         );
         let scan = metrics.register(1, 0, 0, "TableScan");
-        assert!(queue.claim(0, None).is_some());
-        assert_eq!(queue.remaining_splits(), 1, "one split left to claim");
-        let unscanned = |ctrl: &mut ElasticityController| {
-            ctrl.evaluate(0, 1_000);
+        let unscanned = || {
             let decisions = metrics.snapshot(ExchangeStats::default()).decisions;
             decisions.last().unwrap().view.unscanned_rows
         };
-        assert_eq!(unscanned(&mut ctrl), 20, "what is left to do");
+        // The claim that reaches the boundary steps: nothing scanned yet,
+        // so the decision waits, and records what is left to do.
+        assert!(queue.claim(0, None).is_some());
+        assert_eq!(queue.remaining_splits(), 2, "two splits left to claim");
+        assert_eq!(unscanned(), 30, "what is left to do");
         scan.record_page(4, 32);
-        assert_eq!(unscanned(&mut ctrl), 16);
+        ctrl.step(false);
+        assert_eq!(unscanned(), 26);
     }
 
     #[test]
     fn a_grow_that_starts_nothing_is_not_counted() {
-        // Forced-grow doubles 2 to 4, but the stage's writer group ends
-        // after the first grown task joined it: the second grow starts
-        // nothing, so the DOP, the retune and the next view count 3. A
-        // decision whose grows all start nothing records no retune.
-        let (_registry, metrics, _queue, mut ctrl) = controlled(
-            ElasticityMode::ForcedGrow,
-            vec![split(0, 1)],
-            ManualClock::shared(),
-        );
-        ctrl.stages[0].active.push(1);
-        ctrl.stages[0].next_slot = 2;
-        let mut started = Vec::new();
-        let mut spawn = |_, slot| {
-            started.push(slot);
-            Ok(started.len() == 1)
+        // A cycle to 4 from 2, but the stage's writer group ends after the
+        // first grown task joined it: the second grow starts nothing, so
+        // the DOP, the retune and the next view count 3. At the next
+        // boundary the same grow is tried again, starts nothing, and
+        // records no retune.
+        let started = Arc::new(Mutex::new(Vec::new()));
+        let spawn: Spawn = {
+            let started = started.clone();
+            Box::new(move |_, slot| {
+                let mut started = started.lock();
+                started.push(slot);
+                Ok(started.len() == 1)
+            })
         };
-        ctrl.decide(0, &mut spawn).unwrap();
-        assert_eq!(started, vec![2, 3], "the second grow was tried");
-        assert_eq!(ctrl.stages[0].active, vec![0, 1, 2]);
-        assert_eq!(ctrl.stages[0].next_slot, 3, "slot 3 is still free");
+        let (_registry, metrics, queue, ctrl) = controlled_with(
+            ElasticityMode::cycle(4, 1),
+            vec![split(0, 1), split(1, 1), split(2, 1)],
+            ManualClock::shared(),
+            spawn,
+        );
+        {
+            let mut stages = ctrl.stages.lock();
+            stages[0].active.push(1);
+            stages[0].next_slot = 2;
+        }
+        assert!(queue.claim(0, None).is_some(), "reaches the boundary");
+        assert_eq!(*started.lock(), vec![2, 3], "the second grow was tried");
+        {
+            let stages = ctrl.stages.lock();
+            assert_eq!(stages[0].active, vec![0, 1, 2]);
+            assert_eq!(stages[0].next_slot, 3, "slot 3 is still free");
+        }
         let retunes = metrics.snapshot(ExchangeStats::default()).retunes;
         assert_eq!((retunes[0].from_dop, retunes[0].to_dop), (2, 3));
-        ctrl.decide(0, &mut |_, _| Ok(false)).unwrap();
-        assert_eq!(ctrl.stages[0].dop(), 3);
+        assert!(queue.claim(0, None).is_some(), "the next boundary");
+        assert_eq!(*started.lock(), vec![2, 3, 3]);
+        assert_eq!(ctrl.stages.lock()[0].dop(), 3);
         assert_eq!(metrics.snapshot(ExchangeStats::default()).retunes.len(), 1);
     }
 
     #[test]
-    fn a_poison_nobody_signals_ends_the_controller_within_a_tick() {
+    fn a_claimant_parked_at_a_boundary_of_a_poisoned_query_returns() {
         use std::sync::mpsc;
 
-        // `Off` makes no decision, so the claimant below stays parked and,
-        // once it has, nothing raises the signal again — the state of a
-        // query whose only scan task waits at the boundary while the
-        // failure happens somewhere that cannot wake the controller.
-        let (registry, _metrics, queue, ctrl) = controlled(
-            ElasticityMode::off(),
+        // `Auto` without a sample holds the boundary the first claim
+        // reached, and the failure happens somewhere that never steps.
+        let (registry, metrics, queue, _ctrl) = controlled(
+            ElasticityMode::auto(100_000),
             vec![split(0, 1), split(1, 1), split(2, 1)],
             ManualClock::shared(),
         );
-        let signal = ctrl.signal();
-        // A producer that never finishes keeps the stage pending.
-        let _task_writer = registry.writer(1, 0, None).unwrap();
+        assert!(queue.claim(0, None).is_some());
+        assert!(queue.decision_due(), "postponed: the boundary holds");
+        registry.poison(accordion_common::AccordionError::Execution("boom".into()));
+        let (done, claimed) = mpsc::channel();
         let claimant = {
             let queue = queue.clone();
-            std::thread::spawn(move || {
-                assert!(queue.claim(0, None).is_some());
-                queue.claim(0, None)
-            })
-        };
-        while queue.parked() == 0 {
-            signal.wait_timeout(Duration::from_secs(30));
-        }
-        let (done, finished) = mpsc::channel();
-        let controller = {
-            let registry = registry.clone();
-            std::thread::spawn(move || {
-                ctrl.run(&registry, &mut |_, _| Ok(true));
-                done.send(()).unwrap();
-            })
+            std::thread::spawn(move || done.send(queue.claim(0, None).is_some()).unwrap())
         };
         assert!(
-            finished.recv_timeout(Duration::from_millis(100)).is_err(),
-            "nothing is wrong yet: the controller waits"
+            claimed
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the parked claimant's own step saw the poison"),
+            "released, it claims"
         );
-        registry.poison(accordion_common::AccordionError::Execution("boom".into()));
-        finished
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the tick must have shown the controller the poison");
-        controller.join().unwrap();
-        // Leaving, it released the queue: the claimant is not stranded.
-        assert!(claimant.join().unwrap().is_some());
+        claimant.join().unwrap();
+        assert!(!queue.decision_due(), "no claim waits again");
+        let decisions = metrics.snapshot(ExchangeStats::default()).decisions;
+        assert_eq!(decisions.len(), 1, "nothing decided after the poison");
     }
 
     #[test]
     fn the_controller_samples_the_live_scan_rate() {
         let clock = ManualClock::shared();
-        let (registry, metrics, _, mut ctrl) =
+        let (_registry, metrics, _, ctrl) =
             controlled(ElasticityMode::off(), vec![split(0, 1)], clock.clone());
         let m = metrics.register(1, 0, 0, "TableScan");
-        let last_rate = |ctrl: &ElasticityController| ctrl.stages[0].series.last().unwrap().value;
+        let last_rate =
+            |ctrl: &ElasticityController| ctrl.stages.lock()[0].series.last().unwrap().value;
 
         // The first page opens the first era and is not part of it. Then
         // 100 rows over the first second: era rate 100 rows/s.
         m.record_page(7, 56);
         m.record_page(100, 800);
         clock.advance_millis(1000);
-        ctrl.sample(0, false);
+        ctrl.sample_at(0, false);
         assert!((last_rate(&ctrl) - 100.0).abs() < 1e-9);
 
         // Sampling again without time passing is throttled: no new point.
-        ctrl.sample(0, false);
-        assert_eq!(ctrl.stages[0].series.len(), 1);
+        ctrl.sample_at(0, false);
+        assert_eq!(ctrl.series_len(0), 1);
 
         // 100 more rows over another second: 100 rows/s over the era.
         m.record_page(100, 800);
         clock.advance_millis(1000);
-        ctrl.sample(0, false);
+        ctrl.sample_at(0, false);
         assert!((last_rate(&ctrl) - 100.0).abs() < 1e-9);
 
         // A retune starts a new measurement era: only rows since count,
         // so the rate reflects the new task set instead of a stale average.
-        ctrl.restart_era(0);
+        ctrl.restart_era_at(0);
         m.record_page(50, 400);
         clock.advance_millis(1000);
-        let (_, fresh) = ctrl.sample(0, true);
+        let (_, fresh) = ctrl.sample_at(0, true);
         assert!((fresh.rate() - 50.0).abs() < 1e-9, "era rate was {fresh:?}");
         assert_eq!((fresh.rows, fresh.pages), (50, 1));
 
-        // However it exits, the controller hands the series over, counted
+        // When the run ends the controller hands the series over, counted
         // from query start.
-        registry.poison(accordion_common::AccordionError::Execution("boom".into()));
-        ctrl.run(&registry, &mut |_, _| Ok(true));
+        ctrl.finish();
         let stats = metrics.snapshot(ExchangeStats::default());
         let series = stats.series_for(1).expect("series recorded");
         let at: Vec<u128> = series.points.iter().map(|p| p.at.as_millis()).collect();
@@ -1072,12 +1072,12 @@ mod tests {
     #[test]
     fn the_first_era_starts_at_the_first_page_not_at_query_start() {
         let clock = ManualClock::shared();
-        let (_registry, metrics, _, mut ctrl) =
+        let (_registry, metrics, _, ctrl) =
             controlled(ElasticityMode::off(), vec![split(0, 1)], clock.clone());
         // 5 ms pass before the scan task runs at all: nothing to sample.
         clock.advance_millis(5);
         let m = metrics.register(1, 0, 0, "TableScan");
-        assert_eq!(ctrl.sample(0, true).1, EraSample::default());
+        assert_eq!(ctrl.sample_at(0, true).1, EraSample::default());
         // It scans 1000 rows a millisecond. Billing the gap to the scan
         // would read 6000 rows / 10 ms = 600k rows/s instead of a million.
         m.record_page(1000, 8000);
@@ -1085,7 +1085,7 @@ mod tests {
             clock.advance_millis(1);
             m.record_page(1000, 8000);
         }
-        let (totals, sample) = ctrl.sample(0, true);
+        let (totals, sample) = ctrl.sample_at(0, true);
         assert_eq!((sample.rows, sample.pages), (5000, 5));
         assert!((sample.rate() - 1e6).abs() < 1e-3, "rate {}", sample.rate());
         assert_eq!(totals.rows, 6000, "progress counts them all");
@@ -1099,7 +1099,7 @@ mod tests {
         // staircase into drifting blends (e.g. era 2 would read 55, era 3
         // would read 170) and the predictor would mis-size every retune.
         let clock = ManualClock::shared();
-        let (_registry, metrics, _, mut ctrl) =
+        let (_registry, metrics, _, ctrl) =
             controlled(ElasticityMode::off(), vec![split(0, 1)], clock.clone());
         let m = metrics.register(1, 0, 0, "TableScan");
 
@@ -1108,63 +1108,59 @@ mod tests {
         for (rows, want) in eras {
             m.record_page(rows, 8 * rows);
             clock.advance_millis(1000);
-            let got = ctrl.sample(0, true).1.rate();
+            let got = ctrl.sample_at(0, true).1.rate();
             assert!(
                 (got - want).abs() < 1e-9,
                 "era rate {got} rows/s, wanted {want}"
             );
             // What the controller's retune path does: a new task set
             // starts a fresh measurement era.
-            ctrl.restart_era(0);
+            ctrl.restart_era_at(0);
         }
 
         // Immediately after a restart, nothing has flowed in the new era.
-        assert_eq!(ctrl.sample(0, true).1.rate(), 0.0);
+        assert_eq!(ctrl.sample_at(0, true).1.rate(), 0.0);
     }
 
     #[test]
     fn a_finished_stage_adds_no_points_to_its_series() {
         use accordion_net::{EdgeSpec, ExchangeTopology, RoutePolicy};
 
-        // Stage 1 has nothing to scan and finishes on the first pass;
-        // stage 2 is held pending by a producer that never finishes, so
-        // the controller goes on ticking until it is poisoned.
+        // Stage 1 has nothing to scan and finishes at the first step;
+        // stage 2 is held running by a producer that never finishes, so
+        // every later step samples it.
         let topology = ExchangeTopology::new(0)
             .edge(EdgeSpec::local(1, 1, RoutePolicy::Single, 1))
             .edge(EdgeSpec::local(2, 1, RoutePolicy::Single, 1));
         let registry = ExchangeRegistry::build_in_process(&topology).unwrap();
-        let metrics = Arc::new(QueryMetrics::new());
+        let clock = ManualClock::shared();
+        let metrics = Arc::new(QueryMetrics::with_clock(clock.clone()));
         let stage = |id: u32, splits| {
             let queue = SplitQueue::new(splits);
             queue.set_pause_after(Some(1));
             StageControl::new(id, bounds(1, 8), 1, 2, Arc::new(queue))
         };
         let stages = vec![stage(1, Vec::new()), stage(2, vec![split(0, 1)])];
-        let ctrl = ElasticityController::new(ElasticityMode::off(), metrics.clone(), stages);
+        let ctrl = ElasticityController::new(
+            ElasticityMode::auto(100_000),
+            metrics.clone(),
+            registry.clone(),
+            stages,
+            Box::new(|_, _| Ok(false)),
+        );
         let _task_writer = registry.writer(2, 0, None).unwrap();
-        let controller = {
-            let registry = registry.clone();
-            std::thread::spawn(move || ctrl.run(&registry, &mut |_, _| Ok(true)))
-        };
-        // Nothing raises the signal, so passes come a tick apart: seven
-        // are 60 ms of sampling.
-        while metrics
-            .snapshot(ExchangeStats::default())
-            .controller_wakeups
-            < 7
-        {
-            std::thread::sleep(Duration::from_millis(1));
+        // Seven steps 10 ms apart: seven points are due on stage 2's
+        // series, and none after its first on stage 1's.
+        for _ in 0..7 {
+            ctrl.step(false);
+            clock.advance_millis(10);
         }
-        registry.poison(accordion_common::AccordionError::Execution("boom".into()));
-        controller.join().unwrap();
+        ctrl.finish();
         let stats = metrics.snapshot(ExchangeStats::default());
         let points = |stage| stats.series_for(stage).unwrap().points.len();
         let (finished, running) = (points(1), points(2));
         assert!(finished <= 1, "a finished stage kept sampling: {finished}");
-        assert!(
-            running >= 3,
-            "a running stage is sampled every tick: {running}"
-        );
+        assert_eq!(running, 7, "a running stage is sampled at every step");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! |---|---|---|
 //! | admission gate | passes it | — (node 0 answers for the query) |
 //! | split pools | registers the [`SplitQueue`]s in its [`SplitQueues`] | claims at `peers[0]` through a [`RemoteSplitSource`] |
-//! | elasticity controller | arms its boundaries when wired, runs it, spawns grown tasks | — |
+//! | elasticity controller | arms its boundaries when wired, installs the controller's step, starts grown tasks | — |
 //! | stage 0's result | drains it into the result's pages | none: a result of stats alone, or the query's poison |
 //!
 //! ## The worker pool
@@ -35,19 +35,23 @@
 //! capacity-1 buffer hands its slot to the consumer that will drain it.
 //! This is what makes the pool deadlock-free for any combination of
 //! `worker_threads ≥ 1` and buffer capacity, including one page. Tasks the
-//! elasticity controller spawns mid-query join the same pool: a grown
+//! elasticity controller grows mid-query join the same pool: a grown
 //! stage competes for the same compute slots, it does not add any. The
 //! pool belongs to the executor, not the query:
 //! everything a process runs, whole queries or one node's share of them,
 //! draws on it. Concurrent queries meet only there and at the admission
 //! gate.
 //!
+//! Every task, planned or grown, starts through the run's one `Arc`-owned
+//! task starter, on a thread whose handle goes on one list; the run drains
+//! the result, then joins handles until the list is empty.
+//!
 //! ## Runtime elasticity
 //!
 //! Every stage that scans a table scans through its one [`SplitQueue`], in
 //! every mode: its tasks claim splits one at a time, so its DOP can change
 //! between any two claims. When `ExecOptions::elasticity` enables the
-//! controller, an [`ElasticityController`] thread retunes the DOP of every
+//! controller, an [`ElasticityController`] retunes the DOP of every
 //! elastic-eligible Source stage (see
 //! `accordion_plan::fragment::PlanFragment::elastic_bounds`: its child
 //! exchanges, if any, all feed join builds) between splits, starting each
@@ -55,11 +59,9 @@
 //! for the mechanism and the EndSignal handshake. Node 0
 //! arms each such stage's first decision boundary when it is wired, so the
 //! boundary holds before any task runs on any node: a worker whose share
-//! starts first claims no further than node 0's own tasks could. A node 0
+//! starts first claims no further than node 0's own tasks could, and waits
+//! there until node 0 runs and installs the controller's step. A node 0
 //! dropped unrun releases its queues.
-//! That thread sleeps until something happens: the split queues wake it at
-//! their decision boundaries, and every task of the query wakes it when it
-//! exits.
 //!
 //! ## Error propagation
 //!
@@ -67,11 +69,10 @@
 //! registered exchange — on this node and, through its sessions, on
 //! every other: all sibling tasks unwind with the original error
 //! the next time they touch an endpoint, the coordinator's result drain
-//! fails fast, and every node's run returns that first error. The
-//! controller observes the poison — woken by the first task that unwinds,
-//! or within one tick if the only claimant is parked and nothing else
-//! runs — releases its split queues and exits: no claimant stays parked
-//! at a decision boundary.
+//! fails fast, and every node's run returns that first error. The next
+//! step of the controller sees the poison and releases its split queues,
+//! and a claimant at a decision boundary steps before it waits: no
+//! claimant stays parked there.
 //!
 //! [`SplitQueue`]: accordion_exec::splits::SplitQueue
 //! [`ElasticityController`]: crate::elastic::ElasticityController
@@ -81,8 +82,9 @@ use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
-use accordion_common::sync::{Mutex, Semaphore, Signal};
+use accordion_common::sync::{Mutex, Semaphore};
 use accordion_common::{AccordionError, Result};
 use accordion_exec::driver::{run_task, JoinBuilds, TaskContext};
 use accordion_exec::executor::{drain_result, ExecOptions, QueryResult};
@@ -102,6 +104,81 @@ use crate::elastic::{ElasticityController, StageControl};
 /// One task, assembled before its thread spawns: its stage's pipelines
 /// and its context.
 type Task = (Arc<Vec<PipelineSpec>>, TaskContext);
+
+/// A stage's pipelines, split source (if it scans) and the child stages it
+/// streams from (those that feed no join build).
+type StageTasks = (
+    Arc<Vec<PipelineSpec>>,
+    Option<Arc<dyn SplitSource>>,
+    Vec<u32>,
+);
+
+/// The run's task starter, the one way a task starts (see the module docs).
+struct Tasks {
+    registry: Arc<ExchangeRegistry>,
+    gate: Arc<Semaphore>,
+    builds: Arc<JoinBuilds>,
+    metrics: Arc<QueryMetrics>,
+    page_rows: usize,
+    stages: HashMap<u32, StageTasks>,
+    handles: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Tasks {
+    /// Task `slot` of `stage`, with a writer in this node's group: `None`
+    /// once the group has ended (a grow after every task here ended).
+    fn task(&self, stage: u32, slot: u32) -> Result<Option<Task>> {
+        let missing = || AccordionError::Internal(format!("the query has no stage {stage}"));
+        let (pipelines, source, streams) = self.stages.get(&stage).ok_or_else(missing)?;
+        let gate = || Some(self.gate.clone());
+        let Some(output) = self.registry.try_writer(stage, gate())? else {
+            return Ok(None);
+        };
+        let mut inputs = HashMap::new();
+        for &child in streams {
+            inputs.insert(child, self.registry.reader(child, slot, gate())?);
+        }
+        let feed = (source.clone()).map(|source| SplitFeed::from_source(source, slot, gate()));
+        let (builds, metrics) = (self.builds.clone(), self.metrics.clone());
+        let ctx = TaskContext::new(
+            stage,
+            slot,
+            self.page_rows,
+            inputs,
+            output,
+            feed,
+            builds,
+            metrics,
+        );
+        Ok(Some((pipelines.clone(), ctx)))
+    }
+
+    /// Runs `task` on a thread of its own, whose handle goes on `handles`.
+    /// A task that fails, panics or cannot start poisons the query.
+    fn start(self: &Arc<Self>, (pipelines, mut ctx): Task, handles: &mut Vec<JoinHandle<()>>) {
+        let tasks = self.clone();
+        let run = move || {
+            tasks.gate.acquire();
+            let outcome = catch_unwind(AssertUnwindSafe(|| run_task(&pipelines, &mut ctx)));
+            tasks.gate.release();
+            if let Err(e) = outcome.unwrap_or_else(|p| Err(panicked(&p))) {
+                tasks.registry.poison(e);
+            }
+        };
+        match std::thread::Builder::new().spawn(run) {
+            Ok(handle) => handles.push(handle),
+            Err(e) => self.registry.poison(e.into()),
+        }
+    }
+
+    /// A grow, started unless its group has ended. The handle list stays
+    /// locked from writer to push, so the run cannot find it empty between.
+    fn grow(self: &Arc<Self>, stage: u32, slot: u32) -> Result<bool> {
+        let mut handles = self.handles.lock();
+        let task = self.task(stage, slot)?;
+        Ok(task.map(|task| self.start(task, &mut handles)).is_some())
+    }
+}
 
 /// Multi-threaded executor: concurrent stages, elastic exchanges, and
 /// (when enabled) the intra-query re-parallelization
@@ -371,7 +448,7 @@ impl QueryExecutor {
 
 impl<T> NodeQuery<T>
 where
-    T: Deref<Target = StageTree> + Sync,
+    T: Deref<Target = StageTree>,
 {
     /// The per-node registry — register it with this node's
     /// `PageRegistries` (under the query's id) before any node runs.
@@ -391,36 +468,6 @@ where
         self.fleet_remote_slots
     }
 
-    /// Runs one task to completion on the current thread, recording the
-    /// first failure and poisoning the exchanges on error or panic. Its
-    /// exit — clean, failed or unwinding from someone else's poison — is an
-    /// event for the elasticity controller, whose signal `exited` is.
-    fn run_task(
-        &self,
-        (pipelines, mut ctx): Task,
-        first_err: &Mutex<Option<AccordionError>>,
-        exited: Option<&Signal>,
-    ) {
-        self.gate.acquire();
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_task(&pipelines, &mut ctx)));
-        self.gate.release();
-        let err = match outcome {
-            Ok(Ok(())) => None,
-            Ok(Err(e)) => Some(e),
-            Err(panic) => Some(AccordionError::Internal(format!(
-                "task panicked: {}",
-                panic_message(&panic)
-            ))),
-        };
-        if let Some(e) = err {
-            first_err.lock().get_or_insert(e.clone());
-            self.registry.poison(e);
-        }
-        if let Some(signal) = exited {
-            signal.raise();
-        }
-    }
-
     /// The one runner: executes, on the executor's pool, the tasks
     /// [`task_node`] places on this node, and returns the node's stats with
     /// the pages it drained: the whole result on the coordinator, none on a
@@ -429,7 +476,6 @@ where
     pub fn run(self) -> Result<QueryResult> {
         let tree: &StageTree = &self.tree;
         let (opts, role, registry, gate) = (&self.opts, &self.role, &self.registry, &self.gate);
-        let metrics = Arc::new(QueryMetrics::new());
         let builds = Arc::new(JoinBuilds::new(Some(gate.clone())));
 
         // Claim every endpoint up front so wiring errors surface before any
@@ -440,55 +486,35 @@ where
             let pipelines = Arc::new(split_pipelines(fragment)?);
             // A node hosting a task of the stage holds slot `node` of each
             // build edge: one reader, drained by whichever task claims it.
+            let feeds = build_inputs(&pipelines);
             if role.node < fragment.parallelism.max(1) {
-                for (child, join) in build_inputs(&pipelines) {
+                for &(child, join) in &feeds {
                     let reader = registry.reader(child.0, role.node, Some(gate.clone()))?;
                     builds.add(stage, join, reader);
                 }
             }
-            stages.insert(stage, (fragment, pipelines));
+            let streams = (fragment.child_stages.iter())
+                .filter(|child| !feeds.iter().any(|(c, _)| c == *child))
+                .map(|child| child.0);
+            let source = self.sources.get(&stage).cloned();
+            stages.insert(stage, (pipelines, source, streams.collect()));
         }
-        // The one way to start a task, planned or grown: a writer in this
-        // node's group, a reader of each child edge that feeds no join build
-        // (a grown task's elastic stage has none), and the stage's split
-        // feed when it scans. `None` when the group has ended: a grow that
-        // came after every task of the stage here ended.
-        let spec = |stage: u32, slot: u32| -> Result<Option<Task>> {
-            let (fragment, pipelines) = stages.get(&stage).ok_or_else(|| {
-                AccordionError::Internal(format!("the query has no stage {stage}"))
-            })?;
-            let Some(output) = registry.try_writer(stage, Some(gate.clone()))? else {
-                return Ok(None);
-            };
-            let feeds = build_inputs(pipelines);
-            let mut inputs = HashMap::new();
-            for child in &fragment.child_stages {
-                if !feeds.iter().any(|(c, _)| c == child) {
-                    let reader = registry.reader(child.0, slot, Some(gate.clone()))?;
-                    inputs.insert(child.0, reader);
-                }
-            }
-            let split_feed = (self.sources.get(&stage))
-                .map(|source| SplitFeed::from_source(source.clone(), slot, Some(gate.clone())));
-            let (builds, metrics) = (builds.clone(), metrics.clone());
-            let ctx = TaskContext::new(
-                stage,
-                slot,
-                opts.page_rows,
-                inputs,
-                output,
-                split_feed,
-                builds,
-                metrics,
-            );
-            Ok(Some((pipelines.clone(), ctx)))
-        };
-        // Every group is live here: no task has started, so none has ended.
-        let mut tasks = Vec::new();
+        let tasks = Arc::new(Tasks {
+            registry: registry.clone(),
+            gate: gate.clone(),
+            builds,
+            metrics: Arc::new(QueryMetrics::new()),
+            page_rows: opts.page_rows,
+            stages,
+            handles: Mutex::new(Vec::new()),
+        });
+        // Every planned writer before any task starts: no task has started,
+        // so every group is live.
+        let mut planned = Vec::new();
         for fragment in tree.fragments() {
             for slot in 0..fragment.parallelism.max(1) {
                 if task_node(slot, role.nodes()) == role.node {
-                    tasks.extend(spec(fragment.stage.0, slot)?);
+                    planned.extend(tasks.task(fragment.stage.0, slot)?);
                 }
             }
         }
@@ -500,8 +526,9 @@ where
             None
         };
 
-        // The controller runs where the queues are (node 0), over the
-        // stages whose first decision boundary `wire` armed.
+        // The controller lives where the queues are (node 0), over the
+        // stages whose first decision boundary `wire` armed, and its step is
+        // installed before any task here can claim.
         let mut controls = Vec::new();
         let elastic = opts.elasticity.enabled();
         for fragment in tree.fragments().iter().filter(|_| elastic) {
@@ -517,63 +544,34 @@ where
             let slots = self.slots + away.count() as u32;
             controls.push(StageControl::new(stage, bounds, dop, slots, queue));
         }
-        let controller = (!controls.is_empty())
-            .then(|| ElasticityController::new(opts.elasticity, metrics.clone(), controls));
-
-        let first_err = Mutex::new(None);
-        let exited = controller.as_ref().map(ElasticityController::signal);
-        let (this, first_err) = (&self, &first_err);
-        let (spec, exited) = (&spec, exited.as_deref());
-
-        let mut pages = Vec::new();
-        std::thread::scope(|scope| {
-            // The controller first: a thread spawned while a scan task
-            // already has a core can sit behind it in the run queue for a
-            // scheduler slice — milliseconds in which the first decision
-            // of the query is not taken. Started first, it is asleep on
-            // its signal by then, and a wake-up does not queue.
-            if let Some(controller) = controller {
-                scope.spawn(move || {
-                    // Grown tasks join the same scope, slot pool, join tables
-                    // and writer groups; a grow whose group has ended starts
-                    // nothing.
-                    let mut spawn = |stage: u32, slot: u32| -> Result<bool> {
-                        let Some(task) = spec(stage, slot)? else {
-                            return Ok(false);
-                        };
-                        scope.spawn(move || this.run_task(task, first_err, exited));
-                        Ok(true)
-                    };
-                    controller.run(registry, &mut spawn);
-                });
-            }
-            for task in tasks {
-                scope.spawn(move || this.run_task(task, first_err, exited));
-            }
-            // Drain the root stage's stream while tasks run; on poison the
-            // drain errors out and the scope joins the unwinding tasks.
-            if let Some(reader) = result_reader {
-                match drain_result(reader) {
-                    Ok(p) => pages = p,
-                    Err(e) => {
-                        first_err.lock().get_or_insert(e);
-                    }
-                }
-            }
+        let controller = (!controls.is_empty()).then(|| {
+            let (mode, metrics, starter) = (opts.elasticity, tasks.metrics.clone(), tasks.clone());
+            let spawn = Box::new(move |stage, slot| starter.grow(stage, slot));
+            ElasticityController::new(mode, metrics, registry.clone(), controls, spawn)
         });
-        if let Some(e) = first_err.lock().take() {
+
+        let mut handles = tasks.handles.lock();
+        planned
+            .into_iter()
+            .for_each(|task| tasks.start(task, &mut handles));
+        drop(handles);
+        // Drain the root stage's stream while tasks run; on poison the drain
+        // errors out and the tasks unwind. Then join them, grown ones too.
+        let drained = result_reader.map(drain_result);
+        // Popped in a closure, so the list is unlocked while a task is joined.
+        let next = || tasks.handles.lock().pop();
+        while let Some(handle) = next() {
+            let _ = handle.join();
+        }
+        controller.inspect(|c| c.finish());
+        // The query's first failure, on this node or (arriving afterwards,
+        // on a worker whose tasks all finished) on another.
+        if let Some(e) = registry.poison_error() {
             return Err(e);
         }
-        // On a worker, a remote failure can land after every local task
-        // finished cleanly — surface it rather than reporting success.
-        if let (false, Some(e)) = (role.is_coordinator(), registry.poison_error()) {
-            return Err(e);
-        }
-        Ok(QueryResult::new(
-            tree.root().schema(),
-            pages,
-            metrics.snapshot(registry.stats()),
-        ))
+        let pages = drained.transpose()?.unwrap_or_default();
+        let stats = tasks.metrics.snapshot(registry.stats());
+        Ok(QueryResult::new(tree.root().schema(), pages, stats))
     }
 }
 
@@ -588,12 +586,9 @@ impl<T> Drop for NodeQuery<T> {
     }
 }
 
-fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+fn panicked(panic: &Box<dyn std::any::Any + Send>) -> AccordionError {
+    let text = (panic.downcast_ref::<&str>().copied())
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str));
+    let text = text.unwrap_or("non-string panic payload");
+    AccordionError::Internal(format!("task panicked: {text}"))
 }

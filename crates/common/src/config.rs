@@ -109,10 +109,10 @@ impl NetworkConfigBuilder {
 
 /// How (and whether) the runtime elasticity controller retunes Source-stage
 /// DOP mid-query (paper §5.2, Fig 13). The mode is all there is to
-/// configure: *when* the controller looks is not a setting — it wakes on
-/// the split queue's events (see `accordion_cluster::elastic`), and every
-/// claimed split is a decision boundary, so re-parallelization always
-/// happens **between splits**.
+/// configure: *when* the controller looks is not a setting — the claims
+/// and scan pages that reach a decision boundary step it (see
+/// `accordion_cluster::elastic`), and every claimed split is one, so
+/// re-parallelization always happens **between splits**.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ElasticityMode {
     /// No controller: stages keep their planned parallelism.

@@ -7,7 +7,6 @@
 //! which also keeps the engine dependency-free.
 
 use std::sync::{self, LockResult};
-use std::time::Duration;
 
 pub use std::sync::{Condvar, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
@@ -35,6 +34,15 @@ impl<T> Mutex<T> {
 
     pub fn lock(&self) -> MutexGuard<'_, T> {
         ignore_poison(self.0.lock())
+    }
+
+    /// The guard if the lock is free right now; `None` while it is held.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(sync::TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(sync::TryLockError::WouldBlock) => None,
+        }
     }
 
     pub fn into_inner(self) -> T {
@@ -122,53 +130,21 @@ pub fn yield_slot<R>(gate: Option<&Semaphore>, wait: impl FnOnce() -> R) -> R {
     outcome
 }
 
-/// A wake-up flag for **one waiter**: any thread [`raise`](Signal::raise)s
-/// it, the waiter blocks in [`wait_timeout`](Signal::wait_timeout) until it
-/// is raised and takes it down again. The flag is level-triggered — a raise
-/// that lands while the waiter is busy is kept for its next wait, and any
-/// number of raises in between collapse into one — so "something happened,
-/// look again" is never lost and never queues up. The elasticity controller
-/// sleeps on one of these per query instead of polling its split queues.
-#[derive(Debug, Default)]
-pub struct Signal {
-    raised: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Signal {
-    pub fn new() -> Self {
-        Signal::default()
-    }
-
-    /// Sets the flag and wakes the waiter if it is blocked.
-    pub fn raise(&self) {
-        *self.raised.lock() = true;
-        self.cv.notify_one();
-    }
-
-    /// Blocks until the flag is raised or `timeout` has passed, whichever
-    /// comes first, and clears the flag. Returns whether it was raised.
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let guard = self.raised.lock();
-        let (mut guard, _) = ignore_poison(
-            self.cv
-                .wait_timeout_while(guard, timeout, |raised| !*raised),
-        );
-        std::mem::take(&mut *guard)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     #[test]
     fn mutex_basic() {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
+        let held = m.lock();
+        assert!(m.try_lock().is_none(), "held");
+        drop(held);
+        assert_eq!(m.try_lock().map(|g| *g), Some(2));
         assert_eq!(m.into_inner(), 2);
     }
 
@@ -212,32 +188,5 @@ mod tests {
         h.join().unwrap();
         sem.release();
         assert_eq!(sem.available(), 2);
-    }
-
-    #[test]
-    fn signal_keeps_a_raise_for_the_next_wait_and_collapses_repeats() {
-        let s = Signal::new();
-        s.raise();
-        s.raise();
-        assert!(s.wait_timeout(Duration::ZERO), "raised before the wait");
-        assert!(
-            !s.wait_timeout(Duration::ZERO),
-            "two raises are one wake-up"
-        );
-    }
-
-    #[test]
-    fn signal_wakes_a_blocked_waiter_and_otherwise_times_out() {
-        let s = Arc::new(Signal::new());
-        let started = Instant::now();
-        assert!(!s.wait_timeout(Duration::from_millis(5)));
-        assert!(started.elapsed() >= Duration::from_millis(5));
-        let s2 = s.clone();
-        let waiter = std::thread::spawn(move || s2.wait_timeout(Duration::from_secs(30)));
-        s.raise();
-        assert!(
-            waiter.join().unwrap(),
-            "raise ends the wait, not the timeout"
-        );
     }
 }

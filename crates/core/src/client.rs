@@ -147,7 +147,8 @@ impl Client {
                 "protocol error: END without RESULT".to_string(),
             )),
             Frame::Result { ncols } => {
-                let columns = decode_line(self.read_line()?.trim_end())?;
+                self.read_line()?;
+                let columns = self.decode_row()?;
                 if columns.len() != ncols {
                     return Err(AccordionError::Io(format!(
                         "header has {} columns, RESULT announced {ncols}",
@@ -175,7 +176,7 @@ impl Client {
                             elapsed_ms,
                         }));
                     }
-                    let row = decode_line(line)?;
+                    let row = self.decode_row()?;
                     if row.len() != ncols {
                         return Err(AccordionError::Io(format!(
                             "row has {} fields, expected {ncols}",
@@ -196,26 +197,39 @@ impl Client {
         Ok(())
     }
 
+    /// Decodes the header or row read last. A text cell may hold a line
+    /// break (RFC 4180): a row that fails to decode with an odd count of `"`
+    /// goes on over the next line, and only its last line break is stripped.
+    fn decode_row(&mut self) -> Result<Vec<String>> {
+        loop {
+            match decode_line(self.line.trim_end_matches(['\r', '\n'])) {
+                Err(_) if self.line.bytes().filter(|&b| b == b'"').count() % 2 == 1 => {
+                    self.append_line()?
+                }
+                row => return row,
+            }
+        }
+    }
+
     /// Reads the next line into the reused buffer and returns it without
     /// its line break.
     fn read_line(&mut self) -> Result<&str> {
         self.line.clear();
-        let n = self.reader.read_line(&mut self.line).map_err(|e| {
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) {
-                AccordionError::Io("server did not respond within the read timeout".to_string())
-            } else {
-                AccordionError::Io(format!("read failed: {e}"))
-            }
-        })?;
-        if n == 0 {
-            return Err(AccordionError::Io(
-                "connection closed by server".to_string(),
-            ));
-        }
+        self.append_line()?;
         Ok(self.line.trim_end_matches(['\r', '\n']))
+    }
+
+    /// Appends the next line, line break included, to the reused buffer.
+    fn append_line(&mut self) -> Result<()> {
+        use std::io::ErrorKind::{TimedOut, WouldBlock};
+        match self.reader.read_line(&mut self.line) {
+            Ok(0) => Err(AccordionError::Io("connection closed by server".into())),
+            Ok(_) => Ok(()),
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => Err(AccordionError::Io(
+                "server did not respond within the read timeout".into(),
+            )),
+            Err(e) => Err(AccordionError::Io(format!("read failed: {e}"))),
+        }
     }
 }
 

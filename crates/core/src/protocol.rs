@@ -21,8 +21,10 @@
 //! escaping), every other type — integers, floats, booleans, dates, and
 //! `NULL` — is written bare. Since no bare rendering starts with `E`, a
 //! data row can never be mistaken for the `END` trailer, so results stream
-//! without a length prefix. `OK`/`ERR` payloads are single-line: newlines
-//! and backslashes are escaped (`\n`, `\r`, `\\`).
+//! without a length prefix. A string's line break is written raw inside
+//! its quotes (RFC 4180), so a row can span lines: the client reads on
+//! while the row is unterminated. `OK`/`ERR` payloads are single-line:
+//! newlines and backslashes are escaped (`\n`, `\r`, `\\`).
 //!
 //! Rows cost what their bytes cost: [`write_rows`] pushes cells as bytes
 //! (digit pairs, whole strings, and whole cents below 10^12 for floats; see

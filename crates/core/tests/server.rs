@@ -12,6 +12,7 @@ use accordion_data::types::{DataType, Value};
 use accordion_exec::ExecOptions;
 use accordion_storage::catalog::Catalog;
 use accordion_storage::table::TableBuilder;
+use accordion_tpch::gen::{generate, TpchOptions};
 
 /// The sales fixture of the exec golden suite: 8 rows, NULLs in qty,
 /// spread over 2 nodes × 2 splits.
@@ -466,6 +467,41 @@ fn a_large_result_streams_through_the_response_buffer_intact() {
     for (n, row) in rs.rows.iter().enumerate() {
         assert_eq!(row, &vec![n.to_string(), format!("row-{n:08}")]);
     }
+    client.exit().unwrap();
+}
+
+#[test]
+fn a_text_cell_holding_a_line_break_reaches_the_client_intact() {
+    // A quoted cell may hold a line break (RFC 4180): the row goes on past
+    // it, and only the row's own line break ends it.
+    let data = generate(&TpchOptions {
+        scale_factor: 0.001,
+        ..TpchOptions::default()
+    });
+    let exec = ExecOptions {
+        worker_threads: 2,
+        elasticity: ElasticityConfig::off(),
+        ..ExecOptions::with_page_rows(64)
+    };
+    let config = ServerConfig {
+        default_dop: 1,
+        exec: exec.clone(),
+    };
+    let catalog = Arc::new(data.catalog);
+    let server =
+        QueryServer::start(catalog, QueryExecutor::new(exec), config, "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let rs = client
+        .query("SELECT r_name, 'a\nb' AS t, 'c\r\nd' AS u FROM region LIMIT 2")
+        .unwrap();
+    assert_eq!(rs.rows.len(), 2, "{rs:?}");
+    for row in &rs.rows {
+        assert_eq!(row.len(), 3, "{row:?}");
+        assert_eq!(row[1].as_bytes(), b"a\nb");
+        assert_eq!(row[2].as_bytes(), b"c\r\nd");
+    }
+    let rs = client.query("SELECT count(*) AS n FROM region").unwrap();
+    assert_eq!(rs.rows, vec![vec!["5".to_string()]], "the session goes on");
     client.exit().unwrap();
 }
 

@@ -10,29 +10,31 @@
 //!
 //! While a query runs, the elasticity controller in
 //! `accordion_cluster::elastic` reads a stage's live scan meters
-//! ([`QueryMetrics::scan_totals`]) whenever an event wakes it, turns them
-//! into an [`EraSample`] for the what-if predictor's `R_consume` (§5.2:
-//! `T_remain = V_remain / R_consume`) and keeps each stage's per-tick rate
-//! as a [`StageSeries`] (paper Fig 18), handed over when it exits. What the
-//! controller then does is part of the stats: every `auto` evaluation is a
-//! [`DecisionRecord`] in [`QueryStats::decisions`] — the predictor's whole
-//! input ([`StageView`]) and output ([`Evaluation`]) — every DOP change a
-//! [`RetuneEvent`] in [`QueryStats::retunes`] (with the time a grown task
-//! took to scan its first page), and [`QueryStats::controller_wakeups`]
-//! counts how often the controller looked at all.
+//! ([`QueryMetrics::scan_totals`]) at every step, turns them into an
+//! [`EraSample`] for the what-if predictor's `R_consume` (§5.2: `T_remain =
+//! V_remain / R_consume`) and keeps each stage's rate as a [`StageSeries`]
+//! (paper Fig 18), handed over when the run ends. A scan steps the
+//! controller itself at the page that makes its task's sample usable
+//! ([`QueryMetrics::step_scans_at`]). What the controller then does is
+//! part of the stats: every `auto` evaluation is a [`DecisionRecord`] in
+//! [`QueryStats::decisions`] — the predictor's whole input ([`StageView`])
+//! and output ([`Evaluation`]) — and every DOP change a [`RetuneEvent`] in
+//! [`QueryStats::retunes`], with the time a grown task took to scan its
+//! first page.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use accordion_common::clock::{SharedClock, SystemClock};
 use accordion_common::metrics::{Counter, TimePoint};
-use accordion_common::sync::{Mutex, Signal};
+use accordion_common::sync::Mutex;
 use accordion_common::{Json, Result};
 use accordion_data::page::Page;
 use accordion_net::ExchangeStats;
 use accordion_plan::fragment::DopBounds;
 
 use crate::operators::{BoxedStream, PageStream, Selection};
+use crate::splits::Step;
 
 /// Live counters of one operator instance inside one driver.
 #[derive(Debug)]
@@ -61,9 +63,9 @@ pub struct OperatorMetrics {
     /// everything before is thread start-up and waiting for a slot.
     pub first_page: OnceLock<FirstPage>,
     clock: SharedClock,
-    /// Raised once, when this instance has produced that many pages (see
-    /// [`QueryMetrics::watch_scans`]).
-    alarm: Option<(u64, Arc<Signal>)>,
+    /// Stepped once, when this instance has produced that many pages (see
+    /// [`QueryMetrics::step_scans_at`]).
+    alarm: Option<(u64, Weak<dyn Step>)>,
 }
 
 impl OperatorMetrics {
@@ -78,9 +80,9 @@ impl OperatorMetrics {
             rows,
         });
         // One task writes these counters, so `get` is this page's number.
-        if let Some((at, signal)) = &self.alarm {
+        if let Some((at, step)) = &self.alarm {
             if self.pages.get() == *at {
-                signal.raise();
+                step.upgrade().inspect(|s| s.step(false));
             }
         }
     }
@@ -140,9 +142,8 @@ pub struct QueryMetrics {
     retunes: Mutex<Vec<(RetuneEvent, Vec<u32>)>>,
     /// `auto` evaluations of the elasticity controller, in order.
     decisions: Mutex<Vec<DecisionRecord>>,
-    controller_wakeups: Counter,
-    /// See [`Self::watch_scans`].
-    scan_alarm: Mutex<Option<(u64, Arc<Signal>)>>,
+    /// See [`Self::step_scans_at`].
+    scan_alarm: Mutex<Option<(u64, Weak<dyn Step>)>>,
 }
 
 impl QueryMetrics {
@@ -160,7 +161,6 @@ impl QueryMetrics {
             series: Mutex::new(Vec::new()),
             retunes: Mutex::new(Vec::new()),
             decisions: Mutex::new(Vec::new()),
-            controller_wakeups: Counter::new(),
             scan_alarm: Mutex::new(None),
         }
     }
@@ -175,13 +175,12 @@ impl QueryMetrics {
         Duration::from_nanos(self.clock.now_nanos().saturating_sub(self.start_nanos))
     }
 
-    /// Has every scan registered from now on raise `signal` once, when it
-    /// has produced `pages` pages: the moment a task that has just started
-    /// — with the query, or in a grow — has scanned enough for its rate to
-    /// be worth reading, which is long before it is back for its next
-    /// split.
-    pub fn watch_scans(&self, pages: u64, signal: Arc<Signal>) {
-        *self.scan_alarm.lock() = Some((pages, signal));
+    /// Has every scan registered from now on run `step` once, when it has
+    /// produced `pages` pages: the moment a task that has just started —
+    /// with the query, or in a grow — has scanned enough for its rate to be
+    /// worth reading, which is long before it is back for its next split.
+    pub fn step_scans_at(&self, pages: u64, step: Weak<dyn Step>) {
+        *self.scan_alarm.lock() = Some((pages, step));
     }
 
     /// Registers one operator instance and returns its counters.
@@ -235,7 +234,7 @@ impl QueryMetrics {
     }
 
     /// Records the runtime series of one stage, complete: the elasticity
-    /// controller hands each stage's over when it exits.
+    /// controller hands each stage's over when the run ends.
     pub fn record_series(&self, series: StageSeries) {
         self.series.lock().push(series);
     }
@@ -250,11 +249,6 @@ impl QueryMetrics {
     /// Records one `auto` evaluation of the elasticity controller.
     pub fn record_decision(&self, decision: DecisionRecord) {
         self.decisions.lock().push(decision);
-    }
-
-    /// Counts one pass of the elasticity controller over its stages.
-    pub fn record_controller_wakeup(&self) {
-        self.controller_wakeups.inc();
     }
 
     /// Decision → first page scanned by any of the `spawned` tasks of
@@ -308,7 +302,6 @@ impl QueryMetrics {
             series: self.series.lock().clone(),
             retunes,
             decisions: self.decisions.lock().clone(),
-            controller_wakeups: self.controller_wakeups.get(),
         }
     }
 }
@@ -540,9 +533,6 @@ pub struct QueryStats {
     pub retunes: Vec<RetuneEvent>,
     /// Every `auto` evaluation of the elasticity controller, in order.
     pub decisions: Vec<DecisionRecord>,
-    /// Passes of the elasticity controller over its stages: one per event
-    /// that woke it plus one per tick it slept through.
-    pub controller_wakeups: u64,
 }
 
 impl QueryStats {
@@ -599,16 +589,12 @@ impl QueryStats {
                 "decisions",
                 Json::Arr(self.decisions.iter().map(|d| d.to_json()).collect()),
             )
-            .with("controller_wakeups", Json::u64(self.controller_wakeups))
     }
 }
 
-/// The tick: minimum spacing of the periodic runtime-info samples, and the
-/// longest the elasticity controller sleeps when no event wakes it — 10 ms
-/// resolves the Fig-18 throughput curve of any query worth plotting, and
-/// without a floor the append-only series would grow with how often the
-/// controller wakes instead of with information (decision samples bypass
-/// it; there is at most one per claimed split).
+/// Minimum spacing of a stage's Fig-18 series points: 10 ms resolves the
+/// curve of any query worth plotting, and keeps the series from growing with
+/// how often the controller steps (a decision's point bypasses it).
 pub const SAMPLE_MIN_INTERVAL_NANOS: u64 = 10_000_000;
 
 /// What a stage's scans produced in the current measurement era: since the
@@ -740,26 +726,33 @@ mod tests {
     }
 
     #[test]
-    fn a_watched_scan_raises_the_signal_at_its_nth_page_and_only_then() {
+    fn a_scan_steps_the_controller_at_its_nth_page_and_only_then() {
+        #[derive(Default)]
+        struct Count(Mutex<Vec<bool>>);
+        impl Step for Count {
+            fn step(&self, parked: bool) {
+                self.0.lock().push(parked);
+            }
+        }
         let metrics = QueryMetrics::new();
         let before = metrics.register(1, 0, 0, "TableScan");
-        let signal = Arc::new(Signal::new());
-        metrics.watch_scans(3, signal.clone());
+        let count = Arc::new(Count::default());
+        metrics.step_scans_at(3, Arc::downgrade(&(count.clone() as Arc<dyn Step>)));
         let scan = metrics.register(1, 1, 0, "TableScan");
         let filter = metrics.register(1, 1, 0, "Filter");
-        let raised = || signal.wait_timeout(Duration::ZERO);
+        let steps = || count.0.lock().clone();
         for _ in 0..5 {
             before.record_page(1, 8);
             filter.record_page(1, 8);
         }
-        assert!(!raised(), "registered before the watch, or not a scan");
+        assert!(steps().is_empty(), "registered before, or not a scan");
         scan.record_page(1, 8);
         scan.record_page(1, 8);
-        assert!(!raised());
+        assert!(steps().is_empty());
         scan.record_page(1, 8);
-        assert!(raised(), "the third page");
+        assert_eq!(steps(), [false], "the third page, which does not wait");
         scan.record_page(1, 8);
-        assert!(!raised(), "once");
+        assert_eq!(steps().len(), 1, "once");
     }
 
     #[test]
@@ -833,7 +826,6 @@ mod tests {
                 postponed: false,
             },
         });
-        metrics.record_controller_wakeup();
         let stats = metrics.snapshot(ExchangeStats {
             pages: 3,
             bytes: 1024,
@@ -868,6 +860,5 @@ mod tests {
         assert_eq!(decision.get("cap").unwrap().as_u64(), Some(4));
         assert_eq!(decision.get("max_dop").unwrap().as_u64(), Some(8));
         assert_eq!(decision.get("sample_pages").unwrap().as_u64(), Some(30));
-        assert_eq!(parsed.get("controller_wakeups").unwrap().as_u64(), Some(1));
     }
 }

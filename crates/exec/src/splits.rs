@@ -14,21 +14,18 @@
 //! after another, each to completion, so each drains a queue of its own
 //! over a share of the splits instead, through the same scan.
 //!
-//! The queue doubles as the controller's **decision boundary** and as its
-//! **event source**. With a pause threshold set, claims beyond it block
-//! (yielding the scheduler's compute slot) until the controller has
+//! The queue doubles as the controller's **decision boundary**. With a
+//! pause threshold set, claims beyond it wait until the controller has
 //! consulted its schedule or the what-if predictor and applied any DOP
-//! change — so retunes always happen *between splits*, never mid-split
-//! (paper Fig 13). The controller does not poll for that moment: it sleeps
-//! on a [`Signal`] it hands to [`SplitQueue::watch`], and the queue raises
-//! it when there is something to look at — a claim **reaches** the
-//! threshold (a decision is due, though nobody waits for it yet), a
-//! claimant **parks** at it (now somebody does: [`SplitQueue::parked`]),
-//! a claim takes the **last split** (nothing is left to decide), or a slot
-//! is retired. Remote claims arrive through the coordinator's claim service
-//! into this same method, so they raise it too. Retired tasks observe their
-//! retirement at the same boundary: their next claim returns `None`, as on
-//! exhaustion, and the scan ends.
+//! change, so retunes always happen *between splits*, never mid-split
+//! (paper Fig 13). The threads that reach the boundary run the controller's
+//! [`Step`] themselves ([`SplitQueue::set_step`]): the claim that reaches
+//! the threshold or takes the last split, before it scans, and a claimant
+//! parked at it ([`SplitQueue::parked`]). Remote claims arrive through the
+//! coordinator's claim service into this same method. Before node 0 has
+//! installed a step (a worker's share can start first), a claim at the
+//! threshold waits with its compute slot yielded. A retired task's next
+//! claim returns `None`, as on exhaustion, and its scan ends.
 //!
 //! Every claim takes the front of the queue: splits are handed out in the
 //! order the queue was built with, whichever task or node asks.
@@ -41,9 +38,9 @@
 
 use std::collections::HashSet;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use accordion_common::sync::{condvar_wait, yield_slot, Condvar, Mutex, Semaphore, Signal};
+use accordion_common::sync::{condvar_wait, yield_slot, Condvar, Mutex, Semaphore};
 use accordion_common::NodeId;
 use accordion_storage::split::Split;
 
@@ -57,6 +54,13 @@ pub trait SplitSource: Send + Sync {
     fn claim(&self, slot: u32, node: Option<NodeId>, gate: Option<&Semaphore>) -> Option<Split>;
 }
 
+/// The one entry of the query's elasticity controller, which boundary
+/// events run (`accordion_cluster::elastic`).
+pub trait Step: Send + Sync {
+    /// `parked`: the caller is a claimant waiting at a paused boundary.
+    fn step(&self, parked: bool);
+}
+
 #[derive(Debug)]
 struct QueueState {
     splits: VecDeque<Split>,
@@ -67,10 +71,10 @@ struct QueueState {
     pause_after: Option<u64>,
     /// Controller detached: never block a claim again.
     released: bool,
-    /// Claimants blocked at the pause threshold right now.
+    /// Claimants at the pause threshold right now.
     parked: u32,
-    /// Where the controller sleeps (see [`SplitQueue::watch`]).
-    signal: Option<Arc<Signal>>,
+    /// See [`SplitQueue::set_step`]. Weak: the controller holds the queue.
+    step: Option<Weak<dyn Step>>,
 }
 
 impl QueueState {
@@ -79,10 +83,8 @@ impl QueueState {
         !self.released && matches!(self.pause_after, Some(n) if self.claimed >= n)
     }
 
-    fn raise(&self) {
-        if let Some(signal) = &self.signal {
-            signal.raise();
-        }
+    fn step(&self) -> Option<Arc<dyn Step>> {
+        self.step.as_ref()?.upgrade()
     }
 
     /// One claim attempt for `slot`: `None` if it must wait at the pause
@@ -96,12 +98,6 @@ impl QueueState {
         }
         let split = self.splits.pop_front().expect("non-empty checked above");
         self.claimed += 1;
-        // This claim brought the stage to its decision boundary, or left
-        // nothing to decide about: either way the controller has something
-        // to look at.
-        if self.paused() || self.splits.is_empty() {
-            self.raise();
-        }
         Some(Some(split))
     }
 }
@@ -112,7 +108,7 @@ pub struct SplitQueue {
     /// Rows in every split the queue started with, claimed or not.
     total_rows: u64,
     state: Mutex<QueueState>,
-    /// Wakes claimants blocked on the pause threshold or retirement.
+    /// Wakes claimants waiting at the pause threshold (see [`Self::claim`]).
     cv: Condvar,
 }
 
@@ -127,47 +123,54 @@ impl SplitQueue {
                 pause_after: None,
                 released: false,
                 parked: 0,
-                signal: None,
+                step: None,
             }),
             cv: Condvar::new(),
         }
     }
 
-    /// Claims the next split for task `slot`, blocking at a pause boundary
-    /// until the controller's decision lands. Returns `None` when the queue
-    /// is exhausted or the slot was retired. `gate` (the scheduler's
-    /// compute-slot semaphore) is yielded for the duration of any wait.
+    /// Claims the next split for task `slot`. At a pause boundary the
+    /// claimant steps the controller, counted in [`Self::parked`], until
+    /// the decision lands; before a step is installed it waits with `gate`
+    /// (the scheduler's compute-slot semaphore) yielded. Returns `None` when
+    /// the queue is exhausted or the slot was retired.
     pub fn claim(&self, slot: u32, gate: Option<&Semaphore>) -> Option<Split> {
         loop {
             let mut st = self.state.lock();
-            if let Some(claimed) = st.take(slot) {
-                return claimed;
-            }
-            yield_slot(gate, || {
-                st.parked += 1;
-                st.raise();
-                while st.paused() && !st.retired.contains(&slot) && !st.splits.is_empty() {
-                    st = condvar_wait(&self.cv, st);
-                }
-                st.parked -= 1;
+            if let Some(split) = st.take(slot) {
+                // A claim that brought the stage to its boundary, or left
+                // nothing to decide, steps before its split is scanned.
+                let due = split.is_some() && (st.paused() || st.splits.is_empty());
+                let step = due.then(|| st.step()).flatten();
                 drop(st);
-            });
+                step.inspect(|s| s.step(false));
+                return split;
+            }
+            st.parked += 1;
+            if let Some(step) = st.step() {
+                drop(st);
+                step.step(true);
+                self.state.lock().parked -= 1;
+            } else {
+                yield_slot(gate, || {
+                    while st.paused()
+                        && !st.retired.contains(&slot)
+                        && !st.splits.is_empty()
+                        && st.step().is_none()
+                    {
+                        st = condvar_wait(&self.cv, st);
+                    }
+                    st.parked -= 1;
+                    drop(st);
+                });
+            }
         }
-    }
-
-    /// [`claim`](Self::claim) without the wait: `None` when the claim would
-    /// park at a pause boundary.
-    pub fn try_claim(&self, slot: u32) -> Option<Option<Split>> {
-        self.state.lock().take(slot)
     }
 
     /// Retires a task slot: its next claim returns `None`, making it finish
     /// its current split, end its scan and exit.
     pub fn retire(&self, slot: u32) {
-        let mut st = self.state.lock();
-        st.retired.insert(slot);
-        st.raise();
-        drop(st);
+        self.state.lock().retired.insert(slot);
         self.cv.notify_all();
     }
 
@@ -209,12 +212,12 @@ impl SplitQueue {
         self.state.lock().parked
     }
 
-    /// Names the signal this queue raises for its controller: when a claim
-    /// reaches the pause threshold, when a claimant parks at it, when a
-    /// claim takes the last split, and when a slot is retired. A queue
-    /// nobody watches raises nothing.
-    pub fn watch(&self, signal: Arc<Signal>) {
-        self.state.lock().signal = Some(signal);
+    /// Installs the step that claims at the pause threshold run (see the
+    /// module docs), and wakes the claimants already waiting there to run
+    /// it. A queue without one steps nothing.
+    pub fn set_step(&self, step: Weak<dyn Step>) {
+        self.state.lock().step = Some(step);
+        self.cv.notify_all();
     }
 
     /// Detaches the controller: clears any pause and guarantees no claim
@@ -223,6 +226,7 @@ impl SplitQueue {
         let mut st = self.state.lock();
         st.released = true;
         st.pause_after = None;
+        drop(st);
         self.cv.notify_all();
     }
 }
@@ -408,46 +412,84 @@ mod tests {
         assert!(claimer.join().unwrap().is_some());
     }
 
+    /// A step that counts its calls and, stepped by a parked claimant,
+    /// moves the boundary one claim on, as a decision does.
+    #[derive(Default)]
+    struct Counting {
+        queue: std::sync::OnceLock<Arc<SplitQueue>>,
+        calls: Mutex<Vec<bool>>,
+    }
+
+    impl Step for Counting {
+        fn step(&self, parked: bool) {
+            self.calls.lock().push(parked);
+            if parked {
+                let q = self.queue.get().unwrap();
+                q.set_pause_after(Some(q.claimed() + 1));
+            }
+        }
+    }
+
+    fn counted(splits: Vec<Split>) -> (Arc<SplitQueue>, Arc<Counting>) {
+        let q = Arc::new(SplitQueue::new(splits));
+        let step = Arc::new(Counting::default());
+        step.queue.set(q.clone()).unwrap();
+        q.set_step(Arc::downgrade(&(step.clone() as Arc<dyn Step>)));
+        (q, step)
+    }
+
     #[test]
-    fn the_signal_is_raised_by_every_event_the_controller_waits_for() {
-        let q = Arc::new(SplitQueue::new(vec![
+    fn the_queue_steps_at_every_event_the_controller_decides_on() {
+        let (q, step) = counted(vec![
             split(0, vec![1]),
             split(1, vec![2]),
             split(2, vec![3]),
-        ]));
-        let signal = Arc::new(Signal::new());
-        q.watch(signal.clone());
-        let raised = || signal.wait_timeout(Duration::ZERO);
-
+            split(3, vec![4]),
+        ]);
+        let calls = || step.calls.lock().clone();
         q.set_pause_after(Some(2));
         assert!(q.claim(0, None).is_some());
-        assert!(!raised(), "a claim below the threshold is no event");
+        assert!(
+            calls().is_empty(),
+            "a claim below the threshold is no event"
+        );
         assert!(q.claim(0, None).is_some());
-        assert!(raised(), "the claim that reaches the threshold");
+        assert_eq!(calls(), [false], "the claim that reaches the threshold");
         assert_eq!(q.parked(), 0, "due, but nobody waits for it yet");
+        // A claimant at the threshold steps, counted as parked, and the
+        // split the decision lets through takes the stage back to it.
+        assert!(q.claim(1, None).is_some());
+        assert_eq!(calls(), [false, true, false]);
+        assert_eq!(q.parked(), 0);
+        // The claim that empties the queue steps, so the stage can finish.
+        q.release();
+        assert_eq!(q.claim(1, None).unwrap().id.0, 3);
+        assert_eq!(calls(), [false, true, false, false]);
+        assert!(q.claim(1, None).is_none());
+        assert_eq!(calls().len(), 4, "an exhausted queue steps nothing");
+    }
 
-        // A claimant that parks says so; no sleep needed to see it park.
+    #[test]
+    fn a_claimant_waiting_before_the_step_is_installed_steps_once_it_is() {
+        // A worker's claim can reach the boundary before node 0 has
+        // installed its step: it waits, parked, and installing wakes it.
+        let q = Arc::new(SplitQueue::new(vec![split(0, vec![1]), split(1, vec![2])]));
+        q.set_pause_after(Some(0));
         let claimant = {
             let q = q.clone();
-            std::thread::spawn(move || q.claim(1, None))
+            std::thread::spawn(move || q.claim(0, None))
         };
-        assert!(signal.wait_timeout(Duration::from_secs(30)), "parking");
-        assert_eq!(q.parked(), 1);
-
-        q.retire(7);
-        assert!(raised(), "a retirement");
-
-        // Released, the parked claimant takes the third and last split.
-        q.release();
-        assert!(claimant.join().unwrap().is_some());
+        while q.parked() == 0 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        assert!(!claimant.is_finished(), "nothing moves the boundary yet");
+        let step = Arc::new(Counting::default());
+        step.queue.set(q.clone()).unwrap();
+        q.set_step(Arc::downgrade(&(step.clone() as Arc<dyn Step>)));
+        assert_eq!(claimant.join().unwrap().unwrap().id.0, 0);
+        assert!(step.calls.lock()[0], "it stepped as a parked claimant");
         assert_eq!(q.parked(), 0);
-        assert!(raised(), "the claim that empties the queue");
-
-        // With nothing raised a waiter comes back at the tick, not before.
-        let tick = Duration::from_nanos(crate::metrics::SAMPLE_MIN_INTERVAL_NANOS);
-        let started = std::time::Instant::now();
-        assert!(!signal.wait_timeout(tick));
-        assert!(started.elapsed() >= tick);
     }
 
     #[test]

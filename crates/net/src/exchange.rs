@@ -403,11 +403,9 @@ impl ExchangeRegistry {
 
     /// The producing nodes of `stage`'s output edge whose share has not
     /// ended, as this node sees them: its own while its writer group is
-    /// live, and each other one whose FINISH has not arrived. The
-    /// elasticity controller reads this each time it wakes (a task's exit
-    /// wakes it) to detect a stage whose tasks all ended early — e.g. every
-    /// task's LIMIT was satisfied mid-scan — with splits still unclaimed: at
-    /// zero nothing will ever claim again and the stage must be finished.
+    /// live, and each other one whose FINISH has not arrived. At zero, the
+    /// elasticity controller's next step finishes the stage: its tasks all
+    /// ended early (a LIMIT met mid-scan) and nothing will claim again.
     /// It reads the first local consumer slot, whose queue counts every
     /// producing node (slot 0 is local on node 0, where the controller
     /// runs).

@@ -30,10 +30,15 @@
 //!
 //! The accepting thread never waits for room in a queue (a join drains its
 //! build edge before it pulls its probe edge, and both may share a
-//! session), and a claim that must park at a decision boundary is answered
-//! from a short-lived thread. It does wait out JOIN, which holds up
-//! nothing: the coordinator sends JOIN once its own share has run, so every
-//! frame it sends for the query precedes it.
+//! session). It answers a claim inline. Once the coordinator runs, a claim
+//! at a paused decision boundary waits at most for one step of its
+//! controller, which the claim runs itself. A claim that reaches the
+//! boundary before then (a worker's share can start first) waits until the
+//! coordinator installs that step as it starts its run, or releases the
+//! queue when it is dropped unrun, and every frame behind it on its session
+//! waits too. It does wait out JOIN, which holds up nothing: the
+//! coordinator sends JOIN once its own share has run, so every frame it
+//! sends for the query precedes it.
 //!
 //! ## Backpressure: credits mirroring the elastic buffers
 //!
@@ -245,9 +250,8 @@ fn credit_back(replies: &Arc<Mutex<FrameConn>>, stage: u32, consumer: u32) -> Cr
 /// to: `accordion_cluster::SplitQueues`, a crate up.
 pub trait Claims: Send + Sync {
     /// The reply to `slot`'s claim on `stage` of `query`, which the session
-    /// sends behind their (stage, slot); without `wait`, `Ok(None)` for a
-    /// claim that would park at a decision boundary.
-    fn answer(&self, query: u64, stage: u32, slot: u32, wait: bool) -> Result<Option<Frame>>;
+    /// sends behind their (stage, slot).
+    fn answer(&self, query: u64, stage: u32, slot: u32) -> Result<Frame>;
 }
 
 /// The control service a session's accepting side hands WIRE to: the node
@@ -307,7 +311,7 @@ pub fn serve_sessions(
     Box::new(move |conn: &mut FrameConn, query: u64| {
         let replies = Arc::new(Mutex::new(conn.clone()));
         let mut share = Share::Unwired;
-        let (pages, claims) = (pages.as_deref(), claims.as_ref());
+        let (pages, claims) = (pages.as_deref(), claims.as_deref());
         let control = control.as_deref().zip(pages);
         if let Err(e) = serve_session(conn, query, &replies, pages, claims, control, &mut share) {
             let _ = replies.lock().respond(Err(e));
@@ -329,7 +333,7 @@ fn serve_session(
     query: u64,
     replies: &Arc<Mutex<FrameConn>>,
     pages: Option<&PageRegistries>,
-    claims: Option<&Arc<dyn Claims>>,
+    claims: Option<&dyn Claims>,
     control: Option<(&dyn Control, &PageRegistries)>,
     share: &mut Share,
 ) -> Result<()> {
@@ -355,36 +359,17 @@ fn serve_session(
             (kind::CLAIM, _, Some(claims)) => {
                 let (stage, slot) = (fields.u32()?, fields.u32()?);
                 fields.finish()?;
-                let replies = replies.clone();
-                let reply = move |reply: Result<Frame>| {
-                    let keyed = reply.map(|(kind, body)| {
-                        let mut keyed = Payload::default().u32(stage).u32(slot).0;
-                        keyed.extend(body);
-                        (kind, keyed)
-                    });
-                    replies.lock().respond(keyed)
-                };
                 // A query poisoned here hands out nothing more: the poison
                 // answers on the claim's connection, which the claimant may
                 // read before the broadcast that travels on another.
                 let poison = pages.and_then(|p| p.0.lock().get(&query)?.poison_error());
-                if let Some(e) = poison {
-                    reply(Err(e))?;
-                    continue;
-                }
-                if let Some(answer) = claims.answer(query, stage, slot, false)? {
-                    reply(Ok(answer))?;
-                    continue;
-                }
-                let claims = claims.clone();
-                std::thread::Builder::new()
-                    .name("claim-park".into())
-                    .spawn(move || {
-                        let answer = claims.answer(query, stage, slot, true).and_then(|r| {
-                            r.ok_or_else(|| AccordionError::Internal("claim unanswered".into()))
-                        });
-                        let _ = reply(answer);
-                    })?;
+                let answer = match poison {
+                    Some(e) => Err(e),
+                    None => Ok(claims.answer(query, stage, slot)?),
+                };
+                let key = Payload::default().u32(stage).u32(slot).0;
+                let keyed = answer.map(|(kind, body)| (kind, [key, body].concat()));
+                replies.lock().respond(keyed)?;
             }
             // The registry is gone, and every queue with it: DATA is
             // credited at once, and nothing else has anything to change.
